@@ -37,7 +37,7 @@ func BenchmarkAblationOrdering(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					res, err := FindWithModel(m, Options{
+					res, err := solveModel(m, Options{
 						BreadthFirst:    ord.bf,
 						Policy:          EnumPolicy{MaxSplitDims: 3},
 						MaxTableEntries: 1 << 27,
@@ -67,7 +67,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := FindWithModel(m, Options{Workers: w}); err != nil {
+				if _, err := solveModel(m, Options{Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -92,7 +92,7 @@ func BenchmarkAblationPolicy(b *testing.B) {
 		{"fulldegree", EnumPolicy{RequireFullDegree: true, MaxSplitDims: 3}},
 	}
 	// Reference cost: the least-restricted policy's optimum.
-	ref, err := Find(g, GTX1080Ti(p), Options{})
+	ref, err := solve(g, GTX1080Ti(p), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func BenchmarkAblationPolicy(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := FindWithModel(m, Options{Policy: pc.pol})
+				res, err := solveModel(m, Options{Policy: pc.pol})
 				if err != nil {
 					b.Fatal(err)
 				}

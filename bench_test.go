@@ -37,7 +37,7 @@ func BenchmarkTableI_PaSE(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := FindWithModel(m, Options{}); err != nil {
+					if _, err := solveModel(m, Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -56,7 +56,7 @@ func BenchmarkTableI_BF(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					_, err = FindWithModel(m, Options{BreadthFirst: true})
+					_, err = solveModel(m, Options{BreadthFirst: true})
 					if errors.Is(err, ErrOOM) {
 						b.Skip("OOM (paper Table I reports the same)")
 					}
@@ -78,13 +78,11 @@ func BenchmarkTableI_MCMC(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				exp, err := ExpertStrategy(bm.Family, g, p)
-				if err != nil {
-					b.Fatal(err)
-				}
+				// Seeded with the expert strategy (the paper's protocol).
+				opts := Options{Method: "mcmc", MCMCInit: "expert:" + bm.Family, MCMC: MCMCOptions{Seed: 1, MinIters: 25000}}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := MCMCSearch(m, exp, MCMCOptions{Seed: 1, MinIters: 25000}); err != nil {
+					if _, err := solveModel(m, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -103,7 +101,7 @@ func BenchmarkTableII(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := FindWithModel(m, Options{})
+				res, err := solveModel(m, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -153,7 +151,7 @@ func BenchmarkSolveWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := FindWithModel(m, Options{Workers: workers}); err != nil {
+				if _, err := solveModel(m, Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -181,12 +179,11 @@ func BenchmarkFig6(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						res, err := FindWithModel(m, Options{})
+						res, err := solveModel(m, Options{})
 						if err != nil {
 							b.Fatal(err)
 						}
-						dp := DataParallelStrategy(g, p)
-						speedup, err = SimulatedSpeedup(g, res.Strategy, dp, spec, bm.Batch)
+						speedup, err = SimulatedSpeedup(g, res.Strategy, baseline(b, m, "dataparallel"), spec, bm.Batch)
 						if err != nil {
 							b.Fatal(err)
 						}

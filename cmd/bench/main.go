@@ -276,15 +276,13 @@ func run(cfg config) error {
 		}
 		return nil
 	}
-	// ModelCacheSize 1 makes every sweep point rebuild its model, so the
-	// warm pass measures the class store, not the whole-model cache.
 	coldNs, err := measure(reps, func() error {
-		return sweepOnce(pase.NewPlanner(pase.PlannerConfig{ModelCacheSize: 1}))
+		return sweepOnce(pase.NewPlanner(pase.PlannerConfig{}))
 	})
 	if err != nil {
 		return fmt.Errorf("Sweep cold: %w", err)
 	}
-	warmPl := pase.NewPlanner(pase.PlannerConfig{ModelCacheSize: 1})
+	warmPl := pase.NewPlanner(pase.PlannerConfig{})
 	if err := sweepOnce(warmPl); err != nil {
 		return fmt.Errorf("Sweep warm seed: %w", err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -102,9 +103,12 @@ func table1(o opts) error {
 		Title:  "Table I: time to find parallelization strategies (mins:secs.msecs)",
 		Header: []string{"Model", "p", "BF", "FlexFlow(MCMC)", "PaSE (ours)"},
 	}
+	ctx := context.Background()
 	for _, bm := range pase.Benchmarks() {
 		g := bm.Build(bm.Batch)
 		for _, p := range o.devices() {
+			// Every column searches a prebuilt model, so the times are
+			// search times: table construction is not part of the comparison.
 			m, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
 			if err != nil {
 				return err
@@ -113,7 +117,7 @@ func table1(o opts) error {
 			// Breadth-first ordering (naive recurrence 2).
 			bfCell := ""
 			start := time.Now()
-			if _, err := pase.FindWithModel(m, pase.Options{BreadthFirst: true}); err != nil {
+			if _, err := pase.Solve(ctx, pase.SolveRequest{Model: m, Opts: pase.Options{BreadthFirst: true}}); err != nil {
 				if errors.Is(err, pase.ErrOOM) {
 					bfCell = "OOM"
 				} else {
@@ -124,11 +128,11 @@ func table1(o opts) error {
 			}
 
 			// MCMC seeded with the expert strategy (paper's protocol).
-			exp, err := pase.ExpertStrategy(bm.Family, g, p)
-			if err != nil {
-				return err
-			}
-			mc, err := pase.MCMCSearch(m, exp, pase.MCMCOptions{Seed: 1, MinIters: 25000})
+			mc, err := pase.Solve(ctx, pase.SolveRequest{Model: m, Opts: pase.Options{
+				Method:   "mcmc",
+				MCMCInit: "expert:" + bm.Family,
+				MCMC:     pase.MCMCOptions{Seed: 1, MinIters: 25000},
+			}})
 			if err != nil {
 				return err
 			}
@@ -139,7 +143,7 @@ func table1(o opts) error {
 			if err != nil {
 				return err
 			}
-			res, err := pase.FindWithModel(m2, pase.Options{})
+			res, err := pase.Solve(ctx, pase.SolveRequest{Model: m2})
 			if err != nil {
 				return err
 			}
@@ -156,11 +160,9 @@ func table2(o opts) error {
 	const p = 32
 	for _, bm := range pase.Benchmarks() {
 		g := bm.Build(bm.Batch)
-		m, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
-		if err != nil {
-			return err
-		}
-		res, err := pase.FindWithModel(m, pase.Options{})
+		res, err := pase.Solve(context.Background(), pase.SolveRequest{
+			G: g, Spec: pase.GTX1080Ti(p), Opts: pase.Options{Policy: bm.Policy(p)},
+		})
 		if err != nil {
 			return err
 		}
@@ -248,37 +250,28 @@ func fig6(o opts) error {
 				if gpu == "2080Ti" {
 					spec = pase.RTX2080Ti(p)
 				}
-				m, err := pase.NewModel(g, spec, bm.Policy(p))
+				// Compare is this figure as a call: the expert strategy, the
+				// MCMC search seeded with it (the paper's protocol), and the
+				// DP, each simulated against data parallelism.
+				cmp, err := pase.Compare(context.Background(), pase.CompareRequest{
+					G:       g,
+					Spec:    spec,
+					Opts:    pase.Options{Policy: bm.Policy(p), MCMC: pase.MCMCOptions{Seed: 1, MinIters: 25000}},
+					Batch:   bm.Batch,
+					Family:  bm.Family,
+					Methods: []string{"expert:" + bm.Family, "mcmc", "dp"},
+				})
 				if err != nil {
 					return err
 				}
-				dp := pase.DataParallelStrategy(g, p)
-				exp, err := pase.ExpertStrategy(bm.Family, g, p)
-				if err != nil {
-					return err
+				row := []any{bm.Name, p}
+				for _, e := range cmp.Entries {
+					if e.Err != nil {
+						return fmt.Errorf("%s p=%d %s: %w", bm.Name, p, e.Method, e.Err)
+					}
+					row = append(row, fmt.Sprintf("%.2f", e.Speedup))
 				}
-				mc, err := pase.MCMCSearch(m, exp, pase.MCMCOptions{Seed: 1, MinIters: 25000})
-				if err != nil {
-					return err
-				}
-				res, err := pase.FindWithModel(m, pase.Options{})
-				if err != nil {
-					return err
-				}
-				se, err := pase.SimulatedSpeedup(g, exp, dp, spec, bm.Batch)
-				if err != nil {
-					return err
-				}
-				sm, err := pase.SimulatedSpeedup(g, mc.Strategy, dp, spec, bm.Batch)
-				if err != nil {
-					return err
-				}
-				sp, err := pase.SimulatedSpeedup(g, res.Strategy, dp, spec, bm.Batch)
-				if err != nil {
-					return err
-				}
-				tb.Add(bm.Name, p,
-					fmt.Sprintf("%.2f", se), fmt.Sprintf("%.2f", sm), fmt.Sprintf("%.2f", sp))
+				tb.Add(row...)
 			}
 		}
 		if err := o.emit("fig6_"+strings.ToLower(gpu), tb); err != nil {

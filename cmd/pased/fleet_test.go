@@ -1,12 +1,16 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,13 +75,13 @@ func startFleetNodes(t *testing.T, n int, extraMembers ...string) []*fleetNode {
 	return nodes
 }
 
-// requestOwnedBy finds a wire request whose canonical fingerprint the given
-// member owns on s's ring — a pure ownership computation (no solves), over a
+// requestWhere finds a wire request that pred accepts, given the request and
+// its canonical fingerprint — a pure computation (no solves), over a
 // candidate family small enough to solve fast in tests.
-func requestOwnedBy(t *testing.T, s *server, owner string) string {
+func requestWhere(t *testing.T, s *server, pred func(sr solveRequest, fp pase.Fingerprint) bool) string {
 	t.Helper()
 	for _, g := range []int{2, 3, 4, 5, 6, 8, 12, 16} {
-		for _, b := range []int64{0, 32, 64, 96, 160} {
+		for _, b := range []int64{0, 32, 48, 64, 80, 96, 112, 128, 144, 160} {
 			sr := solveRequest{Model: "alexnet", GPUs: g, Batch: b}
 			req, _, err := s.toRequest(sr)
 			if err != nil {
@@ -87,7 +91,7 @@ func requestOwnedBy(t *testing.T, s *server, owner string) string {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.fleet.Owner(fp) == owner {
+			if pred(sr, fp) {
 				if b == 0 {
 					return fmt.Sprintf(`{"model":"alexnet","gpus":%d}`, g)
 				}
@@ -95,8 +99,15 @@ func requestOwnedBy(t *testing.T, s *server, owner string) string {
 			}
 		}
 	}
-	t.Fatalf("no candidate request owned by %s", owner)
+	t.Fatal("no candidate request satisfies the predicate")
 	return ""
+}
+
+// requestOwnedBy finds a wire request whose canonical fingerprint the given
+// member owns on s's ring.
+func requestOwnedBy(t *testing.T, s *server, owner string) string {
+	t.Helper()
+	return requestWhere(t, s, func(_ solveRequest, fp pase.Fingerprint) bool { return s.fleet.Owner(fp) == owner })
 }
 
 // TestFleetForwardedSolve is the tentpole's happy path over the wire: a
@@ -267,47 +278,196 @@ func TestFleetFallbackWhenOwnerDead(t *testing.T) {
 	}
 }
 
-// TestFleetBatchForwarding: a mixed-ownership batch fans out — peer-owned
-// items forward (and land in the owners' caches), locally-owned items solve
-// here — and every entry comes back well-formed.
-func TestFleetBatchForwarding(t *testing.T) {
-	nodes := startFleetNodes(t, 3)
-	a := nodes[0]
-	local := requestOwnedBy(t, a.srv, a.url)
-	remote := requestOwnedBy(t, a.srv, nodes[1].url)
+// TestRouteParity: a request takes one route through the daemon whichever
+// endpoint carried it, so every routing case must answer a one-item /v1/batch
+// exactly as it answers /v1/solve — and a mixed batch of all of them must
+// answer each item the same way again.
+func TestRouteParity(t *testing.T) {
+	// A member that refuses connections: reserve then free a port.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + l.Addr().String()
+	l.Close()
 
-	status, out := postJSON(t, a.ts.URL+"/v1/batch",
-		fmt.Sprintf(`{"requests":[%s,%s,{"model":"nosuchmodel","gpus":4}]}`, local, remote))
-	if status != http.StatusOK {
-		t.Fatalf("batch: %d %v", status, out)
+	nodes := startFleetNodes(t, 2, dead)
+	a, b := nodes[0], nodes[1]
+	// The owner rejects what the forwarder accepts: b serves at most 8 GPUs.
+	b.srv.maxGPUs = 8
+	// Every case gets a request of its own: the mixed batch holds them all.
+	used := map[pase.Fingerprint]bool{}
+	ownedBy := func(owner string, fits func(gpus int) bool) string {
+		return requestWhere(t, a.srv, func(sr solveRequest, fp pase.Fingerprint) bool {
+			ok := !used[fp] && a.srv.fleet.Owner(fp) == owner && fits(sr.GPUs)
+			used[fp] = used[fp] || ok
+			return ok
+		})
 	}
+	small := func(gpus int) bool { return gpus <= 8 }
+	// With the dead member's breaker open the live ring elects a stand-in;
+	// only a request a stands in for falls back here on every send.
+	deadOwned := requestWhere(t, a.srv, func(_ solveRequest, fp pase.Fingerprint) bool {
+		return a.srv.fleet.Owner(fp) == dead && fleet.RendezvousOwner([]string{a.url, b.url}, fp) == a.url
+	})
+	brokenSpec := specBody(strings.Replace(tinySpec, `"flops_per_point": 2`, `"flops_per_point": -2`, 1))
+
+	cases := []struct {
+		name string
+		body string
+		// warm solves the request on a's internal route first, so a answers
+		// it from its own cache whoever owns it.
+		warm       bool
+		wantStatus int
+		// want are the routing fields of the answer; absent means unset.
+		want map[string]any
+		// wantSolves are a's and b's underlying solves, warm-up included.
+		wantSolves [2]int64
+	}{
+		{name: "owned locally", body: ownedBy(a.url, small), wantStatus: 200,
+			want: map[string]any{"cached": false}, wantSolves: [2]int64{1, 0}},
+		{name: "forwarded", body: ownedBy(b.url, small), wantStatus: 200,
+			want: map[string]any{"cached": false, "fleet_forwarded": true, "fleet_owner": b.url}, wantSolves: [2]int64{0, 1}},
+		{name: "owner dead", body: deadOwned, wantStatus: 200,
+			want: map[string]any{"cached": false, "fleet_fallback": true, "fleet_owner": dead}, wantSolves: [2]int64{1, 0}},
+		{name: "local hit", body: ownedBy(b.url, small), warm: true, wantStatus: 200,
+			want: map[string]any{"cached": true}, wantSolves: [2]int64{1, 0}},
+		{name: "malformed inline spec", body: brokenSpec, wantStatus: 400},
+		{name: "owner answers non-200", body: ownedBy(b.url, func(gpus int) bool { return gpus > 8 }), wantStatus: 400},
+	}
+
+	// Each send meets fresh planners, so one send's cache entries cannot
+	// turn the next one's answer into a hit. Fleet state carries over.
+	fresh := func() {
+		for _, n := range nodes {
+			n.pl = pase.NewPlanner(pase.PlannerConfig{})
+			n.srv.pl = n.pl
+		}
+	}
+	warmUp := func(body string) {
+		t.Helper()
+		if status, out := postJSON(t, a.ts.URL+fleet.InternalSolvePath, body); status != http.StatusOK {
+			t.Fatalf("warm-up: %d %v", status, out)
+		}
+	}
+	// Timings differ run to run; "code" has only ever been on the /v1/solve
+	// error body. Every other field must match.
+	comparable := func(m map[string]any) map[string]any {
+		for _, k := range []string{"search_ms", "model_ms", "code"} {
+			delete(m, k)
+		}
+		return m
+	}
+	batchOf := func(bodies ...string) []any {
+		t.Helper()
+		status, out := postJSON(t, a.ts.URL+"/v1/batch", `{"requests":[`+strings.Join(bodies, ",")+`]}`)
+		results, _ := out["results"].([]any)
+		if status != http.StatusOK || len(results) != len(bodies) {
+			t.Fatalf("batch: %d %v", status, out)
+		}
+		return results
+	}
+
+	solved := make([]map[string]any, len(cases))
+	for i, tc := range cases {
+		fresh()
+		if tc.warm {
+			warmUp(tc.body)
+		}
+		status, viaSolve := postJSON(t, a.ts.URL+"/v1/solve", tc.body)
+		if status != tc.wantStatus {
+			t.Fatalf("%s: /v1/solve status %d, want %d: %v", tc.name, status, tc.wantStatus, viaSolve)
+		}
+		for _, k := range []string{"cached", "fleet_forwarded", "fleet_fallback", "fleet_owner"} {
+			if viaSolve[k] != tc.want[k] {
+				t.Fatalf("%s: /v1/solve %s = %v, want %v", tc.name, k, viaSolve[k], tc.want[k])
+			}
+		}
+		if (viaSolve["error"] != nil) != (status != http.StatusOK) {
+			t.Fatalf("%s: status %d with error %v", tc.name, status, viaSolve["error"])
+		}
+		solved[i] = comparable(viaSolve)
+
+		fresh()
+		if tc.warm {
+			warmUp(tc.body)
+		}
+		viaBatch := comparable(batchOf(tc.body)[0].(map[string]any))
+		if !reflect.DeepEqual(viaBatch, solved[i]) {
+			t.Fatalf("%s: batch entry differs from the /v1/solve body:\nbatch: %v\nsolve: %v", tc.name, viaBatch, solved[i])
+		}
+		if got := [2]int64{a.pl.Stats().Solves, b.pl.Stats().Solves}; got != tc.wantSolves {
+			t.Fatalf("%s: batch route ran %v solves on (a, b), want %v", tc.name, got, tc.wantSolves)
+		}
+	}
+
+	// One mixed-ownership batch of every case. Its items share planners, so
+	// the per-solve class-store counters legitimately differ from a lone
+	// solve's; the answer and its routing may not.
+	fresh()
+	var bodies []string
+	for _, tc := range cases {
+		if tc.warm {
+			warmUp(tc.body)
+		}
+		bodies = append(bodies, tc.body)
+	}
+	for i, entry := range batchOf(bodies...) {
+		entry := entry.(map[string]any)
+		for _, k := range []string{"error", "details", "fingerprint", "cost_seconds", "cached", "fleet_forwarded", "fleet_fallback", "fleet_owner"} {
+			if !reflect.DeepEqual(entry[k], solved[i][k]) {
+				t.Fatalf("%s in the mixed batch: %s = %v, want %v", cases[i].name, k, entry[k], solved[i][k])
+			}
+		}
+	}
+}
+
+// TestBatchBoundsPeerCalls: a batch runs its items on a fixed pool, so however
+// many of them another member owns, at most GOMAXPROCS peer calls are in
+// flight at once.
+func TestBatchBoundsPeerCalls(t *testing.T) {
+	var inFlight, peak, calls atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != fleet.InternalSolvePath {
+			http.NotFound(w, r)
+			return
+		}
+		calls.Add(1)
+		n := inFlight.Add(1)
+		for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
+		}
+		// Hold the call open so unbounded callers would overlap.
+		time.Sleep(time.Millisecond)
+		inFlight.Add(-1)
+		badRequest(errors.New("stub peer solves nothing")).write(w)
+	}))
+	defer peer.Close()
+
+	sv := newServer(pase.NewPlanner(pase.PlannerConfig{}), 64, 0)
+	fc, err := fleet.New(fleet.Config{Self: "http://self.invalid:1", Peers: []string{peer.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	sv.fleet = fc
+	ts := httptest.NewServer(sv.mux())
+	defer ts.Close()
+
+	// 500 distinct fingerprints, each microseconds to answer locally.
+	const items = 500
+	reqs := make([]string, items)
+	for i := range reqs {
+		reqs[i] = fmt.Sprintf(`{"model":"alexnet","gpus":4,"batch":%d,"options":{"method":"dataparallel"}}`, 8*(i+1))
+	}
+	status, out := postJSON(t, ts.URL+"/v1/batch", `{"requests":[`+strings.Join(reqs, ",")+`]}`)
 	results, _ := out["results"].([]any)
-	if len(results) != 3 {
-		t.Fatalf("batch results %v, want 3 entries", out["results"])
+	if status != http.StatusOK || len(results) != items {
+		t.Fatalf("batch: %d, %d results", status, len(results))
 	}
-	localEntry := results[0].(map[string]any)
-	remoteEntry := results[1].(map[string]any)
-	badEntry := results[2].(map[string]any)
-	if localEntry["fleet_forwarded"] == true || localEntry["strategy"] == nil {
-		t.Fatalf("locally-owned entry %v, want an unforwarded solve", localEntry)
+	if calls.Load() < items/4 {
+		t.Fatalf("only %d of %d items reached the peer; the ring should give it about half", calls.Load(), items)
 	}
-	if remoteEntry["fleet_forwarded"] != true || remoteEntry["fleet_owner"] != nodes[1].url {
-		t.Fatalf("peer-owned entry: forwarded=%v owner=%v, want true/%s",
-			remoteEntry["fleet_forwarded"], remoteEntry["fleet_owner"], nodes[1].url)
-	}
-	if badEntry["error"] == nil || badEntry["error"] == "" {
-		t.Fatalf("invalid entry %v, want a per-item error", badEntry)
-	}
-	if s := a.pl.Stats(); s.Solves != 1 {
-		t.Fatalf("batch caller solves = %d, want 1 (only its own item)", s.Solves)
-	}
-	if s := nodes[1].pl.Stats(); s.Solves != 1 {
-		t.Fatalf("owner solves = %d, want 1 (the forwarded item)", s.Solves)
-	}
-	// The forwarded item now lives in the owner's cache: a direct repeat
-	// there is a hit.
-	status, rep := postJSON(t, nodes[1].ts.URL+"/v1/solve", remote)
-	if status != http.StatusOK || rep["cached"] != true {
-		t.Fatalf("owner repeat after batch: %d cached=%v, want a hit", status, rep["cached"])
+	if pool := int64(runtime.GOMAXPROCS(0)); peak.Load() > pool {
+		t.Fatalf("peak concurrent peer calls = %d, want <= %d (the batch pool)", peak.Load(), pool)
 	}
 }

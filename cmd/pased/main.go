@@ -2,7 +2,9 @@
 // over the planner, so a cluster scheduler or training framework can request
 // parallelization strategies on demand. Identical requests are served from
 // the planner's result cache, concurrent identical requests share one solve,
-// and batches fan out across a worker pool sharing cached cost models.
+// and every request — /v1/solve, a fleet-forwarded /v1/internal/solve, or an
+// item of a /v1/batch fanned out across GOMAXPROCS workers — takes the same
+// route: decode → lower → fingerprint → fleet route → solve → encode.
 //
 // Every solve is tied to its request's context: a disconnected client or the
 // -solve-timeout deadline aborts the model build or DP mid-flight within
@@ -18,7 +20,7 @@
 // priority); arrivals beyond the queue are shed immediately as 429 with a
 // Retry-After hint — never silently blocked. -degrade-beam-width enables
 // graceful degradation: an exact dp request that cannot run (DP table budget
-// exceeded, or the queue deeper than -degrade-queue-depth at arrival) is
+// exceeded, or the queue at least half full at arrival) is
 // served by the anytime bounded-width beam instead — a valid strategy marked
 // "degraded": true with a sound optimality gap. Solver panics are isolated
 // per request. Errors are structured: {"error": ..., "code": ...} with
@@ -60,8 +62,9 @@
 //	                   twins, so they share cache entries, and invalid specs
 //	                   fail as bad_request with a "details" array of
 //	                   path-addressed {path, msg} diagnostics.
-//	POST /v1/batch   — solve many requests concurrently; per-item errors
-//	                   (inline specs accepted per item).
+//	POST /v1/batch   — solve many requests concurrently, each exactly as
+//	                   /v1/solve would (fleet routing included); per-item
+//	                   errors.
 //	POST /v1/compare — run every solve method (or an explicit "methods"
 //	                   list) on one model and report each method's cost,
 //	                   simulated step, and speedup over data parallelism —
@@ -89,6 +92,12 @@
 // is unreachable the receiving daemon solves locally, marking the response
 // fleet_fallback — peer failure costs cache efficiency, never availability.
 //
+// Flags size and place a deployment (addresses, peers, cache and queue
+// bounds, timeouts, snapshot path). Tuning values no deployment ever set —
+// retry counts and backoffs, the breaker threshold, the delta re-solve and
+// degrade-depth thresholds, the batch pool width — are constants of the
+// packages that own them.
+//
 // -debug-addr mounts net/http/pprof on a separate localhost listener so
 // production hot-path regressions are diagnosable without exposing profiles
 // on the API port; -prune-epsilon sets the daemon-wide default for
@@ -108,6 +117,7 @@ import (
 	_ "net/http/pprof" // registered on DefaultServeMux, served only via -debug-addr
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -233,8 +243,10 @@ type solveResponse struct {
 	FleetOwner     string `json:"fleet_owner,omitempty"`
 }
 
+// batchRequest keeps each item as its own JSON: every item is decoded, and
+// when another fleet member owns it forwarded, exactly like a /v1/solve body.
 type batchRequest struct {
-	Requests []solveRequest `json:"requests"`
+	Requests []json.RawMessage `json:"requests"`
 }
 
 type batchEntry struct {
@@ -352,58 +364,57 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // and metrics.
 const statusClientClosedRequest = 499
 
-// solveStatus maps a planner error onto an HTTP status and a stable error
-// code for the JSON body: a shed request is 429 (retry later, or elsewhere),
-// OOM is 503 (this daemon cannot serve the exact solve — with degradation
-// enabled most OOMs never surface here), a solve-deadline expiry is a
-// gateway timeout, a client-cancelled solve is 499, and an isolated solver
-// panic is a plain 500.
-func solveStatus(err error) (status int, code string) {
-	switch {
-	case errors.Is(err, pase.ErrShed):
-		return http.StatusTooManyRequests, "shed"
-	case errors.Is(err, pase.ErrOOM):
-		return http.StatusServiceUnavailable, "oom"
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "timeout"
-	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest, "cancelled"
-	case errors.Is(err, pase.ErrSolvePanic):
-		return http.StatusInternalServerError, "panic"
-	}
-	return http.StatusInternalServerError, "internal"
+// apiError is a failed request in wire form: the structured body /v1/solve
+// answers with under status, and the error/details a /v1/batch entry carries.
+// Codes are stable API: clients branch on them, not on message text.
+type apiError struct {
+	status  int
+	Code    string                `json:"code"`
+	Details []pase.SpecDiagnostic `json:"details,omitempty"`
+	Error   string                `json:"error"`
 }
 
-// writeError writes the structured error body {"error": ..., "code": ...}.
-// Codes are stable API: clients branch on them, not on message text. A shed
-// response carries a Retry-After hint — the queue bound means the backlog
-// clears within a few solves.
-func writeError(w http.ResponseWriter, status int, code string, err error) {
-	if status == http.StatusTooManyRequests {
+// write sends the error body. A shed response carries a Retry-After hint —
+// the queue bound means the backlog clears within a few solves.
+func (e *apiError) write(w http.ResponseWriter) {
+	if e.status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error(), "code": code})
+	writeJSON(w, e.status, e)
 }
 
-func writeSolveError(w http.ResponseWriter, err error) {
-	status, code := solveStatus(err)
-	writeError(w, status, code, err)
-}
-
-// writeBadRequest writes a 400 body; an invalid inline spec additionally
-// carries its path-addressed diagnostics as a structured "details" array, so
-// clients can surface every problem without parsing the message text.
-func writeBadRequest(w http.ResponseWriter, err error) {
+// badRequest is a 400; an invalid inline spec additionally carries its
+// path-addressed diagnostics as a structured "details" array, so clients can
+// surface every problem without parsing the message text.
+func badRequest(err error) *apiError {
+	e := &apiError{status: http.StatusBadRequest, Code: "bad_request", Error: err.Error()}
 	var se *pase.SpecError
 	if errors.As(err, &se) {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error":   err.Error(),
-			"code":    "bad_request",
-			"details": se.Diags,
-		})
-		return
+		e.Details = se.Diags
 	}
-	writeError(w, http.StatusBadRequest, "bad_request", err)
+	return e
+}
+
+// solveError maps a planner error onto an HTTP status and a stable error
+// code: a shed request is 429 (retry later, or elsewhere), OOM is 503 (this
+// daemon cannot serve the exact solve — with degradation enabled most OOMs
+// never surface here), a solve-deadline expiry is a gateway timeout, a
+// client-cancelled solve is 499, and an isolated solver panic is a plain 500.
+func solveError(err error) *apiError {
+	e := &apiError{status: http.StatusInternalServerError, Code: "internal", Error: err.Error()}
+	switch {
+	case errors.Is(err, pase.ErrShed):
+		e.status, e.Code = http.StatusTooManyRequests, "shed"
+	case errors.Is(err, pase.ErrOOM):
+		e.status, e.Code = http.StatusServiceUnavailable, "oom"
+	case errors.Is(err, context.DeadlineExceeded):
+		e.status, e.Code = http.StatusGatewayTimeout, "timeout"
+	case errors.Is(err, context.Canceled):
+		e.status, e.Code = statusClientClosedRequest, "cancelled"
+	case errors.Is(err, pase.ErrSolvePanic):
+		e.Code = "panic"
+	}
+	return e
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -444,11 +455,9 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	models, results := s.pl.CacheSizes()
 	body := map[string]any{
 		"planner":        s.pl.Stats(),
-		"cached_models":  models,
-		"cached_results": results,
+		"cached_results": s.pl.CacheSizes(),
 		"requests":       s.served.Load(),
 		"spec_solves":    s.specSolves.Load(),
 		"spec_errors":    s.specErrors.Load(),
@@ -667,22 +676,36 @@ func (s *server) handleInternalSolve(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, internal bool) {
 	s.served.Add(1)
-	// The raw body is read up front (rather than stream-decoded) because a
-	// fleet forward relays these exact bytes to the owner.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("read request: %w", err))
+		badRequest(fmt.Errorf("read request: %w", err)).write(w)
 		return
 	}
+	ctx, cancel := s.solveCtx(r)
+	defer cancel()
+	resp, apiErr := s.serveOne(ctx, body, internal)
+	if apiErr != nil {
+		apiErr.write(w)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// serveOne is a request's one route through the daemon, whichever endpoint
+// carried it: decode → lower → fingerprint → fleet route → solve → encode.
+// body is the request's own JSON — which is also exactly what a fleet forward
+// relays to the owner. internal marks the peer-to-peer route, which never
+// re-forwards.
+func (s *server) serveOne(ctx context.Context, body []byte, internal bool) (*solveResponse, *apiError) {
 	var sr solveRequest
 	if err := json.Unmarshal(body, &sr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decode request: %w", err))
-		return
+		return nil, badRequest(fmt.Errorf("decode request: %w", err))
 	}
 	isSpec := len(sr.Spec) > 0
 	var (
 		req  pase.SolveRequest
 		name string
+		err  error
 	)
 	if isSpec {
 		req, name, err = s.toSpecRequest(sr)
@@ -695,11 +718,8 @@ func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, internal boo
 		if isSpec {
 			s.specErrors.Add(1)
 		}
-		writeBadRequest(w, err)
-		return
+		return nil, badRequest(err)
 	}
-	ctx, cancel := s.solveCtx(r)
-	defer cancel()
 	var fleetOwner string
 	if s.fleet != nil && !internal {
 		// Route only what this daemon cannot already answer: a local cache
@@ -707,249 +727,129 @@ func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, internal boo
 		// (results are deterministic), and skipping the hop keeps a degraded
 		// fleet's hit latency flat.
 		if fp, ferr := s.pl.SolveFingerprint(req); ferr == nil && !s.pl.HasLocal(fp) {
-			switch out := s.fleet.Route(ctx, fp, body); out.Decision {
-			case fleet.Forwarded:
-				if s.relayForwarded(w, out, isSpec) {
-					return
+			out := s.fleet.Route(ctx, fp, body)
+			if out.Decision == fleet.Forwarded {
+				if resp, apiErr, ok := decodeForwarded(out); ok {
+					if isSpec && apiErr == nil {
+						s.specSolves.Add(1)
+					}
+					return resp, apiErr
 				}
-				// The owner answered 200 with an undecodable body (version
-				// skew, truncation): solve locally rather than fail.
-				req.FleetFallback, fleetOwner = true, out.Owner
-			case fleet.Fallback:
+			}
+			if out.Decision != fleet.Local {
+				// The owner is unreachable, or answered something
+				// undecodable: solve here rather than fail.
 				req.FleetFallback, fleetOwner = true, out.Owner
 			}
 		}
 	}
 	res, err := s.pl.Solve(ctx, req)
 	if err != nil {
-		writeSolveError(w, err)
-		return
-	}
-	if isSpec {
-		s.specSolves.Add(1)
+		return nil, solveError(err)
 	}
 	resp, err := toResponse(req, name, res)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err)
-		return
+		return nil, &apiError{status: http.StatusInternalServerError, Code: "internal", Error: err.Error()}
 	}
 	if resp.FleetFallback {
 		resp.FleetOwner = fleetOwner
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// relayForwarded writes the owner's response through to the client, marked
-// with the fleet routing. It returns false only when the owner's 200 body
-// does not decode — the caller then solves locally instead of failing the
-// request. Non-200 answers the fleet client deemed definitive (the owner
-// rejected the request) are relayed verbatim.
-func (s *server) relayForwarded(w http.ResponseWriter, out fleet.Outcome, isSpec bool) bool {
-	if out.Status != http.StatusOK {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(out.Status)
-		w.Write(out.Body)
-		return true
-	}
-	var resp solveResponse
-	if err := json.Unmarshal(out.Body, &resp); err != nil {
-		log.Printf("pased: fleet: undecodable 200 from %s: %v (solving locally)", out.Owner, err)
-		return false
-	}
-	resp.FleetForwarded = true
-	resp.FleetOwner = out.Owner
 	if isSpec {
 		s.specSolves.Add(1)
 	}
-	writeJSON(w, http.StatusOK, resp)
-	return true
+	return resp, nil
+}
+
+// decodeForwarded lifts the owner's answer into this daemon's own: its solved
+// response marked with the fleet routing, or — for a non-200 the fleet client
+// deemed definitive — its rejection under its status. ok is false when the
+// body does not decode (version skew, truncation).
+func decodeForwarded(out fleet.Outcome) (resp *solveResponse, apiErr *apiError, ok bool) {
+	var err error
+	if out.Status == http.StatusOK {
+		resp = &solveResponse{}
+		if err = json.Unmarshal(out.Body, resp); err == nil {
+			resp.FleetForwarded, resp.FleetOwner = true, out.Owner
+			return resp, nil, true
+		}
+	} else {
+		apiErr = &apiError{status: out.Status}
+		if err = json.Unmarshal(out.Body, apiErr); err == nil && apiErr.Error == "" {
+			err = errors.New(`no "error" in the body`)
+		}
+		if err == nil {
+			return nil, apiErr, true
+		}
+	}
+	log.Printf("pased: fleet: undecodable %d from %s: %v (solving locally)", out.Status, out.Owner, err)
+	return nil, nil, false
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.served.Add(1)
 	var br batchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&br); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decode request: %w", err))
+		badRequest(fmt.Errorf("decode request: %w", err)).write(w)
 		return
 	}
 	if len(br.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", errors.New("batch has no requests"))
+		badRequest(errors.New("batch has no requests")).write(w)
 		return
-	}
-	entries := make([]batchEntry, len(br.Requests))
-	var reqs []pase.SolveRequest
-	var models []string
-	var specIdx []bool // reqs[k] came in as an inline spec
-	var idx []int      // position of reqs[k] within entries
-	for i, sr := range br.Requests {
-		var (
-			req  pase.SolveRequest
-			name string
-			err  error
-		)
-		isSpec := len(sr.Spec) > 0
-		if isSpec {
-			req, name, err = s.toSpecRequest(sr)
-		} else {
-			var bm pase.Benchmark
-			req, bm, err = s.toRequest(sr)
-			name = bm.Name
-		}
-		if err != nil {
-			if isSpec {
-				s.specErrors.Add(1)
-			}
-			entries[i].Error = err.Error()
-			var se *pase.SpecError
-			if errors.As(err, &se) {
-				entries[i].Details = se.Diags
-			}
-			continue
-		}
-		reqs = append(reqs, req)
-		models = append(models, name)
-		specIdx = append(specIdx, isSpec)
-		idx = append(idx, i)
 	}
 	ctx, cancel := s.solveCtx(r)
 	defer cancel()
-	owners := make([]string, len(reqs))
-	if s.fleet != nil {
-		reqs, models, specIdx, idx, owners = s.forwardBatch(ctx, br, entries, reqs, models, specIdx, idx)
-	}
-	for k, item := range s.pl.SolveBatch(ctx, reqs) {
-		i := idx[k]
-		if item.Err != nil {
-			entries[i].Error = item.Err.Error()
-			continue
-		}
-		if specIdx[k] {
-			s.specSolves.Add(1)
-		}
-		resp, err := toResponse(reqs[k], models[k], item.Result)
-		if err != nil {
-			entries[i].Error = err.Error()
-			continue
-		}
-		if resp.FleetFallback {
-			resp.FleetOwner = owners[k]
-		}
-		entries[i].solveResponse = resp
-	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: entries})
-}
-
-// forwardBatch routes each valid batch item through the fleet: items owned
-// by a reachable peer are forwarded concurrently (each as one internal
-// solve, so the owner's singleflight dedupes them cluster-wide) and their
-// entries filled from the owner's response. Everything else — owned here,
-// already answerable here, or fallback-marked because the owner is
-// unreachable — is returned, slices re-aligned, for the local SolveBatch.
-func (s *server) forwardBatch(ctx context.Context, br batchRequest, entries []batchEntry, reqs []pase.SolveRequest, models []string, specIdx []bool, idx []int) ([]pase.SolveRequest, []string, []bool, []int, []string) {
-	done := make([]bool, len(reqs))
-	owners := make([]string, len(reqs))
+	// A fixed pool, not a goroutine per item: a 1 MiB body holds tens of
+	// thousands of items, and each may become a solve or an outbound peer
+	// call.
+	entries := make([]batchEntry, len(br.Requests))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for k := range reqs {
-		fp, err := s.pl.SolveFingerprint(reqs[k])
-		if err != nil || s.pl.HasLocal(fp) {
-			continue
-		}
-		// Re-marshaling the decoded wire item is lossless (Spec is raw JSON,
-		// options ride a pointer), and gives the peer call a body without
-		// the other items.
-		body, err := json.Marshal(br.Requests[idx[k]])
-		if err != nil {
-			continue
-		}
+	for n := min(runtime.GOMAXPROCS(0), len(entries)); n > 0; n-- {
 		wg.Add(1)
-		go func(k int, fp pase.Fingerprint, body []byte) {
+		go func() {
 			defer wg.Done()
-			out := s.fleet.Route(ctx, fp, body)
-			switch out.Decision {
-			case fleet.Forwarded:
-				if out.Status != http.StatusOK {
-					var e struct {
-						Error   string                `json:"error"`
-						Details []pase.SpecDiagnostic `json:"details"`
-					}
-					if json.Unmarshal(out.Body, &e) == nil && e.Error != "" {
-						entries[idx[k]].Error = e.Error
-						entries[idx[k]].Details = e.Details
-						done[k] = true
-						return
-					}
-					owners[k] = out.Owner // undecodable: solve locally
-					return
+			for i := int(next.Add(1)) - 1; i < len(entries); i = int(next.Add(1)) - 1 {
+				resp, apiErr := s.serveOne(ctx, br.Requests[i], false)
+				if apiErr != nil {
+					entries[i] = batchEntry{Error: apiErr.Error, Details: apiErr.Details}
+				} else {
+					entries[i] = batchEntry{solveResponse: resp}
 				}
-				var resp solveResponse
-				if err := json.Unmarshal(out.Body, &resp); err != nil {
-					owners[k] = out.Owner
-					return
-				}
-				resp.FleetForwarded = true
-				resp.FleetOwner = out.Owner
-				if specIdx[k] {
-					s.specSolves.Add(1)
-				}
-				entries[idx[k]].solveResponse = &resp
-				done[k] = true
-			case fleet.Fallback:
-				owners[k] = out.Owner
 			}
-		}(k, fp, body)
+		}()
 	}
 	wg.Wait()
-	var (
-		restReqs   []pase.SolveRequest
-		restModels []string
-		restSpec   []bool
-		restIdx    []int
-		restOwners []string
-	)
-	for k := range reqs {
-		if done[k] {
-			continue
-		}
-		if owners[k] != "" {
-			reqs[k].FleetFallback = true
-		}
-		restReqs = append(restReqs, reqs[k])
-		restModels = append(restModels, models[k])
-		restSpec = append(restSpec, specIdx[k])
-		restIdx = append(restIdx, idx[k])
-		restOwners = append(restOwners, owners[k])
-	}
-	return restReqs, restModels, restSpec, restIdx, restOwners
+	writeJSON(w, http.StatusOK, batchResponse{Results: entries})
 }
 
 func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	s.served.Add(1)
 	var cr compareRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&cr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("decode request: %w", err))
+		badRequest(fmt.Errorf("decode request: %w", err)).write(w)
 		return
 	}
 	if len(cr.Spec) > 0 {
-		writeError(w, http.StatusBadRequest, "bad_request", errors.New(`compare does not accept inline "spec" requests; name a registry "model"`))
+		badRequest(errors.New(`compare does not accept inline "spec" requests; name a registry "model"`)).write(w)
 		return
 	}
 	if len(cr.Methods) > maxCompareMethods {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("methods list has %d entries, max %d", len(cr.Methods), maxCompareMethods))
+		badRequest(fmt.Errorf("methods list has %d entries, max %d", len(cr.Methods), maxCompareMethods)).write(w)
 		return
 	}
 	for _, m := range cr.Methods {
 		if m == "" {
-			writeError(w, http.StatusBadRequest, "bad_request", errors.New(`empty method in "methods" (use "dp")`))
+			badRequest(errors.New(`empty method in "methods" (use "dp")`)).write(w)
 			return
 		}
 		if err := pase.ValidateMethod(m); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", err)
+			badRequest(err).write(w)
 			return
 		}
 	}
 	req, bm, err := s.toRequest(cr.solveRequest)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err)
+		badRequest(err).write(w)
 		return
 	}
 	batch := bm.Batch
@@ -967,7 +867,7 @@ func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		Methods: cr.Methods,
 	})
 	if err != nil {
-		writeSolveError(w, err)
+		solveError(err).write(w)
 		return
 	}
 	resp := compareResponse{Model: bm.Name, Devices: req.Spec.Devices, Baseline: cmp.Baseline}
@@ -1013,35 +913,25 @@ func requireLoopback(addr string) error {
 func main() {
 	var (
 		addr         = flag.String("addr", ":8555", "listen address")
-		modelCache   = flag.Int("model-cache", 16, "cost-model LRU capacity")
 		resultCache  = flag.Int("result-cache", 256, "solved-result LRU capacity")
-		workers      = flag.Int("batch-workers", 0, "batch fan-out workers (0 = GOMAXPROCS)")
 		maxGPUs      = flag.Int("max-gpus", 128, "largest accepted device count (cost-model tables grow with p; raise deliberately)")
 		pruneEps     = flag.Float64("prune-epsilon", 0, "default epsilon-dominance config pruning for requests that leave it unset (0 = exact dedup only)")
 		storeBytes   = flag.Int64("class-store-bytes", 0, "cross-request class store budget in bytes (0 = default 256 MiB)")
-		noStore      = flag.Bool("no-class-store", false, "disable cross-request class-table sharing (every model build constructs its own tables)")
-		deltaCache   = flag.Int("delta-cache", 0, "retained DP snapshots for incremental re-solve (0 = default 2, negative disables)")
-		deltaThresh  = flag.Float64("delta-threshold", 0, "largest dirty-entries fraction served incrementally (0 = default 0.3, negative disables)")
 		beamWidth    = flag.Int("default-beam-width", 32, "beam frontier width for method=beam requests that leave beam_width unset (0 = unbounded: such requests run the exact DP)")
 		solveTimeout = flag.Duration("solve-timeout", 2*time.Minute, "per-request solve deadline; the solve is aborted mid-DP when it expires (0 = no deadline)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "how long SIGTERM waits for in-flight requests before force-closing connections (which cancels their solves)")
 		debugAddr    = flag.String("debug-addr", "", "optional localhost listen address serving net/http/pprof (e.g. 127.0.0.1:6060); off when empty")
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrent underlying solves; requests beyond it queue by priority, and a full queue sheds as 429 (0 = unbounded: admission control off)")
 		maxQueue     = flag.Int("max-queue", 0, "max requests waiting for a solve slot before load shedding (0 = default 64; effective only with -max-inflight)")
-		degradeWidth = flag.Int("degrade-beam-width", 16, "beam frontier width for degraded dp solves — served when the exact DP exceeds its table budget or the queue is deep (0 = degradation off: OOM surfaces as 503)")
-		degradeDepth = flag.Int("degrade-queue-depth", 0, "queue depth at arrival beyond which dp requests degrade to the bounded beam (0 = max-queue/2, negative = never degrade on queue pressure)")
+		degradeWidth = flag.Int("degrade-beam-width", 16, "beam frontier width for degraded dp solves — served when the exact DP exceeds its table budget or the queue is at least half full at arrival (0 = degradation off: OOM surfaces as 503)")
 		faultPlan    = flag.String("fault-plan", "", "DEBUG ONLY: fault-injection spec site:kind[:arg],... (sites solve, dp, model, peer; kinds oom, panic, latency, error, drop) for exercising shed/degrade/panic/fleet paths")
 		snapPath     = flag.String("snapshot-path", "", "warm-restart snapshot file: restored on boot, checkpointed every -snapshot-interval and on SIGTERM (off when empty)")
 		snapEvery    = flag.Duration("snapshot-interval", 5*time.Minute, "periodic checkpoint interval when -snapshot-path is set (0 = checkpoint only on SIGTERM)")
 
-		peers          = flag.String("peers", "", "comma-separated base URLs of the other fleet members (e.g. http://10.0.0.2:8555,http://10.0.0.3:8555); empty = single-node daemon")
-		advertise      = flag.String("advertise", "", "this daemon's own base URL as peers reach it (required with -peers; must appear in every peer's -peers list)")
-		fleetAttempts  = flag.Int("fleet-attempts", 3, "peer-forward attempts before falling back to a local solve")
-		fleetBackoff   = flag.Duration("fleet-backoff", 25*time.Millisecond, "base backoff between peer-forward retries (doubles per retry, jittered)")
-		fleetTimeout   = flag.Duration("fleet-attempt-timeout", 2*time.Second, "per-attempt peer call timeout")
-		fleetThreshold = flag.Int("fleet-breaker-threshold", 3, "consecutive peer call failures that open that peer's circuit breaker")
-		fleetCooldown  = flag.Duration("fleet-breaker-cooldown", 2*time.Second, "how long an open breaker refuses a peer before admitting a half-open trial call")
-		fleetProbe     = flag.Duration("fleet-probe-interval", time.Second, "background peer health-probe period (GET /v1/readyz on every peer)")
+		peers         = flag.String("peers", "", "comma-separated base URLs of the other fleet members (e.g. http://10.0.0.2:8555,http://10.0.0.3:8555); empty = single-node daemon")
+		advertise     = flag.String("advertise", "", "this daemon's own base URL as peers reach it (required with -peers; must appear in every peer's -peers list)")
+		fleetCooldown = flag.Duration("fleet-breaker-cooldown", 2*time.Second, "how long an open breaker refuses a peer before admitting a half-open trial call")
+		fleetProbe    = flag.Duration("fleet-probe-interval", time.Second, "background peer health-probe period (GET /v1/readyz on every peer)")
 	)
 	flag.Parse()
 	if *pruneEps < 0 || *pruneEps > maxPruneEpsilon {
@@ -1081,19 +971,13 @@ func main() {
 	}
 
 	pl := pase.NewPlanner(pase.PlannerConfig{
-		ModelCacheSize:      *modelCache,
 		ResultCacheSize:     *resultCache,
-		BatchWorkers:        *workers,
 		DefaultPruneEpsilon: *pruneEps,
 		ClassStoreBytes:     *storeBytes,
-		DisableClassStore:   *noStore,
-		DeltaCacheSize:      *deltaCache,
-		DeltaThreshold:      *deltaThresh,
 		DefaultBeamWidth:    *beamWidth,
 		MaxInFlight:         *maxInflight,
 		MaxQueue:            *maxQueue,
 		DegradeBeamWidth:    *degradeWidth,
-		DegradeQueueDepth:   *degradeDepth,
 		FaultPlan:           faults,
 	})
 	sv := newServer(pl, *maxGPUs, *solveTimeout)
@@ -1107,16 +991,12 @@ func main() {
 			log.Fatalf("pased: -peers requires -advertise (this daemon's own base URL, its identity in the hash ring)")
 		}
 		fc, err := fleet.New(fleet.Config{
-			Self:             *advertise,
-			Peers:            strings.Split(*peers, ","),
-			Attempts:         *fleetAttempts,
-			BaseBackoff:      *fleetBackoff,
-			AttemptTimeout:   *fleetTimeout,
-			BreakerThreshold: *fleetThreshold,
-			BreakerCooldown:  *fleetCooldown,
-			ProbeInterval:    *fleetProbe,
-			Faults:           faults,
-			Logf:             log.Printf,
+			Self:            *advertise,
+			Peers:           strings.Split(*peers, ","),
+			BreakerCooldown: *fleetCooldown,
+			ProbeInterval:   *fleetProbe,
+			Faults:          faults,
+			Logf:            log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("pased: %v", err)

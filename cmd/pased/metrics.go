@@ -14,7 +14,6 @@ import (
 // stack works against a fleet out of the box.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.pl.Stats()
-	models, results := s.pl.CacheSizes()
 	var b strings.Builder
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -30,8 +29,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("pase_model_builds_total", "Cost models constructed.", st.ModelBuilds)
 	counter("pase_result_cache_hits_total", "Result-cache hits.", st.ResultHits)
 	counter("pase_result_cache_misses_total", "Result-cache misses.", st.ResultMisses)
-	counter("pase_model_cache_hits_total", "Model-cache hits.", st.ModelHits)
-	counter("pase_model_cache_misses_total", "Model-cache misses.", st.ModelMisses)
 	counter("pase_dedup_waits_total", "Requests that joined an in-flight identical solve.", st.DedupWaits)
 	counter("pase_cancelled_total", "Requests cancelled while waiting on a flight.", st.Cancelled)
 	counter("pase_shed_total", "Requests shed by admission control.", st.Shed)
@@ -44,8 +41,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("pase_delta_resolves_total", "dp solves served by incremental re-solve.", st.DeltaResolves)
 	gauge("pase_queue_depth", "Requests currently waiting for a solve slot.", float64(st.QueueDepth))
 	gauge("pase_in_flight", "Underlying solves currently running.", float64(st.InFlight))
-	gauge("pase_cached_models", "Cost models resident in the LRU.", float64(models))
-	gauge("pase_cached_results", "Results resident in the LRU.", float64(results))
+	gauge("pase_cached_results", "Results resident in the LRU.", float64(s.pl.CacheSizes()))
 	ready := 0.0
 	if !s.notReady.Load() && !s.draining.Load() {
 		ready = 1

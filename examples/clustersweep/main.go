@@ -78,12 +78,18 @@ func main() {
 			// resolved from the planner's store — classes some other sweep
 			// point (or a concurrent build) had already constructed.
 			storeHits = append(storeHits, fmt.Sprintf("%d (%.1f MB)", res.ClassStoreHits, float64(res.ClassStoreBytes)/1e6))
-			dp := pase.DataParallelStrategy(g, p)
+			// The baseline is a method on the same request path.
+			dp, err := pl.Solve(context.Background(), pase.SolveRequest{
+				G: g, Spec: spec, Opts: pase.Options{Method: "dataparallel"},
+			})
+			if err != nil {
+				log.Fatal(err)
+			}
 			step, err := pase.Simulate(g, res.Strategy, spec, bm.Batch)
 			if err != nil {
 				log.Fatal(err)
 			}
-			sp, err := pase.SimulatedSpeedup(g, res.Strategy, dp, spec, bm.Batch)
+			sp, err := pase.SimulatedSpeedup(g, res.Strategy, dp.Strategy, spec, bm.Batch)
 			if err != nil {
 				log.Fatal(err)
 			}

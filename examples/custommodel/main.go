@@ -51,8 +51,14 @@ func main() {
 		fmt.Printf("%-16s %-8s %v\n", n.Name, n.Space.Names(), res.Strategy[n.ID])
 	}
 
-	dp := pase.DataParallelStrategy(g, p)
-	sp, err := pase.SimulatedSpeedup(g, res.Strategy, dp, cluster, batch)
+	// The baseline is a method on the same request path.
+	dp, err := pase.Solve(context.Background(), pase.SolveRequest{
+		G: g, Spec: cluster, Opts: pase.Options{Method: "dataparallel"},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sp, err := pase.SimulatedSpeedup(g, res.Strategy, dp.Strategy, cluster, batch)
 	if err != nil {
 		log.Fatal(err)
 	}

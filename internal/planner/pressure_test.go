@@ -77,9 +77,9 @@ func TestOverloadShedsImmediately(t *testing.T) {
 	if st.Shed != 1 {
 		t.Fatalf("Shed = %d, want 1 (stats: %+v)", st.Shed, st)
 	}
-	if st.InFlight != 0 || st.QueueDepth != 0 {
-		t.Fatalf("gate not drained after cancel: %+v", st)
-	}
+	// The aborted flight hands its slot back from its own goroutine, which
+	// may still be unwinding when its last waiter has already returned.
+	waitForGate(t, p, func(st Stats) bool { return st.InFlight == 0 && st.QueueDepth == 0 })
 }
 
 // TestShedBypassedByCacheHit: admission only gates new underlying work — a
@@ -235,7 +235,7 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // TestModelBuildPanicIsolation: panic isolation also covers cost-model
-// construction, which runs on its own flight goroutine.
+// construction.
 func TestModelBuildPanicIsolation(t *testing.T) {
 	p := New(Config{FaultPlan: mustFaultPlan(t, "model:panic:1")})
 	if _, err := p.Solve(context.Background(), alexReq(8)); !errors.Is(err, ErrSolvePanic) {

@@ -58,10 +58,11 @@
 //
 // Package-level Solve/SolveBatch/Compare are served by a package-default
 // Planner: requests are canonically fingerprinted (method included), solved
-// results and built cost models are cached in bounded LRUs, and concurrent
-// identical requests share one underlying solve whose flight outlives any
-// single caller's cancellation. For an explicitly sized planner (a
-// long-lived service, a sweep):
+// results are cached in a bounded LRU, every cost model is built through a
+// cross-request class store (each class-level table constructed once per
+// planner), and concurrent identical requests share one underlying solve
+// whose flight outlives any single caller's cancellation. For an explicitly
+// sized planner (a long-lived service, a sweep):
 //
 //	pl := pase.NewPlanner(pase.PlannerConfig{ResultCacheSize: 1024})
 //	res, err := pl.Solve(ctx, pase.SolveRequest{G: g, Spec: spec}) // solves
@@ -122,8 +123,10 @@
 // model (pase export-spec -model alexnet -gpus 8), and solves over the wire
 // (POST /v1/solve with {"spec": {...}} in place of {"model": "..."}).
 //
-// Find, FindWithModel, and the one-off baseline helpers from earlier
-// releases remain as thin deprecated wrappers over this request path.
+// A prebuilt Model rides the same request (SolveRequest.Model) to amortize
+// table construction across many solves of one graph, and the baselines and
+// the MCMC search are Methods: Solve is the only way in. (The pre-context
+// wrappers and one-off baseline helpers of earlier releases are gone.)
 //
 // See DESIGN.md for the solve-pipeline architecture (enumeration → ordering
 // → cost tables → dynamic program → back-substitution), its parallelism and
@@ -134,7 +137,6 @@ package pase
 import (
 	"context"
 	"io"
-	"time"
 
 	"pase/internal/assign"
 	"pase/internal/canon"
@@ -153,7 +155,6 @@ import (
 	"pase/internal/seq"
 	"pase/internal/sim"
 	"pase/internal/spec"
-	"pase/internal/strategies"
 )
 
 // Re-exported core types. The internal packages hold the implementations;
@@ -271,20 +272,20 @@ type Result = planner.Result
 // Daemons use it to reject malformed wire requests before fingerprinting.
 func ValidateMethod(method string) error { return planner.ValidateMethod(method) }
 
-// Planner is the serving layer above the solve pipeline: bounded LRU caches
-// for built cost models and solved results keyed by canonical request
-// fingerprints, singleflight deduplication of concurrent identical requests,
-// batch fan-out across a worker pool, a cross-request class store (class-level
-// cost tables built once ever per planner, shared across distinct graphs and
-// sweep points), and incremental delta re-solve (a request differing from a
-// retained solve by a small delta re-fills only the affected DP tables). Safe
-// for concurrent use. Graphs handed to a planner must not be mutated
-// afterwards (see Find).
+// Planner is the serving layer above the solve pipeline: a bounded LRU of
+// solved results keyed by canonical request fingerprints, singleflight
+// deduplication of concurrent identical requests, batch fan-out across
+// GOMAXPROCS workers, a cross-request class store (class-level cost tables
+// built once ever per planner, shared across distinct graphs, sweep points,
+// and concurrent builds), and incremental delta re-solve (a request differing
+// from a retained solve by a small delta re-fills only the affected DP
+// tables). Safe for concurrent use. Graphs handed to a planner must not be
+// mutated afterwards (see Solve).
 type Planner = planner.Planner
 
-// PlannerConfig sizes a Planner's caches, batch worker pool, cross-request
-// class store (ClassStoreBytes, DisableClassStore), and incremental re-solve
-// cache (DeltaCacheSize, DeltaThreshold).
+// PlannerConfig sizes a Planner's result cache, cross-request class store
+// (ClassStoreBytes, DisableClassStore), incremental re-solve cache
+// (DeltaCacheSize), and admission control.
 type PlannerConfig = planner.Config
 
 // PlannerStats is a snapshot of a Planner's cache, dedup, class-store, and
@@ -314,11 +315,11 @@ type Comparison = planner.Comparison
 // CompareEntry is one method's outcome within a Comparison.
 type CompareEntry = planner.CompareEntry
 
-// NewPlanner returns a Planner sized by cfg (zero value: defaults — 16
-// models, 128 results, GOMAXPROCS batch workers).
+// NewPlanner returns a Planner sized by cfg (zero value: defaults — 128
+// results, a 256 MiB class store, 2 retained DP snapshots).
 func NewPlanner(cfg PlannerConfig) *Planner { return planner.New(cfg) }
 
-// defaultPlanner serves package-level Solve/Compare/Find calls so that
+// defaultPlanner serves package-level Solve/SolveBatch/Compare calls so that
 // repeated and concurrent identical requests anywhere in a process are
 // cached and deduplicated without any setup.
 var defaultPlanner = planner.New(planner.Config{})
@@ -392,8 +393,8 @@ func NewModelWithOptions(ctx context.Context, g *Graph, spec Machine, pol EnumPo
 // is aborted when the last waiter cancels). SearchTime is end to end (model
 // construction included); ModelTime isolates the model-build share.
 //
-// Do not mutate req.G after calling Solve: the planner caches cost models
-// and results under the graph's fingerprint at request time, and a later
+// Do not mutate req.G after calling Solve: the planner caches results and
+// class tables under the graph's fingerprints at request time, and a later
 // mutation would desynchronize cached state from the fingerprint. Build a
 // new graph instead (construction is microseconds; identical content hashes
 // to the same cache entries).
@@ -402,7 +403,7 @@ func Solve(ctx context.Context, req SolveRequest) (*Result, error) {
 }
 
 // SolveBatch solves independent requests concurrently through the
-// package-default Planner, sharing cached models and deduplicating identical
+// package-default Planner, sharing its caches and deduplicating identical
 // entries; cancelling ctx cancels every entry.
 func SolveBatch(ctx context.Context, reqs []SolveRequest) []BatchItem {
 	return defaultPlanner.SolveBatch(ctx, reqs)
@@ -416,79 +417,9 @@ func Compare(ctx context.Context, req CompareRequest) (*Comparison, error) {
 	return defaultPlanner.Compare(ctx, req)
 }
 
-// Find runs the paper's FINDBESTSTRATEGY on the graph for the machine,
-// returning the minimum-cost strategy under the analytic cost model.
-//
-// Deprecated: Find is the pre-context entry point, kept as a thin wrapper
-// over Solve with a background context. Use Solve so the request can be
-// cancelled and can select a Method.
-func Find(g *Graph, spec Machine, opts Options) (*Result, error) {
-	return defaultPlanner.Solve(context.Background(), SolveRequest{G: g, Spec: spec, Opts: opts})
-}
-
-// FindWithModel is Solve over a prebuilt model (reuse the model to amortize
-// cost-table construction across calls). It routes through the unified
-// request path — Method dispatch and cancellation included — but bypasses
-// the planner's caches, singleflight, and fingerprinting: the planner cannot
-// vouch for a model it did not build, so Result.Cached and
-// Result.Fingerprint are always zero on this path, by contract. SearchTime
-// covers the search only; ModelTime is zero because this call built no
-// model.
-//
-// Deprecated: use Solve with SolveRequest.Model, which is this call with a
-// caller-supplied context.
-func FindWithModel(m *Model, opts Options) (*Result, error) {
-	return defaultPlanner.Solve(context.Background(), SolveRequest{Model: m, Opts: opts})
-}
-
-// DataParallelStrategy returns the standard-practice baseline: every layer's
-// batch dimension split across all devices.
-//
-// Deprecated: use Solve with Options{Method: "dataparallel"}, which returns
-// the same strategy with its cost, cached and deduplicated like any other
-// request — or Compare for the full method comparison.
-func DataParallelStrategy(g *Graph, p int) Strategy {
-	return strategies.DataParallel(g, p)
-}
-
-// ExpertStrategy returns the paper's expert-designed baseline for a model
-// family: "cnn" (one weird trick), "rnn" (data+pipeline), or "transformer"
-// (Mesh-TensorFlow hybrid).
-//
-// Deprecated: use Solve with Options{Method: "expert:<family>"}, which
-// returns the same strategy with its cost, cached and deduplicated like any
-// other request — or Compare for the full method comparison.
-func ExpertStrategy(family string, g *Graph, p int) (Strategy, error) {
-	return strategies.Expert(family, g, p)
-}
-
-// MCMCOptions tunes the FlexFlow-style search.
+// MCMCOptions tunes the "mcmc" method's FlexFlow-style search
+// (Options.MCMC).
 type MCMCOptions = mcmc.Options
-
-// MCMCSearch runs the FlexFlow-substitute MCMC strategy search from an
-// explicit initial strategy, using the same cost model as the DP.
-//
-// Deprecated: use Solve with Options{Method: "mcmc"} (seed selection via
-// Options.MCMC and Options.MCMCInit), which is cancellable and served
-// through the planner's caches.
-func MCMCSearch(m *Model, init Strategy, opts MCMCOptions) (*Result, error) {
-	start := time.Now()
-	idx, err := m.IdxFromStrategy(init)
-	if err != nil {
-		return nil, err
-	}
-	r, err := mcmc.Search(context.Background(), m, idx, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Strategy:   m.StrategyFromIdx(r.BestIdx),
-		Cost:       r.BestCost,
-		Method:     "mcmc",
-		SearchTime: time.Since(start),
-		States:     int64(r.Iters),
-	}, nil
-}
 
 // StrategyCost evaluates F(G, φ) for any valid strategy under the model.
 func StrategyCost(m *Model, s Strategy) (float64, error) { return m.Eval(s) }

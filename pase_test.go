@@ -1,13 +1,35 @@
 package pase
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
 
-func TestFindOnAlexNet(t *testing.T) {
+// solve runs one request over (g, spec) through the package-default planner.
+func solve(g *Graph, spec Machine, opts Options) (*Result, error) {
+	return Solve(context.Background(), SolveRequest{G: g, Spec: spec, Opts: opts})
+}
+
+// solveModel runs one request over a prebuilt model (search only: the tables
+// are already built, and nothing is cached).
+func solveModel(m *Model, opts Options) (*Result, error) {
+	return Solve(context.Background(), SolveRequest{Model: m, Opts: opts})
+}
+
+// baseline returns a baseline method's fixed strategy for m's graph.
+func baseline(t testing.TB, m *Model, method string) Strategy {
+	t.Helper()
+	res, err := solveModel(m, Options{Method: method})
+	if err != nil {
+		t.Fatalf("%s: %v", method, err)
+	}
+	return res.Strategy
+}
+
+func TestSolveOnAlexNet(t *testing.T) {
 	g := AlexNet(128)
-	res, err := Find(g, GTX1080Ti(8), Options{})
+	res, err := solve(g, GTX1080Ti(8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +41,7 @@ func TestFindOnAlexNet(t *testing.T) {
 	}
 }
 
-func TestFindBeatsBaselinesOnEveryBenchmark(t *testing.T) {
+func TestSolveBeatsBaselinesOnEveryBenchmark(t *testing.T) {
 	// The paper's headline claim (§IV): PaSE's strategies outperform data
 	// parallelism in all cases, and do at least as well as the expert
 	// strategies and the MCMC search under the cost model.
@@ -30,22 +52,18 @@ func TestFindBeatsBaselinesOnEveryBenchmark(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
-		res, err := FindWithModel(m, Options{Policy: bm.Policy(p)})
+		res, err := solveModel(m, Options{Policy: bm.Policy(p)})
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
-		dpCost, err := StrategyCost(m, DataParallelStrategy(g, p))
+		dpCost, err := StrategyCost(m, baseline(t, m, "dataparallel"))
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
 		if res.Cost >= dpCost {
 			t.Fatalf("%s: PaSE %.3e not below data parallelism %.3e", bm.Name, res.Cost, dpCost)
 		}
-		exp, err := ExpertStrategy(bm.Family, g, p)
-		if err != nil {
-			t.Fatalf("%s: %v", bm.Name, err)
-		}
-		expCost, err := StrategyCost(m, exp)
+		expCost, err := StrategyCost(m, baseline(t, m, "expert:"+bm.Family))
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
@@ -58,7 +76,7 @@ func TestFindBeatsBaselinesOnEveryBenchmark(t *testing.T) {
 func TestBreadthFirstOOMsOnInception(t *testing.T) {
 	// Paper Table I: BF ordering runs out of memory on InceptionV3.
 	g := InceptionV3(128)
-	_, err := Find(g, GTX1080Ti(8), Options{BreadthFirst: true})
+	_, err := solve(g, GTX1080Ti(8), Options{BreadthFirst: true})
 	if !errors.Is(err, ErrOOM) {
 		t.Fatalf("want ErrOOM, got %v", err)
 	}
@@ -67,11 +85,11 @@ func TestBreadthFirstOOMsOnInception(t *testing.T) {
 func TestBreadthFirstMatchesOnAlexNet(t *testing.T) {
 	// Paper Table I: on path graphs both orderings find the optimum.
 	g := AlexNet(128)
-	a, err := Find(g, GTX1080Ti(8), Options{})
+	a, err := solve(g, GTX1080Ti(8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Find(g, GTX1080Ti(8), Options{BreadthFirst: true})
+	b, err := solve(g, GTX1080Ti(8), Options{BreadthFirst: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,28 +98,24 @@ func TestBreadthFirstMatchesOnAlexNet(t *testing.T) {
 	}
 }
 
-func TestMCMCSearchFromExpert(t *testing.T) {
+func TestMCMCFromExpert(t *testing.T) {
 	g := AlexNet(128)
 	m, err := NewModel(g, GTX1080Ti(8), EnumPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := ExpertStrategy("cnn", g, 8)
+	expCost, err := StrategyCost(m, baseline(t, m, "expert:cnn"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	expCost, err := StrategyCost(m, exp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := MCMCSearch(m, exp, MCMCOptions{Seed: 1, MaxIters: 30000})
+	res, err := solveModel(m, Options{Method: "mcmc", MCMCInit: "expert:cnn", MCMC: MCMCOptions{Seed: 1, MaxIters: 30000}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cost > expCost {
 		t.Fatalf("MCMC worsened its initial candidate: %v > %v", res.Cost, expCost)
 	}
-	best, err := FindWithModel(m, Options{})
+	best, err := solveModel(m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +126,15 @@ func TestMCMCSearchFromExpert(t *testing.T) {
 
 func TestSimulateAndSpeedup(t *testing.T) {
 	g := AlexNet(128)
-	res, err := Find(g, RTX2080Ti(32), Options{})
+	res, err := solve(g, RTX2080Ti(32), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp := DataParallelStrategy(g, 32)
-	sp, err := SimulatedSpeedup(g, res.Strategy, dp, RTX2080Ti(32), 128)
+	dp, err := solve(g, RTX2080Ti(32), Options{Method: "dataparallel"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := SimulatedSpeedup(g, res.Strategy, dp.Strategy, RTX2080Ti(32), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +170,7 @@ func TestOrderingStats(t *testing.T) {
 
 func TestPlannerCacheHitSpeedupOnTransformer(t *testing.T) {
 	// Serving-layer acceptance: a second identical request through
-	// Planner.Find is a cache hit — no new model build or DP run, ≥100×
+	// Planner.Solve is a cache hit — no new model build or DP run, ≥100×
 	// faster than the cold solve, byte-identical in strategy and cost.
 	const p = 32
 	bm, err := BenchmarkByName("transformer")
@@ -162,9 +179,10 @@ func TestPlannerCacheHitSpeedupOnTransformer(t *testing.T) {
 	}
 	g := bm.Build(bm.Batch)
 	pl := NewPlanner(PlannerConfig{})
-	opts := Options{Policy: bm.Policy(p)}
+	ctx := context.Background()
+	req := SolveRequest{G: g, Spec: GTX1080Ti(p), Opts: Options{Policy: bm.Policy(p)}}
 
-	cold, err := pl.Find(g, GTX1080Ti(p), opts)
+	cold, err := pl.Solve(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +190,7 @@ func TestPlannerCacheHitSpeedupOnTransformer(t *testing.T) {
 		t.Fatal("cold solve reported Cached")
 	}
 
-	warm, err := pl.Find(g, GTX1080Ti(p), opts)
+	warm, err := pl.Solve(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +214,7 @@ func TestPlannerCacheHitSpeedupOnTransformer(t *testing.T) {
 	// keep scheduler noise out of the ratio.
 	best := warm.SearchTime
 	for i := 0; i < 4; i++ {
-		r, err := pl.Find(g, GTX1080Ti(p), opts)
+		r, err := pl.Solve(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
