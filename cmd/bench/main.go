@@ -13,12 +13,16 @@
 //	go run ./cmd/bench -out - -against BENCH_solver.json -regress-factor 1.5
 //	                                        # CI gate: fail on a Transformer
 //	                                        # solve regression vs the latest
-//	                                        # trajectory entry
+//	                                        # trajectory entry, or when any
+//	                                        # Table I solve evaluates more DP
+//	                                        # states than the latest entry
 //
 // Measured families (minimum wall time over -reps runs):
 //
 //   - TableI_PaSE/<model>/p=<p>: model build + FINDBESTSTRATEGY, the paper's
-//     Table I strategy-search time.
+//     Table I strategy-search time, with the candidates the bound-pruned scan
+//     evaluated (states) and the unpruned candidate count (scan_space) as
+//     extras — both exact functions of the cost tables.
 //   - ModelBuild/<model>/p=<p>: cost-model construction alone (table builds
 //   - config-space reduction), with the structural-sharing stats
 //     (vertex/edge classes, resident and shared table bytes) as extras —
@@ -47,6 +51,7 @@ import (
 	"time"
 
 	"pase"
+	"pase/internal/core"
 	"pase/internal/seq"
 )
 
@@ -137,25 +142,27 @@ func run(cfg config) error {
 	}
 
 	// Table I: full search (model build + solve) per paper benchmark, with
-	// the config-space reduction stats (K before/after pruning) recorded
+	// the config-space reduction stats (K before/after pruning) and the
+	// scan's work (candidates evaluated vs the candidate space) recorded
 	// alongside the timing so the trajectory shows what the DP actually
-	// iterated over.
+	// iterated over. The solve goes to core directly — Stats.ScanSpace is
+	// not on the planner's Result — with one arena across the reps, as a
+	// planner would give it.
+	arena := core.NewArena()
 	for _, bm := range pase.Benchmarks() {
 		g := bm.Build(bm.Batch)
-		var states, tableBytes int64
-		var kFull, kEff, pruned, vClasses, eClasses int
+		var st core.Stats
+		var kFull int
 		ns, err := measure(reps, func() error {
 			m, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
 			if err != nil {
 				return err
 			}
-			res, err := pase.Solve(context.Background(), pase.SolveRequest{Model: m})
+			res, err := core.Solve(context.Background(), m, seq.Generate(m.G), core.Options{Arena: arena})
 			if err != nil {
 				return err
 			}
-			states = res.States
-			kFull, kEff, pruned = m.MaxK(), res.KEffective, res.PrunedConfigs
-			vClasses, eClasses, tableBytes = m.VertexClasses(), m.EdgeClasses(), m.TableBytes()
+			st, kFull = res.Stats, m.MaxK()
 			return nil
 		})
 		if err != nil {
@@ -166,13 +173,14 @@ func run(cfg config) error {
 			NsPerOp: ns,
 			Reps:    reps,
 			Extra: map[string]float64{
-				"states":         float64(states),
+				"states":         float64(st.States),
+				"scan_space":     float64(st.ScanSpace),
 				"k_full":         float64(kFull),
-				"k_effective":    float64(kEff),
-				"pruned_configs": float64(pruned),
-				"vertex_classes": float64(vClasses),
-				"edge_classes":   float64(eClasses),
-				"table_bytes":    float64(tableBytes),
+				"k_effective":    float64(st.KEffective),
+				"pruned_configs": float64(st.PrunedConfigs),
+				"vertex_classes": float64(st.VertexClasses),
+				"edge_classes":   float64(st.EdgeClasses),
+				"table_bytes":    float64(st.TableBytes),
 			},
 		})
 	}
@@ -407,7 +415,9 @@ func run(cfg config) error {
 // benchmark is the latest entry from a matching environment (same GOOS and
 // GOMAXPROCS) when one exists; otherwise the latest entry overall, with a
 // cross-environment warning (the factor plus the CI retry absorb runner
-// differences).
+// differences). Every Table I solve is also gated on its states extra, which
+// needs no factor and no matching environment: the count is a function of
+// the cost tables, so any increase is a real loss of pruning.
 func regressionCheck(rep Report, against string, factor float64, p int) error {
 	if _, err := os.Stat(against); os.IsNotExist(err) {
 		fmt.Fprintf(os.Stderr, "bench: no trajectory at %s; skipping regression check\n", against)
@@ -427,18 +437,54 @@ func regressionCheck(rep Report, against string, factor float64, p int) error {
 			return err
 		}
 	}
+	for _, bm := range pase.Benchmarks() {
+		if err := statesCheckOne(rep, traj, against, fmt.Sprintf("TableI_PaSE/%s/p=%d", bm.Name, p)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// findResult returns the named benchmark of one run.
+func findResult(rs []Result, name string) (Result, bool) {
+	for _, r := range rs {
+		if r.Name == name {
+			return r, true
+		}
+	}
+	return Result{}, false
+}
+
+// statesCheckOne fails when this run's named solve evaluated more DP states
+// than the latest trajectory entry that recorded the count.
+func statesCheckOne(rep Report, traj Trajectory, against, name string) error {
+	cur, ok := findResult(rep.Results, name)
+	if !ok {
+		return fmt.Errorf("bench: this run did not measure %s", name)
+	}
+	for i := len(traj.Entries) - 1; i >= 0; i-- {
+		e := traj.Entries[i]
+		r, ok := findResult(e.Results, name)
+		base, has := r.Extra["states"]
+		if !ok || !has {
+			continue
+		}
+		fmt.Fprintf(os.Stderr, "bench: %s %.0f states vs %.0f (%s entry)\n", name, cur.Extra["states"], base, e.Date)
+		if cur.Extra["states"] > base {
+			return fmt.Errorf("bench: %s evaluated %.0f states, the %s trajectory entry %.0f: the scan prunes less than it did",
+				name, cur.Extra["states"], e.Date, base)
+		}
+		return nil
+	}
+	fmt.Fprintf(os.Stderr, "bench: no states recorded for %s in %s; skipping the states check\n", name, against)
 	return nil
 }
 
 // regressionCheckOne gates one benchmark name against the trajectory.
 func regressionCheckOne(rep Report, traj Trajectory, against, name string, factor float64) error {
 	find := func(rs []Result) (float64, bool) {
-		for _, r := range rs {
-			if r.Name == name {
-				return r.NsPerOp, true
-			}
-		}
-		return 0, false
+		r, ok := findResult(rs, name)
+		return r.NsPerOp, ok
 	}
 	// Latest entry that measured this benchmark (older entries may have run
 	// at a different -p or predate the family), preferring one recorded in
@@ -515,7 +561,7 @@ func main() {
 		notes      = flag.String("notes", "", "free-form context embedded in the report")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile covering the measured benchmarks to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the measured benchmarks to this file")
-		against    = flag.String("against", "", "trajectory file whose latest Transformer entry gates this run (see -regress-factor)")
+		against    = flag.String("against", "", "trajectory file whose latest entries gate this run: wall time by -regress-factor, Table I DP states exactly")
 		regress    = flag.Float64("regress-factor", 1.5, "with -against: fail when the Transformer solve is more than this many times slower")
 	)
 	flag.Parse()

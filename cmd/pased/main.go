@@ -198,8 +198,10 @@ type solveResponse struct {
 	ModelMs     float64                `json:"model_ms"`
 	Cached      bool                   `json:"cached"`
 	Fingerprint string                 `json:"fingerprint"`
-	States      int64                  `json:"states"`
-	MaxDepSize  int                    `json:"max_dep_size"`
+	// States is the work the search did: (φ, C) candidates the exact DP's
+	// bound-pruned scan evaluated, beam states explored, or MCMC proposals.
+	States     int64 `json:"states"`
+	MaxDepSize int   `json:"max_dep_size"`
 	// PrunedConfigs / KEffective report the config-space reduction behind
 	// this solve: configurations dominance pruning removed, and the largest
 	// per-vertex configuration count the DP iterated over.

@@ -54,7 +54,10 @@ func TestGenerateSeqNeverWorseThanBFQuick(t *testing.T) {
 }
 
 // The DP's work scales with the ordering quality: on a graph where
-// GENERATESEQ shrinks M, its state count must be at most BF's.
+// GENERATESEQ shrinks M, its largest table and its candidate space
+// (ScanSpace — States counts what the bound-pruned scan actually evaluated,
+// which depends on the table values, not only on the ordering) must be at
+// most BF's, and neither solve may evaluate more than its space.
 func TestOrderingReducesStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := randomDNNGraph(rng, 8)
@@ -70,6 +73,15 @@ func TestOrderingReducesStates(t *testing.T) {
 	if gen.Stats.MaxTable > bf.Stats.MaxTable {
 		t.Fatalf("GENERATESEQ table %d larger than BF %d",
 			gen.Stats.MaxTable, bf.Stats.MaxTable)
+	}
+	if gen.Stats.ScanSpace > bf.Stats.ScanSpace {
+		t.Fatalf("GENERATESEQ scan space %d larger than BF %d",
+			gen.Stats.ScanSpace, bf.Stats.ScanSpace)
+	}
+	for name, st := range map[string]Stats{"GENERATESEQ": gen.Stats, "BF": bf.Stats} {
+		if st.States <= 0 || st.States > st.ScanSpace {
+			t.Fatalf("%s evaluated %d states out of a scan space of %d", name, st.States, st.ScanSpace)
+		}
 	}
 	if math.Abs(gen.Cost-bf.Cost) > 1e-6*bf.Cost {
 		t.Fatalf("orderings disagree on optimum: %v vs %v", gen.Cost, bf.Cost)

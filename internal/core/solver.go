@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -76,10 +77,6 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-// parallelThreshold is the table size below which a chunked parallel fill is
-// not worth the dispatch overhead.
-const parallelThreshold = 4096
-
 // fillChunkEntries caps one chunk of a parallel table fill at 16K entries:
 // the chunk's output (16K float64 costs + 16K int32 choices ≈ 192 KB) plus
 // the kv-long input rows it folds stays L2-resident per core, and a big fill
@@ -87,9 +84,14 @@ const parallelThreshold = 4096
 // balances stragglers instead of one static split.
 const fillChunkEntries = 1 << 14
 
-// minChunkEntries floors the chunk size so the per-chunk odometer
-// positioning (O(|D(i)| + subsets)) stays amortized to noise.
-const minChunkEntries = 1 << 10
+// parallelThreshold is the table size below which a chunked parallel fill is
+// not worth the dispatch overhead; minChunkEntries floors the chunk size so
+// the per-chunk odometer positioning and base sort stay amortized to noise.
+// Variables only so tests can force chunk boundaries into tiny tables.
+var (
+	parallelThreshold int64 = 4096
+	minChunkEntries   int64 = 1 << 10
+)
 
 // fillChunkSize picks the chunk length for a table of the given size: aim
 // for several chunks per worker, within [minChunkEntries, fillChunkEntries].
@@ -134,16 +136,90 @@ func (p *fillPool) close() {
 	p.wg.Wait()
 }
 
-// fillScratch is one chunk's odometer state — digit vector, per-subset
-// bases, current row slices, edge offsets — pooled so the many chunks of a
-// big fill don't each allocate four slices. Contents are undefined on Get;
-// every fill fully initializes what it reads (digits are zeroed explicitly:
-// masked scans only position a subset of them).
+// rowSrc is one kv-wide input row of a vertex's scan: a table laid out as
+// rows of kv contiguous costs (an oriented TX table, or the DP table of a
+// subset whose first member is the scanned vertex), addressed by the φ
+// digits in digit with the given strides in row units.
+type rowSrc struct {
+	vals   []float64
+	mins   []float64 // per-row minimum over the kv costs; fast rows only
+	digit  []int
+	stride []int64
+}
+
+// digUpd is one entry of a per-digit update list: stepping the digit moves
+// row index (or cell base) i by stride.
+type digUpd struct {
+	i      int
+	stride int64
+}
+
+// baseEnt is one candidate of the bound-pruned scan: configuration c and its
+// base cost b (layer cost plus the rows the fastest digit does not move).
+type baseEnt struct {
+	b float64
+	c int32
+}
+
+func entLess(x, y baseEnt) bool { return x.b < y.b || x.b == y.b && x.c < y.c }
+
+// sortEnts sorts a ascending by base cost, ties by configuration index — a
+// total order, so the result does not depend on the algorithm. It is a
+// bottom-up merge sort over insertion-sorted runs with tmp (len(a)) as the
+// second buffer: the comparison inlines, which slices.SortFunc's comparator
+// call does not (1.2x on the whole Transformer p=32 solve), and the worst
+// case stays O(n log n) on any input.
+func sortEnts(a, tmp []baseEnt) {
+	const run = 8
+	for lo := 0; lo < len(a); lo += run {
+		r := a[lo:min(lo+run, len(a))]
+		for j := 1; j < len(r); j++ {
+			e := r[j]
+			k := j
+			for ; k > 0 && entLess(e, r[k-1]); k-- {
+				r[k] = r[k-1]
+			}
+			r[k] = e
+		}
+	}
+	src, dst := a, tmp
+	for w := run; w < len(a); w *= 2 {
+		for lo := 0; lo < len(a); lo += 2 * w {
+			mid, hi := min(lo+w, len(a)), min(lo+2*w, len(a))
+			i, j := lo, mid
+			for k := lo; k < hi; k++ {
+				if j >= hi || i < mid && !entLess(src[j], src[i]) {
+					dst[k] = src[i]
+					i++
+				} else {
+					dst[k] = src[j]
+					j++
+				}
+			}
+		}
+		src, dst = dst, src
+	}
+	if len(a) > 0 && &src[0] != &a[0] {
+		copy(a, src)
+	}
+}
+
+// fillScratch is one chunk's odometer state — digit vector, per-subset cell
+// bases, row indices, the sorted base vector with its merge buffer and the
+// fast rows' current minima — pooled so the many chunks of a big fill don't
+// each allocate six slices. It holds indices and its own buffers only: the
+// current rows are re-sliced from their source tables where they are read, so
+// a pooled scratch can never pin a freed, evicted or snapshot table, and the
+// scan's inner loops store no pointer into the heap. Contents are undefined
+// on Get; every fill fully initializes what it reads (digits are zeroed
+// explicitly: scans only position a subset of them).
 type fillScratch struct {
 	digits []int
 	rbase  []int64
-	rows   [][]float64
-	eoff   []int
+	ridx   []int64
+	ents   []baseEnt
+	tmp    []baseEnt
+	fmin   []float64
 }
 
 var fillScratchPool = sync.Pool{New: func() any { return new(fillScratch) }}
@@ -155,17 +231,19 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func getFillScratch(ndep, nrefs, nrows, ne int) *fillScratch {
+func getFillScratch(ndep, nrefs, nrows, kv, nfast int) *fillScratch {
 	sc := fillScratchPool.Get().(*fillScratch)
 	sc.digits = grown(sc.digits, ndep)
 	sc.rbase = grown(sc.rbase, nrefs)
-	sc.rows = grown(sc.rows, nrows)
-	sc.eoff = grown(sc.eoff, ne)
-	for k := range sc.digits {
-		sc.digits[k] = 0
-	}
+	sc.ridx = grown(sc.ridx, nrows)
+	sc.ents = grown(sc.ents, kv)
+	sc.tmp = grown(sc.tmp, kv)
+	sc.fmin = grown(sc.fmin, nfast)
+	clear(sc.digits)
 	return sc
 }
+
+func (sc *fillScratch) release() { fillScratchPool.Put(sc) }
 
 // cancelCheckMask sets the cancellation polling granularity inside a table
 // fill: every (cancelCheckMask+1) table entries each fill goroutine does one
@@ -190,10 +268,15 @@ type Stats struct {
 	// is what the memory budget bounds.
 	PeakLiveEntries int64
 	// States is the number of table-cell evaluations the fill performed:
-	// (φ, C) combinations actually scanned, plus — for vertices where the
-	// factored kernel applies — one combine per table entry whose scan was
-	// shared with other entries.
+	// the (φ, C) candidates the bound-pruned scan actually evaluated, plus —
+	// for vertices where the factored kernel applies — one combine per table
+	// entry whose scan was shared with other entries. It depends on table
+	// data alone, so it repeats exactly at every worker count.
 	States int64
+	// ScanSpace is what States would be without the bound: every (φ, C)
+	// candidate of the scans that ran (plus the same combines), so
+	// States/ScanSpace is the share of the candidate space the scan visited.
+	ScanSpace int64
 	// PrunedConfigs is how many candidate configurations the model's
 	// config-space reduction removed before the DP ran (cost.Model dedup +
 	// optional epsilon dominance); every one is a multiplicative saving in
@@ -477,6 +560,60 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	// whose tables die young fit in budgets their TotalEntries would blow.
 	budgetUnits := 3 * budget
 	liveUnits := int64(0)
+	// charge takes units of live memory for vertex v's fill, failing once the
+	// budget is exceeded and recording the peak otherwise.
+	charge := func(units int64, v int) error {
+		liveUnits += units
+		if liveUnits > budgetUnits {
+			return fmt.Errorf("%w: live tables at vertex %d exceed %d entries", ErrOOM, v, budget)
+		}
+		if live := (liveUnits + 2) / 3; live > st.PeakLiveEntries {
+			st.PeakLiveEntries = live
+		}
+		return nil
+	}
+
+	// parChunk splits a fill's flat index range into contiguous fixed-size
+	// chunks claimed off an atomic counter by the pool's helpers plus the
+	// calling goroutine. Chunks write disjoint output ranges, so which worker
+	// runs which chunk is irrelevant to the bytes produced — results stay
+	// byte-identical at every worker count — while the dynamic claiming keeps
+	// all cores busy even when one chunk's scan is slower than another's.
+	parChunk := func(total int64, f func(lo, hi int64)) {
+		if nw <= 1 || total < parallelThreshold {
+			f(0, total)
+			return
+		}
+		chunk := fillChunkSize(total, nw)
+		var next atomic.Int64
+		run := func() {
+			for {
+				lo := (next.Add(1) - 1) * chunk
+				if lo >= total {
+					return
+				}
+				hi := lo + chunk
+				if hi > total {
+					hi = total
+				}
+				f(lo, hi)
+			}
+		}
+		helpers := nw - 1
+		if nc := (total + chunk - 1) / chunk; int64(helpers) > nc-1 {
+			helpers = int(nc - 1)
+		}
+		var wg sync.WaitGroup
+		wg.Add(helpers)
+		for w := 0; w < helpers; w++ {
+			pool.jobs <- func() {
+				defer wg.Done()
+				run()
+			}
+		}
+		run()
+		wg.Wait()
+	}
 
 	digitOf := make([]int, n) // dense node-ID → φ-digit map; -1 = absent
 	for j := range digitOf {
@@ -506,12 +643,8 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		if tblSize > st.MaxTable {
 			st.MaxTable = tblSize
 		}
-		liveUnits += 3 * tblSize
-		if liveUnits > budgetUnits {
-			return nil, nil, fmt.Errorf("%w: live tables at vertex %d exceed %d entries", ErrOOM, v, budget)
-		}
-		if live := (liveUnits + 2) / 3; live > st.PeakLiveEntries {
-			st.PeakLiveEntries = live
+		if err := charge(3*tblSize, v); err != nil {
+			return nil, nil, err
 		}
 
 		// Incremental re-solve: a position outside the dirty closure keeps
@@ -573,16 +706,18 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			refs[si] = r
 		}
 
-		// Incident edges to later vertices; those endpoints are all in D(i).
-		// Costs come straight from the model's eager TX tables, in whichever
-		// orientation makes the scan over v's own configuration contiguous —
-		// no per-vertex materialization pass, and nothing here mutates
-		// shared state, so the parallel fill below reads them freely.
-		type edgeRef struct {
-			vals  []float64 // TX table oriented as vals[other*kv+c]
-			digit int       // φ digit holding the other endpoint's configuration
-		}
-		var erefs []edgeRef
+		// The kv-wide input rows of the scan, in summation order: the hoisted
+		// TX row of every incident edge to a later vertex (those endpoints are
+		// all in D(i); costs come straight from the model's eager TX tables,
+		// in whichever orientation makes the scan over v's own configuration
+		// contiguous), then the contiguous DP-table row of every subset that
+		// contains v (vStride 1). Subsets without v are φ-only cells: one
+		// lookup per φ, independent of the configuration scanned, so they
+		// never enter the scan at all. Nothing here mutates shared state, so
+		// the parallel fill below reads the sources freely.
+		kv := m.K(v)
+		tlv := m.TLRow(v)
+		var srcs []rowSrc
 		for _, ie := range m.Incidence(v) {
 			if sq.Pos[ie.Other] <= i { // earlier neighbours and self-loops
 				continue
@@ -597,11 +732,46 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			} else {
 				vals, _ = m.EdgeTable(ie.E) // [cu*Kv+cv], contiguous in c=cv
 			}
-			erefs = append(erefs, edgeRef{vals: vals, digit: dg})
+			srcs = append(srcs, rowSrc{vals: vals, digit: []int{dg}, stride: []int64{1}})
+		}
+		var cellRefs []int
+		for ri := range refs {
+			r := &refs[ri]
+			if r.vStride == 0 {
+				cellRefs = append(cellRefs, ri)
+				continue
+			}
+			// v is the stride-1 first member, so every other member's stride
+			// is a multiple of kv: the row index strides are exact.
+			rs := rowSrc{vals: tbl[r.pos], digit: r.phiDigit, stride: make([]int64, len(r.phiStride))}
+			for k, s := range r.phiStride {
+				rs.stride[k] = s / int64(kv)
+			}
+			srcs = append(srcs, rs)
+		}
+		rtbl := make([][]float64, len(refs))
+		for ri := range refs {
+			rtbl[ri] = tbl[refs[ri].pos]
 		}
 
-		kv := m.K(v)
-		tlv := m.TLRow(v)
+		// rowDig/cellDig list, per φ digit, which row indices and cell bases
+		// that digit's stride moves — the odometer then updates only what a
+		// digit change actually touches, instead of refolding every base and
+		// reslicing every row per entry.
+		rowDig := make([][]digUpd, len(dep))
+		for s := range srcs {
+			for k, dg := range srcs[s].digit {
+				rowDig[dg] = append(rowDig[dg], digUpd{s, srcs[s].stride[k]})
+			}
+		}
+		cellDig := make([][]digUpd, len(dep))
+		for _, ri := range cellRefs {
+			r := &refs[ri]
+			for k, dg := range r.phiDigit {
+				cellDig[dg] = append(cellDig[dg], digUpd{ri, r.phiStride[k]})
+			}
+		}
+
 		// Retained tables are plainly allocated: snapshot slices outlive the
 		// solve, so they must never enter the arena's recycling pools.
 		var t []float64
@@ -614,134 +784,127 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			ch = arena.GetI32(tblSize)
 		}
 
-		// Flat strided kernel wiring. rowRefs are the subsets containing v:
-		// their lookups form a contiguous kv-long row per φ (vStride 1).
-		// cellRefs are φ-only subsets: one cell per φ, independent of the
-		// configuration scanned, so they never enter the scan at all.
-		// refDigRow/refDigCell/edgeDig list, per φ digit, which subset bases
-		// and edge-row offsets that digit's stride moves — the odometer then
-		// updates only what a digit change actually touches, instead of
-		// refolding every base and reslicing every row per entry.
-		var rowRefs, cellRefs []int
-		for ri := range refs {
-			if refs[ri].vStride == 1 {
-				rowRefs = append(rowRefs, ri)
-			} else {
-				cellRefs = append(cellRefs, ri)
-			}
-		}
-		isRow := make([]bool, len(refs))
-		for _, ri := range rowRefs {
-			isRow[ri] = true
-		}
-		type digUpd struct {
-			ri     int
-			stride int64
-		}
-		refDigRow := make([][]digUpd, len(dep))
-		refDigCell := make([][]digUpd, len(dep))
-		for ri := range refs {
-			r := &refs[ri]
-			for k, dg := range r.phiDigit {
-				if isRow[ri] {
-					refDigRow[dg] = append(refDigRow[dg], digUpd{ri, r.phiStride[k]})
-				} else {
-					refDigCell[dg] = append(refDigCell[dg], digUpd{ri, r.phiStride[k]})
-				}
-			}
-		}
-		edgeDig := make([][]int, len(dep))
-		for li := range erefs {
-			edgeDig[erefs[li].digit] = append(edgeDig[erefs[li].digit], li)
-		}
-		rtbl := make([][]float64, len(refs))
-		for ri := range refs {
-			rtbl[ri] = tbl[refs[ri].pos]
-		}
-
 		// Factorization: the minimizing configuration depends only on the φ
-		// digits the edge rows and v-containing subsets read — cellRefs add
-		// a per-φ constant, which never changes the argmin. When those
-		// "scan digits" span fewer than all of D(i), the kv-wide scan runs
-		// once per scan-digit combination (subSize of them) into a minf/argc
-		// side table, and the full table fill collapses to one gather plus
-		// the φ-only cell sum per entry: subSize·kv + tblSize states instead
-		// of tblSize·kv.
-		used := make([]bool, len(dep))
-		for li := range erefs {
-			used[erefs[li].digit] = true
-		}
-		for _, ri := range rowRefs {
-			for _, dg := range refs[ri].phiDigit {
-				used[dg] = true
-			}
-		}
+		// digits the rows read — cells add a per-φ constant, which never
+		// changes the argmin. When those "scan digits" span fewer than all of
+		// D(i), the scan runs once per scan-digit combination (subSize of
+		// them) into a minf/argc side table, and the full table fill collapses
+		// to one gather plus the φ-only cell sum per entry: at most
+		// subSize·kv + tblSize states instead of tblSize·kv.
 		subSize := int64(1)
 		subStride := make([]int64, len(dep)) // 0 for digits the scan ignores
+		var scanDigits []int                 // digits the scan odometer steps, fastest first
 		for k := range dep {
-			if used[k] {
-				subStride[k] = subSize
-				subSize *= int64(kd[k])
+			if len(rowDig[k]) == 0 {
+				continue
+			}
+			subStride[k] = subSize
+			subSize *= int64(kd[k])
+			if kd[k] > 1 { // a one-configuration digit never steps
+				scanDigits = append(scanDigits, k)
 			}
 		}
 		factored := subSize < tblSize
 
-		// rowPos maps a v-containing subset ref to its slot in the merged
-		// rows array: slots [0, nE) are the hoisted TX rows of the incident
-		// edges, slots [nE, nRows) the contiguous DP-table rows. Every slot is
-		// a kv-long slice indexed by the scanned configuration; slices are
-		// refreshed only when a digit they stride through changes.
-		nE := len(erefs)
-		nRows := nE + len(rowRefs)
-		rowPos := make([]int, len(refs))
-		for rj, ri := range rowRefs {
-			rowPos[ri] = nE + rj
+		// Bound-pruned scan wiring. Fast rows are the ones the fastest scan
+		// digit moves; every other row is constant between two steps of a
+		// slower digit and is hoisted, with the layer cost row, into the
+		// chunk's base vector (see fillScan).
+		var fastRows, slowRows []int
+		for s := range srcs {
+			if len(scanDigits) > 0 && slices.Contains(srcs[s].digit, scanDigits[0]) {
+				fastRows = append(fastRows, s)
+			} else {
+				slowRows = append(slowRows, s)
+			}
+		}
+		// A fast row's contribution is bounded below by its row minimum, built
+		// here once per vertex — one pass over the source table — and charged
+		// against the budget like the minf/argc side tables.
+		minUnits := int64(0)
+		for _, s := range fastRows {
+			minUnits += 2 * int64(len(srcs[s].vals)/kv)
+		}
+		if err := charge(minUnits, v); err != nil {
+			return nil, nil, err
+		}
+		for _, s := range fastRows {
+			src := &srcs[s]
+			src.mins = arena.GetF64(int64(len(src.vals) / kv))
+			parChunk(int64(len(src.mins)), func(lo, hi int64) {
+				for r := lo; r < hi; r++ {
+					src.mins[r] = slices.Min(src.vals[r*int64(kv) : (r+1)*int64(kv)])
+				}
+			})
 		}
 
-		// fillScan computes min_C over the masked odometer range [lo, hi):
-		// the layer cost row, the hoisted TX row per incident edge, and the
-		// contiguous kv-long row of each v-containing subset, folded with a
-		// running minimum (branch-free unconditional sums for the common
-		// 1-4-row shapes, early-exit folding for wide hubs). In factored mode
-		// it fills the minf side table over the scan digits; otherwise it
-		// writes the DP table directly, adding the φ-only cell sum. Ranges are
-		// disjoint and all shared state is read-only, so chunks run in
-		// parallel with byte-identical results at any worker count.
-		fillScan := func(lo, hi int64, mask []bool, outT []float64, outC []int32, withCells bool) {
+		// fillScan computes min_C over the flat range [lo, hi) of the scan
+		// odometer by branch and bound. A candidate's cost is summed as
+		// ((tl + slow rows in row order) + fast rows in row order); the
+		// parenthesised base is rebuilt, and sorted ascending with ties by
+		// configuration index, only when a digit slower than the fastest
+		// steps. Each entry walks the sorted base and stops at the first
+		// candidate whose base plus the fast rows' minima (added in the same
+		// order) already exceeds the best cost so far: floating-point addition
+		// is monotone, so that bound never exceeds the candidate's true cost
+		// nor the bound of any candidate after it. The stop test is strict and
+		// equal costs keep the smaller index, so value and argmin are exactly
+		// those of a linear scan over the same expression. In factored mode it
+		// fills the minf side table over the scan digits; otherwise it writes
+		// the DP table directly, adding the φ-only cell sum. Ranges are
+		// disjoint, all shared state is read-only and an entry's work depends
+		// on table data alone, so chunks run in parallel with byte-identical
+		// tables and state counts at any worker count and chunk size.
+		var scanned atomic.Int64
+		fillScan := func(lo, hi int64, outT []float64, outC []int32) {
 			// A chunk claimed after cancellation returns before paying the
 			// odometer positioning.
 			if done != nil && cancelled.Load() {
 				return
 			}
-			sc := getFillScratch(len(dep), len(refs), nRows, len(erefs))
-			defer fillScratchPool.Put(sc)
-			digits, rbase, rows, eoff := sc.digits, sc.rbase, sc.rows, sc.eoff
-			// Position the incremental state at flat index lo of the masked
+			sc := getFillScratch(len(dep), len(refs), len(srcs), kv, len(fastRows))
+			defer sc.release()
+			digits, rbase, ridx, ents, fmin := sc.digits, sc.rbase, sc.ridx, sc.ents, sc.fmin
+			row := func(s int) []float64 {
+				o := ridx[s] * int64(kv)
+				return srcs[s].vals[o : o+int64(kv)]
+			}
+			rebase := func() {
+				for c := range ents {
+					ents[c] = baseEnt{tlv[c], int32(c)}
+				}
+				for _, s := range slowRows {
+					for c, x := range row(s) {
+						ents[c].b += x
+					}
+				}
+				sortEnts(ents, sc.tmp)
+			}
+			// Position the incremental state at flat index lo of the scan
 			// odometer (first digit fastest).
 			rem := lo
-			for k := 0; k < len(dep); k++ {
-				if mask != nil && !mask[k] {
-					continue
-				}
+			for _, k := range scanDigits {
 				digits[k] = int(rem % int64(kd[k]))
 				rem /= int64(kd[k])
 			}
-			for ri := range refs {
-				r := &refs[ri]
-				b := int64(0)
-				for k, dg := range r.phiDigit {
-					b += int64(digits[dg]) * r.phiStride[k]
+			for s := range srcs {
+				ridx[s] = 0
+				for k, dg := range srcs[s].digit {
+					ridx[s] += int64(digits[dg]) * srcs[s].stride[k]
 				}
-				rbase[ri] = b
 			}
-			for li := range erefs {
-				o := digits[erefs[li].digit] * kv
-				eoff[li] = o
-				rows[li] = erefs[li].vals[o : o+kv]
+			if !factored {
+				for _, ri := range cellRefs {
+					r := &refs[ri]
+					rbase[ri] = 0
+					for k, dg := range r.phiDigit {
+						rbase[ri] += int64(digits[dg]) * r.phiStride[k]
+					}
+				}
 			}
-			for _, ri := range rowRefs {
-				rows[rowPos[ri]] = rtbl[ri][rbase[ri] : rbase[ri]+int64(kv)]
-			}
+			rebase()
+			evaluated := int64(0)
+			defer func() { scanned.Add(evaluated) }()
 			for flat := lo; flat < hi; flat++ {
 				if done != nil && flat&cancelCheckMask == 0 {
 					if cancelled.Load() {
@@ -754,147 +917,84 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 					default:
 					}
 				}
-				cbase := 0.0
-				if withCells {
-					for _, ri := range cellRefs {
-						cbase += rtbl[ri][rbase[ri]]
-					}
-				}
 				best := math.Inf(1)
 				bestC := int32(0)
-				switch nRows {
-				case 1:
-					r0 := rows[0]
-					for c := 0; c < kv; c++ {
-						if cst := tlv[c] + r0[c]; cst < best {
-							best = cst
-							bestC = int32(c)
+				n := 0
+				if len(fastRows) == 1 { // the common shape, unrolled
+					s := fastRows[0]
+					f, lb := row(s), srcs[s].mins[ridx[s]]
+					for ; n < len(ents); n++ {
+						e := ents[n]
+						if e.b+lb > best {
+							break
+						}
+						if cst := e.b + f[e.c]; cst < best || cst == best && e.c < bestC {
+							best, bestC = cst, e.c
 						}
 					}
-				case 2:
-					r0, r1 := rows[0], rows[1]
-					for c := 0; c < kv; c++ {
-						if cst := tlv[c] + r0[c] + r1[c]; cst < best {
-							best = cst
-							bestC = int32(c)
+				} else {
+					for j, s := range fastRows {
+						fmin[j] = srcs[s].mins[ridx[s]]
+					}
+					for ; n < len(ents); n++ {
+						e := ents[n]
+						bound := e.b
+						for _, lb := range fmin {
+							bound += lb
+						}
+						if bound > best {
+							break
+						}
+						cst := e.b
+						for _, s := range fastRows {
+							cst += srcs[s].vals[ridx[s]*int64(kv)+int64(e.c)]
+						}
+						if cst < best || cst == best && e.c < bestC {
+							best, bestC = cst, e.c
 						}
 					}
-				case 3:
-					r0, r1, r2 := rows[0], rows[1], rows[2]
-					for c := 0; c < kv; c++ {
-						if cst := tlv[c] + r0[c] + r1[c] + r2[c]; cst < best {
-							best = cst
-							bestC = int32(c)
-						}
-					}
-				case 4:
-					r0, r1, r2, r3 := rows[0], rows[1], rows[2], rows[3]
-					for c := 0; c < kv; c++ {
-						if cst := tlv[c] + r0[c] + r1[c] + r2[c] + r3[c]; cst < best {
-							best = cst
-							bestC = int32(c)
-						}
-					}
-				default: // 0 rows, or wide hubs: early-exit folding
-					for c := 0; c < kv; c++ {
-						cst := tlv[c]
-						for _, r := range rows {
-							cst += r[c]
-							if cst >= best {
-								break
-							}
-						}
-						if cst < best {
-							best = cst
-							bestC = int32(c)
-						}
+				}
+				evaluated += int64(n)
+				cbase := 0.0
+				if !factored {
+					for _, ri := range cellRefs {
+						cbase += rtbl[ri][rbase[ri]]
 					}
 				}
 				outT[flat] = cbase + best
 				outC[flat] = bestC
 
-				// Masked odometer increment (first digit fastest), updating
-				// only the bases and rows the changed digit strides through.
-				for k := 0; k < len(dep); k++ {
-					if mask != nil && !mask[k] {
-						continue
-					}
+				// Odometer increment (first digit fastest), updating only the
+				// rows and cell bases the changed digits stride through.
+				slowStep := false
+				for si, k := range scanDigits {
 					digits[k]++
 					if digits[k] < kd[k] {
-						for _, u := range refDigRow[k] {
-							rbase[u.ri] += u.stride
-							rows[rowPos[u.ri]] = rtbl[u.ri][rbase[u.ri] : rbase[u.ri]+int64(kv)]
+						for _, u := range rowDig[k] {
+							ridx[u.i] += u.stride
 						}
-						if withCells {
-							for _, u := range refDigCell[k] {
-								rbase[u.ri] += u.stride
+						if !factored {
+							for _, u := range cellDig[k] {
+								rbase[u.i] += u.stride
 							}
 						}
-						for _, li := range edgeDig[k] {
-							eoff[li] += kv
-							rows[li] = erefs[li].vals[eoff[li] : eoff[li]+kv]
-						}
+						slowStep = si > 0
 						break
 					}
 					digits[k] = 0
-					for _, u := range refDigRow[k] {
-						rbase[u.ri] -= int64(kd[k]-1) * u.stride
-						rows[rowPos[u.ri]] = rtbl[u.ri][rbase[u.ri] : rbase[u.ri]+int64(kv)]
+					for _, u := range rowDig[k] {
+						ridx[u.i] -= int64(kd[k]-1) * u.stride
 					}
-					if withCells {
-						for _, u := range refDigCell[k] {
-							rbase[u.ri] -= int64(kd[k]-1) * u.stride
+					if !factored {
+						for _, u := range cellDig[k] {
+							rbase[u.i] -= int64(kd[k]-1) * u.stride
 						}
 					}
-					for _, li := range edgeDig[k] {
-						eoff[li] = 0
-						rows[li] = erefs[li].vals[0:kv]
-					}
+				}
+				if slowStep {
+					rebase()
 				}
 			}
-		}
-
-		// parChunk splits a fill's flat index range into contiguous
-		// fixed-size chunks claimed off an atomic counter by the pool's
-		// helpers plus the calling goroutine. Chunks write disjoint output
-		// ranges, so which worker runs which chunk is irrelevant to the
-		// bytes produced — results stay byte-identical at every worker
-		// count — while the dynamic claiming keeps all cores busy even when
-		// one chunk's scan is slower than another's.
-		parChunk := func(total int64, f func(lo, hi int64)) {
-			if nw <= 1 || total < parallelThreshold {
-				f(0, total)
-				return
-			}
-			chunk := fillChunkSize(total, nw)
-			var next atomic.Int64
-			run := func() {
-				for {
-					lo := (next.Add(1) - 1) * chunk
-					if lo >= total {
-						return
-					}
-					hi := lo + chunk
-					if hi > total {
-						hi = total
-					}
-					f(lo, hi)
-				}
-			}
-			helpers := nw - 1
-			if nc := (total + chunk - 1) / chunk; int64(helpers) > nc-1 {
-				helpers = int(nc - 1)
-			}
-			var wg sync.WaitGroup
-			wg.Add(helpers)
-			for w := 0; w < helpers; w++ {
-				pool.jobs <- func() {
-					defer wg.Done()
-					run()
-				}
-			}
-			run()
-			wg.Wait()
 		}
 
 		if factored {
@@ -902,17 +1002,13 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			// reads. The side table is transient — live only during this
 			// vertex's fills — but it is real memory, so it is charged
 			// against the budget like any other cost+choice table.
-			liveUnits += 3 * subSize
-			if liveUnits > budgetUnits {
-				return nil, nil, fmt.Errorf("%w: live tables at vertex %d exceed %d entries", ErrOOM, v, budget)
-			}
-			if live := (liveUnits + 2) / 3; live > st.PeakLiveEntries {
-				st.PeakLiveEntries = live
+			if err := charge(3*subSize, v); err != nil {
+				return nil, nil, err
 			}
 			minf := arena.GetF64(subSize)
 			argc := arena.GetI32(subSize)
 			parChunk(subSize, func(lo, hi int64) {
-				fillScan(lo, hi, used, minf, argc, false)
+				fillScan(lo, hi, minf, argc)
 			})
 			if cancelled.Load() {
 				return nil, nil, cancelErr()
@@ -923,8 +1019,8 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 				if done != nil && cancelled.Load() {
 					return
 				}
-				sc := getFillScratch(len(dep), len(refs), 0, 0)
-				defer fillScratchPool.Put(sc)
+				sc := getFillScratch(len(dep), len(refs), 0, 0, 0)
+				defer sc.release()
 				digits, rbase := sc.digits, sc.rbase
 				rem := lo
 				subFlat := int64(0)
@@ -933,16 +1029,12 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 					rem /= int64(kd[k])
 					subFlat += int64(digits[k]) * subStride[k]
 				}
-				for ri := range refs {
-					if isRow[ri] {
-						continue
-					}
+				for _, ri := range cellRefs {
 					r := &refs[ri]
-					b := int64(0)
+					rbase[ri] = 0
 					for k, dg := range r.phiDigit {
-						b += int64(digits[dg]) * r.phiStride[k]
+						rbase[ri] += int64(digits[dg]) * r.phiStride[k]
 					}
-					rbase[ri] = b
 				}
 				for flat := lo; flat < hi; flat++ {
 					if done != nil && flat&cancelCheckMask == 0 {
@@ -965,15 +1057,15 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 					for k := 0; k < len(dep); k++ {
 						digits[k]++
 						if digits[k] < kd[k] {
-							for _, u := range refDigCell[k] {
-								rbase[u.ri] += u.stride
+							for _, u := range cellDig[k] {
+								rbase[u.i] += u.stride
 							}
 							subFlat += subStride[k]
 							break
 						}
 						digits[k] = 0
-						for _, u := range refDigCell[k] {
-							rbase[u.ri] -= int64(kd[k]-1) * u.stride
+						for _, u := range cellDig[k] {
+							rbase[u.i] -= int64(kd[k]-1) * u.stride
 						}
 						subFlat -= int64(kd[k]-1) * subStride[k]
 					}
@@ -982,12 +1074,18 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			liveUnits -= 3 * subSize // minf/argc die with the fills
 			arena.PutF64(minf)
 			arena.PutI32(argc)
-			st.States += subSize*int64(kv) + tblSize
+			st.States += scanned.Load() + tblSize
+			st.ScanSpace += subSize*int64(kv) + tblSize
 		} else {
 			parChunk(tblSize, func(lo, hi int64) {
-				fillScan(lo, hi, nil, t, ch, true)
+				fillScan(lo, hi, t, ch)
 			})
-			st.States += tblSize * int64(kv)
+			st.States += scanned.Load()
+			st.ScanSpace += tblSize * int64(kv)
+		}
+		liveUnits -= minUnits // the row minima die with the fills
+		for _, s := range fastRows {
+			arena.PutF64(srcs[s].mins)
 		}
 		// A cancelled fill returned early with partial tables; parChunk has
 		// already drained its goroutines, so this is the clean exit point.

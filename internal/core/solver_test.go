@@ -19,8 +19,14 @@ import (
 // power-of-two extents, giving the cost model genuine structure (reduction
 // dims, parameters, redistribution) so optimality tests are meaningful.
 func randomDNNGraph(rng *rand.Rand, n int) *graph.Graph {
+	return randomLayerGraph(rng, n, []int64{16, 32, 64, 128})
+}
+
+// randomLayerGraph is randomDNNGraph with the extents drawn from sizes: small
+// extents (1, 2) cap how far a dimension splits, so configuration counts
+// vary from vertex to vertex down to K = 1.
+func randomLayerGraph(rng *rand.Rand, n int, sizes []int64) *graph.Graph {
 	g := graph.New()
-	sizes := []int64{16, 32, 64, 128}
 	for i := 0; i < n; i++ {
 		sp := itspace.Space{
 			{Name: "b", Size: sizes[rng.Intn(len(sizes))]},
