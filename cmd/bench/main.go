@@ -14,8 +14,9 @@
 //	                                        # CI gate: fail on a Transformer
 //	                                        # solve regression vs the latest
 //	                                        # trajectory entry, or when any
-//	                                        # Table I solve evaluates more DP
-//	                                        # states than the latest entry
+//	                                        # Table I solve or GPTDeep beam
+//	                                        # pass evaluates more states than
+//	                                        # the latest entry
 //
 // Measured families (minimum wall time over -reps runs):
 //
@@ -37,7 +38,8 @@
 //   - Beam/GPTDeep/W=<w>: a single bounded-width anytime-beam pass on a
 //     prebuilt GPT-scale decoder model (gptdeep:12) — the graph whose exact
 //     DP exceeds the default table budget — with the achieved optimality
-//     gap, the width, and the states explored as extras.
+//     gap, the width, and the candidates the pass evaluated
+//     (states_explored, an exact function of the cost tables) as extras.
 package main
 
 import (
@@ -105,6 +107,9 @@ func measure(reps int, f func() error) (float64, error) {
 	}
 	return float64(best.Nanoseconds()), nil
 }
+
+// beamWidths are the widths of the measured (and gated) GPTDeep beam passes.
+var beamWidths = []int{8, 32}
 
 // config carries the flag-derived run parameters.
 type config struct {
@@ -327,7 +332,7 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	for _, width := range []int{8, 32} {
+	for _, width := range beamWidths {
 		var gap float64
 		var states int64
 		ns, err := measure(reps, func() error {
@@ -415,9 +420,10 @@ func run(cfg config) error {
 // benchmark is the latest entry from a matching environment (same GOOS and
 // GOMAXPROCS) when one exists; otherwise the latest entry overall, with a
 // cross-environment warning (the factor plus the CI retry absorb runner
-// differences). Every Table I solve is also gated on its states extra, which
-// needs no factor and no matching environment: the count is a function of
-// the cost tables, so any increase is a real loss of pruning.
+// differences). Every Table I solve is also gated on its states extra and
+// both GPTDeep beam passes on states_explored, which needs no factor and no
+// matching environment: the counts are functions of the cost tables, so any
+// increase is a real loss of pruning.
 func regressionCheck(rep Report, against string, factor float64, p int) error {
 	if _, err := os.Stat(against); os.IsNotExist(err) {
 		fmt.Fprintf(os.Stderr, "bench: no trajectory at %s; skipping regression check\n", against)
@@ -438,7 +444,12 @@ func regressionCheck(rep Report, against string, factor float64, p int) error {
 		}
 	}
 	for _, bm := range pase.Benchmarks() {
-		if err := statesCheckOne(rep, traj, against, fmt.Sprintf("TableI_PaSE/%s/p=%d", bm.Name, p)); err != nil {
+		if err := statesCheckOne(rep, traj, against, fmt.Sprintf("TableI_PaSE/%s/p=%d", bm.Name, p), "states"); err != nil {
+			return err
+		}
+	}
+	for _, width := range beamWidths {
+		if err := statesCheckOne(rep, traj, against, fmt.Sprintf("Beam/GPTDeep/W=%d", width), "states_explored"); err != nil {
 			return err
 		}
 	}
@@ -455,9 +466,10 @@ func findResult(rs []Result, name string) (Result, bool) {
 	return Result{}, false
 }
 
-// statesCheckOne fails when this run's named solve evaluated more DP states
-// than the latest trajectory entry that recorded the count.
-func statesCheckOne(rep Report, traj Trajectory, against, name string) error {
+// statesCheckOne fails when this run's named solve evaluated more states —
+// its extra of that name — than the latest trajectory entry that recorded the
+// count.
+func statesCheckOne(rep Report, traj Trajectory, against, name, extra string) error {
 	cur, ok := findResult(rep.Results, name)
 	if !ok {
 		return fmt.Errorf("bench: this run did not measure %s", name)
@@ -465,18 +477,18 @@ func statesCheckOne(rep Report, traj Trajectory, against, name string) error {
 	for i := len(traj.Entries) - 1; i >= 0; i-- {
 		e := traj.Entries[i]
 		r, ok := findResult(e.Results, name)
-		base, has := r.Extra["states"]
+		base, has := r.Extra[extra]
 		if !ok || !has {
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "bench: %s %.0f states vs %.0f (%s entry)\n", name, cur.Extra["states"], base, e.Date)
-		if cur.Extra["states"] > base {
-			return fmt.Errorf("bench: %s evaluated %.0f states, the %s trajectory entry %.0f: the scan prunes less than it did",
-				name, cur.Extra["states"], e.Date, base)
+		fmt.Fprintf(os.Stderr, "bench: %s %.0f %s vs %.0f (%s entry)\n", name, cur.Extra[extra], extra, base, e.Date)
+		if cur.Extra[extra] > base {
+			return fmt.Errorf("bench: %s evaluated %.0f %s, the %s trajectory entry %.0f: the search prunes less than it did",
+				name, cur.Extra[extra], extra, e.Date, base)
 		}
 		return nil
 	}
-	fmt.Fprintf(os.Stderr, "bench: no states recorded for %s in %s; skipping the states check\n", name, against)
+	fmt.Fprintf(os.Stderr, "bench: no %s recorded for %s in %s; skipping the states check\n", extra, name, against)
 	return nil
 }
 
@@ -561,7 +573,7 @@ func main() {
 		notes      = flag.String("notes", "", "free-form context embedded in the report")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile covering the measured benchmarks to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the measured benchmarks to this file")
-		against    = flag.String("against", "", "trajectory file whose latest entries gate this run: wall time by -regress-factor, Table I DP states exactly")
+		against    = flag.String("against", "", "trajectory file whose latest entries gate this run: wall time by -regress-factor, Table I DP states and GPTDeep beam states exactly")
 		regress    = flag.Float64("regress-factor", 1.5, "with -against: fail when the Transformer solve is more than this many times slower")
 	)
 	flag.Parse()

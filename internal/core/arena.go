@@ -7,12 +7,12 @@ import (
 )
 
 // Arena pools the solver's large scratch allocations — DP cost tables,
-// choice tables, and the factored-scan side tables — in power-of-two size
-// classes backed by sync.Pool. A cold Transformer p=32 solve allocates
-// hundreds of megabytes of tables that die within the solve; when many
-// solves share one Arena (the planner gives every Planner one, so cache-miss
-// solves and SolveBatch/Compare fan-outs share it), those buffers are
-// recycled instead of re-allocated and re-faulted per solve.
+// choice tables, the factored-scan side tables, and the beam's sparse table
+// keys — in power-of-two size classes backed by sync.Pool. A cold Transformer
+// p=32 solve allocates hundreds of megabytes of tables that die within the
+// solve; when many solves share one Arena (the planner gives every Planner
+// one, so cache-miss solves and SolveBatch/Compare fan-outs share it), those
+// buffers are recycled instead of re-allocated and re-faulted per solve.
 //
 // Contract: buffers come back from Get uncleared — callers must fully
 // overwrite them before reading (every DP table fill writes its whole index
@@ -28,8 +28,9 @@ import (
 // requested entries, so treat the budget as a working-set bound, not an RSS
 // guarantee, when an arena is attached.
 type Arena struct {
-	f64 [maxSizeClass]sync.Pool // *[]float64, cap ≥ 1<<class
-	i32 [maxSizeClass]sync.Pool // *[]int32, cap ≥ 1<<class
+	// pools[kind][class] holds *[]T buffers with cap ≥ 1<<class, one kind
+	// per element type.
+	pools [bufKinds][maxSizeClass]sync.Pool
 	// gets/hits count Get calls and the subset served by a recycled buffer,
 	// for tests and diagnostics.
 	gets atomic.Int64
@@ -48,71 +49,65 @@ func sizeClass(n int64) int {
 	return bits.Len64(uint64(n - 1))
 }
 
-// GetF64 returns a length-n float64 buffer with undefined contents.
-func (a *Arena) GetF64(n int64) []float64 {
+// The element types an arena pools, as indices into Arena.pools.
+const (
+	bufF64 = iota
+	bufI32
+	bufI64
+	bufKinds
+)
+
+// get returns a length-n buffer of the given kind with undefined contents.
+func get[T any](a *Arena, kind int, n int64) []T {
 	if n == 0 {
 		return nil
 	}
 	if a == nil {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	c := sizeClass(n)
 	a.gets.Add(1)
 	if c < maxSizeClass {
-		if v := a.f64[c].Get(); v != nil {
+		if v := a.pools[kind][c].Get(); v != nil {
 			a.hits.Add(1)
-			return (*(v.(*[]float64)))[:n]
+			return (*(v.(*[]T)))[:n]
 		}
-		return make([]float64, n, int64(1)<<c)
+		return make([]T, n, int64(1)<<c)
 	}
-	return make([]float64, n)
+	return make([]T, n)
 }
 
-// PutF64 recycles a buffer previously returned by GetF64.
-func (a *Arena) PutF64(s []float64) {
+// put recycles a buffer previously returned by get for the same kind.
+func put[T any](a *Arena, kind int, s []T) {
 	if a == nil || cap(s) == 0 {
 		return
 	}
-	// File under the largest class the capacity fully covers, so a Get from
+	// File under the largest class the capacity fully covers, so a get from
 	// that class always receives cap ≥ its requested length.
 	c := bits.Len64(uint64(cap(s))) - 1
 	if c < maxSizeClass {
 		s = s[:0]
-		a.f64[c].Put(&s)
+		a.pools[kind][c].Put(&s)
 	}
 }
+
+// GetF64 returns a length-n float64 buffer with undefined contents.
+func (a *Arena) GetF64(n int64) []float64 { return get[float64](a, bufF64, n) }
+
+// PutF64 recycles a buffer previously returned by GetF64.
+func (a *Arena) PutF64(s []float64) { put(a, bufF64, s) }
 
 // GetI32 returns a length-n int32 buffer with undefined contents.
-func (a *Arena) GetI32(n int64) []int32 {
-	if n == 0 {
-		return nil
-	}
-	if a == nil {
-		return make([]int32, n)
-	}
-	c := sizeClass(n)
-	a.gets.Add(1)
-	if c < maxSizeClass {
-		if v := a.i32[c].Get(); v != nil {
-			a.hits.Add(1)
-			return (*(v.(*[]int32)))[:n]
-		}
-		return make([]int32, n, int64(1)<<c)
-	}
-	return make([]int32, n)
-}
+func (a *Arena) GetI32(n int64) []int32 { return get[int32](a, bufI32, n) }
 
 // PutI32 recycles a buffer previously returned by GetI32.
-func (a *Arena) PutI32(s []int32) {
-	if a == nil || cap(s) == 0 {
-		return
-	}
-	c := bits.Len64(uint64(cap(s))) - 1
-	if c < maxSizeClass {
-		s = s[:0]
-		a.i32[c].Put(&s)
-	}
-}
+func (a *Arena) PutI32(s []int32) { put(a, bufI32, s) }
+
+// GetI64 returns a length-n int64 buffer with undefined contents.
+func (a *Arena) GetI64(n int64) []int64 { return get[int64](a, bufI64, n) }
+
+// PutI64 recycles a buffer previously returned by GetI64.
+func (a *Arena) PutI64(s []int64) { put(a, bufI64, s) }
 
 // Counters reports how many buffer requests the arena served and how many
 // were satisfied by a recycled buffer.

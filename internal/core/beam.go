@@ -14,11 +14,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
 	"time"
 
 	"pase/internal/cost"
@@ -83,22 +86,111 @@ type beamPartial struct {
 	c    int32
 }
 
+// less is the strict total order (cost, flat, c) every frontier is cut under.
+func (p beamPartial) less(q beamPartial) bool {
+	if p.cost != q.cost {
+		return p.cost < q.cost
+	}
+	if p.flat != q.flat {
+		return p.flat < q.flat
+	}
+	return p.c < q.c
+}
+
+func byCost(p, q beamPartial) int {
+	return cmp.Or(cmp.Compare(p.cost, q.cost), cmp.Compare(p.flat, q.flat), cmp.Compare(p.c, q.c))
+}
+
+// byFlat is the retained tables' order, (flat, cost, c): the first partial of
+// each flat is its cheapest, smallest C on ties, matching the exact kernel's
+// strict-< argmin.
+func byFlat(p, q beamPartial) int {
+	return cmp.Or(cmp.Compare(p.flat, q.flat), byCost(p, q))
+}
+
+// beamFrontier keeps the k smallest partials of a stream under less. It
+// holds at most 2k of them: reaching 2k it selects the k smallest and from
+// then on refuses, with one compare, whatever is not below the k-th. The k
+// smallest of a stream under a strict total order are the same whenever it is
+// compacted, and a refused partial has k smaller ones before it, so the
+// result equals sorting everything and cutting.
+type beamFrontier struct {
+	buf []beamPartial
+	k   int
+	thr beamPartial // the k-th smallest pushed so far; valid once cut
+	cut bool        // more than k were pushed
+}
+
+func (f *beamFrontier) reset(k int) { f.buf, f.k, f.cut = f.buf[:0], k, false }
+
+func (f *beamFrontier) push(p beamPartial) {
+	if f.cut && !p.less(f.thr) {
+		return
+	}
+	if f.buf = append(f.buf, p); len(f.buf) >= 2*f.k {
+		f.compact()
+	}
+}
+
+func (f *beamFrontier) compact() {
+	selectSmallest(f.buf, f.k)
+	f.buf = f.buf[:f.k]
+	f.thr, f.cut = f.buf[f.k-1], true
+}
+
+// sorted returns the survivors in ascending order; the slice is f's own
+// buffer, valid until the next reset.
+func (f *beamFrontier) sorted() []beamPartial {
+	if len(f.buf) > f.k {
+		f.compact()
+	}
+	slices.SortFunc(f.buf, byCost)
+	return f.buf
+}
+
+// selectSmallest reorders ps so that ps[k-1] is its k-th smallest under less
+// and nothing before it is larger: Hoare quickselect around the middle
+// element, handing the remaining range to a sort once 2·log2(n) rounds have
+// not narrowed it to a point, so the worst case stays O(n log n).
+func selectSmallest(ps []beamPartial, k int) {
+	for lo, hi, rounds := 0, len(ps)-1, 2*bits.Len(uint(len(ps))); lo < hi; rounds-- {
+		if rounds == 0 {
+			slices.SortFunc(ps[lo:hi+1], byCost)
+			return
+		}
+		pivot := ps[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for ps[i].less(pivot) {
+				i++
+			}
+			for pivot.less(ps[j]) {
+				j--
+			}
+			if i <= j {
+				ps[i], ps[j] = ps[j], ps[i]
+				i++
+				j--
+			}
+		}
+		if k-1 <= j {
+			hi = j
+		} else if k-1 >= i {
+			lo = i
+		} else {
+			return
+		}
+	}
+}
+
 // beamTable is one position's retained frontier, sorted by flat for binary
-// search. costs are freed (arena-returned) after the table's last reader,
-// mirroring the exact solver's cost/choice liveness split; flats and
-// choices stay live for back-substitution.
+// search, all three columns arena-backed. costs go back to the arena after
+// the table's last reader, mirroring the exact solver's cost/choice liveness
+// split; flats and choices stay live for back-substitution.
 type beamTable struct {
 	flats   []int64
 	costs   []float64
 	choices []int32
-}
-
-func (t *beamTable) lookup(flat int64) (int, bool) {
-	j := sort.Search(len(t.flats), func(j int) bool { return t.flats[j] >= flat })
-	if j < len(t.flats) && t.flats[j] == flat {
-		return j, true
-	}
-	return 0, false
 }
 
 // beamGuideIdx builds the greedy guide strategy: nodes in ID order pick the
@@ -107,96 +199,99 @@ func (t *beamTable) lookup(flat int64) (int, bool) {
 // its states in every table guarantees each pass extracts SOME strategy no
 // worse than the guide.
 func beamGuideIdx(m *cost.Model) []int {
-	n := m.G.Len()
-	idx := make([]int, n)
-	for v := 0; v < n; v++ {
-		tlv := m.TLRow(v)
+	idx := make([]int, m.G.Len())
+	for v := range idx {
 		best := math.Inf(1)
-		bestC := 0
-		for c := 0; c < m.K(v); c++ {
-			s := tlv[c]
+		for c, s := range m.TLRow(v) {
 			for _, ie := range m.Incidence(v) {
 				switch {
 				case ie.Self:
 					s += m.EdgeCost(ie.E, c, c)
-				case ie.Other < v:
-					o := idx[ie.Other]
-					if ie.VIsU {
-						s += m.EdgeCost(ie.E, c, o)
-					} else {
-						s += m.EdgeCost(ie.E, o, c)
-					}
+				case ie.Other > v:
+				case ie.VIsU:
+					s += m.EdgeCost(ie.E, c, idx[ie.Other])
+				default:
+					s += m.EdgeCost(ie.E, idx[ie.Other], c)
 				}
 			}
 			if s < best {
-				best = s
-				bestC = c
+				best, idx[v] = s, c
 			}
 		}
-		idx[v] = bestC
 	}
 	return idx
 }
 
-// beamLowerBound computes an admissible lower bound on the true optimum as
-// the max of two relaxations: (1) every vertex and every edge at its
-// independent minimum, and (2) each vertex minimizing its layer cost plus
-// half of each incident edge's row minimum (TX(e,cu,cv) >= ½·min over cv +
-// ½·min over cu splits every edge between its endpoints while keeping the
-// per-vertex choice consistent across that vertex's edges).
-func beamLowerBound(m *cost.Model) float64 {
+// beamPlan is what every pass of one SolveBeam shares: the model and
+// ordering, the subset wiring and liveness plan, the guide strategy, and
+// each edge table's row minima in both orientations — minU[e][cu] is the
+// minimum of TX(e, cu, ·), minV[e][cv] of TX(e, ·, cv) — computed once per
+// distinct table (interned edge classes share one backing slice). The lower
+// bound and every pass's early stop read them.
+type beamPlan struct {
+	m          *cost.Model
+	sq         *seq.Sequence
+	subsets    [][][]int
+	freeAt     [][]int
+	guide      []int
+	minU, minV [][]float64
+}
+
+func newBeamPlan(m *cost.Model, sq *seq.Sequence) *beamPlan {
+	subsets := seq.ConnectedSubsetsAll(m.G, sq)
+	bp := &beamPlan{m: m, sq: sq, subsets: subsets, freeAt: freePlan(sq, subsets), guide: beamGuideIdx(m)}
+	seen := make(map[*float64][]float64) // by first cell: a table has one shape
+	rowMins := func(vals []float64, stride int) []float64 {
+		mins, ok := seen[&vals[0]]
+		if !ok {
+			mins = make([]float64, len(vals)/stride)
+			for r := range mins {
+				mins[r] = slices.Min(vals[r*stride : (r+1)*stride])
+			}
+			seen[&vals[0]] = mins
+		}
+		return mins
+	}
+	bp.minU = make([][]float64, len(m.Edges()))
+	bp.minV = make([][]float64, len(m.Edges()))
+	for e := range m.Edges() {
+		bp.minU[e] = rowMins(m.EdgeTable(e))
+		bp.minV[e] = rowMins(m.EdgeTableT(e))
+	}
+	return bp
+}
+
+// lowerBound computes an admissible lower bound on the true optimum as the
+// max of two relaxations: (1) every vertex and every edge at its independent
+// minimum, and (2) each vertex minimizing its layer cost plus half of each
+// incident edge's row minimum (TX(e,cu,cv) >= ½·min over cv + ½·min over cu
+// splits every edge between its endpoints while keeping the per-vertex
+// choice consistent across that vertex's edges).
+func (bp *beamPlan) lowerBound() float64 {
+	m := bp.m
 	n := m.G.Len()
 	lb1 := 0.0
 	for v := 0; v < n; v++ {
-		mn := math.Inf(1)
-		for _, c := range m.TLRow(v) {
-			if c < mn {
-				mn = c
-			}
-		}
-		lb1 += mn
+		lb1 += slices.Min(m.TLRow(v))
 	}
 	for e := range m.Edges() {
-		vals, _ := m.EdgeTable(e)
-		mn := math.Inf(1)
-		for _, c := range vals {
-			if c < mn {
-				mn = c
-			}
-		}
-		lb1 += mn
+		lb1 += slices.Min(bp.minU[e])
 	}
 	lb2 := 0.0
 	for v := 0; v < n; v++ {
-		tlv := m.TLRow(v)
-		kv := m.K(v)
 		best := math.Inf(1)
-		for c := 0; c < kv; c++ {
-			s := tlv[c]
+		for c, s := range m.TLRow(v) {
 			for _, ie := range m.Incidence(v) {
-				if ie.Self {
+				switch {
+				case ie.Self:
 					s += m.EdgeCost(ie.E, c, c)
-					continue
+				case ie.VIsU:
+					s += 0.5 * bp.minU[ie.E][c]
+				default:
+					s += 0.5 * bp.minV[ie.E][c]
 				}
-				var row []float64
-				if ie.VIsU {
-					vals, stride := m.EdgeTable(ie.E) // [cu*kv'+cv], row = fixed cu
-					row = vals[c*stride : (c+1)*stride]
-				} else {
-					vals, stride := m.EdgeTableT(ie.E) // [cv*ku+cu], row = fixed cv
-					row = vals[c*stride : (c+1)*stride]
-				}
-				mn := math.Inf(1)
-				for _, x := range row {
-					if x < mn {
-						mn = x
-					}
-				}
-				s += 0.5 * mn
 			}
-			if s < best {
-				best = s
-			}
+			best = min(best, s)
 		}
 		lb2 += best
 	}
@@ -206,17 +301,10 @@ func beamLowerBound(m *cost.Model) float64 {
 // beamGap converts a realized strategy cost and an admissible lower bound
 // into the relative gap, clamped to [0, maxBeamGap].
 func beamGap(costV, lb float64) float64 {
-	if lb > 0 {
-		g := costV/lb - 1
-		if g < 0 {
-			g = 0
-		}
-		if g > maxBeamGap {
-			g = maxBeamGap
-		}
-		return g
-	}
-	if costV <= lb {
+	switch {
+	case lb > 0:
+		return min(max(costV/lb-1, 0), maxBeamGap)
+	case costV <= lb:
 		return 0
 	}
 	return maxBeamGap
@@ -247,16 +335,15 @@ func SolveBeam(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts BeamOp
 	if len(sq.Order) != m.G.Len() {
 		return nil, fmt.Errorf("core: ordering covers %d of %d vertices", len(sq.Order), m.G.Len())
 	}
-	subsets := seq.ConnectedSubsetsAll(m.G, sq)
-	guide := beamGuideIdx(m)
-	lb := beamLowerBound(m)
+	bp := newBeamPlan(m, sq)
+	lb := bp.lowerBound()
 
 	var best *BeamResult
 	var totalStates int64
 	w := opts.Width
 	for pass := 1; ; pass++ {
 		t0 := time.Now()
-		res, exact, err := beamPass(ctx, m, sq, subsets, guide, opts.Options, w)
+		res, exact, err := bp.pass(ctx, opts.Options, w, beamJoinCap(w), nil)
 		if err != nil {
 			// Refinement best-effort: a deadline, cancellation, or budget
 			// blowup on a LATER pass returns the best strategy already
@@ -312,335 +399,288 @@ func SolveBeam(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts BeamOp
 	return best, nil
 }
 
-// beamJoinSub wires one connected subset into a position's sparse join: the
-// child position, where v sits in the child's dependent set (the C slot),
-// and the parent φ digit of every other member.
-type beamJoinSub struct {
-	pos   int
-	vSlot int   // index of v within the child's D(j), or -1
-	slot  []int // parent digit per child D(j) member; -1 at vSlot
-	ck    []int // child radices, child-stride order (first member fastest)
+// beamJoinCap is k, the bound on the transient frontier between generation
+// steps; the final per-table truncation is to width. 4x slack lets distinct
+// configurations C survive the intermediate steps even when they will
+// collapse under the per-flat group-by.
+func beamJoinCap(width int) int { return max(4*width, 64) }
+
+// beamEdge is an incident edge to a later vertex: its table oriented
+// vals[other*kv+c] like the exact kernel, that orientation's row minima, the
+// other endpoint and its φ digit.
+type beamEdge struct {
+	vals, mins []float64
+	other, dg  int
 }
 
-// beamPass runs one bounded-width fill over every position and extracts the
-// best retained strategy. The second return reports exactness: true when no
-// frontier was ever truncated, in which case the sparse join enumerated the
-// full recurrence and the result equals the exact DP's.
-func beamPass(ctx context.Context, m *cost.Model, sq *seq.Sequence, subsets [][][]int, guide []int, opts Options, width int) (*Result, bool, error) {
-	g := m.G
-	n := g.Len()
+// beamRow is one edge row a generation step attaches: edge li of the
+// position, its row picked by digit k of the entry being joined.
+type beamRow struct{ li, k int }
+
+// beamScratch is a pass's working memory, pooled across passes and solves
+// the way fillScratch is: the sorted partials being extended, the frontier
+// collecting their extensions, and the position's and the current join's
+// wiring. It holds indices and its own buffers only, never a slice of a cost
+// or DP table. Contents are undefined on Get.
+type beamScratch struct {
+	cur      []beamPartial
+	front    beamFrontier
+	kd       []int     // radix of each φ digit of the position
+	pstride  []int64   // its stride in the flat index
+	digitOf  []int     // node → φ digit, -1 when absent
+	assigned []bool    // φ digits some generation step has set
+	slot     []int     // per child digit: the φ digit, -1 for v itself
+	ck       []int     // child radices
+	cdg      []int     // the child entry being joined, decoded
+	rows     []beamRow // edge rows this step attaches
+	have     []int64   // per partial: its assigned digits among slot, as a flat
+}
+
+var beamScratchPool = sync.Pool{New: func() any { return new(beamScratch) }}
+
+// flatAt is position pos's table index under the configurations cfg gives
+// its dependent set (first member fastest, as in the exact kernel).
+func (bp *beamPlan) flatAt(pos int, cfg []int) int64 {
+	flat, stride := int64(0), int64(1)
+	for _, d := range bp.sq.Dep[pos] {
+		flat += int64(cfg[d]) * stride
+		stride *= int64(bp.m.K(d))
+	}
+	return flat
+}
+
+// pass runs one bounded-width fill over every position — at most k partials
+// between generation steps, at most width retained states per table plus the
+// guide's — and extracts the best retained strategy. The second return
+// reports exactness: true when no frontier was ever cut, in which case the
+// sparse join enumerated the full recurrence and the result equals the exact
+// DP's. onTable, when non-nil, observes each table as it is published.
+func (bp *beamPlan) pass(ctx context.Context, opts Options, width, k int, onTable func(pos int, t beamTable)) (*Result, bool, error) {
+	m, sq, guide := bp.m, bp.sq, bp.guide
+	n := m.G.Len()
 	budget := opts.maxEntries()
 	budgetUnits := 3 * budget
 	liveUnits := int64(0)
 	arena := opts.Arena
 	done := ctx.Done()
-	cancelErr := func() error {
-		return fmt.Errorf("core: beam solve cancelled: %w", context.Cause(ctx))
-	}
+	cancelErr := func() error { return fmt.Errorf("core: beam solve cancelled: %w", context.Cause(ctx)) }
+	st := newStats(m, sq)
 
-	var st Stats
-	st.MaxDepSize = sq.MaxDepSize()
-	st.PrunedConfigs = m.PrunedConfigs()
-	st.KEffective = m.MaxKEffective()
-	st.VertexClasses = m.VertexClasses()
-	st.EdgeClasses = m.EdgeClasses()
-	st.TableBytes = m.TableBytes()
-	st.SharedTableBytes = m.SharedTableBytes()
-
-	// Liveness plan: identical to the exact solver. A beam entry is 5
-	// 4-byte units (int64 flat = 2, float64 cost = 2, int32 choice = 1);
-	// costs are freed at the table's last reader, flats+choices stay for
-	// back-substitution.
-	lastReader := make([]int, n)
-	for j := range lastReader {
-		lastReader[j] = -1
-	}
-	for i, subs := range subsets {
-		for _, sub := range subs {
-			if j := sq.Pos[sub[len(sub)-1]]; i > lastReader[j] {
-				lastReader[j] = i
-			}
-		}
-	}
-	freeAt := make([][]int, n)
-	for j, r := range lastReader {
-		if r >= 0 {
-			freeAt[r] = append(freeAt[r], j)
-		}
-	}
-
+	// A beam entry is 5 4-byte units (int64 flat = 2, float64 cost = 2, int32
+	// choice = 1); costs are freed at the table's last reader, flats+choices
+	// stay for back-substitution. What is still held goes back on any return.
 	tables := make([]beamTable, n)
+	defer func() {
+		for _, t := range tables {
+			arena.PutI64(t.flats)
+			arena.PutF64(t.costs)
+			arena.PutI32(t.choices)
+		}
+	}()
+
+	sc := beamScratchPool.Get().(*beamScratch)
+	defer beamScratchPool.Put(sc)
+	front := &sc.front
+	front.reset(k)
+	sc.digitOf = grown(sc.digitOf, n)
+	for j := range sc.digitOf {
+		sc.digitOf[j] = -1
+	}
+	var erefs []beamEdge
 	pruned := false
-	var finalCost float64
 
-	// joinCap bounds the transient frontier between join steps; the final
-	// per-table truncation is to width. 4x slack lets distinct
-	// configurations C survive the intermediate steps even when they will
-	// collapse under the per-flat group-by.
-	joinCap := width * 4
-	if joinCap < 64 {
-		joinCap = 64
-	}
-
-	digitOf := make([]int, n)
-	for j := range digitOf {
-		digitOf[j] = -1
-	}
-
-	var combos int64
-	poll := func() bool {
-		if done == nil {
-			return false
-		}
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-
-	byCostFlatC := func(ps []beamPartial) func(a, b int) bool {
-		return func(a, b int) bool {
-			if ps[a].cost != ps[b].cost {
-				return ps[a].cost < ps[b].cost
-			}
-			if ps[a].flat != ps[b].flat {
-				return ps[a].flat < ps[b].flat
-			}
-			return ps[a].c < ps[b].c
-		}
-	}
-	trim := func(ps []beamPartial, cap int) []beamPartial {
-		if len(ps) <= cap {
-			return ps
-		}
-		pruned = true
-		sort.Slice(ps, byCostFlatC(ps))
-		return ps[:cap]
-	}
-
-	var kd []int
-	var pstride []int64
-	var cdg []int
-
-	for i := 0; i < n; i++ {
+	for i, v := range sq.Order {
 		if done != nil && ctx.Err() != nil {
 			return nil, false, cancelErr()
 		}
-		v := sq.Order[i]
 		dep := sq.Dep[i]
-		kd = kd[:0]
-		pstride = pstride[:0]
+		sc.kd, sc.pstride = sc.kd[:0], sc.pstride[:0]
 		flatSpace := int64(1)
-		for k, d := range dep {
-			kk := m.K(d)
-			if flatSpace > (math.MaxInt64/4)/int64(kk) {
+		for dg, d := range dep {
+			kk := int64(m.K(d))
+			if flatSpace > (math.MaxInt64/4)/kk {
 				return nil, false, fmt.Errorf("core: beam flat index space at vertex %d exceeds int64 (dependent set too entangled)", v)
 			}
-			kd = append(kd, kk)
-			pstride = append(pstride, flatSpace)
-			digitOf[d] = k
-			flatSpace *= int64(kk)
+			sc.kd = append(sc.kd, int(kk))
+			sc.pstride = append(sc.pstride, flatSpace)
+			sc.digitOf[d] = dg
+			flatSpace *= kk
 		}
 
-		// Subset join wiring: every member of a child's D(j) is v itself or
-		// a φ digit of this position, exactly as in the exact kernel.
-		subs := subsets[i]
-		joins := make([]beamJoinSub, len(subs))
-		for si, sub := range subs {
-			jPos := sq.Pos[sub[len(sub)-1]]
-			dj := sq.Dep[jPos]
-			js := beamJoinSub{pos: jPos, vSlot: -1, slot: make([]int, len(dj)), ck: make([]int, len(dj))}
-			for k, d := range dj {
-				js.ck[k] = m.K(d)
-				if d == v {
-					js.vSlot = k
-					js.slot[k] = -1
-					continue
-				}
-				dg := digitOf[d]
-				if dg < 0 {
-					return nil, false, fmt.Errorf("core: D(%d) member %d not in D(%d) ∪ {v(%d)}: ordering's dependent sets are inconsistent", jPos, d, i, i)
-				}
-				js.slot[k] = dg
-			}
-			joins[si] = js
-		}
-
-		// Incident edges to later vertices, oriented vals[other*kv+c] like
-		// the exact kernel, indexed per φ digit.
-		type edgeRef struct {
-			vals  []float64
-			other int
-		}
-		var erefs []edgeRef
-		edgeDig := make([][]int, len(dep))
+		erefs = erefs[:0]
 		for _, ie := range m.Incidence(v) {
 			if sq.Pos[ie.Other] <= i {
 				continue
 			}
-			dg := digitOf[ie.Other]
-			if dg < 0 {
+			ed := beamEdge{other: ie.Other, dg: sc.digitOf[ie.Other]}
+			if ed.dg < 0 {
 				return nil, false, fmt.Errorf("core: later neighbour %d of %d missing from D(%d)", ie.Other, v, i)
 			}
-			var vals []float64
 			if ie.VIsU {
-				vals, _ = m.EdgeTableT(ie.E)
+				ed.vals, _ = m.EdgeTableT(ie.E)
+				ed.mins = bp.minV[ie.E]
 			} else {
-				vals, _ = m.EdgeTable(ie.E)
+				ed.vals, _ = m.EdgeTable(ie.E)
+				ed.mins = bp.minU[ie.E]
 			}
-			edgeDig[dg] = append(edgeDig[dg], len(erefs))
-			erefs = append(erefs, edgeRef{vals: vals, other: ie.Other})
+			erefs = append(erefs, ed)
 		}
 
 		kv := m.K(v)
 		tlv := m.TLRow(v)
+		sc.assigned = grown(sc.assigned, len(dep))
+		clear(sc.assigned)
 
-		// Seed the frontier with every configuration of v at φ-flat 0.
-		cur := make([]beamPartial, 0, kv)
-		for c := 0; c < kv; c++ {
-			cur = append(cur, beamPartial{flat: 0, cost: tlv[c], c: int32(c)})
-		}
-		cur = trim(cur, joinCap)
-		assigned := make([]bool, len(dep))
-
-		overBudget := func(transient int) bool {
-			return liveUnits+5*int64(transient) > budgetUnits
-		}
-
-		// Join each subset's retained frontier: decode each child entry's
-		// digits once, then extend every compatible partial. Edge costs
-		// attach when their φ digit is first assigned.
-		for _, js := range joins {
-			child := &tables[js.pos]
-			next := make([]beamPartial, 0, len(cur))
-			cdg = grown(cdg, len(js.ck))
-			for ei := range child.flats {
-				rem := child.flats[ei]
-				for k := range js.ck {
-					cdg[k] = int(rem % int64(js.ck[k]))
-					rem /= int64(js.ck[k])
-				}
-				ccost := child.costs[ei]
-				for pi := range cur {
-					combos++
-					if combos&cancelCheckMask == 0 {
-						if poll() {
-							return nil, false, cancelErr()
-						}
-						if overBudget(len(next)) {
-							return nil, false, fmt.Errorf("%w: beam frontier at vertex %d exceeds %d entries", ErrOOM, v, budget)
-						}
-						// Keep the transient frontier bounded: compacting
-						// mid-join is still deterministic (generation order
-						// is fixed) and just counts as pruning.
-						if len(next) > joinCap*4 {
-							next = trim(next, joinCap)
-						}
-					}
-					p := &cur[pi]
-					if js.vSlot >= 0 && cdg[js.vSlot] != int(p.c) {
-						continue
-					}
-					ok := true
-					flatAdd := int64(0)
-					add := ccost
-					for k, dg := range js.slot {
-						if dg < 0 {
-							continue
-						}
-						d := cdg[k]
-						if assigned[dg] {
-							if int((p.flat/pstride[dg])%int64(kd[dg])) != d {
-								ok = false
-								break
-							}
-							continue
-						}
-						flatAdd += int64(d) * pstride[dg]
-						for _, li := range edgeDig[dg] {
-							add += erefs[li].vals[d*kv+int(p.c)]
-						}
-					}
-					if !ok {
-						continue
-					}
-					next = append(next, beamPartial{flat: p.flat + flatAdd, cost: p.cost + add, c: p.c})
+		// attach adds the rows of the edges to digit dg, read through digit k
+		// of the entries about to be joined: edge costs attach when their φ
+		// digit is first assigned.
+		attach := func(dg, k int) {
+			for li := range erefs {
+				if erefs[li].dg == dg {
+					sc.rows = append(sc.rows, beamRow{li, k})
 				}
 			}
-			for _, dg := range js.slot {
+		}
+		// extend offers the frontier every extension of cur by one entry — a
+		// child's retained state, or one value of an uncovered digit — whose
+		// digits the caller decoded into cdg: cost ccost, new φ digits
+		// flatAdd, compatible with the partials whose v is vc (when >= 0) and
+		// whose already assigned digits, have, equal need. cur ascends in
+		// cost and lb, ccost plus the attached rows' minima summed in the
+		// candidate's own order, is the least any partial can add, so the
+		// walk stops at the first partial whose cost plus lb is above the
+		// frontier's threshold: no later one can enter.
+		extend := func(ccost float64, flatAdd, need int64, vc int) error {
+			lb := ccost
+			for _, r := range sc.rows {
+				lb += erefs[r.li].mins[sc.cdg[r.k]]
+			}
+			for pi := range sc.cur {
+				p := &sc.cur[pi]
+				if front.cut && p.cost+lb > front.thr.cost {
+					break
+				}
+				st.States++
+				if st.States&cancelCheckMask == 0 {
+					if done != nil && ctx.Err() != nil {
+						return cancelErr()
+					}
+					if liveUnits+5*int64(len(sc.cur)+len(front.buf)) > budgetUnits {
+						return fmt.Errorf("%w: beam frontier at vertex %d exceeds %d entries", ErrOOM, v, budget)
+					}
+				}
+				if vc >= 0 && int(p.c) != vc || sc.have[pi] != need {
+					continue
+				}
+				add := ccost
+				for _, r := range sc.rows {
+					add += erefs[r.li].vals[sc.cdg[r.k]*kv+int(p.c)]
+				}
+				front.push(beamPartial{flat: p.flat + flatAdd, cost: p.cost + add, c: p.c})
+			}
+			return nil
+		}
+		// take makes the frontier's survivors the next cur and empties it.
+		take := func() {
+			sc.cur, front.buf = front.sorted(), sc.cur
+			pruned = pruned || front.cut
+			front.reset(k)
+		}
+
+		// Seed with every configuration of v at φ-flat 0.
+		for c, tl := range tlv {
+			front.push(beamPartial{cost: tl, c: int32(c)})
+		}
+		take()
+
+		// Join each subset's retained frontier. Every member of a child's
+		// D(j) is v itself or a φ digit of this position, exactly as in the
+		// exact kernel.
+		for _, sub := range bp.subsets[i] {
+			jPos := sq.Pos[sub[len(sub)-1]]
+			sc.slot, sc.ck, sc.rows = sc.slot[:0], sc.ck[:0], sc.rows[:0]
+			for kk, d := range sq.Dep[jPos] {
+				dg := -1
+				if d != v {
+					if dg = sc.digitOf[d]; dg < 0 {
+						return nil, false, fmt.Errorf("core: D(%d) member %d not in D(%d) ∪ {v(%d)}: ordering's dependent sets are inconsistent", jPos, d, i, i)
+					}
+					if !sc.assigned[dg] {
+						attach(dg, kk)
+					}
+				}
+				sc.slot = append(sc.slot, dg)
+				sc.ck = append(sc.ck, m.K(d))
+			}
+			sc.have = grown(sc.have, len(sc.cur))
+			for pi, p := range sc.cur {
+				sc.have[pi] = 0
+				for _, dg := range sc.slot {
+					if dg >= 0 && sc.assigned[dg] {
+						sc.have[pi] += p.flat / sc.pstride[dg] % int64(sc.kd[dg]) * sc.pstride[dg]
+					}
+				}
+			}
+			sc.cdg = grown(sc.cdg, len(sc.ck))
+			child := &tables[jPos]
+			for ei, rem := range child.flats {
+				flatAdd, need, vc := int64(0), int64(0), -1
+				for kk, dg := range sc.slot {
+					d := rem % int64(sc.ck[kk])
+					rem /= int64(sc.ck[kk])
+					sc.cdg[kk] = int(d)
+					switch {
+					case dg < 0:
+						vc = int(d)
+					case sc.assigned[dg]:
+						need += d * sc.pstride[dg]
+					default:
+						flatAdd += d * sc.pstride[dg]
+					}
+				}
+				if err := extend(child.costs[ei], flatAdd, need, vc); err != nil {
+					return nil, false, err
+				}
+			}
+			for _, dg := range sc.slot {
 				if dg >= 0 {
-					assigned[dg] = true
+					sc.assigned[dg] = true
 				}
 			}
-			cur = trim(next, joinCap)
+			take()
 		}
 
 		// Digits no subset covered (edge-only or value-independent
 		// attachments): enumerate their values so later parents can match
 		// any combination, attaching edge costs where present.
-		for k := range dep {
-			if assigned[k] {
+		for dg := range dep {
+			if sc.assigned[dg] {
 				continue
 			}
-			next := make([]beamPartial, 0, len(cur)*kd[k])
-			for d := 0; d < kd[k]; d++ {
-				for pi := range cur {
-					combos++
-					if combos&cancelCheckMask == 0 {
-						if poll() {
-							return nil, false, cancelErr()
-						}
-						if overBudget(len(next)) {
-							return nil, false, fmt.Errorf("%w: beam frontier at vertex %d exceeds %d entries", ErrOOM, v, budget)
-						}
-						if len(next) > joinCap*4 {
-							next = trim(next, joinCap)
-						}
-					}
-					p := &cur[pi]
-					add := 0.0
-					for _, li := range edgeDig[k] {
-						add += erefs[li].vals[d*kv+int(p.c)]
-					}
-					next = append(next, beamPartial{flat: p.flat + int64(d)*pstride[k], cost: p.cost + add, c: p.c})
+			sc.rows = sc.rows[:0]
+			attach(dg, 0)
+			sc.have = grown(sc.have, len(sc.cur))
+			clear(sc.have)
+			sc.cdg = grown(sc.cdg, 1)
+			for d := 0; d < sc.kd[dg]; d++ {
+				sc.cdg[0] = d
+				if err := extend(0, int64(d)*sc.pstride[dg], 0, -1); err != nil {
+					return nil, false, err
 				}
 			}
-			assigned[k] = true
-			cur = trim(next, joinCap)
+			sc.assigned[dg] = true
+			take()
 		}
-		st.States += combos
-		combos = 0
 
-		// Finalize: group by flat keeping the min cost (smallest C on ties,
-		// matching the exact kernel's strict-< argmin), then keep the top-W
-		// flats by cost.
-		sort.Slice(cur, func(a, b int) bool {
-			if cur[a].flat != cur[b].flat {
-				return cur[a].flat < cur[b].flat
-			}
-			if cur[a].cost != cur[b].cost {
-				return cur[a].cost < cur[b].cost
-			}
-			return cur[a].c < cur[b].c
-		})
-		out := cur[:0]
-		for _, p := range cur {
-			if len(out) == 0 || out[len(out)-1].flat != p.flat {
-				out = append(out, p)
-			}
-		}
+		// Finalize: group by flat keeping the min cost (smallest C on ties),
+		// then keep the top-W flats by cost.
+		slices.SortFunc(sc.cur, byFlat)
+		out := slices.CompactFunc(sc.cur, func(p, q beamPartial) bool { return p.flat == q.flat })
 		if len(out) > width {
 			pruned = true
-			sort.Slice(out, func(a, b int) bool {
-				if out[a].cost != out[b].cost {
-					return out[a].cost < out[b].cost
-				}
-				return out[a].flat < out[b].flat
-			})
+			slices.SortFunc(out, byCost)
 			out = out[:width]
-			sort.Slice(out, func(a, b int) bool { return out[a].flat < out[b].flat })
+			slices.SortFunc(out, byFlat)
 		}
 
 		// Force-retain the guide state so every table — and therefore every
@@ -649,73 +689,51 @@ func beamPass(ctx context.Context, m *cost.Model, sq *seq.Sequence, subsets [][]
 		// (which this same rule guarantees exist), so the stored cost is
 		// exactly realizable by back-substitution.
 		gC := guide[v]
-		gFlat := int64(0)
-		for k, d := range dep {
-			gFlat += int64(guide[d]) * pstride[k]
-		}
+		gFlat := bp.flatAt(i, guide)
 		gVal := tlv[gC]
-		for li := range erefs {
-			gVal += erefs[li].vals[guide[erefs[li].other]*kv+gC]
+		for _, ed := range erefs {
+			gVal += ed.vals[guide[ed.other]*kv+gC]
 		}
-		for _, js := range joins {
-			cf := int64(0)
-			cs := int64(1)
-			for _, d := range sq.Dep[js.pos] {
-				cf += int64(guide[d]) * cs
-				cs *= int64(m.K(d))
+		for _, sub := range bp.subsets[i] {
+			jPos := sq.Pos[sub[len(sub)-1]]
+			j, ok := slices.BinarySearch(tables[jPos].flats, bp.flatAt(jPos, guide))
+			if !ok {
+				return nil, false, fmt.Errorf("core: beam guide state missing from table %d", jPos)
 			}
-			j, okL := tables[js.pos].lookup(cf)
-			if !okL {
-				return nil, false, fmt.Errorf("core: beam guide state missing from table %d", js.pos)
-			}
-			gVal += tables[js.pos].costs[j]
+			gVal += tables[jPos].costs[j]
 		}
-		if j := sort.Search(len(out), func(j int) bool { return out[j].flat >= gFlat }); j < len(out) && out[j].flat == gFlat {
-			if gVal < out[j].cost {
-				out[j].cost = gVal
-				out[j].c = int32(gC)
-			}
-		} else {
-			out = append(out, beamPartial{})
-			copy(out[j+1:], out[j:])
-			out[j] = beamPartial{flat: gFlat, cost: gVal, c: int32(gC)}
+		j, ok := slices.BinarySearchFunc(out, gFlat, func(p beamPartial, flat int64) int { return cmp.Compare(p.flat, flat) })
+		if !ok {
+			out = slices.Insert(out, j, beamPartial{flat: gFlat, cost: gVal, c: int32(gC)})
+		} else if gVal < out[j].cost {
+			out[j].cost, out[j].c = gVal, int32(gC)
 		}
+		sc.cur = out
 
 		// Charge the retained table against the budget and publish it.
 		sz := int64(len(out))
 		st.TotalEntries += sz
-		if sz > st.MaxTable {
-			st.MaxTable = sz
-		}
+		st.MaxTable = max(st.MaxTable, sz)
 		liveUnits += 5 * sz
 		if liveUnits > budgetUnits {
 			return nil, false, fmt.Errorf("%w: live beam tables at vertex %d exceed %d entries", ErrOOM, v, budget)
 		}
-		if live := (liveUnits + 2) / 3; live > st.PeakLiveEntries {
-			st.PeakLiveEntries = live
-		}
-		t := beamTable{
-			flats:   make([]int64, len(out)),
-			costs:   arena.GetF64(sz),
-			choices: arena.GetI32(sz),
-		}
+		st.PeakLiveEntries = max(st.PeakLiveEntries, (liveUnits+2)/3)
+		t := beamTable{flats: arena.GetI64(sz), costs: arena.GetF64(sz), choices: arena.GetI32(sz)}
 		for j, p := range out {
-			t.flats[j] = p.flat
-			t.costs[j] = p.cost
-			t.choices[j] = p.c
+			t.flats[j], t.costs[j], t.choices[j] = p.flat, p.cost, p.c
 		}
 		tables[i] = t
-		if i == n-1 {
-			finalCost = t.costs[0]
+		if onTable != nil {
+			onTable(i, t)
 		}
-
-		for _, j := range freeAt[i] {
+		for _, j := range bp.freeAt[i] {
 			liveUnits -= 2 * int64(len(tables[j].flats))
 			arena.PutF64(tables[j].costs)
 			tables[j].costs = nil
 		}
 		for _, d := range dep {
-			digitOf[d] = -1
+			sc.digitOf[d] = -1
 		}
 	}
 
@@ -729,23 +747,19 @@ func beamPass(ctx context.Context, m *cost.Model, sq *seq.Sequence, subsets [][]
 	var walk func(pos int) error
 	walk = func(pos int) error {
 		v := sq.Order[pos]
-		dj := sq.Dep[pos]
-		flat := int64(0)
-		stride := int64(1)
-		for _, d := range dj {
+		for _, d := range sq.Dep[pos] {
 			if !assignedV[d] {
 				return fmt.Errorf("core: beam back-substitution reached %d before its dependent %d", v, d)
 			}
-			flat += int64(idx[d]) * stride
-			stride *= int64(m.K(d))
 		}
-		j, okL := tables[pos].lookup(flat)
-		if !okL {
+		flat := bp.flatAt(pos, idx)
+		j, ok := slices.BinarySearch(tables[pos].flats, flat)
+		if !ok {
 			return fmt.Errorf("core: beam back-substitution: no retained state at position %d flat %d", pos, flat)
 		}
 		idx[v] = int(tables[pos].choices[j])
 		assignedV[v] = true
-		for _, sub := range subsets[pos] {
+		for _, sub := range bp.subsets[pos] {
 			if err := walk(sq.Pos[sub[len(sub)-1]]); err != nil {
 				return err
 			}
@@ -755,31 +769,15 @@ func beamPass(ctx context.Context, m *cost.Model, sq *seq.Sequence, subsets [][]
 	if err := walk(n - 1); err != nil {
 		return nil, false, err
 	}
-	for v := 0; v < n; v++ {
-		if !assignedV[v] {
-			return nil, false, fmt.Errorf("core: beam back-substitution left node %d unassigned (graph not weakly connected?)", v)
-		}
+	if v := slices.Index(assignedV, false); v >= 0 {
+		return nil, false, fmt.Errorf("core: beam back-substitution left node %d unassigned (graph not weakly connected?)", v)
 	}
 
-	res := &Result{
-		Cost:     finalCost,
-		Idx:      idx,
-		Strategy: m.StrategyFromIdx(idx),
-		Seq:      sq,
-		Stats:    st,
-	}
+	res := &Result{Cost: tables[n-1].costs[0], Idx: idx, Strategy: m.StrategyFromIdx(idx), Seq: sq, Stats: st}
 	// The beam's root value is the exact cost of the extracted strategy
 	// (child values fold exactly, never estimates) — guard the wiring.
 	if ev := m.EvalIdx(idx); math.Abs(ev-res.Cost) > 1e-6*math.Max(1, math.Abs(ev)) {
 		return nil, false, fmt.Errorf("core: beam extracted strategy costs %v but retained root value is %v", ev, res.Cost)
-	}
-	for i := 0; i < n; i++ {
-		if tables[i].costs != nil {
-			arena.PutF64(tables[i].costs)
-			tables[i].costs = nil
-		}
-		arena.PutI32(tables[i].choices)
-		tables[i].choices = nil
 	}
 	return res, !pruned, nil
 }

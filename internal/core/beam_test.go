@@ -1,11 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -63,43 +66,102 @@ func TestBeamUnboundedByteIdenticalOnPaperBenchmarks(t *testing.T) {
 	}
 }
 
-// Gap soundness on random layer graphs: for any width, the reported beam
-// cost must be realizable (>= the exact optimum) and the gap must bracket
-// the optimum from below — beamCost >= OPT >= beamCost/(1+gap). When the
-// pass reports Exact the costs must agree outright.
+// The bracket against an independent oracle: on the adversarial generator the
+// scan tests use, at every width, the reported cost must be realizable and
+// the gap must bracket the brute-force optimum — Cost/(1+Gap) <= OPT <= Cost.
+// A pass wide enough that no frontier can be cut (every table, times every
+// configuration of the vertex being joined) must report Exact at the exact
+// DP's cost with its strategy. Cost is also non-increasing in W on every
+// graph here — not a theorem of beam search (a wider cut can evict a state a
+// narrower one kept), so a violation means the cut order changed, not
+// necessarily a bug — and the anytime loop's running best never rises.
 func TestBeamGapSoundnessOnRandomGraphs(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	const p = 8
 	const relTol = 1e-9
-	for trial := 0; trial < 8; trial++ {
-		g := randomDNNGraph(rng, 5+rng.Intn(7))
-		m := newModel(t, g, p)
+	var bracketed, cutPasses int
+	for trial := 0; trial < 160; trial++ {
+		rng := rand.New(rand.NewSource(int64(8200 + trial)))
+		n := 3 + rng.Intn(5)
+		p := []int{2, 4, 8}[trial%3]
+		m := adversarialModel(t, rng, n, p)
+		strategies := 1
+		for v := 0; v < n; v++ {
+			strategies *= m.K(v)
+		}
+		if strategies > 20000 {
+			continue
+		}
+		bf, err := BruteForce(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := math.Inf(1)
+		for _, width := range []int{1, 2, 8, 64} {
+			label := fmt.Sprintf("trial %d width %d", trial, width)
+			br, err := beamFind(m, BeamOptions{Width: width, GapTarget: -1})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if br.Cost < bf.Cost*(1-relTol) {
+				t.Fatalf("%s: beam cost %v below the brute-force optimum %v", label, br.Cost, bf.Cost)
+			}
+			// An infinite cost (every retained strategy crosses a +Inf
+			// entry) carries the capped gap, which brackets nothing.
+			if lower := br.Cost / (1 + br.Gap); !math.IsInf(br.Cost, 1) && lower > bf.Cost*(1+relTol) {
+				t.Fatalf("%s: gap %v claims optimum >= %v, but brute force found %v", label, br.Gap, lower, bf.Cost)
+			}
+			if br.Exact && br.Cost != bf.Cost && math.Abs(br.Cost-bf.Cost) > relTol*bf.Cost {
+				t.Fatalf("%s: flagged exact but cost %v != %v", label, br.Cost, bf.Cost)
+			}
+			if got := m.EvalIdx(br.Idx); got != br.Cost && math.Abs(got-br.Cost) > relTol*math.Abs(got) {
+				t.Fatalf("%s: reported cost %v, strategy evaluates to %v", label, br.Cost, got)
+			}
+			if err := br.Strategy.Validate(m.G, p); err != nil {
+				t.Fatalf("%s: invalid strategy: %v", label, err)
+			}
+			if !br.Exact {
+				cutPasses++
+			}
+			if br.Cost > best {
+				t.Fatalf("%s: cost %v above a narrower pass's %v", label, br.Cost, best)
+			}
+			best = br.Cost
+		}
+		bracketed++
+
+		// The anytime loop from W=1: the running best never rises and ends
+		// proven optimal.
+		var costs []float64
+		br, err := beamFind(m, BeamOptions{Width: 1, GapTarget: 1e-12,
+			OnPass: func(_, _ int, c, _ float64) { costs = append(costs, c) }})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !slices.IsSortedFunc(costs, func(a, b float64) int { return cmp.Compare(b, a) }) {
+			t.Fatalf("trial %d: refinement costs rose: %v", trial, costs)
+		}
+		if !br.Exact && br.Gap > 1e-12 || br.Cost != bf.Cost && math.Abs(br.Cost-bf.Cost) > relTol*bf.Cost {
+			t.Fatalf("trial %d: refined to cost %v exact=%v gap=%v; brute force %v", trial, br.Cost, br.Exact, br.Gap, bf.Cost)
+		}
+
+		// Wide enough to cut nothing: exact, and the exact DP's strategy.
 		exact, err := FindBestStrategy(m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, width := range []int{1, 2, 8, 64} {
-			br, err := beamFind(m, BeamOptions{Width: width, GapTarget: -1})
-			if err != nil {
-				t.Fatalf("trial %d width %d: %v", trial, width, err)
-			}
-			if br.Cost < exact.Cost*(1-relTol) {
-				t.Fatalf("trial %d width %d: beam cost %v below exact optimum %v",
-					trial, width, br.Cost, exact.Cost)
-			}
-			lower := br.Cost / (1 + br.Gap)
-			if lower > exact.Cost*(1+relTol) {
-				t.Fatalf("trial %d width %d: gap %v claims optimum >= %v, but exact is %v",
-					trial, width, br.Gap, lower, exact.Cost)
-			}
-			if br.Exact && math.Abs(br.Cost-exact.Cost) > relTol*exact.Cost {
-				t.Fatalf("trial %d width %d: flagged exact but cost %v != %v",
-					trial, width, br.Cost, exact.Cost)
-			}
-			if err := br.Strategy.Validate(m.G, p); err != nil {
-				t.Fatalf("trial %d width %d: invalid strategy: %v", trial, width, err)
-			}
+		wide, err := beamFind(m, BeamOptions{Width: int(exact.Stats.MaxTable) * exact.Stats.KEffective, GapTarget: -1})
+		if err != nil {
+			t.Fatal(err)
 		}
+		// (The two sum in different orders, so the costs may differ in the
+		// last place.)
+		if !wide.Exact || wide.Gap != 0 || math.Abs(wide.Cost-exact.Cost) > relTol*exact.Cost || !slices.Equal(wide.Idx, exact.Idx) {
+			t.Fatalf("trial %d: uncut pass exact=%v gap=%v cost=%v idx=%v; exact DP cost=%v idx=%v",
+				trial, wide.Exact, wide.Gap, wide.Cost, wide.Idx, exact.Cost, exact.Idx)
+		}
+	}
+	t.Logf("%d of 160 trials brute-forced, %d of their passes cut", bracketed, cutPasses)
+	if bracketed < 80 || cutPasses == 0 {
+		t.Errorf("%d of 160 trials were small enough to brute-force, %d passes were cut — want >= 80 and > 0", bracketed, cutPasses)
 	}
 }
 

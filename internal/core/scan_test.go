@@ -411,20 +411,27 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 	}
 }
 
-// The scratch a fill returns to the pool must not keep any DP table alive: it
-// may hold nothing a table slice could be stored in, only slices of
-// pointer-free elements (indices and its own cost buffers).
+// The scratch a fill or a beam pass returns to its pool must not keep any DP
+// or cost table alive: it may hold nothing a table slice could be stored in,
+// only pointer-free values and slices of pointer-free elements (indices and
+// its own cost buffers), directly or inside a nested struct.
 func TestPooledScratchCannotReferenceTables(t *testing.T) {
-	typ := reflect.TypeOf(fillScratch{})
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		if f.Type.Kind() != reflect.Slice {
-			t.Fatalf("fillScratch.%s is a %s, want a slice", f.Name, f.Type)
-		}
-		if hasPointers(f.Type.Elem()) {
-			t.Fatalf("fillScratch.%s has element type %s, which can reference a table", f.Name, f.Type.Elem())
+	var check func(name string, typ reflect.Type)
+	check = func(name string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch {
+			case f.Type.Kind() == reflect.Struct:
+				check(name+"."+f.Name, f.Type)
+			case f.Type.Kind() == reflect.Slice && hasPointers(f.Type.Elem()):
+				t.Errorf("%s.%s has element type %s, which can reference a table", name, f.Name, f.Type.Elem())
+			case f.Type.Kind() != reflect.Slice && hasPointers(f.Type):
+				t.Errorf("%s.%s is a %s, which can reference a table", name, f.Name, f.Type)
+			}
 		}
 	}
+	check("fillScratch", reflect.TypeOf(fillScratch{}))
+	check("beamScratch", reflect.TypeOf(beamScratch{}))
 }
 
 func hasPointers(t reflect.Type) bool {

@@ -271,7 +271,11 @@ type Stats struct {
 	// the (φ, C) candidates the bound-pruned scan actually evaluated, plus —
 	// for vertices where the factored kernel applies — one combine per table
 	// entry whose scan was shared with other entries. It depends on table
-	// data alone, so it repeats exactly at every worker count.
+	// data alone, so it repeats exactly at every worker count. A beam pass
+	// counts the same thing for its sparse join: the (child entry or digit
+	// value, partial) candidates its generation steps evaluated before the
+	// frontier's threshold stopped them, compatible or not, summed over the
+	// passes of a SolveBeam.
 	States int64
 	// ScanSpace is what States would be without the bound: every (φ, C)
 	// candidate of the scans that ran (plus the same combines), so
@@ -475,6 +479,45 @@ func Resolve(ctx context.Context, m *cost.Model, snap *Snapshot, dirtyV []bool, 
 	return solveRun(ctx, m, snap.sq, opts, snap, snap.posDirty(dirtyV), true)
 }
 
+// newStats starts a solve's Stats with what the model and the ordering fix
+// before any table is filled.
+func newStats(m *cost.Model, sq *seq.Sequence) Stats {
+	return Stats{
+		MaxDepSize:       sq.MaxDepSize(),
+		PrunedConfigs:    m.PrunedConfigs(),
+		KEffective:       m.MaxKEffective(),
+		VertexClasses:    m.VertexClasses(),
+		EdgeClasses:      m.EdgeClasses(),
+		TableBytes:       m.TableBytes(),
+		SharedTableBytes: m.SharedTableBytes(),
+	}
+}
+
+// freePlan is the liveness plan the exact and the beam solver share:
+// freeAt[i] lists the positions whose cost table is last read by position i's
+// fill. After that fill the table is dead — back-substitution reads choices
+// only — and is freed.
+func freePlan(sq *seq.Sequence, subsets [][][]int) [][]int {
+	lastReader := make([]int, len(subsets))
+	for j := range lastReader {
+		lastReader[j] = -1
+	}
+	for i, subs := range subsets {
+		for _, sub := range subs {
+			if j := sq.Pos[sub[len(sub)-1]]; i > lastReader[j] {
+				lastReader[j] = i
+			}
+		}
+	}
+	freeAt := make([][]int, len(subsets))
+	for j, r := range lastReader {
+		if r >= 0 {
+			freeAt[r] = append(freeAt[r], j)
+		}
+	}
+	return freeAt
+}
+
 // solveRun is the shared DP engine behind Solve, SolveRetain, and Resolve:
 // a full fill when posDirty is nil, a partial re-fill over the dirty
 // positions otherwise (clean positions alias snap's tables). retain keeps
@@ -502,14 +545,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	cancelErr := func() error {
 		return fmt.Errorf("core: solve cancelled: %w", context.Cause(ctx))
 	}
-	var st Stats
-	st.MaxDepSize = sq.MaxDepSize()
-	st.PrunedConfigs = m.PrunedConfigs()
-	st.KEffective = m.MaxKEffective()
-	st.VertexClasses = m.VertexClasses()
-	st.EdgeClasses = m.EdgeClasses()
-	st.TableBytes = m.TableBytes()
-	st.SharedTableBytes = m.SharedTableBytes()
+	st := newStats(m, sq)
 
 	// The fill pool lives for the whole solve: every vertex's chunked table
 	// fill dispatches to the same nw−1 helpers (the calling goroutine is the
@@ -525,33 +561,15 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	choice := make([][]int32, n) // argmin config per (position, φ); kept for back-substitution
 
 	// All connected subsets up front (one bitset pass): both the recurrence
-	// lookup wiring and the liveness plan need them. lastReader[j] is the
-	// last position whose fill reads tbl[j]; after that fill, tbl[j] is dead
-	// (back-substitution only reads choice) and is freed. A Resolve reuses
-	// the snapshot's subsets — same graph topology, same ordering.
+	// lookup wiring and the liveness plan (freePlan) need them. A Resolve
+	// reuses the snapshot's subsets — same graph topology, same ordering.
 	var subsets [][][]int
 	if snap != nil {
 		subsets = snap.subsets
 	} else {
 		subsets = seq.ConnectedSubsetsAll(g, sq)
 	}
-	lastReader := make([]int, n)
-	for j := range lastReader {
-		lastReader[j] = -1
-	}
-	for i, subs := range subsets {
-		for _, sub := range subs {
-			if j := sq.Pos[sub[len(sub)-1]]; i > lastReader[j] {
-				lastReader[j] = i
-			}
-		}
-	}
-	freeAt := make([][]int, n)
-	for j, r := range lastReader {
-		if r >= 0 {
-			freeAt[r] = append(freeAt[r], j)
-		}
-	}
+	freeAt := freePlan(sq, subsets)
 
 	// Live-memory accounting in 4-byte units: a float64 cost cell is 2
 	// units, an int32 choice cell 1, so a full entry is 3. Freeing a cost
@@ -559,6 +577,31 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	// The budget bounds the peak, not the total ever allocated — graphs
 	// whose tables die young fit in budgets their TotalEntries would blow.
 	budgetUnits := 3 * budget
+
+	// Sizing pre-pass: table sizes and the liveness plan need no fill, so a
+	// solve whose tables alone outgrow the budget fails here, before the
+	// first table is allocated, instead of seconds into the fills. The fill
+	// loop below repeats this accounting with the per-vertex scratch (row
+	// minima, factored side tables) charged on top: a solve that passes here
+	// can still run out there, never the other way round.
+	tblSizes := make([]int64, n)
+	planned := int64(0)
+	for i, v := range sq.Order {
+		size := int64(1)
+		for _, d := range sq.Dep[i] {
+			if size *= int64(m.K(d)); size > budget {
+				return nil, nil, fmt.Errorf("%w: table for vertex %d needs >%d entries", ErrOOM, v, budget)
+			}
+		}
+		tblSizes[i] = size
+		if planned += 3 * size; planned > budgetUnits {
+			return nil, nil, fmt.Errorf("%w: live tables at vertex %d exceed %d entries", ErrOOM, v, budget)
+		}
+		for _, j := range freeAt[i] {
+			planned -= 2 * tblSizes[j]
+		}
+	}
+
 	liveUnits := int64(0)
 	// charge takes units of live memory for vertex v's fill, failing once the
 	// budget is exceeded and recording the peak otherwise.
@@ -629,15 +672,10 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		v := sq.Order[i]
 		dep := sq.Dep[i] // node IDs sorted by position, all after i
 		kd = kd[:0]
-		tblSize := int64(1)
+		tblSize := tblSizes[i]
 		for k, d := range dep {
-			kk := m.K(d)
-			kd = append(kd, kk)
+			kd = append(kd, m.K(d))
 			digitOf[d] = k
-			tblSize *= int64(kk)
-			if tblSize > budget {
-				return nil, nil, fmt.Errorf("%w: table for vertex %d needs >%d entries", ErrOOM, v, budget)
-			}
 		}
 		st.TotalEntries += tblSize
 		if tblSize > st.MaxTable {

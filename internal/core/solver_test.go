@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pase/internal/cost"
 	"pase/internal/graph"
@@ -179,6 +181,53 @@ func TestOOMGuard(t *testing.T) {
 	_, err := FindBestStrategy(m, Options{MaxTableEntries: 2})
 	if !errors.Is(err, ErrOOM) {
 		t.Fatalf("want ErrOOM, got %v", err)
+	}
+}
+
+// A solve whose tables alone outgrow the budget must fail in the sizing
+// pre-pass, before any table is filled: the GPT-scale decoder, whose exact DP
+// used to fill tables for seconds before tripping the budget, returns ErrOOM
+// in milliseconds.
+func TestDoomedSolveFailsBeforeFilling(t *testing.T) {
+	m, err := gptDeepModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sq := seq.Generate(m.G)
+	start := time.Now()
+	_, err = Solve(context.Background(), m, sq, Options{Workers: 1})
+	if elapsed := time.Since(start); !errors.Is(err, ErrOOM) || elapsed > 50*time.Millisecond {
+		t.Fatalf("want ErrOOM within 50ms, got %v after %v", err, elapsed)
+	}
+}
+
+// The pre-pass must not move the budget's edge: a paper model still solves
+// with exactly its peak live entries (and one more) as the budget, to the same
+// result and the same reported peak, and still fails one entry below.
+func TestBudgetEdgeAtPeakLiveEntries(t *testing.T) {
+	for _, name := range []string{"alexnet", "inceptionv3", "rnnlm", "transformer"} {
+		t.Run(name, func(t *testing.T) {
+			m := paperModel(t, name, 8)
+			sq := seq.Generate(m.G)
+			free, err := Solve(context.Background(), m, sq, Options{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			peak := free.Stats.PeakLiveEntries
+			for _, budget := range []int64{peak, peak + 1} {
+				got, err := Solve(context.Background(), m, sq, Options{Workers: 1, MaxTableEntries: budget})
+				if err != nil {
+					t.Fatalf("budget %d (peak %d): %v", budget, peak, err)
+				}
+				requireSameResult(t, fmt.Sprintf("budget %d", budget), got, free)
+				if got.Stats.PeakLiveEntries != peak {
+					t.Fatalf("budget %d: peak %d, unbudgeted %d", budget, got.Stats.PeakLiveEntries, peak)
+				}
+			}
+			if _, err := Solve(context.Background(), m, sq, Options{Workers: 1, MaxTableEntries: peak - 1}); !errors.Is(err, ErrOOM) {
+				t.Fatalf("budget %d (peak %d): want ErrOOM, got %v", peak-1, peak, err)
+			}
+		})
 	}
 }
 
