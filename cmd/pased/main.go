@@ -4,7 +4,15 @@
 // the planner's result cache, concurrent identical requests share one solve,
 // and every request — /v1/solve, a fleet-forwarded /v1/internal/solve, or an
 // item of a /v1/batch fanned out across GOMAXPROCS workers — takes the same
-// route: decode → lower → fingerprint → fleet route → solve → encode.
+// route (serveOne). A repeat of a body whose answer is cached does no graph
+// work: hash → memo → lookup → bytes. Anything else: decode → lower →
+// fingerprint → lookup → fleet route | solve → encode, of which a body the
+// request memo knows skips the first three. One gotcha follows: a repeat body
+// never reaches spec.Load or the model registry — the memo is keyed by the
+// body's bytes, which is sound because everything else lowering reads
+// (-max-gpus, -default-beam-width, -prune-epsilon) is fixed at boot — so a
+// change to lowering shows on a body's first request only; /v1/stats
+// memo_hits / memo_misses say which kind a request was.
 //
 // Every solve is tied to its request's context: a disconnected client or the
 // -solve-timeout deadline aborts the model build or DP mid-flight within
@@ -24,7 +32,8 @@
 // served by the anytime bounded-width beam instead — a valid strategy marked
 // "degraded": true with a sound optimality gap. Solver panics are isolated
 // per request. Errors are structured: {"error": ..., "code": ...} with
-// stable codes (shed → 429, oom → 503, timeout → 504, cancelled → 499).
+// stable codes (shed → 429, oom → 503, timeout → 504, cancelled → 499, a body
+// beyond 1 MiB → 413 too_large).
 //
 // -snapshot-path enables warm restarts: the result cache and class store are
 // checkpointed there periodically (-snapshot-interval) and on SIGTERM, and
@@ -77,7 +86,9 @@
 //	                   state (empty on a single-node daemon).
 //	GET  /v1/stats   — planner cache/dedup/cancellation/pressure counters
 //	                   (shed, queued, degraded, panics, restored_results),
-//	                   server counters, and the fleet block when clustered.
+//	                   server counters (the request memo's memo_hits and
+//	                   memo_misses among them), and the fleet block when
+//	                   clustered.
 //	GET  /metrics    — the same counters in Prometheus text exposition
 //	                   format, fleet breaker state per peer included.
 //
@@ -105,7 +116,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -118,6 +131,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -251,16 +265,18 @@ type batchRequest struct {
 	Requests []json.RawMessage `json:"requests"`
 }
 
-type batchEntry struct {
-	*solveResponse
+// batchError is a failed item's entry in a batch response.
+type batchError struct {
 	Error string `json:"error,omitempty"`
 	// Details carries the path-addressed diagnostics when Error reports an
 	// invalid inline spec.
 	Details []pase.SpecDiagnostic `json:"details,omitempty"`
 }
 
+// batchResponse holds one entry per item, aligned with the request: the body
+// /v1/solve would have answered the item with, or its batchError.
 type batchResponse struct {
-	Results []batchEntry `json:"results"`
+	Results []json.RawMessage `json:"results"`
 }
 
 // compareRequest is the wire form of POST /v1/compare: one model, every
@@ -316,6 +332,9 @@ type server struct {
 	// ingestion pipeline or the wire bounds.
 	specSolves atomic.Int64
 	specErrors atomic.Int64
+	// memo resolves a repeated request body to its fingerprint, and to its
+	// stored answer, by hash (see requestMemo).
+	memo *requestMemo
 	// notReady marks the boot window (snapshot restore in progress) and
 	// draining marks a begun SIGTERM drain; either makes /v1/readyz report
 	// 503 so load balancers route elsewhere while /v1/healthz stays 200.
@@ -324,7 +343,7 @@ type server struct {
 }
 
 func newServer(pl *pase.Planner, maxGPUs int, solveTimeout time.Duration) *server {
-	return &server{pl: pl, maxGPUs: maxGPUs, solveTimeout: solveTimeout, start: time.Now()}
+	return &server{pl: pl, maxGPUs: maxGPUs, solveTimeout: solveTimeout, start: time.Now(), memo: newRequestMemo()}
 }
 
 func (s *server) mux() *http.ServeMux {
@@ -351,13 +370,32 @@ func (s *server) solveCtx(r *http.Request) (context.Context, context.CancelFunc)
 	return context.WithCancel(r.Context())
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+// encodeJSON is the wire's one encoder — two-space indentation, one trailing
+// newline — and so the reference every stored or relayed body must match byte
+// for byte.
+func encodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	err := enc.Encode(v)
+	return buf.Bytes(), err
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := encodeJSON(v)
+	if err != nil {
 		log.Printf("pased: encode response: %v", err)
+	}
+	writeBody(w, status, body)
+}
+
+// writeBody sends an already encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	if _, err := w.Write(body); err != nil {
+		log.Printf("pased: write response: %v", err)
 	}
 }
 
@@ -397,13 +435,34 @@ func badRequest(err error) *apiError {
 	return e
 }
 
+// readBody reads a request body whole, up to maxBodyBytes. A longer one is
+// 413 too_large — the bound is what caps the hashing, decoding and forwarding
+// a single request can ask for.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, *apiError) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, &apiError{status: http.StatusRequestEntityTooLarge, Code: "too_large",
+				Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+		}
+		return nil, badRequest(fmt.Errorf("read request: %w", err))
+	}
+	return body, nil
+}
+
+// internalError is a plain 500: a failure that is the daemon's own.
+func internalError(err error) *apiError {
+	return &apiError{status: http.StatusInternalServerError, Code: "internal", Error: err.Error()}
+}
+
 // solveError maps a planner error onto an HTTP status and a stable error
 // code: a shed request is 429 (retry later, or elsewhere), OOM is 503 (this
 // daemon cannot serve the exact solve — with degradation enabled most OOMs
 // never surface here), a solve-deadline expiry is a gateway timeout, a
 // client-cancelled solve is 499, and an isolated solver panic is a plain 500.
 func solveError(err error) *apiError {
-	e := &apiError{status: http.StatusInternalServerError, Code: "internal", Error: err.Error()}
+	e := internalError(err)
 	switch {
 	case errors.Is(err, pase.ErrShed):
 		e.status, e.Code = http.StatusTooManyRequests, "shed"
@@ -463,6 +522,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"requests":       s.served.Load(),
 		"spec_solves":    s.specSolves.Load(),
 		"spec_errors":    s.specErrors.Load(),
+		"memo_hits":      s.memo.hits.Load(),
+		"memo_misses":    s.memo.misses.Load(),
 		"uptime_ms":      time.Since(s.start).Milliseconds(),
 		"ready":          !s.notReady.Load() && !s.draining.Load(),
 		"draining":       s.draining.Load(),
@@ -678,101 +739,157 @@ func (s *server) handleInternalSolve(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, internal bool) {
 	s.served.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		badRequest(fmt.Errorf("read request: %w", err)).write(w)
-		return
-	}
-	ctx, cancel := s.solveCtx(r)
-	defer cancel()
-	resp, apiErr := s.serveOne(ctx, body, internal)
+	body, apiErr := readBody(w, r)
 	if apiErr != nil {
 		apiErr.write(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	ctx, cancel := s.solveCtx(r)
+	defer cancel()
+	out, apiErr := s.serveOne(ctx, body, internal)
+	if apiErr != nil {
+		apiErr.write(w)
+		return
+	}
+	writeBody(w, http.StatusOK, out)
 }
 
 // serveOne is a request's one route through the daemon, whichever endpoint
-// carried it: decode → lower → fingerprint → fleet route → solve → encode.
-// body is the request's own JSON — which is also exactly what a fleet forward
-// relays to the owner. internal marks the peer-to-peer route, which never
-// re-forwards.
-func (s *server) serveOne(ctx context.Context, body []byte, internal bool) (*solveResponse, *apiError) {
-	var sr solveRequest
-	if err := json.Unmarshal(body, &sr); err != nil {
-		return nil, badRequest(fmt.Errorf("decode request: %w", err))
-	}
-	isSpec := len(sr.Spec) > 0
-	var (
-		req  pase.SolveRequest
-		name string
-		err  error
-	)
-	if isSpec {
-		req, name, err = s.toSpecRequest(sr)
-	} else {
-		var bm pase.Benchmark
-		req, bm, err = s.toRequest(sr)
-		name = bm.Name
-	}
-	if err != nil {
-		if isSpec {
-			s.specErrors.Add(1)
+// carried it, and returns the encoded 200 body. A repeat of a body whose
+// answer is still cached does no graph work: hash → memo → lookup → bytes.
+// Anything else runs as much of the long route as it needs: decode → lower →
+// fingerprint (skipped when the memo knows the body) → lookup → fleet route |
+// solve → encode. body is the request's own JSON — which is also exactly what
+// a fleet forward relays to the owner, whose memo therefore knows it too.
+// internal marks the peer-to-peer route, which never re-forwards.
+func (s *server) serveOne(ctx context.Context, body []byte, internal bool) ([]byte, *apiError) {
+	start := time.Now()
+	key := sha256.Sum256(body)
+	ent, known := s.memo.get(key)
+	// req stays zero until something needs the graph: a body the memo knows
+	// is lowered again only to solve it or to encode an answer not yet stored.
+	var req pase.SolveRequest
+	if !known {
+		var apiErr *apiError
+		if req, ent, apiErr = s.lower(body); apiErr != nil {
+			return nil, apiErr
 		}
-		return nil, badRequest(err)
+		s.memo.put(key, ent)
+	}
+	served := func(out []byte) ([]byte, *apiError) {
+		if ent.isSpec {
+			s.specSolves.Add(1)
+		}
+		return out, nil
+	}
+
+	res, inFlight := s.pl.Lookup(ent.fp)
+	if res != nil && res == ent.from {
+		return served(ent.hitBody(start))
 	}
 	var fleetOwner string
-	if s.fleet != nil && !internal {
+	if res == nil && !inFlight && s.fleet != nil && !internal {
 		// Route only what this daemon cannot already answer: a local cache
 		// hit or in-flight identical solve is as good as the owner's copy
 		// (results are deterministic), and skipping the hop keeps a degraded
 		// fleet's hit latency flat.
-		if fp, ferr := s.pl.SolveFingerprint(req); ferr == nil && !s.pl.HasLocal(fp) {
-			out := s.fleet.Route(ctx, fp, body)
-			if out.Decision == fleet.Forwarded {
-				if resp, apiErr, ok := decodeForwarded(out); ok {
-					if isSpec && apiErr == nil {
-						s.specSolves.Add(1)
-					}
-					return resp, apiErr
+		out := s.fleet.Route(ctx, ent.fp, body)
+		if out.Decision == fleet.Forwarded {
+			if relayed, apiErr, ok := relayForwarded(out); ok {
+				if apiErr != nil {
+					return nil, apiErr
 				}
-			}
-			if out.Decision != fleet.Local {
-				// The owner is unreachable, or answered something
-				// undecodable: solve here rather than fail.
-				req.FleetFallback, fleetOwner = true, out.Owner
+				return served(relayed)
 			}
 		}
+		if out.Decision != fleet.Local {
+			// The owner is unreachable, or answered something unusable:
+			// solve here rather than fail.
+			fleetOwner = out.Owner
+		}
 	}
-	res, err := s.pl.Solve(ctx, req)
-	if err != nil {
-		return nil, solveError(err)
+	if req.G == nil {
+		var apiErr *apiError
+		if req, _, apiErr = s.lower(body); apiErr != nil {
+			return nil, apiErr
+		}
 	}
-	resp, err := toResponse(req, name, res)
+	hit := res != nil
+	if !hit {
+		req.FleetFallback = fleetOwner != ""
+		var err error
+		if res, err = s.pl.Solve(ctx, req); err != nil {
+			return nil, solveError(err)
+		}
+	}
+	resp, err := toResponse(req, ent.name, res)
 	if err != nil {
-		return nil, &apiError{status: http.StatusInternalServerError, Code: "internal", Error: err.Error()}
+		return nil, internalError(err)
+	}
+	if hit {
+		// res is the cache's entry as its solve left it; the request-side
+		// fields are this request's.
+		resp.Cached, resp.ModelMs, resp.SearchMs = true, 0, msSince(start)
 	}
 	if resp.FleetFallback {
 		resp.FleetOwner = fleetOwner
 	}
-	if isSpec {
-		s.specSolves.Add(1)
+	out, err := encodeJSON(resp)
+	if err != nil {
+		return nil, internalError(err)
 	}
-	return resp, nil
+	if hit {
+		s.memo.put(key, ent.withHit(res, out))
+	}
+	return served(out)
 }
 
-// decodeForwarded lifts the owner's answer into this daemon's own: its solved
-// response marked with the fleet routing, or — for a non-200 the fleet client
-// deemed definitive — its rejection under its status. ok is false when the
-// body does not decode (version skew, truncation).
-func decodeForwarded(out fleet.Outcome) (resp *solveResponse, apiErr *apiError, ok bool) {
+// lower is the slow half of the route — decode → validate → lower →
+// fingerprint — and returns the planner's request with what the memo keeps of
+// it. Only a body that gets through all four is ever remembered.
+func (s *server) lower(body []byte) (pase.SolveRequest, memoEntry, *apiError) {
+	var sr solveRequest
+	if err := json.Unmarshal(body, &sr); err != nil {
+		return pase.SolveRequest{}, memoEntry{}, badRequest(fmt.Errorf("decode request: %w", err))
+	}
+	ent := memoEntry{isSpec: len(sr.Spec) > 0}
+	var (
+		req pase.SolveRequest
+		err error
+	)
+	if ent.isSpec {
+		req, ent.name, err = s.toSpecRequest(sr)
+	} else {
+		var bm pase.Benchmark
+		req, bm, err = s.toRequest(sr)
+		ent.name = bm.Name
+	}
+	if err != nil {
+		if ent.isSpec {
+			s.specErrors.Add(1)
+		}
+		return pase.SolveRequest{}, memoEntry{}, badRequest(err)
+	}
+	if ent.fp, err = s.pl.SolveFingerprint(req); err != nil {
+		// What Solve itself would answer: the planner's own validation.
+		return pase.SolveRequest{}, memoEntry{}, solveError(err)
+	}
+	return req, ent, nil
+}
+
+// bodyEnd is how the wire's encoder closes a response object.
+const bodyEnd = "\n}\n"
+
+// relayForwarded lifts the owner's answer into this daemon's own: its solved
+// response relayed as the bytes it arrived in, marked with the fleet routing,
+// or — for a non-200 the fleet client deemed definitive — its rejection under
+// its status. ok is false when the body is not usable (version skew,
+// truncation).
+func relayForwarded(out fleet.Outcome) (body []byte, apiErr *apiError, ok bool) {
 	var err error
 	if out.Status == http.StatusOK {
-		resp = &solveResponse{}
-		if err = json.Unmarshal(out.Body, resp); err == nil {
-			resp.FleetForwarded, resp.FleetOwner = true, out.Owner
-			return resp, nil, true
+		if body, err = markForwarded(out.Body, out.Owner); err == nil {
+			return body, nil, true
 		}
 	} else {
 		apiErr = &apiError{status: out.Status}
@@ -783,14 +900,46 @@ func decodeForwarded(out fleet.Outcome) (resp *solveResponse, apiErr *apiError, 
 			return nil, apiErr, true
 		}
 	}
-	log.Printf("pased: fleet: undecodable %d from %s: %v (solving locally)", out.Status, out.Owner, err)
+	log.Printf("pased: fleet: unusable %d from %s: %v (solving locally)", out.Status, out.Owner, err)
 	return nil, nil, false
+}
+
+// markForwarded adds the fleet marks to the owner's encoded 200 body, in
+// place. The body is decoded only shallowly — it must be valid JSON carrying a
+// strategy document, closed the way the wire's encoder closes it — and the
+// document stays the bytes it is. The internal route sets neither mark, and
+// both sort after every field it does set, so they go at the end.
+func markForwarded(body []byte, owner string) ([]byte, error) {
+	var probe struct {
+		Strategy json.RawMessage `json:"strategy"`
+	}
+	if err := json.Unmarshal(body, &probe); err != nil {
+		return nil, err
+	}
+	if len(probe.Strategy) == 0 || probe.Strategy[0] != '{' {
+		return nil, errors.New(`no "strategy" in the body`)
+	}
+	if !bytes.HasSuffix(body, []byte(bodyEnd)) {
+		return nil, errors.New("not in the wire's layout")
+	}
+	ownerJSON, err := json.Marshal(owner)
+	if err != nil {
+		return nil, err
+	}
+	body = append(body[:len(body)-len(bodyEnd)], ",\n  \"fleet_forwarded\": true,\n  \"fleet_owner\": "...)
+	body = append(body, ownerJSON...)
+	return append(body, bodyEnd...), nil
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.served.Add(1)
+	body, apiErr := readBody(w, r)
+	if apiErr != nil {
+		apiErr.write(w)
+		return
+	}
 	var br batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&br); err != nil {
+	if err := json.Unmarshal(body, &br); err != nil {
 		badRequest(fmt.Errorf("decode request: %w", err)).write(w)
 		return
 	}
@@ -803,7 +952,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// A fixed pool, not a goroutine per item: a 1 MiB body holds tens of
 	// thousands of items, and each may become a solve or an outbound peer
 	// call.
-	entries := make([]batchEntry, len(br.Requests))
+	entries := make([]json.RawMessage, len(br.Requests))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for n := min(runtime.GOMAXPROCS(0), len(entries)); n > 0; n-- {
@@ -811,12 +960,12 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(entries); i = int(next.Add(1)) - 1 {
-				resp, apiErr := s.serveOne(ctx, br.Requests[i], false)
+				out, apiErr := s.serveOne(ctx, br.Requests[i], false)
 				if apiErr != nil {
-					entries[i] = batchEntry{Error: apiErr.Error, Details: apiErr.Details}
-				} else {
-					entries[i] = batchEntry{solveResponse: resp}
+					// A string and diagnostics always marshal.
+					out, _ = json.Marshal(batchError{Error: apiErr.Error, Details: apiErr.Details})
 				}
+				entries[i] = out
 			}
 		}()
 	}
@@ -826,8 +975,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	s.served.Add(1)
+	body, apiErr := readBody(w, r)
+	if apiErr != nil {
+		apiErr.write(w)
+		return
+	}
 	var cr compareRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&cr); err != nil {
+	if err := json.Unmarshal(body, &cr); err != nil {
 		badRequest(fmt.Errorf("decode request: %w", err)).write(w)
 		return
 	}

@@ -1,0 +1,128 @@
+package main
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"pase"
+)
+
+// memoCap bounds the request memo: twice the default -result-cache, so every
+// cached result can be reached through two spellings of its request before
+// the oldest body is forgotten. A forgotten body costs one trip down the slow
+// path, nothing else.
+const memoCap = 512
+
+// memoKey is the SHA-256 of a request's own body bytes.
+type memoKey = [sha256.Size]byte
+
+// memoEntry is what the daemon keeps about a request body it has already
+// decoded, validated, lowered and fingerprinted: enough to answer a repeat of
+// the same bytes without doing any of that again.
+type memoEntry struct {
+	fp     pase.Fingerprint
+	name   string // the export document's display name
+	isSpec bool
+	// head and tail are the body's stored answer: the encoded 200 body of a
+	// cache hit, split around the search_ms value, which is the only part of a
+	// hit that differs between requests. from is the result-cache entry the
+	// bytes were encoded from, and their validity: they are served only while
+	// Planner.Lookup still returns that very entry, so an eviction, a later
+	// solve's replacement or a snapshot restore leaves them unreachable, and a
+	// result that never entered the cache (pressure-degraded,
+	// deadline-truncated, fleet fallback) never has bytes at all. Bytes that
+	// have become unreachable are replaced when the body is next answered.
+	from       *pase.Result
+	head, tail []byte
+}
+
+// requestMemo maps request bodies to memoEntry, at most memoCap of them,
+// forgetting the oldest first. Keying on the body's bytes is sound for the
+// life of the process: everything lowering reads besides the body (-max-gpus,
+// -default-beam-width, -prune-epsilon) is fixed at boot. A body the memo has
+// not seen — other whitespace, key order or priority — just takes the slow
+// path and is remembered under its own key.
+type requestMemo struct {
+	mu      sync.Mutex
+	entries map[memoKey]memoEntry
+	// ring holds the keys in insertion order; once it is full each new key
+	// overwrites, and forgets, the oldest.
+	ring []memoKey
+	next int
+
+	hits, misses atomic.Int64
+}
+
+func newRequestMemo() *requestMemo {
+	return &requestMemo{entries: make(map[memoKey]memoEntry)}
+}
+
+func (m *requestMemo) get(k memoKey) (memoEntry, bool) {
+	m.mu.Lock()
+	e, ok := m.entries[k]
+	m.mu.Unlock()
+	if ok {
+		m.hits.Add(1)
+	} else {
+		m.misses.Add(1)
+	}
+	return e, ok
+}
+
+// put remembers e under k, replacing what k held.
+func (m *requestMemo) put(k memoKey, e memoEntry) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.entries[k]; !ok {
+		if len(m.ring) < memoCap {
+			m.ring = append(m.ring, k)
+		} else {
+			delete(m.entries, m.ring[m.next])
+			m.ring[m.next] = k
+			m.next = (m.next + 1) % memoCap
+		}
+	}
+	m.entries[k] = e
+}
+
+// searchMsKey opens the search_ms line of an encoded solveResponse. Two
+// spaces of indentation make it the top-level field: the strategy document's
+// own keys sit deeper, and a string cannot hold a raw newline.
+const searchMsKey = "\n  \"search_ms\": "
+
+// withHit returns e carrying body — the reference encoder's output for a cache
+// hit on from — as its stored answer, or e unchanged if body has no search_ms
+// line to split at.
+func (e memoEntry) withHit(from *pase.Result, body []byte) memoEntry {
+	i := bytes.LastIndex(body, []byte(searchMsKey))
+	if i < 0 {
+		return e
+	}
+	i += len(searchMsKey)
+	j := bytes.IndexByte(body[i:], ',')
+	if j < 0 {
+		return e
+	}
+	e.from, e.head, e.tail = from, body[:i], body[i+j:]
+	return e
+}
+
+// hitBody is the stored answer with this request's search_ms filled in.
+func (e memoEntry) hitBody(start time.Time) []byte {
+	// json.Marshal is the reference encoder's float formatting, and a
+	// duration is always finite.
+	ms, _ := json.Marshal(msSince(start))
+	out := make([]byte, 0, len(e.head)+len(ms)+len(e.tail))
+	out = append(out, e.head...)
+	out = append(out, ms...)
+	return append(out, e.tail...)
+}
+
+// msSince is the wire's search_ms for a request that began at start.
+func msSince(start time.Time) float64 {
+	return float64(time.Since(start).Nanoseconds()) / 1e6
+}

@@ -25,6 +25,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("pase_requests_total", "HTTP requests served (all routes that solve).", s.served.Load())
 	counter("pase_spec_solves_total", "Inline-spec solves served.", s.specSolves.Load())
 	counter("pase_spec_errors_total", "Inline-spec requests rejected by ingestion.", s.specErrors.Load())
+	counter("pase_request_memo_hits_total", "Request bodies resolved to their fingerprint by hash.", s.memo.hits.Load())
+	counter("pase_request_memo_misses_total", "Request bodies the memo had not seen (decoded and lowered in full).", s.memo.misses.Load())
 	counter("pase_solves_total", "Underlying solves completed.", st.Solves)
 	counter("pase_model_builds_total", "Cost models constructed.", st.ModelBuilds)
 	counter("pase_result_cache_hits_total", "Result-cache hits.", st.ResultHits)

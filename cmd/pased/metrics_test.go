@@ -37,6 +37,9 @@ func TestMetricsExposition(t *testing.T) {
 		"pase_solves_total 1",
 		"pase_result_cache_hits_total 1",
 		"pase_requests_total 2",
+		"# TYPE pase_request_memo_hits_total counter",
+		"pase_request_memo_hits_total 1",
+		"pase_request_memo_misses_total 1",
 		"# TYPE pase_ready gauge",
 		"pase_ready 1",
 		"pase_cached_results 1",

@@ -30,6 +30,15 @@ import (
 // InceptionV3 and Transformer.
 var ErrOOM = errors.New("core: dependent-set DP tables exceed memory budget")
 
+// KernelVersion labels the numerics of this package's solvers. Bump it
+// whenever a table entry or a returned cost can change by as much as one bit
+// for some input — a new summation order counts, a faster route to the same
+// bits does not — so that state computed under the old numerics (the
+// planner's warm-restart snapshots) is discarded rather than served beside
+// fresh solves. v1 was the linear argmin scan; v2 is the bound-pruned scan,
+// whose summation order moved 15 of 179 golden costs by one ulp.
+const KernelVersion = "core.kernel/v2"
+
 // DefaultMaxTableEntries is the live-table budget used when
 // Options.MaxTableEntries is zero (~200 MB of full cost+choice entries). It
 // is exported so request fingerprinting can normalize "zero" and "explicit

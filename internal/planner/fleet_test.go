@@ -3,6 +3,9 @@ package planner
 import (
 	"context"
 	"testing"
+	"time"
+
+	"pase/internal/canon"
 )
 
 // TestFleetFallbackResultNeverCached: a request marked FleetFallback (solved
@@ -103,43 +106,75 @@ func TestSolveFingerprintMatchesSolve(t *testing.T) {
 		if got := fp.String(); got != res.Fingerprint {
 			t.Fatalf("%s: router fingerprint %s != solve fingerprint %s", name, got, res.Fingerprint)
 		}
-		if !p.HasLocal(fp) {
-			t.Fatalf("%s: HasLocal false right after solving the fingerprint", name)
+		if hit, _ := p.Lookup(fp); hit == nil || hit.Cost != res.Cost {
+			t.Fatalf("%s: Lookup(%s) = %v right after solving the fingerprint", name, fp, hit)
 		}
 	}
 }
 
-// TestHasLocalMissAndPeek: unknown fingerprints report false, and the check
-// itself must not perturb LRU recency (it uses Peek, not Get).
-func TestHasLocalMissAndPeek(t *testing.T) {
-	p := New(Config{ResultCacheSize: 1})
+// TestLookupCountsHitAndPromotes: Lookup is the hit path of a front end that
+// already holds the fingerprint. A miss counts nothing and reports an
+// in-flight identical solve; a hit counts one ResultHits, marks the entry most
+// recently used, and returns the cache's own entry — the same pointer until
+// the entry is evicted.
+func TestLookupCountsHitAndPromotes(t *testing.T) {
+	p := New(Config{ResultCacheSize: 2, FaultPlan: mustFaultPlan(t, "solve:latency:100ms:1")})
 	ctx := context.Background()
+	fps := map[string]canon.Fingerprint{}
+	for name, req := range map[string]Request{"A": alexReq(8), "B": rnnReq(8), "C": alexReq(4)} {
+		fp, err := p.SolveFingerprint(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps[name] = fp
+	}
 
-	fpB, err := p.SolveFingerprint(rnnReq(8))
-	if err != nil {
+	if res, inFlight := p.Lookup(fps["A"]); res != nil || inFlight {
+		t.Fatalf("Lookup before any solve = (%v, %v), want a plain miss", res, inFlight)
+	}
+	// The injected latency holds A's flight open long enough to observe it.
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Solve(ctx, alexReq(8))
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if res, inFlight := p.Lookup(fps["A"]); inFlight && res == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Lookup never reported the in-flight solve")
+		}
+	}
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if p.HasLocal(fpB) {
-		t.Fatal("HasLocal true before any solve")
-	}
-
-	// Fill the single-entry LRU with A, then probe A via HasLocal before
-	// inserting B: if HasLocal promoted, the probe would be observable —
-	// with Peek it is not, and B simply evicts A.
-	fpA, err := p.SolveFingerprint(alexReq(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Solve(ctx, alexReq(8)); err != nil {
-		t.Fatal(err)
-	}
-	if !p.HasLocal(fpA) {
-		t.Fatal("HasLocal false for the resident result")
+	if st := p.Stats(); st.ResultHits != 0 || st.ResultMisses != 1 || st.DedupWaits != 0 {
+		t.Fatalf("stats after misses %+v, want Lookup misses to count nothing", st)
 	}
 	if _, err := p.Solve(ctx, rnnReq(8)); err != nil {
 		t.Fatal(err)
 	}
-	if p.HasLocal(fpA) || !p.HasLocal(fpB) {
-		t.Fatalf("after eviction: HasLocal(A)=%v HasLocal(B)=%v, want false/true", p.HasLocal(fpA), p.HasLocal(fpB))
+
+	// A is the older entry. Looking it up promotes it, so C evicts B.
+	first, _ := p.Lookup(fps["A"])
+	if first == nil || first.Cached || first.Fingerprint != fps["A"].String() {
+		t.Fatalf("Lookup(A) = %+v, want the resident entry as the solve left it", first)
+	}
+	if st := p.Stats(); st.ResultHits != 1 {
+		t.Fatalf("ResultHits = %d after one Lookup hit, want 1", st.ResultHits)
+	}
+	if _, err := p.Solve(ctx, alexReq(4)); err != nil {
+		t.Fatal(err)
+	}
+	again, _ := p.Lookup(fps["A"])
+	if again != first {
+		t.Fatal("Lookup(A) returned a different entry although A was never evicted")
+	}
+	if res, _ := p.Lookup(fps["B"]); res != nil {
+		t.Fatal("B survived: Lookup(A) did not mark A most recently used")
+	}
+	if st := p.Stats(); st.ResultHits != 2 || st.ResultEvictions != 1 {
+		t.Fatalf("stats %+v, want 2 hits and 1 eviction", st)
 	}
 }

@@ -65,17 +65,6 @@ func (c *lruCache[K, V]) Get(k K) (V, bool) {
 	return e.val, true
 }
 
-// Peek returns the cached value without promoting it: a presence probe (the
-// fleet layer's HasLocal) must not perturb the deterministic eviction order.
-func (c *lruCache[K, V]) Peek(k K) (V, bool) {
-	e, ok := c.entries[k]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	return e.val, true
-}
-
 // Put inserts or refreshes an entry, evicting the least-recently-used one
 // when over capacity. A capacity of 0 or less caches nothing.
 func (c *lruCache[K, V]) Put(k K, v V) {

@@ -737,18 +737,26 @@ func (p *Planner) SolveFingerprint(req Request) (canon.Fingerprint, error) {
 	return solveFP, nil
 }
 
-// HasLocal reports whether fp is already answerable from this planner
-// without new work: a cached result or an in-flight identical solve. The
-// fleet layer uses it to skip forwarding — results are deterministic, so a
-// local copy is always as good as the owner's.
-func (p *Planner) HasLocal(fp canon.Fingerprint) bool {
+// Lookup answers fp from the result cache without running Solve's pipeline:
+// the hit path of a front end that already holds the request's fingerprint
+// (cmd/pased). A hit is counted in Stats.ResultHits, marked most recently
+// used, and returned as the cache's own entry — shared and read-only, where
+// Solve hands out a copy — so the pointer also identifies the entry: it stays
+// the same until the entry is evicted or replaced, which is what lets a caller
+// keep bytes encoded from it. The per-request fields on it (Cached,
+// SearchTime, ModelTime) are the original solve's, not this lookup's. On a
+// miss nothing is counted — the Solve that follows counts it — and inFlight
+// reports an identical solve in progress, which that Solve would join: either
+// way the answer is local, and as good as a fleet owner's copy.
+func (p *Planner) Lookup(fp canon.Fingerprint) (res *Result, inFlight bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.results.Peek(fp); ok {
-		return true
+	if res, ok := p.results.Get(fp); ok {
+		p.stats.ResultHits++
+		return res, false
 	}
-	_, ok := p.solveFlights[fp]
-	return ok
+	_, inFlight = p.solveFlights[fp]
+	return nil, inFlight
 }
 
 // Solve serves one request: it is the single entry point every method and

@@ -8,11 +8,12 @@ package planner
 // makes the first repeat request a cache hit again.
 //
 // The format is defensive in three layers. The outer envelope names the
-// format version and carries a canon fingerprint of every fingerprint-scheme
-// version label the cached keys depend on: a snapshot written by a build with
-// different solve/class semantics is detected *before* any payload decoding
-// and discarded as stale (restoring it would serve results under keys the
-// new code would never compute). The payload bytes are SHA-256 checksummed,
+// format version and carries a canon fingerprint of every version label the
+// cached keys and costs depend on (snapshotLabels): a snapshot written by a
+// build with different solve/class semantics or kernel numerics is detected
+// *before* any payload decoding and discarded as stale (restoring it would
+// serve results under keys the new code would never compute, or costs a fresh
+// solve would not reproduce). The payload bytes are SHA-256 checksummed,
 // so a torn or bit-rotted file is rejected rather than half-restored. And
 // writes are atomic (temp file + rename), so a crash mid-checkpoint leaves
 // the previous snapshot intact.
@@ -32,6 +33,7 @@ import (
 	"path/filepath"
 
 	"pase/internal/canon"
+	"pase/internal/core"
 	"pase/internal/cost"
 )
 
@@ -45,23 +47,28 @@ const snapshotFormat = "pase.planner.snapshot/v1"
 // should log it and start cold — it is a warning, not a fatal error.
 var ErrSnapshotStale = errors.New("planner: snapshot stale or corrupt")
 
-// snapshotFingerprint pins a snapshot to the fingerprint and table semantics
-// its keys and values were computed under. Every version label that
-// participates in cache-key or class-table identity is folded in; bumping any
-// of them (or the list itself drifting) invalidates old snapshots instead of
-// serving results under keys the new code would never compute.
-func snapshotFingerprint() canon.Fingerprint {
+// snapshotLabels lists every version label that participates in cache-key,
+// class-table or cost identity: the fingerprint schemes the cached keys were
+// computed under, and the kernel numerics the cached costs were computed by.
+var snapshotLabels = []string{
+	"pase.request/v1",      // request/solve fingerprints (result-cache keys)
+	"graph.Graph",          // graph content fingerprints
+	"cost.vertex-class/v1", // class-store key schemes
+	"cost.edge-class/v1",
+	"cost.prune-class/v2",
+	"cost.store.prune/v1",
+	"cost.store.compact/v1",
+	core.KernelVersion, // the numerics behind every cached cost
+}
+
+// snapshotFingerprint pins a snapshot to the semantics its keys and values
+// were computed under. Bumping any label (or the list itself drifting)
+// invalidates old snapshots instead of serving results under keys the new
+// code would never compute, or costs it would not reproduce.
+func snapshotFingerprint(labels []string) canon.Fingerprint {
 	w := canon.NewWriter()
 	w.Label(snapshotFormat)
-	for _, label := range []string{
-		"pase.request/v1",      // request/solve fingerprints (result-cache keys)
-		"graph.Graph",          // graph content fingerprints
-		"cost.vertex-class/v1", // class-store key schemes
-		"cost.edge-class/v1",
-		"cost.prune-class/v2",
-		"cost.store.prune/v1",
-		"cost.store.compact/v1",
-	} {
+	for _, label := range labels {
 		w.Str(label)
 	}
 	return w.Sum()
@@ -108,7 +115,7 @@ func (p *Planner) WriteSnapshot(w io.Writer) error {
 	}
 	env := snapshotEnvelope{
 		Format:      snapshotFormat,
-		Fingerprint: snapshotFingerprint(),
+		Fingerprint: snapshotFingerprint(snapshotLabels),
 		Sum:         sha256.Sum256(buf.Bytes()),
 		Payload:     buf.Bytes(),
 	}
@@ -131,7 +138,7 @@ func (p *Planner) ReadSnapshot(r io.Reader) (results, classes int, err error) {
 	if env.Format != snapshotFormat {
 		return 0, 0, fmt.Errorf("%w: format %q, want %q", ErrSnapshotStale, env.Format, snapshotFormat)
 	}
-	if fp := snapshotFingerprint(); env.Fingerprint != fp {
+	if fp := snapshotFingerprint(snapshotLabels); env.Fingerprint != fp {
 		return 0, 0, fmt.Errorf("%w: fingerprint scheme %s, want %s", ErrSnapshotStale, env.Fingerprint, fp)
 	}
 	if sum := sha256.Sum256(env.Payload); sum != env.Sum {

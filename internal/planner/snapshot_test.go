@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"pase/internal/core"
 )
 
 // TestSnapshotRoundTrip: a fresh planner restored from a snapshot serves the
@@ -154,6 +156,22 @@ func TestSnapshotStaleAndCorruptDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases["wrongfp"] = wrongFP.Bytes()
+	// A snapshot from before the kernel numerics were versioned: intact in
+	// every other respect, written under the label list without
+	// core.KernelVersion. Its costs may differ from a fresh solve's by an ulp.
+	var env snapshotEnvelope
+	if err := gob.NewDecoder(bytes.NewReader(valid.Bytes())).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if last := snapshotLabels[len(snapshotLabels)-1]; last != core.KernelVersion {
+		t.Fatalf("snapshotLabels ends with %q, want core.KernelVersion", last)
+	}
+	env.Fingerprint = snapshotFingerprint(snapshotLabels[:len(snapshotLabels)-1])
+	var oldNumerics bytes.Buffer
+	if err := gob.NewEncoder(&oldNumerics).Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	cases["oldnumerics"] = oldNumerics.Bytes()
 
 	for name, data := range cases {
 		path := filepath.Join(dir, name)
@@ -170,6 +188,10 @@ func TestSnapshotStaleAndCorruptDiscarded(t *testing.T) {
 		}
 		if st := p.Stats(); st.RestoredResults != 0 {
 			t.Errorf("%s: RestoredResults = %d after rejection", name, st.RestoredResults)
+		}
+		// The planner starts cold: the snapshotted request is solved afresh.
+		if res, err := p.Solve(context.Background(), alexReq(8)); err != nil || res.Cached {
+			t.Errorf("%s: solve after rejection: cached=%v err=%v, want a fresh solve", name, res != nil && res.Cached, err)
 		}
 	}
 
