@@ -7,7 +7,7 @@ import (
 )
 
 // Arena pools the solver's large scratch allocations — DP cost tables,
-// choice tables, the factored-scan side tables, and the beam's sparse table
+// choice tables, the quotient scan's side tables, and the beam's sparse table
 // keys — in power-of-two size classes backed by sync.Pool. A cold Transformer
 // p=32 solve allocates hundreds of megabytes of tables that die within the
 // solve; when many solves share one Arena (the planner gives every Planner

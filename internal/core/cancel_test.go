@@ -57,9 +57,9 @@ func cancelMidDP(t *testing.T, m *cost.Model, workers int) {
 		res <- outcome{err, time.Now()}
 	}()
 
-	// Let the DP get properly underway (the cold solve takes hundreds of
-	// milliseconds), then cancel it mid-fill.
-	time.Sleep(50 * time.Millisecond)
+	// Let the DP get properly underway (the cold solve takes 150 ms or more
+	// on the hardware this was written on), then cancel it mid-fill.
+	time.Sleep(20 * time.Millisecond)
 	cancelled := time.Now()
 	cancel()
 
@@ -90,6 +90,49 @@ func cancelMidDP(t *testing.T, m *cost.Model, workers int) {
 	}
 }
 
+// The class detection ahead of a fill polls like the fill does: on a source of
+// 4 M costs — larger than any table of the paper models — whose rows are all
+// one class (the hash pass reads every row, the exact compare every row
+// again), it polls at least once per cancelCheckMask+1 rows, and a stop that
+// arrives in the middle of the hash pass or of the compare pass ends it
+// within the 100 ms the solve's cancellation latency is held to.
+func TestClassDetectionStopsPromptlyOnALargeSource(t *testing.T) {
+	const kv, rows = 64, 1 << 16
+	src := rowSrc{vals: make([]float64, rows*kv), digit: []int{0, 1}, stride: []int64{1, 256}}
+	srcs := []rowSrc{src}
+	kd := []int{256, 256}
+	rowDig := [][]digUpd{{{0, 1}}, {{0, 256}}}
+	serial := func(total int64, f func(lo, hi int64)) { f(0, total) }
+
+	polls := 0
+	start := time.Now()
+	_, reps := digitClasses(srcs, rowDig, kd, kv, serial, func() bool { polls++; return false })
+	t.Logf("uncancelled: %v, %d polls", time.Since(start), polls)
+	if len(reps[0]) != 1 || len(reps[1]) != 1 {
+		t.Fatalf("%d and %d classes on a constant source, want 1 and 1", len(reps[0]), len(reps[1]))
+	}
+	hashPolls := rows / (cancelCheckMask + 1)
+	if polls < hashPolls+2*255 {
+		t.Fatalf("%d polls, want one per %d rows of the hash pass (%d) and one per compared value (510)", polls, cancelCheckMask+1, hashPolls)
+	}
+	for _, at := range []int{hashPolls / 2, hashPolls + 255} {
+		calls := 0
+		var fired time.Time
+		digitClasses(srcs, rowDig, kd, kv, serial, func() bool {
+			if calls++; calls == at {
+				fired = time.Now()
+			}
+			return calls >= at
+		})
+		if lat := time.Since(fired); lat > 100*time.Millisecond {
+			t.Fatalf("stop at poll %d of %d: returned %v later, want < 100ms", at, polls, lat)
+		}
+		if calls > at+len(kd) {
+			t.Fatalf("stop at poll %d: %d more polls, the passes went on", at, calls-at)
+		}
+	}
+}
+
 func TestPreCancelledContextFailsBeforeFilling(t *testing.T) {
 	m := transformerP32Model(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -106,7 +149,7 @@ func TestPreCancelledContextFailsBeforeFilling(t *testing.T) {
 
 func TestDeadlineExceededSurfacesAsSuch(t *testing.T) {
 	m := transformerP32Model(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	_, err := Solve(ctx, m, seq.Generate(m.G), Options{})
 	if !errors.Is(err, context.DeadlineExceeded) {

@@ -161,7 +161,7 @@ func TestChunkedFillCancelsPromptlyMidTransformer(t *testing.T) {
 			_, err := Solve(ctx, m, seq.Generate(m.G), Options{Workers: workers, Arena: NewArena()})
 			res <- outcome{err, time.Now()}
 		}()
-		time.Sleep(40 * time.Millisecond)
+		time.Sleep(20 * time.Millisecond)
 		cancelled := time.Now()
 		cancel()
 		select {

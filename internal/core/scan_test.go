@@ -18,13 +18,32 @@ import (
 )
 
 // scanShape is what the naive reference saw at one vertex: how many rows the
-// fastest stepping digit moves and how many it does not.
-type scanShape struct{ fast, slow int }
+// fastest stepping digit moves and how many it does not, and, per digit of
+// D(i), its configuration count, the number of rows that read it and the
+// number of classes its values fall into — two values are in one class when
+// no row that reads the digit returns a different bit pattern under them, for
+// any setting of the row's other digits and any configuration of the vertex.
+type scanShape struct {
+	fast, slow       int
+	k, rows, classes []int
+	// wide: some row reads two or more digits, one of which has fewer classes
+	// than configurations.
+	wide bool
+	// space is the vertex's share of Stats.ScanSpace: Π classes · kv + table
+	// size where the classes let entries share scans, table size · kv where
+	// they are all singletons.
+	space int64
+}
+
+// merged reports whether digit d of the shape has rows and values that share
+// a class; partial, whether it also keeps more than one class.
+func (sh scanShape) merged(d int) bool  { return sh.rows[d] > 0 && sh.classes[d] < sh.k[d] }
+func (sh scanShape) partial(d int) bool { return sh.merged(d) && sh.classes[d] > 1 }
 
 // naiveTables evaluates recurrence (4) by definition — one map-free but
-// stride-free, odometer-free, bound-free evaluation per (position, φ, c),
-// every candidate in index order with a strict running minimum — in the
-// kernel's documented summation order:
+// stride-free, odometer-free, bound-free, class-free evaluation per
+// (position, φ, c), every candidate in index order with a strict running
+// minimum — in the kernel's documented summation order:
 //
 //	table[φ] = Σ cells + min_c ((tl[c] + slow rows in row order) + fast rows in row order)
 //
@@ -97,12 +116,67 @@ func naiveTables(m *cost.Model, sq *seq.Sequence) (tbl [][]float64, choice [][]i
 			}
 		}
 		kv := m.K(v)
-		shapes[i] = scanShape{fast: len(fast), slow: len(slow)}
-
 		size := 1
 		for _, d := range dep {
 			size *= m.K(d)
 		}
+
+		// Classes by definition: the signature of a value is every bit pattern
+		// any row that reads the digit can return under it.
+		sh := scanShape{fast: len(fast), slow: len(slow)}
+		quotient := 1
+		for _, d := range dep {
+			var sigs [][]uint64
+			nrows := 0
+			for a := 0; a < m.K(d); a++ {
+				var sig []uint64
+				nrows = 0
+				for _, r := range rows {
+					if !slices.Contains(r.reads, d) {
+						continue
+					}
+					nrows++
+					var settings func(k int)
+					settings = func(k int) {
+						if k == len(r.reads) {
+							for c := 0; c < kv; c++ {
+								cfg[v] = c
+								sig = append(sig, math.Float64bits(r.at()))
+							}
+							return
+						}
+						if r.reads[k] == d {
+							cfg[d] = a
+							settings(k + 1)
+							return
+						}
+						for x := 0; x < m.K(r.reads[k]); x++ {
+							cfg[r.reads[k]] = x
+							settings(k + 1)
+						}
+					}
+					settings(0)
+				}
+				if !slices.ContainsFunc(sigs, func(o []uint64) bool { return slices.Equal(o, sig) }) {
+					sigs = append(sigs, sig)
+				}
+			}
+			sh.k = append(sh.k, m.K(d))
+			sh.rows = append(sh.rows, nrows)
+			sh.classes = append(sh.classes, len(sigs))
+			quotient *= len(sigs)
+		}
+		for _, r := range rows {
+			if len(r.reads) >= 2 && slices.ContainsFunc(r.reads, func(d int) bool { return sh.merged(slices.Index(dep, d)) }) {
+				sh.wide = true
+			}
+		}
+		sh.space = int64(size) * int64(kv)
+		if quotient < size {
+			sh.space = int64(quotient)*int64(kv) + int64(size)
+		}
+		shapes[i] = sh
+
 		tbl[i] = make([]float64, size)
 		choice[i] = make([]int32, size)
 		for flat := 0; flat < size; flat++ {
@@ -203,6 +277,59 @@ func adversarialModel(t *testing.T, rng *rand.Rand, n, p int) *cost.Model {
 	return m
 }
 
+// injectClasses overwrites whole rows (configurations of u) and columns (of v)
+// of a model's TX tables with copies of earlier ones, so that values of a φ
+// digit become indistinguishable to the rows that read it — in the TX rows
+// themselves and in the child tables built from them: about half of a side's
+// configurations copied, or every one (a digit with a single class), or half
+// copied and some copies then broken in one bit — the next float up, or −0 for
+// +0 — which must keep them apart.
+func injectClasses(rng *rand.Rand, m *cost.Model) {
+	for e := range m.Edges() {
+		vals, kv := m.EdgeTable(e)
+		valsT, ku := m.EdgeTableT(e)
+		// Configuration a of the side (0: u, 1: v) against j of the other.
+		get := func(side, a, j int) float64 {
+			if side == 0 {
+				return vals[a*kv+j]
+			}
+			return vals[j*kv+a]
+		}
+		set := func(side, a, j int, x float64) {
+			cu, cv := a, j
+			if side == 1 {
+				cu, cv = j, a
+			}
+			vals[cu*kv+cv], valsT[cv*ku+cu] = x, x
+		}
+		for side, n := range []int{ku, kv} {
+			width := kv + ku - n
+			how := rng.Intn(4) // 0 leaves the side alone
+			for a := 1; a < n && how > 0; a++ {
+				if how != 2 && rng.Intn(2) == 0 {
+					continue
+				}
+				from := 0
+				if how != 2 {
+					from = rng.Intn(a)
+				}
+				for j := 0; j < width; j++ {
+					set(side, a, j, get(side, from, j))
+				}
+				if how == 3 && rng.Intn(2) == 0 {
+					j := rng.Intn(width)
+					x := get(side, a, j)
+					if x == 0 {
+						set(side, a, j, math.Copysign(0, -1))
+					} else {
+						set(side, a, j, math.Nextafter(x, math.Inf(1)))
+					}
+				}
+			}
+		}
+	}
+}
+
 func paperModel(t *testing.T, name string, p int) *cost.Model {
 	t.Helper()
 	bm, err := models.ByName(name)
@@ -226,6 +353,15 @@ func forceChunks(t *testing.T, threshold, minChunk int64) {
 	t.Cleanup(func() { parallelThreshold, minChunkEntries = pt, mc })
 }
 
+// collideRowHashes makes every row hash of the class detection collide for
+// the rest of the test, leaving its exact compare to tell values apart.
+func collideRowHashes(t *testing.T) {
+	t.Helper()
+	mask := classHashMask
+	classHashMask = 0
+	t.Cleanup(func() { classHashMask = mask })
+}
+
 func requireSameTables(t *testing.T, label string, snap *Snapshot, tbl [][]float64, choice [][]int32) {
 	t.Helper()
 	for i := range tbl {
@@ -238,23 +374,32 @@ func requireSameTables(t *testing.T, label string, snap *Snapshot, tbl [][]float
 	}
 }
 
-// The bound-pruned scan against the definition: on adversarial tables, under
-// GENERATESEQ and random orderings, every DP table and every choice must
-// equal the naive linear evaluation of the same summation order, the optimum
-// must equal brute force, and tables and state counts must repeat at every
-// worker count and at a forced tiny chunk size.
+// The scan against the definition: on adversarial tables, under GENERATESEQ
+// and random orderings, every DP table and every choice must equal the naive
+// linear evaluation of the same summation order, the optimum must equal brute
+// force, the scan space must be the one the definitional classes give — a
+// class too few or too many moves it — and tables and state counts must
+// repeat at every worker count, at a forced tiny chunk size, with every row
+// hash colliding, and at a budget that admits no side table. The second half
+// of the trials has classes injected into its TX tables.
 func TestPrunedScanMatchesNaiveOnAdversarialTables(t *testing.T) {
+	const trials = 480
 	var noSlow, twoFast, withSlow, bruteForced int
+	var fastPartial, slowPartial, wide, oneClass, fastOneClass, k1, direct int
 	var states, space int64
-	for trial := 0; trial < 240; trial++ {
+	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(5200 + trial)))
 		n := 3 + rng.Intn(5)
 		m := adversarialModel(t, rng, n, []int{2, 4, 8}[trial%3])
+		if trial >= trials/2 {
+			injectClasses(rng, m)
+		}
 		sq := seq.Generate(m.G)
 		if trial%2 == 1 {
 			sq = seq.FromOrder(m.G, rng.Perm(n))
 		}
 		wantT, wantC, shapes := naiveTables(m, sq)
+		wantSpace := int64(0)
 		for _, sh := range shapes {
 			switch {
 			case sh.fast >= 2:
@@ -264,6 +409,25 @@ func TestPrunedScanMatchesNaiveOnAdversarialTables(t *testing.T) {
 			default:
 				withSlow++
 			}
+			wantSpace += sh.space
+			fastest := slices.IndexFunc(sh.k, func(k int) bool { return k > 1 })
+			for d := range sh.k {
+				switch {
+				case sh.k[d] == 1:
+					k1++
+				case sh.partial(d) && d == fastest:
+					fastPartial++
+				case sh.partial(d):
+					slowPartial++
+				case sh.merged(d) && d == fastest && slices.ContainsFunc(sh.classes[d+1:], func(c int) bool { return c > 1 }):
+					fastOneClass++ // never steps, yet its rows stay the fast ones
+				case sh.merged(d):
+					oneClass++
+				}
+			}
+			if sh.wide {
+				wide++
+			}
 		}
 
 		res, snap, err := SolveRetain(context.Background(), m, sq, Options{Workers: 1})
@@ -272,8 +436,9 @@ func TestPrunedScanMatchesNaiveOnAdversarialTables(t *testing.T) {
 		}
 		label := fmt.Sprintf("trial %d", trial)
 		requireSameTables(t, label, snap, wantT, wantC)
-		if res.Stats.States > res.Stats.ScanSpace {
-			t.Fatalf("%s: %d states evaluated out of a scan space of %d", label, res.Stats.States, res.Stats.ScanSpace)
+		if res.Stats.States > res.Stats.ScanSpace || res.Stats.ScanSpace != wantSpace {
+			t.Fatalf("%s: %d states evaluated out of a scan space of %d; the definitional classes give %d",
+				label, res.Stats.States, res.Stats.ScanSpace, wantSpace)
 		}
 		states += res.Stats.States
 		space += res.Stats.ScanSpace
@@ -295,14 +460,17 @@ func TestPrunedScanMatchesNaiveOnAdversarialTables(t *testing.T) {
 			}
 		}
 
-		check := func(label string, workers int) {
-			got, gotSnap, err := SolveRetain(context.Background(), m, sq, Options{Workers: workers})
+		check := func(label string, opts Options) *Result {
+			got, gotSnap, err := SolveRetain(context.Background(), m, sq, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			requireSameTables(t, label, gotSnap, wantT, wantC)
 			requireSameResult(t, label, got, res)
-			if got.Stats.States != res.Stats.States || got.Stats.ScanSpace != res.Stats.ScanSpace {
+			return got
+		}
+		checkStates := func(label string, opts Options) {
+			if got := check(label, opts); got.Stats.States != res.Stats.States || got.Stats.ScanSpace != res.Stats.ScanSpace {
 				t.Fatalf("%s: states %d/%d, serial %d/%d", label,
 					got.Stats.States, got.Stats.ScanSpace, res.Stats.States, res.Stats.ScanSpace)
 			}
@@ -310,22 +478,129 @@ func TestPrunedScanMatchesNaiveOnAdversarialTables(t *testing.T) {
 		t.Run(label, func(t *testing.T) {
 			forceChunks(t, 2, 3)
 			for _, workers := range []int{2, 4} {
-				check(fmt.Sprintf("%s tiny chunks workers %d", label, workers), workers)
+				checkStates(fmt.Sprintf("%s tiny chunks workers %d", label, workers), Options{Workers: workers})
 			}
+			collideRowHashes(t)
+			checkStates(label+" colliding hashes", Options{Workers: 2})
 		})
+
+		// One entry under the unbudgeted peak, then at the floor under which
+		// the solve fails: no side table fits there, so every vertex with
+		// classes is scanned directly over its full odometer — digits no row
+		// reads included — to the same tables.
+		floor := res.Stats.PeakLiveEntries
+		for {
+			opts := Options{Workers: 1, MaxTableEntries: floor - 1}
+			if _, err := Solve(context.Background(), m, sq, opts); err != nil {
+				break
+			}
+			floor = check(fmt.Sprintf("%s budget %d", label, floor-1), opts).Stats.PeakLiveEntries
+			direct++
+		}
 	}
 	if noSlow == 0 || twoFast == 0 || withSlow == 0 {
 		t.Errorf("shape coverage: %d vertices without slow rows, %d with two fast rows, %d with slow rows — want all > 0",
 			noSlow, twoFast, withSlow)
 	}
-	if bruteForced < 120 {
-		t.Errorf("only %d of 240 trials were small enough to brute-force", bruteForced)
+	if fastPartial == 0 || slowPartial == 0 || wide == 0 || oneClass == 0 || fastOneClass == 0 || k1 == 0 || direct == 0 {
+		t.Errorf("class coverage: digits with several classes %d fast / %d slower, %d two-digit rows over merged values, "+
+			"%d one-class digits, %d of them the fast digit under a stepping slower one, %d K=1 digits, %d direct-scan solves — want all > 0",
+			fastPartial, slowPartial, wide, oneClass, fastOneClass, k1, direct)
+	}
+	if bruteForced < trials/2 {
+		t.Errorf("only %d of %d trials were small enough to brute-force", bruteForced, trials)
 	}
 	if states >= space {
 		t.Errorf("the bound never cut a candidate: %d states over a scan space of %d", states, space)
 	}
-	t.Logf("%d trials brute-forced; %d of %d candidates evaluated; vertices: %d no slow rows, %d two fast rows, %d with slow rows",
-		bruteForced, states, space, noSlow, twoFast, withSlow)
+	t.Logf("%d trials brute-forced; %d of %d candidates evaluated; vertices: %d no slow rows, %d two fast rows, %d with slow rows; "+
+		"digits: %d/%d fast/slower with several classes, %d one class (%d fast under a stepping digit), %d K=1; %d two-digit rows over merged values; %d direct-scan solves",
+		bruteForced, states, space, noSlow, twoFast, withSlow, fastPartial, slowPartial, oneClass, fastOneClass, k1, wide, direct)
+}
+
+// digitClasses on hand-built sources: the classes are exactly the bit-identity
+// classes — a copy merges, the next float up and −0 for +0 do not, a value of
+// a two-digit source merges only when its rows agree under every setting of
+// the other digit, a second source can split what the first would merge — in
+// any chunking of the hash pass and with every hash colliding.
+func TestDigitClassesAreTheBitIdentityClasses(t *testing.T) {
+	const kv = 3
+	up := math.Nextafter(3, 4)
+	negZero := math.Copysign(0, -1)
+	one := rowSrc{ // digit 0, six values
+		vals: []float64{
+			1, 2, 3,
+			1, 2, 3,
+			1, 2, up,
+			0, 2, 3,
+			negZero, 2, 3,
+			1, 2, 3,
+		},
+		digit: []int{0}, stride: []int64{1},
+	}
+	two := rowSrc{ // row = digit 1 (two values) + 2 · digit 2 (three) + 6 · digit 4 (one)
+		vals: []float64{
+			5, 5, 5, // digit 2 = 0
+			6, 6, 6,
+			5, 5, 5, // digit 2 = 1: one of its two rows is value 0's, the other is not
+			7, 7, 7,
+			5, 5, 5, // digit 2 = 2
+			6, 6, 6,
+		},
+		digit: []int{1, 2, 4}, stride: []int64{1, 2, 6},
+	}
+	split := rowSrc{ // digit 0 again: tells values 0 and 1 apart, nothing else
+		vals: []float64{
+			9, 9, 9,
+			8, 9, 9,
+			9, 9, 9,
+			9, 9, 9,
+			9, 9, 9,
+			9, 9, 9,
+		},
+		digit: []int{0}, stride: []int64{1},
+	}
+	kd := []int{6, 2, 3, 4, 1} // digit 3 is read by no row
+	serial := func(total int64, f func(lo, hi int64)) { f(0, total) }
+	pairs := func(total int64, f func(lo, hi int64)) {
+		for lo := total - total%2; lo >= 0; lo -= 2 { // last chunk first
+			f(lo, min(lo+2, total))
+		}
+	}
+	never := func() bool { return false }
+	for _, tc := range []struct {
+		name    string
+		srcs    []rowSrc
+		classOf [][]int32
+		reps    [][]int
+	}{
+		{"two sources", []rowSrc{one, two},
+			[][]int32{{0, 0, 1, 2, 3, 0}, {0, 1}, {0, 1, 0}, {0, 0, 0, 0}, {0}},
+			[][]int{{0, 2, 3, 4}, {0, 1}, {0, 1}, {0}, {0}}},
+		{"a third splits a class", []rowSrc{one, two, split},
+			[][]int32{{0, 1, 2, 3, 4, 0}, {0, 1}, {0, 1, 0}, {0, 0, 0, 0}, {0}},
+			[][]int{{0, 1, 2, 3, 4}, {0, 1}, {0, 1}, {0}, {0}}},
+	} {
+		rowDig := make([][]digUpd, len(kd))
+		for s, src := range tc.srcs {
+			for j, k := range src.digit {
+				rowDig[k] = append(rowDig[k], digUpd{s, src.stride[j]})
+			}
+		}
+		for _, colliding := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s colliding=%v", tc.name, colliding), func(t *testing.T) {
+				if colliding {
+					collideRowHashes(t)
+				}
+				for _, par := range []func(int64, func(lo, hi int64)){serial, pairs} {
+					classOf, reps := digitClasses(tc.srcs, rowDig, kd, kv, par, never)
+					if !reflect.DeepEqual(classOf, tc.classOf) || !reflect.DeepEqual(reps, tc.reps) {
+						t.Fatalf("classOf %v reps %v, want %v %v", classOf, reps, tc.classOf, tc.reps)
+					}
+				}
+			})
+		}
+	}
 }
 
 // States is a function of table data alone: on the paper benchmarks it must
@@ -368,8 +643,12 @@ func TestStatesIdenticalAcrossWorkersAndChunkSizes(t *testing.T) {
 
 // Resolve runs the same kernel over the dirty closure only: after a random
 // single-vertex edit it must equal a fresh solve of the edited model in cost,
-// in every choice, and in every table — re-filled or reused.
+// in every choice, and in every table — re-filled or reused — also where the
+// closure crosses a vertex whose scans are shared between merged digit values
+// (the cost model's own TX tables have such values) and the tables it
+// re-fills are read, in turn, by clean and dirty neighbours.
 func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
+	crossed := 0
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(9300 + trial)))
 		n := 6 + rng.Intn(8)
@@ -395,9 +674,19 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		dirtyV := dirtyFromModels(t, m1, m2)
+		_, _, shapes := naiveTables(m2, sq)
+		for i, dirty := range snap.posDirty(dirtyV) {
+			for d := range shapes[i].k {
+				if dirty && shapes[i].merged(d) {
+					crossed++
+					break
+				}
+			}
+		}
 		for _, workers := range workerCounts {
 			label := fmt.Sprintf("trial %d workers %d", trial, workers)
-			re, reSnap, err := Resolve(context.Background(), m2, snap, dirtyFromModels(t, m1, m2), Options{Workers: workers})
+			re, reSnap, err := Resolve(context.Background(), m2, snap, dirtyV, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -409,6 +698,10 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 			}
 		}
 	}
+	if crossed == 0 {
+		t.Error("no dirty closure crossed a vertex with merged digit values")
+	}
+	t.Logf("%d re-filled vertices shared scans between merged digit values", crossed)
 }
 
 // The scratch a fill or a beam pass returns to its pool must not keep any DP

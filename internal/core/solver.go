@@ -59,7 +59,7 @@ type Options struct {
 	// byte-identical at any worker count.
 	Workers int
 	// Arena, when non-nil, recycles the solve's large table buffers (cost
-	// tables, choice tables, factored-scan side tables) across solves
+	// tables, choice tables, quotient-scan side tables) across solves
 	// sharing the arena. The planner passes its per-Planner arena here so
 	// cache-miss solves and batch fan-outs stop re-allocating hundreds of
 	// megabytes per solve. Nil allocates directly; results are identical
@@ -161,6 +161,114 @@ type rowSrc struct {
 type digUpd struct {
 	i      int
 	stride int64
+}
+
+// classHashMask is ANDed into every row hash of digitClasses. A variable only
+// so a test can zero it, making every hash collide, and prove that the exact
+// compare alone decides a merge.
+var classHashMask = ^uint64(0)
+
+// digitClasses partitions the values 0..kd[k]−1 of every φ digit into classes
+// the scan cannot tell apart: a and b are equivalent when every row source
+// that reads the digit (rowDig[k] lists them with the digit's stride in rows)
+// selects bit-identical rows under both, for every setting of the source's
+// other digits. A scan at φ and a scan at φ with each digit replaced by its
+// class representative then read the same bits in every row, so they produce
+// the same minimum, the same argmin and the same candidate count, and one of
+// them is enough. Such values are common: two configurations of a neighbour
+// that differ only in a dimension the shared tensor does not carry select
+// identical TX rows, and the DP tables built from those rows inherit the
+// equality. A digit no row reads has one class.
+//
+// Detection is one hash pass over each source — every row is hashed once and
+// its hash added, keyed by which of the value's rows it is, to the sum of the
+// value it belongs to under each of the source's digits, so the pass runs
+// under par in any chunking — and then, digit by digit and value by value, an
+// exact compare against each earlier representative with the same sum: equal
+// rows always hash equal, values with unequal sums are never compared, and a
+// hash alone never merges two values, so the classes are exactly the
+// bit-identity classes whatever the hash function does. classOf[k] maps a
+// value to its class, reps[k] a class to its smallest value, ascending;
+// reps[k][0] is 0. stop is the fill's cancellation poll; after it fires the
+// result is meaningless.
+func digitClasses(srcs []rowSrc, rowDig [][]digUpd, kd []int, kv int, par func(total int64, f func(lo, hi int64)), stop func() bool) (classOf [][]int32, reps [][]int) {
+	sums := make([][]atomic.Uint64, len(kd))
+	for k := range kd {
+		if len(rowDig[k]) > 0 && kd[k] > 1 {
+			sums[k] = make([]atomic.Uint64, kd[k])
+		}
+	}
+	for s := range srcs {
+		src := &srcs[s]
+		par(int64(len(src.vals)/kv), func(lo, hi int64) {
+			for r := lo; r < hi; r++ {
+				if r&cancelCheckMask == 0 && stop() {
+					return
+				}
+				h := rowHash(uint64(s), src.vals[r*int64(kv):(r+1)*int64(kv)])
+				for j, k := range src.digit {
+					if sums[k] == nil {
+						continue
+					}
+					a := r / src.stride[j] % int64(kd[k])
+					x := (h ^ uint64(r-a*src.stride[j])) * 0xBF58476D1CE4E5B9
+					sums[k][a].Add((x ^ x>>31) & classHashMask)
+				}
+			}
+		})
+	}
+	classOf = make([][]int32, len(kd))
+	reps = make([][]int, len(kd))
+	for k := range kd {
+		classOf[k], reps[k] = make([]int32, kd[k]), []int{0}
+		if sums[k] == nil {
+			continue
+		}
+		for a := 1; a < kd[k]; a++ {
+			if stop() {
+				return classOf, reps
+			}
+			h := sums[k][a].Load()
+			c := slices.IndexFunc(reps[k], func(b int) bool {
+				return sums[k][b].Load() == h && sameRows(srcs, rowDig[k], kd[k], kv, a, b)
+			})
+			if c < 0 {
+				c = len(reps[k])
+				reps[k] = append(reps[k], a)
+			}
+			classOf[k][a] = int32(c)
+		}
+	}
+	return classOf, reps
+}
+
+// rowHash hashes the bit patterns of a row.
+func rowHash(seed uint64, row []float64) uint64 {
+	h := seed
+	for _, x := range row {
+		h = (h ^ math.Float64bits(x)) * 0x9E3779B97F4A7C15
+		h ^= h >> 29
+	}
+	return h
+}
+
+// sameRows reports whether values a and b of a digit select bit-identical
+// rows in every source of upd. Under one setting of the slower digits a value
+// selects stride consecutive rows; the settings are stride·kd rows apart.
+func sameRows(srcs []rowSrc, upd []digUpd, kd, kv, a, b int) bool {
+	for _, u := range upd {
+		vals := srcs[u.i].vals
+		blk := u.stride * int64(kv)
+		for o := int64(0); o < int64(len(vals)); o += blk * int64(kd) {
+			x, y := vals[o+int64(a)*blk:][:blk], vals[o+int64(b)*blk:][:blk]
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // baseEnt is one candidate of the bound-pruned scan: configuration c and its
@@ -274,21 +382,28 @@ type Stats struct {
 	// PeakLiveEntries is the largest number of simultaneously live table
 	// entries (in full cost+choice entry equivalents): cost tables are freed
 	// once their last reader's fill completes, so this — not TotalEntries —
-	// is what the memory budget bounds.
+	// is what the memory budget bounds. It counts a fill's scratch too: the
+	// row minima and the minf/argc side table of every vertex that took one.
+	// Under a budget too tight for some side table that vertex is scanned
+	// directly instead, so the peak then reported is lower than the
+	// unbudgeted one and never above the budget.
 	PeakLiveEntries int64
-	// States is the number of table-cell evaluations the fill performed:
-	// the (φ, C) candidates the bound-pruned scan actually evaluated, plus —
-	// for vertices where the factored kernel applies — one combine per table
-	// entry whose scan was shared with other entries. It depends on table
-	// data alone, so it repeats exactly at every worker count. A beam pass
-	// counts the same thing for its sparse join: the (child entry or digit
-	// value, partial) candidates its generation steps evaluated before the
-	// frontier's threshold stopped them, compatible or not, summed over the
-	// passes of a SolveBeam.
+	// States is the number of table-cell evaluations the fill performed: the
+	// (φ, C) candidates the bound-pruned scan actually evaluated — one scan
+	// per combination of digit classes where a vertex's entries share scans
+	// (see digitClasses), one per entry where they do not — plus, for the
+	// sharing vertices, one combine per table entry. It depends on table data
+	// alone (and on which side tables the budget admitted), so it repeats
+	// exactly at every worker count. A beam pass counts the same thing for its
+	// sparse join: the (child entry or digit value, partial) candidates its
+	// generation steps evaluated before the frontier's threshold stopped
+	// them, compatible or not, summed over the passes of a SolveBeam.
 	States int64
 	// ScanSpace is what States would be without the bound: every (φ, C)
-	// candidate of the scans that ran (plus the same combines), so
-	// States/ScanSpace is the share of the candidate space the scan visited.
+	// candidate of the scans that ran plus the same combines — Π classes · kv
+	// + table size for a vertex whose entries share scans, table size · kv
+	// for one scanned directly — so States/ScanSpace is the share of the
+	// candidate space the scan visited.
 	ScanSpace int64
 	// PrunedConfigs is how many candidate configurations the model's
 	// config-space reduction removed before the DP ran (cost.Model dedup +
@@ -554,6 +669,22 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	cancelErr := func() error {
 		return fmt.Errorf("core: solve cancelled: %w", context.Cause(ctx))
 	}
+	// stopped is the poll the fill loops make every cancelCheckMask+1 entries.
+	stopped := func() bool {
+		if done == nil {
+			return false
+		}
+		if cancelled.Load() {
+			return true
+		}
+		select {
+		case <-done:
+			cancelled.Store(true)
+			return true
+		default:
+			return false
+		}
+	}
 	st := newStats(m, sq)
 
 	// The fill pool lives for the whole solve: every vertex's chunked table
@@ -590,9 +721,10 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	// Sizing pre-pass: table sizes and the liveness plan need no fill, so a
 	// solve whose tables alone outgrow the budget fails here, before the
 	// first table is allocated, instead of seconds into the fills. The fill
-	// loop below repeats this accounting with the per-vertex scratch (row
-	// minima, factored side tables) charged on top: a solve that passes here
-	// can still run out there, never the other way round.
+	// loop below repeats this accounting with the per-vertex scratch charged
+	// on top — the row minima, which a solve that passes here can still run
+	// out on, never the other way round, and the minf/argc side tables, which
+	// a vertex goes without when they do not fit.
 	tblSizes := make([]int64, n)
 	planned := int64(0)
 	for i, v := range sq.Order {
@@ -612,13 +744,13 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	}
 
 	liveUnits := int64(0)
-	// charge takes units of live memory for vertex v's fill, failing once the
-	// budget is exceeded and recording the peak otherwise.
+	// charge takes units of live memory for vertex v's fill and records the
+	// peak; where they would exceed the budget it takes nothing and fails.
 	charge := func(units int64, v int) error {
-		liveUnits += units
-		if liveUnits > budgetUnits {
+		if liveUnits+units > budgetUnits {
 			return fmt.Errorf("%w: live tables at vertex %d exceed %d entries", ErrOOM, v, budget)
 		}
+		liveUnits += units
 		if live := (liveUnits + 2) / 3; live > st.PeakLiveEntries {
 			st.PeakLiveEntries = live
 		}
@@ -831,35 +963,38 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			ch = arena.GetI32(tblSize)
 		}
 
-		// Factorization: the minimizing configuration depends only on the φ
-		// digits the rows read — cells add a per-φ constant, which never
-		// changes the argmin. When those "scan digits" span fewer than all of
-		// D(i), the scan runs once per scan-digit combination (subSize of
-		// them) into a minf/argc side table, and the full table fill collapses
-		// to one gather plus the φ-only cell sum per entry: at most
-		// subSize·kv + tblSize states instead of tblSize·kv.
+		// Quotient: the scan reads φ through its rows only — cells add a per-φ
+		// constant, which never changes the argmin — so two φ that select the
+		// same bits in every row share one scan. Each digit's values fall into
+		// classes the rows cannot tell apart (digitClasses); a digit no row
+		// reads, or with one configuration, has a single class. The scan runs
+		// once per combination of class representatives (subSize of them) into
+		// a minf/argc side table, and the table fill collapses to one gather
+		// through classOf plus the φ-only cell sum per entry: subSize·kv +
+		// tblSize candidates at most instead of tblSize·kv.
+		classOf, reps := digitClasses(srcs, rowDig, kd, kv, parChunk, stopped)
+		if cancelled.Load() {
+			return nil, nil, cancelErr()
+		}
 		subSize := int64(1)
-		subStride := make([]int64, len(dep)) // 0 for digits the scan ignores
-		var scanDigits []int                 // digits the scan odometer steps, fastest first
-		for k := range dep {
-			if len(rowDig[k]) == 0 {
-				continue
-			}
-			subStride[k] = subSize
-			subSize *= int64(kd[k])
-			if kd[k] > 1 { // a one-configuration digit never steps
-				scanDigits = append(scanDigits, k)
+		fastDigit := len(dep) // first digit with rows and K > 1; len(dep) when there is none
+		for k := len(dep) - 1; k >= 0; k-- {
+			subSize *= int64(len(reps[k]))
+			if len(rowDig[k]) > 0 && kd[k] > 1 {
+				fastDigit = k
 			}
 		}
-		factored := subSize < tblSize
 
-		// Bound-pruned scan wiring. Fast rows are the ones the fastest scan
-		// digit moves; every other row is constant between two steps of a
-		// slower digit and is hoisted, with the layer cost row, into the
-		// chunk's base vector (see fillScan).
+		// Bound-pruned scan wiring. Fast rows are the ones fastDigit moves;
+		// every other row is constant between two steps of a slower digit and
+		// is hoisted, with the layer cost row, into the chunk's base vector (see
+		// fillScan). The split is by digit, not by class count: a fastDigit
+		// whose values all fall in one class never steps, but its rows are
+		// still summed last, so every table keeps the bits the unquotiented scan
+		// gives it.
 		var fastRows, slowRows []int
 		for s := range srcs {
-			if len(scanDigits) > 0 && slices.Contains(srcs[s].digit, scanDigits[0]) {
+			if slices.Contains(srcs[s].digit, fastDigit) {
 				fastRows = append(fastRows, s)
 			} else {
 				slowRows = append(slowRows, s)
@@ -885,23 +1020,48 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			})
 		}
 
+		// The side table is transient — live only during this vertex's fills —
+		// but it is real memory, so it is charged against the budget like any
+		// other cost+choice table. When it does not fit, the vertex is scanned
+		// directly instead of failing the solve: every value of every digit
+		// its own representative, the cells added in the scan. A vertex whose
+		// classes are all singletons has nothing to share and takes the same
+		// route.
+		factored := subSize < tblSize
+		if factored && charge(3*subSize, v) != nil {
+			factored = false
+			for k := range reps {
+				reps[k] = make([]int, kd[k])
+				for a := range reps[k] {
+					reps[k][a] = a
+				}
+			}
+		}
+		var scanDigits []int // digits the scan odometer steps, fastest first
+		for k := range dep {
+			if len(reps[k]) > 1 {
+				scanDigits = append(scanDigits, k)
+			}
+		}
+
 		// fillScan computes min_C over the flat range [lo, hi) of the scan
-		// odometer by branch and bound. A candidate's cost is summed as
+		// odometer — the representatives of every digit, first digit fastest —
+		// by branch and bound. A candidate's cost is summed as
 		// ((tl + slow rows in row order) + fast rows in row order); the
 		// parenthesised base is rebuilt, and sorted ascending with ties by
-		// configuration index, only when a digit slower than the fastest
-		// steps. Each entry walks the sorted base and stops at the first
-		// candidate whose base plus the fast rows' minima (added in the same
-		// order) already exceeds the best cost so far: floating-point addition
-		// is monotone, so that bound never exceeds the candidate's true cost
-		// nor the bound of any candidate after it. The stop test is strict and
+		// configuration index, only when a digit slower than fastDigit steps.
+		// Each entry walks the sorted base and stops at the first candidate
+		// whose base plus the fast rows' minima (added in the same order)
+		// already exceeds the best cost so far: floating-point addition is
+		// monotone, so that bound never exceeds the candidate's true cost nor
+		// the bound of any candidate after it. The stop test is strict and
 		// equal costs keep the smaller index, so value and argmin are exactly
-		// those of a linear scan over the same expression. In factored mode it
-		// fills the minf side table over the scan digits; otherwise it writes
-		// the DP table directly, adding the φ-only cell sum. Ranges are
-		// disjoint, all shared state is read-only and an entry's work depends
-		// on table data alone, so chunks run in parallel with byte-identical
-		// tables and state counts at any worker count and chunk size.
+		// those of a linear scan over the same expression. A factored vertex
+		// fills the minf side table; a direct one writes the DP table, adding
+		// the φ-only cell sum. Ranges are disjoint, all shared state is
+		// read-only and an entry's work depends on table data alone, so chunks
+		// run in parallel with byte-identical tables and state counts at any
+		// worker count and chunk size.
 		var scanned atomic.Int64
 		fillScan := func(lo, hi int64, outT []float64, outC []int32) {
 			// A chunk claimed after cancellation returns before paying the
@@ -911,6 +1071,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			}
 			sc := getFillScratch(len(dep), len(refs), len(srcs), kv, len(fastRows))
 			defer sc.release()
+			// digits holds each digit's position in its reps list.
 			digits, rbase, ridx, ents, fmin := sc.digits, sc.rbase, sc.ridx, sc.ents, sc.fmin
 			row := func(s int) []float64 {
 				o := ridx[s] * int64(kv)
@@ -928,16 +1089,17 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 				sortEnts(ents, sc.tmp)
 			}
 			// Position the incremental state at flat index lo of the scan
-			// odometer (first digit fastest).
+			// odometer.
 			rem := lo
 			for _, k := range scanDigits {
-				digits[k] = int(rem % int64(kd[k]))
-				rem /= int64(kd[k])
+				n := int64(len(reps[k]))
+				digits[k] = int(rem % n)
+				rem /= n
 			}
 			for s := range srcs {
 				ridx[s] = 0
 				for k, dg := range srcs[s].digit {
-					ridx[s] += int64(digits[dg]) * srcs[s].stride[k]
+					ridx[s] += int64(reps[dg][digits[dg]]) * srcs[s].stride[k]
 				}
 			}
 			if !factored {
@@ -945,7 +1107,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 					r := &refs[ri]
 					rbase[ri] = 0
 					for k, dg := range r.phiDigit {
-						rbase[ri] += int64(digits[dg]) * r.phiStride[k]
+						rbase[ri] += int64(reps[dg][digits[dg]]) * r.phiStride[k]
 					}
 				}
 			}
@@ -953,16 +1115,8 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			evaluated := int64(0)
 			defer func() { scanned.Add(evaluated) }()
 			for flat := lo; flat < hi; flat++ {
-				if done != nil && flat&cancelCheckMask == 0 {
-					if cancelled.Load() {
-						return
-					}
-					select {
-					case <-done:
-						cancelled.Store(true)
-						return
-					default:
-					}
+				if flat&cancelCheckMask == 0 && stopped() {
+					return
 				}
 				best := math.Inf(1)
 				bestC := int32(0)
@@ -1011,30 +1165,35 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 				outT[flat] = cbase + best
 				outC[flat] = bestC
 
-				// Odometer increment (first digit fastest), updating only the
-				// rows and cell bases the changed digits stride through.
+				// Odometer increment: the stepping digit moves to its next
+				// representative, the wrapped ones back to value 0, updating
+				// only the rows and cell bases those digits stride through.
 				slowStep := false
-				for si, k := range scanDigits {
-					digits[k]++
-					if digits[k] < kd[k] {
+				for _, k := range scanDigits {
+					r := reps[k]
+					at := digits[k]
+					if at+1 < len(r) {
+						digits[k] = at + 1
+						by := int64(r[at+1] - r[at])
 						for _, u := range rowDig[k] {
-							ridx[u.i] += u.stride
+							ridx[u.i] += by * u.stride
 						}
 						if !factored {
 							for _, u := range cellDig[k] {
-								rbase[u.i] += u.stride
+								rbase[u.i] += by * u.stride
 							}
 						}
-						slowStep = si > 0
+						slowStep = k > fastDigit
 						break
 					}
 					digits[k] = 0
+					by := int64(r[at])
 					for _, u := range rowDig[k] {
-						ridx[u.i] -= int64(kd[k]-1) * u.stride
+						ridx[u.i] -= by * u.stride
 					}
 					if !factored {
 						for _, u := range cellDig[k] {
-							rbase[u.i] -= int64(kd[k]-1) * u.stride
+							rbase[u.i] -= by * u.stride
 						}
 					}
 				}
@@ -1045,13 +1204,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		}
 
 		if factored {
-			// Phase A: one scan per combination of the digits the scan
-			// reads. The side table is transient — live only during this
-			// vertex's fills — but it is real memory, so it is charged
-			// against the budget like any other cost+choice table.
-			if err := charge(3*subSize, v); err != nil {
-				return nil, nil, err
-			}
+			// Phase A: one scan per combination of class representatives.
 			minf := arena.GetF64(subSize)
 			argc := arena.GetI32(subSize)
 			parChunk(subSize, func(lo, hi int64) {
@@ -1060,8 +1213,14 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			if cancelled.Load() {
 				return nil, nil, cancelErr()
 			}
-			// Phase B: broadcast the scan results over the ignored digits,
-			// adding the φ-only cell lookups.
+			// Phase B: broadcast the scan results over every φ through its
+			// digits' classes, adding the φ-only cell lookups.
+			subStride := make([]int64, len(dep))
+			stride := int64(1)
+			for k := range dep {
+				subStride[k] = stride
+				stride *= int64(len(reps[k]))
+			}
 			parChunk(tblSize, func(lo, hi int64) {
 				if done != nil && cancelled.Load() {
 					return
@@ -1074,7 +1233,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 				for k := 0; k < len(dep); k++ {
 					digits[k] = int(rem % int64(kd[k]))
 					rem /= int64(kd[k])
-					subFlat += int64(digits[k]) * subStride[k]
+					subFlat += int64(classOf[k][digits[k]]) * subStride[k]
 				}
 				for _, ri := range cellRefs {
 					r := &refs[ri]
@@ -1084,16 +1243,8 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 					}
 				}
 				for flat := lo; flat < hi; flat++ {
-					if done != nil && flat&cancelCheckMask == 0 {
-						if cancelled.Load() {
-							return
-						}
-						select {
-						case <-done:
-							cancelled.Store(true)
-							return
-						default:
-						}
+					if flat&cancelCheckMask == 0 && stopped() {
+						return
 					}
 					cbase := 0.0
 					for _, ri := range cellRefs {
@@ -1102,19 +1253,21 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 					t[flat] = cbase + minf[subFlat]
 					ch[flat] = argc[subFlat]
 					for k := 0; k < len(dep); k++ {
-						digits[k]++
-						if digits[k] < kd[k] {
+						cls := classOf[k]
+						at := digits[k]
+						if at+1 < kd[k] {
+							digits[k] = at + 1
 							for _, u := range cellDig[k] {
 								rbase[u.i] += u.stride
 							}
-							subFlat += subStride[k]
+							subFlat += int64(cls[at+1]-cls[at]) * subStride[k]
 							break
 						}
 						digits[k] = 0
 						for _, u := range cellDig[k] {
-							rbase[u.i] -= int64(kd[k]-1) * u.stride
+							rbase[u.i] -= int64(at) * u.stride
 						}
-						subFlat -= int64(kd[k]-1) * subStride[k]
+						subFlat -= int64(cls[at]) * subStride[k]
 					}
 				}
 			})

@@ -201,9 +201,14 @@ func TestDoomedSolveFailsBeforeFilling(t *testing.T) {
 	}
 }
 
-// The pre-pass must not move the budget's edge: a paper model still solves
-// with exactly its peak live entries (and one more) as the budget, to the same
-// result and the same reported peak, and still fails one entry below.
+// The budget's edge. A paper model solves with exactly its unbudgeted peak live
+// entries (and one more) as the budget, to the same result and the same
+// reported peak. Below that a vertex whose minf/argc side table no longer fits
+// is scanned directly instead of failing the solve: the result stays the same
+// and the reported peak drops under the budget, step by step down to the floor
+// — the tables and the row minima alone — where the solve reports exactly its
+// budget as the peak and fails one entry below (in the sizing pre-pass or in
+// the fill, the same wrapped ErrOOM).
 func TestBudgetEdgeAtPeakLiveEntries(t *testing.T) {
 	for _, name := range []string{"alexnet", "inceptionv3", "rnnlm", "transformer"} {
 		t.Run(name, func(t *testing.T) {
@@ -220,14 +225,64 @@ func TestBudgetEdgeAtPeakLiveEntries(t *testing.T) {
 					t.Fatalf("budget %d (peak %d): %v", budget, peak, err)
 				}
 				requireSameResult(t, fmt.Sprintf("budget %d", budget), got, free)
-				if got.Stats.PeakLiveEntries != peak {
-					t.Fatalf("budget %d: peak %d, unbudgeted %d", budget, got.Stats.PeakLiveEntries, peak)
+				if got.Stats.PeakLiveEntries != peak || got.Stats.States != free.Stats.States {
+					t.Fatalf("budget %d: peak %d states %d, unbudgeted %d / %d", budget,
+						got.Stats.PeakLiveEntries, got.Stats.States, peak, free.Stats.States)
 				}
 			}
-			if _, err := Solve(context.Background(), m, sq, Options{Workers: 1, MaxTableEntries: peak - 1}); !errors.Is(err, ErrOOM) {
-				t.Fatalf("budget %d (peak %d): want ErrOOM, got %v", peak-1, peak, err)
+			floor, direct := peak, 0
+			for {
+				got, err := Solve(context.Background(), m, sq, Options{Workers: 1, MaxTableEntries: floor - 1})
+				if errors.Is(err, ErrOOM) {
+					break
+				}
+				if err != nil {
+					t.Fatalf("budget %d (peak %d): %v", floor-1, peak, err)
+				}
+				requireSameResult(t, fmt.Sprintf("budget %d", floor-1), got, free)
+				if got.Stats.PeakLiveEntries >= floor {
+					t.Fatalf("budget %d: reported peak %d", floor-1, got.Stats.PeakLiveEntries)
+				}
+				floor = got.Stats.PeakLiveEntries
+				direct++
+			}
+			if direct == 0 {
+				t.Fatalf("budget %d failed: no side table was ever traded for a direct scan", peak-1)
+			}
+			got, err := Solve(context.Background(), m, sq, Options{Workers: 1, MaxTableEntries: floor})
+			if err != nil {
+				t.Fatalf("floor budget %d: %v", floor, err)
+			}
+			if got.Stats.PeakLiveEntries != floor {
+				t.Fatalf("floor budget %d: peak %d", floor, got.Stats.PeakLiveEntries)
 			}
 		})
+	}
+}
+
+// No request that solved before the quotient scan may fail after it: the
+// Transformer at p=32, given as its budget exactly the peak the solver
+// reported when only digits without rows shared scans (1 835 164 entries; the
+// quotient's side tables raise the unbudgeted peak above that), still solves,
+// to the same result, by scanning the vertices that no longer fit directly.
+func TestSolvesAtThePeakOfTheUnquotientedScan(t *testing.T) {
+	const unquotientedPeak = 1_835_164
+	m := transformerP32Model(t)
+	sq := seq.Generate(m.G)
+	free, err := Solve(context.Background(), m, sq, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if free.Stats.PeakLiveEntries <= unquotientedPeak {
+		t.Fatalf("unbudgeted peak %d does not exceed %d: the budget below exercises no fallback", free.Stats.PeakLiveEntries, unquotientedPeak)
+	}
+	got, err := Solve(context.Background(), m, sq, Options{MaxTableEntries: unquotientedPeak})
+	if err != nil {
+		t.Fatalf("budget %d: %v", unquotientedPeak, err)
+	}
+	requireSameResult(t, "at the unquotiented peak", got, free)
+	if got.Stats.PeakLiveEntries > unquotientedPeak {
+		t.Fatalf("peak %d under budget %d", got.Stats.PeakLiveEntries, unquotientedPeak)
 	}
 }
 

@@ -1211,9 +1211,12 @@ func (p *Planner) runDPCached(ctx context.Context, m *cost.Model, opts Options, 
 	if p.deltas == nil || !retain {
 		return runDP(ctx, m, opts, start, p.arena)
 	}
+	// The arena serves the fills' scratch (row minima, minf/argc side tables);
+	// a retaining solve's tables are plainly allocated and never enter it.
 	coreOpts := core.Options{
 		MaxTableEntries: opts.MaxTableEntries,
 		Workers:         opts.Workers,
+		Arena:           p.arena,
 	}
 	key := deltaKey(m.G, opts)
 	p.mu.Lock()
