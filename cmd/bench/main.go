@@ -10,13 +10,11 @@
 //	go run ./cmd/bench                      # appends to BENCH_solver.json
 //	go run ./cmd/bench -out - -reps 5       # print one entry to stdout, 5 reps
 //	go run ./cmd/bench -cpuprofile cpu.out  # profile the measured hot paths
-//	go run ./cmd/bench -out - -against BENCH_solver.json -regress-factor 1.5
-//	                                        # CI gate: fail on a Transformer
-//	                                        # solve regression vs the latest
-//	                                        # trajectory entry, or when any
-//	                                        # Table I solve or GPTDeep beam
-//	                                        # pass evaluates more states than
-//	                                        # the latest entry
+//	go run ./cmd/bench -out - -against BENCH_solver.json
+//	                                        # CI gate: fail when any Table I
+//	                                        # solve or GPTDeep beam pass
+//	                                        # evaluates more states than the
+//	                                        # latest trajectory entry
 //
 // Measured families (minimum wall time over -reps runs):
 //
@@ -113,13 +111,12 @@ var beamWidths = []int{8, 32}
 
 // config carries the flag-derived run parameters.
 type config struct {
-	out           string
-	reps, p       int
-	notes         string
-	cpuProfile    string
-	memProfile    string
-	against       string
-	regressFactor float64
+	out        string
+	reps, p    int
+	notes      string
+	cpuProfile string
+	memProfile string
+	against    string
 }
 
 func run(cfg config) error {
@@ -373,7 +370,7 @@ func run(cfg config) error {
 	}
 
 	if cfg.against != "" {
-		if err := regressionCheck(rep, cfg.against, cfg.regressFactor, p); err != nil {
+		if err := statesCheck(rep, cfg.against, p); err != nil {
 			return err
 		}
 	}
@@ -407,41 +404,22 @@ func run(cfg config) error {
 	return nil
 }
 
-// regressionCheck compares this run's gated benchmarks — the Transformer
-// Table I solve, the Transformer model build, AND the warm class-store
-// sweep — against the -against
-// trajectory and fails on a regression beyond the allowed factor: the CI
-// gate that keeps the serving-latency floor and the structural-sharing
-// model-build win from silently eroding. A missing file or a benchmark
-// absent from every trajectory entry is a skip (the gate cannot block a
-// fresh checkout, and older entries predate the ModelBuild family), but an
-// existing file that fails to parse is an error — a corrupt
-// BENCH_solver.json must not silently disable the gate. The baseline per
-// benchmark is the latest entry from a matching environment (same GOOS and
-// GOMAXPROCS) when one exists; otherwise the latest entry overall, with a
-// cross-environment warning (the factor plus the CI retry absorb runner
-// differences). Every Table I solve is also gated on its states extra and
-// both GPTDeep beam passes on states_explored, which needs no factor and no
-// matching environment: the counts are functions of the cost tables, so any
-// increase is a real loss of pruning.
-func regressionCheck(rep Report, against string, factor float64, p int) error {
+// statesCheck is the CI gate: every Table I solve of this run is compared on
+// its states extra, and both GPTDeep beam passes on states_explored, with the
+// -against trajectory. The counts are functions of the cost tables, so the
+// gate needs no factor, no matching environment and no retry — any increase is
+// a real loss of pruning. (Wall clock is the referee's: bash benchmark/run.sh.)
+// A missing file is a skip (the gate cannot block a fresh checkout), but an
+// existing file that fails to parse is an error — a corrupt BENCH_solver.json
+// must not silently disable the gate.
+func statesCheck(rep Report, against string, p int) error {
 	if _, err := os.Stat(against); os.IsNotExist(err) {
-		fmt.Fprintf(os.Stderr, "bench: no trajectory at %s; skipping regression check\n", against)
+		fmt.Fprintf(os.Stderr, "bench: no trajectory at %s; skipping the states check\n", against)
 		return nil
 	}
 	traj, err := loadTrajectory(against)
 	if err != nil {
 		return fmt.Errorf("bench: -against %s: %w", against, err)
-	}
-	for _, name := range []string{
-		fmt.Sprintf("TableI_PaSE/Transformer/p=%d", p),
-		fmt.Sprintf("ModelBuild/Transformer/p=%d", p),
-		"Sweep/Transformer/p=2..32/warm",
-		"Beam/GPTDeep/W=32",
-	} {
-		if err := regressionCheckOne(rep, traj, against, name, factor); err != nil {
-			return err
-		}
 	}
 	for _, bm := range pase.Benchmarks() {
 		if err := statesCheckOne(rep, traj, against, fmt.Sprintf("TableI_PaSE/%s/p=%d", bm.Name, p), "states"); err != nil {
@@ -492,57 +470,6 @@ func statesCheckOne(rep Report, traj Trajectory, against, name, extra string) er
 	return nil
 }
 
-// regressionCheckOne gates one benchmark name against the trajectory.
-func regressionCheckOne(rep Report, traj Trajectory, against, name string, factor float64) error {
-	find := func(rs []Result) (float64, bool) {
-		r, ok := findResult(rs, name)
-		return r.NsPerOp, ok
-	}
-	// Latest entry that measured this benchmark (older entries may have run
-	// at a different -p or predate the family), preferring one recorded in
-	// this environment.
-	pick := func(matchEnv bool) (float64, string, bool) {
-		for i := len(traj.Entries) - 1; i >= 0; i-- {
-			e := traj.Entries[i]
-			if matchEnv && (e.GOOS != rep.GOOS || e.GOMAXPROCS != rep.GOMAXPROCS) {
-				continue
-			}
-			if ns, ok := find(e.Results); ok {
-				return ns, e.Date, true
-			}
-		}
-		return 0, "", false
-	}
-	base, baseDate, ok := pick(true)
-	if !ok {
-		if base, baseDate, ok = pick(false); ok {
-			// Cross-environment comparison: wall times from a different
-			// machine class carry a systematic offset, not just noise, so
-			// the allowed factor is doubled — the gate still catches a
-			// reverted multiplicative speedup without failing every run on
-			// a slower runner generation.
-			factor *= 2
-			fmt.Fprintf(os.Stderr, "bench: no %s/GOMAXPROCS=%d trajectory entry for %s; comparing across environments (%s entry, limit relaxed to %.2fx)\n",
-				rep.GOOS, rep.GOMAXPROCS, name, baseDate, factor)
-		}
-	}
-	if !ok {
-		fmt.Fprintf(os.Stderr, "bench: %s not in any %s entry; skipping regression check\n", name, against)
-		return nil
-	}
-	cur, ok := find(rep.Results)
-	if !ok {
-		return fmt.Errorf("bench: this run did not measure %s", name)
-	}
-	ratio := cur / base
-	fmt.Fprintf(os.Stderr, "bench: %s %.0f ns vs %.0f ns (%s entry): %.2fx (limit %.2fx)\n",
-		name, cur, base, baseDate, ratio, factor)
-	if ratio > factor {
-		return fmt.Errorf("bench: %s regressed %.2fx over the %s trajectory entry (limit %.2fx)", name, ratio, baseDate, factor)
-	}
-	return nil
-}
-
 // loadTrajectory reads the output file's existing history. A missing file
 // starts an empty trajectory; a pre-trajectory single-report file (the
 // original pase-bench/v1 layout) is migrated as the first entry.
@@ -573,8 +500,7 @@ func main() {
 		notes      = flag.String("notes", "", "free-form context embedded in the report")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile covering the measured benchmarks to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the measured benchmarks to this file")
-		against    = flag.String("against", "", "trajectory file whose latest entries gate this run: wall time by -regress-factor, Table I DP states and GPTDeep beam states exactly")
-		regress    = flag.Float64("regress-factor", 1.5, "with -against: fail when the Transformer solve is more than this many times slower")
+		against    = flag.String("against", "", "trajectory file whose latest entries gate this run: Table I DP states and GPTDeep beam states may not exceed them")
 	)
 	flag.Parse()
 	if *reps < 1 {
@@ -584,7 +510,7 @@ func main() {
 	if err := run(config{
 		out: *out, reps: *reps, p: *p, notes: *notes,
 		cpuProfile: *cpuprofile, memProfile: *memprofile,
-		against: *against, regressFactor: *regress,
+		against: *against,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)

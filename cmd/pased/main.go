@@ -10,9 +10,9 @@
 // request memo knows skips the first three. One gotcha follows: a repeat body
 // never reaches spec.Load or the model registry — the memo is keyed by the
 // body's bytes, which is sound because everything else lowering reads
-// (-max-gpus, -default-beam-width, -prune-epsilon) is fixed at boot — so a
-// change to lowering shows on a body's first request only; /v1/stats
-// memo_hits / memo_misses say which kind a request was.
+// (-max-gpus, -default-beam-width) is fixed at boot — so a change to lowering
+// shows on a body's first request only; /v1/stats memo_hits / memo_misses say
+// which kind a request was.
 //
 // Every solve is tied to its request's context: a disconnected client or the
 // -solve-timeout deadline aborts the model build or DP mid-flight within
@@ -105,14 +105,14 @@
 //
 // Flags size and place a deployment (addresses, peers, cache and queue
 // bounds, timeouts, snapshot path). Tuning values no deployment ever set —
-// retry counts and backoffs, the breaker threshold, the delta re-solve and
-// degrade-depth thresholds, the batch pool width — are constants of the
-// packages that own them.
+// retry counts and backoffs, the breaker threshold, the delta re-solve
+// threshold, the degrade depth (half of -max-queue), the batch pool width —
+// are constants of the packages that own them. A dp answer
+// is the optimum under the cost model unless it says "degraded": true.
 //
 // -debug-addr mounts net/http/pprof on a separate localhost listener so
 // production hot-path regressions are diagnosable without exposing profiles
-// on the API port; -prune-epsilon sets the daemon-wide default for
-// epsilon-dominance config pruning (requests can override it per call).
+// on the API port.
 package main
 
 import (
@@ -194,11 +194,6 @@ type solveOptions struct {
 	MaxTableEntries   int64 `json:"max_table_entries,omitempty"`
 	BreadthFirst      bool  `json:"breadth_first,omitempty"`
 	Workers           int   `json:"workers,omitempty"`
-	// PruneEpsilon enables epsilon-dominance config pruning for this
-	// request: the returned strategy's cost is within (1+ε)² of optimal.
-	// Omitted uses the daemon's -prune-epsilon default; an explicit 0
-	// forces the exact solve even when the daemon default is aggressive.
-	PruneEpsilon *float64 `json:"prune_epsilon,omitempty"`
 }
 
 // solveResponse is the wire form of one solved strategy.
@@ -588,17 +583,6 @@ func applyOptions(opts *pase.Options, o *solveOptions) error {
 	if o.MaxSplitDims < 0 {
 		return fmt.Errorf("max_split_dims %d must be >= 0", o.MaxSplitDims)
 	}
-	if o.PruneEpsilon != nil {
-		if *o.PruneEpsilon < 0 || *o.PruneEpsilon > maxPruneEpsilon {
-			return fmt.Errorf("prune_epsilon %g out of range [0, %g]", *o.PruneEpsilon, maxPruneEpsilon)
-		}
-		// An explicit wire zero means "exact, no matter the daemon
-		// default" — the planner's negative-epsilon opt-out.
-		opts.PruneEpsilon = *o.PruneEpsilon
-		if opts.PruneEpsilon == 0 {
-			opts.PruneEpsilon = -1
-		}
-	}
 	if o.MaxSplitDims > 0 || o.RequireFullDegree {
 		opts.Policy = pase.EnumPolicy{MaxSplitDims: o.MaxSplitDims, RequireFullDegree: o.RequireFullDegree}
 	}
@@ -706,10 +690,6 @@ const (
 	// of entries; the ErrOOM → 422 path exists precisely because some
 	// (model, ordering) pairs need unbounded memory.
 	maxTableEntriesCap = int64(1) << 27
-	// maxPruneEpsilon caps the wire-supplied epsilon: beyond 100% relative
-	// slack the "strategy" degenerates and cache entries multiply for no
-	// plausible use.
-	maxPruneEpsilon = 1.0
 	// maxCompareMethods bounds an explicit compare method list; the full
 	// default comparison is 5 entries (dataparallel, expert, mcmc, beam, dp).
 	maxCompareMethods = 8
@@ -1071,7 +1051,6 @@ func main() {
 		addr         = flag.String("addr", ":8555", "listen address")
 		resultCache  = flag.Int("result-cache", 256, "solved-result LRU capacity")
 		maxGPUs      = flag.Int("max-gpus", 128, "largest accepted device count (cost-model tables grow with p; raise deliberately)")
-		pruneEps     = flag.Float64("prune-epsilon", 0, "default epsilon-dominance config pruning for requests that leave it unset (0 = exact dedup only)")
 		storeBytes   = flag.Int64("class-store-bytes", 0, "cross-request class store budget in bytes (0 = default 256 MiB)")
 		beamWidth    = flag.Int("default-beam-width", 32, "beam frontier width for method=beam requests that leave beam_width unset (0 = unbounded: such requests run the exact DP)")
 		solveTimeout = flag.Duration("solve-timeout", 2*time.Minute, "per-request solve deadline; the solve is aborted mid-DP when it expires (0 = no deadline)")
@@ -1090,9 +1069,6 @@ func main() {
 		fleetProbe    = flag.Duration("fleet-probe-interval", time.Second, "background peer health-probe period (GET /v1/readyz on every peer)")
 	)
 	flag.Parse()
-	if *pruneEps < 0 || *pruneEps > maxPruneEpsilon {
-		log.Fatalf("pased: -prune-epsilon %g out of range [0, %g]", *pruneEps, maxPruneEpsilon)
-	}
 	if *beamWidth < 0 || *beamWidth > maxBeamWidth {
 		log.Fatalf("pased: -default-beam-width %d out of range [0, %d]", *beamWidth, maxBeamWidth)
 	}
@@ -1127,14 +1103,13 @@ func main() {
 	}
 
 	pl := pase.NewPlanner(pase.PlannerConfig{
-		ResultCacheSize:     *resultCache,
-		DefaultPruneEpsilon: *pruneEps,
-		ClassStoreBytes:     *storeBytes,
-		DefaultBeamWidth:    *beamWidth,
-		MaxInFlight:         *maxInflight,
-		MaxQueue:            *maxQueue,
-		DegradeBeamWidth:    *degradeWidth,
-		FaultPlan:           faults,
+		ResultCacheSize:  *resultCache,
+		ClassStoreBytes:  *storeBytes,
+		DefaultBeamWidth: *beamWidth,
+		MaxInFlight:      *maxInflight,
+		MaxQueue:         *maxQueue,
+		DegradeBeamWidth: *degradeWidth,
+		FaultPlan:        faults,
 	})
 	sv := newServer(pl, *maxGPUs, *solveTimeout)
 	if *snapPath != "" {

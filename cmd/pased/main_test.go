@@ -117,9 +117,6 @@ func TestSolveValidation(t *testing.T) {
 		`{"model":"alexnet","gpus":4096}`:               http.StatusBadRequest,
 		`{"model":"alexnet","gpus":8,"machine":"v100"}`: http.StatusBadRequest,
 		`not json`: http.StatusBadRequest,
-		`{"model":"alexnet","gpus":8,"options":{"prune_epsilon":-0.1}}`:    http.StatusBadRequest,
-		`{"model":"alexnet","gpus":8,"options":{"prune_epsilon":2}}`:       http.StatusBadRequest,
-		`{"model":"alexnet","gpus":8,"options":{"prune_epsilon":0.05}}`:    http.StatusOK,
 		`{"model":"alexnet","gpus":8,"machine":"uniform:4:1e12:1e10:5e9"}`: http.StatusOK,
 	} {
 		status, out := postJSON(t, ts.URL+"/v1/solve", body)
@@ -310,22 +307,22 @@ func TestSolveOptionBounds(t *testing.T) {
 	}
 }
 
-func TestExplicitZeroEpsilonOverridesDaemonDefault(t *testing.T) {
-	aggr := httptest.NewServer(newServer(pase.NewPlanner(pase.PlannerConfig{DefaultPruneEpsilon: 0.2}), 64, 0).mux())
-	defer aggr.Close()
-	exact := httptest.NewServer(newServer(pase.NewPlanner(pase.PlannerConfig{}), 64, 0).mux())
-	defer exact.Close()
-
-	_, def := postJSON(t, aggr.URL+"/v1/solve", `{"model":"alexnet","gpus":8}`)
-	_, forced := postJSON(t, aggr.URL+"/v1/solve", `{"model":"alexnet","gpus":8,"options":{"prune_epsilon":0}}`)
-	_, ref := postJSON(t, exact.URL+"/v1/solve", `{"model":"alexnet","gpus":8}`)
-
-	if def["fingerprint"] == forced["fingerprint"] {
-		t.Fatal("explicit prune_epsilon:0 did not override the daemon default")
+// TestPruneEpsilonOnTheWireIsIgnored: the retired prune_epsilon option is an
+// unknown key to the non-strict decoder — a body still carrying it gets the
+// exact answer under the same fingerprint as the body without it.
+func TestPruneEpsilonOnTheWireIsIgnored(t *testing.T) {
+	ts := newTestServer(t)
+	status, ref := postJSON(t, ts.URL+"/v1/solve", `{"model":"alexnet","gpus":8}`)
+	if status != http.StatusOK {
+		t.Fatalf("reference solve: %d %v", status, ref)
 	}
-	if forced["fingerprint"] != ref["fingerprint"] {
-		t.Fatalf("forced-exact fingerprint %v differs from an exact daemon's %v",
-			forced["fingerprint"], ref["fingerprint"])
+	status, out := postJSON(t, ts.URL+"/v1/solve", `{"model":"alexnet","gpus":8,"options":{"prune_epsilon":0.1}}`)
+	if status != http.StatusOK || out["exact"] != true {
+		t.Fatalf("body with prune_epsilon: %d exact=%v (%v)", status, out["exact"], out["error"])
+	}
+	if out["fingerprint"] != ref["fingerprint"] || out["cost_seconds"] != ref["cost_seconds"] {
+		t.Fatalf("prune_epsilon moved the answer: fingerprint %v cost %v, want %v / %v",
+			out["fingerprint"], out["cost_seconds"], ref["fingerprint"], ref["cost_seconds"])
 	}
 }
 

@@ -9,11 +9,12 @@ import (
 	"time"
 
 	"pase"
+	"pase/internal/lru"
 )
 
 // memoCap bounds the request memo: twice the default -result-cache, so every
 // cached result can be reached through two spellings of its request before
-// the oldest body is forgotten. A forgotten body costs one trip down the slow
+// the least recently asked is forgotten. A forgotten body costs one trip down the slow
 // path, nothing else.
 const memoCap = 512
 
@@ -41,29 +42,25 @@ type memoEntry struct {
 }
 
 // requestMemo maps request bodies to memoEntry, at most memoCap of them,
-// forgetting the oldest first. Keying on the body's bytes is sound for the
-// life of the process: everything lowering reads besides the body (-max-gpus,
-// -default-beam-width, -prune-epsilon) is fixed at boot. A body the memo has
+// forgetting the least recently asked first. Keying on the body's bytes is
+// sound for the life of the process: everything lowering reads besides the
+// body (-max-gpus, -default-beam-width) is fixed at boot. A body the memo has
 // not seen — other whitespace, key order or priority — just takes the slow
 // path and is remembered under its own key.
 type requestMemo struct {
 	mu      sync.Mutex
-	entries map[memoKey]memoEntry
-	// ring holds the keys in insertion order; once it is full each new key
-	// overwrites, and forgets, the oldest.
-	ring []memoKey
-	next int
+	entries *lru.Cache[memoKey, memoEntry]
 
 	hits, misses atomic.Int64
 }
 
 func newRequestMemo() *requestMemo {
-	return &requestMemo{entries: make(map[memoKey]memoEntry)}
+	return &requestMemo{entries: lru.New[memoKey, memoEntry](memoCap, nil, nil)}
 }
 
 func (m *requestMemo) get(k memoKey) (memoEntry, bool) {
 	m.mu.Lock()
-	e, ok := m.entries[k]
+	e, ok := m.entries.Get(k)
 	m.mu.Unlock()
 	if ok {
 		m.hits.Add(1)
@@ -76,17 +73,8 @@ func (m *requestMemo) get(k memoKey) (memoEntry, bool) {
 // put remembers e under k, replacing what k held.
 func (m *requestMemo) put(k memoKey, e memoEntry) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.entries[k]; !ok {
-		if len(m.ring) < memoCap {
-			m.ring = append(m.ring, k)
-		} else {
-			delete(m.entries, m.ring[m.next])
-			m.ring[m.next] = k
-			m.next = (m.next + 1) % memoCap
-		}
-	}
-	m.entries[k] = e
+	m.entries.Put(k, e)
+	m.mu.Unlock()
 }
 
 // searchMsKey opens the search_ms line of an encoded solveResponse. Two

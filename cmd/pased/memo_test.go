@@ -70,14 +70,13 @@ func wantReferenceBytes(t *testing.T, what string, body []byte) *solveResponse {
 func (m *requestMemo) len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.entries)
+	return m.entries.Len()
 }
 
 func memoEntryOf(s *server, body string) (memoEntry, bool) {
 	s.memo.mu.Lock()
 	defer s.memo.mu.Unlock()
-	e, ok := s.memo.entries[sha256.Sum256([]byte(body))]
-	return e, ok
+	return s.memo.entries.Get(sha256.Sum256([]byte(body)))
 }
 
 // TestMemoSpellingsShareOneAnswer: two bodies for one request — different
@@ -360,11 +359,10 @@ func TestNoStaleBytesAfterEviction(t *testing.T) {
 // subsides the same body gets the exact strategy, then hits on it.
 func TestNoStaleBytesAfterPressureDegrade(t *testing.T) {
 	pl := pase.NewPlanner(pase.PlannerConfig{
-		MaxInFlight:       1,
-		MaxQueue:          4,
-		DegradeBeamWidth:  4,
-		DegradeQueueDepth: 1,
-		FaultPlan:         mustFaults(t, "solve:latency:400ms:1"),
+		MaxInFlight:      1,
+		MaxQueue:         2, // degrade from half of it: one waiter
+		DegradeBeamWidth: 4,
+		FaultPlan:        mustFaults(t, "solve:latency:400ms:1"),
 	})
 	s := newServer(pl, 64, 0)
 	ts := httptest.NewServer(s.mux())

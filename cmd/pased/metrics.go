@@ -10,8 +10,9 @@ import (
 // handleMetrics serves the daemon's counters in Prometheus text exposition
 // format (version 0.0.4), hand-rolled — the counters already exist on the
 // planner and fleet layers, so an exporter dependency would buy nothing. The
-// set mirrors /v1/stats; /metrics exists so the standard scrape-and-alert
-// stack works against a fleet out of the box.
+// set mirrors /v1/stats (TestMetricsCoverPlannerStats names the few planner
+// stats that stay there only); /metrics exists so the standard
+// scrape-and-alert stack works against a fleet out of the box.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.pl.Stats()
 	var b strings.Builder
@@ -31,6 +32,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("pase_model_builds_total", "Cost models constructed.", st.ModelBuilds)
 	counter("pase_result_cache_hits_total", "Result-cache hits.", st.ResultHits)
 	counter("pase_result_cache_misses_total", "Result-cache misses.", st.ResultMisses)
+	counter("pase_result_cache_evictions_total", "Result-cache evictions.", st.ResultEvictions)
 	counter("pase_dedup_waits_total", "Requests that joined an in-flight identical solve.", st.DedupWaits)
 	counter("pase_cancelled_total", "Requests cancelled while waiting on a flight.", st.Cancelled)
 	counter("pase_shed_total", "Requests shed by admission control.", st.Shed)
@@ -41,6 +43,13 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("pase_beam_solves_total", "Underlying beam solves completed.", st.BeamSolves)
 	counter("pase_beam_fallbacks_total", "Unbounded beam requests routed to the exact DP.", st.BeamFallbacks)
 	counter("pase_delta_resolves_total", "dp solves served by incremental re-solve.", st.DeltaResolves)
+	counter("pase_delta_fallbacks_total", "dp solves that found a retained snapshot but ran in full.", st.DeltaFallbacks)
+	counter("pase_class_store_hits_total", "Class tables resolved from the class store.", st.ClassStoreHits)
+	counter("pase_class_store_misses_total", "Class tables built into the class store.", st.ClassStoreMisses)
+	counter("pase_class_store_saved_bytes_total", "Table bytes class-store hits aliased instead of rebuilding.", st.ClassStoreSavedBytes)
+	counter("pase_class_store_evictions_total", "Class-store entries dropped to hold its budget.", st.ClassStoreEvictions)
+	gauge("pase_class_store_bytes", "Table bytes resident in the class store.", float64(st.ClassStoreBytes))
+	gauge("pase_last_gap", "Optimality gap of the most recent beam solve.", st.LastGap)
 	gauge("pase_queue_depth", "Requests currently waiting for a solve slot.", float64(st.QueueDepth))
 	gauge("pase_in_flight", "Underlying solves currently running.", float64(st.InFlight))
 	gauge("pase_cached_results", "Results resident in the LRU.", float64(s.pl.CacheSizes()))

@@ -3,8 +3,11 @@ package main
 import (
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
+
+	"pase"
 )
 
 // TestMetricsExposition: /metrics speaks Prometheus text format 0.0.4 and
@@ -51,5 +54,71 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if strings.Contains(body, "pase_fleet_peer_healthy") {
 		t.Fatal("single-node daemon exported per-peer fleet series")
+	}
+}
+
+// TestMetricsCoverPlannerStats: every planner stat /v1/stats reports (the
+// json tags of pase.PlannerStats, so a new field fails here until it is
+// placed) is either a /metrics series or declared stats-only.
+func TestMetricsCoverPlannerStats(t *testing.T) {
+	series := map[string]string{
+		"solves":                  "pase_solves_total",
+		"model_builds":            "pase_model_builds_total",
+		"result_hits":             "pase_result_cache_hits_total",
+		"result_misses":           "pase_result_cache_misses_total",
+		"result_evictions":        "pase_result_cache_evictions_total",
+		"dedup_waits":             "pase_dedup_waits_total",
+		"cancelled":               "pase_cancelled_total",
+		"class_store_hits":        "pase_class_store_hits_total",
+		"class_store_misses":      "pase_class_store_misses_total",
+		"class_store_bytes":       "pase_class_store_bytes",
+		"class_store_saved_bytes": "pase_class_store_saved_bytes_total",
+		"class_store_evictions":   "pase_class_store_evictions_total",
+		"delta_resolves":          "pase_delta_resolves_total",
+		"delta_fallbacks":         "pase_delta_fallbacks_total",
+		"beam_solves":             "pase_beam_solves_total",
+		"beam_fallbacks":          "pase_beam_fallbacks_total",
+		"last_gap":                "pase_last_gap",
+		"shed":                    "pase_shed_total",
+		"queued":                  "pase_queued_total",
+		"queue_depth":             "pase_queue_depth",
+		"in_flight":               "pase_in_flight",
+		"degraded":                "pase_degraded_total",
+		"panics":                  "pase_panics_total",
+		"restored_results":        "pase_restored_results_total",
+		"fleet_fallbacks":         "pase_fleet_fallbacks_total",
+	}
+	// Sums of per-model shape numbers every solve response already carries:
+	// diagnostic on /v1/stats, nothing to alert on.
+	statsOnly := map[string]bool{
+		"pruned_configs":     true,
+		"vertex_classes":     true,
+		"edge_classes":       true,
+		"shared_table_bytes": true,
+	}
+	ts := newTestServer(t)
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := reflect.TypeOf(pase.PlannerStats{})
+	for i := 0; i < st.NumField(); i++ {
+		tag := st.Field(i).Tag.Get("json")
+		name, exposed := series[tag]
+		switch {
+		case exposed && statsOnly[tag]:
+			t.Errorf("planner stat %q is declared both exposed and stats-only", tag)
+		case exposed:
+			if !strings.Contains(string(raw), "\n# TYPE "+name+" ") {
+				t.Errorf("planner stat %q: /metrics has no series %s", tag, name)
+			}
+		case !statsOnly[tag]:
+			t.Errorf("planner stat %q (%s) is neither on /metrics nor declared stats-only", tag, st.Field(i).Name)
+		}
 	}
 }

@@ -61,36 +61,6 @@ func TestPrunedSolveMatchesUnprunedOnRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestEpsilonDominancePrunesWithinBound checks the opt-in aggressive knob:
-// PruneEpsilon > 0 may change the found strategy but its cost must stay
-// within the documented (1+eps)² bound of the true optimum, and it should
-// remove at least as many configurations as exact dedup alone.
-func TestEpsilonDominancePrunesWithinBound(t *testing.T) {
-	const eps = 0.05
-	for trial := 0; trial < 15; trial++ {
-		rng := rand.New(rand.NewSource(int64(7000 + trial)))
-		g := randomDNNGraph(rng, 4+rng.Intn(10))
-		spec := machine.Uniform(8, 1e12, 1e10)
-
-		oracle := solveWith(t, g, spec, cost.BuildOptions{DisablePruning: true})
-		exact := solveWith(t, g, spec, cost.BuildOptions{})
-		aggr := solveWith(t, g, spec, cost.BuildOptions{PruneEpsilon: eps})
-
-		bound := oracle.Cost * (1 + eps) * (1 + eps) * (1 + 1e-12)
-		if aggr.Cost > bound {
-			t.Fatalf("trial %d: epsilon-pruned cost %v exceeds (1+eps)² bound %v (optimum %v)",
-				trial, aggr.Cost, bound, oracle.Cost)
-		}
-		if aggr.Cost < oracle.Cost*(1-1e-9) {
-			t.Fatalf("trial %d: epsilon-pruned cost %v below the optimum %v", trial, aggr.Cost, oracle.Cost)
-		}
-		if aggr.Stats.PrunedConfigs < exact.Stats.PrunedConfigs {
-			t.Fatalf("trial %d: epsilon dominance pruned %d < exact dedup's %d",
-				trial, aggr.Stats.PrunedConfigs, exact.Stats.PrunedConfigs)
-		}
-	}
-}
-
 // TestPrunedSolveMatchesUnprunedOnPaperBenchmark anchors the property on a
 // real benchmark shape: AlexNet's conv/FC mix at p=8 (the graphs where exact
 // dedup actually fires, via its indivisible spatial dims).

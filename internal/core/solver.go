@@ -406,9 +406,9 @@ type Stats struct {
 	// candidate space the scan visited.
 	ScanSpace int64
 	// PrunedConfigs is how many candidate configurations the model's
-	// config-space reduction removed before the DP ran (cost.Model dedup +
-	// optional epsilon dominance); every one is a multiplicative saving in
-	// the K^|dependent set| table sizes above.
+	// config-space reduction removed before the DP ran (cost.Model's exact
+	// dedup); every one is a multiplicative saving in the K^|dependent set|
+	// table sizes above.
 	PrunedConfigs int
 	// KEffective is the largest per-vertex configuration count the DP
 	// iterated over — the model's post-pruning K (the paper's K is the

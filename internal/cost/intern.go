@@ -222,8 +222,8 @@ func (m *Model) SharedTableBytes() int64 { return m.sharedTableBytes }
 
 // VertexClassFP returns node v's final class fingerprint: the canonical
 // identity of its post-pruning configuration list and TL row (content class
-// + incidence shape + epsilon under pruning; the content class alone when
-// pruning is disabled). Two models agreeing on a node's fingerprint hold
+// + incidence shape under pruning; the content class alone when pruning is
+// disabled). Two models agreeing on a node's fingerprint hold
 // byte-identical tables for it — the comparison delta re-solve runs. Zero
 // when the model was built with DisableInterning.
 func (m *Model) VertexClassFP(v int) canon.Fingerprint {

@@ -143,37 +143,6 @@ func TestInterningComposesWithPruning(t *testing.T) {
 	}
 }
 
-// Epsilon dominance under interning must match the oracle too: dominance
-// decisions are per prune class, and class members see the same signatures.
-func TestInterningMatchesOracleUnderEpsilonDominance(t *testing.T) {
-	bm, err := models.ByName("transformer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := bm.Build(bm.Batch)
-	spec := machine.GTX1080Ti(8)
-	pol := bm.Policy(8)
-	m, err := NewModelWith(context.Background(), g, spec, pol, BuildOptions{PruneEpsilon: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := NewModelWith(context.Background(), g, spec, pol, BuildOptions{PruneEpsilon: 0.05, DisableInterning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < g.Len(); v++ {
-		a, b := m.Configs(v), o.Configs(v)
-		if len(a) != len(b) {
-			t.Fatalf("node %d: %d survivors vs oracle %d", v, len(a), len(b))
-		}
-		for i := range a {
-			if !a[i].Equal(b[i]) {
-				t.Fatalf("node %d survivor %d: %v vs oracle %v", v, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // Sharing must hold for a policy-restricted enumeration as well (the
 // benchmarks' default policies cap split dims at larger p).
 func TestInterningWithRestrictedPolicy(t *testing.T) {

@@ -83,10 +83,9 @@ type Model struct {
 	classStoreMiss  int64
 	classStoreBytes int64
 
-	edges   [][2]int
-	edgeIdx map[[2]int]int
-	inSlot  []int       // input slot of v fed by each edge
-	inc     [][]IncEdge // per-node incident edges
+	edges  [][2]int
+	inSlot []int       // input slot of v fed by each edge
+	inc    [][]IncEdge // per-node incident edges
 }
 
 // parallelFor runs f(i) for every i in [0, n) across a GOMAXPROCS-sized
@@ -142,8 +141,8 @@ func parallelFor(ctx context.Context, n int, f func(i int)) {
 // NewModel enumerates configurations and precomputes all layer and edge cost
 // tables for the graph on the given machine, parallelizing the per-node and
 // per-edge table builds across a worker pool. Exact duplicate-signature
-// dedup (prune.go) runs by default; NewModelWith exposes the epsilon knob,
-// the pruning kill switch, and build cancellation.
+// dedup (prune.go) runs by default; NewModelWith exposes the pruning kill
+// switch and build cancellation.
 func NewModel(g *graph.Graph, spec machine.Spec, pol itspace.EnumPolicy) (*Model, error) {
 	return NewModelWith(context.Background(), g, spec, pol, BuildOptions{})
 }
@@ -161,13 +160,12 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 		return nil, err
 	}
 	m := &Model{
-		G:       g,
-		Spec:    spec,
-		Policy:  pol,
-		r:       spec.R(),
-		cfgs:    make([][]itspace.Config, g.Len()),
-		tl:      make([][]float64, g.Len()),
-		edgeIdx: map[[2]int]int{},
+		G:      g,
+		Spec:   spec,
+		Policy: pol,
+		r:      spec.R(),
+		cfgs:   make([][]itspace.Config, g.Len()),
+		tl:     make([][]float64, g.Len()),
 	}
 	m.edges = g.Edges()
 	m.tx = make([][]float64, len(m.edges))
@@ -176,7 +174,6 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	m.inSlot = make([]int, len(m.edges))
 	m.inc = make([][]IncEdge, g.Len())
 	for i, e := range m.edges {
-		m.edgeIdx[e] = i
 		m.inSlot[i] = g.InputIndex(e[0], e[1])
 		if e[0] == e[1] {
 			m.inc[e[0]] = append(m.inc[e[0]], IncEdge{E: i, Other: e[0], Self: true})
@@ -331,14 +328,13 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 		m.tx[e] = classTab[plan.eClass[e]]
 		m.txT[e] = classTabT[plan.eClass[e]]
 	}
-	// Phase 3: config-space reduction (prune.go) — exact dedup always,
-	// epsilon dominance when requested — followed by table compaction onto
-	// the surviving interned IDs. Both run per class: members of a prune
+	// Phase 3: config-space reduction (prune.go) — exact dedup — followed by
+	// table compaction onto the surviving interned IDs. Both run per class: members of a prune
 	// class have byte-identical cost signatures, so they keep the same
 	// survivors and share the compacted tables. It also assigns the final
 	// (post-pruning) class fingerprints delta detection compares.
 	if !bo.DisablePruning {
-		m.pruneConfigs(ctx, bo.PruneEpsilon, plan, store, &storeHits, &storeMiss, &storeBytes)
+		m.pruneConfigs(ctx, plan, store, &storeHits, &storeMiss, &storeBytes)
 		if err := context.Cause(ctx); err != nil {
 			return nil, fmt.Errorf("cost: model build cancelled: %w", err)
 		}
@@ -415,8 +411,7 @@ func (m *Model) PrunedConfigs() int { return m.pruned }
 
 // IndexOf returns the interned config ID of cfg within node v, or -1. A
 // configuration removed by pruning resolves to the ID of its surviving
-// representative (identical costs under exact dedup; at least as good on
-// every signature entry, up to the epsilon slack, under dominance pruning).
+// representative, whose costs are identical.
 func (m *Model) IndexOf(v int, cfg itspace.Config) int {
 	if m.fullCfgs == nil {
 		for i, c := range m.cfgs[v] {
@@ -469,11 +464,6 @@ func (m *Model) TLRow(v int) []float64 { return m.tl[v] }
 // Incidence returns the directed edges incident to node v, self-loops listed
 // once with Self set. Do not mutate.
 func (m *Model) Incidence(v int) []IncEdge { return m.inc[v] }
-
-// EdgeCostNodes is EdgeCost addressed by node IDs.
-func (m *Model) EdgeCostNodes(u, v, cu, cv int) float64 {
-	return m.EdgeCost(m.edgeIdx[[2]int{u, v}], cu, cv)
-}
 
 // EvalIdx computes F(G, φ) for a strategy given as per-node configuration
 // indices.

@@ -2,24 +2,15 @@ package cost
 
 // Config-space reduction (DESIGN.md "Config-space reduction"): the DP's cost
 // is governed by K^|dependent set|, so removing candidate configurations is a
-// multiplicative speedup. Two reductions run at model-build time, after the
-// full TL/TX tables exist and before anything reads them:
-//
-//   - Exact dedup (always on): two configurations of a vertex whose cost
-//     signatures are identical — same TL and bit-identical TX rows against
-//     every neighbour's full configuration set — are interchangeable in every
-//     strategy, so only the first (in canonical enumeration order) survives.
-//     The DP breaks cost ties toward the lowest configuration index, which is
-//     exactly the first member of its signature class, so dedup preserves not
-//     just the optimal cost but the returned strategy byte for byte.
-//
-//   - Epsilon dominance (opt-in, PruneEpsilon > 0): configuration a dominates
-//     b when every signature entry of a is ≤ the corresponding entry of b
-//     plus eps·|entry|. Dropping dominated configurations can remove far more
-//     of the space, at the price of a bounded cost inflation: swapping each
-//     vertex's choice for its dominator inflates each layer term and each
-//     edge term by at most a (1+eps) factor per adjacent swap, so the found
-//     strategy costs at most (1+eps)² times the true optimum.
+// multiplicative speedup. One reduction runs at model-build time, after the
+// full TL/TX tables exist and before anything reads them — exact dedup: two
+// configurations of a vertex whose cost signatures are identical — same TL and
+// bit-identical TX rows against every neighbour's full configuration set — are
+// interchangeable in every strategy, so only the first (in canonical
+// enumeration order) survives. The DP breaks cost ties toward the lowest
+// configuration index, which is exactly the first member of its signature
+// class, so dedup preserves not just the optimal cost but the returned
+// strategy byte for byte.
 //
 // Survivors are interned into dense per-vertex config IDs: the model's
 // public cfgs/tl/tx tables are compacted to survivors only, so the solver's
@@ -35,15 +26,10 @@ import (
 )
 
 // BuildOptions tunes model construction. The zero value is the default
-// build: exact duplicate-signature dedup on, no epsilon dominance.
+// build: exact duplicate-signature dedup on.
 type BuildOptions struct {
-	// PruneEpsilon, when > 0, enables epsilon-dominance pruning: a
-	// configuration is dropped when an earlier-kept one is at least as good
-	// on every cost-signature entry up to a relative slack of PruneEpsilon.
-	// The returned strategy's cost is within (1+PruneEpsilon)² of optimal.
-	PruneEpsilon float64
-	// DisablePruning skips all config-space reduction, including the exact
-	// dedup that is otherwise always on. The unpruned model is the oracle
+	// DisablePruning skips the exact dedup that is otherwise always on. The
+	// unpruned model is the oracle
 	// the pruning property tests compare against.
 	DisablePruning bool
 	// DisableInterning skips structural sharing (intern.go): every node and
@@ -108,18 +94,6 @@ func (m *Model) sigRow(dst []float64, v, ci int) []float64 {
 	return dst
 }
 
-// dominates reports whether signature a beats signature b on every entry, up
-// to a relative slack of eps (eps 0 is exact ≤-dominance).
-func dominates(a, b []float64, eps float64) bool {
-	for i := range a {
-		slack := eps * math.Abs(b[i])
-		if a[i] > b[i]+slack {
-			return false
-		}
-	}
-	return true
-}
-
 // sigEqual reports whether configurations a and b of node v have identical
 // cost signatures.
 func (m *Model) sigEqual(v, a, b int) bool {
@@ -135,11 +109,11 @@ func (m *Model) sigEqual(v, a, b int) bool {
 	return eq
 }
 
-// pruneNode computes node v's surviving configurations under the build
-// options: keep is the list of surviving full-enumeration indices (ascending,
-// so canonical order is preserved) and rep maps every full index to the dense
-// interned ID of its representative survivor.
-func (m *Model) pruneNode(v int, eps float64) (keep []int, rep []int32) {
+// pruneNode computes node v's surviving configurations: keep is the list of
+// surviving full-enumeration indices (ascending, so canonical order is
+// preserved) and rep maps every full index to the dense interned ID of its
+// representative survivor.
+func (m *Model) pruneNode(v int) (keep []int, rep []int32) {
 	k := len(m.cfgs[v])
 	rep = make([]int32, k) // full index -> representative full index
 	// Exact dedup: group by signature hash, verify within groups. The first
@@ -158,35 +132,6 @@ func (m *Model) pruneNode(v int, eps float64) (keep []int, rep []int32) {
 		if !found {
 			seen[h] = append(seen[h], int32(ci))
 			rep[ci] = int32(ci)
-		}
-	}
-	// Epsilon dominance over the exact survivors, first-kept-wins so the
-	// result is deterministic and representatives stay canonical.
-	if eps > 0 {
-		var keptSigs [][]float64
-		var keptIdx []int32
-		sig := make([]float64, 0, 64)
-		for ci := 0; ci < k; ci++ {
-			if rep[ci] != int32(ci) {
-				continue
-			}
-			sig = m.sigRow(sig, v, ci)
-			dominated := false
-			for j, ks := range keptSigs {
-				if dominates(ks, sig, eps) {
-					rep[ci] = keptIdx[j]
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				keptSigs = append(keptSigs, append([]float64(nil), sig...))
-				keptIdx = append(keptIdx, int32(ci))
-			}
-		}
-		// Re-point exact duplicates of a dominated config at its dominator.
-		for ci := 0; ci < k; ci++ {
-			rep[ci] = rep[rep[ci]]
 		}
 	}
 	// Intern survivors as dense IDs.
@@ -212,24 +157,22 @@ func (m *Model) pruneNode(v int, eps float64) (keep []int, rep []int32) {
 // interning composes with the reduction instead of being undone by it. With
 // a ClassStore attached both the per-class reduction outcome and each
 // compacted TX table resolve from the store (keyed by the prune-class and
-// compact-class fingerprints plus epsilon), so near-duplicate models skip
+// compact-class fingerprints), so near-duplicate models skip
 // the signature analysis entirely. It also assigns the model's final
 // per-node and per-edge class fingerprints when the plan computed them. A
 // cancelled ctx stops the per-class passes between tasks; the caller
 // (NewModelWith) discards the partially-reduced model.
-func (m *Model) pruneConfigs(ctx context.Context, eps float64, plan *internPlan, store *ClassStore, storeHits, storeMiss, storeBytes *atomic.Int64) {
+func (m *Model) pruneConfigs(ctx context.Context, plan *internPlan, store *ClassStore, storeHits, storeMiss, storeBytes *atomic.Int64) {
 	n := m.G.Len()
 	rClass, rReps, rFPs := m.pruneClasses(plan)
-	// Prune-entry store keys: the prune-class fingerprint plus epsilon
-	// (epsilon changes the survivor set, so it is part of the identity).
+	// Prune-entry store keys.
 	var pKeys []canon.Fingerprint
 	if rFPs != nil {
 		pKeys = make([]canon.Fingerprint, len(rFPs))
 		for ci := range rFPs {
 			w := canon.NewWriter()
-			w.Label("cost.store.prune/v1")
+			w.Label("cost.store.prune/v2")
 			w.FP(rFPs[ci])
-			w.F64(eps)
 			pKeys[ci] = w.Sum()
 		}
 	}
@@ -240,7 +183,7 @@ func (m *Model) pruneConfigs(ctx context.Context, eps float64, plan *internPlan,
 	parallelFor(ctx, len(rReps), func(ci int) {
 		build := func() (any, int64, error) {
 			v := rReps[ci]
-			keep, rep := m.pruneNode(v, eps)
+			keep, rep := m.pruneNode(v)
 			pt := pruneTables{keep: keep, rep: rep}
 			b := int64(len(keep))*8 + int64(len(rep))*4
 			if len(keep) == len(m.cfgs[v]) {

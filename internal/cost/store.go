@@ -16,10 +16,10 @@ package cost
 //   - vertex entry (content class fp): the enumerated configuration list and
 //     TL row, pre-pruning.
 //   - edge entry (edge class fp): the full TX table and its transpose.
-//   - prune entry (prune class fp + epsilon): the survivor set, the
-//     full-index → dense-ID map, and the compacted config list and TL row.
-//   - compact-TX entry (edge class fp + both endpoint prune class fps +
-//     epsilon): the survivor-gathered TX table, transpose, and row stride.
+//   - prune entry (prune class fp): the survivor set, the full-index →
+//     dense-ID map, and the compacted config list and TL row.
+//   - compact-TX entry (edge class fp + both endpoint prune class fps): the
+//     survivor-gathered TX table, transpose, and row stride.
 //
 // Entries are immutable once published — models alias the stored slices and
 // never write them — so sharing is value-transparent: a store-enabled build
@@ -43,6 +43,7 @@ import (
 
 	"pase/internal/canon"
 	"pase/internal/itspace"
+	"pase/internal/lru"
 )
 
 // DefaultClassStoreBytes is the store budget used when NewClassStore is
@@ -67,32 +68,34 @@ type ClassStoreStats struct {
 	Entries int
 }
 
-// storeEntry is one cached class. ready is closed when val/bytes are
-// published; err is only ever set on a removed (never-cached) entry, so
-// waiters know to rebuild themselves.
-type storeEntry struct {
-	key        canon.Fingerprint
-	val        any
-	bytes      int64
-	err        error
-	ready      chan struct{}
-	prev, next *storeEntry
+// classTables is one published class: its tables and their resident bytes.
+type classTables struct {
+	val   any
+	bytes int64
+}
+
+// classBuild is one class build in flight. ready is closed when the tables
+// are published, or when the build failed: err is only ever set on a failed
+// build (never cached), so waiters know to rebuild themselves.
+type classBuild struct {
+	classTables
+	err   error
+	ready chan struct{}
 }
 
 // ClassStore is a bounded, deterministic, singleflight-guarded cache of
 // class-level cost tables, shared by every model build of one planner. Safe
 // for concurrent use.
 type ClassStore struct {
-	maxBytes int64
-
-	mu         sync.Mutex
-	entries    map[canon.Fingerprint]*storeEntry
-	head, tail *storeEntry // LRU: head most recent
-	bytes      int64
-	hits       int64
-	misses     int64
-	evictions  int64
-	saved      int64
+	mu sync.Mutex
+	// cache holds the published classes, LRU by resident bytes; building
+	// holds the builds still running (they hold no bytes yet).
+	cache     *lru.Cache[canon.Fingerprint, classTables]
+	building  map[canon.Fingerprint]*classBuild
+	hits      int64
+	misses    int64
+	evictions int64
+	saved     int64
 }
 
 // NewClassStore returns a store bounded to maxBytes of resident class
@@ -101,10 +104,11 @@ func NewClassStore(maxBytes int64) *ClassStore {
 	if maxBytes <= 0 {
 		maxBytes = DefaultClassStoreBytes
 	}
-	return &ClassStore{
-		maxBytes: maxBytes,
-		entries:  map[canon.Fingerprint]*storeEntry{},
-	}
+	s := &ClassStore{building: map[canon.Fingerprint]*classBuild{}}
+	s.cache = lru.New(maxBytes,
+		func(c classTables) int64 { return c.bytes },
+		func(canon.Fingerprint, classTables) { s.evictions++ })
+	return s
 }
 
 // Stats returns a snapshot of the store's counters.
@@ -118,34 +122,9 @@ func (s *ClassStore) Stats() ClassStoreStats {
 		Hits:       s.hits,
 		Misses:     s.misses,
 		Evictions:  s.evictions,
-		Bytes:      s.bytes,
+		Bytes:      s.cache.Weight(),
 		SavedBytes: s.saved,
-		Entries:    len(s.entries),
-	}
-}
-
-func (s *ClassStore) unlink(e *storeEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *ClassStore) pushFront(e *storeEntry) {
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+		Entries:    s.cache.Len() + len(s.building),
 	}
 }
 
@@ -156,85 +135,49 @@ func (s *ClassStore) pushFront(e *storeEntry) {
 func (s *ClassStore) getOrBuild(fp canon.Fingerprint, build func() (any, int64, error)) (val any, hit bool, bytes int64, err error) {
 	for {
 		s.mu.Lock()
-		if e, ok := s.entries[fp]; ok {
-			select {
-			case <-e.ready:
-				// Published: front-move and serve.
-				if s.head != e {
-					s.unlink(e)
-					s.pushFront(e)
-				}
-				s.hits++
-				s.saved += e.bytes
+		c, ok := s.cache.Get(fp)
+		if !ok {
+			if b, joined := s.building[fp]; joined {
 				s.mu.Unlock()
-				return e.val, true, e.bytes, nil
-			default:
+				<-b.ready
+				if b.err != nil {
+					// The builder failed; its entry is gone. Loop to build (and
+					// report the error against this model's own nodes).
+					continue
+				}
+				s.mu.Lock()
+				s.cache.Get(fp) // front-move, if it is still resident
+				c, ok = b.classTables, true
 			}
-			s.mu.Unlock()
-			<-e.ready
-			if e.err != nil {
-				// The builder failed; its entry is gone. Loop to build (and
-				// report the error against this model's own nodes).
-				continue
-			}
-			s.mu.Lock()
-			if s.entries[fp] == e && s.head != e {
-				s.unlink(e)
-				s.pushFront(e)
-			}
-			s.hits++
-			s.saved += e.bytes
-			s.mu.Unlock()
-			return e.val, true, e.bytes, nil
 		}
-		e := &storeEntry{key: fp, ready: make(chan struct{})}
-		s.entries[fp] = e
-		s.pushFront(e)
+		if ok {
+			s.hits++
+			s.saved += c.bytes
+			s.mu.Unlock()
+			return c.val, true, c.bytes, nil
+		}
+		b := &classBuild{ready: make(chan struct{})}
+		s.building[fp] = b
 		s.misses++
 		s.mu.Unlock()
 
-		e.val, e.bytes, e.err = build()
+		b.val, b.bytes, b.err = build()
 		s.mu.Lock()
-		if e.err != nil {
-			if s.entries[fp] == e {
-				delete(s.entries, fp)
-				s.unlink(e)
-			}
-			s.mu.Unlock()
-			close(e.ready)
-			return nil, false, 0, e.err
-		}
-		s.bytes += e.bytes
-		// Deterministic LRU eviction: drop exact tail entries (skipping any
-		// still building — they hold no bytes) until the budget holds. A
-		// single entry larger than the whole budget stays resident until the
-		// next publish displaces it; refusing it entirely would break the
-		// build that is aliasing it right now.
-		for s.bytes > s.maxBytes {
-			victim := s.tail
-			for victim != nil {
-				if victim != e {
-					select {
-					case <-victim.ready:
-					default:
-						victim = victim.prev
-						continue
-					}
-					break
-				}
-				victim = victim.prev
-			}
-			if victim == nil {
-				break
-			}
-			s.unlink(victim)
-			delete(s.entries, victim.key)
-			s.bytes -= victim.bytes
-			s.evictions++
+		delete(s.building, fp)
+		if b.err == nil {
+			// Deterministic LRU eviction: publishing drops exact tail entries
+			// until the budget holds. A single entry larger than the whole
+			// budget stays resident until the next publish displaces it;
+			// refusing it entirely would break the build that is aliasing it
+			// right now.
+			s.cache.Put(fp, b.classTables)
 		}
 		s.mu.Unlock()
-		close(e.ready)
-		return e.val, false, e.bytes, nil
+		close(b.ready)
+		if b.err != nil {
+			return nil, false, 0, b.err
+		}
+		return b.val, false, b.bytes, nil
 	}
 }
 
@@ -317,18 +260,10 @@ func (s *ClassStore) Snapshot() []StoreSnapshotEntry {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]StoreSnapshotEntry, 0, len(s.entries))
-	for e := s.tail; e != nil; e = e.prev {
-		select {
-		case <-e.ready:
-		default:
-			continue
-		}
-		if e.err != nil {
-			continue
-		}
-		se := StoreSnapshotEntry{Key: e.key, Bytes: e.bytes}
-		switch v := e.val.(type) {
+	out := make([]StoreSnapshotEntry, 0, s.cache.Len())
+	s.cache.Each(func(key canon.Fingerprint, c classTables) {
+		se := StoreSnapshotEntry{Key: key, Bytes: c.bytes}
+		switch v := c.val.(type) {
 		case vertexTables:
 			se.Kind, se.Cfgs, se.TL = snapKindVertex, v.cfgs, v.tl
 		case edgeTables:
@@ -338,10 +273,10 @@ func (s *ClassStore) Snapshot() []StoreSnapshotEntry {
 		case compactTables:
 			se.Kind, se.Tab, se.TabT, se.KV = snapKindCompact, v.tab, v.tabT, v.kv
 		default:
-			continue
+			return
 		}
 		out = append(out, se)
-	}
+	})
 	return out
 }
 
@@ -349,8 +284,9 @@ func (s *ClassStore) Snapshot() []StoreSnapshotEntry {
 // recent first — each insert front-moves, so the last entry ends most
 // recent). Entries with unknown kinds are skipped (a newer snapshot restored
 // by older code degrades to a partial warm cache), as are keys already
-// present or building. After inserting, the store evicts tail entries as
-// usual until its byte budget holds. Returns the number of entries restored.
+// present or building. Each insert evicts tail entries as usual, so the
+// store ends within its byte budget holding the most recent entries that
+// fit. Returns the number of entries restored.
 func (s *ClassStore) Restore(entries []StoreSnapshotEntry) int {
 	if s == nil {
 		return 0
@@ -373,22 +309,14 @@ func (s *ClassStore) Restore(entries []StoreSnapshotEntry) int {
 		default:
 			continue
 		}
-		if _, ok := s.entries[se.Key]; ok {
+		if _, ok := s.building[se.Key]; ok {
 			continue
 		}
-		e := &storeEntry{key: se.Key, val: val, bytes: se.Bytes, ready: make(chan struct{})}
-		close(e.ready)
-		s.entries[se.Key] = e
-		s.pushFront(e)
-		s.bytes += e.bytes
+		if _, ok := s.cache.Get(se.Key); ok {
+			continue
+		}
+		s.cache.Put(se.Key, classTables{val: val, bytes: se.Bytes})
 		restored++
-	}
-	for s.bytes > s.maxBytes && s.tail != nil {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.entries, victim.key)
-		s.bytes -= victim.bytes
-		s.evictions++
 	}
 	return restored
 }

@@ -190,7 +190,7 @@ func TestClassStoreEvictionDeterministic(t *testing.T) {
 		resident := make([]bool, 10)
 		store.mu.Lock()
 		for i := range resident {
-			_, resident[i] = store.entries[fp(i)]
+			_, resident[i] = store.cache.Get(fp(i))
 		}
 		store.mu.Unlock()
 		return store.Stats(), resident

@@ -23,8 +23,8 @@ import (
 type CompareRequest struct {
 	G    *graph.Graph
 	Spec machine.Spec
-	// Opts carries the shared solve options (policy, memory budget, epsilon,
-	// MCMC tuning). Opts.Method is ignored: Compare sets it per entry.
+	// Opts carries the shared solve options (policy, memory budget, MCMC
+	// tuning). Opts.Method is ignored: Compare sets it per entry.
 	Opts Options
 	// Batch is the simulated samples per training step, used only for the
 	// reported throughput — speedups are step-time ratios, so they are

@@ -63,7 +63,7 @@ func TestFleetFallbackResultNeverCached(t *testing.T) {
 // every normalization path — otherwise owners disagree with their own cache
 // keys and the cluster dedups nothing.
 func TestSolveFingerprintMatchesSolve(t *testing.T) {
-	p := New(Config{DefaultBeamWidth: 8, DefaultPruneEpsilon: 0.05})
+	p := New(Config{DefaultBeamWidth: 8})
 	ctx := context.Background()
 	reqs := map[string]Request{
 		"default dp": alexReq(8),
@@ -82,15 +82,6 @@ func TestSolveFingerprintMatchesSolve(t *testing.T) {
 			r := alexReq(16)
 			r.Opts.Method = "beam"
 			r.Opts.BeamWidth = -1
-			return r
-		}(),
-		"prune epsilon default": func() Request {
-			r := rnnReq(16)
-			return r
-		}(),
-		"prune epsilon disabled": func() Request {
-			r := rnnReq(16)
-			r.Opts.PruneEpsilon = -1
 			return r
 		}(),
 	}

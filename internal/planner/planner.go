@@ -46,6 +46,7 @@ import (
 	"pase/internal/cost"
 	"pase/internal/graph"
 	"pase/internal/itspace"
+	"pase/internal/lru"
 	"pase/internal/machine"
 	"pase/internal/mcmc"
 	"pase/internal/pressure"
@@ -114,16 +115,6 @@ type Options struct {
 	// part of a request's cache identity). Zero — the default — uses all
 	// available CPUs; set 1 for the explicit serial mode.
 	Workers int
-	// PruneEpsilon, when > 0, enables epsilon-dominance pruning of the
-	// configuration space at model-build time on top of the always-on exact
-	// dedup: the found strategy's cost is within (1+PruneEpsilon)² of
-	// optimal, in exchange for a smaller DP. It changes which model and
-	// results are produced, so a non-zero value is part of the request's
-	// cache identity (zero is excluded, keeping default fingerprints
-	// stable). Zero falls back to the planner's DefaultPruneEpsilon; a
-	// negative value forces the exact solve even on a planner whose
-	// default is aggressive.
-	PruneEpsilon float64
 	// BeamWidth bounds the "beam" method's frontier: each DP table keeps the
 	// top-W dependent-set configurations by cost (plus a greedy guide state,
 	// so a valid strategy always survives). Zero falls back to the planner's
@@ -350,12 +341,6 @@ const DefaultDeltaThreshold = 0.3
 type Config struct {
 	// ResultCacheSize bounds the solved-result LRU (default 128 results).
 	ResultCacheSize int
-	// DefaultPruneEpsilon is applied to requests whose Options leave
-	// PruneEpsilon unset (zero); see Options.PruneEpsilon. The effective
-	// value — not the request's literal field — is what enters the
-	// fingerprint, so two planners with different defaults never share
-	// stale cache entries through an exported fingerprint.
-	DefaultPruneEpsilon float64
 	// ClassStoreBytes bounds the planner's cross-request class store — the
 	// cache of class-level cost tables every model build of this planner
 	// resolves from, so a class (a Transformer encoder layer at p=32, say)
@@ -375,10 +360,12 @@ type Config struct {
 	// runs cold through the shared arena).
 	DeltaCacheSize int
 	// DefaultBeamWidth is applied to "beam" requests whose Options leave
-	// BeamWidth unset (zero). Like DefaultPruneEpsilon, the effective width
-	// — not the request's literal field — enters the fingerprint. Zero means
-	// no default: a "beam" request without a width is unbounded and routes
-	// to the exact "dp" path (counted in Stats.BeamFallbacks).
+	// BeamWidth unset (zero). The effective width — not the request's
+	// literal field — enters the fingerprint, so two planners with different
+	// defaults never share stale cache entries through an exported
+	// fingerprint. Zero means no default: a "beam" request without a width
+	// is unbounded and routes to the exact "dp" path (counted in
+	// Stats.BeamFallbacks).
 	DefaultBeamWidth int
 	// MaxInFlight enables admission control when > 0: at most this many
 	// underlying solves run concurrently, at most MaxQueue more wait for a
@@ -393,18 +380,13 @@ type Config struct {
 	MaxQueue int
 	// DegradeBeamWidth enables the graceful-degradation ladder when > 0: a
 	// "dp" request whose exact solve hits core.ErrOOM — or that arrives
-	// while the admission queue is at least DegradeQueueDepth deep — is
+	// while the admission queue is at least half of MaxQueue deep — is
 	// served by a single bounded-width beam pass at this width instead of
 	// failing or adding exact-solve latency to a saturated queue. Degraded
 	// results are marked (Result.Degraded/DegradeReason) and carry the beam
 	// gap contract. Zero disables degradation: ErrOOM surfaces to the
 	// caller as before.
 	DegradeBeamWidth int
-	// DegradeQueueDepth is the admission-queue depth at which incoming "dp"
-	// requests start degrading (with DegradeBeamWidth > 0 and admission
-	// control on). Zero selects half of MaxQueue (at least 1); negative
-	// restricts degradation to the ErrOOM ladder only.
-	DegradeQueueDepth int
 	// FaultPlan, when non-nil, injects deterministic faults (ErrOOM,
 	// panics, latency) at named pipeline sites — see pressure.ParseFaultPlan.
 	// Test and debug only; nil in production.
@@ -428,23 +410,14 @@ func (c Config) deltaCacheSize() int {
 	return c.DeltaCacheSize
 }
 
-// degradeQueueDepth resolves the queue depth at which "dp" requests degrade;
-// a negative configured value means "never by pressure" (OOM ladder only).
-func (c Config) degradeQueueDepth() (depth int, byPressure bool) {
-	if c.DegradeQueueDepth < 0 {
-		return 0, false
-	}
-	if c.DegradeQueueDepth > 0 {
-		return c.DegradeQueueDepth, true
-	}
+// degradeQueueDepth is the admission-queue depth at which incoming "dp"
+// requests start degrading: half of the queue bound, at least 1.
+func (c Config) degradeQueueDepth() int {
 	q := c.MaxQueue
 	if q <= 0 {
 		q = pressure.DefaultMaxQueue
 	}
-	if q/2 < 1 {
-		return 1, true
-	}
-	return q / 2, true
+	return max(q/2, 1)
 }
 
 // Stats is a snapshot of the planner's cache and dedup counters. "One
@@ -565,9 +538,9 @@ type Planner struct {
 	gate *pressure.Gate
 
 	mu           sync.Mutex
-	results      *lruCache[canon.Fingerprint, *Result]
+	results      *lru.Cache[canon.Fingerprint, *Result]
 	solveFlights map[canon.Fingerprint]*solveFlight
-	deltas       *lruCache[canon.Fingerprint, *deltaEntry]
+	deltas       *lru.Cache[canon.Fingerprint, *deltaEntry]
 	stats        Stats
 }
 
@@ -596,36 +569,31 @@ func New(cfg Config) *Planner {
 			MaxQueue:    cfg.MaxQueue,
 		})
 	}
-	p.results = newLRU[canon.Fingerprint, *Result](cfg.resultCacheSize(), func(canon.Fingerprint, *Result) {
+	p.results = lru.New(int64(cfg.resultCacheSize()), nil, func(canon.Fingerprint, *Result) {
 		p.stats.ResultEvictions++
 	})
 	if n := cfg.deltaCacheSize(); n > 0 {
-		p.deltas = newLRU[canon.Fingerprint, *deltaEntry](n, nil)
+		p.deltas = lru.New[canon.Fingerprint, *deltaEntry](int64(n), nil, nil)
 	}
 	return p
 }
 
 // Fingerprints returns the model- and solve-level canonical fingerprints of a
-// request. The model fingerprint covers (graph, machine, enumeration policy,
-// and — only when non-zero — PruneEpsilon, which changes the built model's
-// config space); the solve fingerprint extends it with the result-relevant
+// request. The model fingerprint covers (graph, machine, enumeration
+// policy); the solve fingerprint extends it with the result-relevant
 // solver options: ordering choice, the effective memory budget, and — only
 // when not the default "dp" — the method with its method-specific knobs
 // (normalized mcmc.Options and the MCMC seed strategy; the effective beam
 // width and normalized gap target). Workers is excluded
-// because results are byte-identical at any worker count; zero PruneEpsilon
-// and method "dp" are excluded because they reproduce pre-field results
-// byte for byte, keeping pre-existing fingerprints stable.
+// because results are byte-identical at any worker count; method "dp" is
+// excluded because it reproduces pre-field results byte for byte, keeping
+// pre-existing fingerprints stable.
 func Fingerprints(req Request) (modelFP, solveFP canon.Fingerprint) {
 	w := canon.NewWriter()
 	w.Label("pase.request/v1")
 	req.G.CanonicalEncode(w)
 	req.Spec.CanonicalEncode(w)
 	req.Opts.Policy.CanonicalEncode(w)
-	if req.Opts.PruneEpsilon > 0 {
-		w.Label("prune-epsilon")
-		w.F64(req.Opts.PruneEpsilon)
-	}
 	modelFP = w.Sum()
 	w.Label("solve-options")
 	budget := req.Opts.MaxTableEntries
@@ -657,20 +625,13 @@ func Fingerprints(req Request) (modelFP, solveFP canon.Fingerprint) {
 }
 
 // normalize resolves the planner-default-dependent options in place, exactly
-// as Solve fingerprints them. The effective epsilon: zero inherits the
-// planner default, negative explicitly opts out. The effective beam width the
-// same way — and an unbounded width means the beam IS the exact DP, so the
-// request is rewritten to "dp" (it shares the exact solve's fingerprint,
-// caches, and flights; the returned flag reports that rewrite so Solve can
-// count it in Stats.BeamFallbacks). Every other method has its beam knobs
-// cleared so they cannot perturb behavior (they are not fingerprinted anyway).
+// as Solve fingerprints them: a zero beam width inherits the planner default,
+// and an unbounded width means the beam IS the exact DP, so the request is
+// rewritten to "dp" (it shares the exact solve's fingerprint, caches, and
+// flights; the returned flag reports that rewrite so Solve can count it in
+// Stats.BeamFallbacks). Every other method has its beam knobs cleared so they
+// cannot perturb behavior (they are not fingerprinted anyway).
 func (p *Planner) normalize(opts *Options) (beamFallback bool) {
-	switch {
-	case opts.PruneEpsilon < 0:
-		opts.PruneEpsilon = 0
-	case opts.PruneEpsilon == 0 && p.cfg.DefaultPruneEpsilon > 0:
-		opts.PruneEpsilon = p.cfg.DefaultPruneEpsilon
-	}
 	if opts.method() == "beam" {
 		if opts.BeamWidth == 0 {
 			opts.BeamWidth = p.cfg.DefaultBeamWidth
@@ -919,10 +880,8 @@ func (p *Planner) admit(ctx context.Context, opts Options) (release func(), degr
 		}
 		return nil, "", err
 	}
-	if p.cfg.DegradeBeamWidth > 0 && opts.method() == "dp" {
-		if thr, byPressure := p.cfg.degradeQueueDepth(); byPressure && depth >= thr {
-			degradeReason = DegradeReasonPressure
-		}
+	if p.cfg.DegradeBeamWidth > 0 && opts.method() == "dp" && depth >= p.cfg.degradeQueueDepth() {
+		degradeReason = DegradeReasonPressure
 	}
 	return p.gate.Release, degradeReason, nil
 }
@@ -1010,7 +969,7 @@ func (p *Planner) doSolve(ctx context.Context, req Request, start time.Time, deg
 			}
 			if err = p.cfg.FaultPlan.Fire(ctx, pressure.SiteDP); err == nil {
 				// Only a model this planner built may become a delta base.
-				res, err = p.runDPCached(ctx, m, req.Opts, start, req.Model == nil)
+				res, err = p.runDP(ctx, m, req.Opts, start, req.Model == nil)
 			}
 			if err != nil && errors.Is(err, core.ErrOOM) && p.cfg.DegradeBeamWidth > 0 {
 				res, err = p.runDegraded(ctx, m, req.Opts, start, DegradeReasonOOM)
@@ -1057,24 +1016,8 @@ func dpResult(r *core.Result, start time.Time) *Result {
 	}
 }
 
-// runDP runs ordering + the dependent-set DP over a built model, drawing
-// table buffers from the planner's shared arena. It is the cold path: models
-// that may not be retained (runDPCached's retain) and planners with
-// incremental re-solve disabled.
-func runDP(ctx context.Context, m *cost.Model, opts Options, start time.Time, arena *core.Arena) (*Result, error) {
-	r, err := core.Solve(ctx, m, dpSeq(m, opts), core.Options{
-		MaxTableEntries: opts.MaxTableEntries,
-		Workers:         opts.Workers,
-		Arena:           arena,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return dpResult(r, start), nil
-}
-
 // runBeam runs the anytime bounded-width DP over a built model. Beam solves
-// always run cold — the incremental re-solve path (runDPCached) retains and
+// always run cold — the incremental re-solve path (runDP) retains and
 // diffs exact DP snapshots, and a width-W frontier is not a meaningful delta
 // base — but they share the planner's arena like every other solve.
 func (p *Planner) runBeam(ctx context.Context, m *cost.Model, opts Options, start time.Time) (*Result, error) {
@@ -1142,10 +1085,10 @@ func beamDeadlineMargin(remaining time.Duration) time.Duration {
 // list with input slots — what pins the vertex ordering, the dependent sets,
 // and the edge indexing), the memory budget, and the ordering choice.
 // Everything content-level — node attributes, the machine, the enumeration
-// policy, the prune epsilon — is deliberately excluded: content is the
-// delta, detected per class by diffModels (all of it enters the final class
-// fingerprints, so a machine or policy change dirties every vertex and falls
-// back to a full solve through the ordinary threshold).
+// policy — is deliberately excluded: content is the delta, detected per class
+// by diffModels (all of it enters the final class fingerprints, so a machine
+// or policy change dirties every vertex and falls back to a full solve
+// through the ordinary threshold).
 func deltaKey(g *graph.Graph, opts Options) canon.Fingerprint {
 	w := canon.NewWriter()
 	w.Label("pase.delta-key/v1")
@@ -1200,23 +1143,31 @@ func diffModels(old, new *cost.Model) (dirtyV []bool, ok bool) {
 	return dirtyV, true
 }
 
-// runDPCached is the exact dp solve. With retain — a planner-built model,
-// incremental re-solve enabled — it retains each solve's DP snapshot and,
-// when a later request's model differs from a cached snapshot's by a small
-// enough delta (dirty-entries fraction at most DefaultDeltaThreshold),
-// re-fills only the dirtied tables via core.Resolve — byte-identical to the
-// full solve it replaces. Everything else (cold topologies, large deltas,
-// incomparable models) runs a full solve and refreshes the snapshot.
-func (p *Planner) runDPCached(ctx context.Context, m *cost.Model, opts Options, start time.Time, retain bool) (*Result, error) {
-	if p.deltas == nil || !retain {
-		return runDP(ctx, m, opts, start, p.arena)
-	}
-	// The arena serves the fills' scratch (row minima, minf/argc side tables);
-	// a retaining solve's tables are plainly allocated and never enter it.
+// runDP is the exact dp solve: ordering + the dependent-set DP over a built
+// model. A caller's model (retain false) is solved cold, table buffers drawn
+// from the planner's arena, as is every solve of a planner with incremental
+// re-solve off. Otherwise a planner-built model may become a delta base:
+// each solve's DP snapshot is retained and, when a later request's model
+// differs from a cached snapshot's by a small enough delta (dirty-entries
+// fraction at most DefaultDeltaThreshold), only the dirtied tables are
+// re-filled via core.Resolve — byte-identical to the full solve it replaces.
+// Everything else (cold topologies, large deltas, incomparable models) runs a
+// full solve and refreshes the snapshot.
+func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options, start time.Time, retain bool) (*Result, error) {
+	// For a retaining solve the arena serves the fills' scratch (row minima,
+	// minf/argc side tables) only; its tables are plainly allocated and never
+	// enter it.
 	coreOpts := core.Options{
 		MaxTableEntries: opts.MaxTableEntries,
 		Workers:         opts.Workers,
 		Arena:           p.arena,
+	}
+	if !retain || p.deltas == nil {
+		r, err := core.Solve(ctx, m, dpSeq(m, opts), coreOpts)
+		if err != nil {
+			return nil, err
+		}
+		return dpResult(r, start), nil
 	}
 	key := deltaKey(m.G, opts)
 	p.mu.Lock()
@@ -1309,14 +1260,12 @@ func runBaseline(ctx context.Context, g *graph.Graph, spec machine.Spec, method 
 	return &Result{Strategy: s, Cost: c, SearchTime: time.Since(start)}, nil
 }
 
-// Model returns the cost model for (g, spec, pol) under the planner's default
-// prune epsilon, built through the class store — so callers that need direct
-// model access (strategy costing, simulation baselines, sweeps) share every
-// class table the planner has already built.
+// Model returns the cost model for (g, spec, pol), built through the class
+// store — so callers that need direct model access (strategy costing,
+// simulation baselines, sweeps) share every class table the planner has
+// already built.
 func (p *Planner) Model(ctx context.Context, g *graph.Graph, spec machine.Spec, pol itspace.EnumPolicy) (*cost.Model, error) {
-	opts := Options{Policy: pol}
-	p.normalize(&opts)
-	return p.buildModel(ctx, Request{G: g, Spec: spec, Opts: opts})
+	return p.buildModel(ctx, Request{G: g, Spec: spec, Opts: Options{Policy: pol}})
 }
 
 // buildModel constructs the request's cost model behind the fault plan's
@@ -1329,10 +1278,7 @@ func (p *Planner) buildModel(ctx context.Context, req Request) (m *cost.Model, e
 	if err := p.cfg.FaultPlan.Fire(ctx, pressure.SiteModel); err != nil {
 		return nil, err
 	}
-	m, err = cost.NewModelWith(ctx, req.G, req.Spec, req.Opts.Policy, cost.BuildOptions{
-		PruneEpsilon: req.Opts.PruneEpsilon,
-		Store:        p.store,
-	})
+	m, err = cost.NewModelWith(ctx, req.G, req.Spec, req.Opts.Policy, cost.BuildOptions{Store: p.store})
 	if err != nil {
 		return nil, err
 	}

@@ -116,6 +116,9 @@ func TestCacheHitPerformsNoNewWork(t *testing.T) {
 		t.Fatal("first solve reported no model-build time")
 	}
 	before := p.Stats()
+	if before.PrunedConfigs <= 0 {
+		t.Errorf("planner stats PrunedConfigs = %d, want > 0 (AlexNet p=8 dedup fires)", before.PrunedConfigs)
+	}
 	second, err := p.Solve(context.Background(), alexReq(8))
 	if err != nil {
 		t.Fatal(err)
@@ -253,75 +256,5 @@ func TestFingerprintNormalization(t *testing.T) {
 	faster.Spec.PeakFLOPS *= 2
 	if _, b := Fingerprints(faster); sA == b {
 		t.Error("machine FLOPS did not change the fingerprint")
-	}
-}
-
-func TestPruneEpsilonFingerprint(t *testing.T) {
-	base := alexReq(8)
-
-	// PruneEpsilon zero is excluded from the fingerprint: exact dedup
-	// preserves results byte for byte, so default requests keep the
-	// fingerprints they had before the knob existed.
-	zero := base
-	zero.Opts.PruneEpsilon = 0
-	mA, sA := Fingerprints(base)
-	mB, sB := Fingerprints(zero)
-	if mA != mB || sA != sB {
-		t.Error("PruneEpsilon=0 changed a fingerprint")
-	}
-
-	// A non-zero epsilon changes the built model, so it must change both
-	// the model and the solve fingerprint, and distinct epsilons must not
-	// collide.
-	eps := base
-	eps.Opts.PruneEpsilon = 0.05
-	mC, sC := Fingerprints(eps)
-	if mC == mA {
-		t.Error("PruneEpsilon>0 did not change the model fingerprint")
-	}
-	if sC == sA {
-		t.Error("PruneEpsilon>0 did not change the solve fingerprint")
-	}
-	eps2 := base
-	eps2.Opts.PruneEpsilon = 0.1
-	if _, s := Fingerprints(eps2); s == sC {
-		t.Error("distinct epsilons collided")
-	}
-}
-
-func TestDefaultPruneEpsilonResolvesIntoFingerprintAndSolve(t *testing.T) {
-	req := alexReq(8)
-
-	exact := New(Config{})
-	rExact, err := exact.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggr := New(Config{DefaultPruneEpsilon: 0.05})
-	rAggr, err := aggr.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The planner default is resolved into the request before
-	// fingerprinting, so the two planners must not share a cache identity.
-	if rExact.Fingerprint == rAggr.Fingerprint {
-		t.Error("planner DefaultPruneEpsilon not reflected in the fingerprint")
-	}
-	// Epsilon pruning keeps the cost within the (1+eps)² bound and a
-	// per-request epsilon overrides the planner default.
-	if rAggr.Cost > rExact.Cost*1.05*1.05*(1+1e-12) || rAggr.Cost < rExact.Cost*(1-1e-9) {
-		t.Errorf("epsilon-pruned cost %v outside [optimum, (1+eps)²·optimum] of %v", rAggr.Cost, rExact.Cost)
-	}
-	over := req
-	over.Opts.PruneEpsilon = 0.05
-	rOver, err := exact.Solve(context.Background(), over)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rOver.Fingerprint != rAggr.Fingerprint {
-		t.Error("explicit PruneEpsilon and equal planner default disagree on fingerprint")
-	}
-	if st := exact.Stats(); st.PrunedConfigs <= 0 {
-		t.Errorf("planner stats PrunedConfigs = %d, want > 0 (AlexNet p=8 dedup fires)", st.PrunedConfigs)
 	}
 }

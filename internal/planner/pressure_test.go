@@ -174,11 +174,10 @@ func TestOOMWithoutDegradationStillErrors(t *testing.T) {
 // cached — once pressure subsides the same request gets the exact solve.
 func TestPressureDegradationIsTransient(t *testing.T) {
 	p := New(Config{
-		MaxInFlight:       1,
-		MaxQueue:          4,
-		DegradeBeamWidth:  4,
-		DegradeQueueDepth: 1,
-		FaultPlan:         mustFaultPlan(t, "solve:latency:400ms:1"),
+		MaxInFlight:      1,
+		MaxQueue:         2, // degrade from half of it: one waiter
+		DegradeBeamWidth: 4,
+		FaultPlan:        mustFaultPlan(t, "solve:latency:400ms:1"),
 	})
 	// Blocker holds the only slot for ~400ms plus its real solve.
 	var wg sync.WaitGroup
@@ -199,6 +198,8 @@ func TestPressureDegradationIsTransient(t *testing.T) {
 		t.Fatalf("want pressure-degraded result, got degraded=%v reason=%q", res.Degraded, res.DegradeReason)
 	}
 	wg.Wait()
+	// A flight hands its slot back after its waiters have their answer.
+	waitForGate(t, p, func(st Stats) bool { return st.InFlight == 0 })
 
 	// Pressure has subsided; the repeat must miss the cache and run exact.
 	again, err := p.Solve(context.Background(), alexReq(8))

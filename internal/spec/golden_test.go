@@ -193,3 +193,84 @@ func TestPermutedSpecHitsPlannerCache(t *testing.T) {
 		t.Errorf("costs differ: %v vs %v", second.Cost, first.Cost)
 	}
 }
+
+// TestSolveFingerprintsPinned pins the solve fingerprint (hex) of the 16
+// registry keys — the paper's four models at p ∈ {4, 8, 16, 32} on the
+// default machine and policy, default options — and of the five example
+// documents, as captured before the first option removal (PR 21's parent). A
+// change that removes or renames an option passes here only if it moved no
+// request's identity: result caches, snapshots and fleet ownership all hang
+// off these values.
+func TestSolveFingerprintsPinned(t *testing.T) {
+	pl := planner.New(planner.Config{})
+	registry := map[string][4]string{ // p = 4, 8, 16, 32
+		"AlexNet": {
+			"0bc6aca2a30485af49fdb8e54702fda5dfc2327e829ba148d6de13d87761fea1",
+			"031ffe4d0340a2dad3eb53492765834fe2e528c911b11eb3a7cb1580c79e1b4c",
+			"4572577d1bd5077cfcf6867e03deac8d8713a121ac69ab7c7ce4204467a31bb8",
+			"44db855b23db943320210d23177c1ee4cefe3f45ea34e5d9d50df6cd2ecbc610",
+		},
+		"InceptionV3": {
+			"c288908323434e0b67970af4aef3dd4b13bdce74b7cab90429894b289272185d",
+			"06c423b3b5ab13049dc4447232056fe51d01e597c1fd4212c99e60628e522cb5",
+			"b6784bbc519abf7d2e2c8449393322f67020e9fa1072c67d353bf33978907b35",
+			"512e42e297a9b7a5d7d923d3f9d9d1039a28e8319ee5c2f5ad89b973ff7efd5e",
+		},
+		"RNNLM": {
+			"3c3df3fc964989e035929782e0230940a5c3ba03aa524dac43b5ddb21f4b1f45",
+			"8c248f3b2f6e582735b991c9e13e5bee6b5d2dcde5de4fecfaf56bc00747d238",
+			"0d400b42efafdd2f4295e73a30faa91213b77c4d810429f0dbfe52944d425443",
+			"45353409c7908af8f56506f43164e7cae46a9dac5e57bf9e2734071cc95f0c48",
+		},
+		"Transformer": {
+			"4807cc72a3ac2bbdb2a34fc5e3913b2d572d94d95f8fac95af4f06c4970111f5",
+			"e5c452f7456a754c174f98a9ec48bc17a8d77735daaf613ef85b6dfb4db7328a",
+			"198f663f6be6257e40d22bfef06d9ed5f519760aed25cc0ed86da5008ca197e8",
+			"e227a4eefeb6503f6920ba514ecc3a0324a8f6e61f89c5e3b8ca561571e6bb93",
+		},
+	}
+	for _, bm := range models.Benchmarks() {
+		for i, p := range []int{4, 8, 16, 32} {
+			ms, err := machine.Parse("1080ti", p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp, err := pl.SolveFingerprint(planner.Request{
+				G:    bm.Build(bm.Batch),
+				Spec: ms,
+				Opts: planner.Options{Policy: bm.Policy(p)},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := registry[bm.Name][i]; fp.String() != want {
+				t.Errorf("%s p=%d: solve fingerprint %s, pinned %s", bm.Name, p, fp, want)
+			}
+		}
+	}
+	// The four paper documents are their registry twins at p=8.
+	documents := map[string]string{
+		"alexnet.json":     registry["AlexNet"][1],
+		"inceptionv3.json": registry["InceptionV3"][1],
+		"rnnlm.json":       registry["RNNLM"][1],
+		"transformer.json": registry["Transformer"][1],
+		"gptdeep3.json":    "d6d64b2fc242f19b62a4d7eb1c4ee12095033b9fe956ac0f262ecc8dd42ae336",
+	}
+	for file, want := range documents {
+		data, err := os.ReadFile(goldenPath(t, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ir, err := Load(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := pl.SolveFingerprint(ir.Request(planner.Options{Policy: ir.Policy}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp.String() != want {
+			t.Errorf("%s: solve fingerprint %s, pinned %s", file, fp, want)
+		}
+	}
+}

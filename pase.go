@@ -252,11 +252,10 @@ var (
 // documentation: Method selects the strategy-search method ("dp" default,
 // "beam", "mcmc", "dataparallel", "expert:<family>"), Policy restricts
 // enumeration, MaxTableEntries bounds DP memory, BreadthFirst selects the
-// naive ordering baseline, Workers sets DP fill parallelism, PruneEpsilon
-// enables epsilon-dominance config pruning (cost within (1+ε)² of optimal)
-// on top of the always-on exact dedup, and BeamWidth/GapTarget tune the
-// anytime beam method (frontier width and the optimality-gap target its
-// refinement loop works toward under the ctx deadline).
+// naive ordering baseline, Workers sets DP fill parallelism, and
+// BeamWidth/GapTarget tune the anytime beam method (frontier width and the
+// optimality-gap target its refinement loop works toward under the ctx
+// deadline).
 type Options = planner.Options
 
 // Result is a found strategy with its cost and search statistics, including
@@ -324,10 +323,6 @@ func NewPlanner(cfg PlannerConfig) *Planner { return planner.New(cfg) }
 // cached and deduplicated without any setup.
 var defaultPlanner = planner.New(planner.Config{})
 
-// DefaultPlanner returns the package-default planner behind Solve, for
-// callers that want its stats or batch API without constructing their own.
-func DefaultPlanner() *Planner { return defaultPlanner }
-
 // ErrOOM is returned when the DP tables exceed the memory budget (the
 // paper's Table I "OOM" outcome for breadth-first ordering).
 var ErrOOM = core.ErrOOM
@@ -367,21 +362,6 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) { return pressure.ParseFaul
 // sharing.
 func NewModel(g *Graph, spec Machine, pol EnumPolicy) (*Model, error) {
 	return cost.NewModel(g, spec, pol)
-}
-
-// ModelBuildOptions tunes NewModelWithOptions: PruneEpsilon enables
-// epsilon-dominance config pruning; DisablePruning turns off even the exact
-// dedup (the unpruned oracle the pruning property tests compare against);
-// DisableInterning turns off structural sharing, building one table per
-// node/edge occurrence instead of one per class (the byte-identical oracle
-// the interning property tests compare against).
-type ModelBuildOptions = cost.BuildOptions
-
-// NewModelWithOptions is NewModel under explicit build options and a
-// cancellable context: the build worker pool polls ctx between per-node and
-// per-edge table tasks, so cancelling mid-build returns promptly.
-func NewModelWithOptions(ctx context.Context, g *Graph, spec Machine, pol EnumPolicy, bo ModelBuildOptions) (*Model, error) {
-	return cost.NewModelWith(ctx, g, spec, pol, bo)
 }
 
 // Solve serves one request through the package-default Planner — the
@@ -495,8 +475,8 @@ func HeterogeneousMachine(specs ...Machine) (Machine, error) {
 
 // Declarative graph ingestion (the pase-graph/v1 wire format).
 type (
-	// SpecFile is a parsed pase-graph/v1 document: nodes, edges, machine,
-	// and policy in their wire form, before normalization.
+	// SpecFile is a pase-graph/v1 document (ExportSpec's output): nodes,
+	// edges, machine, and policy in their wire form, before normalization.
 	SpecFile = spec.File
 	// SpecIR is a normalized, lowered spec: the canonical Graph plus machine
 	// and policy, ready to solve (SpecIR.Request) and fingerprint-compatible
@@ -512,11 +492,6 @@ type (
 
 // SpecVersion is the spec wire-format version this build reads and writes.
 const SpecVersion = spec.Version
-
-// ParseSpec strictly decodes a pase-graph/v1 document without normalizing
-// it. Most callers want LoadSpec; ParseSpec is for tools that inspect or
-// rewrite the document form.
-func ParseSpec(data []byte) (*SpecFile, error) { return spec.Parse(data) }
 
 // LoadSpec runs the full ingestion pipeline — strict parse, semantic
 // validation, canonical normalization, lowering — and returns the solvable
