@@ -20,8 +20,10 @@
 //
 //   - TableI_PaSE/<model>/p=<p>: model build + FINDBESTSTRATEGY, the paper's
 //     Table I strategy-search time, with the candidates the bound-pruned scan
-//     evaluated (states) and the unpruned candidate count (scan_space) as
-//     extras — both exact functions of the cost tables.
+//     evaluated (states), the unpruned candidate count (scan_space), the
+//     positions that took an earlier position's table (shared_positions) and
+//     the entries of the distinct tables filled (distinct_entries) as extras —
+//     all exact functions of the cost tables.
 //   - ModelBuild/<model>/p=<p>: cost-model construction alone (table builds
 //   - config-space reduction), with the structural-sharing stats
 //     (vertex/edge classes, resident and shared table bytes) as extras —
@@ -175,14 +177,16 @@ func run(cfg config) error {
 			NsPerOp: ns,
 			Reps:    reps,
 			Extra: map[string]float64{
-				"states":         float64(st.States),
-				"scan_space":     float64(st.ScanSpace),
-				"k_full":         float64(kFull),
-				"k_effective":    float64(st.KEffective),
-				"pruned_configs": float64(st.PrunedConfigs),
-				"vertex_classes": float64(st.VertexClasses),
-				"edge_classes":   float64(st.EdgeClasses),
-				"table_bytes":    float64(st.TableBytes),
+				"states":           float64(st.States),
+				"scan_space":       float64(st.ScanSpace),
+				"shared_positions": float64(st.SharedPositions),
+				"distinct_entries": float64(st.TotalEntries),
+				"k_full":           float64(kFull),
+				"k_effective":      float64(st.KEffective),
+				"pruned_configs":   float64(st.PrunedConfigs),
+				"vertex_classes":   float64(st.VertexClasses),
+				"edge_classes":     float64(st.EdgeClasses),
+				"table_bytes":      float64(st.TableBytes),
 			},
 		})
 	}

@@ -239,7 +239,7 @@ type beamPlan struct {
 
 func newBeamPlan(m *cost.Model, sq *seq.Sequence) *beamPlan {
 	subsets := seq.ConnectedSubsetsAll(m.G, sq)
-	bp := &beamPlan{m: m, sq: sq, subsets: subsets, freeAt: freePlan(sq, subsets), guide: beamGuideIdx(m)}
+	bp := &beamPlan{m: m, sq: sq, subsets: subsets, freeAt: freePlan(sq, subsets, nil), guide: beamGuideIdx(m)}
 	seen := make(map[*float64][]float64) // by first cell: a table has one shape
 	rowMins := func(vals []float64, stride int) []float64 {
 		mins, ok := seen[&vals[0]]

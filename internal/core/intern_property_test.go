@@ -180,10 +180,10 @@ func TestChunkedFillCancelsPromptlyMidTransformer(t *testing.T) {
 
 // TestPeakLivenessAccountingUnchangedByInterning pins that the DP's
 // MaxTableEntries budget still bounds live entries when the model's chunks
-// share classes: DP tables are per-position (never aliased), so the
-// interned model's peak-liveness accounting must equal the oracle's, a
-// budget at the observed peak must pass, and one below it must ErrOOM on
-// both models alike.
+// share classes: positions whose inputs are the same shared tables share one
+// DP table, charged once, so the interned model's peak is at most the
+// oracle's (which fills every position), a budget at the observed peak must
+// pass, and one below it must ErrOOM on both models alike.
 func TestPeakLivenessAccountingUnchangedByInterning(t *testing.T) {
 	g := models.Transformer(models.TransformerConfig{
 		Batch: 32, SeqLen: 32, DModel: 256, Heads: 8, KVDim: 32,
@@ -211,8 +211,8 @@ func TestPeakLivenessAccountingUnchangedByInterning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ri.Stats.PeakLiveEntries != ro.Stats.PeakLiveEntries {
-		t.Fatalf("interned peak %d != oracle peak %d", ri.Stats.PeakLiveEntries, ro.Stats.PeakLiveEntries)
+	if ri.Stats.PeakLiveEntries > ro.Stats.PeakLiveEntries {
+		t.Fatalf("interned peak %d > oracle peak %d", ri.Stats.PeakLiveEntries, ro.Stats.PeakLiveEntries)
 	}
 	if ri.Stats.PeakLiveEntries <= 0 || ri.Stats.PeakLiveEntries > ri.Stats.TotalEntries {
 		t.Fatalf("peak %d outside (0, total %d]", ri.Stats.PeakLiveEntries, ri.Stats.TotalEntries)

@@ -12,6 +12,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -377,33 +378,45 @@ type Stats struct {
 	MaxDepSize int
 	// MaxTable is the largest single DP table (Π K over one dependent set).
 	MaxTable int64
-	// TotalEntries is the summed size of all DP tables ever allocated.
+	// TotalEntries is the summed size of the distinct DP tables of the solve:
+	// positions of one table class (see tableClasses) share a table, which is
+	// counted once.
 	TotalEntries int64
+	// SharedPositions is how many positions of the ordering took the table of
+	// an earlier position of their class instead of filling their own, and
+	// SharedEntries the summed size those tables would have had: TotalEntries
+	// + SharedEntries is the per-position total. Both are zero for a model
+	// built without interning, where no two positions have an input in common.
+	SharedPositions int
+	SharedEntries   int64
 	// PeakLiveEntries is the largest number of simultaneously live table
-	// entries (in full cost+choice entry equivalents): cost tables are freed
-	// once their last reader's fill completes, so this — not TotalEntries —
-	// is what the memory budget bounds. It counts a fill's scratch too: the
-	// row minima and the minf/argc side table of every vertex that took one.
-	// Under a budget too tight for some side table that vertex is scanned
-	// directly instead, so the peak then reported is lower than the
-	// unbudgeted one and never above the budget.
+	// entries (in full cost+choice entry equivalents): a cost table is freed
+	// once the last fill that reads it — through any position of its class —
+	// completes, so this — not TotalEntries — is what the memory budget
+	// bounds. It counts a fill's scratch too: the row minima and the
+	// minf/argc side table of every vertex that took one. Under a budget too
+	// tight for some side table that vertex is scanned directly instead, so
+	// the peak then reported is lower than the unbudgeted one and never above
+	// the budget.
 	PeakLiveEntries int64
-	// States is the number of table-cell evaluations the fill performed: the
-	// (φ, C) candidates the bound-pruned scan actually evaluated — one scan
-	// per combination of digit classes where a vertex's entries share scans
-	// (see digitClasses), one per entry where they do not — plus, for the
-	// sharing vertices, one combine per table entry. It depends on table data
-	// alone (and on which side tables the budget admitted), so it repeats
-	// exactly at every worker count. A beam pass counts the same thing for its
-	// sparse join: the (child entry or digit value, partial) candidates its
-	// generation steps evaluated before the frontier's threshold stopped
-	// them, compatible or not, summed over the passes of a SolveBeam.
+	// States is the number of table-cell evaluations the fills performed, one
+	// fill per table class: the (φ, C) candidates the bound-pruned scan
+	// actually evaluated — one scan per combination of digit classes where a
+	// vertex's entries share scans (see digitClasses), one per entry where
+	// they do not — plus, for the sharing vertices, one combine per table
+	// entry. It depends on table data alone (and on which side tables the
+	// budget admitted), so it repeats exactly at every worker count and
+	// whether or not the tables are retained. A beam pass counts the same
+	// thing for its sparse join: the (child entry or digit value, partial)
+	// candidates its generation steps evaluated before the frontier's
+	// threshold stopped them, compatible or not, summed over the passes of a
+	// SolveBeam.
 	States int64
 	// ScanSpace is what States would be without the bound: every (φ, C)
 	// candidate of the scans that ran plus the same combines — Π classes · kv
 	// + table size for a vertex whose entries share scans, table size · kv
-	// for one scanned directly — so States/ScanSpace is the share of the
-	// candidate space the scan visited.
+	// for one scanned directly, summed over the fills that ran — so
+	// States/ScanSpace is the share of the candidate space the scan visited.
 	ScanSpace int64
 	// PrunedConfigs is how many candidate configurations the model's
 	// config-space reduction removed before the DP ran (cost.Model's exact
@@ -425,10 +438,10 @@ type Stats struct {
 	TableBytes       int64
 	SharedTableBytes int64
 	// Incremental re-solve accounting (Resolve only): DirtyPositions is how
-	// many DP tables were actually re-filled, ReusedEntries how many table
-	// entries were served unchanged from the snapshot. States above counts
-	// only the re-filled work, so States/ (a full solve's States) is the
-	// delta's cost fraction.
+	// many DP tables were actually re-filled, ReusedEntries how many entries
+	// of distinct tables were served unchanged from the snapshot. States above
+	// counts only the re-filled work, so States/ (a full solve's States) is
+	// the delta's cost fraction.
 	DirtyPositions int
 	ReusedEntries  int64
 }
@@ -476,7 +489,7 @@ func NaiveBF(m *cost.Model, opts Options) (*Result, error) {
 // (vStride 0). This is what makes the fill a flat strided kernel instead of
 // a gather over cache-hostile K²-sized strides.
 type subsetRef struct {
-	pos     int   // position j of the subset's last vertex
+	pos     int   // position holding the table of the subset's last vertex v(j): j's class representative
 	vStride int64 // stride of v(i)'s own configuration within v(j)'s table: 1, or 0 when v(i) ∉ D(j)
 	// For the members of D(j) other than v(i): which φ digit supplies their
 	// configuration and its mixed-radix stride within v(j)'s table.
@@ -486,22 +499,20 @@ type subsetRef struct {
 
 // Snapshot retains a completed solve's full DP state — every position's cost
 // and choice table — so a near-duplicate later request can re-fill only the
-// tables its delta touches (Resolve). Retained tables are plainly allocated
+// tables its delta touches (Resolve). tbl and choice are indexed by position;
+// the positions of one table class (see tableClasses) hold the same slice, so
+// the retained memory is one table per class — the solve's TotalEntries. It is
+// NOT counted against Options.MaxTableEntries, which keeps ErrOOM behavior
+// identical to a non-retaining solve. Retained tables are plainly allocated
 // (never arena-recycled) and immutable once published: a Resolve's new
 // snapshot aliases the clean tables of the old one, so snapshots are cheap
-// to chain and safe to share. The retained memory is the solve's
-// TotalEntries — it is NOT counted against Options.MaxTableEntries, which
-// keeps ErrOOM behavior identical to a non-retaining solve.
+// to chain and safe to share.
 type Snapshot struct {
 	sq      *seq.Sequence
 	subsets [][][]int
 	tbl     [][]float64
 	choice  [][]int32
-	entries int64
 }
-
-// Entries returns the total retained table entries (cost + choice pairs).
-func (s *Snapshot) Entries() int64 { return s.entries }
 
 // Seq returns the vertex ordering the snapshot's solve ran over.
 func (s *Snapshot) Seq() *seq.Sequence { return s.sq }
@@ -542,7 +553,10 @@ func (s *Snapshot) posDirty(dirtyV []bool) []bool {
 // EstimateDelta sizes a prospective Resolve against model m: the table
 // entries the dirty closure of dirtyV would re-fill versus the total. The
 // ratio is the planner's fallback threshold input — a cheap O(Σ|D(i)|)
-// computation, no tables touched.
+// computation, no tables touched. Both sides count positions, not table
+// classes: a dirty position that shares its table is re-filled once, or not at
+// all, so dirty over-states the work, by the same convention total does. The
+// planner's threshold was set against this ratio.
 func (s *Snapshot) EstimateDelta(m *cost.Model, dirtyV []bool) (dirty, total int64) {
 	pd := s.posDirty(dirtyV)
 	for i := range s.sq.Order {
@@ -617,18 +631,119 @@ func newStats(m *cost.Model, sq *seq.Sequence) Stats {
 	}
 }
 
+// txRows returns the TX table of incidence entry ie of vertex v in the
+// orientation that makes a scan over v's own configuration contiguous: rows of
+// K(v) costs, one row per configuration of the other endpoint.
+func txRows(m *cost.Model, ie cost.IncEdge) []float64 {
+	if ie.VIsU {
+		vals, _ := m.EdgeTableT(ie.E) // [cv*Ku+cu], contiguous in c=cu
+		return vals
+	}
+	vals, _ := m.EdgeTable(ie.E) // [cu*Kv+cv], contiguous in c=cv
+	return vals
+}
+
+// tableClasses groups the positions of the ordering into classes whose DP
+// tables are equal by construction: rep[i] is the first position whose table
+// is computed from the same inputs, wired the same way, as position i's
+// (rep[i] == i for a representative). A table of recurrence (4) is a function
+// of its vertex's TL row, the configuration count of every φ digit, the TX
+// table of every later neighbour and the digit that addresses it, and the
+// tables of its connected subsets with the map from each child's dependent
+// set to "the vertex itself" or a φ digit, TX tables and subsets in summation
+// order. The key spells out exactly that, and two positions fall into one
+// class only when their keys are the same bytes (the map compares them), so
+// the fill, its digit classes, its candidate counts and every bit of the table
+// are those of the representative's.
+//
+// TL rows and TX tables are named by identity — first cell; the length
+// follows from the configuration counts in the key — which is what interning
+// gives repeated layers in common. A model built without interning has no two
+// tables in common, so every position is its own class. A child is named by
+// its class, never by its table's address: a non-retaining solve recycles
+// freed cost tables through the arena, so an address can come back under
+// other contents, while the model's tables stay put for the length of a solve.
+// The pass reads the model, the ordering and the subsets only, no table data.
+func tableClasses(m *cost.Model, sq *seq.Sequence, subsets [][][]int) []int {
+	n := len(sq.Order)
+	rep := make([]int, n)
+	tables := make(map[*float64]int64)
+	var key []byte
+	put := func(x int64) { key = binary.AppendVarint(key, x) }
+	putTable := func(vals []float64) {
+		id, ok := tables[&vals[0]]
+		if !ok {
+			id = int64(len(tables))
+			tables[&vals[0]] = id
+		}
+		put(id)
+	}
+	digitOf := make([]int, n) // node → φ digit of the current position; 0 = absent
+	seen := make(map[string]int, n)
+	for i, v := range sq.Order {
+		key = key[:0]
+		putTable(m.TLRow(v))
+		put(int64(m.K(v)))
+		put(int64(len(sq.Dep[i])))
+		for k, d := range sq.Dep[i] {
+			put(int64(m.K(d)))
+			digitOf[d] = k + 1
+		}
+		for _, ie := range m.Incidence(v) {
+			if sq.Pos[ie.Other] <= i {
+				continue
+			}
+			putTable(txRows(m, ie))
+			put(int64(digitOf[ie.Other]))
+		}
+		put(-1) // no table has this id: the TX sources end here
+		for _, sub := range subsets[i] {
+			j := sq.Pos[sub[len(sub)-1]]
+			put(int64(rep[j])) // D(j)'s size is part of the child's own key
+			for _, d := range sq.Dep[j] {
+				if d == v {
+					put(-1)
+				} else {
+					put(int64(digitOf[d]))
+				}
+			}
+		}
+		for _, d := range sq.Dep[i] {
+			digitOf[d] = 0
+		}
+		r, ok := seen[string(key)]
+		if !ok {
+			r = i
+			seen[string(key)] = i
+		}
+		rep[i] = r
+	}
+	return rep
+}
+
 // freePlan is the liveness plan the exact and the beam solver share:
 // freeAt[i] lists the positions whose cost table is last read by position i's
 // fill. After that fill the table is dead — back-substitution reads choices
-// only — and is freed.
-func freePlan(sq *seq.Sequence, subsets [][][]int) [][]int {
+// only — and is freed. With table classes (rep non-nil; the beam has none) a
+// table belongs to its class and is listed under the representative: only a
+// representative is filled, so only a representative reads, and a child is
+// read through whichever member of its class the reader's subset names — the
+// table dies after the last such fill.
+func freePlan(sq *seq.Sequence, subsets [][][]int, rep []int) [][]int {
 	lastReader := make([]int, len(subsets))
 	for j := range lastReader {
 		lastReader[j] = -1
 	}
 	for i, subs := range subsets {
+		if rep != nil && rep[i] != i {
+			continue
+		}
 		for _, sub := range subs {
-			if j := sq.Pos[sub[len(sub)-1]]; i > lastReader[j] {
+			j := sq.Pos[sub[len(sub)-1]]
+			if rep != nil {
+				j = rep[j]
+			}
+			if i > lastReader[j] {
 				lastReader[j] = i
 			}
 		}
@@ -644,11 +759,13 @@ func freePlan(sq *seq.Sequence, subsets [][][]int) [][]int {
 
 // solveRun is the shared DP engine behind Solve, SolveRetain, and Resolve:
 // a full fill when posDirty is nil, a partial re-fill over the dirty
-// positions otherwise (clean positions alias snap's tables). retain keeps
-// every table (plainly allocated, no arena) and returns them as a Snapshot.
-// Budget accounting is identical in all modes — clean positions are charged
-// and retired exactly as if they had been filled — so ErrOOM semantics never
-// depend on the mode.
+// positions otherwise (clean positions alias snap's tables). In every mode
+// one table is filled per table class (see tableClasses) and the other
+// positions of the class are that table. retain keeps every table (plainly
+// allocated, no arena) and returns them as a Snapshot. Budget accounting is
+// identical in all modes — a class is charged once, and clean positions are
+// charged and retired exactly as if they had been filled — so ErrOOM semantics
+// never depend on the mode.
 func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options, snap *Snapshot, posDirty []bool, retain bool) (*Result, *Snapshot, error) {
 	g := m.G
 	n := g.Len()
@@ -697,19 +814,23 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		defer pool.close()
 	}
 
-	tbl := make([][]float64, n)  // per position; freed at last reader
-	choice := make([][]int32, n) // argmin config per (position, φ); kept for back-substitution
-
-	// All connected subsets up front (one bitset pass): both the recurrence
-	// lookup wiring and the liveness plan (freePlan) need them. A Resolve
-	// reuses the snapshot's subsets — same graph topology, same ordering.
+	// All connected subsets up front (one bitset pass): the recurrence lookup
+	// wiring, the table classes and the liveness plan (freePlan) need them. A
+	// Resolve reuses the snapshot's subsets — same graph topology, same
+	// ordering — but not its classes: those are the new model's.
 	var subsets [][][]int
 	if snap != nil {
 		subsets = snap.subsets
 	} else {
 		subsets = seq.ConnectedSubsetsAll(g, sq)
 	}
-	freeAt := freePlan(sq, subsets)
+	rep := tableClasses(m, sq, subsets)
+	freeAt := freePlan(sq, subsets, rep)
+
+	// Tables live in their representative's slot and are read through rep; the
+	// other slots stay nil until the snapshot is assembled.
+	tbl := make([][]float64, n)  // freed at the class's last reader
+	choice := make([][]int32, n) // argmin config per φ; kept for back-substitution
 
 	// Live-memory accounting in 4-byte units: a float64 cost cell is 2
 	// units, an int32 choice cell 1, so a full entry is 3. Freeing a cost
@@ -718,13 +839,13 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	// whose tables die young fit in budgets their TotalEntries would blow.
 	budgetUnits := 3 * budget
 
-	// Sizing pre-pass: table sizes and the liveness plan need no fill, so a
-	// solve whose tables alone outgrow the budget fails here, before the
-	// first table is allocated, instead of seconds into the fills. The fill
-	// loop below repeats this accounting with the per-vertex scratch charged
-	// on top — the row minima, which a solve that passes here can still run
-	// out on, never the other way round, and the minf/argc side tables, which
-	// a vertex goes without when they do not fit.
+	// Sizing pre-pass: table sizes, classes and the liveness plan need no
+	// fill, so a solve whose tables alone outgrow the budget fails here,
+	// before the first table is allocated, instead of seconds into the fills.
+	// The fill loop below repeats this accounting with the per-vertex scratch
+	// charged on top — the row minima, which a solve that passes here can
+	// still run out on, never the other way round, and the minf/argc side
+	// tables, which a vertex goes without when they do not fit.
 	tblSizes := make([]int64, n)
 	planned := int64(0)
 	for i, v := range sq.Order {
@@ -735,6 +856,9 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			}
 		}
 		tblSizes[i] = size
+		if rep[i] != i {
+			continue
+		}
 		if planned += 3 * size; planned > budgetUnits {
 			return nil, nil, fmt.Errorf("%w: live tables at vertex %d exceed %d entries", ErrOOM, v, budget)
 		}
@@ -804,7 +928,6 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		digitOf[j] = -1
 	}
 	var kd []int
-	var finalCost float64
 
 	for i := 0; i < n; i++ {
 		if done != nil && ctx.Err() != nil {
@@ -812,8 +935,17 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		}
 		v := sq.Order[i]
 		dep := sq.Dep[i] // node IDs sorted by position, all after i
-		kd = kd[:0]
 		tblSize := tblSizes[i]
+		// A position that is not its class's representative is the
+		// representative's table — filled earlier in this run, or kept clean
+		// from the snapshot, and in both cases the bytes a fill of this
+		// position over m would produce. It is not filled, charged or freed.
+		if rep[i] != i {
+			st.SharedPositions++
+			st.SharedEntries += tblSize
+			continue
+		}
+		kd = kd[:0]
 		for k, d := range dep {
 			kd = append(kd, m.K(d))
 			digitOf[d] = k
@@ -839,9 +971,6 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			tbl[i] = old
 			choice[i] = snap.choice[i]
 			st.ReusedEntries += tblSize
-			if i == n-1 {
-				finalCost = old[0]
-			}
 			for _, j := range freeAt[i] {
 				liveUnits -= 2 * int64(len(tbl[j]))
 			}
@@ -864,7 +993,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		for si, sub := range subs {
 			jPos := sq.Pos[sub[len(sub)-1]]
 			dj := sq.Dep[jPos]
-			r := subsetRef{pos: jPos}
+			r := subsetRef{pos: rep[jPos]}
 			stride := int64(1)
 			for k := 0; k < len(dj); k++ {
 				if dj[k] == v {
@@ -905,13 +1034,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			if dg < 0 {
 				return nil, nil, fmt.Errorf("core: later neighbour %d of %d missing from D(%d)", ie.Other, v, i)
 			}
-			var vals []float64
-			if ie.VIsU {
-				vals, _ = m.EdgeTableT(ie.E) // [cv*Ku+cu], contiguous in c=cu
-			} else {
-				vals, _ = m.EdgeTable(ie.E) // [cu*Kv+cv], contiguous in c=cv
-			}
-			srcs = append(srcs, rowSrc{vals: vals, digit: []int{dg}, stride: []int64{1}})
+			srcs = append(srcs, rowSrc{vals: txRows(m, ie), digit: []int{dg}, stride: []int64{1}})
 		}
 		var cellRefs []int
 		for ri := range refs {
@@ -1294,9 +1417,6 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		}
 		tbl[i] = t
 		choice[i] = ch
-		if i == n-1 {
-			finalCost = t[0]
-		}
 
 		// Retire cost tables whose last reader was this position — returning
 		// them to the arena for the next vertex's fill (a retaining solve
@@ -1330,7 +1450,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			flat += int64(idx[dj[k]]) * stride
 			stride *= int64(m.K(dj[k]))
 		}
-		idx[v] = int(choice[pos][flat])
+		idx[v] = int(choice[rep[pos]][flat])
 		assigned[v] = true
 		for _, sub := range subsets[pos] {
 			if err := walk(sq.Pos[sub[len(sub)-1]]); err != nil {
@@ -1348,8 +1468,10 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		}
 	}
 
+	// The last position reads nothing after it and nothing reads its table, so
+	// its class's cost table — one cell, R_V(|V|, ∅) — is never freed.
 	res := &Result{
-		Cost:     finalCost,
+		Cost:     tbl[rep[n-1]][0],
 		Idx:      idx,
 		Strategy: m.StrategyFromIdx(idx),
 		Seq:      sq,
@@ -1362,17 +1484,15 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		return nil, nil, fmt.Errorf("core: extracted strategy costs %v but DP minimum is %v", ev, res.Cost)
 	}
 	if retain {
-		return res, &Snapshot{
-			sq:      sq,
-			subsets: subsets,
-			tbl:     tbl,
-			choice:  choice,
-			entries: st.TotalEntries,
-		}, nil
+		for i, r := range rep {
+			tbl[i], choice[i] = tbl[r], choice[r]
+		}
+		return res, &Snapshot{sq: sq, subsets: subsets, tbl: tbl, choice: choice}, nil
 	}
 	// The result no longer references any DP table: hand every surviving
-	// buffer back to the arena for the next solve. (Error paths skip this
-	// and let the GC collect instead.)
+	// buffer — one per class, in its representative's slot — back to the arena
+	// for the next solve. (Error paths skip this and let the GC collect
+	// instead.)
 	for i := 0; i < n; i++ {
 		if tbl[i] != nil {
 			arena.PutF64(tbl[i])
