@@ -24,8 +24,8 @@
 //     positions that took an earlier position's table (shared_positions) and
 //     the entries of the distinct tables filled (distinct_entries) as extras —
 //     all exact functions of the cost tables.
-//   - ModelBuild/<model>/p=<p>: cost-model construction alone (table builds
-//   - config-space reduction), with the structural-sharing stats
+//   - ModelBuild/<model>/p=<p>: cost-model construction alone (the table
+//     builds), with the structural-sharing stats
 //     (vertex/edge classes, resident and shared table bytes) as extras —
 //     build time and bytes tracked separately from solve time.
 //   - Fig5_GenerateSeq/<model>: the GENERATESEQ ordering alone.
@@ -146,17 +146,15 @@ func run(cfg config) error {
 	}
 
 	// Table I: full search (model build + solve) per paper benchmark, with
-	// the config-space reduction stats (K before/after pruning) and the
-	// scan's work (candidates evaluated vs the candidate space) recorded
-	// alongside the timing so the trajectory shows what the DP actually
-	// iterated over. The solve goes to core directly — Stats.ScanSpace is
-	// not on the planner's Result — with one arena across the reps, as a
-	// planner would give it.
+	// the paper's K and the scan's work (candidates evaluated vs the
+	// candidate space) recorded alongside the timing so the trajectory shows
+	// what the DP actually iterated over. The solve goes to core directly —
+	// Stats.ScanSpace is not on the planner's Result — with one arena across
+	// the reps, as a planner would give it.
 	arena := core.NewArena()
 	for _, bm := range pase.Benchmarks() {
 		g := bm.Build(bm.Batch)
 		var st core.Stats
-		var kFull int
 		ns, err := measure(reps, func() error {
 			m, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
 			if err != nil {
@@ -166,7 +164,7 @@ func run(cfg config) error {
 			if err != nil {
 				return err
 			}
-			st, kFull = res.Stats, m.MaxK()
+			st = res.Stats
 			return nil
 		})
 		if err != nil {
@@ -181,9 +179,7 @@ func run(cfg config) error {
 				"scan_space":       float64(st.ScanSpace),
 				"shared_positions": float64(st.SharedPositions),
 				"distinct_entries": float64(st.TotalEntries),
-				"k_full":           float64(kFull),
 				"k_effective":      float64(st.KEffective),
-				"pruned_configs":   float64(st.PrunedConfigs),
 				"vertex_classes":   float64(st.VertexClasses),
 				"edge_classes":     float64(st.EdgeClasses),
 				"table_bytes":      float64(st.TableBytes),

@@ -154,7 +154,7 @@ func reportSolve(pl *pase.Planner, name string, g *pase.Graph, spec pase.Machine
 	}
 	fmt.Printf("search time: %s (model %s)   cost: %.4g s/step   M=%d   states=%d\n",
 		report.Duration(res.SearchTime), report.Duration(res.ModelTime), res.Cost, res.MaxDepSize, res.States)
-	fmt.Printf("config space: K-effective=%d (%d configs pruned)\n", res.KEffective, res.PrunedConfigs)
+	fmt.Printf("config space: K=%d\n", res.KEffective)
 	if res.BeamWidth > 0 {
 		st := pl.Stats()
 		fmt.Printf("anytime: width=%d gap=%.4g exact=%v (beam solves %d, fallbacks %d)\n",
@@ -210,7 +210,6 @@ func reportSolve(pl *pase.Planner, name string, g *pase.Graph, spec pase.Machine
 		}
 		doc.Fingerprint = res.Fingerprint
 		doc.Method = res.Method
-		doc.PrunedConfigs = res.PrunedConfigs
 		doc.KEffective = res.KEffective
 		doc.VertexClasses = res.VertexClasses
 		doc.EdgeClasses = res.EdgeClasses

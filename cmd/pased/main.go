@@ -211,11 +211,9 @@ type solveResponse struct {
 	// bound-pruned scan evaluated, beam states explored, or MCMC proposals.
 	States     int64 `json:"states"`
 	MaxDepSize int   `json:"max_dep_size"`
-	// PrunedConfigs / KEffective report the config-space reduction behind
-	// this solve: configurations dominance pruning removed, and the largest
-	// per-vertex configuration count the DP iterated over.
-	PrunedConfigs int `json:"pruned_configs"`
-	KEffective    int `json:"k_effective"`
+	// KEffective is the largest per-vertex configuration count the search
+	// iterated over — the paper's K.
+	KEffective int `json:"k_effective"`
 	// VertexClasses / EdgeClasses / TableBytes / SharedTableBytes report
 	// the structural sharing of the model behind this solve: distinct
 	// vertex and edge cost tables built, the resident table footprint, and
@@ -639,7 +637,6 @@ func toResponse(req pase.SolveRequest, model string, res *pase.Result) (*solveRe
 	}
 	doc.Fingerprint = res.Fingerprint
 	doc.Method = res.Method
-	doc.PrunedConfigs = res.PrunedConfigs
 	doc.KEffective = res.KEffective
 	doc.VertexClasses = res.VertexClasses
 	doc.EdgeClasses = res.EdgeClasses
@@ -663,7 +660,6 @@ func toResponse(req pase.SolveRequest, model string, res *pase.Result) (*solveRe
 		Fingerprint:      res.Fingerprint,
 		States:           res.States,
 		MaxDepSize:       res.MaxDepSize,
-		PrunedConfigs:    res.PrunedConfigs,
 		KEffective:       res.KEffective,
 		VertexClasses:    res.VertexClasses,
 		EdgeClasses:      res.EdgeClasses,
@@ -687,7 +683,7 @@ const (
 	// worker-count invariant, so this only limits resource use).
 	maxWorkers = 256
 	// maxTableEntriesCap bounds a request's live DP-table budget to ~1.5 GB
-	// of entries; the ErrOOM → 422 path exists precisely because some
+	// of entries; the ErrOOM → 503 "oom" path exists precisely because some
 	// (model, ordering) pairs need unbounded memory.
 	maxTableEntriesCap = int64(1) << 27
 	// maxCompareMethods bounds an explicit compare method list; the full

@@ -91,7 +91,6 @@ func TestMetricsCoverPlannerStats(t *testing.T) {
 	// Sums of per-model shape numbers every solve response already carries:
 	// diagnostic on /v1/stats, nothing to alert on.
 	statsOnly := map[string]bool{
-		"pruned_configs":     true,
 		"vertex_classes":     true,
 		"edge_classes":       true,
 		"shared_table_bytes": true,

@@ -54,7 +54,7 @@ func main() {
 
 	tb := &report.Table{
 		Title: fmt.Sprintf("%s: simulated speedup of PaSE over data parallelism", bm.Name),
-		Header: []string{"p", "K-eff", "classes V/E", "shared MB", "store hits", "1080Ti step (ms)", "1080Ti speedup",
+		Header: []string{"p", "K", "classes V/E", "shared MB", "store hits", "1080Ti step (ms)", "1080Ti speedup",
 			"2080Ti step (ms)", "2080Ti speedup"},
 	}
 	for pi, p := range ps {
@@ -66,8 +66,6 @@ func main() {
 				log.Fatal(item.Err)
 			}
 			res, spec := item.Result, reqs[pi*len(makers)+mi].Spec
-			// Dedup compares machine-priced cost signatures, so K-effective
-			// can differ between the two GPU generations at the same p.
 			kEffs = append(kEffs, fmt.Sprintf("%d", res.KEffective))
 			// Structural sharing: repeated layers collapse to a handful of
 			// vertex/edge table classes, and the shared bytes are what the

@@ -154,9 +154,8 @@ func (w *Writer) I64s(vs []int64) {
 }
 
 // FP writes a previously computed fingerprint as one value, so composite
-// identities (an edge class over its endpoint classes, a prune class over a
-// vertex class and its incidence shape) can be built from per-element
-// fingerprints without re-encoding the elements. The fixed 32-byte payload
+// identities (an edge class over its endpoint classes) can be built from
+// per-element fingerprints without re-encoding the elements. The fixed 32-byte payload
 // under its own tag keeps the stream unambiguous like every other value.
 func (w *Writer) FP(f Fingerprint) {
 	w.tagged(tagFP, f[:])

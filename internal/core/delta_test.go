@@ -13,7 +13,7 @@ import (
 	"pase/internal/seq"
 )
 
-// dirtyFromModels marks every vertex whose final class fingerprint (or an
+// dirtyFromModels marks every vertex whose class fingerprint (or an
 // incident edge's) differs between two same-topology models — the planner's
 // delta detection, reproduced here for direct Resolve tests.
 func dirtyFromModels(t *testing.T, old, new *cost.Model) []bool {

@@ -210,7 +210,7 @@ func naiveTables(m *cost.Model, sq *seq.Sequence) (tbl [][]float64, choice [][]i
 	return tbl, choice, shapes
 }
 
-// adversarialModel builds a per-occurrence (uninterned, unpruned) model over
+// adversarialModel builds a per-occurrence (uninterned) model over
 // a random layer graph with configuration counts from 1 up, then overwrites
 // its cost tables in place with the inputs a bound-pruned scan could get
 // wrong: constant rows, all-zero TX tables, costs from {0, 1, 2} (minima
@@ -232,7 +232,7 @@ func adversarialModel(t *testing.T, rng *rand.Rand, n, p int) *cost.Model {
 		}
 	}
 	m, err := cost.NewModelWith(context.Background(), g, machine.Uniform(p, 1e12, 1e10), itspace.EnumPolicy{},
-		cost.BuildOptions{DisableInterning: true, DisablePruning: true})
+		cost.BuildOptions{DisableInterning: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -418,14 +418,10 @@ type Stats struct {
 	// for one scanned directly, summed over the fills that ran — so
 	// States/ScanSpace is the share of the candidate space the scan visited.
 	ScanSpace int64
-	// PrunedConfigs is how many candidate configurations the model's
-	// config-space reduction removed before the DP ran (cost.Model's exact
-	// dedup); every one is a multiplicative saving in the K^|dependent set|
-	// table sizes above.
+	// PrunedConfigs is always 0; it stays because benchmark/cold.go sums it.
 	PrunedConfigs int
 	// KEffective is the largest per-vertex configuration count the DP
-	// iterated over — the model's post-pruning K (the paper's K is the
-	// pre-pruning maximum).
+	// iterated over. It equals the paper's K (cost.Model.MaxK).
 	KEffective int
 	// VertexClasses / EdgeClasses are the model's structural-sharing class
 	// counts: how many distinct vertex and edge cost tables the build
@@ -622,8 +618,7 @@ func Resolve(ctx context.Context, m *cost.Model, snap *Snapshot, dirtyV []bool, 
 func newStats(m *cost.Model, sq *seq.Sequence) Stats {
 	return Stats{
 		MaxDepSize:       sq.MaxDepSize(),
-		PrunedConfigs:    m.PrunedConfigs(),
-		KEffective:       m.MaxKEffective(),
+		KEffective:       m.MaxK(),
 		VertexClasses:    m.VertexClasses(),
 		EdgeClasses:      m.EdgeClasses(),
 		TableBytes:       m.TableBytes(),

@@ -7,20 +7,15 @@ package cost
 // building and storing one table per occurrence, the model computes a
 // canonical *class fingerprint* per vertex and per edge, builds each distinct
 // table exactly once, and aliases every class member to the shared slice.
-// Three class levels, each keyed by internal/canon fingerprints:
+// Two class levels, each keyed by internal/canon fingerprints:
 //
-//   - Vertex (content) class: machine spec + enumeration policy + the node's
+//   - Vertex class: machine spec + enumeration policy + the node's
 //     cost-relevant content (graph.Node.CanonicalEncodeContent — op,
 //     iteration space, tensor refs, FLOPs density, halos, norm dims).
 //     Members share their configuration list and TL row.
 //   - Edge class: the endpoint vertex classes plus the consumer input slot
 //     (which pins the iteration-space mapping of the edge tensor on both
 //     sides). Members share their TX table and its transpose.
-//   - Prune class: the vertex class plus the ordered incident-edge shape
-//     (edge class, orientation, self-loop flag per incidence entry). Two
-//     members see byte-identical cost signatures for every configuration, so
-//     config-space reduction (prune.go) runs once per prune class and the
-//     compacted tables are shared too.
 //
 // Sharing is value-transparent: a class member's table holds exactly the
 // bytes a per-occurrence build would have produced, so solves over an
@@ -127,52 +122,11 @@ func (m *Model) buildInternPlan() *internPlan {
 	return p
 }
 
-// pruneClasses groups nodes whose cost signatures (prune.go sigVisit) are
-// byte-identical for every configuration: same vertex class and the same
-// ordered incident-edge shape. rClass[v] is the dense prune-class ID,
-// rReps[c] its representative node, rFPs[c] its canonical fingerprint —
-// composed from the member class fingerprints (not dense per-model IDs), so
-// it identifies the class across models and keys the ClassStore's prune
-// entries. With a singleton plan every node is its own prune class and no
-// fingerprints are computed (nothing is shared or compared).
-func (m *Model) pruneClasses(p *internPlan) (rClass []int, rReps []int, rFPs []canon.Fingerprint) {
-	rClass = make([]int, m.G.Len())
-	if p.vFPs == nil {
-		for v := range rClass {
-			rClass[v] = v
-			rReps = append(rReps, v)
-		}
-		return rClass, rReps, nil
-	}
-	byFP := make(map[canon.Fingerprint]int, m.G.Len())
-	for v := range rClass {
-		w := canon.NewWriter()
-		w.Label("cost.prune-class/v2")
-		w.FP(p.vFPs[p.vClass[v]])
-		w.Len(len(m.inc[v]))
-		for _, ie := range m.inc[v] {
-			w.FP(p.eFPs[p.eClass[ie.E]])
-			w.Bool(ie.VIsU)
-			w.Bool(ie.Self)
-		}
-		fp := w.Sum()
-		ci, ok := byFP[fp]
-		if !ok {
-			ci = len(rReps)
-			byFP[fp] = ci
-			rReps = append(rReps, v)
-			rFPs = append(rFPs, fp)
-		}
-		rClass[v] = ci
-	}
-	return rClass, rReps, rFPs
-}
-
-// computeTableStats fills the model's structural-sharing counters after the
-// tables (and any compaction) are final: resident bytes count each distinct
-// backing slice once (aliases identified by their first element's address),
-// logical bytes are what a per-occurrence build would hold, and the
-// difference is the sharing saving.
+// computeTableStats fills the model's structural-sharing counters once the
+// tables are final: resident bytes count each distinct backing slice once
+// (aliases identified by their first element's address), logical bytes are
+// what a per-occurrence build would hold, and the difference is the sharing
+// saving.
 func (m *Model) computeTableStats(p *internPlan) {
 	m.vertexClasses = len(p.vReps)
 	m.edgeClasses = len(p.eReps)
@@ -220,12 +174,10 @@ func (m *Model) TableBytes() int64 { return m.tableBytes }
 // interning is disabled or nothing repeats.
 func (m *Model) SharedTableBytes() int64 { return m.sharedTableBytes }
 
-// VertexClassFP returns node v's final class fingerprint: the canonical
-// identity of its post-pruning configuration list and TL row (content class
-// + incidence shape under pruning; the content class alone when pruning is
-// disabled). Two models agreeing on a node's fingerprint hold
-// byte-identical tables for it — the comparison delta re-solve runs. Zero
-// when the model was built with DisableInterning.
+// VertexClassFP returns node v's vertex class fingerprint: the canonical
+// identity of its configuration list and TL row. Two models agreeing on a
+// node's fingerprint hold byte-identical tables for it — the comparison
+// delta re-solve runs. Zero when the model was built with DisableInterning.
 func (m *Model) VertexClassFP(v int) canon.Fingerprint {
 	if m.vClassFP == nil {
 		return canon.Fingerprint{}
@@ -233,9 +185,8 @@ func (m *Model) VertexClassFP(v int) canon.Fingerprint {
 	return m.vClassFP[v]
 }
 
-// EdgeClassFP returns edge e's final class fingerprint — the identity of its
-// post-pruning TX table (edge class + both endpoint prune classes). Zero
-// when the model was built with DisableInterning.
+// EdgeClassFP returns edge e's edge class fingerprint — the identity of its
+// TX table. Zero when the model was built with DisableInterning.
 func (m *Model) EdgeClassFP(e int) canon.Fingerprint {
 	if m.eClassFP == nil {
 		return canon.Fingerprint{}

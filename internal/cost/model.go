@@ -52,18 +52,11 @@ type Model struct {
 	BuildTime time.Duration
 
 	r    float64
-	cfgs [][]itspace.Config // per node, post-pruning (the interned ID space)
+	cfgs [][]itspace.Config // per node: the enumerated configurations, index = config ID
 	tl   [][]float64        // [node][cfgID], eager
-	tx   [][]float64        // [edge][cu*Kv+cv], eager, interned IDs
+	tx   [][]float64        // [edge][cu*Kv+cv], eager
 	txT  [][]float64        // [edge][cv*Ku+cu], transpose of tx
 	txKv []int              // row stride of tx: the consumer's config count
-
-	// Config-space reduction state (prune.go): the full enumeration before
-	// pruning, the full-index → interned-ID map, and how many configurations
-	// pruning removed. fullCfgs/repOf are nil when pruning is disabled.
-	fullCfgs [][]itspace.Config
-	repOf    [][]int32
-	pruned   int
 
 	// Structural-sharing state (intern.go): distinct vertex/edge class
 	// counts, the resident bytes of the (aliased) cost tables, and the bytes
@@ -73,10 +66,10 @@ type Model struct {
 	tableBytes       int64
 	sharedTableBytes int64
 
-	// Cross-request sharing state (store.go): the final per-node and
-	// per-edge class fingerprints — identities of the post-pruning tables,
-	// which delta re-solve compares across models — and this build's
-	// ClassStore traffic. Fingerprints are zero when interning was disabled.
+	// Cross-request sharing state (store.go): the per-node and per-edge class
+	// fingerprints — identities of the tables, which delta re-solve compares
+	// across models — and this build's ClassStore traffic. Fingerprints are
+	// nil when interning was disabled.
 	vClassFP        []canon.Fingerprint
 	eClassFP        []canon.Fingerprint
 	classStoreHits  int64
@@ -138,19 +131,37 @@ func parallelFor(ctx context.Context, n int, f func(i int)) {
 	wg.Wait()
 }
 
+// BuildOptions tunes model construction. The zero value is the default
+// build.
+type BuildOptions struct {
+	// DisablePruning is read by nothing; it stays because benchmark/checks.go sets it.
+	DisablePruning bool
+	// DisableInterning skips structural sharing (intern.go): every node and
+	// edge gets its own table build and backing slice, exactly as if the
+	// graph had no repeated structure. Solves over the interned model are
+	// byte-identical to this oracle; the property tests pin that.
+	DisableInterning bool
+	// Store, when non-nil, resolves class tables from a cross-request
+	// ClassStore (store.go): classes already built for any earlier model
+	// sharing the store are aliased instead of rebuilt, and fresh classes
+	// are published for later builds. Requires interning (a DisableInterning
+	// build computes no class fingerprints and ignores the store). Builds
+	// through a store are byte-identical to store-less builds.
+	Store *ClassStore
+}
+
 // NewModel enumerates configurations and precomputes all layer and edge cost
-// tables for the graph on the given machine, parallelizing the per-node and
-// per-edge table builds across a worker pool. Exact duplicate-signature
-// dedup (prune.go) runs by default; NewModelWith exposes the pruning kill
-// switch and build cancellation.
+// tables for the graph on the given machine, parallelizing the per-class
+// table builds across a worker pool. NewModelWith exposes the build options
+// and build cancellation.
 func NewModel(g *graph.Graph, spec machine.Spec, pol itspace.EnumPolicy) (*Model, error) {
 	return NewModelWith(context.Background(), g, spec, pol, BuildOptions{})
 }
 
 // NewModelWith is NewModel under explicit build options and a cancellable
-// context. The build worker pool polls ctx between tasks (per node, per
-// edge), so cancelling mid-build returns ctx's error promptly — in coarse
-// per-table steps — without leaking pool goroutines.
+// context. The build worker pool polls ctx between tasks (per vertex class,
+// per edge class), so cancelling mid-build returns ctx's error promptly — in
+// coarse per-table steps — without leaking pool goroutines.
 func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol itspace.EnumPolicy, bo BuildOptions) (*Model, error) {
 	start := time.Now()
 	if err := spec.Validate(); err != nil {
@@ -198,63 +209,34 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	if plan.vFPs == nil {
 		store = nil
 	}
-	var storeHits, storeMiss, storeBytes atomic.Int64
+	var traffic storeTraffic
 	// Phase 1: configuration enumeration and layer-cost tables, one vertex
 	// class per pool task — resolved from the planner's ClassStore when one
 	// is attached, so a class already built for any earlier model (a prior
 	// sweep point, a concurrent near-duplicate request) is aliased instead of
 	// re-enumerated.
-	nodeErr := make([]error, len(plan.vReps))
-	classCfgs := make([][]itspace.Config, len(plan.vReps))
-	classTL := make([][]float64, len(plan.vReps))
+	classV := make([]vertexTables, len(plan.vReps))
+	classErr := make([]error, len(plan.vReps))
 	parallelFor(ctx, len(plan.vReps), func(ci int) {
-		build := func() (any, int64, error) {
+		classV[ci], classErr[ci] = resolveClass(store, &traffic, plan.vFPs, ci, func() (vertexTables, int64, error) {
 			n := g.Nodes[plan.vReps[ci]]
 			cs := itspace.Enumerate(n.Space, spec.Devices, pol)
 			if len(cs) == 0 {
-				return nil, 0, fmt.Errorf("cost: node %d (%s) admits no configuration", n.ID, n.Name)
+				return vertexTables{}, 0, fmt.Errorf("cost: node %d (%s) admits no configuration", n.ID, n.Name)
 			}
 			tl := make([]float64, len(cs))
 			for i, c := range cs {
 				tl[i] = TLSeconds(n, c, spec)
 			}
 			return vertexTables{cfgs: cs, tl: tl}, configBytes(cs) + int64(len(tl))*8, nil
-		}
-		if store == nil {
-			val, _, err := build()
-			if err != nil {
-				nodeErr[ci] = err
-				return
-			}
-			vt := val.(vertexTables)
-			classCfgs[ci], classTL[ci] = vt.cfgs, vt.tl
-			return
-		}
-		val, hit, bytes, err := store.getOrBuild(plan.vFPs[ci], build)
-		if err != nil {
-			nodeErr[ci] = err
-			return
-		}
-		vt := val.(vertexTables)
-		classCfgs[ci], classTL[ci] = vt.cfgs, vt.tl
-		if hit {
-			storeHits.Add(1)
-			storeBytes.Add(bytes)
-		} else {
-			storeMiss.Add(1)
-		}
+		})
 	})
-	if err := context.Cause(ctx); err != nil {
-		return nil, fmt.Errorf("cost: model build cancelled: %w", err)
-	}
-	for _, err := range nodeErr {
-		if err != nil {
-			return nil, err
-		}
+	if err := buildErr(ctx, classErr); err != nil {
+		return nil, err
 	}
 	for id := range m.cfgs {
-		m.cfgs[id] = classCfgs[plan.vClass[id]]
-		m.tl[id] = classTL[plan.vClass[id]]
+		m.cfgs[id] = classV[plan.vClass[id]].cfgs
+		m.tl[id] = classV[plan.vClass[id]].tl
 	}
 	for i, e := range m.edges {
 		m.txKv[i] = len(m.cfgs[e[1]])
@@ -267,10 +249,10 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	// row/column instead of per cell; the Ku×Kv fill is then pure arithmetic
 	// with no allocation.
 	txBW := GroupBW(spec, float64(spec.Devices))
-	classTab := make([][]float64, len(plan.eReps))
-	classTabT := make([][]float64, len(plan.eReps))
+	classE := make([]edgeTables, len(plan.eReps))
+	classErr = make([]error, len(plan.eReps))
 	parallelFor(ctx, len(plan.eReps), func(ci int) {
-		build := func() (any, int64, error) {
+		classE[ci], classErr[ci] = resolveClass(store, &traffic, plan.eFPs, ci, func() (edgeTables, int64, error) {
 			e := plan.eReps[ci]
 			u, v := m.edges[e][0], m.edges[e][1]
 			nu, nv := g.Nodes[u], g.Nodes[v]
@@ -304,43 +286,18 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 				}
 			}
 			return edgeTables{tab: tab, tabT: tabT}, int64(len(tab)) * 16, nil
-		}
-		if store == nil {
-			val, _, _ := build()
-			et := val.(edgeTables)
-			classTab[ci], classTabT[ci] = et.tab, et.tabT
-			return
-		}
-		val, hit, bytes, _ := store.getOrBuild(plan.eFPs[ci], build)
-		et := val.(edgeTables)
-		classTab[ci], classTabT[ci] = et.tab, et.tabT
-		if hit {
-			storeHits.Add(1)
-			storeBytes.Add(bytes)
-		} else {
-			storeMiss.Add(1)
-		}
+		})
 	})
-	if err := context.Cause(ctx); err != nil {
-		return nil, fmt.Errorf("cost: model build cancelled: %w", err)
+	if err := buildErr(ctx, classErr); err != nil {
+		return nil, err
 	}
 	for e := range m.edges {
-		m.tx[e] = classTab[plan.eClass[e]]
-		m.txT[e] = classTabT[plan.eClass[e]]
+		m.tx[e] = classE[plan.eClass[e]].tab
+		m.txT[e] = classE[plan.eClass[e]].tabT
 	}
-	// Phase 3: config-space reduction (prune.go) — exact dedup — followed by
-	// table compaction onto the surviving interned IDs. Both run per class: members of a prune
-	// class have byte-identical cost signatures, so they keep the same
-	// survivors and share the compacted tables. It also assigns the final
-	// (post-pruning) class fingerprints delta detection compares.
-	if !bo.DisablePruning {
-		m.pruneConfigs(ctx, plan, store, &storeHits, &storeMiss, &storeBytes)
-		if err := context.Cause(ctx); err != nil {
-			return nil, fmt.Errorf("cost: model build cancelled: %w", err)
-		}
-	} else if plan.vFPs != nil {
-		// Unpruned tables are identified by the content-level class
-		// fingerprints directly.
+	// The class fingerprints identify the tables across models; delta
+	// detection compares them.
+	if plan.vFPs != nil {
 		m.vClassFP = make([]canon.Fingerprint, g.Len())
 		for v := range m.vClassFP {
 			m.vClassFP[v] = plan.vFPs[plan.vClass[v]]
@@ -350,12 +307,26 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 			m.eClassFP[e] = plan.eFPs[plan.eClass[e]]
 		}
 	}
-	m.classStoreHits = storeHits.Load()
-	m.classStoreMiss = storeMiss.Load()
-	m.classStoreBytes = storeBytes.Load()
+	m.classStoreHits = traffic.hits.Load()
+	m.classStoreMiss = traffic.misses.Load()
+	m.classStoreBytes = traffic.bytes.Load()
 	m.computeTableStats(plan)
 	m.BuildTime = time.Since(start)
 	return m, nil
+}
+
+// buildErr is what a finished build phase reports: the cancellation cause
+// if ctx ended, else the first class's error in class order.
+func buildErr(ctx context.Context, classErr []error) error {
+	if err := context.Cause(ctx); err != nil {
+		return fmt.Errorf("cost: model build cancelled: %w", err)
+	}
+	for _, err := range classErr {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // P returns the device count.
@@ -364,38 +335,17 @@ func (m *Model) P() int { return m.Spec.Devices }
 // R returns the FLOP-to-byte ratio used by the model.
 func (m *Model) R() float64 { return m.r }
 
-// Configs returns the (post-pruning) configuration list of node v: index i
-// is interned config ID i. Do not mutate.
+// Configs returns the enumerated configuration list of node v: index i is
+// config ID i. Do not mutate.
 func (m *Model) Configs(v int) []itspace.Config { return m.cfgs[v] }
 
-// K returns the number of surviving configurations of node v — the size of
-// the interned ID space the DP iterates over.
+// K returns the number of configurations of node v — the size of the ID
+// space the DP iterates over.
 func (m *Model) K(v int) int { return len(m.cfgs[v]) }
 
-// KFull returns the number of configurations node v enumerated before
-// config-space reduction.
-func (m *Model) KFull(v int) int {
-	if m.fullCfgs == nil {
-		return len(m.cfgs[v])
-	}
-	return len(m.fullCfgs[v])
-}
-
 // MaxK returns the paper's K: the maximum enumerated configuration count
-// over all nodes, before config-space reduction.
+// over all nodes.
 func (m *Model) MaxK() int {
-	k := 0
-	for v := range m.cfgs {
-		if kv := m.KFull(v); kv > k {
-			k = kv
-		}
-	}
-	return k
-}
-
-// MaxKEffective returns the maximum surviving configuration count over all
-// nodes — the K the DP actually pays for.
-func (m *Model) MaxKEffective() int {
 	k := 0
 	for v := range m.cfgs {
 		if len(m.cfgs[v]) > k {
@@ -405,25 +355,11 @@ func (m *Model) MaxKEffective() int {
 	return k
 }
 
-// PrunedConfigs returns how many candidate configurations config-space
-// reduction removed across all nodes.
-func (m *Model) PrunedConfigs() int { return m.pruned }
-
-// IndexOf returns the interned config ID of cfg within node v, or -1. A
-// configuration removed by pruning resolves to the ID of its surviving
-// representative, whose costs are identical.
+// IndexOf returns the config ID of cfg within node v, or -1.
 func (m *Model) IndexOf(v int, cfg itspace.Config) int {
-	if m.fullCfgs == nil {
-		for i, c := range m.cfgs[v] {
-			if c.Equal(cfg) {
-				return i
-			}
-		}
-		return -1
-	}
-	for i, c := range m.fullCfgs[v] {
+	for i, c := range m.cfgs[v] {
 		if c.Equal(cfg) {
-			return int(m.repOf[v][i])
+			return i
 		}
 	}
 	return -1

@@ -11,15 +11,11 @@ package cost
 // same table bytes resolve them from one shared entry, across distinct
 // graphs, sweep points, and concurrent builds.
 //
-// Four entry kinds mirror the build phases:
+// Two entry kinds mirror the build phases:
 //
-//   - vertex entry (content class fp): the enumerated configuration list and
-//     TL row, pre-pruning.
-//   - edge entry (edge class fp): the full TX table and its transpose.
-//   - prune entry (prune class fp): the survivor set, the full-index →
-//     dense-ID map, and the compacted config list and TL row.
-//   - compact-TX entry (edge class fp + both endpoint prune class fps): the
-//     survivor-gathered TX table, transpose, and row stride.
+//   - vertex entry (vertex class fp): the enumerated configuration list and
+//     TL row.
+//   - edge entry (edge class fp): the TX table and its transpose.
 //
 // Entries are immutable once published — models alias the stored slices and
 // never write them — so sharing is value-transparent: a store-enabled build
@@ -40,6 +36,7 @@ package cost
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"pase/internal/canon"
 	"pase/internal/itspace"
@@ -181,37 +178,42 @@ func (s *ClassStore) getOrBuild(fp canon.Fingerprint, build func() (any, int64, 
 	}
 }
 
+// storeTraffic tallies one model build's ClassStore traffic.
+type storeTraffic struct{ hits, misses, bytes atomic.Int64 }
+
+// resolveClass returns the tables of class ci: built directly when store is
+// nil, else resolved from the store under fps[ci] and counted in t.
+func resolveClass[T any](store *ClassStore, t *storeTraffic, fps []canon.Fingerprint, ci int, build func() (T, int64, error)) (T, error) {
+	if store == nil {
+		val, _, err := build()
+		return val, err
+	}
+	val, hit, bytes, err := store.getOrBuild(fps[ci], func() (any, int64, error) { return build() })
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	if hit {
+		t.hits.Add(1)
+		t.bytes.Add(bytes)
+	} else {
+		t.misses.Add(1)
+	}
+	return val.(T), nil
+}
+
 // Stored value kinds, one per build phase.
 
-// vertexTables is a vertex content class's enumeration and layer-cost row.
+// vertexTables is a vertex class's enumeration and layer-cost row.
 type vertexTables struct {
 	cfgs []itspace.Config
 	tl   []float64
 }
 
-// edgeTables is an edge class's full TX table and transpose.
+// edgeTables is an edge class's TX table and transpose.
 type edgeTables struct {
 	tab  []float64
 	tabT []float64
-}
-
-// pruneTables is a prune class's config-space reduction outcome: survivors,
-// the full-index → dense-ID map, and the compacted config list and TL row
-// (aliases of the vertex entry's slices when nothing was pruned).
-type pruneTables struct {
-	keep []int
-	rep  []int32
-	cfgs []itspace.Config
-	tl   []float64
-}
-
-// compactTables is a compacted TX table for one (edge class, producer prune
-// class, consumer prune class): survivor-gathered values, transpose, and row
-// stride (aliases of the edge entry when neither endpoint pruned).
-type compactTables struct {
-	tab  []float64
-	tabT []float64
-	kv   int
 }
 
 // configBytes estimates the resident bytes of a config list: the slice
@@ -230,12 +232,10 @@ func configBytes(cfgs []itspace.Config) int64 {
 const (
 	snapKindVertex uint8 = iota + 1
 	snapKindEdge
-	snapKindPrune
-	snapKindCompact
 )
 
 // StoreSnapshotEntry is one class entry in wire form — a flattened union of
-// the four stored table kinds, safe for gob. Produced by Snapshot and
+// the two stored table kinds, safe for gob. Produced by Snapshot and
 // consumed by Restore; the planner embeds these in its warm-restart snapshot
 // (DESIGN.md "Pressure & degradation").
 type StoreSnapshotEntry struct {
@@ -246,9 +246,6 @@ type StoreSnapshotEntry struct {
 	TL    []float64
 	Tab   []float64
 	TabT  []float64
-	Keep  []int
-	Rep   []int32
-	KV    int
 }
 
 // Snapshot returns the store's published entries from least to most recently
@@ -268,10 +265,6 @@ func (s *ClassStore) Snapshot() []StoreSnapshotEntry {
 			se.Kind, se.Cfgs, se.TL = snapKindVertex, v.cfgs, v.tl
 		case edgeTables:
 			se.Kind, se.Tab, se.TabT = snapKindEdge, v.tab, v.tabT
-		case pruneTables:
-			se.Kind, se.Keep, se.Rep, se.Cfgs, se.TL = snapKindPrune, v.keep, v.rep, v.cfgs, v.tl
-		case compactTables:
-			se.Kind, se.Tab, se.TabT, se.KV = snapKindCompact, v.tab, v.tabT, v.kv
 		default:
 			return
 		}
@@ -302,10 +295,6 @@ func (s *ClassStore) Restore(entries []StoreSnapshotEntry) int {
 			val = vertexTables{cfgs: se.Cfgs, tl: se.TL}
 		case snapKindEdge:
 			val = edgeTables{tab: se.Tab, tabT: se.TabT}
-		case snapKindPrune:
-			val = pruneTables{keep: se.Keep, rep: se.Rep, cfgs: se.Cfgs, tl: se.TL}
-		case snapKindCompact:
-			val = compactTables{tab: se.Tab, tabT: se.TabT, kv: se.KV}
 		default:
 			continue
 		}

@@ -13,7 +13,7 @@ import (
 
 // compareTables requires every cost table of two models built for the same
 // (graph, machine, policy) to be byte-identical: config lists, TL rows, TX
-// tables and transposes, and the pruning outcome.
+// tables and transposes.
 func compareTables(t *testing.T, m, o *Model) {
 	t.Helper()
 	for v := 0; v < m.G.Len(); v++ {
@@ -31,9 +31,6 @@ func compareTables(t *testing.T, m, o *Model) {
 			if a[i] != b[i] {
 				t.Fatalf("node %d: TL[%d] %v vs oracle %v", v, i, a[i], b[i])
 			}
-		}
-		if m.KFull(v) != o.KFull(v) {
-			t.Fatalf("node %d: KFull %d vs oracle %d", v, m.KFull(v), o.KFull(v))
 		}
 	}
 	for e := range m.Edges() {
@@ -57,9 +54,6 @@ func compareTables(t *testing.T, m, o *Model) {
 				t.Fatalf("edge %d: TXT[%d] %v vs oracle %v", e, i, at[i], bt[i])
 			}
 		}
-	}
-	if m.PrunedConfigs() != o.PrunedConfigs() {
-		t.Fatalf("pruned %d vs oracle %d", m.PrunedConfigs(), o.PrunedConfigs())
 	}
 }
 
@@ -93,6 +87,13 @@ func TestClassStoreBuildsByteIdenticalToOracle(t *testing.T) {
 			compareTables(t, warm, oracle)
 			if cold.ClassStoreHits() != 0 {
 				t.Errorf("cold build hit the store %d times, want 0", cold.ClassStoreHits())
+			}
+			// Two entry kinds and nothing else: one entry, and one miss, per
+			// vertex class and per edge class.
+			classes := cold.VertexClasses() + cold.EdgeClasses()
+			if st := store.Stats(); st.Entries != classes || st.Misses != int64(classes) {
+				t.Errorf("store holds %d entries after %d misses, want %d vertex + %d edge classes of each",
+					st.Entries, st.Misses, cold.VertexClasses(), cold.EdgeClasses())
 			}
 			if warm.ClassStoreMisses() != 0 {
 				t.Errorf("warm build missed the store %d times, want 0 (every class built once ever)", warm.ClassStoreMisses())
@@ -156,10 +157,23 @@ func TestClassStoreSharesAcrossDistinctGraphValues(t *testing.T) {
 	if m2.ClassStoreMisses() != 0 {
 		t.Fatalf("second build of an identical graph value missed %d classes, want 0", m2.ClassStoreMisses())
 	}
+	if want := int64(m2.VertexClasses() + m2.EdgeClasses()); m2.ClassStoreHits() != want {
+		t.Fatalf("second build hit %d classes, want every one of its %d", m2.ClassStoreHits(), want)
+	}
 	// The hit tables must be the SAME backing arrays, not copies.
-	a, b := m1.TLRow(0), m2.TLRow(0)
-	if &a[0] != &b[0] {
-		t.Errorf("store hit returned a copy: TL rows of identical builds not aliased")
+	for v := 0; v < m1.G.Len(); v++ {
+		if a, b := m1.TLRow(v), m2.TLRow(v); &a[0] != &b[0] {
+			t.Fatalf("node %d: TL rows of identical builds not aliased", v)
+		}
+	}
+	for e := range m1.Edges() {
+		a, _ := m1.EdgeTable(e)
+		b, _ := m2.EdgeTable(e)
+		at, _ := m1.EdgeTableT(e)
+		bt, _ := m2.EdgeTableT(e)
+		if &a[0] != &b[0] || &at[0] != &bt[0] {
+			t.Fatalf("edge %d: TX tables of identical builds not aliased", e)
+		}
 	}
 }
 

@@ -50,12 +50,8 @@ type Document struct {
 	Gap       float64 `json:"gap,omitempty"`
 	Exact     bool    `json:"exact,omitempty"`
 	BeamWidth int     `json:"beam_width,omitempty"`
-	// PrunedConfigs / KEffective, when set, record the config-space
-	// reduction of the solve that produced this strategy: how many candidate
-	// configurations dominance pruning removed, and the largest per-vertex
-	// configuration count the DP actually iterated over.
-	PrunedConfigs int `json:"pruned_configs,omitempty"`
-	// KEffective is the post-pruning maximum per-vertex configuration count.
+	// KEffective, when set, is the largest per-vertex configuration count
+	// the solve that produced this strategy iterated over — the paper's K.
 	KEffective int `json:"k_effective,omitempty"`
 	// VertexClasses / EdgeClasses, when set, record the structural sharing
 	// of the model behind this solve: how many distinct vertex and edge

@@ -117,7 +117,7 @@ func parseGPTDeep(name string) (Benchmark, bool, error) {
 
 // cutFold strips a case-insensitive prefix, reporting whether it matched.
 func cutFold(s, prefix string) (string, bool) {
-	if len(s) < len(prefix) || !equalFold(s[:len(prefix)], prefix) {
+	if len(s) < len(prefix) || !strings.EqualFold(s[:len(prefix)], prefix) {
 		return "", false
 	}
 	return s[len(prefix):], true

@@ -74,7 +74,7 @@ func Benchmarks() []Benchmark {
 // at the given depth (see GPTDeep).
 func ByName(name string) (Benchmark, error) {
 	for _, bm := range Benchmarks() {
-		if equalFold(bm.Name, name) {
+		if strings.EqualFold(bm.Name, name) {
 			return bm, nil
 		}
 	}
@@ -87,23 +87,4 @@ func ByName(name string) (Benchmark, error) {
 	}
 	return Benchmark{}, fmt.Errorf("models: unknown benchmark %q (want %s, or gptdeep:<layers>)",
 		name, strings.Join(names, ", "))
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }

@@ -211,12 +211,9 @@ type Result struct {
 	// cache key for this request. Empty for Request.Model solves, which
 	// bypass the caches (see Request.Model).
 	Fingerprint string
-	// PrunedConfigs is how many candidate configurations the model's
-	// config-space reduction removed before the search ran (zero for
-	// baseline methods, which never build a model).
-	PrunedConfigs int
 	// KEffective is the largest per-vertex configuration count the search
-	// iterated over (post-pruning; zero for baseline methods).
+	// iterated over — the paper's K (zero for baseline methods, which never
+	// build a model).
 	KEffective int
 	// VertexClasses / EdgeClasses are the model's structural-sharing class
 	// counts: how many distinct vertex and edge cost tables the build
@@ -444,9 +441,6 @@ type Stats struct {
 	Cancelled int64 `json:"cancelled"`
 	// ResultEvictions counts result-LRU evictions.
 	ResultEvictions int64 `json:"result_evictions"`
-	// PrunedConfigs totals the candidate configurations removed by
-	// config-space reduction across all models this planner built.
-	PrunedConfigs int64 `json:"pruned_configs"`
 	// VertexClasses / EdgeClasses total the structural-sharing class counts
 	// across all models this planner built; SharedTableBytes totals the
 	// table bytes interning saved versus per-occurrence builds. Repeated
@@ -547,7 +541,7 @@ type Planner struct {
 // deltaEntry is one retained dp solve: the model it ran over and the DP
 // snapshot (every cost and choice table), keyed by the solve's topology/shape
 // fingerprint (deltaKey). A later request under the same key diffs its model
-// against this one by final class fingerprints to find what changed.
+// against this one by class fingerprints to find what changed.
 type deltaEntry struct {
 	model *cost.Model
 	snap  *core.Snapshot
@@ -1006,7 +1000,6 @@ func dpResult(r *core.Result, start time.Time) *Result {
 		SearchTime:       time.Since(start),
 		MaxDepSize:       r.Stats.MaxDepSize,
 		States:           r.Stats.States,
-		PrunedConfigs:    r.Stats.PrunedConfigs,
 		KEffective:       r.Stats.KEffective,
 		VertexClasses:    r.Stats.VertexClasses,
 		EdgeClasses:      r.Stats.EdgeClasses,
@@ -1086,7 +1079,7 @@ func beamDeadlineMargin(remaining time.Duration) time.Duration {
 // and the edge indexing), the memory budget, and the ordering choice.
 // Everything content-level — node attributes, the machine, the enumeration
 // policy — is deliberately excluded: content is the delta, detected per class
-// by diffModels (all of it enters the final class fingerprints, so a machine
+// by diffModels (all of it enters the class fingerprints, so a machine
 // or policy change dirties every vertex and falls back to a full solve
 // through the ordinary threshold).
 func deltaKey(g *graph.Graph, opts Options) canon.Fingerprint {
@@ -1109,7 +1102,7 @@ func deltaKey(g *graph.Graph, opts Options) canon.Fingerprint {
 	return w.Sum()
 }
 
-// diffModels compares two same-topology models by their final class
+// diffModels compares two same-topology models by their class
 // fingerprints and returns the dirty-vertex set: a vertex is dirty when its
 // own class changed or an incident edge's class changed. ok is false when
 // the models are not comparable — mismatched shapes (a deltaKey collision
@@ -1234,8 +1227,7 @@ func runMCMC(ctx context.Context, m *cost.Model, opts Options, start time.Time) 
 		Cost:             r.BestCost,
 		SearchTime:       time.Since(start),
 		States:           int64(r.Iters),
-		PrunedConfigs:    m.PrunedConfigs(),
-		KEffective:       m.MaxKEffective(),
+		KEffective:       m.MaxK(),
 		VertexClasses:    m.VertexClasses(),
 		EdgeClasses:      m.EdgeClasses(),
 		TableBytes:       m.TableBytes(),
@@ -1284,7 +1276,6 @@ func (p *Planner) buildModel(ctx context.Context, req Request) (m *cost.Model, e
 	}
 	p.mu.Lock()
 	p.stats.ModelBuilds++
-	p.stats.PrunedConfigs += int64(m.PrunedConfigs())
 	p.stats.VertexClasses += int64(m.VertexClasses())
 	p.stats.EdgeClasses += int64(m.EdgeClasses())
 	p.stats.SharedTableBytes += m.SharedTableBytes()

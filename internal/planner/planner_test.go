@@ -116,9 +116,6 @@ func TestCacheHitPerformsNoNewWork(t *testing.T) {
 		t.Fatal("first solve reported no model-build time")
 	}
 	before := p.Stats()
-	if before.PrunedConfigs <= 0 {
-		t.Errorf("planner stats PrunedConfigs = %d, want > 0 (AlexNet p=8 dedup fires)", before.PrunedConfigs)
-	}
 	second, err := p.Solve(context.Background(), alexReq(8))
 	if err != nil {
 		t.Fatal(err)

@@ -55,9 +55,6 @@ var snapshotLabels = []string{
 	"graph.Graph",          // graph content fingerprints
 	"cost.vertex-class/v1", // class-store key schemes
 	"cost.edge-class/v1",
-	"cost.prune-class/v2",
-	"cost.store.prune/v2",
-	"cost.store.compact/v1",
 	core.KernelVersion, // the numerics behind every cached cost
 }
 

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"pase/internal/canon"
 	"pase/internal/core"
+	"pase/internal/cost"
 )
 
 // TestSnapshotRoundTrip: a fresh planner restored from a snapshot serves the
@@ -78,6 +81,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	st := b.Stats()
 	if st.ClassStoreMisses != 0 || st.ClassStoreHits == 0 {
 		t.Fatalf("restored class store missed: hits=%d misses=%d", st.ClassStoreHits, st.ClassStoreMisses)
+	}
+
+	// Entries of a kind this build does not know (3 and 4 were the prune and
+	// compact-TX entries, gone since PR 23) are skipped, not restored.
+	unknown := []cost.StoreSnapshotEntry{
+		{Key: canon.Fingerprint{3}, Kind: 3, Bytes: 8, TL: []float64{1}},
+		{Key: canon.Fingerprint{4}, Kind: 4, Bytes: 16, Tab: []float64{1}, TabT: []float64{1}},
+	}
+	if n := b.store.Restore(unknown); n != 0 || b.store.Stats().Entries != nclasses {
+		t.Fatalf("restored %d entries of unknown kinds (store holds %d, want %d)", n, b.store.Stats().Entries, nclasses)
 	}
 }
 
@@ -172,6 +185,19 @@ func TestSnapshotStaleAndCorruptDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases["oldnumerics"] = oldNumerics.Bytes()
+	// A snapshot written by PR 22, the last build with the exact-dedup stage:
+	// its label list had three more entries, and a cached mcmc answer over a
+	// graph with duplicate configurations is not what a fresh solve returns.
+	pr22, err := hex.DecodeString("4abb7b1323104b1294881666a9ae14f02df9b14d31275d83c39436ac7bae786b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(env.Fingerprint[:], pr22)
+	var dedupEra bytes.Buffer
+	if err := gob.NewEncoder(&dedupEra).Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	cases["dedupera"] = dedupEra.Bytes()
 
 	for name, data := range cases {
 		path := filepath.Join(dir, name)

@@ -261,9 +261,8 @@ type Options = planner.Options
 // Result is a found strategy with its cost and search statistics, including
 // the Method that produced it, end-to-end SearchTime, the ModelTime share
 // spent building cost tables, whether the planner served it from cache
-// (Cached, Fingerprint), the config-space reduction stats (PrunedConfigs,
-// KEffective), and the anytime-beam quality contract (Gap, Exact,
-// BeamWidth).
+// (Cached, Fingerprint), the configuration-space size (KEffective, the
+// paper's K), and the anytime-beam quality contract (Gap, Exact, BeamWidth).
 type Result = planner.Result
 
 // ValidateMethod reports whether a method string is one the solve API
@@ -356,8 +355,7 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) { return pressure.ParseFaul
 
 // NewModel binds a graph to a machine under an enumeration policy, building
 // all layer and edge cost tables eagerly across a worker pool — one build
-// per structural class, with repeated layers/edges aliasing shared tables —
-// then compacting the config space by exact duplicate-signature dedup.
+// per structural class, with repeated layers/edges aliasing shared tables.
 // Model.VertexClasses/EdgeClasses/TableBytes/SharedTableBytes report the
 // sharing.
 func NewModel(g *Graph, spec Machine, pol EnumPolicy) (*Model, error) {
