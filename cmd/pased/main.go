@@ -683,8 +683,9 @@ const (
 	// worker-count invariant, so this only limits resource use).
 	maxWorkers = 256
 	// maxTableEntriesCap bounds a request's live DP-table budget to ~1.5 GB
-	// of entries; the ErrOOM → 503 "oom" path exists precisely because some
-	// (model, ordering) pairs need unbounded memory.
+	// of nominal entries (Π K per table; the stored quotients take less); the
+	// ErrOOM → 503 "oom" path exists precisely because some (model, ordering)
+	// pairs need unbounded memory.
 	maxTableEntriesCap = int64(1) << 27
 	// maxCompareMethods bounds an explicit compare method list; the full
 	// default comparison is 5 entries (dataparallel, expert, mcmc, beam, dp).

@@ -7,10 +7,9 @@ import (
 )
 
 // Arena pools the solver's large scratch allocations — DP cost tables,
-// choice tables, the quotient scan's side tables, and the beam's sparse table
-// keys — in power-of-two size classes backed by sync.Pool. A cold Transformer
-// p=32 solve allocates hundreds of megabytes of tables that die within the
-// solve; when many solves share one Arena (the planner gives every Planner
+// choice tables, row minima, and the beam's sparse table keys — in
+// power-of-two size classes backed by sync.Pool. A cold Transformer p=32
+// solve allocates tens of megabytes of tables that die within the solve; when many solves share one Arena (the planner gives every Planner
 // one, so cache-miss solves and SolveBatch/Compare fan-outs share it), those
 // buffers are recycled instead of re-allocated and re-faulted per solve.
 //
@@ -25,8 +24,8 @@ import (
 // — the planner's common case — hit the same classes exactly). The rounding
 // means resident bytes can reach up to 2x the requested lengths, on top of
 // whatever the pools retain between solves; Options.MaxTableEntries counts
-// requested entries, so treat the budget as a working-set bound, not an RSS
-// guarantee, when an arena is attached.
+// nominal table entries (Π K per table, never less than what is requested
+// here), so treat the budget as a working-set bound, not an RSS guarantee.
 type Arena struct {
 	// pools[kind][class] holds *[]T buffers with cap ≥ 1<<class, one kind
 	// per element type.

@@ -309,3 +309,51 @@ func TestBeamRespectsMemoryBudget(t *testing.T) {
 		t.Fatalf("want ErrOOM under a 4-entry budget, got %v", err)
 	}
 }
+
+// An exact oracle for the deep stack. Stored as quotients the DP tables of
+// gptdeep:12 at p=32 — the benchmark's beam graph — fit in tens of megabytes,
+// so with the nominal budget lifted (under the default one it still ends in
+// ErrOOM and is served by the beam) the exact DP gives the optimum the beam
+// only brackets: lower bound ≤ optimum ≤ beam cost at W=8 and W=32. The pinned
+// optima say how loose each side is (gptdeep:12: the W=32 beam costs 1.42x the
+// optimum, and the bound is 2.40x below it).
+func TestExactOptimumBracketsTheBeamOnDeepGPT(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves gptdeep:12 exactly")
+	}
+	for _, tc := range []struct {
+		name    string
+		optimum float64
+		fits    bool // under the default budget
+	}{
+		{"gptdeep:6", 0.0383592486, true},
+		{"gptdeep:12", 0.0706103327, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := paperModel(t, tc.name, 32)
+			sq := seq.Generate(m.G)
+			if _, err := Solve(context.Background(), m, sq, Options{Workers: 1}); errors.Is(err, ErrOOM) == tc.fits {
+				t.Fatalf("under the default budget: %v, fits %v", err, tc.fits)
+			}
+			exact, err := Solve(context.Background(), m, sq, Options{MaxTableEntries: 1 << 30, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(exact.Cost/tc.optimum-1) > 1e-9 {
+				t.Fatalf("optimum %.10g, pinned %.10g", exact.Cost, tc.optimum)
+			}
+			for _, width := range []int{8, 32} {
+				br, err := SolveBeam(context.Background(), m, sq, BeamOptions{Options: Options{Workers: 1}, Width: width, GapTarget: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound := br.Cost / (1 + br.Gap)
+				if !(bound <= exact.Cost && exact.Cost <= br.Cost) {
+					t.Fatalf("W=%d: lower bound %.10g, optimum %.10g, beam cost %.10g do not nest", width, bound, exact.Cost, br.Cost)
+				}
+				t.Logf("W=%d: beam %.10g is %.3fx the optimum %.10g, which is %.3fx the bound %.10g",
+					width, br.Cost, br.Cost/exact.Cost, exact.Cost, exact.Cost/bound, bound)
+			}
+		})
+	}
+}

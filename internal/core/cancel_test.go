@@ -98,15 +98,13 @@ func cancelMidDP(t *testing.T, m *cost.Model, workers int) {
 // within the 100 ms the solve's cancellation latency is held to.
 func TestClassDetectionStopsPromptlyOnALargeSource(t *testing.T) {
 	const kv, rows = 64, 1 << 16
-	src := rowSrc{vals: make([]float64, rows*kv), digit: []int{0, 1}, stride: []int64{1, 256}}
-	srcs := []rowSrc{src}
 	kd := []int{256, 256}
-	rowDig := [][]digUpd{{{0, 1}}, {{0, 256}}}
+	srcs := []rowSrc{{vals: make([]float64, rows*kv), w: kv, digit: []int{0, 1}, dim: kd, cls: [][]int32{nil, nil}}}
 	serial := func(total int64, f func(lo, hi int64)) { f(0, total) }
 
 	polls := 0
 	start := time.Now()
-	_, reps := digitClasses(srcs, rowDig, kd, kv, serial, func() bool { polls++; return false })
+	_, reps := digitClasses(srcs, kd, serial, func() bool { polls++; return false })
 	t.Logf("uncancelled: %v, %d polls", time.Since(start), polls)
 	if len(reps[0]) != 1 || len(reps[1]) != 1 {
 		t.Fatalf("%d and %d classes on a constant source, want 1 and 1", len(reps[0]), len(reps[1]))
@@ -118,7 +116,7 @@ func TestClassDetectionStopsPromptlyOnALargeSource(t *testing.T) {
 	for _, at := range []int{hashPolls / 2, hashPolls + 255} {
 		calls := 0
 		var fired time.Time
-		digitClasses(srcs, rowDig, kd, kv, serial, func() bool {
+		digitClasses(srcs, kd, serial, func() bool {
 			if calls++; calls == at {
 				fired = time.Now()
 			}

@@ -250,13 +250,14 @@ func requireSharingSolve(t *testing.T, label string, mi, mo *cost.Model, sq *seq
 		t.Fatalf("%s: %v", label, err)
 	}
 	requireSameTables(t, label, snap, wantT, wantC)
+	requireStoredSizes(t, label, snap, shapes)
 	st := res.Stats
 	if st.SharedPositions != want.positions || st.SharedEntries != want.entries || st.TotalEntries != want.total || st.ScanSpace != want.space || st.States > st.ScanSpace {
 		t.Fatalf("%s: shared %d positions / %d entries, %d distinct entries, %d of %d states; by definition %+v",
 			label, st.SharedPositions, st.SharedEntries, st.TotalEntries, st.States, st.ScanSpace, want)
 	}
 	for i, r := range rep {
-		if &snap.tbl[i][0] != &snap.tbl[r][0] || &snap.choice[i][0] != &snap.choice[r][0] {
+		if snap.tbl[i] != snap.tbl[r] {
 			t.Fatalf("%s: the snapshot holds a copy of position %d's table at position %d", label, r, i)
 		}
 	}
@@ -294,22 +295,14 @@ func requireSharingSolve(t *testing.T, label string, mi, mo *cost.Model, sq *seq
 	sameCounts(label+" not retaining", plain)
 
 	// The budget bounds what is live with a class charged once: the peak is
-	// enough, and under it side tables are traded for direct scans down to a
-	// floor below which the solve fails, retaining or not.
-	floor := st.PeakLiveEntries
-	for {
-		opts := Options{Workers: 1, MaxTableEntries: floor - 1}
-		_, err := Solve(context.Background(), mi, sq, opts)
-		if _, _, errRetain := SolveRetain(context.Background(), mi, sq, opts); (err == nil) != (errRetain == nil) {
-			t.Fatalf("%s: budget %d: not retaining %v, retaining %v", label, floor-1, err, errRetain)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrOOM) {
-				t.Fatalf("%s: budget %d: %v", label, floor-1, err)
-			}
-			break
-		}
-		floor = check(fmt.Sprintf("%s budget %d", label, floor-1), mi, opts).Stats.PeakLiveEntries
+	// enough, for the same fill, and one entry under it the solve fails,
+	// retaining or not.
+	peak := st.PeakLiveEntries
+	sameCounts(label+" at its peak", check(fmt.Sprintf("%s budget %d", label, peak), mi, Options{Workers: 1, MaxTableEntries: peak}))
+	under := Options{Workers: 1, MaxTableEntries: peak - 1}
+	_, err = Solve(context.Background(), mi, sq, under)
+	if _, _, errRetain := SolveRetain(context.Background(), mi, sq, under); !errors.Is(err, ErrOOM) || !errors.Is(errRetain, ErrOOM) {
+		t.Fatalf("%s: budget %d under a peak of %d: not retaining %v, retaining %v, want ErrOOM", label, peak-1, peak, err, errRetain)
 	}
 
 	// Without interning every position is filled — to the same bits, since the
@@ -433,7 +426,7 @@ func TestTableClassesShareExactlyTheTablesEqualByConstruction(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireSameResult(t, label+" re-solved", re, fresh)
-				requireSameTables(t, label+" re-solved", reSnap, freshSnap.tbl, freshSnap.choice)
+				requireSameSnapshots(t, label+" re-solved", reSnap, freshSnap)
 				if re.Stats.SharedPositions != fresh.Stats.SharedPositions || re.Stats.TotalEntries != fresh.Stats.TotalEntries ||
 					re.Stats.States > fresh.Stats.States {
 					t.Fatalf("%s: re-solve stats %+v, fresh %+v", label, re.Stats, fresh.Stats)
@@ -446,7 +439,7 @@ func TestTableClassesShareExactlyTheTablesEqualByConstruction(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameResult(t, label+" and reverted", back, res)
-			requireSameTables(t, label+" and reverted", backSnap, snap.tbl, snap.choice)
+			requireSameSnapshots(t, label+" and reverted", backSnap, snap)
 			if back.Stats.SharedPositions != res.Stats.SharedPositions {
 				t.Fatalf("%s and reverted: %d shared positions, %d before the edit", label, back.Stats.SharedPositions, res.Stats.SharedPositions)
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -29,10 +30,9 @@ type scanShape struct {
 	// wide: some row reads two or more digits, one of which has fewer classes
 	// than configurations.
 	wide bool
-	// space is the vertex's share of Stats.ScanSpace: Π classes · kv + table
-	// size where the classes let entries share scans, table size · kv where
-	// they are all singletons.
-	space int64
+	// space is the vertex's share of Stats.ScanSpace, Π classes · kv, and
+	// stored the length of its quotient table, Π classes.
+	space, stored int64
 }
 
 // merged reports whether digit d of the shape has rows and values that share
@@ -171,10 +171,8 @@ func naiveTables(m *cost.Model, sq *seq.Sequence) (tbl [][]float64, choice [][]i
 				sh.wide = true
 			}
 		}
-		sh.space = int64(size) * int64(kv)
-		if quotient < size {
-			sh.space = int64(quotient)*int64(kv) + int64(size)
-		}
+		sh.stored = int64(quotient)
+		sh.space = sh.stored * int64(kv)
 		shapes[i] = sh
 
 		tbl[i] = make([]float64, size)
@@ -362,14 +360,65 @@ func collideRowHashes(t *testing.T) {
 	t.Cleanup(func() { classHashMask = mask })
 }
 
+// expand rebuilds position i's full-size cost and choice tables — Π K entries,
+// first digit fastest — from the quotient the snapshot holds, by its own
+// arithmetic rather than the solver's.
+func (s *Snapshot) expand(i int) (tbl []float64, choice []int32) {
+	q := s.tbl[i]
+	size := 1
+	for d := range q.dims {
+		size *= q.k(d)
+	}
+	tbl, choice = make([]float64, size), make([]int32, size)
+	for flat := range tbl {
+		rem, at, stride := flat, 0, 1
+		for d, classes := range q.dims {
+			class := rem % q.k(d)
+			if q.classOf[d] != nil {
+				class = int(q.classOf[d][class])
+			}
+			rem /= q.k(d)
+			at += class * stride
+			stride *= classes
+		}
+		tbl[flat], choice[flat] = q.cost[at], q.choice[at]
+	}
+	return tbl, choice
+}
+
+// requireSameTables compares every expanded table of the snapshot with the
+// full-size reference.
 func requireSameTables(t *testing.T, label string, snap *Snapshot, tbl [][]float64, choice [][]int32) {
 	t.Helper()
 	for i := range tbl {
-		if !slices.Equal(snap.tbl[i], tbl[i]) {
-			t.Fatalf("%s: cost table at position %d differs:\n got %v\nwant %v", label, i, snap.tbl[i], tbl[i])
+		gotT, gotC := snap.expand(i)
+		if !slices.Equal(gotT, tbl[i]) {
+			t.Fatalf("%s: cost table at position %d differs:\n got %v\nwant %v", label, i, gotT, tbl[i])
 		}
-		if !slices.Equal(snap.choice[i], choice[i]) {
-			t.Fatalf("%s: choice table at position %d differs:\n got %v\nwant %v", label, i, snap.choice[i], choice[i])
+		if !slices.Equal(gotC, choice[i]) {
+			t.Fatalf("%s: choice table at position %d differs:\n got %v\nwant %v", label, i, gotC, choice[i])
+		}
+	}
+}
+
+// requireSameSnapshots compares two snapshots table for table, both expanded.
+func requireSameSnapshots(t *testing.T, label string, got, want *Snapshot) {
+	t.Helper()
+	tbl, choice := make([][]float64, len(want.tbl)), make([][]int32, len(want.tbl))
+	for i := range want.tbl {
+		tbl[i], choice[i] = want.expand(i)
+	}
+	requireSameTables(t, label, got, tbl, choice)
+}
+
+// requireStoredSizes requires every table of the snapshot to be stored at the
+// length the definitional classes give: Π classes entries, no Π K copy.
+func requireStoredSizes(t *testing.T, label string, snap *Snapshot, shapes []scanShape) {
+	t.Helper()
+	for i, sh := range shapes {
+		if q := snap.tbl[i]; int64(len(q.cost)) != sh.stored || int64(len(q.choice)) != sh.stored {
+			t.Fatalf("%s: position %d stores %d costs and %d choices, the definitional classes give %d",
+				label, i, len(q.cost), len(q.choice), sh.stored)
 		}
 	}
 }
@@ -379,13 +428,14 @@ func requireSameTables(t *testing.T, label string, snap *Snapshot, tbl [][]float
 // linear evaluation of the same summation order, the optimum must equal brute
 // force, the scan space must be the one the definitional classes give — a
 // class too few or too many moves it — and tables and state counts must
-// repeat at every worker count, at a forced tiny chunk size, with every row
-// hash colliding, and at a budget that admits no side table. The second half
-// of the trials has classes injected into its TX tables.
+// repeat at every worker count, at a forced tiny chunk size and with every row
+// hash colliding; every table is stored at Π classes entries; and the budget
+// admits the solve exactly down to the reported peak. The second half of the
+// trials has classes injected into its TX tables.
 func TestPrunedScanMatchesNaiveOnAdversarialTables(t *testing.T) {
 	const trials = 480
 	var noSlow, twoFast, withSlow, bruteForced int
-	var fastPartial, slowPartial, wide, oneClass, fastOneClass, k1, direct int
+	var fastPartial, slowPartial, wide, oneClass, fastOneClass, k1 int
 	var states, space int64
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(5200 + trial)))
@@ -436,6 +486,7 @@ func TestPrunedScanMatchesNaiveOnAdversarialTables(t *testing.T) {
 		}
 		label := fmt.Sprintf("trial %d", trial)
 		requireSameTables(t, label, snap, wantT, wantC)
+		requireStoredSizes(t, label, snap, shapes)
 		if res.Stats.States > res.Stats.ScanSpace || res.Stats.ScanSpace != wantSpace {
 			t.Fatalf("%s: %d states evaluated out of a scan space of %d; the definitional classes give %d",
 				label, res.Stats.States, res.Stats.ScanSpace, wantSpace)
@@ -484,28 +535,22 @@ func TestPrunedScanMatchesNaiveOnAdversarialTables(t *testing.T) {
 			checkStates(label+" colliding hashes", Options{Workers: 2})
 		})
 
-		// One entry under the unbudgeted peak, then at the floor under which
-		// the solve fails: no side table fits there, so every vertex with
-		// classes is scanned directly over its full odometer — digits no row
-		// reads included — to the same tables.
-		floor := res.Stats.PeakLiveEntries
-		for {
-			opts := Options{Workers: 1, MaxTableEntries: floor - 1}
-			if _, err := Solve(context.Background(), m, sq, opts); err != nil {
-				break
-			}
-			floor = check(fmt.Sprintf("%s budget %d", label, floor-1), opts).Stats.PeakLiveEntries
-			direct++
+		// The reported peak is the budget's edge: there the same fill runs, one
+		// entry below the solve fails.
+		peak := res.Stats.PeakLiveEntries
+		checkStates(fmt.Sprintf("%s budget %d", label, peak), Options{Workers: 1, MaxTableEntries: peak})
+		if _, err := Solve(context.Background(), m, sq, Options{Workers: 1, MaxTableEntries: peak - 1}); !errors.Is(err, ErrOOM) {
+			t.Fatalf("%s: budget %d under a peak of %d: %v, want ErrOOM", label, peak-1, peak, err)
 		}
 	}
 	if noSlow == 0 || twoFast == 0 || withSlow == 0 {
 		t.Errorf("shape coverage: %d vertices without slow rows, %d with two fast rows, %d with slow rows — want all > 0",
 			noSlow, twoFast, withSlow)
 	}
-	if fastPartial == 0 || slowPartial == 0 || wide == 0 || oneClass == 0 || fastOneClass == 0 || k1 == 0 || direct == 0 {
+	if fastPartial == 0 || slowPartial == 0 || wide == 0 || oneClass == 0 || fastOneClass == 0 || k1 == 0 {
 		t.Errorf("class coverage: digits with several classes %d fast / %d slower, %d two-digit rows over merged values, "+
-			"%d one-class digits, %d of them the fast digit under a stepping slower one, %d K=1 digits, %d direct-scan solves — want all > 0",
-			fastPartial, slowPartial, wide, oneClass, fastOneClass, k1, direct)
+			"%d one-class digits, %d of them the fast digit under a stepping slower one, %d K=1 digits — want all > 0",
+			fastPartial, slowPartial, wide, oneClass, fastOneClass, k1)
 	}
 	if bruteForced < trials/2 {
 		t.Errorf("only %d of %d trials were small enough to brute-force", bruteForced, trials)
@@ -514,17 +559,18 @@ func TestPrunedScanMatchesNaiveOnAdversarialTables(t *testing.T) {
 		t.Errorf("the bound never cut a candidate: %d states over a scan space of %d", states, space)
 	}
 	t.Logf("%d trials brute-forced; %d of %d candidates evaluated; vertices: %d no slow rows, %d two fast rows, %d with slow rows; "+
-		"digits: %d/%d fast/slower with several classes, %d one class (%d fast under a stepping digit), %d K=1; %d two-digit rows over merged values; %d direct-scan solves",
-		bruteForced, states, space, noSlow, twoFast, withSlow, fastPartial, slowPartial, oneClass, fastOneClass, k1, wide, direct)
+		"digits: %d/%d fast/slower with several classes, %d one class (%d fast under a stepping digit), %d K=1; %d two-digit rows over merged values",
+		bruteForced, states, space, noSlow, twoFast, withSlow, fastPartial, slowPartial, oneClass, fastOneClass, k1, wide)
 }
 
 // digitClasses on hand-built sources: the classes are exactly the bit-identity
 // classes — a copy merges, the next float up and −0 for +0 do not, a value of
 // a two-digit source merges only when its rows agree under every setting of
-// the other digit, a second source can split what the first would merge — in
-// any chunking of the hash pass and with every hash colliding.
+// the other digit, a second source can split what the first would merge, and a
+// source read through a child's classes merges the values the child already
+// merged plus those whose row classes hold the same bits — in any chunking of
+// the hash pass and with every hash colliding.
 func TestDigitClassesAreTheBitIdentityClasses(t *testing.T) {
-	const kv = 3
 	up := math.Nextafter(3, 4)
 	negZero := math.Copysign(0, -1)
 	one := rowSrc{ // digit 0, six values
@@ -536,7 +582,7 @@ func TestDigitClassesAreTheBitIdentityClasses(t *testing.T) {
 			negZero, 2, 3,
 			1, 2, 3,
 		},
-		digit: []int{0}, stride: []int64{1},
+		w: 3, digit: []int{0}, dim: []int{6}, cls: [][]int32{nil},
 	}
 	two := rowSrc{ // row = digit 1 (two values) + 2 · digit 2 (three) + 6 · digit 4 (one)
 		vals: []float64{
@@ -547,7 +593,7 @@ func TestDigitClassesAreTheBitIdentityClasses(t *testing.T) {
 			5, 5, 5, // digit 2 = 2
 			6, 6, 6,
 		},
-		digit: []int{1, 2, 4}, stride: []int64{1, 2, 6},
+		w: 3, digit: []int{1, 2, 4}, dim: []int{2, 3, 1}, cls: [][]int32{nil, nil, nil},
 	}
 	split := rowSrc{ // digit 0 again: tells values 0 and 1 apart, nothing else
 		vals: []float64{
@@ -558,9 +604,17 @@ func TestDigitClassesAreTheBitIdentityClasses(t *testing.T) {
 			9, 9, 9,
 			9, 9, 9,
 		},
-		digit: []int{0}, stride: []int64{1},
+		w: 3, digit: []int{0}, dim: []int{6}, cls: [][]int32{nil},
 	}
-	kd := []int{6, 2, 3, 4, 1} // digit 3 is read by no row
+	quotient := rowSrc{ // a child table: two columns, digit 5's five values in three row classes
+		vals: []float64{
+			1, 2, // values 0 and 4
+			3, 4, // values 1 and 2
+			1, 2, // value 3: another class of the child, the same bits
+		},
+		w: 2, digit: []int{5}, dim: []int{3}, cls: [][]int32{{0, 1, 1, 2, 0}},
+	}
+	kd := []int{6, 2, 3, 4, 1, 5} // digit 3 is read by no row
 	serial := func(total int64, f func(lo, hi int64)) { f(0, total) }
 	pairs := func(total int64, f func(lo, hi int64)) {
 		for lo := total - total%2; lo >= 0; lo -= 2 { // last chunk first
@@ -575,25 +629,22 @@ func TestDigitClassesAreTheBitIdentityClasses(t *testing.T) {
 		reps    [][]int
 	}{
 		{"two sources", []rowSrc{one, two},
-			[][]int32{{0, 0, 1, 2, 3, 0}, {0, 1}, {0, 1, 0}, {0, 0, 0, 0}, {0}},
-			[][]int{{0, 2, 3, 4}, {0, 1}, {0, 1}, {0}, {0}}},
+			[][]int32{{0, 0, 1, 2, 3, 0}, nil, {0, 1, 0}, {0, 0, 0, 0}, nil, {0, 0, 0, 0, 0}},
+			[][]int{{0, 2, 3, 4}, {0, 1}, {0, 1}, {0}, {0}, {0}}},
 		{"a third splits a class", []rowSrc{one, two, split},
-			[][]int32{{0, 1, 2, 3, 4, 0}, {0, 1}, {0, 1, 0}, {0, 0, 0, 0}, {0}},
-			[][]int{{0, 1, 2, 3, 4}, {0, 1}, {0, 1}, {0}, {0}}},
+			[][]int32{{0, 1, 2, 3, 4, 0}, nil, {0, 1, 0}, {0, 0, 0, 0}, nil, {0, 0, 0, 0, 0}},
+			[][]int{{0, 1, 2, 3, 4}, {0, 1}, {0, 1}, {0}, {0}, {0}}},
+		{"a quotient source", []rowSrc{one, quotient},
+			[][]int32{{0, 0, 1, 2, 3, 0}, {0, 0}, {0, 0, 0}, {0, 0, 0, 0}, nil, {0, 1, 1, 0, 0}},
+			[][]int{{0, 2, 3, 4}, {0}, {0}, {0}, {0}, {0, 1}}},
 	} {
-		rowDig := make([][]digUpd, len(kd))
-		for s, src := range tc.srcs {
-			for j, k := range src.digit {
-				rowDig[k] = append(rowDig[k], digUpd{s, src.stride[j]})
-			}
-		}
 		for _, colliding := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s colliding=%v", tc.name, colliding), func(t *testing.T) {
 				if colliding {
 					collideRowHashes(t)
 				}
 				for _, par := range []func(int64, func(lo, hi int64)){serial, pairs} {
-					classOf, reps := digitClasses(tc.srcs, rowDig, kd, kv, par, never)
+					classOf, reps := digitClasses(tc.srcs, kd, par, never)
 					if !reflect.DeepEqual(classOf, tc.classOf) || !reflect.DeepEqual(reps, tc.reps) {
 						t.Fatalf("classOf %v reps %v, want %v %v", classOf, reps, tc.classOf, tc.reps)
 					}
@@ -646,9 +697,10 @@ func TestStatesIdenticalAcrossWorkersAndChunkSizes(t *testing.T) {
 // in every choice, and in every table — re-filled or reused — also where the
 // closure crosses a vertex whose scans are shared between merged digit values
 // (the cost model's own TX tables have such values) and the tables it
-// re-fills are read, in turn, by clean and dirty neighbours.
+// re-fills are read, in turn, by clean and dirty neighbours — a dirty reader
+// indexing a clean child through the classes the old snapshot stored with it.
 func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
-	crossed := 0
+	crossed, throughOldClasses := 0, 0
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(9300 + trial)))
 		n := 6 + rng.Intn(8)
@@ -676,11 +728,18 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 		}
 		dirtyV := dirtyFromModels(t, m1, m2)
 		_, _, shapes := naiveTables(m2, sq)
-		for i, dirty := range snap.posDirty(dirtyV) {
+		posDirty := snap.posDirty(dirtyV)
+		for i, dirty := range posDirty {
 			for d := range shapes[i].k {
 				if dirty && shapes[i].merged(d) {
 					crossed++
 					break
+				}
+			}
+			for _, sub := range snap.subsets[i] {
+				j := sq.Pos[sub[len(sub)-1]]
+				if dirty && !posDirty[j] && slices.ContainsFunc(snap.tbl[j].classOf, func(c []int32) bool { return c != nil }) {
+					throughOldClasses++
 				}
 			}
 		}
@@ -691,17 +750,19 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameResult(t, label, re, fresh)
-			requireSameTables(t, label, reSnap, freshSnap.tbl, freshSnap.choice)
+			requireSameSnapshots(t, label, reSnap, freshSnap)
 			if re.Stats.States > fresh.Stats.States || re.Stats.ScanSpace > fresh.Stats.ScanSpace {
 				t.Fatalf("%s: re-solve evaluated %d/%d states, the fresh solve %d/%d", label,
 					re.Stats.States, re.Stats.ScanSpace, fresh.Stats.States, fresh.Stats.ScanSpace)
 			}
 		}
 	}
-	if crossed == 0 {
-		t.Error("no dirty closure crossed a vertex with merged digit values")
+	if crossed == 0 || throughOldClasses == 0 {
+		t.Errorf("%d re-filled vertices had merged digit values, %d read a clean child through the old snapshot's classes — want both > 0",
+			crossed, throughOldClasses)
 	}
-	t.Logf("%d re-filled vertices shared scans between merged digit values", crossed)
+	t.Logf("%d re-filled vertices shared scans between merged digit values, %d read a clean child through the old snapshot's classes",
+		crossed, throughOldClasses)
 }
 
 // The scratch a fill or a beam pass returns to its pool must not keep any DP

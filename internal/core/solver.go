@@ -49,9 +49,11 @@ const DefaultMaxTableEntries = 1 << 24
 // Options tunes the solver.
 type Options struct {
 	// MaxTableEntries bounds the number of simultaneously live DP table
-	// entries (each entry is a float64 cost plus an int32 choice; a cost
-	// table freed after its last reader leaves only the choice third of its
-	// entries live). Zero selects DefaultMaxTableEntries.
+	// entries, counted nominally: a table counts Π K over its dependent set
+	// (each entry a float64 cost plus an int32 choice; a cost table freed
+	// after its last reader leaves only the choice third of its entries live)
+	// although it is stored as a quotient (see qtable), usually several times
+	// smaller. Zero selects DefaultMaxTableEntries.
 	MaxTableEntries int64
 	// Workers sets the number of goroutines filling each vertex's DP table
 	// (the φ iterations of recurrence 4 are independent). Zero — the default
@@ -60,13 +62,11 @@ type Options struct {
 	// byte-identical at any worker count.
 	Workers int
 	// Arena, when non-nil, recycles the solve's large table buffers (cost
-	// tables, choice tables, quotient-scan side tables) across solves
-	// sharing the arena. The planner passes its per-Planner arena here so
+	// tables, choice tables, row minima) across solves sharing the arena. The planner passes its per-Planner arena here so
 	// cache-miss solves and batch fan-outs stop re-allocating hundreds of
 	// megabytes per solve. Nil allocates directly; results are identical
-	// either way. Arena buffers are rounded up to power-of-two capacities,
-	// so actual resident bytes can exceed the MaxTableEntries accounting by
-	// up to 2x (see Arena).
+	// either way. Arena buffers are rounded up to power-of-two capacities
+	// (see Arena); MaxTableEntries counts nominal entries, not those bytes.
 	Arena *Arena
 }
 
@@ -146,22 +146,36 @@ func (p *fillPool) close() {
 	p.wg.Wait()
 }
 
-// rowSrc is one kv-wide input row of a vertex's scan: a table laid out as
-// rows of kv contiguous costs (an oriented TX table, or the DP table of a
-// subset whose first member is the scanned vertex), addressed by the φ
-// digits in digit with the given strides in row units.
+// rowSrc is one input of a vertex's scan: a table laid out as rows, one cost
+// per configuration class of the scanned vertex — an oriented TX table, whose
+// rows are the kv configurations themselves, or the quotient table of a subset
+// (see qtable), whose digit 0 is the scanned vertex. Rows are addressed mixed
+// radix, first digit fastest, by the φ digits in digit: digit[j] selects one of
+// dim[j] row classes through cls[j].
 type rowSrc struct {
-	vals   []float64
-	mins   []float64 // per-row minimum over the kv costs; fast rows only
-	digit  []int
-	stride []int64
+	vals  []float64
+	w     int       // row width: the classes of the scanned vertex's configurations
+	col   []int32   // configuration → column of the row; nil when it is the column
+	mins  []float64 // per-row minimum; fast rows only
+	digit []int
+	dim   []int
+	cls   [][]int32 // per digit: value → row class; nil when it is the class
 }
 
-// digUpd is one entry of a per-digit update list: stepping the digit moves
-// row index (or cell base) i by stride.
+// digUpd is one entry of a per-digit update list: the digit's value a puts row
+// index i at classIn(cls, a)·stride.
 type digUpd struct {
 	i      int
 	stride int64
+	cls    []int32
+}
+
+// classIn is value a's class under classOf; a nil classOf is the identity.
+func classIn(classOf []int32, a int) int {
+	if classOf == nil {
+		return a
+	}
+	return int(classOf[a])
 }
 
 // classHashMask is ANDed into every row hash of digitClasses. A variable only
@@ -171,73 +185,95 @@ var classHashMask = ^uint64(0)
 
 // digitClasses partitions the values 0..kd[k]−1 of every φ digit into classes
 // the scan cannot tell apart: a and b are equivalent when every row source
-// that reads the digit (rowDig[k] lists them with the digit's stride in rows)
-// selects bit-identical rows under both, for every setting of the source's
-// other digits. A scan at φ and a scan at φ with each digit replaced by its
-// class representative then read the same bits in every row, so they produce
-// the same minimum, the same argmin and the same candidate count, and one of
-// them is enough. Such values are common: two configurations of a neighbour
-// that differ only in a dimension the shared tensor does not carry select
-// identical TX rows, and the DP tables built from those rows inherit the
-// equality. A digit no row reads has one class.
+// that reads the digit selects bit-identical rows under both, for every
+// setting of the source's other digits. A scan at φ and a scan at φ with each
+// digit replaced by its class representative then read the same bits in every
+// row, so they produce the same minimum, the same argmin and the same
+// candidate count, and one of them is enough. Such values are common: two
+// configurations of a neighbour that differ only in a dimension the shared
+// tensor does not carry select identical TX rows, and the DP tables built from
+// those rows inherit the equality. A digit no row reads has one class.
+//
+// Sources are compared as stored. A child table holds one column per class of
+// the scanned vertex's configurations and one row per combination of its own
+// digits' classes, and every column and every row class has a member: two
+// values select bit-identical rows of the expanded table exactly when they
+// select bit-identical stored rows — which they do trivially where the child
+// already has them in one class.
 //
 // Detection is one hash pass over each source — every row is hashed once and
-// its hash added, keyed by which of the value's rows it is, to the sum of the
-// value it belongs to under each of the source's digits, so the pass runs
-// under par in any chunking — and then, digit by digit and value by value, an
-// exact compare against each earlier representative with the same sum: equal
-// rows always hash equal, values with unequal sums are never compared, and a
-// hash alone never merges two values, so the classes are exactly the
-// bit-identity classes whatever the hash function does. classOf[k] maps a
-// value to its class, reps[k] a class to its smallest value, ascending;
+// its hash added, keyed by which of the row class's rows it is, to the sum of
+// the row class it belongs to under each of the source's digits, so the pass
+// runs under par in any chunking; a value's sum is that of its row classes —
+// and then, digit by digit and value by value, an exact compare against each
+// earlier representative with the same sum: equal rows always hash equal,
+// values with unequal sums are never compared, and a hash alone never merges
+// two values, so the classes are exactly the bit-identity classes whatever the
+// hash function does. classOf[k] maps a value to its class — nil where every
+// value is its own — reps[k] a class to its smallest value, ascending;
 // reps[k][0] is 0. stop is the fill's cancellation poll; after it fires the
 // result is meaningless.
-func digitClasses(srcs []rowSrc, rowDig [][]digUpd, kd []int, kv int, par func(total int64, f func(lo, hi int64)), stop func() bool) (classOf [][]int32, reps [][]int) {
-	sums := make([][]atomic.Uint64, len(kd))
-	for k := range kd {
-		if len(rowDig[k]) > 0 && kd[k] > 1 {
-			sums[k] = make([]atomic.Uint64, kd[k])
-		}
-	}
+func digitClasses(srcs []rowSrc, kd []int, par func(total int64, f func(lo, hi int64)), stop func() bool) (classOf [][]int32, reps [][]int) {
+	sums := make([][]uint64, len(kd))
 	for s := range srcs {
 		src := &srcs[s]
-		par(int64(len(src.vals)/kv), func(lo, hi int64) {
+		csum := make([][]atomic.Uint64, len(src.digit)) // per digit and row class
+		for j, k := range src.digit {
+			if kd[k] > 1 {
+				csum[j] = make([]atomic.Uint64, src.dim[j])
+			}
+		}
+		w := int64(src.w)
+		par(int64(len(src.vals))/w, func(lo, hi int64) {
 			for r := lo; r < hi; r++ {
 				if r&cancelCheckMask == 0 && stop() {
 					return
 				}
-				h := rowHash(uint64(s), src.vals[r*int64(kv):(r+1)*int64(kv)])
-				for j, k := range src.digit {
-					if sums[k] == nil {
-						continue
+				h := rowHash(uint64(s), src.vals[r*w:(r+1)*w])
+				rem, stride := r, int64(1)
+				for j, d := range src.dim {
+					a := rem % int64(d)
+					rem /= int64(d)
+					if csum[j] != nil {
+						x := (h ^ uint64(r-a*stride)) * 0xBF58476D1CE4E5B9
+						csum[j][a].Add((x ^ x>>31) & classHashMask)
 					}
-					a := r / src.stride[j] % int64(kd[k])
-					x := (h ^ uint64(r-a*src.stride[j])) * 0xBF58476D1CE4E5B9
-					sums[k][a].Add((x ^ x>>31) & classHashMask)
+					stride *= int64(d)
 				}
 			}
 		})
+		for j, k := range src.digit {
+			if csum[j] == nil {
+				continue
+			}
+			if sums[k] == nil {
+				sums[k] = make([]uint64, kd[k])
+			}
+			for a := range sums[k] {
+				sums[k][a] += csum[j][classIn(src.cls[j], a)].Load()
+			}
+		}
 	}
 	classOf = make([][]int32, len(kd))
 	reps = make([][]int, len(kd))
 	for k := range kd {
-		classOf[k], reps[k] = make([]int32, kd[k]), []int{0}
-		if sums[k] == nil {
-			continue
-		}
-		for a := 1; a < kd[k]; a++ {
+		cls := make([]int32, kd[k])
+		reps[k] = []int{0}
+		for a := 1; a < kd[k] && sums[k] != nil; a++ {
 			if stop() {
 				return classOf, reps
 			}
-			h := sums[k][a].Load()
 			c := slices.IndexFunc(reps[k], func(b int) bool {
-				return sums[k][b].Load() == h && sameRows(srcs, rowDig[k], kd[k], kv, a, b)
+				return sums[k][b] == sums[k][a] && sameRows(srcs, k, a, b)
 			})
 			if c < 0 {
 				c = len(reps[k])
 				reps[k] = append(reps[k], a)
 			}
-			classOf[k][a] = int32(c)
+			cls[a] = int32(c)
+		}
+		if len(reps[k]) < kd[k] {
+			classOf[k] = cls
 		}
 	}
 	return classOf, reps
@@ -253,20 +289,27 @@ func rowHash(seed uint64, row []float64) uint64 {
 	return h
 }
 
-// sameRows reports whether values a and b of a digit select bit-identical
-// rows in every source of upd. Under one setting of the slower digits a value
-// selects stride consecutive rows; the settings are stride·kd rows apart.
-func sameRows(srcs []rowSrc, upd []digUpd, kd, kv, a, b int) bool {
-	for _, u := range upd {
-		vals := srcs[u.i].vals
-		blk := u.stride * int64(kv)
-		for o := int64(0); o < int64(len(vals)); o += blk * int64(kd) {
-			x, y := vals[o+int64(a)*blk:][:blk], vals[o+int64(b)*blk:][:blk]
-			for i := range x {
-				if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-					return false
+// sameRows reports whether values a and b of φ digit k select bit-identical
+// rows in every source that reads it. Under one setting of the source's slower
+// digits a row class is blk consecutive costs; the settings are blk·dim apart.
+func sameRows(srcs []rowSrc, k, a, b int) bool {
+	for s := range srcs {
+		src := &srcs[s]
+		blk := int64(src.w)
+		for j, dg := range src.digit {
+			ca, cb := int64(0), int64(0) // a digit that is not k selects the same rows under a and b
+			if dg == k {
+				ca, cb = int64(classIn(src.cls[j], a)), int64(classIn(src.cls[j], b))
+			}
+			for o := int64(0); ca != cb && o < int64(len(src.vals)); o += blk * int64(src.dim[j]) {
+				x, y := src.vals[o+ca*blk:][:blk], src.vals[o+cb*blk:][:blk]
+				for i := range x {
+					if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+						return false
+					}
 				}
 			}
+			blk *= int64(src.dim[j])
 		}
 	}
 	return true
@@ -322,10 +365,9 @@ func sortEnts(a, tmp []baseEnt) {
 	}
 }
 
-// fillScratch is one chunk's odometer state — digit vector, per-subset cell
-// bases, row indices, the sorted base vector with its merge buffer and the
-// fast rows' current minima — pooled so the many chunks of a big fill don't
-// each allocate six slices. It holds indices and its own buffers only: the
+// fillScratch is one chunk's odometer state — digit vector, row indices, the
+// sorted base vector with its merge buffer and the fast rows' current minima —
+// pooled so the many chunks of a big fill don't each allocate five slices. It holds indices and its own buffers only: the
 // current rows are re-sliced from their source tables where they are read, so
 // a pooled scratch can never pin a freed, evicted or snapshot table, and the
 // scan's inner loops store no pointer into the heap. Contents are undefined
@@ -333,7 +375,6 @@ func sortEnts(a, tmp []baseEnt) {
 // explicitly: scans only position a subset of them).
 type fillScratch struct {
 	digits []int
-	rbase  []int64
 	ridx   []int64
 	ents   []baseEnt
 	tmp    []baseEnt
@@ -349,10 +390,9 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func getFillScratch(ndep, nrefs, nrows, kv, nfast int) *fillScratch {
+func getFillScratch(ndep, nrows, kv, nfast int) *fillScratch {
 	sc := fillScratchPool.Get().(*fillScratch)
 	sc.digits = grown(sc.digits, ndep)
-	sc.rbase = grown(sc.rbase, nrefs)
 	sc.ridx = grown(sc.ridx, nrows)
 	sc.ents = grown(sc.ents, kv)
 	sc.tmp = grown(sc.tmp, kv)
@@ -380,7 +420,9 @@ type Stats struct {
 	MaxTable int64
 	// TotalEntries is the summed size of the distinct DP tables of the solve:
 	// positions of one table class (see tableClasses) share a table, which is
-	// counted once.
+	// counted once. This and every other entry count below is nominal — Π K
+	// over the dependent set, what the budget charges — not the entries the
+	// quotient (see qtable) stores.
 	TotalEntries int64
 	// SharedPositions is how many positions of the ordering took the table of
 	// an earlier position of their class instead of filling their own, and
@@ -393,19 +435,14 @@ type Stats struct {
 	// entries (in full cost+choice entry equivalents): a cost table is freed
 	// once the last fill that reads it — through any position of its class —
 	// completes, so this — not TotalEntries — is what the memory budget
-	// bounds. It counts a fill's scratch too: the row minima and the
-	// minf/argc side table of every vertex that took one. Under a budget too
-	// tight for some side table that vertex is scanned directly instead, so
-	// the peak then reported is lower than the unbudgeted one and never above
-	// the budget.
+	// bounds. It counts a fill's scratch too, the row minima, at their stored
+	// length. A solve succeeds exactly when the budget is at least this.
 	PeakLiveEntries int64
 	// States is the number of table-cell evaluations the fills performed, one
 	// fill per table class: the (φ, C) candidates the bound-pruned scan
-	// actually evaluated — one scan per combination of digit classes where a
-	// vertex's entries share scans (see digitClasses), one per entry where
-	// they do not — plus, for the sharing vertices, one combine per table
-	// entry. It depends on table data alone (and on which side tables the
-	// budget admitted), so it repeats exactly at every worker count and
+	// actually evaluated, one scan per combination of digit classes (see
+	// digitClasses). It depends on table data alone, so it repeats exactly at
+	// every worker count, under every budget that admits the solve, and
 	// whether or not the tables are retained. A beam pass counts the same
 	// thing for its sparse join: the (child entry or digit value, partial)
 	// candidates its generation steps evaluated before the frontier's
@@ -413,10 +450,9 @@ type Stats struct {
 	// SolveBeam.
 	States int64
 	// ScanSpace is what States would be without the bound: every (φ, C)
-	// candidate of the scans that ran plus the same combines — Π classes · kv
-	// + table size for a vertex whose entries share scans, table size · kv
-	// for one scanned directly, summed over the fills that ran — so
-	// States/ScanSpace is the share of the candidate space the scan visited.
+	// candidate of the scans that ran — Π classes · kv per vertex, summed over
+	// the fills that ran — so States/ScanSpace is the share of the candidate
+	// space the scan visited.
 	ScanSpace int64
 	// PrunedConfigs is always 0; it stays because benchmark/cold.go sums it.
 	PrunedConfigs int
@@ -470,44 +506,53 @@ func NaiveBF(m *cost.Model, opts Options) (*Result, error) {
 	return Solve(context.Background(), m, seq.BFS(m.G), opts)
 }
 
-// subsetRef describes how to compute the flat table index of one connected
-// subset's representative vertex v(j) from the current (φ, C) digits. The
-// index splits into a φ-only base (constant while the solver scans v(i)'s
-// own configurations) plus C times vStride.
+// qtable is the DP table of one position j, stored as the quotient the fill
+// computes it as: cost and choice hold one entry per combination of the
+// classes of D(j)'s digits (digit k has dims[k] of them, see digitClasses),
+// first digit fastest, and classOf[k] maps a configuration of digit k to its
+// class (nil where every configuration is its own). The entry of φ is the
+// entry of φ's classes: every reader indexes through classOf, and no Π K copy
+// is ever made.
 //
-// DP tables are laid out first-member-fastest: the member of D(j) with the
-// SMALLEST position gets stride 1. Every member of D(j) other than v(i) lies
-// in D(i), whose positions all exceed i, so whenever v(i) ∈ D(j) it is the
-// smallest-position member — and there is at most one such reader position
-// for each table. The flip therefore guarantees vStride ∈ {0, 1}: the scan
-// over v(i)'s own configurations reads a CONTIGUOUS row of v(j)'s table
-// (vStride 1), or a single φ-only cell hoisted out of the scan entirely
-// (vStride 0). This is what makes the fill a flat strided kernel instead of
-// a gather over cache-hostile K²-sized strides.
-type subsetRef struct {
-	pos     int   // position holding the table of the subset's last vertex v(j): j's class representative
-	vStride int64 // stride of v(i)'s own configuration within v(j)'s table: 1, or 0 when v(i) ∉ D(j)
-	// For the members of D(j) other than v(i): which φ digit supplies their
-	// configuration and its mixed-radix stride within v(j)'s table.
-	phiDigit  []int
-	phiStride []int64
+// Digits are the members of D(j) by ascending position. At the one position i
+// that folds the subset C whose last vertex is v(j), v(i) is digit 0. C is a
+// component of X(i) − {v(i)} and as such maximal, so the first vertex off C on
+// a path from C to v(i) inside V≤i is v(i) itself; X(j) = C; hence v(i) is a
+// later neighbour of X(j), i.e. v(i) ∈ D(j). Every other member of D(j) is a
+// neighbour of C outside X(i), so it lies in D(i), after i. The scan over
+// v(i)'s own configurations therefore reads one CONTIGUOUS row of v(j)'s
+// table, gathered through classOf[0] — a flat strided kernel instead of a
+// gather over cache-hostile K²-sized strides — and no subset is a φ-only
+// constant to add outside the scan.
+type qtable struct {
+	cost    []float64 // nil once freed: back-substitution reads choices only
+	choice  []int32
+	classOf [][]int32
+	dims    []int
 }
 
-// Snapshot retains a completed solve's full DP state — every position's cost
-// and choice table — so a near-duplicate later request can re-fill only the
-// tables its delta touches (Resolve). tbl and choice are indexed by position;
-// the positions of one table class (see tableClasses) hold the same slice, so
-// the retained memory is one table per class — the solve's TotalEntries. It is
-// NOT counted against Options.MaxTableEntries, which keeps ErrOOM behavior
-// identical to a non-retaining solve. Retained tables are plainly allocated
-// (never arena-recycled) and immutable once published: a Resolve's new
-// snapshot aliases the clean tables of the old one, so snapshots are cheap
-// to chain and safe to share.
+// k is the configuration count of digit d.
+func (q *qtable) k(d int) int {
+	if q.classOf[d] != nil {
+		return len(q.classOf[d])
+	}
+	return q.dims[d]
+}
+
+// Snapshot retains a completed solve's full DP state — every position's
+// quotient table — so a near-duplicate later request can re-fill only the
+// tables its delta touches (Resolve). tbl is indexed by position; the
+// positions of one table class (see tableClasses) hold the same table, so the
+// retained memory is one quotient per class: Π classes entries each, not the
+// solve's TotalEntries. It is NOT counted against Options.MaxTableEntries,
+// which keeps ErrOOM behavior identical to a non-retaining solve. Retained
+// tables are plainly allocated (never arena-recycled) and immutable once
+// published: a Resolve's new snapshot aliases the clean tables of the old one,
+// so snapshots are cheap to chain and safe to share.
 type Snapshot struct {
 	sq      *seq.Sequence
 	subsets [][][]int
-	tbl     [][]float64
-	choice  [][]int32
+	tbl     []*qtable
 }
 
 // Seq returns the vertex ordering the snapshot's solve ran over.
@@ -584,7 +629,7 @@ func Solve(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (
 
 // SolveRetain is Solve, additionally retaining every DP table in a Snapshot
 // for later incremental re-solves. Results are byte-identical to Solve; the
-// price is that the solve's whole TotalEntries stays resident (plainly
+// price is that one quotient table per table class stays resident (plainly
 // allocated, outside both the arena and the MaxTableEntries budget) for as
 // long as the snapshot is held.
 func SolveRetain(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (*Result, *Snapshot, error) {
@@ -823,15 +868,18 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	freeAt := freePlan(sq, subsets, rep)
 
 	// Tables live in their representative's slot and are read through rep; the
-	// other slots stay nil until the snapshot is assembled.
-	tbl := make([][]float64, n)  // freed at the class's last reader
-	choice := make([][]int32, n) // argmin config per φ; kept for back-substitution
+	// other slots stay nil until the snapshot is assembled. A table's costs are
+	// freed at the class's last reader; its choices stay for back-substitution.
+	tbl := make([]*qtable, n)
 
 	// Live-memory accounting in 4-byte units: a float64 cost cell is 2
 	// units, an int32 choice cell 1, so a full entry is 3. Freeing a cost
 	// table returns its 2 units per entry while the choice third stays live.
 	// The budget bounds the peak, not the total ever allocated — graphs
-	// whose tables die young fit in budgets their TotalEntries would blow.
+	// whose tables die young fit in budgets their TotalEntries would blow. A
+	// table is charged its nominal Π K entries, not the Π classes it stores:
+	// which requests end in ErrOOM, and so which the planner degrades to the
+	// beam, is part of the served answer and does not move with the layout.
 	budgetUnits := 3 * budget
 
 	// Sizing pre-pass: table sizes, classes and the liveness plan need no
@@ -839,8 +887,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	// before the first table is allocated, instead of seconds into the fills.
 	// The fill loop below repeats this accounting with the per-vertex scratch
 	// charged on top — the row minima, which a solve that passes here can
-	// still run out on, never the other way round, and the minf/argc side
-	// tables, which a vertex goes without when they do not fit.
+	// still run out on, never the other way round.
 	tblSizes := make([]int64, n)
 	planned := int64(0)
 	for i, v := range sq.Order {
@@ -954,20 +1001,23 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		}
 
 		// Incremental re-solve: a position outside the dirty closure keeps
-		// its snapshot tables verbatim — its fill would reproduce the same
-		// bytes (unchanged TL/TX inputs, unchanged child tables). It is
-		// charged and retired through the budget exactly like a filled
-		// table, so ErrOOM behavior matches the full solve.
+		// its snapshot table verbatim — its fill would reproduce the same
+		// bytes (unchanged TL/TX inputs, unchanged child tables) and so the
+		// same classes. It is charged and retired through the budget exactly
+		// like a filled table, so ErrOOM behavior matches the full solve.
 		if posDirty != nil && !posDirty[i] {
 			old := snap.tbl[i]
-			if int64(len(old)) != tblSize {
-				return nil, nil, fmt.Errorf("core: resolve: clean position %d table has %d entries, model implies %d (unsound dirty set?)", i, len(old), tblSize)
+			sameShape := len(old.dims) == len(kd)
+			for k := 0; sameShape && k < len(kd); k++ {
+				sameShape = old.k(k) == kd[k]
+			}
+			if !sameShape {
+				return nil, nil, fmt.Errorf("core: resolve: clean position %d table is not of the shape the model implies (unsound dirty set?)", i)
 			}
 			tbl[i] = old
-			choice[i] = snap.choice[i]
 			st.ReusedEntries += tblSize
 			for _, j := range freeAt[i] {
-				liveUnits -= 2 * int64(len(tbl[j]))
+				liveUnits -= 2 * tblSizes[j]
 			}
 			for _, d := range dep {
 				digitOf[d] = -1
@@ -978,46 +1028,14 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			st.DirtyPositions++
 		}
 
-		// Connected subsets S(i) and their lookup wiring. Tables are laid
-		// out first-member-fastest (see subsetRef), so vStride is 1 when
-		// v ∈ D(j) and 0 otherwise; the refs are split accordingly into
-		// row refs (contiguous kv-long reads per φ) and cell refs (one
-		// φ-only read per φ, hoisted out of the configuration scan).
-		subs := subsets[i]
-		refs := make([]subsetRef, len(subs))
-		for si, sub := range subs {
-			jPos := sq.Pos[sub[len(sub)-1]]
-			dj := sq.Dep[jPos]
-			r := subsetRef{pos: rep[jPos]}
-			stride := int64(1)
-			for k := 0; k < len(dj); k++ {
-				if dj[k] == v {
-					r.vStride = stride
-				} else {
-					dg := digitOf[dj[k]]
-					if dg < 0 {
-						return nil, nil, fmt.Errorf("core: D(%d) member %d not in D(%d) ∪ {v(%d)}: ordering's dependent sets are inconsistent", jPos, dj[k], i, i)
-					}
-					r.phiDigit = append(r.phiDigit, dg)
-					r.phiStride = append(r.phiStride, stride)
-				}
-				stride *= int64(m.K(dj[k]))
-			}
-			if r.vStride > 1 {
-				return nil, nil, fmt.Errorf("core: v(%d) is not the first member of D(%d): first-member-fastest layout violated", i, jPos)
-			}
-			refs[si] = r
-		}
-
-		// The kv-wide input rows of the scan, in summation order: the hoisted
-		// TX row of every incident edge to a later vertex (those endpoints are
-		// all in D(i); costs come straight from the model's eager TX tables,
-		// in whichever orientation makes the scan over v's own configuration
-		// contiguous), then the contiguous DP-table row of every subset that
-		// contains v (vStride 1). Subsets without v are φ-only cells: one
-		// lookup per φ, independent of the configuration scanned, so they
-		// never enter the scan at all. Nothing here mutates shared state, so
-		// the parallel fill below reads the sources freely.
+		// The input rows of the scan, in summation order: the TX row of every
+		// incident edge to a later vertex (those endpoints are all in D(i);
+		// costs come straight from the model's eager TX tables, in whichever
+		// orientation makes the scan over v's own configuration contiguous),
+		// then the table row of every connected subset of S(i), whose digit 0
+		// is v (see qtable) and whose other digits are φ digits, read through
+		// the child's classes. Nothing here mutates shared state, so the
+		// parallel fill below reads the sources freely.
 		kv := m.K(v)
 		tlv := m.TLRow(v)
 		var srcs []rowSrc
@@ -1029,77 +1047,60 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			if dg < 0 {
 				return nil, nil, fmt.Errorf("core: later neighbour %d of %d missing from D(%d)", ie.Other, v, i)
 			}
-			srcs = append(srcs, rowSrc{vals: txRows(m, ie), digit: []int{dg}, stride: []int64{1}})
+			srcs = append(srcs, rowSrc{vals: txRows(m, ie), w: kv, digit: []int{dg}, dim: []int{kd[dg]}, cls: [][]int32{nil}})
 		}
-		var cellRefs []int
-		for ri := range refs {
-			r := &refs[ri]
-			if r.vStride == 0 {
-				cellRefs = append(cellRefs, ri)
-				continue
+		for _, sub := range subsets[i] {
+			jPos := sq.Pos[sub[len(sub)-1]]
+			dj := sq.Dep[jPos]
+			if len(dj) == 0 || dj[0] != v {
+				return nil, nil, fmt.Errorf("core: v(%d) is not the first member of D(%d): ordering's dependent sets are inconsistent", i, jPos)
 			}
-			// v is the stride-1 first member, so every other member's stride
-			// is a multiple of kv: the row index strides are exact.
-			rs := rowSrc{vals: tbl[r.pos], digit: r.phiDigit, stride: make([]int64, len(r.phiStride))}
-			for k, s := range r.phiStride {
-				rs.stride[k] = s / int64(kv)
+			q := tbl[rep[jPos]]
+			rs := rowSrc{vals: q.cost, w: q.dims[0], col: q.classOf[0], dim: q.dims[1:], cls: q.classOf[1:]}
+			for _, d := range dj[1:] {
+				if digitOf[d] < 0 {
+					return nil, nil, fmt.Errorf("core: D(%d) member %d not in D(%d) ∪ {v(%d)}: ordering's dependent sets are inconsistent", jPos, d, i, i)
+				}
+				rs.digit = append(rs.digit, digitOf[d])
 			}
 			srcs = append(srcs, rs)
 		}
-		rtbl := make([][]float64, len(refs))
-		for ri := range refs {
-			rtbl[ri] = tbl[refs[ri].pos]
-		}
 
-		// rowDig/cellDig list, per φ digit, which row indices and cell bases
-		// that digit's stride moves — the odometer then updates only what a
-		// digit change actually touches, instead of refolding every base and
-		// reslicing every row per entry.
+		// rowDig lists, per φ digit, which row indices that digit moves and by
+		// what stride — the odometer then updates only what a digit change
+		// actually touches, instead of refolding and reslicing every row per
+		// entry.
 		rowDig := make([][]digUpd, len(dep))
 		for s := range srcs {
-			for k, dg := range srcs[s].digit {
-				rowDig[dg] = append(rowDig[dg], digUpd{s, srcs[s].stride[k]})
-			}
-		}
-		cellDig := make([][]digUpd, len(dep))
-		for _, ri := range cellRefs {
-			r := &refs[ri]
-			for k, dg := range r.phiDigit {
-				cellDig[dg] = append(cellDig[dg], digUpd{ri, r.phiStride[k]})
+			stride := int64(1)
+			for j, dg := range srcs[s].digit {
+				rowDig[dg] = append(rowDig[dg], digUpd{s, stride, srcs[s].cls[j]})
+				stride *= int64(srcs[s].dim[j])
 			}
 		}
 
-		// Retained tables are plainly allocated: snapshot slices outlive the
-		// solve, so they must never enter the arena's recycling pools.
-		var t []float64
-		var ch []int32
-		if retain {
-			t = make([]float64, tblSize)
-			ch = make([]int32, tblSize)
-		} else {
-			t = arena.GetF64(tblSize)
-			ch = arena.GetI32(tblSize)
-		}
-
-		// Quotient: the scan reads φ through its rows only — cells add a per-φ
-		// constant, which never changes the argmin — so two φ that select the
-		// same bits in every row share one scan. Each digit's values fall into
-		// classes the rows cannot tell apart (digitClasses); a digit no row
-		// reads, or with one configuration, has a single class. The scan runs
-		// once per combination of class representatives (subSize of them) into
-		// a minf/argc side table, and the table fill collapses to one gather
-		// through classOf plus the φ-only cell sum per entry: subSize·kv +
-		// tblSize candidates at most instead of tblSize·kv.
-		classOf, reps := digitClasses(srcs, rowDig, kd, kv, parChunk, stopped)
+		// Quotient: the scan reads φ through its rows only, so two φ that
+		// select the same bits in every row share one scan. Each digit's values
+		// fall into classes the rows cannot tell apart (digitClasses); a digit
+		// no row reads, or with one configuration, has a single class. The
+		// table is one scan per combination of class representatives — subSize
+		// of them — and is stored that way (see qtable).
+		classOf, reps := digitClasses(srcs, kd, parChunk, stopped)
 		if cancelled.Load() {
 			return nil, nil, cancelErr()
 		}
+		q := &qtable{classOf: classOf, dims: make([]int, len(dep))}
 		subSize := int64(1)
 		fastDigit := len(dep) // first digit with rows and K > 1; len(dep) when there is none
-		for k := len(dep) - 1; k >= 0; k-- {
+		var scanDigits []int  // digits the scan odometer steps, fastest first
+		for k := range dep {
+			q.dims[k] = len(reps[k])
 			subSize *= int64(len(reps[k]))
-			if len(rowDig[k]) > 0 && kd[k] > 1 {
+			if fastDigit == len(dep) && len(rowDig[k]) > 0 && kd[k] > 1 {
 				fastDigit = k
+			}
+			if len(reps[k]) > 1 {
+				scanDigits = append(scanDigits, k)
 			}
 		}
 
@@ -1119,52 +1120,37 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			}
 		}
 		// A fast row's contribution is bounded below by its row minimum, built
-		// here once per vertex — one pass over the source table — and charged
-		// against the budget like the minf/argc side tables.
+		// here once per vertex — one pass over the source table as stored — and
+		// charged against the budget at that length.
 		minUnits := int64(0)
 		for _, s := range fastRows {
-			minUnits += 2 * int64(len(srcs[s].vals)/kv)
+			minUnits += 2 * int64(len(srcs[s].vals)/srcs[s].w)
 		}
 		if err := charge(minUnits, v); err != nil {
 			return nil, nil, err
 		}
 		for _, s := range fastRows {
 			src := &srcs[s]
-			src.mins = arena.GetF64(int64(len(src.vals) / kv))
+			w := int64(src.w)
+			src.mins = arena.GetF64(int64(len(src.vals)) / w)
 			parChunk(int64(len(src.mins)), func(lo, hi int64) {
 				for r := lo; r < hi; r++ {
-					src.mins[r] = slices.Min(src.vals[r*int64(kv) : (r+1)*int64(kv)])
+					src.mins[r] = slices.Min(src.vals[r*w : (r+1)*w])
 				}
 			})
 		}
 
-		// The side table is transient — live only during this vertex's fills —
-		// but it is real memory, so it is charged against the budget like any
-		// other cost+choice table. When it does not fit, the vertex is scanned
-		// directly instead of failing the solve: every value of every digit
-		// its own representative, the cells added in the scan. A vertex whose
-		// classes are all singletons has nothing to share and takes the same
-		// route.
-		factored := subSize < tblSize
-		if factored && charge(3*subSize, v) != nil {
-			factored = false
-			for k := range reps {
-				reps[k] = make([]int, kd[k])
-				for a := range reps[k] {
-					reps[k][a] = a
-				}
-			}
-		}
-		var scanDigits []int // digits the scan odometer steps, fastest first
-		for k := range dep {
-			if len(reps[k]) > 1 {
-				scanDigits = append(scanDigits, k)
-			}
+		// Retained tables are plainly allocated: snapshot slices outlive the
+		// solve, so they must never enter the arena's recycling pools.
+		if retain {
+			q.cost, q.choice = make([]float64, subSize), make([]int32, subSize)
+		} else {
+			q.cost, q.choice = arena.GetF64(subSize), arena.GetI32(subSize)
 		}
 
-		// fillScan computes min_C over the flat range [lo, hi) of the scan
-		// odometer — the representatives of every digit, first digit fastest —
-		// by branch and bound. A candidate's cost is summed as
+		// fillScan computes min_C over the flat range [lo, hi) of the table —
+		// the scan odometer over the representatives of every digit, first
+		// digit fastest — by branch and bound. A candidate's cost is summed as
 		// ((tl + slow rows in row order) + fast rows in row order); the
 		// parenthesised base is rebuilt, and sorted ascending with ties by
 		// configuration index, only when a digit slower than fastDigit steps.
@@ -1174,34 +1160,38 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		// monotone, so that bound never exceeds the candidate's true cost nor
 		// the bound of any candidate after it. The stop test is strict and
 		// equal costs keep the smaller index, so value and argmin are exactly
-		// those of a linear scan over the same expression. A factored vertex
-		// fills the minf side table; a direct one writes the DP table, adding
-		// the φ-only cell sum. Ranges are disjoint, all shared state is
-		// read-only and an entry's work depends on table data alone, so chunks
-		// run in parallel with byte-identical tables and state counts at any
-		// worker count and chunk size.
+		// those of a linear scan over the same expression. Ranges are disjoint,
+		// all shared state is read-only and an entry's work depends on table
+		// data alone, so chunks run in parallel with byte-identical tables and
+		// state counts at any worker count and chunk size.
 		var scanned atomic.Int64
-		fillScan := func(lo, hi int64, outT []float64, outC []int32) {
+		fillScan := func(lo, hi int64) {
 			// A chunk claimed after cancellation returns before paying the
 			// odometer positioning.
 			if done != nil && cancelled.Load() {
 				return
 			}
-			sc := getFillScratch(len(dep), len(refs), len(srcs), kv, len(fastRows))
+			sc := getFillScratch(len(dep), len(srcs), kv, len(fastRows))
 			defer sc.release()
 			// digits holds each digit's position in its reps list.
-			digits, rbase, ridx, ents, fmin := sc.digits, sc.rbase, sc.ridx, sc.ents, sc.fmin
+			digits, ridx, ents, fmin := sc.digits, sc.ridx, sc.ents, sc.fmin
 			row := func(s int) []float64 {
-				o := ridx[s] * int64(kv)
-				return srcs[s].vals[o : o+int64(kv)]
+				o := ridx[s] * int64(srcs[s].w)
+				return srcs[s].vals[o : o+int64(srcs[s].w)]
 			}
 			rebase := func() {
 				for c := range ents {
 					ents[c] = baseEnt{tlv[c], int32(c)}
 				}
 				for _, s := range slowRows {
-					for c, x := range row(s) {
-						ents[c].b += x
+					if f, col := row(s), srcs[s].col; col == nil {
+						for c, x := range f {
+							ents[c].b += x
+						}
+					} else {
+						for c, cc := range col {
+							ents[c].b += f[cc]
+						}
 					}
 				}
 				sortEnts(ents, sc.tmp)
@@ -1209,24 +1199,13 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			// Position the incremental state at flat index lo of the scan
 			// odometer.
 			rem := lo
+			clear(ridx)
 			for _, k := range scanDigits {
 				n := int64(len(reps[k]))
 				digits[k] = int(rem % n)
 				rem /= n
-			}
-			for s := range srcs {
-				ridx[s] = 0
-				for k, dg := range srcs[s].digit {
-					ridx[s] += int64(reps[dg][digits[dg]]) * srcs[s].stride[k]
-				}
-			}
-			if !factored {
-				for _, ri := range cellRefs {
-					r := &refs[ri]
-					rbase[ri] = 0
-					for k, dg := range r.phiDigit {
-						rbase[ri] += int64(reps[dg][digits[dg]]) * r.phiStride[k]
-					}
+				for _, u := range rowDig[k] {
+					ridx[u.i] += int64(classIn(u.cls, reps[k][digits[k]])) * u.stride
 				}
 			}
 			rebase()
@@ -1241,13 +1220,17 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 				n := 0
 				if len(fastRows) == 1 { // the common shape, unrolled
 					s := fastRows[0]
-					f, lb := row(s), srcs[s].mins[ridx[s]]
+					f, col, lb := row(s), srcs[s].col, srcs[s].mins[ridx[s]]
 					for ; n < len(ents); n++ {
 						e := ents[n]
 						if e.b+lb > best {
 							break
 						}
-						if cst := e.b + f[e.c]; cst < best || cst == best && e.c < bestC {
+						cc := e.c
+						if col != nil {
+							cc = col[cc]
+						}
+						if cst := e.b + f[cc]; cst < best || cst == best && e.c < bestC {
 							best, bestC = cst, e.c
 						}
 					}
@@ -1266,7 +1249,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 						}
 						cst := e.b
 						for _, s := range fastRows {
-							cst += srcs[s].vals[ridx[s]*int64(kv)+int64(e.c)]
+							cst += row(s)[classIn(srcs[s].col, int(e.c))]
 						}
 						if cst < best || cst == best && e.c < bestC {
 							best, bestC = cst, e.c
@@ -1274,45 +1257,27 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 					}
 				}
 				evaluated += int64(n)
-				cbase := 0.0
-				if !factored {
-					for _, ri := range cellRefs {
-						cbase += rtbl[ri][rbase[ri]]
-					}
-				}
-				outT[flat] = cbase + best
-				outC[flat] = bestC
+				q.cost[flat] = best
+				q.choice[flat] = bestC
 
 				// Odometer increment: the stepping digit moves to its next
-				// representative, the wrapped ones back to value 0, updating
-				// only the rows and cell bases those digits stride through.
+				// representative, the wrapped ones back to value 0 (class 0 of
+				// every row), updating only the rows those digits stride through.
 				slowStep := false
 				for _, k := range scanDigits {
 					r := reps[k]
 					at := digits[k]
 					if at+1 < len(r) {
 						digits[k] = at + 1
-						by := int64(r[at+1] - r[at])
 						for _, u := range rowDig[k] {
-							ridx[u.i] += by * u.stride
-						}
-						if !factored {
-							for _, u := range cellDig[k] {
-								rbase[u.i] += by * u.stride
-							}
+							ridx[u.i] += int64(classIn(u.cls, r[at+1])-classIn(u.cls, r[at])) * u.stride
 						}
 						slowStep = k > fastDigit
 						break
 					}
 					digits[k] = 0
-					by := int64(r[at])
 					for _, u := range rowDig[k] {
-						ridx[u.i] -= by * u.stride
-					}
-					if !factored {
-						for _, u := range cellDig[k] {
-							rbase[u.i] -= by * u.stride
-						}
+						ridx[u.i] -= int64(classIn(u.cls, r[at])) * u.stride
 					}
 				}
 				if slowStep {
@@ -1320,108 +1285,29 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 				}
 			}
 		}
-
-		if factored {
-			// Phase A: one scan per combination of class representatives.
-			minf := arena.GetF64(subSize)
-			argc := arena.GetI32(subSize)
-			parChunk(subSize, func(lo, hi int64) {
-				fillScan(lo, hi, minf, argc)
-			})
-			if cancelled.Load() {
-				return nil, nil, cancelErr()
-			}
-			// Phase B: broadcast the scan results over every φ through its
-			// digits' classes, adding the φ-only cell lookups.
-			subStride := make([]int64, len(dep))
-			stride := int64(1)
-			for k := range dep {
-				subStride[k] = stride
-				stride *= int64(len(reps[k]))
-			}
-			parChunk(tblSize, func(lo, hi int64) {
-				if done != nil && cancelled.Load() {
-					return
-				}
-				sc := getFillScratch(len(dep), len(refs), 0, 0, 0)
-				defer sc.release()
-				digits, rbase := sc.digits, sc.rbase
-				rem := lo
-				subFlat := int64(0)
-				for k := 0; k < len(dep); k++ {
-					digits[k] = int(rem % int64(kd[k]))
-					rem /= int64(kd[k])
-					subFlat += int64(classOf[k][digits[k]]) * subStride[k]
-				}
-				for _, ri := range cellRefs {
-					r := &refs[ri]
-					rbase[ri] = 0
-					for k, dg := range r.phiDigit {
-						rbase[ri] += int64(digits[dg]) * r.phiStride[k]
-					}
-				}
-				for flat := lo; flat < hi; flat++ {
-					if flat&cancelCheckMask == 0 && stopped() {
-						return
-					}
-					cbase := 0.0
-					for _, ri := range cellRefs {
-						cbase += rtbl[ri][rbase[ri]]
-					}
-					t[flat] = cbase + minf[subFlat]
-					ch[flat] = argc[subFlat]
-					for k := 0; k < len(dep); k++ {
-						cls := classOf[k]
-						at := digits[k]
-						if at+1 < kd[k] {
-							digits[k] = at + 1
-							for _, u := range cellDig[k] {
-								rbase[u.i] += u.stride
-							}
-							subFlat += int64(cls[at+1]-cls[at]) * subStride[k]
-							break
-						}
-						digits[k] = 0
-						for _, u := range cellDig[k] {
-							rbase[u.i] -= int64(at) * u.stride
-						}
-						subFlat -= int64(cls[at]) * subStride[k]
-					}
-				}
-			})
-			liveUnits -= 3 * subSize // minf/argc die with the fills
-			arena.PutF64(minf)
-			arena.PutI32(argc)
-			st.States += scanned.Load() + tblSize
-			st.ScanSpace += subSize*int64(kv) + tblSize
-		} else {
-			parChunk(tblSize, func(lo, hi int64) {
-				fillScan(lo, hi, t, ch)
-			})
-			st.States += scanned.Load()
-			st.ScanSpace += tblSize * int64(kv)
-		}
-		liveUnits -= minUnits // the row minima die with the fills
+		parChunk(subSize, fillScan)
+		st.States += scanned.Load()
+		st.ScanSpace += subSize * int64(kv)
+		liveUnits -= minUnits // the row minima die with the fill
 		for _, s := range fastRows {
 			arena.PutF64(srcs[s].mins)
 		}
-		// A cancelled fill returned early with partial tables; parChunk has
+		// A cancelled fill returned early with a partial table; parChunk has
 		// already drained its goroutines, so this is the clean exit point.
 		if cancelled.Load() {
 			return nil, nil, cancelErr()
 		}
-		tbl[i] = t
-		choice[i] = ch
+		tbl[i] = q
 
 		// Retire cost tables whose last reader was this position — returning
 		// them to the arena for the next vertex's fill (a retaining solve
 		// only does the accounting: every table lives on in the snapshot) —
 		// and reset the dense digit map for the next vertex.
 		for _, j := range freeAt[i] {
-			liveUnits -= 2 * int64(len(tbl[j]))
+			liveUnits -= 2 * tblSizes[j]
 			if !retain {
-				arena.PutF64(tbl[j])
-				tbl[j] = nil
+				arena.PutF64(tbl[j].cost)
+				tbl[j].cost = nil
 			}
 		}
 		for _, d := range dep {
@@ -1436,16 +1322,16 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	walk = func(pos int) error {
 		v := sq.Order[pos]
 		dj := sq.Dep[pos]
-		flat := int64(0)
-		stride := int64(1)
-		for k := 0; k < len(dj); k++ { // first-member-fastest layout
-			if !assigned[dj[k]] {
-				return fmt.Errorf("core: back-substitution reached %d before its dependent %d", v, dj[k])
+		q := tbl[rep[pos]]
+		flat, stride := 0, 1
+		for k, d := range dj { // the entry of φ is the entry of φ's classes
+			if !assigned[d] {
+				return fmt.Errorf("core: back-substitution reached %d before its dependent %d", v, d)
 			}
-			flat += int64(idx[dj[k]]) * stride
-			stride *= int64(m.K(dj[k]))
+			flat += classIn(q.classOf[k], idx[d]) * stride
+			stride *= q.dims[k]
 		}
-		idx[v] = int(choice[rep[pos]][flat])
+		idx[v] = int(q.choice[flat])
 		assigned[v] = true
 		for _, sub := range subsets[pos] {
 			if err := walk(sq.Pos[sub[len(sub)-1]]); err != nil {
@@ -1466,7 +1352,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	// The last position reads nothing after it and nothing reads its table, so
 	// its class's cost table — one cell, R_V(|V|, ∅) — is never freed.
 	res := &Result{
-		Cost:     tbl[rep[n-1]][0],
+		Cost:     tbl[rep[n-1]].cost[0],
 		Idx:      idx,
 		Strategy: m.StrategyFromIdx(idx),
 		Seq:      sq,
@@ -1480,21 +1366,19 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	}
 	if retain {
 		for i, r := range rep {
-			tbl[i], choice[i] = tbl[r], choice[r]
+			tbl[i] = tbl[r]
 		}
-		return res, &Snapshot{sq: sq, subsets: subsets, tbl: tbl, choice: choice}, nil
+		return res, &Snapshot{sq: sq, subsets: subsets, tbl: tbl}, nil
 	}
 	// The result no longer references any DP table: hand every surviving
 	// buffer — one per class, in its representative's slot — back to the arena
 	// for the next solve. (Error paths skip this and let the GC collect
 	// instead.)
-	for i := 0; i < n; i++ {
-		if tbl[i] != nil {
-			arena.PutF64(tbl[i])
-			tbl[i] = nil
+	for _, q := range tbl {
+		if q != nil {
+			arena.PutF64(q.cost)
+			arena.PutI32(q.choice)
 		}
-		arena.PutI32(choice[i])
-		choice[i] = nil
 	}
 	return res, nil, nil
 }

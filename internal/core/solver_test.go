@@ -202,13 +202,11 @@ func TestDoomedSolveFailsBeforeFilling(t *testing.T) {
 }
 
 // The budget's edge. A paper model solves with exactly its unbudgeted peak live
-// entries (and one more) as the budget, to the same result and the same
-// reported peak. Below that a vertex whose minf/argc side table no longer fits
-// is scanned directly instead of failing the solve: the result stays the same
-// and the reported peak drops under the budget, step by step down to the floor
-// — the tables and the row minima alone — where the solve reports exactly its
-// budget as the peak and fails one entry below (in the sizing pre-pass or in
-// the fill, the same wrapped ErrOOM).
+// entries (and one more) as the budget, by the same fill: the same result, the
+// same reported peak, the same States. One entry below the peak it fails (in
+// the sizing pre-pass or in the fill, the same wrapped ErrOOM): the budget
+// counts nominal tables and the row minima, and nothing a vertex can go
+// without.
 func TestBudgetEdgeAtPeakLiveEntries(t *testing.T) {
 	for _, name := range []string{"alexnet", "inceptionv3", "rnnlm", "transformer"} {
 		t.Run(name, func(t *testing.T) {
@@ -230,31 +228,8 @@ func TestBudgetEdgeAtPeakLiveEntries(t *testing.T) {
 						got.Stats.PeakLiveEntries, got.Stats.States, peak, free.Stats.States)
 				}
 			}
-			floor, direct := peak, 0
-			for {
-				got, err := Solve(context.Background(), m, sq, Options{Workers: 1, MaxTableEntries: floor - 1})
-				if errors.Is(err, ErrOOM) {
-					break
-				}
-				if err != nil {
-					t.Fatalf("budget %d (peak %d): %v", floor-1, peak, err)
-				}
-				requireSameResult(t, fmt.Sprintf("budget %d", floor-1), got, free)
-				if got.Stats.PeakLiveEntries >= floor {
-					t.Fatalf("budget %d: reported peak %d", floor-1, got.Stats.PeakLiveEntries)
-				}
-				floor = got.Stats.PeakLiveEntries
-				direct++
-			}
-			if direct == 0 {
-				t.Fatalf("budget %d failed: no side table was ever traded for a direct scan", peak-1)
-			}
-			got, err := Solve(context.Background(), m, sq, Options{Workers: 1, MaxTableEntries: floor})
-			if err != nil {
-				t.Fatalf("floor budget %d: %v", floor, err)
-			}
-			if got.Stats.PeakLiveEntries != floor {
-				t.Fatalf("floor budget %d: peak %d", floor, got.Stats.PeakLiveEntries)
+			if _, err := Solve(context.Background(), m, sq, Options{Workers: 1, MaxTableEntries: peak - 1}); !errors.Is(err, ErrOOM) {
+				t.Fatalf("budget %d under a peak of %d: %v, want ErrOOM", peak-1, peak, err)
 			}
 		})
 	}
@@ -263,10 +238,9 @@ func TestBudgetEdgeAtPeakLiveEntries(t *testing.T) {
 // No request that solved before the quotient scan may fail after it: the
 // Transformer at p=32, given as its budget exactly the peak the solver
 // reported when only digits without rows shared scans (1 835 164 entries),
-// still solves, to the same result. The quotient's side tables once raised the
-// unbudgeted peak above that, so this budget forced direct scans; since
-// repeated positions share one table the unbudgeted peak is below it again, and
-// the direct-scan fallback is TestBudgetEdgeAtPeakLiveEntries' to exercise.
+// still solves, to the same result: tables are charged at their nominal size
+// and positions that share one are charged once, so the peak has only fallen
+// since.
 func TestSolvesAtThePeakOfTheUnquotientedScan(t *testing.T) {
 	const unquotientedPeak = 1_835_164
 	m := transformerP32Model(t)

@@ -103,7 +103,8 @@ type Options struct {
 	// Policy restricts configuration enumeration (zero value: the paper's
 	// divisibility rule only).
 	Policy itspace.EnumPolicy
-	// MaxTableEntries bounds the DP tables' peak live memory (tables are
+	// MaxTableEntries bounds the DP tables' peak live memory in nominal
+	// entries — Π K per table, whatever its stored quotient takes (tables are
 	// freed as soon as no later recurrence lookup can read them); exceeding
 	// it returns core.ErrOOM. Zero selects core.DefaultMaxTableEntries.
 	MaxTableEntries int64
@@ -1147,9 +1148,8 @@ func diffModels(old, new *cost.Model) (dirtyV []bool, ok bool) {
 // Everything else (cold topologies, large deltas, incomparable models) runs a
 // full solve and refreshes the snapshot.
 func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options, start time.Time, retain bool) (*Result, error) {
-	// For a retaining solve the arena serves the fills' scratch (row minima,
-	// minf/argc side tables) only; its tables are plainly allocated and never
-	// enter it.
+	// For a retaining solve the arena serves the fills' scratch (row minima)
+	// only; its tables are plainly allocated and never enter it.
 	coreOpts := core.Options{
 		MaxTableEntries: opts.MaxTableEntries,
 		Workers:         opts.Workers,

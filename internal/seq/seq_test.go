@@ -302,6 +302,33 @@ func TestConnectedSubsetsAllMatchesOracleQuick(t *testing.T) {
 	}
 }
 
+// The invariant the DP kernel's table layout rests on: under any ordering,
+// every subset of S(i) has v(i) as the first member of the dependent set of its
+// last vertex — v(i) is adjacent to the subset (a component of X(i) − {v(i)} is
+// maximal) and every other member of that dependent set comes after i — so a
+// child table is read as rows over v(i)'s configurations and never as a
+// constant.
+func TestSubsetsDependOnTheirReaderFirstQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomConnectedGraph(rng)
+		for _, s := range []*Sequence{Generate(g), BFS(g), FromOrder(g, rng.Perm(g.Len()))} {
+			for i, subs := range ConnectedSubsetsAll(g, s) {
+				for _, sub := range subs {
+					dj := s.Dep[s.Pos[sub[len(sub)-1]]]
+					if len(dj) == 0 || dj[0] != s.Order[i] {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	g := paperToyGraph()
 	st := Summarize(Generate(g))
