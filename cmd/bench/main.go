@@ -148,10 +148,8 @@ func run(cfg config) error {
 	// Table I: full search (model build + solve) per paper benchmark, with
 	// the paper's K and the scan's work (candidates evaluated vs the
 	// candidate space) recorded alongside the timing so the trajectory shows
-	// what the DP actually iterated over. The solve goes to core directly —
-	// Stats.ScanSpace is not on the planner's Result — with one arena across
-	// the reps, as a planner would give it.
-	arena := core.NewArena()
+	// what the DP actually iterated over. The solve goes to core directly:
+	// Stats.ScanSpace is not on the planner's Result.
 	for _, bm := range pase.Benchmarks() {
 		g := bm.Build(bm.Batch)
 		var st core.Stats
@@ -160,7 +158,7 @@ func run(cfg config) error {
 			if err != nil {
 				return err
 			}
-			res, err := core.Solve(context.Background(), m, seq.Generate(m.G), core.Options{Arena: arena})
+			res, err := core.Solve(context.Background(), m, seq.Generate(m.G), core.Options{})
 			if err != nil {
 				return err
 			}

@@ -105,8 +105,8 @@
 //
 // Flags size and place a deployment (addresses, peers, cache and queue
 // bounds, timeouts, snapshot path). Tuning values no deployment ever set —
-// retry counts and backoffs, the breaker threshold, the delta re-solve
-// threshold, the degrade depth (half of -max-queue), the batch pool width —
+// retry counts and backoffs, the breaker threshold, the degrade depth (half
+// of -max-queue), the batch pool width —
 // are constants of the packages that own them. A dp answer
 // is the optimum under the cost model unless it says "degraded": true.
 //

@@ -21,7 +21,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 
 	"pase/internal/cost"
@@ -29,7 +28,7 @@ import (
 )
 
 // BeamOptions tunes the beam solver. The embedded Options carry the memory
-// budget, worker count and arena exactly as for the exact solver.
+// budget and worker count exactly as for the exact solver.
 type BeamOptions struct {
 	Options
 	// Width is W, the number of (φ, C)-states retained per DP table. Zero or
@@ -184,9 +183,9 @@ func selectSmallest(ps []beamPartial, k int) {
 }
 
 // beamTable is one position's retained frontier, sorted by flat for binary
-// search, all three columns arena-backed. costs go back to the arena after
-// the table's last reader, mirroring the exact solver's cost/choice liveness
-// split; flats and choices stay live for back-substitution.
+// search. costs are dropped after the table's last reader, mirroring the
+// exact solver's cost/choice liveness split; flats and choices stay live for
+// back-substitution.
 type beamTable struct {
 	flats   []int64
 	costs   []float64
@@ -417,11 +416,10 @@ type beamEdge struct {
 // position, its row picked by digit k of the entry being joined.
 type beamRow struct{ li, k int }
 
-// beamScratch is a pass's working memory, pooled across passes and solves
-// the way fillScratch is: the sorted partials being extended, the frontier
+// beamScratch is a pass's working memory, allocated once per pass and reused
+// across its positions: the sorted partials being extended, the frontier
 // collecting their extensions, and the position's and the current join's
-// wiring. It holds indices and its own buffers only, never a slice of a cost
-// or DP table. Contents are undefined on Get.
+// wiring.
 type beamScratch struct {
 	cur      []beamPartial
 	front    beamFrontier
@@ -435,8 +433,6 @@ type beamScratch struct {
 	rows     []beamRow // edge rows this step attaches
 	have     []int64   // per partial: its assigned digits among slot, as a flat
 }
-
-var beamScratchPool = sync.Pool{New: func() any { return new(beamScratch) }}
 
 // flatAt is position pos's table index under the configurations cfg gives
 // its dependent set (first member fastest, as in the exact kernel).
@@ -461,28 +457,18 @@ func (bp *beamPlan) pass(ctx context.Context, opts Options, width, k int, onTabl
 	budget := opts.maxEntries()
 	budgetUnits := 3 * budget
 	liveUnits := int64(0)
-	arena := opts.Arena
 	done := ctx.Done()
 	cancelErr := func() error { return fmt.Errorf("core: beam solve cancelled: %w", context.Cause(ctx)) }
 	st := newStats(m, sq)
 
 	// A beam entry is 5 4-byte units (int64 flat = 2, float64 cost = 2, int32
 	// choice = 1); costs are freed at the table's last reader, flats+choices
-	// stay for back-substitution. What is still held goes back on any return.
+	// stay for back-substitution.
 	tables := make([]beamTable, n)
-	defer func() {
-		for _, t := range tables {
-			arena.PutI64(t.flats)
-			arena.PutF64(t.costs)
-			arena.PutI32(t.choices)
-		}
-	}()
 
-	sc := beamScratchPool.Get().(*beamScratch)
-	defer beamScratchPool.Put(sc)
+	sc := &beamScratch{digitOf: make([]int, n)}
 	front := &sc.front
 	front.reset(k)
-	sc.digitOf = grown(sc.digitOf, n)
 	for j := range sc.digitOf {
 		sc.digitOf[j] = -1
 	}
@@ -719,7 +705,7 @@ func (bp *beamPlan) pass(ctx context.Context, opts Options, width, k int, onTabl
 			return nil, false, fmt.Errorf("%w: live beam tables at vertex %d exceed %d entries", ErrOOM, v, budget)
 		}
 		st.PeakLiveEntries = max(st.PeakLiveEntries, (liveUnits+2)/3)
-		t := beamTable{flats: arena.GetI64(sz), costs: arena.GetF64(sz), choices: arena.GetI32(sz)}
+		t := beamTable{flats: make([]int64, sz), costs: make([]float64, sz), choices: make([]int32, sz)}
 		for j, p := range out {
 			t.flats[j], t.costs[j], t.choices[j] = p.flat, p.cost, p.c
 		}
@@ -729,7 +715,6 @@ func (bp *beamPlan) pass(ctx context.Context, opts Options, width, k int, onTabl
 		}
 		for _, j := range bp.freeAt[i] {
 			liveUnits -= 2 * int64(len(tables[j].flats))
-			arena.PutF64(tables[j].costs)
 			tables[j].costs = nil
 		}
 		for _, d := range dep {

@@ -357,3 +357,32 @@ func TestExactOptimumBracketsTheBeamOnDeepGPT(t *testing.T) {
 		})
 	}
 }
+
+// A beam pass allocates its scratch itself, so what one pass allocates does
+// not depend on whether a collection ran before it: one W=32 pass on
+// gptdeep:12 at p=32 — the benchmark's beam graph — right after two forced
+// collections allocates within 1 % of a pass that follows another pass.
+func TestBeamPassAllocationIndependentOfGC(t *testing.T) {
+	m := paperModel(t, "gptdeep:12", 32)
+	sq := seq.Generate(m.G)
+	opts := BeamOptions{Options: Options{Workers: 1}, Width: 32, GapTarget: -1}
+	allocated := func() uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := SolveBeam(context.Background(), m, sq, opts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated() // whatever a first call over the model sets up
+	runtime.GC()
+	runtime.GC()
+	afterGC := allocated()
+	warm := allocated()
+	if d := math.Abs(float64(afterGC)/float64(warm) - 1); d > 0.01 {
+		t.Fatalf("a pass after two collections allocated %d B, a warm pass %d B: %.1f %% apart, want ≤ 1 %%", afterGC, warm, 100*d)
+	}
+	t.Logf("after two collections %d B, warm %d B", afterGC, warm)
+}

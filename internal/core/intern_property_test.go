@@ -19,11 +19,10 @@ import (
 // width, and the GOMAXPROCS default (0).
 var workerCounts = []int{1, 4, 0}
 
-// solveInterned solves g twice — over the interned model and over the
-// DisableInterning oracle — at the given worker count, sharing one arena for
-// the interned side so buffer recycling is exercised too, and requires
+// requireInternedMatchesOracle solves g twice — over the interned model and
+// over the DisableInterning oracle — at every worker count, and requires
 // byte-identical cost, choices, and strategy.
-func requireInternedMatchesOracle(t *testing.T, g *graph.Graph, spec machine.Spec, pol itspace.EnumPolicy, arena *Arena) {
+func requireInternedMatchesOracle(t *testing.T, g *graph.Graph, spec machine.Spec, pol itspace.EnumPolicy) {
 	t.Helper()
 	mi, err := cost.NewModelWith(context.Background(), g, spec, pol, cost.BuildOptions{})
 	if err != nil {
@@ -36,7 +35,7 @@ func requireInternedMatchesOracle(t *testing.T, g *graph.Graph, spec machine.Spe
 	sq := seq.Generate(g)
 	var ref *Result
 	for _, workers := range workerCounts {
-		interned, err := Solve(context.Background(), mi, sq, Options{Workers: workers, Arena: arena})
+		interned, err := Solve(context.Background(), mi, sq, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,11 +85,10 @@ func TestInternedSolveMatchesOracleOnRandomGraphs(t *testing.T) {
 		machine.Uniform(8, 1e12, 1e10),
 		machine.UniformCluster(4, 16, 1e12, 1.2e10, 8e9),
 	}
-	arena := NewArena()
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(5200 + trial)))
 		g := randomDNNGraph(rng, 4+rng.Intn(10))
-		requireInternedMatchesOracle(t, g, specs[trial%len(specs)], itspace.EnumPolicy{}, arena)
+		requireInternedMatchesOracle(t, g, specs[trial%len(specs)], itspace.EnumPolicy{})
 	}
 }
 
@@ -99,48 +97,11 @@ func TestInternedSolveMatchesOracleOnRandomGraphs(t *testing.T) {
 // sharing layer exists for.
 func TestInternedSolveMatchesOracleOnPaperBenchmarks(t *testing.T) {
 	const p = 8
-	arena := NewArena()
 	for _, bm := range models.Benchmarks() {
 		t.Run(bm.Name, func(t *testing.T) {
 			g := bm.Build(bm.Batch)
-			requireInternedMatchesOracle(t, g, machine.GTX1080Ti(p), bm.Policy(p), arena)
+			requireInternedMatchesOracle(t, g, machine.GTX1080Ti(p), bm.Policy(p))
 		})
-	}
-}
-
-// TestArenaReuseAcrossSolves pins the arena contract: repeated solves
-// through one arena recycle buffers (hits observed) and stay byte-identical
-// to an arena-free solve.
-func TestArenaReuseAcrossSolves(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	g := randomDNNGraph(rng, 10)
-	m := newModel(t, g, 8)
-	sq := seq.Generate(g)
-	bare, err := Solve(context.Background(), m, sq, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arena := NewArena()
-	for i := 0; i < 3; i++ {
-		res, err := Solve(context.Background(), m, sq, Options{Arena: arena})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cost != bare.Cost {
-			t.Fatalf("solve %d with arena: cost %v != %v", i, res.Cost, bare.Cost)
-		}
-		for v := range bare.Idx {
-			if res.Idx[v] != bare.Idx[v] {
-				t.Fatalf("solve %d with arena: node %d choice differs", i, v)
-			}
-		}
-	}
-	gets, hits := arena.Counters()
-	if gets == 0 {
-		t.Fatal("arena never used")
-	}
-	if hits == 0 {
-		t.Fatalf("no arena hits over 3 identical solves (%d gets)", gets)
 	}
 }
 
@@ -158,7 +119,7 @@ func TestChunkedFillCancelsPromptlyMidTransformer(t *testing.T) {
 		}
 		res := make(chan outcome, 1)
 		go func() {
-			_, err := Solve(ctx, m, seq.Generate(m.G), Options{Workers: workers, Arena: NewArena()})
+			_, err := Solve(ctx, m, seq.Generate(m.G), Options{Workers: workers})
 			res <- outcome{err, time.Now()}
 		}()
 		time.Sleep(20 * time.Millisecond)

@@ -765,10 +765,10 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 		crossed, throughOldClasses)
 }
 
-// The scratch a fill or a beam pass returns to its pool must not keep any DP
-// or cost table alive: it may hold nothing a table slice could be stored in,
-// only pointer-free values and slices of pointer-free elements (indices and
-// its own cost buffers), directly or inside a nested struct.
+// The scratch a fill returns to its pool must not keep any DP or cost table
+// alive: it may hold nothing a table slice could be stored in, only
+// pointer-free values and slices of pointer-free elements (indices and its own
+// cost buffers), directly or inside a nested struct.
 func TestPooledScratchCannotReferenceTables(t *testing.T) {
 	var check func(name string, typ reflect.Type)
 	check = func(name string, typ reflect.Type) {
@@ -785,7 +785,6 @@ func TestPooledScratchCannotReferenceTables(t *testing.T) {
 		}
 	}
 	check("fillScratch", reflect.TypeOf(fillScratch{}))
-	check("beamScratch", reflect.TypeOf(beamScratch{}))
 }
 
 func hasPointers(t reflect.Type) bool {

@@ -61,13 +61,6 @@ type Options struct {
 	// mode matching the paper's single-threaded prototype. Results are
 	// byte-identical at any worker count.
 	Workers int
-	// Arena, when non-nil, recycles the solve's large table buffers (cost
-	// tables, choice tables, row minima) across solves sharing the arena. The planner passes its per-Planner arena here so
-	// cache-miss solves and batch fan-outs stop re-allocating hundreds of
-	// megabytes per solve. Nil allocates directly; results are identical
-	// either way. Arena buffers are rounded up to power-of-two capacities
-	// (see Arena); MaxTableEntries counts nominal entries, not those bytes.
-	Arena *Arena
 }
 
 func (o Options) maxEntries() int64 {
@@ -367,12 +360,13 @@ func sortEnts(a, tmp []baseEnt) {
 
 // fillScratch is one chunk's odometer state — digit vector, row indices, the
 // sorted base vector with its merge buffer and the fast rows' current minima —
-// pooled so the many chunks of a big fill don't each allocate five slices. It holds indices and its own buffers only: the
-// current rows are re-sliced from their source tables where they are read, so
-// a pooled scratch can never pin a freed, evicted or snapshot table, and the
-// scan's inner loops store no pointer into the heap. Contents are undefined
-// on Get; every fill fully initializes what it reads (digits are zeroed
-// explicitly: scans only position a subset of them).
+// pooled so the many chunks of a big fill don't each allocate five slices. It
+// holds indices and its own buffers only: the current rows are re-sliced from
+// their source tables where they are read, so a pooled scratch can never pin a
+// freed, evicted or snapshot table, and the scan's inner loops store no
+// pointer into the heap. Contents are undefined on Get; every fill fully
+// initializes what it reads (digits are zeroed explicitly: scans only position
+// a subset of them).
 type fillScratch struct {
 	digits []int
 	ridx   []int64
@@ -546,9 +540,9 @@ func (q *qtable) k(d int) int {
 // retained memory is one quotient per class: Π classes entries each, not the
 // solve's TotalEntries. It is NOT counted against Options.MaxTableEntries,
 // which keeps ErrOOM behavior identical to a non-retaining solve. Retained
-// tables are plainly allocated (never arena-recycled) and immutable once
-// published: a Resolve's new snapshot aliases the clean tables of the old one,
-// so snapshots are cheap to chain and safe to share.
+// tables are immutable once published: a Resolve's new snapshot aliases the
+// clean tables of the old one, so snapshots are cheap to chain and safe to
+// share.
 type Snapshot struct {
 	sq      *seq.Sequence
 	subsets [][][]int
@@ -592,12 +586,11 @@ func (s *Snapshot) posDirty(dirtyV []bool) []bool {
 }
 
 // EstimateDelta sizes a prospective Resolve against model m: the table
-// entries the dirty closure of dirtyV would re-fill versus the total. The
-// ratio is the planner's fallback threshold input — a cheap O(Σ|D(i)|)
-// computation, no tables touched. Both sides count positions, not table
-// classes: a dirty position that shares its table is re-filled once, or not at
-// all, so dirty over-states the work, by the same convention total does. The
-// planner's threshold was set against this ratio.
+// entries the dirty closure of dirtyV would re-fill versus the total — a cheap
+// O(Σ|D(i)|) computation, no tables touched. Both sides count positions, not
+// table classes: a dirty position that shares its table is re-filled once, or
+// not at all, so dirty over-states the work, by the same convention total
+// does.
 func (s *Snapshot) EstimateDelta(m *cost.Model, dirtyV []bool) (dirty, total int64) {
 	pd := s.posDirty(dirtyV)
 	for i := range s.sq.Order {
@@ -629,9 +622,8 @@ func Solve(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (
 
 // SolveRetain is Solve, additionally retaining every DP table in a Snapshot
 // for later incremental re-solves. Results are byte-identical to Solve; the
-// price is that one quotient table per table class stays resident (plainly
-// allocated, outside both the arena and the MaxTableEntries budget) for as
-// long as the snapshot is held.
+// price is that one quotient table per table class stays resident (outside
+// the MaxTableEntries budget) for as long as the snapshot is held.
 func SolveRetain(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (*Result, *Snapshot, error) {
 	return solveRun(ctx, m, sq, opts, nil, nil, true)
 }
@@ -700,10 +692,9 @@ func txRows(m *cost.Model, ie cost.IncEdge) []float64 {
 // follows from the configuration counts in the key — which is what interning
 // gives repeated layers in common. A model built without interning has no two
 // tables in common, so every position is its own class. A child is named by
-// its class, never by its table's address: a non-retaining solve recycles
-// freed cost tables through the arena, so an address can come back under
-// other contents, while the model's tables stay put for the length of a solve.
-// The pass reads the model, the ordering and the subsets only, no table data.
+// its class, an index: this pass fixes the classes before any table exists,
+// so there is no table address to name it by. The pass reads the model, the
+// ordering and the subsets only, no table data.
 func tableClasses(m *cost.Model, sq *seq.Sequence, subsets [][][]int) []int {
 	n := len(sq.Order)
 	rep := make([]int, n)
@@ -801,11 +792,10 @@ func freePlan(sq *seq.Sequence, subsets [][][]int, rep []int) [][]int {
 // a full fill when posDirty is nil, a partial re-fill over the dirty
 // positions otherwise (clean positions alias snap's tables). In every mode
 // one table is filled per table class (see tableClasses) and the other
-// positions of the class are that table. retain keeps every table (plainly
-// allocated, no arena) and returns them as a Snapshot. Budget accounting is
-// identical in all modes — a class is charged once, and clean positions are
-// charged and retired exactly as if they had been filled — so ErrOOM semantics
-// never depend on the mode.
+// positions of the class are that table. retain keeps every table and returns
+// them as a Snapshot. Budget accounting is identical in all modes — a class is
+// charged once, and clean positions are charged and retired exactly as if they
+// had been filled — so ErrOOM semantics never depend on the mode.
 func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options, snap *Snapshot, posDirty []bool, retain bool) (*Result, *Snapshot, error) {
 	g := m.G
 	n := g.Len()
@@ -846,8 +836,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 
 	// The fill pool lives for the whole solve: every vertex's chunked table
 	// fill dispatches to the same nw−1 helpers (the calling goroutine is the
-	// nw-th worker), and the arena recycles the tables those fills write.
-	arena := opts.Arena
+	// nw-th worker).
 	var pool *fillPool
 	if nw > 1 {
 		pool = newFillPool(nw - 1)
@@ -1132,7 +1121,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		for _, s := range fastRows {
 			src := &srcs[s]
 			w := int64(src.w)
-			src.mins = arena.GetF64(int64(len(src.vals)) / w)
+			src.mins = make([]float64, int64(len(src.vals))/w)
 			parChunk(int64(len(src.mins)), func(lo, hi int64) {
 				for r := lo; r < hi; r++ {
 					src.mins[r] = slices.Min(src.vals[r*w : (r+1)*w])
@@ -1140,13 +1129,7 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 			})
 		}
 
-		// Retained tables are plainly allocated: snapshot slices outlive the
-		// solve, so they must never enter the arena's recycling pools.
-		if retain {
-			q.cost, q.choice = make([]float64, subSize), make([]int32, subSize)
-		} else {
-			q.cost, q.choice = arena.GetF64(subSize), arena.GetI32(subSize)
-		}
+		q.cost, q.choice = make([]float64, subSize), make([]int32, subSize)
 
 		// fillScan computes min_C over the flat range [lo, hi) of the table —
 		// the scan odometer over the representatives of every digit, first
@@ -1289,9 +1272,6 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		st.States += scanned.Load()
 		st.ScanSpace += subSize * int64(kv)
 		liveUnits -= minUnits // the row minima die with the fill
-		for _, s := range fastRows {
-			arena.PutF64(srcs[s].mins)
-		}
 		// A cancelled fill returned early with a partial table; parChunk has
 		// already drained its goroutines, so this is the clean exit point.
 		if cancelled.Load() {
@@ -1299,14 +1279,13 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 		}
 		tbl[i] = q
 
-		// Retire cost tables whose last reader was this position — returning
-		// them to the arena for the next vertex's fill (a retaining solve
-		// only does the accounting: every table lives on in the snapshot) —
-		// and reset the dense digit map for the next vertex.
+		// Retire cost tables whose last reader was this position — dropping
+		// them for the collector (a retaining solve only does the accounting:
+		// every table lives on in the snapshot) — and reset the dense digit
+		// map for the next vertex.
 		for _, j := range freeAt[i] {
 			liveUnits -= 2 * tblSizes[j]
 			if !retain {
-				arena.PutF64(tbl[j].cost)
 				tbl[j].cost = nil
 			}
 		}
@@ -1364,23 +1343,13 @@ func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options
 	if ev := m.EvalIdx(idx); math.Abs(ev-res.Cost) > 1e-6*math.Max(1, math.Abs(ev)) {
 		return nil, nil, fmt.Errorf("core: extracted strategy costs %v but DP minimum is %v", ev, res.Cost)
 	}
-	if retain {
-		for i, r := range rep {
-			tbl[i] = tbl[r]
-		}
-		return res, &Snapshot{sq: sq, subsets: subsets, tbl: tbl}, nil
+	if !retain {
+		return res, nil, nil
 	}
-	// The result no longer references any DP table: hand every surviving
-	// buffer — one per class, in its representative's slot — back to the arena
-	// for the next solve. (Error paths skip this and let the GC collect
-	// instead.)
-	for _, q := range tbl {
-		if q != nil {
-			arena.PutF64(q.cost)
-			arena.PutI32(q.choice)
-		}
+	for i, r := range rep {
+		tbl[i] = tbl[r]
 	}
-	return res, nil, nil
+	return res, &Snapshot{sq: sq, subsets: subsets, tbl: tbl}, nil
 }
 
 // BruteForce exhaustively enumerates every strategy. It is exponential and

@@ -198,9 +198,10 @@ func TestDeltaSpeedupTransformer32(t *testing.T) {
 }
 
 // A delta that dirties everything — here a different machine spec, which
-// changes every class fingerprint at the same topology — must fall back to
-// the full solve, still byte-identical to the oracle, and be counted.
-func TestDeltaFallbackLargeDelta(t *testing.T) {
+// changes every class fingerprint at the same topology — is still a re-solve:
+// it re-fills every table over the snapshot's subsets and ordering, evaluates
+// exactly the states of the cold solve, and is byte-identical to the oracle.
+func TestEveryVertexDeltaResolves(t *testing.T) {
 	bm, err := models.ByName("transformer")
 	if err != nil {
 		t.Fatal(err)
@@ -217,15 +218,11 @@ func TestDeltaFallbackLargeDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DeltaResolve {
-		t.Error("an every-vertex delta was admitted as an incremental re-solve")
+	if !res.DeltaResolve {
+		t.Error("an every-vertex delta was not served as an incremental re-solve")
 	}
-	st := pl.Stats()
-	if st.DeltaFallbacks == 0 {
-		t.Errorf("no delta fallback counted: %+v", st)
-	}
-	if st.DeltaResolves != 0 {
-		t.Errorf("DeltaResolves = %d, want 0", st.DeltaResolves)
+	if st := pl.Stats(); st.DeltaResolves != 1 || st.DeltaFallbacks != 0 {
+		t.Errorf("DeltaResolves = %d, DeltaFallbacks = %d, want 1 and 0", st.DeltaResolves, st.DeltaFallbacks)
 	}
 
 	oraclePl := New(Config{DisableClassStore: true, DeltaCacheSize: -1})
@@ -233,7 +230,10 @@ func TestDeltaFallbackLargeDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameStrategy(t, "fallback vs oracle", res, oracle)
+	requireSameStrategy(t, "every-vertex delta vs oracle", res, oracle)
+	if res.States != oracle.States {
+		t.Errorf("every-vertex delta evaluated %d states, the cold oracle %d", res.States, oracle.States)
+	}
 }
 
 // DeltaCacheSize -1 disables snapshot retention entirely: a second

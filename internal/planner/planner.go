@@ -326,15 +326,6 @@ type BatchItem struct {
 	Err    error
 }
 
-// DefaultDeltaThreshold is the largest dirty-entries fraction an incremental
-// re-solve is allowed: a cached snapshot is reused only when at most this
-// fraction of the DP tables' entries must be re-filled. Measured on the
-// paper's Transformer, single-layer attribute
-// deltas re-fill 0.1–0.25 of the entries while cross-cutting changes exceed
-// 0.5, so 0.3 admits the former and falls back to a full solve for the
-// latter.
-const DefaultDeltaThreshold = 0.3
-
 // Config sizes a Planner. The zero value selects sensible defaults.
 type Config struct {
 	// ResultCacheSize bounds the solved-result LRU (default 128 results).
@@ -351,11 +342,10 @@ type Config struct {
 	DisableClassStore bool
 	// DeltaCacheSize bounds the incremental re-solve cache: how many
 	// (model, DP snapshot) pairs the planner retains, keyed by graph
-	// topology and solve shape, so a request differing from a cached one by
-	// a small delta re-runs only the affected DP tables. Snapshots retain
-	// the full DP tables of their solve, so keep this small. Zero selects
-	// 2; negative disables incremental re-solve entirely (every dp solve
-	// runs cold through the shared arena).
+	// topology and solve shape, so a request differing from a cached one
+	// re-runs only the affected DP tables. Snapshots retain the full DP
+	// tables of their solve, so keep this small. Zero selects 2; negative
+	// disables incremental re-solve entirely (every dp solve runs cold).
 	DeltaCacheSize int
 	// DefaultBeamWidth is applied to "beam" requests whose Options leave
 	// BeamWidth unset (zero). The effective width — not the request's
@@ -463,9 +453,9 @@ type Stats struct {
 	ClassStoreEvictions  int64 `json:"class_store_evictions"`
 	// DeltaResolves counts dp solves served by incremental re-solve (only
 	// the changed DP tables re-filled from a cached snapshot);
-	// DeltaFallbacks counts solves that found a comparable snapshot but ran
-	// cold because the delta exceeded the threshold (or the models were not
-	// comparable).
+	// DeltaFallbacks counts solves that found a snapshot under their delta
+	// key but ran cold because the models were not comparable or the
+	// re-solve failed.
 	DeltaResolves  int64 `json:"delta_resolves"`
 	DeltaFallbacks int64 `json:"delta_fallbacks"`
 	// BeamSolves counts underlying "beam" method runs actually performed;
@@ -516,10 +506,6 @@ type solveFlight struct {
 // concurrent use by any number of goroutines.
 type Planner struct {
 	cfg Config
-	// arena recycles DP-solve table buffers across every solve this planner
-	// runs (cache misses, batch fan-outs, Compare): sync.Pool-backed size
-	// classes, shared safely by concurrent solves.
-	arena *core.Arena
 	// store is the planner's cross-request class store: every model build
 	// resolves class-level cost tables from it, so a class is built once
 	// ever per planner across distinct graphs, sweep points, and concurrent
@@ -552,7 +538,6 @@ type deltaEntry struct {
 func New(cfg Config) *Planner {
 	p := &Planner{
 		cfg:          cfg,
-		arena:        core.NewArena(),
 		solveFlights: map[canon.Fingerprint]*solveFlight{},
 	}
 	if !cfg.DisableClassStore {
@@ -1011,15 +996,13 @@ func dpResult(r *core.Result, start time.Time) *Result {
 }
 
 // runBeam runs the anytime bounded-width DP over a built model. Beam solves
-// always run cold — the incremental re-solve path (runDP) retains and
-// diffs exact DP snapshots, and a width-W frontier is not a meaningful delta
-// base — but they share the planner's arena like every other solve.
+// always run cold: the incremental re-solve path (runDP) retains and diffs
+// exact DP snapshots, and a width-W frontier is not a meaningful delta base.
 func (p *Planner) runBeam(ctx context.Context, m *cost.Model, opts Options, start time.Time) (*Result, error) {
 	br, err := core.SolveBeam(ctx, m, dpSeq(m, opts), core.BeamOptions{
 		Options: core.Options{
 			MaxTableEntries: opts.MaxTableEntries,
 			Workers:         opts.Workers,
-			Arena:           p.arena,
 		},
 		Width:     opts.BeamWidth,
 		GapTarget: opts.GapTarget,
@@ -1081,8 +1064,8 @@ func beamDeadlineMargin(remaining time.Duration) time.Duration {
 // Everything content-level — node attributes, the machine, the enumeration
 // policy — is deliberately excluded: content is the delta, detected per class
 // by diffModels (all of it enters the class fingerprints, so a machine
-// or policy change dirties every vertex and falls back to a full solve
-// through the ordinary threshold).
+// or policy change dirties every vertex, and the re-solve re-fills every
+// table).
 func deltaKey(g *graph.Graph, opts Options) canon.Fingerprint {
 	w := canon.NewWriter()
 	w.Label("pase.delta-key/v1")
@@ -1138,22 +1121,19 @@ func diffModels(old, new *cost.Model) (dirtyV []bool, ok bool) {
 }
 
 // runDP is the exact dp solve: ordering + the dependent-set DP over a built
-// model. A caller's model (retain false) is solved cold, table buffers drawn
-// from the planner's arena, as is every solve of a planner with incremental
-// re-solve off. Otherwise a planner-built model may become a delta base:
-// each solve's DP snapshot is retained and, when a later request's model
-// differs from a cached snapshot's by a small enough delta (dirty-entries
-// fraction at most DefaultDeltaThreshold), only the dirtied tables are
-// re-filled via core.Resolve — byte-identical to the full solve it replaces.
-// Everything else (cold topologies, large deltas, incomparable models) runs a
-// full solve and refreshes the snapshot.
+// model. A caller's model (retain false) is solved cold, as is every solve of
+// a planner with incremental re-solve off. Otherwise a planner-built model may
+// become a delta base: each solve's DP snapshot is retained and, when a later
+// request's model is comparable with a cached snapshot's, only the dirtied
+// tables are re-filled via core.Resolve — byte-identical to the full solve it
+// replaces, and never more work: it re-fills at most every table, over the
+// snapshot's subsets and ordering. Everything else (cold topologies,
+// incomparable models, a failed re-solve) runs a full solve and refreshes the
+// snapshot.
 func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options, start time.Time, retain bool) (*Result, error) {
-	// For a retaining solve the arena serves the fills' scratch (row minima)
-	// only; its tables are plainly allocated and never enter it.
 	coreOpts := core.Options{
 		MaxTableEntries: opts.MaxTableEntries,
 		Workers:         opts.Workers,
-		Arena:           p.arena,
 	}
 	if !retain || p.deltas == nil {
 		r, err := core.Solve(ctx, m, dpSeq(m, opts), coreOpts)
@@ -1167,35 +1147,26 @@ func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options, start 
 	ent, found := p.deltas.Get(key)
 	p.mu.Unlock()
 	if found {
-		admitted := false
 		if dirtyV, comparable := diffModels(ent.model, m); comparable {
-			dirty, total := ent.snap.EstimateDelta(m, dirtyV)
-			admitted = total > 0 && float64(dirty) <= DefaultDeltaThreshold*float64(total)
-			if admitted {
-				r, snap, err := core.Resolve(ctx, m, ent.snap, dirtyV, coreOpts)
-				if err == nil {
-					p.mu.Lock()
-					p.deltas.Put(key, &deltaEntry{model: m, snap: snap})
-					p.stats.DeltaResolves++
-					p.mu.Unlock()
-					res := dpResult(r, start)
-					res.DeltaResolve = true
-					return res, nil
-				}
-				if ctx.Err() != nil {
-					return nil, context.Cause(ctx)
-				}
-				// Any other Resolve failure (ErrOOM, an unsound snapshot)
-				// falls through to the full solve, which answers on its own
-				// terms.
-				admitted = false
+			r, snap, err := core.Resolve(ctx, m, ent.snap, dirtyV, coreOpts)
+			if err == nil {
+				p.mu.Lock()
+				p.deltas.Put(key, &deltaEntry{model: m, snap: snap})
+				p.stats.DeltaResolves++
+				p.mu.Unlock()
+				res := dpResult(r, start)
+				res.DeltaResolve = true
+				return res, nil
 			}
+			if ctx.Err() != nil {
+				return nil, context.Cause(ctx)
+			}
+			// Any other Resolve failure (ErrOOM, an unsound snapshot) falls
+			// through to the full solve, which answers on its own terms.
 		}
-		if !admitted {
-			p.mu.Lock()
-			p.stats.DeltaFallbacks++
-			p.mu.Unlock()
-		}
+		p.mu.Lock()
+		p.stats.DeltaFallbacks++
+		p.mu.Unlock()
 	}
 	r, snap, err := core.SolveRetain(ctx, m, dpSeq(m, opts), coreOpts)
 	if err != nil {

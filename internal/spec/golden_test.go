@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"pase/internal/canon"
+	"pase/internal/core"
 	"pase/internal/graph"
 	"pase/internal/machine"
 	"pase/internal/models"
@@ -227,8 +228,17 @@ func strategyDigest(s graph.Strategy) string {
 // off these values. The other two columns pin the answer: the dp Cost bits
 // and strategy digest each request returned at PR 23's parent, the last
 // commit that ran the exact-dedup stage — a change to the build pipeline
-// passes only if it moved no dp answer.
+// passes only if it moved no dp answer. The cost bits were pinned under
+// pinnedKernelVersion, kept beside them: a re-pin means the numerics moved,
+// which core.KernelVersion must then say (or warm restarts would serve
+// snapshots of the old numerics beside fresh solves), and a version bump
+// fails here until the bits are re-pinned under it.
 func TestSolveFingerprintsPinned(t *testing.T) {
+	const pinnedKernelVersion = "core.kernel/v2"
+	if core.KernelVersion != pinnedKernelVersion {
+		t.Fatalf("core.KernelVersion is %q, the cost bits below were pinned under %q: re-pin them under the new version and update it here",
+			core.KernelVersion, pinnedKernelVersion)
+	}
 	pl := planner.New(planner.Config{})
 	check := func(name string, req planner.Request, want pinnedSolve) {
 		t.Helper()

@@ -275,9 +275,9 @@ func ValidateMethod(method string) error { return planner.ValidateMethod(method)
 // deduplication of concurrent identical requests, batch fan-out across
 // GOMAXPROCS workers, a cross-request class store (class-level cost tables
 // built once ever per planner, shared across distinct graphs, sweep points,
-// and concurrent builds), and incremental delta re-solve (a request differing
-// from a retained solve by a small delta re-fills only the affected DP
-// tables). Safe for concurrent use. Graphs handed to a planner must not be
+// and concurrent builds), and incremental delta re-solve (a request with the
+// topology of a retained solve re-fills only the DP tables its delta
+// affects). Safe for concurrent use. Graphs handed to a planner must not be
 // mutated afterwards (see Solve).
 type Planner = planner.Planner
 
