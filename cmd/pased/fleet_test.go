@@ -30,9 +30,15 @@ type fleetNode struct {
 // extraMembers — dead URLs for outage tests). Listeners are bound before any
 // fleet client exists so every member URL is known up front, and each
 // server's fleet field is set before its listener serves — no post-start
-// mutation, no race. Probing is off and backoffs are millisecond-scale for
-// deterministic, fast tests.
+// mutation, no race. Probing is off, so a test decides when a peer heals.
 func startFleetNodes(t *testing.T, n int, extraMembers ...string) []*fleetNode {
+	t.Helper()
+	return startTunedFleetNodes(t, n, nil, extraMembers...)
+}
+
+// startTunedFleetNodes is startFleetNodes with node i's planner and fleet
+// configuration passed through tune (when non-nil) before the node starts.
+func startTunedFleetNodes(t *testing.T, n int, tune func(i int, pc *pase.PlannerConfig, fc *fleet.Config), extraMembers ...string) []*fleetNode {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -53,16 +59,19 @@ func startFleetNodes(t *testing.T, n int, extraMembers ...string) []*fleetNode {
 			}
 		}
 		peers = append(peers, extraMembers...)
-		pl := pase.NewPlanner(pase.PlannerConfig{})
-		sv := newServer(pl, 64, 0)
-		fc, err := fleet.New(fleet.Config{
+		pc := pase.PlannerConfig{}
+		fcfg := fleet.Config{
 			Self:           urls[i],
 			Peers:          peers,
 			ProbeInterval:  -1,
-			BaseBackoff:    time.Millisecond,
-			MaxBackoff:     2 * time.Millisecond,
 			AttemptTimeout: 10 * time.Second,
-		})
+		}
+		if tune != nil {
+			tune(i, &pc, &fcfg)
+		}
+		pl := pase.NewPlanner(pc)
+		sv := newServer(pl, 64, 0)
+		fc, err := fleet.New(fcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,11 +201,46 @@ func TestFleetForwardedSolve(t *testing.T) {
 	for _, want := range []string{
 		"pase_fleet_forwards_total 2",
 		fmt.Sprintf("pase_fleet_peer_healthy{peer=%q} 1", owner.url),
-		fmt.Sprintf("pase_fleet_peer_breaker_state{peer=%q} 0", owner.url),
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+}
+
+// TestFleetSlowForwardJoinsTheOwnersFlight: a forwarded solve that outlives
+// one forward attempt keeps running on its owner after the attempt hangs up,
+// so the retry joins the running flight instead of starting over. The asker
+// relays the owner's answer, the owner solves once and caches it, and a
+// repeat is a forwarded cache hit.
+func TestFleetSlowForwardJoinsTheOwnersFlight(t *testing.T) {
+	nodes := startTunedFleetNodes(t, 2, func(i int, pc *pase.PlannerConfig, fc *fleet.Config) {
+		fc.AttemptTimeout = 200 * time.Millisecond
+		if i == 1 {
+			pc.FaultPlan = mustFaults(t, "solve:latency:500ms")
+		}
+	})
+	a, owner := nodes[0], nodes[1]
+	body := requestOwnedBy(t, a.srv, owner.url)
+
+	status, out := postJSON(t, a.ts.URL+"/v1/solve", body)
+	if status != http.StatusOK || out["fleet_forwarded"] != true || out["fleet_fallback"] == true {
+		t.Fatalf("slow forward: %d forwarded=%v fallback=%v, want the owner's answer relayed",
+			status, out["fleet_forwarded"], out["fleet_fallback"])
+	}
+	if s := owner.pl.Stats(); s.Solves != 1 || s.Cancelled != 0 {
+		t.Fatalf("owner planner %+v, want 1 solve and no cancellation", s)
+	}
+	if s := a.pl.Stats(); s.Solves != 0 {
+		t.Fatalf("asker solves = %d, want 0 (the owner ran it)", s.Solves)
+	}
+	status, out = postJSON(t, a.ts.URL+"/v1/solve", body)
+	if status != http.StatusOK || out["fleet_forwarded"] != true || out["cached"] != true {
+		t.Fatalf("repeat: %d forwarded=%v cached=%v, want a forwarded cache hit",
+			status, out["fleet_forwarded"], out["cached"])
+	}
+	if s := owner.pl.Stats(); s.Solves != 1 {
+		t.Fatalf("owner solves = %d after the repeat, want still 1", s.Solves)
 	}
 }
 
@@ -255,8 +299,9 @@ func TestFleetFallbackWhenOwnerDead(t *testing.T) {
 		t.Fatalf("planner stats %+v, want 1 fallback solve", s)
 	}
 
-	// Repeat: the open breaker short-circuits (no retry storm at a corpse),
-	// still 200, and the fallback left no cache entry behind.
+	// Repeat: the failed forward took the owner out of the live ring, so
+	// there is no retry storm at a corpse; still 200, and the fallback left
+	// no cache entry behind.
 	status, out = postJSON(t, a.ts.URL+"/v1/solve", body)
 	if status != http.StatusOK || out["fleet_fallback"] != true {
 		t.Fatalf("repeat during outage: %d %v, want another marked fallback", status, out)
@@ -268,13 +313,13 @@ func TestFleetFallbackWhenOwnerDead(t *testing.T) {
 	if fs.Fallbacks != 2 {
 		t.Fatalf("fleet stats %+v, want 2 fallbacks", fs)
 	}
-	if fs.Peers[0].Breaker != "open" {
-		t.Fatalf("dead peer breaker %q, want open", fs.Peers[0].Breaker)
+	if fs.Peers[0].Healthy || fs.Peers[0].Breaker != "open" {
+		t.Fatalf("dead peer %+v, want unhealthy, breaker open", fs.Peers[0])
 	}
 	_, rz := getJSON(t, a.ts.URL+"/v1/readyz")
 	peers, _ := rz["peers"].([]any)
-	if len(peers) != 1 || peers[0].(map[string]any)["breaker"] != "open" {
-		t.Fatalf("readyz peers %v, want the dead member's open breaker visible", rz["peers"])
+	if len(peers) != 1 || peers[0].(map[string]any)["healthy"] != false || peers[0].(map[string]any)["breaker"] != "open" {
+		t.Fatalf("readyz peers %v, want the dead member unhealthy, breaker open", rz["peers"])
 	}
 }
 
@@ -305,7 +350,7 @@ func TestRouteParity(t *testing.T) {
 		})
 	}
 	small := func(gpus int) bool { return gpus <= 8 }
-	// With the dead member's breaker open the live ring elects a stand-in;
+	// With the dead member out of the live ring a stand-in is elected;
 	// only a request a stands in for falls back here on every send.
 	deadOwned := requestWhere(t, a.srv, func(_ solveRequest, fp pase.Fingerprint) bool {
 		return a.srv.fleet.Owner(fp) == dead && fleet.RendezvousOwner([]string{a.url, b.url}, fp) == a.url

@@ -82,30 +82,33 @@
 //	GET  /v1/readyz  — readiness: a structured {"ready", "peers": [...]}
 //	                   body; 503 while restoring a snapshot on boot and once
 //	                   a SIGTERM drain has begun, 200 otherwise. The peers
-//	                   array carries each fleet peer's health and breaker
-//	                   state (empty on a single-node daemon).
+//	                   array carries each fleet peer's health (also as
+//	                   "breaker": "closed" or "open"; empty on a
+//	                   single-node daemon).
 //	GET  /v1/stats   — planner cache/dedup/cancellation/pressure counters
 //	                   (shed, queued, degraded, panics, restored_results),
 //	                   server counters (the request memo's memo_hits and
 //	                   memo_misses among them), and the fleet block when
 //	                   clustered.
 //	GET  /metrics    — the same counters in Prometheus text exposition
-//	                   format, fleet breaker state per peer included.
+//	                   format, fleet peer health included.
 //
 //	POST /v1/internal/solve — the peer-to-peer route fleet-forwarded solves
 //	                   arrive on; identical to /v1/solve but never
-//	                   re-forwards (loop safety). Not for external clients.
+//	                   re-forwards (loop safety), and its solve outlives the
+//	                   caller hanging up. Not for external clients.
 //
 // Fleet mode: -peers + -advertise make N daemons one logical planner.
 // Rendezvous hashing over the canonical solve fingerprints assigns each
-// solve an owner; non-owners forward (bounded retries, jittered backoff,
-// per-peer circuit breakers, background health probing), and when the owner
-// is unreachable the receiving daemon solves locally, marking the response
-// fleet_fallback — peer failure costs cache efficiency, never availability.
+// solve an owner; non-owners forward (bounded retries, jittered backoff),
+// a failed forward takes the peer out of the ring until the background
+// health prober sees it ready again, and when the owner is unreachable the
+// receiving daemon solves locally, marking the response fleet_fallback —
+// peer failure costs cache efficiency, never availability.
 //
 // Flags size and place a deployment (addresses, peers, cache and queue
 // bounds, timeouts, snapshot path). Tuning values no deployment ever set —
-// retry counts and backoffs, the breaker threshold, the degrade depth (half
+// retry counts and backoffs, the degrade depth (half
 // of -max-queue), the batch pool width —
 // are constants of the packages that own them. A dp answer
 // is the optimum under the cost model unless it says "degraded": true.
@@ -354,13 +357,13 @@ func (s *server) mux() *http.ServeMux {
 	return mux
 }
 
-// solveCtx ties a solve to the client connection (r.Context() is cancelled
-// when the client disconnects) and the daemon's per-solve deadline.
-func (s *server) solveCtx(r *http.Request) (context.Context, context.CancelFunc) {
+// solveCtx ties a solve to parent — the request's context, cancelled when
+// the client disconnects — and the daemon's per-solve deadline.
+func (s *server) solveCtx(parent context.Context) (context.Context, context.CancelFunc) {
 	if s.solveTimeout > 0 {
-		return context.WithTimeout(r.Context(), s.solveTimeout)
+		return context.WithTimeout(parent, s.solveTimeout)
 	}
-	return context.WithCancel(r.Context())
+	return context.WithCancel(parent)
 }
 
 // encodeJSON is the wire's one encoder — two-space indentation, one trailing
@@ -478,9 +481,10 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// peerReadiness is one fleet peer's row in the readyz body: the health
-// prober's verdict and the circuit breaker's state — the same view the fleet
-// router uses, so orchestrators and the prober never disagree.
+// peerReadiness is one fleet peer's row in the readyz body: its health bit,
+// also spelled as Breaker ("closed" when healthy, "open" otherwise) — the
+// same view the fleet router uses, so orchestrators and the router never
+// disagree.
 type peerReadiness struct {
 	ID      string `json:"id"`
 	Healthy bool   `json:"healthy"`
@@ -721,7 +725,14 @@ func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, internal boo
 		apiErr.write(w)
 		return
 	}
-	ctx, cancel := s.solveCtx(r)
+	parent := r.Context()
+	if internal {
+		// A forwarded solve outlives the peer attempt that carried it: the
+		// asker's retry joins the running flight and this daemon caches the
+		// answer, instead of each attempt's hang-up cancelling the solve.
+		parent = context.WithoutCancel(parent)
+	}
+	ctx, cancel := s.solveCtx(parent)
 	defer cancel()
 	out, apiErr := s.serveOne(ctx, body, internal)
 	if apiErr != nil {
@@ -924,7 +935,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		badRequest(errors.New("batch has no requests")).write(w)
 		return
 	}
-	ctx, cancel := s.solveCtx(r)
+	ctx, cancel := s.solveCtx(r.Context())
 	defer cancel()
 	// A fixed pool, not a goroutine per item: a 1 MiB body holds tens of
 	// thousands of items, and each may become a solve or an outbound peer
@@ -989,7 +1000,7 @@ func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if cr.Batch > 0 {
 		batch = cr.Batch
 	}
-	ctx, cancel := s.solveCtx(r)
+	ctx, cancel := s.solveCtx(r.Context())
 	defer cancel()
 	cmp, err := s.pl.Compare(ctx, pase.CompareRequest{
 		G:       req.G,
@@ -1060,10 +1071,9 @@ func main() {
 		snapPath     = flag.String("snapshot-path", "", "warm-restart snapshot file: restored on boot, checkpointed every -snapshot-interval and on SIGTERM (off when empty)")
 		snapEvery    = flag.Duration("snapshot-interval", 5*time.Minute, "periodic checkpoint interval when -snapshot-path is set (0 = checkpoint only on SIGTERM)")
 
-		peers         = flag.String("peers", "", "comma-separated base URLs of the other fleet members (e.g. http://10.0.0.2:8555,http://10.0.0.3:8555); empty = single-node daemon")
-		advertise     = flag.String("advertise", "", "this daemon's own base URL as peers reach it (required with -peers; must appear in every peer's -peers list)")
-		fleetCooldown = flag.Duration("fleet-breaker-cooldown", 2*time.Second, "how long an open breaker refuses a peer before admitting a half-open trial call")
-		fleetProbe    = flag.Duration("fleet-probe-interval", time.Second, "background peer health-probe period (GET /v1/readyz on every peer)")
+		peers      = flag.String("peers", "", "comma-separated base URLs of the other fleet members (e.g. http://10.0.0.2:8555,http://10.0.0.3:8555); empty = single-node daemon")
+		advertise  = flag.String("advertise", "", "this daemon's own base URL as peers reach it (required with -peers; must appear in every peer's -peers list)")
+		fleetProbe = flag.Duration("fleet-probe-interval", time.Second, "background peer health-probe period (GET /v1/readyz on every peer); a peer a forward failed on rejoins the ring at its next good probe")
 	)
 	flag.Parse()
 	if *beamWidth < 0 || *beamWidth > maxBeamWidth {
@@ -1074,6 +1084,9 @@ func main() {
 	}
 	if *maxInflight < 0 || *maxQueue < 0 {
 		log.Fatalf("pased: -max-inflight %d / -max-queue %d must be >= 0", *maxInflight, *maxQueue)
+	}
+	if *fleetProbe < 0 {
+		log.Fatalf("pased: -fleet-probe-interval %s must be >= 0 (the prober is how a failed peer rejoins the ring)", *fleetProbe)
 	}
 	faults, err := pase.ParseFaultPlan(*faultPlan)
 	if err != nil {
@@ -1119,12 +1132,11 @@ func main() {
 			log.Fatalf("pased: -peers requires -advertise (this daemon's own base URL, its identity in the hash ring)")
 		}
 		fc, err := fleet.New(fleet.Config{
-			Self:            *advertise,
-			Peers:           strings.Split(*peers, ","),
-			BreakerCooldown: *fleetCooldown,
-			ProbeInterval:   *fleetProbe,
-			Faults:          faults,
-			Logf:            log.Printf,
+			Self:          *advertise,
+			Peers:         strings.Split(*peers, ","),
+			ProbeInterval: *fleetProbe,
+			Faults:        faults,
+			Logf:          log.Printf,
 		})
 		if err != nil {
 			log.Fatalf("pased: %v", err)

@@ -11,7 +11,7 @@ import (
 // format (version 0.0.4), hand-rolled — the counters already exist on the
 // planner and fleet layers, so an exporter dependency would buy nothing. The
 // set mirrors /v1/stats (TestMetricsCoverPlannerStats names the few planner
-// stats that stay there only); /metrics exists so the standard
+// and fleet stats that stay there only); /metrics exists so the standard
 // scrape-and-alert stack works against a fleet out of the box.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.pl.Stats()
@@ -69,21 +69,13 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		counter("pase_fleet_forward_failures_total", "Forwards that exhausted retries and fell back.", fst.ForwardFailures)
 		counter("pase_fleet_reroutes_total", "Forwards redirected to a live stand-in for a sick owner.", fst.Reroutes)
 		counter("pase_fleet_retries_total", "Extra peer call attempts beyond each forward's first.", fst.Retries)
-		peerGauge := func(name, help string) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-		}
-		peerGauge("pase_fleet_peer_healthy", "1 when the health prober last saw the peer ready.")
+		fmt.Fprintf(&b, "# HELP pase_fleet_peer_healthy 1 while the peer is in the live ring: its last probe was ready and no forward failed since.\n# TYPE pase_fleet_peer_healthy gauge\n")
 		for _, p := range fst.Peers {
 			h := 0
 			if p.Healthy {
 				h = 1
 			}
 			fmt.Fprintf(&b, "pase_fleet_peer_healthy{peer=%q} %d\n", p.ID, h)
-		}
-		peerGauge("pase_fleet_peer_breaker_state", "Peer circuit breaker: 0 closed, 1 half-open, 2 open.")
-		for _, p := range fst.Peers {
-			state := map[string]int{"closed": 0, "half-open": 1, "open": 2}[p.Breaker]
-			fmt.Fprintf(&b, "pase_fleet_peer_breaker_state{peer=%q} %d\n", p.ID, state)
 		}
 		fmt.Fprintf(&b, "# HELP pase_fleet_peer_failures_total Peer call attempts that failed.\n# TYPE pase_fleet_peer_failures_total counter\n")
 		for _, p := range fst.Peers {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pase"
+	"pase/internal/fleet"
 )
 
 // TestMetricsExposition: /metrics speaks Prometheus text format 0.0.4 and
@@ -57,11 +58,12 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsCoverPlannerStats: every planner stat /v1/stats reports (the
-// json tags of pase.PlannerStats, so a new field fails here until it is
-// placed) is either a /metrics series or declared stats-only.
+// TestMetricsCoverPlannerStats: every planner and fleet stat /v1/stats
+// reports (the json tags of pase.PlannerStats, fleet.Stats and
+// fleet.PeerStats, so a new field fails here until it is placed) is either a
+// /metrics series or declared stats-only.
 func TestMetricsCoverPlannerStats(t *testing.T) {
-	series := map[string]string{
+	planner := map[string]string{
 		"solves":                  "pase_solves_total",
 		"model_builds":            "pase_model_builds_total",
 		"result_hits":             "pase_result_cache_hits_total",
@@ -90,13 +92,34 @@ func TestMetricsCoverPlannerStats(t *testing.T) {
 	}
 	// Sums of per-model shape numbers every solve response already carries:
 	// diagnostic on /v1/stats, nothing to alert on.
-	statsOnly := map[string]bool{
+	plannerOnly := map[string]bool{
 		"vertex_classes":     true,
 		"edge_classes":       true,
 		"shared_table_bytes": true,
 	}
-	ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/metrics")
+	fleetSeries := map[string]string{
+		"forwards":         "pase_fleet_forwards_total",
+		"forward_failures": "pase_fleet_forward_failures_total",
+		// The fallback count /metrics exports is the planner's: the
+		// fallback is a solve.
+		"fallbacks": "pase_fleet_fallbacks_total",
+		"reroutes":  "pase_fleet_reroutes_total",
+		"retries":   "pase_fleet_retries_total",
+		// peers is the per-peer block, checked field by field below.
+		"peers": "pase_fleet_peer_healthy",
+	}
+	peerSeries := map[string]string{
+		// id is the series' peer label.
+		"id":       "pase_fleet_peer_healthy",
+		"healthy":  "pase_fleet_peer_healthy",
+		"failures": "pase_fleet_peer_failures_total",
+	}
+	// self is the daemon's own identity, breaker repeats healthy, and the
+	// success and probe counts only confirm that calls happen.
+	fleetOnly := map[string]bool{"self": true}
+	peerOnly := map[string]bool{"breaker": true, "successes": true, "probes": true}
+
+	resp, err := http.Get(startFleetNodes(t, 2)[0].ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,19 +128,29 @@ func TestMetricsCoverPlannerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := reflect.TypeOf(pase.PlannerStats{})
-	for i := 0; i < st.NumField(); i++ {
-		tag := st.Field(i).Tag.Get("json")
-		name, exposed := series[tag]
-		switch {
-		case exposed && statsOnly[tag]:
-			t.Errorf("planner stat %q is declared both exposed and stats-only", tag)
-		case exposed:
-			if !strings.Contains(string(raw), "\n# TYPE "+name+" ") {
-				t.Errorf("planner stat %q: /metrics has no series %s", tag, name)
+	for _, c := range []struct {
+		kind      string
+		typ       reflect.Type
+		series    map[string]string
+		statsOnly map[string]bool
+	}{
+		{"planner", reflect.TypeOf(pase.PlannerStats{}), planner, plannerOnly},
+		{"fleet", reflect.TypeOf(fleet.Stats{}), fleetSeries, fleetOnly},
+		{"fleet peer", reflect.TypeOf(fleet.PeerStats{}), peerSeries, peerOnly},
+	} {
+		for i := 0; i < c.typ.NumField(); i++ {
+			tag := c.typ.Field(i).Tag.Get("json")
+			name, exposed := c.series[tag]
+			switch {
+			case exposed && c.statsOnly[tag]:
+				t.Errorf("%s stat %q is declared both exposed and stats-only", c.kind, tag)
+			case exposed:
+				if !strings.Contains(string(raw), "\n# TYPE "+name+" ") {
+					t.Errorf("%s stat %q: /metrics has no series %s", c.kind, tag, name)
+				}
+			case !c.statsOnly[tag]:
+				t.Errorf("%s stat %q (%s) is neither on /metrics nor declared stats-only", c.kind, tag, c.typ.Field(i).Name)
 			}
-		case !statsOnly[tag]:
-			t.Errorf("planner stat %q (%s) is neither on /metrics nor declared stats-only", tag, st.Field(i).Name)
 		}
 	}
 }

@@ -32,21 +32,6 @@ func TestMemoryFootprintAPI(t *testing.T) {
 	}
 }
 
-func TestAssignDevicesAPI(t *testing.T) {
-	g := AlexNet(128)
-	res, err := solve(g, GTX1080Ti(8), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := AssignDevices(g, res.Strategy, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.P != 8 || len(a.Layouts) != g.Len() {
-		t.Fatalf("bad assignment: p=%d layouts=%d", a.P, len(a.Layouts))
-	}
-}
-
 func TestExportImportRoundTripAPI(t *testing.T) {
 	g := AlexNet(128)
 	res, err := solve(g, GTX1080Ti(8), Options{})

@@ -4,10 +4,11 @@
 // a loop-safe internal route so each unique solve runs once cluster-wide and
 // the owner's LRU + singleflight become the cluster's. Peer calls run under
 // a deadline budget carved from the caller's context with bounded jittered
-// exponential-backoff retries; a per-peer circuit breaker backed by a
-// background /v1/readyz prober removes sick peers from the hash ring; and
-// when the owner is unreachable the caller falls back to solving locally —
-// peer failure degrades cache efficiency, never availability.
+// exponential-backoff retries; each peer carries one health bit, cleared by
+// a forward that ends without a usable answer and set again by the next
+// successful /v1/readyz probe, and an unhealthy peer is out of the live hash
+// ring; when the owner is unreachable the caller falls back to solving
+// locally — peer failure degrades cache efficiency, never availability.
 //
 // The package is transport-level on purpose: it moves opaque request/response
 // bytes and knows nothing about the planner, so the daemon stays the single
@@ -46,6 +47,12 @@ const (
 	// maxRelayBytes bounds how much of a peer response is buffered for
 	// relaying, so a misbehaving peer cannot balloon the forwarder.
 	maxRelayBytes = 64 << 20
+
+	// attempts bounds tries per forward. The first retry waits baseBackoff,
+	// doubling per retry up to maxBackoff, each with ±50% jitter.
+	attempts    = 3
+	baseBackoff = 25 * time.Millisecond
+	maxBackoff  = 500 * time.Millisecond
 )
 
 // Config configures a fleet Client. Self and Peers are base URLs
@@ -60,30 +67,12 @@ type Config struct {
 	// Peers are the other members' base URLs.
 	Peers []string
 
-	// Attempts bounds tries per forward (default 3).
-	Attempts int
-	// BaseBackoff is the first retry's backoff; it doubles per retry with
-	// ±50% jitter (default 25ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the backoff growth (default 500ms).
-	MaxBackoff time.Duration
 	// AttemptTimeout bounds each individual peer call (default 2s).
 	AttemptTimeout time.Duration
-
-	// BreakerThreshold opens a peer's breaker after this many consecutive
-	// call failures (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker refuses calls before
-	// admitting a half-open trial (default 2s).
-	BreakerCooldown time.Duration
-
 	// ProbeInterval is the background health prober's period; 0 means the
-	// default (1s), negative disables the prober (deterministic tests).
+	// default (1s), negative disables the prober (deterministic tests). The
+	// prober is the only way an unhealthy peer rejoins the live ring.
 	ProbeInterval time.Duration
-
-	// HTTPClient overrides the transport (tests); nil uses a dedicated
-	// client with sane connection pooling.
-	HTTPClient *http.Client
 	// Faults optionally injects peer-site failures ahead of every call
 	// attempt (the -fault-plan peer:* entries).
 	Faults *pressure.FaultPlan
@@ -119,8 +108,8 @@ func (d Decision) String() string {
 
 // Outcome is Route's verdict. For Forwarded, Status/Body are the owner's
 // HTTP response to relay; for Fallback, Err says why forwarding was not
-// possible (nil only when the breaker short-circuited before any attempt —
-// then too the request must be solved locally).
+// possible (nil when no live member but self was left to try — then too the
+// request must be solved locally).
 type Outcome struct {
 	Decision Decision
 	// Owner is the member the ring assigned: for Local, Self; for
@@ -134,9 +123,11 @@ type Outcome struct {
 
 // peerState is everything the client tracks per peer.
 type peerState struct {
-	id      string
-	breaker *breaker
-	healthy atomic.Bool // last probe verdict (optimistically true at boot)
+	id string
+	// healthy is the peer's one health bit: optimistically true at boot,
+	// cleared by a forward that ended without a usable answer, and set by
+	// each probe's verdict.
+	healthy atomic.Bool
 
 	successes atomic.Int64
 	failures  atomic.Int64
@@ -178,7 +169,8 @@ type Stats struct {
 	Peers           []PeerStats `json:"peers"`
 }
 
-// PeerStats is one peer's health view.
+// PeerStats is one peer's health view. Breaker is the health bit under its
+// older wire name: "closed" when healthy, "open" otherwise.
 type PeerStats struct {
 	ID        string `json:"id"`
 	Healthy   bool   `json:"healthy"`
@@ -195,23 +187,8 @@ func New(cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: self %q: %w", cfg.Self, err)
 	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 3
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = 25 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 500 * time.Millisecond
-	}
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = 2 * time.Second
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = time.Second
@@ -220,12 +197,9 @@ func New(cfg Config) (*Client, error) {
 		cfg:   cfg,
 		self:  self,
 		peers: map[string]*peerState{},
-		httpc: cfg.HTTPClient,
+		httpc: &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}},
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
-	}
-	if c.httpc == nil {
-		c.httpc = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16}}
 	}
 	c.rng.Rand = rand.New(rand.NewSource(time.Now().UnixNano()))
 	for _, raw := range cfg.Peers {
@@ -239,8 +213,8 @@ func New(cfg Config) (*Client, error) {
 		if _, dup := c.peers[p]; dup {
 			continue
 		}
-		ps := &peerState{id: p, breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil)}
-		ps.healthy.Store(true) // optimistic until the first probe says otherwise
+		ps := &peerState{id: p}
+		ps.healthy.Store(true)
 		c.peers[p] = ps
 	}
 	if len(c.peers) == 0 {
@@ -304,12 +278,6 @@ func (c *Client) Owner(fp canon.Fingerprint) string {
 	return RendezvousOwner(c.members, fp)
 }
 
-// live reports whether peer p should receive traffic: the prober considers
-// it healthy and its breaker would admit a call.
-func (c *Client) live(p *peerState) bool {
-	return p.healthy.Load() && p.breaker.ready()
-}
-
 // Route decides how to serve the request whose canonical fingerprint is fp
 // and whose raw JSON body is body. It never returns an error outcome for a
 // solvable request: the worst verdict is Fallback, which instructs the
@@ -323,10 +291,10 @@ func (c *Client) Route(ctx context.Context, fp canon.Fingerprint, body []byte) O
 	// live members (self always included) elect a stand-in so the cluster
 	// still dedupes the solve to roughly one member during the outage.
 	target := owner
-	if ps := c.peers[owner]; !c.live(ps) {
+	if !c.peers[owner].healthy.Load() {
 		live := []string{c.self}
 		for _, m := range c.members {
-			if p, isPeer := c.peers[m]; isPeer && c.live(p) {
+			if p, isPeer := c.peers[m]; isPeer && p.healthy.Load() {
 				live = append(live, m)
 			}
 		}
@@ -349,14 +317,22 @@ func (c *Client) Route(ctx context.Context, fp canon.Fingerprint, body []byte) O
 
 // forward sends body to target's internal solve route with retries. It
 // returns the peer's response for any status it considers definitive
-// (anything but 5xx/429); 5xx, 429, and transport errors count against the
-// breaker (429 excepted — the peer is alive, just loaded) and exhaust into
-// an error.
+// (anything but 5xx/429). A 429 falls back at once and leaves the peer
+// healthy — it is alive, just loaded. Any other forward that ends without
+// an answer marks the peer unhealthy until its next good probe, unless the
+// caller itself gave up.
 func (c *Client) forward(ctx context.Context, target string, body []byte) (int, []byte, error) {
 	ps := c.peers[target]
-	if !ps.breaker.allow() {
-		return 0, nil, fmt.Errorf("fleet: breaker open for %s", target)
+	status, respBody, err := c.tryForward(ctx, ps, body)
+	if err != nil && status != http.StatusTooManyRequests && ctx.Err() == nil && ps.healthy.Swap(false) {
+		c.logf("fleet: peer %s unhealthy (%v), removed from ring", ps.id, err)
 	}
+	return status, respBody, err
+}
+
+// tryForward is forward's retry loop. On failure it returns the last
+// attempt's status (0 for a transport error) with the error.
+func (c *Client) tryForward(ctx context.Context, ps *peerState, body []byte) (int, []byte, error) {
 	// Budget: keep at least half the caller's remaining deadline for the
 	// local fallback solve, so a slow peer cannot starve it.
 	fctx := ctx
@@ -366,8 +342,8 @@ func (c *Client) forward(ctx context.Context, target string, body []byte) (int, 
 		defer cancel()
 	}
 	var lastErr error
-	backoff := c.cfg.BaseBackoff
-	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
+	backoff := baseBackoff
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
 			t := time.NewTimer(c.jitter(backoff))
@@ -377,28 +353,23 @@ func (c *Client) forward(ctx context.Context, target string, body []byte) (int, 
 				t.Stop()
 				return 0, nil, lastErr
 			}
-			if backoff *= 2; backoff > c.cfg.MaxBackoff {
-				backoff = c.cfg.MaxBackoff
-			}
+			backoff = min(2*backoff, maxBackoff)
 		}
-		status, respBody, err := c.attempt(fctx, target, body)
+		status, respBody, err := c.attempt(fctx, ps.id, body)
 		if err == nil && status != http.StatusTooManyRequests && status < 500 {
-			ps.breaker.success()
 			ps.successes.Add(1)
 			return status, respBody, nil
 		}
 		if err == nil {
-			err = fmt.Errorf("fleet: peer %s answered %d", target, status)
+			err = fmt.Errorf("fleet: peer %s answered %d", ps.id, status)
 		}
 		lastErr = err
 		if status == http.StatusTooManyRequests {
 			// The peer is alive but shedding load; hammering it with
-			// retries makes its overload worse. Fall back immediately and
-			// leave the breaker alone.
-			return 0, nil, lastErr
+			// retries makes its overload worse.
+			return status, nil, lastErr
 		}
 		ps.failures.Add(1)
-		ps.breaker.failure()
 		if fctx.Err() != nil {
 			return 0, nil, lastErr
 		}
@@ -441,8 +412,8 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 }
 
 // probeLoop polls every peer's /v1/readyz: a ready peer is marked healthy
-// and gets a stuck-open breaker reset (the out-of-band heal path after a
-// restart); anything else marks it unhealthy and out of the live ring.
+// (the only way back into the live ring after a failed forward or a
+// restart); anything else marks it unhealthy and out of the ring.
 func (c *Client) probeLoop() {
 	defer close(c.done)
 	t := time.NewTicker(c.cfg.ProbeInterval)
@@ -472,9 +443,9 @@ func (c *Client) probeAll() {
 
 func (c *Client) probe(ps *peerState) {
 	ps.probes.Add(1)
-	timeout := c.cfg.ProbeInterval
-	if timeout > time.Second {
-		timeout = time.Second
+	timeout := time.Second
+	if iv := c.cfg.ProbeInterval; iv > 0 && iv < timeout {
+		timeout = iv
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -488,12 +459,7 @@ func (c *Client) probe(ps *peerState) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
 		resp.Body.Close()
 	}
-	was := ps.healthy.Swap(ok)
-	if ok && ps.breaker.current() != BreakerClosed {
-		ps.breaker.reset()
-		c.logf("fleet: peer %s ready again, breaker closed", ps.id)
-	}
-	if was != ok {
+	if was := ps.healthy.Swap(ok); was != ok {
 		if ok {
 			c.logf("fleet: peer %s healthy", ps.id)
 		} else {
@@ -523,10 +489,14 @@ func (c *Client) Stats() Stats {
 		if !isPeer {
 			continue
 		}
+		healthy, breaker := ps.healthy.Load(), "open"
+		if healthy {
+			breaker = "closed"
+		}
 		st.Peers = append(st.Peers, PeerStats{
 			ID:        ps.id,
-			Healthy:   ps.healthy.Load(),
-			Breaker:   ps.breaker.current().String(),
+			Healthy:   healthy,
+			Breaker:   breaker,
 			Successes: ps.successes.Load(),
 			Failures:  ps.failures.Load(),
 			Probes:    ps.probes.Load(),

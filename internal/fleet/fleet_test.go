@@ -28,16 +28,14 @@ func mustFaults(t *testing.T, spec string) *pressure.FaultPlan {
 	return p
 }
 
-// newTestClient builds a prober-less client with millisecond backoffs so
-// retry paths run deterministically and fast.
+// newTestClient builds a prober-less client, so a test decides when a peer
+// is probed and nothing heals behind its back.
 func newTestClient(t *testing.T, peers []string, mut func(*Config)) *Client {
 	t.Helper()
 	cfg := Config{
 		Self:           testSelf,
 		Peers:          peers,
 		ProbeInterval:  -1,
-		BaseBackoff:    time.Millisecond,
-		MaxBackoff:     4 * time.Millisecond,
 		AttemptTimeout: 5 * time.Second,
 	}
 	if mut != nil {
@@ -52,11 +50,15 @@ func newTestClient(t *testing.T, peers []string, mut func(*Config)) *Client {
 }
 
 // peerServer is a fake fleet member: it answers the internal solve route
-// with a canned body and counts the forwarded requests it saw.
+// with a canned body, counts the forwarded requests it saw, and reports
+// ready on the probe route.
 func peerServer(t *testing.T, body string) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == readyzPath {
+			return
+		}
 		if r.URL.Path != InternalSolvePath {
 			http.NotFound(w, r)
 			return
@@ -135,8 +137,8 @@ func TestForwardSuccess(t *testing.T) {
 	if st.Forwards != 1 || st.Retries != 0 || st.Fallbacks != 0 {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.Peers[0].Breaker != "closed" {
-		t.Fatalf("breaker %q after success, want closed", st.Peers[0].Breaker)
+	if !st.Peers[0].Healthy {
+		t.Fatalf("peer %+v unhealthy after a success", st.Peers[0])
 	}
 }
 
@@ -159,19 +161,19 @@ func TestForwardRetryThenSuccess(t *testing.T) {
 	if st.Retries != 1 || st.Forwards != 1 {
 		t.Fatalf("stats %+v, want exactly one retry then success", st)
 	}
-	if st.Peers[0].Breaker != "closed" || st.Peers[0].Failures != 1 {
+	if !st.Peers[0].Healthy || st.Peers[0].Failures != 1 {
 		t.Fatalf("peer stats %+v", st.Peers[0])
 	}
 }
 
-// TestRetryExhaustionFallsBackAndOpensBreaker is the core failure contract:
-// a peer that fails every attempt costs retries once, opens its breaker, and
-// every verdict is Fallback — never an error.
-func TestRetryExhaustionFallsBackAndOpensBreaker(t *testing.T) {
+// TestExhaustedForwardTakesPeerOutUntilProbe is the core failure contract:
+// a peer that fails every attempt costs retries once and leaves the live
+// ring, every verdict is Fallback — never an error — and one good probe
+// brings the peer back.
+func TestExhaustedForwardTakesPeerOutUntilProbe(t *testing.T) {
 	ts, hits := peerServer(t, `{"ok":true}`)
 	c := newTestClient(t, []string{ts.URL}, func(cfg *Config) {
-		cfg.Faults = mustFaults(t, "peer:error")
-		cfg.BreakerCooldown = time.Hour
+		cfg.Faults = mustFaults(t, "peer:error:3")
 	})
 	fp := ownedBy(t, c, ts.URL)
 	out := c.Route(context.Background(), fp, []byte("{}"))
@@ -181,25 +183,59 @@ func TestRetryExhaustionFallsBackAndOpensBreaker(t *testing.T) {
 	if !errors.Is(out.Err, pressure.ErrInjected) {
 		t.Fatalf("fallback error %v, want the injected failure", out.Err)
 	}
-	if hits.Load() != 0 {
-		t.Fatalf("peer saw %d requests, want 0 (every attempt injected)", hits.Load())
-	}
 	st := c.Stats()
 	if st.Retries != 2 || st.ForwardFailures != 1 || st.Fallbacks != 1 {
 		t.Fatalf("stats %+v, want 3 attempts -> 2 retries, 1 forward failure", st)
 	}
-	if st.Peers[0].Breaker != "open" || st.Peers[0].Failures != 3 {
-		t.Fatalf("peer stats %+v, want open breaker after 3 consecutive failures", st.Peers[0])
+	if st.Peers[0].Healthy || st.Peers[0].Failures != 3 {
+		t.Fatalf("peer stats %+v, want unhealthy after 3 failed attempts", st.Peers[0])
 	}
-	// Second request: the open breaker removes the peer from the live ring,
-	// so the fallback is immediate — no attempts, no new peer failures.
+	// Second request: the peer is out of the live ring, so the fallback is
+	// immediate — no attempts, no new peer failures.
 	out = c.Route(context.Background(), fp, []byte("{}"))
 	if out.Decision != Fallback {
-		t.Fatalf("outcome %+v, want immediate fallback with the breaker open", out)
+		t.Fatalf("outcome %+v, want immediate fallback with the peer unhealthy", out)
 	}
 	st = c.Stats()
 	if st.Fallbacks != 2 || st.Peers[0].Failures != 3 || st.Retries != 2 {
-		t.Fatalf("stats %+v, want the breaker to short-circuit without attempts", st)
+		t.Fatalf("stats %+v, want the fallback without attempts", st)
+	}
+	if hits.Load() != 0 {
+		t.Fatalf("peer saw %d requests, want 0", hits.Load())
+	}
+	// One good probe: the faults are spent, so forwards resume.
+	c.probe(c.peers[ts.URL])
+	out = c.Route(context.Background(), fp, []byte("{}"))
+	if out.Decision != Forwarded || hits.Load() != 1 {
+		t.Fatalf("outcome %+v with %d peer requests, want a forward after the probe", out, hits.Load())
+	}
+	if p := c.Stats().Peers[0]; !p.Healthy {
+		t.Fatalf("peer stats %+v, want healthy after the probe", p)
+	}
+}
+
+// TestShedPeerStaysHealthy: a 429 falls back at once without retries, and
+// the peer stays in the live ring — it is alive, just loaded.
+func TestShedPeerStaysHealthy(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.WriteHeader(http.StatusTooManyRequests)
+	}))
+	t.Cleanup(ts.Close)
+	c := newTestClient(t, []string{ts.URL}, nil)
+	fp := ownedBy(t, c, ts.URL)
+	for i := int64(1); i <= 2; i++ {
+		if out := c.Route(context.Background(), fp, []byte("{}")); out.Decision != Fallback || out.Err == nil {
+			t.Fatalf("request %d: outcome %+v, want fallback with the 429", i, out)
+		}
+		if hits.Load() != i {
+			t.Fatalf("request %d: peer saw %d requests, want %d (one per request, no retry)", i, hits.Load(), i)
+		}
+	}
+	st := c.Stats()
+	if st.Retries != 0 || !st.Peers[0].Healthy || st.Peers[0].Failures != 0 {
+		t.Fatalf("stats %+v, want no retries and a healthy peer", st)
 	}
 }
 
@@ -240,8 +276,8 @@ func TestDeadPeerConnectionRefusedFallsBack(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("fallback took %v; connection-refused retries must be fast", elapsed)
 	}
-	if st := c.Stats(); st.Peers[0].Breaker != "open" {
-		t.Fatalf("breaker %q after a dead peer, want open", st.Peers[0].Breaker)
+	if p := c.Stats().Peers[0]; p.Healthy {
+		t.Fatalf("peer %+v healthy after a dead peer's forward", p)
 	}
 }
 
@@ -280,8 +316,7 @@ func TestRerouteToLiveStandIn(t *testing.T) {
 
 // TestProberMarksUnhealthyAndHeals drives the full partition/re-join cycle
 // through the background prober: ready peer -> forwards; peer reports 503 ->
-// out of the ring, fallback; peer ready again -> breaker reset, forwards
-// resume.
+// out of the ring, fallback; peer ready again -> forwards resume.
 func TestProberMarksUnhealthyAndHeals(t *testing.T) {
 	var ready atomic.Bool
 	ready.Store(true)
@@ -302,43 +337,36 @@ func TestProberMarksUnhealthyAndHeals(t *testing.T) {
 	t.Cleanup(ts.Close)
 	c := newTestClient(t, []string{ts.URL}, func(cfg *Config) {
 		cfg.ProbeInterval = 10 * time.Millisecond
-		cfg.BreakerCooldown = time.Hour // only the prober can heal it
 	})
 	c.Start()
 	fp := ownedBy(t, c, ts.URL)
-	waitPeer := func(wantHealthy bool, wantBreaker string) {
+	waitPeer := func(wantHealthy bool) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
 			p := c.Stats().Peers[0]
-			if p.Healthy == wantHealthy && p.Breaker == wantBreaker {
+			if p.Healthy == wantHealthy {
 				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("peer never reached healthy=%v breaker=%q: %+v", wantHealthy, wantBreaker, p)
+				t.Fatalf("peer never reached healthy=%v: %+v", wantHealthy, p)
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
-	waitPeer(true, "closed")
+	waitPeer(true)
 	if out := c.Route(context.Background(), fp, []byte("{}")); out.Decision != Forwarded {
 		t.Fatalf("outcome %+v, want forwarded while healthy", out)
 	}
 
 	ready.Store(false)
-	waitPeer(false, "closed")
+	waitPeer(false)
 	if out := c.Route(context.Background(), fp, []byte("{}")); out.Decision != Fallback {
 		t.Fatalf("outcome %+v, want fallback while the peer reports unready", out)
 	}
-	// Open the breaker too (three failed attempts against an injected
-	// partition), then verify the prober closes it on re-join.
-	c.peers[ts.URL].breaker.failure()
-	c.peers[ts.URL].breaker.failure()
-	c.peers[ts.URL].breaker.failure()
-	waitPeer(false, "open")
 
 	ready.Store(true)
-	waitPeer(true, "closed")
+	waitPeer(true)
 	if out := c.Route(context.Background(), fp, []byte("{}")); out.Decision != Forwarded {
 		t.Fatalf("outcome %+v, want forwards to resume after the ring heals", out)
 	}

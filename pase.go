@@ -100,9 +100,10 @@
 // Several pased daemons become one logical planner with -peers/-advertise:
 // rendezvous hashing over the canonical solve fingerprints assigns every
 // solve an owning member, non-owners forward to the owner (bounded jittered
-// retries, per-peer circuit breakers, background health probing), and when
-// the owner is unreachable the receiving daemon solves locally, marking the
-// response "fleet_fallback" — a dead member costs cache efficiency, never
+// retries; a failed forward takes the peer out of the ring until background
+// health probing sees it ready again), and when the owner is unreachable
+// the receiving daemon solves locally, marking the response
+// "fleet_fallback" — a dead member costs cache efficiency, never
 // availability. See examples/fleet for a ready-to-run three-node fleet
 // (docker-compose.yml, or run.sh for three local processes).
 //
@@ -138,7 +139,6 @@ import (
 	"context"
 	"io"
 
-	"pase/internal/assign"
 	"pase/internal/canon"
 	"pase/internal/core"
 	"pase/internal/cost"
@@ -348,9 +348,9 @@ var ErrSnapshotStale = planner.ErrSnapshotStale
 type FaultPlan = pressure.FaultPlan
 
 // ParseFaultPlan parses a comma-separated fault-injection spec of
-// site:kind[:arg] entries (sites solve, dp, model; kinds oom, panic,
-// latency) — the format behind pased's debug-only -fault-plan flag. An
-// empty spec returns (nil, nil).
+// site:kind[:arg] entries (sites solve, dp, model, peer; kinds oom, panic,
+// latency, error, drop) — the format behind pased's debug-only -fault-plan
+// flag. An empty spec returns (nil, nil).
 func ParseFaultPlan(spec string) (*FaultPlan, error) { return pressure.ParseFaultPlan(spec) }
 
 // NewModel binds a graph to a machine under an enumeration policy, building
@@ -434,16 +434,6 @@ type Footprint = memory.Footprint
 // checkable.
 func MemoryFootprint(g *Graph, s Strategy) (Footprint, error) {
 	return memory.Estimate(g, s)
-}
-
-// DeviceAssignment is a concrete greedy locality-maximizing mapping of
-// tensor blocks to devices (paper §II).
-type DeviceAssignment = assign.Assignment
-
-// AssignDevices computes the greedy locality-maximizing device assignment
-// for a strategy on p devices (p and all split factors powers of two).
-func AssignDevices(g *Graph, s Strategy, p int) (*DeviceAssignment, error) {
-	return assign.Build(g, s, p)
 }
 
 // StrategyDocument is the JSON interchange form of a strategy, for hand-off
