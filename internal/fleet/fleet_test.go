@@ -166,14 +166,14 @@ func TestForwardRetryThenSuccess(t *testing.T) {
 	}
 }
 
-// TestExhaustedForwardTakesPeerOutUntilProbe is the core failure contract:
+// TestRetryExhaustionFallsBackAndOpensBreaker is the core failure contract:
 // a peer that fails every attempt costs retries once and leaves the live
-// ring, every verdict is Fallback — never an error — and one good probe
-// brings the peer back.
-func TestExhaustedForwardTakesPeerOutUntilProbe(t *testing.T) {
+// ring (its breaker reads open), and every verdict is Fallback — never an
+// error.
+func TestRetryExhaustionFallsBackAndOpensBreaker(t *testing.T) {
 	ts, hits := peerServer(t, `{"ok":true}`)
 	c := newTestClient(t, []string{ts.URL}, func(cfg *Config) {
-		cfg.Faults = mustFaults(t, "peer:error:3")
+		cfg.Faults = mustFaults(t, "peer:error")
 	})
 	fp := ownedBy(t, c, ts.URL)
 	out := c.Route(context.Background(), fp, []byte("{}"))
@@ -187,8 +187,8 @@ func TestExhaustedForwardTakesPeerOutUntilProbe(t *testing.T) {
 	if st.Retries != 2 || st.ForwardFailures != 1 || st.Fallbacks != 1 {
 		t.Fatalf("stats %+v, want 3 attempts -> 2 retries, 1 forward failure", st)
 	}
-	if st.Peers[0].Healthy || st.Peers[0].Failures != 3 {
-		t.Fatalf("peer stats %+v, want unhealthy after 3 failed attempts", st.Peers[0])
+	if p := st.Peers[0]; p.Healthy || p.Breaker != "open" || p.Failures != 3 {
+		t.Fatalf("peer stats %+v, want unhealthy (breaker open) after 3 failed attempts", p)
 	}
 	// Second request: the peer is out of the live ring, so the fallback is
 	// immediate — no attempts, no new peer failures.
@@ -203,14 +203,30 @@ func TestExhaustedForwardTakesPeerOutUntilProbe(t *testing.T) {
 	if hits.Load() != 0 {
 		t.Fatalf("peer saw %d requests, want 0", hits.Load())
 	}
+}
+
+// TestBreakerProberReset: a peer taken out by an exhausted forward stays out
+// until one good probe sets its health bit (breaker closed) again.
+func TestBreakerProberReset(t *testing.T) {
+	ts, hits := peerServer(t, `{"ok":true}`)
+	c := newTestClient(t, []string{ts.URL}, func(cfg *Config) {
+		cfg.Faults = mustFaults(t, "peer:error:3")
+	})
+	fp := ownedBy(t, c, ts.URL)
+	if out := c.Route(context.Background(), fp, []byte("{}")); out.Decision != Fallback {
+		t.Fatalf("outcome %+v, want fallback after 3 failed attempts", out)
+	}
+	if p := c.Stats().Peers[0]; p.Healthy || p.Breaker != "open" {
+		t.Fatalf("peer stats %+v, want unhealthy before the probe", p)
+	}
 	// One good probe: the faults are spent, so forwards resume.
 	c.probe(c.peers[ts.URL])
-	out = c.Route(context.Background(), fp, []byte("{}"))
+	if p := c.Stats().Peers[0]; !p.Healthy || p.Breaker != "closed" {
+		t.Fatalf("peer stats %+v, want healthy (breaker closed) after the probe", p)
+	}
+	out := c.Route(context.Background(), fp, []byte("{}"))
 	if out.Decision != Forwarded || hits.Load() != 1 {
 		t.Fatalf("outcome %+v with %d peer requests, want a forward after the probe", out, hits.Load())
-	}
-	if p := c.Stats().Peers[0]; !p.Healthy {
-		t.Fatalf("peer stats %+v, want healthy after the probe", p)
 	}
 }
 
