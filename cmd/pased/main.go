@@ -85,13 +85,13 @@
 //	                   array carries each fleet peer's health (also as
 //	                   "breaker": "closed" or "open"; empty on a
 //	                   single-node daemon).
-//	GET  /v1/stats   — planner cache/dedup/cancellation/pressure counters
-//	                   (shed, queued, degraded, panics, restored_results),
-//	                   server counters (the request memo's memo_hits and
-//	                   memo_misses among them), and the fleet block when
+//	GET  /v1/stats   — server counters (memo_hits and memo_misses among
+//	                   them), the planner block, and the fleet block when
 //	                   clustered.
-//	GET  /metrics    — the same counters in Prometheus text exposition
-//	                   format, fleet peer health included.
+//	GET  /metrics    — every /v1/stats number as a Prometheus series (text
+//	                   format 0.0.4) named pase_ + section + json key, the
+//	                   section fleet_ in the fleet block and fleet_peer_ with
+//	                   a peer label per peer; counters end in _total.
 //
 //	POST /v1/internal/solve — the peer-to-peer route fleet-forwarded solves
 //	                   arrive on; identical to /v1/solve but never
@@ -317,17 +317,13 @@ type server struct {
 	maxGPUs      int
 	solveTimeout time.Duration
 	start        time.Time
-	served       atomic.Int64
+	// served, specSolves and specErrors back daemonStats.
+	served, specSolves, specErrors atomic.Int64
 	// fleet, when non-nil, makes this daemon a fleet member: solve requests
 	// whose fingerprint another member owns are forwarded there (or solved
 	// locally as a marked fallback when the owner is unreachable). Set
 	// before the listener starts; nil on a single-node daemon.
 	fleet *fleet.Client
-	// specSolves counts successfully served inline-spec solves (cache hits
-	// included); specErrors counts inline-spec requests rejected by the
-	// ingestion pipeline or the wire bounds.
-	specSolves atomic.Int64
-	specErrors atomic.Int64
 	// memo resolves a repeated request body to its fingerprint, and to its
 	// stored answer, by hash (see requestMemo).
 	memo *requestMemo
@@ -346,7 +342,7 @@ func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
+	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, http.StatusOK, s.stats()) })
 	mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	mux.HandleFunc("POST /v1/compare", s.handleCompare)
@@ -491,16 +487,19 @@ type peerReadiness struct {
 	Breaker string `json:"breaker"`
 }
 
+// ready is the daemon's readiness as /v1/readyz, /v1/stats and /metrics
+// report it: not restoring a snapshot and not draining.
+func (s *server) ready() bool { return !s.notReady.Load() && !s.draining.Load() }
+
 func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	body := map[string]any{"ready": true}
+	ready := s.ready()
+	body := map[string]any{"ready": ready}
 	status := http.StatusOK
-	switch {
-	case s.draining.Load():
-		body["ready"], body["reason"] = false, "draining"
-		status = http.StatusServiceUnavailable
-	case s.notReady.Load():
-		body["ready"], body["reason"] = false, "starting"
-		status = http.StatusServiceUnavailable
+	if !ready {
+		status, body["reason"] = http.StatusServiceUnavailable, "starting"
+		if s.draining.Load() {
+			body["reason"] = "draining"
+		}
 	}
 	peers := []peerReadiness{}
 	if s.fleet != nil {
@@ -512,23 +511,41 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, status, body)
 }
 
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	body := map[string]any{
-		"planner":        s.pl.Stats(),
-		"cached_results": s.pl.CacheSizes(),
-		"requests":       s.served.Load(),
-		"spec_solves":    s.specSolves.Load(),
-		"spec_errors":    s.specErrors.Load(),
-		"memo_hits":      s.memo.hits.Load(),
-		"memo_misses":    s.memo.misses.Load(),
-		"uptime_ms":      time.Since(s.start).Milliseconds(),
-		"ready":          !s.notReady.Load() && !s.draining.Load(),
-		"draining":       s.draining.Load(),
+// daemonStats is the /v1/stats body and all /metrics exports: handleMetrics
+// renders it and its planner and fleet blocks by one rule (writeSection).
+type daemonStats struct {
+	Requests      int64             `json:"requests"`                      // HTTP requests on the routes that solve
+	SpecSolves    int64             `json:"spec_solves"`                   // inline-spec solves served, cache hits included
+	SpecErrors    int64             `json:"spec_errors"`                   // inline-spec requests rejected by ingestion or the wire bounds
+	MemoHits      int64             `json:"memo_hits"`                     // request bodies the memo resolved by hash
+	MemoMisses    int64             `json:"memo_misses"`                   // request bodies decoded and lowered in full
+	CachedResults int               `json:"cached_results" metric:"gauge"` // results resident in the LRU
+	UptimeMs      int64             `json:"uptime_ms" metric:"gauge"`      // time since the daemon started
+	Ready         bool              `json:"ready" metric:"gauge"`          // what /v1/readyz reports
+	Draining      bool              `json:"draining" metric:"gauge"`       // a SIGTERM drain has begun
+	Planner       pase.PlannerStats `json:"planner"`
+	Fleet         *fleet.Stats      `json:"fleet,omitempty"` // nil on a single-node daemon
+}
+
+// stats snapshots the daemon's counters.
+func (s *server) stats() daemonStats {
+	st := daemonStats{
+		Requests:      s.served.Load(),
+		SpecSolves:    s.specSolves.Load(),
+		SpecErrors:    s.specErrors.Load(),
+		MemoHits:      s.memo.hits.Load(),
+		MemoMisses:    s.memo.misses.Load(),
+		CachedResults: s.pl.CacheSizes(),
+		UptimeMs:      time.Since(s.start).Milliseconds(),
+		Ready:         s.ready(),
+		Draining:      s.draining.Load(),
+		Planner:       s.pl.Stats(),
 	}
 	if s.fleet != nil {
-		body["fleet"] = s.fleet.Stats()
+		fst := s.fleet.Stats()
+		st.Fleet = &fst
 	}
-	writeJSON(w, http.StatusOK, body)
+	return st
 }
 
 // toRequest validates and lowers a wire request onto the planner's Request,

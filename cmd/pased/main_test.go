@@ -146,13 +146,14 @@ func TestBatchMixedValidAndInvalid(t *testing.T) {
 	status, out := postJSON(t, ts.URL+"/v1/batch", `{"requests":[
 		{"model":"alexnet","gpus":8},
 		{"model":"nope","gpus":8},
-		{"model":"rnnlm","gpus":16}
+		{"model":"rnnlm","gpus":16},
+		{"model":"alexnet","gpus":"8"}
 	]}`)
 	if status != http.StatusOK {
 		t.Fatalf("batch status %d: %v", status, out)
 	}
 	results, ok := out["results"].([]any)
-	if !ok || len(results) != 3 {
+	if !ok || len(results) != 4 {
 		t.Fatalf("batch results: %v", out)
 	}
 	first := results[0].(map[string]any)
@@ -166,6 +167,11 @@ func TestBatchMixedValidAndInvalid(t *testing.T) {
 	third := results[2].(map[string]any)
 	if third["strategy"] == nil {
 		t.Fatalf("entry 2 should have solved: %v", third)
+	}
+	// A JSON type error fails only its own item.
+	mistyped := results[3].(map[string]any)
+	if mistyped["error"] == nil || !strings.Contains(mistyped["error"].(string), "decode request") {
+		t.Fatalf("entry 3 should carry its own decode error: %v", mistyped)
 	}
 }
 

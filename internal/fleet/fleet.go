@@ -158,26 +158,40 @@ type Client struct {
 	probing atomic.Bool // Start launched the prober goroutine
 }
 
-// Stats is a point-in-time snapshot of the client's counters.
+// Stats is a point-in-time snapshot of the client's counters. pased serves it
+// on /v1/stats and renders every number and bool field on /metrics: a counter
+// unless tagged metric:"gauge", skipped when tagged metric:"-".
 type Stats struct {
-	Self            string      `json:"self"`
-	Forwards        int64       `json:"forwards"`
-	ForwardFailures int64       `json:"forward_failures"`
-	Fallbacks       int64       `json:"fallbacks"`
-	Reroutes        int64       `json:"reroutes"`
-	Retries         int64       `json:"retries"`
-	Peers           []PeerStats `json:"peers"`
+	Self string `json:"self"`
+	// Forwards counts solves forwarded to their owning peer.
+	Forwards int64 `json:"forwards"`
+	// ForwardFailures counts forwards that exhausted their retries.
+	ForwardFailures int64 `json:"forward_failures"`
+	// Fallbacks counts Route verdicts of Fallback. /metrics leaves it out:
+	// its pase_fleet_fallbacks_total is the planner's count of the local
+	// solves those verdicts ran.
+	Fallbacks int64 `json:"fallbacks" metric:"-"`
+	// Reroutes counts forwards redirected to a live stand-in for a sick
+	// owner.
+	Reroutes int64 `json:"reroutes"`
+	// Retries counts peer call attempts beyond each forward's first.
+	Retries int64       `json:"retries"`
+	Peers   []PeerStats `json:"peers"`
 }
 
 // PeerStats is one peer's health view. Breaker is the health bit under its
 // older wire name: "closed" when healthy, "open" otherwise.
 type PeerStats struct {
-	ID        string `json:"id"`
-	Healthy   bool   `json:"healthy"`
-	Breaker   string `json:"breaker"`
-	Successes int64  `json:"successes"`
-	Failures  int64  `json:"failures"`
-	Probes    int64  `json:"probes"`
+	ID string `json:"id"`
+	// Healthy is true while the peer is in the live ring: its last probe was
+	// ready and no forward failed since.
+	Healthy bool   `json:"healthy" metric:"gauge"`
+	Breaker string `json:"breaker"`
+	// Successes and Failures count peer call attempts by outcome; Probes
+	// counts health probes sent.
+	Successes int64 `json:"successes"`
+	Failures  int64 `json:"failures"`
+	Probes    int64 `json:"probes"`
 }
 
 // New validates cfg and builds a Client. Call Start to begin health probing

@@ -411,7 +411,9 @@ func (c Config) degradeQueueDepth() int {
 // Stats is a snapshot of the planner's cache and dedup counters. "One
 // underlying solve per unique request" means Solves equals the number of
 // distinct fingerprints ever requested (while none has been evicted and no
-// flight was abandoned by every waiter).
+// flight was abandoned by every waiter). pased serves it on /v1/stats and
+// renders every number field on /metrics: a counter unless tagged
+// metric:"gauge".
 type Stats struct {
 	// Solves counts underlying method runs actually performed and completed
 	// (DP solves, MCMC chains, baseline evaluations).
@@ -448,7 +450,7 @@ type Stats struct {
 	// hold the store's budget. All zero when Config.DisableClassStore.
 	ClassStoreHits       int64 `json:"class_store_hits"`
 	ClassStoreMisses     int64 `json:"class_store_misses"`
-	ClassStoreBytes      int64 `json:"class_store_bytes"`
+	ClassStoreBytes      int64 `json:"class_store_bytes" metric:"gauge"`
 	ClassStoreSavedBytes int64 `json:"class_store_saved_bytes"`
 	ClassStoreEvictions  int64 `json:"class_store_evictions"`
 	// DeltaResolves counts dp solves served by incremental re-solve (only
@@ -465,15 +467,15 @@ type Stats struct {
 	// (zero when it proved exactness).
 	BeamSolves    int64   `json:"beam_solves"`
 	BeamFallbacks int64   `json:"beam_fallbacks"`
-	LastGap       float64 `json:"last_gap"`
+	LastGap       float64 `json:"last_gap" metric:"gauge"`
 	// Shed counts requests rejected immediately because the admission queue
 	// was full; Queued counts requests that waited for a solve slot.
 	// QueueDepth and InFlight are gauges read at snapshot time. All zero
 	// without admission control (Config.MaxInFlight).
 	Shed       int64 `json:"shed"`
 	Queued     int64 `json:"queued"`
-	QueueDepth int   `json:"queue_depth"`
-	InFlight   int   `json:"in_flight"`
+	QueueDepth int   `json:"queue_depth" metric:"gauge"`
+	InFlight   int   `json:"in_flight" metric:"gauge"`
 	// Degraded counts "dp" requests served by the degradation ladder (a
 	// bounded beam solve instead of the exact DP — ErrOOM or queue
 	// pressure); Panics counts solves or model builds that panicked and
