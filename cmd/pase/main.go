@@ -204,25 +204,10 @@ func reportSolve(pl *pase.Planner, name string, g *pase.Graph, spec pase.Machine
 		mem.Total()/1e6, mem.Activations/1e6, mem.Parameters/1e6, mem.CommBuffers/1e6)
 
 	if exportPath != "" {
-		doc, err := pase.ExportStrategy(name, g, res.Strategy, gpus, res.Cost)
+		doc, err := pase.ExportResult(name, g, res, gpus)
 		if err != nil {
 			return err
 		}
-		doc.Fingerprint = res.Fingerprint
-		doc.Method = res.Method
-		doc.KEffective = res.KEffective
-		doc.VertexClasses = res.VertexClasses
-		doc.EdgeClasses = res.EdgeClasses
-		doc.TableBytes = res.TableBytes
-		doc.SharedTableBytes = res.SharedTableBytes
-		doc.ClassStoreHits = res.ClassStoreHits
-		doc.ClassStoreBytes = res.ClassStoreBytes
-		doc.DeltaResolve = res.DeltaResolve
-		doc.Gap = res.Gap
-		doc.Exact = res.Exact
-		doc.BeamWidth = res.BeamWidth
-		doc.Degraded = res.Degraded
-		doc.DegradeReason = res.DegradeReason
 		f, err := os.Create(exportPath)
 		if err != nil {
 			return err

@@ -652,25 +652,10 @@ func (s *server) toSpecRequest(sr solveRequest) (pase.SolveRequest, string, erro
 
 // toResponse lifts a planner result into the wire form.
 func toResponse(req pase.SolveRequest, model string, res *pase.Result) (*solveResponse, error) {
-	doc, err := pase.ExportStrategy(model, req.G, res.Strategy, req.Spec.Devices, res.Cost)
+	doc, err := pase.ExportResult(model, req.G, res, req.Spec.Devices)
 	if err != nil {
 		return nil, err
 	}
-	doc.Fingerprint = res.Fingerprint
-	doc.Method = res.Method
-	doc.KEffective = res.KEffective
-	doc.VertexClasses = res.VertexClasses
-	doc.EdgeClasses = res.EdgeClasses
-	doc.TableBytes = res.TableBytes
-	doc.SharedTableBytes = res.SharedTableBytes
-	doc.ClassStoreHits = res.ClassStoreHits
-	doc.ClassStoreBytes = res.ClassStoreBytes
-	doc.DeltaResolve = res.DeltaResolve
-	doc.Gap = res.Gap
-	doc.Exact = res.Exact
-	doc.BeamWidth = res.BeamWidth
-	doc.Degraded = res.Degraded
-	doc.DegradeReason = res.DegradeReason
 	return &solveResponse{
 		Strategy:         doc,
 		Method:           res.Method,

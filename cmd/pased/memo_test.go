@@ -280,9 +280,14 @@ func TestRelayedBytesMatchReferenceEncoder(t *testing.T) {
 // TestRelayUnusableOwnerAnswerFallsBack: a 200 from the owner that is not
 // valid JSON, carries no strategy document, or is not laid out as the wire's
 // encoder lays it out is never relayed: the forwarder solves locally, once.
+// So is a non-200 without an "error": a 404 from something that is not a
+// pased. A structured rejection is the owner's answer: it is re-served under
+// the owner's status and code, and nothing is solved here.
 func TestRelayUnusableOwnerAnswerFallsBack(t *testing.T) {
+	var status int
 	var answer string
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(status)
 		io.WriteString(w, answer)
 	}))
 	defer peer.Close()
@@ -298,22 +303,34 @@ func TestRelayUnusableOwnerAnswerFallsBack(t *testing.T) {
 	defer ts.Close()
 	body := requestOwnedBy(t, sv, peer.URL)
 
-	for i, tc := range []struct{ name, answer string }{
-		{"truncated", "{\n  \"strategy\": {\n    \"model\": \"Alex"},
-		{"no strategy", "{\n  \"strategy\": null,\n  \"method\": \"dp\"\n}\n"},
-		{"strategy of the wrong type", "{\n  \"strategy\": \"dp\",\n  \"method\": \"dp\"\n}\n"},
-		{"another layout", `{"strategy":{"model":"AlexNet"},"method":"dp"}`},
+	solves := int64(0)
+	for _, tc := range []struct {
+		name, answer string
+		status       int
+		fallback     bool
+	}{
+		{"truncated", "{\n  \"strategy\": {\n    \"model\": \"Alex", http.StatusOK, true},
+		{"no strategy", "{\n  \"strategy\": null,\n  \"method\": \"dp\"\n}\n", http.StatusOK, true},
+		{"strategy of the wrong type", "{\n  \"strategy\": \"dp\",\n  \"method\": \"dp\"\n}\n", http.StatusOK, true},
+		{"another layout", `{"strategy":{"model":"AlexNet"},"method":"dp"}`, http.StatusOK, true},
+		{"a rejection", `{"error":"gpus: out of range","code":"bad_request"}`, http.StatusBadRequest, false},
+		{"a 404 with no error", `{"code":"not_found"}`, http.StatusNotFound, true},
 	} {
-		answer = tc.answer
-		status, out := postJSON(t, ts.URL+"/v1/solve", body)
-		if status != http.StatusOK || out["fleet_fallback"] != true || out["fleet_owner"] != peer.URL || out["fleet_forwarded"] == true {
-			t.Fatalf("%s: %d fallback=%v owner=%v forwarded=%v, want a marked local solve", tc.name, status, out["fleet_fallback"], out["fleet_owner"], out["fleet_forwarded"])
+		status, answer = tc.status, tc.answer
+		got, out := postJSON(t, ts.URL+"/v1/solve", body)
+		if tc.fallback {
+			solves++
+			if got != http.StatusOK || out["fleet_fallback"] != true || out["fleet_owner"] != peer.URL || out["fleet_forwarded"] == true {
+				t.Fatalf("%s: %d fallback=%v owner=%v forwarded=%v, want a marked local solve", tc.name, got, out["fleet_fallback"], out["fleet_owner"], out["fleet_forwarded"])
+			}
+			if doc, _ := out["strategy"].(map[string]any); doc == nil || doc["layers"] == nil {
+				t.Fatalf("%s: fallback answer has no strategy: %v", tc.name, out)
+			}
+		} else if got != tc.status || out["code"] != "bad_request" || out["error"] != "gpus: out of range" {
+			t.Fatalf("%s: %d %v, want the owner's %d bad_request re-served", tc.name, got, out, tc.status)
 		}
-		if doc, _ := out["strategy"].(map[string]any); doc == nil || doc["layers"] == nil {
-			t.Fatalf("%s: fallback answer has no strategy: %v", tc.name, out)
-		}
-		if st := pl.Stats(); st.Solves != int64(i+1) || st.FleetFallbacks != int64(i+1) {
-			t.Fatalf("%s: planner %+v, want %d fallback solves", tc.name, st, i+1)
+		if st := pl.Stats(); st.Solves != solves || st.FleetFallbacks != solves {
+			t.Fatalf("%s: planner %+v, want %d fallback solves", tc.name, st, solves)
 		}
 	}
 }

@@ -328,11 +328,8 @@ func SolveBeam(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts BeamOp
 		}
 		return br, nil
 	}
-	if m.G.Len() == 0 {
-		return nil, fmt.Errorf("core: empty graph")
-	}
-	if len(sq.Order) != m.G.Len() {
-		return nil, fmt.Errorf("core: ordering covers %d of %d vertices", len(sq.Order), m.G.Len())
+	if err := checkInput(m, sq); err != nil {
+		return nil, err
 	}
 	bp := newBeamPlan(m, sq)
 	lb := bp.lowerBound()
@@ -416,19 +413,23 @@ type beamEdge struct {
 // position, its row picked by digit k of the entry being joined.
 type beamRow struct{ li, k int }
 
-// beamScratch is a pass's working memory, allocated once per pass and reused
-// across its positions: the sorted partials being extended, the frontier
-// collecting their extensions, and the position's and the current join's
-// wiring.
-type beamScratch struct {
+// beamPass is one bounded-width pass on the shared frame. Its working memory
+// is allocated once per pass and reused across positions: the sorted
+// partials being extended, the frontier collecting their extensions, and the
+// wiring of the position and of the current join.
+type beamPass struct {
+	*frame
+	bp       *beamPlan
+	width, k int
+	tables   []beamTable
+	pruned   bool       // some frontier or table was cut
+	v, kv    int        // the position's vertex and its configuration count
+	erefs    []beamEdge // its incident edges to later vertices
 	cur      []beamPartial
 	front    beamFrontier
-	kd       []int     // radix of each φ digit of the position
-	pstride  []int64   // its stride in the flat index
-	digitOf  []int     // node → φ digit, -1 when absent
+	pstride  []int64   // each φ digit's stride in the flat index
 	assigned []bool    // φ digits some generation step has set
-	slot     []int     // per child digit: the φ digit, -1 for v itself
-	ck       []int     // child radices
+	slot     []int     // per child digit after v's: the φ digit
 	cdg      []int     // the child entry being joined, decoded
 	rows     []beamRow // edge rows this step attaches
 	have     []int64   // per partial: its assigned digits among slot, as a flat
@@ -452,317 +453,275 @@ func (bp *beamPlan) flatAt(pos int, cfg []int) int64 {
 // sparse join enumerated the full recurrence and the result equals the exact
 // DP's. onTable, when non-nil, observes each table as it is published.
 func (bp *beamPlan) pass(ctx context.Context, opts Options, width, k int, onTable func(pos int, t beamTable)) (*Result, bool, error) {
-	m, sq, guide := bp.m, bp.sq, bp.guide
-	n := m.G.Len()
-	budget := opts.maxEntries()
-	budgetUnits := 3 * budget
-	liveUnits := int64(0)
-	done := ctx.Done()
-	cancelErr := func() error { return fmt.Errorf("core: beam solve cancelled: %w", context.Cause(ctx)) }
-	st := newStats(m, sq)
-
-	// A beam entry is 5 4-byte units (int64 flat = 2, float64 cost = 2, int32
-	// choice = 1); costs are freed at the table's last reader, flats+choices
-	// stay for back-substitution.
-	tables := make([]beamTable, n)
-
-	sc := &beamScratch{digitOf: make([]int, n)}
-	front := &sc.front
-	front.reset(k)
-	for j := range sc.digitOf {
-		sc.digitOf[j] = -1
-	}
-	var erefs []beamEdge
-	pruned := false
-
-	for i, v := range sq.Order {
-		if done != nil && ctx.Err() != nil {
-			return nil, false, cancelErr()
+	p := &beamPass{frame: newFrame(ctx, bp.m, bp.sq, bp.subsets, opts, "beam "), bp: bp, width: width, k: k, tables: make([]beamTable, len(bp.sq.Order))}
+	p.front.reset(k)
+	for i := range bp.sq.Order {
+		if p.stopped() {
+			return nil, false, p.cancelErr()
 		}
-		dep := sq.Dep[i]
-		sc.kd, sc.pstride = sc.kd[:0], sc.pstride[:0]
-		flatSpace := int64(1)
-		for dg, d := range dep {
-			kk := int64(m.K(d))
-			if flatSpace > (math.MaxInt64/4)/kk {
-				return nil, false, fmt.Errorf("core: beam flat index space at vertex %d exceeds int64 (dependent set too entangled)", v)
-			}
-			sc.kd = append(sc.kd, int(kk))
-			sc.pstride = append(sc.pstride, flatSpace)
-			sc.digitOf[d] = dg
-			flatSpace *= kk
+		if err := p.join(i); err != nil {
+			return nil, false, err
 		}
-
-		erefs = erefs[:0]
-		for _, ie := range m.Incidence(v) {
-			if sq.Pos[ie.Other] <= i {
-				continue
-			}
-			ed := beamEdge{other: ie.Other, dg: sc.digitOf[ie.Other]}
-			if ed.dg < 0 {
-				return nil, false, fmt.Errorf("core: later neighbour %d of %d missing from D(%d)", ie.Other, v, i)
-			}
-			if ie.VIsU {
-				ed.vals, _ = m.EdgeTableT(ie.E)
-				ed.mins = bp.minV[ie.E]
-			} else {
-				ed.vals, _ = m.EdgeTable(ie.E)
-				ed.mins = bp.minU[ie.E]
-			}
-			erefs = append(erefs, ed)
-		}
-
-		kv := m.K(v)
-		tlv := m.TLRow(v)
-		sc.assigned = grown(sc.assigned, len(dep))
-		clear(sc.assigned)
-
-		// attach adds the rows of the edges to digit dg, read through digit k
-		// of the entries about to be joined: edge costs attach when their φ
-		// digit is first assigned.
-		attach := func(dg, k int) {
-			for li := range erefs {
-				if erefs[li].dg == dg {
-					sc.rows = append(sc.rows, beamRow{li, k})
-				}
-			}
-		}
-		// extend offers the frontier every extension of cur by one entry — a
-		// child's retained state, or one value of an uncovered digit — whose
-		// digits the caller decoded into cdg: cost ccost, new φ digits
-		// flatAdd, compatible with the partials whose v is vc (when >= 0) and
-		// whose already assigned digits, have, equal need. cur ascends in
-		// cost and lb, ccost plus the attached rows' minima summed in the
-		// candidate's own order, is the least any partial can add, so the
-		// walk stops at the first partial whose cost plus lb is above the
-		// frontier's threshold: no later one can enter.
-		extend := func(ccost float64, flatAdd, need int64, vc int) error {
-			lb := ccost
-			for _, r := range sc.rows {
-				lb += erefs[r.li].mins[sc.cdg[r.k]]
-			}
-			for pi := range sc.cur {
-				p := &sc.cur[pi]
-				if front.cut && p.cost+lb > front.thr.cost {
-					break
-				}
-				st.States++
-				if st.States&cancelCheckMask == 0 {
-					if done != nil && ctx.Err() != nil {
-						return cancelErr()
-					}
-					if liveUnits+5*int64(len(sc.cur)+len(front.buf)) > budgetUnits {
-						return fmt.Errorf("%w: beam frontier at vertex %d exceeds %d entries", ErrOOM, v, budget)
-					}
-				}
-				if vc >= 0 && int(p.c) != vc || sc.have[pi] != need {
-					continue
-				}
-				add := ccost
-				for _, r := range sc.rows {
-					add += erefs[r.li].vals[sc.cdg[r.k]*kv+int(p.c)]
-				}
-				front.push(beamPartial{flat: p.flat + flatAdd, cost: p.cost + add, c: p.c})
-			}
-			return nil
-		}
-		// take makes the frontier's survivors the next cur and empties it.
-		take := func() {
-			sc.cur, front.buf = front.sorted(), sc.cur
-			pruned = pruned || front.cut
-			front.reset(k)
-		}
-
-		// Seed with every configuration of v at φ-flat 0.
-		for c, tl := range tlv {
-			front.push(beamPartial{cost: tl, c: int32(c)})
-		}
-		take()
-
-		// Join each subset's retained frontier. Every member of a child's
-		// D(j) is v itself or a φ digit of this position, exactly as in the
-		// exact kernel.
-		for _, sub := range bp.subsets[i] {
-			jPos := sq.Pos[sub[len(sub)-1]]
-			sc.slot, sc.ck, sc.rows = sc.slot[:0], sc.ck[:0], sc.rows[:0]
-			for kk, d := range sq.Dep[jPos] {
-				dg := -1
-				if d != v {
-					if dg = sc.digitOf[d]; dg < 0 {
-						return nil, false, fmt.Errorf("core: D(%d) member %d not in D(%d) ∪ {v(%d)}: ordering's dependent sets are inconsistent", jPos, d, i, i)
-					}
-					if !sc.assigned[dg] {
-						attach(dg, kk)
-					}
-				}
-				sc.slot = append(sc.slot, dg)
-				sc.ck = append(sc.ck, m.K(d))
-			}
-			sc.have = grown(sc.have, len(sc.cur))
-			for pi, p := range sc.cur {
-				sc.have[pi] = 0
-				for _, dg := range sc.slot {
-					if dg >= 0 && sc.assigned[dg] {
-						sc.have[pi] += p.flat / sc.pstride[dg] % int64(sc.kd[dg]) * sc.pstride[dg]
-					}
-				}
-			}
-			sc.cdg = grown(sc.cdg, len(sc.ck))
-			child := &tables[jPos]
-			for ei, rem := range child.flats {
-				flatAdd, need, vc := int64(0), int64(0), -1
-				for kk, dg := range sc.slot {
-					d := rem % int64(sc.ck[kk])
-					rem /= int64(sc.ck[kk])
-					sc.cdg[kk] = int(d)
-					switch {
-					case dg < 0:
-						vc = int(d)
-					case sc.assigned[dg]:
-						need += d * sc.pstride[dg]
-					default:
-						flatAdd += d * sc.pstride[dg]
-					}
-				}
-				if err := extend(child.costs[ei], flatAdd, need, vc); err != nil {
-					return nil, false, err
-				}
-			}
-			for _, dg := range sc.slot {
-				if dg >= 0 {
-					sc.assigned[dg] = true
-				}
-			}
-			take()
-		}
-
-		// Digits no subset covered (edge-only or value-independent
-		// attachments): enumerate their values so later parents can match
-		// any combination, attaching edge costs where present.
-		for dg := range dep {
-			if sc.assigned[dg] {
-				continue
-			}
-			sc.rows = sc.rows[:0]
-			attach(dg, 0)
-			sc.have = grown(sc.have, len(sc.cur))
-			clear(sc.have)
-			sc.cdg = grown(sc.cdg, 1)
-			for d := 0; d < sc.kd[dg]; d++ {
-				sc.cdg[0] = d
-				if err := extend(0, int64(d)*sc.pstride[dg], 0, -1); err != nil {
-					return nil, false, err
-				}
-			}
-			sc.assigned[dg] = true
-			take()
-		}
-
-		// Finalize: group by flat keeping the min cost (smallest C on ties),
-		// then keep the top-W flats by cost.
-		slices.SortFunc(sc.cur, byFlat)
-		out := slices.CompactFunc(sc.cur, func(p, q beamPartial) bool { return p.flat == q.flat })
-		if len(out) > width {
-			pruned = true
-			slices.SortFunc(out, byCost)
-			out = out[:width]
-			slices.SortFunc(out, byFlat)
-		}
-
-		// Force-retain the guide state so every table — and therefore every
-		// pass — contains at least one entry on a known-valid strategy. Its
-		// value folds the CHILD's stored values at the child guide flats
-		// (which this same rule guarantees exist), so the stored cost is
-		// exactly realizable by back-substitution.
-		gC := guide[v]
-		gFlat := bp.flatAt(i, guide)
-		gVal := tlv[gC]
-		for _, ed := range erefs {
-			gVal += ed.vals[guide[ed.other]*kv+gC]
-		}
-		for _, sub := range bp.subsets[i] {
-			jPos := sq.Pos[sub[len(sub)-1]]
-			j, ok := slices.BinarySearch(tables[jPos].flats, bp.flatAt(jPos, guide))
-			if !ok {
-				return nil, false, fmt.Errorf("core: beam guide state missing from table %d", jPos)
-			}
-			gVal += tables[jPos].costs[j]
-		}
-		j, ok := slices.BinarySearchFunc(out, gFlat, func(p beamPartial, flat int64) int { return cmp.Compare(p.flat, flat) })
-		if !ok {
-			out = slices.Insert(out, j, beamPartial{flat: gFlat, cost: gVal, c: int32(gC)})
-		} else if gVal < out[j].cost {
-			out[j].cost, out[j].c = gVal, int32(gC)
-		}
-		sc.cur = out
-
-		// Charge the retained table against the budget and publish it.
-		sz := int64(len(out))
-		st.TotalEntries += sz
-		st.MaxTable = max(st.MaxTable, sz)
-		liveUnits += 5 * sz
-		if liveUnits > budgetUnits {
-			return nil, false, fmt.Errorf("%w: live beam tables at vertex %d exceed %d entries", ErrOOM, v, budget)
-		}
-		st.PeakLiveEntries = max(st.PeakLiveEntries, (liveUnits+2)/3)
-		t := beamTable{flats: make([]int64, sz), costs: make([]float64, sz), choices: make([]int32, sz)}
-		for j, p := range out {
-			t.flats[j], t.costs[j], t.choices[j] = p.flat, p.cost, p.c
-		}
-		tables[i] = t
-		if onTable != nil {
-			onTable(i, t)
-		}
-		for _, j := range bp.freeAt[i] {
-			liveUnits -= 2 * int64(len(tables[j].flats))
-			tables[j].costs = nil
-		}
-		for _, d := range dep {
-			sc.digitOf[d] = -1
+		if err := p.keep(i, onTable); err != nil {
+			return nil, false, err
 		}
 	}
-
-	// Back-substitution over the sparse tables: the flat is computed from
-	// the already-assigned dependents exactly as in the exact kernel, then
-	// resolved by binary search. Every entry's children exist by
-	// construction (joins only extend retained child states; guide states
-	// are force-retained), so the walk cannot dead-end.
-	idx := make([]int, n)
-	assignedV := make([]bool, n)
-	var walk func(pos int) error
-	walk = func(pos int) error {
-		v := sq.Order[pos]
-		for _, d := range sq.Dep[pos] {
-			if !assignedV[d] {
-				return fmt.Errorf("core: beam back-substitution reached %d before its dependent %d", v, d)
-			}
-		}
+	// A choice is found by binary search on the flat. Every entry's children
+	// exist by construction (joins only extend retained child states; guide
+	// states are force-retained), so the walk cannot dead-end.
+	idx, err := p.backSubstitute(func(pos int, idx []int) (int, error) {
 		flat := bp.flatAt(pos, idx)
-		j, ok := slices.BinarySearch(tables[pos].flats, flat)
+		j, ok := slices.BinarySearch(p.tables[pos].flats, flat)
 		if !ok {
-			return fmt.Errorf("core: beam back-substitution: no retained state at position %d flat %d", pos, flat)
+			return 0, fmt.Errorf("core: beam back-substitution: no retained state at position %d flat %d", pos, flat)
 		}
-		idx[v] = int(tables[pos].choices[j])
-		assignedV[v] = true
-		for _, sub := range bp.subsets[pos] {
-			if err := walk(sq.Pos[sub[len(sub)-1]]); err != nil {
+		return int(p.tables[pos].choices[j]), nil
+	})
+	var res *Result
+	if err == nil {
+		res, err = p.result(idx, p.tables[len(idx)-1].costs[0])
+	}
+	return res, err == nil && !p.pruned, err
+}
+
+// join builds position i's frontier in cur, ascending in cost: every
+// configuration of v(i) at φ-flat 0, extended by each subset's retained
+// table, then by every value of the digits no subset covered.
+func (p *beamPass) join(i int) error {
+	m, dep := p.m, p.sq.Dep[i]
+	p.v = p.sq.Order[i]
+	p.kv = m.K(p.v)
+	p.setDigits(i)
+	p.pstride = p.pstride[:0]
+	flatSpace := int64(1)
+	for _, kk := range p.kd {
+		if flatSpace > (math.MaxInt64/4)/int64(kk) {
+			return fmt.Errorf("core: beam flat index space at vertex %d exceeds int64 (dependent set too entangled)", p.v)
+		}
+		p.pstride = append(p.pstride, flatSpace)
+		flatSpace *= int64(kk)
+	}
+	p.erefs = p.erefs[:0]
+	err := p.eachLaterEdge(i, func(ie cost.IncEdge, dg int) {
+		mins := p.bp.minU[ie.E]
+		if ie.VIsU {
+			mins = p.bp.minV[ie.E]
+		}
+		p.erefs = append(p.erefs, beamEdge{vals: txRows(m, ie), mins: mins, other: ie.Other, dg: dg})
+	})
+	if err != nil {
+		return err
+	}
+	p.assigned = grown(p.assigned, len(dep))
+	clear(p.assigned)
+
+	for c, tl := range m.TLRow(p.v) {
+		p.front.push(beamPartial{cost: tl, c: int32(c)})
+	}
+	p.take()
+
+	for _, sub := range p.subsets[i] {
+		if err := p.joinChild(i, p.child(sub)); err != nil {
+			return err
+		}
+	}
+
+	// Digits no subset covered (edge-only or value-independent attachments):
+	// enumerate their values so later parents can match any combination,
+	// attaching edge costs where present.
+	for dg := range dep {
+		if p.assigned[dg] {
+			continue
+		}
+		p.rows = p.rows[:0]
+		p.attach(dg, 0)
+		p.have = grown(p.have, len(p.cur))
+		clear(p.have)
+		p.cdg = grown(p.cdg, 1)
+		for d := 0; d < p.kd[dg]; d++ {
+			p.cdg[0] = d
+			if err := p.extend(0, int64(d)*p.pstride[dg], 0, -1); err != nil {
 				return err
 			}
 		}
-		return nil
+		p.assigned[dg] = true
+		p.take()
 	}
-	if err := walk(n - 1); err != nil {
-		return nil, false, err
+	return nil
+}
+
+// joinChild extends cur by the retained table of jPos, a subset of position
+// i, whose flat's digit 0 is v(i) and whose other digits are φ digits of i
+// (childDigits): a child entry joins the partials that agree with it on v
+// and on the digits already assigned.
+func (p *beamPass) joinChild(i, jPos int) error {
+	slots, err := p.childDigits(i, jPos, p.slot)
+	if err != nil {
+		return err
 	}
-	if v := slices.Index(assignedV, false); v >= 0 {
-		return nil, false, fmt.Errorf("core: beam back-substitution left node %d unassigned (graph not weakly connected?)", v)
+	p.slot, p.rows = slots, p.rows[:0]
+	for kk, dg := range slots {
+		if !p.assigned[dg] {
+			p.attach(dg, kk+1)
+		}
+	}
+	p.have = grown(p.have, len(p.cur))
+	for pi, q := range p.cur {
+		p.have[pi] = 0
+		for _, dg := range slots {
+			if p.assigned[dg] {
+				p.have[pi] += q.flat / p.pstride[dg] % int64(p.kd[dg]) * p.pstride[dg]
+			}
+		}
+	}
+	p.cdg = grown(p.cdg, len(slots)+1)
+	child := &p.tables[jPos]
+	for ei, rem := range child.flats {
+		vc := rem % int64(p.kv)
+		rem /= int64(p.kv)
+		p.cdg[0] = int(vc)
+		flatAdd, need := int64(0), int64(0)
+		for kk, dg := range slots {
+			d := rem % int64(p.kd[dg])
+			rem /= int64(p.kd[dg])
+			p.cdg[kk+1] = int(d)
+			if p.assigned[dg] {
+				need += d * p.pstride[dg]
+			} else {
+				flatAdd += d * p.pstride[dg]
+			}
+		}
+		if err := p.extend(child.costs[ei], flatAdd, need, int(vc)); err != nil {
+			return err
+		}
+	}
+	for _, dg := range slots {
+		p.assigned[dg] = true
+	}
+	p.take()
+	return nil
+}
+
+// attach adds the rows of the edges to digit dg, read through digit k of the
+// entries about to be joined: edge costs attach when their φ digit is first
+// assigned.
+func (p *beamPass) attach(dg, k int) {
+	for li := range p.erefs {
+		if p.erefs[li].dg == dg {
+			p.rows = append(p.rows, beamRow{li, k})
+		}
+	}
+}
+
+// extend offers the frontier every extension of cur by one entry — a child's
+// retained state, or one value of an uncovered digit — whose digits the
+// caller decoded into cdg: cost ccost, new φ digits flatAdd, compatible with
+// the partials whose v is vc (when >= 0) and whose already assigned digits,
+// have, equal need. cur ascends in cost and lb, ccost plus the attached rows'
+// minima summed in the candidate's own order, is the least any partial can
+// add, so the walk stops at the first partial whose cost plus lb is above
+// the frontier's threshold: no later one can enter.
+func (p *beamPass) extend(ccost float64, flatAdd, need int64, vc int) error {
+	erefs, rows, cdg, cur, have, kv, front := p.erefs, p.rows, p.cdg, p.cur, p.have, p.kv, &p.front
+	lb := ccost
+	for _, r := range rows {
+		lb += erefs[r.li].mins[cdg[r.k]]
+	}
+	for pi := range cur {
+		q := &cur[pi]
+		if front.cut && q.cost+lb > front.thr.cost {
+			break
+		}
+		p.st.States++
+		if p.st.States&cancelCheckMask == 0 {
+			if p.stopped() {
+				return p.cancelErr()
+			}
+			if !p.fits(5 * int64(len(cur)+len(front.buf))) {
+				return fmt.Errorf("%w: beam frontier at vertex %d exceeds %d entries", ErrOOM, p.v, p.budget)
+			}
+		}
+		if vc >= 0 && int(q.c) != vc || have[pi] != need {
+			continue
+		}
+		add := ccost
+		for _, r := range rows {
+			add += erefs[r.li].vals[cdg[r.k]*kv+int(q.c)]
+		}
+		front.push(beamPartial{flat: q.flat + flatAdd, cost: q.cost + add, c: q.c})
+	}
+	return nil
+}
+
+// take makes the frontier's survivors the next cur and empties it.
+func (p *beamPass) take() {
+	p.cur, p.front.buf = p.front.sorted(), p.cur
+	p.pruned = p.pruned || p.front.cut
+	p.front.reset(p.k)
+}
+
+// keep cuts position i's frontier to its table — grouped by flat keeping the
+// min cost (smallest C on ties), the top-W flats by cost, and the guide's
+// state — charges it against the budget at 5 units an entry (int64 flat 2,
+// float64 cost 2, int32 choice 1) and publishes it. The costs of the tables
+// whose last reader i was are freed; flats and choices stay for
+// back-substitution.
+func (p *beamPass) keep(i int, onTable func(pos int, t beamTable)) error {
+	bp := p.bp
+	slices.SortFunc(p.cur, byFlat)
+	out := slices.CompactFunc(p.cur, func(a, b beamPartial) bool { return a.flat == b.flat })
+	if len(out) > p.width {
+		p.pruned = true
+		slices.SortFunc(out, byCost)
+		out = out[:p.width]
+		slices.SortFunc(out, byFlat)
 	}
 
-	res := &Result{Cost: tables[n-1].costs[0], Idx: idx, Strategy: m.StrategyFromIdx(idx), Seq: sq, Stats: st}
-	// The beam's root value is the exact cost of the extracted strategy
-	// (child values fold exactly, never estimates) — guard the wiring.
-	if ev := m.EvalIdx(idx); math.Abs(ev-res.Cost) > 1e-6*math.Max(1, math.Abs(ev)) {
-		return nil, false, fmt.Errorf("core: beam extracted strategy costs %v but retained root value is %v", ev, res.Cost)
+	// Force-retain the guide state so every table — and therefore every
+	// pass — contains at least one entry on a known-valid strategy. Its
+	// value folds the CHILD's stored values at the child guide flats (which
+	// this same rule guarantees exist), so the stored cost is exactly
+	// realizable by back-substitution.
+	gC := bp.guide[p.v]
+	gFlat := bp.flatAt(i, bp.guide)
+	gVal := p.m.TLRow(p.v)[gC]
+	for _, ed := range p.erefs {
+		gVal += ed.vals[bp.guide[ed.other]*p.kv+gC]
 	}
-	return res, !pruned, nil
+	for _, sub := range p.subsets[i] {
+		jPos := p.child(sub)
+		j, ok := slices.BinarySearch(p.tables[jPos].flats, bp.flatAt(jPos, bp.guide))
+		if !ok {
+			return fmt.Errorf("core: beam guide state missing from table %d", jPos)
+		}
+		gVal += p.tables[jPos].costs[j]
+	}
+	j, ok := slices.BinarySearchFunc(out, gFlat, func(q beamPartial, flat int64) int { return cmp.Compare(q.flat, flat) })
+	if !ok {
+		out = slices.Insert(out, j, beamPartial{flat: gFlat, cost: gVal, c: int32(gC)})
+	} else if gVal < out[j].cost {
+		out[j].cost, out[j].c = gVal, int32(gC)
+	}
+	p.cur = out
+
+	sz := int64(len(out))
+	p.st.TotalEntries += sz
+	p.st.MaxTable = max(p.st.MaxTable, sz)
+	if err := p.charge(5*sz, p.v); err != nil {
+		return err
+	}
+	t := beamTable{flats: make([]int64, sz), costs: make([]float64, sz), choices: make([]int32, sz)}
+	for j, q := range out {
+		t.flats[j], t.costs[j], t.choices[j] = q.flat, q.cost, q.c
+	}
+	p.tables[i] = t
+	if onTable != nil {
+		onTable(i, t)
+	}
+	for _, j := range p.bp.freeAt[i] {
+		p.release(2 * int64(len(p.tables[j].flats)))
+		p.tables[j].costs = nil
+	}
+	p.resetDigits(i)
+	return nil
 }

@@ -190,6 +190,16 @@ func classMates(rep []int, i int) (out []int) {
 	return out
 }
 
+// classesOf is the solver's table classes of the ordering over m.
+func classesOf(t *testing.T, m *cost.Model, sq *seq.Sequence, subsets [][][]int) []int {
+	t.Helper()
+	rep, err := newFrame(context.Background(), m, sq, subsets, Options{}, "").tableClasses()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func buildModel(t *testing.T, g *graph.Graph, spec machine.Spec, pol itspace.EnumPolicy, bo cost.BuildOptions) *cost.Model {
 	t.Helper()
 	m, err := cost.NewModelWith(context.Background(), g, spec, pol, bo)
@@ -233,11 +243,11 @@ func wantSharedStats(rep []int, tbl [][]float64, shapes []scanShape) (w sharedSt
 func requireSharingSolve(t *testing.T, label string, mi, mo *cost.Model, sq *seq.Sequence) ([]int, *Result) {
 	t.Helper()
 	subsets := seq.ConnectedSubsetsAll(mi.G, sq)
-	rep := tableClasses(mi, sq, subsets)
+	rep := classesOf(t, mi, sq, subsets)
 	if want := naiveClasses(mi, sq, subsets); !slices.Equal(rep, want) {
 		t.Fatalf("%s: classes %v, by definition %v", label, rep, want)
 	}
-	for i, r := range tableClasses(mo, sq, subsets) {
+	for i, r := range classesOf(t, mo, sq, subsets) {
 		if r != i {
 			t.Fatalf("%s: without interning position %d joined position %d", label, i, r)
 		}
@@ -461,7 +471,7 @@ func TestTableClassesShareExactlyTheTablesEqualByConstruction(t *testing.T) {
 		swapped := slices.Clone(subsets)
 		swapped[at] = slices.Clone(subsets[at])
 		swapped[at][0], swapped[at][1] = swapped[at][1], swapped[at][0]
-		srep := tableClasses(mi, sq, swapped)
+		srep := classesOf(t, mi, sq, swapped)
 		if want := naiveClasses(mi, sq, swapped); !slices.Equal(srep, want) {
 			t.Fatalf("%s: with two subsets of position %d swapped, classes %v, by definition %v", label, at, srep, want)
 		}

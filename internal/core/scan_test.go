@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -765,10 +766,10 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 		crossed, throughOldClasses)
 }
 
-// The scratch a fill returns to its pool must not keep any DP or cost table
-// alive: it may hold nothing a table slice could be stored in, only
-// pointer-free values and slices of pointer-free elements (indices and its own
-// cost buffers), directly or inside a nested struct.
+// The scratch a solve holds per worker across its fills must not keep any DP
+// or cost table alive: it may hold nothing a table slice could be stored in,
+// only pointer-free values and slices of pointer-free elements (indices and
+// its own cost buffers), directly or inside a nested struct.
 func TestPooledScratchCannotReferenceTables(t *testing.T) {
 	var check func(name string, typ reflect.Type)
 	check = func(name string, typ reflect.Type) {
@@ -785,6 +786,43 @@ func TestPooledScratchCannotReferenceTables(t *testing.T) {
 		}
 	}
 	check("fillScratch", reflect.TypeOf(fillScratch{}))
+}
+
+// A solve allocates its fill scratch itself, one per worker, so what it
+// allocates does not depend on whether a collection ran before it: a chunked
+// Workers: 2 solve right after two forced collections allocates the same
+// bytes, within 16, as a warm one. Two workers also make the runtime
+// allocate a few hundred bytes at random for its own waits (the sudogs of
+// channel and WaitGroup blocking, whose central cache a collection empties),
+// so each side is the least of eight solves.
+func TestFillAllocationIndependentOfGC(t *testing.T) {
+	forceChunks(t, 256, 64)
+	m := paperModel(t, "transformer", 8)
+	sq := seq.Generate(m.G)
+	least := func(collect bool) uint64 {
+		t.Helper()
+		lo := uint64(math.MaxUint64)
+		for range 8 {
+			if collect {
+				runtime.GC()
+				runtime.GC()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := Solve(context.Background(), m, sq, Options{Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			lo = min(lo, after.TotalAlloc-before.TotalAlloc)
+		}
+		return lo
+	}
+	least(false) // whatever a first call over the model sets up
+	afterGC, warm := least(true), least(false)
+	if d := int64(afterGC) - int64(warm); d < -16 || d > 16 {
+		t.Fatalf("a solve after two collections allocated %d B, a warm solve %d B: %d B apart, want ≤ 16", afterGC, warm, d)
+	}
+	t.Logf("after two collections %d B, warm %d B", afterGC, warm)
 }
 
 func hasPointers(t reflect.Type) bool {

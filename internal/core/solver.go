@@ -358,15 +358,14 @@ func sortEnts(a, tmp []baseEnt) {
 	}
 }
 
-// fillScratch is one chunk's odometer state — digit vector, row indices, the
+// fillScratch is one worker's odometer state — digit vector, row indices, the
 // sorted base vector with its merge buffer and the fast rows' current minima —
-// pooled so the many chunks of a big fill don't each allocate five slices. It
-// holds indices and its own buffers only: the current rows are re-sliced from
-// their source tables where they are read, so a pooled scratch can never pin a
-// freed, evicted or snapshot table, and the scan's inner loops store no
-// pointer into the heap. Contents are undefined on Get; every fill fully
-// initializes what it reads (digits are zeroed explicitly: scans only position
-// a subset of them).
+// held by the solve, one per worker, and grown per fill, so the many chunks of
+// a big fill don't each allocate five slices. It holds indices and its own
+// buffers only: the current rows are re-sliced from their source tables where
+// they are read, so a scratch never pins a freed table, and the scan's inner
+// loops store no pointer into the heap. A chunk fully initializes what it
+// reads (digits are zeroed explicitly: scans only position a subset of them).
 type fillScratch struct {
 	digits []int
 	ridx   []int64
@@ -375,27 +374,24 @@ type fillScratch struct {
 	fmin   []float64
 }
 
-var fillScratchPool = sync.Pool{New: func() any { return new(fillScratch) }}
-
+// grown is s resliced to n elements, or a new slice where s is too short.
+// A new slice's capacity is a multiple of 8 elements, so that the buffers of
+// two fill workers — 8- and 16-byte elements, allocated one after the other —
+// never share a cache line.
 func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, (n+7)&^7)
 	}
 	return s[:n]
 }
 
-func getFillScratch(ndep, nrows, kv, nfast int) *fillScratch {
-	sc := fillScratchPool.Get().(*fillScratch)
+func (sc *fillScratch) grow(ndep, nrows, kv, nfast int) {
 	sc.digits = grown(sc.digits, ndep)
 	sc.ridx = grown(sc.ridx, nrows)
 	sc.ents = grown(sc.ents, kv)
 	sc.tmp = grown(sc.tmp, kv)
 	sc.fmin = grown(sc.fmin, nfast)
-	clear(sc.digits)
-	return sc
 }
-
-func (sc *fillScratch) release() { fillScratchPool.Put(sc) }
 
 // cancelCheckMask sets the cancellation polling granularity inside a table
 // fill: every (cancelCheckMask+1) table entries each fill goroutine does one
@@ -616,7 +612,7 @@ func (s *Snapshot) EstimateDelta(m *cost.Model, dirtyV []bool) (dirty, total int
 // milliseconds, worker goroutines always drain before Solve returns (no
 // leaks), and a Background context costs the hot loop nothing.
 func Solve(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (*Result, error) {
-	res, _, err := solveRun(ctx, m, sq, opts, nil, nil, false)
+	res, _, err := solveExact(ctx, m, sq, opts, nil, nil, false)
 	return res, err
 }
 
@@ -625,7 +621,7 @@ func Solve(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (
 // price is that one quotient table per table class stays resident (outside
 // the MaxTableEntries budget) for as long as the snapshot is held.
 func SolveRetain(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (*Result, *Snapshot, error) {
-	return solveRun(ctx, m, sq, opts, nil, nil, true)
+	return solveExact(ctx, m, sq, opts, nil, nil, true)
 }
 
 // Resolve re-solves against model m reusing a prior solve's snapshot:
@@ -647,20 +643,7 @@ func Resolve(ctx context.Context, m *cost.Model, snap *Snapshot, dirtyV []bool, 
 	if len(snap.sq.Order) != n || len(dirtyV) != n {
 		return nil, nil, fmt.Errorf("core: snapshot covers %d vertices, model has %d (dirty set %d)", len(snap.sq.Order), n, len(dirtyV))
 	}
-	return solveRun(ctx, m, snap.sq, opts, snap, snap.posDirty(dirtyV), true)
-}
-
-// newStats starts a solve's Stats with what the model and the ordering fix
-// before any table is filled.
-func newStats(m *cost.Model, sq *seq.Sequence) Stats {
-	return Stats{
-		MaxDepSize:       sq.MaxDepSize(),
-		KEffective:       m.MaxK(),
-		VertexClasses:    m.VertexClasses(),
-		EdgeClasses:      m.EdgeClasses(),
-		TableBytes:       m.TableBytes(),
-		SharedTableBytes: m.SharedTableBytes(),
-	}
+	return solveExact(ctx, m, snap.sq, opts, snap, snap.posDirty(dirtyV), true)
 }
 
 // txRows returns the TX table of incidence entry ie of vertex v in the
@@ -682,7 +665,7 @@ func txRows(m *cost.Model, ie cost.IncEdge) []float64 {
 // of its vertex's TL row, the configuration count of every φ digit, the TX
 // table of every later neighbour and the digit that addresses it, and the
 // tables of its connected subsets with the map from each child's dependent
-// set to "the vertex itself" or a φ digit, TX tables and subsets in summation
+// set to φ digits (after the vertex itself), TX tables and subsets in summation
 // order. The key spells out exactly that, and two positions fall into one
 // class only when their keys are the same bytes (the map compares them), so
 // the fill, its digit classes, its candidate counts and every bit of the table
@@ -694,8 +677,10 @@ func txRows(m *cost.Model, ie cost.IncEdge) []float64 {
 // tables in common, so every position is its own class. A child is named by
 // its class, an index: this pass fixes the classes before any table exists,
 // so there is no table address to name it by. The pass reads the model, the
-// ordering and the subsets only, no table data.
-func tableClasses(m *cost.Model, sq *seq.Sequence, subsets [][][]int) []int {
+// ordering and the subsets only, no table data, and wires them as the fill
+// does (eachLaterEdge, childDigits).
+func (f *frame) tableClasses() ([]int, error) {
+	m, sq := f.m, f.sq
 	n := len(sq.Order)
 	rep := make([]int, n)
 	tables := make(map[*float64]int64)
@@ -709,38 +694,35 @@ func tableClasses(m *cost.Model, sq *seq.Sequence, subsets [][][]int) []int {
 		}
 		put(id)
 	}
-	digitOf := make([]int, n) // node → φ digit of the current position; 0 = absent
+	var digits []int
 	seen := make(map[string]int, n)
 	for i, v := range sq.Order {
 		key = key[:0]
 		putTable(m.TLRow(v))
 		put(int64(m.K(v)))
 		put(int64(len(sq.Dep[i])))
-		for k, d := range sq.Dep[i] {
-			put(int64(m.K(d)))
-			digitOf[d] = k + 1
+		f.setDigits(i)
+		for _, k := range f.kd {
+			put(int64(k))
 		}
-		for _, ie := range m.Incidence(v) {
-			if sq.Pos[ie.Other] <= i {
-				continue
-			}
+		err := f.eachLaterEdge(i, func(ie cost.IncEdge, dg int) {
 			putTable(txRows(m, ie))
-			put(int64(digitOf[ie.Other]))
-		}
+			put(int64(dg))
+		})
 		put(-1) // no table has this id: the TX sources end here
-		for _, sub := range subsets[i] {
-			j := sq.Pos[sub[len(sub)-1]]
+		for _, sub := range f.subsets[i] {
+			j := f.child(sub)
+			if err == nil {
+				digits, err = f.childDigits(i, j, digits)
+			}
 			put(int64(rep[j])) // D(j)'s size is part of the child's own key
-			for _, d := range sq.Dep[j] {
-				if d == v {
-					put(-1)
-				} else {
-					put(int64(digitOf[d]))
-				}
+			for _, dg := range digits {
+				put(int64(dg))
 			}
 		}
-		for _, d := range sq.Dep[i] {
-			digitOf[d] = 0
+		f.resetDigits(i)
+		if err != nil {
+			return nil, err
 		}
 		r, ok := seen[string(key)]
 		if !ok {
@@ -749,7 +731,7 @@ func tableClasses(m *cost.Model, sq *seq.Sequence, subsets [][][]int) []int {
 		}
 		rep[i] = r
 	}
-	return rep
+	return rep, nil
 }
 
 // freePlan is the liveness plan the exact and the beam solver share:
@@ -788,568 +770,504 @@ func freePlan(sq *seq.Sequence, subsets [][][]int, rep []int) [][]int {
 	return freeAt
 }
 
-// solveRun is the shared DP engine behind Solve, SolveRetain, and Resolve:
-// a full fill when posDirty is nil, a partial re-fill over the dirty
-// positions otherwise (clean positions alias snap's tables). In every mode
-// one table is filled per table class (see tableClasses) and the other
-// positions of the class are that table. retain keeps every table and returns
-// them as a Snapshot. Budget accounting is identical in all modes — a class is
-// charged once, and clean positions are charged and retired exactly as if they
-// had been filled — so ErrOOM semantics never depend on the mode.
-func solveRun(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options, snap *Snapshot, posDirty []bool, retain bool) (*Result, *Snapshot, error) {
-	g := m.G
-	n := g.Len()
-	if n == 0 {
-		return nil, nil, fmt.Errorf("core: empty graph")
-	}
-	if len(sq.Order) != n {
-		return nil, nil, fmt.Errorf("core: ordering covers %d of %d vertices", len(sq.Order), n)
-	}
+// exactSolve is one exact solve on its frame: the plan, the tables, and the
+// fill's worker pool with one scratch per worker. A Resolve (snap and
+// posDirty set) keeps the snapshot's clean tables; retain keeps every table
+// for a Snapshot. Tables live in their representative's slot and are read
+// through rep; the other slots stay nil until the snapshot is assembled.
+type exactSolve struct {
+	*frame
+	nw       int
+	pool     *fillPool
+	scratch  []fillScratch
+	rep      []int
+	freeAt   [][]int
+	tblSizes []int64
+	tbl      []*qtable
+	snap     *Snapshot
+	posDirty []bool
+	retain   bool
+}
 
-	budget := opts.maxEntries()
-	nw := opts.workers()
-	// Cancellation state shared by all fill goroutines: the first poll that
-	// observes ctx.Done() sets the flag, later polls exit on the cheaper
-	// atomic load, and the vertex loop converts it into ctx's error.
-	done := ctx.Done()
-	var cancelled atomic.Bool
-	cancelErr := func() error {
-		return fmt.Errorf("core: solve cancelled: %w", context.Cause(ctx))
+// solveExact is the exact kernel behind Solve, SolveRetain and Resolve, in
+// stages: plan, fill every position, back-substitute, then the result and,
+// when retaining, the snapshot. In every mode one table is filled per table
+// class (see tableClasses), and a class is charged and retired once, filled
+// or kept clean, so ErrOOM never depends on the mode.
+func solveExact(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options, snap *Snapshot, posDirty []bool, retain bool) (*Result, *Snapshot, error) {
+	if err := checkInput(m, sq); err != nil {
+		return nil, nil, err
 	}
-	// stopped is the poll the fill loops make every cancelCheckMask+1 entries.
-	stopped := func() bool {
-		if done == nil {
-			return false
-		}
-		if cancelled.Load() {
-			return true
-		}
-		select {
-		case <-done:
-			cancelled.Store(true)
-			return true
-		default:
-			return false
-		}
-	}
-	st := newStats(m, sq)
-
-	// The fill pool lives for the whole solve: every vertex's chunked table
-	// fill dispatches to the same nw−1 helpers (the calling goroutine is the
-	// nw-th worker).
-	var pool *fillPool
-	if nw > 1 {
-		pool = newFillPool(nw - 1)
-		defer pool.close()
-	}
-
 	// All connected subsets up front (one bitset pass): the recurrence lookup
-	// wiring, the table classes and the liveness plan (freePlan) need them. A
-	// Resolve reuses the snapshot's subsets — same graph topology, same
-	// ordering — but not its classes: those are the new model's.
+	// wiring, the table classes and the liveness plan need them. A Resolve
+	// reuses the snapshot's subsets — same graph topology, same ordering — but
+	// not its classes: those are the new model's.
 	var subsets [][][]int
 	if snap != nil {
 		subsets = snap.subsets
 	} else {
-		subsets = seq.ConnectedSubsetsAll(g, sq)
+		subsets = seq.ConnectedSubsetsAll(m.G, sq)
 	}
-	rep := tableClasses(m, sq, subsets)
-	freeAt := freePlan(sq, subsets, rep)
+	e := &exactSolve{frame: newFrame(ctx, m, sq, subsets, opts, ""), nw: opts.workers(), snap: snap, posDirty: posDirty, retain: retain}
+	if err := e.plan(); err != nil {
+		return nil, nil, err
+	}
+	// The fill pool lives for the whole solve: every chunked fill dispatches
+	// to the same nw−1 helpers (the calling goroutine is the nw-th worker).
+	if e.nw > 1 {
+		e.pool = newFillPool(e.nw - 1)
+		defer e.pool.close()
+	}
+	e.scratch = make([]fillScratch, e.nw)
+	for i := range sq.Order {
+		if err := e.position(i); err != nil {
+			return nil, nil, err
+		}
+	}
+	idx, err := e.backSubstitute(e.choiceAt)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The last position reads nothing after it and nothing reads its table, so
+	// its class's cost table — one cell, R_V(|V|, ∅) — is never freed.
+	res, err := e.result(idx, e.tbl[e.rep[len(idx)-1]].cost[0])
+	if err != nil || !retain {
+		return res, nil, err
+	}
+	for i, r := range e.rep {
+		e.tbl[i] = e.tbl[r]
+	}
+	return res, &Snapshot{sq: sq, subsets: subsets, tbl: e.tbl}, nil
+}
 
-	// Tables live in their representative's slot and are read through rep; the
-	// other slots stay nil until the snapshot is assembled. A table's costs are
-	// freed at the class's last reader; its choices stay for back-substitution.
-	tbl := make([]*qtable, n)
-
-	// Live-memory accounting in 4-byte units: a float64 cost cell is 2
-	// units, an int32 choice cell 1, so a full entry is 3. Freeing a cost
-	// table returns its 2 units per entry while the choice third stays live.
-	// The budget bounds the peak, not the total ever allocated — graphs
-	// whose tables die young fit in budgets their TotalEntries would blow. A
-	// table is charged its nominal Π K entries, not the Π classes it stores:
-	// which requests end in ErrOOM, and so which the planner degrades to the
-	// beam, is part of the served answer and does not move with the layout.
-	budgetUnits := 3 * budget
-
-	// Sizing pre-pass: table sizes, classes and the liveness plan need no
-	// fill, so a solve whose tables alone outgrow the budget fails here,
-	// before the first table is allocated, instead of seconds into the fills.
-	// The fill loop below repeats this accounting with the per-vertex scratch
-	// charged on top — the row minima, which a solve that passes here can
-	// still run out on, never the other way round.
-	tblSizes := make([]int64, n)
-	planned := int64(0)
+// plan fixes what the fills need before any table exists — the table
+// classes, the liveness plan and every table's nominal Π K size — and is the
+// sizing pre-pass: it replays the fill loop's charges on the ledger, so a
+// solve whose tables alone outgrow the budget fails here, before the first
+// table is allocated, instead of seconds into the fills. The fill loop
+// charges the row minima on top, which a solve that passes here can still run
+// out on, never the other way round. A table is charged 3 units per entry and
+// gives 2 back when its cost table dies, nominally: which requests end in
+// ErrOOM, and so which the planner degrades to the beam, is part of the
+// served answer and does not move with the quotient layout.
+func (e *exactSolve) plan() error {
+	m, sq := e.m, e.sq
+	n := len(sq.Order)
+	var err error
+	if e.rep, err = e.tableClasses(); err != nil {
+		return err
+	}
+	e.freeAt = freePlan(sq, e.subsets, e.rep)
+	e.tbl = make([]*qtable, n)
+	e.tblSizes = make([]int64, n)
 	for i, v := range sq.Order {
 		size := int64(1)
 		for _, d := range sq.Dep[i] {
-			if size *= int64(m.K(d)); size > budget {
-				return nil, nil, fmt.Errorf("%w: table for vertex %d needs >%d entries", ErrOOM, v, budget)
+			if size *= int64(m.K(d)); size > e.budget {
+				return fmt.Errorf("%w: table for vertex %d needs >%d entries", ErrOOM, v, e.budget)
 			}
 		}
-		tblSizes[i] = size
-		if rep[i] != i {
+		e.tblSizes[i] = size
+		if e.rep[i] != i {
 			continue
 		}
-		if planned += 3 * size; planned > budgetUnits {
-			return nil, nil, fmt.Errorf("%w: live tables at vertex %d exceed %d entries", ErrOOM, v, budget)
+		if err := e.charge(3*size, v); err != nil {
+			return err
 		}
-		for _, j := range freeAt[i] {
-			planned -= 2 * tblSizes[j]
+		for _, j := range e.freeAt[i] {
+			e.release(2 * e.tblSizes[j])
 		}
 	}
+	e.live, e.st.PeakLiveEntries = 0, 0
+	return nil
+}
 
-	liveUnits := int64(0)
-	// charge takes units of live memory for vertex v's fill and records the
-	// peak; where they would exceed the budget it takes nothing and fails.
-	charge := func(units int64, v int) error {
-		if liveUnits+units > budgetUnits {
-			return fmt.Errorf("%w: live tables at vertex %d exceed %d entries", ErrOOM, v, budget)
-		}
-		liveUnits += units
-		if live := (liveUnits + 2) / 3; live > st.PeakLiveEntries {
-			st.PeakLiveEntries = live
-		}
+// position is the fill loop's step at position i. A class member is its
+// representative's table — the bytes its own fill would produce — and is not
+// filled, charged or freed. A representative is charged, gets its table, and
+// retires the cost tables whose last reader it was: dropped for the
+// collector, unless the solve retains them for its snapshot.
+func (e *exactSolve) position(i int) error {
+	if e.stopped() {
+		return e.cancelErr()
+	}
+	size := e.tblSizes[i]
+	if e.rep[i] != i {
+		e.st.SharedPositions++
+		e.st.SharedEntries += size
 		return nil
 	}
+	e.st.TotalEntries += size
+	e.st.MaxTable = max(e.st.MaxTable, size)
+	if err := e.charge(3*size, e.sq.Order[i]); err != nil {
+		return err
+	}
+	q, err := e.table(i)
+	if err != nil {
+		return err
+	}
+	e.tbl[i] = q
+	for _, j := range e.freeAt[i] {
+		e.release(2 * e.tblSizes[j])
+		if !e.retain {
+			e.tbl[j].cost = nil
+		}
+	}
+	return nil
+}
 
-	// parChunk splits a fill's flat index range into contiguous fixed-size
-	// chunks claimed off an atomic counter by the pool's helpers plus the
-	// calling goroutine. Chunks write disjoint output ranges, so which worker
-	// runs which chunk is irrelevant to the bytes produced — results stay
-	// byte-identical at every worker count — while the dynamic claiming keeps
-	// all cores busy even when one chunk's scan is slower than another's.
-	parChunk := func(total int64, f func(lo, hi int64)) {
-		if nw <= 1 || total < parallelThreshold {
-			f(0, total)
+// table is representative position i's table: outside a Resolve's dirty
+// closure the snapshot's, verbatim — a fill would reproduce its bytes from
+// unchanged inputs — and a fresh fill everywhere else.
+func (e *exactSolve) table(i int) (*qtable, error) {
+	if e.posDirty == nil || e.posDirty[i] {
+		if e.posDirty != nil {
+			e.st.DirtyPositions++
+		}
+		return e.fill(i)
+	}
+	old, dep := e.snap.tbl[i], e.sq.Dep[i]
+	sameShape := len(old.dims) == len(dep)
+	for k := 0; sameShape && k < len(dep); k++ {
+		sameShape = old.k(k) == e.m.K(dep[k])
+	}
+	if !sameShape {
+		return nil, fmt.Errorf("core: resolve: clean position %d table is not of the shape the model implies (unsound dirty set?)", i)
+	}
+	e.st.ReusedEntries += e.tblSizes[i]
+	return old, nil
+}
+
+// wire lists the input rows of position i's scan, in summation order: the TX
+// row of every incident edge to a later vertex (costs straight from the
+// model's eager TX tables, in whichever orientation makes the scan over v's
+// own configuration contiguous), then the table row of every connected subset
+// of S(i), whose digit 0 is v (see qtable) and whose other digits are φ
+// digits, read through the child's classes. Nothing here mutates shared
+// state, so the parallel fill reads the sources freely.
+func (e *exactSolve) wire(i int) ([]rowSrc, error) {
+	kv := e.m.K(e.sq.Order[i])
+	var srcs []rowSrc
+	err := e.eachLaterEdge(i, func(ie cost.IncEdge, dg int) {
+		srcs = append(srcs, rowSrc{vals: txRows(e.m, ie), w: kv, digit: []int{dg}, dim: []int{e.kd[dg]}, cls: [][]int32{nil}})
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, sub := range e.subsets[i] {
+		jPos := e.child(sub)
+		digits, err := e.childDigits(i, jPos, nil)
+		if err != nil {
+			return nil, err
+		}
+		q := e.tbl[e.rep[jPos]]
+		srcs = append(srcs, rowSrc{vals: q.cost, w: q.dims[0], col: q.classOf[0], digit: digits, dim: q.dims[1:], cls: q.classOf[1:]})
+	}
+	return srcs, nil
+}
+
+// fill computes position i's table: wire its input rows, partition its
+// digits into classes the rows cannot tell apart, and scan once per class.
+func (e *exactSolve) fill(i int) (*qtable, error) {
+	dep := e.sq.Dep[i]
+	e.setDigits(i)
+	defer e.resetDigits(i)
+	srcs, err := e.wire(i)
+	if err != nil {
+		return nil, err
+	}
+
+	// rowDig lists, per φ digit, which row indices that digit moves and by
+	// what stride — the odometer then updates only what a digit change
+	// actually touches, instead of refolding and reslicing every row per
+	// entry.
+	rowDig := make([][]digUpd, len(dep))
+	for s := range srcs {
+		stride := int64(1)
+		for j, dg := range srcs[s].digit {
+			rowDig[dg] = append(rowDig[dg], digUpd{s, stride, srcs[s].cls[j]})
+			stride *= int64(srcs[s].dim[j])
+		}
+	}
+
+	// Quotient: the scan reads φ through its rows only, so two φ that
+	// select the same bits in every row share one scan. Each digit's values
+	// fall into classes the rows cannot tell apart (digitClasses); a digit
+	// no row reads, or with one configuration, has a single class. The
+	// table is one scan per combination of class representatives — subSize
+	// of them — and is stored that way (see qtable).
+	classOf, reps := digitClasses(srcs, e.kd, e.par, e.stopped)
+	if e.cancelled.Load() {
+		return nil, e.cancelErr()
+	}
+	q := &qtable{classOf: classOf, dims: make([]int, len(dep))}
+	subSize := int64(1)
+	for k := range dep {
+		q.dims[k] = len(reps[k])
+		subSize *= int64(len(reps[k]))
+	}
+	q.cost, q.choice = make([]float64, subSize), make([]int32, subSize)
+	if err := e.scan(e.sq.Order[i], q, srcs, rowDig, reps); err != nil {
+		return nil, err
+	}
+	// A cancelled fill returned early with a partial table; parChunk has
+	// already drained its goroutines, so this is the clean exit point.
+	if e.cancelled.Load() {
+		return nil, e.cancelErr()
+	}
+	return q, nil
+}
+
+// scan fills q, the quotient table of vertex v, by the bound-pruned scan
+// over the representatives reps of every digit.
+func (e *exactSolve) scan(v int, q *qtable, srcs []rowSrc, rowDig [][]digUpd, reps [][]int) error {
+	tlv := e.m.TLRow(v)
+	fastDigit := len(q.dims) // first digit with rows and K > 1; len(q.dims) when there is none
+	var scanDigits []int     // digits the scan odometer steps, fastest first
+	for k := range q.dims {
+		if fastDigit == len(q.dims) && len(rowDig[k]) > 0 && e.kd[k] > 1 {
+			fastDigit = k
+		}
+		if len(reps[k]) > 1 {
+			scanDigits = append(scanDigits, k)
+		}
+	}
+	// Fast rows are the ones fastDigit moves; every other row is constant
+	// between two steps of a slower digit and is hoisted, with the layer cost
+	// row, into the chunk's base vector. The split is by digit, not by class
+	// count: a fastDigit whose values all fall in one class never steps, but
+	// its rows are still summed last, so every table keeps the bits the
+	// unquotiented scan gives it.
+	var fastRows, slowRows []int
+	for s := range srcs {
+		if slices.Contains(srcs[s].digit, fastDigit) {
+			fastRows = append(fastRows, s)
+		} else {
+			slowRows = append(slowRows, s)
+		}
+	}
+	// A fast row's contribution is bounded below by its row minimum, built
+	// here once per vertex — one pass over the source table as stored — and
+	// charged against the budget at that length; the minima die with the
+	// fill.
+	minUnits := int64(0)
+	for _, s := range fastRows {
+		minUnits += 2 * int64(len(srcs[s].vals)/srcs[s].w)
+	}
+	if err := e.charge(minUnits, v); err != nil {
+		return err
+	}
+	defer e.release(minUnits)
+	for _, s := range fastRows {
+		src := &srcs[s]
+		w := int64(src.w)
+		src.mins = make([]float64, int64(len(src.vals))/w)
+		e.par(int64(len(src.mins)), func(lo, hi int64) {
+			for r := lo; r < hi; r++ {
+				src.mins[r] = slices.Min(src.vals[r*w : (r+1)*w])
+			}
+		})
+	}
+	done, cancelled, stopped, scratch := e.done, &e.cancelled, e.stopped, e.scratch
+	for w := range scratch {
+		scratch[w].grow(len(q.dims), len(srcs), len(tlv), len(fastRows))
+	}
+
+	// fillScan computes min_C over the flat range [lo, hi) of the table —
+	// the scan odometer over the representatives of every digit, first
+	// digit fastest — by branch and bound, in worker w's scratch. A
+	// candidate's cost is summed as ((tl + slow rows in row order) + fast
+	// rows in row order); the parenthesised base is rebuilt, and sorted
+	// ascending with ties by configuration index, only when a digit slower
+	// than fastDigit steps. Each entry walks the sorted base and stops at the
+	// first candidate whose base plus the fast rows' minima (added in the
+	// same order) already exceeds the best cost so far: floating-point
+	// addition is monotone, so that bound never exceeds the candidate's true
+	// cost nor the bound of any candidate after it. The stop test is strict
+	// and equal costs keep the smaller index, so value and argmin are exactly
+	// those of a linear scan over the same expression. Ranges are disjoint,
+	// all shared state is read-only and an entry's work depends on table
+	// data alone, so chunks run in parallel with byte-identical tables and
+	// state counts at any worker count and chunk size.
+	var scanned atomic.Int64
+	fillScan := func(w int, lo, hi int64) {
+		// A chunk claimed after cancellation returns before paying the
+		// odometer positioning.
+		if done != nil && cancelled.Load() {
 			return
 		}
-		chunk := fillChunkSize(total, nw)
-		var next atomic.Int64
-		run := func() {
-			for {
-				lo := (next.Add(1) - 1) * chunk
-				if lo >= total {
-					return
-				}
-				hi := lo + chunk
-				if hi > total {
-					hi = total
-				}
-				f(lo, hi)
+		sc := &scratch[w]
+		clear(sc.digits)
+		// digits holds each digit's position in its reps list.
+		digits, ridx, ents, fmin := sc.digits, sc.ridx, sc.ents, sc.fmin
+		row := func(s int) []float64 {
+			o := ridx[s] * int64(srcs[s].w)
+			return srcs[s].vals[o : o+int64(srcs[s].w)]
+		}
+		rebase := func() {
+			for c := range ents {
+				ents[c] = baseEnt{tlv[c], int32(c)}
 			}
-		}
-		helpers := nw - 1
-		if nc := (total + chunk - 1) / chunk; int64(helpers) > nc-1 {
-			helpers = int(nc - 1)
-		}
-		var wg sync.WaitGroup
-		wg.Add(helpers)
-		for w := 0; w < helpers; w++ {
-			pool.jobs <- func() {
-				defer wg.Done()
-				run()
-			}
-		}
-		run()
-		wg.Wait()
-	}
-
-	digitOf := make([]int, n) // dense node-ID → φ-digit map; -1 = absent
-	for j := range digitOf {
-		digitOf[j] = -1
-	}
-	var kd []int
-
-	for i := 0; i < n; i++ {
-		if done != nil && ctx.Err() != nil {
-			return nil, nil, cancelErr()
-		}
-		v := sq.Order[i]
-		dep := sq.Dep[i] // node IDs sorted by position, all after i
-		tblSize := tblSizes[i]
-		// A position that is not its class's representative is the
-		// representative's table — filled earlier in this run, or kept clean
-		// from the snapshot, and in both cases the bytes a fill of this
-		// position over m would produce. It is not filled, charged or freed.
-		if rep[i] != i {
-			st.SharedPositions++
-			st.SharedEntries += tblSize
-			continue
-		}
-		kd = kd[:0]
-		for k, d := range dep {
-			kd = append(kd, m.K(d))
-			digitOf[d] = k
-		}
-		st.TotalEntries += tblSize
-		if tblSize > st.MaxTable {
-			st.MaxTable = tblSize
-		}
-		if err := charge(3*tblSize, v); err != nil {
-			return nil, nil, err
-		}
-
-		// Incremental re-solve: a position outside the dirty closure keeps
-		// its snapshot table verbatim — its fill would reproduce the same
-		// bytes (unchanged TL/TX inputs, unchanged child tables) and so the
-		// same classes. It is charged and retired through the budget exactly
-		// like a filled table, so ErrOOM behavior matches the full solve.
-		if posDirty != nil && !posDirty[i] {
-			old := snap.tbl[i]
-			sameShape := len(old.dims) == len(kd)
-			for k := 0; sameShape && k < len(kd); k++ {
-				sameShape = old.k(k) == kd[k]
-			}
-			if !sameShape {
-				return nil, nil, fmt.Errorf("core: resolve: clean position %d table is not of the shape the model implies (unsound dirty set?)", i)
-			}
-			tbl[i] = old
-			st.ReusedEntries += tblSize
-			for _, j := range freeAt[i] {
-				liveUnits -= 2 * tblSizes[j]
-			}
-			for _, d := range dep {
-				digitOf[d] = -1
-			}
-			continue
-		}
-		if posDirty != nil {
-			st.DirtyPositions++
-		}
-
-		// The input rows of the scan, in summation order: the TX row of every
-		// incident edge to a later vertex (those endpoints are all in D(i);
-		// costs come straight from the model's eager TX tables, in whichever
-		// orientation makes the scan over v's own configuration contiguous),
-		// then the table row of every connected subset of S(i), whose digit 0
-		// is v (see qtable) and whose other digits are φ digits, read through
-		// the child's classes. Nothing here mutates shared state, so the
-		// parallel fill below reads the sources freely.
-		kv := m.K(v)
-		tlv := m.TLRow(v)
-		var srcs []rowSrc
-		for _, ie := range m.Incidence(v) {
-			if sq.Pos[ie.Other] <= i { // earlier neighbours and self-loops
-				continue
-			}
-			dg := digitOf[ie.Other]
-			if dg < 0 {
-				return nil, nil, fmt.Errorf("core: later neighbour %d of %d missing from D(%d)", ie.Other, v, i)
-			}
-			srcs = append(srcs, rowSrc{vals: txRows(m, ie), w: kv, digit: []int{dg}, dim: []int{kd[dg]}, cls: [][]int32{nil}})
-		}
-		for _, sub := range subsets[i] {
-			jPos := sq.Pos[sub[len(sub)-1]]
-			dj := sq.Dep[jPos]
-			if len(dj) == 0 || dj[0] != v {
-				return nil, nil, fmt.Errorf("core: v(%d) is not the first member of D(%d): ordering's dependent sets are inconsistent", i, jPos)
-			}
-			q := tbl[rep[jPos]]
-			rs := rowSrc{vals: q.cost, w: q.dims[0], col: q.classOf[0], dim: q.dims[1:], cls: q.classOf[1:]}
-			for _, d := range dj[1:] {
-				if digitOf[d] < 0 {
-					return nil, nil, fmt.Errorf("core: D(%d) member %d not in D(%d) ∪ {v(%d)}: ordering's dependent sets are inconsistent", jPos, d, i, i)
-				}
-				rs.digit = append(rs.digit, digitOf[d])
-			}
-			srcs = append(srcs, rs)
-		}
-
-		// rowDig lists, per φ digit, which row indices that digit moves and by
-		// what stride — the odometer then updates only what a digit change
-		// actually touches, instead of refolding and reslicing every row per
-		// entry.
-		rowDig := make([][]digUpd, len(dep))
-		for s := range srcs {
-			stride := int64(1)
-			for j, dg := range srcs[s].digit {
-				rowDig[dg] = append(rowDig[dg], digUpd{s, stride, srcs[s].cls[j]})
-				stride *= int64(srcs[s].dim[j])
-			}
-		}
-
-		// Quotient: the scan reads φ through its rows only, so two φ that
-		// select the same bits in every row share one scan. Each digit's values
-		// fall into classes the rows cannot tell apart (digitClasses); a digit
-		// no row reads, or with one configuration, has a single class. The
-		// table is one scan per combination of class representatives — subSize
-		// of them — and is stored that way (see qtable).
-		classOf, reps := digitClasses(srcs, kd, parChunk, stopped)
-		if cancelled.Load() {
-			return nil, nil, cancelErr()
-		}
-		q := &qtable{classOf: classOf, dims: make([]int, len(dep))}
-		subSize := int64(1)
-		fastDigit := len(dep) // first digit with rows and K > 1; len(dep) when there is none
-		var scanDigits []int  // digits the scan odometer steps, fastest first
-		for k := range dep {
-			q.dims[k] = len(reps[k])
-			subSize *= int64(len(reps[k]))
-			if fastDigit == len(dep) && len(rowDig[k]) > 0 && kd[k] > 1 {
-				fastDigit = k
-			}
-			if len(reps[k]) > 1 {
-				scanDigits = append(scanDigits, k)
-			}
-		}
-
-		// Bound-pruned scan wiring. Fast rows are the ones fastDigit moves;
-		// every other row is constant between two steps of a slower digit and
-		// is hoisted, with the layer cost row, into the chunk's base vector (see
-		// fillScan). The split is by digit, not by class count: a fastDigit
-		// whose values all fall in one class never steps, but its rows are
-		// still summed last, so every table keeps the bits the unquotiented scan
-		// gives it.
-		var fastRows, slowRows []int
-		for s := range srcs {
-			if slices.Contains(srcs[s].digit, fastDigit) {
-				fastRows = append(fastRows, s)
-			} else {
-				slowRows = append(slowRows, s)
-			}
-		}
-		// A fast row's contribution is bounded below by its row minimum, built
-		// here once per vertex — one pass over the source table as stored — and
-		// charged against the budget at that length.
-		minUnits := int64(0)
-		for _, s := range fastRows {
-			minUnits += 2 * int64(len(srcs[s].vals)/srcs[s].w)
-		}
-		if err := charge(minUnits, v); err != nil {
-			return nil, nil, err
-		}
-		for _, s := range fastRows {
-			src := &srcs[s]
-			w := int64(src.w)
-			src.mins = make([]float64, int64(len(src.vals))/w)
-			parChunk(int64(len(src.mins)), func(lo, hi int64) {
-				for r := lo; r < hi; r++ {
-					src.mins[r] = slices.Min(src.vals[r*w : (r+1)*w])
-				}
-			})
-		}
-
-		q.cost, q.choice = make([]float64, subSize), make([]int32, subSize)
-
-		// fillScan computes min_C over the flat range [lo, hi) of the table —
-		// the scan odometer over the representatives of every digit, first
-		// digit fastest — by branch and bound. A candidate's cost is summed as
-		// ((tl + slow rows in row order) + fast rows in row order); the
-		// parenthesised base is rebuilt, and sorted ascending with ties by
-		// configuration index, only when a digit slower than fastDigit steps.
-		// Each entry walks the sorted base and stops at the first candidate
-		// whose base plus the fast rows' minima (added in the same order)
-		// already exceeds the best cost so far: floating-point addition is
-		// monotone, so that bound never exceeds the candidate's true cost nor
-		// the bound of any candidate after it. The stop test is strict and
-		// equal costs keep the smaller index, so value and argmin are exactly
-		// those of a linear scan over the same expression. Ranges are disjoint,
-		// all shared state is read-only and an entry's work depends on table
-		// data alone, so chunks run in parallel with byte-identical tables and
-		// state counts at any worker count and chunk size.
-		var scanned atomic.Int64
-		fillScan := func(lo, hi int64) {
-			// A chunk claimed after cancellation returns before paying the
-			// odometer positioning.
-			if done != nil && cancelled.Load() {
-				return
-			}
-			sc := getFillScratch(len(dep), len(srcs), kv, len(fastRows))
-			defer sc.release()
-			// digits holds each digit's position in its reps list.
-			digits, ridx, ents, fmin := sc.digits, sc.ridx, sc.ents, sc.fmin
-			row := func(s int) []float64 {
-				o := ridx[s] * int64(srcs[s].w)
-				return srcs[s].vals[o : o+int64(srcs[s].w)]
-			}
-			rebase := func() {
-				for c := range ents {
-					ents[c] = baseEnt{tlv[c], int32(c)}
-				}
-				for _, s := range slowRows {
-					if f, col := row(s), srcs[s].col; col == nil {
-						for c, x := range f {
-							ents[c].b += x
-						}
-					} else {
-						for c, cc := range col {
-							ents[c].b += f[cc]
-						}
-					}
-				}
-				sortEnts(ents, sc.tmp)
-			}
-			// Position the incremental state at flat index lo of the scan
-			// odometer.
-			rem := lo
-			clear(ridx)
-			for _, k := range scanDigits {
-				n := int64(len(reps[k]))
-				digits[k] = int(rem % n)
-				rem /= n
-				for _, u := range rowDig[k] {
-					ridx[u.i] += int64(classIn(u.cls, reps[k][digits[k]])) * u.stride
-				}
-			}
-			rebase()
-			evaluated := int64(0)
-			defer func() { scanned.Add(evaluated) }()
-			for flat := lo; flat < hi; flat++ {
-				if flat&cancelCheckMask == 0 && stopped() {
-					return
-				}
-				best := math.Inf(1)
-				bestC := int32(0)
-				n := 0
-				if len(fastRows) == 1 { // the common shape, unrolled
-					s := fastRows[0]
-					f, col, lb := row(s), srcs[s].col, srcs[s].mins[ridx[s]]
-					for ; n < len(ents); n++ {
-						e := ents[n]
-						if e.b+lb > best {
-							break
-						}
-						cc := e.c
-						if col != nil {
-							cc = col[cc]
-						}
-						if cst := e.b + f[cc]; cst < best || cst == best && e.c < bestC {
-							best, bestC = cst, e.c
-						}
+			for _, s := range slowRows {
+				if f, col := row(s), srcs[s].col; col == nil {
+					for c, x := range f {
+						ents[c].b += x
 					}
 				} else {
-					for j, s := range fastRows {
-						fmin[j] = srcs[s].mins[ridx[s]]
-					}
-					for ; n < len(ents); n++ {
-						e := ents[n]
-						bound := e.b
-						for _, lb := range fmin {
-							bound += lb
-						}
-						if bound > best {
-							break
-						}
-						cst := e.b
-						for _, s := range fastRows {
-							cst += row(s)[classIn(srcs[s].col, int(e.c))]
-						}
-						if cst < best || cst == best && e.c < bestC {
-							best, bestC = cst, e.c
-						}
+					for c, cc := range col {
+						ents[c].b += f[cc]
 					}
 				}
-				evaluated += int64(n)
-				q.cost[flat] = best
-				q.choice[flat] = bestC
-
-				// Odometer increment: the stepping digit moves to its next
-				// representative, the wrapped ones back to value 0 (class 0 of
-				// every row), updating only the rows those digits stride through.
-				slowStep := false
-				for _, k := range scanDigits {
-					r := reps[k]
-					at := digits[k]
-					if at+1 < len(r) {
-						digits[k] = at + 1
-						for _, u := range rowDig[k] {
-							ridx[u.i] += int64(classIn(u.cls, r[at+1])-classIn(u.cls, r[at])) * u.stride
-						}
-						slowStep = k > fastDigit
+			}
+			sortEnts(ents, sc.tmp)
+		}
+		// Position the incremental state at flat index lo of the scan
+		// odometer.
+		rem := lo
+		clear(ridx)
+		for _, k := range scanDigits {
+			n := int64(len(reps[k]))
+			digits[k] = int(rem % n)
+			rem /= n
+			for _, u := range rowDig[k] {
+				ridx[u.i] += int64(classIn(u.cls, reps[k][digits[k]])) * u.stride
+			}
+		}
+		rebase()
+		evaluated := int64(0)
+		defer func() { scanned.Add(evaluated) }()
+		for flat := lo; flat < hi; flat++ {
+			if flat&cancelCheckMask == 0 && stopped() {
+				return
+			}
+			best := math.Inf(1)
+			bestC := int32(0)
+			n := 0
+			if len(fastRows) == 1 { // the common shape, unrolled
+				s := fastRows[0]
+				f, col, lb := row(s), srcs[s].col, srcs[s].mins[ridx[s]]
+				for ; n < len(ents); n++ {
+					e := ents[n]
+					if e.b+lb > best {
 						break
 					}
-					digits[k] = 0
-					for _, u := range rowDig[k] {
-						ridx[u.i] -= int64(classIn(u.cls, r[at])) * u.stride
+					cc := e.c
+					if col != nil {
+						cc = col[cc]
+					}
+					if cst := e.b + f[cc]; cst < best || cst == best && e.c < bestC {
+						best, bestC = cst, e.c
 					}
 				}
-				if slowStep {
-					rebase()
+			} else {
+				for j, s := range fastRows {
+					fmin[j] = srcs[s].mins[ridx[s]]
+				}
+				for ; n < len(ents); n++ {
+					e := ents[n]
+					bound := e.b
+					for _, lb := range fmin {
+						bound += lb
+					}
+					if bound > best {
+						break
+					}
+					cst := e.b
+					for _, s := range fastRows {
+						cst += row(s)[classIn(srcs[s].col, int(e.c))]
+					}
+					if cst < best || cst == best && e.c < bestC {
+						best, bestC = cst, e.c
+					}
 				}
 			}
-		}
-		parChunk(subSize, fillScan)
-		st.States += scanned.Load()
-		st.ScanSpace += subSize * int64(kv)
-		liveUnits -= minUnits // the row minima die with the fill
-		// A cancelled fill returned early with a partial table; parChunk has
-		// already drained its goroutines, so this is the clean exit point.
-		if cancelled.Load() {
-			return nil, nil, cancelErr()
-		}
-		tbl[i] = q
+			evaluated += int64(n)
+			q.cost[flat] = best
+			q.choice[flat] = bestC
 
-		// Retire cost tables whose last reader was this position — dropping
-		// them for the collector (a retaining solve only does the accounting:
-		// every table lives on in the snapshot) — and reset the dense digit
-		// map for the next vertex.
-		for _, j := range freeAt[i] {
-			liveUnits -= 2 * tblSizes[j]
-			if !retain {
-				tbl[j].cost = nil
+			// Odometer increment: the stepping digit moves to its next
+			// representative, the wrapped ones back to value 0 (class 0 of
+			// every row), updating only the rows those digits stride through.
+			slowStep := false
+			for _, k := range scanDigits {
+				r := reps[k]
+				at := digits[k]
+				if at+1 < len(r) {
+					digits[k] = at + 1
+					for _, u := range rowDig[k] {
+						ridx[u.i] += int64(classIn(u.cls, r[at+1])-classIn(u.cls, r[at])) * u.stride
+					}
+					slowStep = k > fastDigit
+					break
+				}
+				digits[k] = 0
+				for _, u := range rowDig[k] {
+					ridx[u.i] -= int64(classIn(u.cls, r[at])) * u.stride
+				}
+			}
+			if slowStep {
+				rebase()
 			}
 		}
-		for _, d := range dep {
-			digitOf[d] = -1
-		}
 	}
+	e.parChunk(int64(len(q.cost)), fillScan)
+	e.st.States += scanned.Load()
+	e.st.ScanSpace += int64(len(q.cost)) * int64(len(tlv))
+	return nil
+}
 
-	// Extract the strategy by back-substitution from v(|V|) with φ = ∅.
-	idx := make([]int, n)
-	assigned := make([]bool, n)
-	var walk func(pos int) error
-	walk = func(pos int) error {
-		v := sq.Order[pos]
-		dj := sq.Dep[pos]
-		q := tbl[rep[pos]]
-		flat, stride := 0, 1
-		for k, d := range dj { // the entry of φ is the entry of φ's classes
-			if !assigned[d] {
-				return fmt.Errorf("core: back-substitution reached %d before its dependent %d", v, d)
+// parChunk splits a fill's flat index range into contiguous fixed-size chunks
+// claimed off an atomic counter by the pool's helpers plus the calling
+// goroutine, handing each chunk the index of the worker that runs it (the
+// caller is worker 0), so a chunk can use that worker's scratch. Chunks write
+// disjoint output ranges, so which worker runs which chunk is irrelevant to
+// the bytes produced — results stay byte-identical at every worker count —
+// while the dynamic claiming keeps all cores busy even when one chunk's scan
+// is slower than another's.
+func (e *exactSolve) parChunk(total int64, f func(w int, lo, hi int64)) {
+	if e.nw <= 1 || total < parallelThreshold {
+		f(0, 0, total)
+		return
+	}
+	chunk := fillChunkSize(total, e.nw)
+	var next atomic.Int64
+	run := func(w int) {
+		for {
+			lo := (next.Add(1) - 1) * chunk
+			if lo >= total {
+				return
 			}
-			flat += classIn(q.classOf[k], idx[d]) * stride
-			stride *= q.dims[k]
-		}
-		idx[v] = int(q.choice[flat])
-		assigned[v] = true
-		for _, sub := range subsets[pos] {
-			if err := walk(sq.Pos[sub[len(sub)-1]]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(n - 1); err != nil {
-		return nil, nil, err
-	}
-	for v := 0; v < n; v++ {
-		if !assigned[v] {
-			return nil, nil, fmt.Errorf("core: back-substitution left node %d unassigned (graph not weakly connected?)", v)
+			f(w, lo, min(lo+chunk, total))
 		}
 	}
+	helpers := min(e.nw-1, int((total+chunk-1)/chunk)-1)
+	var wg sync.WaitGroup
+	wg.Add(helpers)
+	for w := 1; w <= helpers; w++ {
+		e.pool.jobs <- func() {
+			defer wg.Done()
+			run(w)
+		}
+	}
+	run(0)
+	wg.Wait()
+}
 
-	// The last position reads nothing after it and nothing reads its table, so
-	// its class's cost table — one cell, R_V(|V|, ∅) — is never freed.
-	res := &Result{
-		Cost:     tbl[rep[n-1]].cost[0],
-		Idx:      idx,
-		Strategy: m.StrategyFromIdx(idx),
-		Seq:      sq,
-		Stats:    st,
+// par is parChunk for a pass that needs no scratch.
+func (e *exactSolve) par(total int64, f func(lo, hi int64)) {
+	e.parChunk(total, func(_ int, lo, hi int64) { f(lo, hi) })
+}
+
+// choiceAt is the choice of position pos's table under the configurations
+// idx fixes for D(pos): the entry of φ is the entry of φ's classes.
+func (e *exactSolve) choiceAt(pos int, idx []int) (int, error) {
+	q := e.tbl[e.rep[pos]]
+	flat, stride := 0, 1
+	for k, d := range e.sq.Dep[pos] {
+		flat += classIn(q.classOf[k], idx[d]) * stride
+		stride *= q.dims[k]
 	}
-	// Theorem 1 consistency: the extracted strategy must realize the DP
-	// minimum. Guard against wiring bugs rather than silently returning an
-	// inconsistent pair.
-	if ev := m.EvalIdx(idx); math.Abs(ev-res.Cost) > 1e-6*math.Max(1, math.Abs(ev)) {
-		return nil, nil, fmt.Errorf("core: extracted strategy costs %v but DP minimum is %v", ev, res.Cost)
-	}
-	if !retain {
-		return res, nil, nil
-	}
-	for i, r := range rep {
-		tbl[i] = tbl[r]
-	}
-	return res, &Snapshot{sq: sq, subsets: subsets, tbl: tbl}, nil
+	return int(q.choice[flat]), nil
 }
 
 // BruteForce exhaustively enumerates every strategy. It is exponential and

@@ -141,40 +141,17 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 		f := &fault{}
 		f.remaining.Store(-1)
 		countArg := ""
-		switch parts[1] {
-		case "oom":
-			f.kind = FaultOOM
+		kind, countOnly := countOnlyKinds[parts[1]]
+		switch {
+		case countOnly:
+			f.kind = kind
 			if len(parts) > 3 {
-				return nil, fmt.Errorf("pressure: fault %q: want site:oom[:count]", entry)
+				return nil, fmt.Errorf("pressure: fault %q: want site:%s[:count]", entry, parts[1])
 			}
 			if len(parts) == 3 {
 				countArg = parts[2]
 			}
-		case "panic":
-			f.kind = FaultPanic
-			if len(parts) > 3 {
-				return nil, fmt.Errorf("pressure: fault %q: want site:panic[:count]", entry)
-			}
-			if len(parts) == 3 {
-				countArg = parts[2]
-			}
-		case "error":
-			f.kind = FaultError
-			if len(parts) > 3 {
-				return nil, fmt.Errorf("pressure: fault %q: want site:error[:count]", entry)
-			}
-			if len(parts) == 3 {
-				countArg = parts[2]
-			}
-		case "drop":
-			f.kind = FaultDrop
-			if len(parts) > 3 {
-				return nil, fmt.Errorf("pressure: fault %q: want site:drop[:count]", entry)
-			}
-			if len(parts) == 3 {
-				countArg = parts[2]
-			}
-		case "latency":
+		case parts[1] == "latency":
 			f.kind = FaultLatency
 			if len(parts) < 3 || len(parts) > 4 {
 				return nil, fmt.Errorf("pressure: fault %q: want site:latency:duration[:count]", entry)
@@ -201,6 +178,9 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	}
 	return p, nil
 }
+
+// countOnlyKinds are the kinds whose one optional argument is a count.
+var countOnlyKinds = map[string]FaultKind{"oom": FaultOOM, "panic": FaultPanic, "error": FaultError, "drop": FaultDrop}
 
 func contains(ss []string, s string) bool {
 	for _, v := range ss {

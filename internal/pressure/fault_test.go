@@ -20,6 +20,7 @@ func TestFaultPlanParseErrors(t *testing.T) {
 		"dp:latency:fast",    // bad duration
 		"dp:latency:-1s",     // non-positive duration
 		"dp:oom:1:2",         // too many args
+		"solve:panic:1:2",    // too many args
 		"solve:latency:1s:0", // bad count
 		"dp:latency:1s:2:3",  // too many args
 		"peer:error:0",       // count must be >= 1

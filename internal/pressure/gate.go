@@ -141,10 +141,10 @@ func (g *Gate) Acquire(ctx context.Context, priority int) (depth int, err error)
 		g.mu.Unlock()
 		return 0, nil
 	}
-	if len(g.queue) >= g.maxQueue {
+	if depth = len(g.queue); depth >= g.maxQueue {
 		g.shed++
 		g.mu.Unlock()
-		return len(g.queue), ErrShed
+		return depth, ErrShed
 	}
 	w := &waiter{prio: priority, seq: g.seq, ch: make(chan struct{})}
 	g.seq++

@@ -445,6 +445,31 @@ func ExportStrategy(model string, g *Graph, s Strategy, devices int, costSeconds
 	return export.FromStrategy(model, g, s, devices, costSeconds)
 }
 
+// ExportResult is ExportStrategy for a solve's result: the document carries
+// its strategy and cost and what the result records of how it was solved.
+func ExportResult(model string, g *Graph, res *Result, devices int) (*StrategyDocument, error) {
+	doc, err := ExportStrategy(model, g, res.Strategy, devices, res.Cost)
+	if err != nil {
+		return nil, err
+	}
+	doc.Fingerprint = res.Fingerprint
+	doc.Method = res.Method
+	doc.KEffective = res.KEffective
+	doc.VertexClasses = res.VertexClasses
+	doc.EdgeClasses = res.EdgeClasses
+	doc.TableBytes = res.TableBytes
+	doc.SharedTableBytes = res.SharedTableBytes
+	doc.ClassStoreHits = res.ClassStoreHits
+	doc.ClassStoreBytes = res.ClassStoreBytes
+	doc.DeltaResolve = res.DeltaResolve
+	doc.Gap = res.Gap
+	doc.Exact = res.Exact
+	doc.BeamWidth = res.BeamWidth
+	doc.Degraded = res.Degraded
+	doc.DegradeReason = res.DegradeReason
+	return doc, nil
+}
+
 // ImportStrategy parses a strategy document and validates it against the
 // graph.
 func ImportStrategy(r io.Reader, g *Graph) (Strategy, error) {
