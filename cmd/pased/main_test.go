@@ -141,6 +141,21 @@ func TestSolveValidation(t *testing.T) {
 	}
 }
 
+// A uniform machine with a NaN or infinite rate is a bad request: before
+// machine.Parse rejected them, NaN flops failed as a 500 when the +Inf cost
+// could not be encoded, and an infinite inter-node bandwidth was solved.
+func TestSolveRejectsNonFiniteMachineRates(t *testing.T) {
+	ts := newTestServer(t)
+	for _, body := range []string{
+		`{"model":"alexnet","gpus":8,"machine":"uniform:8:nan:12e9:10e9"}`,
+		`{"model":"alexnet","gpus":32,"machine":"uniform:8:11e12:12e9:inf"}`,
+	} {
+		if status, out := postJSON(t, ts.URL+"/v1/solve", body); status != http.StatusBadRequest || out["code"] != "bad_request" {
+			t.Errorf("solve(%s) = %d %v, want 400 bad_request", body, status, out)
+		}
+	}
+}
+
 func TestBatchMixedValidAndInvalid(t *testing.T) {
 	ts := newTestServer(t)
 	status, out := postJSON(t, ts.URL+"/v1/batch", `{"requests":[

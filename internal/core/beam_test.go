@@ -361,28 +361,36 @@ func TestExactOptimumBracketsTheBeamOnDeepGPT(t *testing.T) {
 // A beam pass allocates its scratch itself, so what one pass allocates does
 // not depend on whether a collection ran before it: one W=32 pass on
 // gptdeep:12 at p=32 — the benchmark's beam graph — right after two forced
-// collections allocates within 1 % of a pass that follows another pass.
+// collections allocates the same bytes, within 16, as a warm pass. The
+// runtime itself allocates a few kilobytes now and then (under -race more
+// often), so each side is the least of eight passes, as in
+// TestFillAllocationIndependentOfGC.
 func TestBeamPassAllocationIndependentOfGC(t *testing.T) {
 	m := paperModel(t, "gptdeep:12", 32)
 	sq := seq.Generate(m.G)
 	opts := BeamOptions{Options: Options{Workers: 1}, Width: 32, GapTarget: -1}
-	allocated := func() uint64 {
+	least := func(collect bool) uint64 {
 		t.Helper()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := SolveBeam(context.Background(), m, sq, opts); err != nil {
-			t.Fatal(err)
+		lo := uint64(math.MaxUint64)
+		for range 8 {
+			if collect {
+				runtime.GC()
+				runtime.GC()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := SolveBeam(context.Background(), m, sq, opts); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			lo = min(lo, after.TotalAlloc-before.TotalAlloc)
 		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return lo
 	}
-	allocated() // whatever a first call over the model sets up
-	runtime.GC()
-	runtime.GC()
-	afterGC := allocated()
-	warm := allocated()
-	if d := math.Abs(float64(afterGC)/float64(warm) - 1); d > 0.01 {
-		t.Fatalf("a pass after two collections allocated %d B, a warm pass %d B: %.1f %% apart, want ≤ 1 %%", afterGC, warm, 100*d)
+	least(false) // whatever a first call over the model sets up
+	afterGC, warm := least(true), least(false)
+	if d := int64(afterGC) - int64(warm); d < -16 || d > 16 {
+		t.Fatalf("a pass after two collections allocated %d B, a warm pass %d B: %d B apart, want ≤ 16", afterGC, warm, d)
 	}
 	t.Logf("after two collections %d B, warm %d B", afterGC, warm)
 }

@@ -256,14 +256,6 @@ func TXBytes(u, v *graph.Node, inIdx int, cu, cv itspace.Config) float64 {
 	}
 	gus := granularities(out, u.Space, cu, s)
 	gvs := granularities(in, v.Space, cv, s)
-	return txVolumeBytes(s, gus, gvs, out.EffScale())
-}
-
-// txVolumeBytes is the needed-minus-held arithmetic of TXBytes over
-// precomputed per-dim granularities of both sides. The eager table build
-// hoists s and the granularity vectors per edge row/column and calls this
-// per (cu, cv) cell.
-func txVolumeBytes(s, gus, gvs []float64, scale float64) float64 {
 	need, have, held := 1.0, 1.0, 1.0
 	for t := range s {
 		gu, gv := gus[t], gvs[t]
@@ -271,6 +263,7 @@ func txVolumeBytes(s, gus, gvs []float64, scale float64) float64 {
 		held *= s[t] / gu
 		have *= s[t] / math.Max(gu, gv)
 	}
+	scale := out.EffScale()
 	fwd := (need - have) * scale // consumer shortfall: activations
 	bwd := (held - have) * scale // producer shortfall: gradients
 	if fwd < 0 {

@@ -2,7 +2,9 @@ package cost
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -241,13 +243,10 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	for i, e := range m.edges {
 		m.txKv[i] = len(m.cfgs[e[1]])
 	}
-	// Phase 2: every TX table, one edge class per pool task. The solver and
-	// the MCMC search then only read plain slices — no lazy memoization left
-	// to race on, and no per-vertex materialization pass in the DP. Per
-	// edge, the tensor extents are fixed and each side's granularity vector
-	// depends only on its own configuration, so they are computed once per
-	// row/column instead of per cell; the Ku×Kv fill is then pure arithmetic
-	// with no allocation.
+	// Phase 2: every TX table, one edge class per pool task (txTables). The
+	// solver and the MCMC search then only read plain slices — no lazy
+	// memoization left to race on, and no per-vertex materialization pass in
+	// the DP.
 	txBW := GroupBW(spec, float64(spec.Devices))
 	classE := make([]edgeTables, len(plan.eReps))
 	classErr = make([]error, len(plan.eReps))
@@ -255,37 +254,8 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 		classE[ci], classErr[ci] = resolveClass(store, &traffic, plan.eFPs, ci, func() (edgeTables, int64, error) {
 			e := plan.eReps[ci]
 			u, v := m.edges[e][0], m.edges[e][1]
-			nu, nv := g.Nodes[u], g.Nodes[v]
-			out, in := nu.Output, nv.Inputs[m.inSlot[e]]
-			ku, kv := len(m.cfgs[u]), m.txKv[e]
-			nd := len(out.Map)
-			s := make([]float64, nd)
-			for t := range out.Map {
-				s[t] = float64(out.Extent(nu.Space, t))
-			}
-			gus := make([]float64, ku*nd)
-			for cu := 0; cu < ku; cu++ {
-				granularitiesInto(gus[cu*nd:cu*nd+nd], out, nu.Space, m.cfgs[u][cu], s)
-			}
-			gvs := make([]float64, kv*nd)
-			for cv := 0; cv < kv; cv++ {
-				granularitiesInto(gvs[cv*nd:cv*nd+nd], in, nv.Space, m.cfgs[v][cv], s)
-			}
-			scale := out.EffScale()
-			tab := make([]float64, ku*kv)
-			tabT := make([]float64, ku*kv)
-			for cu := 0; cu < ku; cu++ {
-				gu := gus[cu*nd : cu*nd+nd]
-				for cv := 0; cv < kv; cv++ {
-					c := 0.0
-					if bytes := txVolumeBytes(s, gu, gvs[cv*nd:cv*nd+nd], scale); bytes > 0 {
-						c = bytes/txBW + spec.LatencySec
-					}
-					tab[cu*kv+cv] = c
-					tabT[cv*ku+cu] = c
-				}
-			}
-			return edgeTables{tab: tab, tabT: tabT}, int64(len(tab)) * 16, nil
+			t := txTables(g.Nodes[u], g.Nodes[v], m.inSlot[e], m.cfgs[u], m.cfgs[v], txBW, spec.LatencySec)
+			return t, int64(len(t.tab)) * 16, nil
 		})
 	})
 	if err := buildErr(ctx, classErr); err != nil {
@@ -327,6 +297,106 @@ func buildErr(ctx context.Context, classErr []error) error {
 		}
 	}
 	return nil
+}
+
+// txSide is one side of an edge's TX table. Per configuration c it holds the
+// quotient vector q[c·nd+t] = s[t]/g[t] of the edge tensor's extents by the
+// granularities that side imposes, their product prod[c] (multiplied in t
+// order, as TXBytes does), and rep[c], the first configuration whose
+// quotient vector has the same bytes.
+type txSide struct {
+	q    []float64
+	prod []float64
+	rep  []int
+}
+
+func newTXSide(ref graph.TensorRef, sp itspace.Space, cfgs []itspace.Config, s []float64) txSide {
+	nd := len(s)
+	side := txSide{q: make([]float64, len(cfgs)*nd), prod: make([]float64, len(cfgs)), rep: make([]int, len(cfgs))}
+	seen := make(map[string]int, len(cfgs))
+	key := make([]byte, 8*nd)
+	for c, cfg := range cfgs {
+		q := side.q[c*nd : c*nd+nd]
+		granularitiesInto(q, ref, sp, cfg, s)
+		p := 1.0
+		for t := range q {
+			q[t] = s[t] / q[t]
+			p *= q[t]
+			binary.LittleEndian.PutUint64(key[8*t:], math.Float64bits(q[t]))
+		}
+		side.prod[c] = p
+		r, ok := seen[string(key)]
+		if !ok {
+			r = c
+			seen[string(key)] = c
+		}
+		side.rep[c] = r
+	}
+	return side
+}
+
+// txTables builds one edge class's TX table, tab[cu·kv+cv] = TXSeconds of
+// the producer's cu-th and the consumer's cv-th configuration, and its
+// transpose, bit-identical to TXSeconds without dividing per cell. TXBytes
+// multiplies s[t]/g[t] into need (consumer), held (producer) and have (with
+// the larger granularity); a side's quotients and products depend only on
+// its own configuration, so txSide computes them once per row and column,
+// and have is Π min(qu[t], qv[t]) because correctly rounded division is
+// monotone: fl(s/max(a, b)) = min(fl(s/a), fl(s/b)). A cell reads nothing
+// but its two quotient vectors, so a row whose vector repeats an earlier
+// one copies that row, and a column that repeats one reads that column's
+// cell in the same row.
+func txTables(nu, nv *graph.Node, inSlot int, cfgsU, cfgsV []itspace.Config, txBW, latency float64) edgeTables {
+	out, in := nu.Output, nv.Inputs[inSlot]
+	s := make([]float64, len(out.Map))
+	for t := range out.Map {
+		s[t] = float64(out.Extent(nu.Space, t))
+	}
+	nd := len(s)
+	pu := newTXSide(out, nu.Space, cfgsU, s)
+	pv := newTXSide(in, nv.Space, cfgsV, s)
+	scale := out.EffScale()
+	ku, kv := len(cfgsU), len(cfgsV)
+	tab := make([]float64, ku*kv)
+	for cu := 0; cu < ku; cu++ {
+		row := tab[cu*kv : cu*kv+kv]
+		if r := pu.rep[cu]; r != cu {
+			copy(row, tab[r*kv:r*kv+kv])
+			continue
+		}
+		qu, held := pu.q[cu*nd:cu*nd+nd], pu.prod[cu]
+		for cv := range row {
+			if r := pv.rep[cv]; r != cv {
+				row[cv] = row[r]
+				continue
+			}
+			qv := pv.q[cv*nd:][:len(qu)]
+			have := 1.0
+			for t, x := range qu {
+				have *= min(x, qv[t])
+			}
+			fwd := (pv.prod[cv] - have) * scale // consumer shortfall: activations
+			bwd := (held - have) * scale        // producer shortfall: gradients
+			if fwd < 0 {
+				fwd = 0
+			}
+			if bwd < 0 {
+				bwd = 0
+			}
+			c := 0.0
+			if bytes := (fwd + bwd) * BytesPerElem; bytes > 0 {
+				c = bytes/txBW + latency
+			}
+			row[cv] = c
+		}
+	}
+	tabT := make([]float64, ku*kv)
+	for cu := 0; cu < ku; cu++ {
+		for cv, c := range tab[cu*kv : cu*kv+kv] {
+			tabT[cv*ku+cu] = c
+		}
+	}
+	return edgeTables{tab: tab, tabT: tabT}
 }
 
 // P returns the device count.

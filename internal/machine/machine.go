@@ -6,6 +6,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"pase/internal/canon"
 )
@@ -85,11 +86,15 @@ func (s Spec) Validate() error {
 	if s.Devices < 1 {
 		return fmt.Errorf("machine: device count %d < 1", s.Devices)
 	}
-	if s.PeakFLOPS <= 0 || s.LinkBW <= 0 {
-		return fmt.Errorf("machine: non-positive FLOPS or bandwidth")
+	if !positiveFinite(s.PeakFLOPS) || !positiveFinite(s.LinkBW) {
+		return fmt.Errorf("machine: FLOPS %g and bandwidth %g must be positive and finite", s.PeakFLOPS, s.LinkBW)
 	}
 	return nil
 }
+
+// positiveFinite reports whether v is a usable rate: above zero, not NaN and
+// not +Inf.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 const (
 	gb = 1e9

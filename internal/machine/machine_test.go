@@ -1,6 +1,9 @@
 package machine
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestProfilesValidate(t *testing.T) {
 	for _, s := range []Spec{GTX1080Ti(8), RTX2080Ti(64), Uniform(4, 1e12, 1e10)} {
@@ -77,5 +80,20 @@ func TestHeterogeneousTakesWeakest(t *testing.T) {
 	}
 	if _, err := Heterogeneous(a, Spec{}); err == nil {
 		t.Fatal("invalid member accepted")
+	}
+}
+
+func TestValidateRejectsNonFiniteRates(t *testing.T) {
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := Uniform(8, 1e12, 1e10)
+		s.PeakFLOPS = bad
+		if s.Validate() == nil {
+			t.Errorf("PeakFLOPS %g validated", bad)
+		}
+		s = Uniform(8, 1e12, 1e10)
+		s.LinkBW = bad
+		if s.Validate() == nil {
+			t.Errorf("LinkBW %g validated", bad)
+		}
 	}
 }

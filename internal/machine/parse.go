@@ -18,17 +18,19 @@ import (
 // It is the single parser behind the pase CLI's -machine flag and the pased
 // daemon's "machine" request field.
 func Parse(name string, devices int) (Spec, error) {
+	var spec Spec
 	switch s := strings.ToLower(strings.TrimSpace(name)); {
 	case s == "1080ti":
-		return GTX1080Ti(devices), nil
+		spec = GTX1080Ti(devices)
 	case s == "2080ti":
-		return RTX2080Ti(devices), nil
+		spec = RTX2080Ti(devices)
 	case strings.HasPrefix(s, "uniform:"):
 		return parseUniform(s, devices)
 	default:
 		return Spec{}, fmt.Errorf(
 			"machine: unknown spec %q (want 1080ti, 2080ti, or uniform:<devices-per-node>:<flops>:<intra-bw>:<inter-bw>, e.g. uniform:8:11.3e12:12e9:10e9)", name)
 	}
+	return spec, spec.Validate()
 }
 
 func parseUniform(s string, devices int) (Spec, error) {
@@ -44,8 +46,8 @@ func parseUniform(s string, devices int) (Spec, error) {
 	nums := make([]float64, 3)
 	for i, fieldName := range []string{"flops", "intra-bw", "inter-bw"} {
 		v, err := strconv.ParseFloat(parts[i+2], 64)
-		if err != nil || v <= 0 {
-			return Spec{}, fmt.Errorf("machine: uniform %s %q must be a positive number; want %s", fieldName, parts[i+2], usage)
+		if err != nil || !positiveFinite(v) {
+			return Spec{}, fmt.Errorf("machine: uniform %s %q must be a positive finite number; want %s", fieldName, parts[i+2], usage)
 		}
 		nums[i] = v
 	}

@@ -41,12 +41,16 @@ func TestParseUniform(t *testing.T) {
 
 func TestParseErrorsAreHelpful(t *testing.T) {
 	for spec, wantSub := range map[string]string{
-		"v100":                 "unknown spec",
-		"uniform:8:1e12":       "fields",
-		"uniform:x:1e12:1:1":   "devices-per-node",
-		"uniform:8:zap:1:1":    "flops",
-		"uniform:8:1e12:-1:1":  "intra-bw",
-		"uniform:8:1e12:1:bad": "inter-bw",
+		"v100":                   "unknown spec",
+		"uniform:8:1e12":         "fields",
+		"uniform:x:1e12:1:1":     "devices-per-node",
+		"uniform:8:zap:1:1":      "flops",
+		"uniform:8:1e12:-1:1":    "intra-bw",
+		"uniform:8:1e12:1:bad":   "inter-bw",
+		"uniform:8:nan:1:1":      "flops",
+		"uniform:8:1e12:Inf:1":   "intra-bw",
+		"uniform:8:1e12:1:inf":   "inter-bw",
+		"uniform:8:1e12:1:1e999": "inter-bw",
 	} {
 		_, err := Parse(spec, 8)
 		if err == nil {
