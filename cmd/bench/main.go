@@ -55,6 +55,7 @@ import (
 
 	"pase"
 	"pase/internal/core"
+	"pase/internal/cost"
 	"pase/internal/seq"
 )
 
@@ -195,15 +196,13 @@ func run(cfg config) error {
 	}
 	for _, bm := range append(pase.Benchmarks(), gbm) {
 		g := bm.Build(bm.Batch)
-		var vClasses, eClasses int
-		var tableBytes, sharedBytes int64
+		var info cost.ModelInfo
 		ns, err := measure(reps, func() error {
 			m, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
 			if err != nil {
 				return err
 			}
-			vClasses, eClasses = m.VertexClasses(), m.EdgeClasses()
-			tableBytes, sharedBytes = m.TableBytes(), m.SharedTableBytes()
+			info = m.Info()
 			return nil
 		})
 		if err != nil {
@@ -214,10 +213,10 @@ func run(cfg config) error {
 			NsPerOp: ns,
 			Reps:    reps,
 			Extra: map[string]float64{
-				"vertex_classes":     float64(vClasses),
-				"edge_classes":       float64(eClasses),
-				"table_bytes":        float64(tableBytes),
-				"shared_table_bytes": float64(sharedBytes),
+				"vertex_classes":     float64(info.VertexClasses),
+				"edge_classes":       float64(info.EdgeClasses),
+				"table_bytes":        float64(info.TableBytes),
+				"shared_table_bytes": float64(info.SharedTableBytes),
 			},
 		})
 	}

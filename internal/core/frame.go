@@ -55,14 +55,7 @@ func checkInput(m *cost.Model, sq *seq.Sequence) error {
 func newFrame(ctx context.Context, m *cost.Model, sq *seq.Sequence, subsets [][][]int, opts Options, kernel string) *frame {
 	return &frame{
 		m: m, sq: sq, subsets: subsets, kernel: kernel,
-		st: Stats{
-			MaxDepSize:       sq.MaxDepSize(),
-			KEffective:       m.MaxK(),
-			VertexClasses:    m.VertexClasses(),
-			EdgeClasses:      m.EdgeClasses(),
-			TableBytes:       m.TableBytes(),
-			SharedTableBytes: m.SharedTableBytes(),
-		},
+		st:  Stats{MaxDepSize: sq.MaxDepSize(), ModelInfo: m.Info()},
 		ctx: ctx, done: ctx.Done(),
 		budget:  opts.maxEntries(),
 		digitOf: slices.Repeat([]int{-1}, len(sq.Order)),

@@ -69,7 +69,7 @@ func requireInternedMatchesOracle(t *testing.T, g *graph.Graph, spec machine.Spe
 			}
 		}
 	}
-	if interned := mi.VertexClasses(); interned > g.Len() {
+	if interned := mi.Info().VertexClasses; interned > g.Len() {
 		t.Fatalf("vertex classes %d > %d nodes", interned, g.Len())
 	}
 }
@@ -156,7 +156,7 @@ func TestPeakLivenessAccountingUnchangedByInterning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mi.SharedTableBytes() == 0 {
+	if mi.Info().SharedTableBytes == 0 {
 		t.Fatal("expected the repeated-layer transformer to share tables")
 	}
 	mo, err := cost.NewModelWith(context.Background(), g, spec, pol, cost.BuildOptions{DisableInterning: true})

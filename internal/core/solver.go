@@ -446,19 +446,9 @@ type Stats struct {
 	ScanSpace int64
 	// PrunedConfigs is always 0; it stays because benchmark/cold.go sums it.
 	PrunedConfigs int
-	// KEffective is the largest per-vertex configuration count the DP
-	// iterated over. It equals the paper's K (cost.Model.MaxK).
-	KEffective int
-	// VertexClasses / EdgeClasses are the model's structural-sharing class
-	// counts: how many distinct vertex and edge cost tables the build
-	// actually constructed (repeated layers alias the same tables).
-	VertexClasses int
-	EdgeClasses   int
-	// TableBytes is the model's resident cost-table footprint (shared
-	// slices counted once); SharedTableBytes is what interning saved versus
-	// a per-occurrence build.
-	TableBytes       int64
-	SharedTableBytes int64
+	// ModelInfo is the solved model's: its K, the largest per-vertex
+	// configuration count the run iterated over, and its table sharing.
+	cost.ModelInfo
 	// Incremental re-solve accounting (Resolve only): DirtyPositions is how
 	// many DP tables were actually re-filled, ReusedEntries how many entries
 	// of distinct tables were served unchanged from the snapshot. States above

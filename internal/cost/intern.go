@@ -122,14 +122,36 @@ func (m *Model) buildInternPlan() *internPlan {
 	return p
 }
 
-// computeTableStats fills the model's structural-sharing counters once the
-// tables are final: resident bytes count each distinct backing slice once
-// (aliases identified by their first element's address), logical bytes are
-// what a per-occurrence build would hold, and the difference is the sharing
-// saving.
-func (m *Model) computeTableStats(p *internPlan) {
-	m.vertexClasses = len(p.vReps)
-	m.edgeClasses = len(p.eReps)
+// ModelInfo is what a built model records of its own tables: the paper's K
+// and the structural sharing the build found. The solves over a model carry
+// it into their stats, results and strategy documents, under these keys.
+type ModelInfo struct {
+	// KEffective is the largest per-vertex configuration count — the
+	// paper's K, what a search over the model iterates over.
+	KEffective int `json:"k_effective,omitempty"`
+	// VertexClasses / EdgeClasses are the distinct vertex and edge classes
+	// the build found: nodes of a vertex class share their configuration
+	// list and TL row, edges of an edge class their TX table and transpose.
+	// They equal Len(G) and len(Edges()) when interning is disabled or no
+	// structure repeats.
+	VertexClasses int `json:"vertex_classes,omitempty"`
+	EdgeClasses   int `json:"edge_classes,omitempty"`
+	// TableBytes is the resident footprint of the cost tables (TL rows plus
+	// TX tables and transposes), each shared slice counted once;
+	// SharedTableBytes is what sharing saved versus a per-occurrence build,
+	// zero when interning is disabled or nothing repeats.
+	TableBytes       int64 `json:"table_bytes,omitempty"`
+	SharedTableBytes int64 `json:"shared_table_bytes,omitempty"`
+}
+
+// Info returns the model's ModelInfo.
+func (m *Model) Info() ModelInfo { return m.info }
+
+// computeInfo fills the model's ModelInfo once the tables are final:
+// resident bytes count each distinct backing slice once (aliases identified
+// by their first element's address), logical bytes are what a
+// per-occurrence build would hold, and the difference is the sharing saving.
+func (m *Model) computeInfo(p *internPlan) {
 	seen := make(map[*float64]bool, len(m.tl)+2*len(m.tx))
 	var resident, logical int64
 	count := func(s []float64) {
@@ -142,37 +164,23 @@ func (m *Model) computeTableStats(p *internPlan) {
 			resident += int64(len(s))
 		}
 	}
+	k := 0
 	for _, row := range m.tl {
 		count(row)
+		k = max(k, len(row))
 	}
 	for e := range m.tx {
 		count(m.tx[e])
 		count(m.txT[e])
 	}
-	m.tableBytes = resident * 8
-	m.sharedTableBytes = (logical - resident) * 8
+	m.info = ModelInfo{
+		KEffective:       k,
+		VertexClasses:    len(p.vReps),
+		EdgeClasses:      len(p.eReps),
+		TableBytes:       resident * 8,
+		SharedTableBytes: (logical - resident) * 8,
+	}
 }
-
-// VertexClasses returns the number of distinct vertex (content) classes the
-// build found — nodes within a class share their configuration list and TL
-// row. Equals Len(G) when interning is disabled or the graph has no repeated
-// structure.
-func (m *Model) VertexClasses() int { return m.vertexClasses }
-
-// EdgeClasses returns the number of distinct edge classes — edges within a
-// class share their TX table and transpose. Equals len(Edges()) when
-// interning is disabled or no structure repeats.
-func (m *Model) EdgeClasses() int { return m.edgeClasses }
-
-// TableBytes returns the resident bytes of the model's cost tables (TL rows
-// plus TX tables and transposes), counting each shared slice once — the
-// memory the model actually holds.
-func (m *Model) TableBytes() int64 { return m.tableBytes }
-
-// SharedTableBytes returns the bytes structural sharing saved: the
-// per-occurrence (un-interned) table footprint minus TableBytes. Zero when
-// interning is disabled or nothing repeats.
-func (m *Model) SharedTableBytes() int64 { return m.sharedTableBytes }
 
 // VertexClassFP returns node v's vertex class fingerprint: the canonical
 // identity of its configuration list and TL row. Two models agreeing on a

@@ -38,21 +38,22 @@ func TestInterningSharesRepeatedStructure(t *testing.T) {
 	m, o := buildPair(t, "transformer", 8)
 	n, e := m.G.Len(), len(m.Edges())
 
-	if m.VertexClasses() >= n/2 {
-		t.Errorf("vertex classes %d, want far fewer than %d nodes (repeated layers must share)", m.VertexClasses(), n)
+	mi, oi := m.Info(), o.Info()
+	if mi.VertexClasses >= n/2 {
+		t.Errorf("vertex classes %d, want far fewer than %d nodes (repeated layers must share)", mi.VertexClasses, n)
 	}
-	if m.EdgeClasses() >= e/2 {
-		t.Errorf("edge classes %d, want far fewer than %d edges", m.EdgeClasses(), e)
+	if mi.EdgeClasses >= e/2 {
+		t.Errorf("edge classes %d, want far fewer than %d edges", mi.EdgeClasses, e)
 	}
-	if m.SharedTableBytes() <= 0 {
-		t.Errorf("shared table bytes %d, want > 0", m.SharedTableBytes())
+	if mi.SharedTableBytes <= 0 {
+		t.Errorf("shared table bytes %d, want > 0", mi.SharedTableBytes)
 	}
-	if m.TableBytes() >= o.TableBytes() {
-		t.Errorf("interned resident bytes %d not below oracle %d", m.TableBytes(), o.TableBytes())
+	if mi.TableBytes >= oi.TableBytes {
+		t.Errorf("interned resident bytes %d not below oracle %d", mi.TableBytes, oi.TableBytes)
 	}
-	if o.VertexClasses() != n || o.EdgeClasses() != e || o.SharedTableBytes() != 0 {
+	if oi.VertexClasses != n || oi.EdgeClasses != e || oi.SharedTableBytes != 0 {
 		t.Errorf("oracle sharing stats (%d, %d, %d), want (%d, %d, 0)",
-			o.VertexClasses(), o.EdgeClasses(), o.SharedTableBytes(), n, e)
+			oi.VertexClasses, oi.EdgeClasses, oi.SharedTableBytes, n, e)
 	}
 
 	// Aliasing must be real: two interior encoder layers' TL rows share one
@@ -132,7 +133,7 @@ func TestInterningWithRestrictedPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.VertexClasses() >= g.Len()/2 {
-		t.Errorf("vertex classes %d of %d nodes: repeated layers did not share", m.VertexClasses(), g.Len())
+	if m.Info().VertexClasses >= g.Len()/2 {
+		t.Errorf("vertex classes %d of %d nodes: repeated layers did not share", m.Info().VertexClasses, g.Len())
 	}
 }

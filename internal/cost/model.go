@@ -60,13 +60,8 @@ type Model struct {
 	txT  [][]float64        // [edge][cv*Ku+cu], transpose of tx
 	txKv []int              // row stride of tx: the consumer's config count
 
-	// Structural-sharing state (intern.go): distinct vertex/edge class
-	// counts, the resident bytes of the (aliased) cost tables, and the bytes
-	// sharing saved versus a per-occurrence build.
-	vertexClasses    int
-	edgeClasses      int
-	tableBytes       int64
-	sharedTableBytes int64
+	// info is K and the structural sharing of the tables (intern.go).
+	info ModelInfo
 
 	// Cross-request sharing state (store.go): the per-node and per-edge class
 	// fingerprints — identities of the tables, which delta re-solve compares
@@ -280,7 +275,7 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	m.classStoreHits = traffic.hits.Load()
 	m.classStoreMiss = traffic.misses.Load()
 	m.classStoreBytes = traffic.bytes.Load()
-	m.computeTableStats(plan)
+	m.computeInfo(plan)
 	m.BuildTime = time.Since(start)
 	return m, nil
 }
@@ -415,15 +410,7 @@ func (m *Model) K(v int) int { return len(m.cfgs[v]) }
 
 // MaxK returns the paper's K: the maximum enumerated configuration count
 // over all nodes.
-func (m *Model) MaxK() int {
-	k := 0
-	for v := range m.cfgs {
-		if len(m.cfgs[v]) > k {
-			k = len(m.cfgs[v])
-		}
-	}
-	return k
-}
+func (m *Model) MaxK() int { return m.info.KEffective }
 
 // IndexOf returns the config ID of cfg within node v, or -1.
 func (m *Model) IndexOf(v int, cfg itspace.Config) int {

@@ -90,10 +90,10 @@ func TestClassStoreBuildsByteIdenticalToOracle(t *testing.T) {
 			}
 			// Two entry kinds and nothing else: one entry, and one miss, per
 			// vertex class and per edge class.
-			classes := cold.VertexClasses() + cold.EdgeClasses()
+			classes := cold.Info().VertexClasses + cold.Info().EdgeClasses
 			if st := store.Stats(); st.Entries != classes || st.Misses != int64(classes) {
 				t.Errorf("store holds %d entries after %d misses, want %d vertex + %d edge classes of each",
-					st.Entries, st.Misses, cold.VertexClasses(), cold.EdgeClasses())
+					st.Entries, st.Misses, cold.Info().VertexClasses, cold.Info().EdgeClasses)
 			}
 			if warm.ClassStoreMisses() != 0 {
 				t.Errorf("warm build missed the store %d times, want 0 (every class built once ever)", warm.ClassStoreMisses())
@@ -157,7 +157,7 @@ func TestClassStoreSharesAcrossDistinctGraphValues(t *testing.T) {
 	if m2.ClassStoreMisses() != 0 {
 		t.Fatalf("second build of an identical graph value missed %d classes, want 0", m2.ClassStoreMisses())
 	}
-	if want := int64(m2.VertexClasses() + m2.EdgeClasses()); m2.ClassStoreHits() != want {
+	if want := int64(m2.Info().VertexClasses + m2.Info().EdgeClasses); m2.ClassStoreHits() != want {
 		t.Fatalf("second build hit %d classes, want every one of its %d", m2.ClassStoreHits(), want)
 	}
 	// The hit tables must be the SAME backing arrays, not copies.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 
+	"pase/internal/cost"
 	"pase/internal/graph"
 	"pase/internal/itspace"
 )
@@ -34,52 +35,60 @@ type Document struct {
 	Devices int `json:"devices"`
 	// CostSeconds is the cost model's estimated per-step time, if known.
 	CostSeconds float64 `json:"cost_seconds,omitempty"`
-	// Fingerprint, when set, is the canonical fingerprint (hex) of the solve
-	// request that produced this strategy — the planner/daemon cache key, so
-	// consumers can correlate exported documents with served requests.
-	Fingerprint string `json:"fingerprint,omitempty"`
-	// Method, when set, names the solve method that produced this strategy:
-	// "dp" (the paper's dynamic program), "beam" (the anytime bounded-width
-	// DP), "mcmc", "dataparallel", or "expert:<family>".
-	Method string `json:"method,omitempty"`
-	// Gap / Exact / BeamWidth, when set, record the anytime-beam provenance
-	// of this strategy: the true optimum is in [CostSeconds/(1+Gap),
-	// CostSeconds]; Exact marks proven optimality (always for "dp", for
-	// "beam" when no frontier truncation occurred); BeamWidth is the
-	// frontier width a beam solve ran at.
-	Gap       float64 `json:"gap,omitempty"`
-	Exact     bool    `json:"exact,omitempty"`
-	BeamWidth int     `json:"beam_width,omitempty"`
-	// KEffective, when set, is the largest per-vertex configuration count
-	// the solve that produced this strategy iterated over — the paper's K.
-	KEffective int `json:"k_effective,omitempty"`
-	// VertexClasses / EdgeClasses, when set, record the structural sharing
-	// of the model behind this solve: how many distinct vertex and edge
-	// cost tables were built (repeated layers alias shared tables).
-	VertexClasses int `json:"vertex_classes,omitempty"`
-	EdgeClasses   int `json:"edge_classes,omitempty"`
-	// TableBytes is the model's resident cost-table footprint in bytes;
-	// SharedTableBytes is what structural sharing saved versus a
-	// per-occurrence build.
-	TableBytes       int64 `json:"table_bytes,omitempty"`
-	SharedTableBytes int64 `json:"shared_table_bytes,omitempty"`
-	// ClassStoreHits / ClassStoreBytes, when set, record the cross-request
-	// sharing of the model build behind this solve: class tables resolved
-	// from the planner's class store instead of rebuilt, and the bytes those
-	// hits aliased. DeltaResolve records that the solve itself was served
-	// incrementally from a retained DP snapshot.
-	ClassStoreHits  int64 `json:"class_store_hits,omitempty"`
-	ClassStoreBytes int64 `json:"class_store_bytes,omitempty"`
-	DeltaResolve    bool  `json:"delta_resolve,omitempty"`
-	// Degraded / DegradeReason, when set, record that the planner served
-	// this "dp" request through its graceful-degradation ladder: the
-	// strategy is a valid bounded-width beam result (Gap/BeamWidth carry its
-	// quality contract) produced because the exact solve could not run —
-	// "oom" (table budget exceeded) or "pressure" (deep admission queue).
-	Degraded      bool   `json:"degraded,omitempty"`
-	DegradeReason string `json:"degrade_reason,omitempty"`
+	// Provenance, when set, records how the strategy was produced; its keys
+	// sit flat in the document, between cost_seconds and layers.
+	Provenance
 	// Layers holds one entry per node, in graph node order.
 	Layers []Layer `json:"layers"`
+}
+
+// Provenance records how a strategy was produced. It is per solve: a
+// result served from cache, or to a request that rode along on an identical
+// in-flight solve, carries the provenance of the solve that produced it.
+type Provenance struct {
+	// Fingerprint is the canonical fingerprint (hex) of the solve request —
+	// the planner/daemon cache key, so consumers can correlate exported
+	// documents with served requests. Empty for a solve over a caller's
+	// prebuilt model, which bypasses the caches.
+	Fingerprint string `json:"fingerprint,omitempty"`
+	// Method is the normalized solve method: "dp" (the paper's dynamic
+	// program), "beam" (the anytime bounded-width DP), "mcmc",
+	// "dataparallel", or "expert:<family>".
+	Method string `json:"method,omitempty"`
+	// Gap is the tracked optimality gap of a beam solve: the true optimum
+	// lies in [cost/(1+Gap), cost]. Zero for exact solves and for heuristics
+	// that track no bound (mcmc, baselines — see Exact).
+	Gap float64 `json:"gap,omitempty"`
+	// Exact marks the cost as provably the model's optimum: always for "dp",
+	// for "beam" when no frontier truncation occurred (or the gap closed to
+	// zero), never for mcmc and the baselines.
+	Exact bool `json:"exact,omitempty"`
+	// BeamWidth is the frontier width a beam solve ran at — a "beam"
+	// request's resolved width, or a degraded "dp" request's; zero for every
+	// other solve.
+	BeamWidth int `json:"beam_width,omitempty"`
+	// ModelInfo is the searched cost model's K and table sharing; zero for
+	// the baselines, which build no model.
+	cost.ModelInfo
+	// ClassStoreHits is how many class references the model build resolved
+	// from the planner's cross-request class store instead of building, and
+	// ClassStoreBytes the table bytes those hits aliased; zero for the
+	// baselines, store-less planners and caller-built models.
+	ClassStoreHits  int64 `json:"class_store_hits,omitempty"`
+	ClassStoreBytes int64 `json:"class_store_bytes,omitempty"`
+	// DeltaResolve marks an incremental re-solve: a retained DP snapshot of
+	// the same topology and solve shape was found, and only the tables the
+	// request's delta dirtied were re-filled.
+	DeltaResolve bool `json:"delta_resolve,omitempty"`
+	// Degraded marks a "dp" request served through the planner's
+	// degradation ladder: a bounded-width beam solve ran instead of the exact
+	// DP (Method still reports "dp"), so the strategy is valid and its cost
+	// realizable, Gap and BeamWidth carry its quality contract, and Exact is
+	// false unless the beam proved exactness anyway. DegradeReason says why:
+	// "oom" (the exact solve deterministically exceeds its table budget) or
+	// "pressure" (a deep admission queue — transient).
+	Degraded      bool   `json:"degraded,omitempty"`
+	DegradeReason string `json:"degrade_reason,omitempty"`
 }
 
 // FromStrategy builds a Document from a validated strategy.

@@ -44,6 +44,7 @@ import (
 	"pase/internal/canon"
 	"pase/internal/core"
 	"pase/internal/cost"
+	"pase/internal/export"
 	"pase/internal/graph"
 	"pase/internal/itspace"
 	"pase/internal/lru"
@@ -179,16 +180,19 @@ func ValidateMethod(method string) error {
 	return fmt.Errorf("planner: unknown method %q (want dp, beam, mcmc, dataparallel, or expert:<family>)", method)
 }
 
-// Result is a found strategy with its cost and search statistics. It is
-// re-exported as pase.Result.
+// Result is a found strategy with its cost, how it was produced, and what
+// this request spent on it. It is re-exported as pase.Result.
 type Result struct {
 	// Strategy is the best strategy found.
 	Strategy graph.Strategy
 	// Cost is the estimated per-step time of the strategy under the model.
 	Cost float64
-	// Method is the normalized solve method that produced this result:
-	// "dp", "mcmc", "dataparallel", or "expert:<family>".
-	Method string
+	// Provenance records the solve that produced the strategy — the method
+	// that ran ("dp" also when degraded), the cache fingerprint (empty for
+	// Request.Model solves, which bypass the caches), the beam contract, the
+	// model's K and table sharing, class-store and delta re-solve reuse. A
+	// cache hit or a ride-along carries its solve's provenance unchanged.
+	export.Provenance
 	// SearchTime is the end-to-end time of this request, including cost
 	// model construction (ModelTime) when one was built.
 	SearchTime time.Duration
@@ -208,59 +212,6 @@ type Result struct {
 	// underlying solve: either a result-cache hit or a ride-along on a
 	// concurrent identical request's solve.
 	Cached bool
-	// Fingerprint is the canonical request fingerprint (hex), the planner's
-	// cache key for this request. Empty for Request.Model solves, which
-	// bypass the caches (see Request.Model).
-	Fingerprint string
-	// KEffective is the largest per-vertex configuration count the search
-	// iterated over — the paper's K (zero for baseline methods, which never
-	// build a model).
-	KEffective int
-	// VertexClasses / EdgeClasses are the model's structural-sharing class
-	// counts: how many distinct vertex and edge cost tables the build
-	// constructed (repeated layers alias shared tables; zero for baseline
-	// methods, which never build a model).
-	VertexClasses int
-	EdgeClasses   int
-	// TableBytes is the model's resident cost-table footprint in bytes
-	// (shared tables counted once); SharedTableBytes is what structural
-	// sharing saved versus a per-occurrence build.
-	TableBytes       int64
-	SharedTableBytes int64
-	// ClassStoreHits is how many class references this request's model build
-	// resolved from the planner's cross-request class store instead of
-	// building; ClassStoreBytes is the table bytes those hits aliased. Zero
-	// for cached results, baseline methods, and store-less planners.
-	ClassStoreHits  int64
-	ClassStoreBytes int64
-	// DeltaResolve reports that this result came from an incremental
-	// re-solve: the planner found a cached DP snapshot for the same graph
-	// topology and solve shape, and re-filled only the tables the request's
-	// delta dirtied.
-	DeltaResolve bool
-	// Gap is the tracked optimality gap of a "beam" result: the true
-	// optimum is guaranteed to lie in [Cost/(1+Gap), Cost]. Zero for exact
-	// methods ("dp", and "beam" when the solve proved exactness) and for
-	// heuristics that track no bound (mcmc, baselines — see Exact).
-	Gap float64
-	// Exact reports that Cost is provably the model's optimum: always true
-	// for "dp", true for "beam" when no frontier truncation occurred (or the
-	// gap closed to zero), false for mcmc and the baselines.
-	Exact bool
-	// BeamWidth is the frontier width a "beam" request resolved to (after
-	// Config.DefaultBeamWidth); zero for every other method — except a
-	// degraded "dp" request, where it reports the degraded solve's width.
-	BeamWidth int
-	// Degraded reports the planner served this "dp" request through the
-	// degradation ladder: the bounded-width beam solve ran instead of the
-	// exact DP (Method still reports the requested "dp"). The Strategy is
-	// valid and Cost realizable; Gap bounds the true optimum in
-	// [Cost/(1+Gap), Cost], BeamWidth reports the width used, and Exact is
-	// false unless the beam proved exactness anyway. DegradeReason says why:
-	// DegradeReasonOOM (cached — the exact solve deterministically exceeds
-	// its budget) or DegradeReasonPressure (transient — never cached).
-	Degraded      bool
-	DegradeReason string
 	// FleetFallback reports that this daemon solved a request another fleet
 	// member owns because that owner was unreachable (Request.FleetFallback).
 	// The answer is correct — solves are deterministic — but it is never
@@ -983,17 +934,12 @@ func dpSeq(m *cost.Model, opts Options) *seq.Sequence {
 // with what the solve established.
 func dpResult(r *core.Result, start time.Time) *Result {
 	return &Result{
-		Strategy:         r.Strategy,
-		Cost:             r.Cost,
-		SearchTime:       time.Since(start),
-		MaxDepSize:       r.Stats.MaxDepSize,
-		States:           r.Stats.States,
-		KEffective:       r.Stats.KEffective,
-		VertexClasses:    r.Stats.VertexClasses,
-		EdgeClasses:      r.Stats.EdgeClasses,
-		TableBytes:       r.Stats.TableBytes,
-		SharedTableBytes: r.Stats.SharedTableBytes,
-		Exact:            true,
+		Strategy:   r.Strategy,
+		Cost:       r.Cost,
+		Provenance: export.Provenance{Exact: true, ModelInfo: r.Stats.ModelInfo},
+		SearchTime: time.Since(start),
+		MaxDepSize: r.Stats.MaxDepSize,
+		States:     r.Stats.States,
 	}
 }
 
@@ -1196,15 +1142,11 @@ func runMCMC(ctx context.Context, m *cost.Model, opts Options, start time.Time) 
 		return nil, err
 	}
 	return &Result{
-		Strategy:         m.StrategyFromIdx(r.BestIdx),
-		Cost:             r.BestCost,
-		SearchTime:       time.Since(start),
-		States:           int64(r.Iters),
-		KEffective:       m.MaxK(),
-		VertexClasses:    m.VertexClasses(),
-		EdgeClasses:      m.EdgeClasses(),
-		TableBytes:       m.TableBytes(),
-		SharedTableBytes: m.SharedTableBytes(),
+		Strategy:   m.StrategyFromIdx(r.BestIdx),
+		Cost:       r.BestCost,
+		Provenance: export.Provenance{ModelInfo: m.Info()},
+		SearchTime: time.Since(start),
+		States:     int64(r.Iters),
 	}, nil
 }
 
@@ -1249,9 +1191,10 @@ func (p *Planner) buildModel(ctx context.Context, req Request) (m *cost.Model, e
 	}
 	p.mu.Lock()
 	p.stats.ModelBuilds++
-	p.stats.VertexClasses += int64(m.VertexClasses())
-	p.stats.EdgeClasses += int64(m.EdgeClasses())
-	p.stats.SharedTableBytes += m.SharedTableBytes()
+	info := m.Info()
+	p.stats.VertexClasses += int64(info.VertexClasses)
+	p.stats.EdgeClasses += int64(info.EdgeClasses)
+	p.stats.SharedTableBytes += info.SharedTableBytes
 	p.mu.Unlock()
 	return m, nil
 }

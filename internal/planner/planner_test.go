@@ -79,6 +79,7 @@ func TestConcurrentRequestsMatchDirectFindWithOneSolvePerFingerprint(t *testing.
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
+	leaders := make([]*Result, len(uniques))
 	for i, res := range results {
 		want := oracles[i%len(uniques)]
 		if !reflect.DeepEqual(res.Strategy, want.Strategy) {
@@ -86,6 +87,16 @@ func TestConcurrentRequestsMatchDirectFindWithOneSolvePerFingerprint(t *testing.
 		}
 		if res.Cost != want.Cost {
 			t.Fatalf("request %d: cost %v != direct %v", i, res.Cost, want.Cost)
+		}
+		if !res.Cached {
+			leaders[i%len(uniques)] = res
+		}
+	}
+	// Provenance is per solve: a follower (ride-along or hit) carries its
+	// leader's.
+	for i, res := range results {
+		if lead := leaders[i%len(uniques)]; !reflect.DeepEqual(res.Provenance, lead.Provenance) {
+			t.Fatalf("request %d: provenance %+v, want the leader's %+v", i, res.Provenance, lead.Provenance)
 		}
 	}
 
@@ -105,6 +116,13 @@ func TestConcurrentRequestsMatchDirectFindWithOneSolvePerFingerprint(t *testing.
 
 func TestCacheHitPerformsNoNewWork(t *testing.T) {
 	p := New(Config{})
+	// A beam solve of the same model first, so the dp solve's build resolves
+	// its classes from the class store.
+	prime := alexReq(8)
+	prime.Opts.Method, prime.Opts.BeamWidth = "beam", 8
+	if _, err := p.Solve(context.Background(), prime); err != nil {
+		t.Fatal(err)
+	}
 	first, err := p.Solve(context.Background(), alexReq(8))
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +157,11 @@ func TestCacheHitPerformsNoNewWork(t *testing.T) {
 	}
 	if first.Fingerprint == "" || first.Fingerprint != second.Fingerprint {
 		t.Fatalf("fingerprints disagree: %q vs %q", first.Fingerprint, second.Fingerprint)
+	}
+	// Provenance is per solve: the hit serves the solve's, class-store reuse
+	// included.
+	if first.ClassStoreHits == 0 || !reflect.DeepEqual(second.Provenance, first.Provenance) {
+		t.Fatalf("hit provenance %+v, want the solve's %+v (with class-store hits)", second.Provenance, first.Provenance)
 	}
 }
 

@@ -38,8 +38,10 @@ import (
 )
 
 // snapshotFormat is the snapshot envelope version. Bump it when the envelope
-// or payload layout changes incompatibly.
-const snapshotFormat = "pase.planner.snapshot/v1"
+// or payload layout changes incompatibly — gob matches fields by name and
+// drops the ones it cannot place, so a moved field decodes as silently zero
+// (v2: Result's provenance fields moved into the embedded export.Provenance).
+const snapshotFormat = "pase.planner.snapshot/v2"
 
 // ErrSnapshotStale is returned by ReadSnapshot/LoadSnapshot when the file is
 // not a snapshot this build can use: wrong format version, fingerprint-scheme

@@ -198,6 +198,20 @@ func TestSnapshotStaleAndCorruptDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases["dedupera"] = dedupEra.Bytes()
+	// A v1 snapshot, intact and under today's labels: its Results hold the
+	// provenance fields flat, where gob would leave the embedded Provenance
+	// zero — a hit would serve no method and no fingerprint.
+	v1, err := hex.DecodeString("ad5783bca3e097f214a522c2bd26db8c4cf581dc7691953b0e325353bd8ef2c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Format = "pase.planner.snapshot/v1"
+	copy(env.Fingerprint[:], v1)
+	var v1Layout bytes.Buffer
+	if err := gob.NewEncoder(&v1Layout).Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	cases["v1layout"] = v1Layout.Bytes()
 
 	for name, data := range cases {
 		path := filepath.Join(dir, name)

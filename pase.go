@@ -452,21 +452,7 @@ func ExportResult(model string, g *Graph, res *Result, devices int) (*StrategyDo
 	if err != nil {
 		return nil, err
 	}
-	doc.Fingerprint = res.Fingerprint
-	doc.Method = res.Method
-	doc.KEffective = res.KEffective
-	doc.VertexClasses = res.VertexClasses
-	doc.EdgeClasses = res.EdgeClasses
-	doc.TableBytes = res.TableBytes
-	doc.SharedTableBytes = res.SharedTableBytes
-	doc.ClassStoreHits = res.ClassStoreHits
-	doc.ClassStoreBytes = res.ClassStoreBytes
-	doc.DeltaResolve = res.DeltaResolve
-	doc.Gap = res.Gap
-	doc.Exact = res.Exact
-	doc.BeamWidth = res.BeamWidth
-	doc.Degraded = res.Degraded
-	doc.DegradeReason = res.DegradeReason
+	doc.Provenance = res.Provenance
 	return doc, nil
 }
 
