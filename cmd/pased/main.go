@@ -35,11 +35,11 @@
 // stable codes (shed → 429, oom → 503, timeout → 504, cancelled → 499, a body
 // beyond 1 MiB → 413 too_large).
 //
-// -snapshot-path enables warm restarts: the result cache and class store are
-// checkpointed there periodically (-snapshot-interval) and on SIGTERM, and
-// restored on boot — /v1/readyz reports 503 until the restore completes, and
-// stale or corrupt snapshots are discarded with a logged warning. After a
-// kill-and-restart, the first repeat request is a cache hit.
+// -snapshot-path enables warm restarts: the result cache is checkpointed there
+// periodically (-snapshot-interval) and on SIGTERM, and restored on boot
+// before the listener starts; stale or corrupt snapshots are discarded with a
+// logged warning. After a kill-and-restart, the first repeat request is a
+// cache hit.
 //
 // Usage:
 //
@@ -80,8 +80,8 @@
 //	                   the paper's Fig. 6 as an endpoint.
 //	GET  /v1/healthz — liveness (the process is up; always 200).
 //	GET  /v1/readyz  — readiness: a structured {"ready", "peers": [...]}
-//	                   body; 503 while restoring a snapshot on boot and once
-//	                   a SIGTERM drain has begun, 200 otherwise. The peers
+//	                   body; 503 "draining" once a SIGTERM drain has begun,
+//	                   200 otherwise. The peers
 //	                   array carries each fleet peer's health (also as
 //	                   "breaker": "closed" or "open"; empty on a
 //	                   single-node daemon).
@@ -327,10 +327,8 @@ type server struct {
 	// memo resolves a repeated request body to its fingerprint, and to its
 	// stored answer, by hash (see requestMemo).
 	memo *requestMemo
-	// notReady marks the boot window (snapshot restore in progress) and
-	// draining marks a begun SIGTERM drain; either makes /v1/readyz report
-	// 503 so load balancers route elsewhere while /v1/healthz stays 200.
-	notReady atomic.Bool
+	// draining marks a begun SIGTERM drain: /v1/readyz reports 503 so load
+	// balancers route elsewhere while /v1/healthz stays 200.
 	draining atomic.Bool
 }
 
@@ -488,18 +486,15 @@ type peerReadiness struct {
 }
 
 // ready is the daemon's readiness as /v1/readyz, /v1/stats and /metrics
-// report it: not restoring a snapshot and not draining.
-func (s *server) ready() bool { return !s.notReady.Load() && !s.draining.Load() }
+// report it: not draining.
+func (s *server) ready() bool { return !s.draining.Load() }
 
 func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	ready := s.ready()
 	body := map[string]any{"ready": ready}
 	status := http.StatusOK
 	if !ready {
-		status, body["reason"] = http.StatusServiceUnavailable, "starting"
-		if s.draining.Load() {
-			body["reason"] = "draining"
-		}
+		status, body["reason"] = http.StatusServiceUnavailable, "draining"
 	}
 	peers := []peerReadiness{}
 	if s.fleet != nil {
@@ -1124,11 +1119,6 @@ func main() {
 		FaultPlan:        faults,
 	})
 	sv := newServer(pl, *maxGPUs, *solveTimeout)
-	if *snapPath != "" {
-		// Not ready until the snapshot restore below completes; the listener
-		// starts first so /v1/readyz is answerable (503) during the restore.
-		sv.notReady.Store(true)
-	}
 	if *peers != "" {
 		if *advertise == "" {
 			log.Fatalf("pased: -peers requires -advertise (this daemon's own base URL, its identity in the hash ring)")
@@ -1154,40 +1144,25 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
+	// Warm restart: restore the previous run's result cache before the
+	// listener starts (a restore takes under a millisecond). A stale or
+	// corrupt snapshot is a logged warning and a cold start, never a crash —
+	// robustness state must not take the daemon down.
+	stopCheckpoints, checkpointsDone := make(chan struct{}), make(chan struct{})
+	if *snapPath != "" {
+		if nres, err := pl.LoadSnapshot(*snapPath); err != nil {
+			log.Printf("pased: WARNING: discarding snapshot %s: %v (starting cold)", *snapPath, err)
+		} else if nres > 0 {
+			log.Printf("pased: restored snapshot %s (%d results)", *snapPath, nres)
+		}
+		go checkpoint(pl, *snapPath, *snapEvery, stopCheckpoints, checkpointsDone)
+	}
+
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("pased: serving on %s (solve timeout %s)", *addr, *solveTimeout)
 		errc <- srv.ListenAndServe()
 	}()
-
-	// Warm restart: restore the previous run's result cache and class store.
-	// A stale or corrupt snapshot is a logged warning and a cold start, never
-	// a crash — robustness state must not take the daemon down.
-	stopCheckpoints := make(chan struct{})
-	if *snapPath != "" {
-		if nres, nclasses, err := pl.LoadSnapshot(*snapPath); err != nil {
-			log.Printf("pased: WARNING: discarding snapshot %s: %v (starting cold)", *snapPath, err)
-		} else if nres > 0 || nclasses > 0 {
-			log.Printf("pased: restored snapshot %s (%d results, %d class entries)", *snapPath, nres, nclasses)
-		}
-		sv.notReady.Store(false)
-		if *snapEvery > 0 {
-			go func() {
-				t := time.NewTicker(*snapEvery)
-				defer t.Stop()
-				for {
-					select {
-					case <-t.C:
-						if err := pl.SaveSnapshot(*snapPath); err != nil {
-							log.Printf("pased: WARNING: checkpoint %s: %v", *snapPath, err)
-						}
-					case <-stopCheckpoints:
-						return
-					}
-				}
-			}()
-		}
-	}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -1200,7 +1175,6 @@ func main() {
 		// then force-close what remains — closing a connection cancels its
 		// request context, which aborts its solve.
 		sv.draining.Store(true)
-		close(stopCheckpoints)
 		log.Printf("pased: %v, draining in-flight requests (up to %s)", sig, *drainTimeout)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
@@ -1213,12 +1187,38 @@ func main() {
 		if *snapPath != "" {
 			// Final checkpoint after the drain: everything solved during the
 			// drain window makes it into the warm-restart state.
-			if err := pl.SaveSnapshot(*snapPath); err != nil {
-				log.Printf("pased: WARNING: final checkpoint %s: %v", *snapPath, err)
-			} else {
-				log.Printf("pased: snapshot saved to %s", *snapPath)
-			}
+			close(stopCheckpoints)
+			<-checkpointsDone
 		}
 		log.Printf("pased: drained, exiting")
+	}
+}
+
+// checkpoint runs every snapshot save of the daemon on one goroutine: one
+// per tick (no ticks when every is 0) and a final one when stop closes, then
+// closes done. Saves never overlap, and the final one is the last, so no
+// older capture can be renamed over it.
+func checkpoint(pl *pase.Planner, path string, every time.Duration, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	var tick <-chan time.Time
+	if every > 0 {
+		t := time.NewTicker(every)
+		defer t.Stop()
+		tick = t.C
+	}
+	for {
+		select {
+		case <-tick:
+			if err := pl.SaveSnapshot(path); err != nil {
+				log.Printf("pased: WARNING: checkpoint %s: %v", path, err)
+			}
+		case <-stop:
+			if err := pl.SaveSnapshot(path); err != nil {
+				log.Printf("pased: WARNING: final checkpoint %s: %v", path, err)
+			} else {
+				log.Printf("pased: snapshot saved to %s", path)
+			}
+			return
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -40,7 +41,7 @@ func getJSON(t *testing.T, url string) (int, map[string]any) {
 }
 
 // TestReadyzLifecycle: liveness stays 200 through the whole lifecycle while
-// readiness flips 503 → 200 → 503 across boot restore and drain.
+// readiness flips 200 → 503 when a drain begins.
 func TestReadyzLifecycle(t *testing.T) {
 	s := newServer(pase.NewPlanner(pase.PlannerConfig{}), 64, 0)
 	ts := httptest.NewServer(s.mux())
@@ -64,10 +65,6 @@ func TestReadyzLifecycle(t *testing.T) {
 		}
 	}
 
-	assertReadyz(http.StatusOK, "")
-	s.notReady.Store(true) // boot: snapshot restore in progress
-	assertReadyz(http.StatusServiceUnavailable, "starting")
-	s.notReady.Store(false)
 	assertReadyz(http.StatusOK, "")
 	s.draining.Store(true) // SIGTERM drain has begun
 	assertReadyz(http.StatusServiceUnavailable, "draining")
@@ -257,7 +254,7 @@ func TestWarmRestartOverWire(t *testing.T) {
 	tsA.Close()
 
 	plB := pase.NewPlanner(pase.PlannerConfig{})
-	if nres, _, err := plB.LoadSnapshot(snap); err != nil || nres != 1 {
+	if nres, err := plB.LoadSnapshot(snap); err != nil || nres != 1 {
 		t.Fatalf("restore: %d results, %v", nres, err)
 	}
 	tsB := httptest.NewServer(newServer(plB, 64, 0).mux())
@@ -278,5 +275,32 @@ func TestWarmRestartOverWire(t *testing.T) {
 	_, stats := getJSON(t, tsB.URL+"/v1/stats")
 	if plst := stats["planner"].(map[string]any); plst["restored_results"] != float64(1) {
 		t.Fatalf("stats restored_results = %v, want 1", plst["restored_results"])
+	}
+}
+
+// TestCheckpointFinalSaveIsLast: the checkpoint goroutine owns every save,
+// with or without periodic ticks, and its save on stop is its last — the file
+// holds the state at stop, never an older capture renamed over it.
+func TestCheckpointFinalSaveIsLast(t *testing.T) {
+	for _, every := range []time.Duration{0, time.Millisecond} {
+		snap := filepath.Join(t.TempDir(), "pased.snapshot")
+		pl := pase.NewPlanner(pase.PlannerConfig{})
+		ts := httptest.NewServer(newServer(pl, 64, 0).mux())
+		stop, done := make(chan struct{}), make(chan struct{})
+		go checkpoint(pl, snap, every, stop, done)
+		for _, req := range []string{`{"model":"alexnet","gpus":8}`, `{"model":"rnnlm","gpus":8}`} {
+			if status, out := postJSON(t, ts.URL+"/v1/solve", req); status != http.StatusOK {
+				t.Fatalf("every=%s: solve %s: %d %v", every, req, status, out)
+			}
+		}
+		ts.Close()
+		if _, err := os.Stat(snap); every == 0 && !os.IsNotExist(err) {
+			t.Fatalf("every=0: a snapshot was written before stop (stat: %v)", err)
+		}
+		close(stop)
+		<-done
+		if n, err := pase.NewPlanner(pase.PlannerConfig{}).LoadSnapshot(snap); err != nil || n != 2 {
+			t.Fatalf("every=%s: final snapshot restored %d results, %v; want 2", every, n, err)
+		}
 	}
 }

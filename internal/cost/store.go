@@ -225,87 +225,3 @@ func configBytes(cfgs []itspace.Config) int64 {
 	}
 	return b
 }
-
-// Snapshot entry kinds, one per stored value type (see the phase kinds
-// above). The zero kind is reserved so a corrupt entry never decodes as
-// valid.
-const (
-	snapKindVertex uint8 = iota + 1
-	snapKindEdge
-)
-
-// StoreSnapshotEntry is one class entry in wire form — a flattened union of
-// the two stored table kinds, safe for gob. Produced by Snapshot and
-// consumed by Restore; the planner embeds these in its warm-restart snapshot
-// (DESIGN.md "Pressure & degradation").
-type StoreSnapshotEntry struct {
-	Key   canon.Fingerprint
-	Kind  uint8
-	Bytes int64
-	Cfgs  []itspace.Config
-	TL    []float64
-	Tab   []float64
-	TabT  []float64
-}
-
-// Snapshot returns the store's published entries from least to most recently
-// used, so that a Restore in slice order reproduces the recency order.
-// Entries still building are skipped — they hold no tables yet.
-func (s *ClassStore) Snapshot() []StoreSnapshotEntry {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]StoreSnapshotEntry, 0, s.cache.Len())
-	s.cache.Each(func(key canon.Fingerprint, c classTables) {
-		se := StoreSnapshotEntry{Key: key, Bytes: c.bytes}
-		switch v := c.val.(type) {
-		case vertexTables:
-			se.Kind, se.Cfgs, se.TL = snapKindVertex, v.cfgs, v.tl
-		case edgeTables:
-			se.Kind, se.Tab, se.TabT = snapKindEdge, v.tab, v.tabT
-		default:
-			return
-		}
-		out = append(out, se)
-	})
-	return out
-}
-
-// Restore publishes snapshot entries into the store, in slice order (least
-// recent first — each insert front-moves, so the last entry ends most
-// recent). Entries with unknown kinds are skipped (a newer snapshot restored
-// by older code degrades to a partial warm cache), as are keys already
-// present or building. Each insert evicts tail entries as usual, so the
-// store ends within its byte budget holding the most recent entries that
-// fit. Returns the number of entries restored.
-func (s *ClassStore) Restore(entries []StoreSnapshotEntry) int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	restored := 0
-	for i := range entries {
-		se := &entries[i]
-		var val any
-		switch se.Kind {
-		case snapKindVertex:
-			val = vertexTables{cfgs: se.Cfgs, tl: se.TL}
-		case snapKindEdge:
-			val = edgeTables{tab: se.Tab, tabT: se.TabT}
-		default:
-			continue
-		}
-		if _, ok := s.building[se.Key]; ok {
-			continue
-		}
-		if _, ok := s.cache.Get(se.Key); ok {
-			continue
-		}
-		s.cache.Put(se.Key, classTables{val: val, bytes: se.Bytes})
-		restored++
-	}
-	return restored
-}

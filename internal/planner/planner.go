@@ -1259,10 +1259,6 @@ func (p *Planner) Stats() Stats {
 	return st
 }
 
-// ClassStore exposes the planner's cross-request class store for inspection
-// (nil when Config.DisableClassStore).
-func (p *Planner) ClassStore() *cost.ClassStore { return p.store }
-
 // CacheSizes reports the current result-cache entry count.
 func (p *Planner) CacheSizes() (results int) {
 	p.mu.Lock()

@@ -1,11 +1,12 @@
 package planner
 
-// Warm restarts (DESIGN.md "Pressure & degradation"): a planner's hot state —
-// the solved-result LRU and the cross-request class store — is rebuilt from
-// scratch on every process start, so a crash or rolling restart turns a warm
-// daemon into a cold one exactly when callers are retrying hardest. A
-// snapshot captures both caches deterministically; restoring one on boot
-// makes the first repeat request a cache hit again.
+// Warm restarts (DESIGN.md "Pressure & degradation"): a planner's solved-result
+// LRU is rebuilt from scratch on every process start, so a crash or rolling
+// restart turns a warm daemon into a cold one exactly when callers are
+// retrying hardest. A snapshot captures the result cache deterministically;
+// restoring one on boot makes the first repeat request a cache hit again. The
+// class store is not persisted: it is an in-process build cache, and a cold
+// model build costs milliseconds.
 //
 // The format is defensive in three layers. The outer envelope names the
 // format version and carries a canon fingerprint of every version label the
@@ -18,7 +19,7 @@ package planner
 // writes are atomic (temp file + rename), so a crash mid-checkpoint leaves
 // the previous snapshot intact.
 //
-// Cache recency survives the round trip: both caches serialize entries least
+// Cache recency survives the round trip: the cache serializes entries least
 // recent first, and restore re-inserts in slice order, so the re-Put sequence
 // reproduces the original eviction order.
 
@@ -34,13 +35,14 @@ import (
 
 	"pase/internal/canon"
 	"pase/internal/core"
-	"pase/internal/cost"
 )
 
 // snapshotFormat is the snapshot envelope version. Bump it when the envelope
 // or payload layout changes incompatibly — gob matches fields by name and
 // drops the ones it cannot place, so a moved field decodes as silently zero
 // (v2: Result's provenance fields moved into the embedded export.Provenance).
+// A dropped field is compatible: a v2 payload that still carries the class
+// store section it once held restores its results, the section ignored.
 const snapshotFormat = "pase.planner.snapshot/v2"
 
 // ErrSnapshotStale is returned by ReadSnapshot/LoadSnapshot when the file is
@@ -49,15 +51,15 @@ const snapshotFormat = "pase.planner.snapshot/v2"
 // should log it and start cold — it is a warning, not a fatal error.
 var ErrSnapshotStale = errors.New("planner: snapshot stale or corrupt")
 
-// snapshotLabels lists every version label that participates in cache-key,
-// class-table or cost identity: the fingerprint schemes the cached keys were
-// computed under, and the kernel numerics the cached costs were computed by.
+// snapshotLabels lists every version label that participates in cache-key or
+// cost identity: the fingerprint schemes the cached keys were computed under,
+// and the kernel numerics the cached costs were computed by.
 var snapshotLabels = []string{
 	"pase.request/v1",      // request/solve fingerprints (result-cache keys)
 	"graph.Graph",          // graph content fingerprints
-	"cost.vertex-class/v1", // class-store key schemes
-	"cost.edge-class/v1",
-	core.KernelVersion, // the numerics behind every cached cost
+	"cost.vertex-class/v1", // the schemes behind a cached result's
+	"cost.edge-class/v1",   // vertex_classes and edge_classes counts
+	core.KernelVersion,     // the numerics behind every cached cost
 }
 
 // snapshotFingerprint pins a snapshot to the semantics its keys and values
@@ -83,7 +85,6 @@ type snapshotResult struct {
 // snapshotPayload is the checksummed inner body.
 type snapshotPayload struct {
 	Results []snapshotResult
-	Classes []cost.StoreSnapshotEntry
 }
 
 // snapshotEnvelope is the outer wire form: version and fingerprint are
@@ -95,9 +96,9 @@ type snapshotEnvelope struct {
 	Payload     []byte
 }
 
-// WriteSnapshot serializes the planner's result cache and class store to w.
-// In-flight solves and model builds are not captured — a snapshot taken under
-// load holds whatever has been published so far.
+// WriteSnapshot serializes the planner's result cache to w. In-flight solves
+// are not captured — a snapshot taken under load holds whatever has been
+// published so far.
 func (p *Planner) WriteSnapshot(w io.Writer) error {
 	var pay snapshotPayload
 	p.mu.Lock()
@@ -106,7 +107,6 @@ func (p *Planner) WriteSnapshot(w io.Writer) error {
 		pay.Results = append(pay.Results, snapshotResult{Key: k, Result: *r})
 	})
 	p.mu.Unlock()
-	pay.Classes = p.store.Snapshot()
 
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&pay); err != nil {
@@ -125,27 +125,27 @@ func (p *Planner) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot restores a snapshot written by WriteSnapshot into the
-// planner's caches, returning how many results and class entries were
-// restored. A snapshot from an incompatible build or with a corrupt payload
-// returns ErrSnapshotStale without touching any cache. Restored entries never
+// planner's result cache, returning how many results were restored. A
+// snapshot from an incompatible build or with a corrupt payload returns
+// ErrSnapshotStale without touching the cache. Restored entries never
 // displace ones already present (live state wins over the snapshot's).
-func (p *Planner) ReadSnapshot(r io.Reader) (results, classes int, err error) {
+func (p *Planner) ReadSnapshot(r io.Reader) (results int, err error) {
 	var env snapshotEnvelope
 	if err := gob.NewDecoder(r).Decode(&env); err != nil {
-		return 0, 0, fmt.Errorf("%w: envelope: %v", ErrSnapshotStale, err)
+		return 0, fmt.Errorf("%w: envelope: %v", ErrSnapshotStale, err)
 	}
 	if env.Format != snapshotFormat {
-		return 0, 0, fmt.Errorf("%w: format %q, want %q", ErrSnapshotStale, env.Format, snapshotFormat)
+		return 0, fmt.Errorf("%w: format %q, want %q", ErrSnapshotStale, env.Format, snapshotFormat)
 	}
 	if fp := snapshotFingerprint(snapshotLabels); env.Fingerprint != fp {
-		return 0, 0, fmt.Errorf("%w: fingerprint scheme %s, want %s", ErrSnapshotStale, env.Fingerprint, fp)
+		return 0, fmt.Errorf("%w: fingerprint scheme %s, want %s", ErrSnapshotStale, env.Fingerprint, fp)
 	}
 	if sum := sha256.Sum256(env.Payload); sum != env.Sum {
-		return 0, 0, fmt.Errorf("%w: payload checksum mismatch", ErrSnapshotStale)
+		return 0, fmt.Errorf("%w: payload checksum mismatch", ErrSnapshotStale)
 	}
 	var pay snapshotPayload
 	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&pay); err != nil {
-		return 0, 0, fmt.Errorf("%w: payload: %v", ErrSnapshotStale, err)
+		return 0, fmt.Errorf("%w: payload: %v", ErrSnapshotStale, err)
 	}
 
 	p.mu.Lock()
@@ -160,8 +160,7 @@ func (p *Planner) ReadSnapshot(r io.Reader) (results, classes int, err error) {
 	}
 	p.stats.RestoredResults += int64(results)
 	p.mu.Unlock()
-	classes = p.store.Restore(pay.Classes)
-	return results, classes, nil
+	return results, nil
 }
 
 // SaveSnapshot writes a snapshot to path atomically: the bytes land in a
@@ -192,16 +191,15 @@ func (p *Planner) SaveSnapshot(path string) error {
 }
 
 // LoadSnapshot restores the snapshot at path. A missing file is not an
-// error — it reports (0, 0, nil), the cold-start case. ErrSnapshotStale
-// means the file exists but is unusable; callers should log and continue
-// cold.
-func (p *Planner) LoadSnapshot(path string) (results, classes int, err error) {
+// error — it reports (0, nil), the cold-start case. ErrSnapshotStale means
+// the file exists but is unusable; callers should log and continue cold.
+func (p *Planner) LoadSnapshot(path string) (results int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return 0, 0, nil
+			return 0, nil
 		}
-		return 0, 0, fmt.Errorf("planner: open snapshot: %w", err)
+		return 0, fmt.Errorf("planner: open snapshot: %w", err)
 	}
 	defer f.Close()
 	return p.ReadSnapshot(f)

@@ -3,6 +3,7 @@ package planner
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
 	"errors"
@@ -13,12 +14,11 @@ import (
 
 	"pase/internal/canon"
 	"pase/internal/core"
-	"pase/internal/cost"
 )
 
 // TestSnapshotRoundTrip: a fresh planner restored from a snapshot serves the
-// snapshotted requests as cache hits, byte-identical to the originals, and
-// its class store resolves model builds from the restored entries.
+// snapshotted requests as cache hits, byte-identical to the originals. The
+// snapshot holds the results only, so two of them fit well under 16 KiB.
 func TestSnapshotRoundTrip(t *testing.T) {
 	a := New(Config{})
 	reqs := []Request{alexReq(8), rnnReq(8)}
@@ -36,13 +36,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if buf.Len() >= 16<<10 {
+		t.Fatalf("snapshot of %d results is %d B, want < 16 KiB: it should hold results only", len(reqs), buf.Len())
+	}
+
 	b := New(Config{})
-	nres, nclasses, err := b.ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	nres, err := b.ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nres != len(reqs) || nclasses == 0 {
-		t.Fatalf("restored %d results, %d classes; want %d results and > 0 classes", nres, nclasses, len(reqs))
+	if nres != len(reqs) {
+		t.Fatalf("restored %d results, want %d", nres, len(reqs))
 	}
 	if st := b.Stats(); st.RestoredResults != int64(len(reqs)) {
 		t.Fatalf("RestoredResults = %d, want %d", st.RestoredResults, len(reqs))
@@ -68,29 +72,70 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if st := b.Stats(); st.Solves != 0 || st.ModelBuilds != 0 {
 		t.Fatalf("restored planner ran new work: %+v", st)
 	}
+}
 
-	// A request with the same model identity but a different solve
-	// fingerprint forces a model build in b — every class must resolve from
-	// the restored store.
-	beam := alexReq(8)
-	beam.Opts.Method = "beam"
-	beam.Opts.BeamWidth = 8
-	if _, err := b.Solve(context.Background(), beam); err != nil {
+// storeEntryV2 is the class-store entry the v2 payload carried, in the
+// Classes section, until the snapshot stopped persisting the store.
+type storeEntryV2 struct {
+	Key   canon.Fingerprint
+	Kind  uint8
+	Bytes int64
+	Cfgs  [][]int
+	TL    []float64
+	Tab   []float64
+	TabT  []float64
+}
+
+// TestSnapshotWithClassSectionRestoresResults: a v2 snapshot written before
+// the class store left it — a payload with a Classes section, under today's
+// labels and a correct checksum — still restores its results; gob drops the
+// section this build no longer declares.
+func TestSnapshotWithClassSectionRestoresResults(t *testing.T) {
+	a := New(Config{})
+	res, err := a.Solve(context.Background(), alexReq(8))
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := b.Stats()
-	if st.ClassStoreMisses != 0 || st.ClassStoreHits == 0 {
-		t.Fatalf("restored class store missed: hits=%d misses=%d", st.ClassStoreHits, st.ClassStoreMisses)
+	var buf bytes.Buffer
+	if err := a.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var env snapshotEnvelope
+	if err := gob.NewDecoder(&buf).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	var pay snapshotPayload
+	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&pay); err != nil {
+		t.Fatal(err)
+	}
+	old := struct {
+		Results []snapshotResult
+		Classes []storeEntryV2
+	}{pay.Results, []storeEntryV2{
+		{Key: canon.Fingerprint{1}, Kind: 1, Bytes: 40, Cfgs: [][]int{{1, 8}}, TL: []float64{0.5}},
+		{Key: canon.Fingerprint{2}, Kind: 2, Bytes: 16, Tab: []float64{1}, TabT: []float64{1}},
+	}}
+	var oldPay bytes.Buffer
+	if err := gob.NewEncoder(&oldPay).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	env.Payload, env.Sum = oldPay.Bytes(), sha256.Sum256(oldPay.Bytes())
+	var parent bytes.Buffer
+	if err := gob.NewEncoder(&parent).Encode(&env); err != nil {
+		t.Fatal(err)
 	}
 
-	// Entries of a kind this build does not know (3 and 4 were the prune and
-	// compact-TX entries, gone since PR 23) are skipped, not restored.
-	unknown := []cost.StoreSnapshotEntry{
-		{Key: canon.Fingerprint{3}, Kind: 3, Bytes: 8, TL: []float64{1}},
-		{Key: canon.Fingerprint{4}, Kind: 4, Bytes: 16, Tab: []float64{1}, TabT: []float64{1}},
+	b := New(Config{})
+	if n, err := b.ReadSnapshot(&parent); err != nil || n != 1 {
+		t.Fatalf("snapshot with a class section: restored %d results, %v; want 1", n, err)
 	}
-	if n := b.store.Restore(unknown); n != 0 || b.store.Stats().Entries != nclasses {
-		t.Fatalf("restored %d entries of unknown kinds (store holds %d, want %d)", n, b.store.Stats().Entries, nclasses)
+	hit, err := b.Solve(context.Background(), alexReq(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached || hit.Cost != res.Cost || hit.Fingerprint != res.Fingerprint {
+		t.Fatalf("restored result: cached=%v cost=%v fp=%s, want a hit of cost %v fp %s",
+			hit.Cached, hit.Cost, hit.Fingerprint, res.Cost, res.Fingerprint)
 	}
 }
 
@@ -110,7 +155,7 @@ func TestSnapshotPreservesRecency(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := New(Config{ResultCacheSize: 2})
-	if _, _, err := b.ReadSnapshot(&buf); err != nil {
+	if _, err := b.ReadSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -219,12 +264,12 @@ func TestSnapshotStaleAndCorruptDiscarded(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := New(Config{})
-		nres, nclasses, err := p.LoadSnapshot(path)
+		nres, err := p.LoadSnapshot(path)
 		if !errors.Is(err, ErrSnapshotStale) {
 			t.Errorf("%s: want ErrSnapshotStale, got %v", name, err)
 		}
-		if nres != 0 || nclasses != 0 {
-			t.Errorf("%s: rejected snapshot restored %d results, %d classes", name, nres, nclasses)
+		if nres != 0 {
+			t.Errorf("%s: rejected snapshot restored %d results", name, nres)
 		}
 		if st := p.Stats(); st.RestoredResults != 0 {
 			t.Errorf("%s: RestoredResults = %d after rejection", name, st.RestoredResults)
@@ -236,8 +281,8 @@ func TestSnapshotStaleAndCorruptDiscarded(t *testing.T) {
 	}
 
 	p := New(Config{})
-	if nres, nclasses, err := p.LoadSnapshot(filepath.Join(dir, "missing")); err != nil || nres != 0 || nclasses != 0 {
-		t.Fatalf("missing snapshot: want clean cold start, got (%d, %d, %v)", nres, nclasses, err)
+	if nres, err := p.LoadSnapshot(filepath.Join(dir, "missing")); err != nil || nres != 0 {
+		t.Fatalf("missing snapshot: want clean cold start, got (%d, %v)", nres, err)
 	}
 }
 
@@ -270,12 +315,12 @@ func TestSaveSnapshotAtomicAndReloadable(t *testing.T) {
 	}
 
 	b := New(Config{})
-	nres, nclasses, err := b.LoadSnapshot(path)
+	nres, err := b.LoadSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nres != 2 || nclasses == 0 {
-		t.Fatalf("loaded (%d results, %d classes), want 2 results and > 0 classes", nres, nclasses)
+	if nres != 2 {
+		t.Fatalf("loaded %d results, want 2", nres)
 	}
 	res, err := b.Solve(context.Background(), rnnReq(8))
 	if err != nil {

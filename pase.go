@@ -95,7 +95,7 @@
 // with every solve tied to its request's context, structured error codes
 // (shed → 429, oom → 503, timeout → 504), and optional warm-restart
 // snapshots (Planner.SaveSnapshot/LoadSnapshot) that persist the result
-// cache and class store across restarts.
+// cache across restarts.
 //
 // Several pased daemons become one logical planner with -peers/-advertise:
 // rendezvous hashing over the canonical solve fingerprints assigns every
