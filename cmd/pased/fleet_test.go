@@ -96,10 +96,11 @@ func requestWhere(t *testing.T, s *server, pred func(sr solveRequest, fp pase.Fi
 			if err != nil {
 				t.Fatal(err)
 			}
-			fp, err := s.pl.SolveFingerprint(req)
+			prep, err := s.pl.Prepare(req)
 			if err != nil {
 				t.Fatal(err)
 			}
+			fp := prep.Fingerprint()
 			if pred(sr, fp) {
 				if b == 0 {
 					return fmt.Sprintf(`{"model":"alexnet","gpus":%d}`, g)

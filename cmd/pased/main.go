@@ -5,9 +5,9 @@
 // and every request — /v1/solve, a fleet-forwarded /v1/internal/solve, or an
 // item of a /v1/batch fanned out across GOMAXPROCS workers — takes the same
 // route (serveOne). A repeat of a body whose answer is cached does no graph
-// work: hash → memo → lookup → bytes. Anything else: decode → lower →
-// fingerprint → lookup → fleet route | solve → encode, of which a body the
-// request memo knows skips the first three. One gotcha follows: a repeat body
+// work: hash → memo → lookup → bytes. Anything else: decode → lower/Prepare →
+// lookup → fleet route | solve → encode, of which a body the request memo
+// knows skips the first two. One gotcha follows: a repeat body
 // never reaches spec.Load or the model registry — the memo is keyed by the
 // body's bytes, which is sound because everything else lowering reads
 // (-max-gpus, -default-beam-width) is fixed at boot — so a change to lowering
@@ -742,21 +742,22 @@ func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, internal boo
 // serveOne is a request's one route through the daemon, whichever endpoint
 // carried it, and returns the encoded 200 body. A repeat of a body whose
 // answer is still cached does no graph work: hash → memo → lookup → bytes.
-// Anything else runs as much of the long route as it needs: decode → lower →
-// fingerprint (skipped when the memo knows the body) → lookup → fleet route |
-// solve → encode. body is the request's own JSON — which is also exactly what
-// a fleet forward relays to the owner, whose memo therefore knows it too.
+// Anything else runs as much of the long route as it needs: decode →
+// lower/Prepare (skipped when the memo knows the body) → lookup → fleet
+// route | solve → encode. body is the request's own JSON — which is also
+// exactly what a fleet forward relays to the owner, whose memo therefore
+// knows it too.
 // internal marks the peer-to-peer route, which never re-forwards.
 func (s *server) serveOne(ctx context.Context, body []byte, internal bool) ([]byte, *apiError) {
 	start := time.Now()
 	key := sha256.Sum256(body)
 	ent, known := s.memo.get(key)
-	// req stays zero until something needs the graph: a body the memo knows
+	// prep stays nil until something needs the graph: a body the memo knows
 	// is lowered again only to solve it or to encode an answer not yet stored.
-	var req pase.SolveRequest
+	var prep *pase.Prepared
 	if !known {
 		var apiErr *apiError
-		if req, ent, apiErr = s.lower(body); apiErr != nil {
+		if prep, ent, apiErr = s.lower(body); apiErr != nil {
 			return nil, apiErr
 		}
 		s.memo.put(key, ent)
@@ -793,21 +794,20 @@ func (s *server) serveOne(ctx context.Context, body []byte, internal bool) ([]by
 			fleetOwner = out.Owner
 		}
 	}
-	if req.G == nil {
+	if prep == nil {
 		var apiErr *apiError
-		if req, _, apiErr = s.lower(body); apiErr != nil {
+		if prep, _, apiErr = s.lower(body); apiErr != nil {
 			return nil, apiErr
 		}
 	}
 	hit := res != nil
 	if !hit {
-		req.FleetFallback = fleetOwner != ""
 		var err error
-		if res, err = s.pl.Solve(ctx, req); err != nil {
+		if res, err = s.pl.SolvePrepared(ctx, prep, fleetOwner != ""); err != nil {
 			return nil, solveError(err)
 		}
 	}
-	resp, err := toResponse(req, ent.name, res)
+	resp, err := toResponse(prep.Request(), ent.name, res)
 	if err != nil {
 		return nil, internalError(err)
 	}
@@ -829,13 +829,13 @@ func (s *server) serveOne(ctx context.Context, body []byte, internal bool) ([]by
 	return served(out)
 }
 
-// lower is the slow half of the route — decode → validate → lower →
-// fingerprint — and returns the planner's request with what the memo keeps of
-// it. Only a body that gets through all four is ever remembered.
-func (s *server) lower(body []byte) (pase.SolveRequest, memoEntry, *apiError) {
+// lower is the slow half of the route — decode → validate → lower → Prepare —
+// and returns the prepared request with what the memo keeps of it. Only a
+// body that gets through all four is ever remembered.
+func (s *server) lower(body []byte) (*pase.Prepared, memoEntry, *apiError) {
 	var sr solveRequest
 	if err := json.Unmarshal(body, &sr); err != nil {
-		return pase.SolveRequest{}, memoEntry{}, badRequest(fmt.Errorf("decode request: %w", err))
+		return nil, memoEntry{}, badRequest(fmt.Errorf("decode request: %w", err))
 	}
 	ent := memoEntry{isSpec: len(sr.Spec) > 0}
 	var (
@@ -853,13 +853,15 @@ func (s *server) lower(body []byte) (pase.SolveRequest, memoEntry, *apiError) {
 		if ent.isSpec {
 			s.specErrors.Add(1)
 		}
-		return pase.SolveRequest{}, memoEntry{}, badRequest(err)
+		return nil, memoEntry{}, badRequest(err)
 	}
-	if ent.fp, err = s.pl.SolveFingerprint(req); err != nil {
+	prep, err := s.pl.Prepare(req)
+	if err != nil {
 		// What Solve itself would answer: the planner's own validation.
-		return pase.SolveRequest{}, memoEntry{}, solveError(err)
+		return nil, memoEntry{}, solveError(err)
 	}
-	return req, ent, nil
+	ent.fp = prep.Fingerprint()
+	return prep, ent, nil
 }
 
 // bodyEnd is how the wire's encoder closes a response object.

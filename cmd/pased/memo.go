@@ -22,8 +22,8 @@ const memoCap = 512
 type memoKey = [sha256.Size]byte
 
 // memoEntry is what the daemon keeps about a request body it has already
-// decoded, validated, lowered and fingerprinted: enough to answer a repeat of
-// the same bytes without doing any of that again.
+// decoded, lowered and prepared: enough to answer a repeat of the same bytes
+// without doing any of that again.
 type memoEntry struct {
 	fp     pase.Fingerprint
 	name   string // the export document's display name

@@ -8,17 +8,19 @@ import (
 	"pase/internal/canon"
 )
 
-// TestFleetFallbackResultNeverCached: a request marked FleetFallback (solved
-// locally because the owning peer was unreachable) must answer correctly but
+// TestFleetFallbackResultNeverCached: a request solved as a fleet fallback
+// (locally, because the owning peer was unreachable) must answer correctly but
 // leave no cache entry — when the fleet heals, the owner's LRU stays the
 // cluster's single home for the fingerprint.
 func TestFleetFallbackResultNeverCached(t *testing.T) {
 	p := New(Config{})
 	ctx := context.Background()
 
-	req := alexReq(8)
-	req.FleetFallback = true
-	res, err := p.Solve(ctx, req)
+	prep, err := p.Prepare(alexReq(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.SolvePrepared(ctx, prep, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +33,7 @@ func TestFleetFallbackResultNeverCached(t *testing.T) {
 
 	// The same request without the marker must miss the cache and solve
 	// again — the fallback left nothing behind.
-	res2, err := p.Solve(ctx, alexReq(8))
+	res2, err := p.SolvePrepared(ctx, prep, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +48,7 @@ func TestFleetFallbackResultNeverCached(t *testing.T) {
 	}
 
 	// Normal caching resumes for the unmarked path.
-	res3, err := p.Solve(ctx, alexReq(8))
+	res3, err := p.SolvePrepared(ctx, prep, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,47 +60,65 @@ func TestFleetFallbackResultNeverCached(t *testing.T) {
 	}
 }
 
-// TestSolveFingerprintMatchesSolve: the pre-solve fingerprint the fleet
-// router hashes must equal the fingerprint Solve reports after the fact, for
-// every normalization path — otherwise owners disagree with their own cache
-// keys and the cluster dedups nothing.
-func TestSolveFingerprintMatchesSolve(t *testing.T) {
+// TestPrepareFingerprintMatchesSolve: the fingerprint Prepare takes before
+// any solve — the fleet router's shard key and the daemon's memo entry — must
+// be the key the prepared solve caches under and the one a fresh Solve of the
+// same request hits, for every normalization path; otherwise owners disagree
+// with their own cache keys and the cluster dedups nothing. Preparing counts
+// nothing; the solve counts an unbounded beam's rewrite to "dp" once.
+func TestPrepareFingerprintMatchesSolve(t *testing.T) {
 	p := New(Config{DefaultBeamWidth: 8})
 	ctx := context.Background()
-	reqs := map[string]Request{
-		"default dp": alexReq(8),
-		"beam default width": func() Request {
-			r := alexReq(8)
-			r.Opts.Method = "beam"
-			return r
-		}(),
-		"beam explicit width": func() Request {
-			r := rnnReq(8)
-			r.Opts.Method = "beam"
-			r.Opts.BeamWidth = 4
-			return r
-		}(),
-		"beam unbounded rewrites to dp": func() Request {
-			r := alexReq(16)
-			r.Opts.Method = "beam"
-			r.Opts.BeamWidth = -1
-			return r
-		}(),
+	withOpts := func(r Request, method string, width int) Request {
+		r.Opts.Method, r.Opts.BeamWidth = method, width
+		return r
 	}
-	for name, req := range reqs {
-		fp, err := p.SolveFingerprint(req)
+	cases := []struct {
+		name         string
+		req          Request
+		beamFallback bool
+		prep         *Prepared
+	}{
+		{name: "default dp", req: alexReq(8)},
+		{name: "beam default width", req: withOpts(alexReq(8), "beam", 0)},
+		{name: "beam explicit width", req: withOpts(rnnReq(8), "beam", 4)},
+		{name: "beam unbounded rewrites to dp", req: withOpts(alexReq(16), "beam", -1), beamFallback: true},
+		{name: "mcmc default options", req: withOpts(rnnReq(4), "mcmc", 0)},
+		{name: "expert:cnn", req: withOpts(alexReq(8), "expert:cnn", 0)},
+	}
+	for i := range cases {
+		prep, err := p.Prepare(cases[i].req)
 		if err != nil {
-			t.Fatalf("%s: SolveFingerprint: %v", name, err)
+			t.Fatalf("%s: Prepare: %v", cases[i].name, err)
 		}
-		res, err := p.Solve(ctx, req)
+		cases[i].prep = prep
+	}
+	if st := p.Stats(); st != (Stats{}) {
+		t.Fatalf("stats after Prepare only: %+v, want every counter zero", st)
+	}
+	for _, c := range cases {
+		fp := c.prep.Fingerprint()
+		before := p.Stats().BeamFallbacks
+		res, err := p.SolvePrepared(ctx, c.prep, false)
 		if err != nil {
-			t.Fatalf("%s: Solve: %v", name, err)
+			t.Fatalf("%s: SolvePrepared: %v", c.name, err)
+		}
+		want := before
+		if c.beamFallback {
+			want++
+		}
+		if got := p.Stats().BeamFallbacks; got != want {
+			t.Fatalf("%s: BeamFallbacks = %d after the prepared solve, want %d", c.name, got, want)
 		}
 		if got := fp.String(); got != res.Fingerprint {
-			t.Fatalf("%s: router fingerprint %s != solve fingerprint %s", name, got, res.Fingerprint)
+			t.Fatalf("%s: prepared fingerprint %s != solve fingerprint %s", c.name, got, res.Fingerprint)
 		}
 		if hit, _ := p.Lookup(fp); hit == nil || hit.Cost != res.Cost {
-			t.Fatalf("%s: Lookup(%s) = %v right after solving the fingerprint", name, fp, hit)
+			t.Fatalf("%s: Lookup(%s) = %v right after solving the fingerprint", c.name, fp, hit)
+		}
+		again, err := p.Solve(ctx, c.req)
+		if err != nil || !again.Cached || again.Fingerprint != res.Fingerprint {
+			t.Fatalf("%s: re-Solve = (%+v, %v), want a cache hit under %s", c.name, again, err, res.Fingerprint)
 		}
 	}
 }
@@ -111,13 +131,14 @@ func TestSolveFingerprintMatchesSolve(t *testing.T) {
 func TestLookupCountsHitAndPromotes(t *testing.T) {
 	p := New(Config{ResultCacheSize: 2, FaultPlan: mustFaultPlan(t, "solve:latency:100ms:1")})
 	ctx := context.Background()
+	preps := map[string]*Prepared{}
 	fps := map[string]canon.Fingerprint{}
 	for name, req := range map[string]Request{"A": alexReq(8), "B": rnnReq(8), "C": alexReq(4)} {
-		fp, err := p.SolveFingerprint(req)
+		prep, err := p.Prepare(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fps[name] = fp
+		preps[name], fps[name] = prep, prep.Fingerprint()
 	}
 
 	if res, inFlight := p.Lookup(fps["A"]); res != nil || inFlight {
@@ -126,7 +147,7 @@ func TestLookupCountsHitAndPromotes(t *testing.T) {
 	// The injected latency holds A's flight open long enough to observe it.
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Solve(ctx, alexReq(8))
+		_, err := p.SolvePrepared(ctx, preps["A"], false)
 		done <- err
 	}()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
@@ -143,7 +164,7 @@ func TestLookupCountsHitAndPromotes(t *testing.T) {
 	if st := p.Stats(); st.ResultHits != 0 || st.ResultMisses != 1 || st.DedupWaits != 0 {
 		t.Fatalf("stats after misses %+v, want Lookup misses to count nothing", st)
 	}
-	if _, err := p.Solve(ctx, rnnReq(8)); err != nil {
+	if _, err := p.SolvePrepared(ctx, preps["B"], false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,7 +176,7 @@ func TestLookupCountsHitAndPromotes(t *testing.T) {
 	if st := p.Stats(); st.ResultHits != 1 {
 		t.Fatalf("ResultHits = %d after one Lookup hit, want 1", st.ResultHits)
 	}
-	if _, err := p.Solve(ctx, alexReq(4)); err != nil {
+	if _, err := p.SolvePrepared(ctx, preps["C"], false); err != nil {
 		t.Fatal(err)
 	}
 	again, _ := p.Lookup(fps["A"])

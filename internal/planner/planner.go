@@ -26,9 +26,11 @@
 // a second identical request is a cache hit that performs no model build and
 // no DP run, and N simultaneous identical requests cost one solve.
 //
-// Solve reads top to bottom as the request's one route: validate → normalize
-// → fingerprint → lookup → admit → lookup → lead the flight, whose body
-// (doSolve) holds the only method dispatch.
+// A request's one route is Prepare → lookup → admit → lookup → lead the
+// flight, whose body (doSolve) holds the only method dispatch. Prepare
+// validates, normalizes and fingerprints the request, once; Solve is Prepare
+// followed by SolvePrepared, and a front end that keys on the fingerprint
+// first (cmd/pased) calls the two itself.
 package planner
 
 import (
@@ -193,8 +195,8 @@ type Result struct {
 	// model's K and table sharing, class-store and delta re-solve reuse. A
 	// cache hit or a ride-along carries its solve's provenance unchanged.
 	export.Provenance
-	// SearchTime is the end-to-end time of this request, including cost
-	// model construction (ModelTime) when one was built.
+	// SearchTime is the end-to-end time of this request from SolvePrepared
+	// on, including cost model construction (ModelTime) when one was built.
 	SearchTime time.Duration
 	// ModelTime is how long this request spent building the cost model;
 	// zero when the model came from cache or was supplied prebuilt.
@@ -213,11 +215,11 @@ type Result struct {
 	// concurrent identical request's solve.
 	Cached bool
 	// FleetFallback reports that this daemon solved a request another fleet
-	// member owns because that owner was unreachable (Request.FleetFallback).
-	// The answer is correct — solves are deterministic — but it is never
-	// cached here: peer health is transient state, and caching under the
-	// owner's identity would let a flapping peer populate shadow copies
-	// cluster-wide.
+	// member owns because that owner was unreachable (SolvePrepared's
+	// fleetFallback). The answer is correct — solves are deterministic — but
+	// it is never cached here: peer health is transient state, and caching
+	// under the owner's identity would let a flapping peer populate shadow
+	// copies cluster-wide.
 	FleetFallback bool
 	// deadlineTruncated marks an anytime result whose refinement was cut
 	// short by the caller's deadline (or a late-pass budget hit): an
@@ -263,12 +265,6 @@ type Request struct {
 	Spec  machine.Spec
 	Opts  Options
 	Model *cost.Model
-	// FleetFallback marks a request this daemon is solving in place of an
-	// unreachable fleet owner: the result is served and marked but never
-	// cached (see Result.FleetFallback), and counted in
-	// Stats.FleetFallbacks. Not fingerprinted — the answer is identical
-	// either way.
-	FleetFallback bool
 }
 
 // BatchItem is one outcome of SolveBatch, aligned with the request slice.
@@ -437,8 +433,8 @@ type Stats struct {
 	// snapshot (Planner.LoadSnapshot).
 	RestoredResults int64 `json:"restored_results"`
 	// FleetFallbacks counts solves this planner ran in place of an
-	// unreachable fleet owner (Request.FleetFallback); their results are
-	// never cached here.
+	// unreachable fleet owner (SolvePrepared's fleetFallback); their results
+	// are never cached here.
 	FleetFallbacks int64 `json:"fleet_fallbacks"`
 }
 
@@ -544,7 +540,7 @@ func Fingerprints(req Request) (modelFP, solveFP canon.Fingerprint) {
 			w.Str(req.Opts.mcmcInit())
 		}
 		if method == "beam" {
-			// Solve normalizes the beam fields before fingerprinting: width
+			// Prepare normalizes the beam fields before fingerprinting: width
 			// is the effective (post-DefaultBeamWidth) positive value —
 			// unbounded requests were rewritten to "dp" and never reach this
 			// branch — and negative gap targets collapse to -1.
@@ -557,78 +553,77 @@ func Fingerprints(req Request) (modelFP, solveFP canon.Fingerprint) {
 	return modelFP, solveFP
 }
 
-// normalize resolves the planner-default-dependent options in place, exactly
-// as Solve fingerprints them: a zero beam width inherits the planner default,
-// and an unbounded width means the beam IS the exact DP, so the request is
-// rewritten to "dp" (it shares the exact solve's fingerprint, caches, and
-// flights; the returned flag reports that rewrite so Solve can count it in
-// Stats.BeamFallbacks). Every other method has its beam knobs cleared so they
-// cannot perturb behavior (they are not fingerprinted anyway).
-func (p *Planner) normalize(opts *Options) (beamFallback bool) {
+// Prepared is a request after the front of its route: validated, its options
+// normalized and its solve fingerprint taken, once each (Prepare).
+// SolvePrepared solves it, and a front end keys its memo and fleet routing on
+// its Fingerprint.
+type Prepared struct {
+	req          Request
+	fp           canon.Fingerprint
+	beamFallback bool
+}
+
+// Fingerprint is the solve fingerprint the result is cached under — the
+// fleet layer's shard key — or zero for a Request.Model request, which
+// bypasses the caches.
+func (p *Prepared) Fingerprint() canon.Fingerprint { return p.fp }
+
+// Request is the request as prepared: a Request.Model's graph and machine
+// resolved onto it and its options normalized.
+func (p *Prepared) Request() Request { return p.req }
+
+// Prepare is the only place a request is validated, option-normalized and
+// fingerprinted, and it touches no counter. Validation comes first, so a request
+// the pipeline cannot serve (a bad MCMC seed strategy, say) fails before
+// anything is fingerprinted or built. Normalization resolves the options that
+// depend on the planner's defaults exactly as they are fingerprinted: a zero
+// beam width inherits Config.DefaultBeamWidth, and an unbounded width means
+// the beam IS the exact DP, so the request is rewritten to "dp" (it shares the
+// exact solve's fingerprint, caches and flights; SolvePrepared counts the
+// rewrite in Stats.BeamFallbacks). Every other method has its beam knobs
+// cleared so they cannot perturb behavior (they are not fingerprinted anyway).
+func (p *Planner) Prepare(req Request) (*Prepared, error) {
+	if err := ValidateMethod(req.Opts.Method); err != nil {
+		return nil, err
+	}
+	if init := req.Opts.MCMCInit; init != "" {
+		if err := ValidateMethod(init); err != nil {
+			return nil, err
+		}
+		if !strategies.IsBaselineMethod(init) {
+			return nil, fmt.Errorf("planner: MCMCInit %q is not a baseline method (want dataparallel or expert:<family>)", init)
+		}
+	}
+	if m := req.Model; m != nil {
+		if req.G != nil && req.G != m.G {
+			return nil, errors.New("planner: Request.Model was built for a different graph than Request.G")
+		}
+		req.G, req.Spec = m.G, m.Spec
+	}
+	if req.G == nil {
+		return nil, errors.New("planner: nil graph")
+	}
+
+	prep := &Prepared{}
+	opts := &req.Opts
 	if opts.method() == "beam" {
 		if opts.BeamWidth == 0 {
 			opts.BeamWidth = p.cfg.DefaultBeamWidth
 		}
 		if opts.BeamWidth <= 0 {
-			opts.Method = "dp"
-			opts.BeamWidth = 0
-			opts.GapTarget = 0
-			return true
-		}
-		if opts.GapTarget < 0 {
+			opts.Method, prep.beamFallback = "dp", true
+		} else if opts.GapTarget < 0 {
 			opts.GapTarget = -1
 		}
-		return false
 	}
-	opts.BeamWidth = 0
-	opts.GapTarget = 0
-	return false
-}
-
-// validate rejects a request the pipeline cannot serve before anything is
-// fingerprinted or built — a bad MCMC seed strategy fails here, not after a
-// full model build — and resolves a Request.Model's graph and machine onto
-// the request.
-func validate(req *Request) error {
-	if err := ValidateMethod(req.Opts.Method); err != nil {
-		return err
+	if opts.method() != "beam" {
+		opts.BeamWidth, opts.GapTarget = 0, 0
 	}
-	if init := req.Opts.MCMCInit; init != "" {
-		if err := ValidateMethod(init); err != nil {
-			return err
-		}
-		if !strategies.IsBaselineMethod(init) {
-			return fmt.Errorf("planner: MCMCInit %q is not a baseline method (want dataparallel or expert:<family>)", init)
-		}
+	prep.req = req
+	if req.Model == nil {
+		_, prep.fp = Fingerprints(req)
 	}
-	if m := req.Model; m != nil {
-		if req.G != nil && req.G != m.G {
-			return errors.New("planner: Request.Model was built for a different graph than Request.G")
-		}
-		req.G, req.Spec = m.G, m.Spec
-	}
-	if req.G == nil {
-		return errors.New("planner: nil graph")
-	}
-	return nil
-}
-
-// SolveFingerprint returns the canonical solve fingerprint Solve would cache
-// req under, after the same validation and option normalization, without
-// solving anything and without touching any counter. It is the fleet layer's
-// shard key: the rendezvous ring hashes this fingerprint to pick the
-// request's owner. Request.Model solves bypass the caches and have no
-// fingerprint.
-func (p *Planner) SolveFingerprint(req Request) (canon.Fingerprint, error) {
-	if req.Model != nil {
-		return canon.Fingerprint{}, errors.New("planner: Request.Model solves bypass the caches and have no fingerprint")
-	}
-	if err := validate(&req); err != nil {
-		return canon.Fingerprint{}, err
-	}
-	p.normalize(&req.Opts)
-	_, solveFP := Fingerprints(req)
-	return solveFP, nil
+	return prep, nil
 }
 
 // Lookup answers fp from the result cache without running Solve's pipeline:
@@ -653,8 +648,8 @@ func (p *Planner) Lookup(fp canon.Fingerprint) (res *Result, inFlight bool) {
 	return nil, inFlight
 }
 
-// Solve serves one request: it is the single entry point every method and
-// every front end (pase.Solve, SolveBatch, cmd/pased) routes through.
+// Solve serves one request: Prepare, then SolvePrepared, which every method
+// and every front end (pase.Solve, SolveBatch, cmd/pased) routes through.
 // Identical previously-solved requests are cache hits; a request identical to
 // one currently in flight joins that flight. The returned Result is the
 // caller's to keep: its Strategy is an independent copy.
@@ -665,27 +660,38 @@ func (p *Planner) Lookup(fp canon.Fingerprint) (res *Result, inFlight bool) {
 // caller has cancelled. The error is ctx's error (context.Canceled or
 // context.DeadlineExceeded), possibly wrapped.
 func (p *Planner) Solve(ctx context.Context, req Request) (*Result, error) {
+	prep, err := p.Prepare(req)
+	if err != nil {
+		return nil, err
+	}
+	return p.SolvePrepared(ctx, prep, false)
+}
+
+// SolvePrepared is the rest of Solve's route for a prepared request: lookup →
+// admit → lookup → lead the flight. fleetFallback marks a request this daemon
+// is solving in place of an unreachable fleet owner: the result is served
+// and marked but never cached (see Result.FleetFallback), and counted in
+// Stats.FleetFallbacks. It is not fingerprinted — the answer is identical
+// either way — and it means nothing for a Request.Model request.
+func (p *Planner) SolvePrepared(ctx context.Context, prep *Prepared, fleetFallback bool) (*Result, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := validate(&req); err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}
-	if p.normalize(&req.Opts) {
+	if prep.beamFallback {
 		p.mu.Lock()
 		p.stats.BeamFallbacks++
 		p.mu.Unlock()
 	}
+	req, fp := prep.req, prep.fp
 	if req.Model != nil {
 		// The caller's model has no fingerprint, so there is nothing to look
 		// up, admit, or share a flight over (see Request.Model).
 		return p.doSolve(ctx, req, start, "")
 	}
-	_, fp := Fingerprints(req)
 
 	// Cache hits and ride-alongs on in-flight identical solves bypass
 	// admission control — they perform no new underlying work, so shedding
@@ -728,13 +734,13 @@ func (p *Planner) Solve(ctx context.Context, req Request) (*Result, error) {
 		res, err := p.doSolve(solveCtx, req, start, degradeReason)
 		if err == nil {
 			res.Fingerprint = fp.String()
-			res.FleetFallback = req.FleetFallback
+			res.FleetFallback = fleetFallback
 		}
 		p.mu.Lock()
 		if p.solveFlights[fp] == fl {
 			delete(p.solveFlights, fp)
 		}
-		if req.FleetFallback {
+		if fleetFallback {
 			p.stats.FleetFallbacks++
 		}
 		// Deadline-truncated and pressure-degraded results are served to
@@ -1205,9 +1211,6 @@ func (p *Planner) buildModel(ctx context.Context, req Request) (m *cost.Model, e
 // cancels every entry: in-flight entries detach (aborting solves no other
 // caller wants) and unstarted entries fail immediately with ctx's error.
 func (p *Planner) SolveBatch(ctx context.Context, reqs []Request) []BatchItem {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	out := make([]BatchItem, len(reqs))
 	nw := runtime.GOMAXPROCS(0)
 	if nw > len(reqs) {

@@ -242,10 +242,11 @@ func TestSolveFingerprintsPinned(t *testing.T) {
 	pl := planner.New(planner.Config{})
 	check := func(name string, req planner.Request, want pinnedSolve) {
 		t.Helper()
-		fp, err := pl.SolveFingerprint(req)
+		prep, err := pl.Prepare(req)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fp := prep.Fingerprint()
 		if fp.String() != want.fp {
 			t.Errorf("%s: solve fingerprint %s, pinned %s", name, fp, want.fp)
 		}

@@ -296,8 +296,12 @@ type PlannerStats = planner.Stats
 type SolveRequest = planner.Request
 
 // Fingerprint is a canonical SHA-256 request fingerprint — the planner's
-// cache key (Planner.SolveFingerprint) and the fleet layer's shard key.
+// cache key (Prepared.Fingerprint) and the fleet layer's shard key.
 type Fingerprint = canon.Fingerprint
+
+// Prepared is a request the Planner has validated, option-normalized and
+// fingerprinted, once (Planner.Prepare); Planner.SolvePrepared solves it.
+type Prepared = planner.Prepared
 
 // BatchItem is one outcome of Planner.SolveBatch.
 type BatchItem = planner.BatchItem
