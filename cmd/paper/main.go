@@ -15,6 +15,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,9 +26,11 @@ import (
 	"pase/internal/seq"
 )
 
+// opts selects what render regenerates and how.
 type opts struct {
-	fast   bool
-	csvDir string
+	table1, table2, fig5, fig6 bool
+	fast                       bool
+	csvDir                     string
 }
 
 func main() {
@@ -41,33 +44,38 @@ func main() {
 		csv  = flag.String("csv", "", "directory to write CSV copies into")
 	)
 	flag.Parse()
-	o := opts{fast: *fast, csvDir: *csv}
-	if *all {
-		*t1, *t2, *f5, *f6 = true, true, true, true
-	}
-	if !*t1 && !*t2 && !*f5 && !*f6 {
+	o := opts{table1: *t1 || *all, table2: *t2 || *all, fig5: *f5 || *all, fig6: *f6 || *all, fast: *fast, csvDir: *csv}
+	if !o.table1 && !o.table2 && !o.fig5 && !o.fig6 {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if err := render(os.Stdout, o); err != nil {
+		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// render writes the sections o selects to w, in the paper's order.
+func render(w io.Writer, o opts) error {
 	steps := []struct {
 		on  bool
-		fn  func(opts) error
+		fn  func(io.Writer, opts) error
 		tag string
 	}{
-		{*t1, table1, "table1"},
-		{*t2, table2, "table2"},
-		{*f5, fig5, "fig5"},
-		{*f6, fig6, "fig6"},
+		{o.table1, table1, "table1"},
+		{o.table2, table2, "table2"},
+		{o.fig5, fig5, "fig5"},
+		{o.fig6, fig6, "fig6"},
 	}
 	for _, s := range steps {
 		if !s.on {
 			continue
 		}
-		if err := s.fn(o); err != nil {
-			fmt.Fprintf(os.Stderr, "paper: %s: %v\n", s.tag, err)
-			os.Exit(1)
+		if err := s.fn(w, o); err != nil {
+			return fmt.Errorf("%s: %w", s.tag, err)
 		}
 	}
+	return nil
 }
 
 func (o opts) devices() []int {
@@ -77,11 +85,11 @@ func (o opts) devices() []int {
 	return []int{4, 8, 16, 32, 64}
 }
 
-func (o opts) emit(name string, tb *report.Table) error {
-	if err := tb.Render(os.Stdout); err != nil {
+func (o opts) emit(w io.Writer, name string, tb *report.Table) error {
+	if err := tb.Render(w); err != nil {
 		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	if o.csvDir == "" {
 		return nil
 	}
@@ -96,13 +104,41 @@ func (o opts) emit(name string, tb *report.Table) error {
 	return tb.CSV(f)
 }
 
+// table1Row is one Table I cell row: the three searches on one model and
+// device count. bf is nil when the breadth-first DP ran out of memory.
+type table1Row struct {
+	model string
+	p     int
+	bf    *time.Duration
+	mcmc  *pase.Result
+	pase  *pase.Result
+}
+
 // table1 measures strategy-search time for breadth-first ordering, the MCMC
 // (FlexFlow-substitute) search, and PaSE, per model and device count.
-func table1(o opts) error {
+func table1(w io.Writer, o opts) error {
+	rows, err := table1Rows(o)
+	if err != nil {
+		return err
+	}
 	tb := &report.Table{
 		Title:  "Table I: time to find parallelization strategies (mins:secs.msecs)",
 		Header: []string{"Model", "p", "BF", "FlexFlow(MCMC)", "PaSE (ours)"},
 	}
+	for _, r := range rows {
+		bfCell := "OOM"
+		if r.bf != nil {
+			bfCell = report.Duration(*r.bf)
+		}
+		tb.Add(r.model, r.p, bfCell,
+			report.Duration(r.mcmc.SearchTime), report.Duration(r.pase.SearchTime))
+	}
+	return o.emit(w, "table1", tb)
+}
+
+// table1Rows runs Table I's searches.
+func table1Rows(o opts) ([]table1Row, error) {
+	var rows []table1Row
 	ctx := context.Background()
 	for _, bm := range pase.Benchmarks() {
 		g := bm.Build(bm.Batch)
@@ -111,52 +147,46 @@ func table1(o opts) error {
 			// search times: table construction is not part of the comparison.
 			m, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
 			if err != nil {
-				return err
+				return nil, err
 			}
+			r := table1Row{model: bm.Name, p: p}
 
 			// Breadth-first ordering (naive recurrence 2).
-			bfCell := ""
 			start := time.Now()
-			if _, err := pase.Solve(ctx, pase.SolveRequest{Model: m, Opts: pase.Options{BreadthFirst: true}}); err != nil {
-				if errors.Is(err, pase.ErrOOM) {
-					bfCell = "OOM"
-				} else {
-					return err
-				}
-			} else {
-				bfCell = report.Duration(time.Since(start))
+			if _, err := pase.Solve(ctx, pase.SolveRequest{Model: m, Opts: pase.Options{BreadthFirst: true}}); err == nil {
+				d := time.Since(start)
+				r.bf = &d
+			} else if !errors.Is(err, pase.ErrOOM) {
+				return nil, err
 			}
 
 			// MCMC seeded with the expert strategy (paper's protocol).
-			mc, err := pase.Solve(ctx, pase.SolveRequest{Model: m, Opts: pase.Options{
+			r.mcmc, err = pase.Solve(ctx, pase.SolveRequest{Model: m, Opts: pase.Options{
 				Method:   "mcmc",
 				MCMCInit: "expert:" + bm.Family,
 				MCMC:     pase.MCMCOptions{Seed: 1, MinIters: 25000},
 			}})
 			if err != nil {
-				return err
+				return nil, err
 			}
 
 			// PaSE. Use a fresh model so memoized costs from the runs above
 			// do not flatter the measurement.
 			m2, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			res, err := pase.Solve(ctx, pase.SolveRequest{Model: m2})
-			if err != nil {
-				return err
+			if r.pase, err = pase.Solve(ctx, pase.SolveRequest{Model: m2}); err != nil {
+				return nil, err
 			}
-
-			tb.Add(bm.Name, p, bfCell,
-				report.Duration(mc.SearchTime), report.Duration(res.SearchTime))
+			rows = append(rows, r)
 		}
 	}
-	return o.emit("table1", tb)
+	return rows, nil
 }
 
 // table2 prints the best strategies at p=32 in the paper's layout.
-func table2(o opts) error {
+func table2(w io.Writer, o opts) error {
 	const p = 32
 	for _, bm := range pase.Benchmarks() {
 		g := bm.Build(bm.Batch)
@@ -173,7 +203,7 @@ func table2(o opts) error {
 		for _, n := range g.Nodes {
 			tb.Add(n.Name, n.Space.Names(), res.Strategy[n.ID].String())
 		}
-		if err := o.emit("table2_"+strings.ToLower(bm.Name), tb); err != nil {
+		if err := o.emit(w, "table2_"+strings.ToLower(bm.Name), tb); err != nil {
 			return err
 		}
 	}
@@ -182,7 +212,7 @@ func table2(o opts) error {
 
 // fig5 reports the graph-structure and ordering statistics behind the
 // paper's Fig. 5 discussion, including the DenseNet worst case of §V.
-func fig5(o opts) error {
+func fig5(w io.Writer, o opts) error {
 	tb := &report.Table{
 		Title: "Fig. 5 statistics: graph sparsity and ordering quality",
 		Header: []string{"Model", "|V|", "deg<5", "deg≥5",
@@ -223,21 +253,21 @@ func fig5(o opts) error {
 		}
 		tb.Add(e.name, g.Len(), low, high, genM, bfM, k8, k64)
 	}
-	if err := o.emit("fig5", tb); err != nil {
+	if err := o.emit(w, "fig5", tb); err != nil {
 		return err
 	}
 
 	// Dependent-set histogram for InceptionV3, the paper's worked example.
 	g := pase.InceptionV3(128)
 	st := seq.Summarize(seq.Generate(g))
-	fmt.Printf("InceptionV3 GENERATESEQ dependent-set sizes: %v (max |D∪{v}| = %d, paper: ≤ 3)\n\n",
+	fmt.Fprintf(w, "InceptionV3 GENERATESEQ dependent-set sizes: %v (max |D∪{v}| = %d, paper: ≤ 3)\n\n",
 		st.DepHistogram, st.MaxState)
 	return nil
 }
 
 // fig6 regenerates the speedup-over-data-parallelism comparison on the
 // simulated 1080Ti and 2080Ti clusters.
-func fig6(o opts) error {
+func fig6(w io.Writer, o opts) error {
 	for _, gpu := range []string{"1080Ti", "2080Ti"} {
 		tb := &report.Table{
 			Title:  fmt.Sprintf("Fig. 6 (%s): simulated speedup over data parallelism", gpu),
@@ -274,7 +304,7 @@ func fig6(o opts) error {
 				tb.Add(row...)
 			}
 		}
-		if err := o.emit("fig6_"+strings.ToLower(gpu), tb); err != nil {
+		if err := o.emit(w, "fig6_"+strings.ToLower(gpu), tb); err != nil {
 			return err
 		}
 	}
