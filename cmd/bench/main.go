@@ -32,10 +32,6 @@
 //   - Fig5_GenerateSeq/<model>: the GENERATESEQ ordering alone.
 //   - SolveWorkers/workers=<n>: the DP solve on a prebuilt Transformer p=32
 //     model across worker counts.
-//   - Sweep/Transformer/p=2..32/{cold,warm}: the Transformer model built at
-//     every device count through one planner, with the cross-request class
-//     store empty (cold) vs fully resident (warm), plus the store's
-//     hit/miss/bytes counters as extras.
 //   - Beam/GPTDeep/W=<w>: a single bounded-width anytime-beam pass on a
 //     prebuilt GPT-scale decoder model (gptdeep:12) — the graph whose exact
 //     DP exceeds the default table budget — with the achieved optimality
@@ -273,50 +269,6 @@ func run(cfg config) error {
 			Reps:    reps,
 		})
 	}
-
-	// Cross-request class-store sweep: the Transformer model built at every
-	// p in 2..32 through one planner, cold (empty class store, every class
-	// constructed) vs warm (every class already resident, builds reduce to
-	// store lookups). The warm/cold gap is what the store saves a sweep; the
-	// warm time is gated so the lookup path stays cheap.
-	sweepPs := []int{2, 4, 8, 16, 32}
-	sweepOnce := func(pl *pase.Planner) error {
-		for _, sp := range sweepPs {
-			if _, err := pl.Model(context.Background(), tg, pase.GTX1080Ti(sp), tbm.Policy(sp)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	coldNs, err := measure(reps, func() error {
-		return sweepOnce(pase.NewPlanner(pase.PlannerConfig{}))
-	})
-	if err != nil {
-		return fmt.Errorf("Sweep cold: %w", err)
-	}
-	warmPl := pase.NewPlanner(pase.PlannerConfig{})
-	if err := sweepOnce(warmPl); err != nil {
-		return fmt.Errorf("Sweep warm seed: %w", err)
-	}
-	warmNs, err := measure(reps, func() error { return sweepOnce(warmPl) })
-	if err != nil {
-		return fmt.Errorf("Sweep warm: %w", err)
-	}
-	sweepStats := warmPl.Stats()
-	rep.Results = append(rep.Results,
-		Result{Name: "Sweep/Transformer/p=2..32/cold", NsPerOp: coldNs, Reps: reps},
-		Result{
-			Name:    "Sweep/Transformer/p=2..32/warm",
-			NsPerOp: warmNs,
-			Reps:    reps,
-			Extra: map[string]float64{
-				"store_hits":        float64(sweepStats.ClassStoreHits),
-				"store_misses":      float64(sweepStats.ClassStoreMisses),
-				"store_bytes":       float64(sweepStats.ClassStoreBytes),
-				"store_saved_bytes": float64(sweepStats.ClassStoreSavedBytes),
-			},
-		},
-	)
 
 	// Anytime beam on the GPT-scale decoder: the bounded-latency path for
 	// graphs the exact DP cannot finish. Single pass per width (GapTarget

@@ -157,9 +157,8 @@ func reportSolve(pl *pase.Planner, name string, g *pase.Graph, spec pase.Machine
 			res.VertexClasses, g.Len(), res.EdgeClasses,
 			float64(res.TableBytes)/1e6, float64(res.SharedTableBytes)/1e6)
 	}
-	if res.ClassStoreHits > 0 || res.DeltaResolve {
-		fmt.Printf("sharing: %d class-store hits (%.1f MB aliased), delta re-solve %v\n",
-			res.ClassStoreHits, float64(res.ClassStoreBytes)/1e6, res.DeltaResolve)
+	if res.DeltaResolve {
+		fmt.Println("sharing: delta re-solve (only the changed DP tables re-filled)")
 	}
 	fmt.Println()
 

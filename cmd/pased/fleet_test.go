@@ -448,8 +448,8 @@ func TestRouteParity(t *testing.T) {
 	}
 
 	// One mixed-ownership batch of every case. Its items share planners, so
-	// the per-solve class-store counters legitimately differ from a lone
-	// solve's; the answer and its routing may not.
+	// per-solve provenance such as delta_resolve legitimately differs from a
+	// lone solve's; the answer and its routing may not.
 	fresh()
 	var bodies []string
 	for _, tc := range cases {

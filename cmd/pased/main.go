@@ -2,7 +2,8 @@
 // over the planner, so a cluster scheduler or training framework can request
 // parallelization strategies on demand. Identical requests are served from
 // the planner's result cache, concurrent identical requests share one solve,
-// and every request — /v1/solve, a fleet-forwarded /v1/internal/solve, or an
+// a miss builds its cost model cold (no tables outlive a request), and every
+// request — /v1/solve, a fleet-forwarded /v1/internal/solve, or an
 // item of a /v1/batch fanned out across GOMAXPROCS workers — takes the same
 // route (serveOne). A repeat of a body whose answer is cached does no graph
 // work: hash → memo → lookup → bytes. Anything else: decode → lower/Prepare →
@@ -225,13 +226,9 @@ type solveResponse struct {
 	EdgeClasses      int   `json:"edge_classes"`
 	TableBytes       int64 `json:"table_bytes"`
 	SharedTableBytes int64 `json:"shared_table_bytes"`
-	// ClassStoreHits / ClassStoreBytes report what this solve's model build
-	// resolved from the daemon's cross-request class store instead of
-	// rebuilding; DeltaResolve reports the solve was served incrementally
-	// from a retained DP snapshot (only the changed tables re-filled).
-	ClassStoreHits  int64 `json:"class_store_hits"`
-	ClassStoreBytes int64 `json:"class_store_bytes"`
-	DeltaResolve    bool  `json:"delta_resolve"`
+	// DeltaResolve reports the solve was served incrementally from a
+	// retained DP snapshot (only the changed tables re-filled).
+	DeltaResolve bool `json:"delta_resolve"`
 	// Gap / Exact / BeamWidth report the anytime-beam contract: the true
 	// optimum lies in [cost_seconds/(1+gap), cost_seconds]; exact marks
 	// proven optimality; beam_width is the frontier width a beam solve
@@ -666,8 +663,6 @@ func toResponse(req pase.SolveRequest, model string, res *pase.Result) (*solveRe
 		EdgeClasses:      res.EdgeClasses,
 		TableBytes:       res.TableBytes,
 		SharedTableBytes: res.SharedTableBytes,
-		ClassStoreHits:   res.ClassStoreHits,
-		ClassStoreBytes:  res.ClassStoreBytes,
 		DeltaResolve:     res.DeltaResolve,
 		Gap:              res.Gap,
 		Exact:            res.Exact,
@@ -1058,7 +1053,6 @@ func main() {
 		addr         = flag.String("addr", ":8555", "listen address")
 		resultCache  = flag.Int("result-cache", 256, "solved-result LRU capacity")
 		maxGPUs      = flag.Int("max-gpus", 128, "largest accepted device count (cost-model tables grow with p; raise deliberately)")
-		storeBytes   = flag.Int64("class-store-bytes", 0, "cross-request class store budget in bytes (0 = default 256 MiB)")
 		beamWidth    = flag.Int("default-beam-width", 32, "beam frontier width for method=beam requests that leave beam_width unset (0 = unbounded: such requests run the exact DP)")
 		solveTimeout = flag.Duration("solve-timeout", 2*time.Minute, "per-request solve deadline; the solve is aborted mid-DP when it expires (0 = no deadline)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "how long SIGTERM waits for in-flight requests before force-closing connections (which cancels their solves)")
@@ -1113,7 +1107,6 @@ func main() {
 
 	pl := pase.NewPlanner(pase.PlannerConfig{
 		ResultCacheSize:  *resultCache,
-		ClassStoreBytes:  *storeBytes,
 		DefaultBeamWidth: *beamWidth,
 		MaxInFlight:      *maxInflight,
 		MaxQueue:         *maxQueue,

@@ -49,7 +49,7 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE pase_ready gauge\npase_ready 1\n",
 		"# TYPE pase_cached_results gauge\npase_cached_results 1\n",
 		"\npase_fleet_fallbacks_total 0\n",
-		"# TYPE pase_uptime_ms gauge\n", "# TYPE pase_draining gauge\n", "# TYPE pase_class_store_bytes gauge\n",
+		"# TYPE pase_uptime_ms gauge\n", "# TYPE pase_draining gauge\n",
 		"# TYPE pase_last_gap gauge\n", "# TYPE pase_queue_depth gauge\n", "# TYPE pase_in_flight gauge\n",
 	} {
 		if !strings.Contains(body, want) {

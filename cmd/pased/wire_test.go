@@ -39,8 +39,6 @@ func wireGoldens(t *testing.T) []wireGolden {
 		{"solve_degraded_oom", degrade, "/v1/solve", []string{dp}},
 		// The third answer to a body is written from the memo's stored bytes.
 		{"solve_memo_stored_bytes", pasedDefaults, "/v1/solve", []string{dp, dp, dp}},
-		// The mcmc solve's model is the dp solve's, every class from the store.
-		{"solve_class_store_hits", pasedDefaults, "/v1/solve", []string{dp, method(`"method":"mcmc"`)}},
 		{"batch_one_item", pasedDefaults, "/v1/batch", []string{`{"requests":[` + dp + `]}`}},
 	}
 }

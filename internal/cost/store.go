@@ -1,10 +1,11 @@
 package cost
 
-// Cross-request structural sharing (DESIGN.md "Cross-request sharing &
-// incremental re-solve"): intern.go removes repeated table builds *within*
-// one model, but a sweep over cluster sizes or a fleet of near-duplicate
-// requests still rebuilds byte-identical class tables once per model. A
-// ClassStore lifts the class cache to the planner: it is keyed by the same
+// Cross-model class sharing: intern.go removes repeated table builds *within*
+// one model; a ClassStore keeps class tables across model builds. No product
+// code uses it — the planner builds every model cold (DESIGN.md "Class store"
+// row: a cold build costs milliseconds against the search). It remains only
+// for the benchmark harness's cold-build and sweep traces, which construct it
+// directly, and goes when they stop. It is keyed by the same
 // canonical class fingerprints intern.go computes — identities over machine
 // spec, enumeration policy, and node content, never over node IDs or dense
 // per-model class numbers — so any two model builds that would construct the
@@ -19,8 +20,8 @@ package cost
 //
 // Entries are immutable once published — models alias the stored slices and
 // never write them — so sharing is value-transparent: a store-enabled build
-// is byte-identical to the BuildOptions store-less build (the planner's
-// DisableClassStore oracle), pinned by property tests.
+// is byte-identical to the BuildOptions store-less build, pinned by property
+// tests.
 //
 // Concurrency: lookups singleflight per fingerprint with a ready channel —
 // concurrent builds needing the same class block until the first builder

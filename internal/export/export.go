@@ -70,12 +70,6 @@ type Provenance struct {
 	// ModelInfo is the searched cost model's K and table sharing; zero for
 	// the baselines, which build no model.
 	cost.ModelInfo
-	// ClassStoreHits is how many class references the model build resolved
-	// from the planner's cross-request class store instead of building, and
-	// ClassStoreBytes the table bytes those hits aliased; zero for the
-	// baselines, store-less planners and caller-built models.
-	ClassStoreHits  int64 `json:"class_store_hits,omitempty"`
-	ClassStoreBytes int64 `json:"class_store_bytes,omitempty"`
 	// DeltaResolve marks an incremental re-solve: a retained DP snapshot of
 	// the same topology and solve shape was found, and only the tables the
 	// request's delta dirtied were re-filled.

@@ -1,5 +1,5 @@
 // Package lru is the one bounded least-recently-used cache under the
-// planner's result and delta caches, cost.ClassStore's published entries and
+// planner's result and delta caches, the cost package's class store and
 // pased's request memo.
 package lru
 

@@ -113,11 +113,10 @@ func (p *Planner) Compare(ctx context.Context, req CompareRequest) (*Comparison,
 		batch = 1
 	}
 
-	// The methods are independent, and the class store builds each table of
-	// their common cost model exactly once however many of them ask at the
-	// same moment, so the solves fan out through the batch worker pool
-	// instead of queueing behind the slowest entry: compare latency is
-	// max(mcmc, dp), not their sum.
+	// The methods are independent, so the solves fan out through the batch
+	// worker pool instead of queueing behind the slowest entry: compare
+	// latency is max(mcmc, dp), not their sum. Each entry that needs a cost
+	// model builds its own, which costs milliseconds against the searches.
 	reqs := make([]Request, len(methods))
 	for i, method := range methods {
 		opts := req.Opts

@@ -39,56 +39,9 @@ func requireSameStrategy(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// The acceptance property for the class store: a warm sweep — the same
-// model builds the planner has already served once — performs ZERO
-// redundant class builds. Every reference hits; hits equal total references
-// minus the distinct classes, which were each built exactly once, in the
-// cold pass.
-func TestWarmSweepZeroRedundantClassBuilds(t *testing.T) {
-	bm, err := models.ByName("transformer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := bm.Build(bm.Batch)
-	pl := New(Config{})
-	sweep := func() {
-		for _, p := range []int{2, 4, 8, 16, 32} {
-			if _, err := pl.Model(context.Background(), g, machine.GTX1080Ti(p), bm.Policy(p)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	sweep()
-	cold := pl.Stats()
-	coldRefs := cold.ClassStoreHits + cold.ClassStoreMisses
-	if cold.ClassStoreMisses == 0 {
-		t.Fatalf("cold sweep built no classes through the store: %+v", cold)
-	}
-	sweep()
-	warm := pl.Stats()
-	if d := warm.ClassStoreMisses - cold.ClassStoreMisses; d != 0 {
-		t.Errorf("warm sweep rebuilt %d classes, want 0 redundant class builds", d)
-	}
-	if d := warm.ClassStoreHits - cold.ClassStoreHits; d != coldRefs {
-		t.Errorf("warm sweep hit %d references, want all %d the cold sweep made", d, coldRefs)
-	}
-	// hits = total references − distinct classes, with each distinct class
-	// built exactly once ever.
-	total := warm.ClassStoreHits + warm.ClassStoreMisses
-	if warm.ClassStoreHits != total-warm.ClassStoreMisses {
-		t.Errorf("hits %d != references %d − distinct classes %d", warm.ClassStoreHits, total, warm.ClassStoreMisses)
-	}
-	if warm.ClassStoreEvictions != 0 {
-		t.Errorf("store evicted %d entries under the default budget", warm.ClassStoreEvictions)
-	}
-	if warm.ClassStoreSavedBytes <= 0 {
-		t.Errorf("warm sweep saved %d bytes, want > 0", warm.ClassStoreSavedBytes)
-	}
-}
-
 // A small content delta must be served by incremental re-solve — and the
 // result must be byte-identical (cost AND strategy) to a cold solve on a
-// store-less, delta-less oracle planner, at every worker count.
+// delta-less oracle planner, at every worker count.
 func TestDeltaResolveByteIdentical(t *testing.T) {
 	bm, err := models.ByName("transformer")
 	if err != nil {
@@ -121,8 +74,8 @@ func TestDeltaResolveByteIdentical(t *testing.T) {
 			t.Errorf("workers %d: DeltaResolves = %d, want 1", workers, st.DeltaResolves)
 		}
 
-		// The oracle: no class store, no delta cache — the plain cold path.
-		oraclePl := New(Config{DisableClassStore: true, DeltaCacheSize: -1})
+		// The oracle: no delta cache — the plain cold path.
+		oraclePl := New(Config{DeltaCacheSize: -1})
 		oracle, err := oraclePl.Solve(context.Background(), Request{G: g2, Spec: spec, Opts: opts})
 		if err != nil {
 			t.Fatal(err)
@@ -189,7 +142,7 @@ func TestDeltaSpeedupTransformer32(t *testing.T) {
 		t.Errorf("delta re-solve was only %.2fx faster in wall time, want well above 2x", wall)
 	}
 
-	oraclePl := New(Config{DisableClassStore: true, DeltaCacheSize: -1})
+	oraclePl := New(Config{DeltaCacheSize: -1})
 	oracle, err := oraclePl.Solve(context.Background(), Request{G: g2, Spec: spec, Opts: opts})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +178,7 @@ func TestEveryVertexDeltaResolves(t *testing.T) {
 		t.Errorf("DeltaResolves = %d, DeltaFallbacks = %d, want 1 and 0", st.DeltaResolves, st.DeltaFallbacks)
 	}
 
-	oraclePl := New(Config{DisableClassStore: true, DeltaCacheSize: -1})
+	oraclePl := New(Config{DeltaCacheSize: -1})
 	oracle, err := oraclePl.Solve(context.Background(), Request{G: g, Spec: machine.RTX2080Ti(p), Opts: opts})
 	if err != nil {
 		t.Fatal(err)

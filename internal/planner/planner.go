@@ -1,10 +1,11 @@
 // Package planner is the serving layer above the solve pipeline: a Planner
 // canonically fingerprints each request (internal/canon), caches solved
 // results in a bounded LRU keyed by that fingerprint, deduplicates concurrent
-// identical requests down to a single underlying solve (singleflight), builds
-// every cost model through one cross-request class store (each class-level
-// table is built once per planner, concurrent builders included), and fans
-// independent batch requests across a worker pool that shares all of it.
+// identical requests down to a single underlying solve (singleflight), and
+// fans independent batch requests across a worker pool that shares all of
+// it. Every cost model it builds is a cold build: building a model costs a
+// few milliseconds against the search's hundreds, so no class tables are
+// kept across requests.
 //
 // Every request flows through one context-first entry point, Solve(ctx,
 // Request), and every strategy-producing method the paper evaluates —
@@ -192,8 +193,8 @@ type Result struct {
 	// Provenance records the solve that produced the strategy — the method
 	// that ran ("dp" also when degraded), the cache fingerprint (empty for
 	// Request.Model solves, which bypass the caches), the beam contract, the
-	// model's K and table sharing, class-store and delta re-solve reuse. A
-	// cache hit or a ride-along carries its solve's provenance unchanged.
+	// model's K and table sharing, and delta re-solve reuse. A cache hit or a
+	// ride-along carries its solve's provenance unchanged.
 	export.Provenance
 	// SearchTime is the end-to-end time of this request from SolvePrepared
 	// on, including cost model construction (ModelTime) when one was built.
@@ -277,16 +278,6 @@ type BatchItem struct {
 type Config struct {
 	// ResultCacheSize bounds the solved-result LRU (default 128 results).
 	ResultCacheSize int
-	// ClassStoreBytes bounds the planner's cross-request class store — the
-	// cache of class-level cost tables every model build of this planner
-	// resolves from, so a class (a Transformer encoder layer at p=32, say)
-	// is built once ever per planner rather than once per model. Zero
-	// selects cost.DefaultClassStoreBytes.
-	ClassStoreBytes int64
-	// DisableClassStore turns cross-request class sharing off — every model
-	// build constructs its own tables. This is the byte-identity oracle the
-	// store's property tests pin store-enabled builds against.
-	DisableClassStore bool
 	// DeltaCacheSize bounds the incremental re-solve cache: how many
 	// (model, DP snapshot) pairs the planner retains, keyed by graph
 	// topology and solve shape, so a request differing from a cached one
@@ -365,8 +356,7 @@ type Stats struct {
 	// Solves counts underlying method runs actually performed and completed
 	// (DP solves, MCMC chains, baseline evaluations).
 	Solves int64 `json:"solves"`
-	// ModelBuilds counts cost models actually constructed (each through the
-	// class store, so a warm build is table lookups — see ClassStoreHits).
+	// ModelBuilds counts cost models actually constructed.
 	ModelBuilds int64 `json:"model_builds"`
 	// ResultHits / ResultMisses count result-cache lookups.
 	ResultHits   int64 `json:"result_hits"`
@@ -389,17 +379,6 @@ type Stats struct {
 	VertexClasses    int64 `json:"vertex_classes"`
 	EdgeClasses      int64 `json:"edge_classes"`
 	SharedTableBytes int64 `json:"shared_table_bytes"`
-	// ClassStoreHits / ClassStoreMisses count class references resolved from
-	// vs built into the planner's cross-request class store, across every
-	// model this planner built; ClassStoreBytes is the store's resident
-	// table bytes, ClassStoreSavedBytes the cumulative bytes hits aliased
-	// instead of rebuilding, and ClassStoreEvictions the entries dropped to
-	// hold the store's budget. All zero when Config.DisableClassStore.
-	ClassStoreHits       int64 `json:"class_store_hits"`
-	ClassStoreMisses     int64 `json:"class_store_misses"`
-	ClassStoreBytes      int64 `json:"class_store_bytes" metric:"gauge"`
-	ClassStoreSavedBytes int64 `json:"class_store_saved_bytes"`
-	ClassStoreEvictions  int64 `json:"class_store_evictions"`
 	// DeltaResolves counts dp solves served by incremental re-solve (only
 	// the changed DP tables re-filled from a cached snapshot);
 	// DeltaFallbacks counts solves that found a snapshot under their delta
@@ -455,13 +434,6 @@ type solveFlight struct {
 // concurrent use by any number of goroutines.
 type Planner struct {
 	cfg Config
-	// store is the planner's cross-request class store: every model build
-	// resolves class-level cost tables from it, so a class is built once
-	// ever per planner across distinct graphs, sweep points, and concurrent
-	// requests (the store singleflights each table, which is all the
-	// deduplication concurrent builds of one model need). nil when
-	// Config.DisableClassStore.
-	store *cost.ClassStore
 	// gate is the admission gate bounding concurrent underlying solves and
 	// the queue behind them. nil when Config.MaxInFlight is zero: every
 	// request is admitted unconditionally.
@@ -488,9 +460,6 @@ func New(cfg Config) *Planner {
 	p := &Planner{
 		cfg:          cfg,
 		solveFlights: map[canon.Fingerprint]*solveFlight{},
-	}
-	if !cfg.DisableClassStore {
-		p.store = cost.NewClassStore(cfg.ClassStoreBytes)
 	}
 	if cfg.MaxInFlight > 0 {
 		p.gate = pressure.NewGate(pressure.GateConfig{
@@ -876,11 +845,10 @@ func (p *Planner) waitSolve(ctx context.Context, fp canon.Fingerprint, fl *solve
 // doSolve performs one underlying solve behind panic isolation, and holds
 // the only method dispatch: a direct baseline evaluation (baselines price one
 // fixed strategy and never need a model), or the request's model — the
-// caller's, else built through the class store — followed by the method's
-// search. The dp leg carries the degradation ladder: a non-empty
-// degradeReason (queue pressure observed at admission) routes it straight to
-// the bounded beam solve, and an ErrOOM from the exact DP lands there with
-// DegradeReasonOOM.
+// caller's, else a cold build — followed by the method's search. The dp leg
+// carries the degradation ladder: a non-empty degradeReason (queue pressure
+// observed at admission) routes it straight to the bounded beam solve, and an
+// ErrOOM from the exact DP lands there with DegradeReasonOOM.
 func (p *Planner) doSolve(ctx context.Context, req Request, start time.Time, degradeReason string) (res *Result, err error) {
 	defer guard(p, &res, &err)
 	if err := p.cfg.FaultPlan.Fire(ctx, pressure.SiteSolve); err != nil {
@@ -916,8 +884,6 @@ func (p *Planner) doSolve(ctx context.Context, req Request, start time.Time, deg
 		}
 		if err == nil && req.Model == nil {
 			res.ModelTime = m.BuildTime
-			res.ClassStoreHits = m.ClassStoreHits()
-			res.ClassStoreBytes = m.ClassStoreBytes()
 		}
 	}
 	if err != nil {
@@ -1173,25 +1139,21 @@ func runBaseline(ctx context.Context, g *graph.Graph, spec machine.Spec, method 
 	return &Result{Strategy: s, Cost: c, SearchTime: time.Since(start)}, nil
 }
 
-// Model returns the cost model for (g, spec, pol), built through the class
-// store — so callers that need direct model access (strategy costing,
-// simulation baselines, sweeps) share every class table the planner has
-// already built.
+// Model returns a freshly built cost model for (g, spec, pol), for callers
+// that need direct model access (strategy costing, simulation baselines,
+// sweeps).
 func (p *Planner) Model(ctx context.Context, g *graph.Graph, spec machine.Spec, pol itspace.EnumPolicy) (*cost.Model, error) {
 	return p.buildModel(ctx, Request{G: g, Spec: spec, Opts: Options{Policy: pol}})
 }
 
 // buildModel constructs the request's cost model behind the fault plan's
-// model site and panic isolation. Every table resolves through the class
-// store, whose per-class singleflight is what keeps concurrent builds of one
-// model (Compare's fan-out, identical sweeps) down to one construction of
-// each table.
+// model site and panic isolation.
 func (p *Planner) buildModel(ctx context.Context, req Request) (m *cost.Model, err error) {
 	defer guard(p, &m, &err)
 	if err := p.cfg.FaultPlan.Fire(ctx, pressure.SiteModel); err != nil {
 		return nil, err
 	}
-	m, err = cost.NewModelWith(ctx, req.G, req.Spec, req.Opts.Policy, cost.BuildOptions{Store: p.store})
+	m, err = cost.NewModelWith(ctx, req.G, req.Spec, req.Opts.Policy, cost.BuildOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -1241,19 +1203,11 @@ func (p *Planner) SolveBatch(ctx context.Context, reqs []Request) []BatchItem {
 	return out
 }
 
-// Stats returns a snapshot of the planner's counters. The class-store
-// counters are read from the store at snapshot time, so they include builds
-// currently in flight.
+// Stats returns a snapshot of the planner's counters.
 func (p *Planner) Stats() Stats {
 	p.mu.Lock()
 	st := p.stats
 	p.mu.Unlock()
-	ss := p.store.Stats()
-	st.ClassStoreHits = ss.Hits
-	st.ClassStoreMisses = ss.Misses
-	st.ClassStoreBytes = ss.Bytes
-	st.ClassStoreSavedBytes = ss.SavedBytes
-	st.ClassStoreEvictions = ss.Evictions
 	gs := p.gate.Stats()
 	st.Shed = gs.Shed
 	st.Queued = gs.Queued

@@ -90,6 +90,9 @@ func TestShedBypassedByCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The warm flight hands its slot back from its own goroutine, which may
+	// still be unwinding when Solve has already returned.
+	waitForGate(t, p, func(st Stats) bool { return st.InFlight == 0 })
 
 	// Saturate the slot and the queue with distinct never-finishing requests.
 	p.cfg.FaultPlan = mustFaultPlan(t, "solve:latency:30s")

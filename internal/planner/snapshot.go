@@ -4,9 +4,8 @@ package planner
 // LRU is rebuilt from scratch on every process start, so a crash or rolling
 // restart turns a warm daemon into a cold one exactly when callers are
 // retrying hardest. A snapshot captures the result cache deterministically;
-// restoring one on boot makes the first repeat request a cache hit again. The
-// class store is not persisted: it is an in-process build cache, and a cold
-// model build costs milliseconds.
+// restoring one on boot makes the first repeat request a cache hit again.
+// Cost models are not persisted: a cold model build costs milliseconds.
 //
 // The format is defensive in three layers. The outer envelope names the
 // format version and carries a canon fingerprint of every version label the
@@ -42,7 +41,8 @@ import (
 // drops the ones it cannot place, so a moved field decodes as silently zero
 // (v2: Result's provenance fields moved into the embedded export.Provenance).
 // A dropped field is compatible: a v2 payload that still carries the class
-// store section it once held restores its results, the section ignored.
+// store section or the store's per-result hit counts it once held restores
+// its results, those fields ignored.
 const snapshotFormat = "pase.planner.snapshot/v2"
 
 // ErrSnapshotStale is returned by ReadSnapshot/LoadSnapshot when the file is

@@ -14,6 +14,7 @@ import (
 
 	"pase/internal/canon"
 	"pase/internal/core"
+	"pase/internal/export"
 )
 
 // TestSnapshotRoundTrip: a fresh planner restored from a snapshot serves the
@@ -86,10 +87,66 @@ type storeEntryV2 struct {
 	TabT  []float64
 }
 
-// TestSnapshotWithClassSectionRestoresResults: a v2 snapshot written before
-// the class store left it — a payload with a Classes section, under today's
-// labels and a correct checksum — still restores its results; gob drops the
-// section this build no longer declares.
+// payloadWithStoreFields re-types rs as the v2 payload a build wrote while
+// the planner had a class store: every provenance also carries the store's
+// ClassStoreHits and ClassStoreBytes, here non-zero. The old shape is built
+// by reflection, so it follows Result and export.Provenance as they stand.
+func payloadWithStoreFields(rs []snapshotResult) any {
+	int64T := reflect.TypeFor[int64]()
+	var pf []reflect.StructField
+	provT := reflect.TypeFor[export.Provenance]()
+	for i := range provT.NumField() {
+		f := provT.Field(i)
+		f.Anonymous = false
+		pf = append(pf, f)
+	}
+	pf = append(pf,
+		reflect.StructField{Name: "ClassStoreHits", Type: int64T},
+		reflect.StructField{Name: "ClassStoreBytes", Type: int64T})
+	var rf []reflect.StructField
+	resT := reflect.TypeFor[Result]()
+	for i := range resT.NumField() {
+		f := resT.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		if f.Name == "Provenance" {
+			f.Type, f.Anonymous = reflect.StructOf(pf), false
+		}
+		rf = append(rf, f)
+	}
+	entry := reflect.StructOf([]reflect.StructField{
+		{Name: "Key", Type: reflect.TypeFor[canon.Fingerprint]()},
+		{Name: "Result", Type: reflect.StructOf(rf)},
+	})
+	out := reflect.MakeSlice(reflect.SliceOf(entry), len(rs), len(rs))
+	for i, r := range rs {
+		out.Index(i).Field(0).Set(reflect.ValueOf(r.Key))
+		dst, src := out.Index(i).Field(1), reflect.ValueOf(r.Result)
+		for j := range dst.NumField() {
+			name := dst.Type().Field(j).Name
+			if name != "Provenance" {
+				dst.Field(j).Set(src.FieldByName(name))
+				continue
+			}
+			prov, srcProv := dst.Field(j), src.FieldByName(name)
+			for k := range srcProv.NumField() {
+				prov.Field(k).Set(srcProv.Field(k))
+			}
+			prov.FieldByName("ClassStoreHits").SetInt(12)
+			prov.FieldByName("ClassStoreBytes").SetInt(4096)
+		}
+	}
+	pay := reflect.New(reflect.StructOf([]reflect.StructField{{Name: "Results", Type: out.Type()}})).Elem()
+	pay.Field(0).Set(out)
+	return pay.Interface()
+}
+
+// TestSnapshotWithClassSectionRestoresResults: a v2 snapshot written while
+// the planner had a class store — a payload with a Classes section, or
+// results whose provenance carries the store's hit counts, under today's
+// labels and a correct checksum — still restores its results, identical to
+// the originals; gob drops what this build no longer declares.
 func TestSnapshotWithClassSectionRestoresResults(t *testing.T) {
 	a := New(Config{})
 	res, err := a.Solve(context.Background(), alexReq(8))
@@ -108,34 +165,45 @@ func TestSnapshotWithClassSectionRestoresResults(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&pay); err != nil {
 		t.Fatal(err)
 	}
-	old := struct {
-		Results []snapshotResult
-		Classes []storeEntryV2
-	}{pay.Results, []storeEntryV2{
-		{Key: canon.Fingerprint{1}, Kind: 1, Bytes: 40, Cfgs: [][]int{{1, 8}}, TL: []float64{0.5}},
-		{Key: canon.Fingerprint{2}, Kind: 2, Bytes: 16, Tab: []float64{1}, TabT: []float64{1}},
-	}}
-	var oldPay bytes.Buffer
-	if err := gob.NewEncoder(&oldPay).Encode(&old); err != nil {
-		t.Fatal(err)
-	}
-	env.Payload, env.Sum = oldPay.Bytes(), sha256.Sum256(oldPay.Bytes())
-	var parent bytes.Buffer
-	if err := gob.NewEncoder(&parent).Encode(&env); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		old  any
+	}{
+		{"classes section", struct {
+			Results []snapshotResult
+			Classes []storeEntryV2
+		}{pay.Results, []storeEntryV2{
+			{Key: canon.Fingerprint{1}, Kind: 1, Bytes: 40, Cfgs: [][]int{{1, 8}}, TL: []float64{0.5}},
+			{Key: canon.Fingerprint{2}, Kind: 2, Bytes: 16, Tab: []float64{1}, TabT: []float64{1}},
+		}}},
+		{"store provenance", payloadWithStoreFields(pay.Results)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var oldPay bytes.Buffer
+			if err := gob.NewEncoder(&oldPay).Encode(tc.old); err != nil {
+				t.Fatal(err)
+			}
+			env := env
+			env.Payload, env.Sum = oldPay.Bytes(), sha256.Sum256(oldPay.Bytes())
+			var parent bytes.Buffer
+			if err := gob.NewEncoder(&parent).Encode(&env); err != nil {
+				t.Fatal(err)
+			}
 
-	b := New(Config{})
-	if n, err := b.ReadSnapshot(&parent); err != nil || n != 1 {
-		t.Fatalf("snapshot with a class section: restored %d results, %v; want 1", n, err)
-	}
-	hit, err := b.Solve(context.Background(), alexReq(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit.Cached || hit.Cost != res.Cost || hit.Fingerprint != res.Fingerprint {
-		t.Fatalf("restored result: cached=%v cost=%v fp=%s, want a hit of cost %v fp %s",
-			hit.Cached, hit.Cost, hit.Fingerprint, res.Cost, res.Fingerprint)
+			b := New(Config{})
+			if n, err := b.ReadSnapshot(&parent); err != nil || n != 1 {
+				t.Fatalf("restored %d results, %v; want 1", n, err)
+			}
+			hit, err := b.Solve(context.Background(), alexReq(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hit.Cached || !reflect.DeepEqual(hit.Provenance, res.Provenance) ||
+				hit.Cost != res.Cost || !reflect.DeepEqual(hit.Strategy, res.Strategy) {
+				t.Fatalf("restored result: cached=%v cost=%v %+v, want a hit of cost %v %+v",
+					hit.Cached, hit.Cost, hit.Provenance, res.Cost, res.Provenance)
+			}
+		})
 	}
 }
 

@@ -58,11 +58,11 @@
 //
 // Package-level Solve/SolveBatch/Compare are served by a package-default
 // Planner: requests are canonically fingerprinted (method included), solved
-// results are cached in a bounded LRU, every cost model is built through a
-// cross-request class store (each class-level table constructed once per
-// planner), and concurrent identical requests share one underlying solve
-// whose flight outlives any single caller's cancellation. For an explicitly
-// sized planner (a long-lived service, a sweep):
+// results are cached in a bounded LRU, and concurrent identical requests
+// share one underlying solve whose flight outlives any single caller's
+// cancellation. Every cost model is built cold: a build costs milliseconds
+// against the search. For an explicitly sized planner (a long-lived service,
+// a sweep):
 //
 //	pl := pase.NewPlanner(pase.PlannerConfig{ResultCacheSize: 1024})
 //	res, err := pl.Solve(ctx, pase.SolveRequest{G: g, Spec: spec}) // solves
@@ -273,21 +273,18 @@ func ValidateMethod(method string) error { return planner.ValidateMethod(method)
 // Planner is the serving layer above the solve pipeline: a bounded LRU of
 // solved results keyed by canonical request fingerprints, singleflight
 // deduplication of concurrent identical requests, batch fan-out across
-// GOMAXPROCS workers, a cross-request class store (class-level cost tables
-// built once ever per planner, shared across distinct graphs, sweep points,
-// and concurrent builds), and incremental delta re-solve (a request with the
+// GOMAXPROCS workers, and incremental delta re-solve (a request with the
 // topology of a retained solve re-fills only the DP tables its delta
 // affects). Safe for concurrent use. Graphs handed to a planner must not be
 // mutated afterwards (see Solve).
 type Planner = planner.Planner
 
-// PlannerConfig sizes a Planner's result cache, cross-request class store
-// (ClassStoreBytes, DisableClassStore), incremental re-solve cache
+// PlannerConfig sizes a Planner's result cache, incremental re-solve cache
 // (DeltaCacheSize), and admission control.
 type PlannerConfig = planner.Config
 
-// PlannerStats is a snapshot of a Planner's cache, dedup, class-store, and
-// delta re-solve counters.
+// PlannerStats is a snapshot of a Planner's cache, dedup, and delta re-solve
+// counters.
 type PlannerStats = planner.Stats
 
 // SolveRequest is one solve request: graph, machine, options (including the
@@ -318,7 +315,7 @@ type Comparison = planner.Comparison
 type CompareEntry = planner.CompareEntry
 
 // NewPlanner returns a Planner sized by cfg (zero value: defaults — 128
-// results, a 256 MiB class store, 2 retained DP snapshots).
+// results, 2 retained DP snapshots).
 func NewPlanner(cfg PlannerConfig) *Planner { return planner.New(cfg) }
 
 // defaultPlanner serves package-level Solve/SolveBatch/Compare calls so that
