@@ -266,10 +266,31 @@ func fig5(w io.Writer, o opts) error {
 	return nil
 }
 
+// fig6GPUs are the two simulated clusters of Fig. 6.
+var fig6GPUs = []string{"1080Ti", "2080Ti"}
+
+// fig6Request is one Fig. 6 row as a Compare call: the expert strategy, the
+// MCMC search seeded with it (the paper's protocol), and the DP, each
+// simulated against data parallelism on p devices of gpu.
+func fig6Request(gpu string, bm pase.Benchmark, g *pase.Graph, p int) pase.CompareRequest {
+	spec := pase.GTX1080Ti(p)
+	if gpu == "2080Ti" {
+		spec = pase.RTX2080Ti(p)
+	}
+	return pase.CompareRequest{
+		G:       g,
+		Spec:    spec,
+		Opts:    pase.Options{Policy: bm.Policy(p), MCMC: pase.MCMCOptions{Seed: 1, MinIters: 25000}},
+		Batch:   bm.Batch,
+		Family:  bm.Family,
+		Methods: []string{"expert:" + bm.Family, "mcmc", "dp"},
+	}
+}
+
 // fig6 regenerates the speedup-over-data-parallelism comparison on the
 // simulated 1080Ti and 2080Ti clusters.
 func fig6(w io.Writer, o opts) error {
-	for _, gpu := range []string{"1080Ti", "2080Ti"} {
+	for _, gpu := range fig6GPUs {
 		tb := &report.Table{
 			Title:  fmt.Sprintf("Fig. 6 (%s): simulated speedup over data parallelism", gpu),
 			Header: []string{"Model", "p", "Expert", "FlexFlow(MCMC)", "PaSE (ours)"},
@@ -277,21 +298,7 @@ func fig6(w io.Writer, o opts) error {
 		for _, bm := range pase.Benchmarks() {
 			g := bm.Build(bm.Batch)
 			for _, p := range o.devices() {
-				spec := pase.GTX1080Ti(p)
-				if gpu == "2080Ti" {
-					spec = pase.RTX2080Ti(p)
-				}
-				// Compare is this figure as a call: the expert strategy, the
-				// MCMC search seeded with it (the paper's protocol), and the
-				// DP, each simulated against data parallelism.
-				cmp, err := pase.Compare(context.Background(), pase.CompareRequest{
-					G:       g,
-					Spec:    spec,
-					Opts:    pase.Options{Policy: bm.Policy(p), MCMC: pase.MCMCOptions{Seed: 1, MinIters: 25000}},
-					Batch:   bm.Batch,
-					Family:  bm.Family,
-					Methods: []string{"expert:" + bm.Family, "mcmc", "dp"},
-				})
+				cmp, err := pase.Compare(context.Background(), fig6Request(gpu, bm, g, p))
 				if err != nil {
 					return err
 				}
