@@ -128,7 +128,9 @@ func (p *Planner) WriteSnapshot(w io.Writer) error {
 // planner's result cache, returning how many results were restored. A
 // snapshot from an incompatible build or with a corrupt payload returns
 // ErrSnapshotStale without touching the cache. Restored entries never
-// displace ones already present (live state wins over the snapshot's).
+// displace ones already present (live state wins over the snapshot's). An
+// OOM-degraded result is cached under its plain dp fingerprint, so it is
+// skipped unless this planner degrades at the width it was solved at.
 func (p *Planner) ReadSnapshot(r io.Reader) (results int, err error) {
 	var env snapshotEnvelope
 	if err := gob.NewDecoder(r).Decode(&env); err != nil {
@@ -152,6 +154,9 @@ func (p *Planner) ReadSnapshot(r io.Reader) (results int, err error) {
 	for i := range pay.Results {
 		sr := &pay.Results[i]
 		if _, ok := p.results.Get(sr.Key); ok {
+			continue
+		}
+		if sr.Result.Degraded && sr.Result.BeamWidth != p.cfg.DegradeBeamWidth {
 			continue
 		}
 		res := sr.Result

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pase/internal/canon"
@@ -146,7 +147,11 @@ func payloadWithStoreFields(rs []snapshotResult) any {
 // the planner had a class store — a payload with a Classes section, or
 // results whose provenance carries the store's hit counts, under today's
 // labels and a correct checksum — still restores its results, identical to
-// the originals; gob drops what this build no longer declares.
+// the originals; gob drops what this build no longer declares. An
+// OOM-degraded result is cached under the plain dp fingerprint, so it is
+// restored only by a planner that degrades at the width it was solved at: any
+// other planner would answer that request differently (another width, or
+// ErrOOM with degradation off).
 func TestSnapshotWithClassSectionRestoresResults(t *testing.T) {
 	a := New(Config{})
 	res, err := a.Solve(context.Background(), alexReq(8))
@@ -165,18 +170,34 @@ func TestSnapshotWithClassSectionRestoresResults(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(env.Payload)).Decode(&pay); err != nil {
 		t.Fatal(err)
 	}
+	degradedPrep, err := a.Prepare(alexReq(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := snapshotResult{Key: degradedPrep.Fingerprint(), Result: *res}
+	degraded.Result.Fingerprint = degradedPrep.Fingerprint().String()
+	degraded.Result.Exact, degraded.Result.Gap, degraded.Result.BeamWidth = false, 0.5, 16
+	degraded.Result.Degraded, degraded.Result.DegradeReason = true, DegradeReasonOOM
+	withDegraded := snapshotPayload{Results: append(slices.Clone(pay.Results), degraded)}
 	for _, tc := range []struct {
 		name string
 		old  any
+		cfg  Config
+		// degraded reports that the restoring planner keeps the W=16
+		// degraded answer to alexReq(16) as well as the alexReq(8) one.
+		degraded bool
 	}{
-		{"classes section", struct {
+		{name: "classes section", old: struct {
 			Results []snapshotResult
 			Classes []storeEntryV2
 		}{pay.Results, []storeEntryV2{
 			{Key: canon.Fingerprint{1}, Kind: 1, Bytes: 40, Cfgs: [][]int{{1, 8}}, TL: []float64{0.5}},
 			{Key: canon.Fingerprint{2}, Kind: 2, Bytes: 16, Tab: []float64{1}, TabT: []float64{1}},
 		}}},
-		{"store provenance", payloadWithStoreFields(pay.Results)},
+		{name: "store provenance", old: payloadWithStoreFields(pay.Results)},
+		{name: "degraded at the restoring width", old: withDegraded, cfg: Config{DegradeBeamWidth: 16}, degraded: true},
+		{name: "degraded at another width", old: withDegraded, cfg: Config{DegradeBeamWidth: 8}},
+		{name: "degraded, degradation off", old: withDegraded},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var oldPay bytes.Buffer
@@ -190,9 +211,13 @@ func TestSnapshotWithClassSectionRestoresResults(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			b := New(Config{})
-			if n, err := b.ReadSnapshot(&parent); err != nil || n != 1 {
-				t.Fatalf("restored %d results, %v; want 1", n, err)
+			b := New(tc.cfg)
+			want := 1
+			if tc.degraded {
+				want = 2
+			}
+			if n, err := b.ReadSnapshot(&parent); err != nil || n != want {
+				t.Fatalf("restored %d results, %v; want %d", n, err, want)
 			}
 			hit, err := b.Solve(context.Background(), alexReq(8))
 			if err != nil {
@@ -202,6 +227,9 @@ func TestSnapshotWithClassSectionRestoresResults(t *testing.T) {
 				hit.Cost != res.Cost || !reflect.DeepEqual(hit.Strategy, res.Strategy) {
 				t.Fatalf("restored result: cached=%v cost=%v %+v, want a hit of cost %v %+v",
 					hit.Cached, hit.Cost, hit.Provenance, res.Cost, res.Provenance)
+			}
+			if r, _ := b.Lookup(degraded.Key); (r != nil) != tc.degraded {
+				t.Fatalf("degraded W=16 answer restored = %v, want %v", r != nil, tc.degraded)
 			}
 		})
 	}
