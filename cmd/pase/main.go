@@ -60,7 +60,7 @@ func main() {
 		gpus     = flag.Int("gpus", 32, "device count p")
 		mach     = flag.String("machine", "1080ti", "machine profile: 1080ti, 2080ti, or uniform:<devices-per-node>:<flops>:<intra-bw>:<inter-bw>")
 		method   = flag.String("method", "dp", "solve method: dp, beam, mcmc, dataparallel, or expert:<family>")
-		width    = flag.Int("width", 0, "beam frontier width for -method beam (0 = unbounded: runs the exact DP)")
+		width    = flag.Int("width", 0, "beam frontier width for -method beam (0 = the planner's default, 32)")
 		gap      = flag.Float64("gap", 0, "beam optimality-gap target: >0 refines until reached, 0 refines under -timeout, <0 single pass")
 		timeout  = flag.Duration("timeout", 0, "abort the solve after this long (0 = no deadline)")
 		export   = flag.String("export", "", "write the strategy as JSON to this file")
@@ -144,9 +144,8 @@ func reportSolve(pl *pase.Planner, name string, g *pase.Graph, spec pase.Machine
 		report.Duration(res.SearchTime), report.Duration(res.ModelTime), res.Cost, res.MaxDepSize, res.States)
 	fmt.Printf("config space: K=%d\n", res.KEffective)
 	if res.BeamWidth > 0 {
-		st := pl.Stats()
-		fmt.Printf("anytime: width=%d gap=%.4g exact=%v (beam solves %d, fallbacks %d)\n",
-			res.BeamWidth, res.Gap, res.Exact, st.BeamSolves, st.BeamFallbacks)
+		fmt.Printf("anytime: width=%d gap=%.4g exact=%v (beam solves %d)\n",
+			res.BeamWidth, res.Gap, res.Exact, pl.Stats().BeamSolves)
 	}
 	if res.Degraded {
 		fmt.Printf("degraded: reason=%s — served as bounded-width beam (width %d, gap %.4g) instead of the exact DP\n",
@@ -216,7 +215,7 @@ func compareMain(args []string) error {
 		model   = fs.String("model", "alexnet", "benchmark model: alexnet, inceptionv3, rnnlm, transformer, or gptdeep[:layers]")
 		gpus    = fs.Int("gpus", 32, "device count p")
 		mach    = fs.String("machine", "1080ti", "machine profile: 1080ti, 2080ti, or uniform:...")
-		width   = fs.Int("width", 0, "beam frontier width: >0 adds a beam column to the comparison")
+		width   = fs.Int("width", 0, "beam column's frontier width (0 = the planner's default, 32)")
 		timeout = fs.Duration("timeout", 0, "abort the comparison after this long (0 = no deadline)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -238,9 +237,9 @@ func compareMain(args []string) error {
 	return renderCompare(ctx, pl, bm, g, spec, *gpus, *width)
 }
 
-// renderCompare runs Planner.Compare and prints the paper-style table. A
-// positive beam width adds the anytime-beam row (quality vs latency against
-// the exact dp row).
+// renderCompare runs Planner.Compare and prints the paper-style table. Its
+// anytime-beam row, at width (0 means 32), shows quality vs latency against
+// the exact dp row.
 func renderCompare(ctx context.Context, pl *pase.Planner, bm pase.Benchmark, g *pase.Graph, spec pase.Machine, gpus, width int) error {
 	cmp, err := pl.Compare(ctx, pase.CompareRequest{
 		G:      g,

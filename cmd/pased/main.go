@@ -10,8 +10,8 @@
 // lookup → fleet route | solve → encode, of which a body the request memo
 // knows skips the first two. One gotcha follows: a repeat body
 // never reaches spec.Load or the model registry — the memo is keyed by the
-// body's bytes, which is sound because everything else lowering reads
-// (-max-gpus, -default-beam-width) is fixed at boot — so a change to lowering
+// body's bytes, which is sound because the only other thing lowering reads,
+// -max-gpus, is fixed at boot — so a change to lowering
 // shows on a body's first request only; /v1/stats memo_hits / memo_misses say
 // which kind a request was.
 //
@@ -184,8 +184,7 @@ type solveOptions struct {
 	// cnn, rnn, or transformer.
 	Method string `json:"method,omitempty"`
 	// BeamWidth bounds the beam method's frontier (top-W states per DP
-	// table). Omitted or 0 uses the daemon's -default-beam-width; if no
-	// width resolves the request runs the exact DP.
+	// table). Omitted or 0 means 32 (planner.DefaultBeamWidth).
 	BeamWidth int `json:"beam_width,omitempty"`
 	// GapTarget steers beam refinement: > 0 doubles the width until the
 	// optimality gap reaches the target (or the solve deadline); 0 refines
@@ -688,7 +687,7 @@ const (
 	maxCompareMethods = 8
 	// maxBeamWidth caps the wire-supplied beam frontier width: beyond 64Ki
 	// retained states per table the beam approaches the exact DP's memory
-	// profile and the width should be left unbounded instead.
+	// profile and the request should ask for method dp instead.
 	maxBeamWidth = 1 << 16
 	// maxGapTarget caps the wire-supplied beam gap target (negatives mean
 	// "single pass" and pass through).
@@ -1053,7 +1052,6 @@ func main() {
 		addr         = flag.String("addr", ":8555", "listen address")
 		resultCache  = flag.Int("result-cache", 256, "solved-result LRU capacity")
 		maxGPUs      = flag.Int("max-gpus", 128, "largest accepted device count (cost-model tables grow with p; raise deliberately)")
-		beamWidth    = flag.Int("default-beam-width", 32, "beam frontier width for method=beam requests that leave beam_width unset (0 = unbounded: such requests run the exact DP)")
 		solveTimeout = flag.Duration("solve-timeout", 2*time.Minute, "per-request solve deadline; the solve is aborted mid-DP when it expires (0 = no deadline)")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "how long SIGTERM waits for in-flight requests before force-closing connections (which cancels their solves)")
 		debugAddr    = flag.String("debug-addr", "", "optional localhost listen address serving net/http/pprof (e.g. 127.0.0.1:6060); off when empty")
@@ -1069,9 +1067,6 @@ func main() {
 		fleetProbe = flag.Duration("fleet-probe-interval", time.Second, "background peer health-probe period (GET /v1/readyz on every peer); a peer a forward failed on rejoins the ring at its next good probe")
 	)
 	flag.Parse()
-	if *beamWidth < 0 || *beamWidth > maxBeamWidth {
-		log.Fatalf("pased: -default-beam-width %d out of range [0, %d]", *beamWidth, maxBeamWidth)
-	}
 	if *degradeWidth < 0 || *degradeWidth > maxBeamWidth {
 		log.Fatalf("pased: -degrade-beam-width %d out of range [0, %d]", *degradeWidth, maxBeamWidth)
 	}
@@ -1107,7 +1102,6 @@ func main() {
 
 	pl := pase.NewPlanner(pase.PlannerConfig{
 		ResultCacheSize:  *resultCache,
-		DefaultBeamWidth: *beamWidth,
 		MaxInFlight:      *maxInflight,
 		MaxQueue:         *maxQueue,
 		DegradeBeamWidth: *degradeWidth,

@@ -43,8 +43,8 @@ type memoEntry struct {
 
 // requestMemo maps request bodies to memoEntry, at most memoCap of them,
 // forgetting the least recently asked first. Keying on the body's bytes is
-// sound for the life of the process: everything lowering reads besides the
-// body (-max-gpus, -default-beam-width) is fixed at boot. A body the memo has
+// sound for the life of the process: the only thing lowering reads besides
+// the body, -max-gpus, is fixed at boot. A body the memo has
 // not seen — other whitespace, key order or priority — just takes the slow
 // path and is remembered under its own key.
 type requestMemo struct {

@@ -23,7 +23,7 @@ type wireGolden struct {
 }
 
 // pasedDefaults is the planner configuration pased's flags default to.
-var pasedDefaults = pase.PlannerConfig{ResultCacheSize: 256, DefaultBeamWidth: 32, DegradeBeamWidth: 16}
+var pasedDefaults = pase.PlannerConfig{ResultCacheSize: 256, DegradeBeamWidth: 16}
 
 func wireGoldens(t *testing.T) []wireGolden {
 	degrade := pasedDefaults

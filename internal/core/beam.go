@@ -31,10 +31,9 @@ import (
 // budget and worker count exactly as for the exact solver.
 type BeamOptions struct {
 	Options
-	// Width is W, the number of (φ, C)-states retained per DP table. Zero or
-	// negative means unbounded, which IS the exact DP — SolveBeam then
-	// delegates to the exact kernel and the result is byte-identical to
-	// Solve by construction.
+	// Width is W, the number of (φ, C)-states retained per DP table (of the
+	// first pass, when refinement doubles it). It must be positive: the
+	// unbounded beam is the exact DP, which is Solve.
 	Width int
 	// GapTarget controls progressive refinement. > 0: keep doubling W until
 	// the tracked gap is at or below the target (or the deadline/budget runs
@@ -54,12 +53,11 @@ type BeamResult struct {
 	// the returned strategy, and Cost/(1+Gap) is an admissible lower bound
 	// on the true optimum, so Cost >= OPT >= Cost/(1+Gap) always holds.
 	Gap float64
-	// Exact reports that the returned strategy is provably optimal: either
-	// Width was unbounded, or a refinement pass completed without ever
-	// truncating a frontier.
+	// Exact reports that the returned strategy is provably optimal: a pass
+	// completed without ever truncating a frontier.
 	Exact bool
 	// Width is the beam width of the pass that produced the returned
-	// strategy (0 when unbounded).
+	// strategy.
 	Width int
 	// Passes is how many refinement passes ran.
 	Passes int
@@ -309,24 +307,15 @@ func beamGap(costV, lb float64) float64 {
 	return maxBeamGap
 }
 
-// SolveBeam runs the anytime beam DP over the given ordering. With
-// Width <= 0 it delegates to the exact kernel (byte-identical to Solve).
-// Otherwise it runs bounded-width passes, doubling the width while the
-// GapTarget/deadline policy asks for more (see BeamOptions), and returns the
-// best strategy found with its tracked gap. Mid-pass cancellation or an
-// ErrOOM on a refinement pass returns the best-so-far result; an error is
-// returned only when no pass completed at all.
+// SolveBeam runs the anytime beam DP over the given ordering: bounded-width
+// passes, doubling the width while the GapTarget/deadline policy asks for
+// more (see BeamOptions), and returns the best strategy found with its
+// tracked gap. Mid-pass cancellation or an ErrOOM on a refinement pass
+// returns the best-so-far result; an error is returned only when no pass
+// completed at all, or when Width is not positive.
 func SolveBeam(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts BeamOptions) (*BeamResult, error) {
 	if opts.Width <= 0 {
-		res, err := Solve(ctx, m, sq, opts.Options)
-		if err != nil {
-			return nil, err
-		}
-		br := &BeamResult{Result: *res, Gap: 0, Exact: true, Width: 0, Passes: 1}
-		if opts.OnPass != nil {
-			opts.OnPass(1, 0, br.Cost, 0)
-		}
-		return br, nil
+		return nil, fmt.Errorf("core: beam width %d, want > 0", opts.Width)
 	}
 	if err := checkInput(m, sq); err != nil {
 		return nil, err

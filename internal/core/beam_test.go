@@ -25,47 +25,6 @@ func beamFind(m *cost.Model, opts BeamOptions) (*BeamResult, error) {
 	return SolveBeam(context.Background(), m, seq.Generate(m.G), opts)
 }
 
-// With Width <= 0 the beam is unbounded — by definition the exact DP — so it
-// must be byte-identical (cost AND per-node configuration choices) to Solve
-// on all four paper benchmarks, at every worker count. This is what lets the
-// planner route unbounded beam requests onto the exact solve's cache
-// identity.
-func TestBeamUnboundedByteIdenticalOnPaperBenchmarks(t *testing.T) {
-	const p = 8
-	for _, bm := range models.Benchmarks() {
-		t.Run(bm.Name, func(t *testing.T) {
-			g := bm.Build(bm.Batch)
-			m, err := cost.NewModel(g, machine.GTX1080Ti(p), bm.Policy(p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			exact, err := FindBestStrategy(m, Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				br, err := beamFind(m, BeamOptions{Options: Options{Workers: workers}, Width: 0})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !br.Exact || br.Gap != 0 || br.Width != 0 {
-					t.Fatalf("workers=%d: unbounded beam not flagged exact: exact=%v gap=%v width=%d",
-						workers, br.Exact, br.Gap, br.Width)
-				}
-				if br.Cost != exact.Cost {
-					t.Fatalf("workers=%d: cost %v != exact %v", workers, br.Cost, exact.Cost)
-				}
-				for v := range exact.Idx {
-					if br.Idx[v] != exact.Idx[v] {
-						t.Fatalf("workers=%d node %d: config %d != exact %d",
-							workers, v, br.Idx[v], exact.Idx[v])
-					}
-				}
-			}
-		})
-	}
-}
-
 // The bracket against an independent oracle: on the adversarial generator the
 // scan tests use, at every width, the reported cost must be realizable and
 // the gap must bracket the brute-force optimum — Cost/(1+Gap) <= OPT <= Cost.
@@ -299,14 +258,25 @@ func TestBeamCancellationReturnsBestSoFar(t *testing.T) {
 
 // The beam must respect the table budget like the exact solver: an
 // impossible budget yields ErrOOM on the first pass (no best-so-far to fall
-// back to).
+// back to). A width that is not positive is an error too, not an exact
+// solve: the unbounded beam is Solve's job.
 func TestBeamRespectsMemoryBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomDNNGraph(rng, 10)
 	m := newModel(t, g, 8)
-	_, err := beamFind(m, BeamOptions{Options: Options{MaxTableEntries: 4}, Width: 16})
-	if !errors.Is(err, ErrOOM) {
-		t.Fatalf("want ErrOOM under a 4-entry budget, got %v", err)
+	for _, c := range []struct {
+		opts    BeamOptions
+		wantOOM bool
+	}{
+		{BeamOptions{Options: Options{MaxTableEntries: 4}, Width: 16}, true},
+		{BeamOptions{Width: 0}, false},
+		{BeamOptions{Width: -1}, false},
+	} {
+		br, err := beamFind(m, c.opts)
+		if err == nil || errors.Is(err, ErrOOM) != c.wantOOM {
+			t.Fatalf("budget %d width %d: (%v, %v), want an error (ErrOOM: %v)",
+				c.opts.MaxTableEntries, c.opts.Width, br, err, c.wantOOM)
+		}
 	}
 }
 

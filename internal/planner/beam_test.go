@@ -42,12 +42,42 @@ func TestBeamFingerprint(t *testing.T) {
 	if _, s := Fingerprints(dpWithWidth); s != sA {
 		t.Error("BeamWidth leaked into a dp fingerprint")
 	}
+
+	// A width-less beam runs at DefaultBeamWidth whatever the Config, and a
+	// negative width has no meaning.
+	p := New(Config{})
+	for _, c := range []struct {
+		name    string
+		width   int
+		wantErr bool
+	}{
+		{name: "no width on a zero Config", width: 0},
+		{name: "negative width", width: -1, wantErr: true},
+	} {
+		req := beam
+		req.Opts.BeamWidth = c.width
+		prep, err := p.Prepare(req)
+		if c.wantErr {
+			if err == nil {
+				t.Errorf("%s: Prepare accepted it", c.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		explicit := beam
+		explicit.Opts.BeamWidth = 32
+		if _, s := Fingerprints(explicit); prep.Fingerprint() != s {
+			t.Errorf("%s: fingerprint differs from BeamWidth 32's", c.name)
+		}
+	}
 }
 
-// A beam request with no width (and no planner default) is unbounded —
-// exactly the exact DP — so the planner must route it onto the "dp"
-// identity: same fingerprint, same cache entries, fallback counted.
-func TestBeamUnboundedRoutesToExactDP(t *testing.T) {
+// A bounded beam solve through the planner: the default width resolves, the
+// gap contract holds against the exact dp optimum, the stats counters thread
+// through, and the identical repeat is a cache hit.
+func TestBeamSolveThroughPlanner(t *testing.T) {
 	p := New(Config{})
 	req := alexReq(8)
 
@@ -55,9 +85,6 @@ func TestBeamUnboundedRoutesToExactDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dpRes.Exact {
-		t.Error("dp result not flagged Exact")
-	}
 
 	beamReq := alexReq(8)
 	beamReq.Opts.Method = "beam"
@@ -65,47 +92,8 @@ func TestBeamUnboundedRoutesToExactDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Method != "dp" {
-		t.Fatalf("unbounded beam should resolve to method dp, got %q", res.Method)
-	}
-	if !res.Cached {
-		t.Error("unbounded beam request missed the dp result cache")
-	}
-	if res.Fingerprint != dpRes.Fingerprint {
-		t.Errorf("unbounded beam fingerprint %s != dp %s", res.Fingerprint, dpRes.Fingerprint)
-	}
-	if res.Cost != dpRes.Cost {
-		t.Errorf("unbounded beam cost %v != dp %v", res.Cost, dpRes.Cost)
-	}
-	st := p.Stats()
-	if st.BeamFallbacks != 1 {
-		t.Errorf("BeamFallbacks = %d, want 1", st.BeamFallbacks)
-	}
-	if st.BeamSolves != 0 {
-		t.Errorf("BeamSolves = %d, want 0 (no bounded pass ran)", st.BeamSolves)
-	}
-}
-
-// A bounded beam solve through the planner: the configured default width
-// resolves, the gap contract holds against the exact dp optimum, the stats
-// counters thread through, and the identical repeat is a cache hit.
-func TestBeamSolveThroughPlanner(t *testing.T) {
-	p := New(Config{DefaultBeamWidth: 8})
-	req := alexReq(8)
-
-	dpRes, err := p.Solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	beamReq := alexReq(8)
-	beamReq.Opts.Method = "beam"
-	res, err := p.Solve(context.Background(), beamReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Method != "beam" || res.BeamWidth != 8 {
-		t.Fatalf("method %q width %d, want beam at the default width 8", res.Method, res.BeamWidth)
+	if res.Method != "beam" || res.BeamWidth != DefaultBeamWidth {
+		t.Fatalf("method %q width %d, want beam at the default width %d", res.Method, res.BeamWidth, DefaultBeamWidth)
 	}
 	if res.Cost < dpRes.Cost {
 		t.Errorf("beam cost %v below the exact optimum %v", res.Cost, dpRes.Cost)
@@ -116,9 +104,6 @@ func TestBeamSolveThroughPlanner(t *testing.T) {
 	st := p.Stats()
 	if st.BeamSolves != 1 {
 		t.Errorf("BeamSolves = %d, want 1", st.BeamSolves)
-	}
-	if st.BeamFallbacks != 0 {
-		t.Errorf("BeamFallbacks = %d, want 0", st.BeamFallbacks)
 	}
 	if st.LastGap != res.Gap {
 		t.Errorf("LastGap = %v, want the solve's gap %v", st.LastGap, res.Gap)
@@ -136,34 +121,29 @@ func TestBeamSolveThroughPlanner(t *testing.T) {
 	}
 }
 
-// Compare grows the beam column exactly when a width resolves.
+// Compare's default method list always carries the beam column, at
+// DefaultBeamWidth unless the request names a width.
 func TestCompareIncludesBeamColumn(t *testing.T) {
-	hasBeam := func(c *Comparison) bool {
+	beamWidth := func(c *Comparison) int {
 		for _, e := range c.Entries {
-			if e.Method == "beam" {
-				return e.Err == nil && e.Result != nil && e.Result.BeamWidth > 0
+			if e.Method == "beam" && e.Err == nil && e.Result != nil {
+				return e.Result.BeamWidth
 			}
 		}
-		return false
+		return 0
 	}
 
 	p := New(Config{})
 	req := alexReq(8)
-	cmp, err := p.Compare(context.Background(), CompareRequest{G: req.G, Spec: req.Spec, Family: "cnn"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hasBeam(cmp) {
-		t.Error("beam entry present with no width configured")
-	}
-
-	cmp, err = p.Compare(context.Background(), CompareRequest{
-		G: req.G, Spec: req.Spec, Family: "cnn", Opts: Options{BeamWidth: 8},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasBeam(cmp) {
-		t.Error("beam entry missing despite Opts.BeamWidth")
+	for _, c := range []struct{ width, want int }{{0, DefaultBeamWidth}, {8, 8}} {
+		cmp, err := p.Compare(context.Background(), CompareRequest{
+			G: req.G, Spec: req.Spec, Family: "cnn", Opts: Options{BeamWidth: c.width},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := beamWidth(cmp); got != c.want {
+			t.Errorf("Opts.BeamWidth %d: beam entry at width %d, want %d", c.width, got, c.want)
+		}
 	}
 }

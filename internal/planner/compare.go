@@ -36,9 +36,8 @@ type CompareRequest struct {
 	// no expert entry is run.
 	Family string
 	// Methods overrides the default method list (dataparallel, the expert
-	// when Family is set, mcmc, beam when a beam width resolves — from
-	// Opts.BeamWidth or the planner's DefaultBeamWidth — and dp). Order is
-	// preserved in Entries.
+	// when Family is set, mcmc, beam — at Opts.BeamWidth, or DefaultBeamWidth
+	// when that is zero — and dp). Order is preserved in Entries.
 	Methods []string
 }
 
@@ -89,14 +88,7 @@ func (p *Planner) Compare(ctx context.Context, req CompareRequest) (*Comparison,
 		if req.Family != "" {
 			methods = append(methods, "expert:"+req.Family)
 		}
-		methods = append(methods, "mcmc")
-		// The beam column — the paper-style quality-vs-latency row — only
-		// makes sense when a width resolves; an unbounded beam would just
-		// repeat the dp entry.
-		if req.Opts.BeamWidth > 0 || p.cfg.DefaultBeamWidth > 0 {
-			methods = append(methods, "beam")
-		}
-		methods = append(methods, "dp")
+		methods = append(methods, "mcmc", "beam", "dp")
 	}
 	for _, m := range methods {
 		// ValidateMethod accepts "" as the Options.Method zero value, but an

@@ -65,50 +65,50 @@ func TestFleetFallbackResultNeverCached(t *testing.T) {
 // be the key the prepared solve caches under and the one a fresh Solve of the
 // same request hits, for every normalization path; otherwise owners disagree
 // with their own cache keys and the cluster dedups nothing. Preparing counts
-// nothing; the solve counts an unbounded beam's rewrite to "dp" once.
+// nothing. A width-less beam is the DefaultBeamWidth beam, and a negative
+// width fails to prepare.
 func TestPrepareFingerprintMatchesSolve(t *testing.T) {
-	p := New(Config{DefaultBeamWidth: 8})
+	p := New(Config{})
 	ctx := context.Background()
 	withOpts := func(r Request, method string, width int) Request {
 		r.Opts.Method, r.Opts.BeamWidth = method, width
 		return r
 	}
 	cases := []struct {
-		name         string
-		req          Request
-		beamFallback bool
-		prep         *Prepared
+		name    string
+		req     Request
+		wantErr bool
+		prep    *Prepared
 	}{
 		{name: "default dp", req: alexReq(8)},
 		{name: "beam default width", req: withOpts(alexReq(8), "beam", 0)},
+		{name: "beam explicit default width", req: withOpts(alexReq(8), "beam", 32)},
 		{name: "beam explicit width", req: withOpts(rnnReq(8), "beam", 4)},
-		{name: "beam unbounded rewrites to dp", req: withOpts(alexReq(16), "beam", -1), beamFallback: true},
+		{name: "beam negative width rejected", req: withOpts(alexReq(16), "beam", -1), wantErr: true},
 		{name: "mcmc default options", req: withOpts(rnnReq(4), "mcmc", 0)},
 		{name: "expert:cnn", req: withOpts(alexReq(8), "expert:cnn", 0)},
 	}
 	for i := range cases {
 		prep, err := p.Prepare(cases[i].req)
-		if err != nil {
-			t.Fatalf("%s: Prepare: %v", cases[i].name, err)
+		if (err != nil) != cases[i].wantErr {
+			t.Fatalf("%s: Prepare error %v, want error %v", cases[i].name, err, cases[i].wantErr)
 		}
 		cases[i].prep = prep
 	}
 	if st := p.Stats(); st != (Stats{}) {
 		t.Fatalf("stats after Prepare only: %+v, want every counter zero", st)
 	}
+	if a, b := cases[1].prep.Fingerprint(), cases[2].prep.Fingerprint(); a != b {
+		t.Fatalf("width-less beam fingerprints %s, BeamWidth 32 %s", a, b)
+	}
 	for _, c := range cases {
+		if c.wantErr {
+			continue
+		}
 		fp := c.prep.Fingerprint()
-		before := p.Stats().BeamFallbacks
 		res, err := p.SolvePrepared(ctx, c.prep, false)
 		if err != nil {
 			t.Fatalf("%s: SolvePrepared: %v", c.name, err)
-		}
-		want := before
-		if c.beamFallback {
-			want++
-		}
-		if got := p.Stats().BeamFallbacks; got != want {
-			t.Fatalf("%s: BeamFallbacks = %d after the prepared solve, want %d", c.name, got, want)
 		}
 		if got := fp.String(); got != res.Fingerprint {
 			t.Fatalf("%s: prepared fingerprint %s != solve fingerprint %s", c.name, got, res.Fingerprint)

@@ -290,7 +290,7 @@ func TestCompareProducesPaperTable(t *testing.T) {
 	if cmp.Baseline != "dataparallel" {
 		t.Fatalf("baseline = %q", cmp.Baseline)
 	}
-	wantMethods := []string{"dataparallel", "expert:cnn", "mcmc", "dp"}
+	wantMethods := []string{"dataparallel", "expert:cnn", "mcmc", "beam", "dp"}
 	if len(cmp.Entries) != len(wantMethods) {
 		t.Fatalf("got %d entries, want %d", len(cmp.Entries), len(wantMethods))
 	}
@@ -317,7 +317,7 @@ func TestCompareProducesPaperTable(t *testing.T) {
 	if dp.Speedup <= 1 {
 		t.Fatalf("dp speedup over data parallelism = %v, want > 1", dp.Speedup)
 	}
-	for _, m := range wantMethods[:3] {
+	for _, m := range wantMethods[:4] {
 		if dp.Result.Cost > byMethod[m].Result.Cost*(1+1e-9) {
 			t.Fatalf("dp cost %v worse than %s cost %v", dp.Result.Cost, m, byMethod[m].Result.Cost)
 		}

@@ -83,6 +83,9 @@ const (
 	DegradeReasonPressure = "pressure"
 )
 
+// DefaultBeamWidth is the frontier width of a "beam" request that names none.
+const DefaultBeamWidth = 32
+
 // Options tunes a solve request. It is re-exported as pase.Options.
 type Options struct {
 	// Method selects the strategy-search method: "dp" (default — the paper's
@@ -122,13 +125,9 @@ type Options struct {
 	Workers int
 	// BeamWidth bounds the "beam" method's frontier: each DP table keeps the
 	// top-W dependent-set configurations by cost (plus a greedy guide state,
-	// so a valid strategy always survives). Zero falls back to the planner's
-	// Config.DefaultBeamWidth; if no width resolves (or the value is
-	// negative) the beam is unbounded, which is by construction the exact
-	// DP — the planner routes the request to "dp" so it shares the exact
-	// solve's fingerprint, caches, and byte-identical results. A positive
-	// width is part of the request's cache identity. Ignored by every method
-	// but "beam".
+	// so a valid strategy always survives). Zero means DefaultBeamWidth, and
+	// a negative width is rejected. The effective width is part of the
+	// request's cache identity. Ignored by every method but "beam".
 	BeamWidth int
 	// GapTarget steers the "beam" method's anytime refinement loop (see
 	// core.BeamOptions.GapTarget): > 0 doubles the width until the tracked
@@ -285,14 +284,6 @@ type Config struct {
 	// tables of their solve, so keep this small. Zero selects 2; negative
 	// disables incremental re-solve entirely (every dp solve runs cold).
 	DeltaCacheSize int
-	// DefaultBeamWidth is applied to "beam" requests whose Options leave
-	// BeamWidth unset (zero). The effective width — not the request's
-	// literal field — enters the fingerprint, so two planners with different
-	// defaults never share stale cache entries through an exported
-	// fingerprint. Zero means no default: a "beam" request without a width
-	// is unbounded and routes to the exact "dp" path (counted in
-	// Stats.BeamFallbacks).
-	DefaultBeamWidth int
 	// MaxInFlight enables admission control when > 0: at most this many
 	// underlying solves run concurrently, at most MaxQueue more wait for a
 	// slot (by Options.Priority, FIFO within a priority), and arrivals
@@ -386,14 +377,11 @@ type Stats struct {
 	// re-solve failed.
 	DeltaResolves  int64 `json:"delta_resolves"`
 	DeltaFallbacks int64 `json:"delta_fallbacks"`
-	// BeamSolves counts underlying "beam" method runs actually performed;
-	// BeamFallbacks counts requests that asked for "beam" but resolved an
-	// unbounded width and were routed to the exact "dp" path instead.
+	// BeamSolves counts underlying "beam" method runs actually performed.
 	// LastGap is the optimality gap of the most recent completed beam solve
 	// (zero when it proved exactness).
-	BeamSolves    int64   `json:"beam_solves"`
-	BeamFallbacks int64   `json:"beam_fallbacks"`
-	LastGap       float64 `json:"last_gap" metric:"gauge"`
+	BeamSolves int64   `json:"beam_solves"`
+	LastGap    float64 `json:"last_gap" metric:"gauge"`
 	// Shed counts requests rejected immediately because the admission queue
 	// was full; Queued counts requests that waited for a solve slot.
 	// QueueDepth and InFlight are gauges read at snapshot time. All zero
@@ -510,9 +498,8 @@ func Fingerprints(req Request) (modelFP, solveFP canon.Fingerprint) {
 		}
 		if method == "beam" {
 			// Prepare normalizes the beam fields before fingerprinting: width
-			// is the effective (post-DefaultBeamWidth) positive value —
-			// unbounded requests were rewritten to "dp" and never reach this
-			// branch — and negative gap targets collapse to -1.
+			// is the effective positive value (a zero became
+			// DefaultBeamWidth) and negative gap targets collapse to -1.
 			w.Label("beam")
 			w.Int(req.Opts.BeamWidth)
 			w.F64(req.Opts.GapTarget)
@@ -527,9 +514,8 @@ func Fingerprints(req Request) (modelFP, solveFP canon.Fingerprint) {
 // SolvePrepared solves it, and a front end keys its memo and fleet routing on
 // its Fingerprint.
 type Prepared struct {
-	req          Request
-	fp           canon.Fingerprint
-	beamFallback bool
+	req Request
+	fp  canon.Fingerprint
 }
 
 // Fingerprint is the solve fingerprint the result is cached under — the
@@ -544,13 +530,11 @@ func (p *Prepared) Request() Request { return p.req }
 // Prepare is the only place a request is validated, option-normalized and
 // fingerprinted, and it touches no counter. Validation comes first, so a request
 // the pipeline cannot serve (a bad MCMC seed strategy, say) fails before
-// anything is fingerprinted or built. Normalization resolves the options that
-// depend on the planner's defaults exactly as they are fingerprinted: a zero
-// beam width inherits Config.DefaultBeamWidth, and an unbounded width means
-// the beam IS the exact DP, so the request is rewritten to "dp" (it shares the
-// exact solve's fingerprint, caches and flights; SolvePrepared counts the
-// rewrite in Stats.BeamFallbacks). Every other method has its beam knobs
-// cleared so they cannot perturb behavior (they are not fingerprinted anyway).
+// anything is fingerprinted or built. Normalization resolves the options
+// exactly as they are fingerprinted: a "beam" request's zero width becomes
+// DefaultBeamWidth (a negative one is rejected) and its negative gap targets
+// collapse to -1. Every other method has its beam knobs cleared so they
+// cannot perturb behavior (they are not fingerprinted anyway).
 func (p *Planner) Prepare(req Request) (*Prepared, error) {
 	if err := ValidateMethod(req.Opts.Method); err != nil {
 		return nil, err
@@ -573,22 +557,21 @@ func (p *Planner) Prepare(req Request) (*Prepared, error) {
 		return nil, errors.New("planner: nil graph")
 	}
 
-	prep := &Prepared{}
 	opts := &req.Opts
-	if opts.method() == "beam" {
+	switch {
+	case opts.method() != "beam":
+		opts.BeamWidth, opts.GapTarget = 0, 0
+	case opts.BeamWidth < 0:
+		return nil, fmt.Errorf("planner: negative beam width %d", opts.BeamWidth)
+	default:
 		if opts.BeamWidth == 0 {
-			opts.BeamWidth = p.cfg.DefaultBeamWidth
+			opts.BeamWidth = DefaultBeamWidth
 		}
-		if opts.BeamWidth <= 0 {
-			opts.Method, prep.beamFallback = "dp", true
-		} else if opts.GapTarget < 0 {
+		if opts.GapTarget < 0 {
 			opts.GapTarget = -1
 		}
 	}
-	if opts.method() != "beam" {
-		opts.BeamWidth, opts.GapTarget = 0, 0
-	}
-	prep.req = req
+	prep := &Prepared{req: req}
 	if req.Model == nil {
 		_, prep.fp = Fingerprints(req)
 	}
@@ -649,11 +632,6 @@ func (p *Planner) SolvePrepared(ctx context.Context, prep *Prepared, fleetFallba
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
-	}
-	if prep.beamFallback {
-		p.mu.Lock()
-		p.stats.BeamFallbacks++
-		p.mu.Unlock()
 	}
 	req, fp := prep.req, prep.fp
 	if req.Model != nil {

@@ -52,7 +52,7 @@
 //	cmp, err := pase.Compare(ctx, pase.CompareRequest{
 //		G: g, Spec: spec, Batch: 128, Family: "cnn",
 //	})
-//	for _, e := range cmp.Entries { // dataparallel, expert:cnn, mcmc, dp
+//	for _, e := range cmp.Entries { // dataparallel, expert:cnn, mcmc, beam, dp
 //		fmt.Println(e.Method, e.Result.Cost, e.Speedup)
 //	}
 //
@@ -253,9 +253,9 @@ var (
 // "beam", "mcmc", "dataparallel", "expert:<family>"), Policy restricts
 // enumeration, MaxTableEntries bounds DP memory, BreadthFirst selects the
 // naive ordering baseline, Workers sets DP fill parallelism, and
-// BeamWidth/GapTarget tune the anytime beam method (frontier width and the
-// optimality-gap target its refinement loop works toward under the ctx
-// deadline).
+// BeamWidth/GapTarget tune the anytime beam method (frontier width, 32 when
+// zero, and the optimality-gap target its refinement loop works toward under
+// the ctx deadline).
 type Options = planner.Options
 
 // Result is a found strategy with its cost and search statistics, including
