@@ -27,8 +27,7 @@ type auditRule struct {
 // field which no longer exists. A field "in the solve fingerprint" must move a
 // prepared request's fingerprint when varied; a field that "cannot change a
 // cached answer" must not move it. Config fields are varied under a beam
-// request that names no width, the one request a planner default once
-// resolved differently.
+// request that names no width: a planner-level default would resolve it.
 func TestFingerprintAudit(t *testing.T) {
 	in := func(method, reason string, vary func(*Request, *Config)) auditRule {
 		return auditRule{inFingerprint: true, reason: reason, method: method, vary: vary}
