@@ -2,7 +2,12 @@ package planner
 
 import (
 	"context"
+	"math"
 	"testing"
+	"time"
+
+	"pase/internal/machine"
+	"pase/internal/models"
 )
 
 // Beam identity rules: the effective width and gap target are part of the
@@ -71,6 +76,50 @@ func TestBeamFingerprint(t *testing.T) {
 		if _, s := Fingerprints(explicit); prep.Fingerprint() != s {
 			t.Errorf("%s: fingerprint differs from BeamWidth 32's", c.name)
 		}
+	}
+}
+
+// A beam answer is a function of its request. A width-less, target-less beam
+// on gptdeep:3 at p=32 under a caller deadline runs one pass, whatever the
+// deadline: its identical repeat is a cache hit with the same cost bits, it
+// shares the fingerprint of the explicit single pass (GapTarget -1), and a
+// second planner answers it with the same bits.
+func TestBeamAnswerIsAFunctionOfItsRequest(t *testing.T) {
+	bm, err := models.ByName("gptdeep:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{G: bm.Build(bm.Batch), Spec: machine.GTX1080Ti(32), Opts: Options{Method: "beam", Policy: bm.Policy(32)}}
+	solve := func(p *Planner) *Result {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		res, err := p.Solve(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	p := New(Config{})
+	first, again := solve(p), solve(p)
+	if !again.Cached || math.Float64bits(again.Cost) != math.Float64bits(first.Cost) {
+		t.Errorf("repeat: cached %v cost %v, want a cache hit at cost %v", again.Cached, again.Cost, first.Cost)
+	}
+	single := req
+	single.Opts.GapTarget = -1
+	prep, err := p.Prepare(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepSingle, err := p.Prepare(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prep.Fingerprint() != prepSingle.Fingerprint() {
+		t.Error("a beam with no gap target does not share the GapTarget -1 fingerprint")
+	}
+	if other := solve(New(Config{})); math.Float64bits(other.Cost) != math.Float64bits(first.Cost) {
+		t.Errorf("a second planner answered cost %v, the first %v", other.Cost, first.Cost)
 	}
 }
 
