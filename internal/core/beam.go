@@ -7,10 +7,9 @@
 // every table, so every pass yields a valid strategy; the reported cost is
 // the exact cost of that strategy (partial sums along retained paths are
 // never approximated), and a sound optimality gap is derived against an
-// admissible relaxation lower bound. SolveBeam wraps one pass in a
-// progressive-refinement loop that doubles W under the remaining ctx
-// deadline and returns the best strategy found plus its gap when time (or
-// the memory budget) runs out.
+// admissible relaxation lower bound. SolveBeam runs one pass, or, under a
+// positive gap target, doubles W until the target, exactness or the memory
+// budget stops it, so its answer is a function of its inputs alone.
 package core
 
 import (
@@ -21,7 +20,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"time"
 
 	"pase/internal/cost"
 	"pase/internal/seq"
@@ -35,10 +33,9 @@ type BeamOptions struct {
 	// first pass, when refinement doubles it). It must be positive: the
 	// unbounded beam is the exact DP, which is Solve.
 	Width int
-	// GapTarget controls progressive refinement. > 0: keep doubling W until
-	// the tracked gap is at or below the target (or the deadline/budget runs
-	// out). 0: refine until the ctx deadline when one is set, otherwise run
-	// a single pass. < 0: always run a single pass at Width.
+	// GapTarget controls progressive refinement. <= 0: one pass at Width.
+	// > 0: keep doubling W until the tracked gap is at or below the target,
+	// a pass is exact, or the width outgrows the memory budget.
 	GapTarget float64
 	// OnPass, when non-nil, observes each completed refinement pass with the
 	// running best cost and gap (monotonically non-increasing in cost).
@@ -61,13 +58,6 @@ type BeamResult struct {
 	Width int
 	// Passes is how many refinement passes ran.
 	Passes int
-	// Truncated reports that refinement stopped for a non-deterministic
-	// reason — the ctx deadline or cancellation, or the memory budget on a
-	// later pass — so an identical request with more time could return a
-	// better result. Deterministic stops (exactness, gap target reached,
-	// single-pass mode) leave it false; caches should not retain truncated
-	// results.
-	Truncated bool
 }
 
 // maxBeamGap caps the reported gap so it stays finite (and JSON-encodable)
@@ -307,12 +297,11 @@ func beamGap(costV, lb float64) float64 {
 	return maxBeamGap
 }
 
-// SolveBeam runs the anytime beam DP over the given ordering: bounded-width
-// passes, doubling the width while the GapTarget/deadline policy asks for
-// more (see BeamOptions), and returns the best strategy found with its
-// tracked gap. Mid-pass cancellation or an ErrOOM on a refinement pass
-// returns the best-so-far result; an error is returned only when no pass
-// completed at all, or when Width is not positive.
+// SolveBeam runs the beam DP over the given ordering: bounded-width passes,
+// doubling the width while GapTarget asks for more (see BeamOptions), and
+// returns the best strategy found with its tracked gap. Every stop depends on
+// the inputs alone: an ErrOOM on a later pass returns the best result so far,
+// and cancellation is an error like any other.
 func SolveBeam(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts BeamOptions) (*BeamResult, error) {
 	if opts.Width <= 0 {
 		return nil, fmt.Errorf("core: beam width %d, want > 0", opts.Width)
@@ -327,14 +316,11 @@ func SolveBeam(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts BeamOp
 	var totalStates int64
 	w := opts.Width
 	for pass := 1; ; pass++ {
-		t0 := time.Now()
 		res, exact, err := bp.pass(ctx, opts.Options, w, beamJoinCap(w), nil)
 		if err != nil {
-			// Refinement best-effort: a deadline, cancellation, or budget
-			// blowup on a LATER pass returns the best strategy already
-			// found; only a failing first pass is an error.
-			if best != nil && (errors.Is(err, ErrOOM) || ctx.Err() != nil) {
-				best.Truncated = true
+			// A budget blowup on a LATER pass is as deterministic as the
+			// widths before it: the best strategy already found stands.
+			if best != nil && errors.Is(err, ErrOOM) {
 				break
 			}
 			return nil, err
@@ -352,28 +338,8 @@ func SolveBeam(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts BeamOp
 		if opts.OnPass != nil {
 			opts.OnPass(pass, w, best.Cost, best.Gap)
 		}
-		if best.Exact || best.Gap == 0 {
-			break
-		}
-		if opts.GapTarget < 0 {
-			break // single pass requested
-		}
-		if opts.GapTarget > 0 && best.Gap <= opts.GapTarget {
-			break
-		}
-		deadline, hasDeadline := ctx.Deadline()
-		if opts.GapTarget == 0 && !hasDeadline {
-			break // nothing to refine toward
-		}
-		if ctx.Err() != nil {
-			best.Truncated = true
-			break
-		}
-		// The next pass costs at least as much as this one (W doubles):
-		// don't start it if it cannot finish before the deadline.
-		if hasDeadline && time.Until(deadline) < time.Since(t0) {
-			best.Truncated = true
-			break
+		if best.Exact || opts.GapTarget <= 0 || best.Gap <= opts.GapTarget {
+			break // proven optimal, a single pass, or the target reached
 		}
 		// A width beyond the entry budget can only ErrOOM; stop refining.
 		if int64(w) > opts.maxEntries() {

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -174,7 +175,8 @@ var gptDeepModel = sync.OnceValues(func() (*cost.Model, error) {
 
 // The acceptance bar of the beam solver: a graph the exact DP cannot finish
 // under the default table budget gets a valid strategy with a sound,
-// reported gap from a single bounded-width pass, in seconds.
+// reported gap from a single bounded-width pass, in seconds. Every gap target
+// <= 0 means that one pass, whatever deadline the context carries.
 func TestBeamSolvesWhereExactDPOOMs(t *testing.T) {
 	m, err := gptDeepModel()
 	if err != nil {
@@ -183,38 +185,42 @@ func TestBeamSolvesWhereExactDPOOMs(t *testing.T) {
 	if _, err := FindBestStrategy(m, Options{}); !errors.Is(err, ErrOOM) {
 		t.Fatalf("exact DP on gptdeep:3 should exhaust DefaultMaxTableEntries, got err=%v", err)
 	}
-	start := time.Now()
-	br, err := beamFind(m, BeamOptions{Width: 32, GapTarget: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if elapsed > 5*time.Second {
-		t.Fatalf("beam W=32 took %v, want < 5s", elapsed)
-	}
-	if br.Exact {
-		t.Fatal("bounded beam on gptdeep:3 cannot prove exactness (the exact DP OOMs)")
-	}
-	if !(br.Gap > 0) || math.IsInf(br.Gap, 0) || math.IsNaN(br.Gap) {
-		t.Fatalf("want a finite positive gap, got %v", br.Gap)
-	}
-	if err := br.Strategy.Validate(m.G, 64); err != nil {
-		t.Fatalf("invalid strategy: %v", err)
-	}
-	// The stored cost must be realizable by the returned strategy.
-	got, err := m.Eval(br.Strategy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-br.Cost) > 1e-6*math.Abs(br.Cost) {
-		t.Fatalf("reported cost %v not realized by strategy (eval %v)", br.Cost, got)
+	for _, target := range []float64{0, -1} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		start := time.Now()
+		br, err := SolveBeam(ctx, m, seq.Generate(m.G), BeamOptions{Width: 32, GapTarget: target})
+		elapsed := time.Since(start)
+		cancel()
+		if err != nil {
+			t.Fatalf("GapTarget %v: %v", target, err)
+		}
+		if br.Passes != 1 || elapsed > 5*time.Second {
+			t.Fatalf("GapTarget %v: %d passes in %v, want one pass in < 5s", target, br.Passes, elapsed)
+		}
+		if br.Exact {
+			t.Fatal("bounded beam on gptdeep:3 cannot prove exactness (the exact DP OOMs)")
+		}
+		if !(br.Gap > 0) || math.IsInf(br.Gap, 0) || math.IsNaN(br.Gap) {
+			t.Fatalf("want a finite positive gap, got %v", br.Gap)
+		}
+		if err := br.Strategy.Validate(m.G, 64); err != nil {
+			t.Fatalf("invalid strategy: %v", err)
+		}
+		// The stored cost must be realizable by the returned strategy.
+		got, err := m.Eval(br.Strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-br.Cost) > 1e-6*math.Abs(br.Cost) {
+			t.Fatalf("reported cost %v not realized by strategy (eval %v)", br.Cost, got)
+		}
 	}
 }
 
-// Cancelling mid-refinement must return the best-so-far strategy promptly:
-// the first pass's result comes back, not a cancellation error, and the
-// return happens within the fill loop's polling latency of the cancel.
-func TestBeamCancellationReturnsBestSoFar(t *testing.T) {
+// Cancelling mid-refinement is an error like any other: the pass in flight
+// stops within the fill loop's polling latency of the cancel, and SolveBeam
+// returns context.Canceled, not the earlier pass's strategy.
+func TestBeamCancellationIsAnError(t *testing.T) {
 	m, err := gptDeepModel()
 	if err != nil {
 		t.Fatal(err)
@@ -237,29 +243,20 @@ func TestBeamCancellationReturnsBestSoFar(t *testing.T) {
 			}
 		},
 	})
-	if err != nil {
-		t.Fatalf("cancellation mid-refinement must return the best-so-far result, got %v", err)
+	if !errors.Is(err, context.Canceled) || br != nil {
+		t.Fatalf("cancellation mid-refinement: (%+v, %v), want context.Canceled", br, err)
 	}
-	if !cancelled.IsZero() {
-		if lag := time.Since(cancelled); lag > 100*time.Millisecond {
-			t.Fatalf("best-so-far returned %v after cancel, want < 100ms", lag)
-		}
-	}
-	if br == nil || br.Passes < 1 {
-		t.Fatalf("want at least the first pass's result, got %+v", br)
-	}
-	if !br.Truncated {
-		t.Fatal("a cancelled refinement must be flagged Truncated")
-	}
-	if err := br.Strategy.Validate(m.G, 64); err != nil {
-		t.Fatalf("invalid strategy: %v", err)
+	if lag := time.Since(cancelled); lag > 100*time.Millisecond {
+		t.Fatalf("returned %v after cancel, want < 100ms", lag)
 	}
 }
 
 // The beam must respect the table budget like the exact solver: an
 // impossible budget yields ErrOOM on the first pass (no best-so-far to fall
 // back to). A width that is not positive is an error too, not an exact
-// solve: the unbounded beam is Solve's job.
+// solve: the unbounded beam is Solve's job. Under the least budget a W=1
+// pass fits in, refinement's W=2 pass runs out of it, and the W=1 pass's
+// result is the answer.
 func TestBeamRespectsMemoryBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomDNNGraph(rng, 10)
@@ -277,6 +274,23 @@ func TestBeamRespectsMemoryBudget(t *testing.T) {
 			t.Fatalf("budget %d width %d: (%v, %v), want an error (ErrOOM: %v)",
 				c.opts.MaxTableEntries, c.opts.Width, br, err, c.wantOOM)
 		}
+	}
+
+	single := func(budget int64, width int) (*BeamResult, error) {
+		return beamFind(m, BeamOptions{Options: Options{MaxTableEntries: budget}, Width: width, GapTarget: -1})
+	}
+	// (A zero budget means the default one, so the search starts at 1.)
+	budget := 1 + int64(sort.Search(1<<20, func(b int) bool { _, err := single(1+int64(b), 1); return err == nil }))
+	first, err := single(budget, 1)
+	if err != nil || first.Exact {
+		t.Fatalf("W=1 under its least budget %d: (%+v, %v), want a cut pass", budget, first, err)
+	}
+	if _, err := single(budget, 2); !errors.Is(err, ErrOOM) {
+		t.Fatalf("W=2 under budget %d: %v, want ErrOOM", budget, err)
+	}
+	br, err := beamFind(m, BeamOptions{Options: Options{MaxTableEntries: budget}, Width: 1, GapTarget: 1e-12})
+	if err != nil || br.Passes != 1 || br.Width != 1 || br.Cost != first.Cost {
+		t.Fatalf("refinement under budget %d: (%+v, %v), want the W=1 pass's cost %v", budget, br, err, first.Cost)
 	}
 }
 

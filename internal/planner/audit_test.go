@@ -49,7 +49,7 @@ func TestFingerprintAudit(t *testing.T) {
 		"Options.BreadthFirst":    in("", "the ordering decides M, States and OOM", func(r *Request, _ *Config) { r.Opts.BreadthFirst = true }),
 		"Options.Workers":         not("", "results are byte-identical at any worker count", func(r *Request, _ *Config) { r.Opts.Workers = 3 }),
 		"Options.BeamWidth":       in("beam", "the effective width, encoded under beam", func(r *Request, _ *Config) { r.Opts.BeamWidth = 8 }),
-		"Options.GapTarget":       in("beam", "the normalized target, encoded under beam", func(r *Request, _ *Config) { r.Opts.GapTarget = 0.1 }),
+		"Options.GapTarget":       in("beam", "≤ 0 normalizes to -1 (one pass); > 0 encoded under beam", func(r *Request, _ *Config) { r.Opts.GapTarget = 0.1 }),
 		"Options.Priority":        not("", "orders waiters for a solve slot only", func(r *Request, _ *Config) { r.Opts.Priority = 5 }),
 
 		"Config.ResultCacheSize":  not("beam", "bounds how many answers are kept, not what they are", func(_ *Request, c *Config) { c.ResultCacheSize = 1 }),

@@ -73,9 +73,30 @@ func TestBeamFingerprint(t *testing.T) {
 		}
 		explicit := beam
 		explicit.Opts.BeamWidth = 32
-		if _, s := Fingerprints(explicit); prep.Fingerprint() != s {
-			t.Errorf("%s: fingerprint differs from BeamWidth 32's", c.name)
+		if want, err := p.Prepare(explicit); err != nil || prep.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%s: fingerprint differs from BeamWidth 32's (%v)", c.name, err)
 		}
+	}
+
+	// Every gap target <= 0 means one pass and shares one fingerprint; a
+	// positive target is another request.
+	targetFP := func(target float64) string {
+		req := beam
+		req.Opts.GapTarget = target
+		prep, err := p.Prepare(req)
+		if err != nil {
+			t.Fatalf("GapTarget %v: %v", target, err)
+		}
+		return prep.Fingerprint().String()
+	}
+	single := targetFP(-1)
+	for _, target := range []float64{0, -7} {
+		if targetFP(target) != single {
+			t.Errorf("GapTarget %v: fingerprint differs from GapTarget -1's", target)
+		}
+	}
+	if targetFP(0.1) == single {
+		t.Error("GapTarget 0.1 shares the single pass's fingerprint")
 	}
 }
 

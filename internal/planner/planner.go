@@ -129,13 +129,12 @@ type Options struct {
 	// a negative width is rejected. The effective width is part of the
 	// request's cache identity. Ignored by every method but "beam".
 	BeamWidth int
-	// GapTarget steers the "beam" method's anytime refinement loop (see
-	// core.BeamOptions.GapTarget): > 0 doubles the width until the tracked
-	// optimality gap falls to the target (or the ctx deadline arrives); 0
-	// refines under the ctx deadline when one is set, otherwise runs a
-	// single pass; negative forces a single pass at BeamWidth. A non-zero
-	// target is part of the request's cache identity (negatives normalize to
-	// -1). Ignored by every method but "beam".
+	// GapTarget steers the "beam" method's refinement (see
+	// core.BeamOptions.GapTarget): <= 0 runs a single pass at BeamWidth, and
+	// > 0 doubles the width until the tracked optimality gap falls to the
+	// target, a pass is exact, or the width outgrows MaxTableEntries. It is
+	// part of the request's cache identity, every value <= 0 normalized to
+	// -1. Ignored by every method but "beam".
 	GapTarget float64
 	// Priority orders requests waiting for a solve slot under admission
 	// control (Config.MaxInFlight): higher priorities are granted slots
@@ -221,21 +220,15 @@ type Result struct {
 	// under the owner's identity would let a flapping peer populate shadow
 	// copies cluster-wide.
 	FleetFallback bool
-	// deadlineTruncated marks an anytime result whose refinement was cut
-	// short by the caller's deadline (or a late-pass budget hit): an
-	// identical request with more time could do better, so the planner
-	// serves it to the current waiters but keeps it out of the result cache.
-	deadlineTruncated bool
 }
 
 // noCache reports that this result must not enter the result cache: it was
-// deadline-truncated (more time would refine it), degraded under transient
-// queue pressure (the exact answer is still reachable once pressure
-// subsides), or solved as a fleet fallback for an unreachable owner (the
-// owner's LRU is this fingerprint's home). OOM-degraded results ARE cached —
-// see DegradeReasonOOM.
+// degraded under transient queue pressure (the exact answer is still
+// reachable once pressure subsides), or solved as a fleet fallback for an
+// unreachable owner (the owner's LRU is this fingerprint's home).
+// OOM-degraded results ARE cached — see DegradeReasonOOM.
 func (r *Result) noCache() bool {
-	return r.deadlineTruncated || r.DegradeReason == DegradeReasonPressure || r.FleetFallback
+	return r.DegradeReason == DegradeReasonPressure || r.FleetFallback
 }
 
 // clone returns an independent copy whose strategy the caller may mutate.
@@ -499,7 +492,7 @@ func Fingerprints(req Request) (modelFP, solveFP canon.Fingerprint) {
 		if method == "beam" {
 			// Prepare normalizes the beam fields before fingerprinting: width
 			// is the effective positive value (a zero became
-			// DefaultBeamWidth) and negative gap targets collapse to -1.
+			// DefaultBeamWidth) and gap targets <= 0 collapse to -1.
 			w.Label("beam")
 			w.Int(req.Opts.BeamWidth)
 			w.F64(req.Opts.GapTarget)
@@ -532,8 +525,8 @@ func (p *Prepared) Request() Request { return p.req }
 // the pipeline cannot serve (a bad MCMC seed strategy, say) fails before
 // anything is fingerprinted or built. Normalization resolves the options
 // exactly as they are fingerprinted: a "beam" request's zero width becomes
-// DefaultBeamWidth (a negative one is rejected) and its negative gap targets
-// collapse to -1. Every other method has its beam knobs cleared so they
+// DefaultBeamWidth (a negative one is rejected) and its gap targets <= 0,
+// which all mean one pass, collapse to -1. Every other method has its beam knobs cleared so they
 // cannot perturb behavior (they are not fingerprinted anyway).
 func (p *Planner) Prepare(req Request) (*Prepared, error) {
 	if err := ValidateMethod(req.Opts.Method); err != nil {
@@ -567,7 +560,7 @@ func (p *Planner) Prepare(req Request) (*Prepared, error) {
 		if opts.BeamWidth == 0 {
 			opts.BeamWidth = DefaultBeamWidth
 		}
-		if opts.GapTarget < 0 {
+		if opts.GapTarget <= 0 {
 			opts.GapTarget = -1
 		}
 	}
@@ -663,22 +656,9 @@ func (p *Planner) SolvePrepared(ctx context.Context, prep *Prepared, fleetFallba
 		return res, err
 	}
 
-	// Anytime beam requests additionally inherit the caller's deadline,
-	// shrunk by a small margin: the refinement loop must stop and hand its
-	// best-so-far result to the flight *before* the caller's own deadline
-	// fires and detaches it, or the anytime contract degenerates to a
-	// DeadlineExceeded error.
-	solveCtx := flightCtx
-	stopTimer := func() {}
-	if req.Opts.method() == "beam" {
-		if dl, ok := ctx.Deadline(); ok {
-			solveCtx, stopTimer = context.WithDeadline(flightCtx, dl.Add(-beamDeadlineMargin(time.Until(dl))))
-		}
-	}
 	go func() {
 		defer release()
-		defer stopTimer()
-		res, err := p.doSolve(solveCtx, req, start, degradeReason)
+		res, err := p.doSolve(flightCtx, req, start, degradeReason)
 		if err == nil {
 			res.Fingerprint = fp.String()
 			res.FleetFallback = fleetFallback
@@ -690,10 +670,8 @@ func (p *Planner) SolvePrepared(ctx context.Context, prep *Prepared, fleetFallba
 		if fleetFallback {
 			p.stats.FleetFallbacks++
 		}
-		// Deadline-truncated and pressure-degraded results are served to
-		// the flight's waiters but not cached: the same request with more
-		// time (or less pressure) could do better, and a cache would freeze
-		// the early answer. OOM-degraded results are cached — see noCache.
+		// Pressure-degraded and fleet-fallback results are served to the
+		// flight's waiters but not cached — see noCache.
 		if err == nil {
 			p.stats.Solves++
 			if !res.noCache() {
@@ -912,7 +890,6 @@ func (p *Planner) runBeam(ctx context.Context, m *cost.Model, opts Options, star
 	res.Gap = br.Gap
 	res.Exact = br.Exact
 	res.BeamWidth = opts.BeamWidth
-	res.deadlineTruncated = br.Truncated
 	p.mu.Lock()
 	p.stats.BeamSolves++
 	p.stats.LastGap = br.Gap
@@ -938,21 +915,6 @@ func (p *Planner) runDegraded(ctx context.Context, m *cost.Model, opts Options, 
 	p.stats.Degraded++
 	p.mu.Unlock()
 	return res, nil
-}
-
-// beamDeadlineMargin is how much of the caller's remaining deadline budget a
-// beam flight gives back so its best-so-far result reaches the waiters
-// before their contexts fire: 5% of the remaining time, clamped to
-// [25ms, 200ms].
-func beamDeadlineMargin(remaining time.Duration) time.Duration {
-	margin := remaining / 20
-	if margin > 200*time.Millisecond {
-		margin = 200 * time.Millisecond
-	}
-	if margin < 25*time.Millisecond {
-		margin = 25 * time.Millisecond
-	}
-	return margin
 }
 
 // deltaKey fingerprints the solve shape an incremental re-solve requires two
