@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pase/internal/canon"
@@ -200,11 +202,22 @@ func TestPermutedSpecHitsPlannerCache(t *testing.T) {
 
 // pinnedSolve is one row of TestSolveFingerprintsPinned: a request's solve
 // fingerprint (hex), and what the default dp solve of it returned — the bits
-// of Cost and a digest of the strategy.
+// of Cost under each kernel version, and a digest of the strategy.
 type pinnedSolve struct {
 	fp       string
-	costBits uint64
+	costBits byKernel
 	strategy string
+}
+
+// byKernel maps a core.KernelVersion to the cost bits pinned under it.
+type byKernel map[string]uint64
+
+// kernelSeals seals each cost-bits column of TestSolveFingerprintsPinned by a
+// digest of its bits in row order. A column is written once, under the
+// KernelVersion whose numerics it pins, and never edited: numerics that move
+// take a new core.KernelVersion and a new column beside the old ones.
+var kernelSeals = map[string]string{
+	"core.kernel/v2": "98685c9e4587b6ce",
 }
 
 // strategyDigest is the first 8 bytes (hex) of a canon hash over the
@@ -228,17 +241,88 @@ func strategyDigest(s graph.Strategy) string {
 // off these values. The other two columns pin the answer: the dp Cost bits
 // and strategy digest each request returned at PR 23's parent, the last
 // commit that ran the exact-dedup stage — a change to the build pipeline
-// passes only if it moved no dp answer. The cost bits were pinned under
-// pinnedKernelVersion, kept beside them: a re-pin means the numerics moved,
-// which core.KernelVersion must then say (or warm restarts would serve
-// snapshots of the old numerics beside fresh solves), and a version bump
-// fails here until the bits are re-pinned under it.
+// passes only if it moved no dp answer. The cost bits are kept per
+// core.KernelVersion, one sealed column each (kernelSeals): a re-pin means
+// the numerics moved, which core.KernelVersion must then say (or warm
+// restarts would serve snapshots of the old numerics beside fresh solves), so
+// a version bump fails here until every row has a column under it, and an
+// edit of a sealed column fails whatever the version.
 func TestSolveFingerprintsPinned(t *testing.T) {
-	const pinnedKernelVersion = "core.kernel/v2"
-	if core.KernelVersion != pinnedKernelVersion {
-		t.Fatalf("core.KernelVersion is %q, the cost bits below were pinned under %q: re-pin them under the new version and update it here",
-			core.KernelVersion, pinnedKernelVersion)
+	const v2 = "core.kernel/v2"
+	registry := map[string][4]pinnedSolve{ // p = 4, 8, 16, 32
+		"AlexNet": {
+			{"0bc6aca2a30485af49fdb8e54702fda5dfc2327e829ba148d6de13d87761fea1", byKernel{v2: 0x3fa47e9951967a80}, "2c1e668fce316a17"},
+			{"031ffe4d0340a2dad3eb53492765834fe2e528c911b11eb3a7cb1580c79e1b4c", byKernel{v2: 0x3f94df554c575d4d}, "be7725f61027d238"},
+			{"4572577d1bd5077cfcf6867e03deac8d8713a121ac69ab7c7ce4204467a31bb8", byKernel{v2: 0x3f86de436eaa8c14}, "a206afa706901803"},
+			{"44db855b23db943320210d23177c1ee4cefe3f45ea34e5d9d50df6cd2ecbc610", byKernel{v2: 0x3f7b767ff2a67746}, "576904fec3d830d8"},
+		},
+		"InceptionV3": {
+			{"c288908323434e0b67970af4aef3dd4b13bdce74b7cab90429894b289272185d", byKernel{v2: 0x3fca8d2293de507c}, "4994c05f4ab51b89"},
+			{"06c423b3b5ab13049dc4447232056fe51d01e597c1fd4212c99e60628e522cb5", byKernel{v2: 0x3fbc26b04910dc39}, "7cfb799daf26db08"},
+			{"b6784bbc519abf7d2e2c8449393322f67020e9fa1072c67d353bf33978907b35", byKernel{v2: 0x3fb4273e8825fd8e}, "fd2d15e1333d2a45"},
+			{"512e42e297a9b7a5d7d923d3f9d9d1039a28e8319ee5c2f5ad89b973ff7efd5e", byKernel{v2: 0x3fb0ff82acecbd77}, "c7921f97e5e657b1"},
+		},
+		"RNNLM": {
+			{"3c3df3fc964989e035929782e0230940a5c3ba03aa524dac43b5ddb21f4b1f45", byKernel{v2: 0x3fb57e081b39f801}, "d30683d4fb5304d9"},
+			{"8c248f3b2f6e582735b991c9e13e5bee6b5d2dcde5de4fecfaf56bc00747d238", byKernel{v2: 0x3fa5d291bb111e1f}, "9f7021345cc0b055"},
+			{"0d400b42efafdd2f4295e73a30faa91213b77c4d810429f0dbfe52944d425443", byKernel{v2: 0x3f96a166a90400e6}, "bc96e23a491bd83d"},
+			{"45353409c7908af8f56506f43164e7cae46a9dac5e57bf9e2734071cc95f0c48", byKernel{v2: 0x3f88b260b03bb3f3}, "b27a4ece492acf46"},
+		},
+		"Transformer": {
+			{"4807cc72a3ac2bbdb2a34fc5e3913b2d572d94d95f8fac95af4f06c4970111f5", byKernel{v2: 0x3fcb639c256968e3}, "70f008ac3a03b4ef"},
+			{"e5c452f7456a754c174f98a9ec48bc17a8d77735daaf613ef85b6dfb4db7328a", byKernel{v2: 0x3fc0738283f7a808}, "2c0fc886e84905b1"},
+			{"198f663f6be6257e40d22bfef06d9ed5f519760aed25cc0ed86da5008ca197e8", byKernel{v2: 0x3fb6450737112981}, "3e81bf8f2e09b209"},
+			{"e227a4eefeb6503f6920ba514ecc3a0324a8f6e61f89c5e3b8ca561571e6bb93", byKernel{v2: 0x3fb1905d66272b48}, "2e7d5fbe760549c7"},
+		},
 	}
+	// The four paper documents are their registry twins at p=8.
+	documents := map[string]pinnedSolve{
+		"alexnet.json":     registry["AlexNet"][1],
+		"inceptionv3.json": registry["InceptionV3"][1],
+		"rnnlm.json":       registry["RNNLM"][1],
+		"transformer.json": registry["Transformer"][1],
+		"gptdeep3.json":    {"d6d64b2fc242f19b62a4d7eb1c4ee12095033b9fe956ac0f262ecc8dd42ae336", byKernel{v2: 0x3fa954c969a10453}, "c31055b021527626"},
+	}
+	rows := func(yield func(string, pinnedSolve) bool) {
+		for _, bm := range models.Benchmarks() {
+			for i, row := range registry[bm.Name] {
+				if !yield(fmt.Sprintf("%s p=%d", bm.Name, 4<<i), row) {
+					return
+				}
+			}
+		}
+		for _, file := range slices.Sorted(maps.Keys(documents)) {
+			if !yield(file, documents[file]) {
+				return
+			}
+		}
+	}
+	if _, ok := kernelSeals[core.KernelVersion]; !ok {
+		t.Fatalf("no cost bits are pinned under core.KernelVersion %q: add its column to every row and seal it in kernelSeals", core.KernelVersion)
+	}
+	for version, seal := range kernelSeals {
+		w := canon.NewWriter()
+		w.Label("spec.test.cost-bits-column")
+		w.Str(version)
+		for name, row := range rows {
+			bits, ok := row.costBits[version]
+			if !ok {
+				t.Errorf("%s: no cost bits under %s", name, version)
+			}
+			w.U64(bits)
+		}
+		if got := w.Sum().String()[:16]; got != seal {
+			t.Errorf("the %s cost-bits column digests to %s, sealed as %s: a column is never edited — numerics that move take a new core.KernelVersion and a new column", version, got, seal)
+		}
+	}
+	for name, row := range rows {
+		for version := range row.costBits {
+			if _, ok := kernelSeals[version]; !ok {
+				t.Errorf("%s: cost bits under %s, which kernelSeals does not seal", name, version)
+			}
+		}
+	}
+
 	pl := planner.New(planner.Config{})
 	check := func(name string, req planner.Request, want pinnedSolve) {
 		t.Helper()
@@ -254,38 +338,12 @@ func TestSolveFingerprintsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := math.Float64bits(res.Cost); got != want.costBits {
-			t.Errorf("%s: dp cost bits %#x (%v), pinned %#x (%v)", name, got, res.Cost, want.costBits, math.Float64frombits(want.costBits))
+		if got, want := math.Float64bits(res.Cost), want.costBits[core.KernelVersion]; got != want {
+			t.Errorf("%s: dp cost bits %#x (%v), pinned %#x (%v) under %s", name, got, res.Cost, want, math.Float64frombits(want), core.KernelVersion)
 		}
 		if got := strategyDigest(res.Strategy); got != want.strategy {
 			t.Errorf("%s: strategy digest %s, pinned %s", name, got, want.strategy)
 		}
-	}
-	registry := map[string][4]pinnedSolve{ // p = 4, 8, 16, 32
-		"AlexNet": {
-			{"0bc6aca2a30485af49fdb8e54702fda5dfc2327e829ba148d6de13d87761fea1", 0x3fa47e9951967a80, "2c1e668fce316a17"},
-			{"031ffe4d0340a2dad3eb53492765834fe2e528c911b11eb3a7cb1580c79e1b4c", 0x3f94df554c575d4d, "be7725f61027d238"},
-			{"4572577d1bd5077cfcf6867e03deac8d8713a121ac69ab7c7ce4204467a31bb8", 0x3f86de436eaa8c14, "a206afa706901803"},
-			{"44db855b23db943320210d23177c1ee4cefe3f45ea34e5d9d50df6cd2ecbc610", 0x3f7b767ff2a67746, "576904fec3d830d8"},
-		},
-		"InceptionV3": {
-			{"c288908323434e0b67970af4aef3dd4b13bdce74b7cab90429894b289272185d", 0x3fca8d2293de507c, "4994c05f4ab51b89"},
-			{"06c423b3b5ab13049dc4447232056fe51d01e597c1fd4212c99e60628e522cb5", 0x3fbc26b04910dc39, "7cfb799daf26db08"},
-			{"b6784bbc519abf7d2e2c8449393322f67020e9fa1072c67d353bf33978907b35", 0x3fb4273e8825fd8e, "fd2d15e1333d2a45"},
-			{"512e42e297a9b7a5d7d923d3f9d9d1039a28e8319ee5c2f5ad89b973ff7efd5e", 0x3fb0ff82acecbd77, "c7921f97e5e657b1"},
-		},
-		"RNNLM": {
-			{"3c3df3fc964989e035929782e0230940a5c3ba03aa524dac43b5ddb21f4b1f45", 0x3fb57e081b39f801, "d30683d4fb5304d9"},
-			{"8c248f3b2f6e582735b991c9e13e5bee6b5d2dcde5de4fecfaf56bc00747d238", 0x3fa5d291bb111e1f, "9f7021345cc0b055"},
-			{"0d400b42efafdd2f4295e73a30faa91213b77c4d810429f0dbfe52944d425443", 0x3f96a166a90400e6, "bc96e23a491bd83d"},
-			{"45353409c7908af8f56506f43164e7cae46a9dac5e57bf9e2734071cc95f0c48", 0x3f88b260b03bb3f3, "b27a4ece492acf46"},
-		},
-		"Transformer": {
-			{"4807cc72a3ac2bbdb2a34fc5e3913b2d572d94d95f8fac95af4f06c4970111f5", 0x3fcb639c256968e3, "70f008ac3a03b4ef"},
-			{"e5c452f7456a754c174f98a9ec48bc17a8d77735daaf613ef85b6dfb4db7328a", 0x3fc0738283f7a808, "2c0fc886e84905b1"},
-			{"198f663f6be6257e40d22bfef06d9ed5f519760aed25cc0ed86da5008ca197e8", 0x3fb6450737112981, "3e81bf8f2e09b209"},
-			{"e227a4eefeb6503f6920ba514ecc3a0324a8f6e61f89c5e3b8ca561571e6bb93", 0x3fb1905d66272b48, "2e7d5fbe760549c7"},
-		},
 	}
 	for _, bm := range models.Benchmarks() {
 		for i, p := range []int{4, 8, 16, 32} {
@@ -299,14 +357,6 @@ func TestSolveFingerprintsPinned(t *testing.T) {
 				Opts: planner.Options{Policy: bm.Policy(p)},
 			}, registry[bm.Name][i])
 		}
-	}
-	// The four paper documents are their registry twins at p=8.
-	documents := map[string]pinnedSolve{
-		"alexnet.json":     registry["AlexNet"][1],
-		"inceptionv3.json": registry["InceptionV3"][1],
-		"rnnlm.json":       registry["RNNLM"][1],
-		"transformer.json": registry["Transformer"][1],
-		"gptdeep3.json":    {"d6d64b2fc242f19b62a4d7eb1c4ee12095033b9fe956ac0f262ecc8dd42ae336", 0x3fa954c969a10453, "c31055b021527626"},
 	}
 	for file, want := range documents {
 		data, err := os.ReadFile(goldenPath(t, file))
