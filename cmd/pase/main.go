@@ -16,10 +16,10 @@
 // Every solve runs through a planner with a cancellable context: -timeout
 // bounds the whole run (a deadline aborts a model build or DP mid-flight
 // within milliseconds), and -method selects the strategy-search method (dp,
-// beam, mcmc, dataparallel, expert:<family>). Method beam is the anytime
-// bounded-width DP: -width caps the retained states per DP table, -gap sets
-// the optimality-gap target refinement works toward under the -timeout
-// deadline, and the summary reports the achieved gap — the graphs the exact
+// beam, mcmc, dataparallel, expert:<family>). Method beam is the
+// bounded-width DP: -width caps the retained states per DP table, a positive
+// -gap doubles the width until the optimality gap reaches it (otherwise one
+// pass runs), and the summary reports the achieved gap — the graphs the exact
 // DP cannot finish (gptdeep:<layers>) still get a valid strategy with a
 // proven quality bound.
 package main
@@ -61,7 +61,7 @@ func main() {
 		mach     = flag.String("machine", "1080ti", "machine profile: 1080ti, 2080ti, or uniform:<devices-per-node>:<flops>:<intra-bw>:<inter-bw>")
 		method   = flag.String("method", "dp", "solve method: dp, beam, mcmc, dataparallel, or expert:<family>")
 		width    = flag.Int("width", 0, "beam frontier width for -method beam (0 = the planner's default, 32)")
-		gap      = flag.Float64("gap", 0, "beam optimality-gap target: >0 refines until reached, 0 refines under -timeout, <0 single pass")
+		gap      = flag.Float64("gap", 0, "beam optimality-gap target: >0 doubles the width until reached, <=0 single pass")
 		timeout  = flag.Duration("timeout", 0, "abort the solve after this long (0 = no deadline)")
 		export   = flag.String("export", "", "write the strategy as JSON to this file")
 		priority = flag.Int("priority", 0, "admission priority (higher solves first when a planner gate is saturated)")

@@ -16,9 +16,12 @@
 // which kind a request was.
 //
 // Every solve is tied to its request's context: a disconnected client or the
-// -solve-timeout deadline aborts the model build or DP mid-flight within
+// -solve-timeout deadline aborts the model build, DP or beam mid-flight within
 // milliseconds — unless another identical request is still waiting on the
-// same singleflighted solve, in which case it finishes for them. SIGTERM
+// same singleflighted solve, in which case it finishes for them. A beam
+// answer depends on the request alone (one pass, or doubling widths until a
+// positive gap_target is met), so it is cached like any other; a gap_target
+// the search cannot meet before the deadline is a 504. SIGTERM
 // drains gracefully: /v1/readyz flips to 503 (so load balancers stop routing
 // here), in-flight requests complete (up to -drain-timeout), then remaining
 // connections are force-closed, which cancels their solves.
@@ -30,7 +33,7 @@
 // Retry-After hint — never silently blocked. -degrade-beam-width enables
 // graceful degradation: an exact dp request that cannot run (DP table budget
 // exceeded, or the queue at least half full at arrival) is
-// served by the anytime bounded-width beam instead — a valid strategy marked
+// served by the bounded-width beam instead — a valid strategy marked
 // "degraded": true with a sound optimality gap. Solver panics are isolated
 // per request. Errors are structured: {"error": ..., "code": ...} with
 // stable codes (shed → 429, oom → 503, timeout → 504, cancelled → 499, a body
@@ -186,9 +189,9 @@ type solveOptions struct {
 	// BeamWidth bounds the beam method's frontier (top-W states per DP
 	// table). Omitted or 0 means 32 (planner.DefaultBeamWidth).
 	BeamWidth int `json:"beam_width,omitempty"`
-	// GapTarget steers beam refinement: > 0 doubles the width until the
-	// optimality gap reaches the target (or the solve deadline); 0 refines
-	// under the deadline; negative runs a single pass at BeamWidth.
+	// GapTarget steers beam refinement: omitted, 0 or negative runs a single
+	// pass at BeamWidth; > 0 doubles the width until the optimality gap
+	// reaches the target.
 	GapTarget float64 `json:"gap_target,omitempty"`
 	// MCMCSeed seeds the mcmc method's chain (deterministic per seed).
 	MCMCSeed          int64 `json:"mcmc_seed,omitempty"`
@@ -689,8 +692,8 @@ const (
 	// retained states per table the beam approaches the exact DP's memory
 	// profile and the request should ask for method dp instead.
 	maxBeamWidth = 1 << 16
-	// maxGapTarget caps the wire-supplied beam gap target (negatives mean
-	// "single pass" and pass through).
+	// maxGapTarget caps the wire-supplied beam gap target (zero and negatives
+	// mean a single pass and pass through).
 	maxGapTarget = 1e6
 	// maxPriority bounds the wire-supplied admission priority in both
 	// directions; the range is generous — priorities only order waiters.

@@ -1,4 +1,4 @@
-// Anytime beam solving: a bounded-width sibling of the exact dependent-set
+// Beam solving: a bounded-width sibling of the exact dependent-set
 // DP. Where the exact kernel materializes the full K^|D(i)| table per
 // position, the beam keeps at most W surviving (φ, C)-states per table,
 // joined sparsely from the retained states of the child subsets, so table

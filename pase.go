@@ -23,16 +23,15 @@
 //	res, err = pase.Solve(ctx, pase.SolveRequest{G: g, Spec: spec})
 //	// err wraps context.DeadlineExceeded if the budget ran out.
 //
-// Graphs too large for the exact DP get the anytime beam method: a
-// bounded-width DP that returns a valid strategy with a sound optimality
-// gap, refining (doubling the width) for as long as the deadline allows.
-// The GPT-scale decoder stack in the registry is exactly such a graph —
-// the exact DP exhausts any realistic table budget on it, while beam
-// answers in seconds:
+// Graphs too large for the exact DP get the beam method: a bounded-width DP
+// that returns a valid strategy with a sound optimality gap from one pass, or,
+// under a positive GapTarget, doubles the width until the gap reaches it. The
+// answer depends on the request alone, never on the deadline. The GPT-scale
+// decoder stack in the registry is exactly such a graph — the exact DP
+// exhausts any realistic table budget on it, while beam answers in a fraction
+// of a second:
 //
 //	gpt, _ := pase.BenchmarkByName("gptdeep:12")
-//	ctx, cancel = context.WithTimeout(context.Background(), 2*time.Second)
-//	defer cancel()
 //	res, err = pase.Solve(ctx, pase.SolveRequest{
 //		G:    gpt.Build(gpt.Batch),
 //		Spec: pase.GTX1080Ti(32),
@@ -253,9 +252,8 @@ var (
 // "beam", "mcmc", "dataparallel", "expert:<family>"), Policy restricts
 // enumeration, MaxTableEntries bounds DP memory, BreadthFirst selects the
 // naive ordering baseline, Workers sets DP fill parallelism, and
-// BeamWidth/GapTarget tune the anytime beam method (frontier width, 32 when
-// zero, and the optimality-gap target its refinement loop works toward under
-// the ctx deadline).
+// BeamWidth/GapTarget tune the beam method (frontier width, 32 when zero, and
+// the optimality-gap target width doubling works toward: one pass when <= 0).
 type Options = planner.Options
 
 // Result is a found strategy with its cost and search statistics, including
