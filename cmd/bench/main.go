@@ -271,9 +271,8 @@ func run(cfg config) error {
 	}
 
 	// Anytime beam on the GPT-scale decoder: the bounded-latency path for
-	// graphs the exact DP cannot finish. Single pass per width (GapTarget
-	// -1) so the measurement is deterministic, over a prebuilt model so it
-	// tracks solve time like SolveWorkers.
+	// graphs the exact DP cannot finish. One pass per width (GapTarget -1),
+	// over a prebuilt model so it tracks solve time like SolveWorkers.
 	gg := gbm.Build(gbm.Batch)
 	gm, err := pase.NewModel(gg, pase.GTX1080Ti(p), gbm.Policy(p))
 	if err != nil {

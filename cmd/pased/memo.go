@@ -34,9 +34,9 @@ type memoEntry struct {
 	// bytes were encoded from, and their validity: they are served only while
 	// Planner.Lookup still returns that very entry, so an eviction, a later
 	// solve's replacement or a snapshot restore leaves them unreachable, and a
-	// result that never entered the cache (pressure-degraded,
-	// deadline-truncated, fleet fallback) never has bytes at all. Bytes that
-	// have become unreachable are replaced when the body is next answered.
+	// result that never entered the cache (pressure-degraded or fleet
+	// fallback) never has bytes at all. Bytes that have become unreachable
+	// are replaced when the body is next answered.
 	from       *pase.Result
 	head, tail []byte
 }

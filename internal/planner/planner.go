@@ -526,8 +526,9 @@ func (p *Prepared) Request() Request { return p.req }
 // anything is fingerprinted or built. Normalization resolves the options
 // exactly as they are fingerprinted: a "beam" request's zero width becomes
 // DefaultBeamWidth (a negative one is rejected) and its gap targets <= 0,
-// which all mean one pass, collapse to -1. Every other method has its beam knobs cleared so they
-// cannot perturb behavior (they are not fingerprinted anyway).
+// which all mean one pass, collapse to -1. Every other method has its beam
+// knobs cleared so they cannot perturb behavior (they are not fingerprinted
+// anyway).
 func (p *Planner) Prepare(req Request) (*Prepared, error) {
 	if err := ValidateMethod(req.Opts.Method); err != nil {
 		return nil, err
@@ -670,8 +671,6 @@ func (p *Planner) SolvePrepared(ctx context.Context, prep *Prepared, fleetFallba
 		if fleetFallback {
 			p.stats.FleetFallbacks++
 		}
-		// Pressure-degraded and fleet-fallback results are served to the
-		// flight's waiters but not cached — see noCache.
 		if err == nil {
 			p.stats.Solves++
 			if !res.noCache() {
