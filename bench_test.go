@@ -16,11 +16,15 @@ package pase
 //     "speedup" (the paper's Fig. 6 y-axis).
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
 
+	"pase/internal/core"
+	"pase/internal/mcmc"
 	"pase/internal/seq"
+	"pase/internal/strategies"
 )
 
 var tableIDevices = []int{4, 8, 16, 32, 64}
@@ -33,11 +37,7 @@ func BenchmarkTableI_PaSE(b *testing.B) {
 		for _, p := range tableIDevices {
 			b.Run(benchName(bm.Name, p), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					m, err := NewModel(g, GTX1080Ti(p), bm.Policy(p))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := solveModel(m, Options{}); err != nil {
+					if _, err := solveFresh(g, GTX1080Ti(p), Options{Policy: bm.Policy(p)}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -52,11 +52,7 @@ func BenchmarkTableI_BF(b *testing.B) {
 		for _, p := range []int{8, 32} {
 			b.Run(benchName(bm.Name, p), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					m, err := NewModel(g, GTX1080Ti(p), bm.Policy(p))
-					if err != nil {
-						b.Fatal(err)
-					}
-					_, err = solveModel(m, Options{BreadthFirst: true})
+					_, err := solveFresh(g, GTX1080Ti(p), Options{Policy: bm.Policy(p), BreadthFirst: true})
 					if errors.Is(err, ErrOOM) {
 						b.Skip("OOM (paper Table I reports the same)")
 					}
@@ -79,10 +75,17 @@ func BenchmarkTableI_MCMC(b *testing.B) {
 					b.Fatal(err)
 				}
 				// Seeded with the expert strategy (the paper's protocol).
-				opts := Options{Method: "mcmc", MCMCInit: "expert:" + bm.Family, MCMC: MCMCOptions{Seed: 1, MinIters: 25000}}
+				s, err := strategies.ForMethod("expert:"+bm.Family, g, p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				init, err := m.IdxFromStrategy(s)
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := solveModel(m, opts); err != nil {
+					if _, err := mcmc.Search(context.Background(), m, init, mcmc.Options{Seed: 1, MinIters: 25000}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -97,11 +100,7 @@ func BenchmarkTableII(b *testing.B) {
 		g := bm.Build(bm.Batch)
 		b.Run(bm.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m, err := NewModel(g, GTX1080Ti(p), bm.Policy(p))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := solveModel(m, Options{})
+				res, err := solveFresh(g, GTX1080Ti(p), Options{Policy: bm.Policy(p)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -135,8 +134,9 @@ func BenchmarkFig5_GenerateSeq(b *testing.B) {
 }
 
 // BenchmarkSolveWorkers scales the DP fill across worker counts on the
-// largest paper solve (Transformer, p=32). The model is prebuilt so only the
-// solve is timed; results are byte-identical at every worker count.
+// largest paper solve (Transformer, p=32). The model is built outside the
+// timer, so only ordering and solve are timed; results are byte-identical at
+// every worker count.
 func BenchmarkSolveWorkers(b *testing.B) {
 	bm, err := BenchmarkByName("transformer")
 	if err != nil {
@@ -151,7 +151,7 @@ func BenchmarkSolveWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := solveModel(m, Options{Workers: workers}); err != nil {
+				if _, err := core.Solve(context.Background(), m, seq.Generate(m.G), core.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -175,15 +175,15 @@ func BenchmarkFig6(b *testing.B) {
 					spec := gpu.mk(p)
 					speedup := 0.0
 					for i := 0; i < b.N; i++ {
-						m, err := NewModel(g, spec, bm.Policy(p))
+						res, err := solveFresh(g, spec, Options{Policy: bm.Policy(p)})
 						if err != nil {
 							b.Fatal(err)
 						}
-						res, err := solveModel(m, Options{})
+						dp, err := solveFresh(g, spec, Options{Method: "dataparallel"})
 						if err != nil {
 							b.Fatal(err)
 						}
-						speedup, err = SimulatedSpeedup(g, res.Strategy, baseline(b, m, "dataparallel"), spec, bm.Batch)
+						speedup, err = SimulatedSpeedup(g, res.Strategy, dp.Strategy, spec, bm.Batch)
 						if err != nil {
 							b.Fatal(err)
 						}

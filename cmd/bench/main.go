@@ -30,10 +30,10 @@
 //     table bytes) as extras — build time and bytes tracked separately from
 //     solve time.
 //   - Fig5_GenerateSeq/<model>: the GENERATESEQ ordering alone.
-//   - SolveWorkers/workers=<n>: the DP solve on a prebuilt Transformer p=32
-//     model across worker counts.
-//   - Beam/GPTDeep/W=<w>: a single bounded-width anytime-beam pass on a
-//     prebuilt GPT-scale decoder model (gptdeep:12) — the graph whose exact
+//   - SolveWorkers/workers=<n>: GENERATESEQ + core.Solve across worker
+//     counts, over a Transformer p=32 model built outside the timer.
+//   - Beam/GPTDeep/W=<w>: GENERATESEQ + one core.SolveBeam pass at width w
+//     over a gptdeep:12 model built outside the timer — the graph whose exact
 //     DP exceeds the default table budget — with the achieved optimality
 //     gap, the width, and the candidates the pass evaluated
 //     (states_explored, an exact function of the cost tables) as extras.
@@ -243,7 +243,8 @@ func run(cfg config) error {
 		})
 	}
 
-	// Worker scaling on a prebuilt Transformer p=32 model: solve time only.
+	// Worker scaling of the exact kernel on a Transformer p=32 model built
+	// outside the timer: ordering and solve time only.
 	tbm, err := pase.BenchmarkByName("transformer")
 	if err != nil {
 		return err
@@ -255,9 +256,7 @@ func run(cfg config) error {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		ns, err := measure(reps, func() error {
-			_, err := pase.Solve(context.Background(), pase.SolveRequest{
-				Model: tm, Opts: pase.Options{Workers: workers},
-			})
+			_, err := core.Solve(context.Background(), tm, seq.Generate(tm.G), core.Options{Workers: workers})
 			return err
 		})
 		if err != nil {
@@ -271,8 +270,8 @@ func run(cfg config) error {
 	}
 
 	// Anytime beam on the GPT-scale decoder: the bounded-latency path for
-	// graphs the exact DP cannot finish. One pass per width (GapTarget -1),
-	// over a prebuilt model so it tracks solve time like SolveWorkers.
+	// graphs the exact DP cannot finish. One kernel pass per width
+	// (GapTarget -1) over a model built outside the timer, like SolveWorkers.
 	gg := gbm.Build(gbm.Batch)
 	gm, err := pase.NewModel(gg, pase.GTX1080Ti(p), gbm.Policy(p))
 	if err != nil {
@@ -282,13 +281,11 @@ func run(cfg config) error {
 		var gap float64
 		var states int64
 		ns, err := measure(reps, func() error {
-			res, err := pase.Solve(context.Background(), pase.SolveRequest{
-				Model: gm, Opts: pase.Options{Method: "beam", BeamWidth: width, GapTarget: -1},
-			})
+			br, err := core.SolveBeam(context.Background(), gm, seq.Generate(gm.G), core.BeamOptions{Width: width, GapTarget: -1})
 			if err != nil {
 				return err
 			}
-			gap, states = res.Gap, res.States
+			gap, states = br.Gap, br.Stats.States
 			return nil
 		})
 		if err != nil {

@@ -131,53 +131,48 @@ func table1(w io.Writer, o opts) error {
 			bfCell = report.Duration(*r.bf)
 		}
 		tb.Add(r.model, r.p, bfCell,
-			report.Duration(r.mcmc), report.Duration(r.pase.SearchTime))
+			report.Duration(r.mcmc), report.Duration(searchTime(r.pase)))
 	}
 	return o.emit(w, "table1", tb)
 }
 
-// table1Rows runs Table I's searches.
+// table1Rows runs Table I's searches. Each row solves through its own fresh
+// planner, and every column reports searchTime, so table construction is not
+// part of the comparison. BF, MCMC and PaSE differ in fingerprint and delta
+// key, so no timed solve is a cache hit or a delta re-solve.
 func table1Rows(o opts) ([]table1Row, error) {
 	var rows []table1Row
 	ctx := context.Background()
 	for _, bm := range pase.Benchmarks() {
 		g := bm.Build(bm.Batch)
 		for _, p := range o.devices() {
-			// Every column searches a prebuilt model, so the times are
-			// search times: table construction is not part of the comparison.
-			m, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
-			if err != nil {
-				return nil, err
+			pl := pase.NewPlanner(pase.PlannerConfig{})
+			solve := func(opts pase.Options) (*pase.Result, error) {
+				opts.Policy = bm.Policy(p)
+				return pl.Solve(ctx, pase.SolveRequest{G: g, Spec: pase.GTX1080Ti(p), Opts: opts})
 			}
 			r := table1Row{model: bm.Name, p: p}
 
 			// Breadth-first ordering (naive recurrence 2).
-			start := time.Now()
-			if _, err := pase.Solve(ctx, pase.SolveRequest{Model: m, Opts: pase.Options{BreadthFirst: true}}); err == nil {
-				d := time.Since(start)
+			if bf, err := solve(pase.Options{BreadthFirst: true}); err == nil {
+				d := searchTime(bf)
 				r.bf = &d
 			} else if !errors.Is(err, pase.ErrOOM) {
 				return nil, err
 			}
 
 			// MCMC seeded with the expert strategy (paper's protocol).
-			mc, err := pase.Solve(ctx, pase.SolveRequest{Model: m, Opts: pase.Options{
+			mc, err := solve(pase.Options{
 				Method:   "mcmc",
 				MCMCInit: "expert:" + bm.Family,
 				MCMC:     pase.MCMCOptions{Seed: 1, MinIters: 25000},
-			}})
+			})
 			if err != nil {
 				return nil, err
 			}
-			r.mcmc = mc.SearchTime
+			r.mcmc = searchTime(mc)
 
-			// PaSE. Use a fresh model so memoized costs from the runs above
-			// do not flatter the measurement.
-			m2, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
-			if err != nil {
-				return nil, err
-			}
-			if r.pase, err = pase.Solve(ctx, pase.SolveRequest{Model: m2}); err != nil {
+			if r.pase, err = solve(pase.Options{}); err != nil {
 				return nil, err
 			}
 			rows = append(rows, r)
@@ -185,6 +180,9 @@ func table1Rows(o opts) ([]table1Row, error) {
 	}
 	return rows, nil
 }
+
+// searchTime is a solve's time without its cost-model build.
+func searchTime(res *pase.Result) time.Duration { return res.SearchTime - res.ModelTime }
 
 // table2 prints the best strategies at p=32 in the paper's layout.
 func table2(w io.Writer, o opts) error {

@@ -48,8 +48,8 @@ type Document struct {
 type Provenance struct {
 	// Fingerprint is the canonical fingerprint (hex) of the solve request —
 	// the planner/daemon cache key, so consumers can correlate exported
-	// documents with served requests. Empty for a solve over a caller's
-	// prebuilt model, which bypasses the caches.
+	// documents with served requests. Empty for a document built from a
+	// bare strategy (FromStrategy), which no solve produced.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Method is the normalized solve method: "dp" (the paper's dynamic
 	// program), "beam" (the anytime bounded-width DP), "mcmc",

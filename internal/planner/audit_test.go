@@ -36,10 +36,9 @@ func TestFingerprintAudit(t *testing.T) {
 		return auditRule{reason: reason, method: method, vary: vary}
 	}
 	rules := map[string]auditRule{
-		"Request.G":     in("", "the graph's canonical encoding opens the request block", func(r *Request, _ *Config) { r.G = models.RNNLM(64) }),
-		"Request.Spec":  in("", "the machine's canonical encoding", func(r *Request, _ *Config) { r.Spec = machine.RTX2080Ti(8) }),
-		"Request.Opts":  not("", "not itself a key: each Options field is classed below", nil),
-		"Request.Model": not("", "a prebuilt model bypasses every cache: no fingerprint, nothing stored", nil),
+		"Request.G":    in("", "the graph's canonical encoding opens the request block", func(r *Request, _ *Config) { r.G = models.RNNLM(64) }),
+		"Request.Spec": in("", "the machine's canonical encoding", func(r *Request, _ *Config) { r.Spec = machine.RTX2080Ti(8) }),
+		"Request.Opts": not("", "not itself a key: each Options field is classed below", nil),
 
 		"Options.Method":          in("", "every method but dp is labelled", func(r *Request, _ *Config) { r.Opts.Method = "mcmc" }),
 		"Options.MCMC":            in("mcmc", "normalized, then encoded under mcmc", func(r *Request, _ *Config) { r.Opts.MCMC.Seed = 7 }),

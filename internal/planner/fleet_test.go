@@ -64,8 +64,8 @@ func TestFleetFallbackResultNeverCached(t *testing.T) {
 // any solve — the fleet router's shard key and the daemon's memo entry — must
 // be the key the prepared solve caches under and the one a fresh Solve of the
 // same request hits, for every normalization path; otherwise owners disagree
-// with their own cache keys and the cluster dedups nothing. Preparing counts
-// nothing. A width-less beam is the DefaultBeamWidth beam, and a negative
+// with their own cache keys and the cluster dedups nothing. Every method's
+// prepared fingerprint is non-zero, and preparing counts nothing. A width-less beam is the DefaultBeamWidth beam, and a negative
 // width fails to prepare.
 func TestPrepareFingerprintMatchesSolve(t *testing.T) {
 	p := New(Config{})
@@ -87,6 +87,7 @@ func TestPrepareFingerprintMatchesSolve(t *testing.T) {
 		{name: "beam negative width rejected", req: withOpts(alexReq(16), "beam", -1), wantErr: true},
 		{name: "mcmc default options", req: withOpts(rnnReq(4), "mcmc", 0)},
 		{name: "expert:cnn", req: withOpts(alexReq(8), "expert:cnn", 0)},
+		{name: "dataparallel", req: withOpts(alexReq(4), "dataparallel", 0)},
 	}
 	for i := range cases {
 		prep, err := p.Prepare(cases[i].req)
@@ -106,6 +107,9 @@ func TestPrepareFingerprintMatchesSolve(t *testing.T) {
 			continue
 		}
 		fp := c.prep.Fingerprint()
+		if fp == (canon.Fingerprint{}) {
+			t.Fatalf("%s: Prepare returned a zero fingerprint", c.name)
+		}
 		res, err := p.SolvePrepared(ctx, c.prep, false)
 		if err != nil {
 			t.Fatalf("%s: SolvePrepared: %v", c.name, err)

@@ -8,7 +8,6 @@ import (
 
 	"pase/internal/core"
 	"pase/internal/cost"
-	"pase/internal/itspace"
 	"pase/internal/machine"
 	"pase/internal/mcmc"
 	"pase/internal/models"
@@ -224,48 +223,6 @@ func TestUnknownMethodRejectedBeforeSolving(t *testing.T) {
 		G: models.AlexNet(128), Spec: machine.GTX1080Ti(8), Methods: []string{"", "dp"},
 	}); err == nil {
 		t.Fatal("empty method in an explicit compare list was accepted")
-	}
-}
-
-func TestRequestModelBypassesCachesWithDocumentedContract(t *testing.T) {
-	const p = 8
-	g := models.AlexNet(128)
-	spec := machine.GTX1080Ti(p)
-	m, err := cost.NewModel(g, spec, itspace.EnumPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := New(Config{})
-	res, err := pl.Solve(context.Background(), Request{Model: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The documented Request.Model contract: same result as the cached path,
-	// but no fingerprint, never cached, and no planner bookkeeping.
-	if res.Cached || res.Fingerprint != "" {
-		t.Fatalf("model-supplied solve reported cached=%v fingerprint=%q", res.Cached, res.Fingerprint)
-	}
-	if st := pl.Stats(); st.Solves != 0 || st.ResultMisses != 0 || st.ModelBuilds != 0 {
-		t.Fatalf("model-supplied solve touched planner stats: %+v", st)
-	}
-	want, err := pl.Solve(context.Background(), Request{G: g, Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != want.Cost || !reflect.DeepEqual(res.Strategy, want.Strategy) {
-		t.Fatal("model-supplied solve differs from the cached path")
-	}
-	// A mismatched explicit graph is rejected rather than silently solved.
-	if _, err := pl.Solve(context.Background(), Request{G: models.RNNLM(64), Model: m}); err == nil {
-		t.Fatal("mismatched Request.G and Request.Model accepted")
-	}
-	// Methods dispatch on this path too.
-	bres, err := pl.Solve(context.Background(), Request{Model: m, Opts: Options{Method: "dataparallel"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bres.Method != "dataparallel" || bres.Fingerprint != "" {
-		t.Fatalf("baseline over supplied model: method=%q fingerprint=%q", bres.Method, bres.Fingerprint)
 	}
 }
 

@@ -189,16 +189,15 @@ type Result struct {
 	// Cost is the estimated per-step time of the strategy under the model.
 	Cost float64
 	// Provenance records the solve that produced the strategy — the method
-	// that ran ("dp" also when degraded), the cache fingerprint (empty for
-	// Request.Model solves, which bypass the caches), the beam contract, the
-	// model's K and table sharing, and delta re-solve reuse. A cache hit or a
-	// ride-along carries its solve's provenance unchanged.
+	// that ran ("dp" also when degraded), the cache fingerprint, the beam
+	// contract, the model's K and table sharing, and delta re-solve reuse. A
+	// cache hit or a ride-along carries its solve's provenance unchanged.
 	export.Provenance
 	// SearchTime is the end-to-end time of this request from SolvePrepared
 	// on, including cost model construction (ModelTime) when one was built.
 	SearchTime time.Duration
 	// ModelTime is how long this request spent building the cost model;
-	// zero when the model came from cache or was supplied prebuilt.
+	// zero for a cache hit, a ride-along and a baseline, which build none.
 	ModelTime time.Duration
 	// MaxDepSize is the paper's M for the ordering used ("dp" only).
 	MaxDepSize int
@@ -242,22 +241,10 @@ func (r *Result) clone() *Result {
 // Graphs handed to the planner must not be mutated afterwards — the planner
 // caches results and class tables under the graph's fingerprints at request
 // time.
-//
-// Model, when non-nil, supplies a prebuilt cost model and changes the
-// request's contract: the solve runs over exactly that model (G and Spec are
-// taken from it; a non-nil G must match the model's), through the same
-// option normalization and method dispatch (the degradation ladder included)
-// and fully cancellable, but it bypasses the planner's caches, singleflight,
-// and admission control — the planner cannot vouch for a model it did not
-// build (unknown build options, possible mutation), so nothing is
-// fingerprinted or retained and Result.Cached/Result.Fingerprint stay zero by
-// design. Reuse a Request.Model to amortize table construction across many
-// solves of one graph; use the cached path for everything else.
 type Request struct {
-	G     *graph.Graph
-	Spec  machine.Spec
-	Opts  Options
-	Model *cost.Model
+	G    *graph.Graph
+	Spec machine.Spec
+	Opts Options
 }
 
 // BatchItem is one outcome of SolveBatch, aligned with the request slice.
@@ -512,12 +499,10 @@ type Prepared struct {
 }
 
 // Fingerprint is the solve fingerprint the result is cached under — the
-// fleet layer's shard key — or zero for a Request.Model request, which
-// bypasses the caches.
+// fleet layer's shard key.
 func (p *Prepared) Fingerprint() canon.Fingerprint { return p.fp }
 
-// Request is the request as prepared: a Request.Model's graph and machine
-// resolved onto it and its options normalized.
+// Request is the request as prepared: its options normalized.
 func (p *Prepared) Request() Request { return p.req }
 
 // Prepare is the only place a request is validated, option-normalized and
@@ -541,12 +526,6 @@ func (p *Planner) Prepare(req Request) (*Prepared, error) {
 			return nil, fmt.Errorf("planner: MCMCInit %q is not a baseline method (want dataparallel or expert:<family>)", init)
 		}
 	}
-	if m := req.Model; m != nil {
-		if req.G != nil && req.G != m.G {
-			return nil, errors.New("planner: Request.Model was built for a different graph than Request.G")
-		}
-		req.G, req.Spec = m.G, m.Spec
-	}
 	if req.G == nil {
 		return nil, errors.New("planner: nil graph")
 	}
@@ -565,11 +544,8 @@ func (p *Planner) Prepare(req Request) (*Prepared, error) {
 			opts.GapTarget = -1
 		}
 	}
-	prep := &Prepared{req: req}
-	if req.Model == nil {
-		_, prep.fp = Fingerprints(req)
-	}
-	return prep, nil
+	_, fp := Fingerprints(req)
+	return &Prepared{req: req, fp: fp}, nil
 }
 
 // Lookup answers fp from the result cache without running Solve's pipeline:
@@ -617,8 +593,8 @@ func (p *Planner) Solve(ctx context.Context, req Request) (*Result, error) {
 // admit → lookup → lead the flight. fleetFallback marks a request this daemon
 // is solving in place of an unreachable fleet owner: the result is served
 // and marked but never cached (see Result.FleetFallback), and counted in
-// Stats.FleetFallbacks. It is not fingerprinted — the answer is identical
-// either way — and it means nothing for a Request.Model request.
+// Stats.FleetFallbacks. It is not fingerprinted: the answer is identical
+// either way.
 func (p *Planner) SolvePrepared(ctx context.Context, prep *Prepared, fleetFallback bool) (*Result, error) {
 	start := time.Now()
 	if ctx == nil {
@@ -628,11 +604,6 @@ func (p *Planner) SolvePrepared(ctx context.Context, prep *Prepared, fleetFallba
 		return nil, context.Cause(ctx)
 	}
 	req, fp := prep.req, prep.fp
-	if req.Model != nil {
-		// The caller's model has no fingerprint, so there is nothing to look
-		// up, admit, or share a flight over (see Request.Model).
-		return p.doSolve(ctx, req, start, "")
-	}
 
 	// Cache hits and ride-alongs on in-flight identical solves bypass
 	// admission control — they perform no new underlying work, so shedding
@@ -799,8 +770,8 @@ func (p *Planner) waitSolve(ctx context.Context, fp canon.Fingerprint, fl *solve
 
 // doSolve performs one underlying solve behind panic isolation, and holds
 // the only method dispatch: a direct baseline evaluation (baselines price one
-// fixed strategy and never need a model), or the request's model — the
-// caller's, else a cold build — followed by the method's search. The dp leg
+// fixed strategy and never need a model), or a cold build of the request's
+// model followed by the method's search. The dp leg
 // carries the degradation ladder: a non-empty degradeReason (queue pressure
 // observed at admission) routes it straight to the bounded beam solve, and an
 // ErrOOM from the exact DP lands there with DegradeReasonOOM.
@@ -813,11 +784,9 @@ func (p *Planner) doSolve(ctx context.Context, req Request, start time.Time, deg
 	if strategies.IsBaselineMethod(method) {
 		res, err = runBaseline(ctx, req.G, req.Spec, method, start)
 	} else {
-		m := req.Model
-		if m == nil {
-			if m, err = p.buildModel(ctx, req); err != nil {
-				return nil, err
-			}
+		var m *cost.Model
+		if m, err = p.buildModel(ctx, req); err != nil {
+			return nil, err
 		}
 		switch method {
 		case "mcmc":
@@ -830,14 +799,13 @@ func (p *Planner) doSolve(ctx context.Context, req Request, start time.Time, deg
 				break
 			}
 			if err = p.cfg.FaultPlan.Fire(ctx, pressure.SiteDP); err == nil {
-				// Only a model this planner built may become a delta base.
-				res, err = p.runDP(ctx, m, req.Opts, start, req.Model == nil)
+				res, err = p.runDP(ctx, m, req.Opts, start)
 			}
 			if err != nil && errors.Is(err, core.ErrOOM) && p.cfg.DegradeBeamWidth > 0 {
 				res, err = p.runDegraded(ctx, m, req.Opts, start, DegradeReasonOOM)
 			}
 		}
-		if err == nil && req.Model == nil {
+		if err == nil {
 			res.ModelTime = m.BuildTime
 		}
 	}
@@ -980,21 +948,20 @@ func diffModels(old, new *cost.Model) (dirtyV []bool, ok bool) {
 }
 
 // runDP is the exact dp solve: ordering + the dependent-set DP over a built
-// model. A caller's model (retain false) is solved cold, as is every solve of
-// a planner with incremental re-solve off. Otherwise a planner-built model may
-// become a delta base: each solve's DP snapshot is retained and, when a later
-// request's model is comparable with a cached snapshot's, only the dirtied
-// tables are re-filled via core.Resolve — byte-identical to the full solve it
-// replaces, and never more work: it re-fills at most every table, over the
-// snapshot's subsets and ordering. Everything else (cold topologies,
-// incomparable models, a failed re-solve) runs a full solve and refreshes the
-// snapshot.
-func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options, start time.Time, retain bool) (*Result, error) {
+// model, solved cold by a planner with incremental re-solve off. Otherwise
+// the model may become a delta base: each solve's DP snapshot is retained
+// and, when a later request's model is comparable with a cached snapshot's,
+// only the dirtied tables are re-filled via core.Resolve — byte-identical to
+// the full solve it replaces, and never more work: it re-fills at most every
+// table, over the snapshot's subsets and ordering. Everything else (cold
+// topologies, incomparable models, a failed re-solve) runs a full solve and
+// refreshes the snapshot.
+func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options, start time.Time) (*Result, error) {
 	coreOpts := core.Options{
 		MaxTableEntries: opts.MaxTableEntries,
 		Workers:         opts.Workers,
 	}
-	if !retain || p.deltas == nil {
+	if p.deltas == nil {
 		r, err := core.Solve(ctx, m, dpSeq(m, opts), coreOpts)
 		if err != nil {
 			return nil, err

@@ -123,10 +123,8 @@
 // model (pase export-spec -model alexnet -gpus 8), and solves over the wire
 // (POST /v1/solve with {"spec": {...}} in place of {"model": "..."}).
 //
-// A prebuilt Model rides the same request (SolveRequest.Model) to amortize
-// table construction across many solves of one graph, and the baselines and
-// the MCMC search are Methods: Solve is the only way in. (The pre-context
-// wrappers and one-off baseline helpers of earlier releases are gone.)
+// The baselines and the MCMC search are Methods: Solve is the only way in,
+// and every request it serves is fingerprinted.
 //
 // See DESIGN.md for the solve-pipeline architecture (enumeration → ordering
 // → cost tables → dynamic program → back-substitution), its parallelism and
@@ -285,9 +283,8 @@ type PlannerConfig = planner.Config
 // counters.
 type PlannerStats = planner.Stats
 
-// SolveRequest is one solve request: graph, machine, options (including the
-// Method), and optionally a prebuilt Model (which bypasses the planner's
-// caches — see planner.Request for the contract).
+// SolveRequest is one solve request: graph, machine and options (including
+// the Method).
 type SolveRequest = planner.Request
 
 // Fingerprint is a canonical SHA-256 request fingerprint — the planner's

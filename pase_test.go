@@ -11,10 +11,16 @@ func solve(g *Graph, spec Machine, opts Options) (*Result, error) {
 	return Solve(context.Background(), SolveRequest{G: g, Spec: spec, Opts: opts})
 }
 
-// solveModel runs one request over a prebuilt model (search only: the tables
-// are already built, and nothing is cached).
+// solveFresh runs one request over (g, spec) through a fresh planner, so it
+// builds its model and solves with no cache to hit.
+func solveFresh(g *Graph, spec Machine, opts Options) (*Result, error) {
+	return NewPlanner(PlannerConfig{}).Solve(context.Background(), SolveRequest{G: g, Spec: spec, Opts: opts})
+}
+
+// solveModel solves m's graph, machine and policy through a fresh planner.
 func solveModel(m *Model, opts Options) (*Result, error) {
-	return Solve(context.Background(), SolveRequest{Model: m, Opts: opts})
+	opts.Policy = m.Policy
+	return solveFresh(m.G, m.Spec, opts)
 }
 
 // baseline returns a baseline method's fixed strategy for m's graph.
