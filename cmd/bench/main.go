@@ -23,7 +23,9 @@
 //     evaluated (states), the unpruned candidate count (scan_space), the
 //     positions that took an earlier position's table (shared_positions) and
 //     the entries of the distinct tables filled (distinct_entries) as extras —
-//     all exact functions of the cost tables.
+//     all exact functions of the cost tables — and the fastest rep's time in
+//     each exact-DP stage (plan_ns, fill_ns, scan_ns, backsub_ns; see
+//     core.StageTimes).
 //   - ModelBuild/<model>/p=<p>: cost-model construction alone (the table
 //     builds) for the paper models and GPTDeep:12, with the
 //     structural-sharing stats (vertex/edge classes, resident and shared
@@ -36,7 +38,9 @@
 //     over a gptdeep:12 model built outside the timer — the graph whose exact
 //     DP exceeds the default table budget — with the achieved optimality
 //     gap, the width, and the candidates the pass evaluated
-//     (states_explored, an exact function of the cost tables) as extras.
+//     (states_explored, an exact function of the cost tables) as extras,
+//     with the fastest rep's beam stages (plan_ns, join_ns, keep_ns,
+//     backsub_ns).
 package main
 
 import (
@@ -93,17 +97,40 @@ type Report struct {
 }
 
 func measure(reps int, f func() error) (float64, error) {
+	ns, _, err := measureStats(reps, func() (core.Stats, error) { return core.Stats{}, f() })
+	return ns, err
+}
+
+// measureStats is measure for a kernel run: it also returns the Stats of the
+// fastest rep, so the stage extras add up to that rep's time.
+func measureStats(reps int, f func() (core.Stats, error)) (float64, core.Stats, error) {
 	best := time.Duration(1<<63 - 1)
+	var bestSt core.Stats
 	for r := 0; r < reps; r++ {
 		start := time.Now()
-		if err := f(); err != nil {
-			return 0, err
+		st, err := f()
+		if err != nil {
+			return 0, core.Stats{}, err
 		}
 		if d := time.Since(start); d < best {
-			best = d
+			best, bestSt = d, st
 		}
 	}
-	return float64(best.Nanoseconds()), nil
+	return float64(best.Nanoseconds()), bestSt, nil
+}
+
+// stageExtras adds a run's stage timings to extra, in nanoseconds: each stage
+// the kernel has, which is each stage it stamped.
+func stageExtras(extra map[string]float64, s core.StageTimes) map[string]float64 {
+	for name, d := range map[string]time.Duration{
+		"plan_ns": s.Plan, "fill_ns": s.Fill, "scan_ns": s.Scan,
+		"join_ns": s.Join, "keep_ns": s.Keep, "backsub_ns": s.BackSub,
+	} {
+		if d > 0 {
+			extra[name] = float64(d)
+		}
+	}
+	return extra
 }
 
 // beamWidths are the widths of the measured (and gated) GPTDeep beam passes.
@@ -150,18 +177,16 @@ func run(cfg config) error {
 	// Stats.ScanSpace is not on the planner's Result.
 	for _, bm := range pase.Benchmarks() {
 		g := bm.Build(bm.Batch)
-		var st core.Stats
-		ns, err := measure(reps, func() error {
+		ns, st, err := measureStats(reps, func() (core.Stats, error) {
 			m, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
 			if err != nil {
-				return err
+				return core.Stats{}, err
 			}
 			res, err := core.Solve(context.Background(), m, seq.Generate(m.G), core.Options{})
 			if err != nil {
-				return err
+				return core.Stats{}, err
 			}
-			st = res.Stats
-			return nil
+			return res.Stats, nil
 		})
 		if err != nil {
 			return fmt.Errorf("TableI %s: %w", bm.Name, err)
@@ -170,7 +195,7 @@ func run(cfg config) error {
 			Name:    fmt.Sprintf("TableI_PaSE/%s/p=%d", bm.Name, p),
 			NsPerOp: ns,
 			Reps:    reps,
-			Extra: map[string]float64{
+			Extra: stageExtras(map[string]float64{
 				"states":           float64(st.States),
 				"scan_space":       float64(st.ScanSpace),
 				"shared_positions": float64(st.SharedPositions),
@@ -179,7 +204,7 @@ func run(cfg config) error {
 				"vertex_classes":   float64(st.VertexClasses),
 				"edge_classes":     float64(st.EdgeClasses),
 				"table_bytes":      float64(st.TableBytes),
-			},
+			}, st.Stages),
 		})
 	}
 
@@ -279,14 +304,13 @@ func run(cfg config) error {
 	}
 	for _, width := range beamWidths {
 		var gap float64
-		var states int64
-		ns, err := measure(reps, func() error {
+		ns, st, err := measureStats(reps, func() (core.Stats, error) {
 			br, err := core.SolveBeam(context.Background(), gm, seq.Generate(gm.G), core.BeamOptions{Width: width, GapTarget: -1})
 			if err != nil {
-				return err
+				return core.Stats{}, err
 			}
-			gap, states = br.Gap, br.Stats.States
-			return nil
+			gap = br.Gap
+			return br.Stats, nil
 		})
 		if err != nil {
 			return fmt.Errorf("Beam/GPTDeep W=%d: %w", width, err)
@@ -295,11 +319,11 @@ func run(cfg config) error {
 			Name:    fmt.Sprintf("Beam/GPTDeep/W=%d", width),
 			NsPerOp: ns,
 			Reps:    reps,
-			Extra: map[string]float64{
+			Extra: stageExtras(map[string]float64{
 				"gap":             gap,
 				"beam_width":      float64(width),
-				"states_explored": float64(states),
-			},
+				"states_explored": float64(st.States),
+			}, st.Stages),
 		})
 	}
 

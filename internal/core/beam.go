@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"time"
 
 	"pase/internal/cost"
 	"pase/internal/seq"
@@ -84,15 +85,54 @@ func (p beamPartial) less(q beamPartial) bool {
 	return p.c < q.c
 }
 
-func byCost(p, q beamPartial) int {
-	return cmp.Or(cmp.Compare(p.cost, q.cost), cmp.Compare(p.flat, q.flat), cmp.Compare(p.c, q.c))
+// partialLess is less, or with byFlat the retained tables' order (flat, cost,
+// c): the first partial of each flat is then its cheapest, smallest C on ties,
+// matching the exact kernel's strict-< argmin.
+func partialLess(p, q beamPartial, byFlat bool) bool {
+	if byFlat && p.flat != q.flat {
+		return p.flat < q.flat
+	}
+	return p.less(q)
 }
 
-// byFlat is the retained tables' order, (flat, cost, c): the first partial of
-// each flat is its cheapest, smallest C on ties, matching the exact kernel's
-// strict-< argmin.
-func byFlat(p, q beamPartial) int {
-	return cmp.Or(cmp.Compare(p.flat, q.flat), byCost(p, q))
+// sortPartials sorts ps ascending under partialLess — a strict total order
+// either way, so the result does not depend on the algorithm. It is
+// sortEnts's bottom-up merge sort, with tmp (at least len(ps)) as the second
+// buffer, for the same reason: the comparison inlines, which
+// slices.SortFunc's comparator call does not.
+func sortPartials(ps, tmp []beamPartial, byFlat bool) {
+	const run = 8
+	for lo := 0; lo < len(ps); lo += run {
+		r := ps[lo:min(lo+run, len(ps))]
+		for j := 1; j < len(r); j++ {
+			e := r[j]
+			k := j
+			for ; k > 0 && partialLess(e, r[k-1], byFlat); k-- {
+				r[k] = r[k-1]
+			}
+			r[k] = e
+		}
+	}
+	src, dst := ps, tmp[:len(ps)]
+	for w := run; w < len(ps); w *= 2 {
+		for lo := 0; lo < len(ps); lo += 2 * w {
+			mid, hi := min(lo+w, len(ps)), min(lo+2*w, len(ps))
+			i, j := lo, mid
+			for k := lo; k < hi; k++ {
+				if j >= hi || i < mid && !partialLess(src[j], src[i], byFlat) {
+					dst[k] = src[i]
+					i++
+				} else {
+					dst[k] = src[j]
+					j++
+				}
+			}
+		}
+		src, dst = dst, src
+	}
+	if len(ps) > 0 && &src[0] != &ps[0] {
+		copy(ps, src)
+	}
 }
 
 // beamFrontier keeps the k smallest partials of a stream under less. It
@@ -103,6 +143,7 @@ func byFlat(p, q beamPartial) int {
 // result equals sorting everything and cutting.
 type beamFrontier struct {
 	buf []beamPartial
+	tmp []beamPartial // sortPartials' merge buffer, grown per sort
 	k   int
 	thr beamPartial // the k-th smallest pushed so far; valid once cut
 	cut bool        // more than k were pushed
@@ -120,7 +161,7 @@ func (f *beamFrontier) push(p beamPartial) {
 }
 
 func (f *beamFrontier) compact() {
-	selectSmallest(f.buf, f.k)
+	f.selectSmallest()
 	f.buf = f.buf[:f.k]
 	f.thr, f.cut = f.buf[f.k-1], true
 }
@@ -131,18 +172,27 @@ func (f *beamFrontier) sorted() []beamPartial {
 	if len(f.buf) > f.k {
 		f.compact()
 	}
-	slices.SortFunc(f.buf, byCost)
+	f.sort(f.buf, false)
 	return f.buf
 }
 
-// selectSmallest reorders ps so that ps[k-1] is its k-th smallest under less
-// and nothing before it is larger: Hoare quickselect around the middle
-// element, handing the remaining range to a sort once 2·log2(n) rounds have
-// not narrowed it to a point, so the worst case stays O(n log n).
-func selectSmallest(ps []beamPartial, k int) {
+// sort is sortPartials over f's merge buffer, grown to the longest slice the
+// pass has sorted.
+func (f *beamFrontier) sort(ps []beamPartial, byFlat bool) {
+	f.tmp = grown(f.tmp, len(ps))
+	sortPartials(ps, f.tmp, byFlat)
+}
+
+// selectSmallest reorders f's partials so that the k-th is their k-th
+// smallest under less and nothing before it is larger: Hoare quickselect
+// around the middle element, handing the remaining range to a sort once
+// 2·log2(n) rounds have not narrowed it to a point, so the worst case stays
+// O(n log n).
+func (f *beamFrontier) selectSmallest() {
+	ps, k := f.buf, f.k
 	for lo, hi, rounds := 0, len(ps)-1, 2*bits.Len(uint(len(ps))); lo < hi; rounds-- {
 		if rounds == 0 {
-			slices.SortFunc(ps[lo:hi+1], byCost)
+			f.sort(ps[lo:hi+1], false)
 			return
 		}
 		pivot := ps[lo+(hi-lo)/2]
@@ -309,8 +359,10 @@ func SolveBeam(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts BeamOp
 	if err := checkInput(m, sq); err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	bp := newBeamPlan(m, sq)
 	lb := bp.lowerBound()
+	stages := StageTimes{Plan: time.Since(start)}
 
 	var best *BeamResult
 	var totalStates int64
@@ -326,6 +378,8 @@ func SolveBeam(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts BeamOp
 			return nil, err
 		}
 		totalStates += res.Stats.States
+		st := res.Stats.Stages
+		stages.Join, stages.Keep, stages.BackSub = stages.Join+st.Join, stages.Keep+st.Keep, stages.BackSub+st.BackSub
 		if best == nil || res.Cost < best.Cost || exact {
 			gap := beamGap(res.Cost, lb)
 			if exact {
@@ -334,7 +388,7 @@ func SolveBeam(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts BeamOp
 			best = &BeamResult{Result: *res, Gap: gap, Exact: exact, Width: w}
 		}
 		best.Passes = pass
-		best.Stats.States = totalStates
+		best.Stats.States, best.Stats.Stages = totalStates, stages
 		if opts.OnPass != nil {
 			opts.OnPass(pass, w, best.Cost, best.Gap)
 		}
@@ -382,12 +436,13 @@ type beamPass struct {
 	erefs    []beamEdge // its incident edges to later vertices
 	cur      []beamPartial
 	front    beamFrontier
-	pstride  []int64   // each φ digit's stride in the flat index
-	assigned []bool    // φ digits some generation step has set
-	slot     []int     // per child digit after v's: the φ digit
-	cdg      []int     // the child entry being joined, decoded
-	rows     []beamRow // edge rows this step attaches
-	have     []int64   // per partial: its assigned digits among slot, as a flat
+	pstride  []int64     // each φ digit's stride in the flat index
+	assigned []bool      // φ digits some generation step has set
+	slot     []int       // per child digit after v's: the φ digit
+	cdg      []int       // the child entry being joined, decoded
+	rows     []beamRow   // edge rows this step attaches
+	erows    [][]float64 // per row, the row the entry being joined picks
+	have     []int64     // per partial: its assigned digits among slot, as a flat
 }
 
 // flatAt is position pos's table index under the configurations cfg gives
@@ -414,12 +469,16 @@ func (bp *beamPlan) pass(ctx context.Context, opts Options, width, k int, onTabl
 		if p.stopped() {
 			return nil, false, p.cancelErr()
 		}
+		start := time.Now()
 		if err := p.join(i); err != nil {
 			return nil, false, err
 		}
+		joined := time.Now()
+		p.st.Stages.Join += joined.Sub(start)
 		if err := p.keep(i, onTable); err != nil {
 			return nil, false, err
 		}
+		p.st.Stages.Keep += time.Since(joined)
 	}
 	// A choice is found by binary search on the flat. Every entry's children
 	// exist by construction (joins only extend retained child states; guide
@@ -572,15 +631,21 @@ func (p *beamPass) attach(dg, k int) {
 // retained state, or one value of an uncovered digit — whose digits the
 // caller decoded into cdg: cost ccost, new φ digits flatAdd, compatible with
 // the partials whose v is vc (when >= 0) and whose already assigned digits,
-// have, equal need. cur ascends in cost and lb, ccost plus the attached rows'
-// minima summed in the candidate's own order, is the least any partial can
-// add, so the walk stops at the first partial whose cost plus lb is above
-// the frontier's threshold: no later one can enter.
+// have, equal need. The entry picks one row of each attached edge, sliced
+// here once; a partial adds the rows' cells at its C in row order. cur
+// ascends in cost and lb, ccost plus the rows' minima summed in the same
+// order, is the least any partial can add, so the walk stops at the first
+// partial whose cost plus lb is above the frontier's threshold: no later one
+// can enter.
 func (p *beamPass) extend(ccost float64, flatAdd, need int64, vc int) error {
-	erefs, rows, cdg, cur, have, kv, front := p.erefs, p.rows, p.cdg, p.cur, p.have, p.kv, &p.front
+	cur, have, front := p.cur, p.have, &p.front
+	p.erows = grown(p.erows, len(p.rows))
+	erows := p.erows
 	lb := ccost
-	for _, r := range rows {
-		lb += erefs[r.li].mins[cdg[r.k]]
+	for j, r := range p.rows {
+		ed, d := &p.erefs[r.li], p.cdg[r.k]
+		erows[j] = ed.vals[d*p.kv : (d+1)*p.kv]
+		lb += ed.mins[d]
 	}
 	for pi := range cur {
 		q := &cur[pi]
@@ -600,8 +665,8 @@ func (p *beamPass) extend(ccost float64, flatAdd, need int64, vc int) error {
 			continue
 		}
 		add := ccost
-		for _, r := range rows {
-			add += erefs[r.li].vals[cdg[r.k]*kv+int(q.c)]
+		for _, row := range erows {
+			add += row[q.c]
 		}
 		front.push(beamPartial{flat: q.flat + flatAdd, cost: q.cost + add, c: q.c})
 	}
@@ -623,13 +688,13 @@ func (p *beamPass) take() {
 // back-substitution.
 func (p *beamPass) keep(i int, onTable func(pos int, t beamTable)) error {
 	bp := p.bp
-	slices.SortFunc(p.cur, byFlat)
+	p.front.sort(p.cur, true)
 	out := slices.CompactFunc(p.cur, func(a, b beamPartial) bool { return a.flat == b.flat })
 	if len(out) > p.width {
 		p.pruned = true
-		slices.SortFunc(out, byCost)
+		p.front.sort(out, false)
 		out = out[:p.width]
-		slices.SortFunc(out, byFlat)
+		p.front.sort(out, true)
 	}
 
 	// Force-retain the guide state so every table — and therefore every

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pase/internal/canon"
 	"pase/internal/cost"
 	"pase/internal/itspace"
 	"pase/internal/machine"
@@ -377,4 +378,80 @@ func TestBeamPassAllocationIndependentOfGC(t *testing.T) {
 		t.Fatalf("a pass after two collections allocated %d B, a warm pass %d B: %d B apart, want ≤ 16", afterGC, warm, d)
 	}
 	t.Logf("after two collections %d B, warm %d B", afterGC, warm)
+}
+
+// beamPin is one pinned beam pass: the candidates it evaluated, the bits of
+// its cost and gap, and a digest of its strategy (beamStrategyDigest).
+type beamPin struct {
+	states            int64
+	costBits, gapBits uint64
+	strategy          string
+}
+
+// beamPins holds, per KernelVersion, one column: the gptdeep:12 p=32 passes at
+// W=8 and W=32, the benchmark's beam graph, where the exact DP runs out of
+// the default budget. beamSeals seals each column by a digest of its pins.
+// Numerics that move take a new KernelVersion and a new column beside the
+// old ones, which are never edited. A count that falls with the numerics
+// unchanged is re-pinned in place, seal and all, and CHANGES.md says so.
+var (
+	beamPins = map[string][2]beamPin{
+		"core.kernel/v2": {
+			{1395104, 0x3fb9c0b49ada1900, 0x40034ee1964f2780, "7f352573103dc794"},
+			{2718119, 0x3fb9c0b49ada1900, 0x40034ee1964f2780, "7f352573103dc794"},
+		},
+	}
+	beamSeals = map[string]string{
+		"core.kernel/v2": "da3f1eb41fbe4c37",
+	}
+)
+
+var beamPinWidths = [2]int{8, 32}
+
+func beamStrategyDigest(idx []int) string {
+	w := canon.NewWriter()
+	w.Label("core.test.beam-strategy")
+	w.Ints(idx)
+	return w.Sum().String()[:16]
+}
+
+func beamColumnDigest(version string, col [2]beamPin) string {
+	w := canon.NewWriter()
+	w.Label("core.test.beam-pins")
+	w.Str(version)
+	for _, pin := range col {
+		w.I64(pin.states)
+		w.U64(pin.costBits)
+		w.U64(pin.gapBits)
+		w.Str(pin.strategy)
+	}
+	return w.Sum().String()[:16]
+}
+
+// The beam's answer and work on its benchmark graph, by equality: one pass
+// at each width must evaluate exactly the pinned States and return exactly
+// the pinned cost, gap and strategy of the current KernelVersion's column.
+func TestBeamPassesPinned(t *testing.T) {
+	for version, col := range beamPins {
+		if got := beamColumnDigest(version, col); got != beamSeals[version] {
+			t.Errorf("the %s beam column digests to %s, sealed as %q: numerics that move take a new KernelVersion and a new column", version, got, beamSeals[version])
+		}
+	}
+	col, ok := beamPins[KernelVersion]
+	if !ok {
+		t.Fatalf("no beam passes are pinned under KernelVersion %q: add its column and seal it in beamSeals", KernelVersion)
+	}
+	m := paperModel(t, "gptdeep:12", 32)
+	sq := seq.Generate(m.G)
+	for j, width := range beamPinWidths {
+		br, err := SolveBeam(context.Background(), m, sq, BeamOptions{Width: width, GapTarget: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := beamPin{br.Stats.States, math.Float64bits(br.Cost), math.Float64bits(br.Gap), beamStrategyDigest(br.Idx)}
+		if got != col[j] {
+			t.Errorf("W=%d: states %d, cost %#x (%v), gap %#x (%v), strategy %s; pinned %+v",
+				width, got.states, got.costBits, br.Cost, got.gapBits, br.Gap, got.strategy, col[j])
+		}
+	}
 }

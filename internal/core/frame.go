@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
+	"time"
 
 	"pase/internal/cost"
 	"pase/internal/seq"
@@ -157,6 +158,8 @@ func (f *frame) childDigits(i, jPos int, slots []int) ([]int, error) {
 // choice at a position, under the configurations already fixed for its
 // dependent set, fixes its vertex, and the walk descends into its subsets.
 func (f *frame) backSubstitute(choice func(pos int, idx []int) (int, error)) ([]int, error) {
+	start := time.Now()
+	defer func() { f.st.Stages.BackSub = time.Since(start) }()
 	n := len(f.sq.Order)
 	idx := make([]int, n)
 	assigned := make([]bool, n)

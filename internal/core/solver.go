@@ -20,6 +20,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pase/internal/cost"
 	"pase/internal/graph"
@@ -456,6 +457,19 @@ type Stats struct {
 	// the delta's cost fraction.
 	DirtyPositions int
 	ReusedEntries  int64
+	// Stages is where the run's wall time went. Unlike every count above it
+	// varies from run to run, so compare Stats with Stages zeroed.
+	Stages StageTimes
+}
+
+// StageTimes is a run's wall time by kernel stage, stamped once per table or
+// position, never per entry. The exact DP fills Plan (table classes,
+// liveness and the sizing pre-pass), Fill (each table's wiring and digit
+// classes), Scan (the bound-pruned scans, row minima included) and BackSub. A
+// beam run fills Plan (subsets, guide, row minima and lower bound), Join and
+// Keep (each position's sparse join and cut, summed over passes) and BackSub.
+type StageTimes struct {
+	Plan, Fill, Scan, Join, Keep, BackSub time.Duration
 }
 
 // Result is a solved strategy.
@@ -799,9 +813,11 @@ func solveExact(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Optio
 		subsets = seq.ConnectedSubsetsAll(m.G, sq)
 	}
 	e := &exactSolve{frame: newFrame(ctx, m, sq, subsets, opts, ""), nw: opts.workers(), snap: snap, posDirty: posDirty, retain: retain}
+	start := time.Now()
 	if err := e.plan(); err != nil {
 		return nil, nil, err
 	}
+	e.st.Stages.Plan = time.Since(start)
 	// The fill pool lives for the whole solve: every chunked fill dispatches
 	// to the same nw−1 helpers (the calling goroutine is the nw-th worker).
 	if e.nw > 1 {
@@ -959,6 +975,7 @@ func (e *exactSolve) wire(i int) ([]rowSrc, error) {
 // fill computes position i's table: wire its input rows, partition its
 // digits into classes the rows cannot tell apart, and scan once per class.
 func (e *exactSolve) fill(i int) (*qtable, error) {
+	start := time.Now()
 	dep := e.sq.Dep[i]
 	e.setDigits(i)
 	defer e.resetDigits(i)
@@ -997,9 +1014,12 @@ func (e *exactSolve) fill(i int) (*qtable, error) {
 		subSize *= int64(len(reps[k]))
 	}
 	q.cost, q.choice = make([]float64, subSize), make([]int32, subSize)
+	scanStart := time.Now()
+	e.st.Stages.Fill += scanStart.Sub(start)
 	if err := e.scan(e.sq.Order[i], q, srcs, rowDig, reps); err != nil {
 		return nil, err
 	}
+	e.st.Stages.Scan += time.Since(scanStart)
 	// A cancelled fill returned early with a partial table; parChunk has
 	// already drained its goroutines, so this is the clean exit point.
 	if e.cancelled.Load() {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -286,6 +287,38 @@ func TestStatsPopulated(t *testing.T) {
 	if res.Stats.MaxDepSize != res.Seq.MaxDepSize() {
 		t.Fatalf("MaxDepSize mismatch")
 	}
+}
+
+// Each kernel stamps its own stages, once each, so they are positive where
+// the kernel has the stage, zero where it has not, and sum to no more than
+// the call's wall time.
+func TestStageTimesStamped(t *testing.T) {
+	m := newModel(t, randomDNNGraph(rand.New(rand.NewSource(8)), 6), 8)
+	sq := seq.Generate(m.G)
+	check := func(name string, s StageTimes, wall time.Duration, has, hasNot []time.Duration) {
+		t.Helper()
+		if sum := s.Plan + s.Fill + s.Scan + s.Join + s.Keep + s.BackSub; sum > wall {
+			t.Errorf("%s: stages %+v sum to %v, more than the call's %v", name, s, sum, wall)
+		}
+		if slices.Min(has) <= 0 || slices.Max(hasNot) != 0 {
+			t.Errorf("%s: stages %+v, want each it runs stamped and no other", name, s)
+		}
+	}
+	start := time.Now()
+	res, err := Solve(context.Background(), m, sq, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Stats.Stages
+	check("exact", s, time.Since(start), []time.Duration{s.Plan, s.Fill, s.Scan, s.BackSub}, []time.Duration{s.Join, s.Keep})
+
+	start = time.Now()
+	br, err := SolveBeam(context.Background(), m, sq, BeamOptions{Width: 2, GapTarget: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = br.Stats.Stages
+	check("beam", s, time.Since(start), []time.Duration{s.Plan, s.Join, s.Keep, s.BackSub}, []time.Duration{s.Fill, s.Scan})
 }
 
 func TestSingleNodeGraph(t *testing.T) {
