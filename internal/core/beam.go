@@ -323,9 +323,9 @@ func (bp *beamPlan) lowerBound() float64 {
 				case ie.Self:
 					s += m.EdgeCost(ie.E, c, c)
 				case ie.VIsU:
-					s += 0.5 * bp.minU[ie.E][c]
+					s += float64(0.5 * bp.minU[ie.E][c])
 				default:
-					s += 0.5 * bp.minV[ie.E][c]
+					s += float64(0.5 * bp.minV[ie.E][c])
 				}
 			}
 			best = min(best, s)

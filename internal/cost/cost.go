@@ -115,7 +115,7 @@ func TL(n *graph.Node, c itspace.Config, r float64) float64 {
 	b := TLBreakdown(n, c)
 	total := b.ComputeFLOPs
 	for _, cl := range b.Colls {
-		total += r * cl.WireBytes
+		total += float64(r * cl.WireBytes)
 	}
 	return total
 }
@@ -139,7 +139,7 @@ func TLBreakdown(n *graph.Node, c itspace.Config) Breakdown {
 		}
 	}
 	if redSplit > 1 {
-		outBlock := blockVolume(n.Output, n.Space, c) * n.Output.EffScale()
+		outBlock := float64(blockVolume(n.Output, n.Space, c) * n.Output.EffScale())
 		// Forward partial-sum reduce and the mirrored backward input-
 		// gradient exchange.
 		b.Colls = append(b.Colls, Collective{

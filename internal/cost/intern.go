@@ -13,9 +13,16 @@ package cost
 //     cost-relevant content (graph.Node.CanonicalEncodeContent — op,
 //     iteration space, tensor refs, FLOPs density, halos, norm dims).
 //     Members share their configuration list and TL row.
-//   - Edge class: the endpoint vertex classes plus the consumer input slot
-//     (which pins the iteration-space mapping of the edge tensor on both
-//     sides). Members share their TX table and its transpose.
+//   - Edge class (cost.edge-class/v2): machine spec + enumeration policy +
+//     exactly what txTables reads — the producer's iteration space and
+//     output ref, the consumer's iteration space and the input ref it reads
+//     the edge through. Members share their TX table and its transpose. A
+//     node's op, FLOPs density, halos, norm dims and params price only its
+//     TL row, so an edit to them moves no edge class, and vertex classes
+//     that differ only there share TX tables.
+//
+// Each class is hashed once: nodes and edge sides are encoded into one
+// reused canon recorder and grouped by their bytes before any hashing.
 //
 // Sharing is value-transparent: a class member's table holds exactly the
 // bytes a per-occurrence build would have produced, so solves over an
@@ -27,6 +34,7 @@ package cost
 
 import (
 	"pase/internal/canon"
+	"pase/internal/graph"
 )
 
 // internPlan is the grouping the builder runs table construction over: dense
@@ -41,7 +49,7 @@ type internPlan struct {
 	// identities delta detection compares across models. nil for a singleton
 	// (DisableInterning) plan, which neither shares nor compares.
 	vFPs []canon.Fingerprint // per vertex class: content fingerprint
-	eFPs []canon.Fingerprint // per edge class: endpoint classes + slot
+	eFPs []canon.Fingerprint // per edge class: the two sides txTables reads
 }
 
 // singletonPlan is the DisableInterning oracle: every node and edge is its
@@ -64,62 +72,83 @@ func singletonPlan(nNodes, nEdges int) *internPlan {
 	return p
 }
 
-// vertexClassFingerprints hashes every node's class identity: the machine
-// spec and enumeration policy (they determine the configuration set and the
-// pricing of every layer term) plus the node's cost-relevant content. It
-// runs serially — one SHA-256 over a node's ~1 KB content is microseconds,
-// noise next to the table builds the classes then deduplicate.
-func (m *Model) vertexClassFingerprints() []canon.Fingerprint {
-	fps := make([]canon.Fingerprint, m.G.Len())
-	for id := range fps {
-		w := canon.NewWriter()
-		w.Label("cost.vertex-class/v1")
-		m.Spec.CanonicalEncode(w)
-		m.Policy.CanonicalEncode(w)
-		m.G.Nodes[id].CanonicalEncodeContent(w)
-		fps[id] = w.Sum()
-	}
-	return fps
-}
-
-// buildInternPlan groups nodes by content fingerprint and edges by (producer
-// class, consumer class, input slot). Class IDs are assigned in first-member
-// order, so representatives and IDs are deterministic for a given graph.
+// buildInternPlan groups nodes by content and edges by their two sides, each
+// encoded once after a shared prefix (classPrefix) and classed by its bytes;
+// each class is then hashed once. A side's configurations are a function of
+// its space, so the sides and the prefix are everything txTables reads.
+// Class IDs are assigned in first-member order, so representatives and IDs
+// are deterministic for a given graph.
 func (m *Model) buildInternPlan() *internPlan {
 	p := &internPlan{
 		vClass: make([]int, m.G.Len()),
 		eClass: make([]int, len(m.edges)),
 	}
-	byFP := make(map[canon.Fingerprint]int, m.G.Len())
-	for id, fp := range m.vertexClassFingerprints() {
-		ci, ok := byFP[fp]
+	w := canon.NewRecorder()
+	head := m.classPrefix(w, "cost.vertex-class/v1")
+	byContent := make(map[string]int, m.G.Len())
+	for id, n := range m.G.Nodes {
+		w.Truncate(head)
+		n.CanonicalEncodeContent(w)
+		content := w.Bytes()[head:]
+		ci, ok := byContent[string(content)]
 		if !ok {
 			ci = len(p.vReps)
-			byFP[fp] = ci
+			byContent[string(content)] = ci
 			p.vReps = append(p.vReps, id)
-			p.vFPs = append(p.vFPs, fp)
+			p.vFPs = append(p.vFPs, w.Sum())
 		}
 		p.vClass[id] = ci
 	}
-	type edgeKey struct{ cu, cv, slot int }
+
+	head = m.classPrefix(w, "cost.edge-class/v2")
+	bySide := make(map[string]int, m.G.Len())
+	side := func(n *graph.Node, ref graph.TensorRef) int {
+		n.Space.CanonicalEncode(w)
+		ref.CanonicalEncode(w)
+		b := w.Bytes()[head:]
+		id, ok := bySide[string(b)]
+		if !ok {
+			id = len(bySide)
+			bySide[string(b)] = id
+		}
+		w.Truncate(head)
+		return id
+	}
+	outSide := make([]int, m.G.Len())
+	for id, n := range m.G.Nodes {
+		outSide[id] = side(n, n.Output)
+	}
+	type edgeKey struct{ su, sv int }
 	byKey := make(map[edgeKey]int, len(m.edges))
 	for e, uv := range m.edges {
-		k := edgeKey{p.vClass[uv[0]], p.vClass[uv[1]], m.inSlot[e]}
+		nu, nv := m.G.Nodes[uv[0]], m.G.Nodes[uv[1]]
+		in := nv.Inputs[m.inSlot[e]]
+		k := edgeKey{outSide[uv[0]], side(nv, in)}
 		ci, ok := byKey[k]
 		if !ok {
 			ci = len(p.eReps)
 			byKey[k] = ci
 			p.eReps = append(p.eReps, e)
-			w := canon.NewWriter()
-			w.Label("cost.edge-class/v1")
-			w.FP(p.vFPs[k.cu])
-			w.FP(p.vFPs[k.cv])
-			w.Int(k.slot)
+			nu.Space.CanonicalEncode(w)
+			nu.Output.CanonicalEncode(w)
+			nv.Space.CanonicalEncode(w)
+			in.CanonicalEncode(w)
 			p.eFPs = append(p.eFPs, w.Sum())
+			w.Truncate(head)
 		}
 		p.eClass[e] = ci
 	}
 	return p
+}
+
+// classPrefix rewinds w and writes a class scheme's shared prefix — its
+// label, the machine spec and the enumeration policy — returning its length.
+func (m *Model) classPrefix(w *canon.Writer, label string) int {
+	w.Truncate(0)
+	w.Label(label)
+	m.Spec.CanonicalEncode(w)
+	m.Policy.CanonicalEncode(w)
+	return len(w.Bytes())
 }
 
 // ModelInfo is what a built model records of its own tables: the paper's K
@@ -194,7 +223,9 @@ func (m *Model) VertexClassFP(v int) canon.Fingerprint {
 }
 
 // EdgeClassFP returns edge e's edge class fingerprint — the identity of its
-// TX table. Zero when the model was built with DisableInterning.
+// TX table, keyed by what the table reads and nothing else: an edit that
+// prices only a node's TL row leaves every incident edge's fingerprint as it
+// was. Zero when the model was built with DisableInterning.
 func (m *Model) EdgeClassFP(e int) canon.Fingerprint {
 	if m.eClassFP == nil {
 		return canon.Fingerprint{}

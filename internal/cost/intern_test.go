@@ -80,48 +80,55 @@ func TestInternedTablesByteIdenticalToOracle(t *testing.T) {
 	for _, bm := range models.Benchmarks() {
 		t.Run(bm.Name, func(t *testing.T) {
 			m, o := buildPair(t, bm.Name, 8)
-			for v := 0; v < m.G.Len(); v++ {
-				a, b := m.TLRow(v), o.TLRow(v)
-				if len(a) != len(b) {
-					t.Fatalf("node %d: K %d vs oracle %d", v, len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("node %d: TL[%d] %v vs oracle %v", v, i, a[i], b[i])
-					}
-				}
-				for i, cfg := range o.Configs(v) {
-					if got := m.IndexOf(v, cfg); got != i {
-						t.Fatalf("node %d cfg %v: IndexOf %d, oracle ID %d", v, cfg, got, i)
-					}
-				}
-			}
-			for e := range m.Edges() {
-				a, ka := m.EdgeTable(e)
-				b, kb := o.EdgeTable(e)
-				if ka != kb || len(a) != len(b) {
-					t.Fatalf("edge %d: shape (%d, %d) vs oracle (%d, %d)", e, len(a), ka, len(b), kb)
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("edge %d: TX[%d] %v vs oracle %v", e, i, a[i], b[i])
-					}
-				}
-				at, kta := m.EdgeTableT(e)
-				bt, ktb := o.EdgeTableT(e)
-				if kta != ktb {
-					t.Fatalf("edge %d: transpose stride %d vs oracle %d", e, kta, ktb)
-				}
-				for i := range at {
-					if at[i] != bt[i] {
-						t.Fatalf("edge %d: TXT[%d] %v vs oracle %v", e, i, at[i], bt[i])
-					}
-				}
-			}
-			if m.MaxK() != o.MaxK() {
-				t.Fatalf("MaxK %d vs oracle %d", m.MaxK(), o.MaxK())
-			}
+			requireOracleTables(t, m, o)
 		})
+	}
+}
+
+// requireOracleTables fails unless m holds exactly the configurations, TL
+// rows and TX tables (and transposes) of o, bit for bit.
+func requireOracleTables(t *testing.T, m, o *Model) {
+	t.Helper()
+	for v := 0; v < m.G.Len(); v++ {
+		a, b := m.TLRow(v), o.TLRow(v)
+		if len(a) != len(b) {
+			t.Fatalf("node %d: K %d vs oracle %d", v, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("node %d: TL[%d] %v vs oracle %v", v, i, a[i], b[i])
+			}
+		}
+		for i, cfg := range o.Configs(v) {
+			if got := m.IndexOf(v, cfg); got != i {
+				t.Fatalf("node %d cfg %v: IndexOf %d, oracle ID %d", v, cfg, got, i)
+			}
+		}
+	}
+	for e := range m.Edges() {
+		a, ka := m.EdgeTable(e)
+		b, kb := o.EdgeTable(e)
+		if ka != kb || len(a) != len(b) {
+			t.Fatalf("edge %d: shape (%d, %d) vs oracle (%d, %d)", e, len(a), ka, len(b), kb)
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("edge %d: TX[%d] %v vs oracle %v", e, i, a[i], b[i])
+			}
+		}
+		at, kta := m.EdgeTableT(e)
+		bt, ktb := o.EdgeTableT(e)
+		if kta != ktb {
+			t.Fatalf("edge %d: transpose stride %d vs oracle %d", e, kta, ktb)
+		}
+		for i := range at {
+			if at[i] != bt[i] {
+				t.Fatalf("edge %d: TXT[%d] %v vs oracle %v", e, i, at[i], bt[i])
+			}
+		}
+	}
+	if m.MaxK() != o.MaxK() {
+		t.Fatalf("MaxK %d vs oracle %d", m.MaxK(), o.MaxK())
 	}
 }
 

@@ -191,8 +191,8 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 		}
 	}
 	// Phase 0: structural sharing plan (intern.go). Nodes with identical
-	// cost-relevant content form one vertex class; edges with identical
-	// endpoint classes and input slot form one edge class. Every table below
+	// cost-relevant content form one vertex class; edges whose TX tables
+	// read identical sides form one edge class. Every table below
 	// is built once per class and aliased to all members — byte-identical to
 	// the per-occurrence build the DisableInterning oracle runs, minus the
 	// repeated work and memory.
@@ -572,7 +572,7 @@ func (m *Model) PaperEval(s graph.Strategy) (float64, error) {
 	}
 	for e, uv := range m.edges {
 		u, v := uv[0], uv[1]
-		total += m.r * TXBytes(m.G.Nodes[u], m.G.Nodes[v], m.inSlot[e], s[u], s[v])
+		total += float64(m.r * TXBytes(m.G.Nodes[u], m.G.Nodes[v], m.inSlot[e], s[u], s[v]))
 	}
 	return total, nil
 }

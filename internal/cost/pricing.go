@@ -52,7 +52,7 @@ func CollSeconds(spec machine.Spec, cl Collective) float64 {
 		// Neighbour exchange, not a ring: pairwise transfers.
 		return cl.WireBytes/GroupBW(spec, cl.Group) + 2*spec.LatencySec
 	}
-	lat := spec.LatencySec * ringMessages(cl.Group)
+	lat := float64(spec.LatencySec * ringMessages(cl.Group))
 	if cl.Group <= gpn || spec.Nodes() == 1 {
 		return cl.WireBytes/spec.IntraBW + lat
 	}
@@ -88,7 +88,7 @@ func TLParts(n *graph.Node, c itspace.Config, spec machine.Spec) (compute, comm 
 			comm += CollSeconds(spec, cl)
 		}
 	}
-	if excess := grad - GradOverlap*compute; excess > 0 {
+	if excess := grad - float64(GradOverlap*compute); excess > 0 {
 		comm += excess
 	}
 	return compute, comm

@@ -420,6 +420,7 @@ func (c *Client) attempt(ctx context.Context, target string, body []byte) (int, 
 // jitter spreads d to [d/2, 3d/2) so retry storms from many members decorrelate.
 func (c *Client) jitter(d time.Duration) time.Duration {
 	c.rng.Lock()
+	// No float64() against fusion: a fused op moves only a backoff's last bit.
 	f := 0.5 + c.rng.Float64()
 	c.rng.Unlock()
 	return time.Duration(float64(d) * f)

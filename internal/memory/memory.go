@@ -50,7 +50,7 @@ func Estimate(g *graph.Graph, s graph.Strategy) (Footprint, error) {
 		for t := range n.Output.Map {
 			outBlock *= float64(n.Output.Extent(n.Space, t)) / float64(c[n.Output.Map[t]])
 		}
-		f.Activations += outBlock * n.Output.EffScale() * cost.BytesPerElem
+		f.Activations += float64(outBlock * n.Output.EffScale() * cost.BytesPerElem)
 
 		// Parameter blocks per device (replicated dims do not shrink the
 		// block, so replication is captured automatically).
@@ -59,7 +59,7 @@ func Estimate(g *graph.Graph, s graph.Strategy) (Footprint, error) {
 			for t := range pr.Map {
 				pBlock *= float64(pr.Extent(n.Space, t)) / float64(c[pr.Map[t]])
 			}
-			f.Parameters += pBlock * pr.EffScale() * cost.BytesPerElem * paramStateFactor
+			f.Parameters += float64(pBlock * pr.EffScale() * cost.BytesPerElem * paramStateFactor)
 		}
 
 		// Collective staging buffers.

@@ -58,7 +58,7 @@ var snapshotLabels = []string{
 	"pase.request/v1",      // request/solve fingerprints (result-cache keys)
 	"graph.Graph",          // graph content fingerprints
 	"cost.vertex-class/v1", // the schemes behind a cached result's
-	"cost.edge-class/v1",   // vertex_classes and edge_classes counts
+	"cost.edge-class/v2",   // vertex_classes and edge_classes counts
 	core.KernelVersion,     // the numerics behind every cached cost
 }
 
