@@ -411,11 +411,13 @@ func SolveBeam(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts BeamOp
 func beamJoinCap(width int) int { return max(4*width, 64) }
 
 // beamEdge is an incident edge to a later vertex: its table oriented
-// vals[other*kv+c] like the exact kernel, that orientation's row minima, the
-// other endpoint and its φ digit.
+// vals[other*kv+c] like the exact kernel and ovals[c*ko+other] the other
+// way (ko the other endpoint's configuration count), each orientation's row
+// minima, the other endpoint and its φ digit.
 type beamEdge struct {
-	vals, mins []float64
-	other, dg  int
+	vals, mins   []float64
+	ovals, omins []float64
+	other, dg    int
 }
 
 // beamRow is one edge row a generation step attaches: edge li of the
@@ -517,11 +519,13 @@ func (p *beamPass) join(i int) error {
 	}
 	p.erefs = p.erefs[:0]
 	err := p.eachLaterEdge(i, func(ie cost.IncEdge, dg int) {
-		mins := p.bp.minU[ie.E]
+		mins, omins := p.bp.minU[ie.E], p.bp.minV[ie.E]
+		ovals, _ := m.EdgeTableT(ie.E)
 		if ie.VIsU {
-			mins = p.bp.minV[ie.E]
+			mins, omins = omins, mins
+			ovals, _ = m.EdgeTable(ie.E)
 		}
-		p.erefs = append(p.erefs, beamEdge{vals: txRows(m, ie), mins: mins, other: ie.Other, dg: dg})
+		p.erefs = append(p.erefs, beamEdge{vals: txRows(m, ie), mins: mins, ovals: ovals, omins: omins, other: ie.Other, dg: dg})
 	})
 	if err != nil {
 		return err
@@ -540,26 +544,12 @@ func (p *beamPass) join(i int) error {
 		}
 	}
 
-	// Digits no subset covered (edge-only or value-independent attachments):
-	// enumerate their values so later parents can match any combination,
-	// attaching edge costs where present.
 	for dg := range dep {
-		if p.assigned[dg] {
-			continue
-		}
-		p.rows = p.rows[:0]
-		p.attach(dg, 0)
-		p.have = grown(p.have, len(p.cur))
-		clear(p.have)
-		p.cdg = grown(p.cdg, 1)
-		for d := 0; d < p.kd[dg]; d++ {
-			p.cdg[0] = d
-			if err := p.extend(0, int64(d)*p.pstride[dg], 0, -1); err != nil {
+		if !p.assigned[dg] {
+			if err := p.enumerate(dg); err != nil {
 				return err
 			}
 		}
-		p.assigned[dg] = true
-		p.take()
 	}
 	return nil
 }
@@ -627,12 +617,11 @@ func (p *beamPass) attach(dg, k int) {
 	}
 }
 
-// extend offers the frontier every extension of cur by one entry — a child's
-// retained state, or one value of an uncovered digit — whose digits the
-// caller decoded into cdg: cost ccost, new φ digits flatAdd, compatible with
-// the partials whose v is vc (when >= 0) and whose already assigned digits,
-// have, equal need. The entry picks one row of each attached edge, sliced
-// here once; a partial adds the rows' cells at its C in row order. cur
+// extend offers the frontier every extension of cur by one child entry whose
+// digits the caller decoded into cdg: cost ccost, new φ digits flatAdd,
+// compatible with the partials whose v is vc and whose already assigned
+// digits, have, equal need. The entry picks one row of each attached edge,
+// sliced here once; a partial adds the rows' cells at its C in row order. cur
 // ascends in cost and lb, ccost plus the rows' minima summed in the same
 // order, is the least any partial can add, so the walk stops at the first
 // partial whose cost plus lb is above the frontier's threshold: no later one
@@ -654,14 +643,11 @@ func (p *beamPass) extend(ccost float64, flatAdd, need int64, vc int) error {
 		}
 		p.st.States++
 		if p.st.States&cancelCheckMask == 0 {
-			if p.stopped() {
-				return p.cancelErr()
-			}
-			if !p.fits(5 * int64(len(cur)+len(front.buf))) {
-				return fmt.Errorf("%w: beam frontier at vertex %d exceeds %d entries", ErrOOM, p.v, p.budget)
+			if err := p.poll(); err != nil {
+				return err
 			}
 		}
-		if vc >= 0 && int(q.c) != vc || have[pi] != need {
+		if int(q.c) != vc || have[pi] != need {
 			continue
 		}
 		add := ccost
@@ -669,6 +655,66 @@ func (p *beamPass) extend(ccost float64, flatAdd, need int64, vc int) error {
 			add += row[q.c]
 		}
 		front.push(beamPartial{flat: q.flat + flatAdd, cost: q.cost + add, c: q.c})
+	}
+	return nil
+}
+
+// enumerate extends cur by every value of digit dg, which no subset covered
+// (edge-only or value-independent attachments), so later parents can match
+// any combination, attaching the costs of the edges that read dg. A partial
+// reads each such edge at its own C: row C of the other orientation,
+// contiguous over dg's values. lb, the rows' minima at C summed in row order,
+// is the least any value adds to it, so a partial whose cost plus lb is above
+// the frontier's threshold is skipped whole: none of its candidates can
+// enter. cur ascends in cost but lb varies with C, so the walk goes on.
+func (p *beamPass) enumerate(dg int) error {
+	p.rows = p.rows[:0]
+	p.attach(dg, 0)
+	p.erows = grown(p.erows, len(p.rows))
+	cur, erows, front := p.cur, p.erows, &p.front
+	kd, stride := p.kd[dg], p.pstride[dg]
+	for pi := range cur {
+		q := &cur[pi]
+		c := int(q.c)
+		lb := 0.0
+		for j, r := range p.rows {
+			ed := &p.erefs[r.li]
+			erows[j] = ed.ovals[c*kd : (c+1)*kd]
+			lb += ed.omins[c]
+		}
+		if front.cut && q.cost+lb > front.thr.cost {
+			continue
+		}
+		for d := range kd {
+			add := 0.0
+			for _, row := range erows {
+				add += row[d]
+			}
+			p.st.States++
+			if p.st.States&cancelCheckMask == 0 {
+				if err := p.poll(); err != nil {
+					return err
+				}
+			}
+			if x := q.cost + add; !front.cut || x <= front.thr.cost {
+				front.push(beamPartial{flat: q.flat + int64(d)*stride, cost: x, c: q.c})
+			}
+		}
+	}
+	p.assigned[dg] = true
+	p.take()
+	return nil
+}
+
+// poll is a generation loop's periodic check, run once per cancelCheckMask+1
+// candidates: cancellation, and the partials being extended plus the frontier
+// within the budget.
+func (p *beamPass) poll() error {
+	if p.stopped() {
+		return p.cancelErr()
+	}
+	if !p.fits(5 * int64(len(p.cur)+len(p.front.buf))) {
+		return fmt.Errorf("%w: beam frontier at vertex %d exceeds %d entries", ErrOOM, p.v, p.budget)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pase/internal/cost"
+	"pase/internal/graph"
 	"pase/internal/seq"
 )
 
@@ -255,8 +256,10 @@ func requireBeamMatchesNaive(t *testing.T, label string, m *cost.Model, sq *seq.
 	if res.Cost != wantCost || !slices.Equal(res.Idx, wantIdx) || exact != wantExact {
 		t.Fatalf("%s: cost %v idx %v exact %v, reference %v %v %v", label, res.Cost, res.Idx, exact, wantCost, wantIdx, wantExact)
 	}
-	if res.Stats.States > generated {
-		t.Fatalf("%s: kernel evaluated %d candidates, the reference %d", label, res.Stats.States, generated)
+	// No frontier was cut on an exact pass, so no early stop fired: the
+	// kernel evaluated every candidate the reference generated.
+	if res.Stats.States > generated || exact && res.Stats.States != generated {
+		t.Fatalf("%s: kernel evaluated %d candidates (exact %v), the reference generated %d", label, res.Stats.States, exact, generated)
 	}
 	return exact, steps, wide
 }
@@ -266,17 +269,30 @@ func requireBeamMatchesNaive(t *testing.T, label string, m *cost.Model, sq *seq.
 // GENERATESEQ and random orderings: at every width, with the production join
 // cap and with caps small enough that one generation step overflows the 2k
 // frontier several times over, every table, the cost, the strategy and the
-// exact/pruned flag must equal generate-everything, full sort, cut.
+// exact/pruned flag must equal generate-everything, full sort, cut. From
+// trial 120 on, a node or two also reads one producer twice — two edges
+// between the same pair, with their own tables — so that a digit no subset
+// covers is enumerated over two edge rows, which the random layer graphs
+// alone never give.
 func TestBeamKernelMatchesNaiveOnAdversarialTables(t *testing.T) {
-	var steps, wide, exactPasses, passes int
-	for trial := 0; trial < 120; trial++ {
+	var steps, wide, exactPasses, passes, twoRow int
+	for trial := 0; trial < 160; trial++ {
 		rng := rand.New(rand.NewSource(int64(7100 + trial)))
 		n := 3 + rng.Intn(5)
-		m := adversarialModel(t, rng, n, []int{2, 4, 8}[trial%3])
+		g := adversarialGraph(rng, n)
+		if trial >= 120 {
+			for reads := 1 + rng.Intn(2); reads > 0; reads-- {
+				b := 1 + rng.Intn(n-1)
+				g.Nodes[b].Inputs = append(g.Nodes[b].Inputs, graph.TensorRef{Map: []int{0, 2}})
+				g.AddEdge(g.Nodes[g.In(b)[0]], g.Nodes[b])
+			}
+		}
+		m := adversarialCosts(t, rng, g, []int{2, 4, 8}[trial%3])
 		sq := seq.Generate(m.G)
 		if trial%2 == 1 {
 			sq = seq.FromOrder(m.G, rng.Perm(n))
 		}
+		twoRow += twoRowDigits(m, sq)
 		for _, width := range []int{1, 2, 8, 64} {
 			for _, k := range []int{2, 5, beamJoinCap(width)} {
 				exact, s, w := requireBeamMatchesNaive(t, fmt.Sprintf("trial %d W=%d k=%d", trial, width, k), m, sq, width, k)
@@ -296,7 +312,38 @@ func TestBeamKernelMatchesNaiveOnAdversarialTables(t *testing.T) {
 	if exactPasses == 0 || exactPasses == passes {
 		t.Errorf("%d of %d production-cap passes were exact — want both outcomes covered", exactPasses, passes)
 	}
-	t.Logf("%d generation steps, %d with >= 4k candidates; %d of %d production-cap passes exact", steps, wide, exactPasses, passes)
+	if twoRow == 0 {
+		t.Error("no ordering left a digit uncovered with two edge rows")
+	}
+	t.Logf("%d generation steps, %d with >= 4k candidates; %d of %d production-cap passes exact; %d uncovered digits with two or more edge rows",
+		steps, wide, exactPasses, passes, twoRow)
+}
+
+// twoRowDigits counts the digits of sq's dependent sets that no subset covers
+// and that two or more edges of the position's vertex read: the uncovered
+// digits a join enumerates over more than one edge row.
+func twoRowDigits(m *cost.Model, sq *seq.Sequence) (n int) {
+	subsets := seq.ConnectedSubsetsAll(m.G, sq)
+	for i, v := range sq.Order {
+		covered := make(map[int]bool)
+		for _, sub := range subsets[i] {
+			for _, d := range sq.Dep[sq.Pos[sub[len(sub)-1]]][1:] {
+				covered[d] = true
+			}
+		}
+		for _, d := range sq.Dep[i] {
+			rows := 0
+			for _, ie := range m.Incidence(v) {
+				if ie.Other == d && !ie.Self {
+					rows++
+				}
+			}
+			if !covered[d] && rows >= 2 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // The same equality on real cost tables: the shallow GPT decoder and the

@@ -397,12 +397,12 @@ type beamPin struct {
 var (
 	beamPins = map[string][2]beamPin{
 		"core.kernel/v2": {
-			{1395104, 0x3fb9c0b49ada1900, 0x40034ee1964f2780, "7f352573103dc794"},
-			{2718119, 0x3fb9c0b49ada1900, 0x40034ee1964f2780, "7f352573103dc794"},
+			{1033798, 0x3fb9c0b49ada1900, 0x40034ee1964f2780, "7f352573103dc794"},
+			{2233247, 0x3fb9c0b49ada1900, 0x40034ee1964f2780, "7f352573103dc794"},
 		},
 	}
 	beamSeals = map[string]string{
-		"core.kernel/v2": "da3f1eb41fbe4c37",
+		"core.kernel/v2": "2d9b7d2ed59427c2",
 	}
 )
 

@@ -217,6 +217,11 @@ func naiveTables(m *cost.Model, sq *seq.Sequence) (tbl [][]float64, choice [][]i
 // entries, and the cost model's own values left alone.
 func adversarialModel(t *testing.T, rng *rand.Rand, n, p int) *cost.Model {
 	t.Helper()
+	return adversarialCosts(t, rng, adversarialGraph(rng, n), p)
+}
+
+// adversarialGraph is adversarialModel's random layer graph.
+func adversarialGraph(rng *rand.Rand, n int) *graph.Graph {
 	g := randomLayerGraph(rng, n, []int64{1, 2, 4, 16})
 	// A few extra skip edges: triangles are what give a vertex two rows on
 	// its fastest digit (a TX row and a child table both reading it).
@@ -230,6 +235,13 @@ func adversarialModel(t *testing.T, rng *rand.Rand, n, p int) *cost.Model {
 			g.AddEdge(g.Nodes[a], g.Nodes[b])
 		}
 	}
+	return g
+}
+
+// adversarialCosts is adversarialModel over the graph g.
+func adversarialCosts(t *testing.T, rng *rand.Rand, g *graph.Graph, p int) *cost.Model {
+	t.Helper()
+	n := g.Len()
 	m, err := cost.NewModelWith(context.Background(), g, machine.Uniform(p, 1e12, 1e10), itspace.EnumPolicy{},
 		cost.BuildOptions{DisableInterning: true})
 	if err != nil {
