@@ -1,20 +1,17 @@
 // Command bench measures the solver's hot paths outside the `go test`
 // harness and writes the results as JSON, giving successive PRs a stable
 // perf trajectory to compare against. Each run APPENDS a timestamped entry
-// to the output file's trajectory array (a pre-trajectory single-object file
-// is migrated in place as the first entry), so BENCH_solver.json records the
-// perf history across PRs instead of only the latest run.
+// to the output file's trajectory array, so BENCH_solver.json records the
+// perf history across PRs instead of only the latest run. No count is gated
+// here: tier-1 pins the Table I states (cmd/paper's TestTableIDeterministic)
+// and the GPTDeep beam states (internal/core's TestBeamPassesPinned) by
+// equality.
 //
 // Usage:
 //
 //	go run ./cmd/bench                      # appends to BENCH_solver.json
 //	go run ./cmd/bench -out - -reps 5       # print one entry to stdout, 5 reps
 //	go run ./cmd/bench -cpuprofile cpu.out  # profile the measured hot paths
-//	go run ./cmd/bench -out - -against BENCH_solver.json
-//	                                        # CI gate: fail when any Table I
-//	                                        # solve or GPTDeep beam pass
-//	                                        # evaluates more states than the
-//	                                        # latest trajectory entry
 //
 // Measured families (minimum wall time over -reps runs):
 //
@@ -133,9 +130,6 @@ func stageExtras(extra map[string]float64, s core.StageTimes) map[string]float64
 	return extra
 }
 
-// beamWidths are the widths of the measured (and gated) GPTDeep beam passes.
-var beamWidths = []int{8, 32}
-
 // config carries the flag-derived run parameters.
 type config struct {
 	out        string
@@ -143,13 +137,12 @@ type config struct {
 	notes      string
 	cpuProfile string
 	memProfile string
-	against    string
 }
 
 func run(cfg config) error {
 	out, reps, p := cfg.out, cfg.reps, cfg.p
 	rep := Report{
-		Schema:     "pase-bench/v1",
+		Schema:     reportSchema,
 		Date:       time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
@@ -302,7 +295,7 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	for _, width := range beamWidths {
+	for _, width := range []int{8, 32} {
 		var gap float64
 		ns, st, err := measureStats(reps, func() (core.Stats, error) {
 			br, err := core.SolveBeam(context.Background(), gm, seq.Generate(gm.G), core.BeamOptions{Width: width, GapTarget: -1})
@@ -339,12 +332,6 @@ func run(cfg config) error {
 		}
 	}
 
-	if cfg.against != "" {
-		if err := statesCheck(rep, cfg.against, p); err != nil {
-			return err
-		}
-	}
-
 	if out == "-" {
 		buf, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -374,75 +361,8 @@ func run(cfg config) error {
 	return nil
 }
 
-// statesCheck is the CI gate: every Table I solve of this run is compared on
-// its states extra, and both GPTDeep beam passes on states_explored, with the
-// -against trajectory. The counts are functions of the cost tables, so the
-// gate needs no factor, no matching environment and no retry — any increase is
-// a real loss of pruning. (Wall clock is the referee's: bash benchmark/run.sh.)
-// A missing file is a skip (the gate cannot block a fresh checkout), but an
-// existing file that fails to parse is an error — a corrupt BENCH_solver.json
-// must not silently disable the gate.
-func statesCheck(rep Report, against string, p int) error {
-	if _, err := os.Stat(against); os.IsNotExist(err) {
-		fmt.Fprintf(os.Stderr, "bench: no trajectory at %s; skipping the states check\n", against)
-		return nil
-	}
-	traj, err := loadTrajectory(against)
-	if err != nil {
-		return fmt.Errorf("bench: -against %s: %w", against, err)
-	}
-	for _, bm := range pase.Benchmarks() {
-		if err := statesCheckOne(rep, traj, against, fmt.Sprintf("TableI_PaSE/%s/p=%d", bm.Name, p), "states"); err != nil {
-			return err
-		}
-	}
-	for _, width := range beamWidths {
-		if err := statesCheckOne(rep, traj, against, fmt.Sprintf("Beam/GPTDeep/W=%d", width), "states_explored"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// findResult returns the named benchmark of one run.
-func findResult(rs []Result, name string) (Result, bool) {
-	for _, r := range rs {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Result{}, false
-}
-
-// statesCheckOne fails when this run's named solve evaluated more states —
-// its extra of that name — than the latest trajectory entry that recorded the
-// count.
-func statesCheckOne(rep Report, traj Trajectory, against, name, extra string) error {
-	cur, ok := findResult(rep.Results, name)
-	if !ok {
-		return fmt.Errorf("bench: this run did not measure %s", name)
-	}
-	for i := len(traj.Entries) - 1; i >= 0; i-- {
-		e := traj.Entries[i]
-		r, ok := findResult(e.Results, name)
-		base, has := r.Extra[extra]
-		if !ok || !has {
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "bench: %s %.0f %s vs %.0f (%s entry)\n", name, cur.Extra[extra], extra, base, e.Date)
-		if cur.Extra[extra] > base {
-			return fmt.Errorf("bench: %s evaluated %.0f %s, the %s trajectory entry %.0f: the search prunes less than it did",
-				name, cur.Extra[extra], extra, e.Date, base)
-		}
-		return nil
-	}
-	fmt.Fprintf(os.Stderr, "bench: no %s recorded for %s in %s; skipping the states check\n", extra, name, against)
-	return nil
-}
-
 // loadTrajectory reads the output file's existing history. A missing file
-// starts an empty trajectory; a pre-trajectory single-report file (the
-// original pase-bench/v1 layout) is migrated as the first entry.
+// starts an empty trajectory; any other content than a trajectory is an error.
 func loadTrajectory(path string) (Trajectory, error) {
 	buf, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -452,14 +372,10 @@ func loadTrajectory(path string) (Trajectory, error) {
 		return Trajectory{}, err
 	}
 	var traj Trajectory
-	if err := json.Unmarshal(buf, &traj); err == nil && traj.Schema == trajectorySchema {
-		return traj, nil
+	if err := json.Unmarshal(buf, &traj); err != nil || traj.Schema != trajectorySchema {
+		return Trajectory{}, fmt.Errorf("bench: %s is not a %s file; move it aside to start fresh", path, trajectorySchema)
 	}
-	var old Report
-	if err := json.Unmarshal(buf, &old); err == nil && old.Schema == reportSchema {
-		return Trajectory{Schema: trajectorySchema, Entries: []Report{old}}, nil
-	}
-	return Trajectory{}, fmt.Errorf("bench: %s is neither a %s trajectory nor a %s report; move it aside to start fresh", path, trajectorySchema, reportSchema)
+	return traj, nil
 }
 
 func main() {
@@ -470,7 +386,6 @@ func main() {
 		notes      = flag.String("notes", "", "free-form context embedded in the report")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile covering the measured benchmarks to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the measured benchmarks to this file")
-		against    = flag.String("against", "", "trajectory file whose latest entries gate this run: Table I DP states and GPTDeep beam states may not exceed them")
 	)
 	flag.Parse()
 	if *reps < 1 {
@@ -480,7 +395,6 @@ func main() {
 	if err := run(config{
 		out: *out, reps: *reps, p: *p, notes: *notes,
 		cpuProfile: *cpuprofile, memProfile: *memprofile,
-		against: *against,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
