@@ -29,8 +29,8 @@
 //     table bytes) as extras — build time and bytes tracked separately from
 //     solve time.
 //   - Fig5_GenerateSeq/<model>: the GENERATESEQ ordering alone.
-//   - SolveWorkers/workers=<n>: GENERATESEQ + core.Solve across worker
-//     counts, over a Transformer p=32 model built outside the timer.
+//   - SolveWorkers/workers=<n>: GENERATESEQ + core.Solve with n workers at
+//     GOMAXPROCS=n, over a Transformer p=32 model built outside the timer.
 //   - Beam/GPTDeep/W=<w>: GENERATESEQ + one core.SolveBeam pass at width w
 //     over a gptdeep:12 model built outside the timer — the graph whose exact
 //     DP exceeds the default table budget — with the achieved optimality
@@ -262,7 +262,7 @@ func run(cfg config) error {
 	}
 
 	// Worker scaling of the exact kernel on a Transformer p=32 model built
-	// outside the timer: ordering and solve time only.
+	// outside the timer: ordering and solve time only, at GOMAXPROCS=workers.
 	tbm, err := pase.BenchmarkByName("transformer")
 	if err != nil {
 		return err
@@ -273,10 +273,12 @@ func run(cfg config) error {
 		return err
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
+		prev := runtime.GOMAXPROCS(workers)
 		ns, err := measure(reps, func() error {
 			_, err := core.Solve(context.Background(), tm, seq.Generate(tm.G), core.Options{Workers: workers})
 			return err
 		})
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			return fmt.Errorf("SolveWorkers %d: %w", workers, err)
 		}
@@ -284,6 +286,7 @@ func run(cfg config) error {
 			Name:    fmt.Sprintf("SolveWorkers/workers=%d", workers),
 			NsPerOp: ns,
 			Reps:    reps,
+			Extra:   map[string]float64{"gomaxprocs": float64(workers)},
 		})
 	}
 

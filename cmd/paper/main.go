@@ -182,7 +182,7 @@ func table1Rows(o opts) ([]table1Row, error) {
 }
 
 // searchTime is a solve's time without its cost-model build.
-func searchTime(res *pase.Result) time.Duration { return res.SearchTime - res.ModelTime }
+func searchTime(res *pase.Result) time.Duration { return res.Timings.Total - res.Timings.Model }
 
 // table2 prints the best strategies at p=32 in the paper's layout.
 func table2(w io.Writer, o opts) error {

@@ -141,7 +141,7 @@ func reportSolve(pl *pase.Planner, name string, g *pase.Graph, spec pase.Machine
 		fmt.Printf("%s on %d × %s (method %s)\n", name, gpus, spec.Name, res.Method)
 	}
 	fmt.Printf("search time: %s (model %s)   cost: %.4g s/step   M=%d   states=%d\n",
-		report.Duration(res.SearchTime), report.Duration(res.ModelTime), res.Cost, res.MaxDepSize, res.States)
+		report.Duration(res.Timings.Total), report.Duration(res.Timings.Model), res.Cost, res.MaxDepSize, res.States)
 	fmt.Printf("config space: K=%d\n", res.KEffective)
 	if res.BeamWidth > 0 {
 		fmt.Printf("anytime: width=%d gap=%.4g exact=%v (beam solves %d)\n",
@@ -272,7 +272,7 @@ func renderCompare(ctx context.Context, pl *pase.Planner, bm pase.Benchmark, g *
 			fmt.Sprintf("%.3f", e.Step.StepSeconds*1e3),
 			fmt.Sprintf("%.2f", e.Speedup),
 			gapCol,
-			report.Duration(e.Result.SearchTime))
+			report.Duration(e.Result.Timings.Total))
 	}
 	return tb.Render(os.Stdout)
 }

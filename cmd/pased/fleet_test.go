@@ -399,7 +399,7 @@ func TestRouteParity(t *testing.T) {
 	// Timings differ run to run; "code" has only ever been on the /v1/solve
 	// error body. Every other field must match.
 	comparable := func(m map[string]any) map[string]any {
-		for _, k := range []string{"search_ms", "model_ms", "code"} {
+		for _, k := range []string{"timings", "code"} {
 			delete(m, k)
 		}
 		return m

@@ -209,10 +209,10 @@ type solveResponse struct {
 	Strategy    *pase.StrategyDocument `json:"strategy"`
 	Method      string                 `json:"method"`
 	CostSeconds float64                `json:"cost_seconds"`
-	SearchMs    float64                `json:"search_ms"`
-	ModelMs     float64                `json:"model_ms"`
-	Cached      bool                   `json:"cached"`
-	Fingerprint string                 `json:"fingerprint"`
+	// Timings' total_ns counts from the daemon's receipt of the body.
+	Timings     pase.Timings `json:"timings"`
+	Cached      bool         `json:"cached"`
+	Fingerprint string       `json:"fingerprint"`
 	// States is the work the search did: (φ, C) candidates the exact DP's
 	// bound-pruned scan evaluated, beam states explored, or MCMC proposals.
 	States     int64 `json:"states"`
@@ -654,8 +654,7 @@ func toResponse(req pase.SolveRequest, model string, res *pase.Result) (*solveRe
 		Strategy:         doc,
 		Method:           res.Method,
 		CostSeconds:      res.Cost,
-		SearchMs:         float64(res.SearchTime.Nanoseconds()) / 1e6,
-		ModelMs:          float64(res.ModelTime.Nanoseconds()) / 1e6,
+		Timings:          res.Timings,
 		Cached:           res.Cached,
 		Fingerprint:      res.Fingerprint,
 		States:           res.States,
@@ -811,8 +810,9 @@ func (s *server) serveOne(ctx context.Context, body []byte, internal bool) ([]by
 	if hit {
 		// res is the cache's entry as its solve left it; the request-side
 		// fields are this request's.
-		resp.Cached, resp.ModelMs, resp.SearchMs = true, 0, msSince(start)
+		resp.Cached, resp.Timings = true, pase.Timings{}
 	}
+	resp.Timings.Total = time.Since(start)
 	if resp.FleetFallback {
 		resp.FleetOwner = fleetOwner
 	}
@@ -1020,7 +1020,7 @@ func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
 			we.StepMs = e.Step.StepSeconds * 1e3
 			we.Throughput = e.Step.Throughput
 			we.SpeedupVsDP = e.Speedup
-			we.SearchMs = float64(e.Result.SearchTime.Nanoseconds()) / 1e6
+			we.SearchMs = float64(e.Result.Timings.Total.Nanoseconds()) / 1e6
 			we.Cached = e.Result.Cached
 			we.Fingerprint = e.Result.Fingerprint
 			we.Gap = e.Result.Gap

@@ -3,7 +3,7 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/json"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,7 +29,7 @@ type memoEntry struct {
 	name   string // the export document's display name
 	isSpec bool
 	// head and tail are the body's stored answer: the encoded 200 body of a
-	// cache hit, split around the search_ms value, which is the only part of a
+	// cache hit, split around the total_ns value, which is the only part of a
 	// hit that differs between requests. from is the result-cache entry the
 	// bytes were encoded from, and their validity: they are served only while
 	// Planner.Lookup still returns that very entry, so an eviction, a later
@@ -77,20 +77,20 @@ func (m *requestMemo) put(k memoKey, e memoEntry) {
 	m.mu.Unlock()
 }
 
-// searchMsKey opens the search_ms line of an encoded solveResponse. Two
-// spaces of indentation make it the top-level field: the strategy document's
-// own keys sit deeper, and a string cannot hold a raw newline.
-const searchMsKey = "\n  \"search_ms\": "
+// totalKey opens the total_ns line of an encoded solveResponse's timings. Its
+// last occurrence is the response's own: the timings follow the strategy
+// document, and a string cannot hold a raw newline.
+const totalKey = "\n    \"total_ns\": "
 
 // withHit returns e carrying body — the reference encoder's output for a cache
-// hit on from — as its stored answer, or e unchanged if body has no search_ms
+// hit on from — as its stored answer, or e unchanged if body has no total_ns
 // line to split at.
 func (e memoEntry) withHit(from *pase.Result, body []byte) memoEntry {
-	i := bytes.LastIndex(body, []byte(searchMsKey))
+	i := bytes.LastIndex(body, []byte(totalKey))
 	if i < 0 {
 		return e
 	}
-	i += len(searchMsKey)
+	i += len(totalKey)
 	j := bytes.IndexByte(body[i:], ',')
 	if j < 0 {
 		return e
@@ -99,18 +99,10 @@ func (e memoEntry) withHit(from *pase.Result, body []byte) memoEntry {
 	return e
 }
 
-// hitBody is the stored answer with this request's search_ms filled in.
+// hitBody is the stored answer with this request's total_ns filled in.
 func (e memoEntry) hitBody(start time.Time) []byte {
-	// json.Marshal is the reference encoder's float formatting, and a
-	// duration is always finite.
-	ms, _ := json.Marshal(msSince(start))
-	out := make([]byte, 0, len(e.head)+len(ms)+len(e.tail))
+	out := make([]byte, 0, len(e.head)+20+len(e.tail)) // 20 digits hold any int64
 	out = append(out, e.head...)
-	out = append(out, ms...)
+	out = strconv.AppendInt(out, int64(time.Since(start)), 10)
 	return append(out, e.tail...)
-}
-
-// msSince is the wire's search_ms for a request that began at start.
-func msSince(start time.Time) float64 {
-	return float64(time.Since(start).Nanoseconds()) / 1e6
 }

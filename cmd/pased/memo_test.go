@@ -35,20 +35,20 @@ func postRaw(t *testing.T, url, body string) (int, []byte) {
 	return resp.StatusCode, raw
 }
 
-var searchMsLine = regexp.MustCompile(`(?m)^  "search_ms": .*\n`)
+var totalNsLine = regexp.MustCompile(`(?m)^    "total_ns": .*\n`)
 
-// sansSearchMs deletes the search_ms line, the one part of a hit's body that
-// differs between two requests.
-func sansSearchMs(t *testing.T, body []byte) string {
+// sansTotalNs deletes the timings' total_ns line, the one part of a hit's
+// body that differs between two requests.
+func sansTotalNs(t *testing.T, body []byte) string {
 	t.Helper()
-	if n := len(searchMsLine.FindAll(body, -1)); n != 1 {
-		t.Fatalf("body has %d top-level search_ms lines, want 1:\n%s", n, body)
+	if n := len(totalNsLine.FindAll(body, -1)); n != 1 {
+		t.Fatalf("body has %d total_ns lines, want 1:\n%s", n, body)
 	}
-	return string(searchMsLine.ReplaceAll(body, nil))
+	return string(totalNsLine.ReplaceAll(body, nil))
 }
 
 // wantReferenceBytes fails unless body is, byte for byte, what the reference
-// encoder produces for the response value body decodes to — search_ms
+// encoder produces for the response value body decodes to — total_ns
 // included. Decoding into the typed response and encoding it again is also
 // what a forwarder did to every relayed answer before it relayed bytes.
 func wantReferenceBytes(t *testing.T, what string, body []byte) *solveResponse {
@@ -108,9 +108,9 @@ func TestMemoSpellingsShareOneAnswer(t *testing.T) {
 				t.Fatalf("spelling %d repeat %d: %d %s", i, rep, status, raw)
 			}
 			got := wantReferenceBytes(t, fmt.Sprintf("spelling %d repeat %d", i, rep), raw)
-			if !got.Cached || got.ModelMs != 0 || got.Fingerprint != want.Fingerprint || got.CostSeconds != want.CostSeconds {
-				t.Fatalf("spelling %d repeat %d: cached=%v model_ms=%v fingerprint=%s cost=%v, want a hit on %s at %v",
-					i, rep, got.Cached, got.ModelMs, got.Fingerprint, got.CostSeconds, want.Fingerprint, want.CostSeconds)
+			if !got.Cached || got.Timings != (pase.Timings{Total: got.Timings.Total}) || got.Fingerprint != want.Fingerprint || got.CostSeconds != want.CostSeconds {
+				t.Fatalf("spelling %d repeat %d: cached=%v timings=%+v fingerprint=%s cost=%v, want a hit carrying total_ns alone on %s at %v",
+					i, rep, got.Cached, got.Timings, got.Fingerprint, got.CostSeconds, want.Fingerprint, want.CostSeconds)
 			}
 			if doc, _ := json.Marshal(got.Strategy); !bytes.Equal(doc, strategy) {
 				t.Fatalf("spelling %d repeat %d: strategy differs from the first solve's", i, rep)
@@ -192,7 +192,7 @@ func TestMemoBounded(t *testing.T) {
 
 // TestStoredBytesMatchReferenceEncoder: the third answer to a body is written
 // from stored bytes, and must be what the reference encoder wrote for the
-// second — the same response value — bar the search_ms value.
+// second — the same response value — bar the total_ns value.
 func TestStoredBytesMatchReferenceEncoder(t *testing.T) {
 	s := newServer(pase.NewPlanner(pase.PlannerConfig{}), 64, 0)
 	ts := httptest.NewServer(s.mux())
@@ -218,7 +218,7 @@ func TestStoredBytesMatchReferenceEncoder(t *testing.T) {
 			}
 		}
 		for i := 2; i < len(answers); i++ {
-			if got, want := sansSearchMs(t, answers[i]), sansSearchMs(t, answers[1]); got != want {
+			if got, want := sansTotalNs(t, answers[i]), sansTotalNs(t, answers[1]); got != want {
 				t.Fatalf("%s: stored-bytes answer %d differs from the encoded hit:\ngot:\n%s\nwant:\n%s", name, i, got, want)
 			}
 		}
@@ -253,7 +253,7 @@ func TestRelayedBytesMatchReferenceEncoder(t *testing.T) {
 		}
 	}
 	for i := 2; i < len(answers); i++ {
-		if got, want := sansSearchMs(t, answers[i]), sansSearchMs(t, answers[1]); got != want {
+		if got, want := sansTotalNs(t, answers[i]), sansTotalNs(t, answers[1]); got != want {
 			t.Fatalf("forwarded repeat %d differs from its predecessor:\ngot:\n%s\nwant:\n%s", i, got, want)
 		}
 	}
@@ -272,7 +272,7 @@ func TestRelayedBytesMatchReferenceEncoder(t *testing.T) {
 		t.Fatalf("owner-local: %d %s", status, own)
 	}
 	marks := fmt.Sprintf(",\n  \"fleet_forwarded\": true,\n  \"fleet_owner\": %q\n}\n", b.url)
-	if got, want := sansSearchMs(t, answers[3]), strings.TrimSuffix(sansSearchMs(t, own), "\n}\n")+marks; got != want {
+	if got, want := sansTotalNs(t, answers[3]), strings.TrimSuffix(sansTotalNs(t, own), "\n}\n")+marks; got != want {
 		t.Fatalf("relayed answer is not the owner's plus the marks:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -35,14 +35,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("found best strategy in %v (model build %v, M=%d, %d DP states)\n",
-		res.SearchTime, res.ModelTime, res.MaxDepSize, res.States)
+		res.Timings.Total, res.Timings.Model, res.MaxDepSize, res.States)
 
 	// An identical request is a cache hit: no model build, no DP run.
 	again, err := pase.Solve(ctx, pase.SolveRequest{G: g, Spec: cluster})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("identical request again: %v (cached=%v)\n\n", again.SearchTime, again.Cached)
+	fmt.Printf("identical request again: %v (cached=%v)\n\n", again.Timings.Total, again.Cached)
 
 	fmt.Println("layer            dims      configuration")
 	for _, n := range g.Nodes {

@@ -469,7 +469,12 @@ type Stats struct {
 // beam run fills Plan (subsets, guide, row minima and lower bound), Join and
 // Keep (each position's sparse join and cut, summed over passes) and BackSub.
 type StageTimes struct {
-	Plan, Fill, Scan, Join, Keep, BackSub time.Duration
+	Plan    time.Duration `json:"plan_ns"`
+	Fill    time.Duration `json:"fill_ns"`
+	Scan    time.Duration `json:"scan_ns"`
+	Join    time.Duration `json:"join_ns"`
+	Keep    time.Duration `json:"keep_ns"`
+	BackSub time.Duration `json:"backsub_ns"`
 }
 
 // Result is a solved strategy.

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pase/internal/canon"
 	"pase/internal/graph"
@@ -47,11 +46,6 @@ type Model struct {
 	Spec machine.Spec
 	// Policy controls configuration enumeration.
 	Policy itspace.EnumPolicy
-	// BuildTime is how long NewModel spent enumerating configurations and
-	// building the cost tables, so callers can report model-construction cost
-	// separately from DP-solve cost (and cache layers can show what a model
-	// cache hit saves).
-	BuildTime time.Duration
 
 	r    float64
 	cfgs [][]itspace.Config // per node: the enumerated configurations, index = config ID
@@ -160,7 +154,6 @@ func NewModel(g *graph.Graph, spec machine.Spec, pol itspace.EnumPolicy) (*Model
 // per edge class), so cancelling mid-build returns ctx's error promptly — in
 // coarse per-table steps — without leaking pool goroutines.
 func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol itspace.EnumPolicy, bo BuildOptions) (*Model, error) {
-	start := time.Now()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -276,7 +269,6 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	m.classStoreMiss = traffic.misses.Load()
 	m.classStoreBytes = traffic.bytes.Load()
 	m.computeInfo(plan)
-	m.BuildTime = time.Since(start)
 	return m, nil
 }
 

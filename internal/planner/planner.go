@@ -193,12 +193,8 @@ type Result struct {
 	// contract, the model's K and table sharing, and delta re-solve reuse. A
 	// cache hit or a ride-along carries its solve's provenance unchanged.
 	export.Provenance
-	// SearchTime is the end-to-end time of this request from SolvePrepared
-	// on, including cost model construction (ModelTime) when one was built.
-	SearchTime time.Duration
-	// ModelTime is how long this request spent building the cost model;
-	// zero for a cache hit, a ride-along and a baseline, which build none.
-	ModelTime time.Duration
+	// Timings is where this request's wall time went.
+	Timings Timings
 	// MaxDepSize is the paper's M for the ordering used ("dp" only).
 	MaxDepSize int
 	// States is the number of (φ, C) candidates the DP's bound-pruned scan
@@ -219,6 +215,15 @@ type Result struct {
 	// under the owner's identity would let a flapping peer populate shadow
 	// copies cluster-wide.
 	FleetFallback bool
+}
+
+// Timings is where a request's wall time went, each span stamped once where
+// it runs: Total from SolvePrepared on, Model around the cost-model build, and
+// the kernel's stages. A cache hit or a ride-along carries Total only.
+type Timings struct {
+	Total time.Duration `json:"total_ns"`
+	Model time.Duration `json:"model_ns"`
+	core.StageTimes
 }
 
 // noCache reports that this result must not enter the result cache: it was
@@ -554,11 +559,11 @@ func (p *Planner) Prepare(req Request) (*Prepared, error) {
 // used, and returned as the cache's own entry — shared and read-only, where
 // Solve hands out a copy — so the pointer also identifies the entry: it stays
 // the same until the entry is evicted or replaced, which is what lets a caller
-// keep bytes encoded from it. The per-request fields on it (Cached,
-// SearchTime, ModelTime) are the original solve's, not this lookup's. On a
-// miss nothing is counted — the Solve that follows counts it — and inFlight
-// reports an identical solve in progress, which that Solve would join: either
-// way the answer is local, and as good as a fleet owner's copy.
+// keep bytes encoded from it. The per-request fields on it (Cached, Timings)
+// are the original solve's, not this lookup's. On a miss nothing is counted —
+// the Solve that follows counts it — and inFlight reports an identical solve
+// in progress, which that Solve would join: either way the answer is local,
+// and as good as a fleet owner's copy.
 func (p *Planner) Lookup(fp canon.Fingerprint) (res *Result, inFlight bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -630,7 +635,7 @@ func (p *Planner) SolvePrepared(ctx context.Context, prep *Prepared, fleetFallba
 
 	go func() {
 		defer release()
-		res, err := p.doSolve(flightCtx, req, start, degradeReason)
+		res, err := p.doSolve(flightCtx, req, degradeReason)
 		if err == nil {
 			res.Fingerprint = fp.String()
 			res.FleetFallback = fleetFallback
@@ -687,8 +692,7 @@ func (p *Planner) lookup(ctx context.Context, fp canon.Fingerprint, start time.T
 	if cached {
 		out := hit.clone()
 		out.Cached = true
-		out.ModelTime = 0
-		out.SearchTime = time.Since(start)
+		out.Timings = Timings{Total: time.Since(start)}
 		return out, true, nil
 	}
 	res, err = p.waitSolve(ctx, fp, fl, start, false)
@@ -747,10 +751,9 @@ func (p *Planner) waitSolve(ctx context.Context, fp canon.Fingerprint, fl *solve
 		}
 		out := fl.res.clone()
 		if !leader {
-			out.Cached = true
-			out.ModelTime = 0
+			out.Cached, out.Timings = true, Timings{}
 		}
-		out.SearchTime = time.Since(start)
+		out.Timings.Total = time.Since(start)
 		return out, nil
 	case <-ctx.Done():
 		p.mu.Lock()
@@ -775,44 +778,44 @@ func (p *Planner) waitSolve(ctx context.Context, fp canon.Fingerprint, fl *solve
 // carries the degradation ladder: a non-empty degradeReason (queue pressure
 // observed at admission) routes it straight to the bounded beam solve, and an
 // ErrOOM from the exact DP lands there with DegradeReasonOOM.
-func (p *Planner) doSolve(ctx context.Context, req Request, start time.Time, degradeReason string) (res *Result, err error) {
+func (p *Planner) doSolve(ctx context.Context, req Request, degradeReason string) (res *Result, err error) {
 	defer guard(p, &res, &err)
 	if err := p.cfg.FaultPlan.Fire(ctx, pressure.SiteSolve); err != nil {
 		return nil, err
 	}
 	method := req.Opts.method()
+	var model time.Duration
 	if strategies.IsBaselineMethod(method) {
-		res, err = runBaseline(ctx, req.G, req.Spec, method, start)
+		res, err = runBaseline(ctx, req.G, req.Spec, method)
 	} else {
+		start := time.Now()
 		var m *cost.Model
 		if m, err = p.buildModel(ctx, req); err != nil {
 			return nil, err
 		}
+		model = time.Since(start)
 		switch method {
 		case "mcmc":
-			res, err = runMCMC(ctx, m, req.Opts, start)
+			res, err = runMCMC(ctx, m, req.Opts)
 		case "beam":
-			res, err = p.runBeam(ctx, m, req.Opts, start)
+			res, err = p.runBeam(ctx, m, req.Opts)
 		default:
 			if degradeReason != "" {
-				res, err = p.runDegraded(ctx, m, req.Opts, start, degradeReason)
+				res, err = p.runDegraded(ctx, m, req.Opts, degradeReason)
 				break
 			}
 			if err = p.cfg.FaultPlan.Fire(ctx, pressure.SiteDP); err == nil {
-				res, err = p.runDP(ctx, m, req.Opts, start)
+				res, err = p.runDP(ctx, m, req.Opts)
 			}
 			if err != nil && errors.Is(err, core.ErrOOM) && p.cfg.DegradeBeamWidth > 0 {
-				res, err = p.runDegraded(ctx, m, req.Opts, start, DegradeReasonOOM)
+				res, err = p.runDegraded(ctx, m, req.Opts, DegradeReasonOOM)
 			}
-		}
-		if err == nil {
-			res.ModelTime = m.BuildTime
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	res.Method = method
+	res.Method, res.Timings.Model = method, model
 	return res, nil
 }
 
@@ -827,12 +830,12 @@ func dpSeq(m *cost.Model, opts Options) *seq.Sequence {
 // dpResult lifts a core DP result into the planner's Result shape. The
 // exact DP proves optimality by construction; beam callers overwrite Exact
 // with what the solve established.
-func dpResult(r *core.Result, start time.Time) *Result {
+func dpResult(r *core.Result) *Result {
 	return &Result{
 		Strategy:   r.Strategy,
 		Cost:       r.Cost,
 		Provenance: export.Provenance{Exact: true, ModelInfo: r.Stats.ModelInfo},
-		SearchTime: time.Since(start),
+		Timings:    Timings{StageTimes: r.Stats.Stages},
 		MaxDepSize: r.Stats.MaxDepSize,
 		States:     r.Stats.States,
 	}
@@ -841,7 +844,7 @@ func dpResult(r *core.Result, start time.Time) *Result {
 // runBeam runs the anytime bounded-width DP over a built model. Beam solves
 // always run cold: the incremental re-solve path (runDP) retains and diffs
 // exact DP snapshots, and a width-W frontier is not a meaningful delta base.
-func (p *Planner) runBeam(ctx context.Context, m *cost.Model, opts Options, start time.Time) (*Result, error) {
+func (p *Planner) runBeam(ctx context.Context, m *cost.Model, opts Options) (*Result, error) {
 	br, err := core.SolveBeam(ctx, m, dpSeq(m, opts), core.BeamOptions{
 		Options: core.Options{
 			MaxTableEntries: opts.MaxTableEntries,
@@ -853,7 +856,7 @@ func (p *Planner) runBeam(ctx context.Context, m *cost.Model, opts Options, star
 	if err != nil {
 		return nil, err
 	}
-	res := dpResult(&br.Result, start)
+	res := dpResult(&br.Result)
 	res.Gap = br.Gap
 	res.Exact = br.Exact
 	res.BeamWidth = opts.BeamWidth
@@ -869,10 +872,10 @@ func (p *Planner) runBeam(ctx context.Context, m *cost.Model, opts Options, star
 // the Result so callers and caches can tell. A single pass (no refinement
 // loop) because degradation exists to answer fast — under queue pressure or
 // after an ErrOOM — not to chase the gap.
-func (p *Planner) runDegraded(ctx context.Context, m *cost.Model, opts Options, start time.Time, reason string) (*Result, error) {
+func (p *Planner) runDegraded(ctx context.Context, m *cost.Model, opts Options, reason string) (*Result, error) {
 	opts.BeamWidth = p.cfg.DegradeBeamWidth
 	opts.GapTarget = -1
-	res, err := p.runBeam(ctx, m, opts, start)
+	res, err := p.runBeam(ctx, m, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -956,7 +959,7 @@ func diffModels(old, new *cost.Model) (dirtyV []bool, ok bool) {
 // table, over the snapshot's subsets and ordering. Everything else (cold
 // topologies, incomparable models, a failed re-solve) runs a full solve and
 // refreshes the snapshot.
-func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options, start time.Time) (*Result, error) {
+func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options) (*Result, error) {
 	coreOpts := core.Options{
 		MaxTableEntries: opts.MaxTableEntries,
 		Workers:         opts.Workers,
@@ -966,7 +969,7 @@ func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options, start 
 		if err != nil {
 			return nil, err
 		}
-		return dpResult(r, start), nil
+		return dpResult(r), nil
 	}
 	key := deltaKey(m.G, opts)
 	p.mu.Lock()
@@ -980,7 +983,7 @@ func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options, start 
 				p.deltas.Put(key, &deltaEntry{model: m, snap: snap})
 				p.stats.DeltaResolves++
 				p.mu.Unlock()
-				res := dpResult(r, start)
+				res := dpResult(r)
 				res.DeltaResolve = true
 				return res, nil
 			}
@@ -1001,12 +1004,12 @@ func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options, start 
 	p.mu.Lock()
 	p.deltas.Put(key, &deltaEntry{model: m, snap: snap})
 	p.mu.Unlock()
-	return dpResult(r, start), nil
+	return dpResult(r), nil
 }
 
 // runMCMC runs the FlexFlow-substitute chain over a built model, seeded by
 // the request's MCMCInit baseline (data parallelism by default).
-func runMCMC(ctx context.Context, m *cost.Model, opts Options, start time.Time) (*Result, error) {
+func runMCMC(ctx context.Context, m *cost.Model, opts Options) (*Result, error) {
 	initStrat, err := strategies.ForMethod(opts.mcmcInit(), m.G, m.P())
 	if err != nil {
 		return nil, fmt.Errorf("planner: mcmc init: %w", err)
@@ -1023,14 +1026,13 @@ func runMCMC(ctx context.Context, m *cost.Model, opts Options, start time.Time) 
 		Strategy:   m.StrategyFromIdx(r.BestIdx),
 		Cost:       r.BestCost,
 		Provenance: export.Provenance{ModelInfo: m.Info()},
-		SearchTime: time.Since(start),
 		States:     int64(r.Iters),
 	}, nil
 }
 
 // runBaseline prices a fixed baseline strategy directly from the graph and
 // machine — no enumeration, no tables, microseconds of work.
-func runBaseline(ctx context.Context, g *graph.Graph, spec machine.Spec, method string, start time.Time) (*Result, error) {
+func runBaseline(ctx context.Context, g *graph.Graph, spec machine.Spec, method string) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, context.Cause(ctx)
 	}
@@ -1042,7 +1044,7 @@ func runBaseline(ctx context.Context, g *graph.Graph, spec machine.Spec, method 
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Strategy: s, Cost: c, SearchTime: time.Since(start)}, nil
+	return &Result{Strategy: s, Cost: c}, nil
 }
 
 // Model returns a freshly built cost model for (g, spec, pol), for callers

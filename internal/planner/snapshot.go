@@ -42,7 +42,9 @@ import (
 // (v2: Result's provenance fields moved into the embedded export.Provenance).
 // A dropped field is compatible: a v2 payload that still carries the class
 // store section or the store's per-result hit counts it once held restores
-// its results, those fields ignored.
+// its results, those fields ignored. So is the fold of SearchTime and
+// ModelTime into Timings: gob ignores the dropped two on restore, a missing
+// Timings decodes as zero, and a hit rewrites Timings anyway.
 const snapshotFormat = "pase.planner.snapshot/v2"
 
 // ErrSnapshotStale is returned by ReadSnapshot/LoadSnapshot when the file is

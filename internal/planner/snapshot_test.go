@@ -63,10 +63,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("request %d after restore: not a cache hit", i)
 		}
 		// Byte-identical modulo the serve-time fields a cache hit always
-		// rewrites (Cached, SearchTime, ModelTime).
+		// rewrites (Cached, Timings).
 		got, want := *res, *originals[i]
-		got.Cached, got.SearchTime, got.ModelTime = false, 0, 0
-		want.Cached, want.SearchTime, want.ModelTime = false, 0, 0
+		got.Cached, got.Timings = false, Timings{}
+		want.Cached, want.Timings = false, Timings{}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("request %d: restored result differs from original:\n got %+v\nwant %+v", i, got, want)
 		}

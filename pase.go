@@ -255,11 +255,14 @@ var (
 type Options = planner.Options
 
 // Result is a found strategy with its cost and search statistics, including
-// the Method that produced it, end-to-end SearchTime, the ModelTime share
-// spent building cost tables, whether the planner served it from cache
-// (Cached, Fingerprint), the configuration-space size (KEffective, the
-// paper's K), and the anytime-beam quality contract (Gap, Exact, BeamWidth).
+// the Method that produced it, where the request's time went (Timings),
+// whether the planner served it from cache (Cached, Fingerprint), the
+// configuration-space size (KEffective, the paper's K), and the anytime-beam
+// quality contract (Gap, Exact, BeamWidth).
 type Result = planner.Result
+
+// Timings is where a request's wall time went (see planner.Timings).
+type Timings = planner.Timings
 
 // ValidateMethod reports whether a method string is one the solve API
 // serves: "", "dp", "beam", "mcmc", "dataparallel", or "expert:<family>".
@@ -364,8 +367,8 @@ func NewModel(g *Graph, spec Machine, pol EnumPolicy) (*Model, error) {
 // repeated requests are cache hits, concurrent identical requests share one
 // underlying solve, and cancelling ctx detaches this caller immediately
 // while a shared solve finishes for its remaining waiters (the solve itself
-// is aborted when the last waiter cancels). SearchTime is end to end (model
-// construction included); ModelTime isolates the model-build share.
+// is aborted when the last waiter cancels). Result.Timings.Total is end to
+// end (model construction included); Timings.Model isolates the build share.
 //
 // Do not mutate req.G after calling Solve: the planner caches results and
 // class tables under the graph's fingerprints at request time, and a later
