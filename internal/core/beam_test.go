@@ -51,7 +51,7 @@ func TestBeamGapSoundnessOnRandomGraphs(t *testing.T) {
 		if strategies > 20000 {
 			continue
 		}
-		bf, err := BruteForce(m)
+		bf, err := bruteForce(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestBeamGapSoundnessOnRandomGraphs(t *testing.T) {
 		}
 
 		// Wide enough to cut nothing: exact, and the exact DP's strategy.
-		exact, err := FindBestStrategy(m, Options{})
+		exact, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestBeamAnytimeRefinementMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomDNNGraph(rng, 10)
 	m := newModel(t, g, 8)
-	exact, err := FindBestStrategy(m, Options{})
+	exact, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestBeamSolvesWhereExactDPOOMs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FindBestStrategy(m, Options{}); !errors.Is(err, ErrOOM) {
+	if _, err := Solve(context.Background(), m, seq.Generate(m.G), Options{}); !errors.Is(err, ErrOOM) {
 		t.Fatalf("exact DP on gptdeep:3 should exhaust DefaultMaxTableEntries, got err=%v", err)
 	}
 	for _, target := range []float64{0, -1} {

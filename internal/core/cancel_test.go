@@ -157,17 +157,19 @@ func TestDeadlineExceededSurfacesAsSuch(t *testing.T) {
 
 func TestBackgroundContextSolveUnchanged(t *testing.T) {
 	// The ctx plumbing must not perturb results: Solve with Background
-	// equals FindBestStrategy on a small model.
+	// equals Solve under a live, never-cancelled context on a small model.
 	g := models.AlexNet(128)
 	m, err := cost.NewModel(g, machine.GTX1080Ti(8), itspace.EnumPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := FindBestStrategy(m, Options{})
+	a, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b, err := Solve(ctx, m, seq.Generate(m.G), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -379,7 +379,7 @@ func TestTableClassesShareExactlyTheTablesEqualByConstruction(t *testing.T) {
 		}
 		if strategies <= 1<<20 {
 			bruteForced++
-			bf, err := BruteForce(mi)
+			bf, err := bruteForce(mi)
 			if err != nil {
 				t.Fatal(err)
 			}

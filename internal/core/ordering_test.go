@@ -24,7 +24,7 @@ func TestSolveArbitraryOrderingsQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		bf, err := BruteForce(m)
+		bf, err := bruteForce(m)
 		if err != nil {
 			return false
 		}
@@ -62,11 +62,11 @@ func TestOrderingReducesStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := randomDNNGraph(rng, 8)
 	m := newModel(t, g, 4)
-	gen, err := FindBestStrategy(m, Options{})
+	gen, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := NaiveBF(m, Options{MaxTableEntries: 1 << 28})
+	bf, err := Solve(context.Background(), m, seq.BFS(m.G), Options{MaxTableEntries: 1 << 28})
 	if err != nil {
 		t.Fatal(err)
 	}

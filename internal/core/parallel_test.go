@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"pase/internal/itspace"
 	"pase/internal/machine"
 	"pase/internal/models"
+	"pase/internal/seq"
 )
 
 // The parallel table fill must be byte-identical to the serial one: same
@@ -18,12 +20,12 @@ func TestParallelSolverMatchesSerial(t *testing.T) {
 		g := randomDNNGraph(rng, 5+rng.Intn(5))
 		for _, workers := range []int{2, 4, 8} {
 			m1 := newModel(t, g, 8)
-			serial, err := FindBestStrategy(m1, Options{Workers: 1})
+			serial, err := Solve(context.Background(), m1, seq.Generate(m1.G), Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			m2 := newModel(t, g, 8)
-			par, err := FindBestStrategy(m2, Options{Workers: workers})
+			par, err := Solve(context.Background(), m2, seq.Generate(m2.G), Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +51,7 @@ func TestParallelSolverOnInception(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := FindBestStrategy(m, Options{Workers: 4})
+	par, err := Solve(context.Background(), m, seq.Generate(m.G), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestParallelSolverOnInception(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, err := FindBestStrategy(m2, Options{Workers: 1})
+	ser, err := Solve(context.Background(), m2, seq.Generate(m2.G), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +81,12 @@ func TestWorkersByteIdenticalOnPaperBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := FindBestStrategy(m, Options{Workers: 1})
+			serial, err := Solve(context.Background(), m, seq.Generate(m.G), Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 4} { // 0 = GOMAXPROCS default
-				par, err := FindBestStrategy(m, Options{Workers: workers})
+				par, err := Solve(context.Background(), m, seq.Generate(m.G), Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,7 +111,7 @@ func TestTableLivenessShrinksPeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := randomDNNGraph(rng, 12)
 	m := newModel(t, g, 8)
-	res, err := FindBestStrategy(m, Options{})
+	res, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestTableLivenessShrinksPeak(t *testing.T) {
 	}
 	if res.Stats.PeakLiveEntries < res.Stats.TotalEntries {
 		budget := (res.Stats.PeakLiveEntries + res.Stats.TotalEntries) / 2
-		mid, err := FindBestStrategy(m, Options{MaxTableEntries: budget})
+		mid, err := Solve(context.Background(), m, seq.Generate(m.G), Options{MaxTableEntries: budget})
 		if err != nil {
 			t.Fatalf("budget %d between peak %d and total %d should fit: %v",
 				budget, res.Stats.PeakLiveEntries, res.Stats.TotalEntries, err)

@@ -515,7 +515,7 @@ func TestPrunedScanMatchesNaiveOnAdversarialTables(t *testing.T) {
 		}
 		if strategies <= 20000 {
 			bruteForced++
-			bf, err := BruteForce(m)
+			bf, err := bruteForce(m)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -492,19 +492,6 @@ type Result struct {
 	Stats Stats
 }
 
-// FindBestStrategy runs the paper's FINDBESTSTRATEGY: GENERATESEQ ordering
-// followed by the dependent-set dynamic program, without cancellation (a
-// background context). Use Solve directly for a cancellable run.
-func FindBestStrategy(m *cost.Model, opts Options) (*Result, error) {
-	return Solve(context.Background(), m, seq.Generate(m.G), opts)
-}
-
-// NaiveBF runs the Section III-A baseline: the same recurrence over a
-// breadth-first ordering, whose dependent sets are the naive DB(i).
-func NaiveBF(m *cost.Model, opts Options) (*Result, error) {
-	return Solve(context.Background(), m, seq.BFS(m.G), opts)
-}
-
 // qtable is the DP table of one position j, stored as the quotient the fill
 // computes it as: cost and choice hold one entry per combination of the
 // classes of D(j)'s digits (digit k has dims[k] of them, see digitClasses),
@@ -1283,42 +1270,4 @@ func (e *exactSolve) choiceAt(pos int, idx []int) (int, error) {
 		stride *= q.dims[k]
 	}
 	return int(q.choice[flat]), nil
-}
-
-// BruteForce exhaustively enumerates every strategy. It is exponential and
-// intended only for validating the DP on small graphs.
-func BruteForce(m *cost.Model) (*Result, error) {
-	n := m.G.Len()
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty graph")
-	}
-	total := int64(1)
-	for v := 0; v < n; v++ {
-		total *= int64(m.K(v))
-		if total > 200_000_000 {
-			return nil, fmt.Errorf("core: brute force space too large")
-		}
-	}
-	idx := make([]int, n)
-	best := math.Inf(1)
-	bestIdx := make([]int, n)
-	for it := int64(0); it < total; it++ {
-		if c := m.EvalIdx(idx); c < best {
-			best = c
-			copy(bestIdx, idx)
-		}
-		for k := n - 1; k >= 0; k-- {
-			idx[k]++
-			if idx[k] < m.K(k) {
-				break
-			}
-			idx[k] = 0
-		}
-	}
-	return &Result{
-		Cost:     best,
-		Idx:      bestIdx,
-		Strategy: m.StrategyFromIdx(bestIdx),
-		Stats:    Stats{States: total},
-	}, nil
 }

@@ -76,11 +76,11 @@ func TestDPEqualsBruteForceOnPath(t *testing.T) {
 	g := randomDNNGraph(rng, 4)
 	m := newModel(t, g, 4)
 
-	dp, err := FindBestStrategy(m, Options{})
+	dp, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := BruteForce(m)
+	bf, err := bruteForce(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +100,15 @@ func TestDPOptimalityQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dp, err := FindBestStrategy(m, Options{})
+		dp, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
 		if err != nil {
 			return false
 		}
-		nv, err := NaiveBF(m, Options{})
+		nv, err := Solve(context.Background(), m, seq.BFS(m.G), Options{})
 		if err != nil {
 			return false
 		}
-		bf, err := BruteForce(m)
+		bf, err := bruteForce(m)
 		if err != nil {
 			return false
 		}
@@ -125,7 +125,7 @@ func TestDPExtractedStrategyRealizesCost(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := randomDNNGraph(rng, 5+rng.Intn(4))
 		m := newModel(t, g, 8)
-		res, err := FindBestStrategy(m, Options{})
+		res, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestDPLowerBoundsRandomStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomDNNGraph(rng, 7)
 	m := newModel(t, g, 8)
-	res, err := FindBestStrategy(m, Options{})
+	res, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestDPBeatsOrMatchesDataParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomDNNGraph(rng, 8)
 	m := newModel(t, g, 16)
-	res, err := FindBestStrategy(m, Options{})
+	res, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestOOMGuard(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomDNNGraph(rng, 8)
 	m := newModel(t, g, 8)
-	_, err := FindBestStrategy(m, Options{MaxTableEntries: 2})
+	_, err := Solve(context.Background(), m, seq.Generate(m.G), Options{MaxTableEntries: 2})
 	if !errors.Is(err, ErrOOM) {
 		t.Fatalf("want ErrOOM, got %v", err)
 	}
@@ -267,17 +267,13 @@ func TestSolveRejectsBadInput(t *testing.T) {
 	if _, err := Solve(context.Background(), m, &seq.Sequence{Order: []int{0}}, Options{}); err == nil {
 		t.Fatal("short ordering accepted")
 	}
-	empty := graph.New()
-	if _, err := BruteForce(&cost.Model{G: empty}); err == nil {
-		t.Fatal("empty graph accepted")
-	}
 }
 
 func TestStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomDNNGraph(rng, 6)
 	m := newModel(t, g, 8)
-	res, err := FindBestStrategy(m, Options{})
+	res, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +327,11 @@ func TestSingleNodeGraph(t *testing.T) {
 		FlopsPerPoint: 2,
 	})
 	m := newModel(t, g, 4)
-	res, err := FindBestStrategy(m, Options{})
+	res, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, _ := BruteForce(m)
+	bf, _ := bruteForce(m)
 	if math.Abs(res.Cost-bf.Cost) > 1e-9*bf.Cost {
 		t.Fatalf("single node: %v vs %v", res.Cost, bf.Cost)
 	}
@@ -364,11 +360,11 @@ func TestDiamondGraph(t *testing.T) {
 	g.AddEdge(n2, n3)
 
 	m := newModel(t, g, 4)
-	dp, err := FindBestStrategy(m, Options{})
+	dp, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := BruteForce(m)
+	bf, err := bruteForce(m)
 	if err != nil {
 		t.Fatal(err)
 	}

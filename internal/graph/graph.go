@@ -128,15 +128,6 @@ func (r TensorRef) Off(t int) int64 {
 	return r.Offset[t]
 }
 
-// Volume returns the number of elements of the referenced tensor.
-func (r TensorRef) Volume(s itspace.Space) float64 {
-	v := 1.0
-	for t := range r.Map {
-		v *= float64(r.Extent(s, t))
-	}
-	return v
-}
-
 // Node is a layer in the computation graph.
 type Node struct {
 	ID    int
@@ -247,38 +238,6 @@ func (g *Graph) Edges() [][2]int {
 		}
 	}
 	return es
-}
-
-// TopoOrder returns node IDs in a topological order. It panics on cycles;
-// computation graphs of feed-forward training steps are acyclic by
-// construction (recurrence is folded into single vertices per the paper's
-// RNNLM treatment).
-func (g *Graph) TopoOrder() []int {
-	indeg := make([]int, g.Len())
-	for v := range g.Nodes {
-		indeg[v] = len(g.in[v])
-	}
-	var q, order []int
-	for v := range g.Nodes {
-		if indeg[v] == 0 {
-			q = append(q, v)
-		}
-	}
-	for len(q) > 0 {
-		v := q[0]
-		q = q[1:]
-		order = append(order, v)
-		for _, w := range g.out[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				q = append(q, w)
-			}
-		}
-	}
-	if len(order) != g.Len() {
-		panic("graph: cycle detected in computation graph")
-	}
-	return order
 }
 
 // BFSOrder returns node IDs in breadth-first order over the undirected view,

@@ -178,9 +178,3 @@ func (c Config) ValidFor(s Space, p int) error {
 	}
 	return nil
 }
-
-// Replication returns p / Degree: the number of devices holding a replica of
-// each part when the configuration runs on p devices.
-func (c Config) Replication(p int) int {
-	return p / c.Degree()
-}

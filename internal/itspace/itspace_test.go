@@ -109,12 +109,6 @@ func TestConfigValidFor(t *testing.T) {
 	}
 }
 
-func TestConfigReplication(t *testing.T) {
-	if got := (Config{1, 4, 2}).Replication(16); got != 2 {
-		t.Fatalf("Replication = %d, want 2", got)
-	}
-}
-
 func TestEnumerateGEMMCount(t *testing.T) {
 	// 3-D GEMM space with power-of-two friendly extents on p=8: the number
 	// of (c1,c2,c3) power-of-two tuples with product ≤ 8 distributing k ≤ 3

@@ -11,6 +11,7 @@ import (
 	"pase/internal/graph"
 	"pase/internal/itspace"
 	"pase/internal/machine"
+	"pase/internal/seq"
 )
 
 func chainGraph(n int) *graph.Graph {
@@ -86,7 +87,7 @@ func TestSearchDeterministicWithSeed(t *testing.T) {
 
 func TestSearchApproachesDPOptimum(t *testing.T) {
 	m := model(t, 5, 8)
-	opt, err := core.FindBestStrategy(m, core.Options{})
+	opt, err := core.Solve(context.Background(), m, seq.Generate(m.G), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,10 +74,3 @@ func Estimate(g *graph.Graph, s graph.Strategy) (Footprint, error) {
 	}
 	return f, nil
 }
-
-// FitsDevice reports whether the footprint fits in a device with the given
-// memory capacity (bytes), leaving headroom for workspace.
-func FitsDevice(f Footprint, capacityBytes float64) bool {
-	const workspaceReserve = 0.9
-	return f.Total() <= capacityBytes*workspaceReserve
-}

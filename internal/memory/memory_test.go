@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"context"
 	"testing"
 
 	"pase/internal/core"
@@ -8,6 +9,7 @@ import (
 	"pase/internal/itspace"
 	"pase/internal/machine"
 	"pase/internal/models"
+	"pase/internal/seq"
 	"pase/internal/strategies"
 )
 
@@ -42,7 +44,7 @@ func TestDataParallelismHasHighestParameterFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.FindBestStrategy(m, core.Options{})
+	res, err := core.Solve(context.Background(), m, seq.Generate(m.G), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +78,6 @@ func TestSplittingReducesActivations(t *testing.T) {
 	if f32.Activations >= f8.Activations {
 		t.Fatalf("more devices did not shrink activations: %.3g vs %.3g",
 			f32.Activations, f8.Activations)
-	}
-}
-
-func TestFitsDevice(t *testing.T) {
-	f := Footprint{Activations: 4e9, Parameters: 4e9, CommBuffers: 1e9}
-	if FitsDevice(f, 8e9) {
-		t.Fatal("9 GB should not fit an 8 GB device")
-	}
-	if !FitsDevice(f, 11e9) {
-		t.Fatal("9 GB should fit an 11 GB device with headroom")
 	}
 }
 

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"context"
 	"testing"
 
 	"pase/internal/core"
@@ -37,7 +38,7 @@ func TestVGG16SolvePrefersParameterParallelFCs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.FindBestStrategy(m, core.Options{})
+	res, err := core.Solve(context.Background(), m, seq.Generate(m.G), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestGNMTSolveBeatsBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.FindBestStrategy(m, core.Options{})
+	res, err := core.Solve(context.Background(), m, seq.Generate(m.G), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

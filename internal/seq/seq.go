@@ -1,9 +1,8 @@
 // Package seq implements the vertex-ordering machinery of PaSE Section III:
 // the GENERATESEQ algorithm (paper Fig. 3) that orders vertices so the
 // dynamic program's dependent sets stay small, the breadth-first baseline
-// ordering of Section III-A, and the from-definition dependent-set / connected-
-// set computations used both by the solver and as a testing oracle for the
-// paper's Theorem 2.
+// ordering of Section III-A, and the dependent sets and connected subsets of
+// an arbitrary ordering that the solver reads.
 package seq
 
 import (
@@ -101,8 +100,7 @@ func Generate(g *graph.Graph) *Sequence {
 
 // FromOrder builds a Sequence for an arbitrary vertex ordering (e.g. the
 // breadth-first baseline), computing every dependent set from the definition
-// D(i) = N(X(i)) ∩ V>i via bitset reachability (DependentSet remains the
-// map-based definitional oracle it is checked against).
+// D(i) = N(X(i)) ∩ V>i via bitset reachability.
 func FromOrder(g *graph.Graph, order []int) *Sequence {
 	n := g.Len()
 	s := &Sequence{Order: append([]int(nil), order...), Pos: make([]int, n), Dep: make([][]int, n)}
@@ -139,75 +137,11 @@ func sortDepsByPos(s *Sequence) {
 	}
 }
 
-// ConnectedSet computes X(i): the vertices of V≤i connected to v(i) through
-// paths confined to V≤i (paper Section III-B definition a).
-func ConnectedSet(g *graph.Graph, s *Sequence, i int) map[int]bool {
-	allowed := map[int]bool{}
-	for j := 0; j <= i; j++ {
-		allowed[s.Order[j]] = true
-	}
-	return g.ReachableWithin(allowed, s.Order[i])
-}
-
-// DependentSet computes D(i) = N(X(i)) ∩ V>i from the definition, sorted by
-// node ID (paper Section III-B definition b).
-func DependentSet(g *graph.Graph, s *Sequence, i int) []int {
-	x := ConnectedSet(g, s, i)
-	seen := map[int]bool{}
-	var dep []int
-	for v := range x {
-		for _, w := range g.Neighbors(v) {
-			if s.Pos[w] > i && !x[w] && !seen[w] {
-				seen[w] = true
-				dep = append(dep, w)
-			}
-		}
-	}
-	sort.Ints(dep)
-	return dep
-}
-
-// ConnectedSubsets computes S(i): the vertex sets of the connected components
-// of the subgraph induced by X(i) − {v(i)} within V<i (paper Section III-B
-// definition c). Each subset is returned with its members sorted by position;
-// subsets are ordered by their maximal position (the j used for table
-// lookups in recurrence 4).
-func ConnectedSubsets(g *graph.Graph, s *Sequence, i int) [][]int {
-	x := ConnectedSet(g, s, i)
-	delete(x, s.Order[i])
-	allowed := map[int]bool{}
-	for v := range x {
-		if s.Pos[v] < i {
-			allowed[v] = true
-		}
-	}
-	visited := map[int]bool{}
-	var subsets [][]int
-	for j := 0; j < i; j++ { // deterministic scan by position
-		v := s.Order[j]
-		if !allowed[v] || visited[v] {
-			continue
-		}
-		comp := g.ReachableWithin(allowed, v)
-		var members []int
-		for w := range comp {
-			visited[w] = true
-			members = append(members, w)
-		}
-		sort.Slice(members, func(a, b int) bool { return s.Pos[members[a]] < s.Pos[members[b]] })
-		subsets = append(subsets, members)
-	}
-	sort.Slice(subsets, func(a, b int) bool {
-		return s.Pos[subsets[a][len(subsets[a])-1]] < s.Pos[subsets[b][len(subsets[b])-1]]
-	})
-	return subsets
-}
-
 // ConnectedSubsetsAll computes S(i) for every position of the sequence in
-// one pass over shared word-packed adjacency, so the solver can wire all
-// recurrence lookups and plan table liveness without n separate map-based
-// reachability traversals. Subset contents and order are identical to
-// ConnectedSubsets (the per-position definitional oracle) at every position.
+// one pass over shared word-packed adjacency: the vertex sets of the
+// connected components of X(i) − {v(i)} (paper Section III-B definition c),
+// each sorted by position, ordered by their last position (the j of
+// recurrence 4's table lookups).
 func ConnectedSubsetsAll(g *graph.Graph, s *Sequence) [][][]int {
 	n := g.Len()
 	out := make([][][]int, n)

@@ -2,12 +2,80 @@ package seq
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"pase/internal/graph"
 	"pase/internal/itspace"
 )
+
+// The map-based definitions of Section III-B, which the bitset computations
+// of Generate, FromOrder and ConnectedSubsetsAll are checked against.
+
+// connectedSet computes X(i): the vertices of V≤i connected to v(i) through
+// paths confined to V≤i (paper Section III-B definition a).
+func connectedSet(g *graph.Graph, s *Sequence, i int) map[int]bool {
+	allowed := map[int]bool{}
+	for j := 0; j <= i; j++ {
+		allowed[s.Order[j]] = true
+	}
+	return g.ReachableWithin(allowed, s.Order[i])
+}
+
+// dependentSet computes D(i) = N(X(i)) ∩ V>i from the definition, sorted by
+// node ID (paper Section III-B definition b).
+func dependentSet(g *graph.Graph, s *Sequence, i int) []int {
+	x := connectedSet(g, s, i)
+	seen := map[int]bool{}
+	var dep []int
+	for v := range x {
+		for _, w := range g.Neighbors(v) {
+			if s.Pos[w] > i && !x[w] && !seen[w] {
+				seen[w] = true
+				dep = append(dep, w)
+			}
+		}
+	}
+	sort.Ints(dep)
+	return dep
+}
+
+// connectedSubsets computes S(i): the vertex sets of the connected components
+// of the subgraph induced by X(i) − {v(i)} within V<i (paper Section III-B
+// definition c). Each subset is returned with its members sorted by position;
+// subsets are ordered by their maximal position (the j used for table
+// lookups in recurrence 4).
+func connectedSubsets(g *graph.Graph, s *Sequence, i int) [][]int {
+	x := connectedSet(g, s, i)
+	delete(x, s.Order[i])
+	allowed := map[int]bool{}
+	for v := range x {
+		if s.Pos[v] < i {
+			allowed[v] = true
+		}
+	}
+	visited := map[int]bool{}
+	var subsets [][]int
+	for j := 0; j < i; j++ { // deterministic scan by position
+		v := s.Order[j]
+		if !allowed[v] || visited[v] {
+			continue
+		}
+		comp := g.ReachableWithin(allowed, v)
+		var members []int
+		for w := range comp {
+			visited[w] = true
+			members = append(members, w)
+		}
+		sort.Slice(members, func(a, b int) bool { return s.Pos[members[a]] < s.Pos[members[b]] })
+		subsets = append(subsets, members)
+	}
+	sort.Slice(subsets, func(a, b int) bool {
+		return s.Pos[subsets[a][len(subsets[a])-1]] < s.Pos[subsets[b][len(subsets[b])-1]]
+	})
+	return subsets
+}
 
 // node returns a minimal valid node for structural tests.
 func node() *graph.Node {
@@ -63,7 +131,7 @@ func TestTheorem2IncrementalEqualsDefinition(t *testing.T) {
 	g := paperToyGraph()
 	s := Generate(g)
 	for i := range s.Order {
-		want := DependentSet(g, s, i)
+		want := dependentSet(g, s, i)
 		got := append([]int(nil), s.Dep[i]...)
 		sortInts(got)
 		if !equalInts(got, want) {
@@ -92,7 +160,7 @@ func TestTheorem2Quick(t *testing.T) {
 		g := build(n, edges)
 		s := Generate(g)
 		for i := range s.Order {
-			want := DependentSet(g, s, i)
+			want := dependentSet(g, s, i)
 			got := append([]int(nil), s.Dep[i]...)
 			sortInts(got)
 			if !equalInts(got, want) {
@@ -161,7 +229,7 @@ func TestConnectedSetAndSubsets(t *testing.T) {
 	order := seqInts(0, 9)
 	s := FromOrder(g, order)
 	// v(5) is node index 4 (0-based position 4).
-	x := ConnectedSet(g, s, 4)
+	x := connectedSet(g, s, 4)
 	wantX := map[int]bool{0: true, 1: true, 2: true, 4: true}
 	if len(x) != len(wantX) {
 		t.Fatalf("X(5) = %v", x)
@@ -172,12 +240,12 @@ func TestConnectedSetAndSubsets(t *testing.T) {
 		}
 	}
 	// D(5) = {v(8)} = node 7.
-	d := DependentSet(g, s, 4)
+	d := dependentSet(g, s, 4)
 	if !equalInts(d, []int{7}) {
 		t.Fatalf("D(5) = %v, want [7]", d)
 	}
 	// S(5) = {{v1,v2},{v3}} = {{0,1},{2}}.
-	subs := ConnectedSubsets(g, s, 4)
+	subs := connectedSubsets(g, s, 4)
 	if len(subs) != 2 {
 		t.Fatalf("S(5) = %v", subs)
 	}
@@ -209,8 +277,8 @@ func TestConnectedSubsetsPartitionX(t *testing.T) {
 		g := build(nn, edges)
 		s := Generate(g)
 		for i := range s.Order {
-			x := ConnectedSet(g, s, i)
-			subs := ConnectedSubsets(g, s, i)
+			x := connectedSet(g, s, i)
+			subs := connectedSubsets(g, s, i)
 			count := 1 // v(i) itself
 			seen := map[int]bool{s.Order[i]: true}
 			for _, sub := range subs {
@@ -258,7 +326,7 @@ func TestFromOrderMatchesOracleQuick(t *testing.T) {
 		g := randomConnectedGraph(rng)
 		s := FromOrder(g, rng.Perm(g.Len()))
 		for i := range s.Order {
-			want := DependentSet(g, s, i)
+			want := dependentSet(g, s, i)
 			got := append([]int(nil), s.Dep[i]...)
 			sortInts(got)
 			if !equalInts(got, want) {
@@ -283,7 +351,7 @@ func TestConnectedSubsetsAllMatchesOracleQuick(t *testing.T) {
 		for _, s := range []*Sequence{Generate(g), FromOrder(g, rng.Perm(g.Len()))} {
 			all := ConnectedSubsetsAll(g, s)
 			for i := range s.Order {
-				want := ConnectedSubsets(g, s, i)
+				want := connectedSubsets(g, s, i)
 				got := all[i]
 				if len(got) != len(want) {
 					return false

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"pase/internal/core"
 	"pase/internal/cost"
 	"pase/internal/machine"
 	"pase/internal/models"
+	"pase/internal/seq"
 	"pase/internal/strategies"
 )
 
@@ -118,7 +120,7 @@ func TestSpeedupPaSEOverDPPositiveAndLargerOn2080Ti(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.FindBestStrategy(m, core.Options{})
+	res, err := core.Solve(context.Background(), m, seq.Generate(m.G), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +139,7 @@ func TestSpeedupPaSEOverDPPositiveAndLargerOn2080Ti(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := core.FindBestStrategy(m2, core.Options{})
+	res2, err := core.Solve(context.Background(), m2, seq.Generate(m2.G), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
