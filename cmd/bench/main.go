@@ -15,13 +15,16 @@
 //
 // Measured families (minimum wall time over -reps runs):
 //
-//   - TableI_PaSE/<model>/p=<p>: model build + FINDBESTSTRATEGY, the paper's
-//     Table I strategy-search time, with the candidates the bound-pruned scan
-//     evaluated (states), the unpruned candidate count (scan_space), the
-//     positions that took an earlier position's table (shared_positions) and
-//     the entries of the distinct tables filled (distinct_entries) as extras —
-//     all exact functions of the cost tables — and the fastest rep's time in
-//     each exact-DP stage (plan_ns, fill_ns, scan_ns, backsub_ns; see
+//   - TableI_PaSE/<model>/p=<p>: model build, dead-end elimination
+//     (cost.Eliminate, the stage the planner runs) and FINDBESTSTRATEGY over
+//     the eliminated model, the paper's Table I strategy-search time, with the
+//     configurations that survived (k_alive, ΣK over the vertices), the
+//     candidates the bound-pruned scan evaluated (states), the unpruned
+//     candidate count (scan_space), the positions that took an earlier
+//     position's table (shared_positions) and the entries of the distinct
+//     tables filled (distinct_entries) as extras — all exact functions of the
+//     cost tables — and the fastest rep's time in the elimination (dee_ns)
+//     and in each exact-DP stage (plan_ns, fill_ns, scan_ns, backsub_ns; see
 //     core.StageTimes).
 //   - ModelBuild/<model>/p=<p>: cost-model construction alone (the table
 //     builds) for the paper models and GPTDeep:12, with the
@@ -94,26 +97,34 @@ type Report struct {
 }
 
 func measure(reps int, f func() error) (float64, error) {
-	ns, _, err := measureStats(reps, func() (core.Stats, error) { return core.Stats{}, f() })
+	ns, _, err := measureStats(reps, func() (struct{}, error) { return struct{}{}, f() })
 	return ns, err
 }
 
-// measureStats is measure for a kernel run: it also returns the Stats of the
-// fastest rep, so the stage extras add up to that rep's time.
-func measureStats(reps int, f func() (core.Stats, error)) (float64, core.Stats, error) {
+// measureStats is measure for a kernel run: it also returns what the fastest
+// rep reported (its Stats), so the stage extras add up to that rep's time.
+func measureStats[T any](reps int, f func() (T, error)) (float64, T, error) {
 	best := time.Duration(1<<63 - 1)
-	var bestSt core.Stats
+	var bestSt, zero T
 	for r := 0; r < reps; r++ {
 		start := time.Now()
 		st, err := f()
 		if err != nil {
-			return 0, core.Stats{}, err
+			return 0, zero, err
 		}
 		if d := time.Since(start); d < best {
 			best, bestSt = d, st
 		}
 	}
 	return float64(best.Nanoseconds()), bestSt, nil
+}
+
+// tableIRun is what one Table I rep reports: the solve's Stats, and the
+// elimination's with its wall time.
+type tableIRun struct {
+	core.Stats
+	elim cost.ElimStats
+	dee  time.Duration
 }
 
 // stageExtras adds a run's stage timings to extra, in nanoseconds: each stage
@@ -163,23 +174,30 @@ func run(cfg config) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	// Table I: full search (model build + solve) per paper benchmark, with
-	// the paper's K and the scan's work (candidates evaluated vs the
-	// candidate space) recorded alongside the timing so the trajectory shows
-	// what the DP actually iterated over. The solve goes to core directly:
-	// Stats.ScanSpace is not on the planner's Result.
+	// Table I: full search (model build + elimination + solve) per paper
+	// benchmark, with the paper's K, the surviving configurations and the
+	// scan's work (candidates evaluated vs the candidate space) recorded
+	// alongside the timing so the trajectory shows what the DP actually
+	// iterated over. The solve goes to core directly: Stats.ScanSpace is not
+	// on the planner's Result.
 	for _, bm := range pase.Benchmarks() {
 		g := bm.Build(bm.Batch)
-		ns, st, err := measureStats(reps, func() (core.Stats, error) {
+		ns, st, err := measureStats(reps, func() (tableIRun, error) {
 			m, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
 			if err != nil {
-				return core.Stats{}, err
+				return tableIRun{}, err
 			}
-			res, err := core.Solve(context.Background(), m, seq.Generate(m.G), core.Options{})
+			start := time.Now()
+			em, el, err := cost.Eliminate(context.Background(), m, nil)
 			if err != nil {
-				return core.Stats{}, err
+				return tableIRun{}, err
 			}
-			return res.Stats, nil
+			dee := time.Since(start)
+			res, err := core.Solve(context.Background(), em, seq.Generate(em.G), core.Options{})
+			if err != nil {
+				return tableIRun{}, err
+			}
+			return tableIRun{res.Stats, el, dee}, nil
 		})
 		if err != nil {
 			return fmt.Errorf("TableI %s: %w", bm.Name, err)
@@ -189,6 +207,8 @@ func run(cfg config) error {
 			NsPerOp: ns,
 			Reps:    reps,
 			Extra: stageExtras(map[string]float64{
+				"dee_ns":           float64(st.dee),
+				"k_alive":          float64(st.elim.KAlive),
 				"states":           float64(st.States),
 				"scan_space":       float64(st.ScanSpace),
 				"shared_positions": float64(st.SharedPositions),

@@ -194,10 +194,14 @@ func (f *frame) backSubstitute(choice func(pos int, idx []int) (int, error)) ([]
 
 // result is the extracted strategy with the root value it came from. Both
 // kernels fold exact child values, so by Theorem 1 the strategy realizes that
-// value; a mismatch is a wiring bug, returned as an error.
-func (f *frame) result(idx []int, cost float64) (*Result, error) {
-	if ev := f.m.EvalIdx(idx); math.Abs(ev-cost) > 1e-6*math.Max(1, math.Abs(ev)) {
-		return nil, fmt.Errorf("core: %sextracted strategy costs %v but the root value is %v", f.kernel, ev, cost)
+// value: the root value and EvalIdx sum the same n + |E| terms in two orders,
+// and they may differ by that sum's rounding alone. Every term is a
+// nonnegative cost, so |ev| is their absolute sum. A larger gap is a wiring
+// bug, returned as an error.
+func (f *frame) result(idx []int, root float64) (*Result, error) {
+	ev := f.m.EvalIdx(idx)
+	if math.Abs(ev-root) > cost.SumErrorBound(len(idx)+len(f.m.Edges()), math.Abs(ev)) {
+		return nil, fmt.Errorf("core: %sextracted strategy costs %v but the root value is %v", f.kernel, ev, root)
 	}
-	return &Result{Cost: cost, Idx: idx, Strategy: f.m.StrategyFromIdx(idx), Seq: f.sq, Stats: f.st}, nil
+	return &Result{Cost: root, Idx: idx, Strategy: f.m.StrategyFromIdx(idx), Seq: f.sq, Stats: f.st}, nil
 }

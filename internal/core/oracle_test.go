@@ -374,6 +374,7 @@ func TestOracleMatchesSolveOnRegistry(t *testing.T) {
 			continue
 		}
 		oracleAgrees(t, c.String(), m, o, res)
+		oracleAgrees(t, c.String()+" eliminated", m, o, solveEliminated(t, m, sq))
 		t.Logf("%-16v optimum %.12g  min-fill width %d  GENERATESEQ M %d", c, o.cost, o.width, sq.MaxDepSize())
 	}
 
@@ -385,6 +386,63 @@ func TestOracleMatchesSolveOnRegistry(t *testing.T) {
 		t.Errorf("%v: oracle %v, Solve %v; want both to refuse", refused, oerr, serr)
 	}
 	t.Logf("%v refused: %v", refused, oerr)
+}
+
+// solveEliminated solves m's eliminated model over sq and returns the result
+// with its choices as m's configuration indices.
+func solveEliminated(t *testing.T, m *cost.Model, sq *seq.Sequence) *Result {
+	t.Helper()
+	em, _, err := cost.Eliminate(context.Background(), m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Solve(context.Background(), em, sq, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, c := range res.Strategy {
+		if res.Idx[v] = m.IndexOf(v, c); res.Idx[v] < 0 {
+			t.Fatalf("eliminated solve chose %v for node %d, not a configuration of the full model", c, v)
+		}
+	}
+	return res
+}
+
+// The exact solve over the eliminated model is the full model's: cost bits,
+// strategy and depth, on the four paper models and gptdeep:3 at p = 4…64
+// (gptdeep:3@64 is refused by both), with table classes still sharing
+// repeated blocks.
+func TestEliminatedSolveIsTheFullSolve(t *testing.T) {
+	for _, name := range []string{"alexnet", "inceptionv3", "rnnlm", "transformer", "gptdeep:3"} {
+		for _, p := range []int{4, 8, 16, 32, 64} {
+			c := registryCell{name, p}
+			m := c.model(t)
+			sq := seq.Generate(m.G)
+			full, err := Solve(context.Background(), m, sq, Options{})
+			if errors.Is(err, ErrOOM) {
+				if err := Admit(m, sq, Options{}); !errors.Is(err, ErrOOM) {
+					t.Errorf("%v: Solve refused, Admit %v", c, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Admit(m, sq, Options{}); err != nil {
+				t.Errorf("%v: Solve admitted, Admit %v", c, err)
+			}
+			el := solveEliminated(t, m, sq)
+			if math.Float64bits(el.Cost) != math.Float64bits(full.Cost) || !slices.Equal(el.Idx, full.Idx) {
+				t.Errorf("%v: eliminated solve %v %v, full solve %v %v", c, el.Cost, el.Idx, full.Cost, full.Idx)
+			}
+			if el.Stats.States > full.Stats.States || el.Stats.ModelInfo != full.Stats.ModelInfo {
+				t.Errorf("%v: eliminated states %d (full %d), info %+v (full %+v)", c, el.Stats.States, full.Stats.States, el.Stats.ModelInfo, full.Stats.ModelInfo)
+			}
+			if full.Stats.SharedPositions > 0 && el.Stats.SharedPositions == 0 {
+				t.Errorf("%v: the eliminated model shares no table (full: %d positions)", c, full.Stats.SharedPositions)
+			}
+		}
+	}
 }
 
 // The oracle against Solve on random layer graphs whose extents include 1

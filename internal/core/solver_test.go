@@ -372,3 +372,22 @@ func TestDiamondGraph(t *testing.T) {
 		t.Fatalf("diamond: DP %v != brute %v", dp.Cost, bf.Cost)
 	}
 }
+
+// The root-value guard is the rounding bound of the objective's sum: a root
+// value off by 1e-9 relative is far above it and fails, on AlexNet@32, whose
+// cost (0.0067 s) an absolute 1e-6 would let drift by 1.5e-4 relative.
+func TestRootGuardIsRelative(t *testing.T) {
+	m := paperModel(t, "alexnet", 32)
+	sq := seq.Generate(m.G)
+	res, err := Solve(context.Background(), m, sq, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFrame(context.Background(), m, sq, nil, Options{}, "")
+	if _, err := f.result(res.Idx, res.Cost); err != nil {
+		t.Fatalf("the solve's own root value: %v", err)
+	}
+	if _, err := f.result(res.Idx, res.Cost*(1+1e-9)); err == nil {
+		t.Errorf("root value %v off by 1e-9 relative from the strategy's %v: accepted", res.Cost*(1+1e-9), res.Cost)
+	}
+}

@@ -53,6 +53,13 @@ type Model struct {
 	tx   [][]float64        // [edge][cu*Kv+cv], eager
 	txT  [][]float64        // [edge][cv*Ku+cu], transpose of tx
 	txKv []int              // row stride of tx: the consumer's config count
+	// Per edge, the first configuration of each side whose row (producer) or
+	// column (consumer) of tx holds the same costs (edgeTables).
+	repU, repV [][]int32
+	txMax      []float64 // per edge: at least its largest cell (the largest, when built)
+	// elim is the vertex checks of the Eliminate run that returned this
+	// model (elim.go); nil on a built model.
+	elim *elimMemo
 
 	// info is K and the structural sharing of the tables (intern.go).
 	info ModelInfo
@@ -172,6 +179,9 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	m.tx = make([][]float64, len(m.edges))
 	m.txT = make([][]float64, len(m.edges))
 	m.txKv = make([]int, len(m.edges))
+	m.repU = make([][]int32, len(m.edges))
+	m.repV = make([][]int32, len(m.edges))
+	m.txMax = make([]float64, len(m.edges))
 	m.inSlot = make([]int, len(m.edges))
 	m.inc = make([][]IncEdge, g.Len())
 	for i, e := range m.edges {
@@ -252,6 +262,9 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	for e := range m.edges {
 		m.tx[e] = classE[plan.eClass[e]].tab
 		m.txT[e] = classE[plan.eClass[e]].tabT
+		m.repU[e] = classE[plan.eClass[e]].repU
+		m.repV[e] = classE[plan.eClass[e]].repV
+		m.txMax[e] = classE[plan.eClass[e]].max
 	}
 	// The class fingerprints identify the tables across models; delta
 	// detection compares them.
@@ -294,13 +307,13 @@ func buildErr(ctx context.Context, classErr []error) error {
 type txSide struct {
 	q    []float64
 	prod []float64
-	rep  []int
+	rep  []int32
 }
 
 func newTXSide(ref graph.TensorRef, sp itspace.Space, cfgs []itspace.Config, s []float64) txSide {
 	nd := len(s)
-	side := txSide{q: make([]float64, len(cfgs)*nd), prod: make([]float64, len(cfgs)), rep: make([]int, len(cfgs))}
-	seen := make(map[string]int, len(cfgs))
+	side := txSide{q: make([]float64, len(cfgs)*nd), prod: make([]float64, len(cfgs)), rep: make([]int32, len(cfgs))}
+	seen := make(map[string]int32, len(cfgs))
 	key := make([]byte, 8*nd)
 	for c, cfg := range cfgs {
 		q := side.q[c*nd : c*nd+nd]
@@ -314,8 +327,8 @@ func newTXSide(ref graph.TensorRef, sp itspace.Space, cfgs []itspace.Config, s [
 		side.prod[c] = p
 		r, ok := seen[string(key)]
 		if !ok {
-			r = c
-			seen[string(key)] = c
+			r = int32(c)
+			seen[string(key)] = r
 		}
 		side.rep[c] = r
 	}
@@ -345,15 +358,16 @@ func txTables(nu, nv *graph.Node, inSlot int, cfgsU, cfgsV []itspace.Config, txB
 	scale := out.EffScale()
 	ku, kv := len(cfgsU), len(cfgsV)
 	tab := make([]float64, ku*kv)
+	mx := 0.0
 	for cu := 0; cu < ku; cu++ {
 		row := tab[cu*kv : cu*kv+kv]
-		if r := pu.rep[cu]; r != cu {
+		if r := int(pu.rep[cu]); r != cu {
 			copy(row, tab[r*kv:r*kv+kv])
 			continue
 		}
 		qu, held := pu.q[cu*nd:cu*nd+nd], pu.prod[cu]
 		for cv := range row {
-			if r := pv.rep[cv]; r != cv {
+			if r := int(pv.rep[cv]); r != cv {
 				row[cv] = row[r]
 				continue
 			}
@@ -375,6 +389,7 @@ func txTables(nu, nv *graph.Node, inSlot int, cfgsU, cfgsV []itspace.Config, txB
 				c = bytes/txBW + latency
 			}
 			row[cv] = c
+			mx = max(mx, c)
 		}
 	}
 	tabT := make([]float64, ku*kv)
@@ -383,7 +398,7 @@ func txTables(nu, nv *graph.Node, inSlot int, cfgsU, cfgsV []itspace.Config, txB
 			tabT[cv*ku+cu] = c
 		}
 	}
-	return edgeTables{tab: tab, tabT: tabT}
+	return edgeTables{tab: tab, tabT: tabT, repU: pu.rep, repV: pv.rep, max: mx}
 }
 
 // P returns the device count.

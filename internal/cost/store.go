@@ -211,10 +211,16 @@ type vertexTables struct {
 	tl   []float64
 }
 
-// edgeTables is an edge class's TX table and transpose.
+// edgeTables is an edge class's TX table and transpose, with each side's
+// reps: repU[cu] is the first producer configuration whose row of tab is
+// cu's (the same quotient vector), repV[cv] the first consumer configuration
+// whose column is cv's, and max the table's largest cell.
 type edgeTables struct {
 	tab  []float64
 	tabT []float64
+	repU []int32
+	repV []int32
+	max  float64
 }
 
 // configBytes estimates the resident bytes of a config list: the slice

@@ -200,3 +200,71 @@ func randomWindowGraph(rng *rand.Rand, n int) *graph.Graph {
 	}
 	return g
 }
+
+// Dead-end elimination removes no configuration any optimum uses: on random
+// layer graphs small enough to enumerate, every strategy whose EvalIdx is the
+// least keeps each of its configurations in the eliminated model, and the
+// eliminated model's strategies attain that least cost, bit for bit, exactly
+// as often.
+func FuzzEliminateKeepsOptimum(f *testing.F) {
+	for seed := int64(1); seed <= 24; seed++ {
+		f.Add(seed, uint8(seed), uint8(seed/3))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size, dev uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomWindowGraph(rng, 2+int(size%4))
+		m, err := cost.NewModel(g, machine.GTX1080Ti([]int{2, 4, 8}[dev%3]), itspace.EnumPolicy{})
+		if err != nil {
+			t.Skip(err)
+		}
+		space := 1
+		for v := range g.Len() {
+			if space *= m.K(v); space > 100_000 {
+				t.Skip("strategy space too large to enumerate")
+			}
+		}
+		em, st, err := cost.Eliminate(context.Background(), m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, optima := optimaOf(m)
+		emBest, emOptima := optimaOf(em)
+		for _, idx := range optima {
+			for v, c := range idx {
+				if em.IndexOf(v, m.Configs(v)[c]) < 0 {
+					t.Fatalf("optimum %v (cost %v) uses configuration %d of vertex %d, which was eliminated (ΣK %d → %d)", idx, best, c, v, st.KTotal, st.KAlive)
+				}
+			}
+		}
+		if math.Float64bits(emBest) != math.Float64bits(best) || len(emOptima) != len(optima) {
+			t.Fatalf("eliminated model: least cost %v attained %d times, full model %v attained %d times", emBest, len(emOptima), best, len(optima))
+		}
+	})
+}
+
+// optimaOf enumerates every strategy of m and returns the least EvalIdx and
+// each strategy attaining it.
+func optimaOf(m *cost.Model) (float64, [][]int) {
+	n := m.G.Len()
+	idx := make([]int, n)
+	best := math.Inf(1)
+	var optima [][]int
+	for {
+		switch c := m.EvalIdx(idx); {
+		case c < best:
+			best, optima = c, [][]int{append([]int(nil), idx...)}
+		case c == best:
+			optima = append(optima, append([]int(nil), idx...))
+		}
+		k := n - 1
+		for ; k >= 0; k-- {
+			if idx[k]++; idx[k] < m.K(k) {
+				break
+			}
+			idx[k] = 0
+		}
+		if k < 0 {
+			return best, optima
+		}
+	}
+}

@@ -2,6 +2,8 @@ package planner
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -276,6 +278,71 @@ func TestTLOnlyEditDirtiesOneVertex(t *testing.T) {
 	for v := range cold.Strategy {
 		if !re.Strategy[v].Equal(cold.Strategy[v]) {
 			t.Fatalf("node %d: re-solve %v, cold %v", v, re.Strategy[v], cold.Strategy[v])
+		}
+	}
+}
+
+// The same edit on the eliminated models runDP solves: elimination keeps the
+// edit's spread to that one vertex — its survivors may change, its
+// neighbours' do not — at a FLOPs factor of 1+1/4096, 1+100/4096 and 1.5, and
+// the re-solve matches a cold solve of the edited eliminated model bit for
+// bit. Its states, pinned per factor, are a third of the full models'
+// 1,394,544.
+func TestTLOnlyEditDirtiesOneVertexEliminated(t *testing.T) {
+	bm, err := models.ByName("transformer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 32
+	spec, opts := machine.GTX1080Ti(p), Options{Policy: bm.Policy(p)}
+	ctx := context.Background()
+	build := func(factor float64) *cost.Model {
+		g := bm.Build(bm.Batch)
+		mutateNode(t, g, "enc0_self_wo", factor)
+		m, err := cost.NewModel(g, spec, opts.Policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		em, _, err := cost.Eliminate(ctx, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return em
+	}
+	base := build(1)
+	_, snap, err := core.SolveRetain(ctx, base, dpSeq(base, opts), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		factor float64
+		states int64
+	}{{1 + 1.0/4096, 452_228}, {1 + 100.0/4096, 452_226}, {1.5, 452_200}} {
+		factor, edited := tc.factor, build(tc.factor)
+		dirtyV, ok := diffModels(base, edited)
+		if !ok {
+			t.Fatal("edited model not comparable with its base")
+		}
+		dirty := 0
+		for _, d := range dirtyV {
+			if d {
+				dirty++
+			}
+		}
+		re, _, err := core.Resolve(ctx, edited, snap, dirtyV, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dirty != 1 || re.Stats.DirtyPositions != 39 || re.Stats.States != tc.states {
+			t.Errorf("factor %v: dirty vertices %d, positions %d, states %d; want 1, 39, %d",
+				factor, dirty, re.Stats.DirtyPositions, re.Stats.States, tc.states)
+		}
+		cold, err := core.Solve(ctx, edited, dpSeq(edited, opts), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(re.Cost) != math.Float64bits(cold.Cost) || !slices.Equal(re.Idx, cold.Idx) {
+			t.Fatalf("factor %v: re-solve %v %v, cold %v %v", factor, re.Cost, re.Idx, cold.Cost, cold.Idx)
 		}
 	}
 }

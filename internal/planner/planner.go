@@ -218,11 +218,13 @@ type Result struct {
 }
 
 // Timings is where a request's wall time went, each span stamped once where
-// it runs: Total from SolvePrepared on, Model around the cost-model build, and
-// the kernel's stages. A cache hit or a ride-along carries Total only.
+// it runs: Total from SolvePrepared on, Model around the cost-model build,
+// Elim around a dp solve's dead-end elimination, and the kernel's stages. A
+// cache hit or a ride-along carries Total only.
 type Timings struct {
 	Total time.Duration `json:"total_ns"`
 	Model time.Duration `json:"model_ns"`
+	Elim  time.Duration `json:"elim_ns"`
 	core.StageTimes
 }
 
@@ -950,37 +952,81 @@ func diffModels(old, new *cost.Model) (dirtyV []bool, ok bool) {
 	return dirtyV, true
 }
 
-// runDP is the exact dp solve: ordering + the dependent-set DP over a built
-// model, solved cold by a planner with incremental re-solve off. Otherwise
-// the model may become a delta base: each solve's DP snapshot is retained
-// and, when a later request's model is comparable with a cached snapshot's,
-// only the dirtied tables are re-filled via core.Resolve — byte-identical to
-// the full solve it replaces, and never more work: it re-fills at most every
-// table, over the snapshot's subsets and ordering. Everything else (cold
-// topologies, incomparable models, a failed re-solve) runs a full solve and
-// refreshes the snapshot.
+// runDP is the exact dp solve: ordering, admission, dead-end elimination
+// and the dependent-set DP over the eliminated model. Admission is the full
+// model's sizing pre-pass (core.Admit), so the exact-or-degraded fate of a
+// request does not move with what elimination removes; the DP then runs over
+// the eliminated model, whose answer is the full model's bit for bit. Solved
+// cold by a planner with incremental re-solve off. Otherwise the eliminated
+// model may become a delta base: each solve's DP snapshot is retained and,
+// when a later request's eliminated model is comparable with a cached
+// snapshot's, only the dirtied tables are re-filled via core.Resolve —
+// byte-identical to the full solve it replaces, and never more work: it
+// re-fills at most every table, over the snapshot's subsets and ordering.
+// Everything else (cold topologies, incomparable models, a failed re-solve)
+// runs a full solve and refreshes the snapshot.
 func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options) (*Result, error) {
 	coreOpts := core.Options{
 		MaxTableEntries: opts.MaxTableEntries,
 		Workers:         opts.Workers,
 	}
+	var (
+		key canon.Fingerprint
+		ent *deltaEntry
+	)
+	if p.deltas != nil {
+		key = deltaKey(m.G, opts)
+		p.mu.Lock()
+		ent, _ = p.deltas.Get(key)
+		p.mu.Unlock()
+	}
+	// A delta base shares the request's topology and ordering choice (the
+	// delta key), so its ordering is the one dpSeq would build, and its
+	// eliminated model holds the elimination checks an edit leaves as they
+	// were.
+	var (
+		sq   *seq.Sequence
+		base *cost.Model
+	)
+	if ent != nil {
+		sq, base = ent.snap.Seq(), ent.model
+	} else {
+		sq = dpSeq(m, opts)
+	}
+	if err := core.Admit(m, sq, coreOpts); err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	em, _, err := cost.Eliminate(ctx, m, base)
+	if err != nil {
+		return nil, err
+	}
+	elim := time.Since(start)
+	res, err := p.solveEliminated(ctx, em, sq, key, ent, coreOpts)
+	if err != nil {
+		return nil, err
+	}
+	res.Timings.Elim = elim
+	return res, nil
+}
+
+// solveEliminated is runDP's DP over the eliminated model em: cold without
+// a delta cache, a re-solve against ent when ent is comparable, else a full
+// solve that becomes the delta base under key.
+func (p *Planner) solveEliminated(ctx context.Context, em *cost.Model, sq *seq.Sequence, key canon.Fingerprint, ent *deltaEntry, coreOpts core.Options) (*Result, error) {
 	if p.deltas == nil {
-		r, err := core.Solve(ctx, m, dpSeq(m, opts), coreOpts)
+		r, err := core.Solve(ctx, em, sq, coreOpts)
 		if err != nil {
 			return nil, err
 		}
 		return dpResult(r), nil
 	}
-	key := deltaKey(m.G, opts)
-	p.mu.Lock()
-	ent, found := p.deltas.Get(key)
-	p.mu.Unlock()
-	if found {
-		if dirtyV, comparable := diffModels(ent.model, m); comparable {
-			r, snap, err := core.Resolve(ctx, m, ent.snap, dirtyV, coreOpts)
+	if ent != nil {
+		if dirtyV, comparable := diffModels(ent.model, em); comparable {
+			r, snap, err := core.Resolve(ctx, em, ent.snap, dirtyV, coreOpts)
 			if err == nil {
 				p.mu.Lock()
-				p.deltas.Put(key, &deltaEntry{model: m, snap: snap})
+				p.deltas.Put(key, &deltaEntry{model: em, snap: snap})
 				p.stats.DeltaResolves++
 				p.mu.Unlock()
 				res := dpResult(r)
@@ -997,12 +1043,12 @@ func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options) (*Resu
 		p.stats.DeltaFallbacks++
 		p.mu.Unlock()
 	}
-	r, snap, err := core.SolveRetain(ctx, m, dpSeq(m, opts), coreOpts)
+	r, snap, err := core.SolveRetain(ctx, em, sq, coreOpts)
 	if err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
-	p.deltas.Put(key, &deltaEntry{model: m, snap: snap})
+	p.deltas.Put(key, &deltaEntry{model: em, snap: snap})
 	p.mu.Unlock()
 	return dpResult(r), nil
 }

@@ -155,9 +155,10 @@ func TestCacheHitPerformsNoNewWork(t *testing.T) {
 }
 
 // Each span is stamped once, where it runs: Model around the model build
-// (the fault plan's model site included), the kernel's stages by the kernel
-// that ran, and Total around everything, so the solve site's latency shows in
-// Total alone. A cache hit and a ride-along ran none of it: Total only.
+// (the fault plan's model site included), Elim around a dp solve's dead-end
+// elimination, the kernel's stages by the kernel that ran, and Total around
+// everything, so the solve site's latency shows in Total alone. A cache hit
+// and a ride-along ran none of it: Total only.
 func TestTimingsStampedWhereTheyRun(t *testing.T) {
 	const lat = 20 * time.Millisecond
 	p := New(Config{FaultPlan: mustFaultPlan(t, "model:latency:20ms,solve:latency:20ms")})
@@ -189,7 +190,10 @@ func TestTimingsStampedWhereTheyRun(t *testing.T) {
 			t.Errorf("%s: Model = %v, want ≥ %v exactly when a model is built", tc.method, tm.Model, lat)
 		}
 		s := tm.StageTimes
-		rest := tm.Total - tm.Model
+		if tc.method == "dp" != (tm.Elim > 0) {
+			t.Errorf("%s: Elim = %v, want > 0 exactly on dp", tc.method, tm.Elim)
+		}
+		rest := tm.Total - tm.Model - tm.Elim
 		for _, d := range all(s) {
 			rest -= d
 		}

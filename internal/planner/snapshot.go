@@ -61,6 +61,7 @@ var snapshotLabels = []string{
 	"graph.Graph",          // graph content fingerprints
 	"cost.vertex-class/v1", // the schemes behind a cached result's
 	"cost.edge-class/v2",   // vertex_classes and edge_classes counts
+	"cost.elim/v1",         // a dp result's States: the DP ran on the eliminated model
 	core.KernelVersion,     // the numerics behind every cached cost
 }
 

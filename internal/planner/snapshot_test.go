@@ -353,6 +353,20 @@ func TestSnapshotStaleAndCorruptDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases["v1layout"] = v1Layout.Bytes()
+	// A snapshot written by the last build that solved dp requests on the
+	// full model: its costs and strategies are today's, but its dp results
+	// carry the full model's States.
+	preElim, err := hex.DecodeString("51deb5b66ace651daee9e5067ec7c433755df70e173cadadfc91a6f7b69250bc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Format = snapshotFormat
+	copy(env.Fingerprint[:], preElim)
+	var preElimStates bytes.Buffer
+	if err := gob.NewEncoder(&preElimStates).Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	cases["preelim"] = preElimStates.Bytes()
 
 	for name, data := range cases {
 		path := filepath.Join(dir, name)
