@@ -120,11 +120,11 @@ func measureStats[T any](reps int, f func() (T, error)) (float64, T, error) {
 }
 
 // tableIRun is what one Table I rep reports: the solve's Stats, and the
-// elimination's with its wall time.
+// elimination's surviving ΣK with its wall time.
 type tableIRun struct {
 	core.Stats
-	elim cost.ElimStats
-	dee  time.Duration
+	kAlive int
+	dee    time.Duration
 }
 
 // stageExtras adds a run's stage timings to extra, in nanoseconds: each stage
@@ -188,16 +188,16 @@ func run(cfg config) error {
 				return tableIRun{}, err
 			}
 			start := time.Now()
-			em, el, err := cost.Eliminate(context.Background(), m, nil)
+			el, err := cost.Eliminate(context.Background(), m, nil)
 			if err != nil {
 				return tableIRun{}, err
 			}
 			dee := time.Since(start)
-			res, err := core.Solve(context.Background(), em, seq.Generate(em.G), core.Options{})
+			res, err := core.Solve(context.Background(), el.Model, seq.Generate(m.G), core.Options{})
 			if err != nil {
 				return tableIRun{}, err
 			}
-			return tableIRun{res.Stats, el, dee}, nil
+			return tableIRun{res.Stats, el.KAlive, dee}, nil
 		})
 		if err != nil {
 			return fmt.Errorf("TableI %s: %w", bm.Name, err)
@@ -208,7 +208,7 @@ func run(cfg config) error {
 			Reps:    reps,
 			Extra: stageExtras(map[string]float64{
 				"dee_ns":           float64(st.dee),
-				"k_alive":          float64(st.elim.KAlive),
+				"k_alive":          float64(st.kAlive),
 				"states":           float64(st.States),
 				"scan_space":       float64(st.ScanSpace),
 				"shared_positions": float64(st.SharedPositions),

@@ -392,10 +392,11 @@ func TestOracleMatchesSolveOnRegistry(t *testing.T) {
 // with its choices as m's configuration indices.
 func solveEliminated(t *testing.T, m *cost.Model, sq *seq.Sequence) *Result {
 	t.Helper()
-	em, _, err := cost.Eliminate(context.Background(), m, nil)
+	el, err := cost.Eliminate(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	em := el.Model
 	res, err := Solve(context.Background(), em, sq, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -614,27 +614,13 @@ func Solve(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (
 
 // Admit runs the exact kernel's sizing pre-pass alone: nil when Solve over m
 // and sq would get past its plan under opts' budget, else the ErrOOM the plan
-// returns. It fills no table. When the nominal Π K sizes of all positions'
-// tables sum to at most the budget, no charge of the plan can exceed it, and
-// Admit answers without the table classes.
+// returns. It fills no table.
 func Admit(m *cost.Model, sq *seq.Sequence, opts Options) error {
 	if err := checkInput(m, sq); err != nil {
 		return err
 	}
-	budget, sum := opts.maxEntries(), int64(0)
-	for i := range sq.Order {
-		size := int64(1)
-		for _, d := range sq.Dep[i] {
-			if size *= int64(m.K(d)); size > budget {
-				break
-			}
-		}
-		if sum += size; sum > budget {
-			e := &exactSolve{frame: newFrame(context.Background(), m, sq, seq.ConnectedSubsetsAll(m.G, sq), opts, "")}
-			return e.plan()
-		}
-	}
-	return nil
+	e := &exactSolve{frame: newFrame(context.Background(), m, sq, seq.ConnectedSubsetsAll(m.G, sq), opts, "")}
+	return e.plan()
 }
 
 // SolveRetain is Solve, additionally retaining every DP table in a Snapshot

@@ -42,10 +42,13 @@ func SumErrorBound(terms int, magnitude float64) float64 {
 	return float64(float64(terms+2) * 0x1p-52 * magnitude)
 }
 
-// ElimStats is what one Eliminate run did: ΣK over the vertices before
-// (KTotal) and after (KAlive).
-type ElimStats struct {
+// Elimination is one Eliminate run: the model over the surviving
+// configurations, ΣK over the vertices before (KTotal) and after (KAlive),
+// and the run's vertex checks, which a later run can take as prev.
+type Elimination struct {
+	Model          *Model
 	KTotal, KAlive int
+	memo           *elimMemo
 }
 
 // Eliminate runs Goldstein's criterion to a fixpoint and returns the model
@@ -57,23 +60,26 @@ type ElimStats struct {
 // eliminated models compare as their tables do. Info stays the full
 // model's. ctx is polled between vertex checks.
 //
-// prev, when non-nil, is an earlier Eliminate's result, such as a delta
-// base: a vertex check whose inputs it already checked takes that check's
-// survivors instead of running again. Every check is a function of its
-// inputs, so the result is the one a run without prev returns.
-func Eliminate(ctx context.Context, m, prev *Model) (*Model, ElimStats, error) {
-	d := newDEE(m, prev)
-	if err := d.run(ctx); err != nil {
-		return nil, d.st, err
+// prev, when non-nil, is an earlier run, such as a delta base's: a vertex
+// check whose inputs it already checked takes that check's survivors
+// instead of running again. Every check is a function of its inputs, so the
+// result is the one a run without prev returns.
+func Eliminate(ctx context.Context, m *Model, prev *Elimination) (*Elimination, error) {
+	var pm *elimMemo
+	if prev != nil {
+		pm = prev.memo
 	}
-	return d.restrict(), d.st, nil
+	d := newDEE(m, pm)
+	if err := d.run(ctx); err != nil {
+		return nil, err
+	}
+	return &Elimination{Model: d.restrict(), KTotal: d.kTotal, KAlive: d.kAlive, memo: d.memo}, nil
 }
 
-// elimMemo is one Eliminate run's margin and vertex checks, kept on the
-// model it returns: checks maps a check's inputs by content (checkKey) to the
-// survivors it left. The margin is part of every check's inputs, and it
-// depends on the run's terms and magnitude, so a memo serves only a run with
-// the same two.
+// elimMemo is one Eliminate run's margin and vertex checks: checks maps a
+// check's inputs by content (checkKey) to the survivors it left. The margin
+// is part of every check's inputs, and it depends on the run's terms and
+// magnitude, so a memo serves only a run with the same two.
 type elimMemo struct {
 	terms     int
 	magnitude float64
@@ -90,10 +96,10 @@ type dee struct {
 	// memo is this run's margin and checks (no checks on a model built
 	// without class fingerprints, whose checks never repeat), prev an
 	// earlier run's checks under the same margin.
-	memo       *elimMemo
-	prev       map[string][]int32
-	key, setKB []byte
-	st         ElimStats
+	memo           *elimMemo
+	prev           map[string][]int32
+	key, setKB     []byte
+	kTotal, kAlive int
 
 	cache map[rowsKey]*deeRows
 
@@ -109,7 +115,7 @@ type dee struct {
 // magnitude, the summed largest absolute cell of every table the objective
 // reads, is rounded up to a power of two: an edit that moves it a little
 // leaves it, so prev's checks still serve.
-func newDEE(m, prev *Model) *dee {
+func newDEE(m *Model, prev *elimMemo) *dee {
 	n := m.G.Len()
 	d := &dee{
 		m:     m,
@@ -122,7 +128,7 @@ func newDEE(m, prev *Model) *dee {
 	for v := range n {
 		tlMax := 0.0
 		k := m.K(v)
-		d.st.KTotal += k
+		d.kTotal += k
 		maxK = max(maxK, k)
 		d.alive[v] = make([]int32, k)
 		for c := range d.alive[v] {
@@ -143,8 +149,8 @@ func newDEE(m, prev *Model) *dee {
 	d.memo = &elimMemo{terms: n + len(m.edges), magnitude: mag}
 	if m.vClassFP != nil {
 		d.memo.checks = map[string][]int32{}
-		if p := prev; p != nil && p.elim != nil && p.elim.terms == d.memo.terms && p.elim.magnitude == mag {
-			d.prev = p.elim.checks
+		if prev != nil && prev.terms == d.memo.terms && prev.magnitude == mag {
+			d.prev = prev.checks
 		}
 	}
 	d.mark = make([]int32, maxK)
@@ -212,7 +218,7 @@ func (d *dee) run(ctx context.Context) error {
 		}
 	}
 	for _, a := range d.alive {
-		d.st.KAlive += len(a)
+		d.kAlive += len(a)
 	}
 	return nil
 }
@@ -529,7 +535,6 @@ func (d *dee) restrict() *Model {
 	em.tx, em.txT = slices.Clone(m.tx), slices.Clone(m.txT)
 	em.txKv = slices.Clone(m.txKv)
 	em.repU, em.repV = slices.Clone(m.repU), slices.Clone(m.repV)
-	em.elim = d.memo
 	full := func(v int) bool { return len(d.alive[v]) == len(m.cfgs[v]) }
 
 	type vKey struct {

@@ -53,9 +53,9 @@ func flatModel(t *testing.T, tl float64) *Model {
 	return m
 }
 
-func eliminate(t *testing.T, m *Model) ElimStats {
+func eliminate(t *testing.T, m *Model) *Elimination {
 	t.Helper()
-	_, st, err := Eliminate(context.Background(), m, nil)
+	st, err := Eliminate(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestEliminateKeepsMarginTie(t *testing.T) {
 		if mg := newDEE(m, nil).margin(0); m.tl[0][0] != mg || mg == 0 {
 			t.Fatalf("%s: TL %v, margin %v", tc.name, m.tl[0][0], mg)
 		}
-		em, _, err := Eliminate(context.Background(), m, nil)
+		el, err := Eliminate(context.Background(), m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if em.IndexOf(0, m.Configs(0)[0]) < 0 {
+		if el.Model.IndexOf(0, m.Configs(0)[0]) < 0 {
 			t.Errorf("%s: a configuration exactly the margin dearer was eliminated", tc.name)
 		}
 	}
@@ -187,7 +187,7 @@ func TestEliminatedModelRestrictsTables(t *testing.T) {
 func TestEliminateCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := Eliminate(ctx, flatModel(t, 1), nil); !errors.Is(err, context.Canceled) {
+	if _, err := Eliminate(ctx, flatModel(t, 1), nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("Eliminate under a cancelled context: %v, want context.Canceled", err)
 	}
 }
@@ -217,41 +217,42 @@ func TestEliminateReusesBaseChecks(t *testing.T) {
 		return m
 	}
 	ctx := context.Background()
-	base, _, err := Eliminate(ctx, build(1), nil)
+	base, err := Eliminate(ctx, build(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, factor := range []float64{1 + 1.0/4096, 1.5, 64} {
 		m := build(factor)
-		cold, _, err := Eliminate(ctx, m, nil)
+		cold, err := Eliminate(ctx, m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, _, err := Eliminate(ctx, m, base)
+		warm, err := Eliminate(ctx, m, base)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wm, cm := warm.Model, cold.Model
 		for v := range m.G.Len() {
-			if !slices.EqualFunc(warm.Configs(v), cold.Configs(v), itspace.Config.Equal) || !slices.Equal(warm.TLRow(v), cold.TLRow(v)) || warm.VertexClassFP(v) != cold.VertexClassFP(v) {
-				t.Fatalf("factor %v, vertex %d: %d survivors with the base's checks, %d without", factor, v, warm.K(v), cold.K(v))
+			if !slices.EqualFunc(wm.Configs(v), cm.Configs(v), itspace.Config.Equal) || !slices.Equal(wm.TLRow(v), cm.TLRow(v)) || wm.VertexClassFP(v) != cm.VertexClassFP(v) {
+				t.Fatalf("factor %v, vertex %d: %d survivors with the base's checks, %d without", factor, v, wm.K(v), cm.K(v))
 			}
 		}
 		for e := range m.Edges() {
-			wt, _ := warm.EdgeTable(e)
-			ct, _ := cold.EdgeTable(e)
-			if !slices.Equal(wt, ct) || warm.EdgeClassFP(e) != cold.EdgeClassFP(e) {
+			wt, _ := wm.EdgeTable(e)
+			ct, _ := cm.EdgeTable(e)
+			if !slices.Equal(wt, ct) || wm.EdgeClassFP(e) != cm.EdgeClassFP(e) {
 				t.Fatalf("factor %v, edge %d: tables or class fingerprints differ", factor, e)
 			}
 		}
 		served := 0
-		for k, out := range warm.elim.checks {
-			if b, ok := base.elim.checks[k]; ok && len(out) > 0 && &b[0] == &out[0] {
+		for k, out := range warm.memo.checks {
+			if b, ok := base.memo.checks[k]; ok && len(out) > 0 && &b[0] == &out[0] {
 				served++
 			}
 		}
-		t.Logf("factor %v: %d of %d checks served, magnitude %v (base %v)", factor, served, len(warm.elim.checks), warm.elim.magnitude, base.elim.magnitude)
-		if reuse := warm.elim.magnitude == base.elim.magnitude; reuse != (served > 0) {
-			t.Errorf("factor %v: %d of %d checks served by the base (magnitude %v, base %v)", factor, served, len(warm.elim.checks), warm.elim.magnitude, base.elim.magnitude)
+		t.Logf("factor %v: %d of %d checks served, magnitude %v (base %v)", factor, served, len(warm.memo.checks), warm.memo.magnitude, base.memo.magnitude)
+		if reuse := warm.memo.magnitude == base.memo.magnitude; reuse != (served > 0) {
+			t.Errorf("factor %v: %d of %d checks served by the base (magnitude %v, base %v)", factor, served, len(warm.memo.checks), warm.memo.magnitude, base.memo.magnitude)
 		}
 	}
 }

@@ -57,9 +57,6 @@ type Model struct {
 	// column (consumer) of tx holds the same costs (edgeTables).
 	repU, repV [][]int32
 	txMax      []float64 // per edge: at least its largest cell (the largest, when built)
-	// elim is the vertex checks of the Eliminate run that returned this
-	// model (elim.go); nil on a built model.
-	elim *elimMemo
 
 	// info is K and the structural sharing of the tables (intern.go).
 	info ModelInfo

@@ -223,16 +223,17 @@ func FuzzEliminateKeepsOptimum(f *testing.F) {
 				t.Skip("strategy space too large to enumerate")
 			}
 		}
-		em, st, err := cost.Eliminate(context.Background(), m, nil)
+		el, err := cost.Eliminate(context.Background(), m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		em := el.Model
 		best, optima := optimaOf(m)
 		emBest, emOptima := optimaOf(em)
 		for _, idx := range optima {
 			for v, c := range idx {
 				if em.IndexOf(v, m.Configs(v)[c]) < 0 {
-					t.Fatalf("optimum %v (cost %v) uses configuration %d of vertex %d, which was eliminated (ΣK %d → %d)", idx, best, c, v, st.KTotal, st.KAlive)
+					t.Fatalf("optimum %v (cost %v) uses configuration %d of vertex %d, which was eliminated (ΣK %d → %d)", idx, best, c, v, el.KTotal, el.KAlive)
 				}
 			}
 		}

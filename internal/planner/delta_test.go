@@ -303,11 +303,11 @@ func TestTLOnlyEditDirtiesOneVertexEliminated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		em, _, err := cost.Eliminate(ctx, m, nil)
+		el, err := cost.Eliminate(ctx, m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return em
+		return el.Model
 	}
 	base := build(1)
 	_, snap, err := core.SolveRetain(ctx, base, dpSeq(base, opts), core.Options{})

@@ -421,13 +421,14 @@ type Planner struct {
 	stats        Stats
 }
 
-// deltaEntry is one retained dp solve: the model it ran over and the DP
-// snapshot (every cost and choice table), keyed by the solve's topology/shape
-// fingerprint (deltaKey). A later request under the same key diffs its model
+// deltaEntry is one retained dp solve: the elimination whose model it ran
+// over and the DP snapshot (every cost and choice table), keyed by the
+// solve's topology/shape fingerprint (deltaKey). A later request under the
+// same key hands the elimination's checks to its own run and diffs its model
 // against this one by class fingerprints to find what changed.
 type deltaEntry struct {
-	model *cost.Model
-	snap  *core.Snapshot
+	elim *cost.Elimination
+	snap *core.Snapshot
 }
 
 // New returns a Planner sized by cfg (zero value: defaults).
@@ -982,14 +983,13 @@ func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options) (*Resu
 	}
 	// A delta base shares the request's topology and ordering choice (the
 	// delta key), so its ordering is the one dpSeq would build, and its
-	// eliminated model holds the elimination checks an edit leaves as they
-	// were.
+	// elimination holds the checks an edit leaves as they were.
 	var (
 		sq   *seq.Sequence
-		base *cost.Model
+		base *cost.Elimination
 	)
 	if ent != nil {
-		sq, base = ent.snap.Seq(), ent.model
+		sq, base = ent.snap.Seq(), ent.elim
 	} else {
 		sq = dpSeq(m, opts)
 	}
@@ -997,12 +997,12 @@ func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options) (*Resu
 		return nil, err
 	}
 	start := time.Now()
-	em, _, err := cost.Eliminate(ctx, m, base)
+	el, err := cost.Eliminate(ctx, m, base)
 	if err != nil {
 		return nil, err
 	}
 	elim := time.Since(start)
-	res, err := p.solveEliminated(ctx, em, sq, key, ent, coreOpts)
+	res, err := p.solveEliminated(ctx, el, sq, key, ent, coreOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -1010,10 +1010,11 @@ func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options) (*Resu
 	return res, nil
 }
 
-// solveEliminated is runDP's DP over the eliminated model em: cold without
-// a delta cache, a re-solve against ent when ent is comparable, else a full
-// solve that becomes the delta base under key.
-func (p *Planner) solveEliminated(ctx context.Context, em *cost.Model, sq *seq.Sequence, key canon.Fingerprint, ent *deltaEntry, coreOpts core.Options) (*Result, error) {
+// solveEliminated is runDP's DP over el's model: cold without a delta
+// cache, a re-solve against ent when ent is comparable, else a full solve
+// that becomes the delta base under key.
+func (p *Planner) solveEliminated(ctx context.Context, el *cost.Elimination, sq *seq.Sequence, key canon.Fingerprint, ent *deltaEntry, coreOpts core.Options) (*Result, error) {
+	em := el.Model
 	if p.deltas == nil {
 		r, err := core.Solve(ctx, em, sq, coreOpts)
 		if err != nil {
@@ -1022,11 +1023,11 @@ func (p *Planner) solveEliminated(ctx context.Context, em *cost.Model, sq *seq.S
 		return dpResult(r), nil
 	}
 	if ent != nil {
-		if dirtyV, comparable := diffModels(ent.model, em); comparable {
+		if dirtyV, comparable := diffModels(ent.elim.Model, em); comparable {
 			r, snap, err := core.Resolve(ctx, em, ent.snap, dirtyV, coreOpts)
 			if err == nil {
 				p.mu.Lock()
-				p.deltas.Put(key, &deltaEntry{model: em, snap: snap})
+				p.deltas.Put(key, &deltaEntry{elim: el, snap: snap})
 				p.stats.DeltaResolves++
 				p.mu.Unlock()
 				res := dpResult(r)
@@ -1048,7 +1049,7 @@ func (p *Planner) solveEliminated(ctx context.Context, em *cost.Model, sq *seq.S
 		return nil, err
 	}
 	p.mu.Lock()
-	p.deltas.Put(key, &deltaEntry{model: em, snap: snap})
+	p.deltas.Put(key, &deltaEntry{elim: el, snap: snap})
 	p.mu.Unlock()
 	return dpResult(r), nil
 }
