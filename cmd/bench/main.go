@@ -19,9 +19,8 @@
 //     (cost.Eliminate, the stage the planner runs) and FINDBESTSTRATEGY over
 //     the eliminated model, the paper's Table I strategy-search time, with the
 //     configurations that survived (k_alive, ΣK over the vertices), the
-//     candidates the bound-pruned scan evaluated (states), the unpruned
-//     candidate count (scan_space), the positions that took an earlier
-//     position's table (shared_positions) and the entries of the distinct
+//     candidates the scan evaluated (states), the positions that took an
+//     earlier position's table (shared_positions) and the entries of the distinct
 //     tables filled (distinct_entries) as extras — all exact functions of the
 //     cost tables — and the fastest rep's time in the elimination (dee_ns)
 //     and in each exact-DP stage (plan_ns, fill_ns, scan_ns, backsub_ns; see
@@ -33,7 +32,8 @@
 //     solve time.
 //   - Fig5_GenerateSeq/<model>: the GENERATESEQ ordering alone.
 //   - SolveWorkers/workers=<n>: GENERATESEQ + core.Solve with n workers at
-//     GOMAXPROCS=n, over a Transformer p=32 model built outside the timer.
+//     GOMAXPROCS=n, over the Transformer p=32 model dead-end elimination
+//     leaves (what the planner's dp route solves), built outside the timer.
 //   - Beam/GPTDeep/W=<w>: GENERATESEQ + one core.SolveBeam pass at width w
 //     over a gptdeep:12 model built outside the timer — the graph whose exact
 //     DP exceeds the default table budget — with the achieved optimality
@@ -176,10 +176,8 @@ func run(cfg config) error {
 
 	// Table I: full search (model build + elimination + solve) per paper
 	// benchmark, with the paper's K, the surviving configurations and the
-	// scan's work (candidates evaluated vs the candidate space) recorded
-	// alongside the timing so the trajectory shows what the DP actually
-	// iterated over. The solve goes to core directly: Stats.ScanSpace is not
-	// on the planner's Result.
+	// scan's work (candidates evaluated) recorded alongside the timing so the
+	// trajectory shows what the DP actually iterated over.
 	for _, bm := range pase.Benchmarks() {
 		g := bm.Build(bm.Batch)
 		ns, st, err := measureStats(reps, func() (tableIRun, error) {
@@ -210,7 +208,6 @@ func run(cfg config) error {
 				"dee_ns":           float64(st.dee),
 				"k_alive":          float64(st.kAlive),
 				"states":           float64(st.States),
-				"scan_space":       float64(st.ScanSpace),
 				"shared_positions": float64(st.SharedPositions),
 				"distinct_entries": float64(st.TotalEntries),
 				"k_effective":      float64(st.KEffective),
@@ -281,17 +278,23 @@ func run(cfg config) error {
 		})
 	}
 
-	// Worker scaling of the exact kernel on a Transformer p=32 model built
-	// outside the timer: ordering and solve time only, at GOMAXPROCS=workers.
+	// Worker scaling of the exact kernel on the eliminated Transformer p=32
+	// model built outside the timer: ordering and solve time only, at
+	// GOMAXPROCS=workers.
 	tbm, err := pase.BenchmarkByName("transformer")
 	if err != nil {
 		return err
 	}
 	tg := tbm.Build(tbm.Batch)
-	tm, err := pase.NewModel(tg, pase.GTX1080Ti(32), tbm.Policy(32))
+	tfull, err := pase.NewModel(tg, pase.GTX1080Ti(32), tbm.Policy(32))
 	if err != nil {
 		return err
 	}
+	tel, err := cost.Eliminate(context.Background(), tfull, nil)
+	if err != nil {
+		return err
+	}
+	tm := tel.Model
 	for _, workers := range []int{1, 2, 4, 8} {
 		prev := runtime.GOMAXPROCS(workers)
 		ns, err := measure(reps, func() error {

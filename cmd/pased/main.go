@@ -214,7 +214,7 @@ type solveResponse struct {
 	Cached      bool         `json:"cached"`
 	Fingerprint string       `json:"fingerprint"`
 	// States is the work the search did: (φ, C) candidates the exact DP's
-	// bound-pruned scan evaluated, beam states explored, or MCMC proposals.
+	// scan evaluated, beam states explored, or MCMC proposals.
 	States     int64 `json:"states"`
 	MaxDepSize int   `json:"max_dep_size"`
 	// KEffective is the largest per-vertex configuration count the search

@@ -96,10 +96,10 @@ func partialLess(p, q beamPartial, byFlat bool) bool {
 }
 
 // sortPartials sorts ps ascending under partialLess — a strict total order
-// either way, so the result does not depend on the algorithm. It is
-// sortEnts's bottom-up merge sort, with tmp (at least len(ps)) as the second
-// buffer, for the same reason: the comparison inlines, which
-// slices.SortFunc's comparator call does not.
+// either way, so the result does not depend on the algorithm. It is a
+// bottom-up merge sort over insertion-sorted runs, with tmp (at least len(ps))
+// as the second buffer: the comparison inlines, which slices.SortFunc's
+// comparator call does not, and the worst case stays O(n log n) on any input.
 func sortPartials(ps, tmp []beamPartial, byFlat bool) {
 	const run = 8
 	for lo := 0; lo < len(ps); lo += run {

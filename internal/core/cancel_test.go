@@ -31,10 +31,9 @@ func transformerP32Model(t *testing.T) *cost.Model {
 func TestCancelMidDPOnTransformerReturnsPromptlyWithoutLeaks(t *testing.T) {
 	// The acceptance criterion: a ctx cancelled mid-DP on Transformer p=32
 	// returns context.Canceled promptly (<100ms from the cancel) and leaves
-	// no fill goroutines behind. The fill is the bound-pruned scan — the big
-	// Transformer vertices all take the sorted walk — and an entry's walk, a
-	// base rebuild and a row-minima pass are each far shorter than the poll
-	// interval, so the bound holds serial and parallel alike.
+	// no fill goroutines behind. The fill is the linear scan, and an entry's
+	// argmin and a base rebuild are each far shorter than the poll interval,
+	// so the bound holds serial and parallel alike.
 	m := transformerP32Model(t)
 	for _, workers := range []int{1, 0} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -54,10 +54,8 @@ func TestGenerateSeqNeverWorseThanBFQuick(t *testing.T) {
 }
 
 // The DP's work scales with the ordering quality: on a graph where
-// GENERATESEQ shrinks M, its largest table and its candidate space
-// (ScanSpace — States counts what the bound-pruned scan actually evaluated,
-// which depends on the table values, not only on the ordering) must be at
-// most BF's, and neither solve may evaluate more than its space.
+// GENERATESEQ shrinks M, its largest table and the candidates its scans
+// evaluate (States) must be at most BF's, and both solves evaluate some.
 func TestOrderingReducesStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := randomDNNGraph(rng, 8)
@@ -74,14 +72,8 @@ func TestOrderingReducesStates(t *testing.T) {
 		t.Fatalf("GENERATESEQ table %d larger than BF %d",
 			gen.Stats.MaxTable, bf.Stats.MaxTable)
 	}
-	if gen.Stats.ScanSpace > bf.Stats.ScanSpace {
-		t.Fatalf("GENERATESEQ scan space %d larger than BF %d",
-			gen.Stats.ScanSpace, bf.Stats.ScanSpace)
-	}
-	for name, st := range map[string]Stats{"GENERATESEQ": gen.Stats, "BF": bf.Stats} {
-		if st.States <= 0 || st.States > st.ScanSpace {
-			t.Fatalf("%s evaluated %d states out of a scan space of %d", name, st.States, st.ScanSpace)
-		}
+	if gen.Stats.States <= 0 || gen.Stats.States > bf.Stats.States {
+		t.Fatalf("GENERATESEQ evaluated %d states, BF %d", gen.Stats.States, bf.Stats.States)
 	}
 	if math.Abs(gen.Cost-bf.Cost) > 1e-6*bf.Cost {
 		t.Fatalf("orderings disagree on optimum: %v vs %v", gen.Cost, bf.Cost)

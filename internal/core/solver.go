@@ -37,8 +37,8 @@ var ErrOOM = errors.New("core: dependent-set DP tables exceed memory budget")
 // for some input — a new summation order counts, a faster route to the same
 // bits does not — so that state computed under the old numerics (the
 // planner's warm-restart snapshots) is discarded rather than served beside
-// fresh solves. v1 was the linear argmin scan; v2 is the bound-pruned scan,
-// whose summation order moved 15 of 179 golden costs by one ulp.
+// fresh solves. v2 sums each candidate as ((tl + slow rows) + fast rows),
+// which moved 15 of 179 golden costs of v1 by one ulp.
 const KernelVersion = "core.kernel/v2"
 
 // DefaultMaxTableEntries is the live-table budget used when
@@ -90,7 +90,7 @@ const fillChunkEntries = 1 << 14
 
 // parallelThreshold is the table size below which a chunked parallel fill is
 // not worth the dispatch overhead; minChunkEntries floors the chunk size so
-// the per-chunk odometer positioning and base sort stay amortized to noise.
+// the per-chunk odometer positioning and base rebuild stay amortized to noise.
 // Variables only so tests can force chunk boundaries into tiny tables.
 var (
 	parallelThreshold int64 = 4096
@@ -148,9 +148,8 @@ func (p *fillPool) close() {
 // dim[j] row classes through cls[j].
 type rowSrc struct {
 	vals  []float64
-	w     int       // row width: the classes of the scanned vertex's configurations
-	col   []int32   // configuration → column of the row; nil when it is the column
-	mins  []float64 // per-row minimum; fast rows only
+	w     int     // row width: the classes of the scanned vertex's configurations
+	col   []int32 // configuration → column of the row; nil when it is the column
 	digit []int
 	dim   []int
 	cls   [][]int32 // per digit: value → row class; nil when it is the class
@@ -309,76 +308,25 @@ func sameRows(srcs []rowSrc, k, a, b int) bool {
 	return true
 }
 
-// baseEnt is one candidate of the bound-pruned scan: configuration c and its
-// base cost b (layer cost plus the rows the fastest digit does not move).
-type baseEnt struct {
-	b float64
-	c int32
-}
-
-func entLess(x, y baseEnt) bool { return x.b < y.b || x.b == y.b && x.c < y.c }
-
-// sortEnts sorts a ascending by base cost, ties by configuration index — a
-// total order, so the result does not depend on the algorithm. It is a
-// bottom-up merge sort over insertion-sorted runs with tmp (len(a)) as the
-// second buffer: the comparison inlines, which slices.SortFunc's comparator
-// call does not (1.2x on the whole Transformer p=32 solve), and the worst
-// case stays O(n log n) on any input.
-func sortEnts(a, tmp []baseEnt) {
-	const run = 8
-	for lo := 0; lo < len(a); lo += run {
-		r := a[lo:min(lo+run, len(a))]
-		for j := 1; j < len(r); j++ {
-			e := r[j]
-			k := j
-			for ; k > 0 && entLess(e, r[k-1]); k-- {
-				r[k] = r[k-1]
-			}
-			r[k] = e
-		}
-	}
-	src, dst := a, tmp
-	for w := run; w < len(a); w *= 2 {
-		for lo := 0; lo < len(a); lo += 2 * w {
-			mid, hi := min(lo+w, len(a)), min(lo+2*w, len(a))
-			i, j := lo, mid
-			for k := lo; k < hi; k++ {
-				if j >= hi || i < mid && !entLess(src[j], src[i]) {
-					dst[k] = src[i]
-					i++
-				} else {
-					dst[k] = src[j]
-					j++
-				}
-			}
-		}
-		src, dst = dst, src
-	}
-	if len(a) > 0 && &src[0] != &a[0] {
-		copy(a, src)
-	}
-}
-
 // fillScratch is one worker's odometer state — digit vector, row indices, the
-// sorted base vector with its merge buffer and the fast rows' current minima —
-// held by the solve, one per worker, and grown per fill, so the many chunks of
-// a big fill don't each allocate five slices. It holds indices and its own
-// buffers only: the current rows are re-sliced from their source tables where
-// they are read, so a scratch never pins a freed table, and the scan's inner
-// loops store no pointer into the heap. A chunk fully initializes what it
-// reads (digits are zeroed explicitly: scans only position a subset of them).
+// base vector and the fast rows' sum — held by the solve, one per worker, and
+// grown per fill, so the many chunks of a big fill don't each allocate four
+// slices. It holds indices and its own buffers only: the current rows are
+// re-sliced from their source tables where they are read, so a scratch never
+// pins a freed table, and the scan's inner loops store no pointer into the
+// heap. A chunk fully initializes what it reads (digits are zeroed
+// explicitly: scans only position a subset of them).
 type fillScratch struct {
 	digits []int
 	ridx   []int64
-	ents   []baseEnt
-	tmp    []baseEnt
-	fmin   []float64
+	base   []float64
+	sum    []float64
 }
 
 // grown is s resliced to n elements, or a new slice where s is too short.
 // A new slice's capacity is a multiple of 8 elements, so that the buffers of
-// two fill workers — 8- and 16-byte elements, allocated one after the other —
-// never share a cache line.
+// two fill workers — 8-byte elements, allocated one after the other — never
+// share a cache line.
 func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n, (n+7)&^7)
@@ -386,12 +334,11 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func (sc *fillScratch) grow(ndep, nrows, kv, nfast int) {
+func (sc *fillScratch) grow(ndep, nrows, kv int) {
 	sc.digits = grown(sc.digits, ndep)
 	sc.ridx = grown(sc.ridx, nrows)
-	sc.ents = grown(sc.ents, kv)
-	sc.tmp = grown(sc.tmp, kv)
-	sc.fmin = grown(sc.fmin, nfast)
+	sc.base = grown(sc.base, kv)
+	sc.sum = grown(sc.sum, kv)
 }
 
 // cancelCheckMask sets the cancellation polling granularity inside a table
@@ -426,25 +373,20 @@ type Stats struct {
 	// entries (in full cost+choice entry equivalents): a cost table is freed
 	// once the last fill that reads it — through any position of its class —
 	// completes, so this — not TotalEntries — is what the memory budget
-	// bounds. It counts a fill's scratch too, the row minima, at their stored
-	// length. A solve succeeds exactly when the budget is at least this.
+	// bounds. The sizing pre-pass computes it before any table is filled, so a
+	// solve succeeds exactly when the budget is at least this.
 	PeakLiveEntries int64
 	// States is the number of table-cell evaluations the fills performed, one
-	// fill per table class: the (φ, C) candidates the bound-pruned scan
-	// actually evaluated, one scan per combination of digit classes (see
-	// digitClasses). It depends on table data alone, so it repeats exactly at
-	// every worker count, under every budget that admits the solve, and
-	// whether or not the tables are retained. A beam pass counts the same
+	// fill per table class: every (φ, C) candidate of the scans, Π classes · kv
+	// per fill, one scan per combination of digit classes (see digitClasses).
+	// It depends on table data alone, so it repeats exactly at every worker
+	// count, under every budget that admits the solve, and whether or not the
+	// tables are retained. A beam pass counts the same
 	// thing for its sparse join: the (child entry or digit value, partial)
 	// candidates its generation steps evaluated before the frontier's
 	// threshold stopped them, compatible or not, summed over the passes of a
 	// SolveBeam.
 	States int64
-	// ScanSpace is what States would be without the bound: every (φ, C)
-	// candidate of the scans that ran — Π classes · kv per vertex, summed over
-	// the fills that ran — so States/ScanSpace is the share of the candidate
-	// space the scan visited.
-	ScanSpace int64
 	// PrunedConfigs is always 0; it stays because benchmark/cold.go sums it.
 	PrunedConfigs int
 	// ModelInfo is the solved model's: its K, the largest per-vertex
@@ -465,7 +407,7 @@ type Stats struct {
 // StageTimes is a run's wall time by kernel stage, stamped once per table or
 // position, never per entry. The exact DP fills Plan (table classes,
 // liveness and the sizing pre-pass), Fill (each table's wiring and digit
-// classes), Scan (the bound-pruned scans, row minima included) and BackSub. A
+// classes), Scan (the linear argmin scans) and BackSub. A
 // beam run fills Plan (subsets, guide, row minima and lower bound), Join and
 // Keep (each position's sparse join and cut, summed over passes) and BackSub.
 type StageTimes struct {
@@ -612,9 +554,9 @@ func Solve(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (
 	return res, err
 }
 
-// Admit runs the exact kernel's sizing pre-pass alone: nil when Solve over m
-// and sq would get past its plan under opts' budget, else the ErrOOM the plan
-// returns. It fills no table.
+// Admit runs the exact kernel's sizing pre-pass alone: nil exactly when Solve
+// over m and sq under opts' budget will not return ErrOOM, else the ErrOOM the
+// plan returns. It fills no table.
 func Admit(m *cost.Model, sq *seq.Sequence, opts Options) error {
 	if err := checkInput(m, sq); err != nil {
 		return err
@@ -851,14 +793,14 @@ func solveExact(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Optio
 
 // plan fixes what the fills need before any table exists — the table
 // classes, the liveness plan and every table's nominal Π K size — and is the
-// sizing pre-pass: it replays the fill loop's charges on the ledger, so a
-// solve whose tables alone outgrow the budget fails here, before the first
-// table is allocated, instead of seconds into the fills. The fill loop
-// charges the row minima on top, which a solve that passes here can still run
-// out on, never the other way round. A table is charged 3 units per entry and
-// gives 2 back when its cost table dies, nominally: which requests end in
-// ErrOOM, and so which the planner degrades to the beam, is part of the
-// served answer and does not move with the quotient layout.
+// sizing pre-pass and the whole budget: it walks the fill loop on the ledger
+// — a table is charged 3 units per entry when its representative is filled
+// and gives 2 back when its cost table dies — so a solve that outgrows the
+// budget fails here, before the first table is allocated, and one that passes
+// here never runs out, and its PeakLiveEntries is final. The charge is
+// nominal: which requests end in ErrOOM, and so which the planner degrades to
+// the beam, is part of the served answer and does not move with the quotient
+// layout.
 func (e *exactSolve) plan() error {
 	m, sq := e.m, e.sq
 	n := len(sq.Order)
@@ -887,15 +829,14 @@ func (e *exactSolve) plan() error {
 			e.release(2 * e.tblSizes[j])
 		}
 	}
-	e.live, e.st.PeakLiveEntries = 0, 0
 	return nil
 }
 
 // position is the fill loop's step at position i. A class member is its
 // representative's table — the bytes its own fill would produce — and is not
-// filled, charged or freed. A representative is charged, gets its table, and
-// retires the cost tables whose last reader it was: dropped for the
-// collector, unless the solve retains them for its snapshot.
+// filled or freed. A representative gets its table and retires the cost
+// tables whose last reader it was: dropped for the collector, unless the
+// solve retains them for its snapshot. The plan has already charged both.
 func (e *exactSolve) position(i int) error {
 	if e.stopped() {
 		return e.cancelErr()
@@ -908,17 +849,13 @@ func (e *exactSolve) position(i int) error {
 	}
 	e.st.TotalEntries += size
 	e.st.MaxTable = max(e.st.MaxTable, size)
-	if err := e.charge(3*size, e.sq.Order[i]); err != nil {
-		return err
-	}
 	q, err := e.table(i)
 	if err != nil {
 		return err
 	}
 	e.tbl[i] = q
-	for _, j := range e.freeAt[i] {
-		e.release(2 * e.tblSizes[j])
-		if !e.retain {
+	if !e.retain {
+		for _, j := range e.freeAt[i] {
 			e.tbl[j].cost = nil
 		}
 	}
@@ -1019,9 +956,7 @@ func (e *exactSolve) fill(i int) (*qtable, error) {
 	q.cost, q.choice = make([]float64, subSize), make([]int32, subSize)
 	scanStart := time.Now()
 	e.st.Stages.Fill += scanStart.Sub(start)
-	if err := e.scan(e.sq.Order[i], q, srcs, rowDig, reps); err != nil {
-		return nil, err
-	}
+	e.scan(e.sq.Order[i], q, srcs, rowDig, reps)
 	e.st.Stages.Scan += time.Since(scanStart)
 	// A cancelled fill returned early with a partial table; parChunk has
 	// already drained its goroutines, so this is the clean exit point.
@@ -1031,9 +966,9 @@ func (e *exactSolve) fill(i int) (*qtable, error) {
 	return q, nil
 }
 
-// scan fills q, the quotient table of vertex v, by the bound-pruned scan
-// over the representatives reps of every digit.
-func (e *exactSolve) scan(v int, q *qtable, srcs []rowSrc, rowDig [][]digUpd, reps [][]int) error {
+// scan fills q, the quotient table of vertex v, by a linear argmin over the
+// representatives reps of every digit.
+func (e *exactSolve) scan(v int, q *qtable, srcs []rowSrc, rowDig [][]digUpd, reps [][]int) {
 	tlv := e.m.TLRow(v)
 	fastDigit := len(q.dims) // first digit with rows and K > 1; len(q.dims) when there is none
 	var scanDigits []int     // digits the scan odometer steps, fastest first
@@ -1059,50 +994,20 @@ func (e *exactSolve) scan(v int, q *qtable, srcs []rowSrc, rowDig [][]digUpd, re
 			slowRows = append(slowRows, s)
 		}
 	}
-	// A fast row's contribution is bounded below by its row minimum, built
-	// here once per vertex — one pass over the source table as stored — and
-	// charged against the budget at that length; the minima die with the
-	// fill.
-	minUnits := int64(0)
-	for _, s := range fastRows {
-		minUnits += 2 * int64(len(srcs[s].vals)/srcs[s].w)
-	}
-	if err := e.charge(minUnits, v); err != nil {
-		return err
-	}
-	defer e.release(minUnits)
-	for _, s := range fastRows {
-		src := &srcs[s]
-		w := int64(src.w)
-		src.mins = make([]float64, int64(len(src.vals))/w)
-		e.par(int64(len(src.mins)), func(lo, hi int64) {
-			for r := lo; r < hi; r++ {
-				src.mins[r] = slices.Min(src.vals[r*w : (r+1)*w])
-			}
-		})
-	}
 	done, cancelled, stopped, scratch := e.done, &e.cancelled, e.stopped, e.scratch
 	for w := range scratch {
-		scratch[w].grow(len(q.dims), len(srcs), len(tlv), len(fastRows))
+		scratch[w].grow(len(q.dims), len(srcs), len(tlv))
 	}
 
 	// fillScan computes min_C over the flat range [lo, hi) of the table —
 	// the scan odometer over the representatives of every digit, first
-	// digit fastest — by branch and bound, in worker w's scratch. A
-	// candidate's cost is summed as ((tl + slow rows in row order) + fast
-	// rows in row order); the parenthesised base is rebuilt, and sorted
-	// ascending with ties by configuration index, only when a digit slower
-	// than fastDigit steps. Each entry walks the sorted base and stops at the
-	// first candidate whose base plus the fast rows' minima (added in the
-	// same order) already exceeds the best cost so far: floating-point
-	// addition is monotone, so that bound never exceeds the candidate's true
-	// cost nor the bound of any candidate after it. The stop test is strict
-	// and equal costs keep the smaller index, so value and argmin are exactly
-	// those of a linear scan over the same expression. Ranges are disjoint,
-	// all shared state is read-only and an entry's work depends on table
-	// data alone, so chunks run in parallel with byte-identical tables and
-	// state counts at any worker count and chunk size.
-	var scanned atomic.Int64
+	// digit fastest — in worker w's scratch. A candidate's cost is summed as
+	// ((tl + slow rows in row order) + fast rows in row order); the
+	// parenthesised base is rebuilt only when a digit slower than fastDigit
+	// steps. Each entry takes the first candidate of least cost in
+	// configuration order. Ranges are disjoint and all shared state is
+	// read-only, so chunks run in parallel with byte-identical tables at any
+	// worker count and chunk size.
 	fillScan := func(w int, lo, hi int64) {
 		// A chunk claimed after cancellation returns before paying the
 		// odometer positioning.
@@ -1112,27 +1017,24 @@ func (e *exactSolve) scan(v int, q *qtable, srcs []rowSrc, rowDig [][]digUpd, re
 		sc := &scratch[w]
 		clear(sc.digits)
 		// digits holds each digit's position in its reps list.
-		digits, ridx, ents, fmin := sc.digits, sc.ridx, sc.ents, sc.fmin
+		digits, ridx, base, sum := sc.digits, sc.ridx, sc.base, sc.sum
 		row := func(s int) []float64 {
 			o := ridx[s] * int64(srcs[s].w)
 			return srcs[s].vals[o : o+int64(srcs[s].w)]
 		}
 		rebase := func() {
-			for c := range ents {
-				ents[c] = baseEnt{tlv[c], int32(c)}
-			}
+			copy(base, tlv)
 			for _, s := range slowRows {
 				if f, col := row(s), srcs[s].col; col == nil {
 					for c, x := range f {
-						ents[c].b += x
+						base[c] += x
 					}
 				} else {
 					for c, cc := range col {
-						ents[c].b += f[cc]
+						base[c] += f[cc]
 					}
 				}
 			}
-			sortEnts(ents, sc.tmp)
 		}
 		// Position the incremental state at flat index lo of the scan
 		// odometer.
@@ -1147,56 +1049,50 @@ func (e *exactSolve) scan(v int, q *qtable, srcs []rowSrc, rowDig [][]digUpd, re
 			}
 		}
 		rebase()
-		evaluated := int64(0)
-		defer func() { scanned.Add(evaluated) }()
 		for flat := lo; flat < hi; flat++ {
 			if flat&cancelCheckMask == 0 && stopped() {
 				return
 			}
 			best := math.Inf(1)
-			bestC := int32(0)
-			n := 0
-			if len(fastRows) == 1 { // the common shape, unrolled
+			bestC := 0
+			if len(fastRows) == 1 { // the common shape, fused
 				s := fastRows[0]
-				f, col, lb := row(s), srcs[s].col, srcs[s].mins[ridx[s]]
-				for ; n < len(ents); n++ {
-					e := ents[n]
-					if e.b+lb > best {
-						break
+				f, col := row(s), srcs[s].col
+				if col == nil {
+					f = f[:len(base)]
+					for c, b := range base {
+						if x := b + f[c]; x < best {
+							best, bestC = x, c
+						}
 					}
-					cc := e.c
-					if col != nil {
-						cc = col[cc]
-					}
-					if cst := e.b + f[cc]; cst < best || cst == best && e.c < bestC {
-						best, bestC = cst, e.c
+				} else {
+					col = col[:len(base)]
+					for c, b := range base {
+						if x := b + f[col[c]]; x < best {
+							best, bestC = x, c
+						}
 					}
 				}
 			} else {
-				for j, s := range fastRows {
-					fmin[j] = srcs[s].mins[ridx[s]]
-				}
-				for ; n < len(ents); n++ {
-					e := ents[n]
-					bound := e.b
-					for _, lb := range fmin {
-						bound += lb
-					}
-					if bound > best {
-						break
-					}
-					cst := e.b
+				acc := base
+				if len(fastRows) > 0 {
+					acc = sum
+					copy(acc, base)
 					for _, s := range fastRows {
-						cst += row(s)[classIn(srcs[s].col, int(e.c))]
+						f, col := row(s), srcs[s].col
+						for c := range acc {
+							acc[c] += f[classIn(col, c)]
+						}
 					}
-					if cst < best || cst == best && e.c < bestC {
-						best, bestC = cst, e.c
+				}
+				for c, x := range acc {
+					if x < best {
+						best, bestC = x, c
 					}
 				}
 			}
-			evaluated += int64(n)
 			q.cost[flat] = best
-			q.choice[flat] = bestC
+			q.choice[flat] = int32(bestC)
 
 			// Odometer increment: the stepping digit moves to its next
 			// representative, the wrapped ones back to value 0 (class 0 of
@@ -1224,9 +1120,7 @@ func (e *exactSolve) scan(v int, q *qtable, srcs []rowSrc, rowDig [][]digUpd, re
 		}
 	}
 	e.parChunk(int64(len(q.cost)), fillScan)
-	e.st.States += scanned.Load()
-	e.st.ScanSpace += int64(len(q.cost)) * int64(len(tlv))
-	return nil
+	e.st.States += int64(len(q.cost)) * int64(len(tlv))
 }
 
 // parChunk splits a fill's flat index range into contiguous fixed-size chunks

@@ -202,37 +202,55 @@ func TestDoomedSolveFailsBeforeFilling(t *testing.T) {
 	}
 }
 
-// The budget's edge. A paper model solves with exactly its unbudgeted peak live
-// entries (and one more) as the budget, by the same fill: the same result, the
-// same reported peak, the same States. One entry below the peak it fails (in
-// the sizing pre-pass or in the fill, the same wrapped ErrOOM): the budget
-// counts nominal tables and the row minima, and nothing a vertex can go
-// without.
+// The budget's edge. A paper model, and the model dead-end elimination leaves
+// of it, solves with exactly its unbudgeted peak live entries (and one more)
+// as the budget, by the same fill: the same result, the same reported peak,
+// the same States. One entry below the peak it fails in the sizing pre-pass:
+// the budget counts nominal tables only, and nothing a vertex can go without.
+// Admit, which runs that pre-pass alone, says so at each of the three budgets.
 func TestBudgetEdgeAtPeakLiveEntries(t *testing.T) {
 	for _, name := range []string{"alexnet", "inceptionv3", "rnnlm", "transformer"} {
-		t.Run(name, func(t *testing.T) {
-			m := paperModel(t, name, 8)
-			sq := seq.Generate(m.G)
-			free, err := Solve(context.Background(), m, sq, Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			peak := free.Stats.PeakLiveEntries
-			for _, budget := range []int64{peak, peak + 1} {
-				got, err := Solve(context.Background(), m, sq, Options{Workers: 1, MaxTableEntries: budget})
+		full := paperModel(t, name, 8)
+		el, err := cost.Eliminate(context.Background(), full, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			label string
+			m     *cost.Model
+		}{{name, full}, {name + " eliminated", el.Model}} {
+			m := c.m
+			t.Run(c.label, func(t *testing.T) {
+				sq := seq.Generate(m.G)
+				free, err := Solve(context.Background(), m, sq, Options{Workers: 1})
 				if err != nil {
-					t.Fatalf("budget %d (peak %d): %v", budget, peak, err)
+					t.Fatal(err)
 				}
-				requireSameResult(t, fmt.Sprintf("budget %d", budget), got, free)
-				if got.Stats.PeakLiveEntries != peak || got.Stats.States != free.Stats.States {
-					t.Fatalf("budget %d: peak %d states %d, unbudgeted %d / %d", budget,
-						got.Stats.PeakLiveEntries, got.Stats.States, peak, free.Stats.States)
+				peak := free.Stats.PeakLiveEntries
+				for _, budget := range []int64{peak, peak + 1} {
+					opts := Options{Workers: 1, MaxTableEntries: budget}
+					if err := Admit(m, sq, opts); err != nil {
+						t.Fatalf("Admit at budget %d (peak %d): %v", budget, peak, err)
+					}
+					got, err := Solve(context.Background(), m, sq, opts)
+					if err != nil {
+						t.Fatalf("budget %d (peak %d): %v", budget, peak, err)
+					}
+					requireSameResult(t, fmt.Sprintf("budget %d", budget), got, free)
+					if got.Stats.PeakLiveEntries != peak || got.Stats.States != free.Stats.States {
+						t.Fatalf("budget %d: peak %d states %d, unbudgeted %d / %d", budget,
+							got.Stats.PeakLiveEntries, got.Stats.States, peak, free.Stats.States)
+					}
 				}
-			}
-			if _, err := Solve(context.Background(), m, sq, Options{Workers: 1, MaxTableEntries: peak - 1}); !errors.Is(err, ErrOOM) {
-				t.Fatalf("budget %d under a peak of %d: %v, want ErrOOM", peak-1, peak, err)
-			}
-		})
+				under := Options{Workers: 1, MaxTableEntries: peak - 1}
+				if err := Admit(m, sq, under); !errors.Is(err, ErrOOM) {
+					t.Fatalf("Admit at budget %d under a peak of %d: %v, want ErrOOM", peak-1, peak, err)
+				}
+				if _, err := Solve(context.Background(), m, sq, under); !errors.Is(err, ErrOOM) {
+					t.Fatalf("budget %d under a peak of %d: %v, want ErrOOM", peak-1, peak, err)
+				}
+			})
+		}
 	}
 }
 

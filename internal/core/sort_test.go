@@ -60,23 +60,3 @@ func TestSortPartialsMatchesSortFunc(t *testing.T) {
 		}
 	}
 }
-
-// sortEnts is slices.SortFunc under (b, c) on random base vectors whose costs
-// repeat, so ties fall to the configuration index.
-func TestSortEntsMatchesSortFunc(t *testing.T) {
-	for n, rng := range sortCases {
-		ents := make([]baseEnt, n)
-		for c := range ents {
-			ents[c] = baseEnt{b: float64(rng.Intn(1 + n/8)), c: int32(c)}
-		}
-		rng.Shuffle(n, func(a, b int) { ents[a], ents[b] = ents[b], ents[a] })
-		want := slices.SortedFunc(slices.Values(ents), func(x, y baseEnt) int {
-			return cmp.Or(cmp.Compare(x.b, y.b), cmp.Compare(x.c, y.c))
-		})
-		got := slices.Clone(ents)
-		sortEnts(got, make([]baseEnt, n))
-		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d: got %v, want %v", n, got, want)
-		}
-	}
-}

@@ -197,12 +197,10 @@ type Result struct {
 	Timings Timings
 	// MaxDepSize is the paper's M for the ordering used ("dp" only).
 	MaxDepSize int
-	// States is the number of (φ, C) candidates the DP's bound-pruned scan
-	// actually evaluated (core.Stats.States — a function of the cost tables
-	// alone, so it repeats exactly; the unpruned candidate count is
-	// core.Stats.ScanSpace and is not carried here), the states a beam pass
-	// explored, or the number of proposals an MCMC chain evaluated; zero for
-	// baselines.
+	// States is the number of (φ, C) candidates the DP's scan evaluated
+	// (core.Stats.States — a function of the cost tables alone, so it
+	// repeats exactly), the states a beam pass explored, or the number of
+	// proposals an MCMC chain evaluated; zero for baselines.
 	States int64
 	// Cached reports that this result was served without running a new
 	// underlying solve: either a result-cache hit or a ride-along on a
