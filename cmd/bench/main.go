@@ -24,12 +24,13 @@
 //     tables filled (distinct_entries) as extras — all exact functions of the
 //     cost tables — and the fastest rep's time in the elimination (dee_ns)
 //     and in each exact-DP stage (plan_ns, fill_ns, scan_ns, backsub_ns; see
-//     core.StageTimes).
+//     core.StageTimes), and the bytes it allocated (alloc_bytes, the
+//     runtime.MemStats.TotalAlloc delta across it).
 //   - ModelBuild/<model>/p=<p>: cost-model construction alone (the table
 //     builds) for the paper models and GPTDeep:12, with the
 //     structural-sharing stats (vertex/edge classes, resident and shared
-//     table bytes) as extras — build time and bytes tracked separately from
-//     solve time.
+//     table bytes) and the fastest rep's alloc_bytes as extras — build time
+//     and bytes tracked separately from solve time.
 //   - Fig5_GenerateSeq/<model>: the GENERATESEQ ordering alone.
 //   - SolveWorkers/workers=<n>: GENERATESEQ + core.Solve with n workers at
 //     GOMAXPROCS=n, over the Transformer p=32 model dead-end elimination
@@ -97,26 +98,33 @@ type Report struct {
 }
 
 func measure(reps int, f func() error) (float64, error) {
-	ns, _, err := measureStats(reps, func() (struct{}, error) { return struct{}{}, f() })
+	ns, _, _, err := measureStats(reps, func() (struct{}, error) { return struct{}{}, f() })
 	return ns, err
 }
 
 // measureStats is measure for a kernel run: it also returns what the fastest
-// rep reported (its Stats), so the stage extras add up to that rep's time.
-func measureStats[T any](reps int, f func() (T, error)) (float64, T, error) {
+// rep reported (its Stats), so the stage extras add up to that rep's time,
+// and the bytes that rep allocated (the TotalAlloc delta, read outside the
+// timer).
+func measureStats[T any](reps int, f func() (T, error)) (ns, allocBytes float64, st T, err error) {
 	best := time.Duration(1<<63 - 1)
-	var bestSt, zero T
+	var ms runtime.MemStats
 	for r := 0; r < reps; r++ {
+		runtime.ReadMemStats(&ms)
+		alloc := ms.TotalAlloc
 		start := time.Now()
-		st, err := f()
+		got, err := f()
+		d := time.Since(start)
 		if err != nil {
-			return 0, zero, err
+			var zero T
+			return 0, 0, zero, err
 		}
-		if d := time.Since(start); d < best {
-			best, bestSt = d, st
+		runtime.ReadMemStats(&ms)
+		if d < best {
+			best, st, allocBytes = d, got, float64(ms.TotalAlloc-alloc)
 		}
 	}
-	return float64(best.Nanoseconds()), bestSt, nil
+	return float64(best.Nanoseconds()), allocBytes, st, nil
 }
 
 // tableIRun is what one Table I rep reports: the solve's Stats, and the
@@ -180,7 +188,7 @@ func run(cfg config) error {
 	// trajectory shows what the DP actually iterated over.
 	for _, bm := range pase.Benchmarks() {
 		g := bm.Build(bm.Batch)
-		ns, st, err := measureStats(reps, func() (tableIRun, error) {
+		ns, alloc, st, err := measureStats(reps, func() (tableIRun, error) {
 			m, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
 			if err != nil {
 				return tableIRun{}, err
@@ -214,6 +222,7 @@ func run(cfg config) error {
 				"vertex_classes":   float64(st.VertexClasses),
 				"edge_classes":     float64(st.EdgeClasses),
 				"table_bytes":      float64(st.TableBytes),
+				"alloc_bytes":      alloc,
 			}, st.Stages),
 		})
 	}
@@ -227,14 +236,12 @@ func run(cfg config) error {
 	}
 	for _, bm := range append(pase.Benchmarks(), gbm) {
 		g := bm.Build(bm.Batch)
-		var info cost.ModelInfo
-		ns, err := measure(reps, func() error {
+		ns, alloc, info, err := measureStats(reps, func() (cost.ModelInfo, error) {
 			m, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
 			if err != nil {
-				return err
+				return cost.ModelInfo{}, err
 			}
-			info = m.Info()
-			return nil
+			return m.Info(), nil
 		})
 		if err != nil {
 			return fmt.Errorf("ModelBuild %s: %w", bm.Name, err)
@@ -248,6 +255,7 @@ func run(cfg config) error {
 				"edge_classes":       float64(info.EdgeClasses),
 				"table_bytes":        float64(info.TableBytes),
 				"shared_table_bytes": float64(info.SharedTableBytes),
+				"alloc_bytes":        alloc,
 			},
 		})
 	}
@@ -323,7 +331,7 @@ func run(cfg config) error {
 	}
 	for _, width := range []int{8, 32} {
 		var gap float64
-		ns, st, err := measureStats(reps, func() (core.Stats, error) {
+		ns, _, st, err := measureStats(reps, func() (core.Stats, error) {
 			br, err := core.SolveBeam(context.Background(), gm, seq.Generate(gm.G), core.BeamOptions{Width: width, GapTarget: -1})
 			if err != nil {
 				return core.Stats{}, err

@@ -622,8 +622,9 @@ func txRows(m *cost.Model, ie cost.IncEdge) []float64 {
 //
 // TL rows and TX tables are named by identity — first cell; the length
 // follows from the configuration counts in the key — which is what interning
-// gives repeated layers in common. A model built without interning has no two
-// tables in common, so every position is its own class. A child is named by
+// gives repeated layers in common, a TX table also by the side the vertex
+// reads it from, which fixes its orientation. A model built without
+// interning has no two tables in common, so every position is its own class. A child is named by
 // its class, an index: this pass fixes the classes before any table exists,
 // so there is no table address to name it by. The pass reads the model, the
 // ordering and the subsets only, no table data, and wires them as the fill
@@ -655,7 +656,15 @@ func (f *frame) tableClasses() ([]int, error) {
 			put(int64(k))
 		}
 		err := f.eachLaterEdge(i, func(ie cost.IncEdge, dg int) {
-			putTable(txRows(m, ie))
+			// The stored table and the side the fill reads it from name
+			// txRows' orientation without building a transpose.
+			vals, _ := m.EdgeTable(ie.E)
+			putTable(vals)
+			if ie.VIsU {
+				put(1)
+			} else {
+				put(0)
+			}
 			put(int64(dg))
 		})
 		put(-1) // no table has this id: the TX sources end here

@@ -101,14 +101,20 @@ type dee struct {
 	key, setKB     []byte
 	kTotal, kAlive int
 
-	cache map[rowsKey]*deeRows
-
-	views                   []*deeRows
+	// A vertex check's scratch: its blocks (gather) and what it derives
+	// from them; cells and cols back every block of one check.
+	views                   []block
+	cells                   []float64
+	cols, rows, uniq, oc    []int32
+	off                     []int
 	un, ext, lo, hi, ub, sf []float64
+	arg                     []int32
 	byHi                    []int32
 	dead                    []bool
-	mark                    []int32 // rep-dedup stamps, one per configuration index
-	stamp                   int32
+	// Rep-dedup stamps and the first survivor seen per stamp, one per
+	// configuration index.
+	mark, first []int32
+	stamp       int32
 }
 
 // newDEE starts a run over m with every configuration alive. The margin's
@@ -122,7 +128,6 @@ func newDEE(m *Model, prev *elimMemo) *dee {
 		alive: make([][]int32, n),
 		setOf: make([]int32, n),
 		sets:  map[string]int32{},
-		cache: map[rowsKey]*deeRows{},
 	}
 	mag, maxK := 0.0, 0
 	for v := range n {
@@ -140,8 +145,8 @@ func newDEE(m *Model, prev *elimMemo) *dee {
 		}
 		mag += tlMax
 	}
-	for e := range m.edges {
-		mag += m.txMax[e]
+	for _, t := range m.txc {
+		mag += t.max
 	}
 	if frac, exp := math.Frexp(mag); frac != 0.5 && mag != 0 {
 		mag = math.Ldexp(1, exp)
@@ -153,7 +158,7 @@ func newDEE(m *Model, prev *elimMemo) *dee {
 			d.prev = prev.checks
 		}
 	}
-	d.mark = make([]int32, maxK)
+	d.mark, d.first = make([]int32, maxK), make([]int32, maxK)
 	return d
 }
 
@@ -174,17 +179,6 @@ func (d *dee) intern(a []int32) int32 {
 		d.sets[string(d.setKB)] = id
 	}
 	return id
-}
-
-// rows returns v's incident edge ie as a table with one contiguous row per
-// configuration of v over the other end's configurations, its transpose, the
-// row stride, and the other end's and v's reps.
-func (d *dee) rows(ie IncEdge) (tab, tabT []float64, stride int, rep, orep []int32) {
-	m := d.m
-	if ie.VIsU {
-		return m.tx[ie.E], m.txT[ie.E], m.txKv[ie.E], m.repV[ie.E], m.repU[ie.E]
-	}
-	return m.txT[ie.E], m.tx[ie.E], m.K(ie.Other), m.repU[ie.E], m.repV[ie.E]
 }
 
 // run checks vertices from a FIFO worklist until none loses a
@@ -292,7 +286,7 @@ func (d *dee) margin(v int) float64 {
 // over the margin is refused without its row loop, one Desmet's
 // lo[i] − hi[j] already puts over it is accepted without, and a row loop
 // stops once the witnesses of the edges not yet read cannot lift the sum
-// over the margin.
+// over the margin. Every read is of v's blocks (gather).
 func (d *dee) eliminate(v int) []int32 {
 	m := d.m
 	own := d.alive[v]
@@ -301,36 +295,29 @@ func (d *dee) eliminate(v int) []int32 {
 		return own
 	}
 	margin := d.margin(v)
-	kv := m.K(v)
 	d.un = grown(d.un, ka)
 	for i, c := range own {
 		d.un[i] = m.tl[v][c]
 	}
-	d.views = d.views[:0]
 	for _, ie := range m.inc[v] {
 		if ie.Self {
 			tab, kv := m.tx[ie.E], m.txKv[ie.E]
 			for i, c := range own {
 				d.un[i] += tab[int(c)*kv+int(c)]
 			}
-			continue
 		}
-		d.views = append(d.views, d.edgeRows(ie))
 	}
-	views, un := d.views, d.un
+	d.gather(v, own)
+	views, un, ext, arg := d.views, d.un, d.ext, d.arg
 	ne := len(views)
-	// ext[i·2ne + 2k], ext[i·2ne + 2k+1]: survivor i's extremes on edge k.
 	w := 2 * ne
-	d.ext = grown(d.ext, ka*w)
 	d.lo, d.hi = grown(d.lo, ka), grown(d.hi, ka)
-	ext, lo, hi := d.ext, d.lo, d.hi
-	for i, c := range own {
+	lo, hi := d.lo, d.hi
+	for i := range own {
 		lo[i], hi[i] = un[i], un[i]
-		for k, r := range views {
-			r.row(c)
-			ext[i*w+2*k], ext[i*w+2*k+1] = r.cmin[c], r.cmax[c]
-			lo[i] += r.cmin[c]
-			hi[i] += r.cmax[c]
+		for k := range ne {
+			lo[i] += ext[i*w+2*k]
+			hi[i] += ext[i*w+2*k+1]
 		}
 	}
 	d.byHi = order(d.byHi, hi, ka)
@@ -340,10 +327,11 @@ func (d *dee) eliminate(v int) []int32 {
 	ub, sf := d.ub, d.sf
 	removed := 0
 	for x := ka - 1; x >= 0; x-- {
-		i := d.byHi[x]
-		ci, xi := int(own[i]), ext[int(i)*w:][:w]
+		i := int(d.byHi[x])
+		xi, ai := ext[i*w:][:w], arg[i*w:][:w]
 		desmet := true
-		for _, j := range d.byHi {
+		for _, j32 := range d.byHi {
+			j := int(j32)
 			if hi[i]-hi[j] <= margin {
 				break // byHi is ascending: no later j can pass
 			}
@@ -359,22 +347,22 @@ func (d *dee) eliminate(v int) []int32 {
 			if lo[i]-lo[j] <= margin {
 				continue
 			}
-			cj, xj := int(own[j]), ext[int(j)*w:][:w]
+			xj, aj := ext[j*w:][:w], arg[j*w:][:w]
 			acc := un[i] - un[j]
 			bound := acc
 			for k := range views {
 				ub[k] = min(xi[2*k]-xj[2*k], xi[2*k+1]-xj[2*k+1])
 				bound += ub[k]
 			}
-			// Tighten edge by edge with the two witnesses: i's row at j's
-			// maximum column and, through the transpose, the row of i's
-			// minimum column at j; either stays near the last pair's reads.
-			for k, r := range views {
+			// Tighten edge by edge with the two witnesses: j's row at i's
+			// minimum column and i's row at j's maximum column.
+			for k := range views {
+				b := &views[k]
 				if bound <= margin {
 					break
 				}
-				wmin := xi[2*k] - r.tabT[int(r.amin[ci])*kv+cj]
-				wmax := r.tab[ci*r.stride+int(r.amax[cj])] - xj[2*k+1]
+				wmin := xi[2*k] - b.cells[j*b.nc+int(ai[2*k])]
+				wmax := b.cells[i*b.nc+int(aj[2*k+1])] - xj[2*k+1]
 				if x := min(wmin, wmax); x < ub[k] {
 					bound -= ub[k] - x
 					ub[k] = x
@@ -388,12 +376,13 @@ func (d *dee) eliminate(v int) []int32 {
 				sf[k] = sf[k+1] + ub[k]
 			}
 			ok := true
-			for k, r := range views {
-				ri, rj := r.tab[ci*r.stride:][:r.stride], r.tab[cj*r.stride:][:r.stride]
+			for k := range views {
+				b := &views[k]
+				ri, rj := b.cells[i*b.nc:][:b.nc], b.cells[j*b.nc:][:b.nc]
 				// The pair fails once this edge's minimum falls below need.
 				need := margin - acc - sf[k+1]
 				g := math.Inf(1)
-				for _, s := range r.cols {
+				for s := range ri {
 					if y := ri[s] - rj[s]; y < g {
 						if g = y; g < need {
 							break
@@ -427,75 +416,132 @@ func (d *dee) eliminate(v int) []int32 {
 	return out
 }
 
-// deeRows is one incident edge table as its vertex's check reads it, against
-// one survivor set of the other end: tab with one row of stride cells per own
-// configuration (tabT its transpose), the other end's survivors kept as
-// columns (only the first of each rep: a repeated column changes no
-// minimum), and each row's extremes over them and their columns, computed
-// when a check first reads the row (amin < 0 until then). orep is the own
-// side's reps: a row that repeats an earlier one takes its extremes.
-type deeRows struct {
-	tab, tabT  []float64
-	stride     int
-	cols       []int32
-	orep       []int32
-	cmin, cmax []float64
-	amin, amax []int32
+// block is one incident edge table as v's check reads it: one row per
+// survivor of v and one column per distinct surviving configuration of the
+// other end (cols, the first survivor of each rep: a repeated column changes
+// no minimum), cells[i·nc+j] the cost of v's i-th survivor against cols[j]
+// in the edge's orientation.
+type block struct {
+	cells []float64
+	nc    int
+	cols  []int32
 }
 
-// edgeRows returns v's incident edge ie against the other end's survivors,
-// one entry per (table, orientation, survivor set) and run, shared by every
-// check that reads the table that way.
-func (d *dee) edgeRows(ie IncEdge) *deeRows {
-	tab, tabT, stride, rep, orep := d.rows(ie)
-	k := rowsKey{&tab[0], d.setOf[ie.Other]}
-	if r, ok := d.cache[k]; ok {
-		return r
+// gather builds d.views: v's blocks over its survivors own, one per incident
+// edge but self-loops, in incidence order, in the check's scratch, and each
+// row's extremes on each block: ext[i·2ne + 2k] and ext[i·2ne + 2k+1] are
+// survivor i's least and largest cell on block k, arg the first block
+// column holding each. A block reads the row-major table in either
+// orientation, so a check needs no transpose, and it holds only the cells
+// the check can read.
+func (d *dee) gather(v int, own []int32) {
+	m := d.m
+	ka := len(own)
+	d.views, d.cols = d.views[:0], d.cols[:0]
+	size := 0
+	for _, ie := range m.inc[v] {
+		if ie.Self {
+			continue
+		}
+		t := m.txc[ie.E]
+		rep := t.repU
+		if ie.VIsU {
+			rep = t.repV
+		}
+		n := len(d.cols)
+		d.stamp++
+		for _, s := range d.alive[ie.Other] {
+			if x := rep[s]; d.mark[x] != d.stamp {
+				d.mark[x] = d.stamp
+				d.cols = append(d.cols, s)
+			}
+		}
+		d.views = append(d.views, block{nc: len(d.cols) - n})
+		size += ka * (len(d.cols) - n)
 	}
-	r := &deeRows{tab: tab, tabT: tabT, stride: stride, orep: orep}
+	w := 2 * len(d.views)
+	d.cells, d.rows = grown(d.cells, size), grown(d.rows, ka)
+	d.ext, d.arg = grown(d.ext, ka*w), grown(d.arg, ka*w)
+	cells, cols := d.cells, d.cols
+	k := 0
+	for _, ie := range m.inc[v] {
+		if ie.Self {
+			continue
+		}
+		b := &d.views[k]
+		b.cells, cells = cells[:ka*b.nc], cells[ka*b.nc:]
+		b.cols, cols = cols[:b.nc], cols[b.nc:]
+		d.fill(b, ie, own, d.ext[2*k:], d.arg[2*k:], w)
+		k++
+	}
+}
+
+// fill writes b's cells from edge ie's table and each row's extremes into
+// ext[i·w], ext[i·w+1] and arg likewise. A row whose survivor shares an
+// earlier one's rep copies that row and its extremes; every other row is
+// read from the table, a row at a time when v is the producer and a table
+// row (one column of b) at a time when it is the consumer. The extremes
+// scan each row's cells in column order, so ties go to the first column.
+func (d *dee) fill(b *block, ie IncEdge, own []int32, ext []float64, arg []int32, w int) {
+	t, kv, nc := d.m.txc[ie.E], d.m.txKv[ie.E], b.nc
+	orep := t.repV
+	if ie.VIsU {
+		orep = t.repU
+	}
+	// rows[i] is the first survivor with survivor i's rep, uniq those
+	// that are their own.
+	d.uniq = d.uniq[:0]
 	d.stamp++
-	for _, s := range d.alive[ie.Other] {
-		if x := rep[s]; d.mark[x] != d.stamp {
-			d.mark[x] = d.stamp
-			r.cols = append(r.cols, s)
+	for i, c := range own {
+		x := orep[c]
+		if d.mark[x] != d.stamp {
+			d.mark[x], d.first[x] = d.stamp, int32(i)
+			d.uniq = append(d.uniq, int32(i))
+		}
+		d.rows[i] = d.first[x]
+	}
+	if ie.VIsU {
+		for _, i := range d.uniq {
+			src, dst := t.tab[int(own[i])*kv:][:kv], b.cells[int(i)*nc:][:nc]
+			for j, s := range b.cols {
+				dst[j] = src[s]
+			}
+		}
+	} else {
+		// A table row per column: the rows' configurations and cell
+		// offsets first, so the inner loop reads one table row in order.
+		d.oc, d.off = d.oc[:0], d.off[:0]
+		for _, i := range d.uniq {
+			d.oc, d.off = append(d.oc, own[i]), append(d.off, int(i)*nc)
+		}
+		for j, s := range b.cols {
+			src := t.tab[int(s)*kv:][:kv]
+			for u, c := range d.oc {
+				b.cells[d.off[u]+j] = src[c]
+			}
 		}
 	}
-	nr := len(tab) / stride
-	r.cmin, r.cmax = make([]float64, nr), make([]float64, nr)
-	r.amin, r.amax = make([]int32, nr), make([]int32, nr)
-	for c := range r.amin {
-		r.amin[c] = -1
+	for _, i := range d.uniq {
+		row := b.cells[int(i)*nc:][:nc]
+		lo, hi := row[0], row[0]
+		var alo, ahi int32
+		for j := 1; j < len(row); j++ {
+			if x := row[j]; x < lo {
+				lo, alo = x, int32(j)
+			} else if x > hi {
+				hi, ahi = x, int32(j)
+			}
+		}
+		x := int(i) * w
+		ext[x], ext[x+1], arg[x], arg[x+1] = lo, hi, alo, ahi
 	}
-	d.cache[k] = r
-	return r
-}
-
-// row computes row c's extremes, once.
-func (r *deeRows) row(c int32) {
-	if r.amin[c] >= 0 {
-		return
-	}
-	if x := r.orep[c]; x != c {
-		r.row(x)
-		r.cmin[c], r.cmax[c], r.amin[c], r.amax[c] = r.cmin[x], r.cmax[x], r.amin[x], r.amax[x]
-		return
-	}
-	src := r.tab[int(c)*r.stride:][:r.stride]
-	lo, hi := src[r.cols[0]], src[r.cols[0]]
-	alo, ahi := r.cols[0], r.cols[0]
-	for _, s := range r.cols[1:] {
-		if x := src[s]; x < lo {
-			lo, alo = x, s
-		} else if x > hi {
-			hi, ahi = x, s
+	for i, r := range d.rows[:len(own)] {
+		if r := int(r); r != i {
+			copy(b.cells[i*nc:][:nc], b.cells[r*nc:][:nc])
+			x, y := i*w, r*w
+			ext[x], ext[x+1], arg[x], arg[x+1] = ext[y], ext[y+1], arg[y], arg[y+1]
 		}
 	}
-	r.cmin[c], r.cmax[c], r.amin[c], r.amax[c] = lo, hi, alo, ahi
-}
-
-type rowsKey struct {
-	tab *float64
-	set int32
 }
 
 // order returns 0..k-1 sorted by key ascending, ties by index.
@@ -532,9 +578,7 @@ func (d *dee) restrict() *Model {
 	n := len(m.cfgs)
 	em.cfgs = slices.Clone(m.cfgs)
 	em.tl = slices.Clone(m.tl)
-	em.tx, em.txT = slices.Clone(m.tx), slices.Clone(m.txT)
-	em.txKv = slices.Clone(m.txKv)
-	em.repU, em.repV = slices.Clone(m.repU), slices.Clone(m.repV)
+	em.tx, em.txKv, em.txc = slices.Clone(m.tx), slices.Clone(m.txKv), slices.Clone(m.txc)
 	full := func(v int) bool { return len(d.alive[v]) == len(m.cfgs[v]) }
 
 	type vKey struct {
@@ -563,7 +607,7 @@ func (d *dee) restrict() *Model {
 		src  *float64
 		u, v int32
 	}
-	es := map[eKey]edgeTables{}
+	es := map[eKey]*edgeTables{}
 	for e, uv := range m.edges {
 		u, v := uv[0], uv[1]
 		if full(u) && full(v) {
@@ -573,21 +617,20 @@ func (d *dee) restrict() *Model {
 		k := eKey{&m.tx[e][0], d.setOf[u], d.setOf[v]}
 		t, ok := es[k]
 		if !ok {
-			src, kv := m.tx[e], m.txKv[e]
-			t.tab = make([]float64, len(au)*len(av))
-			t.tabT = make([]float64, len(au)*len(av))
+			src, kv := m.txc[e], m.txKv[e]
+			tab := make([]float64, len(au)*len(av))
 			for i, cu := range au {
-				row := src[int(cu)*kv:]
+				row := src.tab[int(cu)*kv:]
 				for j, cv := range av {
-					t.tab[i*len(av)+j] = row[cv]
-					t.tabT[j*len(au)+i] = row[cv]
+					tab[i*len(av)+j] = row[cv]
 				}
 			}
-			t.repU, t.repV = restrictRep(m.repU[e], au), restrictRep(m.repV[e], av)
+			// max stays the source's: at least the restricted table's largest
+			// cell, and the margin of a later run reads no more.
+			t = &edgeTables{tab: tab, repU: restrictRep(src.repU, au), repV: restrictRep(src.repV, av), max: src.max}
 			es[k] = t
 		}
-		em.tx[e], em.txT[e], em.txKv[e] = t.tab, t.tabT, len(av)
-		em.repU[e], em.repV[e] = t.repU, t.repV
+		em.txc[e], em.tx[e], em.txKv[e] = t, t.tab, len(av)
 	}
 
 	if m.vClassFP != nil {

@@ -47,8 +47,8 @@ func flatModel(t *testing.T, tl float64) *Model {
 	}
 	for e, uv := range m.edges {
 		ku, kv := m.K(uv[0]), m.K(uv[1])
-		m.tx[e], m.txT[e], m.txMax[e] = make([]float64, ku*kv), make([]float64, ku*kv), 0
-		m.repU[e], m.repV[e] = iota(ku), iota(kv)
+		m.tx[e] = make([]float64, ku*kv)
+		m.txc[e] = &edgeTables{tab: m.tx[e], repU: iota(ku), repV: iota(kv)}
 	}
 	return m
 }
@@ -105,15 +105,15 @@ func TestEliminateKeepsMarginTie(t *testing.T) {
 			func(s int) float64 { return []float64{0, 1, 2, 0}[min(s, 3)] }},
 	} {
 		m := flatModel(t, 0)
-		ku, kv := m.K(0), m.K(1)
-		for cu := range ku {
+		kv := m.K(1)
+		for cu := range m.K(0) {
 			for cv := range kv {
 				x := tc.rest(cv)
 				if cu == 0 {
 					x = tc.first(cv)
 				}
-				m.tx[0][cu*kv+cv], m.txT[0][cv*ku+cu] = x, x
-				m.txMax[0] = max(m.txMax[0], x)
+				m.tx[0][cu*kv+cv] = x
+				m.txc[0].max = max(m.txc[0].max, x)
 			}
 		}
 		// The margin grows with the TL cell that must equal it: iterate to
@@ -145,13 +145,7 @@ func TestEliminatedModelRestrictsTables(t *testing.T) {
 	for c := range m.tx[0] {
 		m.tx[0][c] = float64(c)
 	}
-	ku, kv := m.K(0), m.K(1)
-	for cu := range ku {
-		for cv := range kv {
-			m.txT[0][cv*ku+cu] = m.tx[0][cu*kv+cv]
-		}
-	}
-	m.txMax[0] = float64(ku*kv - 1)
+	m.txc[0].max = float64(m.K(0)*m.K(1) - 1)
 	d := newDEE(m, nil)
 	if err := d.run(context.Background()); err != nil {
 		t.Fatal(err)

@@ -16,10 +16,11 @@ package cost
 //   - Edge class (cost.edge-class/v2): machine spec + enumeration policy +
 //     exactly what txTables reads — the producer's iteration space and
 //     output ref, the consumer's iteration space and the input ref it reads
-//     the edge through. Members share their TX table and its transpose. A
-//     node's op, FLOPs density, halos, norm dims and params price only its
-//     TL row, so an edit to them moves no edge class, and vertex classes
-//     that differ only there share TX tables.
+//     the edge through. Members share their TX table, and its transpose once
+//     something has read it (Model.EdgeTableT). A node's op, FLOPs density,
+//     halos, norm dims and params price only its TL row, so an edit to them
+//     moves no edge class, and vertex classes that differ only there share
+//     TX tables.
 //
 // Each class is hashed once: nodes and edge sides are encoded into one
 // reused canon recorder and grouped by their bytes before any hashing.
@@ -160,13 +161,15 @@ type ModelInfo struct {
 	KEffective int `json:"k_effective,omitempty"`
 	// VertexClasses / EdgeClasses are the distinct vertex and edge classes
 	// the build found: nodes of a vertex class share their configuration
-	// list and TL row, edges of an edge class their TX table and transpose.
+	// list and TL row, edges of an edge class their TX table.
 	// They equal Len(G) and len(Edges()) when interning is disabled or no
 	// structure repeats.
 	VertexClasses int `json:"vertex_classes,omitempty"`
 	EdgeClasses   int `json:"edge_classes,omitempty"`
-	// TableBytes is the resident footprint of the cost tables (TL rows plus
-	// TX tables and transposes), each shared slice counted once;
+	// TableBytes is the resident footprint of the cost tables as built (TL
+	// rows plus TX tables), each shared slice counted once; a transpose built
+	// later on first read is not counted, so the number does not depend on
+	// which search read the model first.
 	// SharedTableBytes is what sharing saved versus a per-occurrence build,
 	// zero when interning is disabled or nothing repeats.
 	TableBytes       int64 `json:"table_bytes,omitempty"`
@@ -181,7 +184,7 @@ func (m *Model) Info() ModelInfo { return m.info }
 // by their first element's address), logical bytes are what a
 // per-occurrence build would hold, and the difference is the sharing saving.
 func (m *Model) computeInfo(p *internPlan) {
-	seen := make(map[*float64]bool, len(m.tl)+2*len(m.tx))
+	seen := make(map[*float64]bool, len(m.tl)+len(m.tx))
 	var resident, logical int64
 	count := func(s []float64) {
 		if len(s) == 0 {
@@ -198,9 +201,8 @@ func (m *Model) computeInfo(p *internPlan) {
 		count(row)
 		k = max(k, len(row))
 	}
-	for e := range m.tx {
-		count(m.tx[e])
-		count(m.txT[e])
+	for _, tab := range m.tx {
+		count(tab)
 	}
 	m.info = ModelInfo{
 		KEffective:       k,

@@ -34,8 +34,10 @@ type IncEdge struct {
 // one Model, so they rank candidates under the identical cost function.
 //
 // All cost tables are built eagerly (and concurrently, across a
-// GOMAXPROCS-sized worker pool) at NewModel time, so a finished Model is
-// read-only and safe for concurrent use by any number of goroutines.
+// GOMAXPROCS-sized worker pool) at NewModel time, each TX table in one
+// orientation; its transpose is built on first read (EdgeTableT), once per
+// edge class. A finished Model is safe for concurrent use by any number of
+// goroutines.
 //
 // Costs are in seconds of estimated per-step time (pricing.go): the sum of
 // a strategy's layer and edge costs equals the simulator's step time minus
@@ -51,12 +53,10 @@ type Model struct {
 	cfgs [][]itspace.Config // per node: the enumerated configurations, index = config ID
 	tl   [][]float64        // [node][cfgID], eager
 	tx   [][]float64        // [edge][cu*Kv+cv], eager
-	txT  [][]float64        // [edge][cv*Ku+cu], transpose of tx
 	txKv []int              // row stride of tx: the consumer's config count
-	// Per edge, the first configuration of each side whose row (producer) or
-	// column (consumer) of tx holds the same costs (edgeTables).
-	repU, repV [][]int32
-	txMax      []float64 // per edge: at least its largest cell (the largest, when built)
+	// Per edge, its class's tables (tab is tx[e]): the reps, the largest
+	// cell and the transpose, built on first read.
+	txc []*edgeTables
 
 	// info is K and the structural sharing of the tables (intern.go).
 	info ModelInfo
@@ -174,11 +174,8 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	}
 	m.edges = g.Edges()
 	m.tx = make([][]float64, len(m.edges))
-	m.txT = make([][]float64, len(m.edges))
 	m.txKv = make([]int, len(m.edges))
-	m.repU = make([][]int32, len(m.edges))
-	m.repV = make([][]int32, len(m.edges))
-	m.txMax = make([]float64, len(m.edges))
+	m.txc = make([]*edgeTables, len(m.edges))
 	m.inSlot = make([]int, len(m.edges))
 	m.inc = make([][]IncEdge, g.Len())
 	for i, e := range m.edges {
@@ -238,18 +235,21 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	for i, e := range m.edges {
 		m.txKv[i] = len(m.cfgs[e[1]])
 	}
-	// Phase 2: every TX table, one edge class per pool task (txTables). The
-	// solver and the MCMC search then only read plain slices — no lazy
-	// memoization left to race on, and no per-vertex materialization pass in
-	// the DP.
+	// Phase 2: every TX table, row-major, one edge class per pool task
+	// (txTables). The transposes are lazy: admission and elimination read
+	// none (elimination gathers what it needs from the row-major table), so
+	// the dp route builds only those its DP reads. A transpose is built by
+	// its first reader under its class's sync.Once, the only state a
+	// finished model ever writes.
 	txBW := GroupBW(spec, float64(spec.Devices))
-	classE := make([]edgeTables, len(plan.eReps))
+	classE := make([]*edgeTables, len(plan.eReps))
 	classErr = make([]error, len(plan.eReps))
 	parallelFor(ctx, len(plan.eReps), func(ci int) {
-		classE[ci], classErr[ci] = resolveClass(store, &traffic, plan.eFPs, ci, func() (edgeTables, int64, error) {
+		classE[ci], classErr[ci] = resolveClass(store, &traffic, plan.eFPs, ci, func() (*edgeTables, int64, error) {
 			e := plan.eReps[ci]
 			u, v := m.edges[e][0], m.edges[e][1]
 			t := txTables(g.Nodes[u], g.Nodes[v], m.inSlot[e], m.cfgs[u], m.cfgs[v], txBW, spec.LatencySec)
+			// The store charges the transpose the entry may grow.
 			return t, int64(len(t.tab)) * 16, nil
 		})
 	})
@@ -257,11 +257,8 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 		return nil, err
 	}
 	for e := range m.edges {
-		m.tx[e] = classE[plan.eClass[e]].tab
-		m.txT[e] = classE[plan.eClass[e]].tabT
-		m.repU[e] = classE[plan.eClass[e]].repU
-		m.repV[e] = classE[plan.eClass[e]].repV
-		m.txMax[e] = classE[plan.eClass[e]].max
+		m.txc[e] = classE[plan.eClass[e]]
+		m.tx[e] = m.txc[e].tab
 	}
 	// The class fingerprints identify the tables across models; delta
 	// detection compares them.
@@ -333,8 +330,8 @@ func newTXSide(ref graph.TensorRef, sp itspace.Space, cfgs []itspace.Config, s [
 }
 
 // txTables builds one edge class's TX table, tab[cu·kv+cv] = TXSeconds of
-// the producer's cu-th and the consumer's cv-th configuration, and its
-// transpose, bit-identical to TXSeconds without dividing per cell. TXBytes
+// the producer's cu-th and the consumer's cv-th configuration,
+// bit-identical to TXSeconds without dividing per cell. TXBytes
 // multiplies s[t]/g[t] into need (consumer), held (producer) and have (with
 // the larger granularity); a side's quotients and products depend only on
 // its own configuration, so txSide computes them once per row and column,
@@ -343,7 +340,7 @@ func newTXSide(ref graph.TensorRef, sp itspace.Space, cfgs []itspace.Config, s [
 // but its two quotient vectors, so a row whose vector repeats an earlier
 // one copies that row, and a column that repeats one reads that column's
 // cell in the same row.
-func txTables(nu, nv *graph.Node, inSlot int, cfgsU, cfgsV []itspace.Config, txBW, latency float64) edgeTables {
+func txTables(nu, nv *graph.Node, inSlot int, cfgsU, cfgsV []itspace.Config, txBW, latency float64) *edgeTables {
 	out, in := nu.Output, nv.Inputs[inSlot]
 	s := make([]float64, len(out.Map))
 	for t := range out.Map {
@@ -389,13 +386,7 @@ func txTables(nu, nv *graph.Node, inSlot int, cfgsU, cfgsV []itspace.Config, txB
 			mx = max(mx, c)
 		}
 	}
-	tabT := make([]float64, ku*kv)
-	for cu := 0; cu < ku; cu++ {
-		for cv, c := range tab[cu*kv : cu*kv+kv] {
-			tabT[cv*ku+cu] = c
-		}
-	}
-	return edgeTables{tab: tab, tabT: tabT, repU: pu.rep, repV: pv.rep, max: mx}
+	return &edgeTables{tab: tab, repU: pu.rep, repV: pv.rep, max: mx}
 }
 
 // P returns the device count.
@@ -449,9 +440,11 @@ func (m *Model) EdgeTable(e int) (vals []float64, kv int) {
 // EdgeTableT exposes the producer-minor transpose of edge e's TX table and
 // its row stride (the producer's configuration count):
 // vals[cv*ku+cu] = EdgeCost(e, cu, cv). The solver picks whichever
-// orientation makes its configuration scan contiguous. Do not mutate.
+// orientation makes its configuration scan contiguous. The first call for
+// an edge class builds the transpose; every model aliasing the class gets
+// the same slice, and concurrent calls are safe. Do not mutate.
 func (m *Model) EdgeTableT(e int) (vals []float64, ku int) {
-	return m.txT[e], len(m.cfgs[m.edges[e][0]])
+	return m.txc[e].transposed(), len(m.cfgs[m.edges[e][0]])
 }
 
 // TLRow exposes node v's full layer-cost table: TLRow(v)[ci] = TL(v, ci).

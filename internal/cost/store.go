@@ -16,10 +16,12 @@ package cost
 //
 //   - vertex entry (vertex class fp): the enumerated configuration list and
 //     TL row.
-//   - edge entry (edge class fp): the TX table and its transpose.
+//   - edge entry (edge class fp): the TX table, charged for the transpose it
+//     grows once something reads it (edgeTables.transposed).
 //
 // Entries are immutable once published — models alias the stored slices and
-// never write them — so sharing is value-transparent: a store-enabled build
+// never write them; a transpose is built once per entry, under its own
+// sync.Once — so sharing is value-transparent: a store-enabled build
 // is byte-identical to the BuildOptions store-less build, pinned by property
 // tests.
 //
@@ -211,16 +213,38 @@ type vertexTables struct {
 	tl   []float64
 }
 
-// edgeTables is an edge class's TX table and transpose, with each side's
-// reps: repU[cu] is the first producer configuration whose row of tab is
-// cu's (the same quotient vector), repV[cv] the first consumer configuration
-// whose column is cv's, and max the table's largest cell.
+// edgeTables is an edge class's TX table, with each side's reps: repU[cu]
+// is the first producer configuration whose row of tab is cu's (the same
+// quotient vector), repV[cv] the first consumer configuration whose column
+// is cv's, and max the table's largest cell. The class stores one
+// orientation; its transpose is built by the first caller that asks for it
+// (transposed), once, and every model aliasing the class reads that slice.
 type edgeTables struct {
 	tab  []float64
-	tabT []float64
 	repU []int32
 	repV []int32
 	max  float64
+
+	tOnce sync.Once
+	tabT  []float64
+}
+
+// transposed returns the producer-minor transpose of tab,
+// tabT[cv·ku+cu] = tab[cu·kv+cv], building it on the first call. The Once
+// orders the build before every read, so concurrent callers, from any model
+// aliasing the class, get the same slice.
+func (t *edgeTables) transposed() []float64 {
+	t.tOnce.Do(func() {
+		ku, kv := len(t.repU), len(t.repV)
+		tabT := make([]float64, len(t.tab))
+		for cu := range ku {
+			for cv, c := range t.tab[cu*kv : cu*kv+kv] {
+				tabT[cv*ku+cu] = c
+			}
+		}
+		t.tabT = tabT
+	})
+	return t.tabT
 }
 
 // configBytes estimates the resident bytes of a config list: the slice

@@ -313,3 +313,59 @@ func TestClassStoreConcurrentBuildsSingleflight(t *testing.T) {
 		t.Errorf("hits %d, want total references minus distinct classes = %d", st.Hits, want)
 	}
 }
+
+// Two models aliasing one store's edge classes build each transpose once:
+// concurrent EdgeTableT calls from both return one slice per edge, cell for
+// cell EdgeCost. Run under -race, it also checks that the build is ordered
+// before every read.
+func TestEdgeTableTSharedAcrossAliasingModels(t *testing.T) {
+	store := NewClassStore(0)
+	bm, err := models.ByName("rnnlm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := machine.GTX1080Ti(8)
+	var ms [2]*Model
+	for i := range ms {
+		if ms[i], err = NewModelWith(context.Background(), bm.Build(bm.Batch), spec, bm.Policy(8), BuildOptions{Store: store}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ms[1].ClassStoreMisses() != 0 {
+		t.Fatalf("second build missed %d classes: the models alias nothing", ms[1].ClassStoreMisses())
+	}
+	ne := len(ms[0].Edges())
+	const readers = 4
+	var got [readers][][]float64
+	var wg sync.WaitGroup
+	for w := range readers {
+		got[w] = make([][]float64, ne)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range ne {
+				e := k
+				if w%2 == 1 {
+					e = ne - 1 - k
+				}
+				got[w][e], _ = ms[w%2].EdgeTableT(e)
+			}
+		}()
+	}
+	wg.Wait()
+	for e, uv := range ms[0].Edges() {
+		vals, ku := ms[0].EdgeTableT(e)
+		for w := range readers {
+			if &got[w][e][0] != &vals[0] {
+				t.Fatalf("edge %d: reader %d got another transpose", e, w)
+			}
+		}
+		for cu := range ms[0].K(uv[0]) {
+			for cv := range ms[0].K(uv[1]) {
+				if vals[cv*ku+cu] != ms[0].EdgeCost(e, cu, cv) {
+					t.Fatalf("edge %d: transpose cell (%d, %d) is %v, EdgeCost %v", e, cu, cv, vals[cv*ku+cu], ms[0].EdgeCost(e, cu, cv))
+				}
+			}
+		}
+	}
+}

@@ -2,11 +2,13 @@ package cost_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pase/internal/cost"
@@ -118,6 +120,96 @@ func TestTXTablesMatchTXSecondsOnRandomLayerGraphs(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d/p=%d", seed, p), func(t *testing.T) {
 			checkTXAgainstTXSeconds(t, g, machine.GTX1080Ti(p), itspace.EnumPolicy{})
 		})
+	}
+}
+
+// An elimination check reads each incident table through a block: on random
+// layer graphs under random survivor sets, every block cell is the table's
+// cost of its row's survivor against its column, in either orientation, and
+// the columns are the other end's survivors less those whose column of the
+// full table repeats an earlier column's. Survivors whose rows repeat, and
+// survivors dropped as repeated columns, both occur.
+func TestEliminationBlocksAreRestrictedTables(t *testing.T) {
+	var asU, asV, repRows, repCols int
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomWindowGraph(rng, 4+rng.Intn(5))
+		m, err := cost.NewModel(g, machine.GTX1080Ti([]int{4, 8, 16}[rng.Intn(3)]), itspace.EnumPolicy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alive := make([][]int32, g.Len())
+		for v := range alive {
+			for c := range m.K(v) {
+				if rng.Intn(3) > 0 || (c == m.K(v)-1 && len(alive[v]) == 0) {
+					alive[v] = append(alive[v], int32(c))
+				}
+			}
+		}
+		for v := range alive {
+			ies, cells, cols := cost.EliminationBlocks(m, v, alive)
+			for k, ie := range ies {
+				// cell is the cost of v's configuration c against the other
+				// end's s.
+				cell := func(c, s int) float64 {
+					if ie.VIsU {
+						return m.EdgeCost(ie.E, c, s)
+					}
+					return m.EdgeCost(ie.E, s, c)
+				}
+				sameColumn := func(s, s2 int) bool {
+					for c := range m.K(v) {
+						if math.Float64bits(cell(c, s)) != math.Float64bits(cell(c, s2)) {
+							return false
+						}
+					}
+					return true
+				}
+				own, col := alive[v], cols[k]
+				if len(cells[k]) != len(own)*len(col) {
+					t.Fatalf("seed %d, vertex %d, edge %d: %d cells for %d rows × %d columns", seed, v, ie.E, len(cells[k]), len(own), len(col))
+				}
+				j := 0
+				for _, s := range alive[ie.Other] {
+					if j < len(col) && col[j] == s {
+						j++
+						continue
+					}
+					if !slices.ContainsFunc(col[:j], func(s2 int32) bool { return sameColumn(int(s), int(s2)) }) {
+						t.Fatalf("seed %d, vertex %d, edge %d: survivor %d of vertex %d is neither a column nor a repeat of one (columns %v)", seed, v, ie.E, s, ie.Other, col)
+					}
+					repCols++
+				}
+				if j != len(col) {
+					t.Fatalf("seed %d, vertex %d, edge %d: columns %v are not survivors of vertex %d in order", seed, v, ie.E, col, ie.Other)
+				}
+				rows := map[string]bool{}
+				for i, c := range own {
+					var row []byte
+					for s := range m.K(ie.Other) {
+						row = binary.LittleEndian.AppendUint64(row, math.Float64bits(cell(int(c), s)))
+					}
+					if rows[string(row)] {
+						repRows++
+					}
+					rows[string(row)] = true
+					for j, s := range col {
+						if got, want := cells[k][i*len(col)+j], cell(int(c), int(s)); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("seed %d, vertex %d, edge %d (producer side %v): cell (%d, %d) is %v, want configuration %d against %d: %v", seed, v, ie.E, ie.VIsU, i, j, got, c, s, want)
+						}
+					}
+				}
+				if ie.VIsU {
+					asU++
+				} else {
+					asV++
+				}
+			}
+		}
+	}
+	t.Logf("%d blocks read as producer, %d as consumer; %d repeated rows, %d repeated columns", asU, asV, repRows, repCols)
+	if asU == 0 || asV == 0 || repRows == 0 || repCols == 0 {
+		t.Errorf("want blocks in both orientations, with repeated rows and columns")
 	}
 }
 

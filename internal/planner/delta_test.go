@@ -99,7 +99,8 @@ func TestDeltaResolveByteIdentical(t *testing.T) {
 // re-solves several times cheaper than the cold solve — asserted on DP states
 // evaluated over the eliminated model the planner solves (deterministic:
 // 1 179 148 candidates against the cold solve's 5 811 377, 4.93x) with a loose
-// wall-clock guard — and byte-identical to the oracle.
+// wall-clock guard on each side's least of three rounds — and byte-identical
+// to the oracle.
 func TestDeltaSpeedupTransformer32(t *testing.T) {
 	bm, err := models.ByName("transformer")
 	if err != nil {
@@ -112,30 +113,37 @@ func TestDeltaSpeedupTransformer32(t *testing.T) {
 	opts := Options{Policy: bm.Policy(p)}
 	spec := machine.GTX1080Ti(p)
 
-	pl := New(Config{})
-	t0 := time.Now()
-	cold, err := pl.Solve(context.Background(), Request{G: g1, Spec: spec, Opts: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldWall := time.Since(t0)
-	t0 = time.Now()
-	delta, err := pl.Solve(context.Background(), Request{G: g2, Spec: spec, Opts: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltaWall := time.Since(t0)
-	if !delta.DeltaResolve {
-		t.Fatalf("p=32 single-layer delta was not served incrementally (stats %+v)", pl.Stats())
+	// Each side's wall time is the least of three rounds, cold then delta on
+	// a fresh planner each round, so one GC or a busy neighbour does not
+	// decide the ratio; the counts repeat exactly every round.
+	var cold, delta *Result
+	coldWall, deltaWall := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for range 3 {
+		pl := New(Config{})
+		t0 := time.Now()
+		cold, err = pl.Solve(context.Background(), Request{G: g1, Spec: spec, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coldWall = min(coldWall, time.Since(t0))
+		t0 = time.Now()
+		delta, err = pl.Solve(context.Background(), Request{G: g2, Spec: spec, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltaWall = min(deltaWall, time.Since(t0))
+		if !delta.DeltaResolve {
+			t.Fatalf("p=32 single-layer delta was not served incrementally (stats %+v)", pl.Stats())
+		}
+		const recordedDeltaStates = 1_179_148
+		if delta.States != recordedDeltaStates {
+			t.Errorf("delta re-solve evaluated %d states, recorded %d", delta.States, recordedDeltaStates)
+		}
 	}
 	states := float64(cold.States) / float64(delta.States)
 	wall := float64(coldWall) / float64(deltaWall)
 	t.Logf("cold %v / %d states, delta %v / %d states: %.2fx wall, %.2fx states",
 		coldWall, cold.States, deltaWall, delta.States, wall, states)
-	const recordedDeltaStates = 1_179_148
-	if delta.States != recordedDeltaStates {
-		t.Errorf("delta re-solve evaluated %d states, recorded %d", delta.States, recordedDeltaStates)
-	}
 	if states < 3 {
 		t.Errorf("delta re-solve evaluated only %.2fx fewer states, want >= 3x", states)
 	}
