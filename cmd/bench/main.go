@@ -4,8 +4,8 @@
 // to the output file's trajectory array, so BENCH_solver.json records the
 // perf history across PRs instead of only the latest run. No count is gated
 // here: tier-1 pins the Table I states (cmd/paper's TestTableIDeterministic)
-// and the GPTDeep beam states (internal/core's TestBeamPassesPinned) by
-// equality.
+// and, at p=32, the GPTDeep beam states (internal/planner's
+// TestServedBeamPinned) by equality.
 //
 // Usage:
 //
@@ -36,12 +36,13 @@
 //     GOMAXPROCS=n, over the Transformer p=32 model dead-end elimination
 //     leaves (what the planner's dp route solves), built outside the timer.
 //   - Beam/GPTDeep/W=<w>: GENERATESEQ + one core.SolveBeam pass at width w
-//     over a gptdeep:12 model built outside the timer — the graph whose exact
-//     DP exceeds the default table budget — with the achieved optimality
-//     gap, the width, and the candidates the pass evaluated
-//     (states_explored, an exact function of the cost tables) as extras,
-//     with the fastest rep's beam stages (plan_ns, join_ns, keep_ns,
-//     backsub_ns).
+//     over the gptdeep:12 model dead-end elimination leaves (what the
+//     planner's beam route solves), built and eliminated outside the timer —
+//     the graph whose exact DP exceeds the default table budget — with the
+//     achieved optimality gap, the width, the candidates the pass evaluated
+//     (states_explored, an exact function of the cost tables) and the one
+//     elimination's time (dee_ns) as extras, with the fastest rep's beam
+//     stages (plan_ns, join_ns, keep_ns, backsub_ns).
 package main
 
 import (
@@ -323,12 +324,20 @@ func run(cfg config) error {
 
 	// Anytime beam on the GPT-scale decoder: the bounded-latency path for
 	// graphs the exact DP cannot finish. One kernel pass per width
-	// (GapTarget -1) over a model built outside the timer, like SolveWorkers.
+	// (GapTarget -1) over the eliminated model, built and eliminated outside
+	// the timer, like SolveWorkers.
 	gg := gbm.Build(gbm.Batch)
-	gm, err := pase.NewModel(gg, pase.GTX1080Ti(p), gbm.Policy(p))
+	gfull, err := pase.NewModel(gg, pase.GTX1080Ti(p), gbm.Policy(p))
 	if err != nil {
 		return err
 	}
+	start := time.Now()
+	gel, err := cost.Eliminate(context.Background(), gfull, nil)
+	if err != nil {
+		return err
+	}
+	dee := time.Since(start)
+	gm := gel.Model
 	for _, width := range []int{8, 32} {
 		var gap float64
 		ns, _, st, err := measureStats(reps, func() (core.Stats, error) {
@@ -350,6 +359,7 @@ func run(cfg config) error {
 				"gap":             gap,
 				"beam_width":      float64(width),
 				"states_explored": float64(st.States),
+				"dee_ns":          float64(dee),
 			}, st.Stages),
 		})
 	}

@@ -36,8 +36,8 @@
 // served by the bounded-width beam instead — a valid strategy marked
 // "degraded": true with a sound optimality gap. Solver panics are isolated
 // per request. Errors are structured: {"error": ..., "code": ...} with
-// stable codes (shed → 429, oom → 503, timeout → 504, cancelled → 499, a body
-// beyond 1 MiB → 413 too_large).
+// stable codes (shed → 429, oom → 503, too_entangled → 422, timeout → 504,
+// cancelled → 499, a body beyond 1 MiB → 413 too_large).
 //
 // -snapshot-path enables warm restarts: the result cache is checkpointed there
 // periodically (-snapshot-interval) and on SIGTERM, and restored on boot
@@ -448,8 +448,10 @@ func internalError(err error) *apiError {
 // solveError maps a planner error onto an HTTP status and a stable error
 // code: a shed request is 429 (retry later, or elsewhere), OOM is 503 (this
 // daemon cannot serve the exact solve — with degradation enabled most OOMs
-// never surface here), a solve-deadline expiry is a gateway timeout, a
-// client-cancelled solve is 499, and an isolated solver panic is a plain 500.
+// never surface here), a graph too entangled for the beam is 422 (the
+// request itself cannot be served), a solve-deadline expiry is a gateway
+// timeout, a client-cancelled solve is 499, and an isolated solver panic is
+// a plain 500.
 func solveError(err error) *apiError {
 	e := internalError(err)
 	switch {
@@ -457,6 +459,8 @@ func solveError(err error) *apiError {
 		e.status, e.Code = http.StatusTooManyRequests, "shed"
 	case errors.Is(err, pase.ErrOOM):
 		e.status, e.Code = http.StatusServiceUnavailable, "oom"
+	case errors.Is(err, pase.ErrTooEntangled):
+		e.status, e.Code = http.StatusUnprocessableEntity, "too_entangled"
 	case errors.Is(err, context.DeadlineExceeded):
 		e.status, e.Code = http.StatusGatewayTimeout, "timeout"
 	case errors.Is(err, context.Canceled):

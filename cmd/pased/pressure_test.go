@@ -214,6 +214,27 @@ func TestDegradedBeamOverWire(t *testing.T) {
 	}
 }
 
+// TestTooEntangledOverWire: a dp request for DenseNet(128,12) at p=8, sent
+// as an inline spec to a daemon with pased's default ladder, degrades with
+// oom onto a beam that cannot index its dependent sets. That is a property
+// of the request, so it is answered 422 "too_entangled", not 500 "internal".
+func TestTooEntangledOverWire(t *testing.T) {
+	doc, err := pase.ExportSpec("densenet", pase.DenseNet(128, 12), "1080ti", 8, pase.EnumPolicy{}, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(pase.NewPlanner(pasedDefaults), 64, 0).mux())
+	defer ts.Close()
+	status, out := postJSON(t, ts.URL+"/v1/solve", specBody(string(raw)))
+	if status != http.StatusUnprocessableEntity || out["code"] != "too_entangled" {
+		t.Fatalf("status %d code %v, want 422 too_entangled: %v", status, out["code"], out)
+	}
+}
+
 // TestPanicIsolationOverWire: an injected solver panic fails only its own
 // request (500, code "panic"); the daemon keeps serving and counts it.
 func TestPanicIsolationOverWire(t *testing.T) {

@@ -61,6 +61,13 @@ type BeamResult struct {
 	Passes int
 }
 
+// ErrTooEntangled is returned by SolveBeam when a position's dependent set
+// has so many configurations that the beam cannot address its table with
+// one int64 flat index (DenseNet(128,12) at p=8). Like ErrOOM it is a
+// property of the request — the graph, the machine and the policy — so a
+// retry cannot succeed.
+var ErrTooEntangled = errors.New("core: beam dependent set too entangled to index")
+
 // maxBeamGap caps the reported gap so it stays finite (and JSON-encodable)
 // even against a degenerate non-positive lower bound.
 const maxBeamGap = 1e18
@@ -512,7 +519,7 @@ func (p *beamPass) join(i int) error {
 	flatSpace := int64(1)
 	for _, kk := range p.kd {
 		if flatSpace > (math.MaxInt64/4)/int64(kk) {
-			return fmt.Errorf("core: beam flat index space at vertex %d exceeds int64 (dependent set too entangled)", p.v)
+			return fmt.Errorf("%w: flat index space at vertex %d exceeds int64", ErrTooEntangled, p.v)
 		}
 		p.pstride = append(p.pstride, flatSpace)
 		flatSpace *= int64(kk)

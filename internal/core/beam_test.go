@@ -35,94 +35,120 @@ func beamFind(m *cost.Model, opts BeamOptions) (*BeamResult, error) {
 // DP's cost with its strategy. Cost is also non-increasing in W on every
 // graph here — not a theorem of beam search (a wider cut can evict a state a
 // narrower one kept), so a violation means the cut order changed, not
-// necessarily a bug — and the anytime loop's running best never rises.
+// necessarily a bug — and the anytime loop's running best never rises. Each
+// graph runs twice: on the adversarial costs, and on the model cost.Eliminate
+// leaves of the graph's built costs, which is what the planner's beam and
+// degrade rungs search. (Elimination reads the build's table maxima and
+// repeated rows and columns, which the adversarial overwrite invalidates.)
+// The second run is held against the built model's brute force, so a bound
+// on the eliminated model must bound the full optimum, and Exact there must
+// mean the full optimum.
 func TestBeamGapSoundnessOnRandomGraphs(t *testing.T) {
 	const relTol = 1e-9
-	var bracketed, cutPasses int
+	var bracketed, reduced int
+	cutPasses := map[string]int{}
 	for trial := 0; trial < 160; trial++ {
 		rng := rand.New(rand.NewSource(int64(8200 + trial)))
 		n := 3 + rng.Intn(5)
 		p := []int{2, 4, 8}[trial%3]
-		m := adversarialModel(t, rng, n, p)
+		g := adversarialGraph(rng, n)
+		adv := adversarialCosts(t, rng, g, p)
 		strategies := 1
 		for v := 0; v < n; v++ {
-			strategies *= m.K(v)
+			strategies *= adv.K(v)
 		}
 		if strategies > 20000 {
 			continue
 		}
-		bf, err := bruteForce(m)
+		built, err := cost.NewModelWith(context.Background(), g, machine.Uniform(p, 1e12, 1e10), itspace.EnumPolicy{}, cost.BuildOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		best := math.Inf(1)
-		for _, width := range []int{1, 2, 8, 64} {
-			label := fmt.Sprintf("trial %d width %d", trial, width)
-			br, err := beamFind(m, BeamOptions{Width: width, GapTarget: -1})
+		el, err := cost.Eliminate(context.Background(), built, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if el.KAlive < el.KTotal {
+			reduced++
+		}
+		for _, mc := range []struct {
+			name    string
+			m, full *cost.Model
+		}{{"adversarial", adv, adv}, {"eliminated", el.Model, built}} {
+			m := mc.m
+			bf, err := bruteForce(mc.full)
 			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+				t.Fatal(err)
 			}
-			if br.Cost < bf.Cost*(1-relTol) {
-				t.Fatalf("%s: beam cost %v below the brute-force optimum %v", label, br.Cost, bf.Cost)
+			best := math.Inf(1)
+			for _, width := range []int{1, 2, 8, 64} {
+				label := fmt.Sprintf("trial %d %s width %d", trial, mc.name, width)
+				br, err := beamFind(m, BeamOptions{Width: width, GapTarget: -1})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if br.Cost < bf.Cost*(1-relTol) {
+					t.Fatalf("%s: beam cost %v below the brute-force optimum %v", label, br.Cost, bf.Cost)
+				}
+				// An infinite cost (every retained strategy crosses a +Inf
+				// entry) carries the capped gap, which brackets nothing.
+				if lower := br.Cost / (1 + br.Gap); !math.IsInf(br.Cost, 1) && lower > bf.Cost*(1+relTol) {
+					t.Fatalf("%s: gap %v claims optimum >= %v, but brute force found %v", label, br.Gap, lower, bf.Cost)
+				}
+				if br.Exact && br.Cost != bf.Cost && math.Abs(br.Cost-bf.Cost) > relTol*bf.Cost {
+					t.Fatalf("%s: flagged exact but cost %v != %v", label, br.Cost, bf.Cost)
+				}
+				if got := m.EvalIdx(br.Idx); got != br.Cost && math.Abs(got-br.Cost) > relTol*math.Abs(got) {
+					t.Fatalf("%s: reported cost %v, strategy evaluates to %v", label, br.Cost, got)
+				}
+				if err := br.Strategy.Validate(m.G, p); err != nil {
+					t.Fatalf("%s: invalid strategy: %v", label, err)
+				}
+				if !br.Exact {
+					cutPasses[mc.name]++
+				}
+				if br.Cost > best {
+					t.Fatalf("%s: cost %v above a narrower pass's %v", label, br.Cost, best)
+				}
+				best = br.Cost
 			}
-			// An infinite cost (every retained strategy crosses a +Inf
-			// entry) carries the capped gap, which brackets nothing.
-			if lower := br.Cost / (1 + br.Gap); !math.IsInf(br.Cost, 1) && lower > bf.Cost*(1+relTol) {
-				t.Fatalf("%s: gap %v claims optimum >= %v, but brute force found %v", label, br.Gap, lower, bf.Cost)
+
+			// The anytime loop from W=1: the running best never rises and
+			// ends proven optimal.
+			var costs []float64
+			br, err := beamFind(m, BeamOptions{Width: 1, GapTarget: 1e-12,
+				OnPass: func(_, _ int, c, _ float64) { costs = append(costs, c) }})
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, mc.name, err)
 			}
-			if br.Exact && br.Cost != bf.Cost && math.Abs(br.Cost-bf.Cost) > relTol*bf.Cost {
-				t.Fatalf("%s: flagged exact but cost %v != %v", label, br.Cost, bf.Cost)
+			if !slices.IsSortedFunc(costs, func(a, b float64) int { return cmp.Compare(b, a) }) {
+				t.Fatalf("trial %d %s: refinement costs rose: %v", trial, mc.name, costs)
 			}
-			if got := m.EvalIdx(br.Idx); got != br.Cost && math.Abs(got-br.Cost) > relTol*math.Abs(got) {
-				t.Fatalf("%s: reported cost %v, strategy evaluates to %v", label, br.Cost, got)
+			if !br.Exact && br.Gap > 1e-12 || br.Cost != bf.Cost && math.Abs(br.Cost-bf.Cost) > relTol*bf.Cost {
+				t.Fatalf("trial %d %s: refined to cost %v exact=%v gap=%v; brute force %v", trial, mc.name, br.Cost, br.Exact, br.Gap, bf.Cost)
 			}
-			if err := br.Strategy.Validate(m.G, p); err != nil {
-				t.Fatalf("%s: invalid strategy: %v", label, err)
+
+			// Wide enough to cut nothing: exact, and the exact DP's strategy.
+			exact, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !br.Exact {
-				cutPasses++
+			wide, err := beamFind(m, BeamOptions{Width: int(exact.Stats.MaxTable) * exact.Stats.KEffective, GapTarget: -1})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if br.Cost > best {
-				t.Fatalf("%s: cost %v above a narrower pass's %v", label, br.Cost, best)
+			// (The two sum in different orders, so the costs may differ in
+			// the last place.)
+			if !wide.Exact || wide.Gap != 0 || math.Abs(wide.Cost-exact.Cost) > relTol*exact.Cost || !slices.Equal(wide.Idx, exact.Idx) {
+				t.Fatalf("trial %d %s: uncut pass exact=%v gap=%v cost=%v idx=%v; exact DP cost=%v idx=%v",
+					trial, mc.name, wide.Exact, wide.Gap, wide.Cost, wide.Idx, exact.Cost, exact.Idx)
 			}
-			best = br.Cost
 		}
 		bracketed++
-
-		// The anytime loop from W=1: the running best never rises and ends
-		// proven optimal.
-		var costs []float64
-		br, err := beamFind(m, BeamOptions{Width: 1, GapTarget: 1e-12,
-			OnPass: func(_, _ int, c, _ float64) { costs = append(costs, c) }})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !slices.IsSortedFunc(costs, func(a, b float64) int { return cmp.Compare(b, a) }) {
-			t.Fatalf("trial %d: refinement costs rose: %v", trial, costs)
-		}
-		if !br.Exact && br.Gap > 1e-12 || br.Cost != bf.Cost && math.Abs(br.Cost-bf.Cost) > relTol*bf.Cost {
-			t.Fatalf("trial %d: refined to cost %v exact=%v gap=%v; brute force %v", trial, br.Cost, br.Exact, br.Gap, bf.Cost)
-		}
-
-		// Wide enough to cut nothing: exact, and the exact DP's strategy.
-		exact, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wide, err := beamFind(m, BeamOptions{Width: int(exact.Stats.MaxTable) * exact.Stats.KEffective, GapTarget: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// (The two sum in different orders, so the costs may differ in the
-		// last place.)
-		if !wide.Exact || wide.Gap != 0 || math.Abs(wide.Cost-exact.Cost) > relTol*exact.Cost || !slices.Equal(wide.Idx, exact.Idx) {
-			t.Fatalf("trial %d: uncut pass exact=%v gap=%v cost=%v idx=%v; exact DP cost=%v idx=%v",
-				trial, wide.Exact, wide.Gap, wide.Cost, wide.Idx, exact.Cost, exact.Idx)
-		}
 	}
-	t.Logf("%d of 160 trials brute-forced, %d of their passes cut", bracketed, cutPasses)
-	if bracketed < 80 || cutPasses == 0 {
-		t.Errorf("%d of 160 trials were small enough to brute-force, %d passes were cut — want >= 80 and > 0", bracketed, cutPasses)
+	t.Logf("%d of 160 trials brute-forced (%d of them reduced by elimination), passes cut: %v", bracketed, reduced, cutPasses)
+	if bracketed < 80 || reduced == 0 || cutPasses["adversarial"] == 0 || cutPasses["eliminated"] == 0 {
+		t.Errorf("%d of 160 trials were small enough to brute-force, %d were reduced by elimination, passes cut: %v — want >= 80, > 0 and > 0 on each", bracketed, reduced, cutPasses)
 	}
 }
 

@@ -217,3 +217,36 @@ func TestCompareIncludesBeamColumn(t *testing.T) {
 		}
 	}
 }
+
+// The served beam, pinned by equality: gptdeep:12 at p=32, one pass at W=8
+// and at W=32, the two requests the beam_deep benchmark sends. The planner
+// solves them on the eliminated model, whose narrower tables halve the gap
+// the full model's pass reports (2.4135 at the same cost bits, core's
+// TestBeamPassesPinned) and its States (1,033,798 and 2,233,247 there); a
+// moved count or bit means the elimination, the beam kernel or the route
+// changed.
+func TestServedBeamPinned(t *testing.T) {
+	bm, err := models.ByName("gptdeep:12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := bm.Build(bm.Batch)
+	for _, pin := range []struct {
+		width             int
+		states            int64
+		costBits, gapBits uint64
+	}{
+		{8, 545485, 0x3fb9c0b49ada1900, 0x3ff456916dfefa58},
+		{32, 1118022, 0x3fb9c0b49ada1900, 0x3ff456916dfefa58},
+	} {
+		req := Request{G: g, Spec: machine.GTX1080Ti(32), Opts: Options{Method: "beam", BeamWidth: pin.width, GapTarget: -1, Policy: bm.Policy(32), Workers: 1}}
+		res, err := New(Config{}).Solve(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.States != pin.states || math.Float64bits(res.Cost) != pin.costBits || math.Float64bits(res.Gap) != pin.gapBits || res.Timings.Elim <= 0 {
+			t.Errorf("W=%d: states %d, cost %#x (%v), gap %#x (%v), elim %v; pinned states %d, cost %#x, gap %#x, elim > 0",
+				pin.width, res.States, math.Float64bits(res.Cost), res.Cost, math.Float64bits(res.Gap), res.Gap, res.Timings.Elim, pin.states, pin.costBits, pin.gapBits)
+		}
+	}
+}

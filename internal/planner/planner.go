@@ -217,8 +217,9 @@ type Result struct {
 
 // Timings is where a request's wall time went, each span stamped once where
 // it runs: Total from SolvePrepared on, Model around the cost-model build,
-// Elim around a dp solve's dead-end elimination, and the kernel's stages. A
-// cache hit or a ride-along carries Total only.
+// Elim around the dead-end elimination every dp and beam solve runs (mcmc
+// and the baselines run none), and the kernel's stages. A cache hit or a
+// ride-along carries Total only.
 type Timings struct {
 	Total time.Duration `json:"total_ns"`
 	Model time.Duration `json:"model_ns"`
@@ -775,17 +776,21 @@ func (p *Planner) waitSolve(ctx context.Context, fp canon.Fingerprint, fl *solve
 // doSolve performs one underlying solve behind panic isolation, and holds
 // the only method dispatch: a direct baseline evaluation (baselines price one
 // fixed strategy and never need a model), or a cold build of the request's
-// model followed by the method's search. The dp leg
-// carries the degradation ladder: a non-empty degradeReason (queue pressure
-// observed at admission) routes it straight to the bounded beam solve, and an
-// ErrOOM from the exact DP lands there with DegradeReasonOOM.
+// model followed by the method's search. mcmc searches the full model (its
+// default data-parallel seed is not one of the eliminated model's
+// strategies); dp, beam and both degrade rungs search the model dead-end
+// elimination leaves, which keeps every optimum, and a dp request hands its
+// delta base's checks to that elimination. The dp leg carries the degradation ladder: a
+// non-empty degradeReason (queue pressure observed at admission) routes it
+// straight to the bounded beam solve, and an ErrOOM from the exact DP lands
+// there with DegradeReasonOOM.
 func (p *Planner) doSolve(ctx context.Context, req Request, degradeReason string) (res *Result, err error) {
 	defer guard(p, &res, &err)
 	if err := p.cfg.FaultPlan.Fire(ctx, pressure.SiteSolve); err != nil {
 		return nil, err
 	}
 	method := req.Opts.method()
-	var model time.Duration
+	var model, elim time.Duration
 	if strategies.IsBaselineMethod(method) {
 		res, err = runBaseline(ctx, req.G, req.Spec, method)
 	} else {
@@ -795,28 +800,46 @@ func (p *Planner) doSolve(ctx context.Context, req Request, degradeReason string
 			return nil, err
 		}
 		model = time.Since(start)
-		switch method {
-		case "mcmc":
-			res, err = runMCMC(ctx, m, req.Opts)
-		case "beam":
-			res, err = p.runBeam(ctx, m, req.Opts)
-		default:
-			if degradeReason != "" {
-				res, err = p.runDegraded(ctx, m, req.Opts, degradeReason)
-				break
+		var (
+			key      canon.Fingerprint
+			ent      *deltaEntry
+			base, el *cost.Elimination
+		)
+		if method == "dp" && p.deltas != nil {
+			key = deltaKey(m.G, req.Opts)
+			p.mu.Lock()
+			if ent, _ = p.deltas.Get(key); ent != nil {
+				base = ent.elim
 			}
+			p.mu.Unlock()
+		}
+		if method != "mcmc" {
+			start = time.Now()
+			if el, err = cost.Eliminate(ctx, m, base); err != nil {
+				return nil, err
+			}
+			elim = time.Since(start)
+		}
+		switch {
+		case method == "mcmc":
+			res, err = runMCMC(ctx, m, req.Opts)
+		case method == "beam":
+			res, err = p.runBeam(ctx, el.Model, req.Opts)
+		case degradeReason != "":
+			res, err = p.runDegraded(ctx, el.Model, req.Opts, degradeReason)
+		default:
 			if err = p.cfg.FaultPlan.Fire(ctx, pressure.SiteDP); err == nil {
-				res, err = p.runDP(ctx, m, req.Opts)
+				res, err = p.runDP(ctx, m, el, key, ent, req.Opts)
 			}
 			if err != nil && errors.Is(err, core.ErrOOM) && p.cfg.DegradeBeamWidth > 0 {
-				res, err = p.runDegraded(ctx, m, req.Opts, DegradeReasonOOM)
+				res, err = p.runDegraded(ctx, el.Model, req.Opts, DegradeReasonOOM)
 			}
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	res.Method, res.Timings.Model = method, model
+	res.Method, res.Timings.Model, res.Timings.Elim = method, model, elim
 	return res, nil
 }
 
@@ -951,67 +974,34 @@ func diffModels(old, new *cost.Model) (dirtyV []bool, ok bool) {
 	return dirtyV, true
 }
 
-// runDP is the exact dp solve: ordering, admission, dead-end elimination
-// and the dependent-set DP over the eliminated model. Admission is the full
-// model's sizing pre-pass (core.Admit), so the exact-or-degraded fate of a
-// request does not move with what elimination removes; the DP then runs over
-// the eliminated model, whose answer is the full model's bit for bit. Solved
-// cold by a planner with incremental re-solve off. Otherwise the eliminated
-// model may become a delta base: each solve's DP snapshot is retained and,
-// when a later request's eliminated model is comparable with a cached
-// snapshot's, only the dirtied tables are re-filled via core.Resolve —
-// byte-identical to the full solve it replaces, and never more work: it
-// re-fills at most every table, over the snapshot's subsets and ordering.
-// Everything else (cold topologies, incomparable models, a failed re-solve)
-// runs a full solve and refreshes the snapshot.
-func (p *Planner) runDP(ctx context.Context, m *cost.Model, opts Options) (*Result, error) {
+// runDP is the exact dp solve over el, m's elimination: ordering, admission
+// and the dependent-set DP over el's model. Admission is the full model's
+// sizing pre-pass (core.Admit), so the exact-or-degraded fate of a request
+// does not move with what elimination removes; the DP's answer is the full
+// model's bit for bit. Solved cold by a planner with incremental re-solve
+// off. Otherwise each solve's DP snapshot is retained under key and, when
+// ent (the entry cached under key) holds a model comparable with el's, only
+// the dirtied tables are re-filled via core.Resolve — byte-identical to the
+// full solve it replaces, and never more work: it re-fills at most every
+// table, over the snapshot's subsets and ordering. Everything else (cold
+// topologies, incomparable models, a failed re-solve) runs a full solve and
+// refreshes the snapshot.
+func (p *Planner) runDP(ctx context.Context, m *cost.Model, el *cost.Elimination, key canon.Fingerprint, ent *deltaEntry, opts Options) (*Result, error) {
 	coreOpts := core.Options{
 		MaxTableEntries: opts.MaxTableEntries,
 		Workers:         opts.Workers,
 	}
-	var (
-		key canon.Fingerprint
-		ent *deltaEntry
-	)
-	if p.deltas != nil {
-		key = deltaKey(m.G, opts)
-		p.mu.Lock()
-		ent, _ = p.deltas.Get(key)
-		p.mu.Unlock()
-	}
 	// A delta base shares the request's topology and ordering choice (the
-	// delta key), so its ordering is the one dpSeq would build, and its
-	// elimination holds the checks an edit leaves as they were.
-	var (
-		sq   *seq.Sequence
-		base *cost.Elimination
-	)
+	// delta key), so its ordering is the one dpSeq would build.
+	var sq *seq.Sequence
 	if ent != nil {
-		sq, base = ent.snap.Seq(), ent.elim
+		sq = ent.snap.Seq()
 	} else {
 		sq = dpSeq(m, opts)
 	}
 	if err := core.Admit(m, sq, coreOpts); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	el, err := cost.Eliminate(ctx, m, base)
-	if err != nil {
-		return nil, err
-	}
-	elim := time.Since(start)
-	res, err := p.solveEliminated(ctx, el, sq, key, ent, coreOpts)
-	if err != nil {
-		return nil, err
-	}
-	res.Timings.Elim = elim
-	return res, nil
-}
-
-// solveEliminated is runDP's DP over el's model: cold without a delta
-// cache, a re-solve against ent when ent is comparable, else a full solve
-// that becomes the delta base under key.
-func (p *Planner) solveEliminated(ctx context.Context, el *cost.Elimination, sq *seq.Sequence, key canon.Fingerprint, ent *deltaEntry, coreOpts core.Options) (*Result, error) {
 	em := el.Model
 	if p.deltas == nil {
 		r, err := core.Solve(ctx, em, sq, coreOpts)

@@ -155,10 +155,11 @@ func TestCacheHitPerformsNoNewWork(t *testing.T) {
 }
 
 // Each span is stamped once, where it runs: Model around the model build
-// (the fault plan's model site included), Elim around a dp solve's dead-end
-// elimination, the kernel's stages by the kernel that ran, and Total around
-// everything, so the solve site's latency shows in Total alone. A cache hit
-// and a ride-along ran none of it: Total only.
+// (the fault plan's model site included), Elim around the dead-end
+// elimination dp and beam run and mcmc does not, the kernel's stages by the
+// kernel that ran, and Total around everything, so the solve site's latency
+// shows in Total alone. A cache hit and a ride-along ran none of it: Total
+// only.
 func TestTimingsStampedWhereTheyRun(t *testing.T) {
 	const lat = 20 * time.Millisecond
 	p := New(Config{FaultPlan: mustFaultPlan(t, "model:latency:20ms,solve:latency:20ms")})
@@ -190,8 +191,8 @@ func TestTimingsStampedWhereTheyRun(t *testing.T) {
 			t.Errorf("%s: Model = %v, want ≥ %v exactly when a model is built", tc.method, tm.Model, lat)
 		}
 		s := tm.StageTimes
-		if tc.method == "dp" != (tm.Elim > 0) {
-			t.Errorf("%s: Elim = %v, want > 0 exactly on dp", tc.method, tm.Elim)
+		if eliminates := tc.method == "dp" || tc.method == "beam"; eliminates != (tm.Elim > 0) {
+			t.Errorf("%s: Elim = %v, want > 0 exactly on dp and beam", tc.method, tm.Elim)
 		}
 		rest := tm.Total - tm.Model - tm.Elim
 		for _, d := range all(s) {

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"pase/internal/core"
+	"pase/internal/machine"
+	"pase/internal/models"
 	"pase/internal/pressure"
 )
 
@@ -169,6 +171,25 @@ func TestOOMWithoutDegradationStillErrors(t *testing.T) {
 	p := New(Config{FaultPlan: mustFaultPlan(t, "dp:oom:1")})
 	if _, err := p.Solve(context.Background(), alexReq(8)); !errors.Is(err, core.ErrOOM) {
 		t.Fatalf("want ErrOOM with degradation disabled, got %v", err)
+	}
+}
+
+// A graph too entangled for the beam gets a typed refusal: a dp request for
+// DenseNet(128,12) at p=8 exceeds the exact budget, degrades with oom, and the
+// beam cannot index its dependent sets with one int64 — so does a beam
+// request for it. Both end in core.ErrTooEntangled, which pased serves as a
+// 422, not as an internal error.
+func TestTooEntangledIsTyped(t *testing.T) {
+	req := Request{G: models.DenseNet(128, 12), Spec: machine.GTX1080Ti(8)}
+	if _, err := New(Config{}).Solve(context.Background(), req); !errors.Is(err, core.ErrOOM) {
+		t.Fatalf("without the ladder: want core.ErrOOM, got %v", err)
+	}
+	p := New(Config{DegradeBeamWidth: 16})
+	for _, method := range []string{"dp", "beam"} {
+		req.Opts.Method = method
+		if _, err := p.Solve(context.Background(), req); !errors.Is(err, core.ErrTooEntangled) {
+			t.Errorf("%s: want core.ErrTooEntangled, got %v", method, err)
+		}
 	}
 }
 

@@ -61,7 +61,7 @@ var snapshotLabels = []string{
 	"graph.Graph",          // graph content fingerprints
 	"cost.vertex-class/v1", // the schemes behind a cached result's
 	"cost.edge-class/v2",   // vertex_classes and edge_classes counts
-	"cost.elim/v1",         // a dp result's States: the DP ran on the eliminated model
+	"cost.elim/v2",         // beam and degraded results are solved on the eliminated model
 	"core.states/v2",       // and counts every candidate of the linear scan, not the pruned scan's
 	"cost.table-bytes/v2",  // table_bytes counts each TX table once, without a transpose
 	core.KernelVersion,     // the numerics behind every cached cost

@@ -367,6 +367,19 @@ func TestSnapshotStaleAndCorruptDiscarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases["preelim"] = preElimStates.Bytes()
+	// A snapshot written by the last build that solved beam and degraded
+	// requests on the full model: its beam costs, gaps and States are not
+	// what the eliminated model gives.
+	fullBeam, err := hex.DecodeString("ac9b454072e0d67375da0b9ef74242740b145997db3a269e2406911e0bc2e1cc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(env.Fingerprint[:], fullBeam)
+	var fullBeamEra bytes.Buffer
+	if err := gob.NewEncoder(&fullBeamEra).Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+	cases["fullbeam"] = fullBeamEra.Bytes()
 
 	for name, data := range cases {
 		path := filepath.Join(dir, name)

@@ -325,6 +325,12 @@ var defaultPlanner = planner.New(planner.Config{})
 // paper's Table I "OOM" outcome for breadth-first ordering).
 var ErrOOM = core.ErrOOM
 
+// ErrTooEntangled is returned when the beam — a beam request, or a dp
+// request degraded to one — cannot address a dependent set's table with one
+// int64 index: a property of the request, so a retry cannot help. Daemons
+// map it to HTTP 422.
+var ErrTooEntangled = core.ErrTooEntangled
+
 // ErrShed is returned by a planner running admission control
 // (PlannerConfig.MaxInFlight > 0) when a request arrives to a full waiting
 // queue: it was rejected immediately — load shedding, never silent
