@@ -1,0 +1,308 @@
+package core
+
+import (
+	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
+
+// fillChunkEntries caps one chunk of a parallel table fill at 16K entries:
+// the chunk's output (16K float64 costs + 16K int32 choices ≈ 192 KB) plus
+// the kv-long input rows it folds stays L2-resident per core, and a big fill
+// splits into many more chunks than workers so the atomic work-claiming
+// balances stragglers instead of one static split.
+const fillChunkEntries = 1 << 14
+
+// parallelThreshold is the table size below which a chunked parallel fill is
+// not worth the dispatch overhead; minChunkEntries floors the chunk size so
+// the per-chunk odometer positioning and base rebuild stay amortized to noise.
+// Variables only so tests can force chunk boundaries into tiny tables.
+var (
+	parallelThreshold int64 = 4096
+	minChunkEntries   int64 = 1 << 10
+)
+
+// fillChunkSize picks the chunk length for a table of the given size: aim
+// for several chunks per worker, within [minChunkEntries, fillChunkEntries].
+func fillChunkSize(total int64, workers int) int64 {
+	c := (total + int64(workers)*4 - 1) / (int64(workers) * 4)
+	if c > fillChunkEntries {
+		c = fillChunkEntries
+	}
+	if c < minChunkEntries {
+		c = minChunkEntries
+	}
+	return c
+}
+
+// fillPool is the solve-lifetime worker pool the chunked table fills
+// dispatch to: nw−1 helper goroutines started once per Solve (the caller's
+// goroutine is the nw-th worker), instead of spawning fresh goroutines for
+// every vertex's fill.
+type fillPool struct {
+	jobs chan func()
+	wg   sync.WaitGroup
+}
+
+func newFillPool(helpers int) *fillPool {
+	p := &fillPool{jobs: make(chan func(), helpers)}
+	for i := 0; i < helpers; i++ {
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			for f := range p.jobs {
+				f()
+			}
+		}()
+	}
+	return p
+}
+
+// close drains and stops the helpers. Safe only after every dispatched job
+// has completed (each fill waits for its own jobs before returning).
+func (p *fillPool) close() {
+	close(p.jobs)
+	p.wg.Wait()
+}
+
+// fillScratch is one worker's odometer state — digit vector, row indices, the
+// base vector and the fast rows' sum — held by the solve, one per worker, and
+// grown per fill, so the many chunks of a big fill don't each allocate four
+// slices. It holds indices and its own buffers only: the current rows are
+// re-sliced from their source tables where they are read, so a scratch never
+// pins a freed table, and the scan's inner loops store no pointer into the
+// heap. A chunk fully initializes what it reads (digits are zeroed
+// explicitly: scans only position a subset of them).
+type fillScratch struct {
+	digits []int
+	ridx   []int64
+	base   []float64
+	sum    []float64
+}
+
+// grown is s resliced to n elements, or a new slice where s is too short.
+// A new slice's capacity is a multiple of 8 elements, so that the buffers of
+// two fill workers — 8-byte elements, allocated one after the other — never
+// share a cache line.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, (n+7)&^7)
+	}
+	return s[:n]
+}
+
+func (sc *fillScratch) grow(ndep, nrows, kv int) {
+	sc.digits = grown(sc.digits, ndep)
+	sc.ridx = grown(sc.ridx, nrows)
+	sc.base = grown(sc.base, kv)
+	sc.sum = grown(sc.sum, kv)
+}
+
+// cancelCheckMask sets the cancellation polling granularity inside a table
+// fill: every (cancelCheckMask+1) table entries each fill goroutine does one
+// non-blocking read of ctx.Done(). 4096 entries amortize the channel poll to
+// noise (<<1% of the scan work) while keeping worst-case cancellation
+// latency in the low milliseconds even on Transformer p=32 tables. With a
+// Background context (no Done channel) the checks compile down to a nil
+// test — the default solve path pays nothing.
+const cancelCheckMask = 4096 - 1
+
+// scan fills q, the quotient table of vertex v, by a linear argmin over the
+// representatives reps of every digit.
+func (e *exactSolve) scan(v int, q *qtable, srcs []rowSrc, rowDig [][]digUpd, reps [][]int) {
+	tlv := e.m.TLRow(v)
+	fastDigit := len(q.dims) // first digit with rows and K > 1; len(q.dims) when there is none
+	var scanDigits []int     // digits the scan odometer steps, fastest first
+	for k := range q.dims {
+		if fastDigit == len(q.dims) && len(rowDig[k]) > 0 && e.kd[k] > 1 {
+			fastDigit = k
+		}
+		if len(reps[k]) > 1 {
+			scanDigits = append(scanDigits, k)
+		}
+	}
+	// Fast rows are the ones fastDigit moves; every other row is constant
+	// between two steps of a slower digit and is hoisted, with the layer cost
+	// row, into the chunk's base vector. The split is by digit, not by class
+	// count: a fastDigit whose values all fall in one class never steps, but
+	// its rows are still summed last, so every table keeps the bits the
+	// unquotiented scan gives it.
+	var fastRows, slowRows []int
+	for s := range srcs {
+		if slices.Contains(srcs[s].digit, fastDigit) {
+			fastRows = append(fastRows, s)
+		} else {
+			slowRows = append(slowRows, s)
+		}
+	}
+	done, cancelled, stopped, scratch := e.done, &e.cancelled, e.stopped, e.scratch
+	for w := range scratch {
+		scratch[w].grow(len(q.dims), len(srcs), len(tlv))
+	}
+
+	// fillScan computes min_C over the flat range [lo, hi) of the table —
+	// the scan odometer over the representatives of every digit, first
+	// digit fastest — in worker w's scratch. A candidate's cost is summed as
+	// ((tl + slow rows in row order) + fast rows in row order); the
+	// parenthesised base is rebuilt only when a digit slower than fastDigit
+	// steps. Each entry takes the first candidate of least cost in
+	// configuration order. Ranges are disjoint and all shared state is
+	// read-only, so chunks run in parallel with byte-identical tables at any
+	// worker count and chunk size.
+	fillScan := func(w int, lo, hi int64) {
+		// A chunk claimed after cancellation returns before paying the
+		// odometer positioning.
+		if done != nil && cancelled.Load() {
+			return
+		}
+		sc := &scratch[w]
+		clear(sc.digits)
+		// digits holds each digit's position in its reps list.
+		digits, ridx, base, sum := sc.digits, sc.ridx, sc.base, sc.sum
+		row := func(s int) []float64 {
+			o := ridx[s] * int64(srcs[s].w)
+			return srcs[s].vals[o : o+int64(srcs[s].w)]
+		}
+		rebase := func() {
+			copy(base, tlv)
+			for _, s := range slowRows {
+				if f, col := row(s), srcs[s].col; col == nil {
+					for c, x := range f {
+						base[c] += x
+					}
+				} else {
+					for c, cc := range col {
+						base[c] += f[cc]
+					}
+				}
+			}
+		}
+		// Position the incremental state at flat index lo of the scan
+		// odometer.
+		rem := lo
+		clear(ridx)
+		for _, k := range scanDigits {
+			n := int64(len(reps[k]))
+			digits[k] = int(rem % n)
+			rem /= n
+			for _, u := range rowDig[k] {
+				ridx[u.i] += int64(classIn(u.cls, reps[k][digits[k]])) * u.stride
+			}
+		}
+		rebase()
+		for flat := lo; flat < hi; flat++ {
+			if flat&cancelCheckMask == 0 && stopped() {
+				return
+			}
+			best := math.Inf(1)
+			bestC := 0
+			if len(fastRows) == 1 { // the common shape, fused
+				s := fastRows[0]
+				f, col := row(s), srcs[s].col
+				if col == nil {
+					f = f[:len(base)]
+					for c, b := range base {
+						if x := b + f[c]; x < best {
+							best, bestC = x, c
+						}
+					}
+				} else {
+					col = col[:len(base)]
+					for c, b := range base {
+						if x := b + f[col[c]]; x < best {
+							best, bestC = x, c
+						}
+					}
+				}
+			} else {
+				acc := base
+				if len(fastRows) > 0 {
+					acc = sum
+					copy(acc, base)
+					for _, s := range fastRows {
+						f, col := row(s), srcs[s].col
+						for c := range acc {
+							acc[c] += f[classIn(col, c)]
+						}
+					}
+				}
+				for c, x := range acc {
+					if x < best {
+						best, bestC = x, c
+					}
+				}
+			}
+			q.cost[flat] = best
+			q.choice[flat] = int32(bestC)
+
+			// Odometer increment: the stepping digit moves to its next
+			// representative, the wrapped ones back to value 0 (class 0 of
+			// every row), updating only the rows those digits stride through.
+			slowStep := false
+			for _, k := range scanDigits {
+				r := reps[k]
+				at := digits[k]
+				if at+1 < len(r) {
+					digits[k] = at + 1
+					for _, u := range rowDig[k] {
+						ridx[u.i] += int64(classIn(u.cls, r[at+1])-classIn(u.cls, r[at])) * u.stride
+					}
+					slowStep = k > fastDigit
+					break
+				}
+				digits[k] = 0
+				for _, u := range rowDig[k] {
+					ridx[u.i] -= int64(classIn(u.cls, r[at])) * u.stride
+				}
+			}
+			if slowStep {
+				rebase()
+			}
+		}
+	}
+	e.parChunk(int64(len(q.cost)), fillScan)
+	e.st.States += int64(len(q.cost)) * int64(len(tlv))
+}
+
+// parChunk splits a fill's flat index range into contiguous fixed-size chunks
+// claimed off an atomic counter by the pool's helpers plus the calling
+// goroutine, handing each chunk the index of the worker that runs it (the
+// caller is worker 0), so a chunk can use that worker's scratch. Chunks write
+// disjoint output ranges, so which worker runs which chunk is irrelevant to
+// the bytes produced — results stay byte-identical at every worker count —
+// while the dynamic claiming keeps all cores busy even when one chunk's scan
+// is slower than another's.
+func (e *exactSolve) parChunk(total int64, f func(w int, lo, hi int64)) {
+	if e.nw <= 1 || total < parallelThreshold {
+		f(0, 0, total)
+		return
+	}
+	chunk := fillChunkSize(total, e.nw)
+	var next atomic.Int64
+	run := func(w int) {
+		for {
+			lo := (next.Add(1) - 1) * chunk
+			if lo >= total {
+				return
+			}
+			f(w, lo, min(lo+chunk, total))
+		}
+	}
+	helpers := min(e.nw-1, int((total+chunk-1)/chunk)-1)
+	var wg sync.WaitGroup
+	wg.Add(helpers)
+	for w := 1; w <= helpers; w++ {
+		e.pool.jobs <- func() {
+			defer wg.Done()
+			run(w)
+		}
+	}
+	run(0)
+	wg.Wait()
+}
+
+// par is parChunk for a pass that needs no scratch.
+func (e *exactSolve) par(total int64, f func(lo, hi int64)) {
+	e.parChunk(total, func(_ int, lo, hi int64) { f(lo, hi) })
+}

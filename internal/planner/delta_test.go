@@ -3,6 +3,7 @@ package planner
 import (
 	"context"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -110,22 +111,27 @@ func TestDeltaSpeedupTransformer32(t *testing.T) {
 	g1 := bm.Build(bm.Batch)
 	g2 := bm.Build(bm.Batch)
 	mutateNode(t, g2, "enc0_self_wo", 1.5)
-	opts := Options{Policy: bm.Policy(p)}
+	// One worker on both sides, so neither wall time depends on how many CPUs
+	// sibling test packages leave free.
+	opts := Options{Policy: bm.Policy(p), Workers: 1}
 	spec := machine.GTX1080Ti(p)
 
 	// Each side's wall time is the least of three rounds, cold then delta on
-	// a fresh planner each round, so one GC or a busy neighbour does not
-	// decide the ratio; the counts repeat exactly every round.
+	// a fresh planner each round, so a busy neighbour does not decide the
+	// ratio; the counts repeat exactly every round. A collection before each
+	// timed solve keeps the previous solve's garbage out of its clock.
 	var cold, delta *Result
 	coldWall, deltaWall := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	for range 3 {
 		pl := New(Config{})
+		runtime.GC()
 		t0 := time.Now()
 		cold, err = pl.Solve(context.Background(), Request{G: g1, Spec: spec, Opts: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
 		coldWall = min(coldWall, time.Since(t0))
+		runtime.GC()
 		t0 = time.Now()
 		delta, err = pl.Solve(context.Background(), Request{G: g2, Spec: spec, Opts: opts})
 		if err != nil {
