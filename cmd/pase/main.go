@@ -64,17 +64,16 @@ func main() {
 		gap      = flag.Float64("gap", 0, "beam optimality-gap target: >0 doubles the width until reached, <=0 single pass")
 		timeout  = flag.Duration("timeout", 0, "abort the solve after this long (0 = no deadline)")
 		export   = flag.String("export", "", "write the strategy as JSON to this file")
-		priority = flag.Int("priority", 0, "admission priority (higher solves first when a planner gate is saturated)")
 	)
 	flag.Parse()
 	var err error
 	if *specPath != "" {
 		err = conflictingModelFlags()
 		if err == nil {
-			err = runSpec(*specPath, *method, *width, *gap, *timeout, *export, *priority)
+			err = runSpec(*specPath, *method, *width, *gap, *timeout, *export)
 		}
 	} else {
-		err = run(*model, *gpus, *mach, *method, *width, *gap, *timeout, *export, *priority)
+		err = run(*model, *gpus, *mach, *method, *width, *gap, *timeout, *export)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pase:", err)
@@ -103,7 +102,7 @@ func withDeadline(timeout time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithCancel(context.Background())
 }
 
-func run(model string, gpus int, mach, method string, width int, gap float64, timeout time.Duration, exportPath string, priority int) error {
+func run(model string, gpus int, mach, method string, width int, gap float64, timeout time.Duration, exportPath string) error {
 	bm, err := pase.BenchmarkByName(model)
 	if err != nil {
 		return err
@@ -122,7 +121,7 @@ func run(model string, gpus int, mach, method string, width int, gap float64, ti
 	res, err := pl.Solve(ctx, pase.SolveRequest{
 		G:    g,
 		Spec: spec,
-		Opts: pase.Options{Policy: bm.Policy(gpus), Method: method, BeamWidth: width, GapTarget: gap, Priority: priority},
+		Opts: pase.Options{Policy: bm.Policy(gpus), Method: method, BeamWidth: width, GapTarget: gap},
 	})
 	if err != nil {
 		return err

@@ -19,7 +19,7 @@ import (
 // runSpec is the -spec solve path: load the file through the ingestion
 // pipeline and serve it through the same planner/report path as a registry
 // model.
-func runSpec(path, method string, width int, gap float64, timeout time.Duration, exportPath string, priority int) error {
+func runSpec(path, method string, width int, gap float64, timeout time.Duration, exportPath string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -34,7 +34,7 @@ func runSpec(path, method string, width int, gap float64, timeout time.Duration,
 	ctx, cancel := withDeadline(timeout)
 	defer cancel()
 	pl := pase.NewPlanner(pase.PlannerConfig{})
-	res, err := pl.Solve(ctx, ir.Request(pase.Options{Method: method, BeamWidth: width, GapTarget: gap, Priority: priority}))
+	res, err := pl.Solve(ctx, ir.Request(pase.Options{Method: method, BeamWidth: width, GapTarget: gap}))
 	if err != nil {
 		return err
 	}

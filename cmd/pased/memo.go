@@ -55,7 +55,7 @@ type requestMemo struct {
 }
 
 func newRequestMemo() *requestMemo {
-	return &requestMemo{entries: lru.New[memoKey, memoEntry](memoCap, nil, nil)}
+	return &requestMemo{entries: lru.New[memoKey, memoEntry](memoCap, nil)}
 }
 
 func (m *requestMemo) get(k memoKey) (memoEntry, bool) {

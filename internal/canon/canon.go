@@ -37,9 +37,6 @@ type Fingerprint [sha256.Size]byte
 // String returns the fingerprint as lowercase hex.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
-// IsZero reports whether the fingerprint is the (invalid) zero value.
-func (f Fingerprint) IsZero() bool { return f == Fingerprint{} }
-
 // Type tags. Each written value is prefixed with its tag so that adjacent
 // fields of different types can never collide byte-wise.
 const (

@@ -236,7 +236,7 @@ func TLBreakdown(n *graph.Node, c itspace.Config) Breakdown {
 // carrying u's output tensor into input slot inIdx of v, when u and v run
 // configurations cu and cv.
 //
-// Model (DESIGN.md §4.2): device indices are bit strings; each tensor dim t
+// Model: device indices are bit strings; each tensor dim t
 // is split 2^su_t ways by the producer and 2^sv_t ways by the consumer. The
 // greedy locality-maximizing assignment can always align min(su_t, sv_t)
 // index bits per dim (producer bit groups are disjoint across dims, so the

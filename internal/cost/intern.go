@@ -234,11 +234,3 @@ func (m *Model) EdgeClassFP(e int) canon.Fingerprint {
 	}
 	return m.eClassFP[e]
 }
-
-// ClassStoreHits returns how many class references this build resolved from
-// its ClassStore (zero without a store); ClassStoreMisses how many it built
-// and published; ClassStoreBytes the table bytes the hits aliased instead of
-// rebuilding.
-func (m *Model) ClassStoreHits() int64   { return m.classStoreHits }
-func (m *Model) ClassStoreMisses() int64 { return m.classStoreMiss }
-func (m *Model) ClassStoreBytes() int64  { return m.classStoreBytes }

@@ -61,15 +61,11 @@ type Model struct {
 	// info is K and the structural sharing of the tables (intern.go).
 	info ModelInfo
 
-	// Cross-request sharing state (store.go): the per-node and per-edge class
-	// fingerprints — identities of the tables, which delta re-solve compares
-	// across models — and this build's ClassStore traffic. Fingerprints are
-	// nil when interning was disabled.
-	vClassFP        []canon.Fingerprint
-	eClassFP        []canon.Fingerprint
-	classStoreHits  int64
-	classStoreMiss  int64
-	classStoreBytes int64
+	// The per-node and per-edge class fingerprints: identities of the
+	// tables, which delta re-solve compares across models. nil when
+	// interning was disabled.
+	vClassFP []canon.Fingerprint
+	eClassFP []canon.Fingerprint
 
 	edges  [][2]int
 	inSlot []int       // input slot of v fed by each edge
@@ -203,16 +199,12 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	if plan.vFPs == nil {
 		store = nil
 	}
-	var traffic storeTraffic
 	// Phase 1: configuration enumeration and layer-cost tables, one vertex
-	// class per pool task — resolved from the planner's ClassStore when one
-	// is attached, so a class already built for any earlier model (a prior
-	// sweep point, a concurrent near-duplicate request) is aliased instead of
-	// re-enumerated.
+	// class per pool task, resolved from bo.Store when one is attached.
 	classV := make([]vertexTables, len(plan.vReps))
 	classErr := make([]error, len(plan.vReps))
 	parallelFor(ctx, len(plan.vReps), func(ci int) {
-		classV[ci], classErr[ci] = resolveClass(store, &traffic, plan.vFPs, ci, func() (vertexTables, int64, error) {
+		classV[ci], classErr[ci] = resolveClass(store, plan.vFPs, ci, func() (vertexTables, int64, error) {
 			n := g.Nodes[plan.vReps[ci]]
 			cs := itspace.Enumerate(n.Space, spec.Devices, pol)
 			if len(cs) == 0 {
@@ -245,7 +237,7 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	classE := make([]*edgeTables, len(plan.eReps))
 	classErr = make([]error, len(plan.eReps))
 	parallelFor(ctx, len(plan.eReps), func(ci int) {
-		classE[ci], classErr[ci] = resolveClass(store, &traffic, plan.eFPs, ci, func() (*edgeTables, int64, error) {
+		classE[ci], classErr[ci] = resolveClass(store, plan.eFPs, ci, func() (*edgeTables, int64, error) {
 			e := plan.eReps[ci]
 			u, v := m.edges[e][0], m.edges[e][1]
 			t := txTables(g.Nodes[u], g.Nodes[v], m.inSlot[e], m.cfgs[u], m.cfgs[v], txBW, spec.LatencySec)
@@ -272,11 +264,39 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 			m.eClassFP[e] = plan.eFPs[plan.eClass[e]]
 		}
 	}
-	m.classStoreHits = traffic.hits.Load()
-	m.classStoreMiss = traffic.misses.Load()
-	m.classStoreBytes = traffic.bytes.Load()
 	m.computeInfo(plan)
 	return m, nil
+}
+
+// vertexTables is a vertex class's enumeration and layer-cost row.
+type vertexTables struct {
+	cfgs []itspace.Config
+	tl   []float64
+}
+
+// configBytes estimates the resident bytes of a config list: the slice
+// headers plus each configuration's int backing.
+func configBytes(cfgs []itspace.Config) int64 {
+	b := int64(len(cfgs)) * 24
+	for _, c := range cfgs {
+		b += int64(len(c)) * 8
+	}
+	return b
+}
+
+// resolveClass returns the tables of class ci: built directly when store is
+// nil, else resolved from the store under fps[ci].
+func resolveClass[T any](store *ClassStore, fps []canon.Fingerprint, ci int, build func() (T, int64, error)) (T, error) {
+	if store == nil {
+		val, _, err := build()
+		return val, err
+	}
+	val, err := store.resolve(fps[ci], func() (any, int64, error) { return build() })
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return val.(T), nil
 }
 
 // buildErr is what a finished build phase reports: the cancellation cause
@@ -291,6 +311,40 @@ func buildErr(ctx context.Context, classErr []error) error {
 		}
 	}
 	return nil
+}
+
+// edgeTables is an edge class's TX table, with each side's reps: repU[cu]
+// is the first producer configuration whose row of tab is cu's (the same
+// quotient vector), repV[cv] the first consumer configuration whose column
+// is cv's, and max the table's largest cell. The class stores one
+// orientation; its transpose is built by the first caller that asks for it
+// (transposed), once, and every model aliasing the class reads that slice.
+type edgeTables struct {
+	tab  []float64
+	repU []int32
+	repV []int32
+	max  float64
+
+	tOnce sync.Once
+	tabT  []float64
+}
+
+// transposed returns the producer-minor transpose of tab,
+// tabT[cv·ku+cu] = tab[cu·kv+cv], building it on the first call. The Once
+// orders the build before every read, so concurrent callers, from any model
+// aliasing the class, get the same slice.
+func (t *edgeTables) transposed() []float64 {
+	t.tOnce.Do(func() {
+		ku, kv := len(t.repU), len(t.repV)
+		tabT := make([]float64, len(t.tab))
+		for cu := range ku {
+			for cv, c := range t.tab[cu*kv : cu*kv+kv] {
+				tabT[cv*ku+cu] = c
+			}
+		}
+		t.tabT = tabT
+	})
+	return t.tabT
 }
 
 // txSide is one side of an edge's TX table. Per configuration c it holds the

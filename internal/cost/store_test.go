@@ -57,9 +57,9 @@ func compareTables(t *testing.T, m, o *Model) {
 	}
 }
 
-// Store-resolved builds must be byte-identical to the store-less build — the
-// planner's DisableClassStore oracle — on every paper benchmark, whether the
-// build populated the store (cold) or aliased it end to end (warm).
+// Store-resolved builds must be byte-identical to the store-less build on
+// every paper benchmark, whether the build populated the store (cold) or
+// aliased it end to end (warm).
 func TestClassStoreBuildsByteIdenticalToOracle(t *testing.T) {
 	const p = 8
 	for _, bm := range models.Benchmarks() {
@@ -79,31 +79,27 @@ func TestClassStoreBuildsByteIdenticalToOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			afterCold := store.Stats()
 			warm, err := NewModelWith(context.Background(), g, spec, pol, BuildOptions{Store: store})
 			if err != nil {
 				t.Fatal(err)
 			}
+			afterWarm := store.Stats()
 			compareTables(t, cold, oracle)
 			compareTables(t, warm, oracle)
-			if cold.ClassStoreHits() != 0 {
-				t.Errorf("cold build hit the store %d times, want 0", cold.ClassStoreHits())
+			// One lookup per vertex class and per edge class: the cold build
+			// misses every one, the warm build hits every one.
+			classes := int64(cold.Info().VertexClasses + cold.Info().EdgeClasses)
+			if afterCold.Hits != 0 || afterCold.Misses != classes {
+				t.Errorf("cold build: %d hits, %d misses, want 0 and %d vertex + %d edge classes",
+					afterCold.Hits, afterCold.Misses, cold.Info().VertexClasses, cold.Info().EdgeClasses)
 			}
-			// Two entry kinds and nothing else: one entry, and one miss, per
-			// vertex class and per edge class.
-			classes := cold.Info().VertexClasses + cold.Info().EdgeClasses
-			if st := store.Stats(); st.Entries != classes || st.Misses != int64(classes) {
-				t.Errorf("store holds %d entries after %d misses, want %d vertex + %d edge classes of each",
-					st.Entries, st.Misses, cold.Info().VertexClasses, cold.Info().EdgeClasses)
+			if hits, misses := afterWarm.Hits-afterCold.Hits, afterWarm.Misses-afterCold.Misses; hits != classes || misses != 0 {
+				t.Errorf("warm build: %d hits, %d misses, want %d and 0 (every class built once ever)", hits, misses, classes)
 			}
-			if warm.ClassStoreMisses() != 0 {
-				t.Errorf("warm build missed the store %d times, want 0 (every class built once ever)", warm.ClassStoreMisses())
-			}
-			if warm.ClassStoreHits() != cold.ClassStoreMisses() {
-				t.Errorf("warm hits %d != cold misses %d: reference sets differ between identical builds",
-					warm.ClassStoreHits(), cold.ClassStoreMisses())
-			}
-			if warm.ClassStoreBytes() <= 0 {
-				t.Errorf("warm build aliased %d bytes, want > 0", warm.ClassStoreBytes())
+			if afterCold.Bytes <= 0 || afterWarm.Bytes != afterCold.Bytes {
+				t.Errorf("store holds %d bytes after the cold build and %d after the warm, want the same, > 0",
+					afterCold.Bytes, afterWarm.Bytes)
 			}
 		})
 	}
@@ -118,19 +114,15 @@ func TestClassStoreIgnoredWithoutInterning(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := bm.Build(bm.Batch)
-	m, err := NewModelWith(context.Background(), g, machine.GTX1080Ti(4), bm.Policy(4), BuildOptions{
+	_, err = NewModelWith(context.Background(), g, machine.GTX1080Ti(4), bm.Policy(4), BuildOptions{
 		Store:            store,
 		DisableInterning: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ClassStoreHits() != 0 || m.ClassStoreMisses() != 0 {
-		t.Errorf("DisableInterning build touched the store (%d hits, %d misses), want untouched",
-			m.ClassStoreHits(), m.ClassStoreMisses())
-	}
-	if st := store.Stats(); st.Entries != 0 {
-		t.Errorf("store holds %d entries after a DisableInterning build, want 0", st.Entries)
+	if st := store.Stats(); st != (ClassStoreStats{}) {
+		t.Errorf("DisableInterning build touched the store (%+v), want untouched", st)
 	}
 }
 
@@ -150,15 +142,17 @@ func TestClassStoreSharesAcrossDistinctGraphValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := store.Stats()
 	m2, err := NewModelWith(context.Background(), bm.Build(bm.Batch), spec, pol, BuildOptions{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.ClassStoreMisses() != 0 {
-		t.Fatalf("second build of an identical graph value missed %d classes, want 0", m2.ClassStoreMisses())
+	after := store.Stats()
+	if misses := after.Misses - before.Misses; misses != 0 {
+		t.Fatalf("second build of an identical graph value missed %d classes, want 0", misses)
 	}
-	if want := int64(m2.Info().VertexClasses + m2.Info().EdgeClasses); m2.ClassStoreHits() != want {
-		t.Fatalf("second build hit %d classes, want every one of its %d", m2.ClassStoreHits(), want)
+	if hits, want := after.Hits-before.Hits, int64(m2.Info().VertexClasses+m2.Info().EdgeClasses); hits != want {
+		t.Fatalf("second build hit %d classes, want every one of its %d", hits, want)
 	}
 	// The hit tables must be the SAME backing arrays, not copies.
 	for v := 0; v < m1.G.Len(); v++ {
@@ -177,67 +171,9 @@ func TestClassStoreSharesAcrossDistinctGraphValues(t *testing.T) {
 	}
 }
 
-// Eviction must be deterministic: the same reference sequence against the
-// same tiny budget produces the same hit/miss/eviction counts and the same
-// surviving entries, run after run. Driven through getOrBuild directly so
-// the sequence (unlike a parallel model build's publish order) is exactly
-// reproducible.
-func TestClassStoreEvictionDeterministic(t *testing.T) {
-	fp := func(i int) canon.Fingerprint {
-		w := canon.NewWriter()
-		w.Label("test.class")
-		w.Int(i)
-		return w.Sum()
-	}
-	// 10 entries of 100 bytes against a 450-byte budget: a strict LRU keeps
-	// the last four referenced, evicting in insertion order.
-	run := func() (ClassStoreStats, []bool) {
-		store := NewClassStore(450)
-		seq := []int{0, 1, 2, 3, 4, 0, 5, 6, 7, 8, 9, 0}
-		for _, i := range seq {
-			if _, _, _, err := store.getOrBuild(fp(i), func() (any, int64, error) {
-				return i, 100, nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		resident := make([]bool, 10)
-		store.mu.Lock()
-		for i := range resident {
-			_, resident[i] = store.cache.Get(fp(i))
-		}
-		store.mu.Unlock()
-		return store.Stats(), resident
-	}
-	s1, r1 := run()
-	s2, r2 := run()
-	if s1 != s2 {
-		t.Fatalf("eviction stats not deterministic:\n run 1: %+v\n run 2: %+v", s1, s2)
-	}
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			t.Fatalf("surviving entries differ between runs at class %d", i)
-		}
-	}
-	if s1.Evictions == 0 {
-		t.Fatalf("no evictions under a 450-byte budget: %+v", s1)
-	}
-	if s1.Bytes > 450 {
-		t.Fatalf("store settled at %d bytes, budget 450", s1.Bytes)
-	}
-	// The LRU shape itself: the last four referenced classes (0 was
-	// re-referenced last) survive.
-	want := []bool{true, false, false, false, false, false, false, true, true, true}
-	for i, w := range want {
-		if r1[i] != w {
-			t.Fatalf("class %d resident=%v, want %v (survivors %v)", i, r1[i], w, r1)
-		}
-	}
-}
-
 // A model build through a store whose budget is far below the model's class
-// bytes must still be byte-identical to the oracle — eviction only forgets
-// entries for future builds, never invalidates aliased tables.
+// bytes must still be byte-identical to the oracle: the budget refuses
+// inserts, and a refused class is built again by the next build.
 func TestClassStoreTinyBudgetBuildStillExact(t *testing.T) {
 	bm, err := models.ByName("rnnlm")
 	if err != nil {
@@ -250,7 +186,8 @@ func TestClassStoreTinyBudgetBuildStillExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewClassStore(2 << 10)
+	const budget = 2 << 10
+	store := NewClassStore(budget)
 	for i := 0; i < 3; i++ {
 		m, err := NewModelWith(context.Background(), g, spec, pol, BuildOptions{Store: store})
 		if err != nil {
@@ -258,59 +195,70 @@ func TestClassStoreTinyBudgetBuildStillExact(t *testing.T) {
 		}
 		compareTables(t, m, oracle)
 	}
-	if st := store.Stats(); st.Evictions == 0 {
-		t.Errorf("no evictions under a 2 KiB budget: %+v", st)
+	classes := int64(oracle.Info().VertexClasses + oracle.Info().EdgeClasses)
+	if st := store.Stats(); st.Bytes > budget || st.Misses <= classes {
+		t.Errorf("under a 2 KiB budget: %+v, want at most %d bytes and more than %d misses (refused classes rebuilt)",
+			st, budget, classes)
 	}
 }
 
-// Concurrent builds needing the same classes must singleflight: with N
-// goroutines racing the same model build through one store, every class is
-// built exactly once and every build's tables are byte-identical to the
-// store-less oracle. Run under -race this is also the store's data-race
-// check.
-func TestClassStoreConcurrentBuildsSingleflight(t *testing.T) {
-	bm, err := models.ByName("transformer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := bm.Build(bm.Batch)
-	spec := machine.GTX1080Ti(8)
-	pol := bm.Policy(8)
-	oracle, err := NewModelWith(context.Background(), g, spec, pol, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+// Goroutines building overlapping registry models through one store, under
+// -race the store's data-race check: every model is byte-identical to its
+// store-less build, models sharing a class fingerprint alias one slice
+// (a builder that lost a race to publish adopts the published tables), and
+// the store counts exactly one hit or miss per class lookup.
+func TestClassStoreConcurrentBuildsAlias(t *testing.T) {
+	const p = 8
+	spec := machine.GTX1080Ti(p)
+	names := []string{"gptdeep:2", "gptdeep:3", "transformer", "gptdeep:3", "transformer", "gptdeep:2"}
 	store := NewClassStore(0)
-	const n = 8
-	ms := make([]*Model, n)
-	errs := make([]error, n)
+	ms := make([]*Model, len(names))
+	errs := make([]error, len(names))
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i, name := range names {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			ms[i], errs[i] = NewModelWith(context.Background(), g, spec, pol, BuildOptions{Store: store})
-		}(i)
+			bm, err := models.ByName(name)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			ms[i], errs[i] = NewModelWith(context.Background(), bm.Build(bm.Batch), spec, bm.Policy(p), BuildOptions{Store: store})
+		}()
 	}
 	wg.Wait()
-	var refs int64
-	for i := 0; i < n; i++ {
+	var lookups int64
+	tl := map[canon.Fingerprint]*float64{}
+	tx := map[canon.Fingerprint]*float64{}
+	for i, m := range ms {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		compareTables(t, ms[i], oracle)
-		refs += ms[i].ClassStoreHits() + ms[i].ClassStoreMisses()
+		bm, _ := models.ByName(names[i])
+		oracle, err := NewModelWith(context.Background(), bm.Build(bm.Batch), spec, bm.Policy(p), BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareTables(t, m, oracle)
+		lookups += int64(m.Info().VertexClasses + m.Info().EdgeClasses)
+		for v := 0; v < m.G.Len(); v++ {
+			row := &m.TLRow(v)[0]
+			if prev, ok := tl[m.VertexClassFP(v)]; ok && prev != row {
+				t.Fatalf("%s node %d: TL row not aliased with an earlier model's of its class", names[i], v)
+			}
+			tl[m.VertexClassFP(v)] = row
+		}
+		for e := range m.Edges() {
+			tab, _ := m.EdgeTable(e)
+			if prev, ok := tx[m.EdgeClassFP(e)]; ok && prev != &tab[0] {
+				t.Fatalf("%s edge %d: TX table not aliased with an earlier model's of its class", names[i], e)
+			}
+			tx[m.EdgeClassFP(e)] = &tab[0]
+		}
 	}
-	st := store.Stats()
-	if st.Hits+st.Misses != refs {
-		t.Errorf("store counted %d references, builds report %d", st.Hits+st.Misses, refs)
-	}
-	// Exactly one build per distinct class across all N racers.
-	if int(st.Misses) != st.Entries {
-		t.Errorf("%d misses but %d entries: some class was built more than once", st.Misses, st.Entries)
-	}
-	if want := refs - st.Misses; st.Hits != want {
-		t.Errorf("hits %d, want total references minus distinct classes = %d", st.Hits, want)
+	if st := store.Stats(); st.Hits+st.Misses != lookups {
+		t.Errorf("store counted %d hits + %d misses, want %d class lookups", st.Hits, st.Misses, lookups)
 	}
 }
 
@@ -331,8 +279,8 @@ func TestEdgeTableTSharedAcrossAliasingModels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ms[1].ClassStoreMisses() != 0 {
-		t.Fatalf("second build missed %d classes: the models alias nothing", ms[1].ClassStoreMisses())
+	if st, classes := store.Stats(), int64(ms[0].Info().VertexClasses+ms[0].Info().EdgeClasses); st.Misses != classes {
+		t.Fatalf("%d misses over two identical builds of %d classes: the models alias nothing", st.Misses, classes)
 	}
 	ne := len(ms[0].Edges())
 	const readers = 4

@@ -258,11 +258,11 @@ func New(cfg Config) *Planner {
 			MaxQueue:    cfg.MaxQueue,
 		})
 	}
-	p.results = lru.New(int64(cfg.resultCacheSize()), nil, func(canon.Fingerprint, *Result) {
+	p.results = lru.New(cfg.resultCacheSize(), func(canon.Fingerprint, *Result) {
 		p.stats.ResultEvictions++
 	})
 	if n := cfg.deltaCacheSize(); n > 0 {
-		p.deltas = lru.New[canon.Fingerprint, *deltaEntry](int64(n), nil, nil)
+		p.deltas = lru.New[canon.Fingerprint, *deltaEntry](n, nil)
 	}
 	return p
 }
