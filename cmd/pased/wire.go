@@ -92,7 +92,8 @@ type solveResponse struct {
 	TableBytes       int64 `json:"table_bytes"`
 	SharedTableBytes int64 `json:"shared_table_bytes"`
 	// DeltaResolve reports the solve was served incrementally from a
-	// retained DP snapshot (only the changed tables re-filled).
+	// retained DP snapshot (only the tables whose content keys changed
+	// filled).
 	DeltaResolve bool `json:"delta_resolve"`
 	// Gap / Exact / BeamWidth report the anytime-beam contract: the true
 	// optimum lies in [cost_seconds/(1+gap), cost_seconds]; exact marks

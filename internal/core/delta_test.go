@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pase/internal/cost"
@@ -13,25 +16,35 @@ import (
 	"pase/internal/seq"
 )
 
-// dirtyFromModels marks every vertex whose class fingerprint (or an
-// incident edge's) differs between two same-topology models — the planner's
-// delta detection, reproduced here for direct Resolve tests.
-func dirtyFromModels(t *testing.T, old, new *cost.Model) []bool {
+// missingKeys reports, per position of the snapshot's ordering, whether
+// position i's table key under m is one the snapshot does not hold — the
+// positions a Resolve over m fills (once per class).
+func missingKeys(t *testing.T, snap *Snapshot, m *cost.Model) []bool {
 	t.Helper()
-	n := new.G.Len()
-	dirty := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if old.VertexClassFP(v) != new.VertexClassFP(v) {
-			dirty[v] = true
+	_, keys, err := newFrame(context.Background(), m, snap.sq, snap.subsets, Options{}, "").tableClasses()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := snap.held(m)
+	missing := make([]bool, len(keys))
+	for i, k := range keys {
+		missing[i] = held[k] == nil
+	}
+	return missing
+}
+
+// filledClasses counts the classes of m's tables over the snapshot's
+// ordering whose keys the snapshot does not hold: the fills a Resolve runs.
+func filledClasses(t *testing.T, snap *Snapshot, m *cost.Model) int {
+	t.Helper()
+	rep := classesOf(t, m, snap.sq, snap.subsets)
+	n := 0
+	for i, miss := range missingKeys(t, snap, m) {
+		if miss && rep[i] == i {
+			n++
 		}
 	}
-	for e, uv := range new.Edges() {
-		if old.EdgeClassFP(e) != new.EdgeClassFP(e) {
-			dirty[uv[0]] = true
-			dirty[uv[1]] = true
-		}
-	}
-	return dirty
+	return n
 }
 
 // requireSameResult requires byte-identical cost, choices, and strategy.
@@ -61,7 +74,7 @@ func TestResolveAllCleanFillsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, _, err := Resolve(context.Background(), m, snap, make([]bool, g.Len()), Options{})
+	re, _, err := Resolve(context.Background(), m, snap, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +122,12 @@ func TestResolveMatchesFullSolveOnRandomGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dirty := dirtyFromModels(t, m1, m2)
 		oracle, err := Solve(context.Background(), m2, seq.Generate(g2), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range workerCounts {
-			re, snap2, err := Resolve(context.Background(), m2, snap, dirty, Options{Workers: workers})
+			re, snap2, err := Resolve(context.Background(), m2, snap, nil, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +140,7 @@ func TestResolveMatchesFullSolveOnRandomGraphs(t *testing.T) {
 			}
 			// Chain: a second delta re-solve from the NEW snapshot (same
 			// model, all clean) must still agree.
-			re2, _, err := Resolve(context.Background(), m2, snap2, make([]bool, n), Options{Workers: workers})
+			re2, _, err := Resolve(context.Background(), m2, snap2, nil, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,13 +176,12 @@ func TestResolveMatchesFullSolveOnPaperBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dirty := dirtyFromModels(t, m1, m2)
 			oracle, err := Solve(context.Background(), m2, seq.Generate(g2), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range workerCounts {
-				re, _, err := Resolve(context.Background(), m2, snap, dirty, Options{Workers: workers})
+				re, _, err := Resolve(context.Background(), m2, snap, nil, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,8 +192,8 @@ func TestResolveMatchesFullSolveOnPaperBenchmarks(t *testing.T) {
 }
 
 // EstimateDelta must agree with what Resolve then actually fills: the
-// estimated dirty entries equal the filled table entries, the total equals
-// the full solve's TotalEntries.
+// estimated missing entries equal the filled table entries, the total equals
+// the solve's TotalEntries.
 func TestEstimateDeltaMatchesResolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	seed := rng.Int63()
@@ -203,30 +214,33 @@ func TestEstimateDeltaMatchesResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty := dirtyFromModels(t, m1, m2)
-	est, total := snap.EstimateDelta(m2, dirty)
+	est, total := snap.EstimateDelta(m2, nil)
 	if total != full.Stats.TotalEntries {
 		t.Errorf("EstimateDelta total %d != solve TotalEntries %d", total, full.Stats.TotalEntries)
 	}
-	re, _, err := Resolve(context.Background(), m2, snap, dirty, Options{})
+	re, _, err := Resolve(context.Background(), m2, snap, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if est == 0 || est == total {
+		t.Errorf("EstimateDelta %d of %d entries: want a partial re-solve", est, total)
 	}
 	if filled := re.Stats.TotalEntries - re.Stats.ReusedEntries; est != filled {
 		t.Errorf("EstimateDelta dirty %d != actually filled %d", est, filled)
 	}
 }
 
-// Resolve against a snapshot whose table shapes no longer match the model
-// (an unsound dirty set) must fail loudly, not silently reuse wrong tables.
-func TestResolveUnsoundDirtySetFails(t *testing.T) {
+// A Space size edit changes a vertex's configuration count, and with it the
+// shape of every table it is a digit of. Resolve keys tables by content, K
+// included, so this is a delta like any other: the result and every table
+// are a fresh solve's, bit for bit, and only the positions whose key changed
+// are filled.
+func TestResolveAcrossAConfigurationCountChange(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	seed := rng.Int63()
 	build := func() *graph.Graph { return randomDNNGraph(rand.New(rand.NewSource(seed)), 8) }
 	g1, g2 := build(), build()
-	// Change a node's SPACE size: its config count changes, so its DP tables
-	// change shape. An (incorrectly) all-clean dirty set must be rejected.
-	g2.Nodes[3].Space[1].Size *= 2
+	g2.Nodes[3].Space[1].Size = 2 // splits two ways at most: fewer configurations
 	spec := machine.Uniform(8, 1e12, 1e10)
 	m1, err := cost.NewModelWith(context.Background(), g1, spec, itspace.EnumPolicy{}, cost.BuildOptions{})
 	if err != nil {
@@ -237,13 +251,130 @@ func TestResolveUnsoundDirtySetFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m1.K(3) == m2.K(3) {
-		t.Skip("space change did not change the config count; pick a different delta")
+		t.Fatalf("the Space edit left K(3) at %d", m1.K(3))
 	}
-	_, snap, err := SolveRetain(context.Background(), m1, seq.Generate(g1), Options{})
+	sq := seq.Generate(g1)
+	_, snap, err := SolveRetain(context.Background(), m1, sq, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Resolve(context.Background(), m2, snap, make([]bool, 8), Options{}); err == nil {
-		t.Fatal("Resolve accepted a snapshot with mismatched table shapes")
+	fresh, freshSnap, err := SolveRetain(context.Background(), m2, sq, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	want := filledClasses(t, snap, m2)
+	for _, workers := range workerCounts {
+		label := fmt.Sprintf("K %d → %d, workers %d", m1.K(3), m2.K(3), workers)
+		re, reSnap, err := Resolve(context.Background(), m2, snap, nil, Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireSameResult(t, label, re, fresh)
+		if !slices.Equal(re.Idx, fresh.Idx) {
+			t.Fatalf("%s: choices %v, fresh %v", label, re.Idx, fresh.Idx)
+		}
+		requireSameSnapshots(t, label, reSnap, freshSnap)
+		if re.Stats.DirtyPositions != want || want == 0 || re.Stats.ReusedEntries == 0 {
+			t.Fatalf("%s: filled %d positions and kept %d entries; %d keys changed, want a partial re-solve",
+				label, re.Stats.DirtyPositions, re.Stats.ReusedEntries, want)
+		}
+	}
+}
+
+// A model built without class fingerprints names its tables by index, which
+// says nothing about their bytes — the tests' adversarial models write cells
+// after the build — so Resolve over it keeps no table of any snapshot, its
+// own model's included, and equals a cold solve.
+func TestResolveWithoutFingerprintsKeepsNothing(t *testing.T) {
+	g := randomDNNGraph(rand.New(rand.NewSource(29)), 10)
+	spec := machine.Uniform(8, 1e12, 1e10)
+	sq := seq.Generate(g)
+	var snaps []*Snapshot
+	for _, bo := range []cost.BuildOptions{{}, {DisableInterning: true}} {
+		m, err := cost.NewModelWith(context.Background(), g, spec, itspace.EnumPolicy{}, bo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, snap, err := SolveRetain(context.Background(), m, sq, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+	}
+	mo, err := cost.NewModelWith(context.Background(), g, spec, itspace.EnumPolicy{}, cost.BuildOptions{DisableInterning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Solve(context.Background(), mo, sq, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, snap := range snaps {
+		re, _, err := Resolve(context.Background(), mo, snap, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, fmt.Sprintf("snapshot %d", i), re, cold)
+		if re.Stats.ReusedEntries != 0 || re.Stats.DirtyPositions != len(sq.Order) {
+			t.Errorf("snapshot %d: kept %d entries and filled %d of %d positions, want none kept",
+				i, re.Stats.ReusedEntries, re.Stats.DirtyPositions, len(sq.Order))
+		}
+	}
+}
+
+// FuzzResolveMatchesSolve edits one vertex of a random layer graph — its
+// FLOPs, the scale of a tensor it reads, or the size of a dimension — and
+// requires Resolve against the unedited model's snapshot to equal a fresh
+// solve of the edited model, cost, choices and every table, at 1 and 4
+// workers.
+func FuzzResolveMatchesSolve(f *testing.F) {
+	for seed := int64(1); seed <= 12; seed++ {
+		f.Add(seed, uint8(seed), uint8(seed%3), uint8(seed*7))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size, kind, at uint8) {
+		n := 3 + int(size%10)
+		build := func() *graph.Graph { return randomDNNGraph(rand.New(rand.NewSource(seed)), n) }
+		g1, g2 := build(), build()
+		v := g2.Nodes[int(at)%n]
+		switch kind % 3 {
+		case 0:
+			v.FlopsPerPoint *= 1 + float64(1+seed%7)/4
+		case 1:
+			if len(v.Inputs) == 0 {
+				t.Skip("no tensor read")
+			}
+			v.Inputs[0].Scale = 2
+		default:
+			v.Space[int(at/16)%len(v.Space)].Size = 1 << (at % 4) // 1..8: often fewer configurations
+		}
+		spec := machine.Uniform(8, 1e12, 1e10)
+		m1, err := cost.NewModelWith(context.Background(), g1, spec, itspace.EnumPolicy{}, cost.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, err := cost.NewModelWith(context.Background(), g2, spec, itspace.EnumPolicy{}, cost.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sq := seq.Generate(g1)
+		_, snap, err := SolveRetain(context.Background(), m1, sq, Options{Workers: 1})
+		if err != nil {
+			t.Skip(err)
+		}
+		fresh, freshSnap, err := SolveRetain(context.Background(), m2, sq, Options{Workers: 1})
+		if err != nil {
+			t.Skip(err)
+		}
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("workers %d", workers)
+			re, reSnap, err := Resolve(context.Background(), m2, snap, nil, Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if math.Float64bits(re.Cost) != math.Float64bits(fresh.Cost) || !slices.Equal(re.Idx, fresh.Idx) {
+				t.Fatalf("%s: re-solve %v %v, fresh %v %v", label, re.Cost, re.Idx, fresh.Cost, fresh.Idx)
+			}
+			requireSameSnapshots(t, label, reSnap, freshSnap)
+		}
+	})
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 
+	"pase/internal/canon"
 	"pase/internal/cost"
 	"pase/internal/seq"
 )
@@ -11,87 +11,87 @@ import (
 // tableClasses groups the positions of the ordering into classes whose DP
 // tables are equal by construction: rep[i] is the first position whose table
 // is computed from the same inputs, wired the same way, as position i's
-// (rep[i] == i for a representative). A table of recurrence (4) is a function
-// of its vertex's TL row, the configuration count of every φ digit, the TX
-// table of every later neighbour and the digit that addresses it, and the
-// tables of its connected subsets with the map from each child's dependent
-// set to φ digits (after the vertex itself), TX tables and subsets in summation
-// order. The key spells out exactly that, and two positions fall into one
-// class only when their keys are the same bytes (the map compares them), so
-// the fill, its digit classes, its candidate counts and every bit of the table
-// are those of the representative's.
+// (rep[i] == i for a representative), and keys[i] is the digest of those
+// inputs. A table of recurrence (4) is a function of its vertex's TL row, the
+// configuration count of every φ digit, the TX table of every later neighbour
+// and the digit that addresses it, and the tables of its connected subsets
+// with the map from each child's dependent set to φ digits (after the vertex
+// itself), TX tables and subsets in summation order. The key spells out
+// exactly that, and two positions fall into one class only when their keys
+// are the same bytes (a map keyed by them; no hash decides), so the fill, its
+// digit classes, its candidate counts and every bit of the table are those of
+// the representative's. Each class's key is hashed once, into its digest.
 //
-// TL rows and TX tables are named by identity — first cell; the length
-// follows from the configuration counts in the key — which is what interning
-// gives repeated layers in common, a TX table also by the side the vertex
-// reads it from, which fixes its orientation. A model built without
-// interning has no two tables in common, so every position is its own class. A child is named by
-// its class, an index: this pass fixes the classes before any table exists,
-// so there is no table address to name it by. The pass reads the model, the
-// ordering and the subsets only, no table data, and wires them as the fill
-// does (eachLaterEdge, childDigits).
-func (f *frame) tableClasses() ([]int, error) {
+// Inputs are named by content: a TL row by its vertex class fingerprint, a TX
+// table by its edge class fingerprint and the side the vertex reads it from,
+// which fixes its orientation, and a child by its own key. Equal keys thus
+// mean byte-equal tables in any two models, which is what lets Resolve keep a
+// snapshot's table under the same key (hash-consing). Within a model this
+// groups the positions that read the same interned tables: interning and
+// elimination share a table exactly when the fingerprints match. A model
+// built without interning has no fingerprints; its rows and tables are named
+// by vertex and edge index, so every position is its own class, and such
+// keys are never compared across models (see named). The pass reads the
+// model, the ordering and the subsets only, no table data, and wires them as
+// the fill does (eachLaterEdge, childDigits).
+func (f *frame) tableClasses() (rep []int, keys []canon.Fingerprint, err error) {
 	m, sq := f.m, f.sq
 	n := len(sq.Order)
-	rep := make([]int, n)
-	tables := make(map[*float64]int64)
-	var key []byte
-	put := func(x int64) { key = binary.AppendVarint(key, x) }
-	putTable := func(vals []float64) {
-		id, ok := tables[&vals[0]]
-		if !ok {
-			id = int64(len(tables))
-			tables[&vals[0]] = id
-		}
-		put(id)
-	}
+	rep, keys = make([]int, n), make([]canon.Fingerprint, n)
+	byName := named(m)
+	w := canon.NewRecorder()
 	var digits []int
 	seen := make(map[string]int, n)
 	for i, v := range sq.Order {
-		key = key[:0]
-		putTable(m.TLRow(v))
-		put(int64(m.K(v)))
-		put(int64(len(sq.Dep[i])))
+		w.Truncate(0)
+		w.Label("core.table-key/v1")
+		if byName {
+			w.FP(m.VertexClassFP(v))
+		} else {
+			w.Int(v)
+		}
+		w.Int(m.K(v))
+		w.Len(len(sq.Dep[i]))
 		f.setDigits(i)
 		for _, k := range f.kd {
-			put(int64(k))
+			w.Int(k)
 		}
-		err := f.eachLaterEdge(i, func(ie cost.IncEdge, dg int) {
-			// The stored table and the side the fill reads it from name
-			// txRows' orientation without building a transpose.
-			vals, _ := m.EdgeTable(ie.E)
-			putTable(vals)
-			if ie.VIsU {
-				put(1)
+		err = f.eachLaterEdge(i, func(ie cost.IncEdge, dg int) {
+			if byName {
+				w.FP(m.EdgeClassFP(ie.E))
 			} else {
-				put(0)
+				w.Int(ie.E)
 			}
-			put(int64(dg))
+			w.Bool(ie.VIsU)
+			w.Int(dg)
 		})
-		put(-1) // no table has this id: the TX sources end here
+		w.Len(len(f.subsets[i])) // the TX sources end here
 		for _, sub := range f.subsets[i] {
 			j := f.child(sub)
 			if err == nil {
 				digits, err = f.childDigits(i, j, digits)
 			}
-			put(int64(rep[j])) // D(j)'s size is part of the child's own key
-			for _, dg := range digits {
-				put(int64(dg))
-			}
+			w.FP(keys[j]) // D(j)'s size is part of the child's own key
+			w.Ints(digits)
 		}
 		f.resetDigits(i)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		r, ok := seen[string(key)]
+		r, ok := seen[string(w.Bytes())]
 		if !ok {
 			r = i
-			seen[string(key)] = i
+			seen[string(w.Bytes())] = i
+			keys[i] = w.Sum()
 		}
-		rep[i] = r
+		rep[i], keys[i] = r, keys[r]
 	}
-	return rep, nil
+	return rep, keys, nil
 }
+
+// named reports whether m's tables carry class fingerprints, so that table
+// keys name content and may be compared across models.
+func named(m *cost.Model) bool { return m.VertexClassFP(0) != canon.Fingerprint{} }
 
 // freePlan is the liveness plan the exact and the beam solver share:
 // freeAt[i] lists the positions whose cost table is last read by position i's
@@ -143,7 +143,7 @@ func (e *exactSolve) plan() error {
 	m, sq := e.m, e.sq
 	n := len(sq.Order)
 	var err error
-	if e.rep, err = e.tableClasses(); err != nil {
+	if e.rep, e.keys, err = e.tableClasses(); err != nil {
 		return err
 	}
 	e.freeAt = freePlan(sq, e.subsets, e.rep)

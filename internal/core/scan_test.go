@@ -699,13 +699,14 @@ func TestStatesIdenticalAcrossWorkersAndChunkSizes(t *testing.T) {
 	}
 }
 
-// Resolve runs the same kernel over the dirty closure only: after a random
-// single-vertex edit it must equal a fresh solve of the edited model in cost,
-// in every choice, and in every table — re-filled or reused — also where the
-// closure crosses a vertex whose scans are shared between merged digit values
-// (the cost model's own TX tables have such values) and the tables it
-// re-fills are read, in turn, by clean and dirty neighbours — a dirty reader
-// indexing a clean child through the classes the old snapshot stored with it.
+// Resolve runs the same kernel over the tables whose keys changed only: after
+// a random single-vertex edit it must equal a fresh solve of the edited model
+// in cost, in every choice, and in every table — re-filled or reused — also
+// where the re-filled positions cross a vertex whose scans are shared between
+// merged digit values (the cost model's own TX tables have such values) and
+// the tables it re-fills are read, in turn, by kept and re-filled neighbours
+// — a re-filled reader indexing a kept child through the classes the old
+// snapshot stored with it.
 func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 	crossed, throughOldClasses := 0, 0
 	for trial := 0; trial < 20; trial++ {
@@ -733,10 +734,9 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dirtyV := dirtyFromModels(t, m1, m2)
 		_, _, shapes := naiveTables(m2, sq)
-		posDirty := snap.posDirty(dirtyV)
-		for i, dirty := range posDirty {
+		missing := missingKeys(t, snap, m2)
+		for i, dirty := range missing {
 			for d := range shapes[i].k {
 				if dirty && shapes[i].merged(d) {
 					crossed++
@@ -745,14 +745,14 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 			}
 			for _, sub := range snap.subsets[i] {
 				j := sq.Pos[sub[len(sub)-1]]
-				if dirty && !posDirty[j] && slices.ContainsFunc(snap.tbl[j].classOf, func(c []int32) bool { return c != nil }) {
+				if dirty && !missing[j] && slices.ContainsFunc(snap.tbl[j].classOf, func(c []int32) bool { return c != nil }) {
 					throughOldClasses++
 				}
 			}
 		}
 		for _, workers := range workerCounts {
 			label := fmt.Sprintf("trial %d workers %d", trial, workers)
-			re, reSnap, err := Resolve(context.Background(), m2, snap, dirtyV, Options{Workers: workers})
+			re, reSnap, err := Resolve(context.Background(), m2, snap, nil, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

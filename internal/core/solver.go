@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"time"
 
+	"pase/internal/canon"
 	"pase/internal/cost"
 	"pase/internal/graph"
 	"pase/internal/seq"
@@ -170,7 +171,7 @@ type Result struct {
 // milliseconds, worker goroutines always drain before Solve returns (no
 // leaks), and a Background context costs the hot loop nothing.
 func Solve(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (*Result, error) {
-	res, _, err := solveExact(ctx, m, sq, opts, nil, nil, false)
+	res, _, err := solveExact(ctx, m, sq, opts, nil, false)
 	return res, err
 }
 
@@ -190,47 +191,45 @@ func Admit(m *cost.Model, sq *seq.Sequence, opts Options) error {
 // price is that one quotient table per table class stays resident (outside
 // the MaxTableEntries budget) for as long as the snapshot is held.
 func SolveRetain(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (*Result, *Snapshot, error) {
-	return solveExact(ctx, m, sq, opts, nil, nil, true)
+	return solveExact(ctx, m, sq, opts, nil, true)
 }
 
-// Resolve re-solves against model m reusing a prior solve's snapshot:
-// positions outside the dirty closure of dirtyV (per-vertex, true where the
-// vertex's cost tables changed between the snapshot's model and m) keep
-// their snapshot tables verbatim; only the closure is re-filled. The caller
-// must guarantee m's graph has the snapshot's topology (same node count and
-// edge list — the ordering is then identical) and that dirtyV is sound:
-// every vertex whose TL row, configuration list, or incident TX tables
-// differ from the snapshot's model must be marked. Under those conditions
-// the result is byte-identical to a fresh Solve over m — clean tables would
-// be re-filled to the same bytes — and a fresh Snapshot (sharing clean
-// tables with the old one) is returned for the next delta.
+// Resolve re-solves against model m reusing a prior solve's snapshot: every
+// table whose key (see tableClasses) the snapshot holds is kept verbatim, and
+// only the rest are filled, so the result, and the snapshot it returns, are
+// byte-identical to a fresh SolveRetain over m and the snapshot's ordering,
+// whatever changed between the two models — a configuration count included.
+// The caller must guarantee that the ordering is m's: m's graph has the
+// snapshot's topology (same node count and edge list). A model without class
+// fingerprints keeps nothing. dirtyV is ignored: the keys decide what is
+// filled. The new snapshot shares the kept tables with the old one.
 func Resolve(ctx context.Context, m *cost.Model, snap *Snapshot, dirtyV []bool, opts Options) (*Result, *Snapshot, error) {
 	if snap == nil {
 		return nil, nil, fmt.Errorf("core: nil snapshot")
 	}
-	n := m.G.Len()
-	if len(snap.sq.Order) != n || len(dirtyV) != n {
-		return nil, nil, fmt.Errorf("core: snapshot covers %d vertices, model has %d (dirty set %d)", len(snap.sq.Order), n, len(dirtyV))
+	if n := m.G.Len(); len(snap.sq.Order) != n {
+		return nil, nil, fmt.Errorf("core: snapshot covers %d vertices, model has %d", len(snap.sq.Order), n)
 	}
-	return solveExact(ctx, m, snap.sq, opts, snap, snap.posDirty(dirtyV), true)
+	return solveExact(ctx, m, snap.sq, opts, snap, true)
 }
 
 // exactSolve is one exact solve on its frame: the plan, the tables, and the
-// fill's worker pool with one scratch per worker. A Resolve (snap and
-// posDirty set) keeps the snapshot's clean tables; retain keeps every table
-// for a Snapshot. Tables live in their representative's slot and are read
-// through rep; the other slots stay nil until the snapshot is assembled.
+// fill's worker pool with one scratch per worker. A Resolve (snap set) keeps
+// the tables held lists under their keys; retain keeps every table for a
+// Snapshot. Tables live in their representative's slot and are read through
+// rep; the other slots stay nil until the snapshot is assembled.
 type exactSolve struct {
 	*frame
 	nw       int
 	pool     *fillPool
 	scratch  []fillScratch
 	rep      []int
+	keys     []canon.Fingerprint
 	freeAt   [][]int
 	tblSizes []int64
 	tbl      []*qtable
 	snap     *Snapshot
-	posDirty []bool
+	held     map[canon.Fingerprint]*qtable
 	retain   bool
 }
 
@@ -239,7 +238,7 @@ type exactSolve struct {
 // when retaining, the snapshot. In every mode one table is filled per table
 // class (see tableClasses), and a class is charged and retired once, filled
 // or kept clean, so ErrOOM never depends on the mode.
-func solveExact(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options, snap *Snapshot, posDirty []bool, retain bool) (*Result, *Snapshot, error) {
+func solveExact(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options, snap *Snapshot, retain bool) (*Result, *Snapshot, error) {
 	if err := checkInput(m, sq); err != nil {
 		return nil, nil, err
 	}
@@ -248,12 +247,13 @@ func solveExact(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Optio
 	// reuses the snapshot's subsets — same graph topology, same ordering — but
 	// not its classes: those are the new model's.
 	var subsets [][][]int
+	var held map[canon.Fingerprint]*qtable
 	if snap != nil {
-		subsets = snap.subsets
+		subsets, held = snap.subsets, snap.held(m)
 	} else {
 		subsets = seq.ConnectedSubsetsAll(m.G, sq)
 	}
-	e := &exactSolve{frame: newFrame(ctx, m, sq, subsets, opts, ""), nw: opts.workers(), snap: snap, posDirty: posDirty, retain: retain}
+	e := &exactSolve{frame: newFrame(ctx, m, sq, subsets, opts, ""), nw: opts.workers(), snap: snap, held: held, retain: retain}
 	start := time.Now()
 	if err := e.plan(); err != nil {
 		return nil, nil, err
@@ -284,7 +284,11 @@ func solveExact(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Optio
 	for i, r := range e.rep {
 		e.tbl[i] = e.tbl[r]
 	}
-	return res, &Snapshot{sq: sq, subsets: subsets, tbl: e.tbl}, nil
+	out := &Snapshot{sq: sq, subsets: subsets, tbl: e.tbl}
+	if named(m) {
+		out.keys = e.keys
+	}
+	return res, out, nil
 }
 
 // position is the fill loop's step at position i. A class member is its

@@ -16,6 +16,7 @@ import (
 	"pase/internal/itspace"
 	"pase/internal/machine"
 	"pase/internal/seq"
+	"pase/internal/strategies"
 )
 
 // randomDNNGraph builds a random connected DAG of FC-like layers with
@@ -166,7 +167,7 @@ func TestDPBeatsOrMatchesDataParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpIdx, err := m.DataParallelIdx("b")
+	dpIdx, err := m.IdxFromStrategy(strategies.DataParallel(m.G, m.P()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -343,24 +343,6 @@ func TestModelNodeDeltaMatchesFullEval(t *testing.T) {
 	}
 }
 
-func TestModelDataParallelIdx(t *testing.T) {
-	g := fcChain([3]int64{64, 128, 128}, [3]int64{64, 128, 128})
-	m, err := NewModel(g, machine.Uniform(8, 1e12, 1e10), itspace.EnumPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := m.DataParallelIdx("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, ci := range idx {
-		cfg := m.Configs(v)[ci]
-		if cfg[0] != 8 || cfg[1] != 1 || cfg[2] != 1 {
-			t.Fatalf("node %d dp config = %v", v, cfg)
-		}
-	}
-}
-
 func TestModelIdxStrategyRoundTrip(t *testing.T) {
 	g := fcChain([3]int64{64, 128, 128}, [3]int64{64, 128, 128})
 	m, err := NewModel(g, machine.Uniform(8, 1e12, 1e10), itspace.EnumPolicy{})

@@ -76,6 +76,10 @@ func Eliminate(ctx context.Context, m *Model, prev *Elimination) (*Elimination, 
 	return &Elimination{Model: d.restrict(), KTotal: d.kTotal, KAlive: d.kAlive, memo: d.memo}, nil
 }
 
+// Checks is e without its model: all that a later run reads of e as prev,
+// and so all that a caller keeping e for that alone need retain.
+func (e *Elimination) Checks() *Elimination { return &Elimination{memo: e.memo} }
+
 // elimMemo is one Eliminate run's margin and vertex checks: checks maps a
 // check's inputs by content (checkKey) to the survivors it left. The margin
 // is part of every check's inputs, and it depends on the run's terms and

@@ -46,9 +46,10 @@ type internPlan struct {
 	vReps  []int // per vertex class: representative node ID
 	eClass []int // per edge: dense edge class ID
 	eReps  []int // per edge class: representative edge index
-	// Per-class canonical fingerprints — the ClassStore keys and the
-	// identities delta detection compares across models. nil for a singleton
-	// (DisableInterning) plan, which neither shares nor compares.
+	// Per-class canonical fingerprints — the ClassStore keys and the names
+	// the DP's table keys give TL rows and TX tables, compared across models
+	// by delta re-solve. nil for a singleton (DisableInterning) plan, which
+	// neither shares nor compares.
 	vFPs []canon.Fingerprint // per vertex class: content fingerprint
 	eFPs []canon.Fingerprint // per edge class: the two sides txTables reads
 }
@@ -215,8 +216,9 @@ func (m *Model) computeInfo(p *internPlan) {
 
 // VertexClassFP returns node v's vertex class fingerprint: the canonical
 // identity of its configuration list and TL row. Two models agreeing on a
-// node's fingerprint hold byte-identical tables for it — the comparison
-// delta re-solve runs. Zero when the model was built with DisableInterning.
+// node's fingerprint hold byte-identical tables for it, which is what lets
+// the DP's table keys name the row by it and a delta re-solve keep tables
+// across models. Zero when the model was built with DisableInterning.
 func (m *Model) VertexClassFP(v int) canon.Fingerprint {
 	if m.vClassFP == nil {
 		return canon.Fingerprint{}

@@ -486,7 +486,8 @@ func (m *Model) EdgeCost(e, cu, cv int) float64 {
 
 // EdgeTable exposes edge e's full TX cost table and its row stride (the
 // consumer's configuration count): vals[cu*kv+cv] = EdgeCost(e, cu, cv).
-// Do not mutate.
+// Do not mutate: elimination and the DP's table keys both name these bytes
+// through the class fingerprints (EdgeClassFP).
 func (m *Model) EdgeTable(e int) (vals []float64, kv int) {
 	return m.tx[e], m.txKv[e]
 }
@@ -496,13 +497,16 @@ func (m *Model) EdgeTable(e int) (vals []float64, kv int) {
 // vals[cv*ku+cu] = EdgeCost(e, cu, cv). The solver picks whichever
 // orientation makes its configuration scan contiguous. The first call for
 // an edge class builds the transpose; every model aliasing the class gets
-// the same slice, and concurrent calls are safe. Do not mutate.
+// the same slice, and concurrent calls are safe. Do not mutate: elimination
+// and the DP's table keys both name these bytes through the class
+// fingerprints (EdgeClassFP).
 func (m *Model) EdgeTableT(e int) (vals []float64, ku int) {
 	return m.txc[e].transposed(), len(m.cfgs[m.edges[e][0]])
 }
 
 // TLRow exposes node v's full layer-cost table: TLRow(v)[ci] = TL(v, ci).
-// Do not mutate.
+// Do not mutate: elimination and the DP's table keys both name these bytes
+// through the class fingerprints (VertexClassFP).
 func (m *Model) TLRow(v int) []float64 { return m.tl[v] }
 
 // Incidence returns the directed edges incident to node v, self-loops listed
@@ -591,21 +595,6 @@ func (m *Model) IdxFromStrategy(s graph.Strategy) ([]int, error) {
 			return nil, fmt.Errorf("cost: node %d config %v not in enumerated list", v, s[v])
 		}
 		idx[v] = ci
-	}
-	return idx, nil
-}
-
-// DataParallelIdx returns the pure data-parallel strategy (batch dim named
-// batchName split as far as possible on every node) as configuration indices.
-func (m *Model) DataParallelIdx(batchName string) ([]int, error) {
-	idx := make([]int, m.G.Len())
-	for _, n := range m.G.Nodes {
-		dp := itspace.DataParallel(n.Space, m.Spec.Devices, batchName)
-		ci := m.IndexOf(n.ID, dp)
-		if ci < 0 {
-			return nil, fmt.Errorf("cost: node %d (%s) data-parallel config %v not enumerable", n.ID, n.Name, dp)
-		}
-		idx[n.ID] = ci
 	}
 	return idx, nil
 }

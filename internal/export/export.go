@@ -71,8 +71,8 @@ type Provenance struct {
 	// the baselines, which build no model.
 	cost.ModelInfo
 	// DeltaResolve marks an incremental re-solve: a retained DP snapshot of
-	// the same topology and solve shape was found, and only the tables the
-	// request's delta dirtied were re-filled.
+	// the same topology and solve shape was re-solved, keeping every table
+	// whose content key was unchanged and filling the rest.
 	DeltaResolve bool `json:"delta_resolve,omitempty"`
 	// Degraded marks a "dp" request served through the planner's
 	// degradation ladder: a bounded-width beam solve ran instead of the exact

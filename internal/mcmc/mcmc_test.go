@@ -12,6 +12,7 @@ import (
 	"pase/internal/itspace"
 	"pase/internal/machine"
 	"pase/internal/seq"
+	"pase/internal/strategies"
 )
 
 func chainGraph(n int) *graph.Graph {
@@ -53,12 +54,20 @@ func model(t *testing.T, n, p int) *cost.Model {
 	return m
 }
 
-func TestSearchNeverWorseThanInit(t *testing.T) {
-	m := model(t, 6, 8)
-	init, err := m.DataParallelIdx("b")
+// dataParallel is m's data-parallel strategy as configuration indices: the
+// chain's default seed, built as runMCMC builds it.
+func dataParallel(t testing.TB, m *cost.Model) []int {
+	t.Helper()
+	idx, err := m.IdxFromStrategy(strategies.DataParallel(m.G, m.P()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return idx
+}
+
+func TestSearchNeverWorseThanInit(t *testing.T) {
+	m := model(t, 6, 8)
+	init := dataParallel(t, m)
 	initCost := m.EvalIdx(init)
 	res, err := Search(context.Background(), m, init, Options{Seed: 1, MaxIters: 20000})
 	if err != nil {
@@ -71,7 +80,7 @@ func TestSearchNeverWorseThanInit(t *testing.T) {
 
 func TestSearchDeterministicWithSeed(t *testing.T) {
 	m := model(t, 5, 8)
-	init, _ := m.DataParallelIdx("b")
+	init := dataParallel(t, m)
 	a, err := Search(context.Background(), m, init, Options{Seed: 7, MaxIters: 5000})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +100,7 @@ func TestSearchApproachesDPOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	init, _ := m.DataParallelIdx("b")
+	init := dataParallel(t, m)
 	res, err := Search(context.Background(), m, init, Options{Seed: 3, MaxIters: 200000, MinIters: 50000})
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +118,7 @@ func TestSearchApproachesDPOptimum(t *testing.T) {
 
 func TestSearchStopsOnNoImprovement(t *testing.T) {
 	m := model(t, 4, 4)
-	init, _ := m.DataParallelIdx("b")
+	init := dataParallel(t, m)
 	res, err := Search(context.Background(), m, init, Options{Seed: 5, MaxIters: 250000, MinIters: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +142,7 @@ func TestSearchValidatesInput(t *testing.T) {
 
 func TestSearchBestCostIsExact(t *testing.T) {
 	m := model(t, 6, 8)
-	init, _ := m.DataParallelIdx("b")
+	init := dataParallel(t, m)
 	res, err := Search(context.Background(), m, init, Options{Seed: 11, MaxIters: 30000})
 	if err != nil {
 		t.Fatal(err)
@@ -151,10 +160,7 @@ func BenchmarkSearchProposals(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	init, err := m.DataParallelIdx("b")
-	if err != nil {
-		b.Fatal(err)
-	}
+	init := dataParallel(b, m)
 	b.ResetTimer()
 	iters := 0
 	for i := 0; i < b.N; i++ {

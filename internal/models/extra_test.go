@@ -42,7 +42,7 @@ func TestVGG16SolvePrefersParameterParallelFCs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dpIdx, err := m.DataParallelIdx("b")
+	dpIdx, err := m.IdxFromStrategy(strategies.DataParallel(m.G, m.P()))
 	if err != nil {
 		t.Fatal(err)
 	}

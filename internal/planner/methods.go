@@ -177,14 +177,14 @@ func (r *Result) clone() *Result {
 	return &out
 }
 
-// deltaEntry is one retained dp solve: the elimination whose model it ran
-// over and the DP snapshot (every cost and choice table), keyed by the
-// solve's topology/shape fingerprint (deltaKey). A later request under the
-// same key hands the elimination's checks to its own run and diffs its model
-// against this one by class fingerprints to find what changed.
+// deltaEntry is one retained dp solve, keyed by the solve's topology/shape
+// fingerprint (deltaKey): the DP snapshot (every cost and choice table under
+// its content key) and the checks of the elimination it ran over, without
+// that elimination's model. A later request under the same key hands the
+// checks to its own elimination and re-solves from the snapshot.
 type deltaEntry struct {
-	elim *cost.Elimination
-	snap *core.Snapshot
+	checks *cost.Elimination
+	snap   *core.Snapshot
 }
 
 // doSolve performs one underlying solve behind panic isolation, and holds
@@ -223,7 +223,7 @@ func (p *Planner) doSolve(ctx context.Context, req Request, degradeReason string
 			key = deltaKey(m.G, req.Opts)
 			p.mu.Lock()
 			if ent, _ = p.deltas.Get(key); ent != nil {
-				base = ent.elim
+				base = ent.checks
 			}
 			p.mu.Unlock()
 		}
@@ -330,10 +330,9 @@ func (p *Planner) runDegraded(ctx context.Context, m *cost.Model, opts Options, 
 // list with input slots — what pins the vertex ordering, the dependent sets,
 // and the edge indexing), the memory budget, and the ordering choice.
 // Everything content-level — node attributes, the machine, the enumeration
-// policy — is deliberately excluded: content is the delta, detected per class
-// by diffModels (all of it enters the class fingerprints, so a machine
-// or policy change dirties every vertex, and the re-solve re-fills every
-// table).
+// policy — is deliberately excluded: content is the delta, and it enters the
+// class fingerprints the DP's table keys are made of, so a machine or policy
+// change moves every key and the re-solve re-fills every table.
 func deltaKey(g *graph.Graph, opts Options) canon.Fingerprint {
 	w := canon.NewWriter()
 	w.Label("pase.delta-key/v1")
@@ -354,52 +353,16 @@ func deltaKey(g *graph.Graph, opts Options) canon.Fingerprint {
 	return w.Sum()
 }
 
-// diffModels compares two same-topology models by their class
-// fingerprints and returns the dirty-vertex set: a vertex is dirty when its
-// own class changed or an incident edge's class changed. ok is false when
-// the models are not comparable — mismatched shapes (a deltaKey collision
-// would be needed) or a model built without fingerprints (DisableInterning).
-func diffModels(old, new *cost.Model) (dirtyV []bool, ok bool) {
-	n := new.G.Len()
-	oldEdges, newEdges := old.Edges(), new.Edges()
-	if old.G.Len() != n || len(oldEdges) != len(newEdges) {
-		return nil, false
-	}
-	var zero canon.Fingerprint
-	dirtyV = make([]bool, n)
-	for v := 0; v < n; v++ {
-		fo, fn := old.VertexClassFP(v), new.VertexClassFP(v)
-		if fo == zero || fn == zero {
-			return nil, false
-		}
-		if fo != fn {
-			dirtyV[v] = true
-		}
-	}
-	for e, uv := range newEdges {
-		if oldEdges[e] != uv {
-			return nil, false
-		}
-		if old.EdgeClassFP(e) != new.EdgeClassFP(e) {
-			dirtyV[uv[0]] = true
-			dirtyV[uv[1]] = true
-		}
-	}
-	return dirtyV, true
-}
-
 // runDP is the exact dp solve over el, m's elimination: ordering, admission
 // and the dependent-set DP over el's model. Admission is the full model's
 // sizing pre-pass (core.Admit), so the exact-or-degraded fate of a request
 // does not move with what elimination removes; the DP's answer is the full
 // model's bit for bit. Solved cold by a planner with incremental re-solve
-// off. Otherwise each solve's DP snapshot is retained under key and, when
-// ent (the entry cached under key) holds a model comparable with el's, only
-// the dirtied tables are re-filled via core.Resolve — byte-identical to the
-// full solve it replaces, and never more work: it re-fills at most every
-// table, over the snapshot's subsets and ordering. Everything else (cold
-// topologies, incomparable models, a failed re-solve) runs a full solve and
-// refreshes the snapshot.
+// off. Otherwise each solve's DP snapshot is retained under key, and when ent
+// (the entry cached under key) is set, core.Resolve keeps every table of its
+// snapshot whose content key is unchanged and fills the rest — byte-identical
+// to the cold solve it replaces, and never more work. A re-solve fails only
+// where the cold solve would, so its error is the request's.
 func (p *Planner) runDP(ctx context.Context, m *cost.Model, el *cost.Elimination, key canon.Fingerprint, ent *deltaEntry, opts Options) (*Result, error) {
 	coreOpts := core.Options{
 		MaxTableEntries: opts.MaxTableEntries,
@@ -416,44 +379,33 @@ func (p *Planner) runDP(ctx context.Context, m *cost.Model, el *cost.Elimination
 	if err := core.Admit(m, sq, coreOpts); err != nil {
 		return nil, err
 	}
-	em := el.Model
-	if p.deltas == nil {
-		r, err := core.Solve(ctx, em, sq, coreOpts)
-		if err != nil {
-			return nil, err
-		}
-		return dpResult(r), nil
+	var (
+		r    *core.Result
+		snap *core.Snapshot
+		err  error
+	)
+	switch {
+	case p.deltas == nil:
+		r, err = core.Solve(ctx, el.Model, sq, coreOpts)
+	case ent != nil:
+		r, snap, err = core.Resolve(ctx, el.Model, ent.snap, nil, coreOpts)
+	default:
+		r, snap, err = core.SolveRetain(ctx, el.Model, sq, coreOpts)
 	}
-	if ent != nil {
-		if dirtyV, comparable := diffModels(ent.elim.Model, em); comparable {
-			r, snap, err := core.Resolve(ctx, em, ent.snap, dirtyV, coreOpts)
-			if err == nil {
-				p.mu.Lock()
-				p.deltas.Put(key, &deltaEntry{elim: el, snap: snap})
-				p.stats.DeltaResolves++
-				p.mu.Unlock()
-				res := dpResult(r)
-				res.DeltaResolve = true
-				return res, nil
-			}
-			if ctx.Err() != nil {
-				return nil, context.Cause(ctx)
-			}
-			// Any other Resolve failure (ErrOOM, an unsound snapshot) falls
-			// through to the full solve, which answers on its own terms.
-		}
-		p.mu.Lock()
-		p.stats.DeltaFallbacks++
-		p.mu.Unlock()
-	}
-	r, snap, err := core.SolveRetain(ctx, em, sq, coreOpts)
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	p.deltas.Put(key, &deltaEntry{elim: el, snap: snap})
-	p.mu.Unlock()
-	return dpResult(r), nil
+	res := dpResult(r)
+	if snap != nil {
+		res.DeltaResolve = ent != nil
+		p.mu.Lock()
+		p.deltas.Put(key, &deltaEntry{checks: el.Checks(), snap: snap})
+		if res.DeltaResolve {
+			p.stats.DeltaResolves++
+		}
+		p.mu.Unlock()
+	}
+	return res, nil
 }
 
 // runMCMC runs the FlexFlow-substitute chain over a built model, seeded by

@@ -89,12 +89,13 @@ type BatchItem struct {
 type Config struct {
 	// ResultCacheSize bounds the solved-result LRU (default 128 results).
 	ResultCacheSize int
-	// DeltaCacheSize bounds the incremental re-solve cache: how many
-	// (model, DP snapshot) pairs the planner retains, keyed by graph
-	// topology and solve shape, so a request differing from a cached one
-	// re-runs only the affected DP tables. Snapshots retain the full DP
-	// tables of their solve, so keep this small. Zero selects 2; negative
-	// disables incremental re-solve entirely (every dp solve runs cold).
+	// DeltaCacheSize bounds the incremental re-solve cache: how many DP
+	// snapshots (with their elimination's checks) the planner retains, keyed
+	// by graph topology and solve shape, so a request differing from a
+	// cached one fills only the DP tables whose content keys changed.
+	// Snapshots retain the full DP tables of their solve, so keep this small.
+	// Zero selects 2; negative disables incremental re-solve entirely (every
+	// dp solve runs cold).
 	DeltaCacheSize int
 	// MaxInFlight enables admission control when > 0: at most this many
 	// underlying solves run concurrently, at most MaxQueue more wait for a
@@ -182,11 +183,11 @@ type Stats struct {
 	VertexClasses    int64 `json:"vertex_classes"`
 	EdgeClasses      int64 `json:"edge_classes"`
 	SharedTableBytes int64 `json:"shared_table_bytes"`
-	// DeltaResolves counts dp solves served by incremental re-solve (only
-	// the changed DP tables re-filled from a cached snapshot);
-	// DeltaFallbacks counts solves that found a snapshot under their delta
-	// key but ran cold because the models were not comparable or the
-	// re-solve failed.
+	// DeltaResolves counts dp solves served by incremental re-solve (a
+	// cached snapshot re-solved, only the tables whose keys changed filled).
+	// DeltaFallbacks is never incremented: a re-solve fails only where the
+	// cold solve would, and its error is the request's. It stays for the
+	// benchmark harness, which reads it.
 	DeltaResolves  int64 `json:"delta_resolves"`
 	DeltaFallbacks int64 `json:"delta_fallbacks"`
 	// BeamSolves counts underlying "beam" method runs actually performed.

@@ -91,7 +91,7 @@ func TestStepEqualsModelCostPlusOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []func() []int{
-		func() []int { i, _ := m.DataParallelIdx("b"); return i },
+		func() []int { i, _ := m.IdxFromStrategy(strategies.DataParallel(g, 16)); return i },
 	} {
 		idx := s()
 		st, err := Step(g, m.StrategyFromIdx(idx), spec, bm.Batch)

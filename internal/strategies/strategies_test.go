@@ -27,6 +27,31 @@ func TestDataParallelValidOnAllModels(t *testing.T) {
 	}
 }
 
+// The data-parallel strategy is one of every benchmark model's enumerated
+// configurations under its policy: the index form the MCMC chain is seeded
+// with (IdxFromStrategy), with the batch split p ways on every node.
+func TestDataParallelIsEnumerable(t *testing.T) {
+	for _, bm := range models.Benchmarks() {
+		g := bm.Build(bm.Batch)
+		for _, p := range []int{8, 32} {
+			m, err := cost.NewModel(g, machine.GTX1080Ti(p), bm.Policy(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := m.IdxFromStrategy(DataParallel(g, p))
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", bm.Name, p, err)
+			}
+			for _, n := range g.Nodes {
+				cfg := m.Configs(n.ID)[idx[n.ID]]
+				if b := n.Space.DimIndex("b"); b >= 0 && n.Space[b].Size%int64(p) == 0 && cfg[b] != p {
+					t.Fatalf("%s p=%d node %s: configuration %v does not split the batch %d ways", bm.Name, p, n.Name, cfg, p)
+				}
+			}
+		}
+	}
+}
+
 func TestOWTSplitsFCsAlongChannels(t *testing.T) {
 	g := models.AlexNet(128)
 	s := OWT(g, 8)
