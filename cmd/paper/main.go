@@ -136,19 +136,21 @@ func table1(w io.Writer, o opts) error {
 	return o.emit(w, "table1", tb)
 }
 
-// table1Rows runs Table I's searches. Each row solves through its own fresh
+// table1Rows runs Table I's searches. Each cell solves through its own fresh
 // planner, and every column reports searchTime, so table construction is not
-// part of the comparison. BF, MCMC and PaSE differ in fingerprint and delta
-// key, so no timed solve is a cache hit or a delta re-solve.
+// part of the comparison. A planner keeps its last dp solve's tables and
+// elimination checks, so a planner shared by the BF and PaSE cells would
+// time PaSE's search partly on BF's work; with one per cell no timed solve is
+// a cache hit or a delta re-solve.
 func table1Rows(o opts) ([]table1Row, error) {
 	var rows []table1Row
 	ctx := context.Background()
 	for _, bm := range pase.Benchmarks() {
 		g := bm.Build(bm.Batch)
 		for _, p := range o.devices() {
-			pl := pase.NewPlanner(pase.PlannerConfig{})
 			solve := func(opts pase.Options) (*pase.Result, error) {
 				opts.Policy = bm.Policy(p)
+				pl := pase.NewPlanner(pase.PlannerConfig{})
 				return pl.Solve(ctx, pase.SolveRequest{G: g, Spec: pase.GTX1080Ti(p), Opts: opts})
 			}
 			r := table1Row{model: bm.Name, p: p}

@@ -91,9 +91,9 @@ type solveResponse struct {
 	EdgeClasses      int   `json:"edge_classes"`
 	TableBytes       int64 `json:"table_bytes"`
 	SharedTableBytes int64 `json:"shared_table_bytes"`
-	// DeltaResolve reports the solve was served incrementally from a
-	// retained DP snapshot (only the tables whose content keys changed
-	// filled).
+	// DeltaResolve reports the solve kept some DP tables of the daemon's
+	// last dp solve (those whose content keys it holds) and filled only the
+	// rest.
 	DeltaResolve bool `json:"delta_resolve"`
 	// Gap / Exact / BeamWidth report the anytime-beam contract: the true
 	// optimum lies in [cost_seconds/(1+gap), cost_seconds]; exact marks

@@ -430,7 +430,7 @@ func TestTableClassesShareExactlyTheTablesEqualByConstruction(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 4} {
-				re, reSnap, err := Resolve(context.Background(), ei, snap, nil, Options{Workers: workers})
+				re, reSnap, err := SolveKeep(context.Background(), ei, sq, snap, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -443,7 +443,7 @@ func TestTableClassesShareExactlyTheTablesEqualByConstruction(t *testing.T) {
 			}
 			// And back: the old model's classes return, the re-filled tip
 			// rejoining a class whose table was kept clean.
-			back, backSnap, err := Resolve(context.Background(), mi, freshSnap, nil, Options{})
+			back, backSnap, err := SolveKeep(context.Background(), mi, sq, freshSnap, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,32 +8,27 @@ import (
 	"pase/internal/seq"
 )
 
-// Snapshot retains a completed solve's full DP state — every position's
-// quotient table and the key it was filled under (see tableClasses) — so a
-// later solve can keep every table whose key it holds and fill only the rest
-// (Resolve). tbl is indexed by position; the positions of one table class
-// hold the same table, so the retained memory is one quotient per class: Π
-// classes entries each, not the solve's TotalEntries. It is NOT counted
-// against Options.MaxTableEntries, which keeps ErrOOM behavior identical to a
+// Snapshot retains a completed solve's DP tables, each under the key it was
+// filled under (see tableClasses), so that a later solve can keep every table
+// whose key it holds and fill only the rest (SolveKeep). tbl and keys are
+// indexed by the solve's positions; the positions of one table class hold the
+// same table, so the retained memory is one quotient per class: Π classes
+// entries each, not the solve's TotalEntries. It is NOT counted against
+// Options.MaxTableEntries, which keeps ErrOOM behavior identical to a
 // non-retaining solve. Retained tables are immutable once published: a
-// Resolve's new snapshot aliases the kept tables of the old one, so
+// keeping solve's snapshot aliases the kept tables of the old one, so
 // snapshots are cheap to chain and safe to share. keys is nil for a model
 // without class fingerprints, whose keys name no content.
 type Snapshot struct {
-	sq      *seq.Sequence
-	subsets [][][]int
-	keys    []canon.Fingerprint
-	tbl     []*qtable
+	keys []canon.Fingerprint
+	tbl  []*qtable
 }
 
-// Seq returns the vertex ordering the snapshot's solve ran over.
-func (s *Snapshot) Seq() *seq.Sequence { return s.sq }
-
 // held maps every key the snapshot holds to its table: the tables a solve
-// over m may keep. Nothing when m or the snapshot's model has no class
-// fingerprints.
+// over m may keep. Nothing when there is no snapshot, or when m or the
+// snapshot's model has no class fingerprints.
 func (s *Snapshot) held(m *cost.Model) map[canon.Fingerprint]*qtable {
-	if !named(m) {
+	if s == nil || !named(m) {
 		return nil
 	}
 	held := make(map[canon.Fingerprint]*qtable, len(s.keys))
@@ -46,17 +41,19 @@ func (s *Snapshot) held(m *cost.Model) map[canon.Fingerprint]*qtable {
 // EstimateDelta sizes a prospective Resolve against model m: the entries of
 // the tables whose keys the snapshot does not hold, which Resolve would fill,
 // versus the entries of every distinct table of the solve (its TotalEntries).
-// It runs the table classes alone, no table data; dirtyV is ignored. An
-// ordering m cannot be solved over counts every table as missing.
+// It runs the table classes over m's GENERATESEQ ordering alone, no table
+// data; dirtyV is ignored. An ordering m cannot be solved over counts every
+// table as missing. Only the benchmark harness calls it.
 func (s *Snapshot) EstimateDelta(m *cost.Model, dirtyV []bool) (dirty, total int64) {
-	rep, keys, err := newFrame(context.Background(), m, s.sq, s.subsets, Options{}, "").tableClasses()
+	sq := seq.Generate(m.G)
+	rep, keys, err := newFrame(context.Background(), m, sq, seq.ConnectedSubsetsAll(m.G, sq), Options{}, "").tableClasses()
 	held := s.held(m)
-	for i := range s.sq.Order {
+	for i := range sq.Order {
 		if err == nil && rep[i] != i {
 			continue
 		}
 		sz := int64(1)
-		for _, d := range s.sq.Dep[i] {
+		for _, d := range sq.Dep[i] {
 			sz *= int64(m.K(d))
 		}
 		total += sz
@@ -67,9 +64,9 @@ func (s *Snapshot) EstimateDelta(m *cost.Model, dirtyV []bool) (dirty, total int
 	return dirty, total
 }
 
-// table is representative position i's table: in a Resolve, the snapshot's
-// table under the same key, verbatim — a fill would reproduce its bytes from
-// the same inputs — and a fresh fill everywhere else.
+// table is representative position i's table: in a keeping solve, the
+// snapshot's table under the same key, verbatim — a fill would reproduce its
+// bytes from the same inputs — and a fresh fill everywhere else.
 func (e *exactSolve) table(i int) (*qtable, error) {
 	if old := e.held[e.keys[i]]; old != nil {
 		e.st.ReusedEntries += e.tblSizes[i]

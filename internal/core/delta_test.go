@@ -16,12 +16,12 @@ import (
 	"pase/internal/seq"
 )
 
-// missingKeys reports, per position of the snapshot's ordering, whether
-// position i's table key under m is one the snapshot does not hold — the
-// positions a Resolve over m fills (once per class).
-func missingKeys(t *testing.T, snap *Snapshot, m *cost.Model) []bool {
+// missingKeys reports, per position of ordering sq, whether position i's
+// table key under m is one the snapshot does not hold — the positions a
+// keeping solve over m and sq fills (once per class).
+func missingKeys(t *testing.T, snap *Snapshot, m *cost.Model, sq *seq.Sequence) []bool {
 	t.Helper()
-	_, keys, err := newFrame(context.Background(), m, snap.sq, snap.subsets, Options{}, "").tableClasses()
+	_, keys, err := newFrame(context.Background(), m, sq, seq.ConnectedSubsetsAll(m.G, sq), Options{}, "").tableClasses()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,13 +33,13 @@ func missingKeys(t *testing.T, snap *Snapshot, m *cost.Model) []bool {
 	return missing
 }
 
-// filledClasses counts the classes of m's tables over the snapshot's
-// ordering whose keys the snapshot does not hold: the fills a Resolve runs.
-func filledClasses(t *testing.T, snap *Snapshot, m *cost.Model) int {
+// filledClasses counts the classes of m's tables over sq whose keys the
+// snapshot does not hold: the fills a keeping solve runs.
+func filledClasses(t *testing.T, snap *Snapshot, m *cost.Model, sq *seq.Sequence) int {
 	t.Helper()
-	rep := classesOf(t, m, snap.sq, snap.subsets)
+	rep := classesOf(t, m, sq, seq.ConnectedSubsetsAll(m.G, sq))
 	n := 0
-	for i, miss := range missingKeys(t, snap, m) {
+	for i, miss := range missingKeys(t, snap, m, sq) {
 		if miss && rep[i] == i {
 			n++
 		}
@@ -63,7 +63,7 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// An all-clean Resolve (no delta at all) must reproduce the snapshot's
+// An all-clean keeping solve (no delta at all) must reproduce the snapshot's
 // result byte for byte while filling zero tables.
 func TestResolveAllCleanFillsNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -74,7 +74,7 @@ func TestResolveAllCleanFillsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, _, err := Resolve(context.Background(), m, snap, nil, Options{})
+	re, _, err := SolveKeep(context.Background(), m, sq, snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestResolveMatchesFullSolveOnRandomGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range workerCounts {
-			re, snap2, err := Resolve(context.Background(), m2, snap, nil, Options{Workers: workers})
+			re, snap2, err := SolveKeep(context.Background(), m2, sq, snap, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestResolveMatchesFullSolveOnRandomGraphs(t *testing.T) {
 			}
 			// Chain: a second delta re-solve from the NEW snapshot (same
 			// model, all clean) must still agree.
-			re2, _, err := Resolve(context.Background(), m2, snap2, nil, Options{Workers: workers})
+			re2, _, err := SolveKeep(context.Background(), m2, sq, snap2, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ func TestResolveMatchesFullSolveOnPaperBenchmarks(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range workerCounts {
-				re, _, err := Resolve(context.Background(), m2, snap, nil, Options{Workers: workers})
+				re, _, err := SolveKeep(context.Background(), m2, sq, snap, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -231,7 +231,7 @@ func TestEstimateDeltaMatchesResolve(t *testing.T) {
 }
 
 // A Space size edit changes a vertex's configuration count, and with it the
-// shape of every table it is a digit of. Resolve keys tables by content, K
+// shape of every table it is a digit of. SolveKeep keys tables by content, K
 // included, so this is a delta like any other: the result and every table
 // are a fresh solve's, bit for bit, and only the positions whose key changed
 // are filled.
@@ -262,10 +262,10 @@ func TestResolveAcrossAConfigurationCountChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := filledClasses(t, snap, m2)
+	want := filledClasses(t, snap, m2, sq)
 	for _, workers := range workerCounts {
 		label := fmt.Sprintf("K %d → %d, workers %d", m1.K(3), m2.K(3), workers)
-		re, reSnap, err := Resolve(context.Background(), m2, snap, nil, Options{Workers: workers})
+		re, reSnap, err := SolveKeep(context.Background(), m2, sq, snap, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -283,7 +283,7 @@ func TestResolveAcrossAConfigurationCountChange(t *testing.T) {
 
 // A model built without class fingerprints names its tables by index, which
 // says nothing about their bytes — the tests' adversarial models write cells
-// after the build — so Resolve over it keeps no table of any snapshot, its
+// after the build — so SolveKeep over it keeps no table of any snapshot, its
 // own model's included, and equals a cold solve.
 func TestResolveWithoutFingerprintsKeepsNothing(t *testing.T) {
 	g := randomDNNGraph(rand.New(rand.NewSource(29)), 10)
@@ -310,7 +310,7 @@ func TestResolveWithoutFingerprintsKeepsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, snap := range snaps {
-		re, _, err := Resolve(context.Background(), mo, snap, nil, Options{})
+		re, _, err := SolveKeep(context.Background(), mo, sq, snap, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,21 +322,32 @@ func TestResolveWithoutFingerprintsKeepsNothing(t *testing.T) {
 	}
 }
 
-// FuzzResolveMatchesSolve edits one vertex of a random layer graph — its
-// FLOPs, the scale of a tensor it reads, or the size of a dimension — and
-// requires Resolve against the unedited model's snapshot to equal a fresh
-// solve of the edited model, cost, choices and every table, at 1 and 4
-// workers.
+// FuzzResolveMatchesSolve edits a random layer graph and requires a keeping
+// solve of the edited model from the unedited model's snapshot to equal a
+// fresh solve of the edited model — cost, choices and every table — at 1 and
+// 4 workers, and to evaluate no more states. The edit is one vertex's FLOPs,
+// the scale of a tensor it reads or the size of a dimension; or a topology
+// edit, a leaf node hung off the vertex or an edge from it into the last
+// node, added or (the two graphs swapped) removed; or none, with the
+// snapshot's solve run over the breadth-first ordering instead of
+// GENERATESEQ's.
 func FuzzResolveMatchesSolve(f *testing.F) {
 	for seed := int64(1); seed <= 12; seed++ {
 		f.Add(seed, uint8(seed), uint8(seed%3), uint8(seed*7))
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		for _, at := range []uint8{0, 16, 32, 48} { // leaf or edge, added or removed
+			f.Add(seed, uint8(seed+3), uint8(3), at+uint8(seed))
+		}
+		f.Add(seed, uint8(seed+3), uint8(4), uint8(seed))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, size, kind, at uint8) {
 		n := 3 + int(size%10)
 		build := func() *graph.Graph { return randomDNNGraph(rand.New(rand.NewSource(seed)), n) }
 		g1, g2 := build(), build()
 		v := g2.Nodes[int(at)%n]
-		switch kind % 3 {
+		bfs := false
+		switch kind % 5 {
 		case 0:
 			v.FlopsPerPoint *= 1 + float64(1+seed%7)/4
 		case 1:
@@ -344,8 +355,33 @@ func FuzzResolveMatchesSolve(f *testing.F) {
 				t.Skip("no tensor read")
 			}
 			v.Inputs[0].Scale = 2
-		default:
+		case 2:
 			v.Space[int(at/16)%len(v.Space)].Size = 1 << (at % 4) // 1..8: often fewer configurations
+		case 3:
+			if at&16 == 0 {
+				leaf := g2.AddNode(&graph.Node{
+					Name:          "fc",
+					Op:            graph.OpFC,
+					Space:         slices.Clone(v.Space),
+					Output:        graph.TensorRef{Map: []int{0, 1}},
+					Params:        []graph.TensorRef{{Map: []int{1, 2}, Param: true}},
+					Inputs:        []graph.TensorRef{{Map: []int{0, 2}}},
+					FlopsPerPoint: 2,
+				})
+				g2.AddEdge(v, leaf)
+			} else {
+				last := g2.Nodes[n-1]
+				if v == last || slices.Contains(g2.In(last.ID), v.ID) {
+					t.Skip("no new edge into the last node")
+				}
+				last.Inputs = append(last.Inputs, graph.TensorRef{Map: []int{0, 2}})
+				g2.AddEdge(v, last)
+			}
+			if at&32 != 0 {
+				g1, g2 = g2, g1
+			}
+		default:
+			bfs = true
 		}
 		spec := machine.Uniform(8, 1e12, 1e10)
 		m1, err := cost.NewModelWith(context.Background(), g1, spec, itspace.EnumPolicy{}, cost.BuildOptions{})
@@ -356,8 +392,11 @@ func FuzzResolveMatchesSolve(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sq := seq.Generate(g1)
-		_, snap, err := SolveRetain(context.Background(), m1, sq, Options{Workers: 1})
+		sq1, sq := seq.Generate(g1), seq.Generate(g2)
+		if bfs {
+			sq1 = seq.BFS(g1)
+		}
+		_, snap, err := SolveRetain(context.Background(), m1, sq1, Options{Workers: 1})
 		if err != nil {
 			t.Skip(err)
 		}
@@ -367,7 +406,7 @@ func FuzzResolveMatchesSolve(f *testing.F) {
 		}
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("workers %d", workers)
-			re, reSnap, err := Resolve(context.Background(), m2, snap, nil, Options{Workers: workers})
+			re, reSnap, err := SolveKeep(context.Background(), m2, sq, snap, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -375,6 +414,9 @@ func FuzzResolveMatchesSolve(f *testing.F) {
 				t.Fatalf("%s: re-solve %v %v, fresh %v %v", label, re.Cost, re.Idx, fresh.Cost, fresh.Idx)
 			}
 			requireSameSnapshots(t, label, reSnap, freshSnap)
+			if re.Stats.States > fresh.Stats.States {
+				t.Fatalf("%s: re-solve evaluated %d states, the fresh solve %d", label, re.Stats.States, fresh.Stats.States)
+			}
 		}
 	})
 }

@@ -25,10 +25,11 @@ import (
 // Inputs are named by content: a TL row by its vertex class fingerprint, a TX
 // table by its edge class fingerprint and the side the vertex reads it from,
 // which fixes its orientation, and a child by its own key. Equal keys thus
-// mean byte-equal tables in any two models, which is what lets Resolve keep a
-// snapshot's table under the same key (hash-consing). Within a model this
-// groups the positions that read the same interned tables: interning and
-// elimination share a table exactly when the fingerprints match. A model
+// mean byte-equal tables in any two models and orderings, which is what lets
+// SolveKeep keep a snapshot's table under the same key (hash-consing). Within
+// a model this groups the positions that read the same interned tables:
+// interning and elimination share a table exactly when the fingerprints
+// match. A model
 // built without interning has no fingerprints; its rows and tables are named
 // by vertex and edge index, so every position is its own class, and such
 // keys are never compared across models (see named). The pass reads the

@@ -699,7 +699,7 @@ func TestStatesIdenticalAcrossWorkersAndChunkSizes(t *testing.T) {
 	}
 }
 
-// Resolve runs the same kernel over the tables whose keys changed only: after
+// SolveKeep runs the same kernel over the tables whose keys changed only: after
 // a random single-vertex edit it must equal a fresh solve of the edited model
 // in cost, in every choice, and in every table — re-filled or reused — also
 // where the re-filled positions cross a vertex whose scans are shared between
@@ -735,7 +735,8 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, shapes := naiveTables(m2, sq)
-		missing := missingKeys(t, snap, m2)
+		missing := missingKeys(t, snap, m2, sq)
+		subsets := seq.ConnectedSubsetsAll(g1, sq)
 		for i, dirty := range missing {
 			for d := range shapes[i].k {
 				if dirty && shapes[i].merged(d) {
@@ -743,7 +744,7 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 					break
 				}
 			}
-			for _, sub := range snap.subsets[i] {
+			for _, sub := range subsets[i] {
 				j := sq.Pos[sub[len(sub)-1]]
 				if dirty && !missing[j] && slices.ContainsFunc(snap.tbl[j].classOf, func(c []int32) bool { return c != nil }) {
 					throughOldClasses++
@@ -752,7 +753,7 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 		}
 		for _, workers := range workerCounts {
 			label := fmt.Sprintf("trial %d workers %d", trial, workers)
-			re, reSnap, err := Resolve(context.Background(), m2, snap, nil, Options{Workers: workers})
+			re, reSnap, err := SolveKeep(context.Background(), m2, sq, snap, Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"time"
 
@@ -119,11 +118,11 @@ type Stats struct {
 	// ModelInfo is the solved model's: its K, the largest per-vertex
 	// configuration count the run iterated over, and its table sharing.
 	cost.ModelInfo
-	// Incremental re-solve accounting (Resolve only): DirtyPositions is how
-	// many DP tables were actually re-filled, ReusedEntries how many entries
-	// of distinct tables were served unchanged from the snapshot. States above
-	// counts only the re-filled work, so States/ (a full solve's States) is
-	// the delta's cost fraction.
+	// Incremental re-solve accounting (SolveKeep from a snapshot only):
+	// DirtyPositions is how many DP tables were actually re-filled,
+	// ReusedEntries how many entries of distinct tables were kept from the
+	// snapshot. States above counts only the re-filled work, so States/ (a
+	// full solve's States) is the delta's cost fraction.
 	DirtyPositions int
 	ReusedEntries  int64
 	// Stages is where the run's wall time went. Unlike every count above it
@@ -186,38 +185,38 @@ func Admit(m *cost.Model, sq *seq.Sequence, opts Options) error {
 	return e.plan()
 }
 
-// SolveRetain is Solve, additionally retaining every DP table in a Snapshot
-// for later incremental re-solves. Results are byte-identical to Solve; the
-// price is that one quotient table per table class stays resident (outside
-// the MaxTableEntries budget) for as long as the snapshot is held.
-func SolveRetain(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (*Result, *Snapshot, error) {
-	return solveExact(ctx, m, sq, opts, nil, true)
+// SolveKeep is Solve, additionally retaining every DP table in a Snapshot,
+// and keeping every table of prev (nil: none) whose key (see tableClasses)
+// prev holds verbatim instead of filling it. A key names all of a fill's
+// inputs by content, so prev may come from any model and any ordering, and
+// the result and the snapshot are byte-identical to a solve from no snapshot
+// whatever changed between the two — topology and configuration counts
+// included. A model without class fingerprints keeps nothing. The retained
+// tables (one quotient per table class) stay resident outside the
+// MaxTableEntries budget for as long as the snapshot is held; the new
+// snapshot shares the kept tables with prev.
+func SolveKeep(ctx context.Context, m *cost.Model, sq *seq.Sequence, prev *Snapshot, opts Options) (*Result, *Snapshot, error) {
+	return solveExact(ctx, m, sq, opts, prev, true)
 }
 
-// Resolve re-solves against model m reusing a prior solve's snapshot: every
-// table whose key (see tableClasses) the snapshot holds is kept verbatim, and
-// only the rest are filled, so the result, and the snapshot it returns, are
-// byte-identical to a fresh SolveRetain over m and the snapshot's ordering,
-// whatever changed between the two models — a configuration count included.
-// The caller must guarantee that the ordering is m's: m's graph has the
-// snapshot's topology (same node count and edge list). A model without class
-// fingerprints keeps nothing. dirtyV is ignored: the keys decide what is
-// filled. The new snapshot shares the kept tables with the old one.
+// SolveRetain is SolveKeep from no snapshot; only the benchmark harness
+// calls it.
+func SolveRetain(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Options) (*Result, *Snapshot, error) {
+	return SolveKeep(ctx, m, sq, nil, opts)
+}
+
+// Resolve is SolveKeep over m's GENERATESEQ ordering; dirtyV is ignored. Only
+// the benchmark harness calls it.
 func Resolve(ctx context.Context, m *cost.Model, snap *Snapshot, dirtyV []bool, opts Options) (*Result, *Snapshot, error) {
-	if snap == nil {
-		return nil, nil, fmt.Errorf("core: nil snapshot")
-	}
-	if n := m.G.Len(); len(snap.sq.Order) != n {
-		return nil, nil, fmt.Errorf("core: snapshot covers %d vertices, model has %d", len(snap.sq.Order), n)
-	}
-	return solveExact(ctx, m, snap.sq, opts, snap, true)
+	return SolveKeep(ctx, m, seq.Generate(m.G), snap, opts)
 }
 
 // exactSolve is one exact solve on its frame: the plan, the tables, and the
-// fill's worker pool with one scratch per worker. A Resolve (snap set) keeps
-// the tables held lists under their keys; retain keeps every table for a
-// Snapshot. Tables live in their representative's slot and are read through
-// rep; the other slots stay nil until the snapshot is assembled.
+// fill's worker pool with one scratch per worker. With a previous snapshot
+// (snap set) it keeps the tables held lists under their keys; retain keeps
+// every table for a Snapshot. Tables live in their representative's slot and
+// are read through rep; the other slots stay nil until the snapshot is
+// assembled.
 type exactSolve struct {
 	*frame
 	nw       int
@@ -233,7 +232,7 @@ type exactSolve struct {
 	retain   bool
 }
 
-// solveExact is the exact kernel behind Solve, SolveRetain and Resolve, in
+// solveExact is the exact kernel behind Solve and SolveKeep, in
 // stages: plan, fill every position, back-substitute, then the result and,
 // when retaining, the snapshot. In every mode one table is filled per table
 // class (see tableClasses), and a class is charged and retired once, filled
@@ -243,17 +242,9 @@ func solveExact(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Optio
 		return nil, nil, err
 	}
 	// All connected subsets up front (one bitset pass): the recurrence lookup
-	// wiring, the table classes and the liveness plan need them. A Resolve
-	// reuses the snapshot's subsets — same graph topology, same ordering — but
-	// not its classes: those are the new model's.
-	var subsets [][][]int
-	var held map[canon.Fingerprint]*qtable
-	if snap != nil {
-		subsets, held = snap.subsets, snap.held(m)
-	} else {
-		subsets = seq.ConnectedSubsetsAll(m.G, sq)
-	}
-	e := &exactSolve{frame: newFrame(ctx, m, sq, subsets, opts, ""), nw: opts.workers(), snap: snap, held: held, retain: retain}
+	// wiring, the table classes and the liveness plan need them.
+	subsets := seq.ConnectedSubsetsAll(m.G, sq)
+	e := &exactSolve{frame: newFrame(ctx, m, sq, subsets, opts, ""), nw: opts.workers(), snap: snap, held: snap.held(m), retain: retain}
 	start := time.Now()
 	if err := e.plan(); err != nil {
 		return nil, nil, err
@@ -284,7 +275,7 @@ func solveExact(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Optio
 	for i, r := range e.rep {
 		e.tbl[i] = e.tbl[r]
 	}
-	out := &Snapshot{sq: sq, subsets: subsets, tbl: e.tbl}
+	out := &Snapshot{tbl: e.tbl}
 	if named(m) {
 		out.keys = e.keys
 	}

@@ -70,9 +70,9 @@ type Provenance struct {
 	// ModelInfo is the searched cost model's K and table sharing; zero for
 	// the baselines, which build no model.
 	cost.ModelInfo
-	// DeltaResolve marks an incremental re-solve: a retained DP snapshot of
-	// the same topology and solve shape was re-solved, keeping every table
-	// whose content key was unchanged and filling the rest.
+	// DeltaResolve marks an incremental re-solve: the dp solve kept some
+	// tables of the planner's last dp solve, those whose content key it
+	// holds, and filled the rest.
 	DeltaResolve bool `json:"delta_resolve,omitempty"`
 	// Degraded marks a "dp" request served through the planner's
 	// degradation ladder: a bounded-width beam solve ran instead of the exact

@@ -1,5 +1,5 @@
 // Package lru is the one bounded least-recently-used cache under the
-// planner's result and delta caches and pased's request memo.
+// planner's result cache and pased's request memo.
 package lru
 
 // Cache is a bounded least-recently-used cache with deterministic eviction:

@@ -190,8 +190,8 @@ func TestDeltaSpeedupTransformer32(t *testing.T) {
 }
 
 // A delta that dirties everything — here a different machine spec, which
-// changes every class fingerprint at the same topology — is still a re-solve:
-// it re-fills every table over the snapshot's subsets and ordering, evaluates
+// changes every class fingerprint at the same topology — keeps no table of
+// the retained solve: it is no delta re-solve, fills every table, evaluates
 // exactly the states of the cold solve, and is byte-identical to the oracle.
 func TestEveryVertexDeltaResolves(t *testing.T) {
 	bm, err := models.ByName("transformer")
@@ -210,11 +210,11 @@ func TestEveryVertexDeltaResolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.DeltaResolve {
-		t.Error("an every-vertex delta was not served as an incremental re-solve")
+	if res.DeltaResolve {
+		t.Error("an every-vertex delta claims to have kept a table")
 	}
-	if st := pl.Stats(); st.DeltaResolves != 1 || st.DeltaFallbacks != 0 {
-		t.Errorf("DeltaResolves = %d, DeltaFallbacks = %d, want 1 and 0", st.DeltaResolves, st.DeltaFallbacks)
+	if st := pl.Stats(); st.DeltaResolves != 0 || st.DeltaFallbacks != 0 {
+		t.Errorf("DeltaResolves = %d, DeltaFallbacks = %d, want 0 and 0", st.DeltaResolves, st.DeltaFallbacks)
 	}
 
 	oraclePl := New(Config{DeltaCacheSize: -1})
@@ -226,6 +226,48 @@ func TestEveryVertexDeltaResolves(t *testing.T) {
 	if res.States != oracle.States {
 		t.Errorf("every-vertex delta evaluated %d states, the cold oracle %d", res.States, oracle.States)
 	}
+}
+
+// A beam request retains nothing. One between an edit's base and the edit
+// leaves the base's snapshot in place, so the edit keeps exactly the tables
+// it keeps without the beam request. The beam request's elimination starts
+// from the base's checks, and its answer is a fresh planner's: cost, gap and
+// States.
+func TestBeamKeepsTheRetainedSolve(t *testing.T) {
+	bm, err := models.ByName("transformer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 8
+	g1, g2 := bm.Build(bm.Batch), bm.Build(bm.Batch)
+	mutateNode(t, g2, "enc0_self_wo", 1.5)
+	spec := machine.GTX1080Ti(p)
+	dp := Options{Policy: bm.Policy(p), Workers: 1}
+	beam := dp
+	beam.Method, beam.BeamWidth = "beam", 8
+	solve := func(pl *Planner, g *graph.Graph, opts Options) *Result {
+		t.Helper()
+		res, err := pl.Solve(context.Background(), Request{G: g, Spec: spec, Opts: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	pl, ref := New(Config{}), New(Config{})
+	solve(pl, g1, dp)
+	solve(ref, g1, dp)
+	got, want := solve(pl, g1, beam), solve(New(Config{}), g1, beam)
+	if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || math.Float64bits(got.Gap) != math.Float64bits(want.Gap) || got.States != want.States {
+		t.Errorf("beam after a dp solve: cost %v, gap %v, %d states; a fresh planner's: cost %v, gap %v, %d states",
+			got.Cost, got.Gap, got.States, want.Cost, want.Gap, want.States)
+	}
+	edit, refEdit := solve(pl, g2, dp), solve(ref, g2, dp)
+	if !edit.DeltaResolve || edit.States != refEdit.States {
+		t.Errorf("edit after a beam request: delta %v, %d states; without the beam request: delta %v, %d states",
+			edit.DeltaResolve, edit.States, refEdit.DeltaResolve, refEdit.States)
+	}
+	requireSameStrategy(t, "edit after a beam request", edit, refEdit)
 }
 
 // DeltaCacheSize -1 disables snapshot retention entirely: a second
@@ -287,7 +329,7 @@ func TestTLOnlyEditDirtiesOneVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, _, err := core.Resolve(ctx, edited, snap, nil, core.Options{})
+	re, _, err := core.SolveKeep(ctx, edited, dpSeq(edited, opts), snap, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +387,7 @@ func TestTLOnlyEditDirtiesOneVertexEliminated(t *testing.T) {
 	for _, factor := range []float64{1 + 1.0/4096, 1 + 100.0/4096, 1.5} {
 		edited := build(factor)
 		dirty := changedVertices(base, edited)
-		re, _, err := core.Resolve(ctx, edited, snap, nil, core.Options{})
+		re, _, err := core.SolveKeep(ctx, edited, dpSeq(edited, opts), snap, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"pase/internal/canon"
 	"pase/internal/core"
 	"pase/internal/cost"
 	"pase/internal/export"
@@ -177,25 +176,15 @@ func (r *Result) clone() *Result {
 	return &out
 }
 
-// deltaEntry is one retained dp solve, keyed by the solve's topology/shape
-// fingerprint (deltaKey): the DP snapshot (every cost and choice table under
-// its content key) and the checks of the elimination it ran over, without
-// that elimination's model. A later request under the same key hands the
-// checks to its own elimination and re-solves from the snapshot.
-type deltaEntry struct {
-	checks *cost.Elimination
-	snap   *core.Snapshot
-}
-
 // doSolve performs one underlying solve behind panic isolation, and holds
 // the only method dispatch: a direct baseline evaluation (baselines price one
 // fixed strategy and never need a model), or a cold build of the request's
 // model followed by the method's search. mcmc searches the full model (its
 // default data-parallel seed is not one of the eliminated model's
 // strategies); dp, beam and both degrade rungs search the model dead-end
-// elimination leaves, which keeps every optimum, and a dp request hands its
-// delta base's checks to that elimination. The dp leg carries the degradation ladder: a
-// non-empty degradeReason (queue pressure observed at admission) routes it
+// elimination leaves, which keeps every optimum, and that elimination starts
+// from the last dp solve's checks. The dp leg carries the degradation ladder:
+// a non-empty degradeReason (queue pressure observed at admission) routes it
 // straight to the bounded beam solve, and an ErrOOM from the exact DP lands
 // there with DegradeReasonOOM.
 func (p *Planner) doSolve(ctx context.Context, req Request, degradeReason string) (res *Result, err error) {
@@ -214,22 +203,13 @@ func (p *Planner) doSolve(ctx context.Context, req Request, degradeReason string
 			return nil, err
 		}
 		model = time.Since(start)
-		var (
-			key      canon.Fingerprint
-			ent      *deltaEntry
-			base, el *cost.Elimination
-		)
-		if method == "dp" && p.deltas != nil {
-			key = deltaKey(m.G, req.Opts)
-			p.mu.Lock()
-			if ent, _ = p.deltas.Get(key); ent != nil {
-				base = ent.checks
-			}
-			p.mu.Unlock()
-		}
+		var el *cost.Elimination
 		if method != "mcmc" {
+			p.mu.Lock()
+			checks := p.lastChecks
+			p.mu.Unlock()
 			start = time.Now()
-			if el, err = cost.Eliminate(ctx, m, base); err != nil {
+			if el, err = cost.Eliminate(ctx, m, checks); err != nil {
 				return nil, err
 			}
 			elim = time.Since(start)
@@ -243,7 +223,7 @@ func (p *Planner) doSolve(ctx context.Context, req Request, degradeReason string
 			res, err = p.runDegraded(ctx, el.Model, req.Opts, degradeReason)
 		default:
 			if err = p.cfg.FaultPlan.Fire(ctx, pressure.SiteDP); err == nil {
-				res, err = p.runDP(ctx, m, el, key, ent, req.Opts)
+				res, err = p.runDP(ctx, m, el, req.Opts)
 			}
 			if err != nil && errors.Is(err, core.ErrOOM) && p.cfg.DegradeBeamWidth > 0 {
 				res, err = p.runDegraded(ctx, el.Model, req.Opts, DegradeReasonOOM)
@@ -279,9 +259,9 @@ func dpResult(r *core.Result) *Result {
 	}
 }
 
-// runBeam runs the anytime bounded-width DP over a built model. Beam solves
-// always run cold: the incremental re-solve path (runDP) retains and diffs
-// exact DP snapshots, and a width-W frontier is not a meaningful delta base.
+// runBeam runs the anytime bounded-width DP over a built model. A beam pass
+// keeps no table and retains nothing: a width-W frontier is not an exact
+// table a later solve could keep.
 func (p *Planner) runBeam(ctx context.Context, m *cost.Model, opts Options) (*Result, error) {
 	br, err := core.SolveBeam(ctx, m, dpSeq(m, opts), core.BeamOptions{
 		Options: core.Options{
@@ -325,86 +305,46 @@ func (p *Planner) runDegraded(ctx context.Context, m *cost.Model, opts Options, 
 	return res, nil
 }
 
-// deltaKey fingerprints the solve shape an incremental re-solve requires two
-// requests to share: the graph's topology (node count and the exact edge
-// list with input slots — what pins the vertex ordering, the dependent sets,
-// and the edge indexing), the memory budget, and the ordering choice.
-// Everything content-level — node attributes, the machine, the enumeration
-// policy — is deliberately excluded: content is the delta, and it enters the
-// class fingerprints the DP's table keys are made of, so a machine or policy
-// change moves every key and the re-solve re-fills every table.
-func deltaKey(g *graph.Graph, opts Options) canon.Fingerprint {
-	w := canon.NewWriter()
-	w.Label("pase.delta-key/v1")
-	w.Int(g.Len())
-	edges := g.Edges()
-	w.Len(len(edges))
-	for _, uv := range edges {
-		w.Int(uv[0])
-		w.Int(uv[1])
-		w.Int(g.InputIndex(uv[0], uv[1]))
-	}
-	budget := opts.MaxTableEntries
-	if budget <= 0 {
-		budget = core.DefaultMaxTableEntries
-	}
-	w.I64(budget)
-	w.Bool(opts.BreadthFirst)
-	return w.Sum()
-}
-
 // runDP is the exact dp solve over el, m's elimination: ordering, admission
 // and the dependent-set DP over el's model. Admission is the full model's
 // sizing pre-pass (core.Admit), so the exact-or-degraded fate of a request
 // does not move with what elimination removes; the DP's answer is the full
-// model's bit for bit. Solved cold by a planner with incremental re-solve
-// off. Otherwise each solve's DP snapshot is retained under key, and when ent
-// (the entry cached under key) is set, core.Resolve keeps every table of its
-// snapshot whose content key is unchanged and fills the rest — byte-identical
-// to the cold solve it replaces, and never more work. A re-solve fails only
-// where the cold solve would, so its error is the request's.
-func (p *Planner) runDP(ctx context.Context, m *cost.Model, el *cost.Elimination, key canon.Fingerprint, ent *deltaEntry, opts Options) (*Result, error) {
+// model's bit for bit. With retention off (Config.DeltaCacheSize < 0) it
+// solves cold. Otherwise it keeps every table of the last dp solve's
+// snapshot whose content key it holds (core.SolveKeep), byte-identical to
+// the cold solve it replaces and never more work, and its own snapshot and
+// el's checks replace the last.
+func (p *Planner) runDP(ctx context.Context, m *cost.Model, el *cost.Elimination, opts Options) (*Result, error) {
 	coreOpts := core.Options{
 		MaxTableEntries: opts.MaxTableEntries,
 		Workers:         opts.Workers,
 	}
-	// A delta base shares the request's topology and ordering choice (the
-	// delta key), so its ordering is the one dpSeq would build.
-	var sq *seq.Sequence
-	if ent != nil {
-		sq = ent.snap.Seq()
-	} else {
-		sq = dpSeq(m, opts)
-	}
+	sq := dpSeq(m, opts)
 	if err := core.Admit(m, sq, coreOpts); err != nil {
 		return nil, err
 	}
-	var (
-		r    *core.Result
-		snap *core.Snapshot
-		err  error
-	)
-	switch {
-	case p.deltas == nil:
-		r, err = core.Solve(ctx, el.Model, sq, coreOpts)
-	case ent != nil:
-		r, snap, err = core.Resolve(ctx, el.Model, ent.snap, nil, coreOpts)
-	default:
-		r, snap, err = core.SolveRetain(ctx, el.Model, sq, coreOpts)
+	if p.cfg.DeltaCacheSize < 0 {
+		r, err := core.Solve(ctx, el.Model, sq, coreOpts)
+		if err != nil {
+			return nil, err
+		}
+		return dpResult(r), nil
 	}
+	p.mu.Lock()
+	prev := p.lastSnap
+	p.mu.Unlock()
+	r, snap, err := core.SolveKeep(ctx, el.Model, sq, prev, coreOpts)
 	if err != nil {
 		return nil, err
 	}
 	res := dpResult(r)
-	if snap != nil {
-		res.DeltaResolve = ent != nil
-		p.mu.Lock()
-		p.deltas.Put(key, &deltaEntry{checks: el.Checks(), snap: snap})
-		if res.DeltaResolve {
-			p.stats.DeltaResolves++
-		}
-		p.mu.Unlock()
+	res.DeltaResolve = r.Stats.ReusedEntries > 0
+	p.mu.Lock()
+	p.lastSnap, p.lastChecks = snap, el.Checks()
+	if res.DeltaResolve {
+		p.stats.DeltaResolves++
 	}
+	p.mu.Unlock()
 	return res, nil
 }
 

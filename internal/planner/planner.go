@@ -89,13 +89,12 @@ type BatchItem struct {
 type Config struct {
 	// ResultCacheSize bounds the solved-result LRU (default 128 results).
 	ResultCacheSize int
-	// DeltaCacheSize bounds the incremental re-solve cache: how many DP
-	// snapshots (with their elimination's checks) the planner retains, keyed
-	// by graph topology and solve shape, so a request differing from a
-	// cached one fills only the DP tables whose content keys changed.
-	// Snapshots retain the full DP tables of their solve, so keep this small.
-	// Zero selects 2; negative disables incremental re-solve entirely (every
-	// dp solve runs cold).
+	// DeltaCacheSize, when negative, turns incremental re-solve off: the
+	// planner retains nothing, every dp solve runs cold and every
+	// elimination from scratch. Otherwise — any other value — the planner
+	// retains the last successful dp solve's DP tables and elimination
+	// checks; the next dp solve keeps every table whose content key they
+	// hold and fills the rest, and every elimination starts from the checks.
 	DeltaCacheSize int
 	// MaxInFlight enables admission control when > 0: at most this many
 	// underlying solves run concurrently, at most MaxQueue more wait for a
@@ -128,16 +127,6 @@ func (c Config) resultCacheSize() int {
 		return 128
 	}
 	return c.ResultCacheSize
-}
-
-func (c Config) deltaCacheSize() int {
-	if c.DeltaCacheSize == 0 {
-		return 2
-	}
-	if c.DeltaCacheSize < 0 {
-		return 0
-	}
-	return c.DeltaCacheSize
 }
 
 // degradeQueueDepth is the admission-queue depth at which incoming "dp"
@@ -183,8 +172,8 @@ type Stats struct {
 	VertexClasses    int64 `json:"vertex_classes"`
 	EdgeClasses      int64 `json:"edge_classes"`
 	SharedTableBytes int64 `json:"shared_table_bytes"`
-	// DeltaResolves counts dp solves served by incremental re-solve (a
-	// cached snapshot re-solved, only the tables whose keys changed filled).
+	// DeltaResolves counts dp solves that kept some tables of the last dp
+	// solve's snapshot (incremental re-solve) and filled only the rest.
 	// DeltaFallbacks is never incremented: a re-solve fails only where the
 	// cold solve would, and its error is the request's. It stays for the
 	// benchmark harness, which reads it.
@@ -243,8 +232,12 @@ type Planner struct {
 	mu           sync.Mutex
 	results      *lru.Cache[canon.Fingerprint, *Result]
 	solveFlights map[canon.Fingerprint]*solveFlight
-	deltas       *lru.Cache[canon.Fingerprint, *deltaEntry]
 	stats        Stats
+	// lastSnap and lastChecks are the last successful dp solve's DP
+	// snapshot and elimination checks (runDP): nil before the first, and
+	// always with Config.DeltaCacheSize negative.
+	lastSnap   *core.Snapshot
+	lastChecks *cost.Elimination
 }
 
 // New returns a Planner sized by cfg (zero value: defaults).
@@ -262,9 +255,6 @@ func New(cfg Config) *Planner {
 	p.results = lru.New(cfg.resultCacheSize(), func(canon.Fingerprint, *Result) {
 		p.stats.ResultEvictions++
 	})
-	if n := cfg.deltaCacheSize(); n > 0 {
-		p.deltas = lru.New[canon.Fingerprint, *deltaEntry](n, nil)
-	}
 	return p
 }
 

@@ -272,14 +272,14 @@ func ValidateMethod(method string) error { return planner.ValidateMethod(method)
 // Planner is the serving layer above the solve pipeline: a bounded LRU of
 // solved results keyed by canonical request fingerprints, singleflight
 // deduplication of concurrent identical requests, batch fan-out across
-// GOMAXPROCS workers, and incremental delta re-solve (a request with the
-// topology of a retained solve re-fills only the DP tables its delta
-// affects). Safe for concurrent use. Graphs handed to a planner must not be
+// GOMAXPROCS workers, and incremental delta re-solve (a dp solve keeps every
+// DP table of the last dp solve whose content key it holds and fills only
+// the rest). Safe for concurrent use. Graphs handed to a planner must not be
 // mutated afterwards (see Solve).
 type Planner = planner.Planner
 
-// PlannerConfig sizes a Planner's result cache, incremental re-solve cache
-// (DeltaCacheSize), and admission control.
+// PlannerConfig sizes a Planner's result cache and admission control, and
+// turns incremental re-solve off (a negative DeltaCacheSize).
 type PlannerConfig = planner.Config
 
 // PlannerStats is a snapshot of a Planner's cache, dedup, and delta re-solve
