@@ -155,9 +155,6 @@ func reportSolve(pl *pase.Planner, name string, g *pase.Graph, spec pase.Machine
 			res.VertexClasses, g.Len(), res.EdgeClasses,
 			float64(res.TableBytes)/1e6, float64(res.SharedTableBytes)/1e6)
 	}
-	if res.DeltaResolve {
-		fmt.Println("sharing: delta re-solve (only the changed DP tables re-filled)")
-	}
 	fmt.Println()
 
 	tb := &report.Table{

@@ -148,11 +148,11 @@ type Result struct {
 	FleetFallback bool
 }
 
-// Timings is where a request's wall time went, each span stamped once where
-// it runs: Total from SolvePrepared on, Model around the cost-model build,
-// Elim around the dead-end elimination every dp and beam solve runs (mcmc
-// and the baselines run none), and the kernel's stages. A cache hit or a
-// ride-along carries Total only.
+// Timings is where a request's wall time went, each span stamped once:
+// Model and Elim by doSolve around the cost-model build and the dead-end
+// elimination every dp and beam solve runs (mcmc and the baselines run
+// none), the kernel's stages by the kernel, and Total, from SolvePrepared
+// on, by answer. A cache hit or a ride-along carries Total only.
 type Timings struct {
 	Total time.Duration `json:"total_ns"`
 	Model time.Duration `json:"model_ns"`
@@ -160,80 +160,68 @@ type Timings struct {
 	core.StageTimes
 }
 
-// noCache reports that this result must not enter the result cache: it was
-// degraded under transient queue pressure (the exact answer is still
-// reachable once pressure subsides), or solved as a fleet fallback for an
-// unreachable owner (the owner's LRU is this fingerprint's home).
-// OOM-degraded results ARE cached — see DegradeReasonOOM.
-func (r *Result) noCache() bool {
-	return r.DegradeReason == DegradeReasonPressure || r.FleetFallback
-}
-
-// clone returns an independent copy whose strategy the caller may mutate.
-func (r *Result) clone() *Result {
-	out := *r
-	out.Strategy = r.Strategy.Clone()
-	return &out
-}
-
 // doSolve performs one underlying solve behind panic isolation, and holds
-// the only method dispatch: a direct baseline evaluation (baselines price one
-// fixed strategy and never need a model), or a cold build of the request's
-// model followed by the method's search. mcmc searches the full model (its
-// default data-parallel seed is not one of the eliminated model's
-// strategies); dp, beam and both degrade rungs search the model dead-end
-// elimination leaves, which keeps every optimum, and that elimination starts
-// from the last dp solve's checks. The dp leg carries the degradation ladder:
-// a non-empty degradeReason (queue pressure observed at admission) routes it
-// straight to the bounded beam solve, and an ErrOOM from the exact DP lands
-// there with DegradeReasonOOM.
+// the only method dispatch. A baseline prices one fixed strategy and needs no
+// model. Every other method runs the same stages: build the model (stamps
+// Timings.Model); eliminate dead ends, starting from the last dp solve's
+// checks (stamps Timings.Elim; mcmc skips it, because its default
+// data-parallel seed is not one of the eliminated model's strategies); then
+// one switch over mcmc | beam | dp. The switch's last arm is the degrade
+// rung, a single beam pass at Config.DegradeBeamWidth in place of the exact
+// DP: a single pass because degrading exists to answer fast, not to chase
+// the gap. A dp request reaches it with the pressure degradeReason admit
+// observed, or by an ErrOOM from the exact DP.
 func (p *Planner) doSolve(ctx context.Context, req Request, degradeReason string) (res *Result, err error) {
 	defer guard(p, &res, &err)
 	if err := p.cfg.FaultPlan.Fire(ctx, pressure.SiteSolve); err != nil {
 		return nil, err
 	}
 	method := req.Opts.method()
-	var model, elim time.Duration
 	if strategies.IsBaselineMethod(method) {
-		res, err = runBaseline(ctx, req.G, req.Spec, method)
-	} else {
-		start := time.Now()
-		var m *cost.Model
-		if m, err = p.buildModel(ctx, req); err != nil {
+		return runBaseline(ctx, req.G, req.Spec, method)
+	}
+	start := time.Now()
+	m, err := p.buildModel(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	t := Timings{Model: time.Since(start)}
+	var el *cost.Elimination
+	if method != "mcmc" {
+		p.mu.Lock()
+		checks := p.lastChecks
+		p.mu.Unlock()
+		start = time.Now()
+		if el, err = cost.Eliminate(ctx, m, checks); err != nil {
 			return nil, err
 		}
-		model = time.Since(start)
-		var el *cost.Elimination
-		if method != "mcmc" {
-			p.mu.Lock()
-			checks := p.lastChecks
-			p.mu.Unlock()
-			start = time.Now()
-			if el, err = cost.Eliminate(ctx, m, checks); err != nil {
-				return nil, err
-			}
-			elim = time.Since(start)
+		t.Elim = time.Since(start)
+	}
+	switch {
+	case method == "mcmc":
+		res, err = runMCMC(ctx, m, req.Opts)
+	case method == "beam":
+		res, err = runBeam(ctx, el.Model, req.Opts)
+	case degradeReason == "":
+		if err = p.cfg.FaultPlan.Fire(ctx, pressure.SiteDP); err == nil {
+			res, err = p.runDP(ctx, m, el, req.Opts)
 		}
-		switch {
-		case method == "mcmc":
-			res, err = runMCMC(ctx, m, req.Opts)
-		case method == "beam":
-			res, err = p.runBeam(ctx, el.Model, req.Opts)
-		case degradeReason != "":
-			res, err = p.runDegraded(ctx, el.Model, req.Opts, degradeReason)
-		default:
-			if err = p.cfg.FaultPlan.Fire(ctx, pressure.SiteDP); err == nil {
-				res, err = p.runDP(ctx, m, el, req.Opts)
-			}
-			if err != nil && errors.Is(err, core.ErrOOM) && p.cfg.DegradeBeamWidth > 0 {
-				res, err = p.runDegraded(ctx, el.Model, req.Opts, DegradeReasonOOM)
-			}
+		if !errors.Is(err, core.ErrOOM) || p.cfg.DegradeBeamWidth <= 0 {
+			break
+		}
+		degradeReason = DegradeReasonOOM
+		fallthrough
+	default:
+		opts := req.Opts
+		opts.BeamWidth, opts.GapTarget = p.cfg.DegradeBeamWidth, -1
+		if res, err = runBeam(ctx, el.Model, opts); err == nil {
+			res.Degraded, res.DegradeReason = true, degradeReason
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	res.Method, res.Timings.Model, res.Timings.Elim = method, model, elim
+	res.Method, res.Timings.Model, res.Timings.Elim = method, t.Model, t.Elim
 	return res, nil
 }
 
@@ -262,7 +250,7 @@ func dpResult(r *core.Result) *Result {
 // runBeam runs the anytime bounded-width DP over a built model. A beam pass
 // keeps no table and retains nothing: a width-W frontier is not an exact
 // table a later solve could keep.
-func (p *Planner) runBeam(ctx context.Context, m *cost.Model, opts Options) (*Result, error) {
+func runBeam(ctx context.Context, m *cost.Model, opts Options) (*Result, error) {
 	br, err := core.SolveBeam(ctx, m, dpSeq(m, opts), core.BeamOptions{
 		Options: core.Options{
 			MaxTableEntries: opts.MaxTableEntries,
@@ -278,30 +266,6 @@ func (p *Planner) runBeam(ctx context.Context, m *cost.Model, opts Options) (*Re
 	res.Gap = br.Gap
 	res.Exact = br.Exact
 	res.BeamWidth = opts.BeamWidth
-	p.mu.Lock()
-	p.stats.BeamSolves++
-	p.stats.LastGap = br.Gap
-	p.mu.Unlock()
-	return res, nil
-}
-
-// runDegraded is the degradation ladder's landing: a single bounded-width
-// beam pass at Config.DegradeBeamWidth in place of the exact DP, marked on
-// the Result so callers and caches can tell. A single pass (no refinement
-// loop) because degradation exists to answer fast — under queue pressure or
-// after an ErrOOM — not to chase the gap.
-func (p *Planner) runDegraded(ctx context.Context, m *cost.Model, opts Options, reason string) (*Result, error) {
-	opts.BeamWidth = p.cfg.DegradeBeamWidth
-	opts.GapTarget = -1
-	res, err := p.runBeam(ctx, m, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Degraded = true
-	res.DegradeReason = reason
-	p.mu.Lock()
-	p.stats.Degraded++
-	p.mu.Unlock()
 	return res, nil
 }
 
@@ -341,9 +305,6 @@ func (p *Planner) runDP(ctx context.Context, m *cost.Model, el *cost.Elimination
 	res.DeltaResolve = r.Stats.ReusedEntries > 0
 	p.mu.Lock()
 	p.lastSnap, p.lastChecks = snap, el.Checks()
-	if res.DeltaResolve {
-		p.stats.DeltaResolves++
-	}
 	p.mu.Unlock()
 	return res, nil
 }
@@ -385,5 +346,5 @@ func runBaseline(ctx context.Context, g *graph.Graph, spec machine.Spec, method 
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Strategy: s, Cost: c}, nil
+	return &Result{Strategy: s, Cost: c, Provenance: export.Provenance{Method: method}}, nil
 }

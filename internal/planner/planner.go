@@ -15,10 +15,12 @@
 // method, cached, singleflighted, and cancellable mid-solve.
 //
 // A request's one route is Prepare → lookup → admit → lookup → lead the
-// flight, whose body (doSolve) holds the only method dispatch. Prepare
-// validates, normalizes and fingerprints the request, once; Solve is Prepare
-// followed by SolvePrepared, and a front end that keys on the fingerprint
-// first (cmd/pased) calls the two itself.
+// flight. Each decision on it is made in one place: Prepare validates,
+// normalizes and fingerprints the request; doSolve, the flight's body, holds
+// the only method dispatch; the flight's publish counts the finished Result
+// and decides whether to cache it; answer stamps the request's own fields.
+// Solve is Prepare followed by SolvePrepared, and a front end that keys on
+// the fingerprint first (cmd/pased) calls the two itself.
 package planner
 
 import (
@@ -179,9 +181,11 @@ type Stats struct {
 	// benchmark harness, which reads it.
 	DeltaResolves  int64 `json:"delta_resolves"`
 	DeltaFallbacks int64 `json:"delta_fallbacks"`
-	// BeamSolves counts underlying "beam" method runs actually performed.
-	// LastGap is the optimality gap of the most recent completed beam solve
-	// (zero when it proved exactness).
+	// BeamSolves counts completed solves that ran a beam: "beam" requests
+	// and degraded "dp" requests alike. LastGap is the optimality gap of the
+	// most recent one (zero when it proved exactness). Like Solves, Degraded
+	// and DeltaResolves, they are counted from the Result when its flight
+	// publishes, whether or not the Result is cached.
 	BeamSolves int64   `json:"beam_solves"`
 	LastGap    float64 `json:"last_gap" metric:"gauge"`
 	// Shed counts requests rejected immediately because the admission queue
@@ -192,10 +196,10 @@ type Stats struct {
 	Queued     int64 `json:"queued"`
 	QueueDepth int   `json:"queue_depth" metric:"gauge"`
 	InFlight   int   `json:"in_flight" metric:"gauge"`
-	// Degraded counts "dp" requests served by the degradation ladder (a
-	// bounded beam solve instead of the exact DP — ErrOOM or queue
-	// pressure); Panics counts solves or model builds that panicked and
-	// were isolated to their own request.
+	// Degraded counts "dp" solves served by the degrade rung (a bounded beam
+	// pass instead of the exact DP, after ErrOOM or under queue pressure);
+	// Panics counts solves or model builds that panicked and were isolated
+	// to their own request.
 	Degraded int64 `json:"degraded"`
 	Panics   int64 `json:"panics"`
 	// RestoredResults counts result-cache entries loaded from a warm-restart
@@ -445,10 +449,6 @@ func (p *Planner) SolvePrepared(ctx context.Context, prep *Prepared, fleetFallba
 	go func() {
 		defer release()
 		res, err := p.doSolve(flightCtx, req, degradeReason)
-		if err == nil {
-			res.Fingerprint = fp.String()
-			res.FleetFallback = fleetFallback
-		}
 		p.mu.Lock()
 		if p.solveFlights[fp] == fl {
 			delete(p.solveFlights, fp)
@@ -457,8 +457,23 @@ func (p *Planner) SolvePrepared(ctx context.Context, prep *Prepared, fleetFallba
 			p.stats.FleetFallbacks++
 		}
 		if err == nil {
+			res.Fingerprint, res.FleetFallback = fp.String(), fleetFallback
 			p.stats.Solves++
-			if !res.noCache() {
+			if res.BeamWidth > 0 {
+				p.stats.BeamSolves++
+				p.stats.LastGap = res.Gap
+			}
+			if res.Degraded {
+				p.stats.Degraded++
+			}
+			if res.DeltaResolve {
+				p.stats.DeltaResolves++
+			}
+			// A pressure-degraded answer is not cached: pressure is transient,
+			// and the exact answer is reachable once it subsides. Nor is a
+			// fleet fallback: the owner's LRU is this fingerprint's home.
+			// OOM-degraded answers are cached (DegradeReasonOOM).
+			if res.DegradeReason != DegradeReasonPressure && !fleetFallback {
 				p.results.Put(fp, res)
 			}
 		}
@@ -499,10 +514,7 @@ func (p *Planner) lookup(ctx context.Context, fp canon.Fingerprint, start time.T
 		lead.cancel(nil)
 	}
 	if cached {
-		out := hit.clone()
-		out.Cached = true
-		out.Timings = Timings{Total: time.Since(start)}
-		return out, true, nil
+		return answer(hit, true, start), true, nil
 	}
 	res, err = p.waitSolve(ctx, fp, fl, start, false)
 	return res, true, err
@@ -558,12 +570,7 @@ func (p *Planner) waitSolve(ctx context.Context, fp canon.Fingerprint, fl *solve
 		if fl.err != nil {
 			return nil, fl.err
 		}
-		out := fl.res.clone()
-		if !leader {
-			out.Cached, out.Timings = true, Timings{}
-		}
-		out.Timings.Total = time.Since(start)
-		return out, nil
+		return answer(fl.res, !leader, start), nil
 	case <-ctx.Done():
 		p.mu.Lock()
 		fl.waiters--
@@ -578,6 +585,19 @@ func (p *Planner) waitSolve(ctx context.Context, fp canon.Fingerprint, fl *solve
 		}
 		return nil, context.Cause(ctx)
 	}
+}
+
+// answer is one request's copy of res, with its own Strategy and with
+// Timings.Total its wall time since start. A cached answer, a hit or a
+// ride-along, ran no solve: it is marked Cached and carries Total alone.
+func answer(res *Result, cached bool, start time.Time) *Result {
+	out := *res
+	out.Strategy = res.Strategy.Clone()
+	if cached {
+		out.Cached, out.Timings = true, Timings{}
+	}
+	out.Timings.Total = time.Since(start)
+	return &out
 }
 
 // Model returns a freshly built cost model for (g, spec, pol), for callers

@@ -116,6 +116,44 @@ func TestShedBypassedByCacheHit(t *testing.T) {
 	if !res.Cached || res.Cost != warm.Cost {
 		t.Fatalf("want cached result (cost %v), got cached=%v cost=%v", warm.Cost, res.Cached, res.Cost)
 	}
+
+	// A request identical to the one holding the slot rides along on its
+	// flight without touching the gate; a distinct request is still shed.
+	var ride Request
+	deadline := time.Now().Add(10 * time.Second)
+	for ride.G == nil && time.Now().Before(deadline) {
+		for _, req := range []Request{alexReq(16), rnnReq(8)} {
+			prep, err := p.Prepare(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, inFlight := p.Lookup(prep.Fingerprint()); inFlight {
+				ride = req
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	before := p.Stats()
+	rideCtx, rideCancel := context.WithCancel(context.Background())
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		p.Solve(rideCtx, ride)
+	}()
+	for p.Stats().DedupWaits != before.DedupWaits+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("identical request never rode along: %+v", p.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := p.Stats(); st.Shed != before.Shed || st.QueueDepth != before.QueueDepth {
+		t.Fatalf("ride-along touched the gate: Shed %d → %d, QueueDepth %d → %d",
+			before.Shed, st.Shed, before.QueueDepth, st.QueueDepth)
+	}
+	if _, err := p.Solve(context.Background(), rnnReq(16)); !errors.Is(err, ErrShed) {
+		t.Fatalf("distinct request under saturation: want ErrShed, got %v", err)
+	}
+	rideCancel()
 	cancel()
 	wg.Wait()
 }
@@ -147,6 +185,9 @@ func TestOOMDegradesToBeam(t *testing.T) {
 	}
 	if len(res.Strategy) == 0 || res.Cost <= 0 {
 		t.Fatalf("degraded result not a valid strategy: len=%d cost=%v", len(res.Strategy), res.Cost)
+	}
+	if st := p.Stats(); st.BeamSolves != 1 || st.LastGap != res.Gap {
+		t.Fatalf("BeamSolves = %d, LastGap = %v, want 1 and %v", st.BeamSolves, st.LastGap, res.Gap)
 	}
 
 	// OOM-degradation is deterministic for the request, so the result is
@@ -235,6 +276,10 @@ func TestPressureDegradationIsTransient(t *testing.T) {
 	}
 	if again.Degraded || !again.Exact {
 		t.Fatalf("post-pressure repeat: want exact solve, got degraded=%v exact=%v", again.Degraded, again.Exact)
+	}
+	// The uncached pressure answer was still counted.
+	if st := p.Stats(); st.Degraded != 1 || st.BeamSolves != 1 {
+		t.Fatalf("Degraded = %d, BeamSolves = %d, want 1 and 1", st.Degraded, st.BeamSolves)
 	}
 }
 

@@ -313,13 +313,15 @@ type Comparison = planner.Comparison
 type CompareEntry = planner.CompareEntry
 
 // NewPlanner returns a Planner sized by cfg (zero value: defaults — 128
-// results, 2 retained DP snapshots).
+// results, and the last dp solve retained as the next one's delta base).
 func NewPlanner(cfg PlannerConfig) *Planner { return planner.New(cfg) }
 
 // defaultPlanner serves package-level Solve/SolveBatch/Compare calls so that
 // repeated and concurrent identical requests anywhere in a process are
-// cached and deduplicated without any setup.
-var defaultPlanner = planner.New(planner.Config{})
+// cached and deduplicated without any setup. It retains no dp solve: a
+// delta base held for the life of the process would pin megabytes for
+// callers that never send an edit.
+var defaultPlanner = planner.New(planner.Config{DeltaCacheSize: -1})
 
 // ErrOOM is returned when the DP tables exceed the memory budget (the
 // paper's Table I "OOM" outcome for breadth-first ordering).
@@ -375,6 +377,9 @@ func NewModel(g *Graph, spec Machine, pol EnumPolicy) (*Model, error) {
 // while a shared solve finishes for its remaining waiters (the solve itself
 // is aborted when the last waiter cancels). Result.Timings.Total is end to
 // end (model construction included); Timings.Model isolates the build share.
+// The package-default Planner retains no dp solve, so every dp request
+// solves cold; a caller that re-solves edits of one graph makes its own
+// NewPlanner, whose next dp solve keeps the tables an edit leaves unchanged.
 //
 // Do not mutate req.G after calling Solve: the planner caches results and
 // class tables under the graph's fingerprints at request time, and a later

@@ -47,6 +47,22 @@ func TestSolveOnAlexNet(t *testing.T) {
 	}
 }
 
+// The package-default planner retains no dp solve: an edit of a graph solved
+// through Solve solves cold.
+func TestSolveRetainsNoDeltaBase(t *testing.T) {
+	edit := AlexNet(96)
+	edit.Nodes[1].FlopsPerPoint *= 2
+	for i, g := range []*Graph{AlexNet(96), edit} {
+		res, err := solve(g, GTX1080Ti(8), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.DeltaResolve {
+			t.Fatalf("solve %d: DeltaResolve through the package-default planner", i)
+		}
+	}
+}
+
 func TestSolveBeatsBaselinesOnEveryBenchmark(t *testing.T) {
 	// The paper's headline claim (§IV): PaSE's strategies outperform data
 	// parallelism in all cases, and do at least as well as the expert
