@@ -3,12 +3,12 @@
 // parallelization strategies on demand. Identical requests are served from
 // the planner's result cache, concurrent identical requests share one solve,
 // a miss builds its cost model cold (no tables outlive a request), and every
-// request — /v1/solve, a fleet-forwarded /v1/internal/solve, or an
-// item of a /v1/batch fanned out across GOMAXPROCS workers — takes the same
-// route (serveOne). A repeat body is answered from the request memo without
-// reaching spec.Load or the model registry, so a change to lowering shows on
-// a body's first request only; /v1/stats memo_hits / memo_misses say which
-// kind a request was.
+// request — /v1/solve, a fleet-forwarded /v1/internal/solve, or an item of
+// a /v1/batch, whose items GOMAXPROCS workers claim one at a time (par.For)
+// and answer in request order — takes the same route (serveOne). A repeat
+// body is answered from the request memo without reaching spec.Load or the
+// model registry, so a change to lowering shows on a body's first request
+// only; /v1/stats memo_hits / memo_misses say which kind a request was.
 //
 // Every solve is tied to its request's context: a disconnected client or the
 // -solve-timeout deadline aborts the model build, DP or beam mid-flight within

@@ -11,12 +11,12 @@ import (
 	"log"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"pase"
 	"pase/internal/fleet"
+	"pase/internal/par"
 )
 
 // server routes HTTP requests to a planner.
@@ -514,27 +514,18 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.solveCtx(r.Context())
 	defer cancel()
-	// A fixed pool, not a goroutine per item: a 1 MiB body holds tens of
-	// thousands of items, and each may become a solve or an outbound peer
-	// call.
+	// GOMAXPROCS workers claim the items, not a goroutine per item: a 1 MiB
+	// body holds tens of thousands of items, and each may become a solve or
+	// an outbound peer call. Answers keep request order.
 	entries := make([]json.RawMessage, len(br.Requests))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for n := min(runtime.GOMAXPROCS(0), len(entries)); n > 0; n-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(entries); i = int(next.Add(1)) - 1 {
-				out, apiErr := s.serveOne(ctx, br.Requests[i], false)
-				if apiErr != nil {
-					// A string and diagnostics always marshal.
-					out, _ = json.Marshal(batchError{Error: apiErr.Error, Details: apiErr.Details})
-				}
-				entries[i] = out
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(entries), runtime.GOMAXPROCS(0), func(_, i int) {
+		out, apiErr := s.serveOne(ctx, br.Requests[i], false)
+		if apiErr != nil {
+			// A string and diagnostics always marshal.
+			out, _ = json.Marshal(batchError{Error: apiErr.Error, Details: apiErr.Details})
+		}
+		entries[i] = out
+	})
 	writeJSON(w, http.StatusOK, batchResponse{Results: entries})
 }
 

@@ -69,13 +69,6 @@ func (s Set) Clear() {
 	}
 }
 
-// Clone returns an independent copy.
-func (s Set) Clone() Set {
-	out := make(Set, len(s))
-	copy(out, s)
-	return out
-}
-
 // Empty reports whether the set has no members.
 func (s Set) Empty() bool {
 	for _, w := range s {

@@ -38,11 +38,11 @@ type Fingerprint [sha256.Size]byte
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
 // Type tags. Each written value is prefixed with its tag so that adjacent
-// fields of different types can never collide byte-wise.
+// fields of different types can never collide byte-wise. Tags are part of
+// every fingerprint, so none is renumbered; 3 is unused.
 const (
 	tagString byte = 1
 	tagInt    byte = 2
-	tagUint   byte = 3
 	tagFloat  byte = 4
 	tagBool   byte = 5
 	tagSlice  byte = 6
@@ -117,9 +117,6 @@ func (w *Writer) I64(v int64) { w.word(tagInt, uint64(v)) }
 
 // Int writes an int.
 func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// U64 writes an unsigned integer.
-func (w *Writer) U64(v uint64) { w.word(tagUint, v) }
 
 // F64 writes a float64, normalizing -0 to 0 and all NaNs to one bit pattern.
 func (w *Writer) F64(v float64) {

@@ -26,8 +26,9 @@ import (
 	"pase/internal/seq"
 )
 
-// BeamOptions tunes the beam solver. The embedded Options carry the memory
-// budget and worker count exactly as for the exact solver.
+// BeamOptions tunes the beam solver. Of the embedded Options it reads only
+// MaxTableEntries, the memory budget: a pass is serial, so Workers is
+// ignored.
 type BeamOptions struct {
 	Options
 	// Width is W, the number of (φ, C)-states retained per DP table (of the

@@ -103,7 +103,7 @@ func naiveBeamPass(t *testing.T, m *cost.Model, sq *seq.Sequence, width, k int) 
 			for k := range dig {
 				dig[k] = -1
 			}
-			cur = append(cur, naivePartial{dig: dig, c: c, cost: m.TL(v, c)})
+			cur = append(cur, naivePartial{dig: dig, c: c, cost: m.TLRow(v)[c]})
 		}
 		cur = cut(cur)
 		assigned := make([]bool, len(dep))
@@ -193,7 +193,7 @@ func naiveBeamPass(t *testing.T, m *cost.Model, sq *seq.Sequence, width, k int) 
 
 		// The guide state, valued through the children's guide states.
 		byGuide := func(d int) int { return guide[d] }
-		gVal := m.TL(v, guide[v])
+		gVal := m.TLRow(v)[guide[v]]
 		for _, ie := range m.Incidence(v) {
 			if sq.Pos[ie.Other] > i {
 				gVal += edgeCost(ie, guide[v], guide[ie.Other])

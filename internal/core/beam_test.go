@@ -428,7 +428,7 @@ var (
 		},
 	}
 	beamSeals = map[string]string{
-		"core.kernel/v2": "2d9b7d2ed59427c2",
+		"core.kernel/v2": "dc681f561d85d134",
 	}
 )
 
@@ -447,8 +447,8 @@ func beamColumnDigest(version string, col [2]beamPin) string {
 	w.Str(version)
 	for _, pin := range col {
 		w.I64(pin.states)
-		w.U64(pin.costBits)
-		w.U64(pin.gapBits)
+		w.I64(int64(pin.costBits))
+		w.I64(int64(pin.gapBits))
 		w.Str(pin.strategy)
 	}
 	return w.Sum().String()[:16]

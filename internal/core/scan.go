@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // fillChunkEntries caps one chunk of a parallel table fill at 16K entries:
@@ -34,36 +32,6 @@ func fillChunkSize(total int64, workers int) int64 {
 		c = minChunkEntries
 	}
 	return c
-}
-
-// fillPool is the solve-lifetime worker pool the chunked table fills
-// dispatch to: nw−1 helper goroutines started once per Solve (the caller's
-// goroutine is the nw-th worker), instead of spawning fresh goroutines for
-// every vertex's fill.
-type fillPool struct {
-	jobs chan func()
-	wg   sync.WaitGroup
-}
-
-func newFillPool(helpers int) *fillPool {
-	p := &fillPool{jobs: make(chan func(), helpers)}
-	for i := 0; i < helpers; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for f := range p.jobs {
-				f()
-			}
-		}()
-	}
-	return p
-}
-
-// close drains and stops the helpers. Safe only after every dispatched job
-// has completed (each fill waits for its own jobs before returning).
-func (p *fillPool) close() {
-	close(p.jobs)
-	p.wg.Wait()
 }
 
 // fillScratch is one worker's odometer state — digit vector, row indices, the
@@ -266,40 +234,22 @@ func (e *exactSolve) scan(v int, q *qtable, srcs []rowSrc, rowDig [][]digUpd, re
 }
 
 // parChunk splits a fill's flat index range into contiguous fixed-size chunks
-// claimed off an atomic counter by the pool's helpers plus the calling
-// goroutine, handing each chunk the index of the worker that runs it (the
-// caller is worker 0), so a chunk can use that worker's scratch. Chunks write
-// disjoint output ranges, so which worker runs which chunk is irrelevant to
-// the bytes produced — results stay byte-identical at every worker count —
-// while the dynamic claiming keeps all cores busy even when one chunk's scan
-// is slower than another's.
+// that the solve's pool claims one at a time, handing each chunk the index of
+// the worker that runs it (the caller is worker 0), so a chunk can use that
+// worker's scratch. Chunks write disjoint output ranges, so which worker runs
+// which chunk is irrelevant to the bytes produced — results stay
+// byte-identical at every worker count — while the dynamic claiming keeps all
+// cores busy even when one chunk's scan is slower than another's.
 func (e *exactSolve) parChunk(total int64, f func(w int, lo, hi int64)) {
 	if e.nw <= 1 || total < parallelThreshold {
 		f(0, 0, total)
 		return
 	}
 	chunk := fillChunkSize(total, e.nw)
-	var next atomic.Int64
-	run := func(w int) {
-		for {
-			lo := (next.Add(1) - 1) * chunk
-			if lo >= total {
-				return
-			}
-			f(w, lo, min(lo+chunk, total))
-		}
-	}
-	helpers := min(e.nw-1, int((total+chunk-1)/chunk)-1)
-	var wg sync.WaitGroup
-	wg.Add(helpers)
-	for w := 1; w <= helpers; w++ {
-		e.pool.jobs <- func() {
-			defer wg.Done()
-			run(w)
-		}
-	}
-	run(0)
-	wg.Wait()
+	e.pool.For(int((total+chunk-1)/chunk), func(w, c int) {
+		lo := int64(c) * chunk
+		f(w, lo, min(lo+chunk, total))
+	})
 }
 
 // par is parChunk for a pass that needs no scratch.

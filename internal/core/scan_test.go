@@ -187,7 +187,7 @@ func naiveTables(m *cost.Model, sq *seq.Sequence) (tbl [][]float64, choice [][]i
 			best, bestC := math.Inf(1), int32(0)
 			for c := 0; c < kv; c++ {
 				cfg[v] = c
-				cst := m.TL(v, c)
+				cst := m.TLRow(v)[c]
 				for _, r := range slow {
 					cst += r.at()
 				}

@@ -19,6 +19,7 @@ import (
 	"pase/internal/canon"
 	"pase/internal/cost"
 	"pase/internal/graph"
+	"pase/internal/par"
 	"pase/internal/seq"
 )
 
@@ -220,7 +221,7 @@ func Resolve(ctx context.Context, m *cost.Model, snap *Snapshot, dirtyV []bool, 
 type exactSolve struct {
 	*frame
 	nw       int
-	pool     *fillPool
+	pool     *par.Pool
 	scratch  []fillScratch
 	rep      []int
 	keys     []canon.Fingerprint
@@ -250,12 +251,10 @@ func solveExact(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Optio
 		return nil, nil, err
 	}
 	e.st.Stages.Plan = time.Since(start)
-	// The fill pool lives for the whole solve: every chunked fill dispatches
-	// to the same nw−1 helpers (the calling goroutine is the nw-th worker).
-	if e.nw > 1 {
-		e.pool = newFillPool(e.nw - 1)
-		defer e.pool.close()
-	}
+	// The fill pool lives for the whole solve: every chunked fill runs on
+	// the same nw−1 helpers plus the calling goroutine.
+	e.pool = par.NewPool(e.nw)
+	defer e.pool.Close()
 	e.scratch = make([]fillScratch, e.nw)
 	for i := range sq.Order {
 		if err := e.position(i); err != nil {

@@ -102,7 +102,7 @@ func TestEdgeClassAudit(t *testing.T) {
 		}
 		base := build(bm.Build(bm.Batch), BuildOptions{})
 		v := slices.IndexFunc(base.G.Nodes, c.pick)
-		if v < 0 || len(base.G.In(v)) == 0 || len(base.G.Out(v)) == 0 {
+		if v < 0 || len(base.G.In(v)) == 0 || !slices.ContainsFunc(base.Edges(), func(e [2]int) bool { return e[0] == v }) {
 			t.Fatalf("%s: no interior node to mutate", c.model)
 		}
 		for name, f := range edgeAudit {

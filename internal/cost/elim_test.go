@@ -160,8 +160,8 @@ func TestEliminatedModelRestrictsTables(t *testing.T) {
 			t.Fatalf("vertex %d: %d of %d survive, eliminated K %d", v, len(a), m.K(v), em.K(v))
 		}
 		for i, c := range a {
-			if !em.Configs(v)[i].Equal(m.Configs(v)[c]) || em.TL(v, i) != m.TL(v, int(c)) {
-				t.Errorf("vertex %d survivor %d: config %v TL %v, want configuration %d's", v, i, em.Configs(v)[i], em.TL(v, i), c)
+			if !em.Configs(v)[i].Equal(m.Configs(v)[c]) || em.TLRow(v)[i] != m.TLRow(v)[c] {
+				t.Errorf("vertex %d survivor %d: config %v TL %v, want configuration %d's", v, i, em.Configs(v)[i], em.TLRow(v)[i], c)
 			}
 		}
 		if em.VertexClassFP(v) == m.VertexClassFP(v) {

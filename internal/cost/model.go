@@ -7,12 +7,12 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"pase/internal/canon"
 	"pase/internal/graph"
 	"pase/internal/itspace"
 	"pase/internal/machine"
+	"pase/internal/par"
 )
 
 // IncEdge describes one directed edge incident to a node, from that node's
@@ -33,11 +33,10 @@ type IncEdge struct {
 // MCMC search, and the exhaustive baselines all evaluate strategies through
 // one Model, so they rank candidates under the identical cost function.
 //
-// All cost tables are built eagerly (and concurrently, across a
-// GOMAXPROCS-sized worker pool) at NewModel time, each TX table in one
-// orientation; its transpose is built on first read (EdgeTableT), once per
-// edge class. A finished Model is safe for concurrent use by any number of
-// goroutines.
+// All cost tables are built eagerly at NewModel time, one class per task on
+// GOMAXPROCS workers (parallelFor), each TX table in one orientation; its
+// transpose is built on first read (EdgeTableT), once per edge class. A
+// finished Model is safe for concurrent use by any number of goroutines.
 //
 // Costs are in seconds of estimated per-step time (pricing.go): the sum of
 // a strategy's layer and edge costs equals the simulator's step time minus
@@ -72,54 +71,22 @@ type Model struct {
 	inc    [][]IncEdge // per-node incident edges
 }
 
-// parallelFor runs f(i) for every i in [0, n) across a GOMAXPROCS-sized
-// worker pool. Each index is handled exactly once; f must only write state
-// owned by its index. Cancellation is polled between tasks — one task (one
-// node's enumeration, one edge's table) is the unit of promptness — and the
-// pool always drains before returning, so a cancelled build leaks no
-// goroutines. Callers observe cancellation via ctx.Err() afterwards.
+// parallelFor runs f(i) for every i in [0, n) on GOMAXPROCS workers. Each
+// index is handled exactly once; f must only write state owned by its index.
+// Cancellation is polled before every task — one task (one class's
+// enumeration, one edge class's table) is the unit of promptness — and a task
+// claimed after it fires is skipped; every worker has returned when
+// parallelFor does, so a cancelled build leaks no goroutines. Callers observe
+// cancellation via ctx.Err() afterwards.
 func parallelFor(ctx context.Context, n int, f func(i int)) {
 	done := ctx.Done()
-	nw := runtime.GOMAXPROCS(0)
-	if nw > n {
-		nw = n
-	}
-	if nw <= 1 {
-		for i := 0; i < n; i++ {
-			if done != nil {
-				select {
-				case <-done:
-					return
-				default:
-				}
-			}
+	par.For(n, runtime.GOMAXPROCS(0), func(_, i int) {
+		select {
+		case <-done:
+		default:
 			f(i)
 		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if done != nil {
-					select {
-					case <-done:
-						return
-					default:
-					}
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
+	})
 }
 
 // BuildOptions tunes model construction. The zero value is the default
@@ -446,9 +413,6 @@ func txTables(nu, nv *graph.Node, inSlot int, cfgsU, cfgsV []itspace.Config, txB
 // P returns the device count.
 func (m *Model) P() int { return m.Spec.Devices }
 
-// R returns the FLOP-to-byte ratio used by the model.
-func (m *Model) R() float64 { return m.r }
-
 // Configs returns the enumerated configuration list of node v: index i is
 // config ID i. Do not mutate.
 func (m *Model) Configs(v int) []itspace.Config { return m.cfgs[v] }
@@ -470,9 +434,6 @@ func (m *Model) IndexOf(v int, cfg itspace.Config) int {
 	}
 	return -1
 }
-
-// TL returns the memoized layer cost of node v under its ci-th configuration.
-func (m *Model) TL(v, ci int) float64 { return m.tl[v][ci] }
 
 // Edges returns the directed edge list in the model's canonical order.
 func (m *Model) Edges() [][2]int { return m.edges }

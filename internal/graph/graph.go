@@ -120,14 +120,6 @@ func (r TensorRef) Extent(s itspace.Space, t int) int64 {
 	return s[r.Map[t]].Size
 }
 
-// Off returns the offset of tensor dim t within its iteration dimension.
-func (r TensorRef) Off(t int) int64 {
-	if r.Offset == nil {
-		return 0
-	}
-	return r.Offset[t]
-}
-
 // Node is a layer in the computation graph.
 type Node struct {
 	ID    int
@@ -187,9 +179,6 @@ func (g *Graph) AddEdge(u, v *Node) {
 
 // Len returns the node count.
 func (g *Graph) Len() int { return len(g.Nodes) }
-
-// Out returns the successor IDs of node id.
-func (g *Graph) Out(id int) []int { return g.out[id] }
 
 // In returns the predecessor IDs of node id.
 func (g *Graph) In(id int) []int { return g.in[id] }

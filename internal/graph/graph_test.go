@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"pase/internal/itspace"
@@ -38,8 +39,8 @@ func TestAddNodeAssignsIDs(t *testing.T) {
 
 func TestEdgesAndNeighbors(t *testing.T) {
 	g := lineGraph(3)
-	if got := g.Out(0); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("Out(0) = %v", got)
+	if got := g.Edges(); !slices.Equal(got, [][2]int{{0, 1}, {1, 2}}) {
+		t.Fatalf("Edges() = %v", got)
 	}
 	if got := g.In(2); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("In(2) = %v", got)
@@ -159,13 +160,6 @@ func TestTensorRefExtentOffset(t *testing.T) {
 	r := TensorRef{Map: []int{0, 1}, Offset: []int64{0, 16}, Size: []int64{8, 16}}
 	if r.Extent(sp, 1) != 16 {
 		t.Fatalf("Extent = %d", r.Extent(sp, 1))
-	}
-	if r.Off(1) != 16 {
-		t.Fatalf("Off = %d", r.Off(1))
-	}
-	full := TensorRef{Map: []int{0, 1}}
-	if full.Off(0) != 0 {
-		t.Fatal("default offset not 0")
 	}
 }
 

@@ -23,6 +23,10 @@ import (
 	"pase/internal/cost"
 )
 
+// beta is the Metropolis inverse temperature applied to relative cost deltas:
+// a worse move is accepted with probability exp(−beta·Δ/current).
+const beta = 40
+
 // Options tunes the search.
 type Options struct {
 	// Seed makes the chain deterministic.
@@ -30,10 +34,6 @@ type Options struct {
 	// MaxIters is the hard iteration cap (paper: 250,000). Zero selects the
 	// default.
 	MaxIters int
-	// Beta is the Metropolis inverse temperature applied to relative cost
-	// deltas: accept worse moves with probability exp(-Beta·Δ/current).
-	// Zero selects the default of 40.
-	Beta float64
 	// MinIters guards the no-improvement stop from firing immediately.
 	MinIters int
 }
@@ -41,9 +41,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxIters <= 0 {
 		o.MaxIters = 250_000
-	}
-	if o.Beta == 0 {
-		o.Beta = 40
 	}
 	if o.MinIters <= 0 {
 		o.MinIters = 2_000
@@ -60,7 +57,7 @@ func (o Options) CanonicalEncode(w *canon.Writer) {
 	w.Label("mcmc.options/v1")
 	w.I64(o.Seed)
 	w.Int(o.MaxIters)
-	w.F64(o.Beta)
+	w.F64(beta) // in the stream: cached keys and snapshots hash these bytes
 	w.Int(o.MinIters)
 }
 
@@ -122,7 +119,7 @@ func Search(ctx context.Context, m *cost.Model, init []int, opts Options) (*Resu
 		accept := delta <= 0
 		if !accept {
 			rel := delta / math.Max(curCost, 1)
-			accept = rng.Float64() < math.Exp(-opts.Beta*rel)
+			accept = rng.Float64() < math.Exp(-beta*rel)
 		}
 		if accept {
 			cur[v] = newC

@@ -188,7 +188,7 @@ func TestMethodDistinctFingerprints(t *testing.T) {
 	mc1, mc2 := base, base
 	mc1.Opts.Method = "mcmc"
 	mc2.Opts.Method = "mcmc"
-	mc2.Opts.MCMC = mcmc.Options{MaxIters: 250_000, Beta: 40, MinIters: 2_000}
+	mc2.Opts.MCMC = mcmc.Options{MaxIters: 250_000, MinIters: 2_000}
 	_, f1 := Fingerprints(mc1)
 	_, f2 := Fingerprints(mc2)
 	if f1 != f2 {

@@ -252,10 +252,7 @@ func dpResult(r *core.Result) *Result {
 // table a later solve could keep.
 func runBeam(ctx context.Context, m *cost.Model, opts Options) (*Result, error) {
 	br, err := core.SolveBeam(ctx, m, dpSeq(m, opts), core.BeamOptions{
-		Options: core.Options{
-			MaxTableEntries: opts.MaxTableEntries,
-			Workers:         opts.Workers,
-		},
+		Options:   core.Options{MaxTableEntries: opts.MaxTableEntries},
 		Width:     opts.BeamWidth,
 		GapTarget: opts.GapTarget,
 	})

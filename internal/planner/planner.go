@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pase/internal/canon"
@@ -39,6 +38,7 @@ import (
 	"pase/internal/itspace"
 	"pase/internal/lru"
 	"pase/internal/machine"
+	"pase/internal/par"
 	"pase/internal/pressure"
 	"pase/internal/strategies"
 )
@@ -635,22 +635,9 @@ func (p *Planner) buildModel(ctx context.Context, req Request) (m *cost.Model, e
 // caller wants) and unstarted entries fail immediately with ctx's error.
 func (p *Planner) SolveBatch(ctx context.Context, reqs []Request) []BatchItem {
 	out := make([]BatchItem, len(reqs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(reqs)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				out[i].Result, out[i].Err = p.Solve(ctx, reqs[i])
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(reqs), runtime.GOMAXPROCS(0), func(_, i int) {
+		out[i].Result, out[i].Err = p.Solve(ctx, reqs[i])
+	})
 	return out
 }
 

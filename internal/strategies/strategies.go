@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"strings"
 
-	"pase/internal/cost"
 	"pase/internal/graph"
 	"pase/internal/itspace"
 )
@@ -166,9 +165,6 @@ func ForMethod(method string, g *graph.Graph, p int) (graph.Strategy, error) {
 func IsBaselineMethod(method string) bool {
 	return method == "dataparallel" || strings.HasPrefix(method, "expert:")
 }
-
-// Cost evaluates a strategy under the model, returning F(G, φ).
-func Cost(m *cost.Model, s graph.Strategy) (float64, error) { return m.Eval(s) }
 
 func unit(sp itspace.Space) itspace.Config {
 	c := make(itspace.Config, len(sp))

@@ -160,11 +160,11 @@ func TestExpertBeatsDataParallelWhereExpected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		expCost, err := Cost(m, exp)
+		expCost, err := m.Eval(exp)
 		if err != nil {
 			t.Fatalf("%s expert: %v", tc.model, err)
 		}
-		dpCost, err := Cost(m, DataParallel(g, tc.p))
+		dpCost, err := m.Eval(DataParallel(g, tc.p))
 		if err != nil {
 			t.Fatal(err)
 		}

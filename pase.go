@@ -409,9 +409,6 @@ func Compare(ctx context.Context, req CompareRequest) (*Comparison, error) {
 // (Options.MCMC).
 type MCMCOptions = mcmc.Options
 
-// StrategyCost evaluates F(G, φ) for any valid strategy under the model.
-func StrategyCost(m *Model, s Strategy) (float64, error) { return m.Eval(s) }
-
 // Simulate runs the cluster step-time simulator for a strategy, the
 // substitute for the paper's real-hardware throughput measurements.
 func Simulate(g *Graph, s Strategy, spec Machine, batch int64) (StepResult, error) {

@@ -78,14 +78,14 @@ func TestSolveBeatsBaselinesOnEveryBenchmark(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
-		dpCost, err := StrategyCost(m, baseline(t, m, "dataparallel"))
+		dpCost, err := m.Eval(baseline(t, m, "dataparallel"))
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
 		if res.Cost >= dpCost {
 			t.Fatalf("%s: PaSE %.3e not below data parallelism %.3e", bm.Name, res.Cost, dpCost)
 		}
-		expCost, err := StrategyCost(m, baseline(t, m, "expert:"+bm.Family))
+		expCost, err := m.Eval(baseline(t, m, "expert:"+bm.Family))
 		if err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
@@ -126,7 +126,7 @@ func TestMCMCFromExpert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expCost, err := StrategyCost(m, baseline(t, m, "expert:cnn"))
+	expCost, err := m.Eval(baseline(t, m, "expert:cnn"))
 	if err != nil {
 		t.Fatal(err)
 	}
