@@ -518,7 +518,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// body holds tens of thousands of items, and each may become a solve or
 	// an outbound peer call. Answers keep request order.
 	entries := make([]json.RawMessage, len(br.Requests))
-	par.For(len(entries), runtime.GOMAXPROCS(0), func(_, i int) {
+	par.For(len(entries), runtime.GOMAXPROCS(0), func(i int) {
 		out, apiErr := s.serveOne(ctx, br.Requests[i], false)
 		if apiErr != nil {
 			// A string and diagnostics always marshal.

@@ -296,8 +296,8 @@ func (e *exactSolve) fill(i int) (*qtable, error) {
 	e.st.Stages.Fill += scanStart.Sub(start)
 	e.scan(e.sq.Order[i], q, srcs, rowDig, reps)
 	e.st.Stages.Scan += time.Since(scanStart)
-	// A cancelled fill returned early with a partial table; parChunk has
-	// already drained its goroutines, so this is the clean exit point.
+	// A cancelled fill returned early with a partial table; par has already
+	// drained its goroutines, so this is the clean exit point.
 	if e.cancelled.Load() {
 		return nil, e.cancelErr()
 	}

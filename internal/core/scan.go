@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"slices"
+
+	"pase/internal/par"
 )
 
 // fillChunkEntries caps one chunk of a parallel table fill at 16K entries:
@@ -34,37 +36,15 @@ func fillChunkSize(total int64, workers int) int64 {
 	return c
 }
 
-// fillScratch is one worker's odometer state — digit vector, row indices, the
-// base vector and the fast rows' sum — held by the solve, one per worker, and
-// grown per fill, so the many chunks of a big fill don't each allocate four
-// slices. It holds indices and its own buffers only: the current rows are
-// re-sliced from their source tables where they are read, so a scratch never
-// pins a freed table, and the scan's inner loops store no pointer into the
-// heap. A chunk fully initializes what it reads (digits are zeroed
-// explicitly: scans only position a subset of them).
-type fillScratch struct {
-	digits []int
-	ridx   []int64
-	base   []float64
-	sum    []float64
-}
-
 // grown is s resliced to n elements, or a new slice where s is too short.
 // A new slice's capacity is a multiple of 8 elements, so that the buffers of
-// two fill workers — 8-byte elements, allocated one after the other — never
+// two fill chunks — 8-byte elements, allocated one after the other — never
 // share a cache line.
 func grown[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, n, (n+7)&^7)
 	}
 	return s[:n]
-}
-
-func (sc *fillScratch) grow(ndep, nrows, kv int) {
-	sc.digits = grown(sc.digits, ndep)
-	sc.ridx = grown(sc.ridx, nrows)
-	sc.base = grown(sc.base, kv)
-	sc.sum = grown(sc.sum, kv)
 }
 
 // cancelCheckMask sets the cancellation polling granularity inside a table
@@ -104,30 +84,29 @@ func (e *exactSolve) scan(v int, q *qtable, srcs []rowSrc, rowDig [][]digUpd, re
 			slowRows = append(slowRows, s)
 		}
 	}
-	done, cancelled, stopped, scratch := e.done, &e.cancelled, e.stopped, e.scratch
-	for w := range scratch {
-		scratch[w].grow(len(q.dims), len(srcs), len(tlv))
-	}
+	done, cancelled, stopped := e.done, &e.cancelled, e.stopped
 
 	// fillScan computes min_C over the flat range [lo, hi) of the table —
 	// the scan odometer over the representatives of every digit, first
-	// digit fastest — in worker w's scratch. A candidate's cost is summed as
-	// ((tl + slow rows in row order) + fast rows in row order); the
-	// parenthesised base is rebuilt only when a digit slower than fastDigit
-	// steps. Each entry takes the first candidate of least cost in
-	// configuration order. Ranges are disjoint and all shared state is
-	// read-only, so chunks run in parallel with byte-identical tables at any
-	// worker count and chunk size.
-	fillScan := func(w int, lo, hi int64) {
+	// digit fastest — on buffers the chunk allocates for itself. A
+	// candidate's cost is summed as ((tl + slow rows in row order) + fast
+	// rows in row order); the parenthesised base is rebuilt only when a
+	// digit slower than fastDigit steps. Each entry takes the first
+	// candidate of least cost in configuration order. Ranges are disjoint
+	// and all shared state is read-only, so chunks run in parallel with
+	// byte-identical tables at any worker count and chunk size.
+	fillScan := func(lo, hi int64) {
 		// A chunk claimed after cancellation returns before paying the
 		// odometer positioning.
 		if done != nil && cancelled.Load() {
 			return
 		}
-		sc := &scratch[w]
-		clear(sc.digits)
-		// digits holds each digit's position in its reps list.
-		digits, ridx, base, sum := sc.digits, sc.ridx, sc.base, sc.sum
+		// digits holds each digit's position in its reps list, ridx each
+		// row's index in its source table: the rows themselves are re-sliced
+		// where they are read, so the inner loops store no pointer into the
+		// heap. base and sum are the chunk's cost buffers.
+		digits, ridx := make([]int, len(q.dims)), make([]int64, len(srcs))
+		base, sum := grown[float64](nil, len(tlv)), grown[float64](nil, len(tlv))
 		row := func(s int) []float64 {
 			o := ridx[s] * int64(srcs[s].w)
 			return srcs[s].vals[o : o+int64(srcs[s].w)]
@@ -149,7 +128,6 @@ func (e *exactSolve) scan(v int, q *qtable, srcs []rowSrc, rowDig [][]digUpd, re
 		// Position the incremental state at flat index lo of the scan
 		// odometer.
 		rem := lo
-		clear(ridx)
 		for _, k := range scanDigits {
 			n := int64(len(reps[k]))
 			digits[k] = int(rem % n)
@@ -229,30 +207,24 @@ func (e *exactSolve) scan(v int, q *qtable, srcs []rowSrc, rowDig [][]digUpd, re
 			}
 		}
 	}
-	e.parChunk(int64(len(q.cost)), fillScan)
+	e.par(int64(len(q.cost)), fillScan)
 	e.st.States += int64(len(q.cost)) * int64(len(tlv))
 }
 
-// parChunk splits a fill's flat index range into contiguous fixed-size chunks
-// that the solve's pool claims one at a time, handing each chunk the index of
-// the worker that runs it (the caller is worker 0), so a chunk can use that
-// worker's scratch. Chunks write disjoint output ranges, so which worker runs
-// which chunk is irrelevant to the bytes produced — results stay
-// byte-identical at every worker count — while the dynamic claiming keeps all
-// cores busy even when one chunk's scan is slower than another's.
-func (e *exactSolve) parChunk(total int64, f func(w int, lo, hi int64)) {
+// par splits a pass's flat index range into contiguous fixed-size chunks
+// that e.nw goroutines, started for this pass and the caller among them,
+// claim one at a time. Chunks write disjoint output ranges, so which
+// goroutine runs which chunk is irrelevant to the bytes produced — results
+// stay byte-identical at every worker count — while the dynamic claiming
+// keeps all cores busy even when one chunk's scan is slower than another's.
+func (e *exactSolve) par(total int64, f func(lo, hi int64)) {
 	if e.nw <= 1 || total < parallelThreshold {
-		f(0, 0, total)
+		f(0, total)
 		return
 	}
 	chunk := fillChunkSize(total, e.nw)
-	e.pool.For(int((total+chunk-1)/chunk), func(w, c int) {
+	par.For(int((total+chunk-1)/chunk), e.nw, func(c int) {
 		lo := int64(c) * chunk
-		f(w, lo, min(lo+chunk, total))
+		f(lo, min(lo+chunk, total))
 	})
-}
-
-// par is parChunk for a pass that needs no scratch.
-func (e *exactSolve) par(total int64, f func(lo, hi int64)) {
-	e.parChunk(total, func(_ int, lo, hi int64) { f(lo, hi) })
 }

@@ -772,35 +772,13 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 		crossed, throughOldClasses)
 }
 
-// The scratch a solve holds per worker across its fills must not keep any DP
-// or cost table alive: it may hold nothing a table slice could be stored in,
-// only pointer-free values and slices of pointer-free elements (indices and
-// its own cost buffers), directly or inside a nested struct.
-func TestPooledScratchCannotReferenceTables(t *testing.T) {
-	var check func(name string, typ reflect.Type)
-	check = func(name string, typ reflect.Type) {
-		for i := 0; i < typ.NumField(); i++ {
-			f := typ.Field(i)
-			switch {
-			case f.Type.Kind() == reflect.Struct:
-				check(name+"."+f.Name, f.Type)
-			case f.Type.Kind() == reflect.Slice && hasPointers(f.Type.Elem()):
-				t.Errorf("%s.%s has element type %s, which can reference a table", name, f.Name, f.Type.Elem())
-			case f.Type.Kind() != reflect.Slice && hasPointers(f.Type):
-				t.Errorf("%s.%s is a %s, which can reference a table", name, f.Name, f.Type)
-			}
-		}
-	}
-	check("fillScratch", reflect.TypeOf(fillScratch{}))
-}
-
-// A solve allocates its fill scratch itself, one per worker, so what it
+// A solve allocates its fill scratch itself, one per chunk, so what it
 // allocates does not depend on whether a collection ran before it: a chunked
 // Workers: 2 solve right after two forced collections allocates the same
 // bytes, within 16, as a warm one. Two workers also make the runtime
 // allocate a few hundred bytes at random for its own waits (the sudogs of
-// channel and WaitGroup blocking, whose central cache a collection empties),
-// so each side is the least of eight solves.
+// WaitGroup blocking, whose central cache a collection empties), so each
+// side is the least of eight solves.
 func TestFillAllocationIndependentOfGC(t *testing.T) {
 	forceChunks(t, 256, 64)
 	m := paperModel(t, "transformer", 8)
@@ -829,23 +807,4 @@ func TestFillAllocationIndependentOfGC(t *testing.T) {
 		t.Fatalf("a solve after two collections allocated %d B, a warm solve %d B: %d B apart, want ≤ 16", afterGC, warm, d)
 	}
 	t.Logf("after two collections %d B, warm %d B", afterGC, warm)
-}
-
-func hasPointers(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Float32, reflect.Float64:
-		return false
-	case reflect.Array:
-		return hasPointers(t.Elem())
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if hasPointers(t.Field(i).Type) {
-				return true
-			}
-		}
-		return false
-	}
-	return true
 }

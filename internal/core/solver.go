@@ -19,7 +19,6 @@ import (
 	"pase/internal/canon"
 	"pase/internal/cost"
 	"pase/internal/graph"
-	"pase/internal/par"
 	"pase/internal/seq"
 )
 
@@ -212,17 +211,14 @@ func Resolve(ctx context.Context, m *cost.Model, snap *Snapshot, dirtyV []bool, 
 	return SolveKeep(ctx, m, seq.Generate(m.G), snap, opts)
 }
 
-// exactSolve is one exact solve on its frame: the plan, the tables, and the
-// fill's worker pool with one scratch per worker. With a previous snapshot
-// (snap set) it keeps the tables held lists under their keys; retain keeps
-// every table for a Snapshot. Tables live in their representative's slot and
-// are read through rep; the other slots stay nil until the snapshot is
-// assembled.
+// exactSolve is one exact solve on its frame: the plan, the tables and the
+// fill's worker count. With a previous snapshot (snap set) it keeps the
+// tables held lists under their keys; retain keeps every table for a
+// Snapshot. Tables live in their representative's slot and are read through
+// rep; the other slots stay nil until the snapshot is assembled.
 type exactSolve struct {
 	*frame
 	nw       int
-	pool     *par.Pool
-	scratch  []fillScratch
 	rep      []int
 	keys     []canon.Fingerprint
 	freeAt   [][]int
@@ -251,11 +247,6 @@ func solveExact(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Optio
 		return nil, nil, err
 	}
 	e.st.Stages.Plan = time.Since(start)
-	// The fill pool lives for the whole solve: every chunked fill runs on
-	// the same nw−1 helpers plus the calling goroutine.
-	e.pool = par.NewPool(e.nw)
-	defer e.pool.Close()
-	e.scratch = make([]fillScratch, e.nw)
 	for i := range sq.Order {
 		if err := e.position(i); err != nil {
 			return nil, nil, err

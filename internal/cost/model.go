@@ -80,7 +80,7 @@ type Model struct {
 // cancellation via ctx.Err() afterwards.
 func parallelFor(ctx context.Context, n int, f func(i int)) {
 	done := ctx.Done()
-	par.For(n, runtime.GOMAXPROCS(0), func(_, i int) {
+	par.For(n, runtime.GOMAXPROCS(0), func(i int) {
 		select {
 		case <-done:
 		default:

@@ -635,7 +635,7 @@ func (p *Planner) buildModel(ctx context.Context, req Request) (m *cost.Model, e
 // caller wants) and unstarted entries fail immediately with ctx's error.
 func (p *Planner) SolveBatch(ctx context.Context, reqs []Request) []BatchItem {
 	out := make([]BatchItem, len(reqs))
-	par.For(len(reqs), runtime.GOMAXPROCS(0), func(_, i int) {
+	par.For(len(reqs), runtime.GOMAXPROCS(0), func(i int) {
 		out[i].Result, out[i].Err = p.Solve(ctx, reqs[i])
 	})
 	return out
