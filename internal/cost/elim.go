@@ -115,10 +115,10 @@ type dee struct {
 	arg                     []int32
 	byHi                    []int32
 	dead                    []bool
-	// Rep-dedup stamps and the first survivor seen per stamp, one per
-	// configuration index.
-	mark, first []int32
-	stamp       int32
+	// Dedup stamps and the first survivor seen per stamp, one per quotient
+	// row or column; ids counts up from 0, the maps of a dense table.
+	mark, first, ids []int32
+	stamp            int32
 }
 
 // newDEE starts a run over m with every configuration alive. The margin's
@@ -162,7 +162,7 @@ func newDEE(m *Model, prev *elimMemo) *dee {
 			d.prev = prev.checks
 		}
 	}
-	d.mark, d.first = make([]int32, maxK), make([]int32, maxK)
+	d.mark, d.first, d.ids = make([]int32, maxK), make([]int32, maxK), iota32(maxK)
 	return d
 }
 
@@ -305,9 +305,9 @@ func (d *dee) eliminate(v int) []int32 {
 	}
 	for _, ie := range m.inc[v] {
 		if ie.Self {
-			tab, kv := m.tx[ie.E], m.txKv[ie.E]
+			t := m.txc[ie.E]
 			for i, c := range own {
-				d.un[i] += tab[int(c)*kv+int(c)]
+				d.un[i] += t.at(int(c), int(c))
 			}
 		}
 	}
@@ -421,8 +421,8 @@ func (d *dee) eliminate(v int) []int32 {
 }
 
 // block is one incident edge table as v's check reads it: one row per
-// survivor of v and one column per distinct surviving configuration of the
-// other end (cols, the first survivor of each rep: a repeated column changes
+// survivor of v and one column per distinct surviving quotient vector of the
+// other end (cols, the first survivor with each: a repeated column changes
 // no minimum), cells[i·nc+j] the cost of v's i-th survivor against cols[j]
 // in the edge's orientation.
 type block struct {
@@ -435,9 +435,9 @@ type block struct {
 // edge but self-loops, in incidence order, in the check's scratch, and each
 // row's extremes on each block: ext[i·2ne + 2k] and ext[i·2ne + 2k+1] are
 // survivor i's least and largest cell on block k, arg the first block
-// column holding each. A block reads the row-major table in either
-// orientation, so a check needs no transpose, and it holds only the cells
-// the check can read.
+// column holding each. A block reads the stored quotient in either
+// orientation, so a check builds no view, and it holds only the cells the
+// check can read.
 func (d *dee) gather(v int, own []int32) {
 	m := d.m
 	ka := len(own)
@@ -447,10 +447,9 @@ func (d *dee) gather(v int, own []int32) {
 		if ie.Self {
 			continue
 		}
-		t := m.txc[ie.E]
-		rep := t.repU
+		rep, colOf := m.txc[ie.E].maps(d.ids)
 		if ie.VIsU {
-			rep = t.repV
+			rep = colOf
 		}
 		n := len(d.cols)
 		d.stamp++
@@ -480,20 +479,22 @@ func (d *dee) gather(v int, own []int32) {
 	}
 }
 
-// fill writes b's cells from edge ie's table and each row's extremes into
-// ext[i·w], ext[i·w+1] and arg likewise. A row whose survivor shares an
-// earlier one's rep copies that row and its extremes; every other row is
-// read from the table, a row at a time when v is the producer and a table
-// row (one column of b) at a time when it is the consumer. The extremes
-// scan each row's cells in column order, so ties go to the first column.
+// fill writes b's cells from edge ie's quotient and each row's extremes
+// into ext[i·w], ext[i·w+1] and arg likewise. A row whose survivor shares
+// an earlier one's quotient vector copies that row and its extremes; every
+// other row is read from the quotient, a row at a time when v is the
+// producer and a quotient row (one column of b) at a time when it is the
+// consumer. The extremes scan each row's cells in column order, so ties go
+// to the first column.
 func (d *dee) fill(b *block, ie IncEdge, own []int32, ext []float64, arg []int32, w int) {
-	t, kv, nc := d.m.txc[ie.E], d.m.txKv[ie.E], b.nc
-	orep := t.repV
+	t, nc := d.m.txc[ie.E], b.nc
+	rowOf, colOf := t.maps(d.ids)
+	orep := colOf
 	if ie.VIsU {
-		orep = t.repU
+		orep = rowOf
 	}
-	// rows[i] is the first survivor with survivor i's rep, uniq those
-	// that are their own.
+	// rows[i] is the first survivor with survivor i's quotient vector, uniq
+	// those that are their own.
 	d.uniq = d.uniq[:0]
 	d.stamp++
 	for i, c := range own {
@@ -506,20 +507,20 @@ func (d *dee) fill(b *block, ie IncEdge, own []int32, ext []float64, arg []int32
 	}
 	if ie.VIsU {
 		for _, i := range d.uniq {
-			src, dst := t.tab[int(own[i])*kv:][:kv], b.cells[int(i)*nc:][:nc]
+			src, dst := t.q[int(rowOf[own[i]])*t.nc:][:t.nc], b.cells[int(i)*nc:][:nc]
 			for j, s := range b.cols {
-				dst[j] = src[s]
+				dst[j] = src[colOf[s]]
 			}
 		}
 	} else {
-		// A table row per column: the rows' configurations and cell
-		// offsets first, so the inner loop reads one table row in order.
+		// A quotient row per column: the rows' quotient columns and cell
+		// offsets first, so the inner loop reads one quotient row.
 		d.oc, d.off = d.oc[:0], d.off[:0]
 		for _, i := range d.uniq {
-			d.oc, d.off = append(d.oc, own[i]), append(d.off, int(i)*nc)
+			d.oc, d.off = append(d.oc, colOf[own[i]]), append(d.off, int(i)*nc)
 		}
 		for j, s := range b.cols {
-			src := t.tab[int(s)*kv:][:kv]
+			src := t.q[int(rowOf[s])*t.nc:][:t.nc]
 			for u, c := range d.oc {
 				b.cells[d.off[u]+j] = src[c]
 			}
@@ -575,14 +576,15 @@ func grown[T any](s []T, n int) []T {
 
 // restrict builds the model over the survivors. A vertex or edge that lost
 // nothing keeps its tables; the others get restricted copies, one per
-// (source table, survivor sets).
+// (source table, survivor sets), stored dense, so the DP and the beam read
+// them with no expansion.
 func (d *dee) restrict() *Model {
 	m := d.m
 	em := *m
 	n := len(m.cfgs)
 	em.cfgs = slices.Clone(m.cfgs)
 	em.tl = slices.Clone(m.tl)
-	em.tx, em.txKv, em.txc = slices.Clone(m.tx), slices.Clone(m.txKv), slices.Clone(m.txc)
+	em.txc = slices.Clone(m.txc)
 	full := func(v int) bool { return len(d.alive[v]) == len(m.cfgs[v]) }
 
 	type vKey struct {
@@ -608,7 +610,7 @@ func (d *dee) restrict() *Model {
 	}
 
 	type eKey struct {
-		src  *float64
+		src  *edgeTables
 		u, v int32
 	}
 	es := map[eKey]*edgeTables{}
@@ -618,23 +620,16 @@ func (d *dee) restrict() *Model {
 			continue
 		}
 		au, av := d.alive[u], d.alive[v]
-		k := eKey{&m.tx[e][0], d.setOf[u], d.setOf[v]}
+		src := m.txc[e]
+		k := eKey{src, d.setOf[u], d.setOf[v]}
 		t, ok := es[k]
 		if !ok {
-			src, kv := m.txc[e], m.txKv[e]
-			tab := make([]float64, len(au)*len(av))
-			for i, cu := range au {
-				row := src.tab[int(cu)*kv:]
-				for j, cv := range av {
-					tab[i*len(av)+j] = row[cv]
-				}
-			}
 			// max stays the source's: at least the restricted table's largest
 			// cell, and the margin of a later run reads no more.
-			t = &edgeTables{tab: tab, repU: restrictRep(src.repU, au), repV: restrictRep(src.repV, av), max: src.max}
+			t = &edgeTables{q: src.denseOver(au, av), nc: len(av), ku: len(au), kv: len(av), max: src.max}
 			es[k] = t
 		}
-		em.txc[e], em.tx[e], em.txKv[e] = t, t.tab, len(av)
+		em.txc[e] = t
 	}
 
 	if m.vClassFP != nil {
@@ -682,22 +677,6 @@ func pick[T any](s []T, idx []int32) []T {
 	out := make([]T, len(idx))
 	for i, c := range idx {
 		out[i] = s[c]
-	}
-	return out
-}
-
-// restrictRep renumbers a side's reps onto its survivors a: the rep of a
-// survivor is the first survivor with the same source rep.
-func restrictRep(rep []int32, a []int32) []int32 {
-	first := make(map[int32]int32, len(a))
-	out := make([]int32, len(a))
-	for i, c := range a {
-		r, ok := first[rep[c]]
-		if !ok {
-			r = int32(i)
-			first[rep[c]] = r
-		}
-		out[i] = r
 	}
 	return out
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // flatModel is two fully-connected layers, one feeding the other, at p=4,
-// with every TL cell set to tl and every TX cell to 0, each configuration
-// its own rep.
+// with every TL cell set to tl and every TX cell to 0, each table dense, so
+// that each configuration has its own row and column.
 func flatModel(t *testing.T, tl float64) *Model {
 	t.Helper()
 	g := graph.New()
@@ -35,20 +35,12 @@ func flatModel(t *testing.T, tl float64) *Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iota := func(k int) []int32 {
-		r := make([]int32, k)
-		for i := range r {
-			r[i] = int32(i)
-		}
-		return r
-	}
 	for v := range m.tl {
 		m.tl[v] = slices.Repeat([]float64{tl}, m.K(v))
 	}
 	for e, uv := range m.edges {
 		ku, kv := m.K(uv[0]), m.K(uv[1])
-		m.tx[e] = make([]float64, ku*kv)
-		m.txc[e] = &edgeTables{tab: m.tx[e], repU: iota(ku), repV: iota(kv)}
+		m.txc[e] = &edgeTables{q: make([]float64, ku*kv), nc: kv, ku: ku, kv: kv}
 	}
 	return m
 }
@@ -112,7 +104,7 @@ func TestEliminateKeepsMarginTie(t *testing.T) {
 				if cu == 0 {
 					x = tc.first(cv)
 				}
-				m.tx[0][cu*kv+cv] = x
+				m.txc[0].q[cu*kv+cv] = x
 				m.txc[0].max = max(m.txc[0].max, x)
 			}
 		}
@@ -142,8 +134,8 @@ func TestEliminateKeepsMarginTie(t *testing.T) {
 func TestEliminatedModelRestrictsTables(t *testing.T) {
 	m := flatModel(t, 1)
 	m.tl[0][0], m.tl[1][1] = 2, 2
-	for c := range m.tx[0] {
-		m.tx[0][c] = float64(c)
+	for c := range m.txc[0].q {
+		m.txc[0].q[c] = float64(c)
 	}
 	m.txc[0].max = float64(m.K(0)*m.K(1) - 1)
 	d := newDEE(m, nil)

@@ -25,12 +25,22 @@ func EliminationBlocks(m *Model, v int, alive [][]int32) (ies []IncEdge, cells [
 // TransposesBuilt counts m's distinct TX tables whose transpose has been
 // built.
 func TransposesBuilt(m *Model) int {
+	return viewsBuilt(m, func(t *edgeTables) bool { return t.tabT != nil })
+}
+
+// DenseLayoutsBuilt counts m's distinct quotient-stored TX tables whose
+// dense layout has been built.
+func DenseLayoutsBuilt(m *Model) int {
+	return viewsBuilt(m, func(t *edgeTables) bool { return t.tab != nil })
+}
+
+func viewsBuilt(m *Model, built func(*edgeTables) bool) int {
 	seen := map[*edgeTables]bool{}
 	n := 0
 	for _, t := range m.txc {
 		if !seen[t] {
 			seen[t] = true
-			if t.tabT != nil {
+			if built(t) {
 				n++
 			}
 		}

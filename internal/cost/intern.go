@@ -16,8 +16,9 @@ package cost
 //   - Edge class (cost.edge-class/v2): machine spec + enumeration policy +
 //     exactly what txTables reads — the producer's iteration space and
 //     output ref, the consumer's iteration space and the input ref it reads
-//     the edge through. Members share their TX table, and its transpose once
-//     something has read it (Model.EdgeTableT). A node's op, FLOPs density,
+//     the edge through. Members share their TX table, and its dense layout
+//     and transpose once something has read them (Model.EdgeTable,
+//     EdgeTableT). A node's op, FLOPs density,
 //     halos, norm dims and params price only its TL row, so an edit to them
 //     moves no edge class, and vertex classes that differ only there share
 //     TX tables.
@@ -168,9 +169,10 @@ type ModelInfo struct {
 	VertexClasses int `json:"vertex_classes,omitempty"`
 	EdgeClasses   int `json:"edge_classes,omitempty"`
 	// TableBytes is the resident footprint of the cost tables as built (TL
-	// rows plus TX tables), each shared slice counted once; a transpose built
-	// later on first read is not counted, so the number does not depend on
-	// which search read the model first.
+	// rows plus the TX tables' stored quotients), each shared slice counted
+	// once; a dense layout or transpose built later on first read is not
+	// counted, so the number does not depend on which search read the model
+	// first.
 	// SharedTableBytes is what sharing saved versus a per-occurrence build,
 	// zero when interning is disabled or nothing repeats.
 	TableBytes       int64 `json:"table_bytes,omitempty"`
@@ -185,7 +187,7 @@ func (m *Model) Info() ModelInfo { return m.info }
 // by their first element's address), logical bytes are what a
 // per-occurrence build would hold, and the difference is the sharing saving.
 func (m *Model) computeInfo(p *internPlan) {
-	seen := make(map[*float64]bool, len(m.tl)+len(m.tx))
+	seen := make(map[*float64]bool, len(m.tl)+len(m.txc))
 	var resident, logical int64
 	count := func(s []float64) {
 		if len(s) == 0 {
@@ -202,8 +204,8 @@ func (m *Model) computeInfo(p *internPlan) {
 		count(row)
 		k = max(k, len(row))
 	}
-	for _, tab := range m.tx {
-		count(tab)
+	for _, t := range m.txc {
+		count(t.q)
 	}
 	m.info = ModelInfo{
 		KEffective:       k,

@@ -86,7 +86,8 @@ func TestInternedTablesByteIdenticalToOracle(t *testing.T) {
 }
 
 // requireOracleTables fails unless m holds exactly the configurations, TL
-// rows and TX tables (and transposes) of o, bit for bit.
+// rows and TX tables of o, bit for bit: every EdgeCost, the dense layout and
+// the transpose.
 func requireOracleTables(t *testing.T, m, o *Model) {
 	t.Helper()
 	for v := 0; v < m.G.Len(); v++ {
@@ -110,6 +111,12 @@ func requireOracleTables(t *testing.T, m, o *Model) {
 		b, kb := o.EdgeTable(e)
 		if ka != kb || len(a) != len(b) {
 			t.Fatalf("edge %d: shape (%d, %d) vs oracle (%d, %d)", e, len(a), ka, len(b), kb)
+		}
+		for i := range b {
+			cu, cv := i/kb, i%kb
+			if x := m.EdgeCost(e, cu, cv); x != b[i] {
+				t.Fatalf("edge %d: EdgeCost(%d, %d) %v vs oracle %v", e, cu, cv, x, b[i])
+			}
 		}
 		for i := range a {
 			if a[i] != b[i] {

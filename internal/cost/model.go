@@ -34,9 +34,10 @@ type IncEdge struct {
 // one Model, so they rank candidates under the identical cost function.
 //
 // All cost tables are built eagerly at NewModel time, one class per task on
-// GOMAXPROCS workers (parallelFor), each TX table in one orientation; its
-// transpose is built on first read (EdgeTableT), once per edge class. A
-// finished Model is safe for concurrent use by any number of goroutines.
+// GOMAXPROCS workers (parallelFor), each TX table as its quotient
+// (edgeTables); the dense layout and its transpose are built on first read
+// (EdgeTable, EdgeTableT), once per edge class. A finished Model is safe for
+// concurrent use by any number of goroutines.
 //
 // Costs are in seconds of estimated per-step time (pricing.go): the sum of
 // a strategy's layer and edge costs equals the simulator's step time minus
@@ -51,10 +52,8 @@ type Model struct {
 	r    float64
 	cfgs [][]itspace.Config // per node: the enumerated configurations, index = config ID
 	tl   [][]float64        // [node][cfgID], eager
-	tx   [][]float64        // [edge][cu*Kv+cv], eager
-	txKv []int              // row stride of tx: the consumer's config count
-	// Per edge, its class's tables (tab is tx[e]): the reps, the largest
-	// cell and the transpose, built on first read.
+	// Per edge, its class's TX table: the quotient, eager, and the dense
+	// layout and its transpose, built on first read.
 	txc []*edgeTables
 
 	// info is K and the structural sharing of the tables (intern.go).
@@ -96,7 +95,8 @@ type BuildOptions struct {
 	DisablePruning bool
 	// DisableInterning skips structural sharing (intern.go): every node and
 	// edge gets its own table build and backing slice, exactly as if the
-	// graph had no repeated structure. Solves over the interned model are
+	// graph had no repeated structure, and every TX table is stored dense,
+	// sharing no row or column. Solves over the interned model are
 	// byte-identical to this oracle; the property tests pin that.
 	DisableInterning bool
 	// Store, when non-nil, resolves class tables from a cross-request
@@ -136,8 +136,6 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 		tl:     make([][]float64, g.Len()),
 	}
 	m.edges = g.Edges()
-	m.tx = make([][]float64, len(m.edges))
-	m.txKv = make([]int, len(m.edges))
 	m.txc = make([]*edgeTables, len(m.edges))
 	m.inSlot = make([]int, len(m.edges))
 	m.inc = make([][]IncEdge, g.Len())
@@ -191,14 +189,13 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 		m.cfgs[id] = classV[plan.vClass[id]].cfgs
 		m.tl[id] = classV[plan.vClass[id]].tl
 	}
-	for i, e := range m.edges {
-		m.txKv[i] = len(m.cfgs[e[1]])
-	}
-	// Phase 2: every TX table, row-major, one edge class per pool task
-	// (txTables). The transposes are lazy: admission and elimination read
-	// none (elimination gathers what it needs from the row-major table), so
-	// the dp route builds only those its DP reads. A transpose is built by
-	// its first reader under its class's sync.Once, the only state a
+	// Phase 2: every TX table as its quotient, one edge class per pool task
+	// (txTables); the DisableInterning oracle expands each to the dense
+	// table, which shares no row or column. The dense layout and the
+	// transpose are lazy: admission and elimination read the quotient, and
+	// elimination restricts it to dense tables, so the dp route expands a
+	// quotient only for an edge whose two ends lost nothing. A view is built
+	// by its first reader under its class's sync.Once, the only state a
 	// finished model ever writes.
 	txBW := GroupBW(spec, float64(spec.Devices))
 	classE := make([]*edgeTables, len(plan.eReps))
@@ -208,8 +205,10 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 			e := plan.eReps[ci]
 			u, v := m.edges[e][0], m.edges[e][1]
 			t := txTables(g.Nodes[u], g.Nodes[v], m.inSlot[e], m.cfgs[u], m.cfgs[v], txBW, spec.LatencySec)
-			// The store charges the transpose the entry may grow.
-			return t, int64(len(t.tab)) * 16, nil
+			if bo.DisableInterning {
+				t = &edgeTables{q: t.expand(), nc: t.kv, ku: t.ku, kv: t.kv, max: t.max}
+			}
+			return t, int64(len(t.q)) * 8, nil
 		})
 	})
 	if err := buildErr(ctx, classErr); err != nil {
@@ -217,7 +216,6 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	}
 	for e := range m.edges {
 		m.txc[e] = classE[plan.eClass[e]]
-		m.tx[e] = m.txc[e].tab
 	}
 	// The class fingerprints identify the tables across models; delta
 	// detection compares them.
@@ -280,33 +278,88 @@ func buildErr(ctx context.Context, classErr []error) error {
 	return nil
 }
 
-// edgeTables is an edge class's TX table, with each side's reps: repU[cu]
-// is the first producer configuration whose row of tab is cu's (the same
-// quotient vector), repV[cv] the first consumer configuration whose column
-// is cv's, and max the table's largest cell. The class stores one
-// orientation; its transpose is built by the first caller that asks for it
-// (transposed), once, and every model aliasing the class reads that slice.
+// edgeTables is an edge class's TX table stored as its quotient: q has one
+// row per distinct producer quotient vector and nc columns, one per distinct
+// consumer vector, and rowOf[cu] and colOf[cv] name a configuration's row and
+// column, so the cost of (cu, cv) is q[rowOf[cu]·nc + colOf[cv]]. A table
+// with nil maps is dense (nc = kv, every map the identity): the
+// DisableInterning oracle's and elimination's restricted tables. max is the
+// largest cell. The dense row-major layout (dense) and its transpose
+// (transposed) are views, built by their first reader, once, and every
+// model aliasing the class reads the same slices.
 type edgeTables struct {
-	tab  []float64
-	repU []int32
-	repV []int32
-	max  float64
+	q            []float64
+	nc           int
+	rowOf, colOf []int32
+	ku, kv       int
+	max          float64
 
-	tOnce sync.Once
-	tabT  []float64
+	dOnce, tOnce sync.Once
+	tab, tabT    []float64
 }
 
-// transposed returns the producer-minor transpose of tab,
-// tabT[cv·ku+cu] = tab[cu·kv+cv], building it on the first call. The Once
-// orders the build before every read, so concurrent callers, from any model
-// aliasing the class, get the same slice.
+// at is the cost of the producer's cu-th and the consumer's cv-th
+// configuration.
+func (t *edgeTables) at(cu, cv int) float64 {
+	if t.rowOf != nil {
+		cu, cv = int(t.rowOf[cu]), int(t.colOf[cv])
+	}
+	return t.q[cu*t.nc+cv]
+}
+
+// maps returns the row and column maps, ids[:ku] and ids[:kv] for a dense
+// table; ids must count up from 0 to at least max(ku, kv).
+func (t *edgeTables) maps(ids []int32) (rowOf, colOf []int32) {
+	if t.rowOf == nil {
+		return ids[:t.ku], ids[:t.kv]
+	}
+	return t.rowOf, t.colOf
+}
+
+// denseOver returns the dense row-major table over the producer
+// configurations us and the consumer configurations vs:
+// tab[i·len(vs)+j] is the cost of (us[i], vs[j]).
+func (t *edgeTables) denseOver(us, vs []int32) []float64 {
+	rowOf, colOf := t.maps(iota32(max(t.ku, t.kv)))
+	tab := make([]float64, len(us)*len(vs))
+	for i, cu := range us {
+		row, dst := t.q[int(rowOf[cu])*t.nc:][:t.nc], tab[i*len(vs):][:len(vs)]
+		for j, cv := range vs {
+			dst[j] = row[colOf[cv]]
+		}
+	}
+	return tab
+}
+
+// expand returns the dense row-major table, tab[cu·kv+cv].
+func (t *edgeTables) expand() []float64 {
+	ids := iota32(max(t.ku, t.kv))
+	return t.denseOver(ids[:t.ku], ids[:t.kv])
+}
+
+// dense returns the dense row-major table: q itself when the table is
+// dense, else expand's, built on the first call. The Once orders the build
+// before every read, so concurrent callers, from any model aliasing the
+// class, get the same slice.
+func (t *edgeTables) dense() []float64 {
+	if t.rowOf == nil {
+		return t.q
+	}
+	t.dOnce.Do(func() { t.tab = t.expand() })
+	return t.tab
+}
+
+// transposed returns the producer-minor transpose, tabT[cv·ku+cu] = the
+// cost of (cu, cv), read straight from q on the first call and built once,
+// as dense is.
 func (t *edgeTables) transposed() []float64 {
 	t.tOnce.Do(func() {
-		ku, kv := len(t.repU), len(t.repV)
-		tabT := make([]float64, len(t.tab))
-		for cu := range ku {
-			for cv, c := range t.tab[cu*kv : cu*kv+kv] {
-				tabT[cv*ku+cu] = c
+		rowOf, colOf := t.maps(iota32(max(t.ku, t.kv)))
+		tabT := make([]float64, t.ku*t.kv)
+		for cv, c := range colOf {
+			col, dst := t.q[c:], tabT[cv*t.ku:][:t.ku]
+			for cu, r := range rowOf {
+				dst[cu] = col[int(r)*t.nc]
 			}
 		}
 		t.tabT = tabT
@@ -314,20 +367,31 @@ func (t *edgeTables) transposed() []float64 {
 	return t.tabT
 }
 
+// iota32 returns 0, 1, …, n-1.
+func iota32(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}
+
 // txSide is one side of an edge's TX table. Per configuration c it holds the
 // quotient vector q[c·nd+t] = s[t]/g[t] of the edge tensor's extents by the
 // granularities that side imposes, their product prod[c] (multiplied in t
-// order, as TXBytes does), and rep[c], the first configuration whose
-// quotient vector has the same bytes.
+// order, as TXBytes does), and of[c], the index of its quotient vector among
+// the side's distinct ones (by bytes, in order of first appearance); reps[i]
+// is the first configuration with the i-th.
 type txSide struct {
 	q    []float64
 	prod []float64
-	rep  []int32
+	of   []int32
+	reps []int32
 }
 
 func newTXSide(ref graph.TensorRef, sp itspace.Space, cfgs []itspace.Config, s []float64) txSide {
 	nd := len(s)
-	side := txSide{q: make([]float64, len(cfgs)*nd), prod: make([]float64, len(cfgs)), rep: make([]int32, len(cfgs))}
+	side := txSide{q: make([]float64, len(cfgs)*nd), prod: make([]float64, len(cfgs)), of: make([]int32, len(cfgs))}
 	seen := make(map[string]int32, len(cfgs))
 	key := make([]byte, 8*nd)
 	for c, cfg := range cfgs {
@@ -340,27 +404,28 @@ func newTXSide(ref graph.TensorRef, sp itspace.Space, cfgs []itspace.Config, s [
 			binary.LittleEndian.PutUint64(key[8*t:], math.Float64bits(q[t]))
 		}
 		side.prod[c] = p
-		r, ok := seen[string(key)]
+		i, ok := seen[string(key)]
 		if !ok {
-			r = int32(c)
-			seen[string(key)] = r
+			i = int32(len(side.reps))
+			seen[string(key)] = i
+			side.reps = append(side.reps, int32(c))
 		}
-		side.rep[c] = r
+		side.of[c] = i
 	}
 	return side
 }
 
-// txTables builds one edge class's TX table, tab[cu·kv+cv] = TXSeconds of
-// the producer's cu-th and the consumer's cv-th configuration,
-// bit-identical to TXSeconds without dividing per cell. TXBytes
-// multiplies s[t]/g[t] into need (consumer), held (producer) and have (with
-// the larger granularity); a side's quotients and products depend only on
-// its own configuration, so txSide computes them once per row and column,
-// and have is Π min(qu[t], qv[t]) because correctly rounded division is
-// monotone: fl(s/max(a, b)) = min(fl(s/a), fl(s/b)). A cell reads nothing
-// but its two quotient vectors, so a row whose vector repeats an earlier
-// one copies that row, and a column that repeats one reads that column's
-// cell in the same row.
+// txTables builds one edge class's TX table as its quotient: the cell of
+// the i-th distinct producer and the j-th distinct consumer quotient vector
+// is TXSeconds of their first configurations, bit-identical to TXSeconds
+// without dividing per cell. TXBytes multiplies s[t]/g[t] into need
+// (consumer), held (producer) and have (with the larger granularity); a
+// side's quotients and products depend only on its own configuration, so
+// txSide computes them once per configuration, and have is
+// Π min(qu[t], qv[t]) because correctly rounded division is monotone:
+// fl(s/max(a, b)) = min(fl(s/a), fl(s/b)). A cell reads nothing but its two
+// quotient vectors, so configurations with equal vectors share a row or a
+// column.
 func txTables(nu, nv *graph.Node, inSlot int, cfgsU, cfgsV []itspace.Config, txBW, latency float64) *edgeTables {
 	out, in := nu.Output, nv.Inputs[inSlot]
 	s := make([]float64, len(out.Map))
@@ -371,22 +436,14 @@ func txTables(nu, nv *graph.Node, inSlot int, cfgsU, cfgsV []itspace.Config, txB
 	pu := newTXSide(out, nu.Space, cfgsU, s)
 	pv := newTXSide(in, nv.Space, cfgsV, s)
 	scale := out.EffScale()
-	ku, kv := len(cfgsU), len(cfgsV)
-	tab := make([]float64, ku*kv)
+	nc := len(pv.reps)
+	q := make([]float64, len(pu.reps)*nc)
 	mx := 0.0
-	for cu := 0; cu < ku; cu++ {
-		row := tab[cu*kv : cu*kv+kv]
-		if r := int(pu.rep[cu]); r != cu {
-			copy(row, tab[r*kv:r*kv+kv])
-			continue
-		}
-		qu, held := pu.q[cu*nd:cu*nd+nd], pu.prod[cu]
-		for cv := range row {
-			if r := int(pv.rep[cv]); r != cv {
-				row[cv] = row[r]
-				continue
-			}
-			qv := pv.q[cv*nd:][:len(qu)]
+	for i, cu := range pu.reps {
+		row := q[i*nc:][:nc]
+		qu, held := pu.q[int(cu)*nd:][:nd], pu.prod[cu]
+		for j, cv := range pv.reps {
+			qv := pv.q[int(cv)*nd:][:len(qu)]
 			have := 1.0
 			for t, x := range qu {
 				have *= min(x, qv[t])
@@ -403,11 +460,11 @@ func txTables(nu, nv *graph.Node, inSlot int, cfgsU, cfgsV []itspace.Config, txB
 			if bytes := (fwd + bwd) * BytesPerElem; bytes > 0 {
 				c = bytes/txBW + latency
 			}
-			row[cv] = c
+			row[j] = c
 			mx = max(mx, c)
 		}
 	}
-	return &edgeTables{tab: tab, repU: pu.rep, repV: pv.rep, max: mx}
+	return &edgeTables{q: q, nc: nc, rowOf: pu.of, colOf: pv.of, ku: len(cfgsU), kv: len(cfgsV), max: mx}
 }
 
 // P returns the device count.
@@ -439,30 +496,36 @@ func (m *Model) IndexOf(v int, cfg itspace.Config) int {
 func (m *Model) Edges() [][2]int { return m.edges }
 
 // EdgeCost returns r·tx for edge e (model edge index) when the producer runs
-// its cu-th configuration and the consumer its cv-th. Tables are built
-// eagerly by NewModel, so this is a plain read, safe for concurrent use.
+// its cu-th configuration and the consumer its cv-th: one read of the
+// quotient NewModel built, through the row and column maps, so it builds no
+// view and is safe for concurrent use.
 func (m *Model) EdgeCost(e, cu, cv int) float64 {
-	return m.tx[e][cu*m.txKv[e]+cv]
+	return m.txc[e].at(cu, cv)
 }
 
-// EdgeTable exposes edge e's full TX cost table and its row stride (the
+// EdgeTable exposes edge e's dense TX cost table and its row stride (the
 // consumer's configuration count): vals[cu*kv+cv] = EdgeCost(e, cu, cv).
-// Do not mutate: elimination and the DP's table keys both name these bytes
-// through the class fingerprints (EdgeClassFP).
+// The first call for an edge class expands the stored quotient; every model
+// aliasing the class gets the same slice, and concurrent calls are safe. A
+// DisableInterning model stores its tables dense, so writes through this
+// slice are what EdgeCost reads. Do not mutate otherwise: elimination and
+// the DP's table keys both name these bytes through the class fingerprints
+// (EdgeClassFP).
 func (m *Model) EdgeTable(e int) (vals []float64, kv int) {
-	return m.tx[e], m.txKv[e]
+	t := m.txc[e]
+	return t.dense(), t.kv
 }
 
 // EdgeTableT exposes the producer-minor transpose of edge e's TX table and
 // its row stride (the producer's configuration count):
 // vals[cv*ku+cu] = EdgeCost(e, cu, cv). The solver picks whichever
 // orientation makes its configuration scan contiguous. The first call for
-// an edge class builds the transpose; every model aliasing the class gets
-// the same slice, and concurrent calls are safe. Do not mutate: elimination
-// and the DP's table keys both name these bytes through the class
-// fingerprints (EdgeClassFP).
+// an edge class builds the transpose from the stored table, as EdgeTable
+// builds the dense layout. Do not mutate: elimination and the DP's table
+// keys both name these bytes through the class fingerprints (EdgeClassFP).
 func (m *Model) EdgeTableT(e int) (vals []float64, ku int) {
-	return m.txc[e].transposed(), len(m.cfgs[m.edges[e][0]])
+	t := m.txc[e]
+	return t.transposed(), t.ku
 }
 
 // TLRow exposes node v's full layer-cost table: TLRow(v)[ci] = TL(v, ci).

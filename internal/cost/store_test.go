@@ -262,10 +262,10 @@ func TestClassStoreConcurrentBuildsAlias(t *testing.T) {
 	}
 }
 
-// Two models aliasing one store's edge classes build each transpose once:
-// concurrent EdgeTableT calls from both return one slice per edge, cell for
-// cell EdgeCost. Run under -race, it also checks that the build is ordered
-// before every read.
+// Two models aliasing one store's edge classes build each dense layout and
+// transpose once: concurrent EdgeTable and EdgeTableT calls from both return
+// one slice per edge and layout, cell for cell EdgeCost. Run under -race, it
+// also checks that each build is ordered before every read.
 func TestEdgeTableTSharedAcrossAliasingModels(t *testing.T) {
 	store := NewClassStore(0)
 	bm, err := models.ByName("rnnlm")
@@ -283,7 +283,14 @@ func TestEdgeTableTSharedAcrossAliasingModels(t *testing.T) {
 		t.Fatalf("%d misses over two identical builds of %d classes: the models alias nothing", st.Misses, classes)
 	}
 	ne := len(ms[0].Edges())
-	const readers = 4
+	// Reader w reads model w%2's dense layout (w/2 even) or transpose.
+	const readers = 8
+	read := func(w, e int) ([]float64, int) {
+		if w/2%2 == 0 {
+			return ms[w%2].EdgeTable(e)
+		}
+		return ms[w%2].EdgeTableT(e)
+	}
 	var got [readers][][]float64
 	var wg sync.WaitGroup
 	for w := range readers {
@@ -296,22 +303,23 @@ func TestEdgeTableTSharedAcrossAliasingModels(t *testing.T) {
 				if w%2 == 1 {
 					e = ne - 1 - k
 				}
-				got[w][e], _ = ms[w%2].EdgeTableT(e)
+				got[w][e], _ = read(w, e)
 			}
 		}()
 	}
 	wg.Wait()
 	for e, uv := range ms[0].Edges() {
-		vals, ku := ms[0].EdgeTableT(e)
+		tab, kv := ms[0].EdgeTable(e)
+		tabT, ku := ms[0].EdgeTableT(e)
 		for w := range readers {
-			if &got[w][e][0] != &vals[0] {
-				t.Fatalf("edge %d: reader %d got another transpose", e, w)
+			if want, _ := read(w, e); &got[w][e][0] != &want[0] {
+				t.Fatalf("edge %d: reader %d got another slice", e, w)
 			}
 		}
 		for cu := range ms[0].K(uv[0]) {
 			for cv := range ms[0].K(uv[1]) {
-				if vals[cv*ku+cu] != ms[0].EdgeCost(e, cu, cv) {
-					t.Fatalf("edge %d: transpose cell (%d, %d) is %v, EdgeCost %v", e, cu, cv, vals[cv*ku+cu], ms[0].EdgeCost(e, cu, cv))
+				if c := ms[0].EdgeCost(e, cu, cv); tab[cu*kv+cv] != c || tabT[cv*ku+cu] != c {
+					t.Fatalf("edge %d: cell (%d, %d) is %v dense and %v transposed, EdgeCost %v", e, cu, cv, tab[cu*kv+cv], tabT[cv*ku+cu], c)
 				}
 			}
 		}

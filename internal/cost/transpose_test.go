@@ -12,8 +12,9 @@ import (
 )
 
 // The dp route's work before its DP, the full model's admission and its
-// elimination, builds no transpose of the full model's tables; the DP over
-// the eliminated model then reads some.
+// elimination, builds no view of the full model's quotient-stored tables,
+// neither a transpose nor a dense layout; the DP over the eliminated model
+// then reads some transposes.
 func TestAdmitAndEliminateBuildNoTranspose(t *testing.T) {
 	bm, err := models.ByName("inceptionv3")
 	if err != nil {
@@ -28,15 +29,15 @@ func TestAdmitAndEliminateBuildNoTranspose(t *testing.T) {
 	if err := core.Admit(m, sq, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if n := cost.TransposesBuilt(m); n != 0 {
-		t.Fatalf("admission built %d transposes", n)
+	if n, d := cost.TransposesBuilt(m), cost.DenseLayoutsBuilt(m); n != 0 || d != 0 {
+		t.Fatalf("admission built %d transposes and %d dense layouts", n, d)
 	}
 	el, err := cost.Eliminate(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := cost.TransposesBuilt(m); n != 0 {
-		t.Fatalf("elimination built %d transposes of the full model", n)
+	if n, d := cost.TransposesBuilt(m), cost.DenseLayoutsBuilt(m); n != 0 || d != 0 {
+		t.Fatalf("elimination built %d transposes and %d dense layouts of the full model", n, d)
 	}
 	if _, err := core.Solve(context.Background(), el.Model, sq, core.Options{Workers: 1}); err != nil {
 		t.Fatal(err)

@@ -63,7 +63,7 @@ var snapshotLabels = []string{
 	"cost.edge-class/v2",   // vertex_classes and edge_classes counts
 	"cost.elim/v2",         // beam and degraded results are solved on the eliminated model
 	"core.states/v2",       // and counts every candidate of the linear scan, not the pruned scan's
-	"cost.table-bytes/v2",  // table_bytes counts each TX table once, without a transpose
+	"cost.table-bytes/v3",  // table_bytes counts each TX table's stored quotient once, without a view
 	core.KernelVersion,     // the numerics behind every cached cost
 }
 
