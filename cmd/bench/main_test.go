@@ -28,13 +28,15 @@ func TestLoadTrajectory(t *testing.T) {
 		}
 	}
 
-	// The committed trajectory must parse: a run would otherwise fail to
-	// append to it.
-	traj, err = loadTrajectory("../../BENCH_solver.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traj.Entries) == 0 {
-		t.Fatal("BENCH_solver.json has no entries")
+	// The committed trajectories must parse: a run would otherwise fail to
+	// append to BENCH_solver.json, and BENCH_serve.json shares its schema.
+	for _, name := range []string{"BENCH_solver.json", "BENCH_serve.json"} {
+		traj, err = loadTrajectory("../../" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(traj.Entries) == 0 {
+			t.Fatalf("%s has no entries", name)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -99,10 +100,16 @@ func (e memoEntry) withHit(from *pase.Result, body []byte) memoEntry {
 	return e
 }
 
-// hitBody is the stored answer with this request's total_ns filled in.
-func (e memoEntry) hitBody(start time.Time) []byte {
-	out := make([]byte, 0, len(e.head)+20+len(e.tail)) // 20 digits hold any int64
-	out = append(out, e.head...)
-	out = strconv.AppendInt(out, int64(time.Since(start)), 10)
-	return append(out, e.tail...)
+// hitBufs holds the buffers /v1/solve assembles stored answers in. A buffer
+// only ever holds a copy of a memo entry's bytes, and it is back in the pool
+// only once its answer is written.
+var hitBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendHit appends the stored answer, with this request's total_ns filled in,
+// to dst, which it first grows to hold all of it.
+func (e memoEntry) appendHit(dst []byte, start time.Time) []byte {
+	dst = slices.Grow(dst, len(e.head)+20+len(e.tail)) // 20 digits hold any int64
+	dst = append(dst, e.head...)
+	dst = strconv.AppendInt(dst, int64(time.Since(start)), 10)
+	return append(dst, e.tail...)
 }

@@ -53,18 +53,28 @@ func sansTotalNs(t *testing.T, body []byte) string {
 // what a forwarder did to every relayed answer before it relayed bytes.
 func wantReferenceBytes(t *testing.T, what string, body []byte) *solveResponse {
 	t.Helper()
-	var resp solveResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatalf("%s: %v", what, err)
-	}
-	ref, err := encodeJSON(&resp)
+	resp, err := referenceBytes(body)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	if !bytes.Equal(ref, body) {
-		t.Fatalf("%s differs from the reference encoder's output for the same response:\ngot:\n%s\nwant:\n%s", what, body, ref)
+	return resp
+}
+
+// referenceBytes is wantReferenceBytes for any goroutine: it returns an error
+// where that fails the test.
+func referenceBytes(body []byte) (*solveResponse, error) {
+	var resp solveResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return nil, err
 	}
-	return &resp
+	ref, err := encodeJSON(&resp)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(ref, body) {
+		return nil, fmt.Errorf("differs from the reference encoder's output for the same response:\ngot:\n%s\nwant:\n%s", body, ref)
+	}
+	return &resp, nil
 }
 
 func (m *requestMemo) len() int {
@@ -173,7 +183,7 @@ func TestMemoBounded(t *testing.T) {
 	}
 	const extra = 10
 	for i := 0; i < memoCap+extra; i++ {
-		if _, apiErr := s.serveOne(ctx, body(i), false); apiErr != nil {
+		if _, apiErr := s.serveOne(ctx, body(i), false, new([]byte)); apiErr != nil {
 			t.Fatalf("body %d: %v", i, apiErr.Error)
 		}
 		if n := s.memo.len(); n > memoCap {
@@ -313,6 +323,8 @@ func TestRelayUnusableOwnerAnswerFallsBack(t *testing.T) {
 		{"no strategy", "{\n  \"strategy\": null,\n  \"method\": \"dp\"\n}\n", http.StatusOK, true},
 		{"strategy of the wrong type", "{\n  \"strategy\": \"dp\",\n  \"method\": \"dp\"\n}\n", http.StatusOK, true},
 		{"another layout", `{"strategy":{"model":"AlexNet"},"method":"dp"}`, http.StatusOK, true},
+		{"strategy not first", "{\n  \"method\": \"dp\",\n  \"strategy\": {}\n}\n", http.StatusOK, true},
+		{"not closed by the encoder", "{\n  \"strategy\": {}\n}", http.StatusOK, true},
 		{"a rejection", `{"error":"gpus: out of range","code":"bad_request"}`, http.StatusBadRequest, false},
 		{"a 404 with no error", `{"code":"not_found"}`, http.StatusNotFound, true},
 	} {

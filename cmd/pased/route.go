@@ -279,10 +279,20 @@ func toResponse(req pase.SolveRequest, model string, res *pase.Result) (*solveRe
 // readBody is the prologue of every route that solves: it counts the request
 // and reads its body whole, up to maxBodyBytes, then decodes it into v unless
 // v is nil. A longer body is 413 too_large — the bound is what caps the
-// hashing, decoding and forwarding a single request can ask for.
+// hashing, decoding and forwarding a single request can ask for. A body that
+// declares its length within the bound is read into one buffer of exactly
+// that length, and is 400 if it ends short of it; a chunked or over-long one
+// is read through the bound.
 func (s *server) readBody(w http.ResponseWriter, r *http.Request, v any) ([]byte, *apiError) {
 	s.served.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var body []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= maxBodyBytes {
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	} else {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	}
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -314,7 +324,9 @@ func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, internal boo
 	}
 	ctx, cancel := s.solveCtx(parent)
 	defer cancel()
-	out, apiErr := s.serveOne(ctx, body, internal)
+	buf := hitBufs.Get().(*[]byte)
+	defer hitBufs.Put(buf)
+	out, apiErr := s.serveOne(ctx, body, internal, buf)
 	if apiErr != nil {
 		apiErr.write(w)
 		return
@@ -330,8 +342,10 @@ func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, internal boo
 // route | solve → encode. body is the request's own JSON — which is also
 // exactly what a fleet forward relays to the owner, whose memo therefore
 // knows it too.
-// internal marks the peer-to-peer route, which never re-forwards.
-func (s *server) serveOne(ctx context.Context, body []byte, internal bool) ([]byte, *apiError) {
+// internal marks the peer-to-peer route, which never re-forwards. A hit
+// served from stored bytes is assembled in *buf, grown as needed, so the
+// returned body may alias it until *buf is reused.
+func (s *server) serveOne(ctx context.Context, body []byte, internal bool, buf *[]byte) ([]byte, *apiError) {
 	start := time.Now()
 	key := sha256.Sum256(body)
 	ent, known := s.memo.get(key)
@@ -354,7 +368,8 @@ func (s *server) serveOne(ctx context.Context, body []byte, internal bool) ([]by
 
 	res, inFlight := s.pl.Lookup(ent.fp)
 	if res != nil && res == ent.from {
-		return served(ent.hitBody(start))
+		*buf = ent.appendHit((*buf)[:0], start)
+		return served(*buf)
 	}
 	var fleetOwner string
 	if res == nil && !inFlight && s.fleet != nil && !internal {
@@ -448,8 +463,9 @@ func (s *server) lower(body []byte) (*pase.Prepared, memoEntry, *apiError) {
 	return prep, ent, nil
 }
 
-// bodyEnd is how the wire's encoder closes a response object.
-const bodyEnd = "\n}\n"
+// bodyStart and bodyEnd are how the wire's encoder opens and closes a solve
+// response: its strategy document is the first field.
+const bodyStart, bodyEnd = "{\n  \"strategy\": {", "\n}\n"
 
 // relayForwarded lifts the owner's answer into this daemon's own: its solved
 // response relayed as the bytes it arrived in, marked with the fleet routing,
@@ -476,21 +492,16 @@ func relayForwarded(out fleet.Outcome) (body []byte, apiErr *apiError, ok bool) 
 }
 
 // markForwarded adds the fleet marks to the owner's encoded 200 body, in
-// place. The body is decoded only shallowly — it must be valid JSON carrying a
-// strategy document, closed the way the wire's encoder closes it — and the
-// document stays the bytes it is. The internal route sets neither mark, and
-// both sort after every field it does set, so they go at the end.
+// place — the fleet client reads it with room to spare for them. The body is
+// not decoded: it must be valid JSON, opened with a strategy document and
+// closed the way the wire's encoder does both, and it stays the bytes it is.
+// The internal route sets neither mark, and both sort after every field it
+// does set, so they go at the end.
 func markForwarded(body []byte, owner string) ([]byte, error) {
-	var probe struct {
-		Strategy json.RawMessage `json:"strategy"`
+	if !json.Valid(body) {
+		return nil, errors.New("not valid JSON")
 	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		return nil, err
-	}
-	if len(probe.Strategy) == 0 || probe.Strategy[0] != '{' {
-		return nil, errors.New(`no "strategy" in the body`)
-	}
-	if !bytes.HasSuffix(body, []byte(bodyEnd)) {
+	if !bytes.HasPrefix(body, []byte(bodyStart)) || !bytes.HasSuffix(body, []byte(bodyEnd)) {
 		return nil, errors.New("not in the wire's layout")
 	}
 	ownerJSON, err := json.Marshal(owner)
@@ -519,7 +530,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// an outbound peer call. Answers keep request order.
 	entries := make([]json.RawMessage, len(br.Requests))
 	par.For(len(entries), runtime.GOMAXPROCS(0), func(i int) {
-		out, apiErr := s.serveOne(ctx, br.Requests[i], false)
+		out, apiErr := s.serveOne(ctx, br.Requests[i], false, new([]byte))
 		if apiErr != nil {
 			// A string and diagnostics always marshal.
 			out, _ = json.Marshal(batchError{Error: apiErr.Error, Details: apiErr.Details})

@@ -67,21 +67,29 @@ func TestNewModelWithCancelledMidBuild(t *testing.T) {
 	}
 }
 
-// Inside a phase, a task claimed after the cancel is skipped: besides the
-// tasks up to the cancelling one, at most one task per other worker, already
-// past its poll, still runs.
+// Inside a phase, a task claimed after the cancel is skipped: the cancelling
+// task runs, and after cancel() has returned at most one task per other
+// worker, already past its poll, still starts.
 func TestParallelForStopsAtCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const n, at = 10_000, 100
-	var ran atomic.Int32
+	var cancelled, ranAt atomic.Bool
+	var late atomic.Int32
 	parallelFor(ctx, n, func(i int) {
-		ran.Add(1)
+		if cancelled.Load() {
+			late.Add(1)
+		}
 		if i == at {
 			cancel()
+			ranAt.Store(true)
+			cancelled.Store(true)
 		}
 	})
-	if r, limit := int(ran.Load()), at+runtime.GOMAXPROCS(0); r <= at || r > limit {
-		t.Fatalf("%d tasks ran, want %d..%d", r, at+1, limit)
+	if !ranAt.Load() {
+		t.Fatalf("the cancelling task %d never ran", at)
+	}
+	if l, limit := int(late.Load()), runtime.GOMAXPROCS(0)-1; l > limit {
+		t.Fatalf("%d tasks started after the cancel, want at most %d", l, limit)
 	}
 }

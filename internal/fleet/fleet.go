@@ -47,6 +47,10 @@ const (
 	// maxRelayBytes bounds how much of a peer response is buffered for
 	// relaying, so a misbehaving peer cannot balloon the forwarder.
 	maxRelayBytes = 64 << 20
+	// relaySpare, with the peer's URL, is the room a response of declared
+	// length is read with beyond it, so the caller can append a few marks
+	// naming the peer (pased's fleet_forwarded and fleet_owner) in place.
+	relaySpare = 64
 
 	// attempts bounds tries per forward. The first retry waits baseBackoff,
 	// doubling per retry up to maxBackoff, each with ±50% jitter.
@@ -107,9 +111,10 @@ func (d Decision) String() string {
 }
 
 // Outcome is Route's verdict. For Forwarded, Status/Body are the owner's
-// HTTP response to relay; for Fallback, Err says why forwarding was not
-// possible (nil when no live member but self was left to try — then too the
-// request must be solved locally).
+// HTTP response to relay (Body with spare capacity for marks naming the owner
+// when the owner declared its length); for Fallback, Err says why forwarding
+// was not possible (nil when no live member but self was left to try — then
+// too the request must be solved locally).
 type Outcome struct {
 	Decision Decision
 	// Owner is the member the ring assigned: for Local, Self; for
@@ -410,7 +415,13 @@ func (c *Client) attempt(ctx context.Context, target string, body []byte) (int, 
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
+	var respBody []byte
+	if n := resp.ContentLength; n >= 0 && n <= maxRelayBytes {
+		respBody = make([]byte, n, n+relaySpare+int64(len(target)))
+		_, err = io.ReadFull(resp.Body, respBody)
+	} else {
+		respBody, err = io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
+	}
 	if err != nil {
 		return 0, nil, err
 	}

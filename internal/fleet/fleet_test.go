@@ -142,6 +142,31 @@ func TestForwardSuccess(t *testing.T) {
 	}
 }
 
+// TestForwardBodyRead: an answer of declared length is read with room to
+// append marks naming the owner without copying it; a chunked one, whose
+// length is not declared, is read whole too.
+func TestForwardBodyRead(t *testing.T) {
+	const answer = `{"ok":true}`
+	for _, chunked := range []bool{false, true} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.WriteString(w, answer[:4])
+			if chunked {
+				w.(http.Flusher).Flush() // headers go out before the length is known
+			}
+			io.WriteString(w, answer[4:])
+		}))
+		c := newTestClient(t, []string{ts.URL}, nil)
+		out := c.Route(context.Background(), ownedBy(t, c, ts.URL), []byte(`{}`))
+		ts.Close()
+		if out.Decision != Forwarded || string(out.Body) != answer {
+			t.Fatalf("chunked=%v: outcome %v body %q, want the answer forwarded", chunked, out.Decision, out.Body)
+		}
+		if room := cap(out.Body) - len(out.Body); !chunked && room < relaySpare+len(ts.URL) {
+			t.Fatalf("declared length: %d bytes of room after the body, want at least %d", room, relaySpare+len(ts.URL))
+		}
+	}
+}
+
 // TestForwardRetryThenSuccess: one injected failure, then the retry lands —
 // the jittered-backoff loop is doing its job.
 func TestForwardRetryThenSuccess(t *testing.T) {
