@@ -126,15 +126,19 @@ func BenchmarkServeMemoHit(b *testing.B) {
 	}
 }
 
-// A cold AlexNet@8 solve on a daemon that has seen nothing.
+// A cold solve of each Table I model at p=8 on a daemon that has seen nothing.
 func BenchmarkServeColdMiss(b *testing.B) {
-	body := []byte(`{"model":"alexnet","gpus":8}`)
-	b.ReportAllocs()
-	for range b.N {
-		b.StopTimer()
-		c := newBenchClient(newServer(pase.NewPlanner(pase.PlannerConfig{}), 64, 0))
-		b.StartTimer()
-		c.post(b, "/v1/solve", body)
+	for _, model := range []string{"alexnet", "inceptionv3", "rnnlm", "transformer"} {
+		body := []byte(`{"model":"` + model + `","gpus":8}`)
+		b.Run(model, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				b.StopTimer()
+				c := newBenchClient(newServer(pase.NewPlanner(pase.PlannerConfig{}), 64, 0))
+				b.StartTimer()
+				c.post(b, "/v1/solve", body)
+			}
+		})
 	}
 }
 

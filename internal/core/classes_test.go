@@ -478,6 +478,20 @@ func TestTableClassesShareExactlyTheTablesEqualByConstruction(t *testing.T) {
 			t.Fatalf("%s: position %d folds its subsets in another order and still shares a table: class %v", label, at, mates)
 		}
 	}
+	// A chain whose path visits node IDs out of order, 0→1→2→5→4→3: node 2's
+	// incidence lists its in-edge first, node 4's its out-edge, so under this
+	// ordering the two read one non-symmetric TX table through the same digits
+	// from opposite ends, and only the side keeps their positions apart.
+	g := graph.New()
+	for range 6 {
+		addFC(g, itspace.Space{{Name: "b", Size: 64}, {Name: "n", Size: 64}, {Name: "c", Size: 64}}, 2)
+	}
+	for _, uv := range [][2]int{{0, 1}, {1, 2}, {2, 5}, {5, 4}, {4, 3}} {
+		connect(g, g.Nodes[uv[0]], g.Nodes[uv[1]])
+	}
+	spec := machine.Uniform(8, 1e12, 1e10)
+	requireSharingSolve(t, "out-of-order chain", buildModel(t, g, spec, itspace.EnumPolicy{}, cost.BuildOptions{}),
+		buildModel(t, g, spec, itspace.EnumPolicy{}, cost.BuildOptions{DisableInterning: true}), seq.FromOrder(g, []int{0, 2, 1, 4, 3, 5}))
 	if shared == 0 || sharedRandomOrder == 0 || bruteForced == 0 || twoSubsets == 0 || regrouped == 0 || resized == 0 {
 		t.Errorf("coverage: %d shared positions (%d under random orderings), %d trials brute-forced, %d with a shared two-subset position, "+
 			"%d edits re-solved, %d edits resized a digit — want all > 0", shared, sharedRandomOrder, bruteForced, twoSubsets, regrouped, resized)

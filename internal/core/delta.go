@@ -25,10 +25,11 @@ type Snapshot struct {
 }
 
 // held maps every key the snapshot holds to its table: the tables a solve
-// over m may keep. Nothing when there is no snapshot, or when m or the
-// snapshot's model has no class fingerprints.
-func (s *Snapshot) held(m *cost.Model) map[canon.Fingerprint]*qtable {
-	if s == nil || !named(m) {
+// may keep. Nothing when there is none, or when its model had no class
+// fingerprints (solveExact keeps no keys then; keys by index lead with
+// another canon tag, so they match none).
+func (s *Snapshot) held() map[canon.Fingerprint]*qtable {
+	if s == nil {
 		return nil
 	}
 	held := make(map[canon.Fingerprint]*qtable, len(s.keys))
@@ -47,7 +48,7 @@ func (s *Snapshot) held(m *cost.Model) map[canon.Fingerprint]*qtable {
 func (s *Snapshot) EstimateDelta(m *cost.Model, dirtyV []bool) (dirty, total int64) {
 	sq := seq.Generate(m.G)
 	rep, keys, err := newFrame(context.Background(), m, sq, seq.ConnectedSubsetsAll(m.G, sq), Options{}, "").tableClasses()
-	held := s.held(m)
+	held := s.held()
 	for i := range sq.Order {
 		if err == nil && rep[i] != i {
 			continue

@@ -25,7 +25,7 @@ func missingKeys(t *testing.T, snap *Snapshot, m *cost.Model, sq *seq.Sequence) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := snap.held(m)
+	held := snap.held()
 	missing := make([]bool, len(keys))
 	for i, k := range keys {
 		missing[i] = held[k] == nil

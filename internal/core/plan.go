@@ -12,29 +12,32 @@ import (
 // tables are equal by construction: rep[i] is the first position whose table
 // is computed from the same inputs, wired the same way, as position i's
 // (rep[i] == i for a representative), and keys[i] is the digest of those
-// inputs. A table of recurrence (4) is a function of its vertex's TL row, the
-// configuration count of every φ digit, the TX table of every later neighbour
-// and the digit that addresses it, and the tables of its connected subsets
-// with the map from each child's dependent set to φ digits (after the vertex
-// itself), TX tables and subsets in summation order. The key spells out
-// exactly that, and two positions fall into one class only when their keys
-// are the same bytes (a map keyed by them; no hash decides), so the fill, its
-// digit classes, its candidate counts and every bit of the table are those of
-// the representative's. Each class's key is hashed once, into its digest.
+// inputs. A table of recurrence (4) is a function of its vertex's TL row,
+// the TX table of every later neighbour and the φ digit that addresses it,
+// and the tables of its connected subsets with the map from each child's
+// dependent set to φ digits (after the vertex itself), TX tables and subsets
+// in summation order. The key spells out exactly that, and two positions
+// fall into one class only when their keys are the same bytes (a map keyed
+// by them; no hash decides), so the fill, its digit classes, its candidate
+// counts and every bit of the table are those of the representative's. Each
+// class's key is hashed once, into its digest. Digit sizes need no term: the
+// TL row fixes K(v), and each member of D(i) is a later neighbour, whose
+// oriented TX table fixes its K, or a member of a child's dependent set,
+// whose key fixes it. Canon's type tags end the TX sources where the first
+// child begins.
 //
-// Inputs are named by content: a TL row by its vertex class fingerprint, a TX
-// table by its edge class fingerprint and the side the vertex reads it from,
-// which fixes its orientation, and a child by its own key. Equal keys thus
-// mean byte-equal tables in any two models and orderings, which is what lets
-// SolveKeep keep a snapshot's table under the same key (hash-consing). Within
-// a model this groups the positions that read the same interned tables:
-// interning and elimination share a table exactly when the fingerprints
-// match. A model
-// built without interning has no fingerprints; its rows and tables are named
-// by vertex and edge index, so every position is its own class, and such
-// keys are never compared across models (see named). The pass reads the
-// model, the ordering and the subsets only, no table data, and wires them as
-// the fill does (eachLaterEdge, childDigits).
+// Inputs are named by content: a TL row by its vertex class fingerprint, a
+// TX table by its edge class fingerprint and the side the vertex reads it
+// from (an edge class leaves the orientation open), and a child by its own
+// key. Equal keys thus mean byte-equal tables in any two models and
+// orderings, which is what lets SolveKeep keep a snapshot's table under the
+// same key (hash-consing). Within a model this groups the positions that
+// read the same interned tables: interning and elimination share a table
+// exactly when the fingerprints match. A model built without interning has
+// no fingerprints; its keys name the vertex by index, so every position is
+// its own class, and such keys are never compared across models (see named).
+// The pass reads the model, the ordering and the subsets only, no table
+// data, and wires them as the fill does (eachLaterEdge, childDigits).
 func (f *frame) tableClasses() (rep []int, keys []canon.Fingerprint, err error) {
 	m, sq := f.m, f.sq
 	n := len(sq.Order)
@@ -44,35 +47,26 @@ func (f *frame) tableClasses() (rep []int, keys []canon.Fingerprint, err error) 
 	var digits []int
 	seen := make(map[string]int, n)
 	for i, v := range sq.Order {
-		w.Truncate(0)
-		w.Label("core.table-key/v1")
+		w.Truncate(0) // keys never leave the process: no label
 		if byName {
 			w.FP(m.VertexClassFP(v))
 		} else {
 			w.Int(v)
 		}
-		w.Int(m.K(v))
-		w.Len(len(sq.Dep[i]))
 		f.setDigits(i)
-		for _, k := range f.kd {
-			w.Int(k)
-		}
 		err = f.eachLaterEdge(i, func(ie cost.IncEdge, dg int) {
-			if byName {
+			if byName { // by index the vertex alone makes the key unique
 				w.FP(m.EdgeClassFP(ie.E))
-			} else {
-				w.Int(ie.E)
 			}
 			w.Bool(ie.VIsU)
 			w.Int(dg)
 		})
-		w.Len(len(f.subsets[i])) // the TX sources end here
 		for _, sub := range f.subsets[i] {
 			j := f.child(sub)
 			if err == nil {
 				digits, err = f.childDigits(i, j, digits)
 			}
-			w.FP(keys[j]) // D(j)'s size is part of the child's own key
+			w.FP(keys[j]) // which fixes |D(j)| and each member's K
 			w.Ints(digits)
 		}
 		f.resetDigits(i)
@@ -116,9 +110,7 @@ func freePlan(sq *seq.Sequence, subsets [][][]int, rep []int) [][]int {
 			if rep != nil {
 				j = rep[j]
 			}
-			if i > lastReader[j] {
-				lastReader[j] = i
-			}
+			lastReader[j] = i // i ascends
 		}
 	}
 	freeAt := make([][]int, len(subsets))

@@ -70,10 +70,7 @@ func (o Options) workers() int {
 	if o.Workers == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
+	return o.Workers // exactSolve.par fills serially below 2
 }
 
 // Stats reports the work the solver performed.
@@ -241,7 +238,7 @@ func solveExact(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Optio
 	// All connected subsets up front (one bitset pass): the recurrence lookup
 	// wiring, the table classes and the liveness plan need them.
 	subsets := seq.ConnectedSubsetsAll(m.G, sq)
-	e := &exactSolve{frame: newFrame(ctx, m, sq, subsets, opts, ""), nw: opts.workers(), snap: snap, held: snap.held(m), retain: retain}
+	e := &exactSolve{frame: newFrame(ctx, m, sq, subsets, opts, ""), nw: opts.workers(), snap: snap, held: snap.held(), retain: retain}
 	start := time.Now()
 	if err := e.plan(); err != nil {
 		return nil, nil, err

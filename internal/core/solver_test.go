@@ -72,24 +72,6 @@ func newModel(t testing.TB, g *graph.Graph, p int) *cost.Model {
 	return m
 }
 
-func TestDPEqualsBruteForceOnPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := randomDNNGraph(rng, 4)
-	m := newModel(t, g, 4)
-
-	dp, err := Solve(context.Background(), m, seq.Generate(m.G), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf, err := bruteForce(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(dp.Cost-bf.Cost) > 1e-6*bf.Cost {
-		t.Fatalf("DP cost %v != brute force %v", dp.Cost, bf.Cost)
-	}
-}
-
 // The central correctness anchor: on random graphs the efficient DP
 // (GENERATESEQ ordering), the naive breadth-first DP, and exhaustive brute
 // force must all find the same minimum cost.
