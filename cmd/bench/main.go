@@ -19,10 +19,13 @@
 //     (cost.Eliminate, the stage the planner runs) and FINDBESTSTRATEGY over
 //     the eliminated model, the paper's Table I strategy-search time, with the
 //     configurations that survived (k_alive, ΣK over the vertices), the
-//     candidates the scan evaluated (states), the positions that took an
-//     earlier position's table (shared_positions) and the entries of the distinct
-//     tables filled (distinct_entries) as extras — all exact functions of the
-//     cost tables — and the fastest rep's time in the elimination (dee_ns)
+//     elimination's vertex checks run (dee_checks) and block cells gathered
+//     (dee_cells; both pinned at p=8/32 by internal/cost's
+//     TestEliminationCountersPinned), the candidates the scan evaluated
+//     (states), the positions that took an earlier position's table
+//     (shared_positions) and the entries of the distinct tables filled
+//     (distinct_entries) as extras — all exact functions of the cost
+//     tables — and the fastest rep's time in the elimination (dee_ns)
 //     and in each exact-DP stage (plan_ns, fill_ns, scan_ns, backsub_ns; see
 //     core.StageTimes), and the bytes it allocated (alloc_bytes, the
 //     runtime.MemStats.TotalAlloc delta across it).
@@ -41,8 +44,9 @@
 //     the graph whose exact DP exceeds the default table budget — with the
 //     achieved optimality gap, the width, the candidates the pass evaluated
 //     (states_explored, an exact function of the cost tables) and the one
-//     elimination's time (dee_ns) as extras, with the fastest rep's beam
-//     stages (plan_ns, join_ns, keep_ns, backsub_ns).
+//     elimination's time, checks and cells (dee_ns, dee_checks, dee_cells)
+//     as extras, with the fastest rep's beam stages (plan_ns, join_ns,
+//     keep_ns, backsub_ns).
 package main
 
 import (
@@ -129,11 +133,12 @@ func measureStats[T any](reps int, f func() (T, error)) (ns, allocBytes float64,
 }
 
 // tableIRun is what one Table I rep reports: the solve's Stats, and the
-// elimination's surviving ΣK with its wall time.
+// elimination's surviving ΣK, checks run and cells gathered with its wall
+// time.
 type tableIRun struct {
 	core.Stats
-	kAlive int
-	dee    time.Duration
+	kAlive, checks, cells int
+	dee                   time.Duration
 }
 
 // stageExtras adds a run's stage timings to extra, in nanoseconds: each stage
@@ -204,7 +209,7 @@ func run(cfg config) error {
 			if err != nil {
 				return tableIRun{}, err
 			}
-			return tableIRun{res.Stats, el.KAlive, dee}, nil
+			return tableIRun{res.Stats, el.KAlive, el.Ran, el.Cells, dee}, nil
 		})
 		if err != nil {
 			return fmt.Errorf("TableI %s: %w", bm.Name, err)
@@ -215,6 +220,8 @@ func run(cfg config) error {
 			Reps:    reps,
 			Extra: stageExtras(map[string]float64{
 				"dee_ns":           float64(st.dee),
+				"dee_checks":       float64(st.checks),
+				"dee_cells":        float64(st.cells),
 				"k_alive":          float64(st.kAlive),
 				"states":           float64(st.States),
 				"shared_positions": float64(st.SharedPositions),
@@ -360,6 +367,8 @@ func run(cfg config) error {
 				"beam_width":      float64(width),
 				"states_explored": float64(st.States),
 				"dee_ns":          float64(dee),
+				"dee_checks":      float64(gel.Ran),
+				"dee_cells":       float64(gel.Cells),
 			}, st.Stages),
 		})
 	}

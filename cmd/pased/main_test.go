@@ -431,10 +431,11 @@ func TestSolveMethodOverWire(t *testing.T) {
 
 func TestClientDisconnectAbortsSolve(t *testing.T) {
 	// The ROADMAP scenario: a client requests a heavy solve and goes away.
-	// The daemon must abort the underlying DP instead of finishing it for
+	// The daemon must abort the underlying solve instead of finishing it for
 	// nobody — observable as the planner recording no completed solve and a
-	// follow-up identical request starting cold.
-	pl := pase.NewPlanner(pase.PlannerConfig{})
+	// follow-up identical request starting cold. The first solve is held at
+	// the solve site by a latency only the hang-up ends, on any host.
+	pl := pase.NewPlanner(pase.PlannerConfig{FaultPlan: mustFaults(t, "solve:latency:1m:1")})
 	ts := httptest.NewServer(newServer(pl, 64, 0).mux())
 	defer ts.Close()
 
@@ -493,8 +494,11 @@ func TestClientDisconnectAbortsSolve(t *testing.T) {
 
 func TestSolveTimeoutMapsToGatewayTimeout(t *testing.T) {
 	// A daemon-side -solve-timeout aborts the solve mid-flight and reports
-	// 504, distinguishing "the solve was too slow" from client hangups.
-	ts := httptest.NewServer(newServer(pase.NewPlanner(pase.PlannerConfig{}), 64, 20*time.Millisecond).mux())
+	// 504, distinguishing "the solve was too slow" from client hangups. The
+	// solve is held at the solve site by a latency only the deadline ends,
+	// so it outlasts the 20 ms timeout on any host.
+	pl := pase.NewPlanner(pase.PlannerConfig{FaultPlan: mustFaults(t, "solve:latency:1m")})
+	ts := httptest.NewServer(newServer(pl, 64, 20*time.Millisecond).mux())
 	defer ts.Close()
 	status, out := postJSON(t, ts.URL+"/v1/solve", `{"model":"inceptionv3","gpus":32}`)
 	if status != http.StatusGatewayTimeout {

@@ -250,8 +250,6 @@ func beamGuideIdx(m *cost.Model) []int {
 		for c, s := range m.TLRow(v) {
 			for _, ie := range m.Incidence(v) {
 				switch {
-				case ie.Self:
-					s += m.EdgeCost(ie.E, c, c)
 				case ie.Other > v:
 				case ie.VIsU:
 					s += m.EdgeCost(ie.E, c, idx[ie.Other])
@@ -327,12 +325,9 @@ func (bp *beamPlan) lowerBound() float64 {
 		best := math.Inf(1)
 		for c, s := range m.TLRow(v) {
 			for _, ie := range m.Incidence(v) {
-				switch {
-				case ie.Self:
-					s += m.EdgeCost(ie.E, c, c)
-				case ie.VIsU:
+				if ie.VIsU {
 					s += float64(0.5 * bp.minU[ie.E][c])
-				default:
+				} else {
 					s += float64(0.5 * bp.minV[ie.E][c])
 				}
 			}

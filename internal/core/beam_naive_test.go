@@ -334,7 +334,7 @@ func twoRowDigits(m *cost.Model, sq *seq.Sequence) (n int) {
 		for _, d := range sq.Dep[i] {
 			rows := 0
 			for _, ie := range m.Incidence(v) {
-				if ie.Other == d && !ie.Self {
+				if ie.Other == d {
 					rows++
 				}
 			}

@@ -124,7 +124,7 @@ func (f *frame) child(sub []int) int { return f.sq.Pos[sub[len(sub)-1]] }
 func (f *frame) eachLaterEdge(i int, visit func(ie cost.IncEdge, dg int)) error {
 	v := f.sq.Order[i]
 	for _, ie := range f.m.Incidence(v) {
-		if f.sq.Pos[ie.Other] <= i { // earlier neighbours and self-loops
+		if f.sq.Pos[ie.Other] <= i { // earlier neighbours
 			continue
 		}
 		dg := f.digitOf[ie.Other]

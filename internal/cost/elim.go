@@ -26,6 +26,7 @@ import (
 	"math"
 	"slices"
 
+	"pase/internal/bitset"
 	"pase/internal/canon"
 	"pase/internal/itspace"
 )
@@ -44,10 +45,15 @@ func SumErrorBound(terms int, magnitude float64) float64 {
 
 // Elimination is one Eliminate run: the model over the surviving
 // configurations, ΣK over the vertices before (KTotal) and after (KAlive),
-// and the run's vertex checks, which a later run can take as prev.
+// the vertex checks the run evaluated rather than looked up (Ran) and the
+// block cells they gathered (Cells), the survivors alone, which
+// EliminateWith rebuilds Model from (nil past 65,536 distinct survivor
+// sets), and the run's vertex checks, which a later run can take as prev.
 type Elimination struct {
 	Model          *Model
 	KTotal, KAlive int
+	Ran, Cells     int
+	Survivors      *Survivors
 	memo           *elimMemo
 }
 
@@ -73,12 +79,94 @@ func Eliminate(ctx context.Context, m *Model, prev *Elimination) (*Elimination, 
 	if err := d.run(ctx); err != nil {
 		return nil, err
 	}
-	return &Elimination{Model: d.restrict(), KTotal: d.kTotal, KAlive: d.kAlive, memo: d.memo}, nil
+	return &Elimination{
+		Model: d.restrict(), KTotal: d.kTotal, KAlive: d.kAlive,
+		Ran: d.ran, Cells: d.gathered, Survivors: d.survivors(), memo: d.memo,
+	}, nil
 }
 
 // Checks is e without its model: all that a later run reads of e as prev,
 // and so all that a caller keeping e for that alone need retain.
 func (e *Elimination) Checks() *Elimination { return &Elimination{memo: e.memo} }
+
+// Survivors is an elimination's survivors, compact: per vertex the id of
+// its survivor set, and each distinct set once, as a bitset over the K of
+// the vertices that hold it. gptdeep:12 at p=32 keeps 13 sets over 231
+// vertices in under 1 KB.
+type Survivors struct {
+	ids  []uint16 // per vertex: its set
+	k    []int32  // per set: the K it is over
+	off  []int32  // per set: its first word in bits, then one past the last
+	bits []uint64
+}
+
+// survivors interns d's survivor sets by content and K.
+func (d *dee) survivors() *Survivors {
+	type key struct{ set, k int32 }
+	s := &Survivors{ids: make([]uint16, len(d.alive))}
+	ids := map[key]uint16{}
+	var reps []int // per set: a vertex holding it
+	words := 0
+	for v := range d.alive {
+		k := key{d.setOf[v], int32(d.m.K(v))}
+		id, ok := ids[k]
+		if !ok {
+			if len(reps) > math.MaxUint16 {
+				return nil
+			}
+			id = uint16(len(reps))
+			ids[k] = id
+			reps = append(reps, v)
+			words += (int(k.k) + 63) / 64
+		}
+		s.ids[v] = id
+	}
+	s.k, s.off, s.bits = make([]int32, len(reps)), make([]int32, len(reps)+1), make([]uint64, words)
+	for id, v := range reps {
+		k := d.m.K(v)
+		s.k[id], s.off[id+1] = int32(k), s.off[id]+int32((k+63)/64)
+		set := bitset.Set(s.bits[s.off[id]:s.off[id+1]])
+		for _, c := range d.alive[v] {
+			set.Add(int(c))
+		}
+	}
+	return s
+}
+
+// EliminateWith is Eliminate(ctx, m, prev) for a model whose survivors s
+// already holds, such as an earlier run's on a model with the same
+// fingerprint: it builds the model over s, as Eliminate does, and runs no
+// check, so Ran and Cells are zero, its Survivors is s and the checks it
+// hands on are prev's. A nil s, or one whose vertex count or K per vertex
+// does not match m's, runs Eliminate instead.
+func EliminateWith(ctx context.Context, m *Model, s *Survivors, prev *Elimination) (*Elimination, error) {
+	n := m.G.Len()
+	if s == nil || len(s.ids) != n {
+		return Eliminate(ctx, m, prev)
+	}
+	for v, id := range s.ids {
+		if int(s.k[id]) != m.K(v) {
+			return Eliminate(ctx, m, prev)
+		}
+	}
+	d := &dee{m: m, alive: make([][]int32, n), setOf: make([]int32, n)}
+	sets := make([][]int32, len(s.k))
+	for v, id := range s.ids {
+		if sets[id] == nil {
+			bitset.Set(s.bits[s.off[id]:s.off[id+1]]).ForEach(func(c int) {
+				sets[id] = append(sets[id], int32(c))
+			})
+		}
+		d.alive[v], d.setOf[v] = sets[id], int32(id)
+		d.kTotal += m.K(v)
+		d.kAlive += len(sets[id])
+	}
+	el := &Elimination{Model: d.restrict(), KTotal: d.kTotal, KAlive: d.kAlive, Survivors: s}
+	if prev != nil {
+		el.memo = prev.memo
+	}
+	return el, nil
+}
 
 // elimMemo is one Eliminate run's margin and vertex checks: checks maps a
 // check's inputs by content (checkKey) to the survivors it left. The margin
@@ -104,6 +192,7 @@ type dee struct {
 	prev           map[string][]int32
 	key, setKB     []byte
 	kTotal, kAlive int
+	ran, gathered  int // checks run, block cells gathered
 
 	// A vertex check's scratch: its blocks (gather) and what it derives
 	// from them; cells and cols back every block of one check.
@@ -210,7 +299,7 @@ func (d *dee) run(ctx context.Context) error {
 			continue
 		}
 		for _, ie := range d.m.inc[v] {
-			if w := ie.Other; !ie.Self && !queued[w] {
+			if w := ie.Other; !queued[w] {
 				queue, queued[w] = append(queue, w), true
 			}
 		}
@@ -230,12 +319,14 @@ func (d *dee) check(v int) bool {
 	var out []int32
 	if d.memo.checks == nil {
 		out = d.eliminate(v)
+		d.ran++
 	} else {
 		d.key = d.checkKey(v)
 		var ok bool
 		if out, ok = d.memo.checks[string(d.key)]; !ok {
 			if out, ok = d.prev[string(d.key)]; !ok {
 				out = d.eliminate(v)
+				d.ran++
 			}
 			d.memo.checks[string(d.key)] = out
 		}
@@ -258,16 +349,12 @@ func (d *dee) checkKey(v int) []byte {
 	set(d.alive[v])
 	for _, ie := range m.inc[v] {
 		k = append(k, m.eClassFP[ie.E][:]...)
-		switch {
-		case ie.Self:
-			k = append(k, 2)
-		case ie.VIsU:
+		if ie.VIsU {
 			k = append(k, 1)
-			set(d.alive[ie.Other])
-		default:
+		} else {
 			k = append(k, 0)
-			set(d.alive[ie.Other])
 		}
+		set(d.alive[ie.Other])
 	}
 	return k
 }
@@ -302,14 +389,6 @@ func (d *dee) eliminate(v int) []int32 {
 	d.un = grown(d.un, ka)
 	for i, c := range own {
 		d.un[i] = m.tl[v][c]
-	}
-	for _, ie := range m.inc[v] {
-		if ie.Self {
-			t := m.txc[ie.E]
-			for i, c := range own {
-				d.un[i] += t.at(int(c), int(c))
-			}
-		}
 	}
 	d.gather(v, own)
 	views, un, ext, arg := d.views, d.un, d.ext, d.arg
@@ -432,21 +511,17 @@ type block struct {
 }
 
 // gather builds d.views: v's blocks over its survivors own, one per incident
-// edge but self-loops, in incidence order, in the check's scratch, and each
-// row's extremes on each block: ext[i·2ne + 2k] and ext[i·2ne + 2k+1] are
-// survivor i's least and largest cell on block k, arg the first block
-// column holding each. A block reads the stored quotient in either
-// orientation, so a check builds no view, and it holds only the cells the
-// check can read.
+// edge, in incidence order, in the check's scratch, and each row's extremes
+// on each block: ext[i·2ne + 2k] and ext[i·2ne + 2k+1] are survivor i's
+// least and largest cell on block k, arg the first block column holding
+// each. A block reads the stored quotient in either orientation, so a check
+// builds no view, and it holds only the cells the check can read.
 func (d *dee) gather(v int, own []int32) {
 	m := d.m
 	ka := len(own)
 	d.views, d.cols = d.views[:0], d.cols[:0]
 	size := 0
 	for _, ie := range m.inc[v] {
-		if ie.Self {
-			continue
-		}
 		rep, colOf := m.txc[ie.E].maps(d.ids)
 		if ie.VIsU {
 			rep = colOf
@@ -463,14 +538,12 @@ func (d *dee) gather(v int, own []int32) {
 		size += ka * (len(d.cols) - n)
 	}
 	w := 2 * len(d.views)
+	d.gathered += size
 	d.cells, d.rows = grown(d.cells, size), grown(d.rows, ka)
 	d.ext, d.arg = grown(d.ext, ka*w), grown(d.arg, ka*w)
 	cells, cols := d.cells, d.cols
 	k := 0
 	for _, ie := range m.inc[v] {
-		if ie.Self {
-			continue
-		}
 		b := &d.views[k]
 		b.cells, cells = cells[:ka*b.nc], cells[ka*b.nc:]
 		b.cols, cols = cols[:b.nc], cols[b.nc:]

@@ -242,3 +242,126 @@ func TestEliminateReusesBaseChecks(t *testing.T) {
 		}
 	}
 }
+
+// What a run from scratch does on the paper models is pinned by equality,
+// as cmd/paper's table1.golden pins the DP's States: the vertex checks it
+// ran (every lookup misses on a first run unless two vertices' checks share
+// their inputs) and the block cells they gathered. A moved count means the
+// criterion, the worklist or the gather changed. cmd/bench records both
+// (dee_checks, dee_cells).
+func TestEliminationCountersPinned(t *testing.T) {
+	for _, pin := range []struct {
+		model      string
+		p          int
+		ran, cells int
+	}{
+		{"alexnet", 8, 24, 3598},
+		{"alexnet", 32, 26, 18443},
+		{"inceptionv3", 8, 242, 169660},
+		{"inceptionv3", 32, 254, 1413172},
+		{"rnnlm", 8, 7, 2819},
+		{"rnnlm", 32, 7, 27308},
+		{"transformer", 8, 50, 79624},
+		{"transformer", 32, 67, 399564},
+	} {
+		bm, err := models.ByName(pin.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewModel(bm.Build(bm.Batch), machine.GTX1080Ti(pin.p), bm.Policy(pin.p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		el := eliminate(t, m)
+		if el.Ran != pin.ran || el.Cells != pin.cells {
+			t.Errorf("%s p=%d: %d checks ran, %d cells gathered; pinned %d and %d", pin.model, pin.p, el.Ran, el.Cells, pin.ran, pin.cells)
+		}
+	}
+}
+
+// sameEliminatedModel fails unless a and b hold the same survivors, tables,
+// class fingerprints and table sharing: the same edge-table pointer
+// wherever the other shares one.
+func sameEliminatedModel(t *testing.T, label string, a, b *Elimination) {
+	t.Helper()
+	if a.KTotal != b.KTotal || a.KAlive != b.KAlive {
+		t.Fatalf("%s: ΣK %d → %d, want %d → %d", label, a.KTotal, a.KAlive, b.KTotal, b.KAlive)
+	}
+	am, bm := a.Model, b.Model
+	for v := range am.G.Len() {
+		if !slices.EqualFunc(am.Configs(v), bm.Configs(v), itspace.Config.Equal) || !slices.Equal(am.TLRow(v), bm.TLRow(v)) || am.VertexClassFP(v) != bm.VertexClassFP(v) {
+			t.Fatalf("%s, vertex %d: %d survivors, want %d", label, v, am.K(v), bm.K(v))
+		}
+	}
+	for e := range am.Edges() {
+		at, _ := am.EdgeTable(e)
+		bt, _ := bm.EdgeTable(e)
+		if !slices.Equal(at, bt) || am.EdgeClassFP(e) != bm.EdgeClassFP(e) {
+			t.Fatalf("%s, edge %d: tables or class fingerprints differ", label, e)
+		}
+		for f := range e {
+			if (am.txc[e] == am.txc[f]) != (bm.txc[e] == bm.txc[f]) {
+				t.Fatalf("%s: edges %d and %d share a table in one model only", label, f, e)
+			}
+		}
+	}
+}
+
+// A model built from an earlier run's survivors is the model that run left,
+// tables, fingerprints and sharing alike, with no check run, on a fresh
+// build of the same model; it hands on prev's checks. Survivors whose
+// vertex count or K per vertex does not fit the model run Eliminate.
+func TestEliminateWithSurvivors(t *testing.T) {
+	ctx := context.Background()
+	build := func(name string, p int) *Model {
+		bm, err := models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewModel(bm.Build(bm.Batch), machine.GTX1080Ti(p), bm.Policy(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name string
+		p    int
+	}{{"alexnet", 8}, {"inceptionv3", 32}, {"transformer", 32}, {"gptdeep:3", 16}} {
+		base := eliminate(t, build(c.name, c.p))
+		s := base.Survivors
+		if s == nil {
+			t.Fatalf("%s p=%d: no survivors", c.name, c.p)
+		}
+		got, err := EliminateWith(ctx, build(c.name, c.p), s, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Ran != 0 || got.Cells != 0 || got.Survivors != s || got.memo != base.memo {
+			t.Errorf("%s p=%d: %d checks, %d cells from the survivors, survivors kept %v, checks handed on %v", c.name, c.p, got.Ran, got.Cells, got.Survivors == s, got.memo == base.memo)
+		}
+		sameEliminatedModel(t, c.name, got, base)
+	}
+
+	// Survivors of p=8 on the p=16 model (other Ks), of AlexNet on RNNLM
+	// (another vertex count), and none at all: each runs Eliminate.
+	a8 := eliminate(t, build("alexnet", 8)).Survivors
+	for _, c := range []struct {
+		label string
+		m     *Model
+		s     *Survivors
+	}{
+		{"other K", build("alexnet", 16), a8},
+		{"other vertex count", build("rnnlm", 8), a8},
+		{"no survivors", build("alexnet", 16), nil},
+	} {
+		got, err := EliminateWith(ctx, c.m, c.s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Ran == 0 {
+			t.Errorf("%s: no check ran", c.label)
+		}
+		sameEliminatedModel(t, c.label, got, eliminate(t, c.m))
+	}
+}

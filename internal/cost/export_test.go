@@ -3,18 +3,14 @@ package cost
 import "slices"
 
 // EliminationBlocks gathers vertex v's blocks as an elimination check reads
-// them when alive holds every vertex's survivors: per incident edge but
-// self-loops, in incidence order, the edge, the block's cells (one row per
-// survivor of v) and its columns (survivors of the other end).
+// them when alive holds every vertex's survivors: per incident edge, in
+// incidence order, the edge, the block's cells (one row per survivor of v)
+// and its columns (survivors of the other end).
 func EliminationBlocks(m *Model, v int, alive [][]int32) (ies []IncEdge, cells [][]float64, cols [][]int32) {
 	d := newDEE(m, nil)
 	copy(d.alive, alive)
 	d.gather(v, alive[v])
-	for _, ie := range m.inc[v] {
-		if !ie.Self {
-			ies = append(ies, ie)
-		}
-	}
+	ies = slices.Clone(m.inc[v])
 	for _, b := range d.views {
 		cells = append(cells, slices.Clone(b.cells))
 		cols = append(cols, slices.Clone(b.cols))

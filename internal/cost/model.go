@@ -24,8 +24,6 @@ type IncEdge struct {
 	Other int
 	// VIsU is true when the node is the edge's producer.
 	VIsU bool
-	// Self marks a self-loop; it appears once in the node's incidence list.
-	Self bool
 }
 
 // Model binds a computation graph to a machine spec and precomputes every
@@ -141,12 +139,8 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	m.inc = make([][]IncEdge, g.Len())
 	for i, e := range m.edges {
 		m.inSlot[i] = g.InputIndex(e[0], e[1])
-		if e[0] == e[1] {
-			m.inc[e[0]] = append(m.inc[e[0]], IncEdge{E: i, Other: e[0], Self: true})
-		} else {
-			m.inc[e[0]] = append(m.inc[e[0]], IncEdge{E: i, Other: e[1], VIsU: true})
-			m.inc[e[1]] = append(m.inc[e[1]], IncEdge{E: i, Other: e[0]})
-		}
+		m.inc[e[0]] = append(m.inc[e[0]], IncEdge{E: i, Other: e[1], VIsU: true})
+		m.inc[e[1]] = append(m.inc[e[1]], IncEdge{E: i, Other: e[0]})
 	}
 	// Phase 0: structural sharing plan (intern.go). Nodes with identical
 	// cost-relevant content form one vertex class; edges whose TX tables
@@ -533,8 +527,7 @@ func (m *Model) EdgeTableT(e int) (vals []float64, ku int) {
 // through the class fingerprints (VertexClassFP).
 func (m *Model) TLRow(v int) []float64 { return m.tl[v] }
 
-// Incidence returns the directed edges incident to node v, self-loops listed
-// once with Self set. Do not mutate.
+// Incidence returns the directed edges incident to node v. Do not mutate.
 func (m *Model) Incidence(v int) []IncEdge { return m.inc[v] }
 
 // EvalIdx computes F(G, φ) for a strategy given as per-node configuration
@@ -586,14 +579,10 @@ func EvalStrategy(g *graph.Graph, spec machine.Spec, s graph.Strategy) (float64,
 func (m *Model) NodeDelta(idx []int, v, oldC, newC int) float64 {
 	d := m.tl[v][newC] - m.tl[v][oldC]
 	for _, ie := range m.inc[v] {
-		switch {
-		case ie.Self:
-			d += m.EdgeCost(ie.E, newC, newC) - m.EdgeCost(ie.E, oldC, oldC)
-		case ie.VIsU:
-			o := idx[ie.Other]
+		o := idx[ie.Other]
+		if ie.VIsU {
 			d += m.EdgeCost(ie.E, newC, o) - m.EdgeCost(ie.E, oldC, o)
-		default:
-			o := idx[ie.Other]
+		} else {
 			d += m.EdgeCost(ie.E, o, newC) - m.EdgeCost(ie.E, o, oldC)
 		}
 	}

@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pase/internal/bitset"
@@ -405,7 +406,7 @@ func (g *Graph) Fingerprint() canon.Fingerprint {
 }
 
 // Validate checks structural invariants: space validity, input arity matching
-// in-edges, well-formed tensor refs, weak connectivity.
+// in-edges, no self-loops, well-formed tensor refs, weak connectivity.
 func (g *Graph) Validate() error {
 	for _, n := range g.Nodes {
 		if err := n.Space.Validate(); err != nil {
@@ -414,6 +415,9 @@ func (g *Graph) Validate() error {
 		if len(g.in[n.ID]) != len(n.Inputs) {
 			return fmt.Errorf("node %d (%s): %d in-edges but %d input refs",
 				n.ID, n.Name, len(g.in[n.ID]), len(n.Inputs))
+		}
+		if slices.Contains(g.in[n.ID], n.ID) {
+			return fmt.Errorf("node %d (%s): self-loop", n.ID, n.Name)
 		}
 		refs := append([]TensorRef{n.Output}, n.Inputs...)
 		refs = append(refs, n.Params...)

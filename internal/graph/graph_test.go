@@ -2,6 +2,7 @@ package graph
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"pase/internal/itspace"
@@ -144,6 +145,21 @@ func TestValidateCatchesArityMismatch(t *testing.T) {
 	g.Nodes[1].Inputs = nil
 	if err := g.Validate(); err == nil {
 		t.Fatal("arity mismatch accepted")
+	}
+}
+
+// A self-loop's TX term has no place in the DP's recurrence (an edge is
+// charged where its later end is sequenced), so the exact solve would miss
+// it: Validate, which every model build, spec load and export runs, rejects
+// one.
+func TestValidateRejectsSelfLoop(t *testing.T) {
+	g := lineGraph(2)
+	n := g.Nodes[1]
+	n.Inputs = append(n.Inputs, TensorRef{Map: []int{0, 2}})
+	g.AddEdge(n, n)
+	err := g.Validate()
+	if err == nil || !strings.Contains(err.Error(), "self-loop") {
+		t.Fatalf("Validate on a graph with edge 1→1 = %v, want a self-loop error", err)
 	}
 }
 

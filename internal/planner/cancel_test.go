@@ -102,10 +102,11 @@ func TestFollowerDetachesWhileLeaderFinishes(t *testing.T) {
 
 func TestLastWaiterCancellationAbortsFlightAndNothingIsCached(t *testing.T) {
 	// When every interested caller has cancelled, the flight context is
-	// cancelled too: the solve aborts mid-DP (or mid-model-build) instead of
-	// burning CPU for nobody, the error is not cached, and a later identical
-	// request starts a fresh solve.
-	pl := New(Config{})
+	// cancelled too: the solve aborts instead of burning CPU for nobody, the
+	// error is not cached, and a later identical request starts a fresh
+	// solve. The first solve is held at the solve site by a latency only the
+	// cancel ends, so the cancel lands mid-solve on any host.
+	pl := New(Config{FaultPlan: mustFaultPlan(t, "solve:latency:1m:1")})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -169,7 +170,9 @@ func TestLastWaiterCancellationAbortsFlightAndNothingIsCached(t *testing.T) {
 }
 
 func TestSolveBatchCancellationFailsAllEntries(t *testing.T) {
-	pl := New(Config{})
+	// Every solve is held at the solve site by a latency only the cancel
+	// ends, so no entry can finish before it on any host.
+	pl := New(Config{FaultPlan: mustFaultPlan(t, "solve:latency:1m")})
 	ctx, cancel := context.WithCancel(context.Background())
 	reqs := []Request{slowReq(), alexReq(8), rnnReq(8)}
 	var wg sync.WaitGroup
@@ -190,9 +193,9 @@ func TestSolveBatchCancellationFailsAllEntries(t *testing.T) {
 			t.Fatalf("entry %d: %v, want context.Canceled", i, it.Err)
 		}
 	}
-	// At least the slow entry cannot have completed in 20ms.
+	// At least the first entry cannot have completed: its solve is held.
 	if items[0].Err == nil {
-		t.Fatal("InceptionV3 p=32 entry claims to have solved in under ~20ms")
+		t.Fatal("InceptionV3 p=32 entry claims to have solved through a held solve")
 	}
 }
 

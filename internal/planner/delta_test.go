@@ -11,6 +11,7 @@ import (
 	"pase/internal/core"
 	"pase/internal/cost"
 	"pase/internal/graph"
+	"pase/internal/itspace"
 	"pase/internal/machine"
 	"pase/internal/models"
 )
@@ -401,6 +402,74 @@ func TestTLOnlyEditDirtiesOneVertexEliminated(t *testing.T) {
 		}
 		if math.Float64bits(re.Cost) != math.Float64bits(cold.Cost) || !slices.Equal(re.Idx, cold.Idx) {
 			t.Fatalf("factor %v: re-solve %v %v, cold %v %v", factor, re.Cost, re.Idx, cold.Cost, cold.Idx)
+		}
+	}
+}
+
+// Elimination is a function of the model, so the planner keeps the last
+// one's survivors under its model fingerprint: a later request on that
+// model — another method, width or budget — runs no vertex check and
+// answers bit for bit as a planner that retains nothing. An edited graph,
+// another p and another policy each eliminate, and with retention off every
+// request does.
+func TestRepeatModelRunsNoEliminationCheck(t *testing.T) {
+	bm, err := models.ByName("transformer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := bm.Build(bm.Batch)
+	edited := bm.Build(bm.Batch)
+	mutateNode(t, edited, "enc0_self_wo", 1.5)
+	req := func(g *graph.Graph, p int, opts Options) Request {
+		if opts.Policy == (itspace.EnumPolicy{}) {
+			opts.Policy = bm.Policy(p)
+		}
+		opts.Workers = 1
+		return Request{G: g, Spec: machine.GTX1080Ti(p), Opts: opts}
+	}
+	beam8 := Options{Method: "beam", BeamWidth: 8, GapTarget: -1}
+	beam32 := Options{Method: "beam", BeamWidth: 32, GapTarget: -1}
+	pl := New(Config{})
+	for _, step := range []struct {
+		label      string
+		req        Request
+		eliminates bool
+	}{
+		{"first request", req(g, 8, beam8), true},
+		{"dp on the same model", req(g, 8, Options{}), false},
+		{"another width", req(g, 8, beam32), false},
+		{"another budget", req(g, 8, Options{MaxTableEntries: 1 << 26}), false},
+		{"edited graph", req(edited, 8, Options{}), true},
+		{"another p", req(g, 16, Options{}), true},
+		{"another policy", req(g, 8, Options{Policy: itspace.EnumPolicy{MaxSplitDims: 2}}), true},
+	} {
+		before := pl.Stats().ElimChecks
+		got, err := pl.Solve(context.Background(), step.req)
+		if err != nil {
+			t.Fatalf("%s: %v", step.label, err)
+		}
+		if ran := pl.Stats().ElimChecks - before; (ran > 0) != step.eliminates {
+			t.Errorf("%s: %d elimination checks ran, want them to run: %v", step.label, ran, step.eliminates)
+		}
+		want, err := New(Config{DeltaCacheSize: -1}).Solve(context.Background(), step.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameStrategy(t, step.label, got, want)
+		// A delta re-solve counts only the states of the tables it filled.
+		if (!got.DeltaResolve && got.States != want.States) || math.Float64bits(got.Gap) != math.Float64bits(want.Gap) || got.KEffective != want.KEffective {
+			t.Errorf("%s: %d states, gap %v, K %d; a planner retaining nothing: %d, %v, %d", step.label, got.States, got.Gap, got.KEffective, want.States, want.Gap, want.KEffective)
+		}
+	}
+
+	off := New(Config{DeltaCacheSize: -1})
+	for _, opts := range []Options{beam8, {}} {
+		before := off.Stats().ElimChecks
+		if _, err := off.Solve(context.Background(), req(g, 8, opts)); err != nil {
+			t.Fatal(err)
+		}
+		if off.Stats().ElimChecks == before {
+			t.Errorf("retention off, method %q: no elimination check ran", opts.Method)
 		}
 	}
 }

@@ -163,19 +163,23 @@ type Timings struct {
 // doSolve performs one underlying solve behind panic isolation, and holds
 // the only method dispatch. A baseline prices one fixed strategy and needs no
 // model. Every other method runs the same stages: build the model (stamps
-// Timings.Model); eliminate dead ends, starting from the last dp solve's
-// checks (stamps Timings.Elim; mcmc skips it, because its default
-// data-parallel seed is not one of the eliminated model's strategies); then
-// one switch over mcmc | beam | dp. The switch's last arm is the degrade
-// rung, a single beam pass at Config.DegradeBeamWidth in place of the exact
-// DP: a single pass because degrading exists to answer fast, not to chase
-// the gap. A dp request reaches it with the pressure degradeReason admit
-// observed, or by an ErrOOM from the exact DP.
-func (p *Planner) doSolve(ctx context.Context, req Request, degradeReason string) (res *Result, err error) {
+// Timings.Model); eliminate dead ends (stamps Timings.Elim; mcmc skips it,
+// because its default data-parallel seed is not one of the eliminated
+// model's strategies); then one switch over mcmc | beam | dp. Elimination
+// is a function of the model alone, so a request whose model fingerprint
+// the retained survivors carry builds its eliminated model from them and
+// runs no check; any other starts from the last dp solve's checks, and
+// either way its survivors replace the retained ones. The switch's last arm
+// is the degrade rung, a single beam pass at Config.DegradeBeamWidth in
+// place of the exact DP: a single pass because degrading exists to answer
+// fast, not to chase the gap. A dp request reaches it with the pressure
+// degradeReason admit observed, or by an ErrOOM from the exact DP.
+func (p *Planner) doSolve(ctx context.Context, prep *Prepared, degradeReason string) (res *Result, err error) {
 	defer guard(p, &res, &err)
 	if err := p.cfg.FaultPlan.Fire(ctx, pressure.SiteSolve); err != nil {
 		return nil, err
 	}
+	req := prep.req
 	method := req.Opts.method()
 	if strategies.IsBaselineMethod(method) {
 		return runBaseline(ctx, req.G, req.Spec, method)
@@ -189,13 +193,22 @@ func (p *Planner) doSolve(ctx context.Context, req Request, degradeReason string
 	var el *cost.Elimination
 	if method != "mcmc" {
 		p.mu.Lock()
-		checks := p.lastChecks
+		checks, surv := p.lastChecks, p.lastSurv
+		if p.lastSurvFP != prep.modelFP {
+			surv = nil
+		}
 		p.mu.Unlock()
 		start = time.Now()
-		if el, err = cost.Eliminate(ctx, m, checks); err != nil {
+		if el, err = cost.EliminateWith(ctx, m, surv, checks); err != nil {
 			return nil, err
 		}
 		t.Elim = time.Since(start)
+		p.mu.Lock()
+		p.stats.ElimChecks += int64(el.Ran)
+		if p.cfg.DeltaCacheSize >= 0 {
+			p.lastSurv, p.lastSurvFP = el.Survivors, prep.modelFP
+		}
+		p.mu.Unlock()
 	}
 	switch {
 	case method == "mcmc":
@@ -248,8 +261,8 @@ func dpResult(r *core.Result) *Result {
 }
 
 // runBeam runs the anytime bounded-width DP over a built model. A beam pass
-// keeps no table and retains nothing: a width-W frontier is not an exact
-// table a later solve could keep.
+// keeps no table: a width-W frontier is not an exact table a later solve
+// could keep.
 func runBeam(ctx context.Context, m *cost.Model, opts Options) (*Result, error) {
 	br, err := core.SolveBeam(ctx, m, dpSeq(m, opts), core.BeamOptions{
 		Options:   core.Options{MaxTableEntries: opts.MaxTableEntries},

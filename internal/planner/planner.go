@@ -95,8 +95,11 @@ type Config struct {
 	// planner retains nothing, every dp solve runs cold and every
 	// elimination from scratch. Otherwise — any other value — the planner
 	// retains the last successful dp solve's DP tables and elimination
-	// checks; the next dp solve keeps every table whose content key they
-	// hold and fills the rest, and every elimination starts from the checks.
+	// checks, and the last elimination's survivors under its model
+	// fingerprint: the next dp solve keeps every table whose content key
+	// the tables hold and fills the rest, a solve on the survivors' model
+	// builds its eliminated model from them, and every other elimination
+	// starts from the checks.
 	DeltaCacheSize int
 	// MaxInFlight enables admission control when > 0: at most this many
 	// underlying solves run concurrently, at most MaxQueue more wait for a
@@ -181,6 +184,11 @@ type Stats struct {
 	// benchmark harness, which reads it.
 	DeltaResolves  int64 `json:"delta_resolves"`
 	DeltaFallbacks int64 `json:"delta_fallbacks"`
+	// ElimChecks counts the dead-end vertex checks eliminations ran, those
+	// neither the retained checks nor the run itself had already answered
+	// (cost.Elimination.Ran); a solve on the retained survivors' model runs
+	// none.
+	ElimChecks int64 `json:"elim_checks"`
 	// BeamSolves counts completed solves that ran a beam: "beam" requests
 	// and degraded "dp" requests alike. LastGap is the optimality gap of the
 	// most recent one (zero when it proved exactness). Like Solves, Degraded
@@ -224,8 +232,11 @@ type solveFlight struct {
 	err     error
 }
 
-// Planner caches, deduplicates, and serves strategy solves. It is safe for
-// concurrent use by any number of goroutines.
+// Planner caches, deduplicates, and serves strategy solves. Beyond the
+// result cache it retains, unless Config.DeltaCacheSize is negative, the
+// last dp solve's DP snapshot and elimination checks and the last
+// elimination's survivors (about 1 KB) under its model fingerprint. It is
+// safe for concurrent use by any number of goroutines.
 type Planner struct {
 	cfg Config
 	// gate is the admission gate bounding concurrent underlying solves and
@@ -238,10 +249,14 @@ type Planner struct {
 	solveFlights map[canon.Fingerprint]*solveFlight
 	stats        Stats
 	// lastSnap and lastChecks are the last successful dp solve's DP
-	// snapshot and elimination checks (runDP): nil before the first, and
-	// always with Config.DeltaCacheSize negative.
+	// snapshot and elimination checks (runDP); lastSurv is the last
+	// elimination's survivors, of any method, and lastSurvFP its model
+	// fingerprint (doSolve). All nil before the first, and always with
+	// Config.DeltaCacheSize negative.
 	lastSnap   *core.Snapshot
 	lastChecks *cost.Elimination
+	lastSurv   *cost.Survivors
+	lastSurvFP canon.Fingerprint
 }
 
 // New returns a Planner sized by cfg (zero value: defaults).
@@ -308,12 +323,12 @@ func Fingerprints(req Request) (modelFP, solveFP canon.Fingerprint) {
 }
 
 // Prepared is a request after the front of its route: validated, its options
-// normalized and its solve fingerprint taken, once each (Prepare).
-// SolvePrepared solves it, and a front end keys its memo and fleet routing on
-// its Fingerprint.
+// normalized and its fingerprints taken, once each (Prepare). SolvePrepared
+// solves it, and a front end keys its memo and fleet routing on its
+// Fingerprint. modelFP keys the retained survivors.
 type Prepared struct {
-	req Request
-	fp  canon.Fingerprint
+	req         Request
+	fp, modelFP canon.Fingerprint
 }
 
 // Fingerprint is the solve fingerprint the result is cached under — the
@@ -362,8 +377,8 @@ func (p *Planner) Prepare(req Request) (*Prepared, error) {
 			opts.GapTarget = -1
 		}
 	}
-	_, fp := Fingerprints(req)
-	return &Prepared{req: req, fp: fp}, nil
+	modelFP, fp := Fingerprints(req)
+	return &Prepared{req: req, fp: fp, modelFP: modelFP}, nil
 }
 
 // Lookup answers fp from the result cache without running Solve's pipeline:
@@ -448,7 +463,7 @@ func (p *Planner) SolvePrepared(ctx context.Context, prep *Prepared, fleetFallba
 
 	go func() {
 		defer release()
-		res, err := p.doSolve(flightCtx, req, degradeReason)
+		res, err := p.doSolve(flightCtx, prep, degradeReason)
 		p.mu.Lock()
 		if p.solveFlights[fp] == fl {
 			delete(p.solveFlights, fp)

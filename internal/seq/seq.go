@@ -78,16 +78,12 @@ func Generate(g *graph.Graph) *Sequence {
 		s.Pos[vi] = i
 
 		// Lines 7-9: for all v in v(i).d, v.d ← v.d ∪ v(i).d − {v(i)}. The
-		// union may introduce v into its own set (v ∈ v(i).d); clear it
-		// unless v already held itself (self-loop).
+		// union may introduce v into its own set (v ∈ v(i).d); clear it.
 		dvi := d[vi]
 		members = dvi.AppendTo(members[:0])
 		for _, v := range members {
-			hadSelf := d[v].Has(v)
 			d[v].UnionWith(dvi)
-			if !hadSelf {
-				d[v].Remove(v)
-			}
+			d[v].Remove(v)
 			d[v].Remove(vi)
 			size[v] = d[v].Count()
 		}
