@@ -34,6 +34,10 @@
 //     structural-sharing stats (vertex/edge classes, resident and shared
 //     table bytes) and the fastest rep's alloc_bytes as extras — build time
 //     and bytes tracked separately from solve time.
+//   - GraphPass/<model>: graph.Validate, GENERATESEQ and seq.Children, the
+//     graph-only passes every build and request repeats, for the paper
+//     models and GPTDeep:12, each the mean over 100 calls (validate_ns,
+//     generate_ns, children_ns; ns_per_op is their sum).
 //   - Fig5_GenerateSeq/<model>: the GENERATESEQ ordering alone.
 //   - SolveWorkers/workers=<n>: GENERATESEQ + core.Solve with n workers at
 //     GOMAXPROCS=n, over the Transformer p=32 model dead-end elimination
@@ -50,6 +54,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -101,6 +106,9 @@ type Report struct {
 	Notes   string   `json:"notes,omitempty"`
 	Results []Result `json:"results"`
 }
+
+// graphPassRuns is how many calls a GraphPass rep times per pass.
+const graphPassRuns = 100
 
 func measure(reps int, f func() error) (float64, error) {
 	ns, _, _, err := measureStats(reps, func() (struct{}, error) { return struct{}{}, f() })
@@ -264,6 +272,38 @@ func run(cfg config) error {
 				"table_bytes":        float64(info.TableBytes),
 				"shared_table_bytes": float64(info.SharedTableBytes),
 				"alloc_bytes":        alloc,
+			},
+		})
+	}
+
+	// The graph-only passes every model build and dp or beam request repeats,
+	// each timed over graphPassRuns calls, per paper benchmark and gptdeep:12.
+	for _, bm := range append(pase.Benchmarks(), gbm) {
+		g := bm.Build(bm.Batch)
+		_, _, d, err := measureStats(reps, func() (d [3]time.Duration, err error) {
+			sq := seq.Generate(g)
+			for k, pass := range []func(){
+				func() { err = cmp.Or(err, g.Validate()) },
+				func() { sq = seq.Generate(g) },
+				func() { seq.Children(g, sq) },
+			} {
+				start := time.Now()
+				for range graphPassRuns {
+					pass()
+				}
+				d[k] = time.Since(start) / graphPassRuns
+			}
+			return d, err
+		})
+		if err != nil {
+			return fmt.Errorf("GraphPass %s: %w", bm.Name, err)
+		}
+		rep.Results = append(rep.Results, Result{
+			Name:    "GraphPass/" + bm.Name,
+			NsPerOp: float64(d[0] + d[1] + d[2]),
+			Reps:    reps,
+			Extra: map[string]float64{
+				"validate_ns": float64(d[0]), "generate_ns": float64(d[1]), "children_ns": float64(d[2]),
 			},
 		})
 	}

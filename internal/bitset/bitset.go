@@ -1,7 +1,7 @@
 // Package bitset provides the word-packed vertex sets used by the ordering
-// and solver hot paths (seq.Generate, connected-set reachability): dependent
-// sets and reachability frontiers are subsets of [0, n) for graph sizes in
-// the hundreds, so union/and-not/membership over []uint64 words replaces the
+// hot paths (seq.Generate, seq.FromOrder) and the elimination's survivor
+// sets: dependent sets are subsets of [0, n) for graph sizes in the
+// hundreds, so union and membership over []uint64 words replace the
 // map[int]bool churn that dominated GENERATESEQ profiles.
 package bitset
 
@@ -43,40 +43,6 @@ func (s Set) UnionWith(t Set) {
 	for i, w := range t {
 		s[i] |= w
 	}
-}
-
-// AndNotWith removes every member of t from s (s −= t).
-func (s Set) AndNotWith(t Set) {
-	for i, w := range t {
-		s[i] &^= w
-	}
-}
-
-// IntersectWith keeps only members also in t (s ∩= t).
-func (s Set) IntersectWith(t Set) {
-	for i, w := range t {
-		s[i] &= w
-	}
-}
-
-// CopyFrom overwrites s with t.
-func (s Set) CopyFrom(t Set) { copy(s, t) }
-
-// Clear empties the set.
-func (s Set) Clear() {
-	for i := range s {
-		s[i] = 0
-	}
-}
-
-// Empty reports whether the set has no members.
-func (s Set) Empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ForEach calls f on every member in increasing order.

@@ -266,7 +266,7 @@ func beamGuideIdx(m *cost.Model) []int {
 }
 
 // beamPlan is what every pass of one SolveBeam shares: the model and
-// ordering, the subset wiring and liveness plan, the guide strategy, and
+// ordering, the children and liveness plan, the guide strategy, and
 // each edge table's row minima in both orientations — minU[e][cu] is the
 // minimum of TX(e, cu, ·), minV[e][cv] of TX(e, ·, cv) — computed once per
 // distinct table (interned edge classes share one backing slice). The lower
@@ -274,15 +274,15 @@ func beamGuideIdx(m *cost.Model) []int {
 type beamPlan struct {
 	m          *cost.Model
 	sq         *seq.Sequence
-	subsets    [][][]int
+	children   [][]int
 	freeAt     [][]int
 	guide      []int
 	minU, minV [][]float64
 }
 
 func newBeamPlan(m *cost.Model, sq *seq.Sequence) *beamPlan {
-	subsets := seq.ConnectedSubsetsAll(m.G, sq)
-	bp := &beamPlan{m: m, sq: sq, subsets: subsets, freeAt: freePlan(sq, subsets, nil), guide: beamGuideIdx(m)}
+	children := seq.Children(m.G, sq)
+	bp := &beamPlan{m: m, sq: sq, children: children, freeAt: freePlan(children, nil), guide: beamGuideIdx(m)}
 	seen := make(map[*float64][]float64) // by first cell: a table has one shape
 	rowMins := func(vals []float64, stride int) []float64 {
 		mins, ok := seen[&vals[0]]
@@ -468,7 +468,7 @@ func (bp *beamPlan) flatAt(pos int, cfg []int) int64 {
 // sparse join enumerated the full recurrence and the result equals the exact
 // DP's. onTable, when non-nil, observes each table as it is published.
 func (bp *beamPlan) pass(ctx context.Context, opts Options, width, k int, onTable func(pos int, t beamTable)) (*Result, bool, error) {
-	p := &beamPass{frame: newFrame(ctx, bp.m, bp.sq, bp.subsets, opts, "beam "), bp: bp, width: width, k: k, tables: make([]beamTable, len(bp.sq.Order))}
+	p := &beamPass{frame: newFrame(ctx, bp.m, bp.sq, bp.children, opts, "beam "), bp: bp, width: width, k: k, tables: make([]beamTable, len(bp.sq.Order))}
 	p.front.reset(k)
 	for i := range bp.sq.Order {
 		if p.stopped() {
@@ -541,8 +541,8 @@ func (p *beamPass) join(i int) error {
 	}
 	p.take()
 
-	for _, sub := range p.subsets[i] {
-		if err := p.joinChild(i, p.child(sub)); err != nil {
+	for _, j := range p.children[i] {
+		if err := p.joinChild(i, j); err != nil {
 			return err
 		}
 	}
@@ -757,8 +757,7 @@ func (p *beamPass) keep(i int, onTable func(pos int, t beamTable)) error {
 	for _, ed := range p.erefs {
 		gVal += ed.vals[bp.guide[ed.other]*p.kv+gC]
 	}
-	for _, sub := range p.subsets[i] {
-		jPos := p.child(sub)
+	for _, jPos := range p.children[i] {
 		j, ok := slices.BinarySearch(p.tables[jPos].flats, bp.flatAt(jPos, bp.guide))
 		if !ok {
 			return fmt.Errorf("core: beam guide state missing from table %d", jPos)

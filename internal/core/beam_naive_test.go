@@ -35,7 +35,7 @@ type naivePartial struct {
 func naiveBeamPass(t *testing.T, m *cost.Model, sq *seq.Sequence, width, k int) (tables []beamTable, costV float64, idx []int, exact bool, steps, wide int, states int64) {
 	t.Helper()
 	n := m.G.Len()
-	subsets := seq.ConnectedSubsetsAll(m.G, sq)
+	children := seq.Children(m.G, sq)
 	guide := beamGuideIdx(m)
 	tables = make([]beamTable, n)
 	exact = true
@@ -108,8 +108,7 @@ func naiveBeamPass(t *testing.T, m *cost.Model, sq *seq.Sequence, width, k int) 
 		cur = cut(cur)
 		assigned := make([]bool, len(dep))
 
-		for _, sub := range subsets[i] {
-			j := sq.Pos[sub[len(sub)-1]]
+		for _, j := range children[i] {
 			dj := sq.Dep[j]
 			var next []naivePartial
 			for ei, rem := range tables[j].flats {
@@ -199,8 +198,7 @@ func naiveBeamPass(t *testing.T, m *cost.Model, sq *seq.Sequence, width, k int) 
 				gVal += edgeCost(ie, guide[v], guide[ie.Other])
 			}
 		}
-		for _, sub := range subsets[i] {
-			j := sq.Pos[sub[len(sub)-1]]
+		for _, j := range children[i] {
 			gVal += tables[j].costs[find(tables[j], flatOf(j, byGuide))]
 		}
 		if j := slices.Index(tb.flats, flatOf(i, byGuide)); j < 0 {
@@ -230,8 +228,8 @@ func naiveBeamPass(t *testing.T, m *cost.Model, sq *seq.Sequence, width, k int) 
 	walk = func(pos int) {
 		tb := tables[pos]
 		idx[sq.Order[pos]] = int(tb.choices[find(tb, flatOf(pos, func(d int) int { return idx[d] }))])
-		for _, sub := range subsets[pos] {
-			walk(sq.Pos[sub[len(sub)-1]])
+		for _, j := range children[pos] {
+			walk(j)
 		}
 	}
 	walk(n - 1)
@@ -323,11 +321,11 @@ func TestBeamKernelMatchesNaiveOnAdversarialTables(t *testing.T) {
 // and that two or more edges of the position's vertex read: the uncovered
 // digits a join enumerates over more than one edge row.
 func twoRowDigits(m *cost.Model, sq *seq.Sequence) (n int) {
-	subsets := seq.ConnectedSubsetsAll(m.G, sq)
+	children := seq.Children(m.G, sq)
 	for i, v := range sq.Order {
 		covered := make(map[int]bool)
-		for _, sub := range subsets[i] {
-			for _, d := range sq.Dep[sq.Pos[sub[len(sub)-1]]][1:] {
+		for _, j := range children[i] {
+			for _, d := range sq.Dep[j][1:] {
 				covered[d] = true
 			}
 		}

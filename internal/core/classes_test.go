@@ -123,7 +123,7 @@ func sameTable(a, b []float64) bool { return len(a) == len(b) && &a[0] == &b[0] 
 // the same digit sizes, the same TX tables read through the same digits in
 // the same order, and the same subsets in the same order — each child in the
 // same class, its dependent set wired to the same digits.
-func naiveClasses(m *cost.Model, sq *seq.Sequence, subsets [][][]int) []int {
+func naiveClasses(m *cost.Model, sq *seq.Sequence, children [][]int) []int {
 	type txSrc struct {
 		vals  []float64
 		digit int
@@ -161,8 +161,7 @@ func naiveClasses(m *cost.Model, sq *seq.Sequence, subsets [][][]int) []int {
 		if !slices.EqualFunc(txOf(a), txOf(b), func(x, y txSrc) bool { return sameTable(x.vals, y.vals) && x.digit == y.digit }) {
 			return false
 		}
-		return slices.EqualFunc(subsets[a], subsets[b], func(x, y []int) bool {
-			ja, jb := sq.Pos[x[len(x)-1]], sq.Pos[y[len(y)-1]]
+		return slices.EqualFunc(children[a], children[b], func(ja, jb int) bool {
 			return rep[ja] == rep[jb] && slices.EqualFunc(sq.Dep[ja], sq.Dep[jb], func(da, db int) bool {
 				return wire(a, da) == wire(b, db)
 			})
@@ -191,9 +190,9 @@ func classMates(rep []int, i int) (out []int) {
 }
 
 // classesOf is the solver's table classes of the ordering over m.
-func classesOf(t *testing.T, m *cost.Model, sq *seq.Sequence, subsets [][][]int) []int {
+func classesOf(t *testing.T, m *cost.Model, sq *seq.Sequence, children [][]int) []int {
 	t.Helper()
-	rep, _, err := newFrame(context.Background(), m, sq, subsets, Options{}, "").tableClasses()
+	rep, _, err := newFrame(context.Background(), m, sq, children, Options{}, "").tableClasses()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,12 +241,12 @@ func wantSharedStats(rep []int, tbl [][]float64, shapes []scanShape) (w sharedSt
 // bit for bit. It returns the interned solve's classes and result.
 func requireSharingSolve(t *testing.T, label string, mi, mo *cost.Model, sq *seq.Sequence) ([]int, *Result) {
 	t.Helper()
-	subsets := seq.ConnectedSubsetsAll(mi.G, sq)
-	rep := classesOf(t, mi, sq, subsets)
-	if want := naiveClasses(mi, sq, subsets); !slices.Equal(rep, want) {
+	children := seq.Children(mi.G, sq)
+	rep := classesOf(t, mi, sq, children)
+	if want := naiveClasses(mi, sq, children); !slices.Equal(rep, want) {
 		t.Fatalf("%s: classes %v, by definition %v", label, rep, want)
 	}
-	for i, r := range classesOf(t, mo, sq, subsets) {
+	for i, r := range classesOf(t, mo, sq, children) {
 		if r != i {
 			t.Fatalf("%s: without interning position %d joined position %d", label, i, r)
 		}
@@ -458,17 +457,17 @@ func TestTableClassesShareExactlyTheTablesEqualByConstruction(t *testing.T) {
 		// The order of a position's subsets is the order their tables are
 		// summed in: two positions that fold the same children in a different
 		// order are not one class. Swap two subsets at one shared position.
-		subsets := seq.ConnectedSubsetsAll(mi.G, sq)
-		child := func(i, s int) int { return rep[sq.Pos[subsets[i][s][len(subsets[i][s])-1]]] }
+		children := seq.Children(mi.G, sq)
+		child := func(i, s int) int { return rep[children[i][s]] }
 		at := slices.IndexFunc(rep, func(r int) bool {
-			return len(subsets[r]) >= 2 && len(classMates(rep, r)) > 1 && child(r, 0) != child(r, 1)
+			return len(children[r]) >= 2 && len(classMates(rep, r)) > 1 && child(r, 0) != child(r, 1)
 		})
 		if at < 0 {
 			continue
 		}
 		twoSubsets++
-		swapped := slices.Clone(subsets)
-		swapped[at] = slices.Clone(subsets[at])
+		swapped := slices.Clone(children)
+		swapped[at] = slices.Clone(children[at])
 		swapped[at][0], swapped[at][1] = swapped[at][1], swapped[at][0]
 		srep := classesOf(t, mi, sq, swapped)
 		if want := naiveClasses(mi, sq, swapped); !slices.Equal(srep, want) {

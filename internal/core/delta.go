@@ -47,7 +47,7 @@ func (s *Snapshot) held() map[canon.Fingerprint]*qtable {
 // table as missing. Only the benchmark harness calls it.
 func (s *Snapshot) EstimateDelta(m *cost.Model, dirtyV []bool) (dirty, total int64) {
 	sq := seq.Generate(m.G)
-	rep, keys, err := newFrame(context.Background(), m, sq, seq.ConnectedSubsetsAll(m.G, sq), Options{}, "").tableClasses()
+	rep, keys, err := newFrame(context.Background(), m, sq, seq.Children(m.G, sq), Options{}, "").tableClasses()
 	held := s.held()
 	for i := range sq.Order {
 		if err == nil && rep[i] != i {

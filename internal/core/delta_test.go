@@ -21,7 +21,7 @@ import (
 // keeping solve over m and sq fills (once per class).
 func missingKeys(t *testing.T, snap *Snapshot, m *cost.Model, sq *seq.Sequence) []bool {
 	t.Helper()
-	_, keys, err := newFrame(context.Background(), m, sq, seq.ConnectedSubsetsAll(m.G, sq), Options{}, "").tableClasses()
+	_, keys, err := newFrame(context.Background(), m, sq, seq.Children(m.G, sq), Options{}, "").tableClasses()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func missingKeys(t *testing.T, snap *Snapshot, m *cost.Model, sq *seq.Sequence) 
 // snapshot does not hold: the fills a keeping solve runs.
 func filledClasses(t *testing.T, snap *Snapshot, m *cost.Model, sq *seq.Sequence) int {
 	t.Helper()
-	rep := classesOf(t, m, sq, seq.ConnectedSubsetsAll(m.G, sq))
+	rep := classesOf(t, m, sq, seq.Children(m.G, sq))
 	n := 0
 	for i, miss := range missingKeys(t, snap, m, sq) {
 		if miss && rep[i] == i {

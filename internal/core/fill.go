@@ -238,8 +238,7 @@ func (e *exactSolve) wire(i int) ([]rowSrc, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, sub := range e.subsets[i] {
-		jPos := e.child(sub)
+	for _, jPos := range e.children[i] {
 		digits, err := e.childDigits(i, jPos, nil)
 		if err != nil {
 			return nil, err

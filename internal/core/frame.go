@@ -13,16 +13,16 @@ import (
 )
 
 // frame is what a kernel run — an exact solve or one beam pass — shares with
-// the other: the model, the ordering and its subsets, the Stats, the
+// the other: the model, the ordering and its children, the Stats, the
 // cancellation poll, the budget ledger, the dense digit map with the input
 // wiring over it, back-substitution and the checked result. kernel prefixes
 // the run's error messages ("" or "beam ").
 type frame struct {
-	m       *cost.Model
-	sq      *seq.Sequence
-	subsets [][][]int
-	kernel  string
-	st      Stats
+	m        *cost.Model
+	sq       *seq.Sequence
+	children [][]int // seq.Children: position i reads the tables at children[i]
+	kernel   string
+	st       Stats
 
 	// The first poll that observes ctx.Done() sets cancelled; later polls, in
 	// any fill goroutine, exit on the cheaper atomic load.
@@ -53,9 +53,9 @@ func checkInput(m *cost.Model, sq *seq.Sequence) error {
 
 // newFrame starts a run with the Stats the model and the ordering fix before
 // any table is filled.
-func newFrame(ctx context.Context, m *cost.Model, sq *seq.Sequence, subsets [][][]int, opts Options, kernel string) *frame {
+func newFrame(ctx context.Context, m *cost.Model, sq *seq.Sequence, children [][]int, opts Options, kernel string) *frame {
 	return &frame{
-		m: m, sq: sq, subsets: subsets, kernel: kernel,
+		m: m, sq: sq, children: children, kernel: kernel,
 		st:  Stats{MaxDepSize: sq.MaxDepSize(), ModelInfo: m.Info()},
 		ctx: ctx, done: ctx.Done(),
 		budget:  opts.maxEntries(),
@@ -116,9 +116,6 @@ func (f *frame) resetDigits(i int) {
 	}
 }
 
-// child is the position of the subset sub's table: its last vertex's.
-func (f *frame) child(sub []int) int { return f.sq.Pos[sub[len(sub)-1]] }
-
 // eachLaterEdge visits, in incidence order, every edge from v(i) to a later
 // vertex with that vertex's φ digit; the digits of D(i) must be set.
 func (f *frame) eachLaterEdge(i int, visit func(ie cost.IncEdge, dg int)) error {
@@ -156,7 +153,7 @@ func (f *frame) childDigits(i, jPos int, slots []int) ([]int, error) {
 
 // backSubstitute extracts the strategy from v(|V|) with φ = ∅: the kernel's
 // choice at a position, under the configurations already fixed for its
-// dependent set, fixes its vertex, and the walk descends into its subsets.
+// dependent set, fixes its vertex, and the walk descends into its children.
 func (f *frame) backSubstitute(choice func(pos int, idx []int) (int, error)) ([]int, error) {
 	start := time.Now()
 	defer func() { f.st.Stages.BackSub = time.Since(start) }()
@@ -176,8 +173,8 @@ func (f *frame) backSubstitute(choice func(pos int, idx []int) (int, error)) ([]
 			return err
 		}
 		idx[v], assigned[v] = c, true
-		for _, sub := range f.subsets[pos] {
-			if err := walk(f.child(sub)); err != nil {
+		for _, j := range f.children[pos] {
+			if err := walk(j); err != nil {
 				return err
 			}
 		}

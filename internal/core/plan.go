@@ -5,7 +5,6 @@ import (
 
 	"pase/internal/canon"
 	"pase/internal/cost"
-	"pase/internal/seq"
 )
 
 // tableClasses groups the positions of the ordering into classes whose DP
@@ -36,7 +35,7 @@ import (
 // exactly when the fingerprints match. A model built without interning has
 // no fingerprints; its keys name the vertex by index, so every position is
 // its own class, and such keys are never compared across models (see named).
-// The pass reads the model, the ordering and the subsets only, no table
+// The pass reads the model, the ordering and the children only, no table
 // data, and wires them as the fill does (eachLaterEdge, childDigits).
 func (f *frame) tableClasses() (rep []int, keys []canon.Fingerprint, err error) {
 	m, sq := f.m, f.sq
@@ -61,8 +60,7 @@ func (f *frame) tableClasses() (rep []int, keys []canon.Fingerprint, err error) 
 			w.Bool(ie.VIsU)
 			w.Int(dg)
 		})
-		for _, sub := range f.subsets[i] {
-			j := f.child(sub)
+		for _, j := range f.children[i] {
 			if err == nil {
 				digits, err = f.childDigits(i, j, digits)
 			}
@@ -96,24 +94,23 @@ func named(m *cost.Model) bool { return m.VertexClassFP(0) != canon.Fingerprint{
 // representative is filled, so only a representative reads, and a child is
 // read through whichever member of its class the reader's subset names — the
 // table dies after the last such fill.
-func freePlan(sq *seq.Sequence, subsets [][][]int, rep []int) [][]int {
-	lastReader := make([]int, len(subsets))
+func freePlan(children [][]int, rep []int) [][]int {
+	lastReader := make([]int, len(children))
 	for j := range lastReader {
 		lastReader[j] = -1
 	}
-	for i, subs := range subsets {
+	for i, kids := range children {
 		if rep != nil && rep[i] != i {
 			continue
 		}
-		for _, sub := range subs {
-			j := sq.Pos[sub[len(sub)-1]]
+		for _, j := range kids {
 			if rep != nil {
 				j = rep[j]
 			}
 			lastReader[j] = i // i ascends
 		}
 	}
-	freeAt := make([][]int, len(subsets))
+	freeAt := make([][]int, len(children))
 	for j, r := range lastReader {
 		if r >= 0 {
 			freeAt[r] = append(freeAt[r], j)
@@ -139,7 +136,7 @@ func (e *exactSolve) plan() error {
 	if e.rep, e.keys, err = e.tableClasses(); err != nil {
 		return err
 	}
-	e.freeAt = freePlan(sq, e.subsets, e.rep)
+	e.freeAt = freePlan(e.children, e.rep)
 	e.tbl = make([]*qtable, n)
 	e.tblSizes = make([]int64, n)
 	for i, v := range sq.Order {

@@ -55,7 +55,7 @@ func (sh scanShape) partial(d int) bool { return sh.merged(d) && sh.classes[d] >
 func naiveTables(m *cost.Model, sq *seq.Sequence) (tbl [][]float64, choice [][]int32, shapes []scanShape) {
 	g := m.G
 	n := g.Len()
-	subsets := seq.ConnectedSubsetsAll(g, sq)
+	children := seq.Children(g, sq)
 	tbl = make([][]float64, n)
 	choice = make([][]int32, n)
 	shapes = make([]scanShape, n)
@@ -87,8 +87,7 @@ func naiveTables(m *cost.Model, sq *seq.Sequence) (tbl [][]float64, choice [][]i
 				return m.EdgeCost(ie.E, cfg[ie.Other], cfg[v])
 			}})
 		}
-		for _, sub := range subsets[i] {
-			j := sq.Pos[sub[len(sub)-1]]
+		for _, j := range children[i] {
 			if !slices.Contains(sq.Dep[j], v) {
 				cells = append(cells, j)
 				continue
@@ -736,7 +735,7 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 		}
 		_, _, shapes := naiveTables(m2, sq)
 		missing := missingKeys(t, snap, m2, sq)
-		subsets := seq.ConnectedSubsetsAll(g1, sq)
+		children := seq.Children(g1, sq)
 		for i, dirty := range missing {
 			for d := range shapes[i].k {
 				if dirty && shapes[i].merged(d) {
@@ -744,8 +743,7 @@ func TestResolveAfterRandomEditMatchesFreshSolveTableForTable(t *testing.T) {
 					break
 				}
 			}
-			for _, sub := range subsets[i] {
-				j := sq.Pos[sub[len(sub)-1]]
+			for _, j := range children[i] {
 				if dirty && !missing[j] && slices.ContainsFunc(snap.tbl[j].classOf, func(c []int32) bool { return c != nil }) {
 					throughOldClasses++
 				}

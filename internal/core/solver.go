@@ -131,7 +131,7 @@ type Stats struct {
 // position, never per entry. The exact DP fills Plan (table classes,
 // liveness and the sizing pre-pass), Fill (each table's wiring and digit
 // classes), Scan (the linear argmin scans) and BackSub. A
-// beam run fills Plan (subsets, guide, row minima and lower bound), Join and
+// beam run fills Plan (children, guide, row minima and lower bound), Join and
 // Keep (each position's sparse join and cut, summed over passes) and BackSub.
 type StageTimes struct {
 	Plan    time.Duration `json:"plan_ns"`
@@ -178,7 +178,7 @@ func Admit(m *cost.Model, sq *seq.Sequence, opts Options) error {
 	if err := checkInput(m, sq); err != nil {
 		return err
 	}
-	e := &exactSolve{frame: newFrame(context.Background(), m, sq, seq.ConnectedSubsetsAll(m.G, sq), opts, "")}
+	e := &exactSolve{frame: newFrame(context.Background(), m, sq, seq.Children(m.G, sq), opts, "")}
 	return e.plan()
 }
 
@@ -235,10 +235,9 @@ func solveExact(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts Optio
 	if err := checkInput(m, sq); err != nil {
 		return nil, nil, err
 	}
-	// All connected subsets up front (one bitset pass): the recurrence lookup
+	// All children up front (one union-find pass): the recurrence lookup
 	// wiring, the table classes and the liveness plan need them.
-	subsets := seq.ConnectedSubsetsAll(m.G, sq)
-	e := &exactSolve{frame: newFrame(ctx, m, sq, subsets, opts, ""), nw: opts.workers(), snap: snap, held: snap.held(), retain: retain}
+	e := &exactSolve{frame: newFrame(ctx, m, sq, seq.Children(m.G, sq), opts, ""), nw: opts.workers(), snap: snap, held: snap.held(), retain: retain}
 	start := time.Now()
 	if err := e.plan(); err != nil {
 		return nil, nil, err

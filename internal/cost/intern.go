@@ -76,9 +76,10 @@ func singletonPlan(nNodes, nEdges int) *internPlan {
 }
 
 // buildInternPlan groups nodes by content and edges by their two sides, each
-// encoded once after a shared prefix (classPrefix) and classed by its bytes;
-// each class is then hashed once. A side's configurations are a function of
-// its space, so the sides and the prefix are everything txTables reads.
+// side encoded once per vertex class after a shared prefix (classPrefix) and
+// classed by its bytes; each class is then hashed once. A side's
+// configurations are a function of its space, so the sides and the prefix
+// are everything txTables reads.
 // Class IDs are assigned in first-member order, so representatives and IDs
 // are deterministic for a given graph.
 func (m *Model) buildInternPlan() *internPlan {
@@ -117,16 +118,23 @@ func (m *Model) buildInternPlan() *internPlan {
 		w.Truncate(head)
 		return id
 	}
-	outSide := make([]int, m.G.Len())
-	for id, n := range m.G.Nodes {
-		outSide[id] = side(n, n.Output)
+	// A vertex class fixes its members' spaces and refs, so each class's
+	// output side and input slots' sides are encoded once: sides[c][0] is the
+	// output's, sides[c][1+k] slot k's.
+	sides := make([][]int, len(p.vReps))
+	for c, id := range p.vReps {
+		n := m.G.Nodes[id]
+		sides[c] = append(make([]int, 0, 1+len(n.Inputs)), side(n, n.Output))
+		for _, in := range n.Inputs {
+			sides[c] = append(sides[c], side(n, in))
+		}
 	}
 	type edgeKey struct{ su, sv int }
 	byKey := make(map[edgeKey]int, len(m.edges))
 	for e, uv := range m.edges {
 		nu, nv := m.G.Nodes[uv[0]], m.G.Nodes[uv[1]]
 		in := nv.Inputs[m.inSlot[e]]
-		k := edgeKey{outSide[uv[0]], side(nv, in)}
+		k := edgeKey{sides[p.vClass[uv[0]]][0], sides[p.vClass[uv[1]]][1+m.inSlot[e]]}
 		ci, ok := byKey[k]
 		if !ok {
 			ci = len(p.eReps)

@@ -184,6 +184,9 @@ func (g *Graph) Len() int { return len(g.Nodes) }
 // In returns the predecessor IDs of node id.
 func (g *Graph) In(id int) []int { return g.in[id] }
 
+// Out returns the successor IDs of node id.
+func (g *Graph) Out(id int) []int { return g.out[id] }
+
 // InputIndex returns which activation-input slot of node v the edge (u, v)
 // feeds, or -1 when no such edge exists.
 func (g *Graph) InputIndex(u, v int) int {
@@ -258,9 +261,8 @@ func (g *Graph) BFSOrder() []int {
 }
 
 // AdjacencyBits returns the undirected neighbour set N(v) of every node as a
-// word-packed bitset — the representation the ordering and solver hot paths
-// (seq.Generate, connected-set reachability) traverse instead of the sorted
-// Neighbors slices.
+// word-packed bitset — the representation the ordering hot paths
+// (seq.Generate, seq.FromOrder) merge instead of the sorted Neighbors slices.
 func (g *Graph) AdjacencyBits() []bitset.Set {
 	adj := make([]bitset.Set, g.Len())
 	for v := range adj {
@@ -275,56 +277,29 @@ func (g *Graph) AdjacencyBits() []bitset.Set {
 	return adj
 }
 
-// ReachableWithinBits is ReachableWithin over word-packed adjacency: it
-// overwrites res with the set of vertices reachable from v through paths
-// confined to allowed ∪ {v}. frontier and next are caller-provided scratch
-// sets whose contents are ignored and clobbered; all sets must be sized for
-// the same graph as adj.
-func ReachableWithinBits(adj []bitset.Set, allowed bitset.Set, v int, res, frontier, next bitset.Set) {
-	res.Clear()
-	frontier.Clear()
-	res.Add(v)
-	frontier.Add(v)
-	for !frontier.Empty() {
-		next.Clear()
-		frontier.ForEach(func(x int) { next.UnionWith(adj[x]) })
-		next.IntersectWith(allowed)
-		next.AndNotWith(res)
-		res.UnionWith(next)
-		frontier, next = next, frontier
-	}
-}
-
-// ReachableWithin performs the paper's DFS(G, U, v): the set of vertices
-// reachable from v through paths confined to U ∪ {v}, over the undirected
-// view. v must be in the returned set.
-func (g *Graph) ReachableWithin(allowed map[int]bool, v int) map[int]bool {
-	res := map[int]bool{v: true}
-	stack := []int{v}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.Neighbors(x) {
-			if allowed[w] && !res[w] {
-				res[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return res
-}
-
 // WeaklyConnected reports whether the graph is weakly connected (a
 // requirement of the paper's problem definition).
 func (g *Graph) WeaklyConnected() bool {
 	if g.Len() == 0 {
 		return true
 	}
-	all := map[int]bool{}
-	for v := range g.Nodes {
-		all[v] = true
+	seen := make([]bool, g.Len())
+	seen[0] = true
+	stack, reached := append(make([]int, 0, g.Len()), 0), 1
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, nb := range [2][]int{g.out[x], g.in[x]} {
+			for _, w := range nb {
+				if !seen[w] {
+					seen[w] = true
+					stack = append(stack, w)
+					reached++
+				}
+			}
+		}
 	}
-	return len(g.ReachableWithin(all, 0)) == g.Len()
+	return reached == g.Len()
 }
 
 // DegreeHistogram returns, for each degree value, how many nodes have it.
@@ -419,20 +394,22 @@ func (g *Graph) Validate() error {
 		if slices.Contains(g.in[n.ID], n.ID) {
 			return fmt.Errorf("node %d (%s): self-loop", n.ID, n.Name)
 		}
-		refs := append([]TensorRef{n.Output}, n.Inputs...)
-		refs = append(refs, n.Params...)
-		for ri, r := range refs {
-			for t, d := range r.Map {
-				if d < 0 || d >= len(n.Space) {
-					return fmt.Errorf("node %d (%s): ref %d tensor dim %d maps to invalid iter dim %d",
-						n.ID, n.Name, ri, t, d)
+		ri := 0 // refs are numbered output, inputs, params
+		for _, refs := range [3][]TensorRef{{n.Output}, n.Inputs, n.Params} {
+			for _, r := range refs {
+				for t, d := range r.Map {
+					if d < 0 || d >= len(n.Space) {
+						return fmt.Errorf("node %d (%s): ref %d tensor dim %d maps to invalid iter dim %d",
+							n.ID, n.Name, ri, t, d)
+					}
 				}
-			}
-			if r.Offset != nil && len(r.Offset) != len(r.Map) {
-				return fmt.Errorf("node %d (%s): ref %d offset arity mismatch", n.ID, n.Name, ri)
-			}
-			if r.Size != nil && len(r.Size) != len(r.Map) {
-				return fmt.Errorf("node %d (%s): ref %d size arity mismatch", n.ID, n.Name, ri)
+				if r.Offset != nil && len(r.Offset) != len(r.Map) {
+					return fmt.Errorf("node %d (%s): ref %d offset arity mismatch", n.ID, n.Name, ri)
+				}
+				if r.Size != nil && len(r.Size) != len(r.Map) {
+					return fmt.Errorf("node %d (%s): ref %d size arity mismatch", n.ID, n.Name, ri)
+				}
+				ri++
 			}
 		}
 		if n.Halo != nil && len(n.Halo) != len(n.Space) {

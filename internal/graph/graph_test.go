@@ -89,37 +89,20 @@ func TestBFSOrderCoversAll(t *testing.T) {
 	}
 }
 
-func TestReachableWithin(t *testing.T) {
-	// Diamond: 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3.
-	g := New()
-	sp := itspace.Space{{Name: "x", Size: 2}}
-	n := make([]*Node, 4)
-	for i := range n {
-		nd := &Node{Space: sp, Output: TensorRef{Map: []int{0}}}
-		if i > 0 {
-			nd.Inputs = []TensorRef{{Map: []int{0}}}
-		}
-		if i == 3 {
-			nd.Inputs = []TensorRef{{Map: []int{0}}, {Map: []int{0}}}
-		}
-		n[i] = g.AddNode(nd)
-	}
-	g.AddEdge(n[0], n[1])
-	g.AddEdge(n[0], n[2])
-	g.AddEdge(n[1], n[3])
-	g.AddEdge(n[2], n[3])
-
-	allowed := map[int]bool{0: true, 1: true}
-	r := g.ReachableWithin(allowed, 1)
-	if !r[1] || !r[0] || r[2] || r[3] {
-		t.Fatalf("ReachableWithin = %v", r)
-	}
-}
-
 func TestWeaklyConnected(t *testing.T) {
 	g := lineGraph(4)
 	if !g.WeaklyConnected() {
 		t.Fatal("line graph should be connected")
+	}
+	// 0 → 2 ← 1: node 1 is reached from node 0 only through an in-edge.
+	v := New()
+	for range 3 {
+		v.AddNode(&Node{})
+	}
+	v.AddEdge(v.Nodes[0], v.Nodes[2])
+	v.AddEdge(v.Nodes[1], v.Nodes[2])
+	if !v.WeaklyConnected() {
+		t.Fatal("0 → 2 ← 1 should be weakly connected")
 	}
 	// Add an isolated node.
 	g.AddNode(&Node{Space: itspace.Space{{Name: "x", Size: 2}}, Output: TensorRef{Map: []int{0}}})
@@ -160,6 +143,28 @@ func TestValidateRejectsSelfLoop(t *testing.T) {
 	err := g.Validate()
 	if err == nil || !strings.Contains(err.Error(), "self-loop") {
 		t.Fatalf("Validate on a graph with edge 1→1 = %v, want a self-loop error", err)
+	}
+}
+
+// Errors number a node's refs output first, then inputs, then params, and a
+// valid graph's check allocates only the connectivity walk's two slices.
+func TestValidateRefNumberingAndAllocs(t *testing.T) {
+	g := lineGraph(3)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Fatalf("Validate allocates %v times on a valid graph, want at most 2", allocs)
+	}
+	g.Nodes[1].Inputs[0].Offset = []int64{0}
+	if err := g.Validate(); err == nil || err.Error() != "node 1 (fc): ref 1 offset arity mismatch" {
+		t.Fatalf("bad input offset: %v", err)
+	}
+	g.Nodes[1].Inputs[0].Offset = nil
+	g.Nodes[1].Params[0].Map = []int{1, 9}
+	if err := g.Validate(); err == nil || err.Error() != "node 1 (fc): ref 2 tensor dim 1 maps to invalid iter dim 9" {
+		t.Fatalf("bad param map: %v", err)
 	}
 }
 

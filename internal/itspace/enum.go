@@ -1,7 +1,8 @@
 package itspace
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"pase/internal/canon"
 )
@@ -90,17 +91,8 @@ func Enumerate(s Space, p int, pol EnumPolicy) []Config {
 	}
 	rec(0, 1)
 
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := out[i].SplitDims(), out[j].SplitDims()
-		if si != sj {
-			return si < sj
-		}
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
+	slices.SortFunc(out, func(a, b Config) int {
+		return cmp.Or(cmp.Compare(a.SplitDims(), b.SplitDims()), slices.Compare(a, b))
 	})
 	return out
 }

@@ -6,9 +6,9 @@
 package seq
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"pase/internal/bitset"
 	"pase/internal/graph"
 )
 
@@ -96,25 +96,26 @@ func Generate(g *graph.Graph) *Sequence {
 
 // FromOrder builds a Sequence for an arbitrary vertex ordering (e.g. the
 // breadth-first baseline), computing every dependent set from the definition
-// D(i) = N(X(i)) ∩ V>i via bitset reachability.
+// D(i) = N(X(i)) ∩ V>i. X(i) is v(i) joined with its children's X (see
+// Children), so the union of its members' neighbourhoods is v(i)'s joined with
+// theirs, gathered in one pass over the ordering.
 func FromOrder(g *graph.Graph, order []int) *Sequence {
-	n := g.Len()
-	s := &Sequence{Order: append([]int(nil), order...), Pos: make([]int, n), Dep: make([][]int, n)}
+	s := &Sequence{Order: slices.Clone(order), Pos: make([]int, g.Len()), Dep: make([][]int, g.Len())}
 	for i, v := range order {
 		s.Pos[v] = i
 	}
-	adj := g.AdjacencyBits()
-	allowed := bitset.New(n) // V≤i, grown incrementally
-	x, frontier, next, nb := bitset.New(n), bitset.New(n), bitset.New(n), bitset.New(n)
-	for i, v := range order {
-		allowed.Add(v)
-		graph.ReachableWithinBits(adj, allowed, v, x, frontier, next)
-		// D(i) = N(X(i)) − X(i): a V≤i neighbour of X(i) would itself be
-		// connected to v(i) within V≤i, so every member is in V>i already.
-		nb.Clear()
-		x.ForEach(func(u int) { nb.UnionWith(adj[u]) })
-		nb.AndNotWith(x)
-		s.Dep[i] = nb.Members()
+	nx := g.AdjacencyBits() // nx[v(i)] grows into ∪ N(u), u ∈ X(i), at position i
+	var members []int
+	for i, children := range Children(g, s) {
+		for _, j := range children {
+			nx[order[i]].UnionWith(nx[order[j]])
+		}
+		members = nx[order[i]].AppendTo(members[:0])
+		for _, u := range members {
+			if s.Pos[u] > i {
+				s.Dep[i] = append(s.Dep[i], u)
+			}
+		}
 	}
 	sortDepsByPos(s)
 	return s
@@ -127,50 +128,45 @@ func BFS(g *graph.Graph) *Sequence {
 }
 
 func sortDepsByPos(s *Sequence) {
-	for i := range s.Dep {
-		dep := s.Dep[i]
-		sort.Slice(dep, func(a, b int) bool { return s.Pos[dep[a]] < s.Pos[dep[b]] })
+	for _, dep := range s.Dep {
+		slices.SortFunc(dep, func(a, b int) int { return cmp.Compare(s.Pos[a], s.Pos[b]) })
 	}
 }
 
-// ConnectedSubsetsAll computes S(i) for every position of the sequence in
-// one pass over shared word-packed adjacency: the vertex sets of the
-// connected components of X(i) − {v(i)} (paper Section III-B definition c),
-// each sorted by position, ordered by their last position (the j of
-// recurrence 4's table lookups).
-func ConnectedSubsetsAll(g *graph.Graph, s *Sequence) [][][]int {
-	n := g.Len()
-	out := make([][][]int, n)
-	adj := g.AdjacencyBits()
-	allowed := bitset.New(n) // V≤i, grown incrementally
-	x, frontier, next := bitset.New(n), bitset.New(n), bitset.New(n)
-	comp, rem := bitset.New(n), bitset.New(n)
-	for i := 0; i < n; i++ {
-		vi := s.Order[i]
-		allowed.Add(vi)
-		graph.ReachableWithinBits(adj, allowed, vi, x, frontier, next)
-		x.Remove(vi)
-		// Components of the subgraph induced by X(i) − {v(i)} (all members
-		// are in V<i since X(i) ⊆ V≤i). Components of rem equal components of
-		// the full induced subgraph: removing one component cannot disconnect
-		// another.
-		rem.CopyFrom(x)
-		var subsets [][]int
-		for j := 0; j < i && !rem.Empty(); j++ { // deterministic scan by position
-			v := s.Order[j]
-			if !rem.Has(v) {
-				continue
+// Children returns, for every position i of the sequence, its child
+// positions in ascending order: the last position of each connected subset
+// in S(i), the components of X(i) − {v(i)} (paper Section III-B definition
+// c), which is where recurrence 4 reads that subset's table. Those
+// components are exactly the components of the subgraph induced by V<i that
+// v(i) neighbours, so one union-find pass over the ordering finds them all:
+// adding v(i) joins each under i, and a component's root stays its last
+// position. A position is a child once, so the lists share one backing array.
+func Children(g *graph.Graph, s *Sequence) [][]int {
+	n := len(s.Order)
+	root := make([]int, n) // union-find parent, by position
+	flat := make([]int, 0, n)
+	out := make([][]int, n)
+	for i, v := range s.Order {
+		root[i] = i
+		start := len(flat)
+		for _, nb := range [2][]int{g.In(v), g.Out(v)} {
+			for _, u := range nb {
+				j := s.Pos[u]
+				if j >= i {
+					continue
+				}
+				for root[j] != j { // path halving
+					root[j] = root[root[j]]
+					j = root[j]
+				}
+				if j != i {
+					root[j] = i
+					flat = append(flat, j)
+				}
 			}
-			graph.ReachableWithinBits(adj, rem, v, comp, frontier, next)
-			members := comp.Members()
-			sort.Slice(members, func(a, b int) bool { return s.Pos[members[a]] < s.Pos[members[b]] })
-			rem.AndNotWith(comp)
-			subsets = append(subsets, members)
 		}
-		sort.Slice(subsets, func(a, b int) bool {
-			return s.Pos[subsets[a][len(subsets[a])-1]] < s.Pos[subsets[b][len(subsets[b])-1]]
-		})
-		out[i] = subsets
+		slices.Sort(flat[start:])
+		out[i] = flat[start:len(flat):len(flat)]
 	}
 	return out
 }

@@ -11,7 +11,27 @@ import (
 )
 
 // The map-based definitions of Section III-B, which the bitset computations
-// of Generate, FromOrder and ConnectedSubsetsAll are checked against.
+// of Generate and FromOrder and the union-find pass of Children are checked
+// against.
+
+// reachableWithin performs the paper's DFS(G, U, v): the set of vertices
+// reachable from v through paths confined to U ∪ {v}, over the undirected
+// view. v is in the returned set.
+func reachableWithin(g *graph.Graph, allowed map[int]bool, v int) map[int]bool {
+	res := map[int]bool{v: true}
+	stack := []int{v}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range g.Neighbors(x) {
+			if allowed[w] && !res[w] {
+				res[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	return res
+}
 
 // connectedSet computes X(i): the vertices of V≤i connected to v(i) through
 // paths confined to V≤i (paper Section III-B definition a).
@@ -20,7 +40,7 @@ func connectedSet(g *graph.Graph, s *Sequence, i int) map[int]bool {
 	for j := 0; j <= i; j++ {
 		allowed[s.Order[j]] = true
 	}
-	return g.ReachableWithin(allowed, s.Order[i])
+	return reachableWithin(g, allowed, s.Order[i])
 }
 
 // dependentSet computes D(i) = N(X(i)) ∩ V>i from the definition, sorted by
@@ -62,7 +82,7 @@ func connectedSubsets(g *graph.Graph, s *Sequence, i int) [][]int {
 		if !allowed[v] || visited[v] {
 			continue
 		}
-		comp := g.ReachableWithin(allowed, v)
+		comp := reachableWithin(g, allowed, v)
 		var members []int
 		for w := range comp {
 			visited[w] = true
@@ -340,24 +360,23 @@ func TestFromOrderMatchesOracleQuick(t *testing.T) {
 	}
 }
 
-// The one-pass bitset ConnectedSubsetsAll must reproduce the map-based
-// definitional oracle exactly — same subsets, same member order, same
-// subset order — at every position, for both GENERATESEQ and random
-// orderings.
-func TestConnectedSubsetsAllMatchesOracleQuick(t *testing.T) {
+// Children must name, at every position, the last member of each of the
+// definitional oracle's subsets, in the oracle's order (by that last
+// position), under GENERATESEQ, breadth-first and random orderings of graphs
+// with parallel edges.
+func TestChildrenMatchOracleQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnectedGraph(rng)
-		for _, s := range []*Sequence{Generate(g), FromOrder(g, rng.Perm(g.Len()))} {
-			all := ConnectedSubsetsAll(g, s)
+		for _, s := range []*Sequence{Generate(g), BFS(g), FromOrder(g, rng.Perm(g.Len()))} {
+			children := Children(g, s)
 			for i := range s.Order {
 				want := connectedSubsets(g, s, i)
-				got := all[i]
-				if len(got) != len(want) {
+				if len(children[i]) != len(want) {
 					return false
 				}
-				for si := range want {
-					if !equalInts(got[si], want[si]) {
+				for k, sub := range want {
+					if children[i][k] != s.Pos[sub[len(sub)-1]] {
 						return false
 					}
 				}
@@ -371,20 +390,18 @@ func TestConnectedSubsetsAllMatchesOracleQuick(t *testing.T) {
 }
 
 // The invariant the DP kernel's table layout rests on: under any ordering,
-// every subset of S(i) has v(i) as the first member of the dependent set of its
-// last vertex — v(i) is adjacent to the subset (a component of X(i) − {v(i)} is
-// maximal) and every other member of that dependent set comes after i — so a
-// child table is read as rows over v(i)'s configurations and never as a
-// constant.
+// every child j of position i has v(i) as the first member of D(j) — v(i) is
+// adjacent to the child's subset (a component of X(i) − {v(i)} is maximal)
+// and every other member of D(j) comes after i — so a child table is read as
+// rows over v(i)'s configurations and never as a constant.
 func TestSubsetsDependOnTheirReaderFirstQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomConnectedGraph(rng)
 		for _, s := range []*Sequence{Generate(g), BFS(g), FromOrder(g, rng.Perm(g.Len()))} {
-			for i, subs := range ConnectedSubsetsAll(g, s) {
-				for _, sub := range subs {
-					dj := s.Dep[s.Pos[sub[len(sub)-1]]]
-					if len(dj) == 0 || dj[0] != s.Order[i] {
+			for i, children := range Children(g, s) {
+				for _, j := range children {
+					if dj := s.Dep[j]; len(dj) == 0 || dj[0] != s.Order[i] {
 						return false
 					}
 				}
