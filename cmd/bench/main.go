@@ -32,8 +32,11 @@
 //   - ModelBuild/<model>/p=<p>: cost-model construction alone (the table
 //     builds) for the paper models and GPTDeep:12, with the
 //     structural-sharing stats (vertex/edge classes, resident and shared
-//     table bytes) and the fastest rep's alloc_bytes as extras — build time
-//     and bytes tracked separately from solve time.
+//     table bytes), the cells a per-occurrence build prices (nominal_cells:
+//     ΣK + Σ K_u·K_v) against the cells the build priced (priced_cells: each
+//     vertex class's TL row and each distinct quotient once; see
+//     cost.Model.BuildCells) and the fastest rep's alloc_bytes as extras —
+//     build time and bytes tracked separately from solve time.
 //   - GraphPass/<model>: graph.Validate, GENERATESEQ and seq.Children, the
 //     graph-only passes every build and request repeats, for the paper
 //     models and GPTDeep:12, each the mean over 100 calls (validate_ns,
@@ -252,12 +255,17 @@ func run(cfg config) error {
 	}
 	for _, bm := range append(pase.Benchmarks(), gbm) {
 		g := bm.Build(bm.Batch)
-		ns, alloc, info, err := measureStats(reps, func() (cost.ModelInfo, error) {
+		type build struct {
+			info            cost.ModelInfo
+			nominal, priced int64
+		}
+		ns, alloc, b, err := measureStats(reps, func() (build, error) {
 			m, err := pase.NewModel(g, pase.GTX1080Ti(p), bm.Policy(p))
 			if err != nil {
-				return cost.ModelInfo{}, err
+				return build{}, err
 			}
-			return m.Info(), nil
+			nominal, priced := m.BuildCells()
+			return build{m.Info(), nominal, priced}, nil
 		})
 		if err != nil {
 			return fmt.Errorf("ModelBuild %s: %w", bm.Name, err)
@@ -267,10 +275,12 @@ func run(cfg config) error {
 			NsPerOp: ns,
 			Reps:    reps,
 			Extra: map[string]float64{
-				"vertex_classes":     float64(info.VertexClasses),
-				"edge_classes":       float64(info.EdgeClasses),
-				"table_bytes":        float64(info.TableBytes),
-				"shared_table_bytes": float64(info.SharedTableBytes),
+				"vertex_classes":     float64(b.info.VertexClasses),
+				"edge_classes":       float64(b.info.EdgeClasses),
+				"table_bytes":        float64(b.info.TableBytes),
+				"shared_table_bytes": float64(b.info.SharedTableBytes),
+				"nominal_cells":      float64(b.nominal),
+				"priced_cells":       float64(b.priced),
 				"alloc_bytes":        alloc,
 			},
 		})

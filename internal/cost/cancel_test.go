@@ -15,9 +15,9 @@ import (
 )
 
 // cancelAtDone is a context that cancels itself the n-th time Done is asked
-// for. NewModelWith asks once per parallel phase — the vertex classes, then
-// the edge classes — so n = 1 cancels the build before its first task and
-// n = 2 between the two phases.
+// for. NewModelWith asks once per parallel phase — the vertex classes, the
+// TX sides, then the quotients — so n = 1 cancels the build before its first
+// task and n = 2 after the vertex classes.
 type cancelAtDone struct {
 	context.Context
 	cancel context.CancelFunc

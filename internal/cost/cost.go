@@ -18,6 +18,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 
 	"pase/internal/graph"
 	"pase/internal/itspace"
@@ -50,13 +51,16 @@ func blockVolume(ref graph.TensorRef, sp itspace.Space, c itspace.Config) float6
 	return v
 }
 
-// mappedSet returns which iteration dims appear in the ref's map.
-func mappedSet(ref graph.TensorRef, ndims int) []bool {
-	in := make([]bool, ndims)
-	for _, d := range ref.Map {
-		in[d] = true
+// unmappedSplit is the product, in dim order, of c's split factors over the
+// iteration dims the ref's map does not name.
+func unmappedSplit(ref graph.TensorRef, c itspace.Config) float64 {
+	split := 1.0
+	for d, ci := range c {
+		if !slices.Contains(ref.Map, d) {
+			split *= float64(ci)
+		}
 	}
-	return in
+	return split
 }
 
 // CollKind classifies an intra-layer communication operation.
@@ -122,23 +126,23 @@ func TL(n *graph.Node, c itspace.Config, r float64) float64 {
 
 // TLBreakdown computes the components of tl(v, C, ·).
 func TLBreakdown(n *graph.Node, c itspace.Config) Breakdown {
+	return tlBreakdown(n, c, nil)
+}
+
+// tlBreakdown is TLBreakdown appending the collectives to colls, so a caller
+// that owns a buffer prices a layer without allocating.
+func tlBreakdown(n *graph.Node, c itspace.Config, colls []Collective) Breakdown {
 	// Per-device compute: each device owns 1/degree of the iteration space;
 	// replicas redo the same work without extending the critical path.
 	b := Breakdown{
 		ComputeFLOPs: FwdBwdFactor * n.FlopsPerPoint * n.Space.Points() / float64(c.Degree()),
+		Colls:        colls,
 	}
 
 	// Partial-sum all-reduce: iteration dims absent from the output map are
 	// reduction dims; splitting them leaves each device with a partial sum
 	// of its output block that must be all-reduced within the group.
-	outMapped := mappedSet(n.Output, len(n.Space))
-	redSplit := 1.0
-	for d := range n.Space {
-		if !outMapped[d] {
-			redSplit *= float64(c[d])
-		}
-	}
-	if redSplit > 1 {
+	if redSplit := unmappedSplit(n.Output, c); redSplit > 1 {
 		outBlock := float64(blockVolume(n.Output, n.Space, c) * n.Output.EffScale())
 		// Forward partial-sum reduce and the mirrored backward input-
 		// gradient exchange.
@@ -156,14 +160,7 @@ func TLBreakdown(n *graph.Node, c itspace.Config) Breakdown {
 	// classic update-phase bottleneck). Gradients are all-reduced once per
 	// step over the replica group.
 	for _, pr := range n.Params {
-		pMapped := mappedSet(pr, len(n.Space))
-		rep := 1.0
-		for d := range n.Space {
-			if !pMapped[d] {
-				rep *= float64(c[d])
-			}
-		}
-		if rep > 1 {
+		if rep := unmappedSplit(pr, c); rep > 1 {
 			pBlock := blockVolume(pr, n.Space, c) * pr.EffScale()
 			// Embedding-table gradients are sparse: only the rows a step
 			// touches carry gradient, so frameworks sync index/value pairs

@@ -9,6 +9,7 @@ import (
 	"pase/internal/graph"
 	"pase/internal/itspace"
 	"pase/internal/machine"
+	"pase/internal/models"
 )
 
 // fcNode builds a fully-connected layer node: space (b, n, c), output [b, n],
@@ -389,5 +390,64 @@ func TestMachineSpecs(t *testing.T) {
 	single := machine.GTX1080Ti(4)
 	if single.LinkBW != single.IntraBW {
 		t.Fatal("single-node cluster should use intra-node bandwidth")
+	}
+}
+
+// tlPartsByBreakdown is TLParts summed over TLBreakdown's collectives, in
+// their order: the definition the buffered pricing must agree with.
+func tlPartsByBreakdown(n *graph.Node, c itspace.Config, spec machine.Spec) (compute, comm float64) {
+	b := TLBreakdown(n, c)
+	eff := spec.ComputeEff
+	if eff <= 0 {
+		eff = 1
+	}
+	compute = b.ComputeFLOPs / (spec.PeakFLOPS * eff)
+	grad := 0.0
+	for _, cl := range b.Colls {
+		if cl.Kind == CollGrad {
+			grad += CollSeconds(spec, cl)
+		} else {
+			comm += CollSeconds(spec, cl)
+		}
+	}
+	if excess := grad - float64(GradOverlap*compute); excess > 0 {
+		comm += excess
+	}
+	return compute, comm
+}
+
+// TLParts agrees bit for bit with the TLBreakdown-based sum on every
+// configuration of every node of the paper models and gptdeep:3, and
+// TLSeconds prices a layer without allocating.
+func TestTLPartsMatchesBreakdownWithoutAllocating(t *testing.T) {
+	for _, name := range []string{"alexnet", "inceptionv3", "rnnlm", "transformer", "gptdeep:3"} {
+		bm, err := models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{8, 32} {
+			spec := machine.GTX1080Ti(p)
+			m, err := NewModel(bm.Build(bm.Batch), spec, bm.Policy(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range m.G.Nodes {
+				for _, c := range m.Configs(n.ID) {
+					gc, gm := TLParts(n, c, spec)
+					wc, wm := tlPartsByBreakdown(n, c, spec)
+					if math.Float64bits(gc) != math.Float64bits(wc) || math.Float64bits(gm) != math.Float64bits(wm) {
+						t.Fatalf("%s p=%d %s %v: TLParts (%v, %v), by TLBreakdown (%v, %v)", name, p, n.Name, c, gc, gm, wc, wm)
+					}
+				}
+				cs := m.Configs(n.ID)
+				if allocs := testing.AllocsPerRun(5, func() {
+					for _, c := range cs {
+						TLSeconds(n, c, spec)
+					}
+				}); allocs != 0 {
+					t.Fatalf("%s p=%d %s: TLSeconds made %v allocations", name, p, n.Name, allocs)
+				}
+			}
+		}
 	}
 }

@@ -20,6 +20,7 @@ package cost
 // optimal strategies never changes.
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -275,8 +276,10 @@ func (d *dee) intern(a []int32) int32 {
 }
 
 // run checks vertices from a FIFO worklist until none loses a
-// configuration: first every vertex, then the neighbours of each vertex that
-// lost one, since only their criteria read its survivors.
+// configuration: first every vertex, by descending K (ties by ID), then the
+// neighbours of each vertex that lost one, since only their criteria read its
+// survivors. A wide vertex checked first hands its neighbours a narrower set
+// to check against.
 func (d *dee) run(ctx context.Context) error {
 	n := d.m.G.Len()
 	queue := make([]int, n)
@@ -284,6 +287,7 @@ func (d *dee) run(ctx context.Context) error {
 	for v := range queue {
 		queue[v], queued[v] = v, true
 	}
+	slices.SortStableFunc(queue, func(a, b int) int { return cmp.Compare(d.m.K(b), d.m.K(a)) })
 	done := ctx.Done()
 	for len(queue) > 0 {
 		if done != nil {

@@ -2,7 +2,9 @@ package cost
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
@@ -248,21 +250,29 @@ func TestEliminateReusesBaseChecks(t *testing.T) {
 // ran (every lookup misses on a first run unless two vertices' checks share
 // their inputs) and the block cells they gathered. A moved count means the
 // criterion, the worklist or the gather changed. cmd/bench records both
-// (dee_checks, dee_cells).
+// (dee_checks, dee_cells). The survivors are pinned too, as ΣK after the
+// run and an FNV-64a digest of K per vertex: the worklist's order moves the
+// counts, never these.
 func TestEliminationCountersPinned(t *testing.T) {
 	for _, pin := range []struct {
 		model      string
 		p          int
 		ran, cells int
+		kAlive     int
+		kDigest    uint64
 	}{
-		{"alexnet", 8, 24, 3598},
-		{"alexnet", 32, 26, 18443},
-		{"inceptionv3", 8, 242, 169660},
-		{"inceptionv3", 32, 254, 1413172},
-		{"rnnlm", 8, 7, 2819},
-		{"rnnlm", 32, 7, 27308},
-		{"transformer", 8, 50, 79624},
-		{"transformer", 32, 67, 399564},
+		{"alexnet", 8, 21, 3194, 46, 0x5b1f9e6d25340d7},
+		{"alexnet", 32, 22, 16317, 62, 0x2e7b5e4893f3d507},
+		{"alexnet", 64, 24, 31325, 66, 0xc9496112207abfff},
+		{"inceptionv3", 8, 231, 167911, 1051, 0xfed69a2037dbb018},
+		{"inceptionv3", 32, 252, 1406770, 1915, 0x9b2d955544115206},
+		{"inceptionv3", 64, 254, 3033372, 2351, 0x844010c0087829d4},
+		{"rnnlm", 8, 6, 3012, 14, 0xa25b3551bd60e435},
+		{"rnnlm", 32, 6, 30772, 19, 0x73bb1251a289fd22},
+		{"rnnlm", 64, 10, 77752, 20, 0xe3b26f9af099eb93},
+		{"transformer", 8, 41, 61567, 3642, 0x38e8a4176cfce60b},
+		{"transformer", 32, 56, 280492, 5092, 0xa902ac5b0031cec5},
+		{"transformer", 64, 69, 537462, 5704, 0x2c5833201a47dc8d},
 	} {
 		bm, err := models.ByName(pin.model)
 		if err != nil {
@@ -275,6 +285,13 @@ func TestEliminationCountersPinned(t *testing.T) {
 		el := eliminate(t, m)
 		if el.Ran != pin.ran || el.Cells != pin.cells {
 			t.Errorf("%s p=%d: %d checks ran, %d cells gathered; pinned %d and %d", pin.model, pin.p, el.Ran, el.Cells, pin.ran, pin.cells)
+		}
+		h := fnv.New64a()
+		for v := range el.Model.G.Len() {
+			h.Write(binary.LittleEndian.AppendUint32(nil, uint32(el.Model.K(v))))
+		}
+		if el.KAlive != pin.kAlive || h.Sum64() != pin.kDigest {
+			t.Errorf("%s p=%d: ΣK %d after elimination, K per vertex digest %#x; pinned %d and %#x", pin.model, pin.p, el.KAlive, h.Sum64(), pin.kAlive, pin.kDigest)
 		}
 	}
 }

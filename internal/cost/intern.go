@@ -26,11 +26,17 @@ package cost
 // Each class is hashed once: nodes and edge sides are encoded into one
 // reused canon recorder and grouped by their bytes before any hashing.
 //
+// Below the edge classes, the build shares by content (tx.go): each
+// distinct TX side (side id and edge extents) is built once, and each
+// distinct quotient table (both sides' distinct quotient vectors and the
+// tensor's EffScale) is computed once and shared by every edge class that
+// reads it, each class keeping its own row and column maps over it.
+//
 // Sharing is value-transparent: a class member's table holds exactly the
 // bytes a per-occurrence build would have produced, so solves over an
 // interned model are byte-identical — cost and strategy — to the
 // BuildOptions.DisableInterning oracle. The wins are build time (one fill
-// per class instead of per occurrence) and resident memory
+// per distinct table instead of per occurrence) and resident memory
 // (Model.TableBytes vs the un-shared footprint; SharedTableBytes is the
 // saving).
 
@@ -53,6 +59,10 @@ type internPlan struct {
 	// neither shares nor compares.
 	vFPs []canon.Fingerprint // per vertex class: content fingerprint
 	eFPs []canon.Fingerprint // per edge class: the two sides txTables reads
+	// Per edge class, the side ids of its producer's output and its
+	// consumer's input slot: equal ids encode the same space and ref. nil
+	// for a singleton plan.
+	eSides [][2]int
 }
 
 // singletonPlan is the DisableInterning oracle: every node and edge is its
@@ -140,6 +150,7 @@ func (m *Model) buildInternPlan() *internPlan {
 			ci = len(p.eReps)
 			byKey[k] = ci
 			p.eReps = append(p.eReps, e)
+			p.eSides = append(p.eSides, [2]int{k.su, k.sv})
 			nu.Space.CanonicalEncode(w)
 			nu.Output.CanonicalEncode(w)
 			nv.Space.CanonicalEncode(w)

@@ -73,6 +73,52 @@ func TestInterningSharesRepeatedStructure(t *testing.T) {
 	}
 }
 
+// Quotient tables are shared by content across edge classes, so the count
+// of distinct quotient slices is pinned at p=32: a build that stops sharing
+// fails. BuildCells counts what a per-occurrence build prices and, once
+// each, the TL rows and quotients this build priced.
+func TestQuotientTablesSharedAcrossEdgeClasses(t *testing.T) {
+	for _, pin := range []struct {
+		model                 string
+		edgeClasses, distinct int
+	}{
+		{"inceptionv3", 102, 42},
+		{"transformer", 16, 7},
+		{"gptdeep:12", 16, 7},
+	} {
+		bm, err := models.ByName(pin.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewModel(bm.Build(bm.Batch), machine.GTX1080Ti(32), bm.Policy(32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nominal, priced int64
+		rows, quotients := map[*float64]int{}, map[*float64]int{}
+		for v, row := range m.tl {
+			nominal += int64(m.K(v))
+			rows[&row[0]] = len(row)
+		}
+		for _, tab := range m.txc {
+			nominal += int64(tab.ku * tab.kv)
+			quotients[&tab.q[0]] = len(tab.q)
+		}
+		for _, n := range rows {
+			priced += int64(n)
+		}
+		for _, n := range quotients {
+			priced += int64(n)
+		}
+		if got := m.Info().EdgeClasses; got != pin.edgeClasses || len(quotients) != pin.distinct {
+			t.Errorf("%s: %d edge classes over %d distinct quotients, want %d over %d", pin.model, got, len(quotients), pin.edgeClasses, pin.distinct)
+		}
+		if gn, gp := m.BuildCells(); gn != nominal || gp != priced {
+			t.Errorf("%s: BuildCells (%d, %d), want (%d, %d)", pin.model, gn, gp, nominal, priced)
+		}
+	}
+}
+
 // Interned tables must hold exactly the bytes the oracle build produces, for
 // every node and edge of every paper benchmark — sharing may only change who
 // owns the memory, never a value.

@@ -2,11 +2,10 @@ package cost
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"pase/internal/canon"
 	"pase/internal/graph"
@@ -31,11 +30,13 @@ type IncEdge struct {
 // MCMC search, and the exhaustive baselines all evaluate strategies through
 // one Model, so they rank candidates under the identical cost function.
 //
-// All cost tables are built eagerly at NewModel time, one class per task on
-// GOMAXPROCS workers (parallelFor), each TX table as its quotient
-// (edgeTables); the dense layout and its transpose are built on first read
-// (EdgeTable, EdgeTableT), once per edge class. A finished Model is safe for
-// concurrent use by any number of goroutines.
+// All cost tables are built eagerly at NewModel time on GOMAXPROCS workers
+// (parallelFor): one vertex class per task, then one distinct TX side and
+// one distinct quotient per task, each TX table stored as a quotient shared
+// by content across edge classes (edgeTables, tx.go); the dense layout and
+// its transpose are built on first read (EdgeTable, EdgeTableT), once per
+// edge class. A finished Model is safe for concurrent use by any number of
+// goroutines.
 //
 // Costs are in seconds of estimated per-step time (pricing.go): the sum of
 // a strategy's layer and edge costs equals the simulator's step time minus
@@ -56,6 +57,8 @@ type Model struct {
 
 	// info is K and the structural sharing of the tables (intern.go).
 	info ModelInfo
+	// builtCells counts the cells this build priced (BuildCells).
+	builtCells int64
 
 	// The per-node and per-edge class fingerprints: identities of the
 	// tables, which delta re-solve compares across models. nil when
@@ -71,10 +74,10 @@ type Model struct {
 // parallelFor runs f(i) for every i in [0, n) on GOMAXPROCS workers. Each
 // index is handled exactly once; f must only write state owned by its index.
 // Cancellation is polled before every task — one task (one class's
-// enumeration, one edge class's table) is the unit of promptness — and a task
-// claimed after it fires is skipped; every worker has returned when
-// parallelFor does, so a cancelled build leaks no goroutines. Callers observe
-// cancellation via ctx.Err() afterwards.
+// enumeration, one TX side, one quotient) is the unit of promptness — and a
+// task claimed after it fires is skipped; every worker has returned when
+// parallelFor does, so a cancelled build leaks no goroutines. Callers
+// observe cancellation via ctx.Err() afterwards.
 func parallelFor(ctx context.Context, n int, f func(i int)) {
 	done := ctx.Done()
 	par.For(n, runtime.GOMAXPROCS(0), func(i int) {
@@ -162,19 +165,29 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 	// class per pool task, resolved from bo.Store when one is attached.
 	classV := make([]vertexTables, len(plan.vReps))
 	classErr := make([]error, len(plan.vReps))
+	var tlCells atomic.Int64
 	parallelFor(ctx, len(plan.vReps), func(ci int) {
-		classV[ci], classErr[ci] = resolveClass(store, plan.vFPs, ci, func() (vertexTables, int64, error) {
-			n := g.Nodes[plan.vReps[ci]]
-			cs := itspace.Enumerate(n.Space, spec.Devices, pol)
-			if len(cs) == 0 {
-				return vertexTables{}, 0, fmt.Errorf("cost: node %d (%s) admits no configuration", n.ID, n.Name)
+		if store != nil {
+			if val, ok := store.lookup(plan.vFPs[ci]); ok {
+				classV[ci] = val.(vertexTables)
+				return
 			}
-			tl := make([]float64, len(cs))
-			for i, c := range cs {
-				tl[i] = TLSeconds(n, c, spec)
-			}
-			return vertexTables{cfgs: cs, tl: tl}, configBytes(cs) + int64(len(tl))*8, nil
-		})
+		}
+		n := g.Nodes[plan.vReps[ci]]
+		cs := itspace.Enumerate(n.Space, spec.Devices, pol)
+		if len(cs) == 0 {
+			classErr[ci] = fmt.Errorf("cost: node %d (%s) admits no configuration", n.ID, n.Name)
+			return
+		}
+		t := vertexTables{cfgs: cs, tl: make([]float64, len(cs))}
+		for i, c := range cs {
+			t.tl[i] = TLSeconds(n, c, spec)
+		}
+		tlCells.Add(int64(len(cs)))
+		if store != nil {
+			t = store.publish(plan.vFPs[ci], t, configBytes(cs)+int64(len(t.tl))*8).(vertexTables)
+		}
+		classV[ci] = t
 	})
 	if err := buildErr(ctx, classErr); err != nil {
 		return nil, err
@@ -183,31 +196,21 @@ func NewModelWith(ctx context.Context, g *graph.Graph, spec machine.Spec, pol it
 		m.cfgs[id] = classV[plan.vClass[id]].cfgs
 		m.tl[id] = classV[plan.vClass[id]].tl
 	}
-	// Phase 2: every TX table as its quotient, one edge class per pool task
-	// (txTables); the DisableInterning oracle expands each to the dense
-	// table, which shares no row or column. The dense layout and the
-	// transpose are lazy: admission and elimination read the quotient, and
-	// elimination restricts it to dense tables, so the dp route expands a
-	// quotient only for an edge whose two ends lost nothing. A view is built
-	// by its first reader under its class's sync.Once, the only state a
-	// finished model ever writes.
-	txBW := GroupBW(spec, float64(spec.Devices))
-	classE := make([]*edgeTables, len(plan.eReps))
-	classErr = make([]error, len(plan.eReps))
-	parallelFor(ctx, len(plan.eReps), func(ci int) {
-		classE[ci], classErr[ci] = resolveClass(store, plan.eFPs, ci, func() (*edgeTables, int64, error) {
-			e := plan.eReps[ci]
-			u, v := m.edges[e][0], m.edges[e][1]
-			t := txTables(g.Nodes[u], g.Nodes[v], m.inSlot[e], m.cfgs[u], m.cfgs[v], txBW, spec.LatencySec)
-			if bo.DisableInterning {
-				t = &edgeTables{q: t.expand(), nc: t.kv, ku: t.ku, kv: t.kv, max: t.max}
-			}
-			return t, int64(len(t.q)) * 8, nil
-		})
-	})
-	if err := buildErr(ctx, classErr); err != nil {
+	// Phase 2: every TX table as its quotient (buildTX): each distinct TX
+	// side is built once, each distinct quotient is computed once and shared
+	// by content across edge classes, and each class keeps its own row and
+	// column maps over it. The DisableInterning oracle builds one table per
+	// edge and expands it to the dense table, which shares no row or column.
+	// The dense layout and the transpose are lazy: admission and elimination
+	// read the quotient, and elimination restricts it to dense tables, so
+	// the dp route expands a quotient only for an edge whose two ends lost
+	// nothing. A view is built by its first reader under its class's
+	// sync.Once, the only state a finished model ever writes.
+	classE, qCells, err := m.buildTX(ctx, plan, store)
+	if err != nil {
 		return nil, err
 	}
+	m.builtCells = tlCells.Load() + qCells
 	for e := range m.edges {
 		m.txc[e] = classE[plan.eClass[e]]
 	}
@@ -243,21 +246,6 @@ func configBytes(cfgs []itspace.Config) int64 {
 	return b
 }
 
-// resolveClass returns the tables of class ci: built directly when store is
-// nil, else resolved from the store under fps[ci].
-func resolveClass[T any](store *ClassStore, fps []canon.Fingerprint, ci int, build func() (T, int64, error)) (T, error) {
-	if store == nil {
-		val, _, err := build()
-		return val, err
-	}
-	val, err := store.resolve(fps[ci], func() (any, int64, error) { return build() })
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return val.(T), nil
-}
-
 // buildErr is what a finished build phase reports: the cancellation cause
 // if ctx ended, else the first class's error in class order.
 func buildErr(ctx context.Context, classErr []error) error {
@@ -275,7 +263,9 @@ func buildErr(ctx context.Context, classErr []error) error {
 // edgeTables is an edge class's TX table stored as its quotient: q has one
 // row per distinct producer quotient vector and nc columns, one per distinct
 // consumer vector, and rowOf[cu] and colOf[cv] name a configuration's row and
-// column, so the cost of (cu, cv) is q[rowOf[cu]·nc + colOf[cv]]. A table
+// column, so the cost of (cu, cv) is q[rowOf[cu]·nc + colOf[cv]]. Edge
+// classes whose sides have the same distinct vectors share q, each with its
+// own maps; the maps are their sides' and shared likewise. A table
 // with nil maps is dense (nc = kv, every map the identity): the
 // DisableInterning oracle's and elimination's restricted tables. max is the
 // largest cell. The dense row-major layout (dense) and its transpose
@@ -370,95 +360,19 @@ func iota32(n int) []int32 {
 	return s
 }
 
-// txSide is one side of an edge's TX table. Per configuration c it holds the
-// quotient vector q[c·nd+t] = s[t]/g[t] of the edge tensor's extents by the
-// granularities that side imposes, their product prod[c] (multiplied in t
-// order, as TXBytes does), and of[c], the index of its quotient vector among
-// the side's distinct ones (by bytes, in order of first appearance); reps[i]
-// is the first configuration with the i-th.
-type txSide struct {
-	q    []float64
-	prod []float64
-	of   []int32
-	reps []int32
-}
-
-func newTXSide(ref graph.TensorRef, sp itspace.Space, cfgs []itspace.Config, s []float64) txSide {
-	nd := len(s)
-	side := txSide{q: make([]float64, len(cfgs)*nd), prod: make([]float64, len(cfgs)), of: make([]int32, len(cfgs))}
-	seen := make(map[string]int32, len(cfgs))
-	key := make([]byte, 8*nd)
-	for c, cfg := range cfgs {
-		q := side.q[c*nd : c*nd+nd]
-		granularitiesInto(q, ref, sp, cfg, s)
-		p := 1.0
-		for t := range q {
-			q[t] = s[t] / q[t]
-			p *= q[t]
-			binary.LittleEndian.PutUint64(key[8*t:], math.Float64bits(q[t]))
-		}
-		side.prod[c] = p
-		i, ok := seen[string(key)]
-		if !ok {
-			i = int32(len(side.reps))
-			seen[string(key)] = i
-			side.reps = append(side.reps, int32(c))
-		}
-		side.of[c] = i
+// BuildCells returns the cells a per-occurrence build prices, ΣK TL cells
+// plus Σ K_u·K_v TX cells over the edges, and the cells this build priced:
+// the TL rows of the vertex classes it built and the distinct quotient
+// tables it computed, each once. A class taken from a ClassStore prices
+// nothing.
+func (m *Model) BuildCells() (nominal, priced int64) {
+	for v := range m.cfgs {
+		nominal += int64(len(m.cfgs[v]))
 	}
-	return side
-}
-
-// txTables builds one edge class's TX table as its quotient: the cell of
-// the i-th distinct producer and the j-th distinct consumer quotient vector
-// is TXSeconds of their first configurations, bit-identical to TXSeconds
-// without dividing per cell. TXBytes multiplies s[t]/g[t] into need
-// (consumer), held (producer) and have (with the larger granularity); a
-// side's quotients and products depend only on its own configuration, so
-// txSide computes them once per configuration, and have is
-// Π min(qu[t], qv[t]) because correctly rounded division is monotone:
-// fl(s/max(a, b)) = min(fl(s/a), fl(s/b)). A cell reads nothing but its two
-// quotient vectors, so configurations with equal vectors share a row or a
-// column.
-func txTables(nu, nv *graph.Node, inSlot int, cfgsU, cfgsV []itspace.Config, txBW, latency float64) *edgeTables {
-	out, in := nu.Output, nv.Inputs[inSlot]
-	s := make([]float64, len(out.Map))
-	for t := range out.Map {
-		s[t] = float64(out.Extent(nu.Space, t))
+	for _, t := range m.txc {
+		nominal += int64(t.ku) * int64(t.kv)
 	}
-	nd := len(s)
-	pu := newTXSide(out, nu.Space, cfgsU, s)
-	pv := newTXSide(in, nv.Space, cfgsV, s)
-	scale := out.EffScale()
-	nc := len(pv.reps)
-	q := make([]float64, len(pu.reps)*nc)
-	mx := 0.0
-	for i, cu := range pu.reps {
-		row := q[i*nc:][:nc]
-		qu, held := pu.q[int(cu)*nd:][:nd], pu.prod[cu]
-		for j, cv := range pv.reps {
-			qv := pv.q[int(cv)*nd:][:len(qu)]
-			have := 1.0
-			for t, x := range qu {
-				have *= min(x, qv[t])
-			}
-			fwd := (pv.prod[cv] - have) * scale // consumer shortfall: activations
-			bwd := (held - have) * scale        // producer shortfall: gradients
-			if fwd < 0 {
-				fwd = 0
-			}
-			if bwd < 0 {
-				bwd = 0
-			}
-			c := 0.0
-			if bytes := (fwd + bwd) * BytesPerElem; bytes > 0 {
-				c = bytes/txBW + latency
-			}
-			row[j] = c
-			mx = max(mx, c)
-		}
-	}
-	return &edgeTables{q: q, nc: nc, rowOf: pu.of, colOf: pv.of, ku: len(cfgsU), kv: len(cfgsV), max: mx}
+	return nominal, m.builtCells
 }
 
 // P returns the device count.

@@ -72,9 +72,12 @@ func ringMessages(group float64) float64 {
 
 // TLParts prices a layer on the cluster, returning compute and visible
 // communication seconds separately. The weight-gradient all-reduce overlaps
-// the layer's backward compute; only the excess is visible.
+// the layer's backward compute; only the excess is visible. The collectives
+// go into a buffer on TLParts' own stack, so pricing a layer with at most
+// len(buf) of them allocates nothing.
 func TLParts(n *graph.Node, c itspace.Config, spec machine.Spec) (compute, comm float64) {
-	b := TLBreakdown(n, c)
+	var buf [8]Collective
+	b := tlBreakdown(n, c, buf[:0])
 	eff := spec.ComputeEff
 	if eff <= 0 {
 		eff = 1

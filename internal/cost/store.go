@@ -50,31 +50,31 @@ func (s *ClassStore) Stats() ClassStoreStats {
 	return s.stats
 }
 
-// resolve returns the tables stored under fp, or runs build outside the lock
-// and stores its tables if they fit the budget. A builder that finds fp
-// published by a concurrent build adopts the published tables, so every
-// model built through one store aliases one value per class.
-func (s *ClassStore) resolve(fp canon.Fingerprint, build func() (any, int64, error)) (any, error) {
-	s.mu.Lock()
-	if val, ok := s.classes[fp]; ok {
-		s.stats.Hits++
-		s.mu.Unlock()
-		return val, nil
-	}
-	s.stats.Misses++
-	s.mu.Unlock()
-	val, bytes, err := build()
-	if err != nil {
-		return nil, err
-	}
+// lookup returns the tables stored under fp, counting a hit.
+func (s *ClassStore) lookup(fp canon.Fingerprint) (any, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	val, ok := s.classes[fp]
+	if ok {
+		s.stats.Hits++
+	}
+	return val, ok
+}
+
+// publish counts the build of fp's tables that just ran and stores val if
+// it fits the budget. A builder that finds fp published by a concurrent
+// build adopts the published tables, so every model built through one store
+// aliases one value per class.
+func (s *ClassStore) publish(fp canon.Fingerprint, val any, bytes int64) any {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Misses++
 	if published, ok := s.classes[fp]; ok {
-		return published, nil
+		return published
 	}
 	if s.stats.Bytes+bytes <= s.maxBytes {
 		s.classes[fp] = val
 		s.stats.Bytes += bytes
 	}
-	return val, nil
+	return val
 }

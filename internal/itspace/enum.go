@@ -1,7 +1,6 @@
 package itspace
 
 import (
-	"cmp"
 	"slices"
 
 	"pase/internal/canon"
@@ -56,7 +55,10 @@ func divisorSplits(extent int64, p int) []int {
 // Enumerate generates all valid parallelization configurations of the space
 // for p devices under the policy, in deterministic order (sorted first by
 // number of split dims, then lexicographically). Determinism keeps DP table
-// layouts, benchmarks, and golden tests stable.
+// layouts, benchmarks, and golden tests stable. The recursion generates the
+// configurations in lexicographic order, so one bucket per split count, read
+// in turn, is that order without a comparison sort. Each configuration has
+// its own backing array: a strategy that keeps one pins no other.
 func Enumerate(s Space, p int, pol EnumPolicy) []Config {
 	if p < 1 {
 		return nil
@@ -66,18 +68,18 @@ func Enumerate(s Space, p int, pol EnumPolicy) []Config {
 		perDim[i] = divisorSplits(d.Size, p)
 	}
 
-	var out []Config
+	bySplits := make([][]Config, len(s)+1)
 	cur := make(Config, len(s))
-	var rec func(dim, degree int)
-	rec = func(dim, degree int) {
+	var rec func(dim, degree, splits int)
+	rec = func(dim, degree, splits int) {
 		if dim == len(s) {
 			if pol.RequireFullDegree && degree != p {
 				return
 			}
-			if pol.MaxSplitDims > 0 && cur.SplitDims() > pol.MaxSplitDims {
+			if pol.MaxSplitDims > 0 && splits > pol.MaxSplitDims {
 				return
 			}
-			out = append(out, cur.Clone())
+			bySplits[splits] = append(bySplits[splits], cur.Clone())
 			return
 		}
 		for _, c := range perDim[dim] {
@@ -85,16 +87,16 @@ func Enumerate(s Space, p int, pol EnumPolicy) []Config {
 				break // candidates are sorted ascending
 			}
 			cur[dim] = c
-			rec(dim+1, degree*c)
+			if c == 1 {
+				rec(dim+1, degree, splits)
+			} else {
+				rec(dim+1, degree*c, splits+1)
+			}
 		}
 		cur[dim] = 1
 	}
-	rec(0, 1)
-
-	slices.SortFunc(out, func(a, b Config) int {
-		return cmp.Or(cmp.Compare(a.SplitDims(), b.SplitDims()), slices.Compare(a, b))
-	})
-	return out
+	rec(0, 1, 0)
+	return slices.Concat(bySplits...)
 }
 
 // DataParallel returns the pure data-parallel configuration for the space:

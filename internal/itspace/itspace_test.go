@@ -1,7 +1,9 @@
 package itspace
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -269,5 +271,79 @@ func TestEnumerateCompleteQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// enumerateBySort is Enumerate's earlier definition, kept as its oracle:
+// every configuration the recursion reaches, comparison-sorted by split
+// count, then lexicographically.
+func enumerateBySort(s Space, p int, pol EnumPolicy) []Config {
+	if p < 1 {
+		return nil
+	}
+	perDim := make([][]int, len(s))
+	for i, d := range s {
+		perDim[i] = divisorSplits(d.Size, p)
+	}
+	var out []Config
+	cur := make(Config, len(s))
+	var rec func(dim, degree int)
+	rec = func(dim, degree int) {
+		if dim == len(s) {
+			if pol.RequireFullDegree && degree != p {
+				return
+			}
+			if pol.MaxSplitDims > 0 && cur.SplitDims() > pol.MaxSplitDims {
+				return
+			}
+			out = append(out, cur.Clone())
+			return
+		}
+		for _, c := range perDim[dim] {
+			if degree*c > p {
+				break
+			}
+			cur[dim] = c
+			rec(dim+1, degree*c)
+		}
+		cur[dim] = 1
+	}
+	rec(0, 1)
+	slices.SortFunc(out, func(a, b Config) int {
+		return cmp.Or(cmp.Compare(a.SplitDims(), b.SplitDims()), slices.Compare(a, b))
+	})
+	return out
+}
+
+// Enumerate's bucketed order is the comparison sort's, configuration for
+// configuration, on random spaces at every p from 1 to 128 under both policy
+// knobs.
+func TestEnumerateMatchesSortedDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for p := 1; p <= 128; p++ {
+		for range 4 {
+			s := make(Space, 1+rng.Intn(5))
+			for i := range s {
+				// Powers of two, small odd factors and primes, so some dims
+				// admit many factors and some only 1.
+				s[i] = Dim{Name: string(rune('a' + i)), Size: int64(1<<rng.Intn(8)) * []int64{1, 1, 3, 5, 7}[rng.Intn(5)]}
+			}
+			for _, pol := range []EnumPolicy{{}, {MaxSplitDims: 1 + rng.Intn(3)}, {RequireFullDegree: true}, {MaxSplitDims: 2, RequireFullDegree: true}} {
+				got, want := Enumerate(s, p, pol), enumerateBySort(s, p, pol)
+				if !slices.EqualFunc(got, want, Config.Equal) {
+					t.Fatalf("p=%d %v %+v: Enumerate gave %v, the sorted definition %v", p, s, pol, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Each configuration is its own allocation, so a strategy that keeps one
+// configuration pins no array of the others.
+func TestEnumerateAllocatesEachConfig(t *testing.T) {
+	s := space(128, 96, 4096, 64)
+	n := len(Enumerate(s, 32, EnumPolicy{}))
+	if allocs := testing.AllocsPerRun(10, func() { Enumerate(s, 32, EnumPolicy{}) }); allocs < float64(n) {
+		t.Fatalf("%v allocations for %d configurations: configurations share an array", allocs, n)
 	}
 }
