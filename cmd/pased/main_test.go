@@ -114,6 +114,10 @@ func TestSolveValidation(t *testing.T) {
 		`{"model":"alexnet","gpus":8,"machine":"v100"}`: http.StatusBadRequest,
 		`not json`: http.StatusBadRequest,
 		`{"model":"alexnet","gpus":8,"machine":"uniform:4:1e12:1e10:5e9"}`: http.StatusOK,
+		`{"model":"alexnet","gpus":1}`:                                     http.StatusOK,
+		`{"model":"alexnet","gpus":64}`:                                    http.StatusOK,
+		`{"model":"alexnet","gpus":8,"priority":100}`:                      http.StatusOK,
+		`{"model":"alexnet","gpus":8,"priority":-100}`:                     http.StatusOK,
 	} {
 		status, out := postJSON(t, ts.URL+"/v1/solve", body)
 		if status != wantStatus {
@@ -429,6 +433,7 @@ func TestSolveMethodOverWire(t *testing.T) {
 	}
 }
 
+// Kept by hand: no mutant reaches cancellation polling.
 func TestClientDisconnectAbortsSolve(t *testing.T) {
 	// The ROADMAP scenario: a client requests a heavy solve and goes away.
 	// The daemon must abort the underlying solve instead of finishing it for

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -27,16 +28,37 @@ type naivePartial struct {
 // with slices.SortFunc, and cut to k; per table group by flat, keep the
 // width cheapest flats and force-retain the guide state. It keeps
 // configurations per node instead of flat indices and strides, reads edge
-// costs through Model.EdgeCost, and shares only the guide strategy and the
-// summation order (partial + (child + edge rows in D(j) order)) with the
-// kernel. steps is the number of generation steps, wide how many of them
+// costs through Model.EdgeCost, and shares only the summation order
+// (partial + (child + edge rows in D(j) order)) with the kernel; the guide
+// strategy is computed here by definition. steps is the number of
+// generation steps, wide how many of them
 // generated at least 4k candidates, and states the (entry, partial) pairs it
 // looked at — what the kernel's States counts when its early stop never fires.
 func naiveBeamPass(t *testing.T, m *cost.Model, sq *seq.Sequence, width, k int) (tables []beamTable, costV float64, idx []int, exact bool, steps, wide int, states int64) {
 	t.Helper()
 	n := m.G.Len()
 	children := seq.Children(m.G, sq)
-	guide := beamGuideIdx(m)
+	// The guide by definition: nodes in ID order, each taking its first
+	// configuration of least TL plus TX to the nodes before it.
+	guide := make([]int, n)
+	for v := range guide {
+		best := math.Inf(1)
+		for c := range m.K(v) {
+			s := m.TLRow(v)[c]
+			for _, ie := range m.Incidence(v) {
+				switch {
+				case ie.Other > v:
+				case ie.VIsU:
+					s += m.EdgeCost(ie.E, c, guide[ie.Other])
+				default:
+					s += m.EdgeCost(ie.E, guide[ie.Other], c)
+				}
+			}
+			if s < best {
+				best, guide[v] = s, c
+			}
+		}
+	}
 	tables = make([]beamTable, n)
 	exact = true
 
@@ -254,6 +276,13 @@ func requireBeamMatchesNaive(t *testing.T, label string, m *cost.Model, sq *seq.
 	if res.Cost != wantCost || !slices.Equal(res.Idx, wantIdx) || exact != wantExact {
 		t.Fatalf("%s: cost %v idx %v exact %v, reference %v %v %v", label, res.Cost, res.Idx, exact, wantCost, wantIdx, wantExact)
 	}
+	var total, most int64
+	for _, tb := range want {
+		total, most = total+int64(len(tb.flats)), max(most, int64(len(tb.flats)))
+	}
+	if res.Stats.TotalEntries != total || res.Stats.MaxTable != most {
+		t.Fatalf("%s: %d entries, largest table %d; the reference's tables hold %d, largest %d", label, res.Stats.TotalEntries, res.Stats.MaxTable, total, most)
+	}
 	// No frontier was cut on an exact pass, so no early stop fired: the
 	// kernel evaluated every candidate the reference generated.
 	if res.Stats.States > generated || exact && res.Stats.States != generated {
@@ -271,7 +300,8 @@ func requireBeamMatchesNaive(t *testing.T, label string, m *cost.Model, sq *seq.
 // trial 120 on, a node or two also reads one producer twice — two edges
 // between the same pair, with their own tables — so that a digit no subset
 // covers is enumerated over two edge rows, which the random layer graphs
-// alone never give.
+// alone never give. Every eighth trial numbers the nodes in reverse, so that
+// each edge runs from a higher ID to a lower one.
 func TestBeamKernelMatchesNaiveOnAdversarialTables(t *testing.T) {
 	var steps, wide, exactPasses, passes, twoRow int
 	for trial := 0; trial < 160; trial++ {
@@ -284,6 +314,18 @@ func TestBeamKernelMatchesNaiveOnAdversarialTables(t *testing.T) {
 				g.Nodes[b].Inputs = append(g.Nodes[b].Inputs, graph.TensorRef{Map: []int{0, 2}})
 				g.AddEdge(g.Nodes[g.In(b)[0]], g.Nodes[b])
 			}
+		}
+		if trial%8 == 7 {
+			r := graph.New()
+			for i := range g.Nodes {
+				r.AddNode(g.Nodes[len(g.Nodes)-1-i])
+			}
+			for v := range r.Nodes {
+				for _, u := range g.In(len(g.Nodes) - 1 - v) {
+					r.AddEdge(r.Nodes[len(g.Nodes)-1-u], r.Nodes[v])
+				}
+			}
+			g = r
 		}
 		m := adversarialCosts(t, rng, g, []int{2, 4, 8}[trial%3])
 		sq := seq.Generate(m.G)

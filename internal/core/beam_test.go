@@ -44,6 +44,9 @@ func beamFind(m *cost.Model, opts BeamOptions) (*BeamResult, error) {
 // on the eliminated model must bound the full optimum, and Exact there must
 // mean the full optimum.
 func TestBeamGapSoundnessOnRandomGraphs(t *testing.T) {
+	if g := beamGap(0, 0); g != 0 {
+		t.Errorf("a zero cost at a zero bound: gap %v, want 0", g)
+	}
 	const relTol = 1e-9
 	var bracketed, reduced int
 	cutPasses := map[string]int{}
@@ -155,6 +158,9 @@ func TestBeamGapSoundnessOnRandomGraphs(t *testing.T) {
 // The anytime loop must refine monotonically: each OnPass reports the
 // running best, so the reported costs never increase, and on a graph small
 // enough to stop truncating the loop must terminate exact at the optimum.
+// It stops where it must, with the pass that first found its cost: at a gap
+// target the first pass meets, that pass; when a pass runs out of the budget,
+// the earliest pass of the running best.
 func TestBeamAnytimeRefinementMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomDNNGraph(rng, 10)
@@ -163,11 +169,14 @@ func TestBeamAnytimeRefinementMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var costs []float64
+	var costs, gaps []float64
+	var widths []int
 	br, err := beamFind(m, BeamOptions{
 		Width:     1,
 		GapTarget: 1e-12, // unreachably tight: refine until the pass is exact
-		OnPass:    func(_, _ int, cost, _ float64) { costs = append(costs, cost) },
+		OnPass: func(_, w int, cost, gap float64) {
+			costs, gaps, widths = append(costs, cost), append(gaps, gap), append(widths, w)
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,6 +194,32 @@ func TestBeamAnytimeRefinementMonotone(t *testing.T) {
 	}
 	if br.Cost != exact.Cost {
 		t.Fatalf("refined-to-exact cost %v != exact %v", br.Cost, exact.Cost)
+	}
+
+	if one, err := beamFind(m, BeamOptions{Width: 1, GapTarget: gaps[0]}); err != nil || one.Passes != 1 {
+		t.Fatalf("gap target %v, the first pass's gap: (%+v, %v), want one pass", gaps[0], one, err)
+	}
+	// Each pass's least budget, where the next pass runs out of it, ends
+	// refinement there with the running best and the width that first found
+	// it; some such end must follow a repeated cost, and some an improved one.
+	repeated, improved := false, false
+	for j, w := range widths[:len(widths)-1] {
+		budget := 1 + int64(sort.Search(1<<22, func(b int) bool {
+			_, err := beamFind(m, BeamOptions{Options: Options{MaxTableEntries: 1 + int64(b)}, Width: w, GapTarget: -1})
+			return err == nil
+		}))
+		cut, err := beamFind(m, BeamOptions{Options: Options{MaxTableEntries: budget}, Width: 1, GapTarget: 1e-12})
+		if err != nil || cut.Passes != j+1 {
+			continue // a wider pass can need less: the run went on
+		}
+		first := slices.Index(costs, costs[j])
+		if cut.Exact || cut.Cost != costs[j] || cut.Width != widths[first] {
+			t.Fatalf("refinement under W=%d's least budget %d: (%+v, %v), want cost %v first found at W=%d", w, budget, cut, err, costs[j], widths[first])
+		}
+		repeated, improved = repeated || first < j, improved || costs[j] < costs[0]
+	}
+	if !repeated || !improved {
+		t.Fatalf("budget-cut runs ended after a repeated cost %v, after an improved one %v; want both (passes at %v cost %v)", repeated, improved, widths, costs)
 	}
 }
 

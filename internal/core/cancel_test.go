@@ -28,6 +28,7 @@ func transformerP32Model(t *testing.T) *cost.Model {
 	return m
 }
 
+// Kept by hand: no mutant reaches cancellation polling.
 func TestCancelMidDPOnTransformerReturnsPromptlyWithoutLeaks(t *testing.T) {
 	// The acceptance criterion: a ctx cancelled mid-DP on Transformer p=32
 	// returns context.Canceled promptly (<100ms from the cancel) and leaves
@@ -95,6 +96,8 @@ func cancelMidDP(t *testing.T, m *cost.Model, workers int) {
 // again), it polls at least once per cancelCheckMask+1 rows, and a stop that
 // arrives in the middle of the hash pass or of the compare pass ends it
 // within the 100 ms the solve's cancellation latency is held to.
+//
+// Kept by hand: no mutant reaches cancellation polling.
 func TestClassDetectionStopsPromptlyOnALargeSource(t *testing.T) {
 	const kv, rows = 64, 1 << 16
 	kd := []int{256, 256}
@@ -130,6 +133,7 @@ func TestClassDetectionStopsPromptlyOnALargeSource(t *testing.T) {
 	}
 }
 
+// Kept by hand: no mutant reaches cancellation polling.
 func TestPreCancelledContextFailsBeforeFilling(t *testing.T) {
 	m := transformerP32Model(t)
 	ctx, cancel := context.WithCancel(context.Background())

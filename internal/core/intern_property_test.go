@@ -109,6 +109,8 @@ func TestInternedSolveMatchesOracleOnPaperBenchmarks(t *testing.T) {
 // chunked-fill cancellation check: with the fill split into worker-claimed
 // chunks on the big Transformer tables, cancelling mid-fill must return
 // within 100ms (chunks abandon at the next poll instead of completing).
+//
+// Kept by hand: no mutant reaches cancellation polling.
 func TestChunkedFillCancelsPromptlyMidTransformer(t *testing.T) {
 	m := transformerP32Model(t)
 	for _, workers := range []int{1, 8} {

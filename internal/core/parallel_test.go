@@ -14,6 +14,8 @@ import (
 
 // The parallel table fill must be byte-identical to the serial one: same
 // minimum cost AND same extracted strategy (tie-breaking preserved).
+//
+// Kept by hand: no mutant reaches the worker count.
 func TestParallelSolverMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
@@ -45,6 +47,8 @@ func TestParallelSolverMatchesSerial(t *testing.T) {
 // Race check on a real model (run under -race in CI): NewModel builds its
 // cost tables across a worker pool and the parallel fill shares only
 // read-only state across goroutines.
+//
+// Kept by hand: no mutant reaches the worker count.
 func TestParallelSolverOnInception(t *testing.T) {
 	g := models.InceptionV3(128)
 	m, err := cost.NewModel(g, machine.GTX1080Ti(8), itspace.EnumPolicy{})
@@ -72,6 +76,8 @@ func TestParallelSolverOnInception(t *testing.T) {
 // per-node configuration choices — on all four paper benchmarks, not just
 // random graphs: the default is now parallel, so the determinism guarantee
 // is what makes it safe.
+//
+// Kept by hand: no mutant reaches the worker count.
 func TestWorkersByteIdenticalOnPaperBenchmarks(t *testing.T) {
 	const p = 8
 	for _, bm := range models.Benchmarks() {

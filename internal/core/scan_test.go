@@ -664,6 +664,8 @@ func TestDigitClassesAreTheBitIdentityClasses(t *testing.T) {
 // States is a function of table data alone: on the paper benchmarks it must
 // repeat exactly at workers 1, 2 and 4 and at a forced small chunk size,
 // along with the cost and every choice.
+//
+// Kept by hand: no mutant reaches the worker count.
 func TestStatesIdenticalAcrossWorkersAndChunkSizes(t *testing.T) {
 	const p = 8
 	for _, bm := range []string{"alexnet", "inceptionv3", "rnnlm", "transformer"} {

@@ -172,6 +172,8 @@ func TestOOMGuard(t *testing.T) {
 // pre-pass, before any table is filled: the GPT-scale decoder, whose exact DP
 // used to fill tables for seconds before tripping the budget, returns ErrOOM
 // in milliseconds.
+//
+// Kept by hand: no mutant reaches a timing bar.
 func TestDoomedSolveFailsBeforeFilling(t *testing.T) {
 	m, err := gptDeepModel()
 	if err != nil {

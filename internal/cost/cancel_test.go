@@ -35,6 +35,8 @@ func (c *cancelAtDone) Done() <-chan struct{} {
 // A build cancelled mid-way returns an error wrapping context.Canceled, runs
 // no class build of a phase that starts after the cancel (every task polls
 // first; a store counts the builds that ran) and leaves no goroutine behind.
+//
+// Kept by hand: no mutant reaches cancellation polling.
 func TestNewModelWithCancelledMidBuild(t *testing.T) {
 	bms := models.Benchmarks()
 	bm := bms[slices.IndexFunc(bms, func(b models.Benchmark) bool { return b.Name == "InceptionV3" })] // many classes per phase
@@ -70,6 +72,8 @@ func TestNewModelWithCancelledMidBuild(t *testing.T) {
 // Inside a phase, a task claimed after the cancel is skipped: the cancelling
 // task runs, and after cancel() has returned at most one task per other
 // worker, already past its poll, still starts.
+//
+// Kept by hand: no mutant reaches cancellation polling.
 func TestParallelForStopsAtCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -45,16 +45,6 @@ func fcChain(dims ...[3]int64) *graph.Graph {
 	return g
 }
 
-func TestTLComputeOnly(t *testing.T) {
-	n := fcNode(64, 128, 256)
-	// Unsplit: cost = 3 * 2 * 64*128*256 FLOP.
-	got := TL(n, itspace.Config{1, 1, 1}, 100)
-	want := FwdBwdFactor * 2 * 64 * 128 * 256.0
-	if got != want {
-		t.Fatalf("TL unsplit = %v, want %v", got, want)
-	}
-}
-
 func TestTLDataParallelGradAllReduce(t *testing.T) {
 	n := fcNode(64, 128, 256)
 	r := 50.0
@@ -85,17 +75,6 @@ func TestTLReductionDimAllReduce(t *testing.T) {
 	want := compute + r*wire
 	if math.Abs(got-want) > 1e-6*want {
 		t.Fatalf("TL red = %v, want %v", got, want)
-	}
-}
-
-func TestTLParameterParallelNoGradAllReduce(t *testing.T) {
-	n := fcNode(64, 128, 256)
-	// Splitting only n (out-channels): weights sharded, no reduction dims
-	// split, no gradient sync — compute scales down, no comm at all.
-	got := TL(n, itspace.Config{1, 4, 1}, 1000)
-	want := FwdBwdFactor * 2 * 64 * 128 * 256.0 / 4
-	if got != want {
-		t.Fatalf("TL param-parallel = %v, want %v (comm should be zero)", got, want)
 	}
 }
 
@@ -318,6 +297,18 @@ func TestModelEvalMatchesManualSum(t *testing.T) {
 	if math.Abs(ev-got) > 1e-9*got {
 		t.Fatalf("Eval = %v, EvalIdx = %v", ev, got)
 	}
+
+	// PaperEval is Eq. 1 in FLOP units: TL plus r times the TX bytes.
+	paper := 0.0
+	for v := range idx {
+		paper += TL(g.Nodes[v], s[v], m.r)
+	}
+	for _, e := range g.Edges() {
+		paper += float64(m.r * TXBytes(g.Nodes[e[0]], g.Nodes[e[1]], 0, s[e[0]], s[e[1]]))
+	}
+	if pe, err := m.PaperEval(s); err != nil || pe != paper || paper <= 0 {
+		t.Fatalf("PaperEval = (%v, %v), want %v", pe, err, paper)
+	}
 }
 
 func TestModelNodeDeltaMatchesFullEval(t *testing.T) {
@@ -373,6 +364,10 @@ func TestModelRejectsInvalidInputs(t *testing.T) {
 	if _, err := NewModel(bad, machine.Uniform(4, 1e12, 1e10), itspace.EnumPolicy{}); err == nil {
 		t.Fatal("invalid graph accepted")
 	}
+	// A node past the first class that admits no configuration fails the build.
+	if _, err := NewModel(fcChain([3]int64{64, 128, 128}, [3]int64{1, 1, 1}), machine.Uniform(4, 1e12, 1e10), itspace.EnumPolicy{RequireFullDegree: true}); err == nil {
+		t.Fatal("a node admitting no configuration was accepted")
+	}
 }
 
 func TestMachineSpecs(t *testing.T) {
@@ -390,6 +385,17 @@ func TestMachineSpecs(t *testing.T) {
 	single := machine.GTX1080Ti(4)
 	if single.LinkBW != single.IntraBW {
 		t.Fatal("single-node cluster should use intra-node bandwidth")
+	}
+	// A group that fills one node of several rides intra-node links.
+	if bw := GroupBW(s1, float64(s1.GPUsPerNode)); bw != s1.IntraBW {
+		t.Fatalf("a %d-device group on %d-device nodes: bandwidth %v, want intra-node %v", s1.GPUsPerNode, s1.GPUsPerNode, bw, s1.IntraBW)
+	}
+	// A spec without a compute efficiency computes at peak.
+	peak, unset := machine.Uniform(8, 1e12, 1e10), machine.Uniform(8, 1e12, 1e10)
+	unset.ComputeEff = 0
+	n, c := fcNode(64, 128, 128), itspace.Config{8, 1, 1}
+	if a, b := TLSeconds(n, c, unset), TLSeconds(n, c, peak); a != b {
+		t.Fatalf("TL at ComputeEff 0: %v, want %v (at 1)", a, b)
 	}
 }
 

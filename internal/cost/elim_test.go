@@ -15,13 +15,13 @@ import (
 	"pase/internal/models"
 )
 
-// flatModel is two fully-connected layers, one feeding the other, at p=4,
-// with every TL cell set to tl and every TX cell to 0, each table dense, so
-// that each configuration has its own row and column.
-func flatModel(t *testing.T, tl float64) *Model {
+// flatModel is a chain of n fully-connected layers, each feeding the next,
+// at p=4, with every TL cell set to tl and every TX cell to 0, each table
+// dense, so that each configuration has its own row and column.
+func flatModel(t *testing.T, n int, tl float64) *Model {
 	t.Helper()
 	g := graph.New()
-	for range 2 {
+	for i := range n {
 		g.AddNode(&graph.Node{
 			Name:          "fc",
 			Op:            graph.OpFC,
@@ -30,9 +30,11 @@ func flatModel(t *testing.T, tl float64) *Model {
 			Params:        []graph.TensorRef{{Map: []int{1, 2}, Param: true}},
 			FlopsPerPoint: 2,
 		})
+		if i > 0 {
+			g.Nodes[i].Inputs = append(g.Nodes[i].Inputs, graph.TensorRef{Map: []int{0, 2}})
+			g.AddEdge(g.Nodes[i-1], g.Nodes[i])
+		}
 	}
-	g.Nodes[1].Inputs = append(g.Nodes[1].Inputs, graph.TensorRef{Map: []int{0, 2}})
-	g.AddEdge(g.Nodes[0], g.Nodes[1])
 	m, err := NewModel(g, machine.GTX1080Ti(4), itspace.EnumPolicy{})
 	if err != nil {
 		t.Fatal(err)
@@ -60,23 +62,42 @@ func eliminate(t *testing.T, m *Model) *Elimination {
 }
 
 // A configuration one ulp dearer than the others is within the margin's
-// rounding: both stay, since a DP entry over it may round to a tie.
+// rounding: both stay, since a DP entry over it may round to a tie. The
+// margin of a vertex on this model is SumErrorBound over 3 terms (its two
+// vertices and one edge), 2 for its edge and 2 for its TL row, at the summed
+// largest TL and TX cells rounded up to a power of two: 9·2⁻⁵² at magnitude
+// 1, twice that at 1.25.
 func TestEliminateKeepsNearTie(t *testing.T) {
-	m := flatModel(t, 1)
+	for _, c := range []struct{ tl, tx, want float64 }{
+		{0.5, 0, 9 * 0x1p-52},
+		{0.5, 0.25, 18 * 0x1p-52},
+	} {
+		m := flatModel(t, 2, c.tl)
+		for _, tab := range m.txc {
+			for i := range tab.q {
+				tab.q[i] = c.tx
+			}
+			tab.max = c.tx
+		}
+		if got := newDEE(m, nil).margin(0); got != c.want {
+			t.Errorf("TL %v, TX %v: margin %v, want %v", c.tl, c.tx, got, c.want)
+		}
+	}
+	m := flatModel(t, 2, 1)
 	m.tl[0][0] = math.Nextafter(1, 2)
 	if st := eliminate(t, m); st.KAlive != st.KTotal {
 		t.Errorf("a 1-ulp near-tie lost configurations: ΣK %d → %d", st.KTotal, st.KAlive)
 	}
 	m.tl[0][0] = 2
-	if st := eliminate(t, m); st.KAlive != st.KTotal-1 {
-		t.Errorf("a configuration dearer by 1 everywhere: ΣK %d → %d, want one fewer", st.KTotal, st.KAlive)
+	if st := eliminate(t, m); st.KAlive != st.KTotal-1 || st.Model.IndexOf(0, m.Configs(0)[0]) != -1 {
+		t.Errorf("a configuration dearer by 1 everywhere: ΣK %d → %d, its index %d; want one fewer, and -1", st.KTotal, st.KAlive, st.Model.IndexOf(0, m.Configs(0)[0]))
 	}
 }
 
 // Exact ties are kept: on a model whose every cost is 0 the margin is 0, and
 // every strategy is an optimum.
 func TestEliminateKeepsExactTies(t *testing.T) {
-	if st := eliminate(t, flatModel(t, 0)); st.KAlive != st.KTotal {
+	if st := eliminate(t, flatModel(t, 2, 0)); st.KAlive != st.KTotal {
 		t.Errorf("exact ties lost configurations: ΣK %d → %d", st.KTotal, st.KAlive)
 	}
 }
@@ -98,7 +119,7 @@ func TestEliminateKeepsMarginTie(t *testing.T) {
 			func(s int) float64 { return []float64{1, 1, 5, 1}[min(s, 3)] },
 			func(s int) float64 { return []float64{0, 1, 2, 0}[min(s, 3)] }},
 	} {
-		m := flatModel(t, 0)
+		m := flatModel(t, 2, 0)
 		kv := m.K(1)
 		for cu := range m.K(0) {
 			for cv := range kv {
@@ -134,7 +155,7 @@ func TestEliminateKeepsMarginTie(t *testing.T) {
 // order, keeps the full model's Info, and moves the class fingerprint of a
 // vertex that lost configurations.
 func TestEliminatedModelRestrictsTables(t *testing.T) {
-	m := flatModel(t, 1)
+	m := flatModel(t, 2, 1)
 	m.tl[0][0], m.tl[1][1] = 2, 2
 	for c := range m.txc[0].q {
 		m.txc[0].q[c] = float64(c)
@@ -169,13 +190,35 @@ func TestEliminatedModelRestrictsTables(t *testing.T) {
 			}
 		}
 	}
+
+	// Two edges of one class, u→v and u′→v′ off a fork, restricted to
+	// survivors {0,1}×{2,3} and {0}×{1,2,3}, whose concatenations agree,
+	// hold different tables and so different class fingerprints.
+	g := graph.New()
+	nodes := make([]*graph.Node, 5)
+	for i := range nodes {
+		nodes[i] = fcNode(8, 8, 8)
+		g.AddNode(nodes[i])
+	}
+	nodes[0].Inputs = nil
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 4}} {
+		g.AddEdge(nodes[e[0]], nodes[e[1]])
+	}
+	m, err := NewModel(g, machine.GTX1080Ti(4), itspace.EnumPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d = &dee{m: m, alive: [][]int32{{0}, {0, 1}, {0}, {2, 3}, {1, 2, 3}}, setOf: []int32{0, 1, 0, 2, 3}}
+	if em := d.restrict(); m.EdgeClassFP(2) != m.EdgeClassFP(3) || em.EdgeClassFP(2) == em.EdgeClassFP(3) {
+		t.Errorf("edges u→v and u′→v′: classes equal %v, restricted to {0,1}×{2,3} and {0}×{1,2,3} equal %v", m.EdgeClassFP(2) == m.EdgeClassFP(3), em.EdgeClassFP(2) == em.EdgeClassFP(3))
+	}
 }
 
 // A cancelled context ends the run between vertex checks with its cause.
 func TestEliminateCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Eliminate(ctx, flatModel(t, 1), nil); !errors.Is(err, context.Canceled) {
+	if _, err := Eliminate(ctx, flatModel(t, 2, 1), nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("Eliminate under a cancelled context: %v, want context.Canceled", err)
 	}
 }
@@ -243,6 +286,27 @@ func TestEliminateReusesBaseChecks(t *testing.T) {
 			t.Errorf("factor %v: %d of %d checks served by the base (magnitude %v, base %v)", factor, served, len(warm.memo.checks), warm.memo.magnitude, base.memo.magnitude)
 		}
 	}
+
+	// A base over another term count serves no check, even where a check's
+	// inputs recur at the same magnitude (4): vertex 0 of a two- and of a
+	// three-layer chain reads the same tables, and its configuration 0,
+	// 40·2⁻⁵² dearer, is past the two-layer margin (36·2⁻⁵²) and within the
+	// three-layer one (44·2⁻⁵²).
+	chain := func(n int) *Model {
+		m := flatModel(t, n, 1)
+		m.tl[0][0] += 40 * 0x1p-52
+		return m
+	}
+	two := eliminate(t, chain(2))
+	if two.KAlive != two.KTotal-1 {
+		t.Fatalf("two layers: ΣK %d → %d, want one fewer", two.KTotal, two.KAlive)
+	}
+	m3 := chain(3)
+	warm, err := Eliminate(ctx, m3, two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEliminatedModel(t, "three layers over a two-layer base", warm, eliminate(t, m3))
 }
 
 // What a run from scratch does on the paper models is pinned by equality,
@@ -360,16 +424,19 @@ func TestEliminateWithSurvivors(t *testing.T) {
 		sameEliminatedModel(t, c.name, got, base)
 	}
 
-	// Survivors of p=8 on the p=16 model (other Ks), of AlexNet on RNNLM
-	// (another vertex count), and none at all: each runs Eliminate.
+	// Survivors of p=8 on the p=16 model (other Ks), on the p=8 model with one
+	// vertex more (every K of the model's own vertices matches), and none at
+	// all: each runs Eliminate.
 	a8 := eliminate(t, build("alexnet", 8)).Survivors
+	extra := *a8
+	extra.ids = append(slices.Clone(a8.ids), a8.ids[0])
 	for _, c := range []struct {
 		label string
 		m     *Model
 		s     *Survivors
 	}{
 		{"other K", build("alexnet", 16), a8},
-		{"other vertex count", build("rnnlm", 8), a8},
+		{"other vertex count", build("alexnet", 8), &extra},
 		{"no survivors", build("alexnet", 16), nil},
 	} {
 		got, err := EliminateWith(ctx, c.m, c.s, nil)

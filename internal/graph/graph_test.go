@@ -169,10 +169,18 @@ func TestValidateRefNumberingAndAllocs(t *testing.T) {
 }
 
 func TestValidateCatchesBadMap(t *testing.T) {
-	g := lineGraph(2)
-	g.Nodes[0].Output = TensorRef{Map: []int{7}}
-	if err := g.Validate(); err == nil {
-		t.Fatal("invalid map accepted")
+	for _, bad := range []func(n *Node){
+		func(n *Node) { n.Output = TensorRef{Map: []int{7}} },
+		func(n *Node) { n.Output = TensorRef{Map: []int{-1}} },
+		func(n *Node) { n.Output = TensorRef{Map: []int{3}} },
+		func(n *Node) { n.NormDims = []int{-1} },
+		func(n *Node) { n.NormDims = []int{3} },
+	} {
+		g := lineGraph(2)
+		bad(g.Nodes[0])
+		if err := g.Validate(); err == nil {
+			t.Errorf("invalid map or norm dim accepted: output %v, norm dims %v", g.Nodes[0].Output.Map, g.Nodes[0].NormDims)
+		}
 	}
 }
 
@@ -181,6 +189,10 @@ func TestTensorRefExtentOffset(t *testing.T) {
 	r := TensorRef{Map: []int{0, 1}, Offset: []int64{0, 16}, Size: []int64{8, 16}}
 	if r.Extent(sp, 1) != 16 {
 		t.Fatalf("Extent = %d", r.Extent(sp, 1))
+	}
+	// A zero Size entry is the whole dim.
+	if r.Size[1] = 0; r.Extent(sp, 1) != 32 {
+		t.Fatalf("Extent with Size 0 = %d, want 32", r.Extent(sp, 1))
 	}
 }
 

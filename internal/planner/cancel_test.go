@@ -100,6 +100,7 @@ func TestFollowerDetachesWhileLeaderFinishes(t *testing.T) {
 	}
 }
 
+// Kept by hand: no mutant reaches cancellation polling.
 func TestLastWaiterCancellationAbortsFlightAndNothingIsCached(t *testing.T) {
 	// When every interested caller has cancelled, the flight context is
 	// cancelled too: the solve aborts instead of burning CPU for nobody, the
@@ -199,12 +200,17 @@ func TestSolveBatchCancellationFailsAllEntries(t *testing.T) {
 	}
 }
 
+// Kept by hand: no mutant reaches cancellation polling.
 func TestPreCancelledRequestDoesNotTouchThePlanner(t *testing.T) {
 	pl := New(Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := pl.Solve(ctx, alexReq(8)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	req := alexReq(8)
+	if _, err := pl.Compare(ctx, CompareRequest{G: req.G, Spec: req.Spec, Methods: []string{"dp"}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Compare: got %v, want context.Canceled", err)
 	}
 	if st := pl.Stats(); st != (Stats{}) {
 		t.Fatalf("pre-cancelled request touched stats: %+v", st)

@@ -124,6 +124,8 @@ func TestDeltaResolveByteIdentical(t *testing.T) {
 // 1 163 548 candidates against the cold solve's 5 811 377, 4.99x) with a loose
 // wall-clock guard on each side's least of three rounds — and byte-identical
 // to the oracle.
+//
+// Kept by hand: no mutant reaches a timing bar.
 func TestDeltaSpeedupTransformer32(t *testing.T) {
 	bm, err := models.ByName("transformer")
 	if err != nil {

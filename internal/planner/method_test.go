@@ -2,6 +2,7 @@ package planner
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
@@ -223,6 +224,14 @@ func TestUnknownMethodRejectedBeforeSolving(t *testing.T) {
 		G: models.AlexNet(128), Spec: machine.GTX1080Ti(8), Methods: []string{"", "dp"},
 	}); err == nil {
 		t.Fatal("empty method in an explicit compare list was accepted")
+	}
+	// A method failing at solve time fails its entry only, and a zero Batch
+	// simulates one sample per step.
+	cmp, err := pl.Compare(context.Background(), CompareRequest{
+		G: models.AlexNet(128), Spec: machine.GTX1080Ti(8), Opts: Options{MaxTableEntries: 1}, Methods: []string{"dataparallel", "dp"},
+	})
+	if err != nil || cmp.Entries[0].Step.Throughput != 1/cmp.Entries[0].Step.StepSeconds || !errors.Is(cmp.Entries[1].Err, core.ErrOOM) {
+		t.Fatalf("dp under a 1-entry budget: (%+v, %v), want a throughput of one sample per step and dp's entry failing with ErrOOM", cmp, err)
 	}
 }
 

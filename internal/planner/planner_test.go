@@ -107,8 +107,8 @@ func TestConcurrentRequestsMatchDirectFindWithOneSolvePerFingerprint(t *testing.
 	if st.Solves != int64(len(uniques)) {
 		t.Fatalf("Solves = %d, want exactly %d (one per unique fingerprint)", st.Solves, len(uniques))
 	}
-	if st.ModelBuilds != int64(len(uniques)) {
-		t.Fatalf("ModelBuilds = %d, want %d", st.ModelBuilds, len(uniques))
+	if st.ModelBuilds != int64(len(uniques)) || st.SharedTableBytes <= 0 {
+		t.Fatalf("ModelBuilds = %d, want %d; shared table bytes %d, want > 0", st.ModelBuilds, len(uniques), st.SharedTableBytes)
 	}
 	served := st.ResultHits + st.DedupWaits + st.ResultMisses
 	if served != int64(len(results)) {

@@ -238,6 +238,10 @@ func TestTooEntangledIsTyped(t *testing.T) {
 // served by the degraded beam (reason "pressure") but the result is NOT
 // cached — once pressure subsides the same request gets the exact solve.
 func TestPressureDegradationIsTransient(t *testing.T) {
+	// The depth is half the queue bound (the default one when unset), at least 1.
+	if got, want := (Config{}).degradeQueueDepth(), pressure.DefaultMaxQueue/2; got != want || (Config{MaxQueue: 1}).degradeQueueDepth() != 1 {
+		t.Fatalf("degrade depth %d unset (want %d), %d at MaxQueue 1 (want 1)", got, want, (Config{MaxQueue: 1}).degradeQueueDepth())
+	}
 	p := New(Config{
 		MaxInFlight:      1,
 		MaxQueue:         2, // degrade from half of it: one waiter

@@ -243,84 +243,6 @@ func TestStarGraphBFSBlowsUp(t *testing.T) {
 	}
 }
 
-func TestConnectedSetAndSubsets(t *testing.T) {
-	g := paperToyGraph()
-	// Force the paper's Fig. 2 ordering: positions = node IDs.
-	order := seqInts(0, 9)
-	s := FromOrder(g, order)
-	// v(5) is node index 4 (0-based position 4).
-	x := connectedSet(g, s, 4)
-	wantX := map[int]bool{0: true, 1: true, 2: true, 4: true}
-	if len(x) != len(wantX) {
-		t.Fatalf("X(5) = %v", x)
-	}
-	for v := range wantX {
-		if !x[v] {
-			t.Fatalf("X(5) missing %d: %v", v, x)
-		}
-	}
-	// D(5) = {v(8)} = node 7.
-	d := dependentSet(g, s, 4)
-	if !equalInts(d, []int{7}) {
-		t.Fatalf("D(5) = %v, want [7]", d)
-	}
-	// S(5) = {{v1,v2},{v3}} = {{0,1},{2}}.
-	subs := connectedSubsets(g, s, 4)
-	if len(subs) != 2 {
-		t.Fatalf("S(5) = %v", subs)
-	}
-	flat := map[int]bool{}
-	for _, sub := range subs {
-		for _, v := range sub {
-			flat[v] = true
-		}
-	}
-	if !flat[0] || !flat[1] || !flat[2] || len(flat) != 3 {
-		t.Fatalf("S(5) members = %v", subs)
-	}
-	// BF-equivalent check from the paper: |DB(5)| = 3 under this ordering's
-	// naive dependent set N(V≤5) ∩ V>5 = {v7, v8, v9} = nodes {6,7,8}... the
-	// definitional D with connected sets is 1.
-	if len(d) != 1 {
-		t.Fatalf("|D(5)| = %d, want 1", len(d))
-	}
-}
-
-func TestConnectedSubsetsPartitionX(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nn := 3 + rng.Intn(9)
-		var edges [][2]int
-		for i := 1; i < nn; i++ {
-			edges = append(edges, [2]int{rng.Intn(i), i})
-		}
-		g := build(nn, edges)
-		s := Generate(g)
-		for i := range s.Order {
-			x := connectedSet(g, s, i)
-			subs := connectedSubsets(g, s, i)
-			count := 1 // v(i) itself
-			seen := map[int]bool{s.Order[i]: true}
-			for _, sub := range subs {
-				for _, v := range sub {
-					if seen[v] || !x[v] {
-						return false // overlap or out of X
-					}
-					seen[v] = true
-					count++
-				}
-			}
-			if count != len(x) {
-				return false // union must be exactly X(i)
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // randomConnectedGraph builds a random connected DAG: each node i>0 gets an
 // edge from some j<i, plus sprinkled extra forward edges.
 func randomConnectedGraph(rng *rand.Rand) *graph.Graph {

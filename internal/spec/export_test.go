@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"pase/internal/itspace"
 	"pase/internal/machine"
 	"pase/internal/models"
 	"pase/internal/planner"
@@ -33,5 +34,9 @@ func TestExportRoundTrip(t *testing.T) {
 		if got := ir.ModelFingerprint(); got != want {
 			t.Errorf("%s: fingerprint mismatch: spec %s registry %s", name, got, want)
 		}
+	}
+	// One GPU is a machine too.
+	if _, err := FromGraph("alexnet", models.AlexNet(128), "1080ti", 1, itspace.EnumPolicy{}, 128); err != nil {
+		t.Errorf("export at 1 GPU: %v", err)
 	}
 }

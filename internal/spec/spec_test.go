@@ -130,6 +130,11 @@ func TestNormalizeDiagnostics(t *testing.T) {
 		{"bad dim size", `{"name": "n", "size": 128}`, `{"name": "n", "size": 0}`, "nodes[3].dims[0].size", "must be > 0"},
 		{"negative flops", `"flops_per_point": 2`, `"flops_per_point": -2`, "nodes[1].flops_per_point", "must be finite and >= 0"},
 		{"ref map range", `"output": {"map": [0]}}`, `"output": {"map": [7]}}`, "nodes[0].output.map[0]", "out of range"},
+		{"ref map past the last dim", `"output": {"map": [0]}}`, `"output": {"map": [1]}}`, "nodes[0].output.map[0]", "out of range"},
+		{"ref map negative", `"output": {"map": [0]}}`, `"output": {"map": [-1]}}`, "nodes[0].output.map[0]", "out of range"},
+		{"norm dim past the last dim", `"output": {"map": [0]}}`, `"output": {"map": [0]}, "norm_dims": [1]}`, "nodes[0].norm_dims[0]", "out of range"},
+		{"norm dim negative", `"output": {"map": [0]}}`, `"output": {"map": [0]}, "norm_dims": [-1]}`, "nodes[0].norm_dims[0]", "out of range"},
+		{"negative scale", `"output": {"map": [0]}}`, `"output": {"map": [0], "scale": -1}}`, "nodes[0].output.scale", "must be finite and >= 0"},
 		{"offset arity", `"offset": [0], "size": [64]`, `"offset": [0, 0], "size": [64]`, "nodes[3].inputs[0].offset", "one per map entry"},
 		{"negative size", `"size": [64]},`, `"size": [-64]},`, "nodes[3].inputs[0].size[0]", "must be >= 0"},
 		{"edge unknown", `{"from": "a", "to": "b"}`, `{"from": "z", "to": "b"}`, "edges[0].from", "unknown node"},
