@@ -315,16 +315,22 @@ func TestSolveOptionBounds(t *testing.T) {
 		`{"model":"alexnet","gpus":8,"options":{"max_table_entries":9223372036854775807}}`,
 		`{"model":"alexnet","gpus":8,"options":{"max_table_entries":-5}}`,
 		`{"model":"alexnet","gpus":8,"options":{"max_split_dims":-1}}`,
+		`{"model":"alexnet","gpus":8,"options":{"method":"beam","beam_width":-1}}`,
+		`{"model":"alexnet","gpus":8,"options":{"method":"beam","beam_width":65537}}`,
 	} {
 		if status, out := postJSON(t, ts.URL+"/v1/solve", body); status != http.StatusBadRequest {
 			t.Errorf("solve(%s) status %d, want 400 (%v)", body, status, out)
 		}
 	}
-	// In-range options still work.
-	status, out := postJSON(t, ts.URL+"/v1/solve",
-		`{"model":"alexnet","gpus":8,"options":{"workers":2,"max_table_entries":1048576}}`)
-	if status != http.StatusOK {
-		t.Fatalf("bounded options rejected: %d %v", status, out)
+	// In-range options still work, up to each bound.
+	for _, body := range []string{
+		`{"model":"alexnet","gpus":8,"options":{"workers":2,"max_table_entries":1048576}}`,
+		`{"model":"alexnet","gpus":8,"options":{"workers":256,"max_table_entries":134217728}}`,
+		`{"model":"alexnet","gpus":8,"options":{"method":"beam","beam_width":65536,"gap_target":1e6}}`,
+	} {
+		if status, out := postJSON(t, ts.URL+"/v1/solve", body); status != http.StatusOK {
+			t.Fatalf("bounded options %s rejected: %d %v", body, status, out)
+		}
 	}
 }
 
@@ -377,8 +383,8 @@ func TestCompareEndpoint(t *testing.T) {
 		case "dp":
 			dpSpeedup = sp
 		}
-		if cs, _ := e["cost_seconds"].(float64); cs <= 0 {
-			t.Fatalf("entry %s cost_seconds: %v", wantMethods[i], e["cost_seconds"])
+		if cs, _ := e["cost_seconds"].(float64); cs <= 0 || e["step_ms"] == nil {
+			t.Fatalf("entry %s cost_seconds %v, step_ms %v", wantMethods[i], e["cost_seconds"], e["step_ms"])
 		}
 	}
 	if baseSpeedup != 1 {

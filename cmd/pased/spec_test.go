@@ -105,19 +105,28 @@ func TestSolveInlineSpec(t *testing.T) {
 func TestSolveInlineSpecErrors(t *testing.T) {
 	ts := newTestServer(t)
 
-	// spec + model are mutually exclusive.
-	status, body := postJSON(t, ts.URL+"/v1/solve",
-		fmt.Sprintf(`{"model": "alexnet", "gpus": 8, "spec": %s}`, tinySpec))
-	if status != http.StatusBadRequest || body["code"] != "bad_request" {
-		t.Fatalf("conflict: status %d body %v", status, body)
+	// spec and each registry field are mutually exclusive, and priority is
+	// bounded for a spec too.
+	rejected := []string{`"model": "alexnet"`, `"batch": 8`, `"gpus": 8`, `"machine": "1080ti"`, `"priority": 101`, `"priority": -101`}
+	for _, fields := range rejected {
+		status, body := postJSON(t, ts.URL+"/v1/solve", fmt.Sprintf(`{%s, "spec": %s}`, fields, tinySpec))
+		if status != http.StatusBadRequest || body["code"] != "bad_request" {
+			t.Fatalf("%s: status %d body %v", fields, status, body)
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, "mutually exclusive") && !strings.Contains(msg, "priority") {
+			t.Fatalf("%s: error %q", fields, msg)
+		}
 	}
-	if msg, _ := body["error"].(string); !strings.Contains(msg, "mutually exclusive") {
-		t.Fatalf("conflict error %q", msg)
+
+	for _, fields := range []string{`"priority": 100`, `"priority": -100`} {
+		if status, body := postJSON(t, ts.URL+"/v1/solve", fmt.Sprintf(`{%s, "spec": %s}`, fields, tinySpec)); status != http.StatusOK {
+			t.Fatalf("%s: status %d body %v", fields, status, body)
+		}
 	}
 
 	// An invalid spec fails with structured path-addressed details.
 	broken := strings.Replace(tinySpec, `"flops_per_point": 2`, `"flops_per_point": -2`, 1)
-	status, body = postJSON(t, ts.URL+"/v1/solve", specBody(broken))
+	status, body := postJSON(t, ts.URL+"/v1/solve", specBody(broken))
 	if status != http.StatusBadRequest || body["code"] != "bad_request" {
 		t.Fatalf("broken spec: status %d body %v", status, body)
 	}
@@ -133,10 +142,10 @@ func TestSolveInlineSpecErrors(t *testing.T) {
 		t.Fatalf("detail msg %v", d0)
 	}
 
-	// Both rejections counted.
+	// Every rejection counted.
 	stats := getStats(t, ts)
-	if stats["spec_errors"] != float64(2) {
-		t.Fatalf("spec_errors = %v, want 2", stats["spec_errors"])
+	if stats["spec_errors"] != float64(len(rejected)+1) {
+		t.Fatalf("spec_errors = %v, want %d", stats["spec_errors"], len(rejected)+1)
 	}
 }
 

@@ -424,9 +424,9 @@ func TestEliminateWithSurvivors(t *testing.T) {
 		sameEliminatedModel(t, c.name, got, base)
 	}
 
-	// Survivors of p=8 on the p=16 model (other Ks), on the p=8 model with one
-	// vertex more (every K of the model's own vertices matches), and none at
-	// all: each runs Eliminate.
+	// Survivors of p=8 on the p=16 model (other Ks), the p=8 survivors with
+	// one vertex added on the p=8 model (every K of its own vertices
+	// matches), and none at all: each runs Eliminate.
 	a8 := eliminate(t, build("alexnet", 8)).Survivors
 	extra := *a8
 	extra.ids = append(slices.Clone(a8.ids), a8.ids[0])

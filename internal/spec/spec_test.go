@@ -3,6 +3,9 @@ package spec
 import (
 	"strings"
 	"testing"
+
+	"pase/internal/itspace"
+	"pase/internal/planner"
 )
 
 // minimal valid document pieces used across tests.
@@ -75,6 +78,23 @@ func TestLoadDiamond(t *testing.T) {
 	}
 	if ir.Machine.Devices != 4 {
 		t.Errorf("machine devices %d", ir.Machine.Devices)
+	}
+	for _, edit := range [][2]string{{`"gpus": 4`, `"gpus": 1`}, {`"batch": 8,`, `"batch": 8, "policy": {"max_split_dims": 0},`}} {
+		if _, err := Load([]byte(mutate(t, edit[0], edit[1]))); err != nil {
+			t.Errorf("%s: %v", edit[1], err)
+		}
+	}
+	// A zero policy in the request options takes the spec's; an explicit one wins.
+	ir, err = Load([]byte(mutate(t, `"batch": 8,`, `"batch": 8, "policy": {"max_split_dims": 2},`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit := itspace.EnumPolicy{MaxSplitDims: 1}
+	if got := ir.Request(planner.Options{}).Opts.Policy; got != ir.Policy || got.MaxSplitDims != 2 || ir.Request(planner.Options{Policy: explicit}).Opts.Policy != explicit {
+		t.Errorf("request policy %+v from the spec's %+v", got, ir.Policy)
+	}
+	if d := (Diagnostic{Msg: "m"}); d.String() != "m" {
+		t.Errorf("a diagnostic without a path prints %q", d.String())
 	}
 }
 
@@ -246,13 +266,24 @@ func TestOpAliasesAndUnits(t *testing.T) {
 			t.Errorf("alias %s changes the fingerprint", variant)
 		}
 	}
-	for _, peak := range []string{`"11.3T"`, `"11.3TF"`, `"11.3 TFLOPS"`, `"11300 GFLOP/s"`} {
+	for _, peak := range []string{`"11.3T"`, `"11.3TF"`, `"11.3 TFLOPS"`, `"11300 GFLOP/s"`, `"11300000M"`, `"11300000000K"`, `"11.3e12 FLOPS"`} {
 		ir, err := Load([]byte(build(`"fc"`, peak)))
 		if err != nil {
 			t.Fatalf("%s: %v", peak, err)
 		}
 		if ir.ModelFingerprint() != ref.ModelFingerprint() {
 			t.Errorf("unit spelling %s changes the fingerprint", peak)
+		}
+	}
+	// A unit with no number is refused; gpus_per_node defaults to gpus and
+	// may be 1.
+	for doc, ok := range map[string]bool{
+		build(`"fc"`, `"F"`): false,
+		strings.Replace(build(`"fc"`, "11.3e12"), `"gpus_per_node": 2`, `"gpus_per_node": 1`, 1): true,
+		strings.Replace(build(`"fc"`, "11.3e12"), `"gpus_per_node": 2, `, ``, 1):                 true,
+	} {
+		if _, err := Load([]byte(doc)); (err == nil) != ok {
+			t.Errorf("load: %v, want success %v, of %s", err, ok, doc)
 		}
 	}
 }
