@@ -37,6 +37,24 @@ func postJSON(t *testing.T, url string, body string) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
+// The pprof listener binds only to loopback addresses.
+func TestRequireLoopback(t *testing.T) {
+	for addr, ok := range map[string]bool{
+		"127.0.0.1:6060": true,
+		"[::1]:6060":     true,
+		"localhost:6060": true,
+		":6060":          false,
+		"0.0.0.0:6060":   false,
+		"10.0.0.1:6060":  false,
+		"example.com:80": false,
+		"no port":        false,
+	} {
+		if err := requireLoopback(addr); (err == nil) != ok {
+			t.Errorf("requireLoopback(%q) = %v, want success %v", addr, err, ok)
+		}
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/v1/healthz")
