@@ -146,8 +146,7 @@ func requireLoopback(addr string) error {
 	if host == "localhost" {
 		return nil
 	}
-	ip := net.ParseIP(host)
-	if ip == nil || !ip.IsLoopback() {
+	if !net.ParseIP(host).IsLoopback() { // a nil IP is not loopback
 		return fmt.Errorf("%q is not a loopback address; the pprof listener serves heap and goroutine dumps and must stay on localhost", addr)
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -141,6 +142,10 @@ func TestSolveValidation(t *testing.T) {
 		if status != wantStatus {
 			t.Errorf("solve(%s) status %d, want %d (%v)", body, status, wantStatus, out)
 		}
+	}
+	// A device count is refused by its own bounds, before any machine is built.
+	if _, out := postJSON(t, ts.URL+"/v1/solve", `{"model":"alexnet","gpus":0}`); out["error"] != "gpus 0 out of range [1, 64]" {
+		t.Errorf("gpus 0: %v", out)
 	}
 	// The OOM outcome maps to 503 with the stable code "oom" (degradation is
 	// off in this zero-config server, so the error surfaces).
@@ -350,6 +355,23 @@ func TestSolveOptionBounds(t *testing.T) {
 			t.Fatalf("bounded options %s rejected: %d %v", body, status, out)
 		}
 	}
+	// Options that name no policy keep the model's own (the Transformer's
+	// restricts the split dims), as spelling it out does.
+	bm, err := pase.BenchmarkByName("transformer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fps []any
+	for _, opts := range []string{`"method":"dataparallel"`, fmt.Sprintf(`"method":"dataparallel","max_split_dims":%d`, bm.Policy(8).MaxSplitDims)} {
+		status, out := postJSON(t, ts.URL+"/v1/solve", `{"model":"transformer","gpus":8,"options":{`+opts+`}}`)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d %v", opts, status, out)
+		}
+		fps = append(fps, out["fingerprint"])
+	}
+	if fps[0] != fps[1] {
+		t.Fatalf("the model's policy, implied and spelled out: fingerprints %v", fps)
+	}
 }
 
 // TestPruneEpsilonOnTheWireIsIgnored: the retired prune_epsilon option is an
@@ -373,6 +395,10 @@ func TestPruneEpsilonOnTheWireIsIgnored(t *testing.T) {
 
 func TestCompareEndpoint(t *testing.T) {
 	ts := newTestServer(t)
+	alexnet, err := pase.BenchmarkByName("alexnet")
+	if err != nil {
+		t.Fatal(err)
+	}
 	status, out := postJSON(t, ts.URL+"/v1/compare", `{"model":"alexnet","gpus":8}`)
 	if status != http.StatusOK {
 		t.Fatalf("compare status %d: %v", status, out)
@@ -404,6 +430,11 @@ func TestCompareEndpoint(t *testing.T) {
 		if cs, _ := e["cost_seconds"].(float64); cs <= 0 || e["step_ms"] == nil {
 			t.Fatalf("entry %s cost_seconds %v, step_ms %v", wantMethods[i], e["cost_seconds"], e["step_ms"])
 		}
+		// Without a batch in the body a step simulates the model's own.
+		stepMs, _ := e["step_ms"].(float64)
+		if tput, _ := e["throughput"].(float64); math.Abs(tput*stepMs/1e3-float64(alexnet.Batch)) > 1e-9*float64(alexnet.Batch) {
+			t.Fatalf("entry %s throughput %v at step %v ms, want batch %d per step", wantMethods[i], tput, stepMs, alexnet.Batch)
+		}
 	}
 	if baseSpeedup != 1 {
 		t.Fatalf("baseline speedup = %v, want 1", baseSpeedup)
@@ -424,6 +455,14 @@ func TestCompareEndpoint(t *testing.T) {
 	if status, out = postJSON(t, ts.URL+"/v1/compare",
 		`{"model":"alexnet","gpus":8,"methods":["genetic"]}`); status != http.StatusBadRequest {
 		t.Fatalf("bad method list status %d: %v", status, out)
+	}
+	// The method list is bounded: 8 entries run, 9 are a 400.
+	for n, want := range map[int]int{maxCompareMethods: http.StatusOK, maxCompareMethods + 1: http.StatusBadRequest} {
+		methods := strings.Repeat(`"dataparallel",`, n)
+		body := fmt.Sprintf(`{"model":"alexnet","gpus":8,"methods":[%s]}`, methods[:len(methods)-1])
+		if status, out = postJSON(t, ts.URL+"/v1/compare", body); status != want {
+			t.Fatalf("%d methods: status %d, want %d (%v)", n, status, want, out)
+		}
 	}
 }
 

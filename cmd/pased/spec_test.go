@@ -147,6 +147,14 @@ func TestSolveInlineSpecErrors(t *testing.T) {
 	if stats["spec_errors"] != float64(len(rejected)+1) {
 		t.Fatalf("spec_errors = %v, want %d", stats["spec_errors"], len(rejected)+1)
 	}
+
+	// A spec machine may have as many gpus as the server allows, no more.
+	for gpus, want := range map[int]int{64: http.StatusOK, 65: http.StatusBadRequest} {
+		spec := strings.Replace(tinySpec, `"gpus": 2,`, fmt.Sprintf(`"gpus": %d,`, gpus), 1)
+		if status, body := postJSON(t, ts.URL+"/v1/solve", specBody(spec)); status != want {
+			t.Fatalf("spec at %d gpus: status %d, want %d (%v)", gpus, status, want, body)
+		}
+	}
 }
 
 func TestBatchInlineSpec(t *testing.T) {

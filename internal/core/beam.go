@@ -304,23 +304,16 @@ func newBeamPlan(m *cost.Model, sq *seq.Sequence) *beamPlan {
 	return bp
 }
 
-// lowerBound computes an admissible lower bound on the true optimum as the
-// max of two relaxations: (1) every vertex and every edge at its independent
-// minimum, and (2) each vertex minimizing its layer cost plus half of each
-// incident edge's row minimum (TX(e,cu,cv) >= ½·min over cv + ½·min over cu
-// splits every edge between its endpoints while keeping the per-vertex
-// choice consistent across that vertex's edges).
+// lowerBound computes an admissible lower bound on the true optimum: each
+// vertex minimizing its layer cost plus half of each incident edge's row
+// minimum (TX(e,cu,cv) >= ½·min over cv + ½·min over cu splits every edge
+// between its endpoints while keeping the per-vertex choice consistent
+// across that vertex's edges). It is never below every vertex and every
+// edge at its own minimum, up to rounding.
 func (bp *beamPlan) lowerBound() float64 {
 	m := bp.m
 	n := m.G.Len()
-	lb1 := 0.0
-	for v := 0; v < n; v++ {
-		lb1 += slices.Min(m.TLRow(v))
-	}
-	for e := range m.Edges() {
-		lb1 += slices.Min(bp.minU[e])
-	}
-	lb2 := 0.0
+	lb := 0.0
 	for v := 0; v < n; v++ {
 		best := math.Inf(1)
 		for c, s := range m.TLRow(v) {
@@ -333,9 +326,9 @@ func (bp *beamPlan) lowerBound() float64 {
 			}
 			best = min(best, s)
 		}
-		lb2 += best
+		lb += best
 	}
-	return math.Max(lb1, lb2)
+	return lb
 }
 
 // beamGap converts a realized strategy cost and an admissible lower bound
@@ -395,8 +388,8 @@ func SolveBeam(ctx context.Context, m *cost.Model, sq *seq.Sequence, opts BeamOp
 		if opts.OnPass != nil {
 			opts.OnPass(pass, w, best.Cost, best.Gap)
 		}
-		if best.Exact || opts.GapTarget <= 0 || best.Gap <= opts.GapTarget {
-			break // proven optimal, a single pass, or the target reached
+		if opts.GapTarget <= 0 || best.Gap <= opts.GapTarget {
+			break // a single pass, or the target reached (an exact pass has gap 0)
 		}
 		// A width beyond the entry budget can only ErrOOM; stop refining.
 		if int64(w) > opts.maxEntries() {

@@ -283,6 +283,20 @@ func requireBeamMatchesNaive(t *testing.T, label string, m *cost.Model, sq *seq.
 	if res.Stats.TotalEntries != total || res.Stats.MaxTable != most {
 		t.Fatalf("%s: %d entries, largest table %d; the reference's tables hold %d, largest %d", label, res.Stats.TotalEntries, res.Stats.MaxTable, total, most)
 	}
+	// The ledger: a table is charged 5 units an entry when kept, and its
+	// costs' 2 come back after its last reader.
+	freeAt := freePlan(seq.Children(m.G, sq), nil)
+	var live, peak int64
+	for i, tb := range want {
+		live += 5 * int64(len(tb.flats))
+		peak = max(peak, (live+2)/3)
+		for _, j := range freeAt[i] {
+			live -= 2 * int64(len(want[j].flats))
+		}
+	}
+	if res.Stats.PeakLiveEntries != peak {
+		t.Fatalf("%s: peak live entries %d, the reference's ledger %d", label, res.Stats.PeakLiveEntries, peak)
+	}
 	// No frontier was cut on an exact pass, so no early stop fired: the
 	// kernel evaluated every candidate the reference generated.
 	if res.Stats.States > generated || exact && res.Stats.States != generated {
@@ -346,6 +360,12 @@ func TestBeamKernelMatchesNaiveOnAdversarialTables(t *testing.T) {
 			}
 		}
 	}
+	// A partial whose bound ties the frontier's threshold may still enter it
+	// on a smaller flat: the walk stops only strictly above the threshold.
+	rng := rand.New(rand.NewSource(90179))
+	n := 3 + rng.Intn(5)
+	m := adversarialCosts(t, rng, adversarialGraph(rng, n), 8)
+	requireBeamMatchesNaive(t, "threshold tie", m, seq.FromOrder(m.G, rng.Perm(n)), 8, 5)
 	if wide < 200 {
 		t.Errorf("only %d of %d generation steps produced 4k or more candidates — too few to compact a 2k frontier repeatedly", wide, steps)
 	}

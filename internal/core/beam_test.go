@@ -354,6 +354,13 @@ func TestBeamRespectsMemoryBudget(t *testing.T) {
 	if err != nil || br.Passes != 1 || br.Width != 1 || br.Cost != first.Cost {
 		t.Fatalf("refinement under budget %d: (%+v, %v), want the W=1 pass's cost %v", budget, br, err, first.Cost)
 	}
+	// The partials a generation step holds count too: a W=16 pass needs a
+	// budget of 199, above the 172 its tables alone reach.
+	wide, err := single(1<<30, 16)
+	least := 1 + int64(sort.Search(1<<20, func(b int) bool { _, err := single(1+int64(b), 16); return err == nil }))
+	if err != nil || least != 199 || wide.Stats.PeakLiveEntries != 172 {
+		t.Fatalf("W=16: least budget %d, tables' peak %d (%v), want 199 and 172", least, wide.Stats.PeakLiveEntries, err)
+	}
 }
 
 // An exact oracle for the deep stack. Stored as quotients the DP tables of

@@ -41,10 +41,11 @@ func (s *Snapshot) held() map[canon.Fingerprint]*qtable {
 
 // EstimateDelta sizes a prospective Resolve against model m: the entries of
 // the tables whose keys the snapshot does not hold, which Resolve would fill,
-// versus the entries of every distinct table of the solve (its TotalEntries).
-// It runs the table classes over m's GENERATESEQ ordering alone, no table
-// data; dirtyV is ignored. An ordering m cannot be solved over counts every
-// table as missing. Only the benchmark harness calls it.
+// versus the entries of every distinct table of that Resolve (its
+// TotalEntries; an edit that splits a table class makes it larger than the
+// snapshot's). It runs the table classes over m's GENERATESEQ ordering alone,
+// no table data; dirtyV is ignored. An ordering m cannot be solved over
+// counts every table as missing. Only the benchmark harness calls it.
 func (s *Snapshot) EstimateDelta(m *cost.Model, dirtyV []bool) (dirty, total int64) {
 	sq := seq.Generate(m.G)
 	rep, keys, err := newFrame(context.Background(), m, sq, seq.Children(m.G, sq), Options{}, "").tableClasses()

@@ -60,10 +60,12 @@ const cancelCheckMask = 4096 - 1
 // representatives reps of every digit.
 func (e *exactSolve) scan(v int, q *qtable, srcs []rowSrc, rowDig [][]digUpd, reps [][]int) {
 	tlv := e.m.TLRow(v)
-	fastDigit := len(q.dims) // first digit with rows and K > 1; len(q.dims) when there is none
+	// Every digit has rows: a member of D(i) neighbours v or the set of a
+	// child, whose dependent set holds v.
+	fastDigit := len(q.dims) // first digit with K > 1; len(q.dims) when there is none
 	var scanDigits []int     // digits the scan odometer steps, fastest first
 	for k := range q.dims {
-		if fastDigit == len(q.dims) && len(rowDig[k]) > 0 && e.kd[k] > 1 {
+		if fastDigit == len(q.dims) && e.kd[k] > 1 {
 			fastDigit = k
 		}
 		if len(reps[k]) > 1 {

@@ -21,8 +21,9 @@ func TestFollowerDetachesWhileLeaderFinishes(t *testing.T) {
 	// Singleflight semantics under cancellation: a follower that joined an
 	// in-flight identical solve and then cancels must return promptly with
 	// context.Canceled, while the leader's solve runs to completion and is
-	// cached for everyone else.
-	pl := New(Config{})
+	// cached for everyone else. The leader's solve is held 300ms so it is
+	// still running when the follower detaches.
+	pl := New(Config{FaultPlan: mustFaultPlan(t, "solve:latency:300ms:1")})
 
 	type outcome struct {
 		res *Result
@@ -79,6 +80,13 @@ func TestFollowerDetachesWhileLeaderFinishes(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled follower did not return")
+	}
+	// A waiter that was not the last leaves the flight for later requests.
+	pl.mu.Lock()
+	flights := len(pl.solveFlights)
+	pl.mu.Unlock()
+	if flights != 1 {
+		t.Fatalf("%d flights after a follower detached, want the leader's", flights)
 	}
 
 	// The leader is unaffected: its solve completes and lands in the cache.

@@ -140,31 +140,16 @@ func (p *Planner) Compare(ctx context.Context, req CompareRequest) (*Comparison,
 		}
 	}
 
-	// The baseline step every speedup is measured against: reuse the
-	// requested entry's simulation when present, otherwise price the
-	// data-parallel strategy directly (it is a fixed strategy — no search).
-	var base sim.Result
-	haveBase := false
+	// The baseline step every speedup is measured against: the data-parallel
+	// strategy is fixed (no search), so it is priced directly whether or not
+	// it was requested. An entry holds an Err or a Result, never both.
+	base, err := sim.Step(req.G, strategies.DataParallel(req.G, req.Spec.Devices), req.Spec, batch)
+	if err != nil {
+		return cmp, nil
+	}
 	for i := range cmp.Entries {
-		if cmp.Entries[i].Method == cmp.Baseline && cmp.Entries[i].Err == nil && cmp.Entries[i].Result != nil {
-			base = cmp.Entries[i].Step
-			haveBase = true
-			break
-		}
-	}
-	if !haveBase {
-		if s, err := strategies.ForMethod(cmp.Baseline, req.G, req.Spec.Devices); err == nil {
-			if st, err := sim.Step(req.G, s, req.Spec, batch); err == nil {
-				base = st
-				haveBase = true
-			}
-		}
-	}
-	if haveBase {
-		for i := range cmp.Entries {
-			if cmp.Entries[i].Err == nil && cmp.Entries[i].Result != nil {
-				cmp.Entries[i].Speedup = sim.SpeedupOf(cmp.Entries[i].Step, base)
-			}
+		if cmp.Entries[i].Err == nil {
+			cmp.Entries[i].Speedup = sim.SpeedupOf(cmp.Entries[i].Step, base)
 		}
 	}
 	return cmp, nil

@@ -225,10 +225,11 @@ func TestUnknownMethodRejectedBeforeSolving(t *testing.T) {
 	}); err == nil {
 		t.Fatal("empty method in an explicit compare list was accepted")
 	}
-	// A method failing at solve time fails its entry only, and a zero Batch
-	// simulates one sample per step.
+	// A method failing at solve time fails its entry only, a family (even an
+	// unknown one) seeds the mcmc entry alone, and a zero Batch simulates one
+	// sample per step.
 	cmp, err := pl.Compare(context.Background(), CompareRequest{
-		G: models.AlexNet(128), Spec: machine.GTX1080Ti(8), Opts: Options{MaxTableEntries: 1}, Methods: []string{"dataparallel", "dp"},
+		G: models.AlexNet(128), Spec: machine.GTX1080Ti(8), Opts: Options{MaxTableEntries: 1}, Methods: []string{"dataparallel", "dp"}, Family: "gnn",
 	})
 	if err != nil || cmp.Entries[0].Step.Throughput != 1/cmp.Entries[0].Step.StepSeconds || !errors.Is(cmp.Entries[1].Err, core.ErrOOM) {
 		t.Fatalf("dp under a 1-entry budget: (%+v, %v), want a throughput of one sample per step and dp's entry failing with ErrOOM", cmp, err)

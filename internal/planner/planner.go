@@ -554,8 +554,8 @@ func (p *Planner) admit(ctx context.Context, opts Options) (release func(), degr
 		}
 		return nil, "", err
 	}
-	if p.cfg.DegradeBeamWidth > 0 && opts.method() == "dp" && depth >= p.cfg.degradeQueueDepth() {
-		degradeReason = DegradeReasonPressure
+	if p.cfg.DegradeBeamWidth > 0 && depth >= p.cfg.degradeQueueDepth() {
+		degradeReason = DegradeReasonPressure // doSolve reads it for "dp" alone
 	}
 	return p.gate.Release, degradeReason, nil
 }

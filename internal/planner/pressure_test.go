@@ -287,6 +287,68 @@ func TestPressureDegradationIsTransient(t *testing.T) {
 	}
 }
 
+// Pressure degrades only a dp request, and only with a degrade width: a
+// beam request, or any request to a planner without the rung, arriving to
+// the same deep queue is served as asked.
+func TestPressureDegradesOnlyDPWithAWidth(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		width  int
+		method string
+	}{
+		{"beam request", 4, "beam"},
+		{"no degrade width", 0, "dp"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(Config{
+				MaxInFlight:      1,
+				MaxQueue:         2,
+				DegradeBeamWidth: tc.width,
+				FaultPlan:        mustFaultPlan(t, "solve:latency:200ms:1"),
+			})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := p.Solve(context.Background(), rnnReq(8)); err != nil {
+					t.Errorf("blocker: %v", err)
+				}
+			}()
+			waitForGate(t, p, func(st Stats) bool { return st.InFlight == 1 })
+			req := alexReq(8)
+			req.Opts.Method = tc.method
+			res, err := p.Solve(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Degraded {
+				t.Fatalf("degraded (%q) at queue depth 1 of 2", res.DegradeReason)
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// Without MaxInFlight there is no gate: two distinct solves, each held
+// 100ms, run at once and neither queues.
+func TestNoGateWithoutMaxInFlight(t *testing.T) {
+	p := New(Config{FaultPlan: mustFaultPlan(t, "solve:latency:100ms:2")})
+	var wg sync.WaitGroup
+	for _, req := range []Request{alexReq(8), rnnReq(8)} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.Solve(context.Background(), req); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if st := p.Stats(); st.Queued != 0 {
+		t.Fatalf("%d requests queued on a planner without MaxInFlight", st.Queued)
+	}
+}
+
 // TestPanicIsolation: an injected panic fails only its own request with
 // ErrSolvePanic; the planner counts it and keeps serving.
 func TestPanicIsolation(t *testing.T) {

@@ -63,9 +63,9 @@ func (n *normalizer) run() *IR {
 		return nil
 	}
 
-	byName := n.checkNodes()
+	byName, ids := n.checkNodes()
 	inEdge, edgesOK := n.checkEdges(byName)
-	order := n.canonicalOrder(inEdge, edgesOK)
+	order := n.canonicalOrder(byName, ids, inEdge, edgesOK)
 
 	if len(n.diags) > 0 {
 		return nil
@@ -78,8 +78,9 @@ func (n *normalizer) run() *IR {
 }
 
 // checkNodes validates every node in isolation and returns the name → node
-// index map edges resolve through.
-func (n *normalizer) checkNodes() map[string]int {
+// index map edges resolve through and, when every node declares a valid id,
+// the node indices in id order (nil otherwise).
+func (n *normalizer) checkNodes() (map[string]int, []int) {
 	f := n.f
 	byName := make(map[string]int, len(f.Nodes))
 	withID := 0
@@ -153,7 +154,14 @@ func (n *normalizer) checkNodes() map[string]int {
 	if withID != 0 && withID != len(f.Nodes) {
 		n.errf("nodes", "node ids are all-or-none: %d of %d nodes declare an id", withID, len(f.Nodes))
 	}
-	return byName
+	if len(seenID) != len(f.Nodes) {
+		return byName, nil
+	}
+	ids := make([]int, len(f.Nodes))
+	for id, i := range seenID {
+		ids[id] = i
+	}
+	return byName, ids
 }
 
 // resolveOp lowers a kind name through the alias table to an OpType.
@@ -260,8 +268,9 @@ func (n *normalizer) checkEdges(byName map[string]int) ([][]int, bool) {
 // declared id order when ids are explicit (checking every edge runs forward
 // along it), otherwise the lexicographically least topological order by node
 // name. Returns nil when ordering is impossible (cycle, or earlier errors
-// made the wiring meaningless).
-func (n *normalizer) canonicalOrder(inEdge [][]int, edgesOK bool) []int {
+// made the wiring meaningless). An order that comes with diagnostics is
+// returned all the same: run discards it.
+func (n *normalizer) canonicalOrder(byName map[string]int, ids []int, inEdge [][]int, edgesOK bool) []int {
 	f := n.f
 	if !edgesOK {
 		return nil
@@ -275,29 +284,18 @@ func (n *normalizer) canonicalOrder(inEdge [][]int, edgesOK bool) []int {
 		}
 	}
 	if explicit {
-		// Id validity (range, duplicates, all-or-none) was checked per node;
-		// bail if any of that failed rather than building a broken order.
-		order := make([]int, len(f.Nodes))
-		seen := make([]bool, len(f.Nodes))
-		for i, nd := range f.Nodes {
-			id := *nd.ID
-			if id < 0 || id >= len(f.Nodes) || seen[id] {
-				return nil
-			}
-			seen[id] = true
-			order[id] = i
+		// checkNodes refused an id (range or duplicate) when ids is nil.
+		if ids == nil {
+			return nil
 		}
 		for k, e := range f.Edges {
-			from, to := *f.Nodes[idxOf(f, e.From)].ID, *f.Nodes[idxOf(f, e.To)].ID
+			from, to := *f.Nodes[byName[e.From]].ID, *f.Nodes[byName[e.To]].ID
 			if from >= to {
 				n.errf(elem("edges", k), "runs against the declared id order (%q id=%d → %q id=%d; ids must be a topological order)",
 					e.From, from, e.To, to)
 			}
 		}
-		if hasDiagPrefix(n.diags, "edges[") {
-			return nil
-		}
-		return order
+		return ids
 	}
 
 	// Kahn's algorithm, always emitting the ready node with the
@@ -341,26 +339,6 @@ func (n *normalizer) canonicalOrder(inEdge [][]int, edgesOK bool) []int {
 		}
 	}
 	return order
-}
-
-// idxOf resolves a node name; only called after checkEdges verified every
-// edge endpoint resolves.
-func idxOf(f *File, name string) int {
-	for i, nd := range f.Nodes {
-		if nd.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-func hasDiagPrefix(diags []Diagnostic, prefix string) bool {
-	for _, d := range diags {
-		if strings.HasPrefix(d.Path, prefix) {
-			return true
-		}
-	}
-	return false
 }
 
 // build lowers the validated file into a graph.Graph: nodes added in

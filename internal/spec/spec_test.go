@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,9 +81,36 @@ func TestLoadDiamond(t *testing.T) {
 	if ir.Machine.Devices != 4 {
 		t.Errorf("machine devices %d", ir.Machine.Devices)
 	}
-	for _, edit := range [][2]string{{`"gpus": 4`, `"gpus": 1`}, {`"batch": 8,`, `"batch": 8, "policy": {"max_split_dims": 0},`}} {
+	for _, edit := range [][2]string{
+		{`"gpus": 4`, `"gpus": 1`},
+		{`"batch": 8,`, `"batch": 8, "policy": {"max_split_dims": 0},`},
+		{`"output": {"map": [0]}}`, `"output": {"map": [0]}, "norm_dims": [0]}`},
+		{`"offset": [64], "size": [64]`, `"offset": [64], "size": [0]`},
+	} {
 		if _, err := Load([]byte(mutate(t, edit[0], edit[1]))); err != nil {
 			t.Errorf("%s: %v", edit[1], err)
+		}
+	}
+	// The canonical order does not depend on the declaration order.
+	for _, perm := range [][]int{{1, 2, 0, 3}, {3, 2, 1, 0}} {
+		f, err := Parse([]byte(diamondDoc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		declared := slices.Clone(f.Nodes)
+		for i, j := range perm {
+			f.Nodes[i] = declared[j]
+		}
+		ir, err := f.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, n := range ir.G.Nodes {
+			names = append(names, n.Name)
+		}
+		if got := strings.Join(names, ","); got != "a,b,c,d" {
+			t.Errorf("declared as %v: canonical order %s", perm, got)
 		}
 	}
 	// A zero policy in the request options takes the spec's; an explicit one wins.
@@ -122,6 +151,12 @@ func TestDiagnostics(t *testing.T) {
 			"nodes[0].flops", "unknown field"},
 		{"bad machine unit", `{"version": "pase-graph/v1", "machine": {"gpus": 1, "peak_flops": "eleven"}, "nodes": []}`,
 			"machine.peak_flops", "malformed unit value"},
+		{"NaN unit", `{"version": "pase-graph/v1", "machine": {"gpus": 1, "peak_flops": "NaN"}, "nodes": []}`,
+			"machine.peak_flops", "malformed unit value"},
+		{"infinite unit", `{"version": "pase-graph/v1", "machine": {"gpus": 1, "peak_flops": "Infinity"}, "nodes": []}`,
+			"machine.peak_flops", "malformed unit value"},
+		{"zero rate", `{"version": "pase-graph/v1", "machine": {"gpus": 1, "peak_flops": 0, "intra_bw": 1, "inter_bw": 1}, "nodes": []}`,
+			"machine.peak_flops", "must be > 0 and finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,20 +218,6 @@ func TestAllDiagnosticsCollected(t *testing.T) {
 	wantDiag(t, se, "nodes[1].op", "unknown op")
 	wantDiag(t, se, "nodes[1].flops_per_point", "must be finite")
 	wantDiag(t, se, "machine.gpus", "must be >= 1")
-}
-
-func TestCycleDetection(t *testing.T) {
-	doc := mutate(t, `{"from": "a", "to": "b"}`, `{"from": "d", "to": "b"}`)
-	// now b's input comes from d: b→d→...→b cycle; a left feeding only c.
-	se := loadErr(t, doc)
-	wantDiag(t, se, "edges", "cycle")
-}
-
-func TestUnfilledInputSlot(t *testing.T) {
-	doc := mutate(t, `{"from": "a", "to": "c"},
-`, "")
-	se := loadErr(t, doc)
-	wantDiag(t, se, "nodes[2].inputs", "no edge feeding it")
 }
 
 func TestExplicitIDs(t *testing.T) {
@@ -266,7 +287,7 @@ func TestOpAliasesAndUnits(t *testing.T) {
 			t.Errorf("alias %s changes the fingerprint", variant)
 		}
 	}
-	for _, peak := range []string{`"11.3T"`, `"11.3TF"`, `"11.3 TFLOPS"`, `"11300 GFLOP/s"`, `"11300000M"`, `"11300000000K"`, `"11.3e12 FLOPS"`} {
+	for _, peak := range []string{`"11.3T"`, `"11.3TF"`, `"11.3 TFLOPS"`, `"11300 GFLOP/s"`, `"11300000M"`, `"11300000000K"`, `"11.3e12 FLOPS"`, `"0.0113P"`} {
 		ir, err := Load([]byte(build(`"fc"`, peak)))
 		if err != nil {
 			t.Fatalf("%s: %v", peak, err)
@@ -288,9 +309,58 @@ func TestOpAliasesAndUnits(t *testing.T) {
 	}
 }
 
-func TestMachineMutualExclusion(t *testing.T) {
-	doc := mutate(t, `{"preset": "1080ti", "gpus": 4}`, `{"preset": "1080ti", "gpus": 4, "peak_flops": 1e12}`)
-	wantDiag(t, loadErr(t, doc), "machine", "mutually exclusive")
+// Each row's document has exactly one problem, and Normalize reports it
+// alone. The rows with an edit reach Normalize with what JSON or Parse
+// cannot carry: NaN, ±Inf, a negative slot.
+func TestNormalizeReportsOneDiagnostic(t *testing.T) {
+	withIDs := strings.NewReplacer(
+		`{"name": "a"`, `{"id": 0, "name": "a"`,
+		`{"name": "b"`, `{"id": 1, "name": "b"`,
+		`{"name": "c"`, `{"id": 2, "name": "c"`,
+		`{"name": "d"`, `{"id": 3, "name": "d"`,
+	).Replace(diamondDoc)
+	const lastEdge = `{"from": "c", "to": "d", "slot": 1}`
+	cases := []struct {
+		name, doc string
+		edit      func(*File)
+		path, msg string
+	}{
+		{"negative id", strings.Replace(withIDs, `"id": 3`, `"id": -1`, 1), nil, "nodes[3].id", "must be in [0, 4)"},
+		{"id at the node count", strings.Replace(withIDs, `"id": 3`, `"id": 4`, 1), nil, "nodes[3].id", "must be in [0, 4)"},
+		{"unknown source into a root", mutate(t, lastEdge, lastEdge+`, {"from": "z", "to": "a"}`), nil, "edges[4].from", "unknown node"},
+		{"unknown target from a root", mutate(t, lastEdge, lastEdge+`, {"from": "a", "to": "z"}`), nil, "edges[4].to", "unknown node"},
+		// b's input now comes from d: b→d→b, and a feeds only c.
+		{"cycle", mutate(t, `{"from": "a", "to": "b"}`, `{"from": "d", "to": "b"}`), nil, "edges", "cycle"},
+		{"unfilled input slot", mutate(t, `{"from": "a", "to": "c"},`, ""), nil, "nodes[2].inputs", "no edge feeding it"},
+		{"preset and peak_flops", mutate(t, `"gpus": 4}`, `"gpus": 4, "peak_flops": 1e12}`), nil, "machine", "mutually exclusive"},
+		{"preset and intra_bw", mutate(t, `"gpus": 4}`, `"gpus": 4, "intra_bw": 1e9}`), nil, "machine", "mutually exclusive"},
+		{"preset and inter_bw", mutate(t, `"gpus": 4}`, `"gpus": 4, "inter_bw": 1e9}`), nil, "machine", "mutually exclusive"},
+		{"preset and gpus_per_node", mutate(t, `"gpus": 4}`, `"gpus": 4, "gpus_per_node": 2}`), nil, "machine", "mutually exclusive"},
+		{"NaN flops", diamondDoc, func(f *File) { f.Nodes[1].FlopsPerPoint = math.NaN() }, "nodes[1].flops_per_point", "must be finite"},
+		{"infinite flops", diamondDoc, func(f *File) { f.Nodes[1].FlopsPerPoint = math.Inf(1) }, "nodes[1].flops_per_point", "must be finite"},
+		{"NaN scale", diamondDoc, func(f *File) { f.Nodes[0].Output.Scale = math.NaN() }, "nodes[0].output.scale", "must be finite"},
+		{"infinite scale", diamondDoc, func(f *File) { f.Nodes[0].Output.Scale = math.Inf(1) }, "nodes[0].output.scale", "must be finite"},
+		{"negative slot", mutate(t, lastEdge, lastEdge+`, {"from": "a", "to": "d"}`), func(f *File) { f.Edges[4].Slot = -1 }, "edges[4].slot", "out of range"},
+		{"infinite bandwidth", diamondDoc, func(f *File) {
+			f.Machine = Machine{GPUs: 4, PeakFLOPS: 1e12, IntraBW: math.Inf(1), InterBW: 1e9}
+		}, "machine.intra_bw", "must be > 0 and finite"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := Parse([]byte(tc.doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.edit != nil {
+				tc.edit(f)
+			}
+			_, err = f.Normalize()
+			se, ok := err.(*Error)
+			if !ok || len(se.Diags) != 1 || se.Diags[0].Path != tc.path || !strings.Contains(se.Diags[0].Msg, tc.msg) {
+				t.Errorf("got %v, want one diagnostic at %q containing %q", err, tc.path, tc.msg)
+			}
+		})
+	}
 }
 
 func TestEmptyVsAbsentOptionalFields(t *testing.T) {
